@@ -69,6 +69,29 @@ func TestAllocationRatchet(t *testing.T) {
 	}
 }
 
+// maxBuildAllocs8x8 pins what building one 8x8 fabric may allocate. The
+// paper artifacts are a few hundred short simulations, each on a freshly
+// built network, so construction is a real share of their cost. The engine
+// keeps its components in one slice per phase rather than one heap node
+// each, which took the build from 5012 allocations to 4539; the ceiling
+// sits between the two so a per-component allocation coming back fails
+// here.
+const maxBuildAllocs8x8 = 4600
+
+func TestBuildAllocationPin(t *testing.T) {
+	cfg := noc.DefaultConfig(8, 8)
+	cfg.EastSinks = false
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := noc.New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("noc.New(8x8): %.0f allocs", avg)
+	if avg > maxBuildAllocs8x8 {
+		t.Fatalf("noc.New(8x8) allocates %.0f objects, pin %d", avg, maxBuildAllocs8x8)
+	}
+}
+
 // TestShardedAllocationRatchet extends the ratchet to the sharded tick
 // loop (DESIGN.md §9): the same operating point as the direct test, run
 // on 4 row-partition shards. The parallel phases must not allocate per

@@ -35,6 +35,7 @@
 //
 // The root package carries the integration tests and the benchmark harness
 // (one benchmark per paper table/figure); the implementation lives under
-// internal/ — see README.md for the architecture map and DESIGN.md /
-// EXPERIMENTS.md for the reproduction methodology and results.
+// internal/ — see README.md for the architecture map and the reproduced
+// results, DESIGN.md for the modelling decisions and bench/README.md for
+// the repository benchmark.
 package gathernoc

@@ -13,7 +13,7 @@ import (
 // TestGoldenDeterminism pins the simulator's exact cycle counts for a
 // reference configuration. These values are a contract: the simulation is
 // bit-for-bit deterministic, so any change here means the timing model
-// changed and EXPERIMENTS.md needs re-measuring.
+// changed and the results in README.md need re-measuring.
 func TestGoldenDeterminism(t *testing.T) {
 	layer, ok := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv1")
 	if !ok {

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
@@ -68,6 +69,10 @@ type Driver struct {
 	doneAt    []int64
 	submitted []bool
 	pending   int
+	// nextDue is the earliest doneAt among leaves not yet submitted
+	// (math.MaxInt64 when there is none): releaseLeaves has nothing to do
+	// before that cycle.
+	nextDue int64
 
 	// Level 1 (tree/fused): per-row accounts and row-sum relays.
 	rowAccs []acct
@@ -281,6 +286,7 @@ func (d *Driver) startRound(now int64) {
 		d.submitted[i] = false
 	}
 	d.pending = d.nodes
+	d.nextDue = now + int64(d.cfg.ComputeLatency)
 	d.l2Left = 0
 	if d.treeLevels() {
 		d.l2Left = d.rows
@@ -325,12 +331,17 @@ func (d *Driver) Tick(cycle int64) {
 // its row's level-1 collection (tree/fused), or straight to the root
 // (flat).
 func (d *Driver) releaseLeaves(cycle int64) {
-	if d.pending == 0 {
+	if cycle < d.nextDue {
 		return
 	}
+	d.nextDue = math.MaxInt64
 	topo := d.nw.Topology()
 	for id := 0; id < d.nodes; id++ {
-		if d.submitted[id] || d.doneAt[id] > cycle {
+		if d.submitted[id] {
+			continue
+		}
+		if d.doneAt[id] > cycle {
+			d.nextDue = min(d.nextDue, d.doneAt[id])
 			continue
 		}
 		d.submitted[id] = true

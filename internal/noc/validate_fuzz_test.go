@@ -18,6 +18,7 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(8, 8, uint8(1), uint8(0), true, 1, 0, 1, 1)   // torus + east sinks: rejected
 	f.Add(0, -3, uint8(0), uint8(1), false, 4, 2, 0, 5) // degenerate dims
 	f.Add(16, 16, uint8(2), uint8(3), true, 4, 3, 2, 1) // unknown topology byte
+	f.Add(8, 8, uint8(0), uint8(0), true, 65, -1, 1, 1) // VCs past the router's slot-mask width
 	f.Fuzz(func(t *testing.T, rows, cols int, topoSel, routeSel uint8, sinks bool,
 		vcs, gatherVC, linkLatency, ejectRate int) {
 		topos := []string{"", "mesh", "torus", "hypercube"}

@@ -18,13 +18,18 @@ import (
 //   - a raised gather or accumulate Load signal has a reserved station
 //     entry;
 //   - the incrementally maintained stage-occupancy counters (which let
-//     Tick skip whole pipeline stages) agree with a full rescan.
+//     Tick skip whole pipeline stages) and slot masks (which let a stage
+//     visit only the VCs it could act on) agree with a full rescan.
 func (r *Router) CheckInvariants() error {
 	buffered, loads, vaPending, active := 0, 0, 0, 0
+	var occMask, vaMask, actMask [topology.NumPorts]uint64
 	for p := 0; p < topology.NumPorts; p++ {
 		for v := range r.inputs[p] {
 			vc := &r.inputs[p][v]
 			buffered += vc.buf.Len()
+			if !vc.buf.Empty() {
+				occMask[p] |= 1 << v
+			}
 			if vc.gatherLoad {
 				loads++
 			}
@@ -34,8 +39,10 @@ func (r *Router) CheckInvariants() error {
 			switch vc.stage {
 			case vcVA:
 				vaPending++
+				vaMask[p] |= 1 << v
 			case vcActive:
 				active++
+				actMask[p] |= 1 << v
 			}
 			if vc.buf.Len() > r.cfg.BufferDepth {
 				return fmt.Errorf("router %d: input %s vc%d holds %d flits (depth %d)",
@@ -108,6 +115,10 @@ func (r *Router) CheckInvariants() error {
 	if buffered != r.buffered || loads != r.loads || vaPending != r.vaPending || active != r.active {
 		return fmt.Errorf("router %d: occupancy counters (buffered=%d loads=%d vaPending=%d active=%d) drifted from rescan (%d %d %d %d)",
 			r.id, r.buffered, r.loads, r.vaPending, r.active, buffered, loads, vaPending, active)
+	}
+	if occMask != r.occMask || vaMask != r.vaMask || actMask != r.actMask {
+		return fmt.Errorf("router %d: slot masks (occ=%x va=%x act=%x) drifted from rescan (%x %x %x)",
+			r.id, r.occMask, r.vaMask, r.actMask, occMask, vaMask, actMask)
 	}
 	return nil
 }

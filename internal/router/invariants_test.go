@@ -56,4 +56,21 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Errorf("orphan ownership not detected: %v", err)
 	}
+	h.a.outputs[topology.EastPort].ownerPort[1] = -1
+	h.a.outputs[topology.EastPort].ownerVC[1] = -1
+
+	// Flip one bit of each slot mask in turn.
+	for name, mask := range map[string]*[topology.NumPorts]uint64{
+		"occ": &h.a.occMask, "va": &h.a.vaMask, "act": &h.a.actMask,
+	} {
+		mask[topology.WestPort] ^= 1 << 2
+		err = h.a.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "slot masks") {
+			t.Errorf("%s mask drift not detected: %v", name, err)
+		}
+		mask[topology.WestPort] ^= 1 << 2
+	}
+	if err := h.a.CheckInvariants(); err != nil {
+		t.Errorf("restored router still unhealthy: %v", err)
+	}
 }

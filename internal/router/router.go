@@ -15,7 +15,9 @@
 package router
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
@@ -75,11 +77,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxVCs is the largest supported Config.VCs: the router tracks each input
+// port's virtual channels in one 64-bit slot mask.
+const maxVCs = 64
+
+// ErrTooManyVCs reports a Config.VCs above 64, the width of those masks.
+var ErrTooManyVCs = errors.New("router: too many virtual channels")
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.VCs < 1:
 		return fmt.Errorf("router: VCs must be >= 1, got %d", c.VCs)
+	case c.VCs > maxVCs:
+		return fmt.Errorf("%w: VCs must be <= %d, got %d", ErrTooManyVCs, maxVCs, c.VCs)
 	case c.BufferDepth < 1:
 		return fmt.Errorf("router: BufferDepth must be >= 1, got %d", c.BufferDepth)
 	case c.RCDelay < 1 || c.VADelay < 1:
@@ -225,6 +236,13 @@ type Router struct {
 	vaPending int // input VCs in the vcVA stage
 	active    int // input VCs in the vcActive stage
 
+	// Slot masks, one word per input port with bit v standing for VC v,
+	// maintained beside the counters above and under the same rule. They
+	// let a stage that does run visit only the slots it could act on.
+	occMask [topology.NumPorts]uint64 // buffer non-empty
+	vaMask  [topology.NumPorts]uint64 // stage == vcVA
+	actMask [topology.NumPorts]uint64 // stage == vcActive
+
 	// Counters is exported for the power model and reports.
 	Counters Counters
 }
@@ -345,6 +363,7 @@ func (r *Router) acceptFlit(p topology.Port, f *flit.Flit, vc int) {
 	}
 	in.buf.PushBack(f)
 	r.buffered++
+	r.occMask[p] |= 1 << vc
 	f.Hops++
 	r.Counters.BufferWrites.Inc()
 	r.wake.Wake()
@@ -470,32 +489,35 @@ func (r *Router) gatherUploadStage(cycle int64) {
 // (Algorithm 1, lines 1-4).
 func (r *Router) rcStage(cycle int64) {
 	for p := 0; p < topology.NumPorts; p++ {
-		for v := range r.inputs[p] {
+		// Only a VC holding a flit and not yet past RC can act here: an
+		// idle VC needs a head to start on, and one in vcRC still holds its.
+		for m := r.occMask[p] &^ (r.vaMask[p] | r.actMask[p]); m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
 			vc := &r.inputs[p][v]
 			switch vc.stage {
 			case vcIdle:
-				f := vc.head()
-				if f == nil || !f.IsHead() {
+				if !vc.buf.Front().IsHead() {
 					continue
 				}
 				vc.stage = vcRC
 				vc.wait = r.cfg.RCDelay - 1
 				if vc.wait == 0 {
-					r.completeRC(vc, cycle)
+					r.completeRC(p, v, cycle)
 				}
 			case vcRC:
 				if vc.wait > 0 {
 					vc.wait--
 				}
 				if vc.wait == 0 {
-					r.completeRC(vc, cycle)
+					r.completeRC(p, v, cycle)
 				}
 			}
 		}
 	}
 }
 
-func (r *Router) completeRC(vc *inputVC, cycle int64) {
+func (r *Router) completeRC(p, v int, cycle int64) {
+	vc := &r.inputs[p][v]
 	f := vc.head()
 	rt := r.route(r.id, f)
 	vc.vcClass = rt.VCClass
@@ -549,6 +571,7 @@ func (r *Router) completeRC(vc *inputVC, cycle int64) {
 	vc.stage = vcVA
 	vc.wait = r.cfg.VADelay - 1
 	r.vaPending++
+	r.vaMask[p] |= 1 << v
 }
 
 // vaStage allocates downstream VCs to packets that completed RC. Multicast
@@ -561,29 +584,28 @@ func (r *Router) completeRC(vc *inputVC, cycle int64) {
 // bit-identical with the always-tick engine.
 func (r *Router) vaStage(cycle int64) {
 	nv := r.cfg.VCs
-	total := topology.NumPorts * nv
-	start := int(cycle % int64(total))
-	p := start / nv
-	v := start - p*nv
-	// pending snapshots the vcVA population; no VC enters the stage during
-	// this pass (only rcStage, which runs later, promotes into it), so the
-	// scan may stop once every pending VC has been visited.
-	pending := r.vaPending
-	for off := 0; off < total && pending > 0; off++ {
-		cp, cv := p, v
+	start := int(cycle % int64(topology.NumPorts*nv))
+	p0 := start / nv
+	below := uint64(1)<<(start-p0*nv) - 1 // VCs of port p0 the rotation reaches last
+	// No VC enters vcVA during this pass (only rcStage, which runs later,
+	// promotes into it), so each port's mask can be read when the rotation
+	// reaches the port.
+	r.vaSlots(p0, r.vaMask[p0]&^below, cycle)
+	for p := p0 + 1; p < topology.NumPorts; p++ {
+		r.vaSlots(p, r.vaMask[p], cycle)
+	}
+	for p := 0; p < p0; p++ {
+		r.vaSlots(p, r.vaMask[p], cycle)
+	}
+	r.vaSlots(p0, r.vaMask[p0]&below, cycle)
+}
+
+// vaSlots runs VC allocation for the VCs of input port cp named in m, in
+// ascending order.
+func (r *Router) vaSlots(cp int, m uint64, cycle int64) {
+	for ; m != 0; m &= m - 1 {
+		cv := bits.TrailingZeros64(m)
 		vc := &r.inputs[cp][cv]
-		v++
-		if v == nv {
-			v = 0
-			p++
-			if p == topology.NumPorts {
-				p = 0
-			}
-		}
-		if vc.stage != vcVA {
-			continue
-		}
-		pending--
 		if vc.wait > 0 {
 			vc.wait--
 			continue
@@ -625,6 +647,8 @@ func (r *Router) vaStage(cycle int64) {
 			vc.stage = vcActive
 			r.vaPending--
 			r.active++
+			r.vaMask[cp] &^= 1 << cv
+			r.actMask[cp] |= 1 << cv
 			if r.probe != nil && f.IsHead() && r.probe.Sampled(f.PacketID) {
 				r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvVA,
 					Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id)})
@@ -687,33 +711,46 @@ func (r *Router) vcAllowed(pt flit.PacketType, vc, nVCs, class int, datelined bo
 // granted flits are copied onto their branch links and retired once every
 // branch has been served.
 func (r *Router) switchStage(cycle int64) {
-	// Input arbitration: one candidate VC per input port. The round-robin
-	// scans are inlined (no closure indirection — this is the hottest loop
-	// in the simulator) but advance the arbiters exactly as rrArbiter.pick
-	// would, so grant rotations replay identically.
+	// Input arbitration: one candidate VC per input port, the first ready
+	// one in the arbiter's round-robin order. Only active VCs holding a flit
+	// can be ready, so the scan walks that mask rotated to start at the
+	// arbiter's pointer; it advances the arbiters exactly as rrArbiter.pick
+	// would, so grant rotations replay identically. requests[p] is the set
+	// of output ports port p's candidate asks for (zero: no candidate), and
+	// requested their union.
 	var candidate [topology.NumPorts]int
+	var requests [topology.NumPorts]uint8
+	var requested uint8
 	for p := 0; p < topology.NumPorts; p++ {
-		candidate[p] = -1
+		m := r.actMask[p] & r.occMask[p]
+		if m == 0 {
+			continue
+		}
 		arb := r.saInputArb[p]
 		in := r.inputs[p]
-		idx := arb.next
-		for off := 0; off < arb.n; off++ {
+		for rot := (m>>arb.next | m<<(arb.n-arb.next)) & (1<<arb.n - 1); rot != 0; rot &= rot - 1 {
+			idx := bits.TrailingZeros64(rot) + arb.next
 			if idx >= arb.n {
 				idx -= arb.n
 			}
-			if r.vcReady(&in[idx]) {
+			if req := r.requestedOutputs(&in[idx]); req != 0 {
 				arb.next = idx + 1
 				if arb.next == arb.n {
 					arb.next = 0
 				}
 				candidate[p] = idx
+				requests[p] = req
+				requested |= req
 				break
 			}
-			idx++
 		}
 	}
+	if requested == 0 {
+		return
+	}
 
-	// Output arbitration: for each output port, grant one requesting input.
+	// Output arbitration: for each requested output port, grant one
+	// requesting input.
 	type grant struct {
 		inPort int
 		inVC   int
@@ -722,8 +759,7 @@ func (r *Router) switchStage(cycle int64) {
 	var grants [topology.NumPorts]grant
 	nGrants := 0
 	for out := 0; out < topology.NumPorts; out++ {
-		o := &r.outputs[out]
-		if !o.connected() {
+		if requested&(1<<out) == 0 {
 			continue
 		}
 		arb := r.saOutputArb[out]
@@ -732,17 +768,16 @@ func (r *Router) switchStage(cycle int64) {
 			if idx >= arb.n {
 				idx -= arb.n
 			}
-			if v := candidate[idx]; v >= 0 {
-				if bi := r.branchRequesting(&r.inputs[idx][v], topology.Port(out)); bi >= 0 {
-					arb.next = idx + 1
-					if arb.next == arb.n {
-						arb.next = 0
-					}
-					grants[nGrants] = grant{inPort: idx, inVC: v, branch: bi}
-					nGrants++
-					r.Counters.SAGrants.Inc()
-					break
+			if requests[idx]&(1<<out) != 0 {
+				v := candidate[idx]
+				arb.next = idx + 1
+				if arb.next == arb.n {
+					arb.next = 0
 				}
+				grants[nGrants] = grant{inPort: idx, inVC: v, branch: r.branchRequesting(&r.inputs[idx][v], topology.Port(out))}
+				nGrants++
+				r.Counters.SAGrants.Inc()
+				break
 			}
 			idx++
 		}
@@ -794,6 +829,9 @@ func (r *Router) switchStage(cycle int64) {
 		}
 		f := vc.buf.PopFront()
 		r.buffered--
+		if vc.buf.Empty() {
+			r.occMask[p] &^= 1 << v
+		}
 		forked := len(vc.branches) > 1
 		r.Counters.BufferReads.Inc()
 		if r.inLinks[p] != nil {
@@ -824,6 +862,7 @@ func (r *Router) switchStage(cycle int64) {
 			vc.branches = vc.branches[:0]
 			vc.stage = vcIdle
 			r.active--
+			r.actMask[p] &^= 1 << v
 		}
 		if forked {
 			// Forked packets sent pool copies on every branch; the
@@ -834,28 +873,23 @@ func (r *Router) switchStage(cycle int64) {
 	}
 }
 
-// vcReady reports whether the input VC has a flit that can move this
-// cycle: it is active and at least one unserved branch has downstream
-// credit.
-func (r *Router) vcReady(vc *inputVC) bool {
-	if vc.stage != vcActive || vc.buf.Empty() {
-		return false
-	}
+// requestedOutputs returns the output ports, as a bitset, that the head flit
+// of an active input VC can move to this cycle: those of its unserved
+// branches with downstream credit. Zero means the VC is not ready.
+func (r *Router) requestedOutputs(vc *inputVC) uint8 {
+	var req uint8
 	for i := range vc.branches {
 		br := &vc.branches[i]
 		if !br.sent && r.outputs[br.out].credits[br.vc] > 0 {
-			return true
+			req |= 1 << br.out
 		}
 	}
-	return false
+	return req
 }
 
 // branchRequesting returns the index of the unserved credited branch of vc
 // aimed at out, or -1.
 func (r *Router) branchRequesting(vc *inputVC, out topology.Port) int {
-	if vc.stage != vcActive || vc.buf.Empty() {
-		return -1
-	}
 	for i := range vc.branches {
 		br := &vc.branches[i]
 		if br.out == out && !br.sent && r.outputs[br.out].credits[br.vc] > 0 {

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"testing"
 
 	"gathernoc/internal/flit"
@@ -17,6 +18,8 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"default", func(c *Config) {}, true},
 		{"zero vcs", func(c *Config) { c.VCs = 0 }, false},
+		{"vcs at mask width", func(c *Config) { c.VCs = maxVCs }, true},
+		{"vcs past mask width", func(c *Config) { c.VCs = maxVCs + 1 }, false},
 		{"zero depth", func(c *Config) { c.BufferDepth = 0 }, false},
 		{"zero rc", func(c *Config) { c.RCDelay = 0 }, false},
 		{"zero va", func(c *Config) { c.VADelay = 0 }, false},
@@ -37,6 +40,11 @@ func TestConfigValidate(t *testing.T) {
 				t.Errorf("Validate() err = %v, wantOK %v", err, tt.wantOK)
 			}
 		})
+	}
+	cfg := DefaultConfig()
+	cfg.VCs = maxVCs + 1
+	if err := cfg.Validate(); !errors.Is(err, ErrTooManyVCs) {
+		t.Errorf("Validate() with %d VCs = %v, want ErrTooManyVCs", cfg.VCs, err)
 	}
 }
 

@@ -45,8 +45,8 @@ type OutputSnapshot struct {
 
 // State is the complete mutable state of one router. Wiring (links,
 // routing function, stations' capacities) is rebuilt by construction;
-// the occupancy counters (buffered/loads/vaPending/active) are derived
-// and recomputed on restore.
+// the occupancy counters (buffered/loads/vaPending/active) and slot masks
+// are derived and recomputed on restore.
 type State struct {
 	Inputs        [][]VCSnapshot
 	Outputs       []OutputSnapshot
@@ -121,8 +121,8 @@ func (r *Router) CaptureState() State {
 // RestoreState replaces the router's mutable state with the captured
 // one. Buffered flits materialize through pool; station entries are
 // re-acked through the owning NIC's handlers; the VC-held entry pointers
-// are re-linked by queue index. The derived occupancy counters are
-// recomputed from the restored state.
+// are re-linked by queue index. The derived occupancy counters and slot
+// masks are recomputed from the restored state.
 func (r *Router) RestoreState(s State, pool *flit.Pool, numNodes int, gatherAck, reduceAck reduce.AckFunc) error {
 	if len(s.Inputs) != topology.NumPorts || len(s.Outputs) != topology.NumPorts ||
 		len(s.SAInputNext) != topology.NumPorts || len(s.SAOutputNext) != topology.NumPorts {
@@ -132,6 +132,7 @@ func (r *Router) RestoreState(s State, pool *flit.Pool, numNodes int, gatherAck,
 	r.rstation.RestoreEntries(s.ReduceStation, reduceAck)
 	r.Counters = s.Counters
 	r.buffered, r.loads, r.vaPending, r.active = 0, 0, 0, 0
+	r.occMask, r.vaMask, r.actMask = [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}
 	for p := 0; p < topology.NumPorts; p++ {
 		if len(s.Inputs[p]) != len(r.inputs[p]) {
 			return fmt.Errorf("router %d: snapshot has %d VCs on port %d, router has %d",
@@ -149,6 +150,9 @@ func (r *Router) RestoreState(s State, pool *flit.Pool, numNodes int, gatherAck,
 			for _, fs := range vs.Flits {
 				vc.buf.PushBack(fs.Materialize(pool, numNodes))
 				r.buffered++
+			}
+			if len(vs.Flits) > 0 {
+				r.occMask[p] |= 1 << v
 			}
 			vc.stage = vcStage(vs.Stage)
 			vc.wait = vs.Wait
@@ -187,8 +191,10 @@ func (r *Router) RestoreState(s State, pool *flit.Pool, numNodes int, gatherAck,
 			switch vc.stage {
 			case vcVA:
 				r.vaPending++
+				r.vaMask[p] |= 1 << v
 			case vcActive:
 				r.active++
+				r.actMask[p] |= 1 << v
 			}
 		}
 		o := &r.outputs[p]

@@ -1,0 +1,375 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// scheduler is what the wake-ordering scenarios below need from an engine,
+// so each can run on the real Engine and on listWalk and compare.
+type scheduler interface {
+	addTicker(Ticker) (wake func())
+	addCommitter(Committer) (wake func())
+	step()
+	cycle() int64
+	counts() (evaluated, skipped uint64)
+}
+
+type engineSched struct{ e *Engine }
+
+func (s engineSched) addTicker(t Ticker) func()       { return s.e.AddTicker(t).Wake }
+func (s engineSched) addCommitter(c Committer) func() { return s.e.AddCommitter(c).Wake }
+func (s engineSched) step()                           { s.e.Step() }
+func (s engineSched) cycle() int64                    { return s.e.Cycle() }
+func (s engineSched) counts() (uint64, uint64)        { return s.e.Evaluated(), s.e.Skipped() }
+
+// listWalk is the reference the bitmap engine must match: one heap node per
+// component with an awake flag, and a walk over the whole registration-order
+// list every cycle, including the adaptive naive bursts.
+type listWalk struct {
+	now                 int64
+	tickers, committers []*listNode
+	adaptive            bool
+	burst               int
+	evaluated, skipped  uint64
+}
+
+type listNode struct {
+	ticker    Ticker
+	committer Committer
+	idler     Idler
+	awake     bool
+}
+
+func (n *listNode) eval(cycle int64) {
+	if n.ticker != nil {
+		n.ticker.Tick(cycle)
+	} else {
+		n.committer.Commit(cycle)
+	}
+}
+
+func (l *listWalk) addTicker(t Ticker) func() {
+	n := &listNode{ticker: t, awake: true}
+	n.idler, _ = t.(Idler)
+	l.tickers = append(l.tickers, n)
+	return func() { n.awake = true }
+}
+
+func (l *listWalk) addCommitter(c Committer) func() {
+	n := &listNode{committer: c, awake: true}
+	n.idler, _ = c.(Idler)
+	l.committers = append(l.committers, n)
+	return func() { n.awake = true }
+}
+
+func (l *listWalk) cycle() int64             { return l.now }
+func (l *listWalk) counts() (uint64, uint64) { return l.evaluated, l.skipped }
+
+func (l *listWalk) step() {
+	defer func() { l.now++ }()
+	if l.burst > 0 {
+		for _, n := range l.tickers {
+			n.eval(l.now)
+			l.evaluated++
+		}
+		for _, n := range l.committers {
+			n.eval(l.now)
+			l.evaluated++
+		}
+		l.burst--
+		if l.burst == 0 {
+			for _, n := range l.tickers {
+				n.awake = true
+			}
+			for _, n := range l.committers {
+				n.awake = true
+			}
+		}
+		return
+	}
+	load := 0
+	walk := func(list []*listNode) {
+		for _, n := range list {
+			if !n.awake {
+				l.skipped++
+				continue
+			}
+			n.eval(l.now)
+			l.evaluated++
+			if n.idler != nil && n.idler.Idle() {
+				n.awake = false
+			} else {
+				load++
+			}
+		}
+	}
+	walk(l.tickers)
+	walk(l.committers) // read now: a committer registered during the tick phase commits this cycle
+	if l.adaptive && load*adaptiveDen >= (len(l.tickers)+len(l.committers))*adaptiveNum {
+		l.burst = adaptiveBurst
+	}
+}
+
+// actor is a sleeping component whose evaluation is scripted: it logs
+// itself, burns one unit of work and then runs act, which may wake others.
+type actor struct {
+	name string
+	id   int64 // hashed into the scripted wake patterns
+	log  *[]string
+	work int
+	act  func(a *actor, cycle int64)
+}
+
+func (a *actor) eval(cycle int64) {
+	*a.log = append(*a.log, fmt.Sprintf("%d:%s", cycle, a.name))
+	if a.work > 0 {
+		a.work--
+	}
+	if a.act != nil {
+		a.act(a, cycle)
+	}
+}
+
+func (a *actor) Tick(cycle int64)   { a.eval(cycle) }
+func (a *actor) Commit(cycle int64) { a.eval(cycle) }
+func (a *actor) Idle() bool         { return a.work == 0 }
+
+// onBoth runs scenario on the bitmap engine and on the list walk, checks
+// that both evaluate the same components in the same order with the same
+// counters, and returns the engine's log.
+func onBoth(t *testing.T, adaptive bool, scenario func(s scheduler, log *[]string)) []string {
+	t.Helper()
+	e := NewEngine()
+	e.SetAdaptive(adaptive)
+	var got, want []string
+	scenario(engineSched{e}, &got)
+	ref := &listWalk{adaptive: adaptive}
+	scenario(ref, &want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("evaluation order differs from the list walk\n got %v\nwant %v", got, want)
+	}
+	ge, gs := e.Evaluated(), e.Skipped()
+	we, ws := ref.counts()
+	if ge != we || gs != ws {
+		t.Fatalf("evaluated/skipped = %d/%d, list walk %d/%d", ge, gs, we, ws)
+	}
+	return got
+}
+
+func wantLog(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("log = %v, want %v", got, want)
+	}
+}
+
+// A wake from component b reaches a later component of the same phase this
+// cycle and an earlier one next cycle.
+func TestWakeLaterRunsThisCycleEarlierRunsNext(t *testing.T) {
+	got := onBoth(t, false, func(s scheduler, log *[]string) {
+		var wakeA, wakeC func()
+		a := &actor{name: "a", log: log}
+		b := &actor{name: "b", log: log, work: 3, act: func(b *actor, cycle int64) {
+			if cycle == 2 {
+				wakeA()
+				wakeC()
+			}
+		}}
+		c := &actor{name: "c", log: log}
+		wakeA = s.addTicker(a)
+		s.addTicker(b)
+		wakeC = s.addTicker(c)
+		for i := 0; i < 5; i++ {
+			s.step()
+		}
+	})
+	wantLog(t, got, "0:a", "0:b", "0:c", "1:b", "2:b", "2:c", "3:a")
+}
+
+// A component that wakes itself while being evaluated still goes to sleep
+// when it then reports Idle: the idle check comes after the evaluation.
+func TestSelfWakeDuringTickThenIdleSleeps(t *testing.T) {
+	got := onBoth(t, false, func(s scheduler, log *[]string) {
+		var wake func()
+		a := &actor{name: "a", log: log, work: 2, act: func(*actor, int64) { wake() }}
+		wake = s.addTicker(a)
+		for i := 0; i < 4; i++ {
+			s.step()
+		}
+	})
+	wantLog(t, got, "0:a", "1:a")
+}
+
+// A committer woken from the tick phase commits in the same cycle.
+func TestTickPhaseWakeOfCommitter(t *testing.T) {
+	got := onBoth(t, false, func(s scheduler, log *[]string) {
+		var wakeX func()
+		tk := &actor{name: "t", log: log, work: 4, act: func(a *actor, cycle int64) {
+			if cycle == 3 {
+				wakeX()
+			}
+		}}
+		x := &actor{name: "x", log: log}
+		s.addTicker(tk)
+		wakeX = s.addCommitter(x)
+		for i := 0; i < 6; i++ {
+			s.step()
+		}
+	})
+	wantLog(t, got, "0:t", "0:x", "1:t", "2:t", "3:t", "3:x")
+}
+
+// mix is a small deterministic hash for the scripted wake patterns.
+func mix(a, b int64) uint64 {
+	x := uint64(a)*0x9E3779B97F4A7C15 ^ uint64(b)*0xD1B54A32D192ED03
+	x ^= x >> 29
+	x *= 0xBF58476D1CE4E5B9
+	return x ^ x>>32
+}
+
+// Every component, when evaluated, takes on a hash-chosen amount of work
+// and wakes hash-chosen components of both phases, at sizes that put the
+// last component just below, on and just above a bitmap word boundary.
+func TestBitmapMatchesListWalkAcrossWordBoundaries(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 129} {
+		for _, adaptive := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n=%d/adaptive=%v", n, adaptive), func(t *testing.T) {
+				got := onBoth(t, adaptive, func(s scheduler, log *[]string) {
+					wakes := make([]func(), 0, 2*n)
+					act := func(a *actor, cycle int64) {
+						h := mix(a.id, cycle)
+						a.work = int(h % 3)
+						// Below one wake in ten evaluations the fabric dies
+						// out; above, everything stays awake.
+						if h>>8%10 == 0 {
+							wakes[h>>16%uint64(len(wakes))]()
+							wakes[h>>40%uint64(len(wakes))]()
+						}
+					}
+					for i := 0; i < n; i++ {
+						wakes = append(wakes, s.addTicker(&actor{name: fmt.Sprintf("t%d", i), id: int64(i), log: log, work: 1, act: act}))
+					}
+					for i := 0; i < n; i++ {
+						wakes = append(wakes, s.addCommitter(&actor{name: fmt.Sprintf("c%d", i), id: int64(n + i), log: log, work: 1, act: act}))
+					}
+					for s.cycle() < 300 {
+						if s.cycle()%50 == 49 {
+							wakes[s.cycle()%int64(len(wakes))]() // an external kick, as a NIC enqueue is
+						}
+						s.step()
+					}
+				})
+				if len(got) < 300 {
+					t.Fatalf("scenario died out after %d evaluations; it tests nothing", len(got))
+				}
+			})
+		}
+	}
+}
+
+func TestRestoreCycleAndAlwaysTickWakeAll(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 129} {
+		e := NewEngine()
+		sleepers := make([]*sleeper, 2*n)
+		for i := range sleepers {
+			sleepers[i] = &sleeper{}
+			if i < n {
+				e.AddTicker(sleepers[i])
+			} else {
+				e.AddCommitter(tickCommitter{sleepers[i]})
+			}
+		}
+		check := func(step string, wantTicks int) {
+			t.Helper()
+			for i, s := range sleepers {
+				if len(s.ticks) != wantTicks {
+					t.Fatalf("n=%d after %s: component %d evaluated %d times, want %d", n, step, i, len(s.ticks), wantTicks)
+				}
+			}
+			for _, p := range []*phase{&e.tickers, &e.committers} {
+				if tail := len(p.nodes) & 63; tail != 0 && p.awake[len(p.awake)-1]>>tail != 0 {
+					t.Fatalf("n=%d after %s: awake bits set past the last component: %x", n, step, p.awake[len(p.awake)-1])
+				}
+			}
+		}
+		e.Run(3) // everything sleeps after cycle 0
+		check("Run", 1)
+		e.RestoreCycle(100)
+		if e.Cycle() != 100 {
+			t.Fatalf("Cycle() = %d after RestoreCycle(100)", e.Cycle())
+		}
+		e.Run(3)
+		check("RestoreCycle", 2)
+		e.SetAlwaysTick(true)
+		e.SetAlwaysTick(false)
+		e.Run(3)
+		check("SetAlwaysTick(true, false)", 3)
+		if got, want := e.Evaluated(), uint64(3*2*n); got != want {
+			t.Errorf("n=%d: Evaluated() = %d, want %d", n, got, want)
+		}
+		if got, want := e.Skipped(), uint64(6*2*n); got != want {
+			t.Errorf("n=%d: Skipped() = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// tickCommitter registers a sleeper in the commit phase.
+type tickCommitter struct{ s *sleeper }
+
+func (c tickCommitter) Commit(cycle int64) { c.s.Tick(cycle) }
+func (c tickCommitter) Idle() bool         { return c.s.Idle() }
+
+// A component registered from inside a Tick first runs the next cycle, in
+// both engine modes, even when the registration moves the component slice
+// under the running phase.
+func TestRegisterDuringTickRunsNextCycle(t *testing.T) {
+	scenario := func(s scheduler, log *[]string) {
+		spawn := &actor{name: "spawn", log: log, work: 2}
+		spawn.act = func(a *actor, cycle int64) {
+			if cycle != 1 {
+				return
+			}
+			for i := 0; i < 130; i++ { // past two bitmap words and several slice growths
+				child := &actor{name: fmt.Sprintf("k%d", i), log: log, work: 1}
+				if i%2 == 0 {
+					s.addTicker(child)
+				} else {
+					s.addCommitter(child)
+				}
+			}
+		}
+		s.addTicker(spawn)
+		s.addTicker(&actor{name: "late", log: log, work: 3})
+		for i := 0; i < 4; i++ {
+			s.step()
+		}
+	}
+	got := onBoth(t, false, scenario)
+	// Committers registered during the tick phase of cycle 1 are in place
+	// before its commit phase starts, so they run in cycle 1; tickers wait
+	// for cycle 2.
+	want := []string{"0:spawn", "0:late", "1:spawn", "1:late"}
+	for i := 1; i < 130; i += 2 {
+		want = append(want, fmt.Sprintf("1:k%d", i))
+	}
+	want = append(want, "2:late")
+	for i := 0; i < 130; i += 2 {
+		want = append(want, fmt.Sprintf("2:k%d", i))
+	}
+	wantLog(t, got, want...)
+
+	var naive []string
+	e := NewEngine()
+	e.SetAlwaysTick(true)
+	scenario(engineSched{e}, &naive)
+	for _, entry := range naive {
+		if entry == "1:k0" {
+			t.Fatalf("always-tick engine ran a ticker in the cycle that registered it: %v", naive)
+		}
+	}
+	if got, want := e.Evaluated(), uint64(2+2+65+132+132); got != want {
+		t.Errorf("always-tick Evaluated() = %d, want %d", got, want)
+	}
+}

@@ -23,17 +23,25 @@
 // Sleeping preserves bit-exact determinism under one contract: a component
 // reporting Idle must make its next evaluation a pure no-op (no state
 // change, no counters, no external effects), and every transition out of
-// idleness must be accompanied by a Handle.Wake call. The engine still
-// walks the registration-order component list each cycle, so awake
-// components are always evaluated in exactly the order the naive engine
-// would use; SetAlwaysTick(true) disables the skipping entirely, which the
-// golden equivalence tests use to prove both paths produce identical
-// results.
+// idleness must be accompanied by a Handle.Wake call.
+//
+// Each phase keeps its components in one flat slice in registration order
+// and their sleep state in a bitmap beside it, one bit per component. A
+// tracked step visits only the set bits, lowest index first, so awake
+// components are evaluated in exactly the order the naive engine would use
+// and sixty-four sleeping components cost one word test. The current word
+// is read again after every evaluation: a Wake that lands on a component
+// registered later in the same phase takes effect this cycle, one that
+// lands on an earlier (already passed) component takes effect next cycle —
+// what a walk over the whole list would do. SetAlwaysTick(true) disables
+// the skipping entirely, which the golden equivalence tests use to prove
+// both paths produce identical results.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -67,12 +75,41 @@ type Clock interface {
 	Cycle() int64
 }
 
-// node is one registered component with its activity state.
+// node is one registered component: a Ticker in the tick phase's list, a
+// Committer in the commit phase's. It is never modified once registered.
 type node struct {
 	ticker    Ticker
 	committer Committer
 	idler     Idler
-	awake     bool
+}
+
+// phase is one phase's components in registration order, with bit i of
+// awake set while nodes[i] is runnable. Bits at and above len(nodes) are
+// always clear.
+type phase struct {
+	nodes []node
+	awake []uint64
+}
+
+// add appends an awake component and returns its handle.
+func (p *phase) add(n node) *Handle {
+	i := len(p.nodes)
+	p.nodes = append(p.nodes, n)
+	if i>>6 == len(p.awake) {
+		p.awake = append(p.awake, 0)
+	}
+	p.awake[i>>6] |= 1 << (i & 63)
+	return &Handle{list: p, index: i}
+}
+
+// wakeAll marks every registered component runnable.
+func (p *phase) wakeAll() {
+	for w := range p.awake {
+		p.awake[w] = ^uint64(0)
+	}
+	if tail := len(p.nodes) & 63; tail != 0 {
+		p.awake[len(p.awake)-1] = 1<<tail - 1
+	}
 }
 
 // Handle wakes one registered component. Handles are safe to share with
@@ -80,7 +117,8 @@ type node struct {
 // wake the NIC they enqueue into) and a nil *Handle ignores Wake calls, so
 // components can be used without an engine in unit tests.
 type Handle struct {
-	n *node
+	list  *phase
+	index int
 }
 
 // Wake marks the component runnable again. Calling Wake on an already
@@ -88,10 +126,14 @@ type Handle struct {
 // unconditionally on every potentially state-changing event. Duplicate
 // wakes are coalesced with a read-before-write: at high load nearly every
 // per-flit Wake hits an already awake component, and skipping the store
-// keeps the node's cache line clean.
+// keeps the bitmap's cache line clean.
 func (h *Handle) Wake() {
-	if h != nil && h.n != nil && !h.n.awake {
-		h.n.awake = true
+	if h == nil || h.list == nil {
+		return
+	}
+	w, bit := &h.list.awake[h.index>>6], uint64(1)<<(h.index&63)
+	if *w&bit == 0 {
+		*w |= bit
 	}
 }
 
@@ -124,8 +166,8 @@ const (
 // turns it on for fully wired fabrics).
 type Engine struct {
 	cycle      int64
-	tickers    []*node
-	committers []*node
+	tickers    phase
+	committers phase
 	alwaysTick bool
 
 	// Adaptive mode: when the still-awake fraction crosses the load
@@ -177,12 +219,8 @@ func (e *Engine) Cycle() int64 {
 func (e *Engine) RestoreCycle(c int64) {
 	e.cycle = c
 	e.burst = 0
-	for _, n := range e.tickers {
-		n.awake = true
-	}
-	for _, n := range e.committers {
-		n.awake = true
-	}
+	e.tickers.wakeAll()
+	e.committers.wakeAll()
 }
 
 // SetAlwaysTick disables (true) or re-enables (false) sleep/wake
@@ -196,12 +234,8 @@ func (e *Engine) SetAlwaysTick(v bool) {
 		// skipped if tracking is re-enabled later mid-run: waking
 		// everything keeps both toggle orders correct (an idle
 		// evaluation is a no-op, so spurious wakes are harmless).
-		for _, n := range e.tickers {
-			n.awake = true
-		}
-		for _, n := range e.committers {
-			n.awake = true
-		}
+		e.tickers.wakeAll()
+		e.committers.wakeAll()
 	}
 }
 
@@ -236,31 +270,19 @@ func (e *Engine) Evaluated() uint64 { return e.evaluated }
 // component was asleep.
 func (e *Engine) Skipped() uint64 { return e.skipped }
 
-func newNode(t Ticker, c Committer) *node {
-	n := &node{ticker: t, committer: c, awake: true}
-	if t != nil {
-		n.idler, _ = t.(Idler)
-	} else {
-		n.idler, _ = c.(Idler)
-	}
-	return n
-}
-
 // AddTicker registers a phase-1 component. Order of registration is the
 // order of evaluation. The returned handle wakes the component; callers
 // that never sleep (components not implementing Idler) may ignore it.
 func (e *Engine) AddTicker(t Ticker) *Handle {
-	n := newNode(t, nil)
-	e.tickers = append(e.tickers, n)
-	return &Handle{n: n}
+	idler, _ := t.(Idler)
+	return e.tickers.add(node{ticker: t, idler: idler})
 }
 
 // AddCommitter registers a phase-2 component. Order of registration is the
 // order of evaluation.
 func (e *Engine) AddCommitter(c Committer) *Handle {
-	n := newNode(nil, c)
-	e.committers = append(e.committers, n)
-	return &Handle{n: n}
+	idler, _ := c.(Idler)
+	return e.committers.add(node{committer: c, idler: idler})
 }
 
 // Step advances the simulation by exactly one cycle.
@@ -284,12 +306,8 @@ func (e *Engine) Step() {
 		e.stepNaive(cycle)
 		e.burst--
 		if e.burst == 0 {
-			for _, n := range e.tickers {
-				n.awake = true
-			}
-			for _, n := range e.committers {
-				n.awake = true
-			}
+			e.tickers.wakeAll()
+			e.committers.wakeAll()
 		}
 		e.cycle++
 		return
@@ -299,49 +317,78 @@ func (e *Engine) Step() {
 	// instead would deadlock the heuristic: the post-burst re-arm step
 	// evaluates everything by construction, and would always re-trigger
 	// the next burst regardless of the actual load.
-	ran, load := 0, 0
-	for _, n := range e.tickers {
-		if !n.awake {
-			e.skipped++
-			continue
-		}
-		n.ticker.Tick(cycle)
-		ran++
-		if n.idler != nil && n.idler.Idle() {
-			n.awake = false
-		} else {
-			load++
-		}
-	}
-	for _, n := range e.committers {
-		if !n.awake {
-			e.skipped++
-			continue
-		}
-		n.committer.Commit(cycle)
-		ran++
-		if n.idler != nil && n.idler.Idle() {
-			n.awake = false
-		} else {
-			load++
-		}
-	}
-	e.evaluated += uint64(ran)
-	if e.adaptive && load*adaptiveDen >= (len(e.tickers)+len(e.committers))*adaptiveNum {
+	tickRan, tickSkipped, tickLoad := e.tickers.runAwake(cycle)
+	commitRan, commitSkipped, commitLoad := e.committers.runAwake(cycle)
+	e.evaluated += uint64(tickRan + commitRan)
+	e.skipped += uint64(tickSkipped + commitSkipped)
+	if e.adaptive && (tickLoad+commitLoad)*adaptiveDen >= (len(e.tickers.nodes)+len(e.committers.nodes))*adaptiveNum {
 		e.burst = adaptiveBurst
 	}
 	e.cycle++
 }
 
+// runAwake evaluates the phase's awake components in registration order
+// and puts those that report Idle to sleep. It returns how many ran, how
+// many were asleep and so passed over, and how many of those that ran
+// stayed awake.
+//
+// Everything an evaluation can change is read again after it: the bitmap
+// word (a Wake on a later component of this phase must run it this cycle,
+// so bits above the one just evaluated are taken from the current word, not
+// from a copy) and the slices themselves (a component may register another,
+// which may move both). The component count is fixed on entry, so one
+// registered during the phase first runs next cycle.
+func (p *phase) runAwake(cycle int64) (ran, skipped, load int) {
+	n := len(p.nodes)
+	for w := 0; w<<6 < n; w++ {
+		above := ^uint64(0) // bit positions not yet passed in this word
+		for {
+			m := p.awake[w] & above
+			if m == 0 {
+				break
+			}
+			b := bits.TrailingZeros64(m)
+			i := w<<6 | b
+			if i >= n {
+				break
+			}
+			above = ^uint64(1) << b
+			nd := &p.nodes[i] // stays good if the slice moves: nodes are immutable
+			if nd.ticker != nil {
+				nd.ticker.Tick(cycle)
+			} else {
+				nd.committer.Commit(cycle)
+			}
+			ran++
+			if nd.idler != nil && nd.idler.Idle() {
+				p.awake[w] &^= 1 << b
+			} else {
+				load++
+			}
+		}
+	}
+	return ran, n - ran, load
+}
+
+// runAll evaluates every component in registration order, awake or not,
+// and returns how many it ran (one registered meanwhile waits a cycle).
+func (p *phase) runAll(cycle int64) int {
+	nodes := p.nodes
+	for _, nd := range nodes {
+		if nd.ticker != nil {
+			nd.ticker.Tick(cycle)
+		} else {
+			nd.committer.Commit(cycle)
+		}
+	}
+	return len(nodes)
+}
+
 // stepNaive evaluates every component in registration order, awake or not.
 func (e *Engine) stepNaive(cycle int64) {
-	for _, n := range e.tickers {
-		n.ticker.Tick(cycle)
-	}
-	for _, n := range e.committers {
-		n.committer.Commit(cycle)
-	}
-	e.evaluated += uint64(len(e.tickers) + len(e.committers))
+	ran := e.tickers.runAll(cycle)
+	ran += e.committers.runAll(cycle)
+	e.evaluated += uint64(ran)
 }
 
 // Run advances the simulation by n cycles.

@@ -170,7 +170,7 @@ func (e *Engine) stepSharded() {
 	for _, s := range e.shards {
 		e.evaluated += uint64(len(s.tickers) + len(s.committers))
 	}
-	e.evaluated += uint64(len(e.tickers) + len(e.committers))
+	e.evaluated += uint64(len(e.tickers.nodes) + len(e.committers.nodes))
 	e.cycle++
 }
 
@@ -179,16 +179,12 @@ func (e *Engine) stepSharded() {
 // dispatcher first, then workload drivers and controllers), in
 // registration order, unconditionally — always-tick semantics.
 func (e *Engine) serialTick(cycle int64) {
-	for _, n := range e.tickers {
-		n.ticker.Tick(cycle)
-	}
+	e.tickers.runAll(cycle)
 }
 
 // serialCommit runs any AddCommitter components after the parallel commit
 // barrier. The wired network registers all links with shards, so this is
 // normally empty; it exists so the AddCommitter API keeps working.
 func (e *Engine) serialCommit(cycle int64) {
-	for _, n := range e.committers {
-		n.committer.Commit(cycle)
-	}
+	e.committers.runAll(cycle)
 }

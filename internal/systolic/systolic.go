@@ -17,6 +17,7 @@ package systolic
 
 import (
 	"fmt"
+	"math"
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/flit"
@@ -236,6 +237,10 @@ type Controller struct {
 	// doneAt[i] is the cycle PE i finishes its MACs in the current round.
 	doneAt    []int64
 	submitted []bool
+	// nextDue is the earliest doneAt among PEs not yet submitted
+	// (math.MaxInt64 when there is none): releaseResults has nothing to do
+	// before that cycle.
+	nextDue int64
 
 	collected   int
 	seenSeq     map[uint64]bool
@@ -357,6 +362,7 @@ func (c *Controller) startRound(now int64) {
 	// only the bottom row emits results; the other PEs are pre-marked
 	// submitted so the release loop skips them.
 	base := c.cfg.computeLatency(c.rows)
+	c.nextDue = math.MaxInt64
 	for row := 0; row < c.rows; row++ {
 		for col := 0; col < c.cols; col++ {
 			id := int(c.nw.Mesh().ID(topology.Coord{Row: row, Col: col}))
@@ -365,6 +371,7 @@ func (c *Controller) startRound(now int64) {
 				continue
 			}
 			c.doneAt[id] = now + int64(c.cfg.SkewPerHop*(row+col)+base)
+			c.nextDue = min(c.nextDue, c.doneAt[id])
 		}
 	}
 	c.phase = phaseStream
@@ -422,9 +429,17 @@ func (c *Controller) Tick(cycle int64) {
 }
 
 func (c *Controller) releaseResults(cycle int64) {
+	if cycle < c.nextDue {
+		return
+	}
+	c.nextDue = math.MaxInt64
 	mesh := c.nw.Mesh()
 	for id := 0; id < mesh.NumNodes(); id++ {
-		if c.submitted[id] || c.doneAt[id] > cycle {
+		if c.submitted[id] {
+			continue
+		}
+		if c.doneAt[id] > cycle {
+			c.nextDue = min(c.nextDue, c.doneAt[id])
 			continue
 		}
 		c.submitted[id] = true

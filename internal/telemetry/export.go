@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -76,32 +77,70 @@ type MetricPoint struct {
 	Value    int64
 }
 
+// MetricsCSVError reports where ReadMetricsCSV gave up on its input: Row
+// is the 1-based record of the file (the header is row 1) and Column the
+// MetricsCSVHeader name of the field that is missing or does not parse.
+type MetricsCSVError struct {
+	Row    int
+	Column string
+	Err    error
+}
+
+func (e *MetricsCSVError) Error() string {
+	return fmt.Sprintf("telemetry: metrics CSV row %d, column %q: %v", e.Row, e.Column, e.Err)
+}
+
+func (e *MetricsCSVError) Unwrap() error { return e.Err }
+
+// metricsCSVColumns is how many leading columns ReadMetricsCSV needs; the
+// derived per_cycle column after them is optional.
+const metricsCSVColumns = 9
+
+var errMetricsCSVMissing = errors.New("missing")
+
 // ReadMetricsCSV parses a WriteMetricsCSV stream back into points;
-// gatherviz consumes it to render congestion heatmaps.
+// gatherviz consumes it to render congestion heatmaps. A header that is not
+// MetricsCSVHeader, a row cut short or a number that does not parse is a
+// *MetricsCSVError naming the place, never a zero in the result.
 func ReadMetricsCSV(rd io.Reader) ([]MetricPoint, error) {
 	cr := csv.NewReader(rd)
+	cr.FieldsPerRecord = -1 // short rows are reported below, with their column
 	recs, err := cr.ReadAll()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("telemetry: metrics CSV: %w", err)
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("telemetry: empty metrics CSV")
 	}
-	if len(recs[0]) < 9 || recs[0][0] != "epoch" {
-		return nil, fmt.Errorf("telemetry: not a metrics CSV (header %q)", recs[0])
+	for i, want := range MetricsCSVHeader[:metricsCSVColumns] {
+		if i >= len(recs[0]) {
+			return nil, &MetricsCSVError{Row: 1, Column: want, Err: errMetricsCSVMissing}
+		}
+		if got := recs[0][i]; got != want {
+			return nil, &MetricsCSVError{Row: 1, Column: want, Err: fmt.Errorf("header reads %q: not a metrics CSV", got)}
+		}
 	}
 	pts := make([]MetricPoint, 0, len(recs)-1)
-	for _, rec := range recs[1:] {
-		var p MetricPoint
-		p.Epoch, _ = strconv.ParseInt(rec[0], 10, 64)
-		p.Cycle, _ = strconv.ParseInt(rec[1], 10, 64)
-		p.Kind = rec[2]
-		p.ID, _ = strconv.Atoi(rec[3])
-		p.Name = rec[4]
-		p.Row, _ = strconv.Atoi(rec[5])
-		p.Col, _ = strconv.Atoi(rec[6])
-		p.Field = rec[7]
-		p.Value, _ = strconv.ParseInt(rec[8], 10, 64)
+	for i, rec := range recs[1:] {
+		row := i + 2
+		if len(rec) < metricsCSVColumns {
+			return nil, &MetricsCSVError{Row: row, Column: MetricsCSVHeader[len(rec)], Err: errMetricsCSVMissing}
+		}
+		var firstErr error
+		num := func(col, bits int) int64 {
+			v, err := strconv.ParseInt(rec[col], 10, bits)
+			if err != nil && firstErr == nil {
+				firstErr = &MetricsCSVError{Row: row, Column: MetricsCSVHeader[col], Err: err}
+			}
+			return v
+		}
+		p := MetricPoint{
+			Epoch: num(0, 64), Cycle: num(1, 64), Kind: rec[2], ID: int(num(3, strconv.IntSize)), Name: rec[4],
+			Row: int(num(5, strconv.IntSize)), Col: int(num(6, strconv.IntSize)), Field: rec[7], Value: num(8, 64),
+		}
+		if firstErr != nil {
+			return nil, firstErr
+		}
 		pts = append(pts, p)
 	}
 	return pts, nil

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -283,6 +284,53 @@ func TestMetricsCSVRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadMetricsCSV(strings.NewReader("not,a,metrics\nfile,0,0\n")); err == nil {
 		t.Error("non-metrics CSV accepted")
+	}
+}
+
+// A damaged metrics CSV must be refused with the damaged place named; it
+// used to parse, every unreadable number turning into a zero on the heatmap.
+func TestReadMetricsCSVRejectsDamagedInput(t *testing.T) {
+	const header = "epoch,cycle,kind,id,name,row,col,field,value,per_cycle\n"
+	const good = "0,3,router,3,r3,0,3,writes,12,3.0000\n"
+	tests := []struct {
+		name, in string
+		row      int
+		column   string
+	}{
+		{"cut after a comma", header + good + "1,7,router,3,r3,0,3,writes,", 3, "value"},
+		{"cut inside a row", header + good + "1,7,router,3,r", 3, "row"},
+		{"cut to one field", header + "1", 2, "cycle"},
+		{"non-numeric value", header + good + good + "1,7,router,3,r3,0,3,writes,abc,\n", 4, "value"},
+		{"non-numeric epoch", header + "x,7,router,3,r3,0,3,writes,1,\n", 2, "epoch"},
+		{"fractional id", header + "1,7,router,1.5,r3,0,3,writes,1,\n", 2, "id"},
+		{"first bad column wins", header + "1,7,router,3,r3,north,,writes,?,\n", 2, "row"},
+		{"value out of range", header + "1,7,router,3,r3,0,3,writes,99999999999999999999,\n", 2, "value"},
+		{"short header", "epoch,cycle,kind\n" + "0,3,router\n", 1, "id"},
+		{"renamed header column", "epoch,cycle,kind,id,name,row,col,metric,value\n", 1, "field"},
+		{"foreign file", "not,a,metrics\nfile,0,0\n", 1, "epoch"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			pts, err := ReadMetricsCSV(strings.NewReader(tt.in))
+			var ce *MetricsCSVError
+			if !errors.As(err, &ce) {
+				t.Fatalf("ReadMetricsCSV = %v points, err %v; want a *MetricsCSVError", len(pts), err)
+			}
+			if ce.Row != tt.row || ce.Column != tt.column {
+				t.Errorf("error at row %d column %q (%v), want row %d column %q", ce.Row, ce.Column, err, tt.row, tt.column)
+			}
+		})
+	}
+	if _, err := ReadMetricsCSV(strings.NewReader("")); err == nil {
+		t.Error("empty input accepted")
+	}
+	if _, err := ReadMetricsCSV(strings.NewReader(header + "0,3,\"router,3\n")); err == nil {
+		t.Error("unterminated quote accepted")
+	}
+	// The derived per_cycle column is optional.
+	pts, err := ReadMetricsCSV(strings.NewReader("epoch,cycle,kind,id,name,row,col,field,value\n0,3,router,3,r3,0,3,writes,12\n"))
+	if err != nil || len(pts) != 1 || pts[0].Value != 12 {
+		t.Errorf("nine-column CSV: points %v, err %v", pts, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
@@ -182,6 +183,10 @@ type AccumulationController struct {
 
 	doneAt    []int64
 	submitted []bool
+	// nextDue is the earliest doneAt among operands not yet submitted
+	// (math.MaxInt64 when there is none): releaseOperands has nothing to
+	// do before that cycle.
+	nextDue int64
 	// pendingOps counts the current round's not-yet-submitted operands;
 	// zero in the final round means injection is complete (Injected).
 	pendingOps int
@@ -342,6 +347,7 @@ func (c *AccumulationController) startRound(now int64) {
 		c.submitted[i] = false
 	}
 	c.pendingOps = len(c.submitted)
+	c.nextDue = now + int64(c.cfg.ComputeLatency)
 	topo := c.nw.Topology()
 	for row := 0; row < c.rows; row++ {
 		rid := c.reduceID(row)
@@ -409,9 +415,17 @@ func (c *AccumulationController) Tick(cycle int64) {
 }
 
 func (c *AccumulationController) releaseOperands(cycle int64) {
+	if cycle < c.nextDue {
+		return
+	}
+	c.nextDue = math.MaxInt64
 	topo := c.nw.Topology()
 	for id := 0; id < topo.NumNodes(); id++ {
-		if c.submitted[id] || c.doneAt[id] > cycle {
+		if c.submitted[id] {
+			continue
+		}
+		if c.doneAt[id] > cycle {
+			c.nextDue = min(c.nextDue, c.doneAt[id])
 			continue
 		}
 		c.submitted[id] = true
