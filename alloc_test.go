@@ -1,8 +1,12 @@
 package gathernoc
 
 import (
+	"io"
+	"math"
+	"runtime"
 	"testing"
 
+	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/traffic"
@@ -183,11 +187,12 @@ func TestShardedFlitPoolLeakFreedom(t *testing.T) {
 }
 
 // TestTelemetryAllocationRatchet extends the ratchet to a telemetry-on
-// network (DESIGN.md §11): every probe ring and event buffer is
-// preallocated at Collector.Start, so epoch snapshots write into fixed
-// slots and sampled Emits append within capacity — the recording path
-// must stay off the allocator cycle to cycle, bounded by the same
-// ceiling as the dark network.
+// network (DESIGN.md §11): event buffers are preallocated at
+// Collector.Start, so sampled Emits append within capacity, and the epoch
+// collector allocates one ring row per probe per epoch until its window
+// is full (1/64 per cycle here, far inside the window) and nothing after
+// — the recording path stays bounded by the same ceiling as the dark
+// network.
 func TestTelemetryAllocationRatchet(t *testing.T) {
 	cfg := noc.DefaultConfig(8, 8)
 	cfg.EastSinks = false
@@ -222,6 +227,81 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 	if perCycle > maxSteadyStateAllocsPerCycle {
 		t.Fatalf("telemetry-on steady-state allocations regressed: %.4f allocs/cycle, ratchet ceiling %v",
 			perCycle, maxSteadyStateAllocsPerCycle)
+	}
+}
+
+// maxTelemetryBuildBytes16x16 pins what building a telemetry-on fabric may
+// allocate: noc.New of model-mix's 16x16 (faults on, default telemetry)
+// measured 9.83 MB — 2.7 MB the fabric, 1.9 MB the metrics sources, 5.2 MB
+// the two preallocated trace event buffers. The epoch ring used to be
+// zeroed up front at MaxEpochs x fields x 8 bytes, 83 MB more here, of
+// which a whole-model run wrote 159 of 1024 epochs; it now grows a row per
+// epoch reached and costs nothing at build. The ceiling is the measurement
+// plus 10 %.
+const maxTelemetryBuildBytes16x16 = 10_800_000
+
+func TestTelemetryBuildBytesPin(t *testing.T) {
+	cfg := noc.DefaultConfig(16, 16)
+	cfg.Faults = &fault.Config{Seed: 1, DropRate: 0.002, CorruptRate: 0.0005}
+	tcfg := telemetry.DefaultConfig()
+	cfg.Telemetry = &tcfg
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nw, err := noc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		nw.Close()
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("noc.New(16x16, faults, telemetry): %d bytes", least)
+	if least > maxTelemetryBuildBytes16x16 {
+		t.Fatalf("telemetry-on noc.New(16x16) allocates %d bytes, pin %d", least, maxTelemetryBuildBytes16x16)
+	}
+}
+
+// TestMetricsCSVAllocationPin: WriteMetricsCSV formats into one reused
+// buffer with every label quoted once up front, so what it allocates
+// depends on how many sources the report has and not on how many epochs —
+// the 8x8 report costs the same handful of objects at 10 epochs as at 100.
+func TestMetricsCSVAllocationPin(t *testing.T) {
+	allocs := func(epochs int64) float64 {
+		cfg := noc.DefaultConfig(8, 8)
+		cfg.Telemetry = &telemetry.Config{Epoch: 16}
+		nw, err := noc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
+			Pattern:       traffic.UniformRandom{Nodes: 64},
+			InjectionRate: 0.05,
+			PacketFlits:   2,
+			Measure:       1 << 40,
+			Seed:          1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.Engine().AddTicker(gen)
+		nw.Engine().Run(16 * epochs)
+		rep := nw.HarvestTelemetry()
+		if int64(len(rep.EpochIndex)) != epochs {
+			t.Fatalf("harvested %d epochs, want %d", len(rep.EpochIndex), epochs)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := rep.WriteMetricsCSV(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	at10, at100 := allocs(10), allocs(100)
+	t.Logf("WriteMetricsCSV(8x8): %.0f allocs at 10 epochs, %.0f at 100", at10, at100)
+	if at10 != at100 {
+		t.Fatalf("WriteMetricsCSV allocations grow with the epoch count: %.0f at 10 epochs, %.0f at 100", at10, at100)
 	}
 }
 

@@ -294,7 +294,7 @@ func BenchmarkEngineStepping(b *testing.B) {
 // and benchreport's TelemetryOverhead family share: an 8x8 mesh under
 // moderate uniform traffic, dark (tcfg nil) or with the CLI's default
 // observability configuration. The run is long enough (10K cycles, ~40
-// epochs) that the one-time ring preallocation at Collector.Start
+// epochs) that the one-time event-buffer preallocation at Collector.Start
 // amortizes as it would in any real observation window and the pair
 // prices the recording path, not buffer zeroing.
 func runTelemetryOverheadPoint(tcfg *telemetry.Config) error {

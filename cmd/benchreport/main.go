@@ -383,8 +383,8 @@ func run(args []string, w io.Writer) error {
 	// The "on" entry records overhead_pct against the "off" entry of the
 	// same snapshot; the acceptance bar is < 10%. The 10K-cycle window
 	// (~40 epochs) matches bench_test.go's runTelemetryOverheadPoint so
-	// the one-time ring preallocation amortizes as in real observation
-	// windows and the pair prices the recording path.
+	// the one-time event-buffer preallocation amortizes as in real
+	// observation windows and the pair prices the recording path.
 	{
 		var offNs int64
 		for _, tc := range []struct {

@@ -160,20 +160,18 @@ func drawPickups(w io.Writer, size, row int) error {
 // noc.UtilizationHeatmap).
 var heatGlyphs = []byte{'.', ':', '-', '=', '+', '*', '#', '@'}
 
-// renderMetrics reads a telemetry epoch-metrics CSV and renders the chosen
+// renderMetrics scans a telemetry epoch-metrics CSV and renders the chosen
 // field of the chosen source kind as an ASCII heatmap over the grid, with
 // each source's value summed (delta fields) across every retained epoch,
-// plus the hottest cells.
+// plus the hottest cells. The file is streamed: rows of other kinds and
+// fields are dropped as they are read, so memory follows the grid, not
+// the file.
 func renderMetrics(w io.Writer, path, kind, field string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	pts, err := telemetry.ReadMetricsCSV(f)
-	if err != nil {
-		return err
-	}
 
 	type cell struct {
 		row, col int
@@ -183,14 +181,14 @@ func renderMetrics(w io.Writer, path, kind, field string) error {
 	byID := map[int]*cell{}
 	rows, cols, epochs := 0, 0, map[int64]bool{}
 	fields := map[string]bool{}
-	for _, p := range pts {
+	err = telemetry.ScanMetricsCSV(f, func(p *telemetry.MetricPoint) error {
 		if p.Kind != kind {
-			continue
+			return nil
 		}
 		fields[p.Field] = true
 		epochs[p.Epoch] = true
 		if p.Field != field || p.Row < 0 || p.Col < 0 {
-			continue
+			return nil
 		}
 		c := byID[p.ID]
 		if c == nil {
@@ -204,6 +202,10 @@ func renderMetrics(w io.Writer, path, kind, field string) error {
 		if p.Col >= cols {
 			cols = p.Col + 1
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if len(byID) == 0 {
 		known := make([]string, 0, len(fields))

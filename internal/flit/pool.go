@@ -166,11 +166,23 @@ func (p *Pool) Live() int {
 		p.mu.Unlock()
 		return n
 	}
-	n := int(int64(p.acquired) - int64(p.released))
+	n := p.Balance()
 	for _, v := range p.views {
-		n += int(int64(v.acquired) - int64(v.released))
+		n += v.Balance()
 	}
-	return n
+	return int(n)
+}
+
+// Balance returns this pool's own acquires minus releases, views excluded:
+// the part of Live that one view's goroutine can read without touching
+// another view's counters. It goes negative on a view that releases flits
+// other views acquired; the balances of a root and all its views sum to
+// Live.
+func (p *Pool) Balance() int64 {
+	if p == nil {
+		return 0
+	}
+	return int64(p.acquired) - int64(p.released)
 }
 
 // Misses returns how many Acquires fell through to the heap — the pool's

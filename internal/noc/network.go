@@ -468,14 +468,22 @@ func (nw *Network) wireTelemetry() {
 		})
 	}
 
-	// The flit pool is one fabric-wide gauge, attached to shard 0: pool
-	// acquires/releases all happen in the tick phase (NIC packetize,
-	// router forks, ejector reassembly), so by the time any shard commits,
-	// the aggregate Live count is stable behind the tick barrier.
-	tc.AddSource(0, telemetry.SourceMeta{Kind: "pool", ID: 0, Name: "flitpool", Row: -1, Col: -1},
-		[]telemetry.Field{{Name: "live", Gauge: true}}, func(dst []int64) {
-			dst[0] = int64(nw.pool.Live())
-		})
+	// The flit pool is one fabric-wide gauge split across the shards: a
+	// shard's view is acquired from in its tick phase (NIC packetize,
+	// router forks, ejector reassembly) and released into in its tick and
+	// commit phases (fault injection drops flits in link.CommitFlits), so
+	// each shard reports the balance of its own view — read by its own
+	// epoch committer, after its own commits — and Harvest sums the parts.
+	// A single view's balance can be negative (flits migrate between
+	// views); the sum is the sequential engine's Live count.
+	poolFields := []telemetry.Field{{Name: "live", Gauge: true}}
+	for s := 0; s < shards; s++ {
+		view := nw.poolFor(s)
+		tc.AddSource(s, telemetry.SourceMeta{Kind: "pool", ID: 0, Name: "flitpool", Row: -1, Col: -1},
+			poolFields, func(dst []int64) {
+				dst[0] = view.Balance()
+			})
+	}
 
 	for s := 0; s < shards; s++ {
 		ec := tc.EpochCommitter(s)

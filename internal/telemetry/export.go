@@ -13,6 +13,9 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // MetricsCSVHeader is the column layout WriteMetricsCSV emits.
@@ -23,38 +26,124 @@ var MetricsCSVHeader = []string{"epoch", "cycle", "kind", "id", "name", "row", "
 // the epoch's actual cycle span (the last epoch may be partial), which
 // for links is the utilization in flits/cycle; gauge fields leave it
 // empty.
+//
+// The bytes are what encoding/csv would emit, but the file is mostly
+// repetition — every epoch walks the same sources and fields, and most
+// deltas are zero — so the writer quotes each source's "kind,id,name,row,col,"
+// prefix and each field name once, formats the "epoch,cycle," prefix once
+// per epoch, and appends rows into one buffer handed to w in writes of
+// about csvFlushBytes.
 func (r *Report) WriteMetricsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(MetricsCSVHeader); err != nil {
-		return err
+	buf := make([]byte, 0, csvFlushBytes+4096)
+	for i, col := range MetricsCSVHeader {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendCSVField(buf, col)
 	}
-	rec := make([]string, len(MetricsCSVHeader))
+	buf = append(buf, '\n')
+
+	// labels holds, in the order rows are emitted, each source's prefix
+	// followed by that source's field names, every piece ending in its
+	// comma; piece k is labels[ends[k]:ends[k+1]].
+	pieces := 0
+	for i := range r.Sources {
+		pieces += 1 + len(r.Sources[i].Fields)
+	}
+	labels := make([]byte, 0, 24*pieces)
+	ends := append(make([]int, 0, pieces+1), 0)
+	for i := range r.Sources {
+		ss := &r.Sources[i]
+		labels = append(appendCSVField(labels, ss.Meta.Kind), ',')
+		labels = append(strconv.AppendInt(labels, int64(ss.Meta.ID), 10), ',')
+		labels = append(appendCSVField(labels, ss.Meta.Name), ',')
+		labels = append(strconv.AppendInt(labels, int64(ss.Meta.Row), 10), ',')
+		labels = append(strconv.AppendInt(labels, int64(ss.Meta.Col), 10), ',')
+		ends = append(ends, len(labels))
+		for _, f := range ss.Fields {
+			labels = append(appendCSVField(labels, f.Name), ',')
+			ends = append(ends, len(labels))
+		}
+	}
+
+	var prefixBuf [2 * (20 + 1)]byte // two int64s and their commas
+	epochPrefix := prefixBuf[:0]
 	for e := range r.EpochIndex {
 		span := r.epochSpan(e)
-		for _, ss := range r.Sources {
+		epochPrefix = append(strconv.AppendInt(epochPrefix[:0], r.EpochIndex[e], 10), ',')
+		epochPrefix = append(strconv.AppendInt(epochPrefix, r.EpochEnd[e], 10), ',')
+		k := 0
+		for i := range r.Sources {
+			ss := &r.Sources[i]
+			source := labels[ends[k]:ends[k+1]]
+			k++
+			vals := ss.Values[e]
 			for fi, f := range ss.Fields {
-				v := ss.Values[e][fi]
-				rec[0] = strconv.FormatInt(r.EpochIndex[e], 10)
-				rec[1] = strconv.FormatInt(r.EpochEnd[e], 10)
-				rec[2] = ss.Meta.Kind
-				rec[3] = strconv.Itoa(ss.Meta.ID)
-				rec[4] = ss.Meta.Name
-				rec[5] = strconv.Itoa(ss.Meta.Row)
-				rec[6] = strconv.Itoa(ss.Meta.Col)
-				rec[7] = f.Name
-				rec[8] = strconv.FormatInt(v, 10)
-				rec[9] = ""
+				v := vals[fi]
+				buf = append(buf, epochPrefix...)
+				buf = append(buf, source...)
+				buf = append(buf, labels[ends[k]:ends[k+1]]...)
+				k++
+				buf = append(strconv.AppendInt(buf, v, 10), ',')
 				if !f.Gauge && span > 0 {
-					rec[9] = strconv.FormatFloat(float64(v)/float64(span), 'f', 4, 64)
+					if v == 0 {
+						buf = append(buf, "0.0000"...)
+					} else {
+						buf = strconv.AppendFloat(buf, float64(v)/float64(span), 'f', 4, 64)
+					}
 				}
-				if err := cw.Write(rec); err != nil {
+				buf = append(buf, '\n')
+			}
+			if len(buf) >= csvFlushBytes {
+				if err := writeAll(w, buf); err != nil {
 					return err
 				}
+				buf = buf[:0]
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeAll(w, buf)
+}
+
+// csvFlushBytes is how much WriteMetricsCSV buffers between writes.
+const csvFlushBytes = 64 << 10
+
+// writeAll hands p to w in one Write, returning w's error unchanged.
+func writeAll(w io.Writer, p []byte) error {
+	n, err := w.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	return err
+}
+
+// appendCSVField appends field as encoding/csv's Writer emits it (comma
+// separator, "\n" line ends): bare unless it holds a comma, a quote, CR or
+// LF, starts with a space character or is the `\.` end-of-data marker, and
+// otherwise wrapped in quotes with every inner quote doubled.
+func appendCSVField(dst []byte, field string) []byte {
+	if !csvFieldNeedsQuotes(field) {
+		return append(dst, field...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(field); i++ {
+		if field[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, field[i])
+	}
+	return append(dst, '"')
+}
+
+func csvFieldNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` || strings.ContainsAny(field, ",\"\r\n") {
+		return true
+	}
+	first, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(first)
 }
 
 // epochSpan returns the cycle count epoch e covers.
@@ -65,7 +154,7 @@ func (r *Report) epochSpan(e int) int64 {
 	return r.EpochEnd[e] - r.EpochEnd[e-1]
 }
 
-// MetricPoint is one parsed row of the metrics CSV (see ReadMetricsCSV).
+// MetricPoint is one parsed row of the metrics CSV (see ScanMetricsCSV).
 type MetricPoint struct {
 	Epoch    int64
 	Cycle    int64
@@ -77,7 +166,7 @@ type MetricPoint struct {
 	Value    int64
 }
 
-// MetricsCSVError reports where ReadMetricsCSV gave up on its input: Row
+// MetricsCSVError reports where ScanMetricsCSV gave up on its input: Row
 // is the 1-based record of the file (the header is row 1) and Column the
 // MetricsCSVHeader name of the field that is missing or does not parse.
 type MetricsCSVError struct {
@@ -92,56 +181,88 @@ func (e *MetricsCSVError) Error() string {
 
 func (e *MetricsCSVError) Unwrap() error { return e.Err }
 
-// metricsCSVColumns is how many leading columns ReadMetricsCSV needs; the
+// metricsCSVColumns is how many leading columns ScanMetricsCSV needs; the
 // derived per_cycle column after them is optional.
 const metricsCSVColumns = 9
 
 var errMetricsCSVMissing = errors.New("missing")
 
-// ReadMetricsCSV parses a WriteMetricsCSV stream back into points;
-// gatherviz consumes it to render congestion heatmaps. A header that is not
-// MetricsCSVHeader, a row cut short or a number that does not parse is a
-// *MetricsCSVError naming the place, never a zero in the result.
-func ReadMetricsCSV(rd io.Reader) ([]MetricPoint, error) {
+// ScanMetricsCSV parses a WriteMetricsCSV stream one row at a time and
+// calls fn with each point, in file order, holding one record in memory
+// however long the file is. The point is reused between calls (its strings
+// are not); fn copies what it keeps, and an error from fn stops the scan
+// and is returned as it is. A header that is not MetricsCSVHeader, a row
+// cut short or a number that does not parse is a *MetricsCSVError naming
+// the place, never a zero handed to fn.
+func ScanMetricsCSV(rd io.Reader, fn func(*MetricPoint) error) error {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1 // short rows are reported below, with their column
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: metrics CSV: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("telemetry: empty metrics CSV")
-	}
-	for i, want := range MetricsCSVHeader[:metricsCSVColumns] {
-		if i >= len(recs[0]) {
-			return nil, &MetricsCSVError{Row: 1, Column: want, Err: errMetricsCSVMissing}
+	cr.ReuseRecord = true
+	var (
+		p        MetricPoint
+		rec      []string
+		row      int
+		firstErr error
+	)
+	num := func(col, bits int) int64 {
+		v, err := strconv.ParseInt(rec[col], 10, bits)
+		if err != nil && firstErr == nil {
+			firstErr = &MetricsCSVError{Row: row, Column: MetricsCSVHeader[col], Err: err}
 		}
-		if got := recs[0][i]; got != want {
-			return nil, &MetricsCSVError{Row: 1, Column: want, Err: fmt.Errorf("header reads %q: not a metrics CSV", got)}
-		}
+		return v
 	}
-	pts := make([]MetricPoint, 0, len(recs)-1)
-	for i, rec := range recs[1:] {
-		row := i + 2
-		if len(rec) < metricsCSVColumns {
-			return nil, &MetricsCSVError{Row: row, Column: MetricsCSVHeader[len(rec)], Err: errMetricsCSVMissing}
+	for {
+		var err error
+		rec, err = cr.Read()
+		if err == io.EOF {
+			break
 		}
-		var firstErr error
-		num := func(col, bits int) int64 {
-			v, err := strconv.ParseInt(rec[col], 10, bits)
-			if err != nil && firstErr == nil {
-				firstErr = &MetricsCSVError{Row: row, Column: MetricsCSVHeader[col], Err: err}
+		if err != nil {
+			return fmt.Errorf("telemetry: metrics CSV: %w", err)
+		}
+		row++
+		if row == 1 {
+			for i, want := range MetricsCSVHeader[:metricsCSVColumns] {
+				if i >= len(rec) {
+					return &MetricsCSVError{Row: 1, Column: want, Err: errMetricsCSVMissing}
+				}
+				if got := rec[i]; got != want {
+					return &MetricsCSVError{Row: 1, Column: want, Err: fmt.Errorf("header reads %q: not a metrics CSV", got)}
+				}
 			}
-			return v
+			continue
 		}
-		p := MetricPoint{
+		if len(rec) < metricsCSVColumns {
+			return &MetricsCSVError{Row: row, Column: MetricsCSVHeader[len(rec)], Err: errMetricsCSVMissing}
+		}
+		p = MetricPoint{
 			Epoch: num(0, 64), Cycle: num(1, 64), Kind: rec[2], ID: int(num(3, strconv.IntSize)), Name: rec[4],
 			Row: int(num(5, strconv.IntSize)), Col: int(num(6, strconv.IntSize)), Field: rec[7], Value: num(8, 64),
 		}
 		if firstErr != nil {
-			return nil, firstErr
+			return firstErr
 		}
-		pts = append(pts, p)
+		if err := fn(&p); err != nil {
+			return err
+		}
+	}
+	if row == 0 {
+		return fmt.Errorf("telemetry: empty metrics CSV")
+	}
+	return nil
+}
+
+// ReadMetricsCSV collects every point ScanMetricsCSV yields. It holds the
+// whole series in memory; a consumer that needs a few fields of a large
+// file filters inside ScanMetricsCSV instead, as gatherviz does.
+func ReadMetricsCSV(rd io.Reader) ([]MetricPoint, error) {
+	var pts []MetricPoint
+	err := ScanMetricsCSV(rd, func(p *MetricPoint) error {
+		pts = append(pts, *p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pts, nil
 }

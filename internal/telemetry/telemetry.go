@@ -1,8 +1,9 @@
 // Package telemetry is the simulator's observability layer (DESIGN.md
 // §11): an epoch metrics collector that snapshots deltas of the counters
-// the components already keep into preallocated per-shard time-series
-// rings, and a flit-lifecycle tracer that records sampled per-packet
-// pipeline events into bounded per-shard buffers. Both are off by default
+// the components already keep into bounded per-shard time-series rings
+// whose rows are allocated as the run reaches them, and a flit-lifecycle
+// tracer that records sampled per-packet pipeline events into bounded
+// per-shard buffers. Both are off by default
 // and purely observational — probes read component state and write only
 // their own buffers, so enabling telemetry never changes a schedule, and
 // a disabled network carries no probe at all (every hook is behind a
@@ -19,6 +20,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gathernoc/internal/flit"
@@ -38,9 +40,10 @@ type Config struct {
 	TraceSample uint64
 	// MaxEpochs bounds each probe's time-series ring (0 = 1024 epochs,
 	// i.e. 256K cycles of history at the default period); older epochs
-	// are overwritten, keeping the most recent window. The ring is
-	// preallocated at Start and costs 8 bytes per epoch per field, so
-	// large fabrics with long windows should size this deliberately.
+	// are overwritten, keeping the most recent window. A ring row (8 bytes
+	// per field) is allocated the first time the run reaches its slot and
+	// reused once the ring wraps, so memory follows the epochs actually
+	// recorded and MaxEpochs is only the ceiling.
 	MaxEpochs int
 	// MaxEvents bounds each probe's event buffer (0 = 65536 events);
 	// events past the bound are dropped and counted in
@@ -243,13 +246,21 @@ type Probe struct {
 	events  []Event
 	dropped uint64
 
-	// Epoch ring (see Collector.Harvest for the merge):
-	stride    int     // fields across all sources
-	vals      []int64 // maxEpochs * stride, slot-major
-	epochIdx  []int64 // epoch index per slot
-	epochEnd  []int64 // inclusive end cycle per slot
-	head, cnt int
+	// Epoch ring (see Collector.Harvest for the merge): it grows by one
+	// row each time the run reaches a slot for the first time, up to
+	// maxEpochs rows, and from then on head wraps and rows are overwritten.
+	stride    int // fields across all sources
+	maxEpochs int
+	ring      []epochRow
+	head      int   // next slot to write
 	lastEnd   int64 // last snapshotted end cycle (-1 before the first)
+}
+
+// epochRow is one ring slot: an epoch's index, its inclusive end cycle and
+// the stride values snapshotted for it.
+type epochRow struct {
+	index, end int64
+	vals       []int64
 }
 
 // Sampled reports whether packet id pid is in the traced sample. The
@@ -283,17 +294,15 @@ func (p *Probe) snapshot(epoch, endCycle int64) {
 		p.lastEnd = endCycle
 		return
 	}
-	slot := p.head
+	if p.head == len(p.ring) {
+		p.ring = append(p.ring, epochRow{vals: make([]int64, p.stride)})
+	}
+	row := &p.ring[p.head]
 	p.head++
-	if p.head == len(p.epochIdx) {
+	if p.head == p.maxEpochs {
 		p.head = 0
 	}
-	if p.cnt < len(p.epochIdx) {
-		p.cnt++
-	}
-	p.epochIdx[slot] = epoch
-	p.epochEnd[slot] = endCycle
-	base := slot * p.stride
+	row.index, row.end = epoch, endCycle
 	off := 0
 	for i := range p.sources {
 		s := &p.sources[i]
@@ -301,9 +310,9 @@ func (p *Probe) snapshot(epoch, endCycle int64) {
 		for j := range s.fields {
 			v := s.cur[j]
 			if s.fields[j].Gauge {
-				p.vals[base+off] = v
+				row.vals[off] = v
 			} else {
-				p.vals[base+off] = v - s.prev[j]
+				row.vals[off] = v - s.prev[j]
 				s.prev[j] = v
 			}
 			off++
@@ -331,7 +340,7 @@ func (ec *EpochCommitter) Commit(cycle int64) {
 
 // Collector owns the per-shard probes and merges them at harvest.
 // Construction order: New, AddSource/ShardProbe/SerialProbe wiring, then
-// Start (which preallocates every ring) before the first cycle runs.
+// Start (which sizes every probe) before the first cycle runs.
 type Collector struct {
 	cfg    Config
 	probes []*Probe // [0..shards-1] shard probes, [shards] serial
@@ -366,6 +375,10 @@ func (c *Collector) SerialProbe() *Probe { return c.probes[len(c.probes)-1] }
 
 // AddSource registers one metrics source with shard s's probe. Must be
 // called before Start; read runs on s's goroutine at epoch boundaries.
+// A source whose counters are split across shards (the flit pool's
+// per-shard views) is registered once per shard with the same meta and
+// fields, each read covering that shard's part; Harvest sums the parts
+// into one series.
 func (c *Collector) AddSource(s int, meta SourceMeta, fields []Field, read ReadFn) {
 	p := c.probes[s]
 	p.sources = append(p.sources, source{
@@ -387,9 +400,10 @@ func (c *Collector) EpochCommitter(s int) *EpochCommitter {
 	return &EpochCommitter{p: c.probes[s], epoch: c.cfg.Epoch}
 }
 
-// Start preallocates every probe's rings. Call once, after all sources
-// are registered and before the first cycle; from then on telemetry
-// allocates nothing.
+// Start preallocates every probe's event buffer and sizes its epoch ring.
+// Call once, after all sources are registered and before the first cycle;
+// from then on the tracer allocates nothing and the epoch collector
+// allocates one ring row per probe per epoch until the ring is full.
 func (c *Collector) Start() {
 	for _, p := range c.probes {
 		p.lastEnd = -1
@@ -400,12 +414,7 @@ func (c *Collector) Start() {
 			for i := range p.sources {
 				p.stride += len(p.sources[i].fields)
 			}
-			if p.stride > 0 {
-				n := c.cfg.maxEpochs()
-				p.vals = make([]int64, n*p.stride)
-				p.epochIdx = make([]int64, n)
-				p.epochEnd = make([]int64, n)
-			}
+			p.maxEpochs = c.cfg.maxEpochs()
 		}
 	}
 }
@@ -460,12 +469,12 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 		if p.stride == 0 {
 			continue
 		}
-		r.EpochIndex = make([]int64, p.cnt)
-		r.EpochEnd = make([]int64, p.cnt)
-		for i := 0; i < p.cnt; i++ {
-			slot := p.slotAt(i)
-			r.EpochIndex[i] = p.epochIdx[slot]
-			r.EpochEnd[i] = p.epochEnd[slot]
+		r.EpochIndex = make([]int64, len(p.ring))
+		r.EpochEnd = make([]int64, len(p.ring))
+		for i := range p.ring {
+			row := &p.ring[p.slotAt(i)]
+			r.EpochIndex[i] = row.index
+			r.EpochEnd[i] = row.end
 		}
 		break
 	}
@@ -474,11 +483,9 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 		base := 0
 		for i := range p.sources {
 			s := &p.sources[i]
-			ss := SourceSeries{Meta: s.meta, Fields: s.fields, Values: make([][]int64, p.cnt)}
-			for e := 0; e < p.cnt; e++ {
-				slot := p.slotAt(e)
-				row := p.vals[slot*p.stride+base : slot*p.stride+base+len(s.fields)]
-				ss.Values[e] = row
+			ss := SourceSeries{Meta: s.meta, Fields: s.fields, Values: make([][]int64, len(p.ring))}
+			for e := range p.ring {
+				ss.Values[e] = p.ring[p.slotAt(e)].vals[base : base+len(s.fields)]
 			}
 			r.Sources = append(r.Sources, ss)
 			base += len(s.fields)
@@ -496,6 +503,7 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 		}
 		return firstField(a.Fields) < firstField(b.Fields)
 	})
+	r.Sources = sumSplitSources(r.Sources)
 	sort.Slice(r.Events, func(i, j int) bool {
 		a, b := &r.Events[i], &r.Events[j]
 		if a.Cycle != b.Cycle {
@@ -517,11 +525,35 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 
 // slotAt translates retained-epoch index i (0 = oldest) to a ring slot.
 func (p *Probe) slotAt(i int) int {
-	slot := p.head - p.cnt + i
+	slot := p.head - len(p.ring) + i
 	if slot < 0 {
-		slot += len(p.epochIdx)
+		slot += len(p.ring)
 	}
 	return slot
+}
+
+// sumSplitSources folds the per-shard parts of a split source (see
+// AddSource) into one series. The parts carry the same meta and fields,
+// so the canonical sort has left them adjacent; the sums go into fresh
+// rows, never into a probe's ring.
+func sumSplitSources(sorted []SourceSeries) []SourceSeries {
+	out := sorted[:0]
+	for _, ss := range sorted {
+		if n := len(out); n > 0 && out[n-1].Meta == ss.Meta && slices.Equal(out[n-1].Fields, ss.Fields) {
+			whole := &out[n-1]
+			sums := make([][]int64, len(whole.Values))
+			for e := range sums {
+				sums[e] = make([]int64, len(ss.Fields))
+				for j := range sums[e] {
+					sums[e][j] = whole.Values[e][j] + ss.Values[e][j]
+				}
+			}
+			whole.Values = sums
+			continue
+		}
+		out = append(out, ss)
+	}
+	return out
 }
 
 func firstField(fs []Field) string {

@@ -148,13 +148,25 @@ func TestSnapshotDeltaVsGauge(t *testing.T) {
 }
 
 // TestEpochRingWrap bounds the series: with MaxEpochs=2 only the newest
-// two epochs survive, indices intact.
+// two epochs survive, indices intact. Ring rows exist only for the slots
+// the run reached, and a wrapped ring writes into the rows it has.
 func TestEpochRingWrap(t *testing.T) {
 	c, state := collectorWithSource(Config{Epoch: 2, MaxEpochs: 2})
 	ec := c.EpochCommitter(0)
+	p := c.ShardProbe(0)
+	var first [2]*int64
 	for cycle := int64(0); cycle < 10; cycle++ {
 		state[0]++
 		ec.Commit(cycle)
+		if cycle == 3 { // both slots reached once
+			first = [2]*int64{&p.ring[0].vals[0], &p.ring[1].vals[0]}
+		}
+	}
+	if len(p.ring) != 2 {
+		t.Fatalf("ring holds %d rows, want MaxEpochs = 2", len(p.ring))
+	}
+	if &p.ring[0].vals[0] != first[0] || &p.ring[1].vals[0] != first[1] {
+		t.Error("rows were reallocated after the ring wrapped; they must be reused")
 	}
 	rep := c.Harvest(10)
 	if len(rep.EpochIndex) != 2 {
@@ -165,6 +177,63 @@ func TestEpochRingWrap(t *testing.T) {
 	}
 	if rep.EpochEnd[0] != 7 || rep.EpochEnd[1] != 9 {
 		t.Errorf("epoch ends %v, want [7 9]", rep.EpochEnd)
+	}
+
+	// A long window costs nothing until it is used: 3 epochs, 3 rows.
+	c, state = collectorWithSource(Config{Epoch: 2, MaxEpochs: 1024})
+	ec = c.EpochCommitter(0)
+	if n := len(c.ShardProbe(0).ring); n != 0 {
+		t.Errorf("Start allocated %d ring rows before any epoch ran", n)
+	}
+	for cycle := int64(0); cycle < 6; cycle++ {
+		state[0]++
+		ec.Commit(cycle)
+	}
+	if n := len(c.ShardProbe(0).ring); n != 3 {
+		t.Errorf("3 epochs of a 1024-epoch window allocated %d rows, want 3", n)
+	}
+	if rep := c.Harvest(6); len(rep.EpochIndex) != 3 || rep.Sources[0].Values[2][0] != 2 {
+		t.Errorf("harvested epochs %v, last delta row %v", rep.EpochIndex, rep.Sources[0].Values)
+	}
+}
+
+// TestHarvestSumsSplitSource: a source registered with the same meta and
+// fields on several shards (the flit pool's per-shard views) harvests as
+// one series holding the sum of the parts, while sources that share a meta
+// but not their fields (a link's flit and credit halves) stay apart.
+func TestHarvestSumsSplitSource(t *testing.T) {
+	c := New(Config{Epoch: 4}, 3)
+	meta := SourceMeta{Kind: "pool", ID: 0, Name: "flitpool", Row: -1, Col: -1}
+	fields := []Field{{Name: "live", Gauge: true}}
+	parts := []int64{5, -2, 4}
+	for s := range parts {
+		c.AddSource(s, meta, fields, func(dst []int64) { dst[0] = parts[s] })
+	}
+	link := SourceMeta{Kind: "link", ID: 7, Name: "l7", Row: -1, Col: -1}
+	c.AddSource(2, link, []Field{{Name: "flits"}}, func(dst []int64) { dst[0] = 1 })
+	c.AddSource(0, link, []Field{{Name: "credits"}}, func(dst []int64) { dst[0] = 1 })
+	c.Start()
+	for s := range parts {
+		ec := c.EpochCommitter(s)
+		for cycle := int64(0); cycle < 8; cycle++ {
+			if s == 1 && cycle == 4 {
+				parts[1] = -6
+			}
+			ec.Commit(cycle)
+		}
+		parts[1] = -2
+	}
+	rep := c.Harvest(8)
+	if len(rep.Sources) != 3 {
+		t.Fatalf("harvested %d sources, want link credits, link flits and one pool", len(rep.Sources))
+	}
+	pool := rep.Sources[2]
+	if pool.Meta != meta || len(pool.Values) != 2 || pool.Values[0][0] != 7 || pool.Values[1][0] != 3 {
+		t.Errorf("pool series = %+v, want live 7 then 3", pool)
+	}
+	// The sums are the report's own rows; the probes' rings keep the parts.
+	if got := c.ShardProbe(0).ring[0].vals[0]; got != 5 {
+		t.Errorf("shard 0's ring row holds %d after Harvest, want its own part 5", got)
 	}
 }
 
@@ -290,26 +359,7 @@ func TestMetricsCSVRoundTrip(t *testing.T) {
 // A damaged metrics CSV must be refused with the damaged place named; it
 // used to parse, every unreadable number turning into a zero on the heatmap.
 func TestReadMetricsCSVRejectsDamagedInput(t *testing.T) {
-	const header = "epoch,cycle,kind,id,name,row,col,field,value,per_cycle\n"
-	const good = "0,3,router,3,r3,0,3,writes,12,3.0000\n"
-	tests := []struct {
-		name, in string
-		row      int
-		column   string
-	}{
-		{"cut after a comma", header + good + "1,7,router,3,r3,0,3,writes,", 3, "value"},
-		{"cut inside a row", header + good + "1,7,router,3,r", 3, "row"},
-		{"cut to one field", header + "1", 2, "cycle"},
-		{"non-numeric value", header + good + good + "1,7,router,3,r3,0,3,writes,abc,\n", 4, "value"},
-		{"non-numeric epoch", header + "x,7,router,3,r3,0,3,writes,1,\n", 2, "epoch"},
-		{"fractional id", header + "1,7,router,1.5,r3,0,3,writes,1,\n", 2, "id"},
-		{"first bad column wins", header + "1,7,router,3,r3,north,,writes,?,\n", 2, "row"},
-		{"value out of range", header + "1,7,router,3,r3,0,3,writes,99999999999999999999,\n", 2, "value"},
-		{"short header", "epoch,cycle,kind\n" + "0,3,router\n", 1, "id"},
-		{"renamed header column", "epoch,cycle,kind,id,name,row,col,metric,value\n", 1, "field"},
-		{"foreign file", "not,a,metrics\nfile,0,0\n", 1, "epoch"},
-	}
-	for _, tt := range tests {
+	for _, tt := range damagedMetricsCSVs {
 		t.Run(tt.name, func(t *testing.T) {
 			pts, err := ReadMetricsCSV(strings.NewReader(tt.in))
 			var ce *MetricsCSVError
@@ -324,7 +374,7 @@ func TestReadMetricsCSVRejectsDamagedInput(t *testing.T) {
 	if _, err := ReadMetricsCSV(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ReadMetricsCSV(strings.NewReader(header + "0,3,\"router,3\n")); err == nil {
+	if _, err := ReadMetricsCSV(strings.NewReader(goodCSVHeader + "0,3,\"router,3\n")); err == nil {
 		t.Error("unterminated quote accepted")
 	}
 	// The derived per_cycle column is optional.

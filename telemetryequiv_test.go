@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"gathernoc/internal/cnn"
+	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/traffic"
@@ -50,6 +52,12 @@ func telemetryRun(t *testing.T, shards int) (*telemetry.Report, []byte, []byte) 
 	if _, err := s.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
+	return harvestAndExport(t, nw)
+}
+
+// harvestAndExport harvests nw's telemetry and renders both exports.
+func harvestAndExport(t *testing.T, nw *noc.Network) (*telemetry.Report, []byte, []byte) {
+	t.Helper()
 	rep := nw.HarvestTelemetry()
 	if rep == nil {
 		t.Fatal("telemetry enabled but HarvestTelemetry returned nil")
@@ -62,6 +70,30 @@ func telemetryRun(t *testing.T, shards int) (*telemetry.Report, []byte, []byte) 
 		t.Fatal(err)
 	}
 	return rep, csv.Bytes(), trace.Bytes()
+}
+
+// compareTelemetry requires a sharded run's events and exported bytes to
+// equal the sequential engine's.
+func compareTelemetry(t *testing.T, seqRep, rep *telemetry.Report, seqCSV, csv, seqTrace, trace []byte) {
+	t.Helper()
+	if rep.DroppedEvents != 0 {
+		t.Fatalf("dropped %d events", rep.DroppedEvents)
+	}
+	if len(rep.Events) != len(seqRep.Events) {
+		t.Errorf("event count diverged: sequential %d, sharded %d", len(seqRep.Events), len(rep.Events))
+	}
+	for i := range rep.Events {
+		if i < len(seqRep.Events) && rep.Events[i] != seqRep.Events[i] {
+			t.Errorf("event %d diverged:\nsequential %+v\nsharded    %+v", i, seqRep.Events[i], rep.Events[i])
+			break
+		}
+	}
+	if !bytes.Equal(csv, seqCSV) {
+		t.Error("metrics CSV diverged from the sequential engine")
+	}
+	if !bytes.Equal(trace, seqTrace) {
+		t.Error("Chrome trace JSON diverged from the sequential engine")
+	}
 }
 
 // TestTelemetryShardInvariance is the observability twin of the sharded
@@ -84,24 +116,90 @@ func TestTelemetryShardInvariance(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rep, csv, trace := telemetryRun(t, shards)
-			if rep.DroppedEvents != 0 {
-				t.Fatalf("dropped %d events", rep.DroppedEvents)
-			}
-			if len(rep.Events) != len(seqRep.Events) {
-				t.Errorf("event count diverged: sequential %d, sharded %d", len(seqRep.Events), len(rep.Events))
-			}
-			for i := range rep.Events {
-				if i < len(seqRep.Events) && rep.Events[i] != seqRep.Events[i] {
-					t.Errorf("event %d diverged:\nsequential %+v\nsharded    %+v", i, seqRep.Events[i], rep.Events[i])
-					break
-				}
-			}
-			if !bytes.Equal(csv, seqCSV) {
-				t.Error("metrics CSV diverged from the sequential engine")
-			}
-			if !bytes.Equal(trace, seqTrace) {
-				t.Error("Chrome trace JSON diverged from the sequential engine")
-			}
+			compareTelemetry(t, seqRep, rep, seqCSV, csv, seqTrace, trace)
+		})
+	}
+}
+
+// lossyBackground is open-loop noise on a lossy fabric: generator packets
+// carry no tracked payload, so a dropped one is never sent again and the
+// generator's own Drained would never hold. The phase counts as drained
+// once it stops injecting.
+type lossyBackground struct{ *traffic.Generator }
+
+func (b lossyBackground) Drained() bool { return b.Injected() }
+
+// telemetryFaultRun is model-mix in miniature: an AlexNet gather pipeline
+// (tracked payloads, recovered by retransmission) and background uniform
+// traffic on an 8x8 with model-mix's loss rates and telemetry on. Epochs
+// are short so that many boundaries fall on a cycle whose commit phase
+// drops a flit — the case the per-shard pool gauge exists for.
+func telemetryFaultRun(t *testing.T, shards int) (*telemetry.Report, []byte, []byte) {
+	t.Helper()
+	cfg := noc.DefaultConfig(8, 8)
+	cfg.Shards = shards
+	cfg.Faults = &fault.Config{Seed: 1, DropRate: 0.002, CorruptRate: 0.0005}
+	cfg.Telemetry = &telemetry.Config{Epoch: 16, TraceSample: 4}
+	nw, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	job, drivers, err := workload.NewPipelineJob(nw, "alexnet", workload.PipelineConfig{
+		Layers: cnn.AlexNetConvLayers(), Scheme: traffic.CollectGather, Rounds: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noise, err := traffic.NewGeneratorDriver(nw, traffic.GeneratorConfig{
+		Pattern:       traffic.UniformRandom{Nodes: 64},
+		InjectionRate: 0.05,
+		PacketFlits:   2,
+		Measure:       2000,
+		Seed:          1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := workload.New(nw, []workload.Job{job, {
+		Name:   "background",
+		Phases: []workload.Phase{{Name: "uniform", Driver: lossyBackground{noise}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(5_000_000); err != nil {
+		t.Fatalf("run did not complete under faults: %v", err)
+	}
+	for i, d := range drivers {
+		if errs := d.Snapshot().OracleErrors; errs != 0 {
+			t.Fatalf("layer %d: %d oracle errors", i, errs)
+		}
+	}
+	if nw.FlitPool().Drops() == 0 {
+		t.Fatal("fault schedule dropped nothing; the cell proves nothing")
+	}
+	return harvestAndExport(t, nw)
+}
+
+// TestTelemetryShardInvarianceUnderFaults is the same proof on a lossy
+// fabric, where flits are also released in the commit phase
+// (link.CommitFlits drops them): every shard snapshots the pool balance
+// of its own view after its own commits, so the summed `live` gauge — and
+// with it the whole CSV — equals the sequential engine's at every shard
+// count, and under -race no shard reads another's counters.
+func TestTelemetryShardInvarianceUnderFaults(t *testing.T) {
+	seqRep, seqCSV, seqTrace := telemetryFaultRun(t, 0)
+	if seqRep.DroppedEvents != 0 {
+		t.Fatalf("sequential run dropped %d events; the comparison needs the full stream", seqRep.DroppedEvents)
+	}
+	if !bytes.Contains(seqCSV, []byte(",pool,0,flitpool,-1,-1,live,")) {
+		t.Fatal("metrics CSV carries no flit-pool gauge")
+	}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rep, csv, trace := telemetryFaultRun(t, shards)
+			compareTelemetry(t, seqRep, rep, seqCSV, csv, seqTrace, trace)
 		})
 	}
 }
