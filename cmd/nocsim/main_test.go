@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gathernoc/internal/collective"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/traffic"
@@ -362,6 +363,27 @@ func TestRunWatchdogPartition(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fault totals") {
 		t.Errorf("stall error missing diagnostic dump: %v", err)
+	}
+}
+
+// TestRunLossyMulticastSaysWhy: a collective whose broadcast leg cannot
+// survive flit loss is refused before the run with the named error, not
+// left to the watchdog's "no forward progress"; main turns any error from
+// run into exit status 1. The flat transport of the same op is accepted.
+func TestRunLossyMulticastSaysWhy(t *testing.T) {
+	args := []string{"-rows", "4", "-cols", "4", "-collective", "allreduce", "-rounds", "1", "-faultrate", "0.01"}
+	var b strings.Builder
+	err := run(append(args, "-algorithm", "tree"), &b)
+	if !errors.Is(err, collective.ErrLossyMulticast) {
+		t.Fatalf("want collective.ErrLossyMulticast, got %v", err)
+	}
+	for _, frag := range []string{"multicast", "allreduce/tree", "drop rate 0.01"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q missing %q", err, frag)
+		}
+	}
+	if err := run(append(args, "-algorithm", "flat"), &b); err != nil {
+		t.Errorf("flat all-reduce on a lossy fabric refused: %v", err)
 	}
 }
 

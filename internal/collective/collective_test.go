@@ -296,3 +296,32 @@ func TestFusedNeedsINA(t *testing.T) {
 		t.Fatal("fused without EnableINA accepted")
 	}
 }
+
+// TestLossyMulticastRejected pins which cells NewDriver refuses on a fabric
+// with fault injection: the ones whose broadcast leg is one multicast
+// packet, and only when flits can be lost or corrupted in flight.
+func TestLossyMulticastRejected(t *testing.T) {
+	faults := map[string]*fault.Config{
+		"drop":    {Seed: 1, DropRate: 0.01},
+		"corrupt": {Seed: 1, CorruptRate: 0.01},
+		"outage":  {Seed: 1, Links: []fault.LinkOutage{{SrcNode: 0, DstNode: 1, Window: fault.Window{From: 1 << 30, Until: 1<<30 + 10}}}},
+	}
+	for fname, fc := range faults {
+		for _, alg := range []Algorithm{AlgTree, AlgFlat, AlgFused} {
+			for _, op := range []Op{Reduce, Broadcast, AllReduce} {
+				cfg := noc.DefaultConfig(4, 4)
+				cfg.EnableINA = true
+				cfg.Faults = fc
+				nw := newNetwork(t, cfg)
+				_, err := NewDriver(nw, Config{Op: op, Algorithm: alg, Rounds: 1})
+				want := fname != "outage" && op != Reduce && alg != AlgFlat
+				if got := errors.Is(err, ErrLossyMulticast); got != want {
+					t.Errorf("%s/%s/%s: ErrLossyMulticast = %v (err %v), want %v", fname, alg, op, got, err, want)
+				}
+				if !want && err != nil {
+					t.Errorf("%s/%s/%s refused: %v", fname, alg, op, err)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -125,6 +126,15 @@ func NewController(nw *noc.Network, cfg Config) (*Driver, error) {
 	return d, nil
 }
 
+// ErrLossyMulticast reports a collective whose broadcast leg travels as one
+// multicast packet (Broadcast and AllReduce under AlgTree and AlgFused) on
+// a fabric that drops or corrupts flits. The NIC's retransmission resends a
+// payload until its first delivery is confirmed, so a multicast branch lost
+// after another branch has arrived is never sent again and the round cannot
+// finish. Reduce, the flat algorithm and outage-only fault schedules are
+// not affected.
+var ErrLossyMulticast = errors.New("collective: multicast broadcast leg cannot recover from flit loss")
+
 // NewDriver prepares a collective phase for a workload scheduler:
 // identical plans and round bookkeeping, but no receive callbacks are
 // wired (the scheduler dispatches this phase's packets to OnPacket by
@@ -136,6 +146,10 @@ func NewDriver(nw *noc.Network, cfg Config) (*Driver, error) {
 	nc := nw.Config()
 	if cfg.Algorithm == AlgFused && !nc.EnableINA {
 		return nil, fmt.Errorf("collective: fused algorithm needs noc.Config.EnableINA")
+	}
+	if f := nc.Faults; f != nil && (f.DropRate > 0 || f.CorruptRate > 0) && cfg.Op != Reduce && cfg.Algorithm != AlgFlat {
+		return nil, fmt.Errorf("%w: %s/%s with drop rate %g, corrupt rate %g; use the flat algorithm or a loss-free fault schedule",
+			ErrLossyMulticast, cfg.Op, cfg.Algorithm, f.DropRate, f.CorruptRate)
 	}
 	// A pure Reduce lands at the global buffer when the fabric has one;
 	// ops with a broadcast leg keep the root on a PE, which can re-inject.

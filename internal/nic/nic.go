@@ -545,7 +545,7 @@ func (n *NIC) enqueue(p flit.Packet) uint64 {
 func (n *NIC) bindPackets() {
 	if n.cfg.GatherVC < 0 {
 		for n.queue.Len() > 0 {
-			vc := n.freeVCFor(n.queue.Front().PT)
+			vc := n.freeVCFor(n.queue.FrontPtr().PT)
 			if vc < 0 {
 				return
 			}

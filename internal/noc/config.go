@@ -79,10 +79,10 @@ type Config struct {
 	// goroutine under the deterministic two-phase schedule (DESIGN.md §9).
 	// Schedules are bit-identical for every value, sequential included;
 	// shard counts above Rows are clamped (see EffectiveShards), and
-	// Shards=1 exercises the sharded machinery without parallelism. The
-	// sharded engine always ticks every component (AlwaysTick is implied):
-	// sharding targets exactly the high-load regimes where sleep/wake
-	// bookkeeping is a net loss.
+	// Shards=1 exercises the sharded machinery without parallelism. Each
+	// shard sleeps and wakes its components as the sequential engine
+	// does (AlwaysTick turns that off on either); only the link halves on
+	// a shard boundary and the serial sub-phase run every cycle.
 	Shards int
 	// AlwaysTick disables the engine's sleep/wake scheduling, evaluating
 	// every router, link and NIC every cycle. The default (false) skips

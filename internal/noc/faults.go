@@ -79,19 +79,12 @@ func (nw *Network) wireFaults() error {
 			// transient inter-router noise.
 			ls = inj.NewOutageLink(i, ws)
 		}
-		pool := nw.pool
-		if nw.pools != nil {
-			pool = nw.pools[rec.downShard]
-		}
-		rec.l.SetFaults(ls, pool)
+		rec.l.SetFaults(ls, nw.poolFor(rec.downShard))
 		// The flusher ticks on the shard that commits the link's flits, so
-		// the owed-credit counters keep a single writer per phase.
+		// the owed-credit counters keep a single writer per phase and the
+		// wake CommitFlits sends it stays inside that shard.
 		cf := rec.l.NewCreditFlusher()
-		if nw.engine.Sharded() {
-			nw.engine.AddShardTicker(rec.downShard, cf)
-		} else {
-			cf.SetWake(nw.engine.AddTicker(cf))
-		}
+		cf.SetWake(nw.addTicker(rec.downShard, cf))
 	}
 
 	// Recovery: exactly-once ejectors everywhere, reliability tables on

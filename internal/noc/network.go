@@ -287,40 +287,7 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	if nw.engine.Sharded() {
-		nw.registerSharded()
-	} else {
-		// Engine registration: routers, sinks, then NICs as tickers; all
-		// links as committers. Controllers added by callers tick after
-		// NICs. Every component gets its wake handle (and NICs the engine
-		// clock) so the activity-tracked engine can sleep idle components
-		// and re-evaluate them on flit/credit handoff or packet submission.
-		for _, r := range nw.routers {
-			r.SetWake(nw.engine.AddTicker(r))
-			r.SetFlitPool(nw.pool)
-		}
-		for _, s := range nw.sinks {
-			s.ej.SetWake(nw.engine.AddTicker(s))
-			s.ej.SetFlitPool(nw.pool)
-		}
-		for _, n := range nw.nics {
-			h := nw.engine.AddTicker(n)
-			n.SetWake(h)
-			n.Ejector().SetWake(h)
-			n.SetClock(nw.engine)
-			n.SetFlitPool(nw.pool)
-			n.Ejector().SetFlitPool(nw.pool)
-		}
-		for _, l := range nw.links {
-			l.SetWake(nw.engine.AddCommitter(l))
-		}
-		nw.engine.SetAlwaysTick(cfg.AlwaysTick)
-		// High-load fallback: saturated fabrics tick naively in bursts
-		// instead of paying per-component wake bookkeeping that skips
-		// nothing (the schedules are bit-identical either way; see
-		// sim.Engine.SetAdaptive).
-		nw.engine.SetAdaptive(true)
-	}
+	nw.register()
 	if cfg.Faults.Enabled() {
 		if err := nw.wireFaults(); err != nil {
 			return nil, err
@@ -490,11 +457,7 @@ func (nw *Network) wireTelemetry() {
 		if ec == nil {
 			break
 		}
-		if nw.engine.Sharded() {
-			nw.engine.AddShardCommitter(s, ec)
-		} else {
-			nw.engine.AddCommitter(ec)
-		}
+		nw.addCommitter(s, ec)
 	}
 	tc.Start()
 }
@@ -514,40 +477,80 @@ func (nw *Network) HarvestTelemetry() *telemetry.Report {
 	return nw.tele.Harvest(nw.engine.Cycle())
 }
 
-// registerSharded wires every component into the two-phase sharded engine
-// (DESIGN.md §9). Each shard's tick list keeps the sequential engine's
-// relative order — routers by id, then sinks, then NICs — and no wake
-// handles are attached: the sharded engine always ticks everything, and a
-// nil handle makes every Wake call a no-op. Each link's commit is split
-// between the shards owning its endpoints, ejectors switch to staged
-// delivery, and the staged-dispatch hook becomes the first serial ticker
-// so receive callbacks fire — in the sequential callback order — before
-// any workload driver runs.
-func (nw *Network) registerSharded() {
+// register hands every component to the engine: routers, sinks, then NICs
+// as tickers, all links as committers; controllers added by callers tick
+// after NICs. Every component gets its wake handle (and NICs the engine
+// clock) so the engine can sleep idle components and re-evaluate them on
+// flit/credit handoff or packet submission.
+//
+// On a sharded engine (DESIGN.md §9) each component goes to the shard that
+// owns its row, which keeps the sequential engine's relative order within
+// every shard and every Wake inside the shard that makes it. A link whose
+// two ends share a shard is registered whole, as on the sequential engine.
+// A link that crosses a shard boundary is committed in two halves, one per
+// endpoint shard, and gets no handle: Send and ReturnCredit run in two
+// different shards' tick phases, so a bitmap bit for the link would have
+// two writers. Those halves are evaluated every cycle. Ejectors switch to
+// staged delivery, and the staged-dispatch hook becomes the first serial
+// ticker so receive callbacks fire — in the sequential callback order —
+// before any workload driver runs.
+func (nw *Network) register() {
+	sharded := nw.engine.Sharded()
 	for _, r := range nw.routers {
 		sh := nw.shardOfNode(r.ID())
-		nw.engine.AddShardTicker(sh, r)
-		r.SetFlitPool(nw.pools[sh])
+		r.SetWake(nw.addTicker(sh, r))
+		r.SetFlitPool(nw.poolFor(sh))
 	}
 	for _, s := range nw.sinks {
 		sh := nw.shardOfRow(s.row)
-		nw.engine.AddShardTicker(sh, s)
-		s.ej.SetFlitPool(nw.pools[sh])
-		s.ej.SetStaged(true)
+		s.ej.SetWake(nw.addTicker(sh, s))
+		s.ej.SetFlitPool(nw.poolFor(sh))
+		s.ej.SetStaged(sharded)
 	}
 	for _, n := range nw.nics {
 		sh := nw.shardOfNode(n.ID())
-		nw.engine.AddShardTicker(sh, n)
+		h, pool := nw.addTicker(sh, n), nw.poolFor(sh)
+		n.SetWake(h)
+		n.Ejector().SetWake(h)
 		n.SetClock(nw.engine)
-		n.SetFlitPool(nw.pools[sh])
-		n.Ejector().SetFlitPool(nw.pools[sh])
-		n.Ejector().SetStaged(true)
+		n.SetFlitPool(pool)
+		n.Ejector().SetFlitPool(pool)
+		n.Ejector().SetStaged(sharded)
 	}
 	for _, rec := range nw.linkRecs {
+		if rec.downShard == rec.upShard {
+			rec.l.SetWake(nw.addCommitter(rec.downShard, rec.l))
+			continue
+		}
 		nw.engine.AddShardCommitter(rec.downShard, flitHalf{rec.l})
 		nw.engine.AddShardCommitter(rec.upShard, creditHalf{rec.l})
 	}
-	nw.engine.AddTicker(stagedDispatcher{nw})
+	if sharded {
+		nw.engine.AddTicker(stagedDispatcher{nw})
+	}
+	nw.engine.SetAlwaysTick(nw.cfg.AlwaysTick)
+	// High-load fallback: saturated fabrics tick naively in bursts
+	// instead of paying per-component wake bookkeeping that skips
+	// nothing (the schedules are bit-identical either way; see
+	// sim.Engine.SetAdaptive).
+	nw.engine.SetAdaptive(true)
+}
+
+// addTicker registers t with shard sh of a sharded engine, or with the
+// sequential engine.
+func (nw *Network) addTicker(sh int, t sim.Ticker) *sim.Handle {
+	if nw.engine.Sharded() {
+		return nw.engine.AddShardTicker(sh, t)
+	}
+	return nw.engine.AddTicker(t)
+}
+
+// addCommitter is addTicker for the commit phase.
+func (nw *Network) addCommitter(sh int, c sim.Committer) *sim.Handle {
+	if nw.engine.Sharded() {
+		return nw.engine.AddShardCommitter(sh, c)
+	}
+	return nw.engine.AddCommitter(c)
 }
 
 // flitHalf commits a link's forward path only; registered with the shard

@@ -58,6 +58,16 @@ func (d *Deque[T]) Front() T {
 	return d.blocks[0][d.head]
 }
 
+// FrontPtr returns a pointer to the front element in place, for reading a
+// field of a large element without copying it out. The pointer is good
+// until the element is popped. It panics on an empty deque.
+func (d *Deque[T]) FrontPtr() *T {
+	if d.n == 0 {
+		panic("ring: FrontPtr on empty deque")
+	}
+	return &d.blocks[0][d.head]
+}
+
 // At returns the i-th element from the front (0 = Front) without
 // removing it, panicking when out of range. It is the non-destructive
 // iteration snapshots use to serialize a queue without draining it.

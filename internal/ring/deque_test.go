@@ -86,6 +86,7 @@ func TestDequeEmptyPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"PopFront": func() { d.PopFront() },
 		"Front":    func() { d.Front() },
+		"FrontPtr": func() { d.FrontPtr() },
 	} {
 		func() {
 			defer func() {
@@ -95,6 +96,35 @@ func TestDequeEmptyPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// FrontPtr is a view of the queued element, not a copy: edits made in
+// place after the peek show through it, and through Front and PopFront.
+func TestDequeFrontPtrSeesInPlaceEdits(t *testing.T) {
+	type big struct {
+		tag int
+		pad [16]int64
+	}
+	var d Deque[big]
+	for i := 0; i < dequeBlockMin+2; i++ { // the front block and one behind it
+		d.PushBack(big{tag: i})
+	}
+	for want := 0; d.Len() > 0; want++ {
+		p := d.FrontPtr()
+		if p.tag != want {
+			t.Fatalf("FrontPtr().tag = %d, want %d", p.tag, want)
+		}
+		d.FrontPtr().pad[3] = int64(100 + want)
+		if p.pad[3] != int64(100+want) {
+			t.Fatalf("edit through a second FrontPtr not seen through the first")
+		}
+		if got := d.Front().pad[3]; got != int64(100+want) {
+			t.Fatalf("Front() copied pad[3] = %d, want %d", got, 100+want)
+		}
+		if got := d.PopFront(); got.tag != want || got.pad[3] != int64(100+want) {
+			t.Fatalf("PopFront() = {tag %d, pad[3] %d}, want {%d, %d}", got.tag, got.pad[3], want, 100+want)
+		}
 	}
 }
 

@@ -26,12 +26,15 @@ func (s engineSched) counts() (uint64, uint64)        { return s.e.Evaluated(), 
 
 // listWalk is the reference the bitmap engine must match: one heap node per
 // component with an awake flag, and a walk over the whole registration-order
-// list every cycle, including the adaptive naive bursts.
+// list every cycle, including the adaptive naive bursts. It stands for a
+// sequential engine, or for one shard of a sharded one (see shardedWalk).
 type listWalk struct {
 	now                 int64
 	tickers, committers []*listNode
 	adaptive            bool
 	burst               int
+	load                int // tickers left awake by this cycle's tick phase
+	bursts              int // bursts entered
 	evaluated, skipped  uint64
 }
 
@@ -68,47 +71,58 @@ func (l *listWalk) cycle() int64             { return l.now }
 func (l *listWalk) counts() (uint64, uint64) { return l.evaluated, l.skipped }
 
 func (l *listWalk) step() {
-	defer func() { l.now++ }()
+	l.tickPhase()
+	l.commitPhase() // reads the list now: a committer registered during the tick phase commits this cycle
+	l.now++
+}
+
+// walk evaluates list at cycle l.now, all of it during a burst and the awake
+// nodes otherwise, and returns how many of those stayed awake.
+func (l *listWalk) walk(list []*listNode) (load int) {
+	for _, n := range list {
+		if l.burst > 0 {
+			n.eval(l.now)
+			l.evaluated++
+			continue
+		}
+		if !n.awake {
+			l.skipped++
+			continue
+		}
+		n.eval(l.now)
+		l.evaluated++
+		if n.idler != nil && n.idler.Idle() {
+			n.awake = false
+		} else {
+			load++
+		}
+	}
+	return load
+}
+
+func (l *listWalk) tickPhase() { l.load = l.walk(l.tickers) }
+
+func (l *listWalk) commitPhase() {
+	load := l.load + l.walk(l.committers)
 	if l.burst > 0 {
-		for _, n := range l.tickers {
-			n.eval(l.now)
-			l.evaluated++
-		}
-		for _, n := range l.committers {
-			n.eval(l.now)
-			l.evaluated++
-		}
 		l.burst--
 		if l.burst == 0 {
-			for _, n := range l.tickers {
-				n.awake = true
-			}
-			for _, n := range l.committers {
-				n.awake = true
-			}
+			l.wakeAll()
 		}
 		return
 	}
-	load := 0
-	walk := func(list []*listNode) {
-		for _, n := range list {
-			if !n.awake {
-				l.skipped++
-				continue
-			}
-			n.eval(l.now)
-			l.evaluated++
-			if n.idler != nil && n.idler.Idle() {
-				n.awake = false
-			} else {
-				load++
-			}
-		}
-	}
-	walk(l.tickers)
-	walk(l.committers) // read now: a committer registered during the tick phase commits this cycle
 	if l.adaptive && load*adaptiveDen >= (len(l.tickers)+len(l.committers))*adaptiveNum {
 		l.burst = adaptiveBurst
+		l.bursts++
+	}
+}
+
+func (l *listWalk) wakeAll() {
+	for _, n := range l.tickers {
+		n.awake = true
+	}
+	for _, n := range l.committers {
+		n.awake = true
 	}
 }
 
@@ -371,5 +385,174 @@ func TestRegisterDuringTickRunsNextCycle(t *testing.T) {
 	}
 	if got, want := e.Evaluated(), uint64(2+2+65+132+132); got != want {
 		t.Errorf("always-tick Evaluated() = %d, want %d", got, want)
+	}
+}
+
+// shardScheduler is the sharded counterpart of scheduler: components go to
+// a shard or to the serial tick sub-phase.
+type shardScheduler interface {
+	addShardTicker(s int, t Ticker) (wake func())
+	addShardCommitter(s int, c Committer) (wake func())
+	addSerial(t Ticker)
+	step()
+	restore(cycle int64)
+	cycle() int64
+}
+
+type shardedEngineSched struct{ e *Engine }
+
+func (s shardedEngineSched) addShardTicker(sh int, t Ticker) func() {
+	return s.e.AddShardTicker(sh, t).Wake
+}
+func (s shardedEngineSched) addShardCommitter(sh int, c Committer) func() {
+	return s.e.AddShardCommitter(sh, c).Wake
+}
+func (s shardedEngineSched) addSerial(t Ticker) { s.e.AddTicker(t) }
+func (s shardedEngineSched) step()              { s.e.Step() }
+func (s shardedEngineSched) restore(c int64)    { s.e.RestoreCycle(c) }
+func (s shardedEngineSched) cycle() int64       { return s.e.Cycle() }
+
+// shardedWalk is the sharded reference: one listWalk per shard, each with
+// sleep flags and bursts of its own, and a serial list evaluated in full
+// between the tick phases and the commit phases. It runs the shards one
+// after the other, which no component can tell from running them at once
+// as long as no wake crosses a shard during a parallel phase.
+type shardedWalk struct {
+	now    int64
+	shards []*listWalk
+	serial []Ticker
+	ran    uint64 // serial evaluations
+}
+
+func (w *shardedWalk) addShardTicker(s int, t Ticker) func() { return w.shards[s].addTicker(t) }
+func (w *shardedWalk) addShardCommitter(s int, c Committer) func() {
+	return w.shards[s].addCommitter(c)
+}
+func (w *shardedWalk) addSerial(t Ticker) { w.serial = append(w.serial, t) }
+func (w *shardedWalk) cycle() int64       { return w.now }
+
+func (w *shardedWalk) step() {
+	for _, l := range w.shards {
+		l.now = w.now
+		l.tickPhase()
+	}
+	for _, t := range w.serial {
+		t.Tick(w.now)
+		w.ran++
+	}
+	for _, l := range w.shards {
+		l.commitPhase()
+	}
+	w.now++
+}
+
+func (w *shardedWalk) restore(cycle int64) {
+	w.now = cycle
+	for _, l := range w.shards {
+		l.burst = 0
+		l.wakeAll()
+	}
+}
+
+// The scripted-wake scenario on 2 and 3 shards: every component, when
+// evaluated, takes on a hash-chosen amount of work and wakes hash-chosen
+// components of its own shard and of both phases; a serial ticker wakes
+// components of any shard, as a driver's enqueue does; RestoreCycle lands
+// mid-run. Shard 0's components never go idle, the others mostly are, so
+// with the adaptive rule on shard 0 must run in naive bursts while its
+// neighbours keep skipping. Every shard's evaluation order and counters
+// must match the list walk's.
+func TestShardedBitmapMatchesListWalk(t *testing.T) {
+	const cycles = 200
+	for _, shards := range []int{2, 3} {
+		for _, n := range []int{63, 64, 65, 129} {
+			for _, adaptive := range []bool{false, true} {
+				t.Run(fmt.Sprintf("shards=%d/n=%d/adaptive=%v", shards, n, adaptive), func(t *testing.T) {
+					scenario := func(s shardScheduler, logs [][]string) {
+						wakes := make([][]func(), shards)
+						var all []func()
+						for sh := 0; sh < shards; sh++ {
+							sh := sh
+							act := func(a *actor, cycle int64) {
+								h := mix(a.id, cycle)
+								a.work = int(h % 4 / 2) // half go idle: under the burst threshold
+								if sh == 0 {
+									a.work++ // never idle
+								}
+								if h>>8%10 == 0 {
+									wakes[sh][h>>16%uint64(len(wakes[sh]))]()
+									wakes[sh][h>>40%uint64(len(wakes[sh]))]()
+								}
+							}
+							base := int64(sh * 2 * n)
+							for i := 0; i < n; i++ {
+								a := &actor{name: fmt.Sprintf("t%d", i), id: base + int64(i), log: &logs[sh], work: 1, act: act}
+								wakes[sh] = append(wakes[sh], s.addShardTicker(sh, a))
+							}
+							for i := 0; i < n; i++ {
+								a := &actor{name: fmt.Sprintf("c%d", i), id: base + int64(n+i), log: &logs[sh], work: 1, act: act}
+								wakes[sh] = append(wakes[sh], s.addShardCommitter(sh, a))
+							}
+							all = append(all, wakes[sh]...)
+						}
+						s.addSerial(&actor{name: "driver", id: -1, log: &logs[shards], work: 1, act: func(a *actor, cycle int64) {
+							a.work = 1
+							if h := mix(a.id, cycle); h%4 == 0 {
+								all[h>>8%uint64(len(all))]()
+								all[h>>32%uint64(len(all))]()
+							}
+						}})
+						for i := 0; i < cycles; i++ {
+							if i == cycles/2 {
+								s.restore(s.cycle() + 1000) // wakes everything, ends shard 0's burst
+							}
+							s.step()
+						}
+					}
+
+					e := NewShardedEngine(shards)
+					defer e.Close()
+					e.SetAdaptive(adaptive)
+					got := make([][]string, shards+1)
+					scenario(shardedEngineSched{e}, got)
+
+					ref := &shardedWalk{}
+					for i := 0; i < shards; i++ {
+						ref.shards = append(ref.shards, &listWalk{adaptive: adaptive})
+					}
+					want := make([][]string, shards+1)
+					scenario(ref, want)
+
+					for sh := range got {
+						if !reflect.DeepEqual(got[sh], want[sh]) {
+							t.Fatalf("shard %d (serial if %d): evaluation order differs from the list walk\n got %v\nwant %v", sh, shards, got[sh], want[sh])
+						}
+					}
+					var evaluated, skipped uint64
+					for sh, l := range ref.shards {
+						if ge, gs := e.shards[sh].evaluated, e.shards[sh].skipped; ge != l.evaluated || gs != l.skipped {
+							t.Errorf("shard %d evaluated/skipped = %d/%d, list walk %d/%d", sh, ge, gs, l.evaluated, l.skipped)
+						}
+						evaluated += l.evaluated
+						skipped += l.skipped
+						if sh > 0 && (l.skipped == 0 || len(want[sh]) < cycles) {
+							t.Errorf("shard %d: %d skipped, %d evaluations: it tests nothing", sh, l.skipped, len(want[sh]))
+						}
+						if wantBursts := adaptive && sh == 0; (l.bursts > 0) != wantBursts {
+							t.Errorf("shard %d entered %d bursts, adaptive=%v", sh, l.bursts, adaptive)
+						}
+					}
+					if adaptive && ref.shards[0].bursts < 2 {
+						t.Errorf("shard 0 entered %d bursts; RestoreCycle should have ended one and the load started another", ref.shards[0].bursts)
+					}
+					if ge, gs := e.Evaluated(), e.Skipped(); ge != evaluated+ref.ran || gs != skipped {
+						t.Errorf("Evaluated()/Skipped() = %d/%d, want %d/%d", ge, gs, evaluated+ref.ran, skipped)
+					}
+					if total := uint64(cycles * (shards*2*n + 1)); e.Evaluated()+e.Skipped() != total {
+						t.Errorf("Evaluated()+Skipped() = %d, want every component every cycle = %d", e.Evaluated()+e.Skipped(), total)
+					}
+				})
+			}
+		}
 	}
 }

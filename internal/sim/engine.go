@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -89,7 +88,14 @@ type node struct {
 type phase struct {
 	nodes []node
 	awake []uint64
+	// handles is the block the next Handle is cut from. A full block is
+	// left to the handles pointing into it and a new one started, so
+	// handles never move and a fabric's worth costs one allocation per
+	// handleBlock components instead of one each.
+	handles []Handle
 }
+
+const handleBlock = 256
 
 // add appends an awake component and returns its handle.
 func (p *phase) add(n node) *Handle {
@@ -99,7 +105,11 @@ func (p *phase) add(n node) *Handle {
 		p.awake = append(p.awake, 0)
 	}
 	p.awake[i>>6] |= 1 << (i & 63)
-	return &Handle{list: p, index: i}
+	if len(p.handles) == cap(p.handles) {
+		p.handles = make([]Handle, 0, handleBlock)
+	}
+	p.handles = append(p.handles, Handle{list: p, index: i})
+	return &p.handles[len(p.handles)-1]
 }
 
 // wakeAll marks every registered component runnable.
@@ -160,31 +170,39 @@ const (
 	adaptiveBurst = 64
 )
 
+// lane is a tick list and a commit list walked by one goroutine, with the
+// sleep state and the counters of that walk: all of a sequential engine,
+// or one shard of a sharded one.
+type lane struct {
+	tickers    phase
+	committers phase
+
+	// Adaptive mode: when the still-awake fraction crosses the load
+	// threshold, fall back to naive ticking for a burst of cycles, then
+	// re-arm activity tracking.
+	burst int // remaining naive-burst cycles
+	load  int // tickers left awake by this cycle's tick phase
+
+	evaluated uint64
+	skipped   uint64
+}
+
 // Engine owns the simulated clock and the component lists.
 // The zero value is ready to use, with activity tracking enabled and the
 // adaptive high-load fallback off (see SetAdaptive; the network layer
 // turns it on for fully wired fabrics).
 type Engine struct {
-	cycle      int64
-	tickers    phase
-	committers phase
+	cycle int64
+	// lane holds the AddTicker/AddCommitter components: the whole schedule
+	// of a sequential engine, the serial sub-phases of a sharded one.
+	lane
 	alwaysTick bool
-
-	// Adaptive mode: when the still-awake fraction crosses the load
-	// threshold, fall back to naive ticking for a burst of cycles, then
-	// re-arm activity tracking.
-	adaptive bool
-	burst    int // remaining naive-burst cycles
+	adaptive   bool
 
 	// Sharded backend (NewShardedEngine; see sharded.go). A non-empty
-	// shards slice switches Step to the two-phase parallel schedule, with
-	// the tickers/committers lists above serving as its serial sub-phases.
+	// shards slice switches Step to the two-phase parallel schedule.
 	shards []shard
-	work   []chan workerOp // one signal channel per worker (shards[1:])
-	wg     sync.WaitGroup
-
-	evaluated uint64
-	skipped   uint64
+	barrier
 
 	// interrupted is set asynchronously (signal handlers) and polled by
 	// RunUntil at cycle boundaries; see Interrupt.
@@ -210,17 +228,29 @@ func (e *Engine) Cycle() int64 {
 }
 
 // RestoreCycle sets the simulated clock to c and wakes every registered
-// component. Engine snapshots use it: a freshly built network restored
-// onto mid-run state must resume at the captured cycle, and waking
-// everything re-arms sleep/wake scheduling from scratch — by the Idle
-// contract a spuriously woken component's next evaluation is a pure
-// no-op, so the post-restore schedule matches the uninterrupted run
-// bit for bit. Sharded engines keep no sleep state; only the clock moves.
+// component, in every shard of a sharded engine. Engine snapshots use it:
+// a freshly built network restored onto mid-run state must resume at the
+// captured cycle, and waking everything re-arms sleep/wake scheduling from
+// scratch — by the Idle contract a spuriously woken component's next
+// evaluation is a pure no-op, so the post-restore schedule matches the
+// uninterrupted run bit for bit.
 func (e *Engine) RestoreCycle(c int64) {
 	e.cycle = c
-	e.burst = 0
-	e.tickers.wakeAll()
-	e.committers.wakeAll()
+	e.rearm()
+}
+
+// rearm ends any naive burst and wakes every component of every lane.
+func (e *Engine) rearm() {
+	e.lane.rearm()
+	for i := range e.shards {
+		e.shards[i].rearm()
+	}
+}
+
+func (l *lane) rearm() {
+	l.burst = 0
+	l.tickers.wakeAll()
+	l.committers.wakeAll()
 }
 
 // SetAlwaysTick disables (true) or re-enables (false) sleep/wake
@@ -229,13 +259,11 @@ func (e *Engine) RestoreCycle(c int64) {
 func (e *Engine) SetAlwaysTick(v bool) {
 	e.alwaysTick = v
 	if v {
-		e.burst = 0
 		// Components that slept while tracking was on must not stay
 		// skipped if tracking is re-enabled later mid-run: waking
 		// everything keeps both toggle orders correct (an idle
 		// evaluation is a no-op, so spurious wakes are harmless).
-		e.tickers.wakeAll()
-		e.committers.wakeAll()
+		e.rearm()
 	}
 }
 
@@ -255,6 +283,9 @@ func (e *Engine) SetAdaptive(v bool) {
 	e.adaptive = v
 	if !v {
 		e.burst = 0
+		for i := range e.shards {
+			e.shards[i].burst = 0
+		}
 	}
 }
 
@@ -263,12 +294,25 @@ func (e *Engine) Adaptive() bool { return e.adaptive }
 
 // Evaluated returns how many component evaluations ran; Skipped how many
 // were elided by sleep/wake scheduling. Their sum is what the naive engine
-// would have run, which makes the split a direct measure of the win.
-func (e *Engine) Evaluated() uint64 { return e.evaluated }
+// would have run, which makes the split a direct measure of the win. Both
+// add up the lanes' own counters, so call them between steps.
+func (e *Engine) Evaluated() uint64 {
+	n := e.evaluated
+	for i := range e.shards {
+		n += e.shards[i].evaluated
+	}
+	return n
+}
 
 // Skipped returns the number of component evaluations elided because the
 // component was asleep.
-func (e *Engine) Skipped() uint64 { return e.skipped }
+func (e *Engine) Skipped() uint64 {
+	n := e.skipped
+	for i := range e.shards {
+		n += e.shards[i].skipped
+	}
+	return n
+}
 
 // AddTicker registers a phase-1 component. Order of registration is the
 // order of evaluation. The returned handle wakes the component; callers
@@ -291,40 +335,54 @@ func (e *Engine) Step() {
 		e.stepSharded()
 		return
 	}
-	cycle := e.cycle
-	if e.alwaysTick {
-		e.stepNaive(cycle)
-		e.cycle++
-		return
-	}
-	if e.burst > 0 {
-		// Adaptive high-load fallback: tick naively (sleeping components'
-		// evaluations are no-ops by the Idle contract, and registration
-		// order is unchanged, so the schedule is bit-identical). When the
-		// burst expires, wake everything so the next tracked step
-		// re-evaluates each component once and re-arms its sleep state.
-		e.stepNaive(cycle)
-		e.burst--
-		if e.burst == 0 {
-			e.tickers.wakeAll()
-			e.committers.wakeAll()
-		}
-		e.cycle++
-		return
-	}
-	// load counts components still awake after their idle check — the
-	// measure the adaptive fallback thresholds on. Counting evaluations
-	// instead would deadlock the heuristic: the post-burst re-arm step
-	// evaluates everything by construction, and would always re-trigger
-	// the next burst regardless of the actual load.
-	tickRan, tickSkipped, tickLoad := e.tickers.runAwake(cycle)
-	commitRan, commitSkipped, commitLoad := e.committers.runAwake(cycle)
-	e.evaluated += uint64(tickRan + commitRan)
-	e.skipped += uint64(tickSkipped + commitSkipped)
-	if e.adaptive && (tickLoad+commitLoad)*adaptiveDen >= (len(e.tickers.nodes)+len(e.committers.nodes))*adaptiveNum {
-		e.burst = adaptiveBurst
-	}
+	e.lane.tick(e.cycle, e.alwaysTick)
+	e.lane.commit(e.cycle, e.alwaysTick, e.adaptive)
 	e.cycle++
+}
+
+// tick runs the lane's tick phase of one cycle: every component when
+// tracking is off (naive) or a burst is running, else the awake ones.
+func (l *lane) tick(cycle int64, naive bool) {
+	if naive || l.burst > 0 {
+		l.evaluated += uint64(l.tickers.runAll(cycle))
+		return
+	}
+	ran, skipped, load := l.tickers.runAwake(cycle)
+	l.evaluated += uint64(ran)
+	l.skipped += uint64(skipped)
+	l.load = load
+}
+
+// commit runs the lane's commit phase the way tick ran the tick phase and
+// settles the adaptive fallback for the cycle.
+func (l *lane) commit(cycle int64, naive, adaptive bool) {
+	switch {
+	case naive:
+		l.evaluated += uint64(l.committers.runAll(cycle))
+	case l.burst > 0:
+		// Adaptive high-load fallback: the cycle ran naively (sleeping
+		// components' evaluations are no-ops by the Idle contract, and
+		// registration order is unchanged, so the schedule is
+		// bit-identical). When the burst expires, wake everything so the
+		// next tracked step re-evaluates each component once and re-arms
+		// its sleep state.
+		l.evaluated += uint64(l.committers.runAll(cycle))
+		if l.burst--; l.burst == 0 {
+			l.rearm()
+		}
+	default:
+		ran, skipped, load := l.committers.runAwake(cycle)
+		l.evaluated += uint64(ran)
+		l.skipped += uint64(skipped)
+		// load counts components still awake after their idle check — the
+		// measure the adaptive fallback thresholds on. Counting evaluations
+		// instead would deadlock the heuristic: the post-burst re-arm step
+		// evaluates everything by construction, and would always re-trigger
+		// the next burst regardless of the actual load.
+		if adaptive && (l.load+load)*adaptiveDen >= (len(l.tickers.nodes)+len(l.committers.nodes))*adaptiveNum {
+			l.burst = adaptiveBurst
+		}
+	}
 }
 
 // runAwake evaluates the phase's awake components in registration order
@@ -382,13 +440,6 @@ func (p *phase) runAll(cycle int64) int {
 		}
 	}
 	return len(nodes)
-}
-
-// stepNaive evaluates every component in registration order, awake or not.
-func (e *Engine) stepNaive(cycle int64) {
-	ran := e.tickers.runAll(cycle)
-	ran += e.committers.runAll(cycle)
-	e.evaluated += uint64(ran)
 }
 
 // Run advances the simulation by n cycles.

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"runtime"
+	"sync/atomic"
+)
+
 // Sharded execution: NewShardedEngine partitions the per-cycle work across
 // a fixed number of shards, each evaluated by its own persistent worker
 // goroutine, while keeping schedules bit-identical to the sequential
@@ -15,35 +20,113 @@ package sim
 // The determinism argument needs two properties from the caller's
 // partition: (1) during a parallel phase, no two shards touch the same
 // mutable state — the noc layer guarantees it by assigning each component
-// to exactly one shard and splitting every link's commit into a flit half
-// (downstream shard) and a credit half (upstream shard); (2) any work
-// whose order across shards is observable — ejection callbacks into
-// drivers, the drivers themselves — runs on the serial sub-phase in the
-// sequential engine's registration order. Under those two properties the
-// parallel phases compute the same per-component state transitions as the
-// sequential engine in some interleaving that no component can observe,
-// so every cycle ends in the identical global state.
+// to exactly one shard and splitting the commit of every link that crosses
+// a shard boundary into a flit half (downstream shard) and a credit half
+// (upstream shard); (2) any work whose order across shards is observable —
+// ejection callbacks into drivers, the drivers themselves — runs on the
+// serial sub-phase in the sequential engine's registration order. Under
+// those two properties the parallel phases compute the same per-component
+// state transitions as the sequential engine in some interleaving that no
+// component can observe, so every cycle ends in the identical global
+// state.
 //
-// Sharded engines run with always-tick semantics: components are not
-// registered with wake handles and no sleep bookkeeping happens. The
-// adaptive fallback (Stage 1) already showed per-component bookkeeping is
-// a net loss at exactly the high loads where sharding pays, and skipping
-// nothing keeps each shard's work deterministic without per-shard wake
-// queues.
+// Each shard is a lane of its own: the bitmap walk, the sleep state and the
+// adaptive naive bursts of the sequential engine, run by the shard's
+// goroutine over the shard's components. Property (1) extends to the
+// bitmaps: a Handle from AddShardTicker/AddShardCommitter may be woken
+// during a parallel phase only by a component of the same shard, and from
+// anywhere on the serial sub-phases, when no worker runs. Components on
+// the serial sub-phases are evaluated every cycle.
+//
+// The barrier is one atomic epoch word. The coordinator (the goroutine
+// calling Step, which also runs shard 0) publishes a phase by writing the
+// operation and adding one to the epoch; every worker runs its shard and
+// takes one off the pending count; the coordinator goes on when the count
+// reads zero. Both sides wait by polling the word they wait on for a
+// bounded budget, then park on a channel (see gate). With more shards than
+// GOMAXPROCS polling would only take the processor from the goroutine
+// being waited for, so waiters park at once.
 
-// shard holds one partition's component lists.
+// shard is one partition: its lane and the park point of the goroutine
+// that runs it (the coordinator's, for shard 0), padded so that the
+// counters two workers write do not share a cache line.
 type shard struct {
-	tickers    []Ticker
-	committers []Committer
+	lane
+	gate
+	_ [64]byte
 }
 
-// workerOp selects the phase a signalled worker should run.
+// workerOp is the operation a published phase asks of every worker.
 type workerOp byte
 
 const (
 	opTick workerOp = iota
 	opCommit
+	opStop
 )
+
+// barrier is the coordinator's side of the phase barrier.
+type barrier struct {
+	epoch   atomic.Int64 // phases published so far
+	pending atomic.Int64 // workers still to finish the published phase
+	op      workerOp     // what that phase is; written before epoch moves
+	started bool         // workers are running
+	spin    bool         // waiters poll before parking
+}
+
+// Waiting budget, in polls of the awaited word: the first spinYield are
+// back to back, the rest yield the processor in between. It covers the
+// gaps a running simulation has (a serial sub-phase, the slower shard's
+// excess), which are tens of microseconds, so only an engine that is not
+// being stepped sends its workers to sleep.
+const (
+	spinYield  = 1 << 7
+	spinBudget = 1 << 11
+)
+
+// gate is where one goroutine waits for a word another goroutine writes.
+// The waiter polls, then parks on wake behind the parked flag; the writer
+// calls release after every write the waiter may be waiting for. Flag and
+// word are each stored before the other is loaded (waiter: flag then word;
+// writer: word then flag), so at least one side sees the other and a
+// wake-up cannot be lost. Whoever swaps the flag back owns the wake-up:
+// the writer sends exactly one token, or the waiter goes on without one.
+type gate struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// wait returns once word reads want.
+func (g *gate) wait(word *atomic.Int64, want int64, spin bool) {
+	for {
+		for i := 0; ; i++ {
+			if word.Load() == want {
+				return
+			}
+			if !spin || i == spinBudget {
+				break
+			}
+			if i >= spinYield {
+				runtime.Gosched()
+			}
+		}
+		g.parked.Store(true)
+		if word.Load() == want && g.parked.CompareAndSwap(true, false) {
+			return
+		}
+		// A token may be for an earlier value of the word (the writer can
+		// reach release after the waiter has moved on and parked again),
+		// so look at the word again.
+		<-g.wake
+	}
+}
+
+// release wakes the waiter if it is parked.
+func (g *gate) release() {
+	if g.parked.Load() && g.parked.CompareAndSwap(true, false) {
+		g.wake <- struct{}{}
+	}
+}
 
 // NewShardedEngine returns an engine that evaluates n shards in parallel
 // each cycle (n >= 1; a single shard runs inline with no goroutines, so
@@ -67,124 +150,115 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 // AddShardTicker registers a phase-1 component with one shard. Within a
 // shard, registration order is evaluation order; the caller must ensure
 // components in different shards share no mutable state during the tick
-// phase.
-func (e *Engine) AddShardTicker(s int, t Ticker) {
-	e.shards[s].tickers = append(e.shards[s].tickers, t)
+// phase, the returned handle's component included: during a parallel phase
+// only the shard's own components may Wake it.
+func (e *Engine) AddShardTicker(s int, t Ticker) *Handle {
+	idler, _ := t.(Idler)
+	return e.shards[s].tickers.add(node{ticker: t, idler: idler})
 }
 
 // AddShardCommitter registers a phase-2 component with one shard, under
 // the same isolation contract as AddShardTicker.
-func (e *Engine) AddShardCommitter(s int, c Committer) {
-	e.shards[s].committers = append(e.shards[s].committers, c)
+func (e *Engine) AddShardCommitter(s int, c Committer) *Handle {
+	idler, _ := c.(Idler)
+	return e.shards[s].committers.add(node{committer: c, idler: idler})
 }
 
-// startWorkers lazily spawns the persistent shard workers on the first
-// step: one goroutine per shard beyond the first (shard 0 runs inline on
-// the stepping goroutine). Workers live until Close so the per-cycle cost
-// is two channel sends and a WaitGroup wait, not goroutine churn — the
-// allocation ratchet holds on the sharded path too.
+// startWorkers spawns the persistent shard workers on the first step: one
+// goroutine per shard beyond the first (shard 0 runs inline on the
+// stepping goroutine). Workers live until Close, so a cycle costs two
+// epoch bumps, not goroutine churn — the allocation ratchet holds on the
+// sharded path too.
 func (e *Engine) startWorkers() {
-	if e.work != nil {
-		return
-	}
-	e.work = make([]chan workerOp, len(e.shards)-1)
-	for i := range e.work {
-		ch := make(chan workerOp, 1)
-		e.work[i] = ch
-		s := &e.shards[i+1]
-		go func() {
-			for op := range ch {
-				cycle := e.cycle
-				switch op {
-				case opTick:
-					for _, t := range s.tickers {
-						t.Tick(cycle)
-					}
-				case opCommit:
-					for _, c := range s.committers {
-						c.Commit(cycle)
-					}
-				}
-				e.wg.Done()
-			}
-		}()
+	e.started = true
+	e.spin = len(e.shards) <= runtime.GOMAXPROCS(0)
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.wake = make(chan struct{}, 1)
+		if i > 0 {
+			go e.work(s, e.epoch.Load())
+		}
 	}
 }
 
-// Close stops the shard workers. Safe to call on any engine (a no-op
+// work is a worker's life: run the shard once for every epoch after seen.
+// The loads of the epoch word order the plain reads of op, the clock and
+// the mode flags after the coordinator's writes, and the pending count
+// orders the coordinator's reads after everything the shard wrote.
+func (e *Engine) work(s *shard, seen int64) {
+	for {
+		seen++
+		s.wait(&e.epoch, seen, e.spin)
+		op := e.op
+		if op != opStop {
+			s.run(op, e.cycle, e.alwaysTick, e.adaptive)
+		}
+		if e.pending.Add(-1) == 0 {
+			e.shards[0].release()
+		}
+		if op == opStop {
+			return
+		}
+	}
+}
+
+// run evaluates one parallel phase of the lane.
+func (l *lane) run(op workerOp, cycle int64, naive, adaptive bool) {
+	if op == opTick {
+		l.tick(cycle, naive)
+	} else {
+		l.commit(cycle, naive, adaptive)
+	}
+}
+
+// publish starts a phase on every worker.
+func (e *Engine) publish(op workerOp) {
+	e.op = op
+	e.pending.Store(int64(len(e.shards) - 1))
+	e.epoch.Add(1)
+	for i := 1; i < len(e.shards); i++ {
+		e.shards[i].release()
+	}
+}
+
+// Close stops the shard workers and returns when each has run its last
+// instruction that touches the engine. Safe to call on any engine (a no-op
 // without workers) and more than once; the engine must not be stepped
 // after Close.
 func (e *Engine) Close() {
-	for _, ch := range e.work {
-		close(ch)
+	if !e.started {
+		return
 	}
-	e.work = nil
+	e.started = false
+	e.publish(opStop)
+	e.shards[0].wait(&e.pending, 0, e.spin)
 }
 
-// runShards fans one parallel phase out to the workers, runs shard 0's
-// share inline, and waits for the barrier. The channel send/receive pairs
-// and the WaitGroup establish the happens-before edges that publish each
-// shard's writes to the coordinator (and, through the next phase's sends,
-// to every other shard).
+// runShards runs one parallel phase: on the workers and, for shard 0,
+// inline, returning when all have finished.
 func (e *Engine) runShards(op workerOp) {
-	e.wg.Add(len(e.work))
-	for _, ch := range e.work {
-		ch <- op
-	}
-	s := &e.shards[0]
-	cycle := e.cycle
-	switch op {
-	case opTick:
-		for _, t := range s.tickers {
-			t.Tick(cycle)
+	if len(e.shards) > 1 {
+		if !e.started {
+			e.startWorkers()
 		}
-	case opCommit:
-		for _, c := range s.committers {
-			c.Commit(cycle)
-		}
+		e.publish(op)
 	}
-	e.wg.Wait()
+	e.shards[0].run(op, e.cycle, e.alwaysTick, e.adaptive)
+	if e.started {
+		e.shards[0].wait(&e.pending, 0, e.spin)
+	}
 }
 
-// stepSharded advances a sharded engine by one cycle.
+// stepSharded advances a sharded engine by one cycle. The serial
+// sub-phases — the AddTicker components between the two barriers (the
+// staged-ejection dispatcher first, then workload drivers and
+// controllers) and any AddCommitter components after the second — run in
+// registration order, every one every cycle.
 func (e *Engine) stepSharded() {
 	cycle := e.cycle
-	if len(e.shards) == 1 {
-		// Single shard: the full two-phase schedule, inline.
-		s := &e.shards[0]
-		for _, t := range s.tickers {
-			t.Tick(cycle)
-		}
-		e.serialTick(cycle)
-		for _, c := range s.committers {
-			c.Commit(cycle)
-		}
-		e.serialCommit(cycle)
-	} else {
-		e.startWorkers()
-		e.runShards(opTick)
-		e.serialTick(cycle)
-		e.runShards(opCommit)
-		e.serialCommit(cycle)
-	}
-	for _, s := range e.shards {
-		e.evaluated += uint64(len(s.tickers) + len(s.committers))
-	}
-	e.evaluated += uint64(len(e.tickers.nodes) + len(e.committers.nodes))
+	e.runShards(opTick)
+	e.evaluated += uint64(e.tickers.runAll(cycle))
+	e.runShards(opCommit)
+	e.evaluated += uint64(e.committers.runAll(cycle))
 	e.cycle++
-}
-
-// serialTick runs the serial sub-phase between the tick and commit
-// barriers: the components registered with AddTicker (the staged-ejection
-// dispatcher first, then workload drivers and controllers), in
-// registration order, unconditionally — always-tick semantics.
-func (e *Engine) serialTick(cycle int64) {
-	e.tickers.runAll(cycle)
-}
-
-// serialCommit runs any AddCommitter components after the parallel commit
-// barrier. The wired network registers all links with shards, so this is
-// normally empty; it exists so the AddCommitter API keeps working.
-func (e *Engine) serialCommit(cycle int64) {
-	e.committers.runAll(cycle)
 }

@@ -7,9 +7,11 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/core"
+	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/systolic"
+	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 	"gathernoc/internal/workload"
 )
@@ -38,6 +40,7 @@ func TestShardedEngineEquivalenceSyntheticTraffic(t *testing.T) {
 			type outcome struct {
 				res      *traffic.GeneratorResult
 				activity noc.Activity
+				work     engineWork
 			}
 			run := func(shards int) outcome {
 				t.Helper()
@@ -64,13 +67,17 @@ func TestShardedEngineEquivalenceSyntheticTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return outcome{res: res, activity: nw.Activity()}
+				return outcome{res: res, activity: nw.Activity(), work: workOf(t, nw, 1)}
 			}
 			seq := run(0)
 			for _, shards := range shardMatrix() {
 				shards := shards
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 					got := run(shards)
+					share := checkSkipAccounting(t, got.work)
+					if rate < 0.01 && share <= 0.5 {
+						t.Errorf("sharded engine skipped %.1f%% of the evaluations at rate %v, want more than half", 100*share, rate)
+					}
 					if got.activity != seq.activity {
 						t.Errorf("activity diverged:\nsequential %+v\nsharded    %+v", seq.activity, got.activity)
 					}
@@ -105,7 +112,7 @@ func TestShardedEngineEquivalenceSyntheticTraffic(t *testing.T) {
 // sequential schedule bit for bit: per-job timelines, latency samples and
 // total activity.
 func TestShardedEngineEquivalenceScheduler(t *testing.T) {
-	run := func(shards int) (*workload.Result, noc.Activity) {
+	run := func(shards int) (*workload.Result, noc.Activity, engineWork) {
 		t.Helper()
 		cfg := noc.DefaultConfig(8, 8)
 		cfg.EastSinks = false
@@ -141,13 +148,14 @@ func TestShardedEngineEquivalenceScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, nw.Activity()
+		return res, nw.Activity(), workOf(t, nw, 1)
 	}
-	seqRes, seqAct := run(0)
+	seqRes, seqAct, _ := run(0)
 	for _, shards := range shardMatrix() {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			res, act := run(shards)
+			res, act, work := run(shards)
+			checkSkipAccounting(t, work)
 			if act != seqAct {
 				t.Errorf("activity diverged:\nsequential %+v\nsharded    %+v", seqAct, act)
 			}
@@ -198,6 +206,11 @@ func TestShardedEngineEquivalenceLayers(t *testing.T) {
 				shards := shards
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 					got := run(shards)
+					work, cycles := layerWork(t, layer, mode, shards)
+					checkSkipAccounting(t, work)
+					if cycles != got.Result.TotalCycles {
+						t.Errorf("the accounting run took %d cycles, core.RunLayer %d: not the same cell", cycles, got.Result.TotalCycles)
+					}
 					if seq.Events != got.Events {
 						t.Errorf("activity diverged:\nsequential %+v\nsharded    %+v", seq.Events, got.Events)
 					}
@@ -223,5 +236,143 @@ func TestShardedEngineEquivalenceLayers(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// engineWork is the engine's own account of a run: component evaluations
+// made and elided, and what an always-tick engine would have made of the
+// same run.
+type engineWork struct{ evaluated, skipped, alwaysTick uint64 }
+
+// workOf reads a finished run's counters. drivers is how many tickers the
+// workload layer added to the engine. The always-tick total is every
+// registered component once per cycle; one cycle of an always-tick network
+// of the same configuration counts the components.
+func workOf(t *testing.T, nw *noc.Network, drivers int) engineWork {
+	t.Helper()
+	cfg := nw.Config()
+	cfg.AlwaysTick = true
+	naive, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer naive.Close()
+	for i := 0; i < drivers; i++ {
+		naive.Engine().AddTicker(idleDriver{})
+	}
+	naive.Engine().Step()
+	if naive.Engine().Skipped() != 0 {
+		t.Errorf("always-tick engine skipped %d evaluations", naive.Engine().Skipped())
+	}
+	eng := nw.Engine()
+	return engineWork{eng.Evaluated(), eng.Skipped(), naive.Engine().Evaluated() * uint64(eng.Cycle())}
+}
+
+type idleDriver struct{}
+
+func (idleDriver) Tick(int64) {}
+
+// checkSkipAccounting requires a sharded run to account for every
+// evaluation the always-tick engine would make as made or skipped, and
+// returns the skipped share.
+func checkSkipAccounting(t *testing.T, w engineWork) float64 {
+	t.Helper()
+	if w.evaluated+w.skipped != w.alwaysTick {
+		t.Errorf("evaluated %d + skipped %d = %d, always-tick total %d",
+			w.evaluated, w.skipped, w.evaluated+w.skipped, w.alwaysTick)
+	}
+	return float64(w.skipped) / float64(w.alwaysTick)
+}
+
+// layerWork runs the cell core.RunLayer(8, 8, layer, mode, {Rounds: 1})
+// runs, on a network the test can ask for its engine counters, and returns
+// them with the run's length.
+func layerWork(t *testing.T, layer cnn.LayerConfig, mode systolic.Mode, shards int) (engineWork, int64) {
+	t.Helper()
+	cfg := noc.DefaultConfig(8, 8)
+	cfg.Shards = shards
+	nw, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	ctl, err := systolic.NewController(nw, systolic.Config{Layer: layer, Mode: mode, TMAC: 5, MaxRounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ctl.Run(50_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workOf(t, nw, 1), res.TotalCycles
+}
+
+// TestShardBoundaryLinksNeverSleep pins the one exception to sharded
+// skipping (DESIGN.md §9) on a 4-row fabric cut between rows 1 and 2. The
+// 2*Cols links that cross the cut are committed in halves that have no wake
+// handle, so all 4*Cols halves run every cycle; every other link is
+// registered whole with its handle, sleeps while idle like the routers and
+// NICs, and is woken by the traffic it carries.
+func TestShardBoundaryLinksNeverSleep(t *testing.T) {
+	const rows, cols = 4, 5
+	cfg := noc.DefaultConfig(rows, cols)
+	cfg.EastSinks = false
+	cfg.Shards = 2
+	nw, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eng := nw.Engine()
+	delivered := 0
+	for id := 0; id < rows*cols; id++ {
+		nw.NIC(topology.NodeID(id)).OnReceive(func(*nic.ReceivedPacket) { delivered++ })
+	}
+
+	// perCycle steps n cycles and returns the evaluations each took.
+	perCycle := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			before := eng.Evaluated()
+			eng.Step()
+			out[i] = eng.Evaluated() - before
+		}
+		return out
+	}
+	const floor = 4*cols + 1 // the boundary halves and the staged dispatcher
+	total := perCycle(1)[0]  // everything is awake in the first cycle
+	if total <= floor {
+		t.Fatalf("first cycle evaluated %d components, want more than the %d that never sleep", total, floor)
+	}
+	for i, n := range perCycle(20) {
+		if n != floor {
+			t.Fatalf("idle cycle %d evaluated %d components, want %d (4*Cols boundary halves + dispatcher)", i+1, n, floor)
+		}
+	}
+	if got, want := eng.Evaluated()+eng.Skipped(), 21*total; got != want {
+		t.Errorf("Evaluated()+Skipped() = %d after 21 cycles, want %d", got, want)
+	}
+
+	// Every node sends to the node diagonally opposite: all rows and
+	// columns carry traffic, across the cut and inside both shards. A
+	// same-shard link without a handle would sleep through its flits and
+	// the packets would never arrive.
+	for id := 0; id < rows*cols; id++ {
+		nw.NIC(topology.NodeID(id)).SendUnicast(topology.NodeID(rows*cols - 1 - id))
+	}
+	busy := perCycle(3)
+	if busy[2] <= floor {
+		t.Errorf("a cycle with traffic evaluated %d components, no more than an idle one", busy[2])
+	}
+	if _, err := eng.RunUntil(nw.Quiescent, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != rows*cols {
+		t.Fatalf("%d of %d packets delivered", delivered, rows*cols)
+	}
+	for i, n := range perCycle(10)[2:] {
+		if n != floor {
+			t.Fatalf("drained cycle %d evaluated %d components, want %d", i, n, floor)
+		}
 	}
 }
