@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"gathernoc/internal/experiments"
+	"gathernoc/internal/noc"
 )
 
 func main() {
@@ -73,11 +74,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		opts.Cache = cache
 		// The hit accounting goes to stderr so the report on stdout stays
 		// byte-identical between a cold run and its fully cached rerun —
-		// the property CI pins.
+		// the property CI pins. The same line says what the misses cost in
+		// fabrics: built, taken from the reuse pool, dropped on release.
 		defer func() {
-			s := cache.Stats()
-			fmt.Fprintf(os.Stderr, "cache          dir=%s hits=%d misses=%d stale=%d read=%dB written=%dB\n",
-				cache.Dir(), s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten)
+			s, f := cache.Stats(), noc.ReuseStats()
+			fmt.Fprintf(os.Stderr, "cache          dir=%s hits=%d misses=%d stale=%d read=%dB written=%dB fabrics built=%d reused=%d dropped=%d\n",
+				cache.Dir(), s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten, f.Built, f.Reused, f.Dropped)
 		}()
 	}
 

@@ -584,13 +584,11 @@ func (d *Driver) finishRound(cycle int64) {
 	d.startRound(cycle)
 }
 
-// Run registers the driver with the network's engine and executes the
-// configured rounds, returning the finalized result. Call at most once,
-// on a standalone controller (NewController).
+// Run registers the driver with the network's engine for the length of the
+// run and executes the configured rounds, returning the finalized result.
+// Call at most once, on a standalone controller (NewController).
 func (d *Driver) Run(maxCycles int64) (*Result, error) {
-	eng := d.nw.Engine()
-	eng.AddTicker(d)
-	cycles, err := eng.RunUntil(d.Done, maxCycles)
+	cycles, err := d.nw.Engine().RunWith(d, d.Done, maxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("collective: %s/%s on %dx%d: %w",
 			d.cfg.Op, d.cfg.Algorithm, d.rows, d.cols, err)

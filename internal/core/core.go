@@ -83,13 +83,14 @@ func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 	if opts.MutateNetwork != nil {
 		opts.MutateNetwork(&cfg)
 	}
-	nw, err := noc.New(cfg)
+	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// Stop any shard workers when the run ends (no-op for the default
-	// sequential engine); RunLayer owns the network for its whole life.
-	defer nw.Close()
+	// RunLayer owns the network for the length of the run. Release parks a
+	// sequential fabric that finished cleanly for the next run of the same
+	// configuration and closes any other (stopping its shard workers).
+	defer nw.Release()
 	sysCfg := systolic.Config{
 		Layer:             layer,
 		Mode:              mode,

@@ -87,10 +87,11 @@ func runCollectivePoint(p collectivePoint, opts Options) (CollectiveRow, error) 
 	}
 	cfg := noc.DefaultConfig(p.mesh, p.mesh)
 	cfg.EnableINA = true
-	nw, err := noc.New(cfg)
+	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return CollectiveRow{}, err
 	}
+	defer nw.Release()
 	if p.alg == 0 {
 		return runCollectiveBaseline(nw, p.mesh, rounds)
 	}

@@ -99,10 +99,13 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 	if dedicated {
 		cfg.Router.GatherVC = cfg.Router.VCs - 1
 	}
-	nw, err := noc.New(cfg)
+	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return nil, err
 	}
+	// With background traffic the run ends mid-flight and Release drops
+	// the fabric; the rate-0 rows park theirs.
+	defer nw.Release()
 
 	rounds := opts.Rounds
 	if rounds == 0 {
@@ -188,10 +191,11 @@ func StreamingOverNoC(operands int) (*StreamingRow, error) {
 	}
 	cfg := noc.DefaultConfig(8, 8)
 	cfg.EastSinks = false
-	nw, err := noc.New(cfg)
+	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer nw.Release()
 	mesh := nw.Mesh()
 	// Row-wise operand multicast: PE (r,0) sends each operand to all other
 	// PEs of its row as a 1-flit multicast packet.

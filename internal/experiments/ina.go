@@ -81,10 +81,11 @@ func INAComparison(opts Options) ([]INARow, error) {
 func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 	cfg := noc.DefaultConfig(p.mesh, p.mesh)
 	cfg.EnableINA = true
-	nw, err := noc.New(cfg)
+	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return INARow{}, err
 	}
+	defer nw.Release()
 	rounds := opts.Rounds
 	if rounds == 0 {
 		rounds = 2

@@ -51,16 +51,16 @@ type pipelinePoint struct {
 	mode     string
 }
 
-// pipelineFabric builds the 8x8 network for a topology name, with the
+// pipelineFabric acquires the 8x8 network for a topology name, with the
 // sweep's telemetry opt-in applied (each cell owns its network, so each
-// harvests independently).
+// harvests independently). The caller releases it.
 func pipelineFabric(topology string, opts Options) (*noc.Network, error) {
 	cfg := noc.DefaultConfig(8, 8)
 	if topology == "torus" {
 		cfg = noc.DefaultTorusConfig(8, 8)
 	}
 	cfg.Telemetry = opts.Telemetry
-	return noc.New(cfg)
+	return noc.Acquire(cfg)
 }
 
 // PipelineComparison runs the complete model (opts.Model, default
@@ -97,24 +97,7 @@ func PipelineComparison(opts Options) ([]PipelineRow, error) {
 // and sums — no flit of layer k ever contends with layer k-1.
 func analyticComposition(row PipelineRow, layers []cnn.LayerConfig, opts Options) (PipelineRow, error) {
 	for _, layer := range layers {
-		// The analytic arm intentionally passes a telemetry-free Options:
-		// it runs one throwaway fabric per layer, and a per-layer harvest
-		// would not compose into one run's series.
-		nw, err := pipelineFabric(row.Topology, Options{})
-		if err != nil {
-			return row, err
-		}
-		total := layer.AccumulationRounds(nw.Config().Rows)
-		ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
-			Scheme:         traffic.CollectGather,
-			Rounds:         opts.pipelineRounds(),
-			TotalRounds:    total,
-			ComputeLatency: layer.PartialMACsPerPE(nw.Config().Cols) + pipelineTMAC,
-		})
-		if err != nil {
-			return row, fmt.Errorf("analytic %s: %w", layer.Name, err)
-		}
-		res, err := ctl.Run(10_000_000)
+		res, err := analyticLayer(row.Topology, layer, opts)
 		if err != nil {
 			return row, fmt.Errorf("analytic %s: %w", layer.Name, err)
 		}
@@ -125,6 +108,29 @@ func analyticComposition(row PipelineRow, layers []cnn.LayerConfig, opts Options
 	return row, nil
 }
 
+// analyticLayer runs one layer's accumulation phase alone on a fabric in
+// its just-built state.
+func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traffic.AccumulationResult, error) {
+	// The analytic arm intentionally passes a telemetry-free Options: it
+	// runs one fabric per layer, and a per-layer harvest would not compose
+	// into one run's series.
+	nw, err := pipelineFabric(topology, Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer nw.Release()
+	ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
+		Scheme:         traffic.CollectGather,
+		Rounds:         opts.pipelineRounds(),
+		TotalRounds:    layer.AccumulationRounds(nw.Config().Rows),
+		ComputeLatency: layer.PartialMACsPerPE(nw.Config().Cols) + pipelineTMAC,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ctl.Run(10_000_000)
+}
+
 // pipelineRun composes the whole model on one fabric through the
 // scheduler.
 func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts Options) (PipelineRow, error) {
@@ -132,6 +138,7 @@ func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts O
 	if err != nil {
 		return row, err
 	}
+	defer nw.Release()
 	job, drivers, err := workload.NewPipelineJob(nw, row.Model, workload.PipelineConfig{
 		Layers:  layers,
 		Scheme:  traffic.CollectGather,

@@ -80,10 +80,11 @@ func runTopologyPoint(p topologyPoint, size int) (TopologyRow, error) {
 	if p.topo == "torus" {
 		cfg.EastSinks = false
 	}
-	nw, err := noc.New(cfg)
+	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return TopologyRow{}, err
 	}
+	defer nw.Release()
 	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
 		Pattern:       traffic.UniformRandom{Nodes: nw.Topology().NumNodes()},
 		InjectionRate: p.rate,

@@ -137,6 +137,17 @@ func (p *Pool) ReleaseDropped(f *Flit) {
 	p.Release(f)
 }
 
+// ResetCounts zeroes the acquire, release, miss and drop counts of the pool
+// and its views and keeps the freelists, so a network that is reset for
+// reuse counts its next run from zero (with fewer misses than a new pool:
+// the freelist is warm). Call with no flit outstanding.
+func (p *Pool) ResetCounts() {
+	p.acquired, p.released, p.misses, p.drops = 0, 0, 0, 0
+	for _, v := range p.views {
+		v.ResetCounts()
+	}
+}
+
 // Drops returns how many flits were released through ReleaseDropped. On a
 // root it aggregates the shard views.
 func (p *Pool) Drops() uint64 {

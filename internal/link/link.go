@@ -10,13 +10,66 @@
 package link
 
 import (
+	"strconv"
+
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
 	"gathernoc/internal/ring"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/telemetry"
+	"gathernoc/internal/topology"
 )
+
+// Name is the diagnostic name of a link or of an ejection point, kept as
+// its parts and rendered by String when a report asks for it: wiring a
+// fabric formats no strings. Make one with Named, Numbered or Between.
+type Name struct {
+	label    string
+	from, to int32
+	via      topology.Port
+	form     nameForm
+}
+
+type nameForm uint8
+
+const (
+	formLabel    nameForm = iota // label
+	formNumbered                 // label, from: "inj12"
+	formBetween                  // from, via, to: "r3E->r4"
+)
+
+// Named is the fixed name s.
+func Named(s string) Name { return Name{label: s} }
+
+// Numbered is prefix followed by id: "inj12", "sink3".
+func Numbered(prefix string, id int) Name {
+	return Name{label: prefix, from: int32(id), form: formNumbered}
+}
+
+// Between names the inter-router link that leaves router from by output
+// port via and enters router to: "r3E->r4".
+func Between(from topology.NodeID, via topology.Port, to topology.NodeID) Name {
+	return Name{from: int32(from), via: via, to: int32(to), form: formBetween}
+}
+
+// String renders the name, in one allocation: telemetry wiring asks for
+// every link's.
+func (n Name) String() string {
+	var buf [32]byte
+	b := buf[:0]
+	switch n.form {
+	case formNumbered:
+		b = strconv.AppendInt(append(b, n.label...), int64(n.from), 10)
+	case formBetween:
+		b = strconv.AppendInt(append(b, 'r'), int64(n.from), 10)
+		b = append(append(b, n.via.String()...), "->r"...)
+		b = strconv.AppendInt(b, int64(n.to), 10)
+	default:
+		return n.label
+	}
+	return string(b)
+}
 
 // FlitSink receives flits delivered by a link into a per-VC input buffer.
 type FlitSink interface {
@@ -47,7 +100,7 @@ type inflightCredit struct {
 // uniform per link), so Commit pops ripe items off the front and the
 // backing arrays are reused forever — zero steady-state allocation.
 type Link struct {
-	name    string
+	name    Name
 	latency int64
 	down    FlitSink
 	up      CreditSink
@@ -88,7 +141,7 @@ type Link struct {
 // it spends latency cycles on the wire after the send cycle). down receives
 // delivered flits; up (may be nil) receives returned credits after one
 // cycle.
-func New(name string, latency int, down FlitSink, up CreditSink) *Link {
+func New(name Name, latency int, down FlitSink, up CreditSink) *Link {
 	if latency < 1 {
 		latency = 1
 	}
@@ -100,7 +153,7 @@ func New(name string, latency int, down FlitSink, up CreditSink) *Link {
 }
 
 // Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
+func (l *Link) Name() string { return l.name.String() }
 
 // SetWake attaches the engine wake handle; Send and ReturnCredit arm it so
 // a sleeping link is committed. Links work without one (nil handles ignore

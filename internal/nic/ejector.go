@@ -109,7 +109,7 @@ type DeliveredPayload struct {
 // the router's local output link, a bounded drain rate, credit return, and
 // packet reassembly. Both NICs and global-buffer edge sinks embed one.
 type Ejector struct {
-	name      string
+	name      link.Name
 	owner     topology.NodeID
 	vcs       int
 	depth     int
@@ -182,7 +182,7 @@ type stagedPacket struct {
 
 // NewEjector returns an ejector with vcs virtual channels of the given
 // buffer depth, draining up to drainRate flits per cycle (minimum 1).
-func NewEjector(name string, vcs, depth, drainRate int) *Ejector {
+func NewEjector(name link.Name, vcs, depth, drainRate int) *Ejector {
 	if drainRate < 1 {
 		drainRate = 1
 	}

@@ -207,7 +207,7 @@ func New(id topology.NodeID, cfg Config, rtr *router.Router, nextID func() uint6
 		nextID:  nextID,
 		credits: make([]int, cfg.VCs),
 		vcPkt:   make([]vcStream, cfg.VCs),
-		eject:   NewEjector(fmt.Sprintf("nic%d", id), cfg.VCs, cfg.EjectDepth, cfg.EjectRate),
+		eject:   NewEjector(link.Numbered("nic", int(id)), cfg.VCs, cfg.EjectDepth, cfg.EjectRate),
 	}
 	n.eject.SetOwner(id)
 	for v := range n.credits {

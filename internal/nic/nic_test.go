@@ -66,7 +66,7 @@ func TestNICInjectsOneFlitPerCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New("inj", 1, cap, n)
+	out := link.New(link.Named("inj"), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendUnicast(9)
@@ -109,7 +109,7 @@ func TestNICRespectsCredits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New("inj", 1, cap, n)
+	out := link.New(link.Named("inj"), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendUnicast(5)
@@ -137,7 +137,7 @@ func TestNICGatherVCPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New("inj", 1, cap, n)
+	out := link.New(link.Named("inj"), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendGather(9, nil)
@@ -157,7 +157,7 @@ func TestNICGatherVCPolicy(t *testing.T) {
 }
 
 func TestEjectorReassembly(t *testing.T) {
-	e := NewEjector("t", 2, 8, 1)
+	e := NewEjector(link.Named("t"), 2, 8, 1)
 	var got []*ReceivedPacket
 	e.OnReceive(func(p *ReceivedPacket) { got = append(got, p.Clone()) })
 
@@ -190,7 +190,7 @@ func TestEjectorReassembly(t *testing.T) {
 }
 
 func TestEjectorInterleavedVCs(t *testing.T) {
-	e := NewEjector("t", 2, 8, 2)
+	e := NewEjector(link.Named("t"), 2, 8, 2)
 	var got []*ReceivedPacket
 	e.OnReceive(func(p *ReceivedPacket) { got = append(got, p.Clone()) })
 
@@ -211,7 +211,7 @@ func TestEjectorInterleavedVCs(t *testing.T) {
 }
 
 func TestEjectorGatherPayloadCollection(t *testing.T) {
-	e := NewEjector("t", 1, 8, 4)
+	e := NewEjector(link.Named("t"), 1, 8, 4)
 	var got []*ReceivedPacket
 	e.OnReceive(func(p *ReceivedPacket) { got = append(got, p.Clone()) })
 

@@ -9,6 +9,7 @@ package noc
 
 import (
 	"fmt"
+	"sync"
 
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
@@ -94,6 +95,16 @@ type Network struct {
 	injector    *fault.Injector
 	fabricLinks int
 	portFault   [][]*fault.LinkState
+
+	// Reuse state (reuse.go). built marks the end of the fabric's own
+	// engine registrations (whatever callers register later is dropped when
+	// the network is reset) and nicCfg is what every NIC was built with.
+	// Acquire sets pristine, the state a reset restores, and home, the pool
+	// Release parks the network in; home is nil while it is parked.
+	built    sim.Mark
+	nicCfg   nic.Config
+	home     *sync.Pool
+	pristine *pristine
 }
 
 // linkRec records which shard owns each end of a link: downShard mutates
@@ -225,6 +236,7 @@ func New(cfg Config) (*Network, error) {
 		GatherVC:          cfg.Router.GatherVC,
 		Format:            format,
 	}
+	nw.nicCfg = nicCfg
 	nw.nics = make([]*nic.NIC, topo.NumNodes())
 	nw.pidSeq = make([]uint64, topo.NumNodes())
 	for id := 0; id < topo.NumNodes(); id++ {
@@ -254,12 +266,12 @@ func New(cfg Config) (*Network, error) {
 		rtr := nw.routers[id]
 
 		sh := nw.shardOfNode(topology.NodeID(id))
-		inj := link.New(fmt.Sprintf("inj%d", id), cfg.LinkLatency, rtr.InputSink(topology.LocalPort), n)
+		inj := link.New(link.Numbered("inj", id), cfg.LinkLatency, rtr.InputSink(topology.LocalPort), n)
 		n.ConnectInjection(inj)
 		rtr.ConnectInput(topology.LocalPort, inj)
 		nw.addLink(inj, sh, sh, topology.NodeID(id), topology.NodeID(id))
 
-		ej := link.New(fmt.Sprintf("ej%d", id), cfg.LinkLatency, n.Ejector(), rtr.CreditSink(topology.LocalPort))
+		ej := link.New(link.Numbered("ej", id), cfg.LinkLatency, n.Ejector(), rtr.CreditSink(topology.LocalPort))
 		rtr.ConnectOutput(topology.LocalPort, ej, cfg.Router.VCs, cfg.Router.BufferDepth)
 		n.Ejector().ConnectReverse(ej)
 		nw.addLink(ej, sh, sh, topology.NodeID(id), topology.NodeID(id))
@@ -274,11 +286,11 @@ func New(cfg Config) (*Network, error) {
 			s := &EdgeSink{
 				id:  nw.RowSinkID(row),
 				row: row,
-				ej:  nic.NewEjector(fmt.Sprintf("sink%d", row), cfg.Router.VCs, cfg.Router.BufferDepth, cfg.SinkDrainRate),
+				ej:  nic.NewEjector(link.Numbered("sink", row), cfg.Router.VCs, cfg.Router.BufferDepth, cfg.SinkDrainRate),
 			}
 			s.ej.SetOwner(s.id)
 			s.ej.SetPacketOverhead(cfg.SinkPacketOverhead)
-			l := link.New(fmt.Sprintf("sinklink%d", row), cfg.LinkLatency, s.ej, edge.CreditSink(topology.EastPort))
+			l := link.New(link.Numbered("sinklink", row), cfg.LinkLatency, s.ej, edge.CreditSink(topology.EastPort))
 			edge.ConnectOutput(topology.EastPort, l, cfg.Router.VCs, cfg.Router.BufferDepth)
 			s.ej.ConnectReverse(l)
 			nw.sinks[row] = s
@@ -296,6 +308,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Telemetry != nil && cfg.Telemetry.Enabled() {
 		nw.wireTelemetry()
 	}
+	nw.built = nw.engine.Mark()
 	return nw, nil
 }
 
@@ -528,6 +541,11 @@ func (nw *Network) register() {
 	if sharded {
 		nw.engine.AddTicker(stagedDispatcher{nw})
 	}
+	nw.setEngineModes()
+}
+
+// setEngineModes applies the engine modes a network is built with.
+func (nw *Network) setEngineModes() {
 	nw.engine.SetAlwaysTick(nw.cfg.AlwaysTick)
 	// High-load fallback: saturated fabrics tick naively in bursts
 	// instead of paying per-component wake bookkeeping that skips
@@ -583,7 +601,7 @@ func (d stagedDispatcher) Tick(cycle int64) {
 func (nw *Network) wireRouterPair(src, dst *router.Router, out topology.Port) {
 	in := out.Opposite()
 	l := link.New(
-		fmt.Sprintf("r%d%s->r%d", src.ID(), out, dst.ID()),
+		link.Between(src.ID(), out, dst.ID()),
 		nw.cfg.LinkLatency,
 		dst.InputSink(in),
 		src.CreditSink(out),

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/topology"
 )
@@ -137,7 +138,7 @@ func TestSinkPacketOverheadSerializes(t *testing.T) {
 // TestEjectorOverflowPanics documents that a credit-protocol violation at
 // an ejection point is treated as an internal bug.
 func TestEjectorOverflowPanics(t *testing.T) {
-	e := nic.NewEjector("t", 1, 1, 1)
+	e := nic.NewEjector(link.Named("t"), 1, 1, 1)
 	e.AcceptFlit(&flit.Flit{Type: flit.HeadTail, PacketFlits: 1}, 0)
 	defer func() {
 		if recover() == nil {

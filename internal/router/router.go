@@ -324,6 +324,20 @@ func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamVCs, dow
 	}
 }
 
+// ConnectedOutputs returns the set of output ports with a channel attached,
+// bit p standing for port p. It is the one thing that tells apart the
+// just-built States of two routers of the same Config wired with the same
+// downstream VC count and depth: the edges of a mesh leave ports dangling.
+func (r *Router) ConnectedOutputs() uint8 {
+	var set uint8
+	for p := range r.outputs {
+		if r.outputs[p].connected() {
+			set |= 1 << p
+		}
+	}
+	return set
+}
+
 // ConnectInput records the reverse channel used to return credits for
 // flits consumed from input port p.
 func (r *Router) ConnectInput(p topology.Port, reverse *link.Link) {

@@ -197,10 +197,10 @@ func newTwoRouterHarness(t *testing.T, cfg Config) *twoRouterHarness {
 		t.Fatal(err)
 	}
 	h := &twoRouterHarness{a: a, b: b}
-	h.ab = link.New("ab", 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
+	h.ab = link.New(link.Named("ab"), 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
 	a.ConnectOutput(topology.EastPort, h.ab, cfg.VCs, cfg.BufferDepth)
 	b.ConnectInput(topology.WestPort, h.ab)
-	h.eject = link.New("bl", 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
+	h.eject = link.New(link.Named("bl"), 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
 	b.ConnectOutput(topology.LocalPort, h.eject, cfg.VCs, cfg.BufferDepth)
 	return h
 }

@@ -88,6 +88,11 @@ type node struct {
 type phase struct {
 	nodes []node
 	awake []uint64
+	// handleOf holds the handle add returned for nodes[i] at
+	// [i/handleBlock][i%handleBlock], so that truncate can disarm the
+	// handles of the components it drops. Blocks like the handles', so
+	// that a large fabric's list is never copied to grow.
+	handleOf [][]*Handle
 	// handles is the block the next Handle is cut from. A full block is
 	// left to the handles pointing into it and a new one started, so
 	// handles never move and a fabric's worth costs one allocation per
@@ -109,7 +114,32 @@ func (p *phase) add(n node) *Handle {
 		p.handles = make([]Handle, 0, handleBlock)
 	}
 	p.handles = append(p.handles, Handle{list: p, index: i})
-	return &p.handles[len(p.handles)-1]
+	h := &p.handles[len(p.handles)-1]
+	if i/handleBlock == len(p.handleOf) {
+		p.handleOf = append(p.handleOf, make([]*Handle, handleBlock))
+	}
+	p.handleOf[i/handleBlock][i%handleBlock] = h
+	return h
+}
+
+// truncate drops the components registered at index n and after. Their
+// handles are disarmed for good: a Wake through one must neither set a bit
+// past the list nor run whatever is registered at that index next.
+func (p *phase) truncate(n int) {
+	if n >= len(p.nodes) {
+		return
+	}
+	for i := n; i < len(p.nodes); i++ {
+		slot := &p.handleOf[i/handleBlock][i%handleBlock]
+		(*slot).list = nil
+		*slot = nil
+	}
+	clear(p.nodes[n:])
+	p.nodes = p.nodes[:n]
+	p.awake = p.awake[:(n+63)>>6]
+	if tail := n & 63; tail != 0 {
+		p.awake[len(p.awake)-1] &= 1<<tail - 1
+	}
 }
 
 // wakeAll marks every registered component runnable.
@@ -125,7 +155,8 @@ func (p *phase) wakeAll() {
 // Handle wakes one registered component. Handles are safe to share with
 // the component's peers (links wake their downstream router, controllers
 // wake the NIC they enqueue into) and a nil *Handle ignores Wake calls, so
-// components can be used without an engine in unit tests.
+// components can be used without an engine in unit tests. So does the
+// handle of a component that Truncate has dropped.
 type Handle struct {
 	list  *phase
 	index int
@@ -207,6 +238,8 @@ type Engine struct {
 	// interrupted is set asynchronously (signal handlers) and polled by
 	// RunUntil at cycle boundaries; see Interrupt.
 	interrupted atomic.Bool
+	// err is what the latest RunUntil returned; see Err.
+	err error
 
 	// Stall watchdog (SetWatchdog; see watchdog.go). Polled by RunUntil a
 	// few times per window, between steps only.
@@ -237,6 +270,29 @@ func (e *Engine) Cycle() int64 {
 func (e *Engine) RestoreCycle(c int64) {
 	e.cycle = c
 	e.rearm()
+}
+
+// Reset returns the engine to cycle 0 in the state its registrations
+// alone determine: every component awake, no burst running, the
+// evaluation counters at zero, no watchdog, the interrupt flag and Err
+// cleared. Registrations and the SetAlwaysTick/SetAdaptive modes are left
+// alone. With Truncate it lets a built fabric be run again from scratch:
+// the schedule and the Evaluated/Skipped split that follow are those of a
+// new engine given the same registrations. Call between steps.
+func (e *Engine) Reset() {
+	e.lane.reset()
+	for i := range e.shards {
+		e.shards[i].reset()
+	}
+	e.cycle = 0
+	e.interrupted.Store(false)
+	e.err = nil
+	e.SetWatchdog(nil)
+}
+
+func (l *lane) reset() {
+	l.rearm()
+	l.load, l.evaluated, l.skipped = 0, 0, 0
 }
 
 // rearm ends any naive burst and wakes every component of every lane.
@@ -327,6 +383,31 @@ func (e *Engine) AddTicker(t Ticker) *Handle {
 func (e *Engine) AddCommitter(c Committer) *Handle {
 	idler, _ := c.(Idler)
 	return e.committers.add(node{committer: c, idler: idler})
+}
+
+// Mark is a point in the registration order of AddTicker and AddCommitter,
+// taken by Engine.Mark and returned to by Engine.Truncate.
+type Mark struct {
+	tickers, committers int
+}
+
+// Mark returns the current registration point: Truncate(m) later drops
+// exactly the components AddTicker and AddCommitter register from here on.
+func (e *Engine) Mark() Mark {
+	return Mark{tickers: len(e.tickers.nodes), committers: len(e.committers.nodes)}
+}
+
+// Truncate drops every component AddTicker and AddCommitter registered
+// after m was taken, newest registrations included. The engine stops
+// evaluating them, lets go of them, and turns their handles into no-ops; a
+// component registered afterwards gets a new handle, so a stale Wake can
+// never reach it. RunWith brackets a run this way, and a network that is
+// reset for reuse truncates to the mark it took when it was built. Components of
+// AddShardTicker/AddShardCommitter are the fabric itself and stay. Call
+// between steps; a mark at or past the current point drops nothing.
+func (e *Engine) Truncate(m Mark) {
+	e.tickers.truncate(m.tickers)
+	e.committers.truncate(m.committers)
 }
 
 // Step advances the simulation by exactly one cycle.
@@ -465,6 +546,27 @@ func (e *Engine) Interrupted() bool { return e.interrupted.Load() }
 // When a watchdog is installed (SetWatchdog), a no-progress window turns
 // into a *StallError wrapping ErrStalled instead of a spin to the budget.
 func (e *Engine) RunUntil(done func() bool, maxCycles int64) (int64, error) {
+	e.err = e.runUntil(done, maxCycles)
+	return e.cycle, e.err
+}
+
+// RunWith is RunUntil with driver registered as a ticker for the length of
+// the run: added after everything registered so far, and dropped again
+// (Truncate), along with anything registered meanwhile, when the run ends,
+// however it ends. It is what the workload controllers' Run methods use, so
+// a controller whose run is over no longer ticks.
+func (e *Engine) RunWith(driver Ticker, done func() bool, maxCycles int64) (int64, error) {
+	defer e.Truncate(e.Mark())
+	e.AddTicker(driver)
+	return e.RunUntil(done, maxCycles)
+}
+
+// Err returns the error the latest RunUntil ended with: nil when it reached
+// its predicate (or none has run), else the budget, interrupt or stall
+// error that cut it short and left the simulation mid-flight.
+func (e *Engine) Err() error { return e.err }
+
+func (e *Engine) runUntil(done func() bool, maxCycles int64) error {
 	deadline := e.cycle + maxCycles
 	var wdStride, wdNext int64
 	if w := e.watchdog; w != nil && w.Progress != nil && w.Window > 0 {
@@ -479,18 +581,18 @@ func (e *Engine) RunUntil(done func() bool, maxCycles int64) (int64, error) {
 	}
 	for !done() {
 		if e.interrupted.Load() {
-			return e.cycle, ErrInterrupted
+			return ErrInterrupted
 		}
 		if e.cycle >= deadline {
-			return e.cycle, fmt.Errorf("%w (budget %d)", ErrMaxCyclesExceeded, maxCycles)
+			return fmt.Errorf("%w (budget %d)", ErrMaxCyclesExceeded, maxCycles)
 		}
 		if wdStride > 0 && e.cycle >= wdNext {
 			wdNext = e.cycle + wdStride
 			if stall := e.checkStall(); stall != nil {
-				return e.cycle, stall
+				return stall
 			}
 		}
 		e.Step()
 	}
-	return e.cycle, nil
+	return nil
 }

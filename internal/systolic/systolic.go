@@ -335,11 +335,11 @@ func (c *Controller) onPacket(p *nic.ReceivedPacket) {
 	}
 }
 
-// Run registers the controller with the network's engine and executes the
-// configured rounds, returning the finalized result. Call at most once.
+// Run registers the controller with the network's engine for the length of
+// the run and executes the configured rounds, returning the finalized
+// result. Call at most once.
 func (c *Controller) Run(maxCycles int64) (*Result, error) {
-	c.nw.Engine().AddTicker(c)
-	if _, err := c.nw.Engine().RunUntil(c.Done, maxCycles); err != nil {
+	if _, err := c.nw.Engine().RunWith(c, c.Done, maxCycles); err != nil {
 		return nil, fmt.Errorf("systolic: %s %s on %dx%d: %w",
 			c.cfg.Layer.Name, c.cfg.Mode, c.rows, c.cols, err)
 	}

@@ -472,12 +472,11 @@ func (c *AccumulationController) finishRound(cycle int64) {
 // Done reports whether all simulated rounds completed.
 func (c *AccumulationController) Done() bool { return c.phase == phaseDone }
 
-// Run registers the controller with the network's engine and executes the
-// configured rounds, returning the finalized result. Call at most once.
+// Run registers the controller with the network's engine for the length of
+// the run and executes the configured rounds, returning the finalized
+// result. Call at most once.
 func (c *AccumulationController) Run(maxCycles int64) (*AccumulationResult, error) {
-	eng := c.nw.Engine()
-	eng.AddTicker(c)
-	cycles, err := eng.RunUntil(c.Done, maxCycles)
+	cycles, err := c.nw.Engine().RunWith(c, c.Done, maxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("traffic: accumulation %s on %dx%d: %w",
 			c.cfg.Scheme, c.rows, c.cols, err)

@@ -195,13 +195,12 @@ func (g *Generator) Tick(cycle int64) {
 	}
 }
 
-// Run executes the workload: warm-up, measurement, then drain. It returns
+// Run executes the workload: warm-up, measurement, then drain, with the
+// generator registered with the network's engine for that long. It returns
 // the result summary.
 func (g *Generator) Run(maxCycles int64) (*GeneratorResult, error) {
-	eng := g.nw.Engine()
-	eng.AddTicker(g)
 	done := func() bool { return !g.injecting && g.nw.Quiescent() }
-	cycles, err := eng.RunUntil(done, maxCycles)
+	cycles, err := g.nw.Engine().RunWith(g, done, maxCycles)
 	if err != nil {
 		return nil, err
 	}

@@ -280,11 +280,9 @@ func (rp *Replayer) Tick(cycle int64) {
 	}
 }
 
-// Run registers the replayer and runs until the trace is injected and the
-// network drains.
+// Run registers the replayer for the length of the run and runs until the
+// trace is injected and the network drains.
 func (rp *Replayer) Run(maxCycles int64) (int64, error) {
-	eng := rp.nw.Engine()
-	eng.AddTicker(rp)
 	done := func() bool { return rp.Done() && rp.nw.Quiescent() }
-	return eng.RunUntil(done, maxCycles)
+	return rp.nw.Engine().RunWith(rp, done, maxCycles)
 }

@@ -310,13 +310,11 @@ func (s *Scheduler) phaseEvent(kind telemetry.EventKind, j, i int, cycle int64) 
 // Done reports whether every phase of every job has drained.
 func (s *Scheduler) Done() bool { return s.remaining == 0 }
 
-// Run registers the scheduler with the network's engine and executes the
-// whole schedule, returning the finalized per-job results. Call at most
-// once.
+// Run registers the scheduler with the network's engine for the length of
+// the run and executes the whole schedule, returning the finalized per-job
+// results. Call at most once.
 func (s *Scheduler) Run(maxCycles int64) (*Result, error) {
-	eng := s.nw.Engine()
-	eng.AddTicker(s)
-	cycles, err := eng.RunUntil(s.Done, maxCycles)
+	cycles, err := s.nw.Engine().RunWith(s, s.Done, maxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %d jobs on %dx%d %s: %w",
 			len(s.jobs), s.nw.Config().Rows, s.nw.Config().Cols,
