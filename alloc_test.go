@@ -29,7 +29,7 @@ import (
 //
 // If this test fails, profile with:
 //
-//	go test -run '^$' -bench BenchmarkEngineStepping/naive/high -memprofile mem.out .
+//	go run ./cmd/nocsim -rate 0.30 -measure 20000 -alwaystick -memprofile mem.out
 const maxSteadyStateAllocsPerCycle = 0.5
 
 // TestAllocationRatchet drives an 8x8 mesh under sustained uniform-random

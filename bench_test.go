@@ -1,153 +1,29 @@
-// Package gathernoc's benchmark harness regenerates every table and figure
-// of the paper's evaluation on the cycle-accurate simulator, one benchmark
-// per artifact. Each benchmark reports the headline metric of its artifact
-// (improvement percentage) via b.ReportMetric alongside the usual
-// simulation cost figures.
+// Micro-benchmarks of single mechanisms and ablation points that the
+// repository benchmark (bench/, BENCHMARK.json) has no workload for: one row
+// collection under gather and under in-network accumulation, the
+// accumulation-phase scheme comparison, the δ and buffer-transaction-cost
+// ablation points, the Fig. 1 hop count and the standalone generator. What a
+// user runs end to end (the paper artifacts cold and warm, engine stepping
+// and scaling, telemetry and fault overhead, pipelines, multi-job batches,
+// collectives, checkpoints) is measured by bench/ and nowhere else.
 //
-//	go test -bench=. -benchmem
-//	go test -bench=BenchmarkFig7 -benchtime=1x
+//	go test -run '^$' -bench . -benchtime 1x
 package gathernoc
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"gathernoc/internal/cnn"
-	"gathernoc/internal/collective"
 	"gathernoc/internal/core"
 	"gathernoc/internal/experiments"
-	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/systolic"
-	"gathernoc/internal/telemetry"
 	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
-	"gathernoc/internal/workload"
 )
 
 var benchOpts = core.Options{Rounds: 1}
-
-// skipLargeMeshInShort elides the 16x16 grid rows under -short: the CI
-// smoke job runs every benchmark once (-benchtime 1x -short) to keep the
-// harness compiling and executing, and the 8x8 rows already cover every
-// code path at a quarter of the cost.
-func skipLargeMeshInShort(b *testing.B, mesh int) {
-	b.Helper()
-	if testing.Short() && mesh > 8 {
-		b.Skipf("%dx%d mesh skipped in -short", mesh, mesh)
-	}
-}
-
-// benchCompare runs one layer comparison and reports the latency and power
-// improvements.
-func benchCompare(b *testing.B, mesh int, layer cnn.LayerConfig) {
-	b.Helper()
-	var lat, pow float64
-	for i := 0; i < b.N; i++ {
-		cmp, err := core.CompareLayer(mesh, mesh, layer, benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lat = cmp.LatencyImprovementPct
-		pow = cmp.PowerImprovementPct
-	}
-	b.ReportMetric(lat, "latency-improv-%")
-	b.ReportMetric(pow, "power-improv-%")
-}
-
-// BenchmarkTable2 regenerates Table II: the estimated-vs-simulated
-// total-latency improvement for AlexNet on the 8x8 mesh.
-func BenchmarkTable2(b *testing.B) {
-	for _, layer := range cnn.AlexNetConvLayers() {
-		layer := layer
-		b.Run(layer.Name, func(b *testing.B) {
-			var est, sim float64
-			for i := 0; i < b.N; i++ {
-				cmp, err := core.CompareLayer(8, 8, layer, benchOpts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				est = cmp.EstimatedImprovementPct
-				sim = cmp.LatencyImprovementPct
-			}
-			b.ReportMetric(est, "estimated-%")
-			b.ReportMetric(sim, "simulated-%")
-		})
-	}
-}
-
-// BenchmarkFig7 regenerates Fig. 7: total-latency improvement for AlexNet
-// on 8x8 and 16x16 meshes.
-func BenchmarkFig7(b *testing.B) {
-	for _, mesh := range []int{8, 16} {
-		for _, layer := range cnn.AlexNetConvLayers() {
-			mesh, layer := mesh, layer
-			b.Run(fmt.Sprintf("%dx%d/%s", mesh, mesh, layer.Name), func(b *testing.B) {
-				skipLargeMeshInShort(b, mesh)
-				benchCompare(b, mesh, layer)
-			})
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates Fig. 8: total-latency improvement for the
-// paper's selected VGG-16 layers on 8x8 and 16x16 meshes.
-func BenchmarkFig8(b *testing.B) {
-	for _, mesh := range []int{8, 16} {
-		for _, layer := range cnn.VGG16SelectedConvLayers() {
-			mesh, layer := mesh, layer
-			b.Run(fmt.Sprintf("%dx%d/%s", mesh, mesh, layer.Name), func(b *testing.B) {
-				skipLargeMeshInShort(b, mesh)
-				benchCompare(b, mesh, layer)
-			})
-		}
-	}
-}
-
-// BenchmarkFig9 regenerates Fig. 9: NoC dynamic-power improvement for
-// AlexNet (same runs as Fig. 7; the reported metric is the power figure).
-func BenchmarkFig9(b *testing.B) {
-	for _, mesh := range []int{8, 16} {
-		for _, layer := range cnn.AlexNetConvLayers() {
-			mesh, layer := mesh, layer
-			b.Run(fmt.Sprintf("%dx%d/%s", mesh, mesh, layer.Name), func(b *testing.B) {
-				skipLargeMeshInShort(b, mesh)
-				var pow float64
-				for i := 0; i < b.N; i++ {
-					cmp, err := core.CompareLayer(mesh, mesh, layer, benchOpts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pow = cmp.PowerImprovementPct
-				}
-				b.ReportMetric(pow, "power-improv-%")
-			})
-		}
-	}
-}
-
-// BenchmarkFig10 regenerates Fig. 10: NoC dynamic-power improvement for
-// VGG-16.
-func BenchmarkFig10(b *testing.B) {
-	for _, mesh := range []int{8, 16} {
-		for _, layer := range cnn.VGG16SelectedConvLayers() {
-			mesh, layer := mesh, layer
-			b.Run(fmt.Sprintf("%dx%d/%s", mesh, mesh, layer.Name), func(b *testing.B) {
-				skipLargeMeshInShort(b, mesh)
-				var pow float64
-				for i := 0; i < b.N; i++ {
-					cmp, err := core.CompareLayer(mesh, mesh, layer, benchOpts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pow = cmp.PowerImprovementPct
-				}
-				b.ReportMetric(pow, "power-improv-%")
-			})
-		}
-	}
-}
 
 // BenchmarkFig1 regenerates the Fig. 1 hop-count example.
 func BenchmarkFig1(b *testing.B) {
@@ -230,355 +106,6 @@ func BenchmarkRouterThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepping compares the naive always-tick engine against
-// activity-tracked sleep/wake scheduling on an 8x8 uniform-random workload.
-// At the low rate most components are quiescent most cycles, which is the
-// operating point the sleep/wake refactor targets; the high rate bounds
-// the scheduling overhead when nearly everything is busy.
-func BenchmarkEngineStepping(b *testing.B) {
-	cases := []struct {
-		name   string
-		always bool
-		rate   float64
-	}{
-		{"naive/low", true, 0.005},
-		{"activity/low", false, 0.005},
-		{"naive/high", true, 0.30},
-		{"activity/high", false, 0.30},
-	}
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			if testing.Short() && tc.rate > 0.1 {
-				b.Skip("saturated injection skipped in -short")
-			}
-			var cycles int64
-			var evaluated, skipped uint64
-			for i := 0; i < b.N; i++ {
-				cfg := noc.DefaultConfig(8, 8)
-				cfg.EastSinks = false
-				cfg.AlwaysTick = tc.always
-				nw, err := noc.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-					Pattern:       traffic.UniformRandom{Nodes: 64},
-					InjectionRate: tc.rate,
-					PacketFlits:   2,
-					Warmup:        100,
-					Measure:       4900,
-					Seed:          1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := gen.Run(1_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = res.Cycles
-				evaluated = nw.Engine().Evaluated()
-				skipped = nw.Engine().Skipped()
-			}
-			b.ReportMetric(float64(cycles), "cycles")
-			total := evaluated + skipped
-			if total > 0 {
-				b.ReportMetric(float64(skipped)/float64(total)*100, "skipped-%")
-			}
-		})
-	}
-}
-
-// runTelemetryOverheadPoint is the workload BenchmarkTelemetryOverhead
-// and benchreport's TelemetryOverhead family share: an 8x8 mesh under
-// moderate uniform traffic, dark (tcfg nil) or with the CLI's default
-// observability configuration. The run is long enough (10K cycles, ~40
-// epochs) that the one-time event-buffer preallocation at Collector.Start
-// amortizes as it would in any real observation window and the pair
-// prices the recording path, not buffer zeroing.
-func runTelemetryOverheadPoint(tcfg *telemetry.Config) error {
-	cfg := noc.DefaultConfig(8, 8)
-	cfg.EastSinks = false
-	cfg.Telemetry = tcfg
-	nw, err := noc.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer nw.Close()
-	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-		Pattern:       traffic.UniformRandom{Nodes: 64},
-		InjectionRate: 0.05,
-		PacketFlits:   2,
-		Warmup:        100,
-		Measure:       9900,
-		Seed:          1,
-	})
-	if err != nil {
-		return err
-	}
-	_, err = gen.Run(1_000_000)
-	return err
-}
-
-// BenchmarkTelemetryOverhead prices the observability layer (DESIGN.md
-// §11): the identical workload dark versus with default-sampling
-// telemetry (256-cycle epochs, one traced packet in 64). The acceptance
-// bar is on/off overhead under 10% — the epoch snapshot touches every
-// source only once per 256 cycles and the tracer's hot-path cost is a
-// nil-check plus a hash on sampled heads.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	dcfg := telemetry.DefaultConfig()
-	for _, tc := range []struct {
-		name string
-		tcfg *telemetry.Config
-	}{
-		{"off", nil},
-		{"on", &dcfg},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := runTelemetryOverheadPoint(tc.tcfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// runFaultOverheadPoint is the workload BenchmarkFaultOverhead and
-// benchreport's FaultOverhead family share: the same 8x8 uniform-traffic
-// run as the telemetry pair, fault-free (fcfg nil, the configuration
-// every published number uses) or with a 1% transient drop schedule and
-// the full recovery stack armed (DESIGN.md §12).
-func runFaultOverheadPoint(fcfg *fault.Config) error {
-	cfg := noc.DefaultConfig(8, 8)
-	cfg.EastSinks = false
-	cfg.Faults = fcfg
-	nw, err := noc.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer nw.Close()
-	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-		Pattern:       traffic.UniformRandom{Nodes: 64},
-		InjectionRate: 0.05,
-		PacketFlits:   2,
-		Warmup:        100,
-		Measure:       9900,
-		Seed:          1,
-	})
-	if err != nil {
-		return err
-	}
-	_, err = gen.Run(1_000_000)
-	return err
-}
-
-// BenchmarkFaultOverhead prices the reliability layer: the identical
-// workload on a fault-free fabric versus one with a 1% transient drop
-// schedule, per-link decision state, credit flushers and fault-aware
-// ejectors all armed. The "off" leg is the hot path every prior
-// benchmark exercises — its only new cost is the nil checks the fault
-// hooks hide behind, bounded at < 2% against the PR7 baseline.
-func BenchmarkFaultOverhead(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		fcfg *fault.Config
-	}{
-		{"off", nil},
-		{"on", &fault.Config{Seed: 1, DropRate: 0.01, CorruptRate: 0.0025}},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := runFaultOverheadPoint(tc.fcfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// engineScalingShards returns the shard grid BenchmarkEngineScaling and
-// benchreport sweep: 1, 2, 4 plus NumCPU when it differs.
-func engineScalingShards() []int {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// runEngineScaling drives one sharded large-fabric workload — uniform
-// traffic at a moderate per-node rate, so total load grows with the node
-// count — and returns the simulated cycles (identical for every shard
-// count; the equivalence tests enforce it).
-func runEngineScaling(mesh, shards int) (int64, error) {
-	cfg := noc.DefaultConfig(mesh, mesh)
-	cfg.EastSinks = false
-	cfg.Shards = shards
-	nw, err := noc.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer nw.Close()
-	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-		Pattern:       traffic.UniformRandom{Nodes: mesh * mesh},
-		InjectionRate: 0.02,
-		PacketFlits:   2,
-		Warmup:        100,
-		Measure:       900,
-		Seed:          1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := gen.Run(1_000_000)
-	if err != nil {
-		return 0, err
-	}
-	return res.Cycles, nil
-}
-
-// BenchmarkEngineScaling measures the sharded engine's strong scaling on
-// the ROADMAP's large fabrics: one simulation spread across worker
-// goroutines, shards ∈ {1, 2, 4, NumCPU}, with cycles/sec as the headline
-// metric. shards=1 runs the sharded two-phase schedule inline and is the
-// scaling baseline; the acceptance bar is >= 2x cycles/sec at 4 shards on
-// the 64x64 fabric.
-func BenchmarkEngineScaling(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
-	for _, mesh := range []int{32, 64} {
-		for _, shards := range engineScalingShards() {
-			mesh, shards := mesh, shards
-			b.Run(fmt.Sprintf("%dx%d/shards=%d", mesh, mesh, shards), func(b *testing.B) {
-				if testing.Short() && (mesh > 32 || shards > 2) {
-					b.Skip("large scaling grid skipped in -short")
-				}
-				var cycles int64
-				for i := 0; i < b.N; i++ {
-					c, err := runEngineScaling(mesh, shards)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = c
-				}
-				b.ReportMetric(float64(cycles), "cycles")
-				b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-			})
-		}
-	}
-}
-
-// BenchmarkSweepFig7 regenerates the whole Fig. 7 grid through the
-// parallel sweep harness, serial vs all-cores — the end-to-end win of the
-// engine refactor plus worker-pool sweeps.
-func BenchmarkSweepFig7(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		workers := workers
-		name := "serial"
-		if workers == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			if workers == 0 {
-				// The parallel harness is meaningless on one CPU: the
-				// PR2 snapshot measured serial==parallel because the
-				// process ran at GOMAXPROCS=1.
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
-				b.ResetTimer()
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig7(experiments.Options{Rounds: 1, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSweepCached measures the Fig. 7 sweep served from a warm
-// result cache: a cold pass fills it outside the timer, then every
-// measured pass replays from memoized comparisons without constructing a
-// network. The gap to BenchmarkSweepFig7 is the price of resimulation.
-func BenchmarkSweepCached(b *testing.B) {
-	cache, err := experiments.NewCache(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := experiments.Options{Rounds: 1, Cache: cache}
-	if _, err := experiments.Fig7(opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if s := cache.Stats(); s.Misses != 5*2 {
-		b.Fatalf("cache stats %+v: warm passes missed", s)
-	}
-}
-
-// BenchmarkSnapshotRestore prices the checkpoint machinery itself:
-// capture + serialize, then deserialize + restore onto a fresh network,
-// on a mid-flight 8x8 run. snapshot_bytes records the envelope size.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	cfg := noc.DefaultConfig(8, 8)
-	cfg.EastSinks = false
-	nw, err := noc.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nw.Close()
-	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-		Pattern:       traffic.UniformRandom{Nodes: 64},
-		InjectionRate: 0.05,
-		PacketFlits:   2,
-		Warmup:        200,
-		Measure:       1800,
-		Seed:          7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw.Engine().AddTicker(gen)
-	nw.Engine().Run(600)
-
-	var bytes int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap, err := nw.Snapshot()
-		if err != nil {
-			b.Fatal(err)
-		}
-		data, err := noc.EncodeSnapshot(snap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytes = len(data)
-		decoded, err := noc.DecodeSnapshot(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fresh, err := noc.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fresh.Restore(decoded); err != nil {
-			b.Fatal(err)
-		}
-		fresh.Close()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(bytes), "snapshot_bytes")
-}
-
 // BenchmarkINAComparison regenerates the accumulation-phase comparison
 // (unicast vs gather vs in-network accumulation) on the 8x8 mesh through
 // the sweep harness, reporting INA's sink-flit advantage over gather.
@@ -631,51 +158,6 @@ func BenchmarkINARowReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectives runs a mesh-wide all-reduce per iteration under
-// each transport on the 8x8 and 16x16 meshes, reporting the simulated
-// round latency and root-port flit traffic — the serialization the tree
-// exists to amortize.
-func BenchmarkCollectives(b *testing.B) {
-	for _, mesh := range []int{8, 16} {
-		for _, alg := range []collective.Algorithm{collective.AlgTree, collective.AlgFlat, collective.AlgFused} {
-			b.Run(fmt.Sprintf("mesh=%d/alg=%s", mesh, alg), func(b *testing.B) {
-				skipLargeMeshInShort(b, mesh)
-				var round float64
-				var rootFlits uint64
-				for i := 0; i < b.N; i++ {
-					cfg := noc.DefaultConfig(mesh, mesh)
-					if alg == collective.AlgFused {
-						cfg.EnableINA = true
-					}
-					nw, err := noc.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ctl, err := collective.NewController(nw, collective.Config{
-						Op: collective.AllReduce, Algorithm: alg, Rounds: 2, ComputeLatency: 10,
-					})
-					if err != nil {
-						nw.Close()
-						b.Fatal(err)
-					}
-					res, err := ctl.Run(50_000_000)
-					nw.Close()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
-						b.Fatalf("%d oracle / %d broadcast errors", res.OracleErrors, res.BroadcastErrors)
-					}
-					round = res.RoundCycles.Mean()
-					rootFlits = res.RootFlits
-				}
-				b.ReportMetric(round, "round-cycles")
-				b.ReportMetric(float64(rootFlits), "root-flits")
-			})
-		}
-	}
-}
-
 // BenchmarkGatherRowCollection measures one row-collection on the NoC: the
 // microbenchmark version of the paper's mechanism.
 func BenchmarkGatherRowCollection(b *testing.B) {
@@ -697,67 +179,4 @@ func BenchmarkGatherRowCollection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPipelineAlexNet runs the complete AlexNet layer sequence as a
-// cycle-accurate phase DAG on one 8x8 mesh — strict barrier vs
-// double-buffered overlap — reporting the simulated makespan of each
-// composition mode.
-func BenchmarkPipelineAlexNet(b *testing.B) {
-	for _, overlap := range []bool{false, true} {
-		overlap := overlap
-		name := "barrier"
-		if overlap {
-			name = "overlap"
-		}
-		b.Run(name, func(b *testing.B) {
-			var makespan int64
-			for i := 0; i < b.N; i++ {
-				nw, err := noc.New(noc.DefaultConfig(8, 8))
-				if err != nil {
-					b.Fatal(err)
-				}
-				job, _, err := workload.NewPipelineJob(nw, "alexnet", workload.PipelineConfig{
-					Layers:  cnn.AlexNetAllLayers(),
-					Scheme:  traffic.CollectGather,
-					Rounds:  1,
-					Overlap: overlap,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := workload.New(nw, []workload.Job{job})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.Run(10_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan = res.Jobs[0].Time()
-			}
-			b.ReportMetric(float64(makespan), "makespan-cycles")
-		})
-	}
-}
-
-// BenchmarkMultiJob runs four batched two-layer inference jobs plus
-// background uniform traffic on one shared 8x8 mesh through the workload
-// scheduler, reporting the batch makespan and the max/min job slowdown.
-func BenchmarkMultiJob(b *testing.B) {
-	var cycles int64
-	var slowdown float64
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.MultiJob(experiments.Options{Rounds: 1, Jobs: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.OracleErrors != 0 {
-			b.Fatalf("%d oracle errors", rep.OracleErrors)
-		}
-		cycles = rep.Cycles
-		slowdown = rep.MaxMinSlowdown
-	}
-	b.ReportMetric(float64(cycles), "batch-cycles")
-	b.ReportMetric(slowdown, "maxmin-slowdown")
 }

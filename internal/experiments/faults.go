@@ -83,12 +83,8 @@ func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (*F
 	// The watchdog bounds a wedged point to one no-progress window instead
 	// of the whole cycle budget.
 	nw.Engine().SetWatchdog(nw.Watchdog(0))
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = 2
-	}
 	ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
-		Scheme: scheme, Rounds: rounds, ComputeLatency: 20,
+		Scheme: scheme, Rounds: opts.rounds(), ComputeLatency: 20,
 	})
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/noc"
-	"gathernoc/internal/power"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/traffic"
 )
@@ -86,13 +85,9 @@ func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 		return INARow{}, err
 	}
 	defer nw.Release()
-	rounds := opts.Rounds
-	if rounds == 0 {
-		rounds = 2
-	}
 	ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
 		Scheme:         p.scheme,
-		Rounds:         rounds,
+		Rounds:         opts.rounds(),
 		TotalRounds:    p.layer.AccumulationRounds(p.mesh),
 		ComputeLatency: p.layer.PartialMACsPerPE(p.mesh) + 5, // + T_MAC
 	})
@@ -107,18 +102,6 @@ func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 		return INARow{}, fmt.Errorf("%s %s %dx%d: %d oracle errors",
 			p.layer.Name, p.scheme, p.mesh, p.mesh, res.OracleErrors)
 	}
-	a := res.Activity
-	report := power.Compute(power.Events{
-		BufferWrites:   a.BufferWrites,
-		BufferReads:    a.BufferReads,
-		RCComputations: a.RCComputations,
-		VAAllocations:  a.VAAllocations,
-		SAGrants:       a.SAGrants,
-		Crossings:      a.Crossings,
-		LinkFlits:      a.LinkFlits,
-		GatherUploads:  a.GatherUploads,
-		ReduceMerges:   a.ReduceMerges,
-	}, power.DefaultCoefficients(), res.Cycles, 1.0)
 	return INARow{
 		Layer:           p.layer.Name,
 		Mesh:            p.mesh,
@@ -129,8 +112,8 @@ func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 		PacketLatency:   res.PacketLatency.Mean(),
 		Merges:          res.Merges,
 		SelfInitiated:   res.SelfInitiated,
-		LinkFlits:       a.LinkFlits,
-		NoCPJ:           report.NoCPJ,
+		LinkFlits:       res.Activity.LinkFlits,
+		NoCPJ:           nocPJ(res.Activity, res.Cycles),
 		Reduction:       res.Reduction,
 	}, nil
 }

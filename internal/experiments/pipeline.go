@@ -121,7 +121,7 @@ func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traff
 	defer nw.Release()
 	ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
 		Scheme:         traffic.CollectGather,
-		Rounds:         opts.pipelineRounds(),
+		Rounds:         opts.rounds(),
 		TotalRounds:    layer.AccumulationRounds(nw.Config().Rows),
 		ComputeLatency: layer.PartialMACsPerPE(nw.Config().Cols) + pipelineTMAC,
 	})
@@ -142,7 +142,7 @@ func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts O
 	job, drivers, err := workload.NewPipelineJob(nw, row.Model, workload.PipelineConfig{
 		Layers:  layers,
 		Scheme:  traffic.CollectGather,
-		Rounds:  opts.pipelineRounds(),
+		Rounds:  opts.rounds(),
 		TMAC:    pipelineTMAC,
 		Overlap: overlap,
 	})
@@ -246,10 +246,11 @@ func MultiJob(opts Options) (*MultiJobReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer nw.Release()
 	jobs, drivers, err := workload.NewInferenceBatch(nw, nJobs, 5, workload.PipelineConfig{
 		Layers:  layers,
 		Scheme:  traffic.CollectGather,
-		Rounds:  opts.pipelineRounds(),
+		Rounds:  opts.rounds(),
 		Overlap: opts.Overlap,
 	})
 	if err != nil {

@@ -67,3 +67,39 @@ func TestSweepBuildsOneFabricPerWorkerAndConfig(t *testing.T) {
 		t.Errorf("built %d networks, want at most %d configurations x %d workers", built, configs, workers)
 	}
 }
+
+// TestMultiJobReleasesItsFabric: MultiJob takes its network from Acquire
+// like every other cell, so it must hand it back. With telemetry off the
+// fabric is poolable: the first of two calls builds it, the second runs on
+// the same one, and neither drops it.
+func TestMultiJobReleasesItsFabric(t *testing.T) {
+	// Empty the pools of what earlier tests parked (two collections clear a
+	// sync.Pool and its victim cache), then keep them from missing, as in
+	// TestSweepBuildsOneFabricPerWorkerAndConfig.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	before := noc.ReuseStats()
+	for i := 0; i < 2; i++ {
+		if _, err := MultiJob(Options{Rounds: 1, Jobs: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := noc.ReuseStats()
+	built, reused := after.Built-before.Built, after.Reused-before.Reused
+	t.Logf("built %d, reused %d, dropped %d", built, reused, after.Dropped-before.Dropped)
+	if built+reused != 2 {
+		t.Errorf("built %d + reused %d networks for 2 runs", built, reused)
+	}
+	if after.Dropped != before.Dropped {
+		t.Errorf("dropped %d networks that finished cleanly", after.Dropped-before.Dropped)
+	}
+	if raceBuild() {
+		return
+	}
+	if built != 1 || reused != 1 {
+		t.Errorf("built %d and reused %d networks, want the second run on the first run's fabric", built, reused)
+	}
+}

@@ -19,9 +19,9 @@ type release struct {
 	Seq        uint64
 }
 
-// fullScanDue is the reference releaseResults is held to: the scan over
-// every PE that the controller used to run on every cycle of a round. It
-// returns the PEs due at cycle, in release order.
+// fullScanDue is the reference the round loop's release is held to: a scan
+// over every PE on every cycle of a round. It returns the PEs due at cycle,
+// in release order.
 func fullScanDue(submitted []bool, doneAt []int64, cycle int64) []int {
 	var due []int
 	for id := range submitted {
@@ -33,20 +33,42 @@ func fullScanDue(submitted []bool, doneAt []int64, cycle int64) []int {
 	return due
 }
 
-// scanShadow ticks the controller and, just before each tick, records what
-// the per-cycle full scan would release in it.
+// scanShadow ticks the controller beside its own copy of the completion
+// schedule, worked out from the Config alone, and records what the
+// per-cycle full scan of that copy releases.
 type scanShadow struct {
-	c    *Controller
-	want []release
+	c         *Controller
+	doneAt    []int64
+	submitted []bool
+	seq       uint64
+	want      []release
+}
+
+// open schedules a round opening at now: SkewPerHop per hop of systolic
+// distance on top of the compute latency, bottom row only under WS.
+func (s *scanShadow) open(now int64) {
+	c := s.c
+	for id := range s.doneAt {
+		coord := c.nw.Mesh().Coord(topology.NodeID(id))
+		s.submitted[id] = c.cfg.Dataflow == WeightStationary && coord.Row != c.rows-1
+		s.doneAt[id] = now + int64(c.cfg.SkewPerHop*(coord.Row+coord.Col)+c.cfg.computeLatency(c.rows))
+	}
 }
 
 func (s *scanShadow) Tick(cycle int64) {
-	if !s.c.Done() {
-		for i, id := range fullScanDue(s.c.submitted, s.c.doneAt, cycle) {
-			s.want = append(s.want, release{topology.NodeID(id), cycle, s.c.payloadSeq + uint64(i) + 1})
-		}
+	if s.c.Done() {
+		return
 	}
+	for _, id := range fullScanDue(s.submitted, s.doneAt, cycle) {
+		s.submitted[id] = true
+		s.seq++
+		s.want = append(s.want, release{topology.NodeID(id), cycle, s.seq})
+	}
+	round := s.c.Round()
 	s.c.Tick(cycle)
+	if s.c.Round() != round {
+		s.open(cycle)
+	}
 }
 
 // With completion staggered across the array, most scans that release
@@ -77,7 +99,8 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 							c.onPacket(p)
 						})
 					}
-					shadow := &scanShadow{c: c}
+					shadow := &scanShadow{c: c, doneAt: make([]int64, mesh*mesh), submitted: make([]bool, mesh*mesh)}
+					shadow.open(0)
 					nw.Engine().AddTicker(shadow)
 					if _, err := nw.Engine().RunUntil(c.Done, 1_000_000); err != nil {
 						t.Fatal(err)

@@ -13,16 +13,18 @@
 // C·R·R + T_MAC per round and only collection interacts with the network.
 // Streaming energy is accounted as operand-hops for the power model, since
 // the paper's Orion traces include the streamed operands (DESIGN.md §3).
+// Rounds are sequenced by the shared round loop (internal/round,
+// DESIGN.md §8).
 package systolic
 
 import (
 	"fmt"
-	"math"
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/round"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/topology"
 )
@@ -210,18 +212,14 @@ func (r *Result) ScaleFactor() float64 {
 	return float64(r.TotalRounds) / float64(r.RoundsSimulated)
 }
 
-type phase uint8
-
-const (
-	phaseStream phase = iota
-	phaseCollect
-	phaseDone
-)
-
-// Controller drives one layer run on a network. Register it as an engine
-// ticker (after the network's own components) and call Run, or embed it in
-// a larger schedule via Tick/Done.
+// Controller drives one layer run on a network: the round loop is the
+// embedded round.Loop (DESIGN.md §8), the controller supplies the completion
+// schedule, the result payloads and the global buffer's integrity check.
+// Call Run, or register it as an engine ticker (after the network's own
+// components) and drive it via Tick/Done.
 type Controller struct {
+	round.Loop
+
 	nw  *noc.Network
 	cfg Config
 
@@ -229,23 +227,9 @@ type Controller struct {
 	crr        int
 	expected   int
 
-	phase      phase
-	round      int
-	roundStart int64
-	roundsToDo int
-
-	// doneAt[i] is the cycle PE i finishes its MACs in the current round.
-	doneAt    []int64
-	submitted []bool
-	// nextDue is the earliest doneAt among PEs not yet submitted
-	// (math.MaxInt64 when there is none): releaseResults has nothing to do
-	// before that cycle.
-	nextDue int64
-
 	collected   int
 	seenSeq     map[uint64]bool
 	seenSrc     map[topology.NodeID]bool
-	payloadSeq  uint64
 	payloadErrs int
 
 	res Result
@@ -270,8 +254,6 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 		crr:  cfg.Layer.MACsPerPE(),
 	}
 	c.expected = cfg.resultsPerRound(c.rows, c.cols)
-	c.doneAt = make([]int64, c.rows*c.cols)
-	c.submitted = make([]bool, c.rows*c.cols)
 	c.seenSeq = make(map[uint64]bool, c.expected)
 	c.seenSrc = make(map[topology.NodeID]bool, c.expected)
 
@@ -286,7 +268,7 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 		}
 		sim = int(total)
 	}
-	c.roundsToDo = sim
+	c.Init(c, c.rows*c.cols, sim)
 
 	c.res = Result{
 		Layer: cfg.Layer, Mode: cfg.Mode, Dataflow: cfg.Dataflow,
@@ -311,7 +293,7 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 		sink.OnReceive(c.onPacket)
 	}
 
-	c.startRound(0)
+	c.Start(0)
 	return c, nil
 }
 
@@ -339,46 +321,33 @@ func (c *Controller) onPacket(p *nic.ReceivedPacket) {
 // the run and executes the configured rounds, returning the finalized
 // result. Call at most once.
 func (c *Controller) Run(maxCycles int64) (*Result, error) {
-	if _, err := c.nw.Engine().RunWith(c, c.Done, maxCycles); err != nil {
+	if _, err := c.Loop.Run(c.nw.Engine(), maxCycles); err != nil {
 		return nil, fmt.Errorf("systolic: %s %s on %dx%d: %w",
 			c.cfg.Layer.Name, c.cfg.Mode, c.rows, c.cols, err)
 	}
 	return c.Result(), nil
 }
 
-func (c *Controller) startRound(now int64) {
-	c.roundStart = now
+// BeginRound resets the buffer's per-round account and declares the
+// completion schedule (round.Hooks): participating PEs finish the round's
+// streaming+compute time after the round start, optionally staggered by the
+// wavefront skew (SkewPerHop × systolic distance). Under WS only the bottom
+// row emits results.
+func (c *Controller) BeginRound(now int64) {
 	c.collected = 0
-	clearBoolSlice(c.submitted)
-	for k := range c.seenSeq {
-		delete(c.seenSeq, k)
-	}
-	for k := range c.seenSrc {
-		delete(c.seenSrc, k)
-	}
-	// Completion schedule: participating PEs finish the round's
-	// streaming+compute time after the round start, optionally staggered
-	// by the wavefront skew (SkewPerHop × systolic distance). Under WS
-	// only the bottom row emits results; the other PEs are pre-marked
-	// submitted so the release loop skips them.
+	clear(c.seenSeq)
+	clear(c.seenSrc)
 	base := c.cfg.computeLatency(c.rows)
-	c.nextDue = math.MaxInt64
 	for row := 0; row < c.rows; row++ {
+		if c.cfg.Dataflow == WeightStationary && row != c.rows-1 {
+			continue
+		}
 		for col := 0; col < c.cols; col++ {
 			id := int(c.nw.Mesh().ID(topology.Coord{Row: row, Col: col}))
-			if c.cfg.Dataflow == WeightStationary && row != c.rows-1 {
-				c.submitted[id] = true
-				continue
-			}
-			c.doneAt[id] = now + int64(c.cfg.SkewPerHop*(row+col)+base)
-			c.nextDue = min(c.nextDue, c.doneAt[id])
+			c.Ready(id, now+int64(c.cfg.SkewPerHop*(row+col)+base))
 		}
 	}
-	c.phase = phaseStream
 }
-
-// Done reports whether all simulated rounds completed.
-func (c *Controller) Done() bool { return c.phase == phaseDone }
 
 // Result finalizes and returns the run summary. Call after Done.
 func (c *Controller) Result() *Result {
@@ -414,72 +383,37 @@ func (c *Controller) Result() *Result {
 	return &r
 }
 
-// Tick advances the controller: it releases results as PEs finish and
-// closes rounds when the global buffer has every payload.
-func (c *Controller) Tick(cycle int64) {
-	switch c.phase {
-	case phaseDone:
-		return
-	case phaseStream, phaseCollect:
-		c.releaseResults(cycle)
-		if c.collected >= c.expected {
-			c.finishRound(cycle)
-		}
+// Inject releases PE id's result toward its row's global-buffer port
+// (round.Hooks): a unicast packet under RU; under gather the row's leftmost
+// PE launches the gather packet and the others offer their payload to it.
+func (c *Controller) Inject(id int, cycle int64) {
+	node := topology.NodeID(id)
+	coord := c.nw.Mesh().Coord(node)
+	dst := c.nw.RowSinkID(coord.Row)
+	p := flit.Payload{
+		Seq: c.NextSeq(), Src: node, Dst: dst,
+		Bits:       c.nw.Config().PayloadBits,
+		Value:      uint64(id)<<32 | uint64(c.Round()),
+		ReadyCycle: cycle,
+	}
+	nicAt := c.nw.NIC(node)
+	switch {
+	case c.cfg.Mode == RepetitiveUnicast:
+		nicAt.SendUnicastPayload(dst, p)
+	case coord.Col == 0:
+		nicAt.SendGather(dst, &p)
+	default:
+		nicAt.SubmitGatherPayload(p)
 	}
 }
 
-func (c *Controller) releaseResults(cycle int64) {
-	if cycle < c.nextDue {
-		return
-	}
-	c.nextDue = math.MaxInt64
-	mesh := c.nw.Mesh()
-	for id := 0; id < mesh.NumNodes(); id++ {
-		if c.submitted[id] {
-			continue
-		}
-		if c.doneAt[id] > cycle {
-			c.nextDue = min(c.nextDue, c.doneAt[id])
-			continue
-		}
-		c.submitted[id] = true
-		c.phase = phaseCollect
-		node := topology.NodeID(id)
-		coord := mesh.Coord(node)
-		dst := c.nw.RowSinkID(coord.Row)
-		c.payloadSeq++
-		p := flit.Payload{
-			Seq: c.payloadSeq, Src: node, Dst: dst,
-			Bits:       c.nw.Config().PayloadBits,
-			Value:      uint64(id)<<32 | uint64(c.round),
-			ReadyCycle: cycle,
-		}
-		nicAt := c.nw.NIC(node)
-		switch {
-		case c.cfg.Mode == RepetitiveUnicast:
-			nicAt.SendUnicastPayload(dst, p)
-		case coord.Col == 0:
-			nicAt.SendGather(dst, &p)
-		default:
-			nicAt.SubmitGatherPayload(p)
-		}
-	}
-}
+// Advance reports whether the global buffer has every payload of the round
+// (round.Hooks).
+func (c *Controller) Advance(int64) bool { return c.collected >= c.expected }
 
-func (c *Controller) finishRound(cycle int64) {
-	latency := cycle - c.roundStart
+// RoundClosed samples the closed round's full and collection-only latencies
+// (round.Hooks).
+func (c *Controller) RoundClosed(latency int64) {
 	c.res.RoundCycles.Observe(float64(latency))
 	c.res.CollectionCycles.Observe(float64(latency) - float64(c.cfg.computeLatency(c.rows)))
-	c.round++
-	if c.round >= c.roundsToDo {
-		c.phase = phaseDone
-		return
-	}
-	c.startRound(cycle)
-}
-
-func clearBoolSlice(s []bool) {
-	for i := range s {
-		s[i] = false
-	}
 }

@@ -2,12 +2,12 @@ package traffic
 
 import (
 	"fmt"
-	"math"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/reduce"
+	"gathernoc/internal/round"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/topology"
 )
@@ -152,7 +152,10 @@ type rowAcc struct {
 // network: per round every PE submits its partial sum under the configured
 // scheme, the row-collection targets reassemble the row reductions, and
 // each round's result is checked bit for bit against a software reduction
-// oracle.
+// oracle. The round loop, the workload tag (it stamps injected packets,
+// namespaces payload sequence numbers and is encoded into every ReduceID, so
+// concurrent controllers on one fabric never collide) and the
+// foreign-payload hook are the embedded round.Loop's (DESIGN.md §8).
 //
 // The controller carries no topology assumptions: initiators, targets and
 // δ scaling all come from the network's RowCollect plan, so the same
@@ -160,51 +163,20 @@ type rowAcc struct {
 // east-column PEs on a torus (where two initiators per row cover the
 // ring, see noc.RowCollect).
 type AccumulationController struct {
+	round.Loop
+
 	nw    *noc.Network
 	cfg   AccumulationConfig
 	plans []noc.RowCollect
 
 	rows, cols int
 
-	// tag is the workload job/phase identity (zero standalone): it stamps
-	// injected packets, namespaces payload sequence numbers and is encoded
-	// into every ReduceID, so concurrent controllers on one fabric never
-	// collide.
-	tag flit.Tag
-	// foreign, when set, receives payloads whose ReduceID carries another
-	// controller's tag — a collective packet of one phase may pick up
-	// another phase's payloads en route to a shared sink, and the workload
-	// scheduler routes them home through this hook.
-	foreign func(flit.Payload)
-
-	phase      phase
-	round      int
-	roundStart int64
-
-	doneAt    []int64
-	submitted []bool
-	// nextDue is the earliest doneAt among operands not yet submitted
-	// (math.MaxInt64 when there is none): releaseOperands has nothing to
-	// do before that cycle.
-	nextDue int64
-	// pendingOps counts the current round's not-yet-submitted operands;
-	// zero in the final round means injection is complete (Injected).
-	pendingOps int
-
 	acc      []rowAcc
 	rowsDone int
 	oracle   *reduce.Oracle
-	seq      uint64
 
 	res AccumulationResult
 }
-
-type phase uint8
-
-const (
-	phaseRun phase = iota
-	phaseDone
-)
 
 // NewAccumulationController prepares a standalone accumulation run on nw.
 // It wires the row-collection target callbacks and scales the collection
@@ -222,7 +194,7 @@ func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*Accumu
 			nw.NIC(c.plans[row].Target).OnReceive(c.OnPacket)
 		}
 	}
-	c.startRound(0)
+	c.Start(0)
 	return c, nil
 }
 
@@ -246,8 +218,6 @@ func NewAccumulationDriver(nw *noc.Network, cfg AccumulationConfig) (*Accumulati
 		rows: nc.Rows,
 		cols: nc.Cols,
 	}
-	c.doneAt = make([]int64, c.rows*c.cols)
-	c.submitted = make([]bool, c.rows*c.cols)
 	c.acc = make([]rowAcc, c.rows)
 	c.oracle = reduce.NewOracle()
 	c.plans = make([]noc.RowCollect, c.rows)
@@ -267,7 +237,7 @@ func NewAccumulationDriver(nw *noc.Network, cfg AccumulationConfig) (*Accumulati
 		Scheme: cfg.Scheme, Rows: c.rows, Cols: c.cols,
 		Rounds: rounds, TotalRounds: total,
 	}
-	c.cfg.Rounds = rounds
+	c.Init(c, c.rows*c.cols, rounds)
 
 	// Per-node δ: a node waits δ·DeltaScale (1 + its distance from the
 	// initiator sweeping it) before self-initiating, so packets already
@@ -288,44 +258,10 @@ func NewAccumulationDriver(nw *noc.Network, cfg AccumulationConfig) (*Accumulati
 	return c, nil
 }
 
-// SetTag assigns the workload tag encoded into this controller's packets,
-// payload sequence numbers and ReduceIDs (workload.Taggable; the scheduler
-// calls it before Start). The zero tag reproduces the historic untagged
-// encodings bit for bit.
-func (c *AccumulationController) SetTag(t flit.Tag) { c.tag = t }
-
-// SetForeignPayloadHandler installs the hook receiving payloads that
-// arrived in this phase's packets but belong to another phase
-// (workload.ForeignPayloadRouter). Without one, foreign payloads are
-// counted as oracle errors.
-func (c *AccumulationController) SetForeignPayloadHandler(fn func(flit.Payload)) { c.foreign = fn }
-
-// Start begins the first round at the given cycle (workload.Driver).
-func (c *AccumulationController) Start(cycle int64) { c.startRound(cycle) }
-
-// Injected reports whether every operand of the final simulated round has
-// been submitted (workload.Driver: overlap successors may start while the
-// last round's collection still drains).
-func (c *AccumulationController) Injected() bool {
-	return c.phase == phaseDone || (c.round == c.cfg.Rounds-1 && c.pendingOps == 0)
-}
-
-// Drained reports whether all simulated rounds completed and verified
-// (workload.Driver: barrier successors may start).
-func (c *AccumulationController) Drained() bool { return c.Done() }
-
 // reduceID tags row r's reduction of the current round with this
 // controller's workload tag.
 func (c *AccumulationController) reduceID(row int) uint64 {
-	return flit.TaggedReduceID(c.tag, row, uint32(c.round))
-}
-
-// nextSeq allocates a payload sequence number namespaced by the workload
-// tag, so concurrent controllers sharing a NIC's wait lists and stations
-// never collide (zero tag: the historic bare counter).
-func (c *AccumulationController) nextSeq() uint64 {
-	c.seq++
-	return uint64(c.tag)<<32 | c.seq
+	return flit.TaggedReduceID(c.Tag(), row, uint32(c.Round()))
 }
 
 // operandValue derives the deterministic synthetic partial sum PE id
@@ -336,25 +272,20 @@ func operandValue(id int, round int) uint64 {
 	return (uint64(id)+1)*0x9E3779B97F4A7C15 + (uint64(round)+3)*0xD1B54A32D192ED03
 }
 
-func (c *AccumulationController) startRound(now int64) {
-	c.roundStart = now
+// BeginRound resets the per-row accounts, declares every PE's partial sum
+// ready after the compute latency and loads the oracle with the round's
+// operands (round.Hooks).
+func (c *AccumulationController) BeginRound(now int64) {
 	c.rowsDone = 0
 	c.oracle = reduce.NewOracle()
-	for i := range c.acc {
-		c.acc[i] = rowAcc{}
-	}
-	for i := range c.submitted {
-		c.submitted[i] = false
-	}
-	c.pendingOps = len(c.submitted)
-	c.nextDue = now + int64(c.cfg.ComputeLatency)
+	clear(c.acc)
 	topo := c.nw.Topology()
 	for row := 0; row < c.rows; row++ {
 		rid := c.reduceID(row)
 		for col := 0; col < c.cols; col++ {
 			id := int(topo.ID(topology.Coord{Row: row, Col: col}))
-			c.doneAt[id] = now + int64(c.cfg.ComputeLatency)
-			c.oracle.Add(rid, operandValue(id, c.round))
+			c.Ready(id, now+int64(c.cfg.ComputeLatency))
+			c.oracle.Add(rid, operandValue(id, c.Round()))
 		}
 	}
 }
@@ -366,13 +297,7 @@ func (c *AccumulationController) startRound(now int64) {
 // routed through the foreign handler instead.
 func (c *AccumulationController) OnPacket(p *nic.ReceivedPacket) {
 	c.res.PacketLatency.Observe(float64(p.Latency()))
-	for _, pl := range p.Payloads {
-		if flit.ReduceIDTag(pl.ReduceID) != c.tag && c.foreign != nil {
-			c.foreign(pl)
-			continue
-		}
-		c.OnPayload(pl)
-	}
+	c.Route(p, c.OnPayload)
 }
 
 // OnPayload folds one delivered payload into its row's account and checks
@@ -381,8 +306,8 @@ func (c *AccumulationController) OnPacket(p *nic.ReceivedPacket) {
 // as oracle errors.
 func (c *AccumulationController) OnPayload(pl flit.Payload) {
 	row := flit.ReduceIDRow(pl.ReduceID)
-	if flit.ReduceIDTag(pl.ReduceID) != c.tag || row >= c.rows ||
-		flit.ReduceIDRound(pl.ReduceID) != uint32(c.round) {
+	if flit.ReduceIDTag(pl.ReduceID) != c.Tag() || row >= c.rows ||
+		flit.ReduceIDRound(pl.ReduceID) != uint32(c.Round()) {
 		c.res.OracleErrors++
 		return
 	}
@@ -403,80 +328,52 @@ func (c *AccumulationController) OnPayload(pl flit.Payload) {
 	}
 }
 
-// Tick advances the controller: operand release and round bookkeeping.
-func (c *AccumulationController) Tick(cycle int64) {
-	if c.phase == phaseDone {
-		return
+// Inject submits PE id's partial sum under the configured scheme
+// (round.Hooks): initiators launch the row's collective packet, the other
+// PEs offer their operand to it.
+func (c *AccumulationController) Inject(id int, cycle int64) {
+	node := topology.NodeID(id)
+	plan := &c.plans[c.nw.Topology().Coord(node).Row]
+	dst := plan.Target
+	rid := c.reduceID(plan.Row)
+	p := flit.Payload{
+		Seq: c.NextSeq(), Src: node, Dst: dst,
+		Bits:       c.nw.Config().PayloadBits,
+		Value:      operandValue(id, c.Round()),
+		ReadyCycle: cycle,
+		ReduceID:   rid,
+		Ops:        1,
 	}
-	c.releaseOperands(cycle)
-	if c.rowsDone >= c.rows {
-		c.finishRound(cycle)
-	}
-}
-
-func (c *AccumulationController) releaseOperands(cycle int64) {
-	if cycle < c.nextDue {
-		return
-	}
-	c.nextDue = math.MaxInt64
-	topo := c.nw.Topology()
-	for id := 0; id < topo.NumNodes(); id++ {
-		if c.submitted[id] {
-			continue
-		}
-		if c.doneAt[id] > cycle {
-			c.nextDue = min(c.nextDue, c.doneAt[id])
-			continue
-		}
-		c.submitted[id] = true
-		c.pendingOps--
-		node := topology.NodeID(id)
-		plan := &c.plans[topo.Coord(node).Row]
-		dst := plan.Target
-		rid := c.reduceID(plan.Row)
-		p := flit.Payload{
-			Seq: c.nextSeq(), Src: node, Dst: dst,
-			Bits:       c.nw.Config().PayloadBits,
-			Value:      operandValue(id, c.round),
-			ReadyCycle: cycle,
-			ReduceID:   rid,
-			Ops:        1,
-		}
-		nicAt := c.nw.NIC(node)
-		nicAt.SetTag(c.tag)
-		switch {
-		case c.cfg.Scheme == CollectUnicast:
-			nicAt.SendUnicastPayload(dst, p)
-		case plan.IsInitiator(node) && c.cfg.Scheme == CollectGather:
-			nicAt.SendGather(dst, &p)
-		case plan.IsInitiator(node):
-			nicAt.SendAccumulate(dst, rid, p)
-		case c.cfg.Scheme == CollectGather:
-			nicAt.SubmitGatherPayload(p)
-		default:
-			nicAt.SubmitReduceOperand(p)
-		}
+	nicAt := c.nw.NIC(node)
+	nicAt.SetTag(c.Tag())
+	switch {
+	case c.cfg.Scheme == CollectUnicast:
+		nicAt.SendUnicastPayload(dst, p)
+	case plan.IsInitiator(node) && c.cfg.Scheme == CollectGather:
+		nicAt.SendGather(dst, &p)
+	case plan.IsInitiator(node):
+		nicAt.SendAccumulate(dst, rid, p)
+	case c.cfg.Scheme == CollectGather:
+		nicAt.SubmitGatherPayload(p)
+	default:
+		nicAt.SubmitReduceOperand(p)
 	}
 }
 
-func (c *AccumulationController) finishRound(cycle int64) {
-	c.res.RoundCycles.Observe(float64(cycle - c.roundStart))
-	c.round++
-	if c.round >= c.cfg.Rounds {
-		c.phase = phaseDone
-		return
-	}
-	c.startRound(cycle)
-}
+// Advance reports whether every row's reduction has landed and verified
+// (round.Hooks).
+func (c *AccumulationController) Advance(int64) bool { return c.rowsDone >= c.rows }
 
-// Done reports whether all simulated rounds completed.
-func (c *AccumulationController) Done() bool { return c.phase == phaseDone }
+// RoundClosed samples the closed round's latency (round.Hooks).
+func (c *AccumulationController) RoundClosed(latency int64) {
+	c.res.RoundCycles.Observe(float64(latency))
+}
 
 // Run registers the controller with the network's engine for the length of
 // the run and executes the configured rounds, returning the finalized
 // result. Call at most once.
 func (c *AccumulationController) Run(maxCycles int64) (*AccumulationResult, error) {
-	cycles, err := c.nw.Engine().RunWith(c, c.Done, maxCycles)
+	cycles, err := c.Loop.Run(c.nw.Engine(), maxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("traffic: accumulation %s on %dx%d: %w",
 			c.cfg.Scheme, c.rows, c.cols, err)

@@ -1,7 +1,9 @@
 // Package traffic provides synthetic workload generators for the NoC
 // (uniform random, transpose, bit-complement, hotspot, many-to-one) and a
 // JSON trace format with record/replay support — the stand-in for the
-// paper's PyTorch-generated convolution-layer traces.
+// paper's PyTorch-generated convolution-layer traces. The accumulation-phase
+// workload (AccumulationController) sequences its rounds with the shared
+// round loop (internal/round, DESIGN.md §8).
 package traffic
 
 import (

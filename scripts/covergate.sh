@@ -18,7 +18,6 @@ cd "$(dirname "$0")/.."
 # examples/ programs are exercised by CI's run-every-example step, not
 # by tests, so they carry no floors either.
 floors="
-gathernoc/cmd/benchreport 6
 gathernoc/cmd/cnntrace 85
 gathernoc/cmd/experiments 56
 gathernoc/cmd/gatherviz 91
@@ -36,6 +35,7 @@ gathernoc/internal/noc 87
 gathernoc/internal/power 99
 gathernoc/internal/reduce 87
 gathernoc/internal/ring 94
+gathernoc/internal/round 99
 gathernoc/internal/router 87
 gathernoc/internal/sim 93
 gathernoc/internal/stats 95
