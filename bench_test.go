@@ -2,10 +2,10 @@
 // repository benchmark (bench/, BENCHMARK.json) has no workload for: one row
 // collection under gather and under in-network accumulation, the
 // accumulation-phase scheme comparison, the δ and buffer-transaction-cost
-// ablation points, the Fig. 1 hop count and the standalone generator. What a
-// user runs end to end (the paper artifacts cold and warm, engine stepping
-// and scaling, telemetry and fault overhead, pipelines, multi-job batches,
-// collectives, checkpoints) is measured by bench/ and nowhere else.
+// ablation points and the Fig. 1 hop count. What a user runs end to end (the
+// paper artifacts cold and warm, engine stepping and scaling, telemetry and
+// fault overhead, pipelines, multi-job batches, collectives, checkpoints) is
+// measured by bench/ and nowhere else.
 //
 //	go test -run '^$' -bench . -benchtime 1x
 package gathernoc
@@ -19,8 +19,6 @@ import (
 	"gathernoc/internal/experiments"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/systolic"
-	"gathernoc/internal/topology"
-	"gathernoc/internal/traffic"
 )
 
 var benchOpts = core.Options{Rounds: 1}
@@ -79,33 +77,6 @@ func BenchmarkAblationSinkCost(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterThroughput measures raw simulator speed: cycles per
-// second on an 8x8 mesh under moderate uniform traffic.
-func BenchmarkRouterThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := noc.DefaultConfig(8, 8)
-		cfg.EastSinks = false
-		nw, err := noc.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-			Pattern:       traffic.UniformRandom{Nodes: 64},
-			InjectionRate: 0.05,
-			PacketFlits:   2,
-			Warmup:        100,
-			Measure:       900,
-			Seed:          1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := gen.Run(1_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkINAComparison regenerates the accumulation-phase comparison
 // (unicast vs gather vs in-network accumulation) on the 8x8 mesh through
 // the sweep harness, reporting INA's sink-flit advantage over gather.
@@ -129,10 +100,10 @@ func BenchmarkINAComparison(b *testing.B) {
 	b.ReportMetric(inaFlits, "ina-sinkflits/row")
 }
 
-// BenchmarkINARowReduction measures one in-network row reduction: the
-// microbenchmark version of the INA mechanism, the accumulate twin of
-// BenchmarkGatherRowCollection.
-func BenchmarkINARowReduction(b *testing.B) {
+// benchRow runs one row collection of an 8x8 mesh under the given
+// scheme: every PE of row 0 releases its payload through noc.Network.Submit,
+// the sender side the controllers use.
+func benchRow(b *testing.B, scheme noc.CollectScheme) {
 	for i := 0; i < b.N; i++ {
 		cfg := noc.DefaultConfig(8, 8)
 		cfg.EnableINA = true
@@ -140,43 +111,23 @@ func BenchmarkINARowReduction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dst := nw.RowSinkID(0)
-		for col := 1; col < 8; col++ {
-			id := nw.Mesh().ID(topology.Coord{Row: 0, Col: col})
-			nw.NIC(id).SetReduceDelta(5 * int64(1+col))
-			p := flitPayload(uint64(col), id, dst)
+		line := nw.RowLine(0, true)
+		for col, id := range line.Nodes {
+			p := flitPayload(uint64(col), id, line.Target)
 			p.Ops = 1
-			nw.NIC(id).SubmitReduceOperand(p)
+			nw.Submit(&line, col, scheme, 0, p)
 		}
-		left := nw.Mesh().ID(topology.Coord{Row: 0, Col: 0})
-		own := flitPayload(0, left, dst)
-		own.Ops = 1
-		nw.NIC(left).SendAccumulate(dst, 0, own)
 		if _, err := nw.RunUntilQuiescent(100000); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkGatherRowCollection measures one row-collection on the NoC: the
+// BenchmarkINARowReduction measures one in-network row reduction: the
+// microbenchmark version of the INA mechanism, the accumulate twin of
+// BenchmarkGatherRow.
+func BenchmarkINARowReduction(b *testing.B) { benchRow(b, noc.CollectINA) }
+
+// BenchmarkGatherRow measures one gather row collection on the NoC: the
 // microbenchmark version of the paper's mechanism.
-func BenchmarkGatherRowCollection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		nw, err := noc.New(noc.DefaultConfig(8, 8))
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := nw.RowSinkID(0)
-		for col := 1; col < 8; col++ {
-			id := nw.Mesh().ID(topology.Coord{Row: 0, Col: col})
-			nw.NIC(id).SetDelta(5 * int64(1+col))
-			nw.NIC(id).SubmitGatherPayload(flitPayload(uint64(col), id, dst))
-		}
-		left := nw.Mesh().ID(topology.Coord{Row: 0, Col: 0})
-		own := flitPayload(0, left, dst)
-		nw.NIC(left).SendGather(dst, &own)
-		if _, err := nw.RunUntilQuiescent(100000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkGatherRow(b *testing.B) { benchRow(b, noc.CollectGather) }

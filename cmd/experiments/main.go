@@ -43,12 +43,92 @@ func main() {
 // artifact pairs a machine-readable result with its rendered text form.
 type artifact struct {
 	name string
-	run  func() (data any, text string, err error)
+	run  func(experiments.Options) (data any, text string, err error)
+}
+
+// rows is the one artifact shape: run produces the machine-readable result,
+// render its text form.
+func rows[T any](name string, run func(experiments.Options) (T, error), render func(T) string) artifact {
+	return artifact{name: name, run: func(opts experiments.Options) (any, string, error) {
+		r, err := run(opts)
+		if err != nil {
+			return nil, "", err
+		}
+		return r, render(r), nil
+	}}
+}
+
+// static is a table that needs no simulation; its JSON form is its text.
+func static(name string, text func() string) artifact {
+	return artifact{name: name, run: func(experiments.Options) (any, string, error) {
+		t := text()
+		return map[string]string{name: t}, t, nil
+	}}
+}
+
+func figure(name, title string, fn func(experiments.Options) ([]experiments.ImprovementRow, error)) artifact {
+	return rows(name, fn, func(r []experiments.ImprovementRow) string {
+		return experiments.RenderImprovements(title, "% improvement, gather vs repetitive unicast", r)
+	})
+}
+
+func ablation(name, title string, fn func(experiments.Options) ([]experiments.AblationRow, error)) artifact {
+	return rows(name, fn, func(r []experiments.AblationRow) string { return experiments.RenderAblation(title, r) })
+}
+
+// fullModel adapts the whole-model runs, which take the mesh size first.
+func fullModel(fn func(int, experiments.Options) (*experiments.ModelResult, error)) func(experiments.Options) (*experiments.ModelResult, error) {
+	return func(opts experiments.Options) (*experiments.ModelResult, error) { return fn(8, opts) }
+}
+
+// artifacts lists everything -exp can name, in the order -exp all prints it.
+var artifacts = []artifact{
+	static("table1", func() string {
+		return experiments.RenderTable1(8, 8) + "\n" + experiments.RenderTable1(16, 16)
+	}),
+	rows("table2", experiments.Table2, experiments.RenderTable2),
+	static("table3", experiments.RenderTable3),
+	rows("fig1", func(experiments.Options) (experiments.Fig1Result, error) { return experiments.Fig1(), nil }, experiments.RenderFig1),
+	figure("fig7", "Fig. 7: total-latency improvement, AlexNet", experiments.Fig7),
+	figure("fig8", "Fig. 8: total-latency improvement, VGG-16", experiments.Fig8),
+	figure("fig9", "Fig. 9: NoC power improvement, AlexNet", experiments.Fig9),
+	figure("fig10", "Fig. 10: NoC power improvement, VGG-16", experiments.Fig10),
+	ablation("delta", "Ablation: flat delta sweep (AlexNet Conv3, 8x8)", experiments.AblationDelta),
+	ablation("eta", "Ablation: gather capacity sweep", experiments.AblationEta),
+	ablation("gathervc", "Ablation: dedicated gather VC (0=shared, 1=dedicated)", experiments.AblationGatherVC),
+	ablation("vcs", "Ablation: virtual channel count", experiments.AblationVCs),
+	ablation("depth", "Ablation: buffer depth", experiments.AblationBufferDepth),
+	ablation("sinkcost", "Ablation: buffer transaction cost per packet", experiments.AblationSinkCost),
+	ablation("skew", "Ablation: completion stagger per hop", experiments.AblationSkew),
+	ablation("routing", "Ablation: routing algorithm (0=XY, 1=west-first)", experiments.AblationRouting),
+	rows("ina", experiments.INAComparison, experiments.RenderINA),
+	rows("collectives", experiments.CollectiveComparison, experiments.RenderCollectives),
+	rows("topology", experiments.TopologyComparison, experiments.RenderTopologyComparison),
+	rows("dataflow", experiments.Dataflows, experiments.RenderDataflows),
+	rows("mixed", experiments.MixedTraffic, experiments.RenderMixedTraffic),
+	rows("faults", experiments.FaultSweep, experiments.RenderFaultSweep),
+	rows("streaming", func(experiments.Options) (*experiments.StreamingRow, error) {
+		return experiments.StreamingOverNoC(64)
+	}, experiments.RenderStreaming),
+	rows("fullmodel", fullModel(experiments.FullAlexNet), experiments.RenderModel),
+	rows("fullvgg", fullModel(experiments.FullVGG16), experiments.RenderModel),
+	rows("pipeline", experiments.PipelineComparison, experiments.RenderPipeline),
+	rows("multijob", experiments.MultiJob, experiments.RenderMultiJob),
+}
+
+// artifactNames is "all" followed by every artifact name, comma-separated:
+// the -exp usage string and the unknown-experiment error both print it.
+func artifactNames() string {
+	names := []string{"all"}
+	for _, a := range artifacts {
+		names = append(names, a.name)
+	}
+	return strings.Join(names, ", ")
 }
 
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "artifact to regenerate (all, table1, table2, table3, fig1, fig7, fig8, fig9, fig10, delta, eta, gathervc, vcs, depth, sinkcost, skew, routing, ina, collectives, topology, dataflow, mixed, streaming, fullmodel, fullvgg, faults, pipeline, multijob)")
+	exp := fs.String("exp", "all", "artifact to regenerate ("+artifactNames()+")")
 	rounds := fs.Int("rounds", 2, "systolic rounds to simulate per run")
 	format := fs.String("format", "text", "output format (text, json)")
 	workers := fs.Int("workers", 0, "parallel simulation workers per sweep (0 = GOMAXPROCS, 1 = serial)")
@@ -83,124 +163,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}()
 	}
 
-	artifacts := []artifact{
-		{"table1", func() (any, string, error) {
-			text := experiments.RenderTable1(8, 8) + "\n" + experiments.RenderTable1(16, 16)
-			return map[string]string{"table1": text}, text, nil
-		}},
-		{"table2", func() (any, string, error) {
-			rows, err := experiments.Table2(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderTable2(rows), nil
-		}},
-		{"table3", func() (any, string, error) {
-			text := experiments.RenderTable3()
-			return map[string]string{"table3": text}, text, nil
-		}},
-		{"fig1", func() (any, string, error) {
-			r := experiments.Fig1()
-			return r, experiments.RenderFig1(r), nil
-		}},
-		figure("fig7", "Fig. 7: total-latency improvement, AlexNet", experiments.Fig7, opts),
-		figure("fig8", "Fig. 8: total-latency improvement, VGG-16", experiments.Fig8, opts),
-		figure("fig9", "Fig. 9: NoC power improvement, AlexNet", experiments.Fig9, opts),
-		figure("fig10", "Fig. 10: NoC power improvement, VGG-16", experiments.Fig10, opts),
-		ablation("delta", "Ablation: flat delta sweep (AlexNet Conv3, 8x8)", experiments.AblationDelta, opts),
-		ablation("eta", "Ablation: gather capacity sweep", experiments.AblationEta, opts),
-		ablation("gathervc", "Ablation: dedicated gather VC (0=shared, 1=dedicated)", experiments.AblationGatherVC, opts),
-		ablation("vcs", "Ablation: virtual channel count", experiments.AblationVCs, opts),
-		ablation("depth", "Ablation: buffer depth", experiments.AblationBufferDepth, opts),
-		ablation("sinkcost", "Ablation: buffer transaction cost per packet", experiments.AblationSinkCost, opts),
-		ablation("skew", "Ablation: completion stagger per hop", experiments.AblationSkew, opts),
-		ablation("routing", "Ablation: routing algorithm (0=XY, 1=west-first)", experiments.AblationRouting, opts),
-		{"ina", func() (any, string, error) {
-			rows, err := experiments.INAComparison(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderINA(rows), nil
-		}},
-		{"collectives", func() (any, string, error) {
-			rows, err := experiments.CollectiveComparison(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderCollectives(rows), nil
-		}},
-		{"topology", func() (any, string, error) {
-			rows, err := experiments.TopologyComparison(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderTopologyComparison(rows), nil
-		}},
-		{"dataflow", func() (any, string, error) {
-			rows, err := experiments.Dataflows(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderDataflows(rows), nil
-		}},
-		{"mixed", func() (any, string, error) {
-			rows, err := experiments.MixedTraffic(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderMixedTraffic(rows), nil
-		}},
-		{"faults", func() (any, string, error) {
-			rows, err := experiments.FaultSweep(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderFaultSweep(rows), nil
-		}},
-		{"streaming", func() (any, string, error) {
-			r, err := experiments.StreamingOverNoC(64)
-			if err != nil {
-				return nil, "", err
-			}
-			return r, experiments.RenderStreaming(r), nil
-		}},
-		{"fullmodel", func() (any, string, error) {
-			r, err := experiments.FullAlexNet(8, opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return r, experiments.RenderModel(r), nil
-		}},
-		{"fullvgg", func() (any, string, error) {
-			r, err := experiments.FullVGG16(8, opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return r, experiments.RenderModel(r), nil
-		}},
-		{"pipeline", func() (any, string, error) {
-			rows, err := experiments.PipelineComparison(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return rows, experiments.RenderPipeline(rows), nil
-		}},
-		{"multijob", func() (any, string, error) {
-			r, err := experiments.MultiJob(opts)
-			if err != nil {
-				return nil, "", err
-			}
-			return r, experiments.RenderMultiJob(r), nil
-		}},
-	}
-
 	ran := 0
 	jsonOut := map[string]any{}
 	for _, a := range artifacts {
 		if *exp != "all" && *exp != a.name {
 			continue
 		}
-		data, text, err := a.run()
+		data, text, err := a.run(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.name, err)
 		}
@@ -212,11 +181,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		ran++
 	}
 	if ran == 0 {
-		names := make([]string, 0, len(artifacts))
-		for _, a := range artifacts {
-			names = append(names, a.name)
-		}
-		return fmt.Errorf("unknown experiment %q (have: all, %s)", *exp, strings.Join(names, ", "))
+		return fmt.Errorf("unknown experiment %q (have: %s)", *exp, artifactNames())
 	}
 	if *format == "json" {
 		enc := json.NewEncoder(w)
@@ -224,24 +189,4 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return enc.Encode(jsonOut)
 	}
 	return nil
-}
-
-func figure(name, title string, fn func(experiments.Options) ([]experiments.ImprovementRow, error), opts experiments.Options) artifact {
-	return artifact{name: name, run: func() (any, string, error) {
-		rows, err := fn(opts)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.RenderImprovements(title, "% improvement, gather vs repetitive unicast", rows), nil
-	}}
-}
-
-func ablation(name, title string, fn func(experiments.Options) ([]experiments.AblationRow, error), opts experiments.Options) artifact {
-	return artifact{name: name, run: func() (any, string, error) {
-		rows, err := fn(opts)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.RenderAblation(title, rows), nil
-	}}
 }

@@ -88,44 +88,30 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// simulateRow runs one row collection on a size×size network in the given
-// scheme ("gather" or "ina") and returns each column's payload pickup
+// simulateRow runs one row collection on a size×size network under the
+// given scheme (gather or INA) and returns each column's payload pickup
 // count — gather uploads or accumulation merges — plus the flits the sink
 // consumed.
-func simulateRow(size, row int, ina bool) ([]uint64, uint64, error) {
+func simulateRow(size, row int, scheme noc.CollectScheme) ([]uint64, uint64, error) {
 	cfg := noc.DefaultConfig(size, size)
 	cfg.EnableINA = true
 	nw, err := noc.New(cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	m := nw.Mesh()
-	dst := nw.RowSinkID(row)
-	for col := 1; col < size; col++ {
-		id := m.ID(topology.Coord{Row: row, Col: col})
-		p := flit.Payload{Seq: uint64(col), Src: id, Dst: dst, Value: uint64(col), Ops: 1}
-		if ina {
-			nw.NIC(id).SetReduceDelta(cfg.Delta * int64(1+col))
-			nw.NIC(id).SubmitReduceOperand(p)
-		} else {
-			nw.NIC(id).SetDelta(cfg.Delta * int64(1+col))
-			nw.NIC(id).SubmitGatherPayload(p)
-		}
-	}
-	left := m.ID(topology.Coord{Row: row, Col: 0})
-	own := flit.Payload{Seq: 0, Src: left, Dst: dst, Value: 0, Ops: 1}
-	if ina {
-		nw.NIC(left).SendAccumulate(dst, 0, own)
-	} else {
-		nw.NIC(left).SendGather(dst, &own)
+	line := nw.RowLine(row, true)
+	for col, id := range line.Nodes {
+		nw.Submit(&line, col, scheme, 0, flit.Payload{
+			Seq: uint64(col), Src: id, Dst: line.Target, Value: uint64(col), Ops: 1,
+		})
 	}
 	if _, err := nw.RunUntilQuiescent(1_000_000); err != nil {
 		return nil, 0, err
 	}
 	counts := make([]uint64, size)
-	for col := 0; col < size; col++ {
-		r := nw.Router(m.ID(topology.Coord{Row: row, Col: col}))
-		if ina {
+	for col, id := range line.Nodes {
+		r := nw.Router(id)
+		if scheme == noc.CollectINA {
 			counts[col] = r.Counters.ReduceMerges.Value()
 		} else {
 			counts[col] = r.Counters.GatherUploads.Value()
@@ -138,10 +124,10 @@ func simulateRow(size, row int, ina bool) ([]uint64, uint64, error) {
 // gather and INA collections of one row.
 func drawPickups(w io.Writer, size, row int) error {
 	for _, mode := range []struct {
-		name string
-		ina  bool
-	}{{"gather uploads", false}, {"ina merges", true}} {
-		counts, sinkFlits, err := simulateRow(size, row, mode.ina)
+		name   string
+		scheme noc.CollectScheme
+	}{{"gather uploads", noc.CollectGather}, {"ina merges", noc.CollectINA}} {
+		counts, sinkFlits, err := simulateRow(size, row, mode.scheme)
 		if err != nil {
 			return err
 		}

@@ -161,7 +161,7 @@ func run(args []string, w io.Writer) (err error) {
 	cfg := noc.DefaultConfig(*rows, *cols)
 	if *topo == "torus" {
 		// The torus has no east edge to hang global-buffer sinks off; row
-		// collection targets the east-column PEs (noc.RowCollect).
+		// collection targets the east-column PEs (noc.Network.RowLine).
 		cfg = noc.DefaultTorusConfig(*rows, *cols)
 	} else {
 		cfg.Topology = *topo
@@ -240,72 +240,51 @@ func run(args []string, w io.Writer) (err error) {
 		nw.Engine().SetWatchdog(nw.Watchdog(*watchdog))
 	}
 
-	// interruptedOK maps a SIGINT-triggered stop to a clean exit (partial
-	// results were already reported; artifacts flush in the defers above).
-	interruptedOK := func(err error) error {
-		if errors.Is(err, sim.ErrInterrupted) {
-			fmt.Fprintf(w, "interrupted    at cycle %d; flushing artifacts\n", nw.Engine().Cycle())
-			return nil
+	// Select the workload, then run the one tail every workload shares.
+	var workloadErr error
+	switch {
+	case *model != "":
+		workloadErr = runPipeline(nw, *model, *jobs, *rounds, *overlap, *maxCycles, w)
+	case *coll != "":
+		workloadErr = runCollectiveCLI(nw, *coll, *collAlg, *rounds, *maxCycles, w)
+	case *ina:
+		workloadErr = runINA(nw, *inaMode, *inaRounds, *maxCycles, w)
+	case *replayPath != "":
+		workloadErr = replay(nw, *replayPath, *maxCycles, w)
+	default:
+		patternName := *pattern
+		gcfg := traffic.GeneratorConfig{
+			InjectionRate: *rate,
+			PacketFlits:   *flits,
+			Warmup:        *warmup,
+			Measure:       *measure,
+			Seed:          *seed,
 		}
-		return err
+		if ck != nil {
+			patternName = ck.Pattern
+			gcfg = ck.Traffic
+		}
+		workloadErr = runGenerator(nw, patternName, gcfg, ck, *resumePath, *ckptPath, *ckptAt, *maxCycles, w)
 	}
+	// A SIGINT-triggered stop is a clean exit: partial results were already
+	// reported and the artifacts flush in the defers above.
+	if errors.Is(workloadErr, sim.ErrInterrupted) {
+		fmt.Fprintf(w, "interrupted    at cycle %d; flushing artifacts\n", nw.Engine().Cycle())
+	} else if workloadErr != nil {
+		return workloadErr
+	}
+	faultSummary(nw, w)
+	if *heatmap {
+		fmt.Fprint(w, nw.UtilizationHeatmap())
+	}
+	return nil
+}
 
-	if *model != "" {
-		if err := interruptedOK(runPipeline(nw, *model, *jobs, *rounds, *overlap, *maxCycles, w)); err != nil {
-			return err
-		}
-		faultSummary(nw, w)
-		if *heatmap {
-			fmt.Fprint(w, nw.UtilizationHeatmap())
-		}
-		return nil
-	}
-
-	if *coll != "" {
-		if err := interruptedOK(runCollectiveCLI(nw, *coll, *collAlg, *rounds, *maxCycles, w)); err != nil {
-			return err
-		}
-		faultSummary(nw, w)
-		if *heatmap {
-			fmt.Fprint(w, nw.UtilizationHeatmap())
-		}
-		return nil
-	}
-
-	if *ina {
-		if err := interruptedOK(runINA(nw, *inaMode, *inaRounds, *maxCycles, w)); err != nil {
-			return err
-		}
-		faultSummary(nw, w)
-		if *heatmap {
-			fmt.Fprint(w, nw.UtilizationHeatmap())
-		}
-		return nil
-	}
-
-	if *replayPath != "" {
-		if err := interruptedOK(replay(nw, *replayPath, *maxCycles, w)); err != nil {
-			return err
-		}
-		faultSummary(nw, w)
-		if *heatmap {
-			fmt.Fprint(w, nw.UtilizationHeatmap())
-		}
-		return nil
-	}
-
-	patternName := *pattern
-	gcfg := traffic.GeneratorConfig{
-		InjectionRate: *rate,
-		PacketFlits:   *flits,
-		Warmup:        *warmup,
-		Measure:       *measure,
-		Seed:          *seed,
-	}
-	if ck != nil {
-		patternName = ck.Pattern
-		gcfg = ck.Traffic
-	}
+// runGenerator drives the synthetic-traffic workload: open-loop injection
+// under the named pattern, optionally starting from a restored checkpoint
+// (ck) and optionally pausing to write one at cycle ckptAt.
+func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorConfig, ck *checkpointFile,
+	resumePath, ckptPath string, ckptAt, maxCycles int64, w io.Writer) error {
 	p, err := traffic.PatternByName(patternName, nw.Mesh())
 	if err != nil {
 		return err
@@ -327,35 +306,28 @@ func run(args []string, w io.Writer) (err error) {
 		if err := gen.RestoreState(ck.Generator); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "resumed        %s at cycle %d\n", *resumePath, eng.Cycle())
+		fmt.Fprintf(w, "resumed        %s at cycle %d\n", resumePath, eng.Cycle())
 	}
-	if *ckptPath != "" {
-		if eng.Cycle() >= *ckptAt {
-			return fmt.Errorf("-checkpointat %d is not ahead of cycle %d", *ckptAt, eng.Cycle())
+	if ckptPath != "" {
+		if eng.Cycle() >= ckptAt {
+			return fmt.Errorf("-checkpointat %d is not ahead of cycle %d", ckptAt, eng.Cycle())
 		}
-		atCkpt := func() bool { return eng.Cycle() >= *ckptAt }
-		if _, err := eng.RunUntil(atCkpt, *maxCycles); err != nil {
-			if errors.Is(err, sim.ErrInterrupted) {
-				fmt.Fprintf(w, "interrupted    at cycle %d; flushing artifacts\n", eng.Cycle())
-				return nil
-			}
+		atCkpt := func() bool { return eng.Cycle() >= ckptAt }
+		if _, err := eng.RunUntil(atCkpt, maxCycles); err != nil {
 			return err
 		}
-		if err := writeCheckpoint(*ckptPath, patternName, gcfg, nw, gen); err != nil {
+		if err := writeCheckpoint(ckptPath, patternName, gcfg, nw, gen); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "checkpoint     %s at cycle %d\n", *ckptPath, eng.Cycle())
+		fmt.Fprintf(w, "checkpoint     %s at cycle %d\n", ckptPath, eng.Cycle())
 	}
 	done := func() bool { return gen.Injected() && nw.Quiescent() }
-	cycles, err := eng.RunUntil(done, *maxCycles)
-	if errors.Is(err, sim.ErrInterrupted) {
-		fmt.Fprintf(w, "interrupted    at cycle %d; flushing artifacts\n", eng.Cycle())
-		return nil
-	}
+	cycles, err := eng.RunUntil(done, maxCycles)
 	if err != nil {
 		return err
 	}
 	res := gen.Result(cycles)
+	cfg := nw.Config()
 	fmt.Fprintf(w, "fabric         %dx%d %s (%s routing), %d VCs, depth %d\n",
 		cfg.Rows, cfg.Cols, nw.Topology().Name(), nw.Routing().Name(),
 		cfg.Router.VCs, cfg.Router.BufferDepth)
@@ -370,10 +342,6 @@ func run(args []string, w io.Writer) (err error) {
 	if total := eng.Evaluated() + eng.Skipped(); total > 0 {
 		fmt.Fprintf(w, "evaluations    %d of %d (%.1f%% slept)\n",
 			eng.Evaluated(), total, float64(eng.Skipped())/float64(total)*100)
-	}
-	faultSummary(nw, w)
-	if *heatmap {
-		fmt.Fprint(w, nw.UtilizationHeatmap())
 	}
 	return nil
 }

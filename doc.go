@@ -27,7 +27,7 @@
 // 2-D torus fabrics and XY dimension-order, west-first and odd-even
 // routing. On the torus, dimension-order routing exploits the wraparound
 // links under two dateline VC classes for deadlock freedom, and row
-// collection generalizes through noc.Network.RowCollect — two initiators
+// collection generalizes through noc.Network.RowLine — two initiators
 // cover each row ring where no single minimal route can. The paper's
 // mesh + XY configuration remains the bit-pinned default; DESIGN.md §7
 // documents the interfaces, the deadlock arguments and the extension

@@ -6,13 +6,14 @@
 // The reduction is a two-level tree built from noc.LineCollect plans
 // (DESIGN.md §13): each row first collects at its east-column PE exactly
 // like the paper's row gather — initiators, payload stations and δ-scaled
-// timeouts all reused — and the east column then collects those row sums
+// timeouts all reused, through the same noc.Network.Submit the row
+// workloads call — and the east column then collects those row sums
 // vertically at the tree root: the bottom-right PE, or, for a pure Reduce
 // on a fabric with east sinks, the bottom row's global-buffer sink. The
 // broadcast leg is the reverse tree, one multicast packet fanning the
 // value out over the XY multicast tree (PT=M, topology.MulticastRoute).
 // Plans are wrap-aware: on a torus each line is covered by two directional
-// arcs, exactly as noc.RowCollect covers a row ring.
+// arcs (noc.LineCollect).
 //
 // Three algorithms transport the same semantics:
 //
@@ -98,6 +99,15 @@ const (
 	// level; needs noc.Config.EnableINA.
 	AlgFused
 )
+
+// scheme maps the tree-level algorithms onto the network's collection
+// transport (AlgFlat bypasses the tree's line plans altogether).
+func (a Algorithm) scheme() noc.CollectScheme {
+	if a == AlgFused {
+		return noc.CollectINA
+	}
+	return noc.CollectGather
+}
 
 // String names the algorithm.
 func (a Algorithm) String() string {

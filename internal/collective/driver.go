@@ -39,10 +39,12 @@ type acct struct {
 //
 // The driver carries no topology assumptions: initiators, targets, sweep
 // membership and δ scaling all come from the TreePlan's LineCollect
-// plans, so the same workload runs on the paper's sink mesh and on a
-// torus. It implements workload.Driver (plus the PacketSink, PayloadSink,
-// Taggable and ForeignPayloadRouter wiring interfaces), so a scheduler
-// can admit a collective phase alongside any other traffic. The round loop,
+// plans, and both tree stages release their payloads through
+// noc.Network.Submit, so the same workload runs on the paper's sink mesh
+// and on a torus. It implements workload.Driver (plus the PacketSink,
+// PayloadSink, Taggable and ForeignPayloadRouter wiring interfaces), so a
+// scheduler can admit a collective phase alongside any other traffic. The
+// round loop,
 // the leaf release, the workload tag (it stamps injected packets, namespaces
 // payload sequence numbers and is encoded into every ReduceID, so concurrent
 // drivers on one fabric never collide) and the foreign-payload hook are the
@@ -55,8 +57,6 @@ type Driver struct {
 	plan *TreePlan
 
 	rows, cols, nodes int
-	delta             int64 // base gather δ (AlgTree)
-	rdelta            int64 // base reduce δ (AlgFused)
 	bcastDests        *topology.DestSet
 
 	// Level 1 (tree/fused): per-row accounts and row-sum relays.
@@ -134,14 +134,12 @@ func NewDriver(nw *noc.Network, cfg Config) (*Driver, error) {
 		return nil, err
 	}
 	d := &Driver{
-		nw:     nw,
-		cfg:    cfg,
-		plan:   plan,
-		rows:   nc.Rows,
-		cols:   nc.Cols,
-		nodes:  nc.Rows * nc.Cols,
-		delta:  nc.Delta,
-		rdelta: nc.EffectiveReduceDelta(),
+		nw:    nw,
+		cfg:   cfg,
+		plan:  plan,
+		rows:  nc.Rows,
+		cols:  nc.Cols,
+		nodes: nc.Rows * nc.Cols,
 	}
 	d.Init(d, d.nodes, cfg.Rounds)
 	d.rowAccs = make([]acct, d.rows)
@@ -270,7 +268,7 @@ func (d *Driver) Inject(id int, cycle int64) {
 	coord := d.nw.Topology().Coord(node)
 	line := &d.plan.Rows[coord.Row]
 	p := d.payload(node, line.Target, d.rowID(coord.Row), d.leafValue(id, d.Round()), 1, cycle)
-	d.submitToLine(node, line, coord.Col, p)
+	d.nw.Submit(line, coord.Col, d.cfg.Algorithm.scheme(), d.Tag(), p)
 }
 
 // Advance relays completed row sums, launches the broadcast leg once its
@@ -308,33 +306,7 @@ func (d *Driver) releaseRowSums(cycle int64) {
 		d.l2Left--
 		east := d.plan.Rows[row].Target
 		p := d.payload(east, d.plan.Root, d.columnID(), d.rowSum[row], d.cols, cycle)
-		d.submitToLine(east, &d.plan.Column, row, p)
-	}
-}
-
-// submitToLine moves one payload into a LineCollect stage under the
-// configured algorithm: initiators launch the collective packet seeded
-// with their payload, every other member offers it to the local station
-// under the line's δ scale (a passing packet picks it up, or the timeout
-// self-initiates).
-func (d *Driver) submitToLine(node topology.NodeID, line *noc.LineCollect, idx int, p flit.Payload) {
-	n := d.nw.NIC(node)
-	n.SetTag(d.Tag())
-	scale := int64(line.DeltaScale[idx])
-	if d.cfg.Algorithm == AlgFused {
-		n.SetReduceDelta(d.rdelta * scale)
-		if line.IsInitiator(node) {
-			n.SendAccumulate(line.Target, p.ReduceID, p)
-		} else {
-			n.SubmitReduceOperand(p)
-		}
-		return
-	}
-	n.SetDelta(d.delta * scale)
-	if line.IsInitiator(node) {
-		n.SendGather(line.Target, &p)
-	} else {
-		n.SubmitGatherPayload(p)
+		d.nw.Submit(&d.plan.Column, row, d.cfg.Algorithm.scheme(), d.Tag(), p)
 	}
 }
 

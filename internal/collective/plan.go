@@ -71,7 +71,7 @@ func NewTreePlan(nw *noc.Network, opts PlanOptions) (*TreePlan, error) {
 
 	p := &TreePlan{Rows: make([]noc.LineCollect, cfg.Rows)}
 	for row := 0; row < cfg.Rows; row++ {
-		p.Rows[row] = nw.RowLine(row)
+		p.Rows[row] = nw.RowLine(row, false)
 	}
 	p.Column = nw.ColumnLine(cfg.Cols-1, opts.RootAtSink)
 	p.Root = p.Column.Target

@@ -63,6 +63,35 @@ func (o Options) coefficients() power.Coefficients {
 	return power.DefaultCoefficients()
 }
 
+// networkConfig and systolicConfig materialize the configurations of one
+// layer run: defaults, then the Options' mutators. RunLayer simulates what
+// they return and ComparisonKey hashes it, so closures in Options are keyed
+// by effect. Two functions, not one returning both: a comparison has one
+// network configuration and two systolic ones, and a combined helper called
+// once per mode costs ComparisonKey a second heap-allocated noc.Config per
+// key (+1.2 % allocs on the benchmark's paper-warm workload).
+func (o Options) networkConfig(rows, cols int) noc.Config {
+	cfg := noc.DefaultConfig(rows, cols)
+	if o.MutateNetwork != nil {
+		o.MutateNetwork(&cfg)
+	}
+	return cfg
+}
+
+func (o Options) systolicConfig(layer cnn.LayerConfig, mode systolic.Mode) systolic.Config {
+	cfg := systolic.Config{
+		Layer:             layer,
+		Mode:              mode,
+		TMAC:              o.tmac(),
+		MaxRounds:         o.rounds(),
+		SimulateAllRounds: o.ExactRounds,
+	}
+	if o.MutateSystolic != nil {
+		o.MutateSystolic(&cfg)
+	}
+	return cfg
+}
+
 // LayerReport is the outcome of one layer run in one collection mode.
 type LayerReport struct {
 	// Result is the systolic run summary (latencies, protocol counters,
@@ -79,10 +108,7 @@ type LayerReport struct {
 // RunLayer executes one convolution layer on a rows×cols mesh in the given
 // collection mode and returns latency and energy results.
 func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*LayerReport, error) {
-	cfg := noc.DefaultConfig(rows, cols)
-	if opts.MutateNetwork != nil {
-		opts.MutateNetwork(&cfg)
-	}
+	cfg := opts.networkConfig(rows, cols)
 	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -91,17 +117,7 @@ func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 	// sequential fabric that finished cleanly for the next run of the same
 	// configuration and closes any other (stopping its shard workers).
 	defer nw.Release()
-	sysCfg := systolic.Config{
-		Layer:             layer,
-		Mode:              mode,
-		TMAC:              opts.tmac(),
-		MaxRounds:         opts.rounds(),
-		SimulateAllRounds: opts.ExactRounds,
-	}
-	if opts.MutateSystolic != nil {
-		opts.MutateSystolic(&sysCfg)
-	}
-	ctl, err := systolic.NewController(nw, sysCfg)
+	ctl, err := systolic.NewController(nw, opts.systolicConfig(layer, mode))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gathernoc/internal/cnn"
-	"gathernoc/internal/noc"
 	"gathernoc/internal/power"
 	"gathernoc/internal/systolic"
 )
@@ -34,24 +33,20 @@ type comparisonKey struct {
 
 // ComparisonKey returns the canonical key of the CompareLayer call with
 // the same arguments: two calls get equal keys exactly when they would
-// run identical simulations. It materializes the network and systolic
-// configurations through the same construction path RunLayer uses
-// (defaults, then mutation), so closures in Options are keyed by effect.
+// run identical simulations. It hashes the configurations RunLayer would
+// simulate (Options.networkConfig, Options.systolicConfig), so closures in
+// Options are keyed by effect.
 // Mutators must be deterministic functions of their input config — a
 // mutator that reads ambient state would alias distinct runs; none in
 // this repository does.
 func ComparisonKey(rows, cols int, layer cnn.LayerConfig, opts Options) (string, error) {
-	netCfg := noc.DefaultConfig(rows, cols)
-	if opts.MutateNetwork != nil {
-		opts.MutateNetwork(&netCfg)
-	}
 	k := comparisonKey{
 		Version:      ComparisonKeyVersion,
 		Rows:         rows,
 		Cols:         cols,
-		NetworkHash:  netCfg.Hash(),
-		RU:           materializeSystolic(layer, systolic.RepetitiveUnicast, opts),
-		Gather:       materializeSystolic(layer, systolic.GatherMode, opts),
+		NetworkHash:  opts.networkConfig(rows, cols).Hash(),
+		RU:           opts.systolicConfig(layer, systolic.RepetitiveUnicast),
+		Gather:       opts.systolicConfig(layer, systolic.GatherMode),
 		MaxCycles:    opts.maxCycles(),
 		Coefficients: opts.coefficients(),
 	}
@@ -60,20 +55,4 @@ func ComparisonKey(rows, cols int, layer cnn.LayerConfig, opts Options) (string,
 		return "", fmt.Errorf("core: comparison key: %w", err)
 	}
 	return string(data), nil
-}
-
-// materializeSystolic mirrors RunLayer's systolic.Config construction for
-// one collection mode, mutation included.
-func materializeSystolic(layer cnn.LayerConfig, mode systolic.Mode, opts Options) systolic.Config {
-	cfg := systolic.Config{
-		Layer:             layer,
-		Mode:              mode,
-		TMAC:              opts.tmac(),
-		MaxRounds:         opts.rounds(),
-		SimulateAllRounds: opts.ExactRounds,
-	}
-	if opts.MutateSystolic != nil {
-		opts.MutateSystolic(&cfg)
-	}
-	return cfg
 }

@@ -11,8 +11,9 @@
 //
 // The NIC is topology-agnostic: destinations are opaque NodeIDs, routing
 // and fabric shape live behind the network layer's topology.Routing, and
-// who initiates a row's collective packet is decided by the network's
-// RowCollect plan, not here (DESIGN.md §7).
+// who initiates a line's collective packet, who offers its payload and with
+// which δ is decided once, by noc.Network.Submit over the network's
+// LineCollect plan, not here (DESIGN.md §7).
 package nic
 
 import (
@@ -285,8 +286,8 @@ func (n *NIC) Tag() flit.Tag { return n.tag }
 
 // SetDelta overrides this NIC's δ timeout. The paper notes δ "can be
 // configured for each router" to cover "the router pipeline delay to reach
-// the neighboring node"; workload layers use this to scale the timeout
-// with the node's distance from its row's gather initiator so that a
+// the neighboring node"; noc.Network.Submit arms it before every offer,
+// scaled with the node's distance from its line's gather initiator so that a
 // packet in flight is not preempted by spurious self-initiations.
 func (n *NIC) SetDelta(d int64) {
 	if d >= 0 {
@@ -409,9 +410,8 @@ func (n *NIC) reduceDelta() int64 {
 	return n.cfg.Delta
 }
 
-// SetReduceDelta overrides this NIC's reduce-operand δ timeout; like
-// SetDelta it lets workload layers scale the timeout with the node's
-// distance from its row's accumulate initiator.
+// SetReduceDelta overrides this NIC's reduce-operand δ timeout, the INA
+// twin of SetDelta.
 func (n *NIC) SetReduceDelta(d int64) {
 	if d >= 0 {
 		n.cfg.ReduceDelta = d

@@ -1,90 +1,40 @@
 package noc
 
-import "gathernoc/internal/topology"
+import (
+	"fmt"
 
-// RowCollect is the network's plan for collecting one row's partial sums
-// at a single target — the generalization of the paper's "leftmost PE
-// launches a packet that merges while flowing east" to fabrics without an
-// east edge. The workload layers (gather and INA collection) consume only
-// this plan, so they carry no topology or routing assumptions of their
-// own:
+	"gathernoc/internal/flit"
+	"gathernoc/internal/topology"
+)
+
+// LineCollect is the network's plan for collecting the payloads of one
+// straight line of fabric nodes at a target past the line's last index —
+// the generalization of the paper's "leftmost PE launches a packet that
+// merges while flowing east" to columns and to fabrics without an east
+// edge. Rows sweeping east and columns sweeping south use the same shape,
+// and every workload layer (the systolic result collection, gather and INA
+// accumulation, the collective tree's two stages) consumes only this plan
+// and Submit, so none carries topology or routing assumptions of its own:
 //
-//   - On a mesh with east sinks, the target is the row's global-buffer
-//     sink and the single initiator is the column-0 PE, whose
-//     deterministic route to the sink sweeps the entire row — the paper's
-//     configuration, bit-identical to the pre-plan controller.
+//   - On a mesh the single initiator is the index-0 PE, whose deterministic
+//     route to the target sweeps the entire line — the paper's
+//     configuration when the line is a row and the target its east sink.
 //   - On a torus under wrap-aware dimension-order routing, minimal routes
-//     span at most half a ring, so no single packet can sweep the row;
+//     span at most half a ring, so no single packet can sweep the line;
 //     the plan instead names two initiators — the farthest node of each
-//     ring direction — whose routes to the east-column target jointly
-//     cover every PE of the row.
+//     ring direction — whose routes to the target jointly cover every PE.
 //
 // DeltaScale preserves the δ-timeout discipline across all of this: a
 // node's timeout is scaled with its hop distance from the initiator that
 // sweeps past it, so a packet already in flight is not preempted by a
 // spurious self-initiation (DESIGN.md §3 and §7).
-type RowCollect struct {
-	// Row is the collected row.
-	Row int
-	// Target receives the row's payloads: the row sink id when east sinks
-	// are enabled, otherwise the east-column PE's node id.
-	Target topology.NodeID
-	// TargetIsSink distinguishes the two target kinds.
-	TargetIsSink bool
-	// Initiators lists the nodes that launch the row's collective
-	// packet(s); every other row node offers its payload to the local
-	// station and waits for a passing packet.
-	Initiators []topology.NodeID
-	// DeltaScale[col] is the δ multiplier for the PE in that column:
-	// 1 + its hop distance from the initiator whose packet sweeps it.
-	DeltaScale []int
-}
-
-// IsInitiator reports whether id launches one of the row's collective
-// packets.
-func (rc *RowCollect) IsInitiator(id topology.NodeID) bool {
-	for _, init := range rc.Initiators {
-		if init == id {
-			return true
-		}
-	}
-	return false
-}
-
-// RowCollect plans the collection of the given row's partial sums (see
-// the RowCollect type for the per-topology strategies).
-func (nw *Network) RowCollect(row int) RowCollect {
-	cols := nw.cfg.Cols
-	topo := nw.topo
-	rc := RowCollect{
-		Row:        row,
-		Target:     topo.ID(topology.Coord{Row: row, Col: cols - 1}),
-		DeltaScale: make([]int, cols),
-	}
-	if len(nw.sinks) > 0 {
-		rc.Target = nw.RowSinkID(row)
-		rc.TargetIsSink = true
-	}
-	inits, scale := nw.linePlan(cols, cols > 1 || rc.TargetIsSink)
-	for _, idx := range inits {
-		rc.Initiators = append(rc.Initiators, topo.ID(topology.Coord{Row: row, Col: idx}))
-	}
-	copy(rc.DeltaScale, scale)
-	return rc
-}
-
-// LineCollect generalizes the RowCollect plan to any straight line of
-// fabric nodes whose collection target sits at the line's last index —
-// rows sweeping east and columns sweeping south use the same shape. The
-// collective tree layer (internal/collective) composes one LineCollect per
-// row with one over the sink column to form mesh-wide reductions.
 type LineCollect struct {
 	// Nodes lists the line's members in sweep-index order (west to east
 	// for a row, north to south for a column).
 	Nodes []topology.NodeID
 	// Target receives the line's payloads: Nodes[len-1] itself, or the
-	// bottom row's sink when the plan collects the sink column to the
-	// global buffer.
+	// global-buffer sink past it (the row's sink for a row, the bottom row's
+	// for the east column).
 	Target topology.NodeID
 	// TargetIsSink distinguishes the two target kinds.
 	TargetIsSink bool
@@ -109,16 +59,6 @@ func (lc *LineCollect) IsInitiator(id topology.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// Index returns id's sweep index in the line, or -1.
-func (lc *LineCollect) Index(id topology.NodeID) int {
-	for i, n := range lc.Nodes {
-		if n == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // SweepPath appends to buf the line indices a payload from Nodes[i]
@@ -151,16 +91,18 @@ func (lc *LineCollect) SweepPath(i int, buf []int) []int {
 	return buf
 }
 
-// RowLine plans the collection of one row at its east-column PE — always
-// the PE, never the row sink, so the target can re-inject the row's sum
-// into a second-level reduction (the collective tree's row stage).
-func (nw *Network) RowLine(row int) LineCollect {
+// RowLine plans the collection of one row at its east-column PE, or — when
+// toSink is set on a fabric with east sinks — at the row's global-buffer
+// sink (the paper's row collection). The PE target can re-inject the row's
+// sum into a second-level reduction (the collective tree's row stage).
+// toSink without east sinks panics, as for ColumnLine.
+func (nw *Network) RowLine(row int, toSink bool) LineCollect {
 	cols := nw.cfg.Cols
 	nodes := make([]topology.NodeID, cols)
 	for col := 0; col < cols; col++ {
 		nodes[col] = nw.topo.ID(topology.Coord{Row: row, Col: col})
 	}
-	return nw.lineCollect(nodes, nodes[cols-1], false)
+	return nw.lineCollect(nodes, row, toSink)
 }
 
 // ColumnLine plans the collection of one column at its bottom-row PE, or —
@@ -175,26 +117,26 @@ func (nw *Network) ColumnLine(col int, toSink bool) LineCollect {
 	for row := 0; row < rows; row++ {
 		nodes[row] = nw.topo.ID(topology.Coord{Row: row, Col: col})
 	}
-	target := nodes[rows-1]
-	if toSink {
-		if len(nw.sinks) == 0 {
-			panic("noc: ColumnLine toSink without east sinks")
-		}
-		target = nw.RowSinkID(rows - 1)
-	}
-	return nw.lineCollect(nodes, target, toSink)
+	return nw.lineCollect(nodes, rows-1, toSink)
 }
 
-// lineCollect assembles a LineCollect from the index-space plan.
-func (nw *Network) lineCollect(nodes []topology.NodeID, target topology.NodeID, sink bool) LineCollect {
+// lineCollect assembles a LineCollect from the index-space plan; the target
+// is the line's last node, or with toSink the sink of sinkRow.
+func (nw *Network) lineCollect(nodes []topology.NodeID, sinkRow int, toSink bool) LineCollect {
 	n := len(nodes)
 	lc := LineCollect{
 		Nodes:        nodes,
-		Target:       target,
-		TargetIsSink: sink,
+		Target:       nodes[n-1],
+		TargetIsSink: toSink,
 		Wrap:         nw.routing.VCClasses() > 1,
 	}
-	inits, scale := nw.linePlan(n, n > 1 || sink)
+	if toSink {
+		if len(nw.sinks) == 0 {
+			panic("noc: line collection toSink without east sinks")
+		}
+		lc.Target = nw.RowSinkID(sinkRow)
+	}
+	inits, scale := nw.linePlan(n, n > 1 || toSink)
 	for _, idx := range inits {
 		lc.Initiators = append(lc.Initiators, nodes[idx])
 	}
@@ -204,7 +146,7 @@ func (nw *Network) lineCollect(nodes []topology.NodeID, target topology.NodeID, 
 
 // linePlan computes the initiator indices and δ scales for a line of n
 // nodes whose target sits at index n-1 — the index-space core shared by
-// RowCollect, RowLine and ColumnLine. meshInitiator controls whether the
+// RowLine and ColumnLine. meshInitiator controls whether the
 // mesh path names index 0 as initiator (false only for a single-node line
 // collecting at itself, where there is nothing to sweep).
 func (nw *Network) linePlan(n int, meshInitiator bool) (inits []int, scale []int) {
@@ -258,18 +200,85 @@ func pmod(v, size int) int {
 	return v
 }
 
+// CollectScheme selects the transport that carries a line's payloads to
+// its target.
+type CollectScheme uint8
+
+// Collection schemes.
+const (
+	// CollectUnicast sends every payload as its own unicast packet; the
+	// target performs any reduction.
+	CollectUnicast CollectScheme = iota + 1
+	// CollectGather packs the line's payloads into gather packets; every
+	// payload still travels the full path.
+	CollectGather
+	// CollectINA reduces the payloads inside the routers: one
+	// constant-length accumulate packet arrives carrying the line's sum.
+	CollectINA
+)
+
+// String names the scheme.
+func (s CollectScheme) String() string {
+	switch s {
+	case CollectUnicast:
+		return "unicast"
+	case CollectGather:
+		return "gather"
+	case CollectINA:
+		return "ina"
+	default:
+		return fmt.Sprintf("CollectScheme(%d)", uint8(s))
+	}
+}
+
+// Submit is the sender side of Algorithm 1, the one place a payload enters
+// a line collection: it releases p from line member i under the given
+// scheme and workload tag. An initiator launches the line's collective
+// packet seeded with p; every other member offers p to its router's station
+// and falls back to a packet of its own after δ·DeltaScale[i] (a passing
+// packet picks the payload up first, or the timeout self-initiates); under
+// CollectUnicast every member sends its own packet. δ is sticky per-NIC
+// state, so it is armed here, on the submit that reads it: drivers sharing
+// a NIC under different plans cannot leak a timeout into one another
+// (DESIGN.md §8).
+func (nw *Network) Submit(lc *LineCollect, i int, scheme CollectScheme, tag flit.Tag, p flit.Payload) {
+	node := lc.Nodes[i]
+	n := nw.nics[node]
+	n.SetTag(tag)
+	scale := int64(lc.DeltaScale[i])
+	switch initiator := lc.IsInitiator(node); {
+	case scheme == CollectUnicast:
+		n.SendUnicastPayload(lc.Target, p)
+	case scheme == CollectGather && initiator:
+		// A copy, so that p escapes on this branch only.
+		own := p
+		n.SendGather(lc.Target, &own)
+	case scheme == CollectGather:
+		n.SetDelta(nw.nicCfg.Delta * scale)
+		n.SubmitGatherPayload(p)
+	case scheme == CollectINA && initiator:
+		n.SendAccumulate(lc.Target, p.ReduceID, p)
+	case scheme == CollectINA:
+		// A zero reduce δ falls back to the gather δ, so both are armed.
+		n.SetDelta(nw.nicCfg.Delta * scale)
+		n.SetReduceDelta(nw.nicCfg.ReduceDelta * scale)
+		n.SubmitReduceOperand(p)
+	default:
+		panic(fmt.Sprintf("noc: Submit with collection scheme %d", scheme))
+	}
+}
+
 // CollectHops returns the hop count a payload from node id pays to reach
-// the row-collection target (the sink link included when the target is a
+// the line's collection target (the sink link included when the target is a
 // sink) — the per-operand wire cost the merge-savings accounting charges
 // against repetitive unicast. The distance follows the configured
 // routing's effective fabric: turn-model routings on a torus never take
 // wrap links, so their packets pay mesh-grid distances even though the
 // topology's minimal distance is shorter.
-func (nw *Network) CollectHops(id topology.NodeID, rc *RowCollect) int {
-	edge := rc.Target
+func (nw *Network) CollectHops(id topology.NodeID, lc *LineCollect) int {
+	edge := lc.Nodes[len(lc.Nodes)-1]
 	extra := 0
-	if rc.TargetIsSink {
-		edge = nw.topo.ID(topology.Coord{Row: rc.Row, Col: nw.cfg.Cols - 1})
+	if lc.TargetIsSink {
 		extra = 1
 	}
 	if nw.routing.VCClasses() > 1 {

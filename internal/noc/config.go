@@ -127,7 +127,7 @@ type Config struct {
 // DefaultTorusConfig returns the Table I configuration transplanted onto
 // a rows×cols torus: east sinks are disabled (the torus has no east edge;
 // row collection targets the row's east-column PE, see
-// Network.RowCollect) and the default dimension-order routing uses
+// Network.RowLine) and the default dimension-order routing uses
 // dateline VC classes for deadlock freedom.
 func DefaultTorusConfig(rows, cols int) Config {
 	cfg := DefaultConfig(rows, cols)
@@ -207,7 +207,7 @@ func (c Config) Validate() error {
 		switch {
 		case c.EastSinks:
 			return fmt.Errorf("noc: EastSinks needs a mesh east edge, but on a torus every east port wraps around; " +
-				"disable EastSinks (row collection then targets the row's east-column PE, see Network.RowCollect)")
+				"disable EastSinks (row collection then targets the row's east-column PE, see Network.RowLine)")
 		case c.EffectiveRouting() == "xy" && c.Router.VCs < 2:
 			return fmt.Errorf("noc: torus dimension-order routing needs Router.VCs >= 2 for its dateline VC classes, got %d", c.Router.VCs)
 		case c.EffectiveRouting() == "xy" && c.Router.GatherVC >= 0:

@@ -2,9 +2,9 @@
 // global-buffer edge sinks into a runnable network on any
 // topology.Topology/Routing pair (2-D mesh or torus; dimension-order,
 // west-first or odd-even routing), providing node addressing (including
-// the virtual sink nodes past the mesh's east edge), row-collection path
-// planning (RowCollect), drain detection and aggregate activity counts
-// for the power model.
+// the virtual sink nodes past the mesh's east edge), line-collection
+// planning and the sender side of Algorithm 1 (LineCollect, Submit), drain
+// detection and aggregate activity counts for the power model.
 package noc
 
 import (

@@ -49,6 +49,23 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has held still for
+// 20 ms. Close returns when a worker is done with the engine, not when its
+// goroutine has exited, so under load workers that earlier tests closed can
+// still be leaving; a base that counts one of them makes every later
+// "<= base" wait a goroutine too lenient and every "base + workers" a
+// goroutine too many.
+func settledGoroutines() int {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < 20*time.Millisecond {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
 func workersParked(e *Engine) bool {
 	for i := 1; i < len(e.shards); i++ {
 		if !e.shards[i].parked.Load() {
@@ -161,7 +178,10 @@ func TestBarrierWorkersParkWhenIdleAndResume(t *testing.T) {
 // engine, and whatever the workers are doing when it comes; afterwards the
 // goroutines are gone.
 func TestBarrierCloseStopsWorkers(t *testing.T) {
-	gone := func(t *testing.T, base int) {
+	// One base for every subtest (each runs on a goroutine of its own, hence
+	// the one): each ends by waiting for it, so the next starts from it.
+	base := settledGoroutines() + 1
+	gone := func(t *testing.T) {
 		t.Helper()
 		waitFor(t, "worker goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 	}
@@ -173,7 +193,6 @@ func TestBarrierCloseStopsWorkers(t *testing.T) {
 		e.Close()
 	})
 	t.Run("before the first step", func(t *testing.T) {
-		base := runtime.NumGoroutine()
 		e := NewShardedEngine(3)
 		e.Close()
 		e.Close()
@@ -184,15 +203,14 @@ func TestBarrierCloseStopsWorkers(t *testing.T) {
 	for _, m := range barrierModes {
 		t.Run(fmt.Sprintf("shards=%d/procs=%d/parked", m.shards, m.procs), func(t *testing.T) {
 			withProcs(m.procs, func() {
-				base := runtime.NumGoroutine()
 				e := NewShardedEngine(m.shards)
 				e.Run(10)
-				if n := runtime.NumGoroutine(); n != base+m.shards-1 {
-					t.Errorf("%d goroutines while running, want %d", n, base+m.shards-1)
-				}
+				waitFor(t, "one goroutine per worker shard while running", func() bool {
+					return runtime.NumGoroutine() == base+m.shards-1
+				})
 				waitFor(t, "every worker to park", func() bool { return workersParked(e) })
 				e.Close()
-				gone(t, base)
+				gone(t)
 				e.Close()
 			})
 		})
@@ -200,11 +218,10 @@ func TestBarrierCloseStopsWorkers(t *testing.T) {
 			withProcs(m.procs, func() {
 				// Straight after a step the workers are wherever the mode
 				// leaves them: polling the epoch word, or about to park.
-				base := runtime.NumGoroutine()
 				e := NewShardedEngine(m.shards)
 				e.Run(10)
 				e.Close()
-				gone(t, base)
+				gone(t)
 				e.Close()
 			})
 		})

@@ -144,9 +144,6 @@ func NewShardedEngine(n int) *Engine {
 // Sharded reports whether the engine runs the sharded two-phase schedule.
 func (e *Engine) Sharded() bool { return len(e.shards) > 0 }
 
-// NumShards returns the shard count (0 for a sequential engine).
-func (e *Engine) NumShards() int { return len(e.shards) }
-
 // AddShardTicker registers a phase-1 component with one shard. Within a
 // shard, registration order is evaluation order; the caller must ensure
 // components in different shards share no mutable state during the tick

@@ -14,7 +14,8 @@
 // Streaming energy is accounted as operand-hops for the power model, since
 // the paper's Orion traces include the streamed operands (DESIGN.md §3).
 // Rounds are sequenced by the shared round loop (internal/round,
-// DESIGN.md §8).
+// DESIGN.md §8); results enter the network through its one sender side
+// (noc.Network.Submit over a noc.LineCollect row plan, DESIGN.md §7).
 package systolic
 
 import (
@@ -41,6 +42,14 @@ const (
 	// row initiates one, intermediate PEs piggyback (Algorithm 1).
 	GatherMode
 )
+
+// scheme maps the mode onto the network's collection transport.
+func (m Mode) scheme() noc.CollectScheme {
+	if m == GatherMode {
+		return noc.CollectGather
+	}
+	return noc.CollectUnicast
+}
 
 // String names the mode as in the paper ("RU", "Gather").
 func (m Mode) String() string {
@@ -100,9 +109,9 @@ type Config struct {
 	MaxRounds int
 	// SimulateAllRounds disables extrapolation (exact mode).
 	SimulateAllRounds bool
-	// FlatDelta disables the per-column δ scaling, applying the network
-	// config's base δ uniformly — the literal reading of Table I,
-	// exercised by the δ ablation.
+	// FlatDelta gives the controller's row plans unit δ scales, applying
+	// the network config's base δ uniformly — the literal reading of
+	// Table I, exercised by the δ ablation.
 	FlatDelta bool
 	// SkewPerHop staggers PE completion by this many cycles per hop of
 	// systolic distance (row+col). The paper's Eq. (2) models result
@@ -214,14 +223,17 @@ func (r *Result) ScaleFactor() float64 {
 
 // Controller drives one layer run on a network: the round loop is the
 // embedded round.Loop (DESIGN.md §8), the controller supplies the completion
-// schedule, the result payloads and the global buffer's integrity check.
+// schedule, the result payloads and the global buffer's integrity check, and
+// releases each result through the network's row plans (noc.Network.Submit,
+// the sender side of Algorithm 1).
 // Call Run, or register it as an engine ticker (after the network's own
 // components) and drive it via Tick/Done.
 type Controller struct {
 	round.Loop
 
-	nw  *noc.Network
-	cfg Config
+	nw    *noc.Network
+	cfg   Config
+	plans []noc.LineCollect
 
 	rows, cols int
 	crr        int
@@ -236,8 +248,8 @@ type Controller struct {
 }
 
 // NewController prepares a layer run on nw. It wires the sink callbacks
-// and the per-column δ configuration (δ scaled by distance from the row's
-// gather initiator, DESIGN.md §3).
+// and plans each row's collection at its sink (δ scaled by distance from the
+// row's gather initiator, DESIGN.md §3).
 func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -276,14 +288,12 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 		TotalRounds: total, RoundsSimulated: sim,
 	}
 
-	// Per-column δ (gather mode): column c waits δ·(1+c) for the packet
-	// launched at column 0 before self-initiating.
-	if cfg.Mode == GatherMode && !cfg.FlatDelta {
-		base := nc.Delta
-		for row := 0; row < c.rows; row++ {
-			for col := 0; col < c.cols; col++ {
-				id := nw.Mesh().ID(topology.Coord{Row: row, Col: col})
-				nw.NIC(id).SetDelta(base * int64(1+col))
+	c.plans = make([]noc.LineCollect, c.rows)
+	for row := range c.plans {
+		c.plans[row] = nw.RowLine(row, true)
+		if cfg.FlatDelta {
+			for i := range c.plans[row].DeltaScale {
+				c.plans[row].DeltaScale[i] = 1
 			}
 		}
 	}
@@ -384,27 +394,18 @@ func (c *Controller) Result() *Result {
 }
 
 // Inject releases PE id's result toward its row's global-buffer port
-// (round.Hooks): a unicast packet under RU; under gather the row's leftmost
-// PE launches the gather packet and the others offer their payload to it.
+// (round.Hooks): a unicast packet under RU; under gather the row's initiator
+// launches the gather packet and the others offer their payload to it.
 func (c *Controller) Inject(id int, cycle int64) {
 	node := topology.NodeID(id)
 	coord := c.nw.Mesh().Coord(node)
-	dst := c.nw.RowSinkID(coord.Row)
-	p := flit.Payload{
-		Seq: c.NextSeq(), Src: node, Dst: dst,
+	plan := &c.plans[coord.Row]
+	c.nw.Submit(plan, coord.Col, c.cfg.Mode.scheme(), c.Tag(), flit.Payload{
+		Seq: c.NextSeq(), Src: node, Dst: plan.Target,
 		Bits:       c.nw.Config().PayloadBits,
 		Value:      uint64(id)<<32 | uint64(c.Round()),
 		ReadyCycle: cycle,
-	}
-	nicAt := c.nw.NIC(node)
-	switch {
-	case c.cfg.Mode == RepetitiveUnicast:
-		nicAt.SendUnicastPayload(dst, p)
-	case coord.Col == 0:
-		nicAt.SendGather(dst, &p)
-	default:
-		nicAt.SubmitGatherPayload(p)
-	}
+	})
 }
 
 // Advance reports whether the global buffer has every payload of the round

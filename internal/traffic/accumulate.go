@@ -13,36 +13,23 @@ import (
 )
 
 // CollectScheme selects how an accumulation-phase round returns its row
-// sums to the global buffer.
-type CollectScheme uint8
+// sums to the global buffer: the network's collection transport
+// (noc.CollectScheme), under the names the workloads configure it by.
+type CollectScheme = noc.CollectScheme
 
 // Collection schemes for accumulation traffic.
 const (
 	// CollectUnicast sends every PE's partial sum as its own unicast
 	// packet; the buffer performs the reduction.
-	CollectUnicast CollectScheme = iota + 1
+	CollectUnicast = noc.CollectUnicast
 	// CollectGather packs the row's partial sums into gather packets;
 	// every operand still travels the full path and the buffer still
 	// performs the reduction.
-	CollectGather
+	CollectGather = noc.CollectGather
 	// CollectINA reduces the partial sums inside the routers: one
 	// constant-length accumulate packet arrives carrying the row's sum.
-	CollectINA
+	CollectINA = noc.CollectINA
 )
-
-// String names the scheme.
-func (s CollectScheme) String() string {
-	switch s {
-	case CollectUnicast:
-		return "unicast"
-	case CollectGather:
-		return "gather"
-	case CollectINA:
-		return "ina"
-	default:
-		return fmt.Sprintf("CollectScheme(%d)", uint8(s))
-	}
-}
 
 // SchemeByName parses a collection scheme name.
 func SchemeByName(name string) (CollectScheme, error) {
@@ -158,16 +145,16 @@ type rowAcc struct {
 // foreign-payload hook are the embedded round.Loop's (DESIGN.md §8).
 //
 // The controller carries no topology assumptions: initiators, targets and
-// δ scaling all come from the network's RowCollect plan, so the same
-// workload runs against east-edge sinks on the mesh and against
-// east-column PEs on a torus (where two initiators per row cover the
-// ring, see noc.RowCollect).
+// δ scaling all come from the network's row plans and every operand is
+// released through noc.Network.Submit, so the same workload runs against
+// east-edge sinks on the mesh and against east-column PEs on a torus (where
+// two initiators per row cover the ring, see noc.LineCollect).
 type AccumulationController struct {
 	round.Loop
 
 	nw    *noc.Network
 	cfg   AccumulationConfig
-	plans []noc.RowCollect
+	plans []noc.LineCollect
 
 	rows, cols int
 
@@ -178,10 +165,8 @@ type AccumulationController struct {
 	res AccumulationResult
 }
 
-// NewAccumulationController prepares a standalone accumulation run on nw.
-// It wires the row-collection target callbacks and scales the collection
-// scheme's δ with each node's distance from the initiator sweeping it,
-// like the gather workloads (DESIGN.md §3 and §7).
+// NewAccumulationController prepares a standalone accumulation run on nw
+// and wires the row-collection target callbacks.
 func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*AccumulationController, error) {
 	c, err := NewAccumulationDriver(nw, cfg)
 	if err != nil {
@@ -199,7 +184,7 @@ func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*Accumu
 }
 
 // NewAccumulationDriver prepares an accumulation phase for a workload
-// scheduler: identical δ scaling and round bookkeeping, but no receive
+// scheduler: identical row plans and round bookkeeping, but no receive
 // callbacks are wired (the scheduler dispatches this phase's packets to
 // OnPacket by tag) and the first round starts at Start, not construction.
 // A single-phase scheduler run is bit-identical to the standalone path
@@ -220,9 +205,9 @@ func NewAccumulationDriver(nw *noc.Network, cfg AccumulationConfig) (*Accumulati
 	}
 	c.acc = make([]rowAcc, c.rows)
 	c.oracle = reduce.NewOracle()
-	c.plans = make([]noc.RowCollect, c.rows)
-	for row := 0; row < c.rows; row++ {
-		c.plans[row] = nw.RowCollect(row)
+	c.plans = make([]noc.LineCollect, c.rows)
+	for row := range c.plans {
+		c.plans[row] = nw.RowLine(row, nc.EastSinks)
 	}
 
 	total := cfg.TotalRounds
@@ -238,23 +223,6 @@ func NewAccumulationDriver(nw *noc.Network, cfg AccumulationConfig) (*Accumulati
 		Rounds: rounds, TotalRounds: total,
 	}
 	c.Init(c, c.rows*c.cols, rounds)
-
-	// Per-node δ: a node waits δ·DeltaScale (1 + its distance from the
-	// initiator sweeping it) before self-initiating, so packets already
-	// in flight are not preempted.
-	topo := nw.Topology()
-	for row := 0; row < c.rows; row++ {
-		for col := 0; col < c.cols; col++ {
-			id := topo.ID(topology.Coord{Row: row, Col: col})
-			scale := int64(c.plans[row].DeltaScale[col])
-			switch cfg.Scheme {
-			case CollectGather:
-				nw.NIC(id).SetDelta(nc.Delta * scale)
-			case CollectINA:
-				nw.NIC(id).SetReduceDelta(nc.EffectiveReduceDelta() * scale)
-			}
-		}
-	}
 	return c, nil
 }
 
@@ -328,36 +296,20 @@ func (c *AccumulationController) OnPayload(pl flit.Payload) {
 	}
 }
 
-// Inject submits PE id's partial sum under the configured scheme
-// (round.Hooks): initiators launch the row's collective packet, the other
-// PEs offer their operand to it.
+// Inject submits PE id's partial sum to its row's collection under the
+// configured scheme (round.Hooks).
 func (c *AccumulationController) Inject(id int, cycle int64) {
 	node := topology.NodeID(id)
-	plan := &c.plans[c.nw.Topology().Coord(node).Row]
-	dst := plan.Target
-	rid := c.reduceID(plan.Row)
-	p := flit.Payload{
-		Seq: c.NextSeq(), Src: node, Dst: dst,
+	coord := c.nw.Topology().Coord(node)
+	plan := &c.plans[coord.Row]
+	c.nw.Submit(plan, coord.Col, c.cfg.Scheme, c.Tag(), flit.Payload{
+		Seq: c.NextSeq(), Src: node, Dst: plan.Target,
 		Bits:       c.nw.Config().PayloadBits,
 		Value:      operandValue(id, c.Round()),
 		ReadyCycle: cycle,
-		ReduceID:   rid,
+		ReduceID:   c.reduceID(coord.Row),
 		Ops:        1,
-	}
-	nicAt := c.nw.NIC(node)
-	nicAt.SetTag(c.Tag())
-	switch {
-	case c.cfg.Scheme == CollectUnicast:
-		nicAt.SendUnicastPayload(dst, p)
-	case plan.IsInitiator(node) && c.cfg.Scheme == CollectGather:
-		nicAt.SendGather(dst, &p)
-	case plan.IsInitiator(node):
-		nicAt.SendAccumulate(dst, rid, p)
-	case c.cfg.Scheme == CollectGather:
-		nicAt.SubmitGatherPayload(p)
-	default:
-		nicAt.SubmitReduceOperand(p)
-	}
+	})
 }
 
 // Advance reports whether every row's reduction has landed and verified

@@ -11,7 +11,7 @@ import (
 // on a torus for every routing and collection scheme: the rounds must
 // complete (no deadlock among collective, self-initiated and background
 // packets) and every row reduction must match the software oracle bit
-// for bit. On the torus the controller follows the network's RowCollect
+// for bit. On the torus the controller follows the network's RowLine
 // plan — two initiators per row under wrap-aware dimension-order routing,
 // a column-0 initiator under the mesh-sub-network adaptive routings.
 func TestTorusCollectionSchemesOracle(t *testing.T) {
@@ -58,7 +58,7 @@ func TestTorusCollectionSchemesOracle(t *testing.T) {
 	}
 }
 
-// TestMeshCollectionWithoutSinks exercises the RowCollect fallback on a
+// TestMeshCollectionWithoutSinks exercises the RowLine fallback on a
 // plain mesh with EastSinks disabled: collection targets the east-column
 // PE and the oracle must still pass.
 func TestMeshCollectionWithoutSinks(t *testing.T) {

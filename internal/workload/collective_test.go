@@ -6,6 +6,7 @@ import (
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/collective"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 )
 
@@ -47,35 +48,38 @@ func TestCollectiveJobPhases(t *testing.T) {
 	}
 }
 
-// TestCollectiveAlongsideAccumulation shares the fabric between a
-// collective all-reduce job and a row-accumulation inference job: the
-// scheduler's tag routing must keep each job's payloads out of the other's
-// stations, and both oracles must stay exact.
-func TestCollectiveAlongsideAccumulation(t *testing.T) {
-	layer, ok := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
-	if !ok {
-		t.Fatal("Conv3 missing")
-	}
-	nw, err := noc.New(noc.DefaultConfig(4, 4))
+// runBeside runs two gather- or INA-scheme inference jobs (the first three
+// AlexNet convolution layers at four rounds each) on an 8x8 fabric, alone
+// when coll is nil and beside one collective job otherwise. It checks every
+// oracle and the orphan counts and returns what the collective must not
+// disturb: the packets ejected for inference job 0 and the fabric-wide
+// self-initiated gather and accumulate packets.
+func runBeside(t *testing.T, scheme traffic.CollectScheme, coll *collective.Config) (packets, selfGathers, selfReduces uint64) {
+	t.Helper()
+	cfg := noc.DefaultConfig(8, 8)
+	cfg.EnableINA = true
+	nw, err := noc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	accJobs, accDrivers, err := NewInferenceBatch(nw, 1, 0, PipelineConfig{
-		Layers: []cnn.LayerConfig{layer},
-		Scheme: traffic.CollectGather,
-		Rounds: 2,
+	jobs, accDrivers, err := NewInferenceBatch(nw, 2, 0, PipelineConfig{
+		Layers: cnn.AlexNetConvLayers()[:3],
+		Scheme: scheme,
+		Rounds: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	collJob, collDrivers, err := NewCollectiveJob(nw, "sync", []collective.Config{
-		{Op: collective.AllReduce, Algorithm: collective.AlgTree, Rounds: 2, ComputeLatency: 4},
-	}, false)
-	if err != nil {
-		t.Fatal(err)
+	var collDrivers []*collective.Driver
+	if coll != nil {
+		var job Job
+		if job, collDrivers, err = NewCollectiveJob(nw, "sync", []collective.Config{*coll}, false); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
 	}
-	s, err := New(nw, append(accJobs, collJob))
+	s, err := New(nw, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +87,58 @@ func TestCollectiveAlongsideAccumulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := accDrivers[0][0].Snapshot(); snap.OracleErrors != 0 {
-		t.Errorf("accumulation job: %d oracle errors", snap.OracleErrors)
+	for j, layers := range accDrivers {
+		for i, d := range layers {
+			if snap := d.Snapshot(); snap.OracleErrors != 0 {
+				t.Errorf("inference job %d layer %d: %d oracle errors", j, i, snap.OracleErrors)
+			}
+		}
 	}
-	snap := collDrivers[0].Snapshot()
-	if snap.OracleErrors != 0 || snap.BroadcastErrors != 0 {
-		t.Errorf("collective job: %d oracle / %d broadcast errors", snap.OracleErrors, snap.BroadcastErrors)
+	for _, d := range collDrivers {
+		if snap := d.Snapshot(); snap.OracleErrors != 0 || snap.BroadcastErrors != 0 {
+			t.Errorf("collective job: %d oracle / %d broadcast errors", snap.OracleErrors, snap.BroadcastErrors)
+		}
 	}
 	if res.OrphanPackets != 0 || res.OrphanPayloads != 0 {
 		t.Errorf("orphans: %d packets, %d payloads", res.OrphanPackets, res.OrphanPayloads)
+	}
+	for id := 0; id < nw.Topology().NumNodes(); id++ {
+		n := nw.NIC(topology.NodeID(id))
+		selfGathers += n.SelfInitiatedGathers.Value()
+		selfReduces += n.SelfInitiatedReduces.Value()
+	}
+	return res.Jobs[0].PacketsEjected, selfGathers, selfReduces
+}
+
+// TestCollectiveAlongsideAccumulation shares the fabric between row
+// accumulation (inference) jobs and a collective job: the scheduler's tag
+// routing must keep every oracle exact, and the collective must not change
+// how the inference jobs collect. δ is NIC state both drivers arm, and the
+// collective's column stage scales it by row where the accumulation scales
+// it by column; a δ left behind by one driver makes the other's east-column
+// PEs time out early and launch packets of their own, so an inference job
+// must eject the same packets and fire the same self-initiated fallbacks
+// beside the collective as alone (DESIGN.md §8).
+func TestCollectiveAlongsideAccumulation(t *testing.T) {
+	for _, tc := range []struct {
+		scheme traffic.CollectScheme
+		alg    collective.Algorithm
+	}{
+		{traffic.CollectGather, collective.AlgTree},
+		{traffic.CollectINA, collective.AlgFused},
+	} {
+		alonePkts, aloneG, aloneR := runBeside(t, tc.scheme, nil)
+		if alonePkts != 96 || aloneG != 0 || aloneR != 0 {
+			t.Errorf("%s alone: %d packets, %d/%d self-initiated; want 96, 0/0", tc.scheme, alonePkts, aloneG, aloneR)
+		}
+		for _, op := range []collective.Op{collective.Reduce, collective.AllReduce} {
+			coll := collective.Config{Op: op, Algorithm: tc.alg, Rounds: 2, ComputeLatency: 4}
+			pkts, g, r := runBeside(t, tc.scheme, &coll)
+			if pkts != alonePkts || g != aloneG || r != aloneR {
+				t.Errorf("%s beside %s/%s: %d packets, %d/%d self-initiated gathers/reduces; alone %d, %d/%d",
+					tc.scheme, op, tc.alg, pkts, g, r, alonePkts, aloneG, aloneR)
+			}
+		}
 	}
 }
 

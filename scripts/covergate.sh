@@ -19,9 +19,9 @@ cd "$(dirname "$0")/.."
 # by tests, so they carry no floors either.
 floors="
 gathernoc/cmd/cnntrace 85
-gathernoc/cmd/experiments 56
+gathernoc/cmd/experiments 81
 gathernoc/cmd/gatherviz 91
-gathernoc/cmd/nocsim 81
+gathernoc/cmd/nocsim 83
 gathernoc/internal/analytic 92
 gathernoc/internal/cnn 97
 gathernoc/internal/collective 92
@@ -31,7 +31,7 @@ gathernoc/internal/fault 95
 gathernoc/internal/flit 94
 gathernoc/internal/link 96
 gathernoc/internal/nic 92
-gathernoc/internal/noc 87
+gathernoc/internal/noc 90
 gathernoc/internal/power 99
 gathernoc/internal/reduce 87
 gathernoc/internal/ring 94
