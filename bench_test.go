@@ -2,10 +2,10 @@
 // repository benchmark (bench/, BENCHMARK.json) has no workload for: one row
 // collection under gather and under in-network accumulation, the
 // accumulation-phase scheme comparison, the δ and buffer-transaction-cost
-// ablation points and the Fig. 1 hop count. What a user runs end to end (the
-// paper artifacts cold and warm, engine stepping and scaling, telemetry and
-// fault overhead, pipelines, multi-job batches, collectives, checkpoints) is
-// measured by bench/ and nowhere else.
+// ablation points, one layer round and the Fig. 1 hop count. What a user runs
+// end to end (the paper artifacts cold and warm, engine stepping and scaling,
+// telemetry and fault overhead, pipelines, multi-job batches, collectives,
+// checkpoints) is measured by bench/ and nowhere else.
 //
 //	go test -run '^$' -bench . -benchtime 1x
 package gathernoc
@@ -131,3 +131,31 @@ func BenchmarkINARowReduction(b *testing.B) { benchRow(b, noc.CollectINA) }
 // BenchmarkGatherRow measures one gather row collection on the NoC: the
 // microbenchmark version of the paper's mechanism.
 func BenchmarkGatherRow(b *testing.B) { benchRow(b, noc.CollectGather) }
+
+// BenchmarkLayerRound measures one output-stationary round of AlexNet Conv3
+// on the 8x8 mesh under gather collection, the unit every paper artifact is
+// made of: C·R·R + T_MAC cycles of compute with a silent fabric, which the
+// engine jumps over (sim.Handle.WakeAt), then the many-to-one burst it
+// steps through. The always-tick variant steps through all of it.
+func BenchmarkLayerRound(b *testing.B) {
+	layer, _ := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
+	for _, alwaysTick := range []bool{false, true} {
+		name := "timed-sleep"
+		if alwaysTick {
+			name = "always-tick"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := benchOpts
+			opts.MutateNetwork = func(c *noc.Config) { c.AlwaysTick = alwaysTick }
+			var cycles int64
+			for i := 0; i < b.N; i++ {
+				rep, err := core.RunLayer(8, 8, layer, systolic.GatherMode, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles = rep.Result.MeasuredCycles
+			}
+			b.ReportMetric(float64(cycles), "sim-cycles")
+		})
+	}
+}

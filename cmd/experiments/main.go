@@ -5,6 +5,7 @@
 //
 //	experiments -exp all                 # everything
 //	experiments -exp table2              # one artifact
+//	experiments -exp table2,fig7,fig8    # several, in the order -exp all prints them
 //	experiments -exp fig7 -rounds 4      # more simulated rounds per run
 //	experiments -exp fig7 -format json   # machine-readable rows
 //
@@ -25,6 +26,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"gathernoc/internal/experiments"
@@ -128,7 +130,7 @@ func artifactNames() string {
 
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "artifact to regenerate ("+artifactNames()+")")
+	exp := fs.String("exp", "all", "artifacts to regenerate, comma-separated ("+artifactNames()+")")
 	rounds := fs.Int("rounds", 2, "systolic rounds to simulate per run")
 	format := fs.String("format", "text", "output format (text, json)")
 	workers := fs.Int("workers", 0, "parallel simulation workers per sweep (0 = GOMAXPROCS, 1 = serial)")
@@ -146,27 +148,41 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Rounds: *rounds, Workers: *workers, Ctx: ctx,
 		Model: *model, Jobs: *jobs, Overlap: *overlap,
 	}
+	// The accounting goes to stderr so the report on stdout stays
+	// byte-identical between a cold run and its fully cached rerun — the
+	// property CI pins. It says what the simulations cost in fabrics (built,
+	// taken from the reuse pool, dropped on release) and how much of their
+	// simulated time the engine jumped over; with a cache the hit accounting
+	// comes first on the same line.
 	if *cacheDir != "" {
 		cache, err := experiments.NewCache(*cacheDir)
 		if err != nil {
 			return err
 		}
 		opts.Cache = cache
-		// The hit accounting goes to stderr so the report on stdout stays
-		// byte-identical between a cold run and its fully cached rerun —
-		// the property CI pins. The same line says what the misses cost in
-		// fabrics: built, taken from the reuse pool, dropped on release.
-		defer func() {
-			s, f := cache.Stats(), noc.ReuseStats()
-			fmt.Fprintf(os.Stderr, "cache          dir=%s hits=%d misses=%d stale=%d read=%dB written=%dB fabrics built=%d reused=%d dropped=%d\n",
-				cache.Dir(), s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten, f.Built, f.Reused, f.Dropped)
-		}()
 	}
+	defer func() {
+		f, hits := noc.ReuseStats(), ""
+		if opts.Cache != nil {
+			s := opts.Cache.Stats()
+			hits = fmt.Sprintf("cache          dir=%s hits=%d misses=%d stale=%d read=%dB written=%dB ",
+				opts.Cache.Dir(), s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten)
+		}
+		if f.Built > 0 || hits != "" {
+			fmt.Fprintf(os.Stderr, "%sfabrics built=%d reused=%d dropped=%d, jumped %d of %d cycles in %d jumps\n",
+				hits, f.Built, f.Reused, f.Dropped, f.JumpedCycles, f.Cycles, f.Jumps)
+		}
+	}()
 
-	ran := 0
+	wanted := strings.Split(*exp, ",")
+	for _, name := range wanted {
+		if name != "all" && !slices.ContainsFunc(artifacts, func(a artifact) bool { return a.name == name }) {
+			return fmt.Errorf("unknown experiment %q (have: %s)", name, artifactNames())
+		}
+	}
 	jsonOut := map[string]any{}
 	for _, a := range artifacts {
-		if *exp != "all" && *exp != a.name {
+		if !slices.Contains(wanted, "all") && !slices.Contains(wanted, a.name) {
 			continue
 		}
 		data, text, err := a.run(opts)
@@ -178,10 +194,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		} else {
 			fmt.Fprintf(w, "== %s ==\n%s\n", a.name, text)
 		}
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q (have: %s)", *exp, artifactNames())
 	}
 	if *format == "json" {
 		enc := json.NewEncoder(w)

@@ -31,6 +31,25 @@ func TestRunStaticTables(t *testing.T) {
 	}
 }
 
+// A comma-separated -exp prints the named artifacts in the order -exp all
+// does, and one unknown name among them is an error before anything runs.
+func TestRunArtifactList(t *testing.T) {
+	var b strings.Builder
+	if err := run(context.Background(), []string{"-exp", "table3,fig1,table1"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	t1, f1, t3 := strings.Index(out, "== table1 =="), strings.Index(out, "== fig1 =="), strings.Index(out, "== table3 ==")
+	if t1 < 0 || !(t1 < t3 && t3 < f1) {
+		t.Errorf("artifacts missing or out of order (table1 at %d, table3 at %d, fig1 at %d):\n%s", t1, t3, f1, out)
+	}
+	b.Reset()
+	err := run(context.Background(), []string{"-exp", "table1,nope"}, &b)
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) || b.Len() != 0 {
+		t.Errorf("err = %v with %d bytes printed, want an unknown-experiment error and no output", err, b.Len())
+	}
+}
+
 func TestRunSimulatedArtifact(t *testing.T) {
 	var b strings.Builder
 	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1"}, &b); err != nil {

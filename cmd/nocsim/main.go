@@ -312,8 +312,10 @@ func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorCon
 		if eng.Cycle() >= ckptAt {
 			return fmt.Errorf("-checkpointat %d is not ahead of cycle %d", ckptAt, eng.Cycle())
 		}
+		// The predicate waits for a cycle, so that cycle ends the budget: a
+		// clock jump stops there at the latest (sim.Engine.RunUntil).
 		atCkpt := func() bool { return eng.Cycle() >= ckptAt }
-		if _, err := eng.RunUntil(atCkpt, maxCycles); err != nil {
+		if _, err := eng.RunUntil(atCkpt, min(maxCycles, ckptAt-eng.Cycle())); err != nil {
 			return err
 		}
 		if err := writeCheckpoint(ckptPath, patternName, gcfg, nw, gen); err != nil {
@@ -340,8 +342,9 @@ func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorCon
 	a := nw.Activity()
 	fmt.Fprintf(w, "link flits     %d\n", a.LinkFlits)
 	if total := eng.Evaluated() + eng.Skipped(); total > 0 {
-		fmt.Fprintf(w, "evaluations    %d of %d (%.1f%% slept)\n",
-			eng.Evaluated(), total, float64(eng.Skipped())/float64(total)*100)
+		fmt.Fprintf(w, "evaluations    %d of %d (%.1f%% slept), jumped %d of %d cycles in %d jumps\n",
+			eng.Evaluated(), total, float64(eng.Skipped())/float64(total)*100,
+			eng.JumpedCycles(), eng.Cycle(), eng.Jumps())
 	}
 	return nil
 }

@@ -1,13 +1,20 @@
 package gathernoc
 
 import (
+	"reflect"
 	"testing"
 
 	"gathernoc/internal/cnn"
+	"gathernoc/internal/collective"
 	"gathernoc/internal/core"
+	"gathernoc/internal/fault"
+	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/sim"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/systolic"
+	"gathernoc/internal/telemetry"
+	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 	"gathernoc/internal/workload"
 )
@@ -291,6 +298,235 @@ func TestSchedulerEquivalenceDirectAccumulation(t *testing.T) {
 			}
 			if nwD.Activity() != nwS.Activity() {
 				t.Errorf("activity diverged:\ndirect    %+v\nscheduled %+v", nwD.Activity(), nwS.Activity())
+			}
+		})
+	}
+}
+
+// TestEngineEquivalenceDeadlineSleeps holds the components that sleep until
+// a cycle they know (the round loop through a layer's compute time, a NIC
+// through a δ wait or to a retransmission deadline, a sink through its
+// per-packet stall) to the always-tick engine, which evaluates everything in
+// every cycle and never moves the clock by more than one: results, fabric
+// activity, protocol counters and the final cycle must agree to the bit.
+// Every run spends at least a hundred cycles per round with a silent fabric,
+// so the tracked engine must also have jumped.
+func TestEngineEquivalenceDeadlineSleeps(t *testing.T) {
+	type outcome struct {
+		Result   any
+		Cycles   int64
+		Activity noc.Activity
+		// SelfInitiated, Acks, Retransmits and Abandoned sum the NICs'
+		// protocol counters; Drops is the fault injector's.
+		SelfInitiated, Acks, Retransmits, Abandoned, Drops uint64
+	}
+	collect := func(nw *noc.Network, result any) outcome {
+		o := outcome{Result: result, Cycles: nw.Engine().Cycle(), Activity: nw.Activity()}
+		for id := 0; id < nw.Topology().NumNodes(); id++ {
+			n := nw.NIC(topology.NodeID(id))
+			o.SelfInitiated += n.SelfInitiatedGathers.Value() + n.SelfInitiatedReduces.Value()
+			o.Acks += n.PiggybackAcks.Value() + n.MergeAcks.Value()
+			o.Retransmits += n.Retransmits.Value()
+			o.Abandoned += n.AbandonedPayloads.Value()
+		}
+		if inj := nw.FaultInjector(); inj != nil {
+			o.Drops = inj.Drops()
+		}
+		return o
+	}
+	accumulate := func(scheme traffic.CollectScheme) func(*testing.T, *noc.Network) any {
+		return func(t *testing.T, nw *noc.Network) any {
+			ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
+				Scheme: scheme, Rounds: 3, ComputeLatency: 150,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ctl.Run(10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OracleErrors != 0 {
+				t.Errorf("%d oracle errors", res.OracleErrors)
+			}
+			return res
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*noc.Config)
+		run    func(*testing.T, *noc.Network) any
+		check  func(*testing.T, outcome)
+	}{
+		// Algorithm 1's fallback: payloads offered with no initiator in
+		// sight, so every NIC sleeps its δ out, retracts and sends its own
+		// gather packet (the odd rows: its own accumulate packet).
+		{
+			name:   "gather-delta-fallback",
+			mutate: func(c *noc.Config) { c.EnableINA, c.Delta, c.ReduceDelta = true, 120, 170 },
+			run: func(t *testing.T, nw *noc.Network) any {
+				var seq uint64
+				for row := 0; row < 8; row++ {
+					for col := 1; col < 8; col++ {
+						node := nw.Topology().ID(topology.Coord{Row: row, Col: col})
+						seq++
+						p := flit.Payload{Seq: seq, Src: node, Dst: nw.RowSinkID(row), Bits: 32, Value: seq}
+						if row%2 == 0 {
+							nw.NIC(node).SubmitGatherPayload(p)
+						} else {
+							p.ReduceID, p.Ops = uint64(row), 1
+							nw.NIC(node).SubmitReduceOperand(p)
+						}
+					}
+				}
+				if _, err := nw.RunUntilQuiescent(100_000); err != nil {
+					t.Fatal(err)
+				}
+				return nil
+			},
+			check: func(t *testing.T, o outcome) {
+				if o.SelfInitiated != 56 || o.Acks != 0 {
+					t.Errorf("%d self-initiated packets and %d acks, want all 56 payloads to time out", o.SelfInitiated, o.Acks)
+				}
+			},
+		},
+		// The same protocol with its initiators: most payloads are picked
+		// up, the rest fall back on the scaled δ of their column.
+		{name: "gather", run: accumulate(traffic.CollectGather)},
+		{
+			name:   "ina",
+			mutate: func(c *noc.Config) { c.EnableINA = true },
+			run:    accumulate(traffic.CollectINA),
+		},
+		// A lossy fabric: dropped and corrupted packets are sent again when
+		// the retransmission deadline their NIC sleeps to comes.
+		{
+			name: "lossy-retransmit",
+			mutate: func(c *noc.Config) {
+				c.Faults = &fault.Config{Seed: 5, DropRate: 0.03, CorruptRate: 0.01}
+			},
+			run: accumulate(traffic.CollectGather),
+			check: func(t *testing.T, o outcome) {
+				if o.Retransmits == 0 || o.Drops == 0 || o.Abandoned != 0 {
+					t.Errorf("%d retransmits, %d drops, %d abandoned: the run exercises no recovery", o.Retransmits, o.Drops, o.Abandoned)
+				}
+			},
+		},
+		{
+			name:   "allreduce-tree",
+			mutate: func(c *noc.Config) { c.EastSinks = false },
+			run: func(t *testing.T, nw *noc.Network) any {
+				ctl, err := collective.NewController(nw, collective.Config{
+					Op: collective.AllReduce, Algorithm: collective.AlgTree, Rounds: 2, ComputeLatency: 130,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ctl.Run(10_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
+					t.Errorf("%d oracle / %d broadcast errors", res.OracleErrors, res.BroadcastErrors)
+				}
+				return res
+			},
+		},
+		// A sparse trace: the replayer sleeps from one record to the next
+		// (two rounds of Conv3's gather collection, 2600 cycles apart).
+		{
+			name: "trace-replay",
+			run: func(t *testing.T, nw *noc.Network) any {
+				events := traffic.GenerateLayerTrace(conv3(t), 8, 8, true, 400, nw.Topology().NumNodes())
+				for _, e := range traffic.GenerateLayerTrace(conv3(t), 8, 8, true, 3000, nw.Topology().NumNodes()) {
+					e.Seq += 1000
+					events = append(events, e)
+				}
+				rp, err := traffic.NewReplayer(nw, events)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rp.Run(1_000_000); err != nil {
+					t.Fatal(err)
+				}
+				return rp.EventsInjected
+			},
+		},
+		// An observed fabric: the epoch trigger sleeps from one boundary to
+		// the next, so the clock still jumps, an epoch at a time, and every
+		// epoch row and trace event is the stepping engine's.
+		{
+			name: "telemetry-epochs",
+			mutate: func(c *noc.Config) {
+				c.EnableINA = true
+				c.Telemetry = &telemetry.Config{Epoch: 64, TraceSample: 1}
+			},
+			run: func(t *testing.T, nw *noc.Network) any {
+				res := accumulate(traffic.CollectINA)(t, nw)
+				rep, csv, trace := harvestAndExport(t, nw)
+				if len(rep.EpochIndex) < 8 || len(rep.Events) == 0 {
+					t.Errorf("%d epochs and %d events harvested: telemetry was not exercised", len(rep.EpochIndex), len(rep.Events))
+				}
+				return []any{res, string(csv), string(trace)}
+			},
+		},
+		// A pure broadcast has no leaf to release: the round loop sleeps to
+		// the cycle the controller named, the root's compute time.
+		{
+			name:   "broadcast-root-compute",
+			mutate: func(c *noc.Config) { c.EastSinks = false },
+			run: func(t *testing.T, nw *noc.Network) any {
+				ctl, err := collective.NewController(nw, collective.Config{
+					Op: collective.Broadcast, Algorithm: collective.AlgTree, Rounds: 3, ComputeLatency: 200,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ctl.Run(10_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.BroadcastErrors != 0 {
+					t.Errorf("%d broadcast errors", res.BroadcastErrors)
+				}
+				return res
+			},
+		},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			run := func(alwaysTick bool, shards int) (outcome, *sim.Engine) {
+				cfg := noc.DefaultConfig(8, 8)
+				if c.mutate != nil {
+					c.mutate(&cfg)
+				}
+				cfg.AlwaysTick, cfg.Shards = alwaysTick, shards
+				nw, err := noc.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				return collect(nw, c.run(t, nw)), nw.Engine()
+			}
+			naive, naiveEngine := run(true, 0)
+			if c.check != nil {
+				c.check(t, naive)
+			}
+			if naiveEngine.Jumps() != 0 || naiveEngine.Skipped() != 0 {
+				t.Errorf("the always-tick engine jumped %d times and skipped %d evaluations", naiveEngine.Jumps(), naiveEngine.Skipped())
+			}
+			for _, shards := range []int{0, 2} {
+				tracked, engine := run(false, shards)
+				if !reflect.DeepEqual(tracked, naive) {
+					t.Errorf("shards=%d diverged from the always-tick engine:\ntracked %+v\nnaive   %+v", shards, tracked, naive)
+				}
+				if engine.Jumps() == 0 || engine.JumpedCycles() < 100 {
+					t.Errorf("shards=%d: %d cycles jumped in %d jumps: the deadlines were polled, not slept to", shards, engine.JumpedCycles(), engine.Jumps())
+				}
+				if got, want := engine.Evaluated()+engine.Skipped(), naiveEngine.Evaluated(); shards == 0 && got != want {
+					t.Errorf("Evaluated()+Skipped() = %d, the always-tick engine evaluated %d", got, want)
+				}
 			}
 		})
 	}

@@ -224,6 +224,7 @@ func (d *Driver) BeginRound(now int64) {
 
 	if !d.hasReduce() {
 		d.rootReadyAt = now + int64(d.cfg.ComputeLatency)
+		d.WakeAt(d.rootReadyAt)
 		d.bcastVal = d.rootValue(r)
 		d.res.Sums[r] = d.bcastVal
 		return
@@ -336,6 +337,7 @@ func (d *Driver) maybeBroadcast(cycle int64) {
 			return
 		}
 	} else if cycle < d.rootReadyAt {
+		d.WakeAt(d.rootReadyAt)
 		return
 	}
 	d.bcastSent = true
@@ -360,8 +362,10 @@ func (d *Driver) maybeBroadcast(cycle int64) {
 // for this phase's tag). Broadcast receipts are attributed to the
 // ejecting node (ReceivedPacket.At); payloads tagged for another driver —
 // picked up en route by this phase's collective packet — are routed
-// through the foreign handler instead.
+// through the foreign handler instead. A delivery is what can move the round
+// on, so it wakes the round loop.
 func (d *Driver) OnPacket(p *nic.ReceivedPacket) {
+	d.Wake()
 	d.res.PacketLatency.Observe(float64(p.Latency()))
 	d.Route(p, func(pl flit.Payload) {
 		if flit.ReduceIDRow(pl.ReduceID) == d.rows+rowIDBroadcastOffset {
@@ -395,6 +399,7 @@ func (d *Driver) onBroadcast(pl flit.Payload, at topology.NodeID) {
 // ReduceID does not name this driver's tag, a valid channel and the
 // current round count as oracle errors (workload.PayloadSink).
 func (d *Driver) OnPayload(pl flit.Payload) {
+	d.Wake()
 	row := flit.ReduceIDRow(pl.ReduceID)
 	if flit.ReduceIDTag(pl.ReduceID) != d.Tag() || !d.hasReduce() ||
 		flit.ReduceIDRound(pl.ReduceID) != uint32(d.Round()) {

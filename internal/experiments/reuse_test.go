@@ -2,27 +2,10 @@ package experiments
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"gathernoc/internal/noc"
 )
-
-// raceBuild reports whether the binary runs under the race detector, where
-// sync.Pool drops a quarter of what it is given and a released network is
-// therefore rebuilt now and then.
-func raceBuild() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
 
 // TestSweepBuildsOneFabricPerWorkerAndConfig pins what reuse is for.
 // Table II and Fig. 7 are 15 comparison cells, 30 simulations, on two
@@ -31,14 +14,11 @@ func raceBuild() bool {
 // sweep builds at most one network per worker and configuration, however
 // many cells it has, and drops none.
 func TestSweepBuildsOneFabricPerWorkerAndConfig(t *testing.T) {
-	const workers, configs, runs = 3, 2, 30
-	// Two things make sync.Pool miss while a network is idle: a collection
-	// empties it, and each processor keeps one item where the others
-	// cannot take it. With the collector off and one processor for the
-	// length of the sweep the bound is exact and not merely likely; the
-	// workers still interleave.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const configs, runs = 2, 30
+	// The free list parks GOMAXPROCS networks per configuration: with no
+	// more workers than processors every release finds room, whatever the
+	// collector does meanwhile, and the bound is exact.
+	workers := min(3, runtime.GOMAXPROCS(0))
 
 	opts := Options{Rounds: 1, Workers: workers}
 	before := noc.ReuseStats()
@@ -57,30 +37,17 @@ func TestSweepBuildsOneFabricPerWorkerAndConfig(t *testing.T) {
 	if after.Dropped != before.Dropped {
 		t.Errorf("dropped %d networks that finished cleanly", after.Dropped-before.Dropped)
 	}
-	if raceBuild() {
-		if reused == 0 {
-			t.Error("no network was reused")
-		}
-		return
-	}
-	if built > configs*workers {
+	if built > uint64(configs*workers) {
 		t.Errorf("built %d networks, want at most %d configurations x %d workers", built, configs, workers)
 	}
 }
 
 // TestMultiJobReleasesItsFabric: MultiJob takes its network from Acquire
 // like every other cell, so it must hand it back. With telemetry off the
-// fabric is poolable: the first of two calls builds it, the second runs on
-// the same one, and neither drops it.
+// fabric is poolable: the second of two calls runs on the one the first
+// released (the first builds it, unless an earlier test parked one of the
+// same configuration), and neither drops it.
 func TestMultiJobReleasesItsFabric(t *testing.T) {
-	// Empty the pools of what earlier tests parked (two collections clear a
-	// sync.Pool and its victim cache), then keep them from missing, as in
-	// TestSweepBuildsOneFabricPerWorkerAndConfig.
-	runtime.GC()
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
 	before := noc.ReuseStats()
 	for i := 0; i < 2; i++ {
 		if _, err := MultiJob(Options{Rounds: 1, Jobs: 2}); err != nil {
@@ -96,10 +63,7 @@ func TestMultiJobReleasesItsFabric(t *testing.T) {
 	if after.Dropped != before.Dropped {
 		t.Errorf("dropped %d networks that finished cleanly", after.Dropped-before.Dropped)
 	}
-	if raceBuild() {
-		return
-	}
-	if built != 1 || reused != 1 {
+	if built > 1 || reused == 0 {
 		t.Errorf("built %d and reused %d networks, want the second run on the first run's fabric", built, reused)
 	}
 }

@@ -108,7 +108,10 @@ type Link struct {
 	flits   ring.Ring[inflightFlit]
 	credits ring.Ring[inflightCredit]
 
-	wake *sim.Handle // engine wake-up, armed when traffic is staged
+	// Engine wake-ups, armed when traffic is staged: flitWake by Send,
+	// creditWake by ReturnCredit. One handle on a link committed whole, one
+	// per half on a link two shards commit (SetHalfWakes).
+	flitWake, creditWake *sim.Handle
 
 	probe *telemetry.Probe
 	loc   int32 // downstream node id reported in trace events
@@ -158,7 +161,34 @@ func (l *Link) Name() string { return l.name.String() }
 // SetWake attaches the engine wake handle; Send and ReturnCredit arm it so
 // a sleeping link is committed. Links work without one (nil handles ignore
 // Wake).
-func (l *Link) SetWake(h *sim.Handle) { l.wake = h }
+func (l *Link) SetWake(h *sim.Handle) { l.flitWake, l.creditWake = h, h }
+
+// SetHalfWakes attaches the wake handles of a link committed in two halves
+// (FlitHalf, CreditHalf): Send arms flits, ReturnCredit arms credits. Each is
+// called from the shard at the other end of the link from the half it wakes,
+// so the handles must be remote ones made for that shard (sim.Handle.Remote).
+func (l *Link) SetHalfWakes(flits, credits *sim.Handle) { l.flitWake, l.creditWake = flits, credits }
+
+// FlitHalf commits a link's forward path only; a sharded engine registers it
+// with the shard owning the downstream endpoint. It sleeps while no flit is
+// on the wire.
+type FlitHalf struct{ L *Link }
+
+// Commit delivers the ripe flits.
+func (h FlitHalf) Commit(now int64) { h.L.CommitFlits(now) }
+
+// Idle implements sim.Idler.
+func (h FlitHalf) Idle() bool { return h.L.flits.Empty() }
+
+// CreditHalf commits a link's credit return only; registered with the shard
+// owning the upstream endpoint. It sleeps while no credit is on the wire.
+type CreditHalf struct{ L *Link }
+
+// Commit delivers the ripe credits.
+func (h CreditHalf) Commit(now int64) { h.L.CommitCredits(now) }
+
+// Idle implements sim.Idler.
+func (h CreditHalf) Idle() bool { return h.L.credits.Empty() }
 
 // SetTelemetry attaches a lifecycle-trace probe. loc is the downstream
 // node id recorded on link-traversal events. The probe must belong to the
@@ -233,7 +263,7 @@ func (l *Link) Idle() bool { return l.flits.Empty() && l.credits.Empty() }
 // during its tick at cycle now.
 func (l *Link) Send(f *flit.Flit, vc int, now int64) {
 	l.flits.PushBack(inflightFlit{f: f, vc: vc, due: now + l.latency})
-	l.wake.Wake()
+	l.flitWake.Wake()
 }
 
 // ReturnCredit stages a credit for the upstream component; called by the
@@ -241,7 +271,7 @@ func (l *Link) Send(f *flit.Flit, vc int, now int64) {
 // slot on vc.
 func (l *Link) ReturnCredit(vc int, now int64) {
 	l.credits.PushBack(inflightCredit{vc: vc, due: now + 1})
-	l.wake.Wake()
+	l.creditWake.Wake()
 }
 
 // InFlight returns the number of flits currently traversing the link.

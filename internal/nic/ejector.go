@@ -97,9 +97,10 @@ type partialPacket struct {
 
 // DeliveredPayload records one exactly-once payload delivery at an
 // ejection point: the payload's run-unique Seq and its source NIC. The
-// network's reliability hub drains these each cycle (serial sub-phase)
-// and confirms the matching retransmission-table entries — the simulator's
-// zero-cycle model of an end-to-end acknowledgment channel.
+// network's reliability hub, woken by the ejector that staged one, drains
+// these in the cycle they were staged (serial sub-phase) and confirms the
+// matching retransmission-table entries — the simulator's zero-cycle model
+// of an end-to-end acknowledgment channel.
 type DeliveredPayload struct {
 	Seq uint64
 	Src topology.NodeID
@@ -146,18 +147,21 @@ type Ejector struct {
 	// order the sequential engine would have fired them. Payloads are
 	// copied into the stagedPay arena (slices would dangle once the
 	// partial record is recycled); both slices are reused across cycles.
-	staged    bool
-	stagedPkt []stagedPacket
-	stagedPay []flit.Payload
+	// dispatcher is the handle of whoever calls DispatchStaged, woken when
+	// a packet is parked; nil while delivery is immediate.
+	dispatcher *sim.Handle
+	stagedPkt  []stagedPacket
+	stagedPay  []flit.Payload
 
 	// Fault awareness (SetFaultAware; nil/false on fault-free fabrics).
 	// seen records every payload Seq ever delivered here, so a slow
 	// original arriving after its retransmission (or vice versa) is
 	// suppressed — the exactly-once guarantee the reduction oracles
 	// depend on. delivered stages the cycle's confirmations for the
-	// reliability hub (DrainDelivered).
+	// reliability hub (DrainDelivered), whose handle hub is.
 	seen      map[uint64]struct{}
 	delivered []DeliveredPayload
+	hub       *sim.Handle
 
 	// FlitsEjected counts drained flits; PacketsEjected completed packets.
 	FlitsEjected   stats.Counter
@@ -238,12 +242,14 @@ func (e *Ejector) OnReceive(fn func(*ReceivedPacket)) { e.recv = fn }
 // SetFaultAware switches on the receive-side recovery machinery:
 // corrupted packets are discarded on reassembly (the CRC model) and
 // payload deliveries are deduplicated by Seq and staged as confirmations
-// for the reliability hub. Off (the default) none of its state exists and
-// the assemble path is unchanged.
-func (e *Ejector) SetFaultAware() {
+// for the reliability hub, which is woken through hub whenever one is
+// staged. Off (the default) none of its state exists and the assemble path
+// is unchanged.
+func (e *Ejector) SetFaultAware(hub *sim.Handle) {
 	if e.seen == nil {
 		e.seen = make(map[uint64]struct{})
 	}
+	e.hub = hub
 }
 
 // DrainDelivered hands every payload delivery confirmed since the last
@@ -276,6 +282,18 @@ func (e *Ejector) Buffered() int {
 
 // PendingPackets reports partially reassembled packets.
 func (e *Ejector) PendingPackets() int { return len(e.partial) }
+
+// NextDrain returns, for an ejector last ticked in cycle now, the earliest
+// later cycle in which Tick drains a flit if none arrives meanwhile: the
+// next cycle with flits buffered, the end of the per-packet stall when that
+// comes later, sim.Never with nothing buffered. The owning ticker sleeps
+// until then; arrivals wake it.
+func (e *Ejector) NextDrain(now int64) int64 {
+	if e.Buffered() == 0 {
+		return sim.Never
+	}
+	return max(now+1, e.pausedUntil)
+}
 
 // Tick drains up to drainRate flits round-robin across VCs, returning one
 // credit per drained flit and completing packets on tail arrival. After a
@@ -413,11 +431,12 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 		e.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvEject,
 			Packet: pp.id, Tag: pp.tag, Loc: e.probeLoc, Aux: int64(pp.hops)})
 	}
-	if e.staged {
+	if e.dispatcher != nil {
 		sp := stagedPacket{pkt: *rp, payOff: len(e.stagedPay), payLen: len(rp.Payloads)}
 		sp.pkt.Payloads = nil
 		e.stagedPay = append(e.stagedPay, rp.Payloads...)
 		e.stagedPkt = append(e.stagedPkt, sp)
+		e.dispatcher.Wake()
 	} else if e.recv != nil {
 		e.recv(rp)
 	}
@@ -442,15 +461,19 @@ func (e *Ejector) dedupPayloads(payloads []flit.Payload) []flit.Payload {
 		e.delivered = append(e.delivered, DeliveredPayload{Seq: p.Seq, Src: p.Src})
 		kept = append(kept, p)
 	}
+	if len(e.delivered) > 0 {
+		e.hub.Wake()
+	}
 	return kept
 }
 
 // SetStaged switches the ejector to staged delivery: completed packets are
 // buffered during Tick and their receive callbacks fired only when
-// DispatchStaged is called. Sharded engines enable this so Tick can run
-// concurrently while callbacks — which reach into shared workload/driver
-// state — stay on the serial sub-phase.
-func (e *Ejector) SetStaged(on bool) { e.staged = on }
+// DispatchStaged is called; dispatcher is the handle of the component that
+// calls it, woken whenever a packet is buffered. Sharded engines enable this
+// so Tick can run concurrently while callbacks — which reach into shared
+// workload/driver state — stay on the serial sub-phase.
+func (e *Ejector) SetStaged(dispatcher *sim.Handle) { e.dispatcher = dispatcher }
 
 // DispatchStaged fires the receive callback for every packet completed
 // since the last dispatch, in completion order. The sharded engine calls

@@ -144,7 +144,13 @@ type NIC struct {
 	queue    ring.Deque[flit.Packet]
 	waiting  []gatherWait
 	rwaiting []gatherWait // reduce operands awaiting an INA merge
-	sendRR   int
+	// sweepAt is the earliest cycle the timeout sweeps have work in: the
+	// earliest δ or retransmission deadline, or the cycle of an ack whose
+	// wait is still listed. Before it Tick leaves the wait lists and the
+	// reliability table alone. It is derived from them (a restored NIC
+	// starts at 0 and the first sweep brings it up to date).
+	sweepAt int64
+	sendRR  int
 	// streaming counts injection VCs with flits left to send, so Idle and
 	// Pending answer without scanning vcPkt.
 	streaming int
@@ -256,15 +262,24 @@ func (n *NIC) currentCycle() int64 {
 	return n.now
 }
 
-// Idle implements sim.Idler: with no queued packets, no streaming flits,
-// no payloads awaiting pickup and an empty ejection buffer, the NIC's tick
-// is a pure no-op, so the engine may skip it until new work arrives (wakes
-// come from enqueues, payload submissions, credit returns and ejection
-// deliveries).
+// Idle implements sim.Idler: with no queued packets, no streaming flits, no
+// flit the ejector could drain and no timeout due in the next cycle, the
+// NIC's tick is a pure no-op until the earliest deadline it holds (a δ wait,
+// an unconfirmed payload's retransmission, the end of an ejector stall),
+// which Idle arms the timer for. The engine may skip it until then or
+// until new work arrives (wakes come from enqueues, payload submissions,
+// acks, delivery confirmations, credit returns and ejection deliveries).
 func (n *NIC) Idle() bool {
 	return n.streaming == 0 && n.queue.Len() == 0 &&
-		len(n.waiting) == 0 && len(n.rwaiting) == 0 && n.eject.Buffered() == 0 &&
-		(n.reliable == nil || len(n.reliable.entries) == 0)
+		n.wake.IdleUntil(n.now, min(n.sweepAt, n.eject.NextDrain(n.now)))
+}
+
+// sweepBy makes sure the timeout sweeps run in the first tick at or after
+// cycle.
+func (n *NIC) sweepBy(cycle int64) {
+	if cycle < n.sweepAt {
+		n.sweepAt = cycle
+	}
 }
 
 // AcceptCredit implements link.CreditSink for the injection channel.
@@ -366,21 +381,28 @@ func (n *NIC) SubmitGatherPayload(p flit.Payload) {
 		n.selfInitiate(p)
 		return
 	}
-	n.waiting = append(n.waiting, gatherWait{payload: p, deadline: n.currentCycle() + n.cfg.Delta, tag: n.tag})
+	deadline := n.currentCycle() + n.cfg.Delta
+	n.waiting = append(n.waiting, gatherWait{payload: p, deadline: deadline, tag: n.tag})
+	n.sweepBy(deadline)
 	n.wake.Wake()
 }
 
 // onGatherAck marks the waiting payload picked up by a passing gather
 // packet. Payload sequence numbers are run-unique, so the lookup is exact.
+// The NIC's next tick (this cycle's: routers tick first) drops the wait.
 func (n *NIC) onGatherAck(p flit.Payload) {
 	markAcked(n.waiting, p.Seq)
 	n.PiggybackAcks.Inc()
+	n.sweepBy(n.currentCycle())
+	n.wake.Wake()
 }
 
 // onReduceAck is the INA twin of onGatherAck.
 func (n *NIC) onReduceAck(p flit.Payload) {
 	markAcked(n.rwaiting, p.Seq)
 	n.MergeAcks.Inc()
+	n.sweepBy(n.currentCycle())
+	n.wake.Wake()
 }
 
 func markAcked(waiting []gatherWait, seq uint64) {
@@ -452,7 +474,9 @@ func (n *NIC) SubmitReduceOperand(p flit.Payload) {
 		n.selfInitiateReduce(p)
 		return
 	}
-	n.rwaiting = append(n.rwaiting, gatherWait{payload: p, deadline: n.currentCycle() + n.reduceDelta(), tag: n.tag})
+	deadline := n.currentCycle() + n.reduceDelta()
+	n.rwaiting = append(n.rwaiting, gatherWait{payload: p, deadline: deadline, tag: n.tag})
+	n.sweepBy(deadline)
 	n.wake.Wake()
 }
 
@@ -465,27 +489,29 @@ func (n *NIC) Pending() bool {
 		(n.reliable != nil && len(n.reliable.entries) > 0)
 }
 
-// Tick advances the NIC: δ timeouts, packet-to-VC binding, and one flit of
-// injection bandwidth.
+// Tick advances the NIC: ejection, the timeouts that have come due (δ
+// fallbacks, retransmissions), packet-to-VC binding, and one flit of
+// injection bandwidth. A NIC left with nothing but deadlines to wait for
+// sleeps until the earliest (Idle).
 func (n *NIC) Tick(cycle int64) {
 	n.now = cycle
 	n.eject.Tick(cycle)
-	n.checkTimeouts()
-	n.sweepReliable()
+	if cycle >= n.sweepAt {
+		n.sweepAt = sim.Never
+		n.waiting = n.sweepTimeouts(n.waiting, n.rtr.RetractGatherPayload, n.selfInitiate)
+		n.rwaiting = n.sweepTimeouts(n.rwaiting, n.rtr.RetractReduceOperand, n.selfInitiateReduce)
+		n.sweepReliable()
+	}
 	n.bindPackets()
 	n.injectOne(cycle)
-}
-
-func (n *NIC) checkTimeouts() {
-	n.waiting = n.sweepTimeouts(n.waiting, n.rtr.RetractGatherPayload, n.selfInitiate)
-	n.rwaiting = n.sweepTimeouts(n.rwaiting, n.rtr.RetractReduceOperand, n.selfInitiateReduce)
 }
 
 // sweepTimeouts drops acked waiters and fires the δ fallback for expired
 // ones. Retract succeeds only while the payload is still pending at the
 // station; if a packet reserved it, the ack is imminent and we keep
 // waiting (retry next cycle if the reservation is released). The fallback
-// packet is enqueued under the tag the payload was submitted with.
+// packet is enqueued under the tag the payload was submitted with. Every
+// wait that stays listed books its deadline with sweepBy.
 func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fallback func(flit.Payload)) []gatherWait {
 	if len(waiting) == 0 {
 		return waiting
@@ -503,6 +529,7 @@ func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fal
 			n.tag = cur
 			continue
 		}
+		n.sweepBy(w.deadline)
 		keep = append(keep, w)
 	}
 	return keep

@@ -70,18 +70,17 @@ func (n *NIC) track(p flit.Payload) {
 		return
 	}
 	rt.index[p.Seq] = len(rt.entries)
-	rt.entries = append(rt.entries, reliableEntry{
-		payload:  p,
-		tag:      n.tag,
-		deadline: n.currentCycle() + rt.base,
-	})
+	deadline := n.currentCycle() + rt.base
+	rt.entries = append(rt.entries, reliableEntry{payload: p, tag: n.tag, deadline: deadline})
+	n.sweepBy(deadline)
 	n.wake.Wake()
 }
 
 // ConfirmDelivery removes the tracked entry for a delivered payload.
 // Called by the network's reliability hub on the serial sub-phase; a Seq
 // with no entry (already confirmed, abandoned, or delivered on first try
-// before any retransmit — confirmations are idempotent) is ignored.
+// before any retransmit — confirmations are idempotent) is ignored. The
+// NIC is woken so that it arms its timer for the deadlines that are left.
 func (n *NIC) ConfirmDelivery(seq uint64) {
 	rt := n.reliable
 	if rt == nil {
@@ -92,6 +91,7 @@ func (n *NIC) ConfirmDelivery(seq uint64) {
 		return
 	}
 	rt.removeAt(i)
+	n.wake.Wake()
 }
 
 // removeAt deletes the entry in slot i by swapping the last entry in,
@@ -107,7 +107,8 @@ func (rt *reliableTable) removeAt(i int) {
 	rt.entries = rt.entries[:last]
 }
 
-// sweepReliable fires retransmissions for entries past their deadline.
+// sweepReliable fires retransmissions for entries past their deadline and
+// books every deadline that is left with sweepBy.
 // Whatever transport carried the original (unicast, gather piggyback, INA
 // merge), the retransmission is a plain unicast payload: after a loss the
 // collective path is suspect, so the NIC degrades to the PR 2 reduce-δ
@@ -121,6 +122,7 @@ func (n *NIC) sweepReliable() {
 	for i := 0; i < len(rt.entries); i++ {
 		en := &rt.entries[i]
 		if n.now < en.deadline {
+			n.sweepBy(en.deadline)
 			continue
 		}
 		if en.attempt >= rt.maxRetries {
@@ -135,6 +137,7 @@ func (n *NIC) sweepReliable() {
 			shift = rt.backoffCap
 		}
 		en.deadline = n.now + rt.base<<shift
+		n.sweepBy(en.deadline)
 		payload, tag := en.payload, en.tag
 		cur := n.tag
 		n.tag = tag

@@ -304,6 +304,7 @@ func (n *NIC) RestoreState(s State, numNodes int) error {
 	n.sendRR = s.SendRR
 	n.tag = s.Tag
 	n.now = s.Now
+	n.sweepAt = 0 // derived: the first tick's sweep books the restored deadlines
 
 	n.PacketsInjected = s.PacketsInjected
 	n.FlitsInjected = s.FlitsInjected

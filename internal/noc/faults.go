@@ -89,33 +89,36 @@ func (nw *Network) wireFaults() error {
 
 	// Recovery: exactly-once ejectors everywhere, reliability tables on
 	// every NIC, and the hub confirming deliveries back to the senders.
-	for _, n := range nw.nics {
-		n.EnableReliability(fc.EffectiveRetryTimeout(), fc.EffectiveRetryCap(), fc.EffectiveMaxRetries())
-		n.Ejector().SetFaultAware()
-	}
-	for _, s := range nw.sinks {
-		s.ej.SetFaultAware()
-	}
 	hub := &reliabilityHub{nw: nw}
 	hub.confirmFn = hub.confirm
 	// Serial ticker, after the sharded staged dispatcher (registered in
-	// registerSharded) and before any caller-added controller: in both
-	// engine modes a payload assembled in cycle C is confirmed in cycle C,
-	// before the workload layer observes the cycle.
-	nw.engine.AddTicker(hub)
+	// register) and before any caller-added controller: in both engine
+	// modes a payload assembled in cycle C is confirmed in cycle C, before
+	// the workload layer observes the cycle.
+	hubWake := nw.wakeFromShards(nw.engine.AddTicker(hub))
+	for _, n := range nw.nics {
+		n.EnableReliability(fc.EffectiveRetryTimeout(), fc.EffectiveRetryCap(), fc.EffectiveMaxRetries())
+		n.Ejector().SetFaultAware(hubWake[nw.shardOfNode(n.ID())])
+	}
+	for _, s := range nw.sinks {
+		s.ej.SetFaultAware(hubWake[nw.shardOfRow(s.row)])
+	}
 	return nil
 }
 
 // reliabilityHub drains every ejector's delivered-payload staging on the
 // serial sub-phase — canonical sink-then-NIC order, one goroutine — and
 // confirms each payload with the NIC that sent it, closing the end-to-end
-// retransmission loop.
+// retransmission loop. It sleeps whenever it has run: the ejector that
+// stages a delivery wakes it, in the cycle of the delivery.
 type reliabilityHub struct {
 	nw *Network
 	// confirmFn is the bound confirm method, allocated once: DrainDelivered
-	// takes a func value and the hub ticks every cycle.
+	// takes a func value.
 	confirmFn func(nic.DeliveredPayload)
 }
+
+func (h *reliabilityHub) Idle() bool { return true }
 
 func (h *reliabilityHub) Tick(cycle int64) {
 	for _, s := range h.nw.sinks {
@@ -271,7 +274,7 @@ func (nw *Network) stallDiagnostic(cycle int64) string {
 	}
 	listed = 0
 	for _, n := range nw.nics {
-		if n.Idle() {
+		if !n.Pending() {
 			continue
 		}
 		if listed < 16 {
@@ -282,7 +285,7 @@ func (nw *Network) stallDiagnostic(cycle int64) string {
 		listed++
 	}
 	if listed > 16 {
-		fmt.Fprintf(&b, "  ... and %d more awake NICs\n", listed-16)
+		fmt.Fprintf(&b, "  ... and %d more NICs with work pending\n", listed-16)
 	}
 	for _, s := range nw.sinks {
 		if s.ej.Buffered() > 0 || s.ej.PendingPackets() > 0 {

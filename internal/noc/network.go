@@ -9,7 +9,6 @@ package noc
 
 import (
 	"fmt"
-	"sync"
 
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
@@ -28,6 +27,10 @@ type EdgeSink struct {
 	id  topology.NodeID
 	row int
 	ej  *nic.Ejector
+	// wake is the sink's own engine handle (the ejector holds it too); now
+	// the cycle of its latest tick.
+	wake *sim.Handle
+	now  int64
 }
 
 // ID returns the sink's virtual node id (see Network.RowSinkID).
@@ -43,11 +46,16 @@ func (s *EdgeSink) Ejector() *nic.Ejector { return s.ej }
 func (s *EdgeSink) OnReceive(fn func(*nic.ReceivedPacket)) { s.ej.OnReceive(fn) }
 
 // Tick drains the sink's buffers.
-func (s *EdgeSink) Tick(cycle int64) { s.ej.Tick(cycle) }
+func (s *EdgeSink) Tick(cycle int64) {
+	s.now = cycle
+	s.ej.Tick(cycle)
+}
 
-// Idle implements sim.Idler: with nothing buffered the sink's tick is a
-// pure no-op; flit deliveries wake it through the ejector's handle.
-func (s *EdgeSink) Idle() bool { return s.ej.Buffered() == 0 }
+// Idle implements sim.Idler: with nothing buffered the sink's tick is a pure
+// no-op, and so it is, with flits waiting, until the per-packet write
+// transaction that stalls it ends, which Idle arms the timer for; flit
+// deliveries wake it through the ejector's handle.
+func (s *EdgeSink) Idle() bool { return s.wake.IdleUntil(s.now, s.ej.NextDrain(s.now)) }
 
 // Network is a fully wired NoC on the configured topology. Create with
 // New, drive through Engine() or the Run helpers.
@@ -99,11 +107,11 @@ type Network struct {
 	// Reuse state (reuse.go). built marks the end of the fabric's own
 	// engine registrations (whatever callers register later is dropped when
 	// the network is reset) and nicCfg is what every NIC was built with.
-	// Acquire sets pristine, the state a reset restores, and home, the pool
-	// Release parks the network in; home is nil while it is parked.
+	// Acquire sets pristine, the state a reset restores, and leased, which
+	// says that Release may park the network; it is false while parked.
 	built    sim.Mark
 	nicCfg   nic.Config
-	home     *sync.Pool
+	leased   bool
 	pristine *pristine
 }
 
@@ -470,7 +478,7 @@ func (nw *Network) wireTelemetry() {
 		if ec == nil {
 			break
 		}
-		nw.addCommitter(s, ec)
+		ec.SetWake(nw.addCommitter(s, ec))
 	}
 	tc.Start()
 }
@@ -501,14 +509,15 @@ func (nw *Network) HarvestTelemetry() *telemetry.Report {
 // every shard and every Wake inside the shard that makes it. A link whose
 // two ends share a shard is registered whole, as on the sequential engine.
 // A link that crosses a shard boundary is committed in two halves, one per
-// endpoint shard, and gets no handle: Send and ReturnCredit run in two
-// different shards' tick phases, so a bitmap bit for the link would have
-// two writers. Those halves are evaluated every cycle. Ejectors switch to
+// endpoint shard. Send and ReturnCredit run in the tick phase of the shard
+// at the other end from the half each wakes, so the halves get remote
+// handles, whose wakes the owning shard picks up when its commit phase
+// starts. Ejectors switch to
 // staged delivery, and the staged-dispatch hook becomes the first serial
 // ticker so receive callbacks fire — in the sequential callback order —
-// before any workload driver runs.
+// before any workload driver runs; it sleeps until an ejector stages a
+// packet.
 func (nw *Network) register() {
-	sharded := nw.engine.Sharded()
 	for _, r := range nw.routers {
 		sh := nw.shardOfNode(r.ID())
 		r.SetWake(nw.addTicker(sh, r))
@@ -516,9 +525,9 @@ func (nw *Network) register() {
 	}
 	for _, s := range nw.sinks {
 		sh := nw.shardOfRow(s.row)
-		s.ej.SetWake(nw.addTicker(sh, s))
+		s.wake = nw.addTicker(sh, s)
+		s.ej.SetWake(s.wake)
 		s.ej.SetFlitPool(nw.poolFor(sh))
-		s.ej.SetStaged(sharded)
 	}
 	for _, n := range nw.nics {
 		sh := nw.shardOfNode(n.ID())
@@ -528,18 +537,24 @@ func (nw *Network) register() {
 		n.SetClock(nw.engine)
 		n.SetFlitPool(pool)
 		n.Ejector().SetFlitPool(pool)
-		n.Ejector().SetStaged(sharded)
 	}
 	for _, rec := range nw.linkRecs {
 		if rec.downShard == rec.upShard {
 			rec.l.SetWake(nw.addCommitter(rec.downShard, rec.l))
 			continue
 		}
-		nw.engine.AddShardCommitter(rec.downShard, flitHalf{rec.l})
-		nw.engine.AddShardCommitter(rec.upShard, creditHalf{rec.l})
+		rec.l.SetHalfWakes(
+			nw.engine.AddShardCommitter(rec.downShard, link.FlitHalf{L: rec.l}).Remote(rec.upShard),
+			nw.engine.AddShardCommitter(rec.upShard, link.CreditHalf{L: rec.l}).Remote(rec.downShard))
 	}
-	if sharded {
-		nw.engine.AddTicker(stagedDispatcher{nw})
+	if nw.engine.Sharded() {
+		dispatcher := nw.wakeFromShards(nw.engine.AddTicker(stagedDispatcher{nw}))
+		for _, s := range nw.sinks {
+			s.ej.SetStaged(dispatcher[nw.shardOfRow(s.row)])
+		}
+		for _, n := range nw.nics {
+			n.Ejector().SetStaged(dispatcher[nw.shardOfNode(n.ID())])
+		}
 	}
 	nw.setEngineModes()
 }
@@ -552,6 +567,21 @@ func (nw *Network) setEngineModes() {
 	// nothing (the schedules are bit-identical either way; see
 	// sim.Engine.SetAdaptive).
 	nw.engine.SetAdaptive(true)
+}
+
+// wakeFromShards returns, indexed by shard, the handle the components of
+// that shard wake a serial-lane component with, given the component's own
+// handle h: on a sharded engine they tick in their shard's parallel phase
+// and need a remote handle each; the sequential engine's one lane uses h.
+func (nw *Network) wakeFromShards(h *sim.Handle) []*sim.Handle {
+	hs := []*sim.Handle{h}
+	if nw.engine.Sharded() {
+		hs = make([]*sim.Handle, nw.cfg.EffectiveShards())
+		for sh := range hs {
+			hs[sh] = h.Remote(sh)
+		}
+	}
+	return hs
 }
 
 // addTicker registers t with shard sh of a sharded engine, or with the
@@ -571,23 +601,14 @@ func (nw *Network) addCommitter(sh int, c sim.Committer) *sim.Handle {
 	return nw.engine.AddCommitter(c)
 }
 
-// flitHalf commits a link's forward path only; registered with the shard
-// owning the downstream endpoint.
-type flitHalf struct{ l *link.Link }
-
-func (h flitHalf) Commit(now int64) { h.l.CommitFlits(now) }
-
-// creditHalf commits a link's credit return only; registered with the
-// shard owning the upstream endpoint.
-type creditHalf struct{ l *link.Link }
-
-func (h creditHalf) Commit(now int64) { h.l.CommitCredits(now) }
-
 // stagedDispatcher replays the cycle's staged packet deliveries on the
 // serial sub-phase, in the order the sequential engine fires them: sink
 // callbacks row by row (sinks register before NICs), then NIC callbacks
-// in node order.
+// in node order. It sleeps whenever it has run: the ejector that stages a
+// packet wakes it.
 type stagedDispatcher struct{ nw *Network }
+
+func (d stagedDispatcher) Idle() bool { return true }
 
 func (d stagedDispatcher) Tick(cycle int64) {
 	for _, s := range d.nw.sinks {

@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
@@ -17,26 +19,107 @@ import (
 // it. Nothing turns reuse off: a caller that wants a fabric no one has run
 // on calls New.
 
-// fabrics maps a Config to the sync.Pool of its released networks. Config
-// is comparable and is the key as it stands: two values that differ only in
-// a result-invariant field get two pools. A sync.Pool has no size to tune
-// and lets the collector reclaim fabrics nobody asks for; what stays behind
-// per Config is the key and an empty pool.
+// fabrics holds the released networks, a free list per Config. Config is
+// comparable and is the key as it stands: two values that differ only in a
+// result-invariant field get two lists. What is idle is what Release parked,
+// whatever the collector does meanwhile (a sync.Pool, the first version, is
+// emptied by every collection, which made a sweep's allocations depend on
+// when one fell). Three rules, none of them tunable, keep the lists small:
+// a list holds at most GOMAXPROCS networks, what a sweep with one worker per
+// processor has in use at once; only the maxIdleConfigs Configs released to
+// most recently keep a list, so a sweep over many Configs parks a few
+// fabrics and not one per cell; and a list nobody has released to for
+// idleFor is let go, key and all, so a process that has finished simulating
+// does not hold its last fabrics for good.
 var fabrics = struct {
 	sync.Mutex
-	m map[Config]*sync.Pool
-}{m: map[Config]*sync.Pool{}}
+	idle map[Config]*idleList
+	// expiring says that an expireIdle call is scheduled.
+	expiring bool
+}{idle: map[Config]*idleList{}}
 
-// fabricPool returns cfg's pool, made on first use when create is set.
-func fabricPool(cfg Config, create bool) *sync.Pool {
+// idleList is the parked networks of one Config and when the latest was
+// parked.
+type idleList struct {
+	nets     []*Network
+	released time.Time
+}
+
+const (
+	// maxIdleConfigs bounds how many Configs have idle networks parked: the
+	// paper artifacts alternate between two, an ablation sweeps one at a
+	// time.
+	maxIdleConfigs = 4
+	// idleFor is how long a Config's idle networks outlive the latest
+	// release to it: far longer than the gap between two cells of a sweep,
+	// short against the life of a process that has gone on to something
+	// else.
+	idleFor = time.Second
+)
+
+// takeIdle removes and returns an idle network of cfg, nil when there is
+// none.
+func takeIdle(cfg Config) *Network {
 	fabrics.Lock()
 	defer fabrics.Unlock()
-	fp := fabrics.m[cfg]
-	if fp == nil && create {
-		fp = new(sync.Pool)
-		fabrics.m[cfg] = fp
+	l := fabrics.idle[cfg]
+	if l == nil {
+		return nil
 	}
-	return fp
+	last := len(l.nets) - 1
+	nw := l.nets[last]
+	l.nets[last] = nil
+	if l.nets = l.nets[:last]; last == 0 {
+		delete(fabrics.idle, cfg)
+	}
+	return nw
+}
+
+// parkIdle adds a reset network to its Config's free list and reports
+// whether there was room.
+func parkIdle(nw *Network) bool {
+	fabrics.Lock()
+	defer fabrics.Unlock()
+	l := fabrics.idle[nw.cfg]
+	if l == nil {
+		l = &idleList{}
+		fabrics.idle[nw.cfg] = l
+	} else if len(l.nets) >= runtime.GOMAXPROCS(0) {
+		return false
+	}
+	l.nets = append(l.nets, nw)
+	l.released = time.Now()
+	if len(fabrics.idle) > maxIdleConfigs {
+		oldest := nw.cfg
+		for cfg, o := range fabrics.idle {
+			if o.released.Before(fabrics.idle[oldest].released) {
+				oldest = cfg
+			}
+		}
+		delete(fabrics.idle, oldest)
+	}
+	if !fabrics.expiring {
+		fabrics.expiring = true
+		expireLater()
+	}
+	return true
+}
+
+func expireLater() { time.AfterFunc(idleFor, func() { expireIdle(time.Now()) }) }
+
+// expireIdle lets go of the lists nobody has released to in the idleFor
+// before now, and comes back in another idleFor while any are left.
+func expireIdle(now time.Time) {
+	fabrics.Lock()
+	defer fabrics.Unlock()
+	for cfg, l := range fabrics.idle {
+		if now.Sub(l.released) >= idleFor {
+			delete(fabrics.idle, cfg)
+		}
+	}
+	if fabrics.expiring = len(fabrics.idle) > 0; fabrics.expiring {
+		expireLater()
+	}
 }
 
 // pristine is the mutable state of a just-built fabric, captured through
@@ -75,7 +158,8 @@ func (nw *Network) capturePristine() (*pristine, error) {
 
 // reuse counts what Acquire and Release did, process-wide.
 var reuse struct {
-	built, reused, dropped atomic.Uint64
+	built, reused, dropped      atomic.Uint64
+	cycles, jumpedCycles, jumps atomic.Uint64
 }
 
 // ReuseCounts is a reading of the process-wide reuse counters.
@@ -85,6 +169,10 @@ type ReuseCounts struct {
 	Built, Reused uint64
 	// Dropped counts the networks Release closed instead of pooling.
 	Dropped uint64
+	// Cycles sums the simulated cycles of every network Release was given,
+	// JumpedCycles those among them the engine jumped over instead of
+	// stepping through, in Jumps jumps (sim.Engine.Jumps).
+	Cycles, JumpedCycles, Jumps uint64
 }
 
 // ReuseStats reads the reuse counters. Networks built by calling New
@@ -94,6 +182,10 @@ func ReuseStats() ReuseCounts {
 		Built:   reuse.built.Load(),
 		Reused:  reuse.reused.Load(),
 		Dropped: reuse.dropped.Load(),
+
+		Cycles:       reuse.cycles.Load(),
+		JumpedCycles: reuse.jumpedCycles.Load(),
+		Jumps:        reuse.jumps.Load(),
 	}
 }
 
@@ -104,13 +196,10 @@ func ReuseStats() ReuseCounts {
 // is warm, so FlitPool().Misses() can read lower. Pass the network to
 // Release when the run is over, in place of Close.
 func Acquire(cfg Config) (*Network, error) {
-	fp := fabricPool(cfg, false)
-	if fp != nil {
-		if nw, _ := fp.Get().(*Network); nw != nil {
-			reuse.reused.Add(1)
-			nw.home = fp
-			return nw, nil
-		}
+	if nw := takeIdle(cfg); nw != nil {
+		reuse.reused.Add(1)
+		nw.leased = true
+		return nw, nil
 	}
 	nw, err := New(cfg)
 	if err != nil {
@@ -118,16 +207,13 @@ func Acquire(cfg Config) (*Network, error) {
 	}
 	reuse.built.Add(1)
 	if nw.engine.Sharded() || nw.tele != nil || nw.injector != nil {
-		// Never pooled (see Release); home stays nil.
+		// Never pooled (see Release); leased stays false.
 		return nw, nil
 	}
 	if nw.pristine, err = nw.capturePristine(); err != nil {
 		return nw, nil // cannot be reset, so not pooled either
 	}
-	if fp == nil {
-		fp = fabricPool(cfg, true)
-	}
-	nw.home = fp
+	nw.leased = true
 	return nw, nil
 }
 
@@ -141,14 +227,17 @@ func Acquire(cfg Config) (*Network, error) {
 // reset to its just-built state and parked for the next Acquire of the same
 // Config. Anything else — a sharded, observed or faulted fabric, a run that
 // hit its cycle budget, was interrupted or stalled, one left with traffic
-// in flight, a network built by New — is closed and left to the collector,
-// which is what happened to every network before reuse existed.
+// in flight, a network built by New, one more than the free list holds — is
+// closed and left to the collector, which is what happened to every network
+// before reuse existed.
 func (nw *Network) Release() {
-	fp := nw.home
-	nw.home = nil // a second Release must not park the network twice
-	if fp != nil && nw.engine.Err() == nil && !nw.engine.Interrupted() &&
-		nw.Quiescent() && nw.pool.Live() == 0 && nw.reset() == nil {
-		fp.Put(nw)
+	reuse.cycles.Add(uint64(nw.engine.Cycle()))
+	reuse.jumpedCycles.Add(nw.engine.JumpedCycles())
+	reuse.jumps.Add(nw.engine.Jumps())
+	leased := nw.leased
+	nw.leased = false // a second Release must not park the network twice
+	if leased && nw.engine.Err() == nil && !nw.engine.Interrupted() &&
+		nw.Quiescent() && nw.pool.Live() == 0 && nw.reset() == nil && parkIdle(nw) {
 		return
 	}
 	reuse.dropped.Add(1)
@@ -161,8 +250,8 @@ func (nw *Network) Release() {
 // fed the pristine States, so the list of what that state is stays in the
 // snapshot layer. What snapshots leave to the caller is put back here: the
 // engine (whatever was registered after the build is dropped and its
-// handles disarmed; clock, evaluation counters, burst, watchdog, interrupt
-// flag and modes as built), the per-NIC δ overrides workload layers apply,
+// handles disarmed; clock, evaluation and jump counters, timers, burst,
+// watchdog, interrupt flag and modes as built), the per-NIC δ overrides workload layers apply,
 // the receive callbacks on NICs and sinks, and the flit pool's counters.
 // The pool's freelist and the grown ring buffers stay: they hold capacity,
 // not state.

@@ -2,7 +2,9 @@ package noc
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"gathernoc/internal/nic"
 	"gathernoc/internal/topology"
@@ -18,8 +20,11 @@ func TestAcquireRejectsInvalidConfigWithoutAPool(t *testing.T) {
 	if _, err := Acquire(cfg); err == nil {
 		t.Fatal("Acquire accepted LinkLatency 0")
 	}
-	if fabricPool(cfg, false) != nil {
-		t.Error("a failed build left a pool behind for its Config")
+	fabrics.Lock()
+	listed := fabrics.idle[cfg] != nil
+	fabrics.Unlock()
+	if listed {
+		t.Error("a failed build left a free list behind for its Config")
 	}
 	if after := ReuseStats(); after != before {
 		t.Errorf("a failed build was counted: %+v -> %+v", before, after)
@@ -53,6 +58,83 @@ func TestReleaseTwiceParksOnce(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
+}
+
+// TestFreeListBounds: a Config parks at most GOMAXPROCS networks and a
+// release past that closes the network; only the maxIdleConfigs Configs
+// released to most recently keep a list at all, an older one is let go with
+// its key; and a list nobody has released to for idleFor goes the same way.
+func TestFreeListBounds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	config := func(delta int64) Config {
+		cfg := DefaultConfig(2, 2)
+		cfg.Delta = delta // Configs no other test pools
+		return cfg
+	}
+	hold := func(cfg Config, n int) []*Network {
+		nws := make([]*Network, n)
+		for i := range nws {
+			var err error
+			if nws[i], err = Acquire(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return nws
+	}
+	listed := func(cfg Config) bool {
+		fabrics.Lock()
+		defer fabrics.Unlock()
+		return fabrics.idle[cfg] != nil
+	}
+
+	first := config(900)
+	before := ReuseStats()
+	for _, nw := range hold(first, 3) {
+		nw.Release()
+	}
+	after := ReuseStats()
+	if after.Built != before.Built+3 || after.Dropped != before.Dropped+1 {
+		t.Fatalf("three networks of one Config released on two processors: %+v -> %+v, want three built and the third dropped", before, after)
+	}
+	again := hold(first, 2)
+	if got := ReuseStats(); got.Reused != after.Reused+2 || got.Built != after.Built {
+		t.Fatalf("the two parked networks were not both handed out again: %+v -> %+v", after, got)
+	}
+	if listed(first) {
+		t.Error("a Config with no idle network is still listed")
+	}
+
+	// One network each of maxIdleConfigs+1 Configs, released oldest first.
+	for i := 0; i <= maxIdleConfigs; i++ {
+		hold(config(901+int64(i)), 1)[0].Release()
+	}
+	if listed(config(901)) || !listed(config(901+maxIdleConfigs)) {
+		t.Errorf("after %d releases to distinct Configs: oldest listed %v, newest listed %v",
+			maxIdleConfigs+1, listed(config(901)), listed(config(901+maxIdleConfigs)))
+	}
+	fabrics.Lock()
+	keys := len(fabrics.idle)
+	fabrics.Unlock()
+	if keys > maxIdleConfigs {
+		t.Errorf("%d Configs hold idle networks, want at most %d", keys, maxIdleConfigs)
+	}
+
+	// Nothing has been idle for idleFor yet; idleFor from now everything has,
+	// but for what is released in between.
+	expireIdle(time.Now())
+	if !listed(config(901 + maxIdleConfigs)) {
+		t.Error("a list released to a moment ago expired")
+	}
+	later := time.Now().Add(idleFor)
+	again[0].Release()
+	fabrics.Lock()
+	fabrics.idle[first].released = later
+	fabrics.Unlock()
+	expireIdle(later)
+	if listed(config(901+maxIdleConfigs)) || !listed(first) {
+		t.Errorf("after idleFor: stale list listed %v, fresh list listed %v", listed(config(901+maxIdleConfigs)), listed(first))
+	}
+	again[1].Release()
 }
 
 func TestReleaseOfANewNetworkClosesIt(t *testing.T) {

@@ -8,8 +8,6 @@
 package round
 
 import (
-	"math"
-
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/sim"
@@ -26,9 +24,13 @@ type Hooks interface {
 	// Inject sends node id's operand; cycle is the first tick at or after
 	// the cycle the node was declared ready for.
 	Inject(id int, cycle int64)
-	// Advance runs once per cycle of an open round, after that cycle's
-	// releases: the controller does its remaining per-cycle work (relays,
-	// a broadcast leg) and reports whether the round is complete.
+	// Advance runs in every cycle of an open round in which the loop is
+	// ticked, after that cycle's releases: the controller does its remaining
+	// work (relays, a broadcast leg) and reports whether the round is
+	// complete. Standalone the loop sleeps between the cycles that can
+	// change the answer (see Tick), so what Advance does may depend only on
+	// the operands released and the deliveries announced with Wake since it
+	// last ran, and on the clock reaching a cycle announced with WakeAt.
 	Advance(cycle int64) (complete bool)
 	// RoundClosed reports the latency, open to complete, of the round that
 	// just closed.
@@ -37,7 +39,7 @@ type Hooks interface {
 
 // never is the ready cycle of a node with nothing left to release this
 // round: already released, or not declared.
-const never = math.MaxInt64
+const never = sim.Never
 
 // Loop is the round state machine. The zero value is unusable; call Init.
 type Loop struct {
@@ -56,6 +58,13 @@ type Loop struct {
 	// none): release has nothing to do before that cycle.
 	nextDue int64
 
+	// wake is the handle of the loop's own engine registration, nil when a
+	// scheduler (or a test) ticks the loop every cycle; named is the
+	// earliest cycle the controller asked to be ticked in (WakeAt), never
+	// when it asked for none.
+	wake  *sim.Handle
+	named int64
+
 	tag     flit.Tag
 	foreign func(flit.Payload)
 	seq     uint64
@@ -67,7 +76,24 @@ func (l *Loop) Init(h Hooks, nodes, rounds int) {
 	l.h = h
 	l.rounds = rounds
 	l.readyAt = make([]int64, nodes)
+	l.named = never
 }
+
+// SetWake attaches the handle of the loop's engine registration
+// (sim.Engine.RunWith does), which lets the loop sleep between the cycles it
+// has work in.
+func (l *Loop) SetWake(h *sim.Handle) { l.wake = h }
+
+// Wake has a sleeping loop ticked in this cycle (the loop ticks after the
+// fabric) or the next. The controller calls it from its receive callbacks:
+// a delivery is what changes Advance's answer.
+func (l *Loop) Wake() { l.wake.Wake() }
+
+// WakeAt has a sleeping loop ticked in the given cycle. A controller whose
+// Advance waits for the clock (a broadcast root's compute time) names the
+// cycle from BeginRound and from every Advance that finds it still ahead:
+// the loop keeps the earliest cycle named since it last reached one.
+func (l *Loop) WakeAt(cycle int64) { l.named = min(l.named, cycle) }
 
 // SetTag assigns the workload tag Tag and NextSeq report
 // (workload.Taggable; the scheduler calls it before Start). The zero tag
@@ -131,27 +157,45 @@ func (l *Loop) Ready(id int, at int64) {
 // bit-identical replay rests on: release the operands that have come due
 // (ascending node id), run the controller's per-cycle work, and when it
 // reports the round complete close it and open the next at the same cycle.
+//
+// Ticking the loop in a cycle in which no operand is due, no delivery has
+// arrived and which the controller did not name does nothing, so a loop
+// registered with an engine sleeps through those (Idle).
 func (l *Loop) Tick(cycle int64) {
 	if l.done {
 		return
 	}
-	l.release(cycle)
-	if !l.h.Advance(cycle) {
-		return
+	if cycle >= l.nextDue {
+		l.release(cycle)
 	}
-	l.h.RoundClosed(cycle - l.start)
-	l.round++
-	if l.round >= l.rounds {
-		l.done = true
-		return
+	if cycle >= l.named {
+		l.named = never
 	}
-	l.begin(cycle)
+	if l.h.Advance(cycle) {
+		l.h.RoundClosed(cycle - l.start)
+		l.round++
+		if l.round >= l.rounds {
+			l.done = true
+			return
+		}
+		l.begin(cycle)
+	}
+}
+
+// Idle implements sim.Idler for a loop that holds its wake handle: between
+// releases, deliveries and named cycles its tick is a no-op, and Idle arms
+// the timer for the next operand or named cycle.
+func (l *Loop) Idle() bool {
+	if l.wake == nil {
+		return false
+	}
+	if at := min(l.nextDue, l.named); at != never {
+		l.wake.WakeAt(at)
+	}
+	return true
 }
 
 func (l *Loop) release(cycle int64) {
-	if cycle < l.nextDue {
-		return
-	}
 	l.nextDue = never
 	for id, at := range l.readyAt {
 		if at > cycle {

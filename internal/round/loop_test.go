@@ -20,7 +20,8 @@ type release struct {
 // fakeHooks is a controller with no network behind it: ready gives each
 // node's ready time as an offset from the round's opening cycle (ok false:
 // the node sits the round out), and a round is complete hold cycles after
-// its last release, or after its opening when nothing is released.
+// its last release, or after its opening when nothing is released. Its
+// Advance waits for the clock, so it names the cycle it waits for (WakeAt).
 type fakeHooks struct {
 	l     *Loop
 	nodes int
@@ -48,7 +49,13 @@ func (f *fakeHooks) Inject(id int, cycle int64) {
 	f.quietAt = cycle + f.hold
 }
 
-func (f *fakeHooks) Advance(cycle int64) bool { return f.l.pending == 0 && cycle >= f.quietAt }
+func (f *fakeHooks) Advance(cycle int64) bool {
+	if cycle < f.quietAt {
+		f.l.WakeAt(f.quietAt)
+		return false
+	}
+	return f.l.pending == 0
+}
 
 func (f *fakeHooks) RoundClosed(latency int64) { f.closed = append(f.closed, latency) }
 

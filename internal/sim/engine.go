@@ -36,14 +36,35 @@
 // what a walk over the whole list would do. SetAlwaysTick(true) disables
 // the skipping entirely, which the golden equivalence tests use to prove
 // both paths produce identical results.
+//
+// # Timed sleep
+//
+// A component that is waiting for a cycle it already knows (a δ deadline, the
+// end of a round's compute time, the next record of a trace) sleeps until it:
+// Handle.WakeAt arms the component's timer, the component reports Idle, and
+// the timer sets its awake bit at the top of the phase in the cycle it names.
+// Arming is part of every evaluation that leaves the component waiting (most
+// components do it in Idle, which no naive step calls), so
+// whatever wakes everything (RestoreCycle, the end of a naive burst) may drop
+// every timer: each sleeper arms its own again when it is next evaluated.
+//
+// When a step of Run, RunUntil or RunWith leaves nothing awake anywhere, the
+// cycles up to the earliest timer are no-ops by the Idle contract, and the
+// engine sets the clock to that cycle instead of stepping through them (see
+// jump). Step always advances one cycle, and SetAlwaysTick(true) never jumps.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
+
+// Never is the cycle of a timer that is not armed: later than any cycle a
+// run reaches.
+const Never = math.MaxInt64
 
 // Ticker is evaluated in phase 1 of every cycle. Implementations read
 // committed state from previous cycles and stage new outputs.
@@ -60,8 +81,10 @@ type Committer interface {
 
 // Idler is optionally implemented by Tickers and Committers that can sleep.
 // Idle is consulted right after the component's evaluation; returning true
-// promises that evaluating the component again — in any later cycle and
-// absent an intervening Wake — would be a pure no-op.
+// promises that evaluating the component again — in any later cycle before
+// the one its timer is armed for (Handle.WakeAt), if it armed one during this
+// evaluation or this call, and absent an intervening Wake — would be a pure
+// no-op.
 type Idler interface {
 	Idle() bool
 }
@@ -88,6 +111,18 @@ type node struct {
 type phase struct {
 	nodes []node
 	awake []uint64
+	// wakeAt[i] is the cycle nodes[i]'s timer fires, Never while it is not
+	// armed. due is at or before the earliest of them, so a cycle before due
+	// has no timer to fire; like round.Loop's next-due word it is brought
+	// up to date by the scan that fires.
+	wakeAt []int64
+	due    int64
+	// mail[s] collects the wakes that reach the phase's components from
+	// shard s while it runs in parallel with the phase's own lane
+	// (Handle.Remote): a bitmap like awake (nothing else of the phase value
+	// is used) that only shard s writes, and that the phase takes over into
+	// awake when it next starts. Nil where no remote handle was made.
+	mail []*phase
 	// handleOf holds the handle add returned for nodes[i] at
 	// [i/handleBlock][i%handleBlock], so that truncate can disarm the
 	// handles of the components it drops. Blocks like the handles', so
@@ -106,6 +141,7 @@ const handleBlock = 256
 func (p *phase) add(n node) *Handle {
 	i := len(p.nodes)
 	p.nodes = append(p.nodes, n)
+	p.wakeAt = append(p.wakeAt, Never)
 	if i>>6 == len(p.awake) {
 		p.awake = append(p.awake, 0)
 	}
@@ -122,9 +158,10 @@ func (p *phase) add(n node) *Handle {
 	return h
 }
 
-// truncate drops the components registered at index n and after. Their
-// handles are disarmed for good: a Wake through one must neither set a bit
-// past the list nor run whatever is registered at that index next.
+// truncate drops the components registered at index n and after, their
+// timers with them. Their handles are disarmed for good: a Wake or WakeAt
+// through one must neither set a bit past the list nor run whatever is
+// registered at that index next.
 func (p *phase) truncate(n int) {
 	if n >= len(p.nodes) {
 		return
@@ -136,13 +173,19 @@ func (p *phase) truncate(n int) {
 	}
 	clear(p.nodes[n:])
 	p.nodes = p.nodes[:n]
+	p.wakeAt = p.wakeAt[:n]
+	p.due = Never
+	for _, at := range p.wakeAt {
+		p.due = min(p.due, at)
+	}
 	p.awake = p.awake[:(n+63)>>6]
 	if tail := n & 63; tail != 0 {
 		p.awake[len(p.awake)-1] &= 1<<tail - 1
 	}
 }
 
-// wakeAll marks every registered component runnable.
+// wakeAll marks every registered component runnable and drops every timer:
+// a component that is still waiting arms its own again when it is evaluated.
 func (p *phase) wakeAll() {
 	for w := range p.awake {
 		p.awake[w] = ^uint64(0)
@@ -150,6 +193,66 @@ func (p *phase) wakeAll() {
 	if tail := len(p.nodes) & 63; tail != 0 {
 		p.awake[len(p.awake)-1] = 1<<tail - 1
 	}
+	for i := range p.wakeAt {
+		p.wakeAt[i] = Never
+	}
+	p.due = Never
+}
+
+// asleep reports whether no component of the phase is runnable or about to
+// be made so by a remote wake.
+func (p *phase) asleep() bool {
+	for _, w := range p.awake {
+		if w != 0 {
+			return false
+		}
+	}
+	for _, m := range p.mail {
+		if m != nil && !m.asleep() {
+			return false
+		}
+	}
+	return true
+}
+
+// collect takes the remote wakes left since the phase last started over
+// into awake. A bit left by a handle whose component was truncated since is
+// dropped with everything else past the list.
+func (p *phase) collect() {
+	for _, m := range p.mail {
+		if m == nil {
+			continue
+		}
+		for w, bits := range m.awake {
+			if bits == 0 {
+				continue
+			}
+			m.awake[w] = 0
+			if w >= len(p.awake) {
+				continue
+			}
+			if tail := len(p.nodes) & 63; tail != 0 && w == len(p.awake)-1 {
+				bits &= 1<<tail - 1
+			}
+			p.awake[w] |= bits
+		}
+	}
+}
+
+// fire wakes the components whose timers are due at cycle and brings due up
+// to date.
+func (p *phase) fire(cycle int64) {
+	due := int64(Never)
+	for i, at := range p.wakeAt {
+		switch {
+		case at <= cycle:
+			p.wakeAt[i] = Never
+			p.awake[i>>6] |= 1 << (i & 63)
+		case at < due:
+			due = at
+		}
+	}
+	p.due = due
 }
 
 // Handle wakes one registered component. Handles are safe to share with
@@ -160,6 +263,36 @@ func (p *phase) wakeAll() {
 type Handle struct {
 	list  *phase
 	index int
+}
+
+// Remote returns a handle on the same component for the peers in shard from
+// of a sharded engine, which run in parallel with the lane that owns the
+// component: a shard's ejector waking the serial dispatcher, a router
+// sending on a link whose other end a neighbouring shard commits. Its Wake
+// sets a bit in a bitmap that only shard from writes, so the single-writer
+// rule of the parallel phases holds, and the bit is seen when the
+// component's phase next starts. The peers must therefore run in a phase
+// that ends before that one begins (shard tick phases wake serial tickers
+// and any lane's committers), which also makes the component run in the
+// cycle a same-lane wake would have run it in. Make remote handles while
+// wiring, before the first step; a timer is armed through the component's
+// own handle only.
+func (h *Handle) Remote(from int) *Handle {
+	if h == nil || h.list == nil {
+		return h
+	}
+	p := h.list
+	for len(p.mail) <= from {
+		p.mail = append(p.mail, nil)
+	}
+	if p.mail[from] == nil {
+		p.mail[from] = &phase{}
+	}
+	m := p.mail[from]
+	for len(m.awake) <= h.index>>6 {
+		m.awake = append(m.awake, 0)
+	}
+	return &Handle{list: m, index: h.index}
 }
 
 // Wake marks the component runnable again. Calling Wake on an already
@@ -176,6 +309,42 @@ func (h *Handle) Wake() {
 	if *w&bit == 0 {
 		*w |= bit
 	}
+}
+
+// WakeAt arms the component's timer: it is marked runnable at the top of its
+// phase in the given cycle (in its next evaluation's cycle when that one has
+// passed), however soundly it sleeps until then. A component has one timer;
+// arming it again replaces the cycle. The component arms its own timer from
+// its own evaluation or from the Idle call that follows it (where the engine
+// asks the only question a timer answers), every time that evaluation leaves
+// it waiting for the cycle, and may then report Idle: the timer outlives an
+// early Wake, but not a RestoreCycle, Reset or the end of a naive burst,
+// which wake the component and rely on it to arm the timer again. A nil or truncated handle ignores
+// the call, so a component driven by hand (a scheduler ticking its phases,
+// a unit test) need not know.
+func (h *Handle) WakeAt(cycle int64) {
+	if h == nil || h.list == nil {
+		return
+	}
+	p := h.list
+	p.wakeAt[h.index] = cycle
+	if cycle < p.due {
+		p.due = cycle
+	}
+}
+
+// IdleUntil is the Idle answer of a component whose latest evaluation was in
+// cycle now and whose next work, absent a Wake, is in cycle at (Never: none):
+// with work in the very next cycle it stays awake, otherwise it may sleep,
+// and the timer is armed for at.
+func (h *Handle) IdleUntil(now, at int64) bool {
+	if at <= now+1 {
+		return false
+	}
+	if at != Never {
+		h.WakeAt(at)
+	}
+	return true
 }
 
 // ErrMaxCyclesExceeded reports that RunUntil hit its cycle budget before
@@ -212,11 +381,26 @@ type lane struct {
 	// threshold, fall back to naive ticking for a burst of cycles, then
 	// re-arm activity tracking.
 	burst int // remaining naive-burst cycles
-	load  int // tickers left awake by this cycle's tick phase
+	load  int // components left awake by their idle checks in the latest tracked step
 
 	evaluated uint64
 	skipped   uint64
 }
+
+// quiet reports whether the lane's next step would evaluate nothing: no burst
+// is running and every component is asleep. load answers for a busy lane
+// without reading the bitmaps; a component woken after its own evaluation is
+// not in load, so a zero is confirmed there.
+func (l *lane) quiet() bool {
+	return l.burst == 0 && l.load == 0 && l.tickers.asleep() && l.committers.asleep()
+}
+
+// nextTimer returns a cycle at or before the lane's earliest armed timer,
+// Never when none is armed.
+func (l *lane) nextTimer() int64 { return min(l.tickers.due, l.committers.due) }
+
+// components returns how many components the lane evaluates in a naive step.
+func (l *lane) components() int { return len(l.tickers.nodes) + len(l.committers.nodes) }
 
 // Engine owns the simulated clock and the component lists.
 // The zero value is ready to use, with activity tracking enabled and the
@@ -230,8 +414,13 @@ type Engine struct {
 	alwaysTick bool
 	adaptive   bool
 
-	// Sharded backend (NewShardedEngine; see sharded.go). A non-empty
-	// shards slice switches Step to the two-phase parallel schedule.
+	// jumps counts the times the clock was set forward over a quiet stretch,
+	// jumpedCycles the cycles that passed that way (see jump).
+	jumps, jumpedCycles uint64
+
+	// Sharded backend (NewShardedEngine; see sharded.go). With a non-empty
+	// shards slice Step runs the shards' two parallel phases around the
+	// engine's own lists.
 	shards []shard
 	barrier
 
@@ -261,22 +450,23 @@ func (e *Engine) Cycle() int64 {
 }
 
 // RestoreCycle sets the simulated clock to c and wakes every registered
-// component, in every shard of a sharded engine. Engine snapshots use it:
-// a freshly built network restored onto mid-run state must resume at the
-// captured cycle, and waking everything re-arms sleep/wake scheduling from
-// scratch — by the Idle contract a spuriously woken component's next
-// evaluation is a pure no-op, so the post-restore schedule matches the
-// uninterrupted run bit for bit.
+// component, in every shard of a sharded engine, dropping every timer.
+// Engine snapshots use it: a freshly built network restored onto mid-run
+// state must resume at the captured cycle, and waking everything re-arms
+// sleep/wake scheduling from scratch — by the Idle contract a spuriously
+// woken component's next evaluation is a pure no-op (in which a component
+// waiting for a cycle arms its timer again), so the post-restore schedule
+// matches the uninterrupted run bit for bit.
 func (e *Engine) RestoreCycle(c int64) {
 	e.cycle = c
 	e.rearm()
 }
 
 // Reset returns the engine to cycle 0 in the state its registrations
-// alone determine: every component awake, no burst running, the
-// evaluation counters at zero, no watchdog, the interrupt flag and Err
-// cleared. Registrations and the SetAlwaysTick/SetAdaptive modes are left
-// alone. With Truncate it lets a built fabric be run again from scratch:
+// alone determine: every component awake, no timer armed, no burst running,
+// the evaluation and jump counters at zero, no watchdog, the interrupt flag
+// and Err cleared. Registrations and the SetAlwaysTick/SetAdaptive modes are
+// left alone. With Truncate it lets a built fabric be run again from scratch:
 // the schedule and the Evaluated/Skipped split that follow are those of a
 // new engine given the same registrations. Call between steps.
 func (e *Engine) Reset() {
@@ -285,6 +475,7 @@ func (e *Engine) Reset() {
 		e.shards[i].reset()
 	}
 	e.cycle = 0
+	e.jumps, e.jumpedCycles = 0, 0
 	e.interrupted.Store(false)
 	e.err = nil
 	e.SetWatchdog(nil)
@@ -295,7 +486,8 @@ func (l *lane) reset() {
 	l.load, l.evaluated, l.skipped = 0, 0, 0
 }
 
-// rearm ends any naive burst and wakes every component of every lane.
+// rearm ends any naive burst, wakes every component of every lane and drops
+// their timers.
 func (e *Engine) rearm() {
 	e.lane.rearm()
 	for i := range e.shards {
@@ -310,8 +502,9 @@ func (l *lane) rearm() {
 }
 
 // SetAlwaysTick disables (true) or re-enables (false) sleep/wake
-// scheduling. With alwaysTick every component is evaluated every cycle —
-// the naive reference path used by the golden equivalence tests.
+// scheduling. With alwaysTick every component is evaluated every cycle,
+// timers are not consulted and the clock never jumps — the naive reference
+// path used by the golden equivalence tests.
 func (e *Engine) SetAlwaysTick(v bool) {
 	e.alwaysTick = v
 	if v {
@@ -361,7 +554,7 @@ func (e *Engine) Evaluated() uint64 {
 }
 
 // Skipped returns the number of component evaluations elided because the
-// component was asleep.
+// component was asleep, those of the cycles the clock jumped over included.
 func (e *Engine) Skipped() uint64 {
 	n := e.skipped
 	for i := range e.shards {
@@ -369,6 +562,14 @@ func (e *Engine) Skipped() uint64 {
 	}
 	return n
 }
+
+// Jumps returns how many times a run set the clock forward over a stretch
+// in which nothing was awake; JumpedCycles how many cycles passed that way,
+// out of Cycle().
+func (e *Engine) Jumps() uint64 { return e.jumps }
+
+// JumpedCycles returns the cycles the clock jumped over; see Jumps.
+func (e *Engine) JumpedCycles() uint64 { return e.jumpedCycles }
 
 // AddTicker registers a phase-1 component. Order of registration is the
 // order of evaluation. The returned handle wakes the component; callers
@@ -410,15 +611,53 @@ func (e *Engine) Truncate(m Mark) {
 	e.committers.truncate(m.committers)
 }
 
-// Step advances the simulation by exactly one cycle.
+// Step advances the simulation by exactly one cycle: the shards' tick phase
+// (sharded engines; see sharded.go), the engine's own tick list, the shards'
+// commit phase, the engine's own commit list.
 func (e *Engine) Step() {
-	if len(e.shards) > 0 {
-		e.stepSharded()
-		return
-	}
-	e.lane.tick(e.cycle, e.alwaysTick)
-	e.lane.commit(e.cycle, e.alwaysTick, e.adaptive)
+	cycle := e.cycle
+	e.runShards(opTick)
+	e.lane.tick(cycle, e.alwaysTick)
+	e.runShards(opCommit)
+	e.lane.commit(cycle, e.alwaysTick, e.adaptive)
 	e.cycle++
+}
+
+// jump sets the clock to the earliest armed timer, and not past limit, when
+// the latest step left nothing awake in any lane. Every cycle in between
+// would evaluate nothing (each sleeper promised no-ops until a Wake, which
+// only an evaluation can issue, or until its timer), so the state the next
+// step finds is the one stepping would have left; the cycles are credited
+// to Skipped. It reports whether the clock moved. With nothing awake and no
+// timer armed there is nowhere to jump to and the caller steps, as ever.
+func (e *Engine) jump(limit int64) bool {
+	if e.alwaysTick || !e.lane.quiet() {
+		return false
+	}
+	to := e.lane.nextTimer()
+	for i := range e.shards {
+		s := &e.shards[i].lane
+		if !s.quiet() {
+			return false
+		}
+		to = min(to, s.nextTimer())
+	}
+	if to == Never {
+		return false
+	}
+	n := min(to, limit) - e.cycle
+	if n <= 0 {
+		return false
+	}
+	e.lane.skipped += uint64(n) * uint64(e.lane.components())
+	for i := range e.shards {
+		s := &e.shards[i].lane
+		s.skipped += uint64(n) * uint64(s.components())
+	}
+	e.cycle += n
+	e.jumps++
+	e.jumpedCycles += uint64(n)
+	return true
 }
 
 // tick runs the lane's tick phase of one cycle: every component when
@@ -460,15 +699,17 @@ func (l *lane) commit(cycle int64, naive, adaptive bool) {
 		// instead would deadlock the heuristic: the post-burst re-arm step
 		// evaluates everything by construction, and would always re-trigger
 		// the next burst regardless of the actual load.
-		if adaptive && (l.load+load)*adaptiveDen >= (len(l.tickers.nodes)+len(l.committers.nodes))*adaptiveNum {
+		l.load += load
+		if adaptive && l.load > 0 && l.load*adaptiveDen >= l.components()*adaptiveNum {
 			l.burst = adaptiveBurst
 		}
 	}
 }
 
-// runAwake evaluates the phase's awake components in registration order
-// and puts those that report Idle to sleep. It returns how many ran, how
-// many were asleep and so passed over, and how many of those that ran
+// runAwake wakes the components remote wakes were left for and those whose
+// timers are due, evaluates the phase's awake components in registration
+// order and puts those that report Idle to sleep. It returns how many ran,
+// how many were asleep and so passed over, and how many of those that ran
 // stayed awake.
 //
 // Everything an evaluation can change is read again after it: the bitmap
@@ -478,6 +719,10 @@ func (l *lane) commit(cycle int64, naive, adaptive bool) {
 // which may move both). The component count is fixed on entry, so one
 // registered during the phase first runs next cycle.
 func (p *phase) runAwake(cycle int64) (ran, skipped, load int) {
+	p.collect()
+	if cycle >= p.due {
+		p.fire(cycle)
+	}
 	n := len(p.nodes)
 	for w := 0; w<<6 < n; w++ {
 		above := ^uint64(0) // bit positions not yet passed in this word
@@ -523,10 +768,13 @@ func (p *phase) runAll(cycle int64) int {
 	return len(nodes)
 }
 
-// Run advances the simulation by n cycles.
+// Run advances the simulation by n cycles, jumping over the quiet stretches
+// among them.
 func (e *Engine) Run(n int64) {
-	for i := int64(0); i < n; i++ {
-		e.Step()
+	for stop := e.cycle + n; e.cycle < stop; {
+		if !e.jump(stop) {
+			e.Step()
+		}
 	}
 }
 
@@ -545,6 +793,13 @@ func (e *Engine) Interrupted() bool { return e.interrupted.Load() }
 // exhaustion, or ErrInterrupted if Interrupt was called.
 // When a watchdog is installed (SetWatchdog), a no-progress window turns
 // into a *StallError wrapping ErrStalled instead of a spin to the budget.
+//
+// A stretch of cycles in which nothing is awake is jumped over, never past
+// the end of the budget or the watchdog's next poll, so both errors come at
+// the cycle they always came at and an interrupt is honoured where the jump
+// lands. done is not consulted for the cycles in between: the state it reads
+// does not change in them, but the clock does, so a predicate that waits for
+// a cycle must make that cycle the end of its budget.
 func (e *Engine) RunUntil(done func() bool, maxCycles int64) (int64, error) {
 	e.err = e.runUntil(done, maxCycles)
 	return e.cycle, e.err
@@ -554,10 +809,14 @@ func (e *Engine) RunUntil(done func() bool, maxCycles int64) (int64, error) {
 // the run: added after everything registered so far, and dropped again
 // (Truncate), along with anything registered meanwhile, when the run ends,
 // however it ends. It is what the workload controllers' Run methods use, so
-// a controller whose run is over no longer ticks.
+// a controller whose run is over no longer ticks. A driver that sleeps (an
+// Idler with a SetWake method) is handed the handle of its registration.
 func (e *Engine) RunWith(driver Ticker, done func() bool, maxCycles int64) (int64, error) {
 	defer e.Truncate(e.Mark())
-	e.AddTicker(driver)
+	h := e.AddTicker(driver)
+	if d, ok := driver.(interface{ SetWake(*Handle) }); ok {
+		d.SetWake(h)
+	}
 	return e.RunUntil(done, maxCycles)
 }
 
@@ -586,13 +845,19 @@ func (e *Engine) runUntil(done func() bool, maxCycles int64) error {
 		if e.cycle >= deadline {
 			return fmt.Errorf("%w (budget %d)", ErrMaxCyclesExceeded, maxCycles)
 		}
-		if wdStride > 0 && e.cycle >= wdNext {
-			wdNext = e.cycle + wdStride
-			if stall := e.checkStall(); stall != nil {
-				return stall
+		limit := deadline
+		if wdStride > 0 {
+			if e.cycle >= wdNext {
+				wdNext = e.cycle + wdStride
+				if stall := e.checkStall(); stall != nil {
+					return stall
+				}
 			}
+			limit = min(limit, wdNext)
 		}
-		e.Step()
+		if !e.jump(limit) {
+			e.Step()
+		}
 	}
 	return nil
 }

@@ -30,13 +30,20 @@ import (
 // component can observe, so every cycle ends in the identical global
 // state.
 //
-// Each shard is a lane of its own: the bitmap walk, the sleep state and the
-// adaptive naive bursts of the sequential engine, run by the shard's
-// goroutine over the shard's components. Property (1) extends to the
-// bitmaps: a Handle from AddShardTicker/AddShardCommitter may be woken
-// during a parallel phase only by a component of the same shard, and from
-// anywhere on the serial sub-phases, when no worker runs. Components on
-// the serial sub-phases are evaluated every cycle.
+// Each shard is a lane of its own: the bitmap walk, the sleep state, the
+// timers and the adaptive naive bursts of the sequential engine, run by the
+// shard's goroutine over the shard's components. Property (1) extends to the
+// bitmaps and timers: a Handle from AddShardTicker/AddShardCommitter may be
+// woken during a parallel phase only by a component of the same shard, and
+// from anywhere on the serial sub-phases, when no worker runs. The serial
+// sub-phases are a lane too, walked by the coordinator. A wake that has to
+// cross lanes during a parallel phase goes through a remote handle
+// (Handle.Remote), whose bit lands in a bitmap of the waking shard's own that
+// the woken lane reads when its phase starts: an ejector that staged a
+// delivery wakes the serial dispatcher with one, and the two ends of a link
+// that crosses a shard boundary wake the half the other shard commits. Between steps the
+// coordinator takes the clock jump of the sequential engine when every lane,
+// the serial one included, is quiet.
 //
 // The barrier is one atomic epoch word. The coordinator (the goroutine
 // calling Step, which also runs shard 0) publishes a phase by writing the
@@ -148,7 +155,8 @@ func (e *Engine) Sharded() bool { return len(e.shards) > 0 }
 // shard, registration order is evaluation order; the caller must ensure
 // components in different shards share no mutable state during the tick
 // phase, the returned handle's component included: during a parallel phase
-// only the shard's own components may Wake it.
+// only the shard's own components may Wake it (another shard's through a
+// Handle.Remote of it).
 func (e *Engine) AddShardTicker(s int, t Ticker) *Handle {
 	idler, _ := t.(Idler)
 	return e.shards[s].tickers.add(node{ticker: t, idler: idler})
@@ -232,8 +240,11 @@ func (e *Engine) Close() {
 }
 
 // runShards runs one parallel phase: on the workers and, for shard 0,
-// inline, returning when all have finished.
+// inline, returning when all have finished. A sequential engine has none.
 func (e *Engine) runShards(op workerOp) {
+	if len(e.shards) == 0 {
+		return
+	}
 	if len(e.shards) > 1 {
 		if !e.started {
 			e.startWorkers()
@@ -244,18 +255,4 @@ func (e *Engine) runShards(op workerOp) {
 	if e.started {
 		e.shards[0].wait(&e.pending, 0, e.spin)
 	}
-}
-
-// stepSharded advances a sharded engine by one cycle. The serial
-// sub-phases — the AddTicker components between the two barriers (the
-// staged-ejection dispatcher first, then workload drivers and
-// controllers) and any AddCommitter components after the second — run in
-// registration order, every one every cycle.
-func (e *Engine) stepSharded() {
-	cycle := e.cycle
-	e.runShards(opTick)
-	e.evaluated += uint64(e.tickers.runAll(cycle))
-	e.runShards(opCommit)
-	e.evaluated += uint64(e.committers.runAll(cycle))
-	e.cycle++
 }

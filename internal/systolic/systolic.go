@@ -310,8 +310,10 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 // onPacket accounts results arriving at the global buffer and checks
 // payload integrity: every PE's payload must arrive exactly once per
 // round, whatever mix of gather, self-initiated-gather and unicast packets
-// carried it.
+// carried it. A delivery is what can complete the round, so it wakes the
+// round loop.
 func (c *Controller) onPacket(p *nic.ReceivedPacket) {
+	c.Wake()
 	for _, pl := range p.Payloads {
 		if c.seenSeq[pl.Seq] || c.seenSrc[pl.Src] {
 			c.payloadErrs++

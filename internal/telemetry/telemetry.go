@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/sim"
 )
 
 // Config enables and sizes the telemetry subsystem. The zero value
@@ -323,19 +324,36 @@ func (p *Probe) snapshot(epoch, endCycle int64) {
 
 // EpochCommitter is the per-shard component that triggers epoch
 // snapshots. The network registers it as the last committer of its shard,
-// so it observes every counter the shard wrote that cycle. It
-// intentionally does not implement sim.Idler: the sleep/wake engine must
-// evaluate it every cycle or epoch boundaries would be missed.
+// so it observes every counter the shard wrote that cycle. Between epoch
+// boundaries its commit does nothing, so with its wake handle attached it
+// sleeps from one boundary to the next and an observed fabric can still
+// jump over its quiet stretches.
 type EpochCommitter struct {
 	p     *Probe
 	epoch int64
+	wake  *sim.Handle
+	now   int64 // the cycle of the latest commit
 }
+
+// SetWake attaches the handle of the committer's engine registration.
+func (ec *EpochCommitter) SetWake(h *sim.Handle) { ec.wake = h }
 
 // Commit snapshots an epoch row when cycle is the epoch's last cycle.
 func (ec *EpochCommitter) Commit(cycle int64) {
+	ec.now = cycle
 	if (cycle+1)%ec.epoch == 0 {
 		ec.p.snapshot((cycle+1)/ec.epoch-1, cycle)
 	}
+}
+
+// Idle implements sim.Idler for a committer that holds its wake handle, and
+// arms the timer for the last cycle of the epoch after the latest commit's.
+func (ec *EpochCommitter) Idle() bool {
+	if ec.wake == nil {
+		return false
+	}
+	ec.wake.WakeAt(((ec.now+1)/ec.epoch+1)*ec.epoch - 1)
+	return true
 }
 
 // Collector owns the per-shard probes and merges them at harvest.

@@ -264,6 +264,7 @@ func (c *AccumulationController) BeginRound(now int64) {
 // controller — picked up en route by this phase's collective packet — are
 // routed through the foreign handler instead.
 func (c *AccumulationController) OnPacket(p *nic.ReceivedPacket) {
+	c.Wake()
 	c.res.PacketLatency.Observe(float64(p.Latency()))
 	c.Route(p, c.OnPayload)
 }
@@ -271,8 +272,10 @@ func (c *AccumulationController) OnPacket(p *nic.ReceivedPacket) {
 // OnPayload folds one delivered payload into its row's account and checks
 // completed reductions against the oracle. Payloads whose ReduceID does
 // not name this controller's tag, a valid row and the current round count
-// as oracle errors.
+// as oracle errors. A delivery is what can complete the round, so it wakes
+// the round loop.
 func (c *AccumulationController) OnPayload(pl flit.Payload) {
+	c.Wake()
 	row := flit.ReduceIDRow(pl.ReduceID)
 	if flit.ReduceIDTag(pl.ReduceID) != c.Tag() || row >= c.rows ||
 		flit.ReduceIDRound(pl.ReduceID) != uint32(c.Round()) {

@@ -69,6 +69,13 @@ type GeneratorResult struct {
 // engine loop) or as a workload.Driver phase (NewGeneratorDriver, where a
 // scheduler admits the phase, ticks it and dispatches its tagged packets
 // back through OnPacket). Create one per run or phase.
+//
+// A Generator is a plain sim.Ticker on purpose: it draws from its random
+// stream every cycle of its injection window, so it has no Idle and arms no
+// timer, and a fabric it drives never jumps. bench/trace.go wraps it in a
+// ticker that is not an Idler either, and bench/harness.go fails a traced op
+// whose sim.evaluated or sim.skipped differ from the untraced ops'; giving
+// it a sleep state would need the wrapper changed with it.
 type Generator struct {
 	nw  *noc.Network
 	cfg GeneratorConfig

@@ -10,6 +10,7 @@ import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/sim"
 	"gathernoc/internal/topology"
 )
 
@@ -125,6 +126,9 @@ type Replayer struct {
 	// base is the cycle event timestamps are measured from: 0 standalone,
 	// the phase admission cycle under a scheduler.
 	base int64
+	// wake is the handle of the replayer's own engine registration (Run),
+	// nil when a scheduler ticks it every cycle.
+	wake *sim.Handle
 	// outstanding counts expected delivery units not yet observed by
 	// OnPacket: one per unicast/gather event, one per multicast
 	// destination, one per deposited payload. Each arriving packet retires
@@ -147,6 +151,23 @@ func (rp *Replayer) SetForeignPayloadHandler(fn func(flit.Payload)) { rp.foreign
 
 // Start begins the replay clock at the given cycle (workload.Driver).
 func (rp *Replayer) Start(cycle int64) { rp.base = cycle }
+
+// SetWake attaches the handle of the replayer's engine registration
+// (sim.Engine.RunWith does), which lets it sleep from one record to the next.
+func (rp *Replayer) SetWake(h *sim.Handle) { rp.wake = h }
+
+// Idle implements sim.Idler for a replayer that holds its wake handle:
+// between records its tick is a no-op, and Idle arms the timer for the next
+// one.
+func (rp *Replayer) Idle() bool {
+	if rp.wake == nil {
+		return false
+	}
+	if rp.next < len(rp.events) {
+		rp.wake.WakeAt(rp.base + rp.events[rp.next].Cycle)
+	}
+	return true
+}
 
 // Injected reports whether every event has been injected
 // (workload.Driver overlap edge; identical to Done).

@@ -73,6 +73,14 @@ type jobRun struct {
 // callbacks of their own. Register it as an engine ticker after the
 // network's components (Run does); its per-cycle work — admission scans,
 // driver ticks, completion harvest — allocates nothing.
+//
+// A Scheduler is a plain sim.Ticker on purpose: it ticks every admitted
+// driver every cycle (a round loop it ticks holds no wake handle and never
+// sleeps), so it has no Idle and arms no timer, and a fabric it drives never
+// jumps. bench/trace.go wraps it in a ticker that is not an Idler either,
+// and bench/harness.go fails a traced op whose sim.evaluated or sim.skipped
+// differ from the untraced ops'; giving it a sleep state would need the
+// wrapper changed with it.
 type Scheduler struct {
 	nw   *noc.Network
 	jobs []jobRun

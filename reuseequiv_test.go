@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
-	"runtime/debug"
+	"runtime"
 	"testing"
 
 	"gathernoc/internal/cnn"
@@ -25,22 +25,6 @@ import (
 // The reuse equivalence suite (DESIGN.md §14, "Reuse"): a network that
 // noc.Release parked and noc.Acquire handed out again must be
 // indistinguishable from one noc.New just built, whatever ran on it before.
-
-// raceBuild reports whether this binary runs under the race detector, where
-// sync.Pool drops a quarter of what it is given, at random: a released
-// network then comes back only most of the time, and the tests retry.
-func raceBuild() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
 
 // reusePredecessor is a run that leaves its marks on a network before the
 // network is released: each one touches state the reset has to put back.
@@ -118,6 +102,24 @@ func reusePredecessors() []reusePredecessor {
 			done := func() bool { return gen.Injected() && nw.Quiescent() }
 			if _, err := nw.Engine().RunUntil(done, 1_000_000); err != nil {
 				t.Fatalf("predecessor: %v", err)
+			}
+		}},
+		// Released in the middle of a jump: a round loop asleep with its
+		// timer armed for the end of the compute time, the clock stopped
+		// short of it by Run's own end, the jump counters running. The
+		// fabric is quiescent, so Release parks it.
+		{name: "mid-jump", run: func(t *testing.T, nw *noc.Network) {
+			ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
+				Scheme: traffic.CollectUnicast, Rounds: 1, ComputeLatency: 5000,
+			})
+			if err != nil {
+				t.Fatalf("predecessor: %v", err)
+			}
+			eng := nw.Engine()
+			ctl.SetWake(eng.AddTicker(ctl))
+			eng.Run(1234)
+			if eng.Jumps() != 1 || eng.Cycle() != 1234 {
+				t.Fatalf("predecessor: %d jumps, cycle %d", eng.Jumps(), eng.Cycle())
 			}
 		}},
 	}
@@ -293,37 +295,28 @@ func reuseSubjects(t *testing.T) []reuseSubject {
 }
 
 // releasedAfter runs pred on an acquired network of cfg, releases it and
-// acquires again until it holds that very network. Release must park it:
-// a drop fails the test. The pool may hand out another parked network of
-// the same Config, or none (see raceBuild); those are released and the
-// whole step is retried.
+// acquires again: Release must park it (a drop fails the test) and the free
+// list hands out what was parked last, so this is that very network.
 func releasedAfter(t *testing.T, cfg noc.Config, pred func(*testing.T, *noc.Network)) *noc.Network {
 	t.Helper()
-	for try := 0; try < 64; try++ {
-		nw, err := noc.Acquire(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pred(t, nw)
-		dropped := noc.ReuseStats().Dropped
-		nw.Release()
-		if noc.ReuseStats().Dropped != dropped {
-			t.Fatal("Release dropped a network that finished cleanly")
-		}
-		again, err := noc.Acquire(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again == nw {
-			return again
-		}
-		again.Release()
-		if !raceBuild() && try >= 4 {
-			break
-		}
+	nw, err := noc.Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("the released network was never handed out again")
-	return nil
+	pred(t, nw)
+	dropped := noc.ReuseStats().Dropped
+	nw.Release()
+	if noc.ReuseStats().Dropped != dropped {
+		t.Fatal("Release dropped a network that finished cleanly")
+	}
+	again, err := noc.Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != nw {
+		t.Fatal("the released network was not the one handed out next")
+	}
+	return again
 }
 
 func snapshotBytes(t *testing.T, nw *noc.Network) []byte {
@@ -375,9 +368,11 @@ func TestReuseEquivalence(t *testing.T) {
 				if got, max := reused.FlitPool().Misses(), fresh.FlitPool().Misses(); got > max {
 					t.Errorf("flit pool misses %d on the released network, %d on the fresh one", got, max)
 				}
-				if e, f := reused.Engine(), fresh.Engine(); e.Evaluated() != f.Evaluated() || e.Skipped() != f.Skipped() || e.Cycle() != f.Cycle() {
-					t.Errorf("engine accounting differs: released %d evaluated %d skipped at cycle %d, fresh %d/%d at %d",
-						e.Evaluated(), e.Skipped(), e.Cycle(), f.Evaluated(), f.Skipped(), f.Cycle())
+				if e, f := reused.Engine(), fresh.Engine(); e.Evaluated() != f.Evaluated() || e.Skipped() != f.Skipped() || e.Cycle() != f.Cycle() ||
+					e.Jumps() != f.Jumps() || e.JumpedCycles() != f.JumpedCycles() {
+					t.Errorf("engine accounting differs: released %d evaluated %d skipped at cycle %d (%d jumps over %d), fresh %d/%d at %d (%d over %d)",
+						e.Evaluated(), e.Skipped(), e.Cycle(), e.Jumps(), e.JumpedCycles(),
+						f.Evaluated(), f.Skipped(), f.Cycle(), f.Jumps(), f.JumpedCycles())
 				}
 			})
 		}
@@ -391,32 +386,32 @@ func TestReuseGoldenThroughRunLayer(t *testing.T) {
 	if !ok {
 		t.Fatal("Conv1 missing")
 	}
-	for try := 0; ; try++ {
-		before := noc.ReuseStats()
-		g, err := core.RunLayer(8, 8, layer, systolic.GatherMode, core.Options{Rounds: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ru, err := core.RunLayer(8, 8, layer, systolic.RepetitiveUnicast, core.Options{Rounds: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := int64(g.Result.RoundCycles.Mean()); got != 406 {
-			t.Fatalf("gather round = %d cycles, golden 406", got)
-		}
-		if got := int64(ru.Result.RoundCycles.Mean()); got != 425 {
-			t.Fatalf("RU round = %d cycles, golden 425", got)
-		}
-		after := noc.ReuseStats()
-		if after.Dropped != before.Dropped {
-			t.Fatalf("RunLayer dropped %d networks", after.Dropped-before.Dropped)
-		}
-		if after.Reused > before.Reused {
-			return
-		}
-		if !raceBuild() || try >= 64 {
-			t.Fatalf("two RunLayer calls on one configuration reused no network: %+v -> %+v", before, after)
-		}
+	before := noc.ReuseStats()
+	g, err := core.RunLayer(8, 8, layer, systolic.GatherMode, core.Options{Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ru, err := core.RunLayer(8, 8, layer, systolic.RepetitiveUnicast, core.Options{Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(g.Result.RoundCycles.Mean()); got != 406 {
+		t.Fatalf("gather round = %d cycles, golden 406", got)
+	}
+	if got := int64(ru.Result.RoundCycles.Mean()); got != 425 {
+		t.Fatalf("RU round = %d cycles, golden 425", got)
+	}
+	after := noc.ReuseStats()
+	if after.Dropped != before.Dropped {
+		t.Fatalf("RunLayer dropped %d networks", after.Dropped-before.Dropped)
+	}
+	if after.Reused == before.Reused {
+		t.Fatalf("two RunLayer calls on one configuration reused no network: %+v -> %+v", before, after)
+	}
+	// Each round is a compute stretch the engine jumps over and a collection
+	// it steps through; the reuse counters say so for the pair.
+	if jumped, cycles := after.JumpedCycles-before.JumpedCycles, after.Cycles-before.Cycles; after.Jumps == before.Jumps || jumped == 0 || jumped >= cycles {
+		t.Errorf("the two runs jumped %d of %d cycles in %d jumps", jumped, cycles, after.Jumps-before.Jumps)
 	}
 }
 
@@ -562,8 +557,13 @@ func TestReuseResultsSurviveTheNetwork(t *testing.T) {
 
 // TestReuseWorkerCountInvariance renders Table II and Fig. 7 on one worker
 // and on four: the bytes must agree, whichever worker's released network a
-// cell lands on. CI runs it under the race detector.
+// cell lands on. The free list holds GOMAXPROCS networks per Config, so with
+// at least a processor per worker every release parks and the workers build
+// no more than a fabric each per Config; with fewer, the releases that find
+// the list full are dropped by design and only the bytes are held. CI runs
+// it under the race detector at -cpu 1,2.
 func TestReuseWorkerCountInvariance(t *testing.T) {
+	const workers, configs = 4, 2 // the 8x8 and the 16x16 Table I mesh
 	render := func(workers int) string {
 		opts := experiments.Options{Rounds: 1, Workers: workers}
 		t2, err := experiments.Table2(opts)
@@ -578,15 +578,21 @@ func TestReuseWorkerCountInvariance(t *testing.T) {
 	}
 	before := noc.ReuseStats()
 	one := render(1)
-	four := render(4)
+	four := render(workers)
 	if one != four {
 		t.Errorf("rendered bytes depend on the worker count:\n--- workers=1\n%s--- workers=4\n%s", one, four)
 	}
 	after := noc.ReuseStats()
+	if after.Reused == before.Reused {
+		t.Errorf("the sweeps reused no network: %+v -> %+v", before, after)
+	}
+	if runtime.GOMAXPROCS(0) < workers {
+		return
+	}
 	if after.Dropped != before.Dropped {
 		t.Errorf("the sweeps dropped %d networks", after.Dropped-before.Dropped)
 	}
-	if after.Reused == before.Reused {
-		t.Errorf("the sweeps reused no network: %+v -> %+v", before, after)
+	if built := after.Built - before.Built; built > configs*workers {
+		t.Errorf("the sweeps built %d networks, want at most %d: %+v -> %+v", built, configs*workers, before, after)
 	}
 }

@@ -3,11 +3,13 @@ package gathernoc
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gathernoc/internal/fault"
 
 	"gathernoc/internal/noc"
+	"gathernoc/internal/systolic"
 	"gathernoc/internal/traffic"
 )
 
@@ -368,5 +370,105 @@ func TestSnapshotRoundTripMidCollection(t *testing.T) {
 				t.Errorf("restore is not an exact inverse of capture:\n%s\nvs\n%s", data1, data2)
 			}
 		})
+	}
+}
+
+// TestSnapshotMidComputeWhileAJumpIsPending takes a snapshot (and a fork) of
+// a systolic run in the middle of its first round's compute time: the round
+// loop is asleep with its timer armed for the cycle the results are ready
+// in, nothing else is awake, and Run(n) has stopped the clock short of where
+// it was jumping to. Restore wakes everything and drops the timers; the
+// controller attached to the restored fabric arms its own on its first
+// evaluation and the engine jumps again. Every continuation — the original,
+// the restored copy at each shard count, the fork — must finish with the
+// uninterrupted run's result, activity and clock.
+func TestSnapshotMidComputeWhileAJumpIsPending(t *testing.T) {
+	const pauseAt = 1000 // Conv3 computes for 2309 cycles a round
+	scfg := systolic.Config{Layer: conv3(t), Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 2}
+	type outcome struct {
+		Result   *systolic.Result
+		Activity noc.Activity
+		Cycle    int64
+	}
+	// finish attaches a controller, as Engine.RunWith does, to a network
+	// whose clock stands in the first round's compute time and runs it out.
+	attach := func(nw *noc.Network) *systolic.Controller {
+		t.Helper()
+		ctl, err := systolic.NewController(nw, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.SetWake(nw.Engine().AddTicker(ctl))
+		return ctl
+	}
+	finish := func(nw *noc.Network, ctl *systolic.Controller) outcome {
+		t.Helper()
+		if _, err := nw.Engine().RunUntil(ctl.Done, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if live := nw.FlitPool().Live(); live != 0 {
+			t.Errorf("flit pool leaked %d flits", live)
+		}
+		return outcome{ctl.Result(), nw.Activity(), nw.Engine().Cycle()}
+	}
+	build := func(shards int) *noc.Network {
+		t.Helper()
+		cfg := noc.DefaultConfig(8, 8)
+		cfg.Shards, cfg.DebugFlitPool = shards, true
+		nw, err := noc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nw.Close)
+		return nw
+	}
+
+	ref := build(0)
+	want := finish(ref, attach(ref))
+	if want.Result.PayloadErrors != 0 || ref.Engine().Jumps() == 0 {
+		t.Fatalf("reference run: %d payload errors, %d jumps", want.Result.PayloadErrors, ref.Engine().Jumps())
+	}
+
+	orig := build(0)
+	ctl := attach(orig)
+	orig.Engine().Run(pauseAt)
+	if orig.Engine().Cycle() != pauseAt || orig.Engine().Jumps() != 1 || ctl.Done() {
+		t.Fatalf("paused at cycle %d after %d jumps", orig.Engine().Cycle(), orig.Engine().Jumps())
+	}
+	snap, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := noc.EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := orig.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fork.Close()
+
+	check := func(label string, got outcome) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s diverged from the uninterrupted run:\n got %+v\nwant %+v", label, got, want)
+		}
+	}
+	check("the snapshotted run itself", finish(orig, ctl))
+	check("the fork", finish(fork, attach(fork)))
+	for _, shards := range []int{0, 2} {
+		decoded, err := noc.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := build(shards)
+		if err := nw.Restore(decoded); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("the restored run on %d shards", shards), finish(nw, attach(nw)))
+		if nw.Engine().Jumps() == 0 {
+			t.Errorf("the restored run on %d shards never jumped", shards)
+		}
 	}
 }
