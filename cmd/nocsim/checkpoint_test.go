@@ -107,12 +107,15 @@ func TestRunCheckpointRejectsBadInputs(t *testing.T) {
 		}
 	}
 
-	// A checkpoint file from a different snapshot version must be refused.
-	if err := os.WriteFile(ck, []byte(`{"Network":{"Version":"bogus/v0"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := run([]string{"-resume", ck}, &b); err == nil {
-		t.Error("foreign-version checkpoint accepted")
+	// A checkpoint file from a different snapshot version must be refused,
+	// the previous layout's (v1 snapshots carried a per-NIC tag) included.
+	for _, version := range []string{"bogus/v0", "gathernoc/noc.Snapshot/v1"} {
+		if err := os.WriteFile(ck, []byte(`{"Network":{"Version":"`+version+`"}}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := run([]string{"-resume", ck}, &b); err == nil || !strings.Contains(err.Error(), "incompatible version") {
+			t.Errorf("%s checkpoint: %v, want the incompatible-version error", version, err)
+		}
 	}
 }

@@ -372,10 +372,10 @@ func TestEngineEquivalenceDeadlineSleeps(t *testing.T) {
 						seq++
 						p := flit.Payload{Seq: seq, Src: node, Dst: nw.RowSinkID(row), Bits: 32, Value: seq}
 						if row%2 == 0 {
-							nw.NIC(node).SubmitGatherPayload(p)
+							nw.NIC(node).SubmitGatherPayload(0, p)
 						} else {
 							p.ReduceID, p.Ops = uint64(row), 1
-							nw.NIC(node).SubmitReduceOperand(p)
+							nw.NIC(node).SubmitReduceOperand(0, p)
 						}
 					}
 				}

@@ -45,7 +45,7 @@ type acct struct {
 // PayloadSink, Taggable and ForeignPayloadRouter wiring interfaces), so a
 // scheduler can admit a collective phase alongside any other traffic. The
 // round loop,
-// the leaf release, the workload tag (it stamps injected packets, namespaces
+// the leaf release, the workload tag (every send carries it, it namespaces
 // payload sequence numbers and is encoded into every ReduceID, so concurrent
 // drivers on one fabric never collide) and the foreign-payload hook are the
 // embedded round.Loop's (DESIGN.md §8).
@@ -261,9 +261,7 @@ func (d *Driver) Inject(id int, cycle int64) {
 	node := topology.NodeID(id)
 	if d.cfg.Algorithm == AlgFlat {
 		p := d.payload(node, d.plan.Root, d.columnID(), d.leafValue(id, d.Round()), 1, cycle)
-		n := d.nw.NIC(node)
-		n.SetTag(d.Tag())
-		n.SendUnicastPayload(d.plan.Root, p)
+		d.nw.NIC(node).SendUnicastPayload(d.Tag(), d.plan.Root, p)
 		return
 	}
 	coord := d.nw.Topology().Coord(node)
@@ -343,18 +341,17 @@ func (d *Driver) maybeBroadcast(cycle int64) {
 	d.bcastSent = true
 	root := d.plan.Root
 	n := d.nw.NIC(root)
-	n.SetTag(d.Tag())
 	bid := d.broadcastID()
 	flits := d.nw.Config().UnicastFlits
 	if d.cfg.Algorithm == AlgFlat {
 		for id := 0; id < d.nodes; id++ {
 			p := d.payload(root, topology.NodeID(id), bid, d.bcastVal, 1, cycle)
-			n.SendUnicastPayload(topology.NodeID(id), p)
+			n.SendUnicastPayload(d.Tag(), topology.NodeID(id), p)
 		}
 		return
 	}
 	p := d.payload(root, root, bid, d.bcastVal, 1, cycle)
-	n.SendMulticastPayload(d.bcastDests, flits, p)
+	n.SendMulticastPayload(d.Tag(), d.bcastDests, flits, p)
 }
 
 // OnPacket records one arriving packet and dispatches its payloads

@@ -203,7 +203,7 @@ func StreamingOverNoC(operands int) (*StreamingRow, error) {
 			dsts.Add(mesh.ID(topology.Coord{Row: row, Col: col}))
 		}
 		for k := 0; k < operands; k++ {
-			nw.NIC(src).SendMulticast(dsts, 1)
+			nw.NIC(src).SendMulticast(0, dsts, 1)
 		}
 	}
 	cycles, err := nw.RunUntilQuiescent(10_000_000)

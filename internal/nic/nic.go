@@ -13,7 +13,10 @@
 // and fabric shape live behind the network layer's topology.Routing, and
 // who initiates a line's collective packet, who offers its payload and with
 // which δ is decided once, by noc.Network.Submit over the network's
-// LineCollect plan, not here (DESIGN.md §7).
+// LineCollect plan, not here (DESIGN.md §7). It is owner-agnostic too: any
+// number of workload drivers share one NIC, so the job and phase a packet
+// belongs to (flit.Tag) is an argument of every send and submit, never
+// state of the interface (DESIGN.md §8).
 package nic
 
 import (
@@ -104,10 +107,8 @@ type gatherWait struct {
 	payload  flit.Payload
 	deadline int64
 	acked    bool
-	// tag is the workload tag active when the payload was submitted; the
-	// δ-timeout fallback packet is stamped with it, not with whatever tag
-	// happens to be current when the timeout fires (another job's driver
-	// may have retagged the NIC in between).
+	// tag is the workload tag the payload was submitted under; the
+	// δ-timeout fallback packet carries it.
 	tag flit.Tag
 }
 
@@ -155,11 +156,6 @@ type NIC struct {
 	// Pending answer without scanning vcPkt.
 	streaming int
 	pool      *flit.Pool // flit allocation for outgoing packets
-	// tag stamps every enqueued packet with the workload job/phase it
-	// belongs to. Multiple drivers share one NIC, so each driver sets the
-	// tag immediately before its Send/Submit calls (the simulator is
-	// single-threaded); the zero tag marks untagged traffic.
-	tag flit.Tag
 
 	// The ack callbacks handed to the router's stations are allocated
 	// once here, not per submission.
@@ -291,14 +287,6 @@ func (n *NIC) AcceptCredit(vc int) {
 // OnReceive registers the completed-packet callback.
 func (n *NIC) OnReceive(fn func(*ReceivedPacket)) { n.eject.OnReceive(fn) }
 
-// SetTag sets the workload tag stamped onto subsequently enqueued packets
-// and submitted payloads. Workload drivers sharing the NIC call it before
-// every injection; the zero tag (the default) marks untagged traffic.
-func (n *NIC) SetTag(t flit.Tag) { n.tag = t }
-
-// Tag returns the currently active workload tag.
-func (n *NIC) Tag() flit.Tag { return n.tag }
-
 // SetDelta overrides this NIC's δ timeout. The paper notes δ "can be
 // configured for each router" to cover "the router pipeline delay to reach
 // the neighboring node"; noc.Network.Submit arms it before every offer,
@@ -313,32 +301,37 @@ func (n *NIC) SetDelta(d int64) {
 // Delta returns the NIC's current δ timeout.
 func (n *NIC) Delta() int64 { return n.cfg.Delta }
 
+// Every send and submit below takes the workload tag of the job and phase
+// the packet belongs to. It goes into the packet, and into the δ wait and
+// the reliability entry a submit creates, so a fallback or retransmission
+// the NIC sends later carries it too. The zero tag marks untagged traffic.
+
 // SendUnicast queues a unicast packet of the configured length to dst and
 // returns its packet id.
-func (n *NIC) SendUnicast(dst topology.NodeID) uint64 {
+func (n *NIC) SendUnicast(tag flit.Tag, dst topology.NodeID) uint64 {
 	return n.enqueue(flit.Packet{
-		PT: flit.Unicast, Src: n.id, Dst: dst, Flits: n.cfg.UnicastFlits,
+		Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: n.cfg.UnicastFlits,
 	})
 }
 
 // SendUnicastN queues a unicast packet of nFlits flits to dst.
-func (n *NIC) SendUnicastN(dst topology.NodeID, nFlits int) uint64 {
-	return n.enqueue(flit.Packet{PT: flit.Unicast, Src: n.id, Dst: dst, Flits: nFlits})
+func (n *NIC) SendUnicastN(tag flit.Tag, dst topology.NodeID, nFlits int) uint64 {
+	return n.enqueue(flit.Packet{Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: nFlits})
 }
 
 // SendUnicastPayload queues a unicast packet carrying one result payload —
 // the repetitive-unicast transport for a PE's partial sum.
-func (n *NIC) SendUnicastPayload(dst topology.NodeID, p flit.Payload) uint64 {
+func (n *NIC) SendUnicastPayload(tag flit.Tag, dst topology.NodeID, p flit.Payload) uint64 {
 	return n.enqueue(flit.Packet{
-		PT: flit.Unicast, Src: n.id, Dst: dst, Flits: n.cfg.UnicastFlits, Carried: &p,
+		Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: n.cfg.UnicastFlits, Carried: &p,
 	})
 }
 
 // SendMulticast queues a multicast packet of nFlits flits to the
 // destination set.
-func (n *NIC) SendMulticast(dsts *topology.DestSet, nFlits int) uint64 {
+func (n *NIC) SendMulticast(tag flit.Tag, dsts *topology.DestSet, nFlits int) uint64 {
 	return n.enqueue(flit.Packet{
-		PT: flit.Multicast, Src: n.id, MDst: dsts.Clone(), Flits: nFlits,
+		Tag: tag, PT: flit.Multicast, Src: n.id, MDst: dsts.Clone(), Flits: nFlits,
 	})
 }
 
@@ -347,9 +340,9 @@ func (n *NIC) SendMulticast(dsts *topology.DestSet, nFlits int) uint64 {
 // tree. The XY multicast tree copies the payload on every fork
 // (router.flitForBranch clones flit payload slices), so each destination's
 // ejector reassembles a packet delivering the same value.
-func (n *NIC) SendMulticastPayload(dsts *topology.DestSet, nFlits int, p flit.Payload) uint64 {
+func (n *NIC) SendMulticastPayload(tag flit.Tag, dsts *topology.DestSet, nFlits int, p flit.Payload) uint64 {
 	return n.enqueue(flit.Packet{
-		PT: flit.Multicast, Src: n.id, MDst: dsts.Clone(), Flits: nFlits, Carried: &p,
+		Tag: tag, PT: flit.Multicast, Src: n.id, MDst: dsts.Clone(), Flits: nFlits, Carried: &p,
 	})
 }
 
@@ -357,10 +350,10 @@ func (n *NIC) SendMulticastPayload(dsts *topology.DestSet, nFlits int, p flit.Pa
 // optionally pre-loaded with the sender's own payload. This is the
 // initiator path: in the paper's row-based scheme the leftmost PE of each
 // row launches the packet toward the global buffer.
-func (n *NIC) SendGather(dst topology.NodeID, own *flit.Payload) uint64 {
+func (n *NIC) SendGather(tag flit.Tag, dst topology.NodeID, own *flit.Payload) uint64 {
 	capacity := n.cfg.GatherCapacity
 	return n.enqueue(flit.Packet{
-		PT: flit.Gather, Src: n.id, Dst: dst,
+		Tag: tag, PT: flit.Gather, Src: n.id, Dst: dst,
 		Flits:          n.cfg.Format.GatherFlits(capacity),
 		GatherCapacity: capacity,
 		Carried:        own,
@@ -371,18 +364,18 @@ func (n *NIC) SendGather(dst topology.NodeID, own *flit.Payload) uint64 {
 // offered to the router's Gather Payload station; if no passing gather
 // packet picks it up within δ cycles the NIC retracts it and initiates its
 // own gather packet to the payload's destination.
-func (n *NIC) SubmitGatherPayload(p flit.Payload) {
+func (n *NIC) SubmitGatherPayload(tag flit.Tag, p flit.Payload) {
 	if n.reliable != nil {
-		n.track(p)
+		n.track(p, tag)
 	}
 	ok := n.rtr.OfferGatherPayload(p, n.gatherAckFn)
 	if !ok {
 		// Station full: fall back immediately.
-		n.selfInitiate(p)
+		n.selfInitiate(p, tag)
 		return
 	}
 	deadline := n.currentCycle() + n.cfg.Delta
-	n.waiting = append(n.waiting, gatherWait{payload: p, deadline: deadline, tag: n.tag})
+	n.waiting = append(n.waiting, gatherWait{payload: p, deadline: deadline, tag: tag})
 	n.sweepBy(deadline)
 	n.wake.Wake()
 }
@@ -444,10 +437,10 @@ func (n *NIC) SetReduceDelta(d int64) {
 // sender's own operand — the INA initiator path: in the row-based scheme
 // the leftmost PE of each row launches the packet toward the global
 // buffer, and every router en route folds its local partial sum in.
-func (n *NIC) SendAccumulate(dst topology.NodeID, reduceID uint64, own flit.Payload) uint64 {
+func (n *NIC) SendAccumulate(tag flit.Tag, dst topology.NodeID, reduceID uint64, own flit.Payload) uint64 {
 	n.requireINA("SendAccumulate")
 	return n.enqueue(flit.Packet{
-		PT: flit.Accumulate, Src: n.id, Dst: dst,
+		Tag: tag, PT: flit.Accumulate, Src: n.id, Dst: dst,
 		Flits:          flit.AccumulateFlits,
 		GatherCapacity: n.cfg.ReduceCapacity,
 		ReduceID:       reduceID,
@@ -463,19 +456,19 @@ func (n *NIC) SendAccumulate(dst topology.NodeID, reduceID uint64, own flit.Payl
 // router's accumulation station; if no passing accumulate packet folds it
 // in within the reduce δ the NIC retracts it and initiates its own
 // accumulate packet carrying the operand.
-func (n *NIC) SubmitReduceOperand(p flit.Payload) {
+func (n *NIC) SubmitReduceOperand(tag flit.Tag, p flit.Payload) {
 	n.requireINA("SubmitReduceOperand")
 	p.Ops = p.OpsCount()
 	if n.reliable != nil {
-		n.track(p)
+		n.track(p, tag)
 	}
 	ok := n.rtr.OfferReduceOperand(p, n.reduceAckFn)
 	if !ok {
-		n.selfInitiateReduce(p)
+		n.selfInitiateReduce(p, tag)
 		return
 	}
 	deadline := n.currentCycle() + n.reduceDelta()
-	n.rwaiting = append(n.rwaiting, gatherWait{payload: p, deadline: deadline, tag: n.tag})
+	n.rwaiting = append(n.rwaiting, gatherWait{payload: p, deadline: deadline, tag: tag})
 	n.sweepBy(deadline)
 	n.wake.Wake()
 }
@@ -512,7 +505,7 @@ func (n *NIC) Tick(cycle int64) {
 // waiting (retry next cycle if the reservation is released). The fallback
 // packet is enqueued under the tag the payload was submitted with. Every
 // wait that stays listed books its deadline with sweepBy.
-func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fallback func(flit.Payload)) []gatherWait {
+func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fallback func(flit.Payload, flit.Tag)) []gatherWait {
 	if len(waiting) == 0 {
 		return waiting
 	}
@@ -523,10 +516,7 @@ func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fal
 			continue
 		}
 		if n.now >= w.deadline && retract(w.payload.Seq) {
-			cur := n.tag
-			n.tag = w.tag
-			fallback(w.payload)
-			n.tag = cur
+			fallback(w.payload, w.tag)
 			continue
 		}
 		n.sweepBy(w.deadline)
@@ -535,23 +525,22 @@ func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fal
 	return keep
 }
 
-func (n *NIC) selfInitiate(p flit.Payload) {
+func (n *NIC) selfInitiate(p flit.Payload, tag flit.Tag) {
 	own := p
-	n.SendGather(p.Dst, &own)
+	n.SendGather(tag, p.Dst, &own)
 	n.SelfInitiatedGathers.Inc()
 }
 
-func (n *NIC) selfInitiateReduce(p flit.Payload) {
-	n.SendAccumulate(p.Dst, p.ReduceID, p)
+func (n *NIC) selfInitiateReduce(p flit.Payload, tag flit.Tag) {
+	n.SendAccumulate(tag, p.Dst, p.ReduceID, p)
 	n.SelfInitiatedReduces.Inc()
 }
 
 func (n *NIC) enqueue(p flit.Packet) uint64 {
 	p.ID = n.nextID()
-	p.Tag = n.tag
 	p.InjectCycle = n.currentCycle()
 	if n.reliable != nil && p.Carried != nil {
-		n.track(*p.Carried)
+		n.track(*p.Carried, p.Tag)
 	}
 	n.queue.PushBack(p)
 	n.PacketsInjected.Inc()

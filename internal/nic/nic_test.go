@@ -5,6 +5,8 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
+	"gathernoc/internal/router"
+	"gathernoc/internal/topology"
 )
 
 func validConfig() Config {
@@ -69,8 +71,8 @@ func TestNICInjectsOneFlitPerCycle(t *testing.T) {
 	out := link.New(link.Named("inj"), 1, cap, n)
 	n.ConnectInjection(out)
 
-	n.SendUnicast(9)
-	n.SendUnicast(10)
+	n.SendUnicast(0, 9)
+	n.SendUnicast(0, 10)
 
 	for c := int64(0); c < 10; c++ {
 		n.Tick(c)
@@ -112,7 +114,7 @@ func TestNICRespectsCredits(t *testing.T) {
 	out := link.New(link.Named("inj"), 1, cap, n)
 	n.ConnectInjection(out)
 
-	n.SendUnicast(5)
+	n.SendUnicast(0, 5)
 	n.Tick(0) // sends head, consuming the only credit
 	n.Tick(1) // blocked: no credit
 	out.Commit(0)
@@ -140,8 +142,8 @@ func TestNICGatherVCPolicy(t *testing.T) {
 	out := link.New(link.Named("inj"), 1, cap, n)
 	n.ConnectInjection(out)
 
-	n.SendGather(9, nil)
-	n.SendUnicast(9)
+	n.SendGather(0, 9, nil)
+	n.SendUnicast(0, 9)
 	for c := int64(0); c < 20; c++ {
 		n.Tick(c)
 		out.Commit(c)
@@ -246,9 +248,53 @@ func TestNICPending(t *testing.T) {
 	if n.Pending() {
 		t.Error("fresh NIC pending")
 	}
-	n.SendUnicast(3)
+	n.SendUnicast(0, 3)
 	if !n.Pending() {
 		t.Error("queued packet not reported pending")
+	}
+}
+
+// TestInternalSendsCarryTheSubmitTag pins who owns the packets a NIC sends
+// on its own: the δ-timeout fallback and every retransmission carry the tag
+// of the submit that created them, whatever was sent on the NIC since.
+func TestInternalSendsCarryTheSubmitTag(t *testing.T) {
+	// The router is never ticked, so the offered payload stays at its
+	// station until δ retracts it, and nothing ever confirms delivery.
+	rtr, err := router.New(0, router.DefaultConfig(),
+		func(topology.NodeID, *flit.Flit) router.Route { return router.Route{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := validConfig()
+	cfg.RouterBufferDepth = 64 // nothing returns credits here
+	n, err := New(0, cfg, rtr, seq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.EnableReliability(8, 1, 2)
+	cap := &flitCapture{}
+	out := link.New(link.Named("inj"), 1, cap, n)
+	n.ConnectInjection(out)
+	owner, other := flit.NewTag(1, 0), flit.NewTag(2, 0)
+	n.SubmitGatherPayload(owner, flit.Payload{Seq: 7, Dst: 3, Bits: 32})
+	for c := int64(0); c < 40; c++ {
+		if c%4 == 0 {
+			n.SendUnicast(other, 9) // another job's send in between
+		}
+		n.Tick(c)
+		out.Commit(c)
+	}
+	if n.SelfInitiatedGathers.Value() != 1 || n.Retransmits.Value() == 0 {
+		t.Fatalf("fallbacks=%d retransmits=%d, want 1 and > 0", n.SelfInitiatedGathers.Value(), n.Retransmits.Value())
+	}
+	for _, f := range cap.flits {
+		want := other
+		if f.PT == flit.Gather || f.Dst == 3 {
+			want = owner
+		}
+		if f.Tag != want {
+			t.Errorf("packet %d (%s to %d): tag %s, want %s", f.PacketID, f.PT, f.Dst, f.Tag, want)
+		}
 	}
 }
 
@@ -313,6 +359,6 @@ func TestNICRejectsAccumulateWithoutINA(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("SendAccumulate", func() { n.SendAccumulate(9, 1, flit.Payload{}) })
-	mustPanic("SubmitReduceOperand", func() { n.SubmitReduceOperand(flit.Payload{}) })
+	mustPanic("SendAccumulate", func() { n.SendAccumulate(0, 9, 1, flit.Payload{}) })
+	mustPanic("SubmitReduceOperand", func() { n.SubmitReduceOperand(0, flit.Payload{}) })
 }

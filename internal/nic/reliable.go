@@ -64,14 +64,14 @@ func (n *NIC) SetTelemetry(p *telemetry.Probe) { n.probe = p }
 // track registers a payload entering the fabric. Idempotent by Seq: a
 // retransmission re-enters the send paths but must keep its entry's
 // attempt count and deadline.
-func (n *NIC) track(p flit.Payload) {
+func (n *NIC) track(p flit.Payload, tag flit.Tag) {
 	rt := n.reliable
 	if _, ok := rt.index[p.Seq]; ok {
 		return
 	}
 	rt.index[p.Seq] = len(rt.entries)
 	deadline := n.currentCycle() + rt.base
-	rt.entries = append(rt.entries, reliableEntry{payload: p, tag: n.tag, deadline: deadline})
+	rt.entries = append(rt.entries, reliableEntry{payload: p, tag: tag, deadline: deadline})
 	n.sweepBy(deadline)
 	n.wake.Wake()
 }
@@ -120,29 +120,26 @@ func (n *NIC) sweepReliable() {
 		return
 	}
 	for i := 0; i < len(rt.entries); i++ {
-		en := &rt.entries[i]
-		if n.now < en.deadline {
-			n.sweepBy(en.deadline)
+		e := &rt.entries[i]
+		if n.now < e.deadline {
+			n.sweepBy(e.deadline)
 			continue
 		}
-		if en.attempt >= rt.maxRetries {
+		if e.attempt >= rt.maxRetries {
 			n.AbandonedPayloads.Inc()
 			rt.removeAt(i)
 			i--
 			continue
 		}
-		en.attempt++
-		shift := en.attempt
+		e.attempt++
+		shift := e.attempt
 		if shift > rt.backoffCap {
 			shift = rt.backoffCap
 		}
-		en.deadline = n.now + rt.base<<shift
-		n.sweepBy(en.deadline)
-		payload, tag := en.payload, en.tag
-		cur := n.tag
-		n.tag = tag
-		pid := n.SendUnicastPayload(payload.Dst, payload)
-		n.tag = cur
+		e.deadline = n.now + rt.base<<shift
+		n.sweepBy(e.deadline)
+		payload, tag := e.payload, e.tag
+		pid := n.SendUnicastPayload(tag, payload.Dst, payload)
 		n.Retransmits.Inc()
 		if n.probe != nil && n.probe.Sampled(pid) {
 			n.probe.Emit(telemetry.Event{Cycle: n.now, Kind: telemetry.EvRetransmit,

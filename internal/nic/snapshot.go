@@ -222,7 +222,6 @@ type State struct {
 	Waiting  []WaitState    `json:",omitempty"`
 	RWaiting []WaitState    `json:",omitempty"`
 	SendRR   int
-	Tag      flit.Tag
 	Now      int64
 	Reliable []ReliableEntryState `json:",omitempty"`
 
@@ -247,7 +246,6 @@ func (n *NIC) CaptureState() (State, error) {
 	s := State{
 		Credits: append([]int(nil), n.credits...),
 		SendRR:  n.sendRR,
-		Tag:     n.tag,
 		Now:     n.now,
 
 		PacketsInjected:      n.PacketsInjected,
@@ -278,9 +276,9 @@ func (n *NIC) CaptureState() (State, error) {
 		s.RWaiting = append(s.RWaiting, WaitState{Payload: w.payload, Deadline: w.deadline, Acked: w.acked, Tag: w.tag})
 	}
 	if n.reliable != nil {
-		for _, en := range n.reliable.entries {
+		for _, e := range n.reliable.entries {
 			s.Reliable = append(s.Reliable, ReliableEntryState{
-				Payload: en.payload, Tag: en.tag, Deadline: en.deadline, Attempt: en.attempt,
+				Payload: e.payload, Tag: e.tag, Deadline: e.deadline, Attempt: e.attempt,
 			})
 		}
 	}
@@ -302,7 +300,6 @@ func (n *NIC) RestoreState(s State, numNodes int) error {
 	}
 	copy(n.credits, s.Credits)
 	n.sendRR = s.SendRR
-	n.tag = s.Tag
 	n.now = s.Now
 	n.sweepAt = 0 // derived: the first tick's sweep books the restored deadlines
 

@@ -233,7 +233,8 @@ func (s CollectScheme) String() string {
 
 // Submit is the sender side of Algorithm 1, the one place a payload enters
 // a line collection: it releases p from line member i under the given
-// scheme and workload tag. An initiator launches the line's collective
+// scheme and passes the workload tag to the NIC call that does it. An
+// initiator launches the line's collective
 // packet seeded with p; every other member offers p to its router's station
 // and falls back to a packet of its own after δ·DeltaScale[i] (a passing
 // packet picks the payload up first, or the timeout self-initiates); under
@@ -244,25 +245,24 @@ func (s CollectScheme) String() string {
 func (nw *Network) Submit(lc *LineCollect, i int, scheme CollectScheme, tag flit.Tag, p flit.Payload) {
 	node := lc.Nodes[i]
 	n := nw.nics[node]
-	n.SetTag(tag)
 	scale := int64(lc.DeltaScale[i])
 	switch initiator := lc.IsInitiator(node); {
 	case scheme == CollectUnicast:
-		n.SendUnicastPayload(lc.Target, p)
+		n.SendUnicastPayload(tag, lc.Target, p)
 	case scheme == CollectGather && initiator:
 		// A copy, so that p escapes on this branch only.
 		own := p
-		n.SendGather(lc.Target, &own)
+		n.SendGather(tag, lc.Target, &own)
 	case scheme == CollectGather:
 		n.SetDelta(nw.nicCfg.Delta * scale)
-		n.SubmitGatherPayload(p)
+		n.SubmitGatherPayload(tag, p)
 	case scheme == CollectINA && initiator:
-		n.SendAccumulate(lc.Target, p.ReduceID, p)
+		n.SendAccumulate(tag, lc.Target, p.ReduceID, p)
 	case scheme == CollectINA:
 		// A zero reduce δ falls back to the gather δ, so both are armed.
 		n.SetDelta(nw.nicCfg.Delta * scale)
 		n.SetReduceDelta(nw.nicCfg.ReduceDelta * scale)
-		n.SubmitReduceOperand(p)
+		n.SubmitReduceOperand(tag, p)
 	default:
 		panic(fmt.Sprintf("noc: Submit with collection scheme %d", scheme))
 	}

@@ -51,13 +51,13 @@ func TestRandomTrafficConservation(t *testing.T) {
 					continue
 				}
 				seq++
-				n.SendUnicastPayload(dst, flit.Payload{Seq: seq, Src: src, Dst: dst, Bits: 32})
+				n.SendUnicastPayload(0, dst, flit.Payload{Seq: seq, Src: src, Dst: dst, Bits: 32})
 				wantDeliveries++
 				wantPayloads++
 			case 1: // unicast to a row sink
 				dst := nw.RowSinkID(rng.Intn(cfg.Rows))
 				seq++
-				n.SendUnicastPayload(dst, flit.Payload{Seq: seq, Src: src, Dst: dst, Bits: 32})
+				n.SendUnicastPayload(0, dst, flit.Payload{Seq: seq, Src: src, Dst: dst, Bits: 32})
 				wantDeliveries++
 				wantPayloads++
 			case 2: // multicast to a random subset
@@ -71,14 +71,14 @@ func TestRandomTrafficConservation(t *testing.T) {
 				if set.Empty() {
 					continue
 				}
-				n.SendMulticast(set, 1+rng.Intn(3))
+				n.SendMulticast(0, set, 1+rng.Intn(3))
 				wantDeliveries += set.Len()
 			case 3: // gather packet toward the source row's sink
 				row := nw.Mesh().Coord(src).Row
 				dst := nw.RowSinkID(row)
 				seq++
 				own := flit.Payload{Seq: seq, Src: src, Dst: dst, Bits: 32}
-				n.SendGather(dst, &own)
+				n.SendGather(0, dst, &own)
 				wantDeliveries++
 				wantPayloads++
 			}
@@ -165,9 +165,9 @@ func TestGatherProtocolRandomized(t *testing.T) {
 				}
 				if d.init {
 					own := d.p
-					nw.NIC(d.node).SendGather(d.p.Dst, &own)
+					nw.NIC(d.node).SendGather(0, d.p.Dst, &own)
 				} else {
-					nw.NIC(d.node).SubmitGatherPayload(d.p)
+					nw.NIC(d.node).SubmitGatherPayload(0, d.p)
 				}
 			}
 			eng.Step()
@@ -198,7 +198,7 @@ func TestHeatmapRendering(t *testing.T) {
 			}
 		}
 	}
-	nw.NIC(0).SendUnicast(8)
+	nw.NIC(0).SendUnicast(0, 8)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestHopAccountingMatchesManhattan(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				pid := nw.NIC(src).SendUnicast(dst)
+				pid := nw.NIC(src).SendUnicast(0, dst)
 				byID[pid] = want{src: src, dst: dst}
 			}
 			if _, err := nw.RunUntilQuiescent(100000); err != nil {
@@ -67,7 +67,7 @@ func TestGatherHopCountMatchesFig1(t *testing.T) {
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { hops = p.Hops })
 	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
 	own := flitPayloadAt(1, left, dst)
-	nw.NIC(left).SendGather(dst, &own)
+	nw.NIC(left).SendGather(0, dst, &own)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}

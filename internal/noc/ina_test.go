@@ -33,11 +33,11 @@ func TestINARowReduction(t *testing.T) {
 		v := uint64(col) * 1_000_003
 		want += v
 		nw.NIC(id).SetReduceDelta(5 * int64(1+col))
-		nw.NIC(id).SubmitReduceOperand(reduceOperandAt(uint64(col), id, dst, rid, v))
+		nw.NIC(id).SubmitReduceOperand(0, reduceOperandAt(uint64(col), id, dst, rid, v))
 	}
 	own := reduceOperandAt(100, 0, dst, rid, 17)
 	want += 17
-	nw.NIC(0).SendAccumulate(dst, rid, own)
+	nw.NIC(0).SendAccumulate(0, dst, rid, own)
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestINATimeoutSelfInitiates(t *testing.T) {
 	// and the NIC must self-initiate.
 	id := topology.NodeID(5)
 	nw.NIC(id).SetReduceDelta(3)
-	nw.NIC(id).SubmitReduceOperand(reduceOperandAt(1, id, dst, 9, 123))
+	nw.NIC(id).SubmitReduceOperand(0, reduceOperandAt(1, id, dst, 9, 123))
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -125,14 +125,14 @@ func TestINAStationFullFallsBack(t *testing.T) {
 
 	id := nw.Mesh().ID(topology.Coord{Row: row, Col: 2})
 	n := nw.NIC(id)
-	n.SubmitReduceOperand(reduceOperandAt(1, id, dst, 4, 10))
-	n.SubmitReduceOperand(reduceOperandAt(2, id, dst, 4, 20))
+	n.SubmitReduceOperand(0, reduceOperandAt(1, id, dst, 4, 10))
+	n.SubmitReduceOperand(0, reduceOperandAt(2, id, dst, 4, 20))
 	if n.SelfInitiatedReduces.Value() != 1 {
 		t.Fatalf("overflow operand did not self-initiate (count=%d)",
 			n.SelfInitiatedReduces.Value())
 	}
 	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
-	nw.NIC(left).SendAccumulate(dst, 4, reduceOperandAt(3, left, dst, 4, 30))
+	nw.NIC(left).SendAccumulate(0, dst, 4, reduceOperandAt(3, left, dst, 4, 30))
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -155,10 +155,10 @@ func TestINAOffBitIdentical(t *testing.T) {
 		for col := 1; col < 4; col++ {
 			id := nw.Mesh().ID(topology.Coord{Row: 0, Col: col})
 			nw.NIC(id).SetDelta(5 * int64(1+col))
-			nw.NIC(id).SubmitGatherPayload(flitPayloadAt(uint64(col), id, dst))
+			nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(uint64(col), id, dst))
 		}
 		own := flitPayloadAt(9, 0, dst)
-		nw.NIC(0).SendGather(dst, &own)
+		nw.NIC(0).SendGather(0, dst, &own)
 		cycles, err := nw.RunUntilQuiescent(100000)
 		if err != nil {
 			t.Fatal(err)

@@ -556,17 +556,7 @@ func (nw *Network) register() {
 			n.Ejector().SetStaged(dispatcher[nw.shardOfNode(n.ID())])
 		}
 	}
-	nw.setEngineModes()
-}
-
-// setEngineModes applies the engine modes a network is built with.
-func (nw *Network) setEngineModes() {
 	nw.engine.SetAlwaysTick(nw.cfg.AlwaysTick)
-	// High-load fallback: saturated fabrics tick naively in bursts
-	// instead of paying per-component wake bookkeeping that skips
-	// nothing (the schedules are bit-identical either way; see
-	// sim.Engine.SetAdaptive).
-	nw.engine.SetAdaptive(true)
 }
 
 // wakeFromShards returns, indexed by shard, the handle the components of
@@ -690,18 +680,6 @@ func (nw *Network) Router(id topology.NodeID) *router.Router { return nw.routers
 
 // NIC returns the network interface at node id.
 func (nw *Network) NIC(id topology.NodeID) *nic.NIC { return nw.nics[id] }
-
-// ClearNICTags resets every NIC to the untagged state, skipping the ones
-// already untagged. Workload schedulers call it once per cycle after their
-// drivers ran; the fast path matters on large fabrics where most NICs
-// never saw a tagged injection this cycle.
-func (nw *Network) ClearNICTags() {
-	for _, n := range nw.nics {
-		if n.Tag() != 0 {
-			n.SetTag(0)
-		}
-	}
-}
 
 // Sink returns the global-buffer sink of the given row, or nil when east
 // sinks are disabled.

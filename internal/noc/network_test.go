@@ -67,7 +67,7 @@ func TestUnicastCrossesNetwork(t *testing.T) {
 	var got []*nic.ReceivedPacket
 	nw.NIC(15).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
-	nw.NIC(0).SendUnicast(15)
+	nw.NIC(0).SendUnicast(0, 15)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestUnicastLatencyMatchesHopModel(t *testing.T) {
 		nw := mustNetwork(t, cfg)
 		var got []*nic.ReceivedPacket
 		nw.NIC(topology.NodeID(d)).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
-		nw.NIC(0).SendUnicast(topology.NodeID(d))
+		nw.NIC(0).SendUnicast(0, topology.NodeID(d))
 		if _, err := nw.RunUntilQuiescent(10000); err != nil {
 			t.Fatal(err)
 		}
@@ -129,12 +129,12 @@ func TestGatherCollectsRowPayloads(t *testing.T) {
 	for c := 1; c < 4; c++ {
 		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SetDelta(cfg.Delta * int64(1+c))
-		nw.NIC(id).SubmitGatherPayload(flit.Payload{
+		nw.NIC(id).SubmitGatherPayload(0, flit.Payload{
 			Seq: uint64(c), Src: id, Dst: dst, Bits: 32, Value: uint64(100 + c),
 		})
 	}
 	initiator := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
-	nw.NIC(initiator).SendGather(dst, &flit.Payload{
+	nw.NIC(initiator).SendGather(0, dst, &flit.Payload{
 		Seq: 0, Src: initiator, Dst: dst, Bits: 32, Value: 100,
 	})
 
@@ -177,7 +177,7 @@ func TestGatherDeltaTimeoutSelfInitiates(t *testing.T) {
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
 	id := nw.Mesh().ID(topology.Coord{Row: row, Col: 2})
-	nw.NIC(id).SubmitGatherPayload(flit.Payload{Seq: 1, Src: id, Dst: dst, Bits: 32, Value: 7})
+	nw.NIC(id).SubmitGatherPayload(0, flit.Payload{Seq: 1, Src: id, Dst: dst, Bits: 32, Value: 7})
 
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestRepetitiveUnicastDeliversAll(t *testing.T) {
 
 	for c := 0; c < 4; c++ {
 		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
-		nw.NIC(id).SendUnicast(dst)
+		nw.NIC(id).SendUnicast(0, dst)
 	}
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestMulticastReachesAllDestinations(t *testing.T) {
 		nw.NIC(id).OnReceive(func(p *nic.ReceivedPacket) { received[id]++ })
 	}
 	dsts := topology.DestSetOf(nw.Mesh().NumNodes(), 3, 7, 12, 15, 0)
-	nw.NIC(5).SendMulticast(dsts, 2)
+	nw.NIC(5).SendMulticast(0, dsts, 2)
 
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestBackpressureManyToOneDrains(t *testing.T) {
 			continue
 		}
 		for k := 0; k < 4; k++ {
-			nw.NIC(topology.NodeID(id)).SendUnicastN(5, 4)
+			nw.NIC(topology.NodeID(id)).SendUnicastN(0, 5, 4)
 		}
 	}
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
@@ -272,13 +272,13 @@ func TestDeterministicReplay(t *testing.T) {
 			dst := nw.RowSinkID(row)
 			for c := 1; c < 4; c++ {
 				id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
-				nw.NIC(id).SubmitGatherPayload(flit.Payload{
+				nw.NIC(id).SubmitGatherPayload(0, flit.Payload{
 					Seq: uint64(row*10 + c), Src: id, Dst: dst, Bits: 32,
 				})
 			}
 			left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
-			nw.NIC(left).SendGather(dst, &flit.Payload{Seq: uint64(row * 100), Src: left, Dst: dst})
-			nw.NIC(left).SendUnicast(topology.NodeID((row + 1) % 4 * 4))
+			nw.NIC(left).SendGather(0, dst, &flit.Payload{Seq: uint64(row * 100), Src: left, Dst: dst})
+			nw.NIC(left).SendUnicast(0, topology.NodeID((row+1)%4*4))
 		}
 		cycles, err := nw.RunUntilQuiescent(50000)
 		if err != nil {
@@ -322,11 +322,11 @@ func TestGatherVCReservation(t *testing.T) {
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
 	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
-	nw.NIC(left).SendGather(dst, &flit.Payload{Seq: 1, Src: left, Dst: dst, Value: 9})
+	nw.NIC(left).SendGather(0, dst, &flit.Payload{Seq: 1, Src: left, Dst: dst, Value: 9})
 	// Background unicast traffic on the same row.
 	for c := 1; c < 4; c++ {
 		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
-		nw.NIC(id).SendUnicast(dst)
+		nw.NIC(id).SendUnicast(0, dst)
 	}
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestGatherVCReservation(t *testing.T) {
 
 func TestActivityCountsPlausible(t *testing.T) {
 	nw := mustNetwork(t, DefaultConfig(4, 4))
-	nw.NIC(0).SendUnicast(15)
+	nw.NIC(0).SendUnicast(0, 15)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}

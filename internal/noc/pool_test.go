@@ -19,24 +19,24 @@ func TestFlitPoolLeakFreedom(t *testing.T) {
 	nw := mustNetwork(t, cfg)
 
 	// Unicast and multicast across the mesh.
-	nw.NIC(0).SendUnicastN(15, 3)
-	nw.NIC(5).SendUnicastN(2, 1)
+	nw.NIC(0).SendUnicastN(0, 15, 3)
+	nw.NIC(5).SendUnicastN(0, 2, 1)
 	set := topology.NewDestSet(16)
 	set.Add(3)
 	set.Add(12)
 	set.Add(10)
-	nw.NIC(1).SendMulticast(set, 2)
+	nw.NIC(1).SendMulticast(0, set, 2)
 
 	// A gather row with piggybacked payloads.
 	dst := nw.RowSinkID(0)
 	for col := 1; col < 4; col++ {
 		id := nw.Mesh().ID(topology.Coord{Row: 0, Col: col})
 		nw.NIC(id).SetDelta(5 * int64(1+col))
-		nw.NIC(id).SubmitGatherPayload(flit.Payload{Seq: uint64(col), Src: id, Dst: dst, Bits: 32})
+		nw.NIC(id).SubmitGatherPayload(0, flit.Payload{Seq: uint64(col), Src: id, Dst: dst, Bits: 32})
 	}
 	left := nw.Mesh().ID(topology.Coord{Row: 0, Col: 0})
 	own := flit.Payload{Seq: 99, Src: left, Dst: dst, Bits: 32}
-	nw.NIC(left).SendGather(dst, &own)
+	nw.NIC(left).SendGather(0, dst, &own)
 
 	// An accumulate row with in-network merges.
 	rdst := nw.RowSinkID(1)
@@ -44,12 +44,12 @@ func TestFlitPoolLeakFreedom(t *testing.T) {
 	for col := 1; col < 4; col++ {
 		id := nw.Mesh().ID(topology.Coord{Row: 1, Col: col})
 		nw.NIC(id).SetReduceDelta(5 * int64(1+col))
-		nw.NIC(id).SubmitReduceOperand(flit.Payload{
+		nw.NIC(id).SubmitReduceOperand(0, flit.Payload{
 			Seq: 100 + uint64(col), Src: id, Dst: rdst, Bits: 32, Value: uint64(col), ReduceID: rid, Ops: 1,
 		})
 	}
 	rleft := nw.Mesh().ID(topology.Coord{Row: 1, Col: 0})
-	nw.NIC(rleft).SendAccumulate(rdst, rid, flit.Payload{
+	nw.NIC(rleft).SendAccumulate(0, rdst, rid, flit.Payload{
 		Seq: 200, Src: rleft, Dst: rdst, Bits: 32, Value: 5, ReduceID: rid, Ops: 1,
 	})
 

@@ -29,8 +29,8 @@ func TestGatherStationFullFallsBack(t *testing.T) {
 	// Two payloads at the same node: the second overflows the station.
 	id := nw.Mesh().ID(topology.Coord{Row: row, Col: 2})
 	n := nw.NIC(id)
-	n.SubmitGatherPayload(flitPayloadAt(1, id, dst))
-	n.SubmitGatherPayload(flitPayloadAt(2, id, dst))
+	n.SubmitGatherPayload(0, flitPayloadAt(1, id, dst))
+	n.SubmitGatherPayload(0, flitPayloadAt(2, id, dst))
 	if n.SelfInitiatedGathers.Value() != 1 {
 		t.Fatalf("overflow payload did not self-initiate (count=%d)",
 			n.SelfInitiatedGathers.Value())
@@ -38,7 +38,7 @@ func TestGatherStationFullFallsBack(t *testing.T) {
 	// A gather packet from the row start eventually collects the first.
 	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
 	own := flitPayloadAt(3, left, dst)
-	nw.NIC(left).SendGather(dst, &own)
+	nw.NIC(left).SendGather(0, dst, &own)
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestGatherTimeoutWhileReserved(t *testing.T) {
 	// Start the gather packet first so it is already in flight when the
 	// payload shows up with a nearly expired deadline.
 	own := flitPayloadAt(1, 0, dst)
-	nw.NIC(0).SendGather(dst, &own)
+	nw.NIC(0).SendGather(0, dst, &own)
 	// Head reaches router 5's RC at about cycle 2+5κ; deposit the payload
 	// just before so reservation happens within a cycle or two of the
 	// deadline.
@@ -80,7 +80,7 @@ func TestGatherTimeoutWhileReserved(t *testing.T) {
 		eng.Step()
 	}
 	id := topology.NodeID(5)
-	nw.NIC(id).SubmitGatherPayload(flitPayloadAt(2, id, dst))
+	nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(2, id, dst))
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -122,8 +122,8 @@ func TestSinkPacketOverheadSerializes(t *testing.T) {
 		arrivals = append(arrivals, p.TailArrival)
 	})
 	// Two packets from the node adjacent to the sink.
-	nw.NIC(3).SendUnicast(dst)
-	nw.NIC(3).SendUnicast(dst)
+	nw.NIC(3).SendUnicast(0, dst)
+	nw.NIC(3).SendUnicast(0, dst)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}

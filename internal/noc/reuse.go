@@ -250,15 +250,15 @@ func (nw *Network) Release() {
 // fed the pristine States, so the list of what that state is stays in the
 // snapshot layer. What snapshots leave to the caller is put back here: the
 // engine (whatever was registered after the build is dropped and its
-// handles disarmed; clock, evaluation and jump counters, timers, burst,
-// watchdog, interrupt flag and modes as built), the per-NIC δ overrides workload layers apply,
+// handles disarmed; clock, evaluation and jump counters, timers, watchdog,
+// interrupt flag and mode as built), the per-NIC δ overrides workload layers apply,
 // the receive callbacks on NICs and sinks, and the flit pool's counters.
 // The pool's freelist and the grown ring buffers stay: they hold capacity,
 // not state.
 func (nw *Network) reset() error {
 	nw.engine.Truncate(nw.built)
 	nw.engine.Reset()
-	nw.setEngineModes()
+	nw.engine.SetAlwaysTick(nw.cfg.AlwaysTick)
 	nw.pool.ResetCounts()
 
 	p, numNodes := nw.pristine, nw.topo.NumNodes()

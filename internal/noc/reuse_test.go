@@ -176,10 +176,10 @@ func TestResetMatchesFreshBuildOnEveryShape(t *testing.T) {
 			n.SetDelta(99)
 			n.OnReceive(func(*nic.ReceivedPacket) {})
 			for k := 1; k < nodes; k++ {
-				n.SendUnicast(topology.NodeID((id + k) % nodes))
+				n.SendUnicast(0, topology.NodeID((id+k)%nodes))
 			}
 			if cfg.EastSinks {
-				n.SendUnicast(nw.RowSinkID(nw.Topology().Coord(topology.NodeID(id)).Row))
+				n.SendUnicast(0, nw.RowSinkID(nw.Topology().Coord(topology.NodeID(id)).Row))
 			}
 		}
 		if _, err := nw.RunUntilQuiescent(100_000); err != nil {

@@ -24,7 +24,7 @@ func TestWestFirstRoutingDelivers(t *testing.T) {
 		{0, 15}, {15, 0}, {3, 12}, {12, 3}, {5, 10}, {10, 5}, {1, 14}, {7, 8},
 	}
 	for _, pr := range pairs {
-		nw.NIC(pr[0]).SendUnicast(pr[1])
+		nw.NIC(pr[0]).SendUnicast(0, pr[1])
 	}
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -51,11 +51,11 @@ func TestWestFirstGatherStillWorks(t *testing.T) {
 	for c := 1; c < 4; c++ {
 		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SetDelta(cfg.Delta * int64(1+c))
-		nw.NIC(id).SubmitGatherPayload(flitPayloadAt(uint64(c), id, dst))
+		nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(uint64(c), id, dst))
 	}
 	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
 	own := flitPayloadAt(0, left, dst)
-	nw.NIC(left).SendGather(dst, &own)
+	nw.NIC(left).SendGather(0, dst, &own)
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestWestFirstHotspotDrains(t *testing.T) {
 	nw.NIC(0).OnReceive(func(p *nic.ReceivedPacket) { count++ })
 	for id := 1; id < nw.Mesh().NumNodes(); id++ {
 		for k := 0; k < 4; k++ {
-			nw.NIC(topology.NodeID(id)).SendUnicastN(0, 4)
+			nw.NIC(topology.NodeID(id)).SendUnicastN(0, 0, 4)
 		}
 	}
 	if _, err := nw.RunUntilQuiescent(200000); err != nil {

@@ -13,7 +13,7 @@ import (
 // SnapshotVersion tags the snapshot envelope. Any change to a component
 // State layout or to the capture/restore rules must bump it; Restore
 // rejects snapshots from other versions instead of misinterpreting them.
-const SnapshotVersion = "gathernoc/noc.Snapshot/v1"
+const SnapshotVersion = "gathernoc/noc.Snapshot/v2"
 
 // Snapshot is the complete serialized mutable state of a Network at a
 // cycle boundary: the engine clock, the per-NIC packet-id counters, and

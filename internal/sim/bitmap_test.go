@@ -26,15 +26,11 @@ func (s engineSched) counts() (uint64, uint64)        { return s.e.Evaluated(), 
 
 // listWalk is the reference the bitmap engine must match: one heap node per
 // component with an awake flag, and a walk over the whole registration-order
-// list every cycle, including the adaptive naive bursts. It stands for a
-// sequential engine, or for one shard of a sharded one (see shardedWalk).
+// list every cycle. It stands for a sequential engine, or for one shard of a
+// sharded one (see shardedWalk).
 type listWalk struct {
 	now                 int64
 	tickers, committers []*listNode
-	adaptive            bool
-	burst               int
-	load                int // tickers left awake by this cycle's tick phase
-	bursts              int // bursts entered
 	evaluated, skipped  uint64
 }
 
@@ -71,20 +67,14 @@ func (l *listWalk) cycle() int64             { return l.now }
 func (l *listWalk) counts() (uint64, uint64) { return l.evaluated, l.skipped }
 
 func (l *listWalk) step() {
-	l.tickPhase()
-	l.commitPhase() // reads the list now: a committer registered during the tick phase commits this cycle
+	l.walk(l.tickers)
+	l.walk(l.committers) // reads the list now: a committer registered during the tick phase commits this cycle
 	l.now++
 }
 
-// walk evaluates list at cycle l.now, all of it during a burst and the awake
-// nodes otherwise, and returns how many of those stayed awake.
-func (l *listWalk) walk(list []*listNode) (load int) {
+// walk evaluates the awake nodes of list at cycle l.now.
+func (l *listWalk) walk(list []*listNode) {
 	for _, n := range list {
-		if l.burst > 0 {
-			n.eval(l.now)
-			l.evaluated++
-			continue
-		}
 		if !n.awake {
 			l.skipped++
 			continue
@@ -93,27 +83,7 @@ func (l *listWalk) walk(list []*listNode) (load int) {
 		l.evaluated++
 		if n.idler != nil && n.idler.Idle() {
 			n.awake = false
-		} else {
-			load++
 		}
-	}
-	return load
-}
-
-func (l *listWalk) tickPhase() { l.load = l.walk(l.tickers) }
-
-func (l *listWalk) commitPhase() {
-	load := l.load + l.walk(l.committers)
-	if l.burst > 0 {
-		l.burst--
-		if l.burst == 0 {
-			l.wakeAll()
-		}
-		return
-	}
-	if l.adaptive && load*adaptiveDen >= (len(l.tickers)+len(l.committers))*adaptiveNum {
-		l.burst = adaptiveBurst
-		l.bursts++
 	}
 }
 
@@ -153,13 +123,12 @@ func (a *actor) Idle() bool         { return a.work == 0 }
 // onBoth runs scenario on the bitmap engine and on the list walk, checks
 // that both evaluate the same components in the same order with the same
 // counters, and returns the engine's log.
-func onBoth(t *testing.T, adaptive bool, scenario func(s scheduler, log *[]string)) []string {
+func onBoth(t *testing.T, scenario func(s scheduler, log *[]string)) []string {
 	t.Helper()
 	e := NewEngine()
-	e.SetAdaptive(adaptive)
 	var got, want []string
 	scenario(engineSched{e}, &got)
-	ref := &listWalk{adaptive: adaptive}
+	ref := &listWalk{}
 	scenario(ref, &want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("evaluation order differs from the list walk\n got %v\nwant %v", got, want)
@@ -182,7 +151,7 @@ func wantLog(t *testing.T, got []string, want ...string) {
 // A wake from component b reaches a later component of the same phase this
 // cycle and an earlier one next cycle.
 func TestWakeLaterRunsThisCycleEarlierRunsNext(t *testing.T) {
-	got := onBoth(t, false, func(s scheduler, log *[]string) {
+	got := onBoth(t, func(s scheduler, log *[]string) {
 		var wakeA, wakeC func()
 		a := &actor{name: "a", log: log}
 		b := &actor{name: "b", log: log, work: 3, act: func(b *actor, cycle int64) {
@@ -205,7 +174,7 @@ func TestWakeLaterRunsThisCycleEarlierRunsNext(t *testing.T) {
 // A component that wakes itself while being evaluated still goes to sleep
 // when it then reports Idle: the idle check comes after the evaluation.
 func TestSelfWakeDuringTickThenIdleSleeps(t *testing.T) {
-	got := onBoth(t, false, func(s scheduler, log *[]string) {
+	got := onBoth(t, func(s scheduler, log *[]string) {
 		var wake func()
 		a := &actor{name: "a", log: log, work: 2, act: func(*actor, int64) { wake() }}
 		wake = s.addTicker(a)
@@ -218,7 +187,7 @@ func TestSelfWakeDuringTickThenIdleSleeps(t *testing.T) {
 
 // A committer woken from the tick phase commits in the same cycle.
 func TestTickPhaseWakeOfCommitter(t *testing.T) {
-	got := onBoth(t, false, func(s scheduler, log *[]string) {
+	got := onBoth(t, func(s scheduler, log *[]string) {
 		var wakeX func()
 		tk := &actor{name: "t", log: log, work: 4, act: func(a *actor, cycle int64) {
 			if cycle == 3 {
@@ -248,38 +217,37 @@ func mix(a, b int64) uint64 {
 // last component just below, on and just above a bitmap word boundary.
 func TestBitmapMatchesListWalkAcrossWordBoundaries(t *testing.T) {
 	for _, n := range []int{63, 64, 65, 129} {
-		for _, adaptive := range []bool{false, true} {
-			t.Run(fmt.Sprintf("n=%d/adaptive=%v", n, adaptive), func(t *testing.T) {
-				got := onBoth(t, adaptive, func(s scheduler, log *[]string) {
-					wakes := make([]func(), 0, 2*n)
-					act := func(a *actor, cycle int64) {
-						h := mix(a.id, cycle)
-						a.work = int(h % 3)
-						// Below one wake in ten evaluations the fabric dies
-						// out; above, everything stays awake.
-						if h>>8%10 == 0 {
-							wakes[h>>16%uint64(len(wakes))]()
-							wakes[h>>40%uint64(len(wakes))]()
-						}
+		// The ids keep the suffix they had beside the engine's adaptive mode.
+		t.Run(fmt.Sprintf("n=%d/adaptive=false", n), func(t *testing.T) {
+			got := onBoth(t, func(s scheduler, log *[]string) {
+				wakes := make([]func(), 0, 2*n)
+				act := func(a *actor, cycle int64) {
+					h := mix(a.id, cycle)
+					a.work = int(h % 3)
+					// Below one wake in ten evaluations the fabric dies
+					// out; above, everything stays awake.
+					if h>>8%10 == 0 {
+						wakes[h>>16%uint64(len(wakes))]()
+						wakes[h>>40%uint64(len(wakes))]()
 					}
-					for i := 0; i < n; i++ {
-						wakes = append(wakes, s.addTicker(&actor{name: fmt.Sprintf("t%d", i), id: int64(i), log: log, work: 1, act: act}))
+				}
+				for i := 0; i < n; i++ {
+					wakes = append(wakes, s.addTicker(&actor{name: fmt.Sprintf("t%d", i), id: int64(i), log: log, work: 1, act: act}))
+				}
+				for i := 0; i < n; i++ {
+					wakes = append(wakes, s.addCommitter(&actor{name: fmt.Sprintf("c%d", i), id: int64(n + i), log: log, work: 1, act: act}))
+				}
+				for s.cycle() < 300 {
+					if s.cycle()%50 == 49 {
+						wakes[s.cycle()%int64(len(wakes))]() // an external kick, as a NIC enqueue is
 					}
-					for i := 0; i < n; i++ {
-						wakes = append(wakes, s.addCommitter(&actor{name: fmt.Sprintf("c%d", i), id: int64(n + i), log: log, work: 1, act: act}))
-					}
-					for s.cycle() < 300 {
-						if s.cycle()%50 == 49 {
-							wakes[s.cycle()%int64(len(wakes))]() // an external kick, as a NIC enqueue is
-						}
-						s.step()
-					}
-				})
-				if len(got) < 300 {
-					t.Fatalf("scenario died out after %d evaluations; it tests nothing", len(got))
+					s.step()
 				}
 			})
-		}
+			if len(got) < 300 {
+				t.Fatalf("scenario died out after %d evaluations; it tests nothing", len(got))
+			}
+		})
 	}
 }
 
@@ -360,7 +328,7 @@ func TestRegisterDuringTickRunsNextCycle(t *testing.T) {
 			s.step()
 		}
 	}
-	got := onBoth(t, false, scenario)
+	got := onBoth(t, scenario)
 	// Committers registered during the tick phase of cycle 1 are in place
 	// before its commit phase starts, so they run in cycle 1; tickers wait
 	// for cycle 2.
@@ -413,7 +381,7 @@ func (s shardedEngineSched) restore(c int64)    { s.e.RestoreCycle(c) }
 func (s shardedEngineSched) cycle() int64       { return s.e.Cycle() }
 
 // shardedWalk is the sharded reference: one listWalk per shard, each with
-// sleep flags and bursts of its own, and a serial list evaluated in full
+// sleep flags of its own, and a serial list evaluated in full
 // between the tick phases and the commit phases. It runs the shards one
 // after the other, which no component can tell from running them at once
 // as long as no wake crosses a shard during a parallel phase.
@@ -434,14 +402,14 @@ func (w *shardedWalk) cycle() int64       { return w.now }
 func (w *shardedWalk) step() {
 	for _, l := range w.shards {
 		l.now = w.now
-		l.tickPhase()
+		l.walk(l.tickers)
 	}
 	for _, t := range w.serial {
 		t.Tick(w.now)
 		w.ran++
 	}
 	for _, l := range w.shards {
-		l.commitPhase()
+		l.walk(l.committers)
 	}
 	w.now++
 }
@@ -449,7 +417,6 @@ func (w *shardedWalk) step() {
 func (w *shardedWalk) restore(cycle int64) {
 	w.now = cycle
 	for _, l := range w.shards {
-		l.burst = 0
 		l.wakeAll()
 	}
 }
@@ -458,101 +425,92 @@ func (w *shardedWalk) restore(cycle int64) {
 // evaluated, takes on a hash-chosen amount of work and wakes hash-chosen
 // components of its own shard and of both phases; a serial ticker wakes
 // components of any shard, as a driver's enqueue does; RestoreCycle lands
-// mid-run. Shard 0's components never go idle, the others mostly are, so
-// with the adaptive rule on shard 0 must run in naive bursts while its
-// neighbours keep skipping. Every shard's evaluation order and counters
-// must match the list walk's.
+// mid-run. Shard 0's components never go idle while the others mostly are
+// and keep skipping. Every shard's evaluation order and counters must match
+// the list walk's.
 func TestShardedBitmapMatchesListWalk(t *testing.T) {
 	const cycles = 200
 	for _, shards := range []int{2, 3} {
 		for _, n := range []int{63, 64, 65, 129} {
-			for _, adaptive := range []bool{false, true} {
-				t.Run(fmt.Sprintf("shards=%d/n=%d/adaptive=%v", shards, n, adaptive), func(t *testing.T) {
-					scenario := func(s shardScheduler, logs [][]string) {
-						wakes := make([][]func(), shards)
-						var all []func()
-						for sh := 0; sh < shards; sh++ {
-							sh := sh
-							act := func(a *actor, cycle int64) {
-								h := mix(a.id, cycle)
-								a.work = int(h % 4 / 2) // half go idle: under the burst threshold
-								if sh == 0 {
-									a.work++ // never idle
-								}
-								if h>>8%10 == 0 {
-									wakes[sh][h>>16%uint64(len(wakes[sh]))]()
-									wakes[sh][h>>40%uint64(len(wakes[sh]))]()
-								}
+			// adaptive=false: see TestBitmapMatchesListWalkAcrossWordBoundaries.
+			t.Run(fmt.Sprintf("shards=%d/n=%d/adaptive=false", shards, n), func(t *testing.T) {
+				scenario := func(s shardScheduler, logs [][]string) {
+					wakes := make([][]func(), shards)
+					var all []func()
+					for sh := 0; sh < shards; sh++ {
+						sh := sh
+						act := func(a *actor, cycle int64) {
+							h := mix(a.id, cycle)
+							a.work = int(h % 4 / 2) // half go idle
+							if sh == 0 {
+								a.work++ // never idle
 							}
-							base := int64(sh * 2 * n)
-							for i := 0; i < n; i++ {
-								a := &actor{name: fmt.Sprintf("t%d", i), id: base + int64(i), log: &logs[sh], work: 1, act: act}
-								wakes[sh] = append(wakes[sh], s.addShardTicker(sh, a))
+							if h>>8%10 == 0 {
+								wakes[sh][h>>16%uint64(len(wakes[sh]))]()
+								wakes[sh][h>>40%uint64(len(wakes[sh]))]()
 							}
-							for i := 0; i < n; i++ {
-								a := &actor{name: fmt.Sprintf("c%d", i), id: base + int64(n+i), log: &logs[sh], work: 1, act: act}
-								wakes[sh] = append(wakes[sh], s.addShardCommitter(sh, a))
-							}
-							all = append(all, wakes[sh]...)
 						}
-						s.addSerial(&actor{name: "driver", id: -1, log: &logs[shards], work: 1, act: func(a *actor, cycle int64) {
-							a.work = 1
-							if h := mix(a.id, cycle); h%4 == 0 {
-								all[h>>8%uint64(len(all))]()
-								all[h>>32%uint64(len(all))]()
-							}
-						}})
-						for i := 0; i < cycles; i++ {
-							if i == cycles/2 {
-								s.restore(s.cycle() + 1000) // wakes everything, ends shard 0's burst
-							}
-							s.step()
+						base := int64(sh * 2 * n)
+						for i := 0; i < n; i++ {
+							a := &actor{name: fmt.Sprintf("t%d", i), id: base + int64(i), log: &logs[sh], work: 1, act: act}
+							wakes[sh] = append(wakes[sh], s.addShardTicker(sh, a))
 						}
+						for i := 0; i < n; i++ {
+							a := &actor{name: fmt.Sprintf("c%d", i), id: base + int64(n+i), log: &logs[sh], work: 1, act: act}
+							wakes[sh] = append(wakes[sh], s.addShardCommitter(sh, a))
+						}
+						all = append(all, wakes[sh]...)
 					}
+					s.addSerial(&actor{name: "driver", id: -1, log: &logs[shards], work: 1, act: func(a *actor, cycle int64) {
+						a.work = 1
+						if h := mix(a.id, cycle); h%4 == 0 {
+							all[h>>8%uint64(len(all))]()
+							all[h>>32%uint64(len(all))]()
+						}
+					}})
+					for i := 0; i < cycles; i++ {
+						if i == cycles/2 {
+							s.restore(s.cycle() + 1000) // wakes everything
+						}
+						s.step()
+					}
+				}
 
-					e := NewShardedEngine(shards)
-					defer e.Close()
-					e.SetAdaptive(adaptive)
-					got := make([][]string, shards+1)
-					scenario(shardedEngineSched{e}, got)
+				e := NewShardedEngine(shards)
+				defer e.Close()
+				got := make([][]string, shards+1)
+				scenario(shardedEngineSched{e}, got)
 
-					ref := &shardedWalk{}
-					for i := 0; i < shards; i++ {
-						ref.shards = append(ref.shards, &listWalk{adaptive: adaptive})
-					}
-					want := make([][]string, shards+1)
-					scenario(ref, want)
+				ref := &shardedWalk{}
+				for i := 0; i < shards; i++ {
+					ref.shards = append(ref.shards, &listWalk{})
+				}
+				want := make([][]string, shards+1)
+				scenario(ref, want)
 
-					for sh := range got {
-						if !reflect.DeepEqual(got[sh], want[sh]) {
-							t.Fatalf("shard %d (serial if %d): evaluation order differs from the list walk\n got %v\nwant %v", sh, shards, got[sh], want[sh])
-						}
+				for sh := range got {
+					if !reflect.DeepEqual(got[sh], want[sh]) {
+						t.Fatalf("shard %d (serial if %d): evaluation order differs from the list walk\n got %v\nwant %v", sh, shards, got[sh], want[sh])
 					}
-					var evaluated, skipped uint64
-					for sh, l := range ref.shards {
-						if ge, gs := e.shards[sh].evaluated, e.shards[sh].skipped; ge != l.evaluated || gs != l.skipped {
-							t.Errorf("shard %d evaluated/skipped = %d/%d, list walk %d/%d", sh, ge, gs, l.evaluated, l.skipped)
-						}
-						evaluated += l.evaluated
-						skipped += l.skipped
-						if sh > 0 && (l.skipped == 0 || len(want[sh]) < cycles) {
-							t.Errorf("shard %d: %d skipped, %d evaluations: it tests nothing", sh, l.skipped, len(want[sh]))
-						}
-						if wantBursts := adaptive && sh == 0; (l.bursts > 0) != wantBursts {
-							t.Errorf("shard %d entered %d bursts, adaptive=%v", sh, l.bursts, adaptive)
-						}
+				}
+				var evaluated, skipped uint64
+				for sh, l := range ref.shards {
+					if ge, gs := e.shards[sh].evaluated, e.shards[sh].skipped; ge != l.evaluated || gs != l.skipped {
+						t.Errorf("shard %d evaluated/skipped = %d/%d, list walk %d/%d", sh, ge, gs, l.evaluated, l.skipped)
 					}
-					if adaptive && ref.shards[0].bursts < 2 {
-						t.Errorf("shard 0 entered %d bursts; RestoreCycle should have ended one and the load started another", ref.shards[0].bursts)
+					evaluated += l.evaluated
+					skipped += l.skipped
+					if sh > 0 && (l.skipped == 0 || len(want[sh]) < cycles) {
+						t.Errorf("shard %d: %d skipped, %d evaluations: it tests nothing", sh, l.skipped, len(want[sh]))
 					}
-					if ge, gs := e.Evaluated(), e.Skipped(); ge != evaluated+ref.ran || gs != skipped {
-						t.Errorf("Evaluated()/Skipped() = %d/%d, want %d/%d", ge, gs, evaluated+ref.ran, skipped)
-					}
-					if total := uint64(cycles * (shards*2*n + 1)); e.Evaluated()+e.Skipped() != total {
-						t.Errorf("Evaluated()+Skipped() = %d, want every component every cycle = %d", e.Evaluated()+e.Skipped(), total)
-					}
-				})
-			}
+				}
+				if ge, gs := e.Evaluated(), e.Skipped(); ge != evaluated+ref.ran || gs != skipped {
+					t.Errorf("Evaluated()/Skipped() = %d/%d, want %d/%d", ge, gs, evaluated+ref.ran, skipped)
+				}
+				if total := uint64(cycles * (shards*2*n + 1)); e.Evaluated()+e.Skipped() != total {
+					t.Errorf("Evaluated()+Skipped() = %d, want every component every cycle = %d", e.Evaluated()+e.Skipped(), total)
+				}
+			})
 		}
 	}
 }

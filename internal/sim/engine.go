@@ -45,8 +45,8 @@
 // the timer sets its awake bit at the top of the phase in the cycle it names.
 // Arming is part of every evaluation that leaves the component waiting (most
 // components do it in Idle, which no naive step calls), so
-// whatever wakes everything (RestoreCycle, the end of a naive burst) may drop
-// every timer: each sleeper arms its own again when it is next evaluated.
+// whatever wakes everything (RestoreCycle, SetAlwaysTick) may drop every
+// timer: each sleeper arms its own again when it is next evaluated.
 //
 // When a step of Run, RunUntil or RunWith leaves nothing awake anywhere, the
 // cycles up to the earliest timer are no-ops by the Idle contract, and the
@@ -318,10 +318,10 @@ func (h *Handle) Wake() {
 // its own evaluation or from the Idle call that follows it (where the engine
 // asks the only question a timer answers), every time that evaluation leaves
 // it waiting for the cycle, and may then report Idle: the timer outlives an
-// early Wake, but not a RestoreCycle, Reset or the end of a naive burst,
-// which wake the component and rely on it to arm the timer again. A nil or truncated handle ignores
-// the call, so a component driven by hand (a scheduler ticking its phases,
-// a unit test) need not know.
+// early Wake, but not a RestoreCycle or Reset, which wake the component and
+// rely on it to arm the timer again. A nil or truncated handle ignores the
+// call, so a component driven by hand (a scheduler ticking its phases, a
+// unit test) need not know.
 func (h *Handle) WakeAt(cycle int64) {
 	if h == nil || h.list == nil {
 		return
@@ -358,18 +358,6 @@ var ErrMaxCyclesExceeded = errors.New("sim: max cycles exceeded")
 // telemetry, profiles) is consistent.
 var ErrInterrupted = errors.New("sim: interrupted")
 
-// Adaptive-mode tuning: when at least adaptiveNum/adaptiveDen of the
-// registered components were awake in a tracked step, the engine runs the
-// next adaptiveBurst cycles naively (no awake checks, no Idle calls) and
-// then re-arms activity tracking. The threshold is where per-component
-// bookkeeping costs more than the few skips it buys; the burst length
-// amortizes the re-arm (one full evaluate-and-sleep pass) to ~1.5%.
-const (
-	adaptiveNum   = 3
-	adaptiveDen   = 4
-	adaptiveBurst = 64
-)
-
 // lane is a tick list and a commit list walked by one goroutine, with the
 // sleep state and the counters of that walk: all of a sequential engine,
 // or one shard of a sharded one.
@@ -377,22 +365,18 @@ type lane struct {
 	tickers    phase
 	committers phase
 
-	// Adaptive mode: when the still-awake fraction crosses the load
-	// threshold, fall back to naive ticking for a burst of cycles, then
-	// re-arm activity tracking.
-	burst int // remaining naive-burst cycles
-	load  int // components left awake by their idle checks in the latest tracked step
+	load int // components left awake by their idle checks in the latest tracked step
 
 	evaluated uint64
 	skipped   uint64
 }
 
-// quiet reports whether the lane's next step would evaluate nothing: no burst
-// is running and every component is asleep. load answers for a busy lane
-// without reading the bitmaps; a component woken after its own evaluation is
-// not in load, so a zero is confirmed there.
+// quiet reports whether the lane's next step would evaluate nothing: every
+// component is asleep. load answers for a busy lane without reading the
+// bitmaps; a component woken after its own evaluation is not in load, so a
+// zero is confirmed there.
 func (l *lane) quiet() bool {
-	return l.burst == 0 && l.load == 0 && l.tickers.asleep() && l.committers.asleep()
+	return l.load == 0 && l.tickers.asleep() && l.committers.asleep()
 }
 
 // nextTimer returns a cycle at or before the lane's earliest armed timer,
@@ -403,16 +387,13 @@ func (l *lane) nextTimer() int64 { return min(l.tickers.due, l.committers.due) }
 func (l *lane) components() int { return len(l.tickers.nodes) + len(l.committers.nodes) }
 
 // Engine owns the simulated clock and the component lists.
-// The zero value is ready to use, with activity tracking enabled and the
-// adaptive high-load fallback off (see SetAdaptive; the network layer
-// turns it on for fully wired fabrics).
+// The zero value is ready to use, with activity tracking enabled.
 type Engine struct {
 	cycle int64
 	// lane holds the AddTicker/AddCommitter components: the whole schedule
 	// of a sequential engine, the serial sub-phases of a sharded one.
 	lane
 	alwaysTick bool
-	adaptive   bool
 
 	// jumps counts the times the clock was set forward over a quiet stretch,
 	// jumpedCycles the cycles that passed that way (see jump).
@@ -463,12 +444,12 @@ func (e *Engine) RestoreCycle(c int64) {
 }
 
 // Reset returns the engine to cycle 0 in the state its registrations
-// alone determine: every component awake, no timer armed, no burst running,
-// the evaluation and jump counters at zero, no watchdog, the interrupt flag
-// and Err cleared. Registrations and the SetAlwaysTick/SetAdaptive modes are
-// left alone. With Truncate it lets a built fabric be run again from scratch:
-// the schedule and the Evaluated/Skipped split that follow are those of a
-// new engine given the same registrations. Call between steps.
+// alone determine: every component awake, no timer armed, the evaluation
+// and jump counters at zero, no watchdog, the interrupt flag and Err
+// cleared. Registrations and the SetAlwaysTick mode are left alone. With
+// Truncate it lets a built fabric be run again from scratch: the schedule
+// and the Evaluated/Skipped split that follow are those of a new engine
+// given the same registrations. Call between steps.
 func (e *Engine) Reset() {
 	e.lane.reset()
 	for i := range e.shards {
@@ -486,8 +467,7 @@ func (l *lane) reset() {
 	l.load, l.evaluated, l.skipped = 0, 0, 0
 }
 
-// rearm ends any naive burst, wakes every component of every lane and drops
-// their timers.
+// rearm wakes every component of every lane and drops their timers.
 func (e *Engine) rearm() {
 	e.lane.rearm()
 	for i := range e.shards {
@@ -496,7 +476,6 @@ func (e *Engine) rearm() {
 }
 
 func (l *lane) rearm() {
-	l.burst = 0
 	l.tickers.wakeAll()
 	l.committers.wakeAll()
 }
@@ -518,28 +497,6 @@ func (e *Engine) SetAlwaysTick(v bool) {
 
 // AlwaysTick reports whether sleep/wake scheduling is disabled.
 func (e *Engine) AlwaysTick() bool { return e.alwaysTick }
-
-// SetAdaptive enables or disables the high-load fallback (off by default;
-// noc.New enables it): with it on, a tracked step in which at least 3/4 of
-// the components stayed awake after their idle checks switches the engine
-// to naive ticking for a burst of cycles, after which every component is
-// woken and the next tracked step re-arms the sleep states. Naive steps
-// evaluate every component in registration order — a superset of the
-// tracked evaluation in which the extra calls are pure no-ops by the Idle
-// contract — so toggling the mode never changes a schedule; it only moves
-// the bookkeeping cost off the hot path when skipping pays for nothing.
-func (e *Engine) SetAdaptive(v bool) {
-	e.adaptive = v
-	if !v {
-		e.burst = 0
-		for i := range e.shards {
-			e.shards[i].burst = 0
-		}
-	}
-}
-
-// Adaptive reports whether the high-load naive fallback is enabled.
-func (e *Engine) Adaptive() bool { return e.adaptive }
 
 // Evaluated returns how many component evaluations ran; Skipped how many
 // were elided by sleep/wake scheduling. Their sum is what the naive engine
@@ -619,7 +576,7 @@ func (e *Engine) Step() {
 	e.runShards(opTick)
 	e.lane.tick(cycle, e.alwaysTick)
 	e.runShards(opCommit)
-	e.lane.commit(cycle, e.alwaysTick, e.adaptive)
+	e.lane.commit(cycle, e.alwaysTick)
 	e.cycle++
 }
 
@@ -661,9 +618,9 @@ func (e *Engine) jump(limit int64) bool {
 }
 
 // tick runs the lane's tick phase of one cycle: every component when
-// tracking is off (naive) or a burst is running, else the awake ones.
+// tracking is off (naive), else the awake ones.
 func (l *lane) tick(cycle int64, naive bool) {
-	if naive || l.burst > 0 {
+	if naive {
 		l.evaluated += uint64(l.tickers.runAll(cycle))
 		return
 	}
@@ -673,37 +630,16 @@ func (l *lane) tick(cycle int64, naive bool) {
 	l.load = load
 }
 
-// commit runs the lane's commit phase the way tick ran the tick phase and
-// settles the adaptive fallback for the cycle.
-func (l *lane) commit(cycle int64, naive, adaptive bool) {
-	switch {
-	case naive:
+// commit runs the lane's commit phase the way tick ran the tick phase.
+func (l *lane) commit(cycle int64, naive bool) {
+	if naive {
 		l.evaluated += uint64(l.committers.runAll(cycle))
-	case l.burst > 0:
-		// Adaptive high-load fallback: the cycle ran naively (sleeping
-		// components' evaluations are no-ops by the Idle contract, and
-		// registration order is unchanged, so the schedule is
-		// bit-identical). When the burst expires, wake everything so the
-		// next tracked step re-evaluates each component once and re-arms
-		// its sleep state.
-		l.evaluated += uint64(l.committers.runAll(cycle))
-		if l.burst--; l.burst == 0 {
-			l.rearm()
-		}
-	default:
-		ran, skipped, load := l.committers.runAwake(cycle)
-		l.evaluated += uint64(ran)
-		l.skipped += uint64(skipped)
-		// load counts components still awake after their idle check — the
-		// measure the adaptive fallback thresholds on. Counting evaluations
-		// instead would deadlock the heuristic: the post-burst re-arm step
-		// evaluates everything by construction, and would always re-trigger
-		// the next burst regardless of the actual load.
-		l.load += load
-		if adaptive && l.load > 0 && l.load*adaptiveDen >= l.components()*adaptiveNum {
-			l.burst = adaptiveBurst
-		}
+		return
 	}
+	ran, skipped, load := l.committers.runAwake(cycle)
+	l.evaluated += uint64(ran)
+	l.skipped += uint64(skipped)
+	l.load += load
 }
 
 // runAwake wakes the components remote wakes were left for and those whose

@@ -30,9 +30,9 @@ import (
 // component can observe, so every cycle ends in the identical global
 // state.
 //
-// Each shard is a lane of its own: the bitmap walk, the sleep state, the
-// timers and the adaptive naive bursts of the sequential engine, run by the
-// shard's goroutine over the shard's components. Property (1) extends to the
+// Each shard is a lane of its own: the bitmap walk, the sleep state and the
+// timers of the sequential engine, run by the shard's goroutine over the
+// shard's components. Property (1) extends to the
 // bitmaps and timers: a Handle from AddShardTicker/AddShardCommitter may be
 // woken during a parallel phase only by a component of the same shard, and
 // from anywhere on the serial sub-phases, when no worker runs. The serial
@@ -196,7 +196,7 @@ func (e *Engine) work(s *shard, seen int64) {
 		s.wait(&e.epoch, seen, e.spin)
 		op := e.op
 		if op != opStop {
-			s.run(op, e.cycle, e.alwaysTick, e.adaptive)
+			s.run(op, e.cycle, e.alwaysTick)
 		}
 		if e.pending.Add(-1) == 0 {
 			e.shards[0].release()
@@ -208,11 +208,11 @@ func (e *Engine) work(s *shard, seen int64) {
 }
 
 // run evaluates one parallel phase of the lane.
-func (l *lane) run(op workerOp, cycle int64, naive, adaptive bool) {
+func (l *lane) run(op workerOp, cycle int64, naive bool) {
 	if op == opTick {
 		l.tick(cycle, naive)
 	} else {
-		l.commit(cycle, naive, adaptive)
+		l.commit(cycle, naive)
 	}
 }
 
@@ -251,7 +251,7 @@ func (e *Engine) runShards(op workerOp) {
 		}
 		e.publish(op)
 	}
-	e.shards[0].run(op, e.cycle, e.alwaysTick, e.adaptive)
+	e.shards[0].run(op, e.cycle, e.alwaysTick)
 	if e.started {
 		e.shards[0].wait(&e.pending, 0, e.spin)
 	}

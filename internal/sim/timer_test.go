@@ -390,7 +390,6 @@ func TestTimedSleepMatchesAlwaysTickOnEveryBackend(t *testing.T) {
 		name       string
 		shards     int
 		alwaysTick bool
-		adaptive   bool
 	}
 	run := func(seed int64, b backend) (logs [][]int64, e *Engine) {
 		if b.shards > 0 {
@@ -399,7 +398,6 @@ func TestTimedSleepMatchesAlwaysTickOnEveryBackend(t *testing.T) {
 			e = NewEngine()
 		}
 		e.SetAlwaysTick(b.alwaysTick)
-		e.SetAdaptive(b.adaptive)
 		logs = make([][]int64, groups+1)
 		lane := func(g int) int { // the shard of group g, -1 for the engine's own lists
 			if b.shards == 0 || g == groups {
@@ -476,10 +474,8 @@ func TestTimedSleepMatchesAlwaysTickOnEveryBackend(t *testing.T) {
 
 	backends := []backend{
 		{name: "tracked"},
-		{name: "tracked+adaptive", adaptive: true},
 		{name: "shards=2", shards: 2},
 		{name: "shards=4", shards: 4},
-		{name: "shards=4+adaptive", shards: 4, adaptive: true},
 		{name: "shards=2+alwaystick", shards: 2, alwaysTick: true},
 	}
 	for seed := int64(1); seed <= 6; seed++ {

@@ -1,14 +1,13 @@
 // Package stats provides the measurement primitives the simulator reports
-// through: counters, scalar samples with min/mean/max/percentiles, and
-// small fixed-bucket histograms. All types have useful zero values and are
-// not safe for concurrent use (the simulator is single-threaded).
+// through: counters and scalar samples with min/mean/max/percentiles. All
+// types have useful zero values and are not safe for concurrent use (the
+// simulator is single-threaded).
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Counter is a monotonically increasing event count.
@@ -208,66 +207,4 @@ func (r ReductionStats) Add(o ReductionStats) ReductionStats {
 func (r ReductionStats) String() string {
 	return fmt.Sprintf("merged=%d link-traversals-saved=%d sink-transactions-saved=%d",
 		r.PayloadsMerged, r.LinkTraversalsSaved, r.SinkTransactionsSaved)
-}
-
-// Histogram counts observations into uniform-width buckets over [0, width*n)
-// with an overflow bucket at the end.
-type Histogram struct {
-	width   float64
-	buckets []uint64
-	over    uint64
-	n       uint64
-}
-
-// NewHistogram returns a histogram of n buckets each width wide.
-func NewHistogram(width float64, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	if width <= 0 {
-		width = 1
-	}
-	return &Histogram{width: width, buckets: make([]uint64, n)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	h.n++
-	if v < 0 {
-		v = 0
-	}
-	i := int(v / h.width)
-	if i >= len(h.buckets) {
-		h.over++
-		return
-	}
-	h.buckets[i]++
-}
-
-// N returns the observation count.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
-
-// Overflow returns the count of observations beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// String renders an ASCII sparkline-style summary.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hist n=%d [", h.n)
-	for i, c := range h.buckets {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", c)
-	}
-	fmt.Fprintf(&b, " |%d]", h.over)
-	return b.String()
 }

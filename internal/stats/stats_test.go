@@ -156,49 +156,11 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 3) // buckets [0,10) [10,20) [20,30), overflow beyond
-	for _, v := range []float64{0, 5, 9.99, 10, 25, 31, 100, -1} {
-		h.Observe(v)
-	}
-	if h.N() != 8 {
-		t.Fatalf("N = %d, want 8", h.N())
-	}
-	if h.Bucket(0) != 4 { // 0, 5, 9.99, -1(clamped)
-		t.Errorf("bucket0 = %d, want 4", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 {
-		t.Errorf("bucket1 = %d, want 1", h.Bucket(1))
-	}
-	if h.Bucket(2) != 1 {
-		t.Errorf("bucket2 = %d, want 1", h.Bucket(2))
-	}
-	if h.Overflow() != 2 {
-		t.Errorf("overflow = %d, want 2", h.Overflow())
-	}
-	if h.Bucket(-1) != 0 || h.Bucket(99) != 0 {
-		t.Error("out-of-range Bucket should return 0")
-	}
-}
-
-func TestHistogramDegenerateConfig(t *testing.T) {
-	h := NewHistogram(0, 0) // coerced to 1 bucket of width 1
-	h.Observe(0.5)
-	if h.Bucket(0) != 1 {
-		t.Errorf("bucket0 = %d, want 1", h.Bucket(0))
-	}
-}
-
 func TestStringerOutputs(t *testing.T) {
 	var s Sample
 	s.Observe(1)
 	if s.String() == "" {
 		t.Error("Sample.String empty")
-	}
-	h := NewHistogram(1, 2)
-	h.Observe(0)
-	if h.String() == "" {
-		t.Error("Histogram.String empty")
 	}
 }
 

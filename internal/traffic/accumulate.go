@@ -139,7 +139,7 @@ type rowAcc struct {
 // network: per round every PE submits its partial sum under the configured
 // scheme, the row-collection targets reassemble the row reductions, and
 // each round's result is checked bit for bit against a software reduction
-// oracle. The round loop, the workload tag (it stamps injected packets,
+// oracle. The round loop, the workload tag (every send carries it, it
 // namespaces payload sequence numbers and is encoded into every ReduceID, so
 // concurrent controllers on one fabric never collide) and the
 // foreign-payload hook are the embedded round.Loop's (DESIGN.md §8).

@@ -130,7 +130,7 @@ func NewGeneratorDriver(nw *noc.Network, cfg GeneratorConfig) (*Generator, error
 	}, nil
 }
 
-// SetTag assigns the workload tag stamped onto every injected packet
+// SetTag assigns the workload tag every injected packet is sent under
 // (workload.Taggable; the scheduler calls it before Start).
 func (g *Generator) SetTag(t flit.Tag) { g.tag = t }
 
@@ -192,9 +192,7 @@ func (g *Generator) Tick(cycle int64) {
 		if dst == src {
 			continue
 		}
-		n := g.nw.NIC(src)
-		n.SetTag(g.tag)
-		n.SendUnicastN(dst, g.cfg.PacketFlits)
+		g.nw.NIC(src).SendUnicastN(g.tag, dst, g.cfg.PacketFlits)
 		g.sent++
 		if measured {
 			g.injected++

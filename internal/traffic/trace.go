@@ -140,7 +140,7 @@ type Replayer struct {
 	EventsInjected uint64
 }
 
-// SetTag assigns the workload tag stamped onto replayed packets
+// SetTag assigns the workload tag replayed packets are sent under
 // (workload.Taggable).
 func (rp *Replayer) SetTag(t flit.Tag) { rp.tag = t }
 
@@ -253,7 +253,6 @@ func (rp *Replayer) Tick(cycle int64) {
 		rp.EventsInjected++
 		src := topology.NodeID(e.Src)
 		n := rp.nw.NIC(src)
-		n.SetTag(rp.tag)
 		// Payload sequence numbers are namespaced by the workload tag like
 		// the accumulation controller's (tag<<32 | trace seq), so a
 		// replayed phase's payloads cannot collide with another phase's at
@@ -276,9 +275,9 @@ func (rp *Replayer) Tick(cycle int64) {
 		case EventUnicast:
 			rp.outstanding++
 			if e.Flits > 0 {
-				n.SendUnicastN(topology.NodeID(e.Dst), e.Flits)
+				n.SendUnicastN(rp.tag, topology.NodeID(e.Dst), e.Flits)
 			} else {
-				n.SendUnicastPayload(topology.NodeID(e.Dst), payload)
+				n.SendUnicastPayload(rp.tag, topology.NodeID(e.Dst), payload)
 			}
 		case EventMulticast:
 			set := topology.NewDestSet(rp.nw.Mesh().NumNodes())
@@ -290,13 +289,13 @@ func (rp *Replayer) Tick(cycle int64) {
 				flits = rp.nw.Config().UnicastFlits
 			}
 			rp.outstanding += int64(set.Len())
-			n.SendMulticast(set, flits)
+			n.SendMulticast(rp.tag, set, flits)
 		case EventGather:
 			rp.outstanding++
-			n.SendGather(topology.NodeID(e.Dst), &payload)
+			n.SendGather(rp.tag, topology.NodeID(e.Dst), &payload)
 		case EventPayload:
 			rp.outstanding++
-			n.SubmitGatherPayload(payload)
+			n.SubmitGatherPayload(rp.tag, payload)
 		}
 	}
 }

@@ -235,17 +235,12 @@ func (s *Scheduler) depsMet(jr *jobRun, pr *phaseRun) bool {
 // injection/drain transitions (which fire edges for the next cycle's
 // admissions — except that a phase admitted this cycle ticks this cycle,
 // so a single dependency-free phase behaves bit-identically to the same
-// driver run standalone). After the drivers ran, every NIC's tag is
-// reset to zero: tags are sticky, so without the reset a non-scheduler
-// ticker injecting on a NIC some driver used earlier would inherit that
-// driver's tag and be misattributed to its job instead of counted as an
-// orphan.
+// driver run standalone).
 func (s *Scheduler) Tick(cycle int64) {
 	if !s.started {
 		s.started = true
 		s.startAt = cycle
 	}
-	ticked := false
 	for j := range s.jobs {
 		jr := &s.jobs[j]
 		if jr.remaining == 0 || cycle < s.startAt+jr.arrival {
@@ -273,7 +268,6 @@ func (s *Scheduler) Tick(cycle int64) {
 				continue
 			}
 			pr.driver.Tick(cycle)
-			ticked = true
 			if !pr.injected && pr.driver.Injected() {
 				pr.injected = true
 				pr.injectedAt = cycle
@@ -295,13 +289,6 @@ func (s *Scheduler) Tick(cycle int64) {
 				}
 			}
 		}
-	}
-	// Tag hygiene (see the method comment): only cycles in which a driver
-	// actually ran can have left a sticky tag behind, so the common
-	// all-drained / not-yet-arrived cycle skips the NIC sweep entirely,
-	// and the sweep itself only rewrites NICs that hold a tag.
-	if ticked {
-		s.nw.ClearNICTags()
 	}
 }
 

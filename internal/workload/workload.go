@@ -20,10 +20,10 @@
 //     still draining through the NoC and the two layers' flits contend in
 //     the routers.
 //
-// The Scheduler tags every phase's packets with a flit.Tag
-// (job index, phase index), threads the tag through NIC injection,
-// packetization, the routers and ejection-side reassembly, and dispatches
-// each delivered packet back to its owning driver — which makes per-job
+// The Scheduler assigns every phase a flit.Tag (job index, phase index);
+// the phase's driver passes it to each NIC send, it rides through
+// packetization, the routers and ejection-side reassembly, and the
+// scheduler dispatches each delivered packet back to its owning driver — which makes per-job
 // latency, throughput and fairness first-class outputs of a shared-fabric
 // run instead of aggregates smeared across jobs.
 package workload
@@ -70,10 +70,11 @@ type PayloadSink interface {
 	OnPayload(pl flit.Payload)
 }
 
-// Taggable is implemented by drivers that stamp their traffic with the
-// workload tag the scheduler assigns; every driver admitted alongside
-// others on one fabric must implement it, or its packets are
-// indistinguishable from untagged background noise.
+// Taggable is implemented by drivers that pass the workload tag the
+// scheduler assigns to every NIC send they make; every driver admitted
+// alongside others on one fabric must implement it, or its packets are
+// untagged background noise (counted as orphans, never as another
+// job's).
 type Taggable interface {
 	SetTag(t flit.Tag)
 }

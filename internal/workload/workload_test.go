@@ -241,7 +241,7 @@ func TestUntaggedTrafficCountsAsOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Untagged injection from outside the scheduler, mid-schedule.
-	nw.NIC(0).SendUnicastN(3, 2)
+	nw.NIC(0).SendUnicastN(0, 3, 2)
 	res, err := s.Run(100000)
 	if err != nil {
 		t.Fatal(err)
@@ -254,56 +254,59 @@ func TestUntaggedTrafficCountsAsOrphan(t *testing.T) {
 	}
 }
 
-// tickerFunc adapts a function to sim.Ticker for test-side injection.
-type tickerFunc func(cycle int64)
+// untaggedSender sends one untagged packet from NIC 0 in each of its first
+// left ticks. It implements Driver and nothing else: no Taggable, no
+// PacketSink.
+type untaggedSender struct {
+	nw   *noc.Network
+	left int
+}
 
-func (f tickerFunc) Tick(cycle int64) { f(cycle) }
+func (u *untaggedSender) Start(int64)    {}
+func (u *untaggedSender) Injected() bool { return u.left == 0 }
+func (u *untaggedSender) Drained() bool  { return u.left == 0 }
+func (u *untaggedSender) Tick(int64) {
+	if u.left > 0 {
+		u.left--
+		u.nw.NIC(0).SendUnicastN(0, 3, 2)
+	}
+}
 
-// TestStaleTagClearedBetweenTicks pins the scheduler's end-of-tick tag
-// reset: traffic injected by a non-scheduler ticker on a NIC a driver
-// used earlier must not inherit that driver's tag — it counts as an
-// orphan, and the driver's conservation pair stays exact.
+// TestStaleTagClearedBetweenTicks pins that no tag outlives the send it was
+// passed to: a job whose driver is not Taggable sends untagged packets on a
+// NIC a tagged driver injects from in the same cycles; they count as
+// orphans and the tagged driver's conservation pair stays exact.
 func TestStaleTagClearedBetweenTicks(t *testing.T) {
-	nw := testNetwork(t, 2, 2)
+	const foreignPackets = 20
+	nw := testNetwork(t, 4, 4)
 	gen, err := traffic.NewGeneratorDriver(nw, traffic.GeneratorConfig{
-		Pattern:       traffic.UniformRandom{Nodes: 4},
-		InjectionRate: 0.5, // dense: every NIC gets tagged early and often
+		Pattern:       traffic.UniformRandom{Nodes: 16},
+		InjectionRate: 1.0, // every NIC sends tagged packets every cycle
 		PacketFlits:   2,
-		Warmup:        0,
-		Measure:       200,
+		Measure:       foreignPackets,
 		Seed:          5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(nw, []Job{{Name: "job0", Phases: []Phase{{Name: "gen", Driver: gen}}}})
+	s, err := New(nw, []Job{
+		{Name: "job0", Phases: []Phase{{Name: "gen", Driver: gen}}},
+		{Name: "job1", Phases: []Phase{{Name: "raw", Driver: &untaggedSender{nw: nw, left: foreignPackets}}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := nw.Engine()
 	eng.AddTicker(s)
-	// A foreign ticker (registered after the scheduler) injecting
-	// untagged packets mid-run, well after the generator has tagged
-	// every NIC.
-	const foreignPackets = 5
-	eng.AddTicker(tickerFunc(func(cycle int64) {
-		if cycle >= 50 && cycle < 50+foreignPackets {
-			nw.NIC(0).SendUnicastN(3, 2)
-		}
-	}))
 	if _, err := eng.RunUntil(func() bool { return s.Done() && nw.Quiescent() }, 100000); err != nil {
 		t.Fatal(err)
 	}
 	res := s.Result(eng.Cycle())
 	if res.OrphanPackets != foreignPackets {
-		t.Errorf("orphan packets = %d, want %d (stale tag leaked onto foreign traffic?)",
-			res.OrphanPackets, foreignPackets)
+		t.Errorf("orphan packets = %d, want %d (a tag leaked onto untagged traffic?)", res.OrphanPackets, foreignPackets)
 	}
-	if gen.Sent() != gen.Delivered() {
-		t.Errorf("generator conservation broken: sent %d, delivered %d", gen.Sent(), gen.Delivered())
-	}
-	if got := res.Jobs[0].PacketsEjected; got != gen.Delivered() {
-		t.Errorf("job 0 attributed %d packets, its driver delivered %d", got, gen.Delivered())
+	if got := res.Jobs[0].PacketsEjected; got != gen.Sent() || gen.Delivered() != gen.Sent() {
+		t.Errorf("job 0 attributed %d packets, its generator sent %d and received %d", got, gen.Sent(), gen.Delivered())
 	}
 }
 

@@ -223,10 +223,10 @@ func reuseSubjects(t *testing.T) []reuseSubject {
 					seq++
 					p := flit.Payload{Seq: seq, Src: node, Dst: nw.RowSinkID(row), Bits: 32, Value: seq}
 					if row%2 == 0 {
-						nw.NIC(node).SubmitGatherPayload(p)
+						nw.NIC(node).SubmitGatherPayload(0, p)
 					} else {
 						p.ReduceID, p.Ops = uint64(row), 1
-						nw.NIC(node).SubmitReduceOperand(p)
+						nw.NIC(node).SubmitReduceOperand(0, p)
 					}
 				}
 			}
@@ -422,7 +422,7 @@ func TestReuseGoldenThroughRunLayer(t *testing.T) {
 func TestReuseDropsUnfinishedRuns(t *testing.T) {
 	inject := func(nw *noc.Network) {
 		for id := 0; id < 16; id++ {
-			nw.NIC(topology.NodeID(id)).SendUnicast(topology.NodeID(63 - id))
+			nw.NIC(topology.NodeID(id)).SendUnicast(0, topology.NodeID(63-id))
 		}
 	}
 	cases := []struct {

@@ -37,7 +37,7 @@ gathernoc/internal/reduce 87
 gathernoc/internal/ring 94
 gathernoc/internal/round 99
 gathernoc/internal/router 87
-gathernoc/internal/sim 93
+gathernoc/internal/sim 97
 gathernoc/internal/stats 95
 gathernoc/internal/systolic 92
 gathernoc/internal/telemetry 89

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gathernoc/internal/fault"
@@ -240,6 +241,36 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 	defer nw2.Close()
 	if err := nw2.Restore(snap); err == nil {
 		t.Fatal("restore onto a different config succeeded, want hash-mismatch error")
+	}
+}
+
+// TestSnapshotRejectsOtherVersion proves the version guard: an envelope of
+// another snapshot version (v1 carried a per-NIC tag the v2 layout dropped)
+// is refused by name at both entries, before anything is restored.
+func TestSnapshotRejectsOtherVersion(t *testing.T) {
+	const v1 = "gathernoc/noc.Snapshot/v1"
+	cfg, gcfg := snapRunConfig(0)
+	nw, _ := buildSnapWorkload(t, cfg, gcfg)
+	defer nw.Close()
+	nw.Engine().Run(300) // mid-flight: a partial restore would show
+	snap, err := nw.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := noc.DecodeSnapshot([]byte(`{"Version":"` + v1 + `"}`)); err == nil || !strings.Contains(err.Error(), "snapshot version") {
+		t.Errorf("DecodeSnapshot of a v1 envelope: %v, want the version error", err)
+	}
+	fresh, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	snap.Version = v1
+	if err := fresh.Restore(snap); err == nil || !strings.Contains(err.Error(), "snapshot version") {
+		t.Errorf("Restore of a v1 snapshot: %v, want the version error", err)
+	}
+	if fresh.Engine().Cycle() != 0 || !fresh.Quiescent() {
+		t.Error("a refused restore changed the network")
 	}
 }
 
