@@ -21,14 +21,15 @@ const cacheSchema = "gathernoc/experiments.Cache/v1"
 
 // CacheStats is the hit accounting a sweep accumulates.
 type CacheStats struct {
-	// Hits and Misses count lookups; Stale counts entries that were found
-	// but rejected (wrong schema, key collision, undecodable payload) and
-	// then recomputed.
+	// Hits and Misses count lookups; Stale counts entry files that were
+	// found but rejected (undecodable, wrong schema, key collision, no
+	// result) and then recomputed, each of them a miss as well.
 	Hits   uint64
 	Misses uint64
 	Stale  uint64
-	// BytesRead and BytesWritten count entry payloads moved through the
-	// cache (hits read, stores write).
+	// BytesRead and BytesWritten count entry-file bytes moved from and to
+	// the directory: a disk hit reads its file, a store writes one. A
+	// memory hit moves nothing, so both stay 0 for a memory-only cache.
 	BytesRead    uint64
 	BytesWritten uint64
 }
@@ -36,15 +37,16 @@ type CacheStats struct {
 // Cache memoizes simulation results content-addressed by their canonical
 // input key: identical simulation inputs — after config-hash
 // normalization, whatever closures produced them — map to one entry.
-// Lookups always hit the in-memory layer first; with a directory
-// configured, entries are also persisted as one JSON file per key, so a
-// rerun in a fresh process warm-starts from disk. Safe for concurrent use
-// by sweep workers.
+// Lookups always hit the in-memory layer first, which holds decoded
+// comparisons; with a directory configured, entries are also persisted as
+// one JSON file per key, so a rerun in a fresh process warm-starts from
+// disk, reading and decoding each file once per Cache. Safe for
+// concurrent use by sweep workers.
 type Cache struct {
 	dir string
 
 	mu    sync.Mutex
-	mem   map[string][]byte
+	mem   map[string]*core.Comparison
 	stats CacheStats
 }
 
@@ -57,7 +59,7 @@ func NewCache(dir string) (*Cache, error) {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
 	}
-	return &Cache{dir: dir, mem: make(map[string][]byte)}, nil
+	return &Cache{dir: dir, mem: make(map[string]*core.Comparison)}, nil
 }
 
 // Dir returns the persistence directory ("" = memory-only).
@@ -73,11 +75,12 @@ func (c *Cache) Stats() CacheStats {
 // cacheEntry is the one-file-per-key disk format: the schema tag and full
 // key make every entry self-validating, so a hash collision or a file
 // from an incompatible layout is detected and treated as stale instead of
-// silently decoded.
+// silently decoded. An entry file is decoded in one pass straight into the
+// comparison the memory layer then holds.
 type cacheEntry struct {
 	Schema string
 	Key    string
-	Result json.RawMessage
+	Result *core.Comparison
 }
 
 // hashKey content-addresses a canonical key string.
@@ -90,56 +93,79 @@ func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash+".json")
 }
 
-// get returns the payload stored under key, consulting memory then disk.
-func (c *Cache) get(key string) ([]byte, bool) {
+// lookup returns the comparison stored under key, consulting memory then
+// disk. A disk hit is kept in memory, so each entry file is read and
+// decoded once per Cache — twice only when two workers race to the same
+// key, and then both get the pointer stored first.
+func (c *Cache) lookup(key string) (*core.Comparison, bool) {
 	hash := hashKey(key)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if data, ok := c.mem[hash]; ok {
+	if cmp, ok := c.mem[hash]; ok {
 		c.stats.Hits++
-		c.stats.BytesRead += uint64(len(data))
-		return data, true
+		c.mu.Unlock()
+		return cmp, true
 	}
-	if c.dir == "" {
+	c.mu.Unlock()
+	// Read and decode outside the lock, so sweep workers decode in
+	// parallel.
+	cmp, n, stale := c.load(hash, key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cmp == nil {
 		c.stats.Misses++
+		if stale {
+			c.stats.Stale++
+		}
 		return nil, false
+	}
+	if prev, ok := c.mem[hash]; ok {
+		cmp = prev
+	} else {
+		c.mem[hash] = cmp
+	}
+	c.stats.Hits++
+	c.stats.BytesRead += uint64(n)
+	return cmp, true
+}
+
+// load reads and decodes key's entry file in one pass, returning the
+// comparison and the file's size, or nil and whether a file was there but
+// rejected (stale).
+func (c *Cache) load(hash, key string) (cmp *core.Comparison, n int, stale bool) {
+	if c.dir == "" {
+		return nil, 0, false
 	}
 	raw, err := os.ReadFile(c.path(hash))
 	if err != nil {
-		c.stats.Misses++
-		return nil, false
+		return nil, 0, false
 	}
 	var e cacheEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Key != key {
-		c.stats.Stale++
-		c.stats.Misses++
-		return nil, false
+	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Key != key || e.Result == nil {
+		return nil, 0, true
 	}
-	c.mem[hash] = e.Result
-	c.stats.Hits++
-	c.stats.BytesRead += uint64(len(e.Result))
-	return e.Result, true
+	return e.Result, len(raw), false
 }
 
-// put stores a payload under key in memory and, when configured, on disk.
-// Disk write failures are surfaced; the in-memory entry stays either way.
-func (c *Cache) put(key string, data []byte) error {
+// store keeps cmp under key in memory and, when configured, writes its
+// entry file. Disk write failures are surfaced; the memory entry stays
+// either way.
+func (c *Cache) store(key string, cmp *core.Comparison) error {
 	hash := hashKey(key)
 	c.mu.Lock()
-	c.mem[hash] = data
-	c.stats.BytesWritten += uint64(len(data))
-	dir := c.dir
+	c.mem[hash] = cmp
 	c.mu.Unlock()
-	if dir == "" {
+	if c.dir == "" {
 		return nil
 	}
-	raw, err := json.Marshal(cacheEntry{Schema: cacheSchema, Key: key, Result: data})
+	raw, err := json.Marshal(cacheEntry{Schema: cacheSchema, Key: key, Result: cmp})
 	if err != nil {
-		return fmt.Errorf("cache: %w", err)
+		// A result JSON cannot carry (a NaN) is uncacheable on disk, not
+		// wrong.
+		return nil
 	}
 	// Write-then-rename so a crashed or concurrent sweep never leaves a
 	// torn entry under the content-addressed name.
-	tmp, err := os.CreateTemp(dir, "entry-*.tmp")
+	tmp, err := os.CreateTemp(c.dir, "entry-*.tmp")
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
@@ -156,23 +182,23 @@ func (c *Cache) put(key string, data []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cache: %w", err)
 	}
+	c.mu.Lock()
+	c.stats.BytesWritten += uint64(len(raw))
+	c.mu.Unlock()
 	return nil
 }
 
-// markStale records an entry that decoded at the envelope level but whose
-// payload could not be used.
-func (c *Cache) markStale() {
-	c.mu.Lock()
-	c.stats.Stale++
-	c.mu.Unlock()
-}
-
 // cachedCompareLayer is the memoized form of core.CompareLayer every
-// experiment sweep routes through: on a hit the stored comparison is
-// decoded and returned without constructing a network; on a miss the
-// simulation runs and its result is stored. A nil cache degenerates to a
-// plain call, leaving uncached sweeps bit-identical to the pre-cache
-// code path.
+// experiment sweep routes through: a hit returns the stored comparison
+// without constructing a network; a miss runs the simulation and stores
+// its result. A nil cache degenerates to a plain call, leaving uncached
+// sweeps bit-identical to the pre-cache code path.
+//
+// The returned comparison is shared with every later lookup of its key in
+// the same Cache, possibly on other sweep workers, so callers treat it as
+// read-only: they read fields and stats.Sample.Mean, and never call
+// Observe or the order statistics (Min, Max, Percentile), which sort a
+// sample in place.
 func cachedCompareLayer(cache *Cache, rows, cols int, layer cnn.LayerConfig, opts core.Options) (*core.Comparison, error) {
 	if cache == nil {
 		return core.CompareLayer(rows, cols, layer, opts)
@@ -182,23 +208,12 @@ func cachedCompareLayer(cache *Cache, rows, cols int, layer cnn.LayerConfig, opt
 		// Unkeyable inputs are never wrong results — just uncacheable.
 		return core.CompareLayer(rows, cols, layer, opts)
 	}
-	if data, ok := cache.get(key); ok {
-		var cmp core.Comparison
-		if err := json.Unmarshal(data, &cmp); err == nil {
-			return &cmp, nil
-		}
-		cache.markStale()
+	if cmp, ok := cache.lookup(key); ok {
+		return cmp, nil
 	}
 	cmp, err := core.CompareLayer(rows, cols, layer, opts)
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(cmp)
-	if err != nil {
-		return cmp, nil
-	}
-	if err := cache.put(key, data); err != nil {
-		return cmp, err
-	}
-	return cmp, nil
+	return cmp, cache.store(key, cmp)
 }

@@ -19,14 +19,14 @@ cd "$(dirname "$0")/.."
 # by tests, so they carry no floors either.
 floors="
 gathernoc/cmd/cnntrace 85
-gathernoc/cmd/experiments 81
+gathernoc/cmd/experiments 82
 gathernoc/cmd/gatherviz 91
 gathernoc/cmd/nocsim 83
 gathernoc/internal/analytic 92
 gathernoc/internal/cnn 97
 gathernoc/internal/collective 92
 gathernoc/internal/core 88
-gathernoc/internal/experiments 86
+gathernoc/internal/experiments 88
 gathernoc/internal/fault 95
 gathernoc/internal/flit 94
 gathernoc/internal/link 96
