@@ -265,32 +265,39 @@ func TestTelemetryBuildBytesPin(t *testing.T) {
 	}
 }
 
+// telemetryNetwork runs the 8x8 sequential fabric under uniform traffic
+// with 16-cycle epochs for the given number of epochs, ready to harvest.
+func telemetryNetwork(t *testing.T, epochs int64) *noc.Network {
+	t.Helper()
+	cfg := noc.DefaultConfig(8, 8)
+	cfg.Telemetry = &telemetry.Config{Epoch: 16}
+	nw, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nw.Close)
+	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
+		Pattern:       traffic.UniformRandom{Nodes: 64},
+		InjectionRate: 0.05,
+		PacketFlits:   2,
+		Measure:       1 << 40,
+		Seed:          1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Engine().AddTicker(gen)
+	nw.Engine().Run(16 * epochs)
+	return nw
+}
+
 // TestMetricsCSVAllocationPin: WriteMetricsCSV formats into one reused
 // buffer with every label quoted once up front, so what it allocates
 // depends on how many sources the report has and not on how many epochs —
 // the 8x8 report costs the same handful of objects at 10 epochs as at 100.
 func TestMetricsCSVAllocationPin(t *testing.T) {
 	allocs := func(epochs int64) float64 {
-		cfg := noc.DefaultConfig(8, 8)
-		cfg.Telemetry = &telemetry.Config{Epoch: 16}
-		nw, err := noc.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nw.Close()
-		gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-			Pattern:       traffic.UniformRandom{Nodes: 64},
-			InjectionRate: 0.05,
-			PacketFlits:   2,
-			Measure:       1 << 40,
-			Seed:          1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw.Engine().AddTicker(gen)
-		nw.Engine().Run(16 * epochs)
-		rep := nw.HarvestTelemetry()
+		rep := telemetryNetwork(t, epochs).HarvestTelemetry()
 		if int64(len(rep.EpochIndex)) != epochs {
 			t.Fatalf("harvested %d epochs, want %d", len(rep.EpochIndex), epochs)
 		}
@@ -304,6 +311,46 @@ func TestMetricsCSVAllocationPin(t *testing.T) {
 	t.Logf("WriteMetricsCSV(8x8): %.0f allocs at 10 epochs, %.0f at 100", at10, at100)
 	if at10 != at100 {
 		t.Fatalf("WriteMetricsCSV allocations grow with the epoch count: %.0f at 10 epochs, %.0f at 100", at10, at100)
+	}
+}
+
+// maxHarvestBytesPerEpoch bounds what one more retained epoch adds to a
+// Harvest of the 8x8 sequential fabric: the epoch's row header in the
+// probe's shared row list and its two axis entries, 40 bytes, plus
+// size-class slack. A row header per source per epoch, as Harvest once
+// allocated, measured 23 KB per epoch here (24 bytes times 850-odd sources).
+const maxHarvestBytesPerEpoch = 64
+
+// TestHarvestAllocationPin: Harvest hands every series the ring rows its
+// probe already holds — one row list per probe, an offset per source — so
+// its allocation count follows the probes and sources, equal at 10 epochs
+// and at 100, and its bytes grow by a row header per probe per epoch.
+func TestHarvestAllocationPin(t *testing.T) {
+	const runs = 3
+	measure := func(epochs int64) (allocs float64, bytes uint64) {
+		nw := telemetryNetwork(t, epochs)
+		if n := len(nw.HarvestTelemetry().EpochIndex); int64(n) != epochs {
+			t.Fatalf("harvested %d epochs, want %d", n, epochs)
+		}
+		// The run ended on an epoch boundary, so a second harvest flushes
+		// nothing and measures the merge alone.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			nw.HarvestTelemetry()
+		}
+		runtime.ReadMemStats(&after)
+		return testing.AllocsPerRun(runs, func() { nw.HarvestTelemetry() }),
+			(after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	allocs10, bytes10 := measure(10)
+	allocs100, bytes100 := measure(100)
+	t.Logf("Harvest(8x8): %.0f allocs, %d bytes at 10 epochs; %.0f allocs, %d bytes at 100", allocs10, bytes10, allocs100, bytes100)
+	if allocs10 != allocs100 {
+		t.Fatalf("Harvest allocations grow with the epoch count: %.0f at 10 epochs, %.0f at 100", allocs10, allocs100)
+	}
+	if perEpoch := (int64(bytes100) - int64(bytes10)) / 90; perEpoch > maxHarvestBytesPerEpoch {
+		t.Fatalf("Harvest allocates %d more bytes per retained epoch, pin %d", perEpoch, maxHarvestBytesPerEpoch)
 	}
 }
 

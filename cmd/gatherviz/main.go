@@ -165,14 +165,20 @@ func renderMetrics(w io.Writer, path, kind, field string) error {
 		total    int64
 	}
 	byID := map[int]*cell{}
-	rows, cols, epochs := 0, 0, map[int64]bool{}
+	rows, cols := 0, 0
+	// The file omits zero rows between its first and last epochs, which are
+	// complete, so the epochs are the run from the first to the last seen.
+	var first, last int64
 	fields := map[string]bool{}
 	err = telemetry.ScanMetricsCSV(f, func(p *telemetry.MetricPoint) error {
 		if p.Kind != kind {
 			return nil
 		}
+		if len(fields) == 0 {
+			first, last = p.Epoch, p.Epoch
+		}
 		fields[p.Field] = true
-		epochs[p.Epoch] = true
+		first, last = min(first, p.Epoch), max(last, p.Epoch)
 		if p.Field != field || p.Row < 0 || p.Col < 0 {
 			return nil
 		}
@@ -194,6 +200,10 @@ func renderMetrics(w io.Writer, path, kind, field string) error {
 		return err
 	}
 	if len(byID) == 0 {
+		if fields[field] {
+			return fmt.Errorf("no %s/%s heatmap from %s: kind %q has no grid position (its rows read row/col -1)",
+				kind, field, path, kind)
+		}
 		known := make([]string, 0, len(fields))
 		for k := range fields {
 			known = append(known, k)
@@ -211,7 +221,7 @@ func renderMetrics(w io.Writer, path, kind, field string) error {
 			peak = c.total
 		}
 	}
-	fmt.Fprintf(w, "%s %s over %d epochs (%s), peak %d\n\n", kind, field, len(epochs), path, peak)
+	fmt.Fprintf(w, "%s %s over %d epochs (%s), peak %d\n\n", kind, field, last-first+1, path, peak)
 	grid := make([][]int64, rows)
 	have := make([][]bool, rows)
 	for r := range grid {

@@ -97,6 +97,42 @@ func TestRunMetricsHeatmap(t *testing.T) {
 	}
 }
 
+// TestRunMetricsSilentEpoch: the metrics CSV leaves zero rows out between
+// its first and last epochs, which are complete, so an epoch in which
+// nothing moved has no row at all and still counts — three epochs here,
+// the middle one silent, with the totals of the two that carry load.
+func TestRunMetricsSilentEpoch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.csv")
+	csv := `epoch,cycle,kind,id,name,row,col,field,value,per_cycle
+0,63,link,5,l5,-1,-1,flits,3,0.0469
+0,63,router,0,r0,0,0,buffer_writes,0,0.0000
+0,63,router,1,r1,0,1,buffer_writes,4,0.0625
+2,191,link,5,l5,-1,-1,flits,0,0.0000
+2,191,router,0,r0,0,0,buffer_writes,2,0.0312
+2,191,router,1,r1,0,1,buffer_writes,4,0.0625
+`
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := run([]string{"-metrics", path}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, frag := range []string{"router buffer_writes over 3 epochs", "peak 8", "r1       (0,1)  8", "r0       (0,0)  2"} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("output missing %q:\n%s", frag, out)
+		}
+	}
+
+	// Links have no grid position; the error says so rather than listing
+	// the very field that was asked for as one the kind has.
+	err := run([]string{"-metrics", path, "-kind", "link", "-field", "flits"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "no grid position") {
+		t.Errorf("link heatmap: err %v, want one naming the missing grid position", err)
+	}
+}
+
 func TestRunMetricsUnknownField(t *testing.T) {
 	path := writeMetricsFixture(t)
 	var b strings.Builder

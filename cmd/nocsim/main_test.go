@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,8 +190,9 @@ func TestRunTraceMissingFile(t *testing.T) {
 
 // TestRunTelemetryExports is the end-to-end observability smoke: an 8x8
 // INA run with both exports on must leave a Chrome trace that parses as
-// JSON with job/phase-tagged events and a metrics CSV whose row count is
-// exactly epochs x sources x fields for the epoch length requested.
+// JSON with job/phase-tagged events and a metrics CSV whose first and last
+// epochs hold exactly sources x fields rows (the ones between at most that
+// many) for the epoch length requested.
 func TestRunTelemetryExports(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
@@ -258,23 +260,40 @@ func TestRunTelemetryExports(t *testing.T) {
 	if len(epochs) == 0 {
 		t.Fatal("metrics CSV has no epochs")
 	}
-	var rows0 int
+	// The CSV is sparse: the first and last epochs hold a row for every
+	// source and field, the ones between only their non-zero values, and
+	// the epochs are the run from the first to the last.
+	type pair struct {
+		kind  string
+		id    int
+		field string
+	}
+	pairs := map[pair]bool{}
+	for _, p := range pts {
+		pairs[pair{p.Kind, p.ID, p.Field}] = true
+	}
+	first, last := pts[0].Epoch, pts[len(pts)-1].Epoch
+	for _, e := range []int64{first, last} {
+		if perEpoch[e] != len(pairs) {
+			t.Errorf("epoch %d has %d rows, want one per source and field = %d", e, perEpoch[e], len(pairs))
+		}
+	}
 	for e, n := range perEpoch {
-		if rows0 == 0 {
-			rows0 = n
+		if e < first || e > last {
+			t.Errorf("epoch %d lies outside [%d, %d]", e, first, last)
 		}
-		if n != rows0 {
-			t.Errorf("epoch %d has %d rows, others %d — series ragged", e, n, rows0)
+		if n > len(pairs) {
+			t.Errorf("epoch %d has %d rows, more than the %d sources x fields", e, n, len(pairs))
 		}
+	}
+	var n int
+	if i := strings.Index(out, metricsPath+" ("); i < 0 {
+		t.Errorf("no metrics line in output:\n%s", out)
+	} else if _, err := fmt.Sscanf(out[i+len(metricsPath)+2:], "%d epochs", &n); err != nil || int64(n) != last-first+1 {
+		t.Errorf("metrics line counts %d epochs (%v), the CSV spans %d", n, err, last-first+1)
 	}
 	// Every full epoch must end on a 64-cycle boundary; only the flushed
 	// final partial epoch may not.
-	var last int64 = -1
-	for e := range epochs {
-		if e > last {
-			last = e
-		}
-	}
 	for e, cyc := range epochs {
 		if e != last && (cyc+1)%64 != 0 {
 			t.Errorf("epoch %d ends at cycle %d, not a 64-cycle boundary", e, cyc)

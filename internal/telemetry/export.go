@@ -1,5 +1,6 @@
 // Export formats: a long-form CSV for the epoch metrics (one row per
-// epoch x source x field — the format gatherviz renders heatmaps from)
+// non-zero epoch x source x field, the first and last epochs in full —
+// the format gatherviz renders heatmaps from)
 // and Chrome Trace Event JSON for the lifecycle events, loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing.
 package telemetry
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,18 +23,23 @@ import (
 // MetricsCSVHeader is the column layout WriteMetricsCSV emits.
 var MetricsCSVHeader = []string{"epoch", "cycle", "kind", "id", "name", "row", "col", "field", "value", "per_cycle"}
 
-// WriteMetricsCSV writes the epoch series in long form: one row per
-// (epoch, source, field). The per_cycle column divides delta fields by
-// the epoch's actual cycle span (the last epoch may be partial), which
-// for links is the utilization in flits/cycle; gauge fields leave it
-// empty.
+// WriteMetricsCSV writes the epoch series in long form, one row per
+// (epoch, source, field) whose value is non-zero. The first and the last
+// retained epochs are written in full, zeros included: the first names
+// every source and field (and its empty per_cycle cells mark the gauges),
+// the last carries the final, possibly partial, epoch's end cycle. The
+// retained epochs are consecutive, so nothing is lost: a (source, field)
+// pair missing from an epoch between those two reads 0 there. The
+// per_cycle column divides delta fields by the epoch's actual cycle span
+// (the last epoch may be partial), which for links is the utilization in
+// flits/cycle; gauge fields leave it empty.
 //
-// The bytes are what encoding/csv would emit, but the file is mostly
-// repetition — every epoch walks the same sources and fields, and most
-// deltas are zero — so the writer quotes each source's "kind,id,name,row,col,"
-// prefix and each field name once, formats the "epoch,cycle," prefix once
-// per epoch, and appends rows into one buffer handed to w in writes of
-// about csvFlushBytes.
+// The bytes are what encoding/csv would emit for those rows, but the file
+// is mostly repetition — every epoch walks the same sources and fields —
+// so the writer quotes each source's "kind,id,name,row,col," prefix and
+// each field name once, formats the "epoch,cycle," prefix once per epoch,
+// and appends rows into one buffer handed to w in writes of about
+// csvFlushBytes.
 func (r *Report) WriteMetricsCSV(w io.Writer) error {
 	buf := make([]byte, 0, csvFlushBytes+4096)
 	for i, col := range MetricsCSVHeader {
@@ -68,7 +75,9 @@ func (r *Report) WriteMetricsCSV(w io.Writer) error {
 
 	var prefixBuf [2 * (20 + 1)]byte // two int64s and their commas
 	epochPrefix := prefixBuf[:0]
+	last := len(r.EpochIndex) - 1
 	for e := range r.EpochIndex {
+		full := e == 0 || e == last
 		span := r.epochSpan(e)
 		epochPrefix = append(strconv.AppendInt(epochPrefix[:0], r.EpochIndex[e], 10), ',')
 		epochPrefix = append(strconv.AppendInt(epochPrefix, r.EpochEnd[e], 10), ',')
@@ -77,20 +86,18 @@ func (r *Report) WriteMetricsCSV(w io.Writer) error {
 			ss := &r.Sources[i]
 			source := labels[ends[k]:ends[k+1]]
 			k++
-			vals := ss.Values[e]
-			for fi, f := range ss.Fields {
-				v := vals[fi]
+			for fi, v := range ss.At(e) {
+				field := labels[ends[k]:ends[k+1]]
+				k++
+				if v == 0 && !full {
+					continue
+				}
 				buf = append(buf, epochPrefix...)
 				buf = append(buf, source...)
-				buf = append(buf, labels[ends[k]:ends[k+1]]...)
-				k++
+				buf = append(buf, field...)
 				buf = append(strconv.AppendInt(buf, v, 10), ',')
-				if !f.Gauge && span > 0 {
-					if v == 0 {
-						buf = append(buf, "0.0000"...)
-					} else {
-						buf = strconv.AppendFloat(buf, float64(v)/float64(span), 'f', 4, 64)
-					}
+				if !ss.Fields[fi].Gauge && span > 0 {
+					buf = appendPerCycle(buf, v, span)
 				}
 				buf = append(buf, '\n')
 			}
@@ -154,6 +161,40 @@ func (r *Report) epochSpan(e int) int64 {
 	return r.EpochEnd[e] - r.EpochEnd[e-1]
 }
 
+// perCycleExactMax bounds |v| for appendPerCycle's integer path: below it
+// float64(v) is exact and |v|*10000 fits in a uint64.
+const perCycleExactMax = 1 << 50
+
+// appendPerCycle appends v/span (span > 0) exactly as
+// strconv.AppendFloat(dst, float64(v)/float64(span), 'f', 4, 64) does.
+// That call always takes strconv's multiprecision path; when span is a
+// power of two the quotient is exact in binary, so rounding |v|*10000/span
+// half to even in integers gives the same four decimals, and the sign is
+// the quotient's, which keeps "-0.0000" for a small negative v. Every other
+// span, and an outsized v, is left to strconv.
+func appendPerCycle(dst []byte, v, span int64) []byte {
+	if span&(span-1) != 0 || v <= -perCycleExactMax || v >= perCycleExactMax {
+		return strconv.AppendFloat(dst, float64(v)/float64(span), 'f', 4, 64)
+	}
+	a := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		a = uint64(-v)
+	}
+	a *= 10000
+	shift := uint(bits.TrailingZeros64(uint64(span)))
+	q := a >> shift
+	if shift > 0 {
+		rem, half := a&(uint64(span)-1), uint64(span)>>1
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	}
+	dst = append(strconv.AppendUint(dst, q/10000, 10), '.')
+	f := q % 10000
+	return append(dst, byte('0'+f/1000), byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
+}
+
 // MetricPoint is one parsed row of the metrics CSV (see ScanMetricsCSV).
 type MetricPoint struct {
 	Epoch    int64
@@ -194,6 +235,12 @@ var errMetricsCSVMissing = errors.New("missing")
 // and is returned as it is. A header that is not MetricsCSVHeader, a row
 // cut short or a number that does not parse is a *MetricsCSVError naming
 // the place, never a zero handed to fn.
+//
+// The scan yields the rows the file holds. A WriteMetricsCSV file omits
+// zero values except in its first and last epochs, which are complete, so
+// a consumer that needs every (epoch, source, field) takes the sources and
+// fields from the first epoch's rows, the epochs as the run from the first
+// epoch to the last, and 0 for a pair missing from an epoch in between.
 func ScanMetricsCSV(rd io.Reader, fn func(*MetricPoint) error) error {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1 // short rows are reported below, with their column

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -13,9 +15,11 @@ import (
 )
 
 // referenceMetricsCSV is the encoding/csv writer WriteMetricsCSV replaced,
-// kept as the definition of the format: the append-based writer must emit
-// these bytes.
-func referenceMetricsCSV(r *Report, w io.Writer) error {
+// kept as the definition of the format. With sparse set it applies the
+// skip rule — zero values are left out of every epoch but the first and
+// the last — and the append-based writer must emit these bytes; without
+// it, it writes every row, the dense bytes a sparse file expands to.
+func referenceMetricsCSV(r *Report, w io.Writer, sparse bool) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(MetricsCSVHeader); err != nil {
 		return err
@@ -23,9 +27,13 @@ func referenceMetricsCSV(r *Report, w io.Writer) error {
 	rec := make([]string, len(MetricsCSVHeader))
 	for e := range r.EpochIndex {
 		span := r.epochSpan(e)
+		middle := e > 0 && e < len(r.EpochIndex)-1
 		for _, ss := range r.Sources {
 			for fi, f := range ss.Fields {
-				v := ss.Values[e][fi]
+				v := ss.At(e)[fi]
+				if sparse && middle && v == 0 {
+					continue
+				}
 				rec[0] = strconv.FormatInt(r.EpochIndex[e], 10)
 				rec[1] = strconv.FormatInt(r.EpochEnd[e], 10)
 				rec[2] = ss.Meta.Kind
@@ -85,7 +93,7 @@ func awkwardReport(epochs int, wrapped bool) *Report {
 			},
 		}
 		for e := 0; e < epochs; e++ {
-			ss.Values = append(ss.Values, []int64{
+			ss.Rows = append(ss.Rows, []int64{
 				int64(e*i) % 7 * 1000003, // zero on many rows
 				int64(i) - 5,             // gauge, sometimes negative
 				-int64(e+1) * int64(i%4), // negative and zero deltas
@@ -96,7 +104,37 @@ func awkwardReport(epochs int, wrapped bool) *Report {
 	return r
 }
 
-func TestWriteMetricsCSVMatchesEncodingCSV(t *testing.T) {
+// silentMiddleReport is a Collector-harvested report whose sources are
+// busy in the first epoch and in the last, partial one and silent in
+// between — every middle value is zero, gauge included — so the sparse
+// file holds no row at all for the middle epochs.
+func silentMiddleReport() *Report {
+	c := New(Config{Epoch: 4}, 1)
+	state := make([]int64, 3)
+	c.AddSource(0, SourceMeta{Kind: "router", ID: 3, Name: "r3", Row: 0, Col: 3},
+		[]Field{{Name: "writes"}, {Name: "occupancy", Gauge: true}},
+		func(dst []int64) { copy(dst, state[:2]) })
+	c.AddSource(0, SourceMeta{Kind: "link", ID: 0, Name: "l0", Row: -1, Col: -1},
+		[]Field{{Name: "flits"}}, func(dst []int64) { dst[0] = state[2] })
+	c.Start()
+	ec := c.EpochCommitter(0)
+	for cycle := int64(0); cycle < 23; cycle++ {
+		state[1] = 0
+		if cycle < 4 || cycle >= 20 {
+			state[0] += 3
+			state[1] = cycle
+			state[2]++
+		}
+		ec.Commit(cycle)
+	}
+	return c.Harvest(23)
+}
+
+// metricsCSVReports are the reports the writer's byte tests run over.
+func metricsCSVReports() []struct {
+	name string
+	rep  *Report
+} {
 	big := awkwardReport(3, false)
 	// Enough rows to cross the flush threshold several times.
 	for len(big.Sources) < 4000 {
@@ -104,7 +142,7 @@ func TestWriteMetricsCSVMatchesEncodingCSV(t *testing.T) {
 	}
 	noSpan := awkwardReport(2, false)
 	noSpan.EpochEnd[1] = noSpan.EpochEnd[0] // a zero-cycle epoch leaves per_cycle empty
-	cases := []struct {
+	return []struct {
 		name string
 		rep  *Report
 	}{
@@ -116,11 +154,15 @@ func TestWriteMetricsCSVMatchesEncodingCSV(t *testing.T) {
 		{"zero sources", &Report{Epoch: 4, EpochIndex: []int64{0, 1}, EpochEnd: []int64{3, 7}}},
 		{"empty report", &Report{}},
 		{"many flushes", big},
+		{"harvested, silent middle epochs", silentMiddleReport()},
 	}
-	for _, tc := range cases {
+}
+
+func TestWriteMetricsCSVMatchesEncodingCSV(t *testing.T) {
+	for _, tc := range metricsCSVReports() {
 		t.Run(tc.name, func(t *testing.T) {
 			var want, got bytes.Buffer
-			if err := referenceMetricsCSV(tc.rep, &want); err != nil {
+			if err := referenceMetricsCSV(tc.rep, &want, true); err != nil {
 				t.Fatal(err)
 			}
 			if err := tc.rep.WriteMetricsCSV(&got); err != nil {
@@ -137,14 +179,22 @@ func TestWriteMetricsCSVMatchesEncodingCSV(t *testing.T) {
 			}
 			n := 0
 			for e := range tc.rep.EpochIndex {
+				middle := e > 0 && e < len(tc.rep.EpochIndex)-1
 				for _, ss := range tc.rep.Sources {
 					for fi, f := range ss.Fields {
+						v := ss.At(e)[fi]
+						if middle && v == 0 {
+							continue
+						}
+						if n == len(pts) {
+							t.Fatalf("read %d points back, wrote more", n)
+						}
 						p := pts[n]
 						n++
 						// encoding/csv's reader folds "\r\n" inside a quoted field to "\n".
 						if p.Kind != unCRLF(ss.Meta.Kind) || p.Name != unCRLF(ss.Meta.Name) || p.Field != unCRLF(f.Name) ||
-							p.ID != ss.Meta.ID || p.Value != ss.Values[e][fi] || p.Epoch != tc.rep.EpochIndex[e] {
-							t.Fatalf("point %d = %+v, want source %+v field %q value %d", n-1, p, ss.Meta, f.Name, ss.Values[e][fi])
+							p.ID != ss.Meta.ID || p.Value != v || p.Epoch != tc.rep.EpochIndex[e] {
+							t.Fatalf("point %d = %+v, want source %+v field %q value %d", n-1, p, ss.Meta, f.Name, v)
 						}
 					}
 				}
@@ -153,6 +203,157 @@ func TestWriteMetricsCSVMatchesEncodingCSV(t *testing.T) {
 				t.Errorf("read %d points back, wrote %d", len(pts), n)
 			}
 		})
+	}
+}
+
+// expandMetricsCSV rebuilds, from a sparse WriteMetricsCSV file alone, the
+// dense file it stands for: the first epoch's rows give every (source,
+// field) label in order and, by an empty per_cycle cell, the gauges; the
+// first row gives the epoch period; and a label missing from an epoch
+// between the first and the last comes back as a zero row. Rows the file
+// holds are copied byte for byte, so their quoting survives untouched.
+func expandMetricsCSV(sparse []byte) ([]byte, error) {
+	type row struct {
+		epoch, cycle int64
+		label        string // "kind,id,name,row,col,field," as written
+		gauge        bool
+		raw          []byte
+	}
+	cr := csv.NewReader(bytes.NewReader(sparse))
+	var (
+		header []byte
+		rows   []row
+		start  int64
+	)
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		raw := sparse[start:cr.InputOffset()]
+		start = cr.InputOffset()
+		if header == nil {
+			header = raw
+			continue
+		}
+		epoch, err := strconv.ParseInt(rec[0], 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		cycle, err := strconv.ParseInt(rec[1], 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		// epoch, cycle, value and per_cycle are bare numbers, so the label
+		// is what lies between the second comma and the value.
+		label := raw[len(rec[0])+len(rec[1])+2 : len(raw)-len(rec[8])-len(rec[9])-2]
+		rows = append(rows, row{epoch, cycle, string(label), rec[9] == "", raw})
+	}
+	var out bytes.Buffer
+	out.Write(header)
+	if len(rows) == 0 {
+		return out.Bytes(), nil
+	}
+	first, last := rows[0].epoch, rows[len(rows)-1].epoch
+	period := (rows[0].cycle + 1) / (first + 1)
+	var labels []row
+	for _, r := range rows {
+		if r.epoch != first {
+			break
+		}
+		labels = append(labels, r)
+	}
+	i := 0
+	for e := first; e <= last; e++ {
+		cycle := (e+1)*period - 1
+		for _, l := range labels {
+			if i < len(rows) && rows[i].epoch == e && rows[i].label == l.label {
+				if e != last && rows[i].cycle != cycle {
+					return nil, fmt.Errorf("epoch %d row ends at cycle %d, want %d", e, rows[i].cycle, cycle)
+				}
+				out.Write(rows[i].raw)
+				i++
+				continue
+			}
+			if e == first || e == last {
+				return nil, fmt.Errorf("full epoch %d lacks %q", e, l.label)
+			}
+			rate := "0.0000"
+			if l.gauge {
+				rate = ""
+			}
+			fmt.Fprintf(&out, "%d,%d,%s0,%s\n", e, cycle, l.label, rate)
+		}
+	}
+	if i != len(rows) {
+		return nil, fmt.Errorf("row %d (%q) is out of order", i+2, rows[i].raw)
+	}
+	return out.Bytes(), nil
+}
+
+// TestSparseMetricsCSVIsLossless: the sparse file expands, from its own
+// bytes, to exactly what the dense reference writer emits.
+func TestSparseMetricsCSVIsLossless(t *testing.T) {
+	for _, tc := range metricsCSVReports() {
+		t.Run(tc.name, func(t *testing.T) {
+			var dense, sparse bytes.Buffer
+			if err := referenceMetricsCSV(tc.rep, &dense, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.rep.WriteMetricsCSV(&sparse); err != nil {
+				t.Fatal(err)
+			}
+			got, err := expandMetricsCSV(sparse.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, dense.Bytes()) {
+				t.Fatalf("expanded sparse file differs from the dense reference at byte %d of %d (reference %d)",
+					firstDiff(got, dense.Bytes()), len(got), dense.Len())
+			}
+		})
+	}
+	// The harvested case really leaves its middle epochs out.
+	var sparse bytes.Buffer
+	if err := silentMiddleReport().WriteMetricsCSV(&sparse); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(sparse.String(), "\n"); lines != 1+2*3 {
+		t.Errorf("silent middle epochs: sparse file has %d lines, want header + 2 full epochs of 3 rows:\n%s", lines, sparse.String())
+	}
+}
+
+// TestAppendPerCycleMatchesStrconv: the per_cycle formatter emits what
+// strconv.AppendFloat(v/span, 'f', 4, 64) does — on its integer path for
+// power-of-two spans (rounding halves to even, "-0.0000" for a small
+// negative v) and on its fallback for every other span and outsized v.
+func TestAppendPerCycleMatchesStrconv(t *testing.T) {
+	var got, want []byte
+	check := func(v, span int64) {
+		got = appendPerCycle(got[:0], v, span)
+		want = strconv.AppendFloat(want[:0], float64(v)/float64(span), 'f', 4, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendPerCycle(%d, %d) = %s, strconv says %s", v, span, got, want)
+		}
+	}
+	for k := 0; k <= 12; k++ {
+		for v := int64(-20_000); v <= 300_000; v++ {
+			check(v, 1<<k)
+		}
+	}
+	for _, span := range []int64{3, 100, 156, 255, 257, 1000, 4095} {
+		for v := int64(-2_000); v <= 2_000; v++ {
+			check(v, span)
+		}
+	}
+	for _, v := range []int64{perCycleExactMax - 1, perCycleExactMax, 1 - perCycleExactMax, -perCycleExactMax, math.MaxInt64, math.MinInt64} {
+		for k := 0; k <= 12; k++ {
+			check(v, 1<<k)
+		}
+		check(v, 3)
 	}
 }
 
@@ -271,11 +472,13 @@ func FuzzReadMetricsCSV(f *testing.F) {
 	for _, d := range damagedMetricsCSVs {
 		f.Add([]byte(d.in))
 	}
-	var written bytes.Buffer
-	if err := awkwardReport(2, true).WriteMetricsCSV(&written); err != nil {
-		f.Fatal(err)
+	for _, rep := range []*Report{awkwardReport(2, true), silentMiddleReport()} {
+		var written bytes.Buffer
+		if err := rep.WriteMetricsCSV(&written); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(written.Bytes())
 	}
-	f.Add(written.Bytes())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		pts, err := ReadMetricsCSV(bytes.NewReader(in))
 		var scanned []MetricPoint

@@ -437,13 +437,22 @@ func (c *Collector) Start() {
 	}
 }
 
-// SourceSeries is one source's merged epoch series: Values[i] holds the
+// SourceSeries is one source's merged epoch series: At(i) holds the
 // source's field values for the i-th retained epoch (aligned with
-// Report.EpochIndex).
+// Report.EpochIndex). Harvest points Rows at the ring rows of the probe
+// that recorded the source, shared by every source of that probe, each
+// reading its fields at its own Off; a hand-built series may own its rows
+// and leave Off at 0.
 type SourceSeries struct {
 	Meta   SourceMeta
 	Fields []Field
-	Values [][]int64
+	Rows   [][]int64
+	Off    int
+}
+
+// At returns the source's field values for the e-th retained epoch.
+func (ss *SourceSeries) At(e int) []int64 {
+	return ss.Rows[e][ss.Off : ss.Off+len(ss.Fields)]
 }
 
 // Report is a harvested run's telemetry: the merged epoch series in
@@ -470,7 +479,10 @@ type Report struct {
 // Harvest flushes a final partial epoch (when cycles ran past the last
 // boundary), merges the per-shard rings in canonical order, and sorts the
 // event streams. Call once, after the run, from the coordinating
-// goroutine. finalCycle is the engine's completed-cycle count.
+// goroutine. finalCycle is the engine's completed-cycle count. The series
+// read the probes' ring rows in place, so what Harvest allocates follows
+// the probes and sources, not the epochs; only a split source's sums get
+// rows of their own.
 func (c *Collector) Harvest(finalCycle int64) *Report {
 	r := &Report{Epoch: c.cfg.Epoch}
 	if c.cfg.Epoch > 0 && finalCycle > 0 {
@@ -497,15 +509,21 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 		break
 	}
 
+	sources := 0
 	for _, p := range c.probes {
+		sources += len(p.sources)
+	}
+	r.Sources = make([]SourceSeries, 0, sources)
+	for _, p := range c.probes {
+		// One row list per probe, oldest epoch first, shared by its sources.
+		rows := make([][]int64, len(p.ring))
+		for e := range rows {
+			rows[e] = p.ring[p.slotAt(e)].vals
+		}
 		base := 0
 		for i := range p.sources {
 			s := &p.sources[i]
-			ss := SourceSeries{Meta: s.meta, Fields: s.fields, Values: make([][]int64, len(p.ring))}
-			for e := range p.ring {
-				ss.Values[e] = p.ring[p.slotAt(e)].vals[base : base+len(s.fields)]
-			}
-			r.Sources = append(r.Sources, ss)
+			r.Sources = append(r.Sources, SourceSeries{Meta: s.meta, Fields: s.fields, Rows: rows, Off: base})
 			base += len(s.fields)
 		}
 		r.Events = append(r.Events, p.events...)
@@ -559,14 +577,16 @@ func sumSplitSources(sorted []SourceSeries) []SourceSeries {
 	for _, ss := range sorted {
 		if n := len(out); n > 0 && out[n-1].Meta == ss.Meta && slices.Equal(out[n-1].Fields, ss.Fields) {
 			whole := &out[n-1]
-			sums := make([][]int64, len(whole.Values))
+			k := len(ss.Fields)
+			sums := make([][]int64, len(whole.Rows))
+			flat := make([]int64, len(sums)*k)
 			for e := range sums {
-				sums[e] = make([]int64, len(ss.Fields))
-				for j := range sums[e] {
-					sums[e][j] = whole.Values[e][j] + ss.Values[e][j]
+				sums[e] = flat[e*k : (e+1)*k]
+				for j, v := range whole.At(e) {
+					sums[e][j] = v + ss.At(e)[j]
 				}
 			}
-			whole.Values = sums
+			whole.Rows, whole.Off = sums, 0
 			continue
 		}
 		out = append(out, ss)

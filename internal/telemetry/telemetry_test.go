@@ -138,11 +138,11 @@ func TestSnapshotDeltaVsGauge(t *testing.T) {
 			t.Errorf("epoch %d axis = (%d, %d), want (%d, %d)",
 				e, rep.EpochIndex[e], rep.EpochEnd[e], e, e*4+3)
 		}
-		if ss.Values[e][0] != 8 {
-			t.Errorf("epoch %d delta = %d, want 8", e, ss.Values[e][0])
+		if ss.At(e)[0] != 8 {
+			t.Errorf("epoch %d delta = %d, want 8", e, ss.At(e)[0])
 		}
-		if ss.Values[e][1] != int64(e*4+3) {
-			t.Errorf("epoch %d gauge = %d, want %d", e, ss.Values[e][1], e*4+3)
+		if ss.At(e)[1] != int64(e*4+3) {
+			t.Errorf("epoch %d gauge = %d, want %d", e, ss.At(e)[1], e*4+3)
 		}
 	}
 }
@@ -192,8 +192,8 @@ func TestEpochRingWrap(t *testing.T) {
 	if n := len(c.ShardProbe(0).ring); n != 3 {
 		t.Errorf("3 epochs of a 1024-epoch window allocated %d rows, want 3", n)
 	}
-	if rep := c.Harvest(6); len(rep.EpochIndex) != 3 || rep.Sources[0].Values[2][0] != 2 {
-		t.Errorf("harvested epochs %v, last delta row %v", rep.EpochIndex, rep.Sources[0].Values)
+	if rep := c.Harvest(6); len(rep.EpochIndex) != 3 || rep.Sources[0].At(2)[0] != 2 {
+		t.Errorf("harvested epochs %v, last delta row %v", rep.EpochIndex, rep.Sources[0].Rows)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestHarvestSumsSplitSource(t *testing.T) {
 		t.Fatalf("harvested %d sources, want link credits, link flits and one pool", len(rep.Sources))
 	}
 	pool := rep.Sources[2]
-	if pool.Meta != meta || len(pool.Values) != 2 || pool.Values[0][0] != 7 || pool.Values[1][0] != 3 {
+	if pool.Meta != meta || len(pool.Rows) != 2 || pool.At(0)[0] != 7 || pool.At(1)[0] != 3 {
 		t.Errorf("pool series = %+v, want live 7 then 3", pool)
 	}
 	// The sums are the report's own rows; the probes' rings keep the parts.
@@ -254,8 +254,8 @@ func TestHarvestFlushesPartialEpoch(t *testing.T) {
 		t.Errorf("partial epoch = (%d, %d), want (1, 5)", rep.EpochIndex[1], rep.EpochEnd[1])
 	}
 	ss := rep.Sources[0]
-	if ss.Values[0][0] != 4 || ss.Values[1][0] != 2 {
-		t.Errorf("deltas = [%d %d], want [4 2]", ss.Values[0][0], ss.Values[1][0])
+	if ss.At(0)[0] != 4 || ss.At(1)[0] != 2 {
+		t.Errorf("deltas = [%d %d], want [4 2]", ss.At(0)[0], ss.At(1)[0])
 	}
 	// Harvesting exactly at a boundary must not add an empty epoch.
 	c2, state2 := collectorWithSource(Config{Epoch: 4})
