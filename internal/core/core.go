@@ -108,12 +108,21 @@ type LayerReport struct {
 // RunLayer executes one convolution layer on a rows×cols mesh in the given
 // collection mode and returns latency and energy results.
 func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*LayerReport, error) {
-	cfg := opts.networkConfig(rows, cols)
-	nw, err := noc.Acquire(cfg)
+	res, err := simulate(rows, cols, layer, mode, opts)
+	if err != nil {
+		return nil, err
+	}
+	return report(opts.networkConfig(rows, cols), layer, mode, opts, res), nil
+}
+
+// simulate runs one layer in one collection mode and returns what the run
+// produced, before any derivation.
+func simulate(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*systolic.Result, error) {
+	nw, err := noc.Acquire(opts.networkConfig(rows, cols))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// RunLayer owns the network for the length of the run. Release parks a
+	// simulate owns the network for the length of the run. Release parks a
 	// sequential fabric that finished cleanly for the next run of the same
 	// configuration and closes any other (stopping its shard workers).
 	defer nw.Release()
@@ -129,17 +138,24 @@ func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 		return nil, fmt.Errorf("core: %s/%s on %dx%d: %d payload integrity errors",
 			layer.Name, mode, rows, cols, res.PayloadErrors)
 	}
+	return res, nil
+}
 
+// report derives a run's LayerReport from its Record: it writes the echoes
+// of the run's parameters into res and computes the power-model inputs and
+// the energy report.
+func report(cfg noc.Config, layer cnn.LayerConfig, mode systolic.Mode, opts Options, res *systolic.Result) *LayerReport {
+	sc := opts.systolicConfig(layer, mode)
+	res.Layer, res.Mode, res.Dataflow, res.Rows, res.Cols = sc.Layer, sc.Mode, sc.Dataflow, cfg.Rows, cfg.Cols
 	events := NoCEvents(res.Activity)
 	events.StreamHops = res.StreamHops
 	events.MACs = res.MACs
-	report := power.Compute(events, opts.coefficients(), res.MeasuredCycles, 1.0)
 	return &LayerReport{
 		Result:        res,
 		Events:        events,
-		Energy:        report,
+		Energy:        power.Compute(events, opts.coefficients(), res.MeasuredCycles, 1.0),
 		NetworkConfig: cfg,
-	}, nil
+	}
 }
 
 // NoCEvents converts a network's activity counts into the power model's
@@ -179,22 +195,34 @@ type Comparison struct {
 // CompareLayer runs the layer in both collection modes and derives the
 // improvement figures.
 func CompareLayer(rows, cols int, layer cnn.LayerConfig, opts Options) (*Comparison, error) {
-	ru, err := RunLayer(rows, cols, layer, systolic.RepetitiveUnicast, opts)
+	ru, err := simulate(rows, cols, layer, systolic.RepetitiveUnicast, opts)
 	if err != nil {
 		return nil, err
 	}
-	g, err := RunLayer(rows, cols, layer, systolic.GatherMode, opts)
+	g, err := simulate(rows, cols, layer, systolic.GatherMode, opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Comparison{RU: ru, Gather: g}
-	if g.Result.TotalCycles > 0 {
-		c.LatencyImprovementPct = float64(ru.Result.TotalCycles-g.Result.TotalCycles) /
-			float64(g.Result.TotalCycles) * 100
+	return Compare(rows, cols, layer, opts, ru, g), nil
+}
+
+// Compare derives the comparison of the CompareLayer call with the same
+// arguments from its two runs, of which only the Records are read: the
+// echoes, power-model inputs, energy reports and improvement figures are
+// all computed here, for a fresh run and a stored Record alike. It writes
+// the echoes into ru and g, which the comparison keeps.
+func Compare(rows, cols int, layer cnn.LayerConfig, opts Options, ru, g *systolic.Result) *Comparison {
+	cfg := opts.networkConfig(rows, cols)
+	c := &Comparison{
+		RU:     report(cfg, layer, systolic.RepetitiveUnicast, opts, ru),
+		Gather: report(cfg, layer, systolic.GatherMode, opts, g),
 	}
-	c.PowerImprovementPct = power.ImprovementPercent(ru.Energy.NoCPJ, g.Energy.NoCPJ)
-	c.EstimatedImprovementPct = EstimateParams(ru.NetworkConfig, layer, opts.tmac()).Improvement()
-	return c, nil
+	if g.TotalCycles > 0 {
+		c.LatencyImprovementPct = float64(ru.TotalCycles-g.TotalCycles) / float64(g.TotalCycles) * 100
+	}
+	c.PowerImprovementPct = power.ImprovementPercent(c.RU.Energy.NoCPJ, c.Gather.Energy.NoCPJ)
+	c.EstimatedImprovementPct = EstimateParams(cfg, layer, opts.tmac()).Improvement()
+	return c
 }
 
 // EstimateParams builds the Eq. (2)–(4) parameter set matching a network

@@ -11,19 +11,20 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/core"
+	"gathernoc/internal/systolic"
 )
 
 // cacheSchema tags the on-disk entry envelope. It versions the storage
 // format only; result semantics are versioned inside the key itself
 // (core.ComparisonKeyVersion), so a simulator behaviour change produces
 // new keys rather than stale-looking files.
-const cacheSchema = "gathernoc/experiments.Cache/v1"
+const cacheSchema = "gathernoc/experiments.Cache/v2"
 
 // CacheStats is the hit accounting a sweep accumulates.
 type CacheStats struct {
 	// Hits and Misses count lookups; Stale counts entry files that were
-	// found but rejected (undecodable, wrong schema, key collision, no
-	// result) and then recomputed, each of them a miss as well.
+	// found but rejected (undecodable, wrong schema, key collision, a
+	// missing record) and then recomputed, each of them a miss as well.
 	Hits   uint64
 	Misses uint64
 	Stale  uint64
@@ -37,10 +38,10 @@ type CacheStats struct {
 // Cache memoizes simulation results content-addressed by their canonical
 // input key: identical simulation inputs — after config-hash
 // normalization, whatever closures produced them — map to one entry.
-// Lookups always hit the in-memory layer first, which holds decoded
+// Lookups always hit the in-memory layer first, which holds derived
 // comparisons; with a directory configured, entries are also persisted as
 // one JSON file per key, so a rerun in a fresh process warm-starts from
-// disk, reading and decoding each file once per Cache. Safe for
+// disk, reading and deriving each file once per Cache. Safe for
 // concurrent use by sweep workers.
 type Cache struct {
 	dir string
@@ -75,12 +76,13 @@ func (c *Cache) Stats() CacheStats {
 // cacheEntry is the one-file-per-key disk format: the schema tag and full
 // key make every entry self-validating, so a hash collision or a file
 // from an incompatible layout is detected and treated as stale instead of
-// silently decoded. An entry file is decoded in one pass straight into the
-// comparison the memory layer then holds.
+// silently decoded. An entry holds what only simulating produces, the two
+// runs' Records; everything else in a comparison is derived from the
+// lookup's own inputs by core.Compare, the code a fresh run goes through.
 type cacheEntry struct {
-	Schema string
-	Key    string
-	Result *core.Comparison
+	Schema     string
+	Key        string
+	RU, Gather *systolic.Record
 }
 
 // hashKey content-addresses a canonical key string.
@@ -94,10 +96,10 @@ func (c *Cache) path(hash string) string {
 }
 
 // lookup returns the comparison stored under key, consulting memory then
-// disk. A disk hit is kept in memory, so each entry file is read and
-// decoded once per Cache — twice only when two workers race to the same
-// key, and then both get the pointer stored first.
-func (c *Cache) lookup(key string) (*core.Comparison, bool) {
+// disk. A disk hit is derived and kept in memory, so each entry file is
+// read and derived once per Cache — twice only when two workers race to
+// the same key, and then both get the pointer stored first.
+func (c *Cache) lookup(key string, derive func(ru, g *systolic.Result) *core.Comparison) (*core.Comparison, bool) {
 	hash := hashKey(key)
 	c.mu.Lock()
 	if cmp, ok := c.mem[hash]; ok {
@@ -106,9 +108,9 @@ func (c *Cache) lookup(key string) (*core.Comparison, bool) {
 		return cmp, true
 	}
 	c.mu.Unlock()
-	// Read and decode outside the lock, so sweep workers decode in
+	// Read, decode and derive outside the lock, so sweep workers do it in
 	// parallel.
-	cmp, n, stale := c.load(hash, key)
+	cmp, n, stale := c.load(hash, key, derive)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cmp == nil {
@@ -128,10 +130,10 @@ func (c *Cache) lookup(key string) (*core.Comparison, bool) {
 	return cmp, true
 }
 
-// load reads and decodes key's entry file in one pass, returning the
-// comparison and the file's size, or nil and whether a file was there but
-// rejected (stale).
-func (c *Cache) load(hash, key string) (cmp *core.Comparison, n int, stale bool) {
+// load reads and decodes key's entry file in one pass and derives its
+// comparison, returning it and the file's size, or nil and whether a file
+// was there but rejected (stale).
+func (c *Cache) load(hash, key string, derive func(ru, g *systolic.Result) *core.Comparison) (cmp *core.Comparison, n int, stale bool) {
 	if c.dir == "" {
 		return nil, 0, false
 	}
@@ -140,10 +142,10 @@ func (c *Cache) load(hash, key string) (cmp *core.Comparison, n int, stale bool)
 		return nil, 0, false
 	}
 	var e cacheEntry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Key != key || e.Result == nil {
+	if err := json.Unmarshal(raw, &e); err != nil || e.Schema != cacheSchema || e.Key != key || e.RU == nil || e.Gather == nil {
 		return nil, 0, true
 	}
-	return e.Result, len(raw), false
+	return derive(&systolic.Result{Record: *e.RU}, &systolic.Result{Record: *e.Gather}), len(raw), false
 }
 
 // store keeps cmp under key in memory and, when configured, writes its
@@ -157,7 +159,7 @@ func (c *Cache) store(key string, cmp *core.Comparison) error {
 	if c.dir == "" {
 		return nil
 	}
-	raw, err := json.Marshal(cacheEntry{Schema: cacheSchema, Key: key, Result: cmp})
+	raw, err := json.Marshal(cacheEntry{Schema: cacheSchema, Key: key, RU: &cmp.RU.Result.Record, Gather: &cmp.Gather.Result.Record})
 	if err != nil {
 		// A result JSON cannot carry (a NaN) is uncacheable on disk, not
 		// wrong.
@@ -189,10 +191,10 @@ func (c *Cache) store(key string, cmp *core.Comparison) error {
 }
 
 // cachedCompareLayer is the memoized form of core.CompareLayer every
-// experiment sweep routes through: a hit returns the stored comparison
-// without constructing a network; a miss runs the simulation and stores
-// its result. A nil cache degenerates to a plain call, leaving uncached
-// sweeps bit-identical to the pre-cache code path.
+// experiment sweep routes through: a hit derives the comparison from the
+// stored Records (core.Compare) without building a network; a miss runs
+// the simulation and stores its result. A nil cache is a plain call, so
+// uncached sweeps stay bit-identical to the pre-cache code path.
 //
 // The returned comparison is shared with every later lookup of its key in
 // the same Cache, possibly on other sweep workers, so callers treat it as
@@ -208,7 +210,10 @@ func cachedCompareLayer(cache *Cache, rows, cols int, layer cnn.LayerConfig, opt
 		// Unkeyable inputs are never wrong results — just uncacheable.
 		return core.CompareLayer(rows, cols, layer, opts)
 	}
-	if cmp, ok := cache.lookup(key); ok {
+	derive := func(ru, g *systolic.Result) *core.Comparison {
+		return core.Compare(rows, cols, layer, opts, ru, g)
+	}
+	if cmp, ok := cache.lookup(key, derive); ok {
 		return cmp, nil
 	}
 	cmp, err := core.CompareLayer(rows, cols, layer, opts)

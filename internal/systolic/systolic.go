@@ -173,7 +173,8 @@ func (c Config) computeLatency(rows int) int {
 	return c.Layer.MACsPerPE() + c.TMAC
 }
 
-// Result summarizes a layer run.
+// Result summarizes a layer run: the Record the simulation produced and
+// echoes of the parameters it ran with.
 type Result struct {
 	// Layer, Mode, Dataflow, Rows, Cols echo the run parameters.
 	Layer    cnn.LayerConfig
@@ -182,6 +183,13 @@ type Result struct {
 	Rows     int
 	Cols     int
 
+	Record
+}
+
+// Record is what only running a layer determines: every Result field that
+// is not an echo of the run's parameters. It is the unit a result cache
+// stores (DESIGN.md §14).
+type Record struct {
 	// TotalRounds is ⌈P/N⌉·⌈Q/M⌉; RoundsSimulated is how many were run
 	// on the simulator before extrapolation.
 	TotalRounds     int64
@@ -285,7 +293,7 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 	c.res = Result{
 		Layer: cfg.Layer, Mode: cfg.Mode, Dataflow: cfg.Dataflow,
 		Rows: c.rows, Cols: c.cols,
-		TotalRounds: total, RoundsSimulated: sim,
+		Record: Record{TotalRounds: total, RoundsSimulated: sim},
 	}
 
 	c.plans = make([]noc.LineCollect, c.rows)
