@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -27,23 +28,23 @@ type DataflowRow struct {
 // traffic into a single buffer port.
 func Dataflows(opts Options) ([]DataflowRow, error) {
 	layer, _ := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
+	var points []comparePoint
 	var rows []DataflowRow
 	for _, df := range []systolic.Dataflow{systolic.OutputStationary, systolic.WeightStationary} {
-		df := df
 		for _, mesh := range opts.meshes() {
-			o := opts.core()
-			o.MutateSystolic = func(s *systolic.Config) { s.Dataflow = df }
-			cmp, err := cachedCompareLayer(opts.Cache, mesh, mesh, layer, o)
-			if err != nil {
-				return nil, fmt.Errorf("dataflow %s %dx%d: %w", df, mesh, mesh, err)
-			}
-			rows = append(rows, DataflowRow{
-				Dataflow: df.String(), Layer: layer.Name, Mesh: mesh,
-				LatencyImprovement: cmp.LatencyImprovementPct,
-				PowerImprovement:   cmp.PowerImprovementPct,
-				RoundCycles:        cmp.Gather.Result.RoundCycles.Mean(),
-			})
+			points = append(points, comparePoint{mesh: mesh, layer: layer,
+				mutate: func(s *systolic.Config) { s.Dataflow = df }})
+			rows = append(rows, DataflowRow{Dataflow: df.String(), Layer: layer.Name, Mesh: mesh})
 		}
+	}
+	cmps, err := compareSweep(points, opts)
+	if err != nil {
+		return nil, fmt.Errorf("dataflow: %w", err)
+	}
+	for i, cmp := range cmps {
+		rows[i].LatencyImprovement = cmp.LatencyImprovementPct
+		rows[i].PowerImprovement = cmp.PowerImprovementPct
+		rows[i].RoundCycles = cmp.Gather.Result.RoundCycles.Mean()
 	}
 	return rows, nil
 }
@@ -82,27 +83,26 @@ type MixedTrafficRow struct {
 // traffic", Sec. VI).
 func MixedTraffic(opts Options) ([]MixedTrafficRow, error) {
 	layer, _ := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
-	var rows []MixedTrafficRow
+	var points []MixedTrafficRow
 	for _, rate := range []float64{0, 0.05, 0.15} {
 		for _, dedicated := range []bool{false, true} {
-			row, err := runMixed(layer, rate, dedicated, opts)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, *row)
+			points = append(points, MixedTrafficRow{Rate: rate, DedicatedVC: dedicated})
 		}
 	}
-	return rows, nil
+	return Sweep(opts.ctx(), opts.Workers, points,
+		func(_ context.Context, _ int, p MixedTrafficRow) (MixedTrafficRow, error) {
+			return runMixed(layer, p.Rate, p.DedicatedVC, opts)
+		})
 }
 
-func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options) (*MixedTrafficRow, error) {
+func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options) (MixedTrafficRow, error) {
 	cfg := noc.DefaultConfig(8, 8)
 	if dedicated {
 		cfg.Router.GatherVC = cfg.Router.VCs - 1
 	}
 	nw, err := noc.Acquire(cfg)
 	if err != nil {
-		return nil, err
+		return MixedTrafficRow{}, err
 	}
 	// With background traffic the run ends mid-flight and Release drops
 	// the fabric; the rate-0 rows park theirs.
@@ -112,7 +112,7 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 		Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: opts.rounds(),
 	})
 	if err != nil {
-		return nil, err
+		return MixedTrafficRow{}, err
 	}
 
 	if rate > 0 {
@@ -125,20 +125,20 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 			Seed:          7,
 		})
 		if err != nil {
-			return nil, err
+			return MixedTrafficRow{}, err
 		}
 		nw.Engine().AddTicker(gen)
 	}
 
 	res, err := ctl.Run(50_000_000)
 	if err != nil {
-		return nil, fmt.Errorf("mixed rate=%v dedicated=%v: %w", rate, dedicated, err)
+		return MixedTrafficRow{}, fmt.Errorf("mixed rate=%v dedicated=%v: %w", rate, dedicated, err)
 	}
 	if res.PayloadErrors != 0 {
-		return nil, fmt.Errorf("mixed rate=%v dedicated=%v: %d payload errors",
+		return MixedTrafficRow{}, fmt.Errorf("mixed rate=%v dedicated=%v: %d payload errors",
 			rate, dedicated, res.PayloadErrors)
 	}
-	return &MixedTrafficRow{
+	return MixedTrafficRow{
 		Rate:          rate,
 		DedicatedVC:   dedicated,
 		GatherRound:   res.RoundCycles.Mean(),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -43,33 +44,38 @@ type FaultSweepRow struct {
 // the NIC retransmission layer, and gather/INA collectives fall back to
 // the δ-timeout unicast path when loss starves their merge windows.
 func FaultSweep(opts Options) ([]FaultSweepRow, error) {
+	// rates[0] is the fault-free point each scheme's slowdown is relative to.
 	rates := []float64{0, 0.005, 0.01, 0.02, 0.05}
-	schemes := []traffic.CollectScheme{traffic.CollectUnicast, traffic.CollectGather, traffic.CollectINA}
-	ctx := opts.ctx()
-	rows := make([]FaultSweepRow, 0, len(rates)*len(schemes))
-	for _, scheme := range schemes {
-		var base float64
+	type faultPoint struct {
+		scheme traffic.CollectScheme
+		rate   float64
+	}
+	var points []faultPoint
+	for _, scheme := range []traffic.CollectScheme{traffic.CollectUnicast, traffic.CollectGather, traffic.CollectINA} {
 		for _, rate := range rates {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			row, err := runFaultPoint(scheme, rate, opts)
+			points = append(points, faultPoint{scheme, rate})
+		}
+	}
+	rows, err := Sweep(opts.ctx(), opts.Workers, points,
+		func(_ context.Context, _ int, p faultPoint) (FaultSweepRow, error) {
+			row, err := runFaultPoint(p.scheme, p.rate, opts)
 			if err != nil {
-				return nil, fmt.Errorf("fault sweep %s @ %.3f: %w", scheme, rate, err)
+				err = fmt.Errorf("fault sweep %s @ %.3f: %w", p.scheme, p.rate, err)
 			}
-			if rate == 0 {
-				base = row.RoundCycles
-			}
-			if base > 0 {
-				row.Slowdown = row.RoundCycles / base
-			}
-			rows = append(rows, *row)
+			return row, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		if base := rows[i-i%len(rates)].RoundCycles; base > 0 {
+			rows[i].Slowdown = rows[i].RoundCycles / base
 		}
 	}
 	return rows, nil
 }
 
-func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (*FaultSweepRow, error) {
+func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (FaultSweepRow, error) {
 	cfg := noc.DefaultConfig(8, 8)
 	cfg.EnableINA = scheme == traffic.CollectINA
 	if rate > 0 {
@@ -77,7 +83,7 @@ func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (*F
 	}
 	nw, err := noc.New(cfg)
 	if err != nil {
-		return nil, err
+		return FaultSweepRow{}, err
 	}
 	defer nw.Close()
 	// The watchdog bounds a wedged point to one no-progress window instead
@@ -87,13 +93,13 @@ func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (*F
 		Scheme: scheme, Rounds: opts.rounds(), ComputeLatency: 20,
 	})
 	if err != nil {
-		return nil, err
+		return FaultSweepRow{}, err
 	}
 	res, err := ctl.Run(20_000_000)
 	if err != nil {
-		return nil, err
+		return FaultSweepRow{}, err
 	}
-	row := &FaultSweepRow{
+	row := FaultSweepRow{
 		Scheme:        scheme.String(),
 		DropRate:      rate,
 		RoundCycles:   res.RoundCycles.Mean(),
@@ -108,7 +114,7 @@ func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (*F
 		row.Retransmits += nw.NIC(topology.NodeID(id)).Retransmits.Value()
 	}
 	if row.OracleErrors != 0 {
-		return nil, fmt.Errorf("%d oracle errors — recovery lost payloads", row.OracleErrors)
+		return FaultSweepRow{}, fmt.Errorf("%d oracle errors — recovery lost payloads", row.OracleErrors)
 	}
 	return row, nil
 }

@@ -47,24 +47,26 @@ func FullVGG16(mesh int, opts Options) (*ModelResult, error) {
 	return fullModel("VGG-16", cnn.VGG16AllLayers(), mesh, opts)
 }
 
+// fullModel sweeps the layers, then sums in layer order, so the float
+// totals are the same bits whatever the worker count.
 func fullModel(name string, layers []cnn.LayerConfig, mesh int, opts Options) (*ModelResult, error) {
-	res := &ModelResult{Model: name, Mesh: mesh}
+	cmps, err := compareSweep(comparePoints(layers, []int{mesh}), opts)
+	if err != nil {
+		return nil, fmt.Errorf("full model %s: %w", name, err)
+	}
+	res := &ModelResult{Model: name, Mesh: mesh, Layers: make([]ModelLayerRow, len(layers))}
 	coeff := power.DefaultCoefficients()
-	for _, layer := range layers {
-		cmp, err := cachedCompareLayer(opts.Cache, mesh, mesh, layer, opts.core())
-		if err != nil {
-			return nil, fmt.Errorf("full model %s: %w", layer.Name, err)
-		}
+	for i, cmp := range cmps {
 		ruE := power.Compute(cmp.RU.Events.Scale(cmp.RU.Result.ScaleFactor()), coeff, 0, 0)
 		gE := power.Compute(cmp.Gather.Events.Scale(cmp.Gather.Result.ScaleFactor()), coeff, 0, 0)
-		res.Layers = append(res.Layers, ModelLayerRow{
-			Layer:              layer.Name,
-			Kind:               layer.Kind.String(),
+		res.Layers[i] = ModelLayerRow{
+			Layer:              layers[i].Name,
+			Kind:               layers[i].Kind.String(),
 			RUCycles:           cmp.RU.Result.TotalCycles,
 			GatherCycles:       cmp.Gather.Result.TotalCycles,
 			LatencyImprovement: cmp.LatencyImprovementPct,
 			PowerImprovement:   cmp.PowerImprovementPct,
-		})
+		}
 		res.RUTotalCycles += cmp.RU.Result.TotalCycles
 		res.GatherTotalCycles += cmp.Gather.Result.TotalCycles
 		res.RUTotalPJ += ruE.NoCPJ

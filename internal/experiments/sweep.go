@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/core"
+	"gathernoc/internal/systolic"
 )
 
 // Sweep evaluates fn over every item on a bounded worker pool and returns
@@ -29,6 +31,9 @@ import (
 // error if no fn error preceded it. Items already inside fn when the
 // context is cancelled run to completion unless fn itself honors ctx —
 // simulation points here do not, so cancellation latency is one point.
+//
+// Workers claim the next index from a shared counter, one atomic add and
+// no hand-off, and the caller is one of them: workers == 1 runs inline.
 func Sweep[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -48,46 +53,29 @@ func Sweep[T, R any](ctx context.Context, workers int, items []T, fn func(ctx co
 	defer cancel()
 
 	errs := make([]error, len(items))
-	next := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					// Drain handed-out indices without running them once
-					// the sweep is cancelled.
-					continue
-				}
-				r, err := fn(ctx, i, items[i])
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				results[i] = r
+	work := func() {
+		defer wg.Done()
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(items) {
+				return
 			}
-		}()
-	}
-
-feed:
-	for i := range items {
-		// Check cancellation with priority: a plain two-way select would
-		// pick randomly between a ready worker and a closed Done channel
-		// and could keep dispatching points after cancellation.
-		select {
-		case <-ctx.Done():
-			break feed
-		default:
-		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+			r, err := fn(ctx, i, items[i])
+			if err != nil {
+				errs[i] = err
+				cancel()
+				return
+			}
+			results[i] = r
 		}
 	}
-	close(next)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
 	wg.Wait()
 
 	for _, err := range errs {
@@ -102,6 +90,8 @@ feed:
 type comparePoint struct {
 	mesh  int
 	layer cnn.LayerConfig
+	// mutate, when non-nil, adjusts the cell's systolic configuration.
+	mutate func(*systolic.Config)
 }
 
 // comparePoints enumerates the mesh-major point grid the figures iterate.
@@ -120,7 +110,9 @@ func comparePoints(layers []cnn.LayerConfig, meshes []int) []comparePoint {
 func compareSweep(points []comparePoint, opts Options) ([]*core.Comparison, error) {
 	return Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p comparePoint) (*core.Comparison, error) {
-			cmp, err := cachedCompareLayer(opts.Cache, p.mesh, p.mesh, p.layer, opts.core())
+			o := opts.core()
+			o.MutateSystolic = p.mutate
+			cmp, err := cachedCompareLayer(opts.Cache, p.mesh, p.mesh, p.layer, o)
 			if err != nil {
 				return nil, fmt.Errorf("%s %dx%d: %w", p.layer.Name, p.mesh, p.mesh, err)
 			}

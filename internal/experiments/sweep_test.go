@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"gathernoc/internal/noc"
 )
 
 func TestSweepPreservesInputOrder(t *testing.T) {
@@ -89,22 +94,136 @@ func TestSweepHonorsContextCancellation(t *testing.T) {
 	}
 }
 
-// TestTable2ParallelMatchesSerial proves the harness returns identical
-// results whatever the worker count: every simulation point owns its
-// network, so parallelism cannot perturb the simulated values.
+// TestSweepSerialRunsInline: at one worker the calling goroutine runs
+// every item itself, so a serial sweep starts no goroutine. Only a rise
+// counts: an earlier test's worker may still be exiting after its Sweep
+// returned.
+func TestSweepSerialRunsInline(t *testing.T) {
+	entry := runtime.NumGoroutine()
+	_, err := Sweep(context.Background(), 1, make([]int, 8),
+		func(_ context.Context, i int, _ int) (int, error) {
+			if n := runtime.NumGoroutine(); n > entry {
+				return 0, fmt.Errorf("item %d: %d goroutines inside fn, %d at entry", i, n, entry)
+			}
+			return i, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepBoundsInFlight: however the workers race for the counter, no
+// more than the worker count of fn calls ever run at once.
+func TestSweepBoundsInFlight(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		var inFlight, peak atomic.Int64
+		_, err := Sweep(context.Background(), workers, make([]int, 64),
+			func(_ context.Context, _ int, _ int) (int, error) {
+				n := inFlight.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(50 * time.Microsecond)
+				inFlight.Add(-1)
+				return 0, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int64(workers) {
+			t.Errorf("workers=%d: %d fn calls in flight at once", workers, p)
+		}
+	}
+}
+
+var sweepSink [][sha256.Size]byte
+
+// BenchmarkSweepDispatch sweeps 21 items of about 10 µs of CPU each (a
+// sha256 of 12 KiB on a core without SHA extensions), the shape of a warm
+// figure sweep, on two workers; ns/item at two workers against the
+// one-worker (inline) figure is what dispatch adds or saves.
+func BenchmarkSweepDispatch(b *testing.B) {
+	items := make([][]byte, 21)
+	for i := range items {
+		items[i] = make([]byte, 12<<10)
+	}
+	hash := func(_ context.Context, _ int, item []byte) ([sha256.Size]byte, error) {
+		return sha256.Sum256(item), nil
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sums, err := Sweep(context.Background(), workers, items, hash)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sweepSink = sums
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(items)), "ns/item")
+		})
+	}
+}
+
+// sweptArtifacts are the simulated artifacts that fan their cells out on
+// Sweep, each returning its rows as one value.
+var sweptArtifacts = []struct {
+	name string
+	run  func(Options) (any, error)
+}{
+	{"Table2", rowsOf(Table2)},
+	{"FullAlexNet", rowsOf(func(o Options) (*ModelResult, error) { return FullAlexNet(8, o) })},
+	{"FullVGG16", rowsOf(func(o Options) (*ModelResult, error) { return FullVGG16(8, o) })},
+	{"Dataflows", rowsOf(Dataflows)},
+	{"MixedTraffic", rowsOf(MixedTraffic)},
+	{"FaultSweep", rowsOf(FaultSweep)},
+}
+
+func rowsOf[R any](run func(Options) (R, error)) func(Options) (any, error) {
+	return func(o Options) (any, error) {
+		r, err := run(o)
+		return r, err
+	}
+}
+
+// TestTable2ParallelMatchesSerial proves Table II and every other swept
+// artifact return identical results whatever the worker count: every
+// simulation point owns its network, and the aggregates are taken in input
+// order after the sweep, so parallelism cannot perturb the simulated values.
 func TestTable2ParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	serial, err := Table2(Options{Rounds: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range sweptArtifacts {
+		serial, err := a.run(Options{Rounds: 1, Workers: 1})
+		if err != nil {
+			t.Errorf("%s: serial: %v", a.name, err)
+			continue
+		}
+		parallel, err := a.run(Options{Rounds: 1, Workers: 4})
+		if err != nil {
+			t.Errorf("%s: parallel: %v", a.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s: parallel sweep diverged:\nserial   %+v\nparallel %+v", a.name, serial, parallel)
+		}
 	}
-	parallel, err := Table2(Options{Rounds: 1, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel sweep diverged:\nserial   %+v\nparallel %+v", serial, parallel)
+}
+
+// TestArtifactsHonorCancellation: with Options.Ctx already cancelled,
+// every artifact returns the context's error before its first cell, so
+// none of them builds a fabric.
+func TestArtifactsHonorCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, a := range sweptArtifacts {
+		before := noc.ReuseStats()
+		_, err := a.run(Options{Rounds: 1, Ctx: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", a.name, err)
+		}
+		if after := noc.ReuseStats(); after.Built != before.Built || after.Reused != before.Reused {
+			t.Errorf("%s: took %d built and %d reused fabrics after cancellation",
+				a.name, after.Built-before.Built, after.Reused-before.Reused)
+		}
 	}
 }
