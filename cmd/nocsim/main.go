@@ -92,7 +92,7 @@ func run(args []string, w io.Writer) (err error) {
 		model      = fs.String("model", "", "run a whole-model CNN pipeline workload (alexnet, vgg16) instead of synthetic traffic")
 		jobs       = fs.Int("jobs", 1, "concurrent inference jobs of the pipeline workload")
 		overlap    = fs.Bool("overlap", false, "double-buffered inter-layer overlap (default: strict barrier)")
-		rounds     = fs.Int("rounds", 2, "simulated rounds per pipeline layer")
+		rounds     = fs.Int("rounds", 2, "simulated rounds per pipeline layer (-model) or collective (-collective)")
 		traceOut   = fs.String("trace", "", "write a Chrome Trace Event JSON (Perfetto-loadable) of sampled packet lifecycles to this file")
 		metricsOut = fs.String("metrics", "", "write per-epoch congestion/utilization metrics CSV to this file")
 		epoch      = fs.Int64("epoch", 256, "telemetry metrics snapshot period in cycles (with -metrics)")
@@ -507,16 +507,17 @@ func runCollectiveCLI(nw *noc.Network, opName, algName string, rounds int, maxCy
 	if err != nil {
 		return err
 	}
-	ctl, err := collective.NewController(nw, collective.Config{
+	ctl, err := collective.NewDriver(nw, collective.Config{
 		Op: op, Algorithm: alg, Rounds: rounds, ComputeLatency: 10,
 	})
 	if err != nil {
 		return err
 	}
-	res, err := ctl.Run(maxCycles)
+	cycles, err := workload.Run(nw, ctl, maxCycles)
 	if err != nil {
-		return err
+		return fmt.Errorf("collective: %s/%s on %dx%d: %w", op, alg, nw.Config().Rows, nw.Config().Cols, err)
 	}
+	res := ctl.Result(cycles)
 	oracle := "exact"
 	if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
 		oracle = fmt.Sprintf("%d reduce / %d broadcast ERRORS", res.OracleErrors, res.BroadcastErrors)
@@ -551,10 +552,11 @@ func runINA(nw *noc.Network, mode string, rounds int, maxCycles int64, w io.Writ
 	if err != nil {
 		return err
 	}
-	res, err := ctl.Run(maxCycles)
+	cycles, err := workload.Run(nw, ctl, maxCycles)
 	if err != nil {
-		return err
+		return fmt.Errorf("traffic: accumulation %s on %dx%d: %w", scheme, nw.Config().Rows, nw.Config().Cols, err)
 	}
+	res := ctl.Result(cycles)
 	oracle := "exact"
 	if res.OracleErrors != 0 {
 		oracle = fmt.Sprintf("%d ERRORS", res.OracleErrors)

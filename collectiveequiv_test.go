@@ -27,14 +27,15 @@ func runCollectiveOn(t *testing.T, cfg noc.Config, ccfg collective.Config) *coll
 		t.Fatalf("noc.New: %v", err)
 	}
 	defer nw.Close()
-	ctl, err := collective.NewController(nw, ccfg)
+	ctl, err := collective.NewDriver(nw, ccfg)
 	if err != nil {
-		t.Fatalf("NewController: %v", err)
+		t.Fatalf("NewDriver: %v", err)
 	}
-	res, err := ctl.Run(1_000_000)
+	cycles, err := workload.Run(nw, ctl, 1_000_000)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	res := ctl.Result(cycles)
 	if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
 		t.Fatalf("oracle errors %d, broadcast errors %d", res.OracleErrors, res.BroadcastErrors)
 	}

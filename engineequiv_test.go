@@ -262,13 +262,14 @@ func TestSchedulerEquivalenceDirectAccumulation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := cd.Run(1_000_000)
+			cycles, err := workload.Run(nwD, cd, 1_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
+			direct := cd.Result(cycles)
 
 			nwS := newNet()
-			cs, err := traffic.NewAccumulationDriver(nwS, accCfg)
+			cs, err := traffic.NewAccumulationController(nwS, accCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,6 +299,80 @@ func TestSchedulerEquivalenceDirectAccumulation(t *testing.T) {
 			}
 			if nwD.Activity() != nwS.Activity() {
 				t.Errorf("activity diverged:\ndirect    %+v\nscheduled %+v", nwD.Activity(), nwS.Activity())
+			}
+		})
+	}
+}
+
+// TestSchedulerEquivalenceDirectSystolic is the paper layer's twin: AlexNet
+// Conv3 on the 8x8 mesh, repetitive unicast and gather, two rounds, as the
+// one phase of a scheduled job must replay the layer run alone under
+// workload.Run — every sampled round, the extrapolated total, the payload
+// checks and the fabric's activity — with no delivery left unclaimed.
+func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
+	for _, mode := range []systolic.Mode{systolic.RepetitiveUnicast, systolic.GatherMode} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := systolic.Config{Layer: conv3(t), Mode: mode, TMAC: 5, MaxRounds: 2}
+			newNet := func() *noc.Network {
+				nw, err := noc.New(noc.DefaultConfig(8, 8))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return nw
+			}
+
+			nwD := newNet()
+			cd, err := systolic.NewController(nwD, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycles, err := workload.Run(nwD, cd, 1_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := cd.Result()
+
+			nwS := newNet()
+			cs, err := systolic.NewController(nwS, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := workload.New(nwS, []workload.Job{
+				{Name: "layer", Phases: []workload.Phase{{Name: "Conv3", Driver: cs}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(1_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched := cs.Result()
+
+			if direct.PayloadErrors != 0 || sched.PayloadErrors != 0 {
+				t.Errorf("payload errors: direct %d, scheduled %d", direct.PayloadErrors, sched.PayloadErrors)
+			}
+			if direct.RoundsSimulated != 2 || sched.RoundsSimulated != 2 {
+				t.Errorf("rounds simulated: direct %d, scheduled %d", direct.RoundsSimulated, sched.RoundsSimulated)
+			}
+			if !sameSample(&direct.RoundCycles, &sched.RoundCycles) {
+				t.Errorf("round cycles diverged: direct %s, scheduled %s", &direct.RoundCycles, &sched.RoundCycles)
+			}
+			if !sameSample(&direct.CollectionCycles, &sched.CollectionCycles) {
+				t.Errorf("collection cycles diverged: direct %s, scheduled %s", &direct.CollectionCycles, &sched.CollectionCycles)
+			}
+			if direct.TotalCycles != sched.TotalCycles || direct.TotalCycles == 0 {
+				t.Errorf("total cycles: direct %d, scheduled %d", direct.TotalCycles, sched.TotalCycles)
+			}
+			if cycles != res.Cycles {
+				t.Errorf("run length diverged: direct %d, scheduled %d", cycles, res.Cycles)
+			}
+			if nwD.Activity() != nwS.Activity() {
+				t.Errorf("activity diverged:\ndirect    %+v\nscheduled %+v", nwD.Activity(), nwS.Activity())
+			}
+			if res.OrphanPackets != 0 || res.OrphanPayloads != 0 {
+				t.Errorf("%d orphan packets, %d orphan payloads", res.OrphanPackets, res.OrphanPayloads)
 			}
 		})
 	}
@@ -342,10 +417,11 @@ func TestEngineEquivalenceDeadlineSleeps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ctl.Run(10_000_000)
+			cycles, err := workload.Run(nw, ctl, 10_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := ctl.Result(cycles)
 			if res.OracleErrors != 0 {
 				t.Errorf("%d oracle errors", res.OracleErrors)
 			}
@@ -416,16 +492,17 @@ func TestEngineEquivalenceDeadlineSleeps(t *testing.T) {
 			name:   "allreduce-tree",
 			mutate: func(c *noc.Config) { c.EastSinks = false },
 			run: func(t *testing.T, nw *noc.Network) any {
-				ctl, err := collective.NewController(nw, collective.Config{
+				ctl, err := collective.NewDriver(nw, collective.Config{
 					Op: collective.AllReduce, Algorithm: collective.AlgTree, Rounds: 2, ComputeLatency: 130,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := ctl.Run(10_000_000)
+				cycles, err := workload.Run(nw, ctl, 10_000_000)
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := ctl.Result(cycles)
 				if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
 					t.Errorf("%d oracle / %d broadcast errors", res.OracleErrors, res.BroadcastErrors)
 				}
@@ -476,16 +553,17 @@ func TestEngineEquivalenceDeadlineSleeps(t *testing.T) {
 			name:   "broadcast-root-compute",
 			mutate: func(c *noc.Config) { c.EastSinks = false },
 			run: func(t *testing.T, nw *noc.Network) any {
-				ctl, err := collective.NewController(nw, collective.Config{
+				ctl, err := collective.NewDriver(nw, collective.Config{
 					Op: collective.Broadcast, Algorithm: collective.AlgTree, Rounds: 3, ComputeLatency: 200,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := ctl.Run(10_000_000)
+				cycles, err := workload.Run(nw, ctl, 10_000_000)
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := ctl.Result(cycles)
 				if res.BroadcastErrors != 0 {
 					t.Errorf("%d broadcast errors", res.BroadcastErrors)
 				}

@@ -74,10 +74,11 @@ func TestFaultMatrixConservation(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, err := ctrl.Run(2_000_000)
+						cycles, err := workload.Run(nw, ctrl, 2_000_000)
 						if err != nil {
 							t.Fatalf("run did not complete under faults: %v", err)
 						}
+						res := ctrl.Result(cycles)
 						if res.OracleErrors != 0 {
 							t.Fatalf("%d oracle errors: payloads lost or duplicated", res.OracleErrors)
 						}
@@ -137,10 +138,11 @@ func TestFaultRecoveryEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ctrl.Run(2_000_000)
+		cycles, err := workload.Run(nw, ctrl, 2_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := ctrl.Result(cycles)
 		return res, nw.Activity()
 	}
 	naiveRes, naiveAct := run(true)
@@ -250,7 +252,7 @@ func TestWatchdogConvertsPartitionToDiagnostic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ctrl.Run(50_000_000)
+	_, err = workload.Run(nw, ctrl, 50_000_000)
 	if err == nil {
 		t.Fatal("run completed despite the partitioned node")
 	}

@@ -8,6 +8,7 @@ import (
 	"gathernoc/internal/core"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/systolic"
+	"gathernoc/internal/workload"
 )
 
 // TestGoldenDeterminism pins the simulator's exact cycle counts for a
@@ -115,14 +116,15 @@ func TestGoldenCollectives(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ctl, err := collective.NewController(nw, collective.Config{
+					ctl, err := collective.NewDriver(nw, collective.Config{
 						Op: op, Algorithm: collective.AlgTree, Rounds: 2, ComputeLatency: 10,
 					})
 					if err != nil {
 						nw.Close()
 						t.Fatal(err)
 					}
-					res, err := ctl.Run(1_000_000)
+					cycles, err := workload.Run(nw, ctl, 1_000_000)
+					res := ctl.Result(cycles)
 					nw.Close()
 					if err != nil {
 						t.Fatal(err)

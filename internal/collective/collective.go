@@ -28,8 +28,9 @@
 //     constant-length packets carrying ready sums.
 //
 // Every level of every round is checked bit for bit against a
-// reduce.Oracle, and the driver implements workload.Driver, so pipelines
-// can issue a collective phase like any other traffic stage. Rounds are
+// reduce.Oracle, and the driver implements workload.Driver: it runs alone
+// under workload.Run (then Driver.Result), and pipelines issue it as a
+// phase like any other traffic stage (then Driver.Snapshot). Rounds are
 // sequenced by the shared round loop (internal/round, DESIGN.md §8).
 package collective
 

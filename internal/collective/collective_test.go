@@ -166,19 +166,28 @@ func TestTreePlanDeadMasks(t *testing.T) {
 	})
 }
 
-// runCollective executes one standalone collective run and applies the
+// runAlone is workload.Run, which imports this package: every delivery to
+// d, d started at the current cycle and registered until it drains.
+func runAlone(nw *noc.Network, d *Driver, maxCycles int64) (int64, error) {
+	nw.OnReceive(d.OnPacket)
+	d.Start(nw.Engine().Cycle())
+	return nw.Engine().RunWith(d, d.Drained, maxCycles)
+}
+
+// runCollective executes one collective run alone and applies the
 // invariant checks every cell of the matrix must satisfy.
 func runCollective(t *testing.T, cfg noc.Config, ccfg Config) *Result {
 	t.Helper()
 	nw := newNetwork(t, cfg)
-	d, err := NewController(nw, ccfg)
+	d, err := NewDriver(nw, ccfg)
 	if err != nil {
-		t.Fatalf("NewController: %v", err)
+		t.Fatalf("NewDriver: %v", err)
 	}
-	res, err := d.Run(200_000)
+	cycles, err := runAlone(nw, d, 200_000)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	res := d.Result(cycles)
 	if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
 		t.Fatalf("oracle errors %d, broadcast errors %d", res.OracleErrors, res.BroadcastErrors)
 	}

@@ -81,27 +81,6 @@ type Driver struct {
 	res    Result
 }
 
-// NewController prepares a standalone collective run on nw: the driver
-// wires itself as the receive callback of every NIC and sink and starts
-// round 0 at cycle 0. Use NewDriver for scheduler-admitted phases.
-func NewController(nw *noc.Network, cfg Config) (*Driver, error) {
-	d, err := NewDriver(nw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	topo := nw.Topology()
-	for id := 0; id < topo.NumNodes(); id++ {
-		nw.NIC(topology.NodeID(id)).OnReceive(d.OnPacket)
-	}
-	if nw.Config().EastSinks {
-		for row := 0; row < d.rows; row++ {
-			nw.Sink(row).OnReceive(d.OnPacket)
-		}
-	}
-	d.Start(0)
-	return d, nil
-}
-
 // ErrLossyMulticast reports a collective whose broadcast leg travels as one
 // multicast packet (Broadcast and AllReduce under AlgTree and AlgFused) on
 // a fabric that drops or corrupts flits. The NIC's retransmission resends a
@@ -111,10 +90,11 @@ func NewController(nw *noc.Network, cfg Config) (*Driver, error) {
 // not affected.
 var ErrLossyMulticast = errors.New("collective: multicast broadcast leg cannot recover from flit loss")
 
-// NewDriver prepares a collective phase for a workload scheduler:
-// identical plans and round bookkeeping, but no receive callbacks are
-// wired (the scheduler dispatches this phase's packets to OnPacket by
-// tag) and the first round starts at Start, not construction.
+// NewDriver prepares a collective run on nw: the tree plan and round
+// bookkeeping. It wires no receive callback and opens no round; whoever
+// runs the driver (workload.Run, or a workload.Scheduler that dispatches
+// this phase's packets by tag) delivers its packets to OnPacket and calls
+// Start.
 func NewDriver(nw *noc.Network, cfg Config) (*Driver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -355,9 +335,9 @@ func (d *Driver) maybeBroadcast(cycle int64) {
 }
 
 // OnPacket records one arriving packet and dispatches its payloads
-// (standalone: the wired receive callback; scheduler: the dispatch target
-// for this phase's tag). Broadcast receipts are attributed to the
-// ejecting node (ReceivedPacket.At); payloads tagged for another driver —
+// (workload.Run wires it as the receive callback; a scheduler dispatches
+// this phase's tagged packets to it). Broadcast receipts are attributed to
+// the ejecting node (ReceivedPacket.At); payloads tagged for another driver —
 // picked up en route by this phase's collective packet — are routed
 // through the foreign handler instead. A delivery is what can move the round
 // on, so it wakes the round loop.
@@ -455,21 +435,10 @@ func (d *Driver) onColumnOperand(pl flit.Payload) {
 	}
 }
 
-// Run registers the driver with the network's engine for the length of the
-// run and executes the configured rounds, returning the finalized result.
-// Call at most once, on a standalone controller (NewController).
-func (d *Driver) Run(maxCycles int64) (*Result, error) {
-	cycles, err := d.Loop.Run(d.nw.Engine(), maxCycles)
-	if err != nil {
-		return nil, fmt.Errorf("collective: %s/%s on %dx%d: %w",
-			d.cfg.Op, d.cfg.Algorithm, d.rows, d.cols, err)
-	}
-	return d.result(cycles), nil
-}
-
-// result finalizes the run-wide result: network counters plus the flits
-// that crossed the tree root's ejection point.
-func (d *Driver) result(cycles int64) *Result {
+// Result finalizes the run-wide result of a driver run alone, cycles long:
+// network counters plus the flits that crossed the tree root's ejection
+// point. Call it once, after Drained.
+func (d *Driver) Result(cycles int64) *Result {
 	r := &d.res
 	r.Cycles = cycles
 	r.Activity = d.nw.Activity()

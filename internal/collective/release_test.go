@@ -45,7 +45,7 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 		for _, alg := range []Algorithm{AlgTree, AlgFlat} { // gather and repetitive unicast
 			t.Run(fmt.Sprintf("%dx%d/%s", mesh, mesh, alg), func(t *testing.T) {
 				nw := newNetwork(t, noc.DefaultConfig(mesh, mesh))
-				d, err := NewController(nw, Config{Op: Reduce, Algorithm: alg, Rounds: 3, ComputeLatency: 20})
+				d, err := NewDriver(nw, Config{Op: Reduce, Algorithm: alg, Rounds: 3, ComputeLatency: 20})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,12 +58,8 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 					}
 					d.OnPacket(p)
 				}
-				for id := 0; id < mesh*mesh; id++ {
-					nw.NIC(topology.NodeID(id)).OnReceive(record)
-				}
-				for row := 0; row < mesh; row++ {
-					nw.Sink(row).OnReceive(record)
-				}
+				nw.OnReceive(record)
+				d.Start(0)
 				clock := &roundClock{d: d, opened: []int64{0}}
 				nw.Engine().AddTicker(clock)
 				if _, err := nw.Engine().RunUntil(d.Done, 1_000_000); err != nil {

@@ -12,6 +12,7 @@ import (
 	"gathernoc/internal/noc"
 	"gathernoc/internal/power"
 	"gathernoc/internal/systolic"
+	"gathernoc/internal/workload"
 )
 
 // Options tune a layer run. The zero value selects the paper's defaults.
@@ -19,13 +20,6 @@ type Options struct {
 	// Rounds is how many systolic rounds to simulate before extrapolation
 	// (0 = 2).
 	Rounds int
-	// ExactRounds simulates every round of the layer (slow on real
-	// layers).
-	ExactRounds bool
-	// TMAC overrides the MAC latency (0 = Table I's 5).
-	TMAC int
-	// MaxCycles bounds a single run (0 = 50M).
-	MaxCycles int64
 	// MutateNetwork, when non-nil, adjusts the network configuration
 	// before construction (ablations).
 	MutateNetwork func(*noc.Config)
@@ -42,19 +36,12 @@ func (o Options) rounds() int {
 	return o.Rounds
 }
 
-func (o Options) tmac() int {
-	if o.TMAC == 0 {
-		return 5
-	}
-	return o.TMAC
-}
-
-func (o Options) maxCycles() int64 {
-	if o.MaxCycles == 0 {
-		return 50_000_000
-	}
-	return o.MaxCycles
-}
+// tmac is the MAC latency of every layer run (Table I), and maxCycles the
+// cycle budget of one simulation.
+const (
+	tmac      = 5
+	maxCycles = 50_000_000
+)
 
 func (o Options) coefficients() power.Coefficients {
 	if o.Coefficients != nil {
@@ -80,11 +67,10 @@ func (o Options) networkConfig(rows, cols int) noc.Config {
 
 func (o Options) systolicConfig(layer cnn.LayerConfig, mode systolic.Mode) systolic.Config {
 	cfg := systolic.Config{
-		Layer:             layer,
-		Mode:              mode,
-		TMAC:              o.tmac(),
-		MaxRounds:         o.rounds(),
-		SimulateAllRounds: o.ExactRounds,
+		Layer:     layer,
+		Mode:      mode,
+		TMAC:      tmac,
+		MaxRounds: o.rounds(),
 	}
 	if o.MutateSystolic != nil {
 		o.MutateSystolic(&cfg)
@@ -130,10 +116,10 @@ func simulate(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	res, err := ctl.Run(opts.maxCycles())
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if _, err := workload.Run(nw, ctl, maxCycles); err != nil {
+		return nil, fmt.Errorf("core: systolic: %s %s on %dx%d: %w", layer.Name, mode, rows, cols, err)
 	}
+	res := ctl.Result()
 	if res.PayloadErrors != 0 {
 		return nil, fmt.Errorf("core: %s/%s on %dx%d: %d payload integrity errors",
 			layer.Name, mode, rows, cols, res.PayloadErrors)
@@ -221,14 +207,14 @@ func Compare(rows, cols int, layer cnn.LayerConfig, opts Options, ru, g *systoli
 		c.LatencyImprovementPct = float64(ru.TotalCycles-g.TotalCycles) / float64(g.TotalCycles) * 100
 	}
 	c.PowerImprovementPct = power.ImprovementPercent(c.RU.Energy.NoCPJ, c.Gather.Energy.NoCPJ)
-	c.EstimatedImprovementPct = EstimateParams(cfg, layer, opts.tmac()).Improvement()
+	c.EstimatedImprovementPct = EstimateParams(cfg, layer, tmac).Improvement()
 	return c
 }
 
 // EstimateParams builds the Eq. (2)–(4) parameter set matching a network
 // configuration and layer (ideal terms: tδ = ΔR = ΔG = 0).
 func EstimateParams(cfg noc.Config, layer cnn.LayerConfig, tmac int) analytic.Params {
-	format, err := flitFormat(cfg)
+	format, err := cfg.Format()
 	gflits := 4
 	if err == nil {
 		gflits = format.GatherFlits(cfg.EffectiveGatherCapacity())

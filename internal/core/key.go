@@ -47,7 +47,7 @@ func ComparisonKey(rows, cols int, layer cnn.LayerConfig, opts Options) (string,
 		NetworkHash:  opts.networkConfig(rows, cols).Hash(),
 		RU:           opts.systolicConfig(layer, systolic.RepetitiveUnicast),
 		Gather:       opts.systolicConfig(layer, systolic.GatherMode),
-		MaxCycles:    opts.maxCycles(),
+		MaxCycles:    maxCycles,
 		Coefficients: opts.coefficients(),
 	}
 	data, err := json.Marshal(k)

@@ -26,7 +26,7 @@ func keyFor(t *testing.T, opts Options) string {
 // mutator at all — semantically identical runs share one cache entry.
 func TestComparisonKeyNormalizesDefaults(t *testing.T) {
 	implicit := keyFor(t, Options{})
-	explicit := keyFor(t, Options{Rounds: 2, TMAC: 5, MaxCycles: 50_000_000})
+	explicit := keyFor(t, Options{Rounds: 2})
 	if implicit != explicit {
 		t.Errorf("explicit defaults changed the key:\n%s\nvs\n%s", implicit, explicit)
 	}
@@ -45,8 +45,6 @@ func TestComparisonKeySeparatesInputs(t *testing.T) {
 	seen := map[string]string{"base": base}
 	for name, opts := range map[string]Options{
 		"rounds":  {Rounds: 3},
-		"tmac":    {TMAC: 7},
-		"exact":   {ExactRounds: true},
 		"network": {MutateNetwork: func(c *noc.Config) { c.Router.VCs = 2 }},
 	} {
 		key := keyFor(t, opts)
@@ -82,4 +80,28 @@ func mustLayer(t *testing.T, name string) cnn.LayerConfig {
 		t.Fatalf("layer %s missing", name)
 	}
 	return l
+}
+
+// conv1Key is the key of AlexNet Conv1 on the 8x8 mesh at Options{Rounds:
+// 1}, byte for byte. The T_MAC, exact-rounds and cycle-budget defaults are
+// constants, not Options fields, but the key still spells them out, so
+// cache entries written under earlier builds keep their paths.
+const conv1Key = `{"Version":"gathernoc/core.Comparison/v1","Rows":8,"Cols":8,` +
+	`"NetworkHash":"5e8dbdd5a2b9e45e794dcac6ddf513c8f92da1a37c27493ddfabdfc9887cc8d7",` +
+	`"RU":{"Layer":{"Model":"AlexNet","Name":"Conv1","Kind":0,"InChannels":3,"OutKernels":64,"Kernel":11,"InputSize":224,"OutputSize":55,"Stride":4,"Pad":2},` +
+	`"Mode":1,"Dataflow":0,"TMAC":5,"MaxRounds":1,"SimulateAllRounds":false,"FlatDelta":false,"SkewPerHop":0},` +
+	`"Gather":{"Layer":{"Model":"AlexNet","Name":"Conv1","Kind":0,"InChannels":3,"OutKernels":64,"Kernel":11,"InputSize":224,"OutputSize":55,"Stride":4,"Pad":2},` +
+	`"Mode":2,"Dataflow":0,"TMAC":5,"MaxRounds":1,"SimulateAllRounds":false,"FlatDelta":false,"SkewPerHop":0},` +
+	`"MaxCycles":50000000,` +
+	`"Coefficients":{"BufferWrite":0.75,"BufferRead":0.65,"RouteCompute":0.08,"VAAllocation":0.12,"SAArbitration":0.1,` +
+	`"CrossbarTraversal":1.2,"LinkTraversal":1.75,"GatherUpload":0.05,"ReduceMerge":0.18,"StreamHop":4.35,"MAC":0.9}}`
+
+func TestComparisonKeyBytesPinned(t *testing.T) {
+	key, err := ComparisonKey(8, 8, mustLayer(t, "Conv1"), Options{Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != conv1Key {
+		t.Errorf("key moved:\n got %s\nwant %s", key, conv1Key)
+	}
 }

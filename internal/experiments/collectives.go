@@ -10,6 +10,7 @@ import (
 	"gathernoc/internal/noc"
 	"gathernoc/internal/power"
 	"gathernoc/internal/traffic"
+	"gathernoc/internal/workload"
 )
 
 // CollectiveRow is one cell of the mesh-wide collective comparison: an
@@ -93,7 +94,7 @@ func runCollectivePoint(p collectivePoint, opts Options) (CollectiveRow, error) 
 	if p.alg == 0 {
 		return runCollectiveBaseline(nw, p.mesh, rounds)
 	}
-	ctl, err := collective.NewController(nw, collective.Config{
+	ctl, err := collective.NewDriver(nw, collective.Config{
 		Op:             collective.AllReduce,
 		Algorithm:      p.alg,
 		Rounds:         rounds,
@@ -102,10 +103,11 @@ func runCollectivePoint(p collectivePoint, opts Options) (CollectiveRow, error) 
 	if err != nil {
 		return CollectiveRow{}, err
 	}
-	res, err := ctl.Run(50_000_000)
+	cycles, err := workload.Run(nw, ctl, 50_000_000)
 	if err != nil {
 		return CollectiveRow{}, fmt.Errorf("allreduce %s %dx%d: %w", p.alg, p.mesh, p.mesh, err)
 	}
+	res := ctl.Result(cycles)
 	if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
 		return CollectiveRow{}, fmt.Errorf("allreduce %s %dx%d: %d oracle / %d broadcast errors",
 			p.alg, p.mesh, p.mesh, res.OracleErrors, res.BroadcastErrors)
@@ -136,10 +138,11 @@ func runCollectiveBaseline(nw *noc.Network, mesh, rounds int) (CollectiveRow, er
 	if err != nil {
 		return CollectiveRow{}, err
 	}
-	res, err := ctl.Run(50_000_000)
+	cycles, err := workload.Run(nw, ctl, 50_000_000)
 	if err != nil {
 		return CollectiveRow{}, fmt.Errorf("rowgather %dx%d: %w", mesh, mesh, err)
 	}
+	res := ctl.Result(cycles)
 	if res.OracleErrors != 0 {
 		return CollectiveRow{}, fmt.Errorf("rowgather %dx%d: %d oracle errors", mesh, mesh, res.OracleErrors)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/core"
-	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/topology"
@@ -285,7 +284,7 @@ func RenderTable1(rows, cols int) string {
 	fmt.Fprintf(&b, "  Router Pipeline     RC/VA/SA+ST/link (kappa=%d cycles/hop)\n", cfg.HeaderHopLatency())
 	fmt.Fprintf(&b, "  Buffer Depth        %d flits\n", cfg.Router.BufferDepth)
 	gflits := 4
-	if f, err := formatFor(cfg); err == nil {
+	if f, err := cfg.Format(); err == nil {
 		gflits = f.GatherFlits(cfg.EffectiveGatherCapacity())
 	}
 	fmt.Fprintf(&b, "  Packet Size         Gather: %d flits, Other: %d flits\n", gflits, cfg.UnicastFlits)
@@ -308,10 +307,4 @@ func RenderTable3() string {
 		fmt.Fprintf(&b, "  %s\n", l)
 	}
 	return b.String()
-}
-
-// formatFor mirrors the network's flit-format construction for the
-// Table I rendering.
-func formatFor(cfg noc.Config) (*flit.Format, error) {
-	return flit.NewFormat(cfg.FlitBits, cfg.PayloadBits, cfg.Rows*cfg.Cols+cfg.Rows)
 }

@@ -115,8 +115,11 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 		return MixedTrafficRow{}, err
 	}
 
+	// Two untagged workloads share the fabric, so the deliveries are split
+	// by endpoint, not by tag: the layer's results eject at the sinks, the
+	// background packets at the NICs.
 	if rate > 0 {
-		gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
+		gen, err := traffic.NewGeneratorDriver(nw, traffic.GeneratorConfig{
 			Pattern:       traffic.UniformRandom{Nodes: nw.Mesh().NumNodes()},
 			InjectionRate: rate,
 			PacketFlits:   cfg.UnicastFlits,
@@ -127,13 +130,20 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 		if err != nil {
 			return MixedTrafficRow{}, err
 		}
+		for id := 0; id < nw.Mesh().NumNodes(); id++ {
+			nw.NIC(topology.NodeID(id)).OnReceive(gen.OnPacket)
+		}
+		gen.Start(0)
 		nw.Engine().AddTicker(gen)
 	}
-
-	res, err := ctl.Run(50_000_000)
-	if err != nil {
+	for row := 0; row < cfg.Rows; row++ {
+		nw.Sink(row).OnReceive(ctl.OnPacket)
+	}
+	ctl.Start(0)
+	if _, err := nw.Engine().RunWith(ctl, ctl.Drained, 50_000_000); err != nil {
 		return MixedTrafficRow{}, fmt.Errorf("mixed rate=%v dedicated=%v: %w", rate, dedicated, err)
 	}
+	res := ctl.Result()
 	if res.PayloadErrors != 0 {
 		return MixedTrafficRow{}, fmt.Errorf("mixed rate=%v dedicated=%v: %d payload errors",
 			rate, dedicated, res.PayloadErrors)

@@ -9,6 +9,7 @@ import (
 	"gathernoc/internal/noc"
 	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
+	"gathernoc/internal/workload"
 )
 
 // FaultSweepRow is one point of the degradation-under-loss sweep: a
@@ -95,10 +96,11 @@ func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (Fa
 	if err != nil {
 		return FaultSweepRow{}, err
 	}
-	res, err := ctl.Run(20_000_000)
+	cycles, err := workload.Run(nw, ctl, 20_000_000)
 	if err != nil {
 		return FaultSweepRow{}, err
 	}
+	res := ctl.Result(cycles)
 	row := FaultSweepRow{
 		Scheme:        scheme.String(),
 		DropRate:      rate,

@@ -9,6 +9,7 @@ import (
 	"gathernoc/internal/noc"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/traffic"
+	"gathernoc/internal/workload"
 )
 
 // INARow is one cell of the in-network-accumulation comparison: a layer's
@@ -94,10 +95,11 @@ func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 	if err != nil {
 		return INARow{}, err
 	}
-	res, err := ctl.Run(50_000_000)
+	cycles, err := workload.Run(nw, ctl, 50_000_000)
 	if err != nil {
 		return INARow{}, fmt.Errorf("%s %s %dx%d: %w", p.layer.Name, p.scheme, p.mesh, p.mesh, err)
 	}
+	res := ctl.Result(cycles)
 	if res.OracleErrors != 0 {
 		return INARow{}, fmt.Errorf("%s %s %dx%d: %d oracle errors",
 			p.layer.Name, p.scheme, p.mesh, p.mesh, res.OracleErrors)

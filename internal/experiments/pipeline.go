@@ -40,11 +40,6 @@ type PipelineRow struct {
 	TelemetryEvents int
 }
 
-// pipelineTMAC is the MAC latency entering every pipeline arm's per-round
-// compute time (the paper's T_MAC = 5). The analytic and scheduler arms
-// must share it, or the reconciliation gate between them drifts.
-const pipelineTMAC = 5
-
 // pipelinePoint is one cell of the comparison sweep.
 type pipelinePoint struct {
 	topology string
@@ -109,7 +104,9 @@ func analyticComposition(row PipelineRow, layers []cnn.LayerConfig, opts Options
 }
 
 // analyticLayer runs one layer's accumulation phase alone on a fabric in
-// its just-built state.
+// its just-built state. The phase is the one the scheduler arm admits for
+// the layer (workload.NewPipelineJob), so the two arms share its compute
+// latency by construction.
 func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traffic.AccumulationResult, error) {
 	// The analytic arm intentionally passes a telemetry-free Options: it
 	// runs one fabric per layer, and a per-layer harvest would not compose
@@ -119,16 +116,20 @@ func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traff
 		return nil, err
 	}
 	defer nw.Release()
-	ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
-		Scheme:         traffic.CollectGather,
-		Rounds:         opts.rounds(),
-		TotalRounds:    layer.AccumulationRounds(nw.Config().Rows),
-		ComputeLatency: layer.PartialMACsPerPE(nw.Config().Cols) + pipelineTMAC,
+	_, drivers, err := workload.NewPipelineJob(nw, layer.Name, workload.PipelineConfig{
+		Layers: []cnn.LayerConfig{layer},
+		Scheme: traffic.CollectGather,
+		Rounds: opts.rounds(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ctl.Run(10_000_000)
+	ctl := drivers[0]
+	cycles, err := workload.Run(nw, ctl, 10_000_000)
+	if err != nil {
+		return nil, err
+	}
+	return ctl.Result(cycles), nil
 }
 
 // pipelineRun composes the whole model on one fabric through the
@@ -143,7 +144,6 @@ func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts O
 		Layers:  layers,
 		Scheme:  traffic.CollectGather,
 		Rounds:  opts.rounds(),
-		TMAC:    pipelineTMAC,
 		Overlap: overlap,
 	})
 	if err != nil {

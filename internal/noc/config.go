@@ -261,6 +261,14 @@ func (c Config) EffectiveReduceDelta() int64 {
 	return c.Delta
 }
 
+// Format derives the flit format of a network of this configuration: the
+// flit and payload widths over Rows·Cols nodes plus one sink id per row. New
+// builds the network's format with it, and the analytic models read it
+// without building a network.
+func (c Config) Format() (*flit.Format, error) {
+	return flit.NewFormat(c.FlitBits, c.PayloadBits, c.Rows*c.Cols+c.Rows)
+}
+
 // HeaderHopLatency returns κ, the per-hop latency of a header flit through
 // an uncontended router and its outgoing link.
 func (c Config) HeaderHopLatency() int {

@@ -150,7 +150,7 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("noc: adaptive routing %q with %d VC classes is unsupported (see DESIGN.md §7)",
 			routing.Name(), routing.VCClasses())
 	}
-	format, err := flit.NewFormat(cfg.FlitBits, cfg.PayloadBits, topo.NumNodes()+cfg.Rows)
+	format, err := cfg.Format()
 	if err != nil {
 		return nil, err
 	}
@@ -688,6 +688,20 @@ func (nw *Network) Sink(row int) *EdgeSink {
 		return nil
 	}
 	return nw.sinks[row]
+}
+
+// OnReceive installs fn as the completed-packet callback of every NIC and
+// every edge sink, so every packet the fabric delivers reaches fn; nil
+// clears them all. It is the one owner of the receive callbacks: the
+// workload scheduler and workload.Run install theirs through it, and a
+// reset clears them through it.
+func (nw *Network) OnReceive(fn func(*nic.ReceivedPacket)) {
+	for _, n := range nw.nics {
+		n.OnReceive(fn)
+	}
+	for _, s := range nw.sinks {
+		s.OnReceive(fn)
+	}
 }
 
 // RowSinkID returns the virtual node id addressing the global-buffer sink

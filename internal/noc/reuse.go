@@ -279,13 +279,12 @@ func (nw *Network) reset() error {
 		}
 		n.SetDelta(nw.nicCfg.Delta)
 		n.SetReduceDelta(nw.nicCfg.ReduceDelta)
-		n.OnReceive(nil)
 	}
 	for _, s := range nw.sinks {
 		if err := s.ej.RestoreState(p.sink, numNodes); err != nil {
 			return err
 		}
-		s.OnReceive(nil)
 	}
+	nw.OnReceive(nil)
 	return nil
 }

@@ -212,3 +212,66 @@ func encodedState(t *testing.T, nw *Network) []byte {
 	}
 	return b
 }
+
+// TestOnReceiveReachesEveryEndpoint: Network.OnReceive puts one callback on
+// every NIC and every edge sink, so a packet to each reaches it exactly
+// once; nil clears them all, and so does the reset a network goes through
+// between Release and the next Acquire.
+func TestOnReceiveReachesEveryEndpoint(t *testing.T) {
+	cfg := DefaultConfig(4, 4)
+	cfg.Delta = 78 // a Config no other test pools
+	nw, err := Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[topology.NodeID]int{}
+	count := func(p *nic.ReceivedPacket) { got[p.Dst]++ }
+	// deliver sends one packet to every NIC, each from the next node, and
+	// one to every sink, from its row's west PE, and runs them out.
+	deliver := func(nw *Network) {
+		t.Helper()
+		n := nw.Topology().NumNodes()
+		for id := 0; id < n; id++ {
+			nw.NIC(topology.NodeID((id+1)%n)).SendUnicast(0, topology.NodeID(id))
+		}
+		for row := 0; row < cfg.Rows; row++ {
+			nw.NIC(nw.Topology().ID(topology.Coord{Row: row})).SendUnicast(0, nw.RowSinkID(row))
+		}
+		if _, err := nw.RunUntilQuiescent(100_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	nw.OnReceive(count)
+	deliver(nw)
+	if want := nw.Topology().NumNodes() + cfg.Rows; len(got) != want {
+		t.Fatalf("%d endpoints reached the callback, want %d", len(got), want)
+	}
+	for id, k := range got {
+		if k != 1 {
+			t.Errorf("endpoint %d reached the callback %d times", id, k)
+		}
+	}
+
+	clear(got)
+	nw.OnReceive(nil)
+	deliver(nw)
+	if len(got) != 0 {
+		t.Errorf("after OnReceive(nil), %d endpoints still reached the callback", len(got))
+	}
+
+	nw.OnReceive(count)
+	nw.Release()
+	again, err := Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Release()
+	if again != nw {
+		t.Fatal("the released network was not parked and handed out again")
+	}
+	deliver(again)
+	if len(got) != 0 {
+		t.Errorf("after Release and Acquire, %d endpoints still reached the callback", len(got))
+	}
+}

@@ -4,7 +4,9 @@
 // is complete, open the next round. systolic.Controller,
 // traffic.AccumulationController and collective.Driver embed a Loop by value
 // and supply Hooks; what travels in a round, which NIC call carries it and
-// how completion is judged stay with them (DESIGN.md §8).
+// how completion is judged stay with them (DESIGN.md §8). The Loop supplies
+// the workload.Driver methods they share, so each runs alone under
+// workload.Run or as one phase of a workload.Scheduler.
 package round
 
 import (
@@ -27,7 +29,7 @@ type Hooks interface {
 	// Advance runs in every cycle of an open round in which the loop is
 	// ticked, after that cycle's releases: the controller does its remaining
 	// work (relays, a broadcast leg) and reports whether the round is
-	// complete. Standalone the loop sleeps between the cycles that can
+	// complete. Run alone the loop sleeps between the cycles that can
 	// change the answer (see Tick), so what Advance does may depend only on
 	// the operands released and the deliveries announced with Wake since it
 	// last ran, and on the clock reaching a cycle announced with WakeAt.
@@ -100,7 +102,7 @@ func (l *Loop) WakeAt(cycle int64) { l.named = min(l.named, cycle) }
 // reproduces the untagged encodings bit for bit.
 func (l *Loop) SetTag(t flit.Tag) { l.tag = t }
 
-// Tag returns the workload tag (zero standalone).
+// Tag returns the workload tag (zero when run alone).
 func (l *Loop) Tag() flit.Tag { return l.tag }
 
 // SetForeignPayloadHandler installs the hook Route hands other controllers'
@@ -221,9 +223,3 @@ func (l *Loop) Injected() bool {
 // Drained reports whether every round has closed (workload.Driver: barrier
 // successors may start).
 func (l *Loop) Drained() bool { return l.done }
-
-// Run registers the loop with the engine for the length of the run and
-// steps until every round has closed, returning the engine cycle at exit.
-func (l *Loop) Run(e *sim.Engine, maxCycles int64) (int64, error) {
-	return e.RunWith(l, l.Done, maxCycles)
-}

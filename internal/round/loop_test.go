@@ -248,28 +248,35 @@ func TestRouteForeignPayloads(t *testing.T) {
 	}
 }
 
-// Run ticks the loop on an engine until the last round closes and leaves no
-// ticker behind; a budget too small for the rounds is an error.
+// Registered with an engine for the length of a run (Engine.RunWith, what
+// workload.Run does), the loop is ticked until the last round closes and
+// leaves no ticker behind. It holds its wake handle, so it sleeps through
+// each round's compute stretch and the engine jumps it: the loop is
+// evaluated in fewer cycles than the run lasts. A budget too small for the
+// rounds is an error.
 func TestRunOnEngine(t *testing.T) {
 	f := newFake(4, 2, 3, staggered)
 	e := sim.NewEngine()
 	f.l.Start(0)
 	mark := e.Mark()
-	cycles, err := f.l.Run(e, 1000)
+	cycles, err := e.RunWith(f.l, f.l.Done, 1000)
 	if err != nil || !f.l.Done() {
-		t.Fatalf("Run: %v, done %v", err, f.l.Done())
+		t.Fatalf("RunWith: %v, done %v", err, f.l.Done())
 	}
 	// The closing tick runs in the step that takes the engine to cycles.
 	if last := f.opened[1] + f.closed[1]; cycles != last+1 {
-		t.Fatalf("Run returned cycle %d, want %d", cycles, last+1)
+		t.Fatalf("RunWith returned cycle %d, want %d", cycles, last+1)
 	}
 	if e.Mark() != mark {
-		t.Fatal("Run left its ticker registered")
+		t.Fatal("RunWith left the loop registered")
+	}
+	if e.Jumps() == 0 || e.Evaluated() >= uint64(cycles) {
+		t.Fatalf("the loop never slept: %d jumps, %d evaluations in %d cycles", e.Jumps(), e.Evaluated(), cycles)
 	}
 
 	f = newFake(4, 2, 3, staggered)
 	f.l.Start(0)
-	if _, err := f.l.Run(sim.NewEngine(), 10); err == nil {
-		t.Fatal("Run within 10 cycles: no error")
+	if _, err := sim.NewEngine().RunWith(f.l, f.l.Done, 10); err == nil {
+		t.Fatal("RunWith within 10 cycles: no error")
 	}
 }

@@ -744,8 +744,8 @@ func (e *Engine) RunUntil(done func() bool, maxCycles int64) (int64, error) {
 // RunWith is RunUntil with driver registered as a ticker for the length of
 // the run: added after everything registered so far, and dropped again
 // (Truncate), along with anything registered meanwhile, when the run ends,
-// however it ends. It is what the workload controllers' Run methods use, so
-// a controller whose run is over no longer ticks. A driver that sleeps (an
+// however it ends. It is what workload.Run and the remaining Run methods
+// use, so a controller whose run is over no longer ticks. A driver that sleeps (an
 // Idler with a SetWake method) is handed the handle of its registration.
 func (e *Engine) RunWith(driver Ticker, done func() bool, maxCycles int64) (int64, error) {
 	defer e.Truncate(e.Mark())

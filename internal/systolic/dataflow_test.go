@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gathernoc/internal/noc"
+	"gathernoc/internal/workload"
 )
 
 func runDataflow(t *testing.T, df Dataflow, mode Mode) *Result {
@@ -18,10 +19,10 @@ func runDataflow(t *testing.T, df Dataflow, mode Mode) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(10_000_000)
-	if err != nil {
+	if _, err := workload.Run(nw, ctl, 10_000_000); err != nil {
 		t.Fatal(err)
 	}
+	res := ctl.Result()
 	return res
 }
 

@@ -91,14 +91,13 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					var got []release
-					for row := 0; row < mesh; row++ {
-						nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) {
-							for _, pl := range p.Payloads {
-								got = append(got, release{pl.Src, pl.ReadyCycle, pl.Seq})
-							}
-							c.onPacket(p)
-						})
-					}
+					nw.OnReceive(func(p *nic.ReceivedPacket) {
+						for _, pl := range p.Payloads {
+							got = append(got, release{pl.Src, pl.ReadyCycle, pl.Seq})
+						}
+						c.OnPacket(p)
+					})
+					c.Start(0)
 					shadow := &scanShadow{c: c, doneAt: make([]int64, mesh*mesh), submitted: make([]bool, mesh*mesh)}
 					shadow.open(0)
 					nw.Engine().AddTicker(shadow)

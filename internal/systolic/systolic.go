@@ -14,8 +14,10 @@
 // Streaming energy is accounted as operand-hops for the power model, since
 // the paper's Orion traces include the streamed operands (DESIGN.md §3).
 // Rounds are sequenced by the shared round loop (internal/round,
-// DESIGN.md §8); results enter the network through its one sender side
-// (noc.Network.Submit over a noc.LineCollect row plan, DESIGN.md §7).
+// DESIGN.md §8), so a layer is a workload.Driver: run alone by workload.Run
+// or scheduled as one phase beside others. Results enter the network
+// through its one sender side (noc.Network.Submit over a noc.LineCollect
+// row plan, DESIGN.md §7).
 package systolic
 
 import (
@@ -233,9 +235,10 @@ func (r *Result) ScaleFactor() float64 {
 // embedded round.Loop (DESIGN.md §8), the controller supplies the completion
 // schedule, the result payloads and the global buffer's integrity check, and
 // releases each result through the network's row plans (noc.Network.Submit,
-// the sender side of Algorithm 1).
-// Call Run, or register it as an engine ticker (after the network's own
-// components) and drive it via Tick/Done.
+// the sender side of Algorithm 1). It is a workload.Driver (plus the
+// PacketSink, Taggable and ForeignPayloadRouter wiring interfaces): run it
+// alone with workload.Run, or as a workload.Scheduler phase, then read
+// Result.
 type Controller struct {
 	round.Loop
 
@@ -255,9 +258,10 @@ type Controller struct {
 	res Result
 }
 
-// NewController prepares a layer run on nw. It wires the sink callbacks
-// and plans each row's collection at its sink (δ scaled by distance from the
-// row's gather initiator, DESIGN.md §3).
+// NewController prepares a layer run on nw: it plans each row's collection
+// at its sink (δ scaled by distance from the row's gather initiator,
+// DESIGN.md §3). It wires no receive callback and opens no round; whoever
+// runs the controller delivers its packets to OnPacket and calls Start.
 func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -305,47 +309,33 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 			}
 		}
 	}
-
-	for row := 0; row < c.rows; row++ {
-		sink := nw.Sink(row)
-		sink.OnReceive(c.onPacket)
-	}
-
-	c.Start(0)
 	return c, nil
 }
 
-// onPacket accounts results arriving at the global buffer and checks
+// OnPacket accounts results arriving at the global buffer and checks
 // payload integrity: every PE's payload must arrive exactly once per
 // round, whatever mix of gather, self-initiated-gather and unicast packets
-// carried it. A delivery is what can complete the round, so it wakes the
-// round loop.
-func (c *Controller) onPacket(p *nic.ReceivedPacket) {
+// carried it. Payloads tagged for another controller, picked up en route by
+// this layer's gather packet, go home through the foreign handler
+// (round.Loop.Route). A delivery is what can complete the round, so it
+// wakes the round loop.
+func (c *Controller) OnPacket(p *nic.ReceivedPacket) {
 	c.Wake()
-	for _, pl := range p.Payloads {
-		if c.seenSeq[pl.Seq] || c.seenSrc[pl.Src] {
-			c.payloadErrs++
-			continue
-		}
-		c.seenSeq[pl.Seq] = true
-		c.seenSrc[pl.Src] = true
-		c.collected++
-	}
+	c.Route(p, c.onPayload)
 	if p.PT == flit.Unicast && len(p.Payloads) == 0 {
 		// A result packet without its payload is an integrity failure.
 		c.payloadErrs++
 	}
 }
 
-// Run registers the controller with the network's engine for the length of
-// the run and executes the configured rounds, returning the finalized
-// result. Call at most once.
-func (c *Controller) Run(maxCycles int64) (*Result, error) {
-	if _, err := c.Loop.Run(c.nw.Engine(), maxCycles); err != nil {
-		return nil, fmt.Errorf("systolic: %s %s on %dx%d: %w",
-			c.cfg.Layer.Name, c.cfg.Mode, c.rows, c.cols, err)
+func (c *Controller) onPayload(pl flit.Payload) {
+	if c.seenSeq[pl.Seq] || c.seenSrc[pl.Src] {
+		c.payloadErrs++
+		return
 	}
-	return c.Result(), nil
+	c.seenSeq[pl.Seq] = true
+	c.seenSrc[pl.Src] = true
+	c.collected++
 }
 
 // BeginRound resets the buffer's per-round account and declares the
@@ -369,7 +359,7 @@ func (c *Controller) BeginRound(now int64) {
 	}
 }
 
-// Result finalizes and returns the run summary. Call after Done.
+// Result finalizes and returns the run summary. Call after Drained.
 func (c *Controller) Result() *Result {
 	r := c.res
 	r.Activity = c.nw.Activity()
@@ -405,7 +395,10 @@ func (c *Controller) Result() *Result {
 
 // Inject releases PE id's result toward its row's global-buffer port
 // (round.Hooks): a unicast packet under RU; under gather the row's initiator
-// launches the gather packet and the others offer their payload to it.
+// launches the gather packet and the others offer their payload to it. The
+// payload's ReduceID carries the workload tag for Route; gather pickup
+// matches on destination and unicast ignores it, so no schedule depends on
+// it.
 func (c *Controller) Inject(id int, cycle int64) {
 	node := topology.NodeID(id)
 	coord := c.nw.Mesh().Coord(node)
@@ -415,6 +408,7 @@ func (c *Controller) Inject(id int, cycle int64) {
 		Bits:       c.nw.Config().PayloadBits,
 		Value:      uint64(id)<<32 | uint64(c.Round()),
 		ReadyCycle: cycle,
+		ReduceID:   flit.TaggedReduceID(c.Tag(), coord.Row, uint32(c.Round())),
 	})
 }
 

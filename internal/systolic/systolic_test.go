@@ -6,6 +6,7 @@ import (
 	"gathernoc/internal/analytic"
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/workload"
 )
 
 func smallLayer() cnn.LayerConfig {
@@ -25,10 +26,10 @@ func runLayer(t *testing.T, rows, cols int, layer cnn.LayerConfig, mode Mode, ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(10_000_000)
-	if err != nil {
+	if _, err := workload.Run(nw, ctl, 10_000_000); err != nil {
 		t.Fatal(err)
 	}
+	res := ctl.Result()
 	return res
 }
 
@@ -142,10 +143,10 @@ func TestExactModeSmallLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(1_000_000)
-	if err != nil {
+	if _, err := workload.Run(nw, ctl, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
+	res := ctl.Result()
 	if int64(res.RoundsSimulated) != res.TotalRounds {
 		t.Errorf("simulated %d of %d rounds in exact mode", res.RoundsSimulated, res.TotalRounds)
 	}

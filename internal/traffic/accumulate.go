@@ -165,31 +165,12 @@ type AccumulationController struct {
 	res AccumulationResult
 }
 
-// NewAccumulationController prepares a standalone accumulation run on nw
-// and wires the row-collection target callbacks.
+// NewAccumulationController prepares an accumulation run on nw: the row
+// plans and round bookkeeping. It wires no receive callback and opens no
+// round; whoever runs the controller (workload.Run, or a workload.Scheduler
+// that dispatches this phase's packets by tag) delivers its packets to
+// OnPacket and calls Start.
 func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*AccumulationController, error) {
-	c, err := NewAccumulationDriver(nw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for row := 0; row < c.rows; row++ {
-		if c.plans[row].TargetIsSink {
-			nw.Sink(row).OnReceive(c.OnPacket)
-		} else {
-			nw.NIC(c.plans[row].Target).OnReceive(c.OnPacket)
-		}
-	}
-	c.Start(0)
-	return c, nil
-}
-
-// NewAccumulationDriver prepares an accumulation phase for a workload
-// scheduler: identical row plans and round bookkeeping, but no receive
-// callbacks are wired (the scheduler dispatches this phase's packets to
-// OnPacket by tag) and the first round starts at Start, not construction.
-// A single-phase scheduler run is bit-identical to the standalone path
-// (DESIGN.md §8).
-func NewAccumulationDriver(nw *noc.Network, cfg AccumulationConfig) (*AccumulationController, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -259,10 +240,10 @@ func (c *AccumulationController) BeginRound(now int64) {
 }
 
 // OnPacket records one arriving packet and folds its payloads into the
-// per-row accounts (standalone: the wired receive callback; scheduler:
-// the dispatch target for this phase's tag). Payloads tagged for another
-// controller — picked up en route by this phase's collective packet — are
-// routed through the foreign handler instead.
+// per-row accounts (workload.Run wires it as the receive callback; a
+// scheduler dispatches this phase's tagged packets to it). Payloads tagged
+// for another controller — picked up en route by this phase's collective
+// packet — are routed through the foreign handler instead.
 func (c *AccumulationController) OnPacket(p *nic.ReceivedPacket) {
 	c.Wake()
 	c.res.PacketLatency.Observe(float64(p.Latency()))
@@ -324,19 +305,11 @@ func (c *AccumulationController) RoundClosed(latency int64) {
 	c.res.RoundCycles.Observe(float64(latency))
 }
 
-// Run registers the controller with the network's engine for the length of
-// the run and executes the configured rounds, returning the finalized
-// result. Call at most once.
-func (c *AccumulationController) Run(maxCycles int64) (*AccumulationResult, error) {
-	cycles, err := c.Loop.Run(c.nw.Engine(), maxCycles)
-	if err != nil {
-		return nil, fmt.Errorf("traffic: accumulation %s on %dx%d: %w",
-			c.cfg.Scheme, c.rows, c.cols, err)
-	}
-	return c.result(cycles), nil
-}
-
-func (c *AccumulationController) result(cycles int64) *AccumulationResult {
+// Result finalizes the run-wide result of a controller run alone, cycles
+// long: the controller-local fields of Snapshot plus the network's counters
+// (activity, merges, δ fallbacks, the collection targets' ejection
+// traffic). Call it once, after Drained.
+func (c *AccumulationController) Result(cycles int64) *AccumulationResult {
 	r := &c.res
 	r.Cycles = cycles
 	r.Activity = c.nw.Activity()
@@ -371,10 +344,10 @@ func (c *AccumulationController) result(cycles int64) *AccumulationResult {
 
 // Snapshot finalizes and returns the controller-local result fields:
 // round and packet latencies, the extrapolated whole-workload totals and
-// the oracle error count. Unlike Run's full result it aggregates no
-// network-wide counters, so it is the accessor scheduler-driven phases use
-// — concurrent phases share those counters and summing them per phase
-// would double-count.
+// the oracle error count. Unlike Result it aggregates no network-wide
+// counters, so it is the accessor scheduler-driven phases use — concurrent
+// phases share those counters and summing them per phase would
+// double-count.
 func (c *AccumulationController) Snapshot() *AccumulationResult {
 	r := &c.res
 	if r.RoundCycles.N() > 0 {

@@ -3,8 +3,17 @@ package traffic
 import (
 	"testing"
 
+	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
 )
+
+// runAlone is workload.Run, which imports this package: every delivery to
+// c, c started at the current cycle and registered until it drains.
+func runAlone(nw *noc.Network, c *AccumulationController, maxCycles int64) (int64, error) {
+	nw.OnReceive(c.OnPacket)
+	c.Start(nw.Engine().Cycle())
+	return nw.Engine().RunWith(c, c.Drained, maxCycles)
+}
 
 func runAccumulation(t *testing.T, scheme CollectScheme, mutate func(*noc.Config)) *AccumulationResult {
 	t.Helper()
@@ -23,10 +32,11 @@ func runAccumulation(t *testing.T, scheme CollectScheme, mutate func(*noc.Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(1_000_000)
+	cycles, err := runAlone(nw, ctl, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := ctl.Result(cycles)
 	if res.OracleErrors != 0 {
 		t.Fatalf("%s: %d oracle errors", scheme, res.OracleErrors)
 	}
@@ -145,5 +155,57 @@ func TestSchemeByName(t *testing.T) {
 	}
 	if _, err := SchemeByName("bogus"); err == nil {
 		t.Error("bogus scheme must error")
+	}
+}
+
+func TestAccumulationConfigValidate(t *testing.T) {
+	for _, cfg := range []AccumulationConfig{
+		{Scheme: 0, Rounds: 1},
+		{Scheme: CollectGather, Rounds: 0},
+		{Scheme: CollectGather, Rounds: 1, TotalRounds: -1},
+		{Scheme: CollectGather, Rounds: 1, ComputeLatency: -1},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
+	}
+	nw, err := noc.New(noc.DefaultConfig(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAccumulationController(nw, AccumulationConfig{Scheme: CollectGather}); err == nil {
+		t.Error("NewAccumulationController accepted zero rounds")
+	}
+}
+
+// TestAccumulationPayloadOutsideTheRound: a payload that names another
+// controller's tag, a row past the fabric or another round, or that
+// arrives after its row verified, is an oracle error, never a sum.
+func TestAccumulationPayloadOutsideTheRound(t *testing.T) {
+	nw, err := noc.New(noc.DefaultConfig(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewAccumulationController(nw, AccumulationConfig{Scheme: CollectUnicast, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(0)
+	for _, rid := range []uint64{
+		flit.TaggedReduceID(flit.NewTag(3, 1), 0, 0), // another controller's
+		flit.TaggedReduceID(0, 4, 0),                 // no such row
+		flit.TaggedReduceID(0, 0, 1),                 // another round
+	} {
+		c.OnPayload(flit.Payload{ReduceID: rid, Ops: 1})
+	}
+	if got := c.Snapshot().OracleErrors; got != 3 {
+		t.Fatalf("%d oracle errors after three stray payloads, want 3", got)
+	}
+	for id := 0; id < 4; id++ { // row 0's four operands, then one more
+		c.OnPayload(flit.Payload{ReduceID: flit.TaggedReduceID(0, 0, 0), Value: operandValue(id, 0), Ops: 1})
+	}
+	c.OnPayload(flit.Payload{ReduceID: flit.TaggedReduceID(0, 0, 0), Ops: 1})
+	if got := c.Snapshot().OracleErrors; got != 4 {
+		t.Fatalf("%d oracle errors after a verified row and a duplicate, want 4", got)
 	}
 }

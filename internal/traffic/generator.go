@@ -65,10 +65,11 @@ type GeneratorResult struct {
 }
 
 // Generator drives an open-loop synthetic workload on a network, either
-// standalone (NewGenerator + Run, which wire the NIC callbacks and own the
-// engine loop) or as a workload.Driver phase (NewGeneratorDriver, where a
-// scheduler admits the phase, ticks it and dispatches its tagged packets
-// back through OnPacket). Create one per run or phase.
+// alone (NewGenerator + Run: Run ends at network quiescence, since
+// untracked traffic has no Drained of its own to end at) or as a
+// workload.Driver phase (NewGeneratorDriver, where a scheduler admits the
+// phase, ticks it and dispatches its tagged packets back through OnPacket).
+// Create one per run or phase.
 //
 // A Generator is a plain sim.Ticker on purpose: it draws from its random
 // stream every cycle of its injection window, so it has no Idle and arms no
@@ -99,22 +100,21 @@ type Generator struct {
 	res       GeneratorResult
 }
 
-// NewGenerator wires a generator to nw's NIC callbacks for a standalone
-// Run.
+// NewGenerator prepares a generator to Run alone on nw: NewGeneratorDriver,
+// with every delivery wired to OnPacket (noc.Network.OnReceive) and
+// injection started at cycle 0.
 func NewGenerator(nw *noc.Network, cfg GeneratorConfig) (*Generator, error) {
 	g, err := NewGeneratorDriver(nw, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g.injecting = true
-	for id := 0; id < nw.Mesh().NumNodes(); id++ {
-		nw.NIC(topology.NodeID(id)).OnReceive(g.OnPacket)
-	}
+	nw.OnReceive(g.OnPacket)
+	g.Start(0)
 	return g, nil
 }
 
 // NewGeneratorDriver prepares a generator phase for a workload scheduler:
-// no NIC callbacks are wired (the scheduler owns them and dispatches this
+// no receive callback is wired (the scheduler owns them and dispatches this
 // phase's packets to OnPacket by tag) and injection starts at Start, not
 // construction.
 func NewGeneratorDriver(nw *noc.Network, cfg GeneratorConfig) (*Generator, error) {
@@ -146,8 +146,8 @@ func (g *Generator) Injected() bool { return !g.injecting }
 
 // Drained reports whether every injected packet has been delivered
 // (workload.Driver: barrier successors may start). Meaningful only when
-// packet deliveries reach OnPacket — standalone via NewGenerator's
-// callbacks, under a scheduler via tag dispatch.
+// packet deliveries reach OnPacket — alone via NewGenerator's callback,
+// under a scheduler via tag dispatch.
 func (g *Generator) Drained() bool { return !g.injecting && g.delivered == g.sent }
 
 // Sent and Delivered expose the conservation pair: every packet the
@@ -158,7 +158,7 @@ func (g *Generator) Delivered() uint64 { return g.delivered }
 
 // OnPacket records one delivered generator packet (measurement-window
 // packets feed the latency samples). The scheduler dispatches tagged
-// packets here; standalone runs wire it as the NIC receive callback.
+// packets here; NewGenerator wires it as the receive callback.
 func (g *Generator) OnPacket(p *nic.ReceivedPacket) {
 	g.delivered++
 	rel := p.InjectCycle - g.base

@@ -3,8 +3,9 @@
 // JSON trace format with record/replay support — the stand-in for the
 // paper's PyTorch-generated convolution-layer traces. The accumulation-phase
 // workload (AccumulationController) sequences its rounds with the shared
-// round loop (internal/round, DESIGN.md §8) and releases its operands through
-// the network's one sender side (noc.Network.Submit); the Replayer alone calls
+// round loop (internal/round, DESIGN.md §8), runs alone under workload.Run or
+// as a scheduled phase, and releases its operands through the network's one
+// sender side (noc.Network.Submit); the Replayer alone calls
 // the NIC's gather entry points itself, because it replays recorded events
 // rather than deciding who initiates.
 package traffic

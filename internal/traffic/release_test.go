@@ -51,14 +51,13 @@ func TestReleaseMatchesPerCycleFullScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []release
-				for row := 0; row < mesh; row++ {
-					nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) {
-						for _, pl := range p.Payloads {
-							got = append(got, release{pl.Src, pl.ReadyCycle, pl.Seq})
-						}
-						c.OnPacket(p)
-					})
-				}
+				nw.OnReceive(func(p *nic.ReceivedPacket) {
+					for _, pl := range p.Payloads {
+						got = append(got, release{pl.Src, pl.ReadyCycle, pl.Seq})
+					}
+					c.OnPacket(p)
+				})
+				c.Start(0)
 				clock := &roundClock{c: c, opened: []int64{0}}
 				nw.Engine().AddTicker(clock)
 				if _, err := nw.Engine().RunUntil(c.Done, 1_000_000); err != nil {

@@ -32,10 +32,11 @@ func TestTorusCollectionSchemesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := ctl.Run(2_000_000)
+				cycles, err := runAlone(nw, ctl, 2_000_000)
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := ctl.Result(cycles)
 				if res.OracleErrors != 0 {
 					t.Fatalf("%d oracle errors", res.OracleErrors)
 				}
@@ -75,10 +76,11 @@ func TestMeshCollectionWithoutSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(1_000_000)
+	cycles, err := runAlone(nw, ctl, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := ctl.Result(cycles)
 	if res.OracleErrors != 0 {
 		t.Fatalf("%d oracle errors", res.OracleErrors)
 	}

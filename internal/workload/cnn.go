@@ -22,9 +22,6 @@ type PipelineConfig struct {
 	// Rounds bounds the simulated rounds per layer (0 = 1); each layer's
 	// full round count still enters its extrapolated totals.
 	Rounds int
-	// TMAC is the MAC latency entering each layer's compute time
-	// (0 = the paper's 5).
-	TMAC int
 	// Overlap selects double-buffered pipelining: each layer starts as
 	// soon as its predecessor finished injecting, so the predecessor's
 	// tail traffic contends with the successor's head. False is the
@@ -41,12 +38,8 @@ func (c PipelineConfig) rounds() int {
 	return c.Rounds
 }
 
-func (c PipelineConfig) tmac() int {
-	if c.TMAC <= 0 {
-		return 5
-	}
-	return c.TMAC
-}
+// tmac is the MAC latency entering each layer's compute time (Table I).
+const tmac = 5
 
 // NewPipelineJob compiles the layer sequence into a Job on nw and returns
 // it together with the per-layer drivers (whose Snapshot carries each
@@ -68,11 +61,11 @@ func NewPipelineJob(nw *noc.Network, name string, cfg PipelineConfig) (Job, []*t
 			return Job{}, nil, fmt.Errorf("workload: pipeline %q: %w", name, err)
 		}
 		// The driver clamps Rounds to TotalRounds itself.
-		drv, err := traffic.NewAccumulationDriver(nw, traffic.AccumulationConfig{
+		drv, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
 			Scheme:         cfg.Scheme,
 			Rounds:         cfg.rounds(),
 			TotalRounds:    layer.AccumulationRounds(rows),
-			ComputeLatency: layer.PartialMACsPerPE(cols) + cfg.tmac(),
+			ComputeLatency: layer.PartialMACsPerPE(cols) + tmac,
 		})
 		if err != nil {
 			return Job{}, nil, fmt.Errorf("workload: pipeline %q layer %s: %w", name, layer.Name, err)

@@ -8,7 +8,6 @@ import (
 	"gathernoc/internal/noc"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/telemetry"
-	"gathernoc/internal/topology"
 )
 
 // MaxJobs and MaxPhases bound a scheduler's job and per-job phase counts:
@@ -67,10 +66,10 @@ type jobRun struct {
 // callback routes delivered packets back to the phase tagged on them,
 // feeding the per-job accounts along the way.
 //
-// The scheduler is the single receive-callback owner of its network —
-// construct drivers in driver mode (NewGeneratorDriver,
-// NewAccumulationDriver, NewReplayer without Run) so they do not wire
-// callbacks of their own. Register it as an engine ticker after the
+// The scheduler is the single receive-callback owner of its network (it
+// installs its dispatch with noc.Network.OnReceive); driver constructors
+// wire no callbacks of their own (NewGeneratorDriver, not NewGenerator;
+// NewReplayer without Run). Register it as an engine ticker after the
 // network's components (Run does); its per-cycle work — admission scans,
 // driver ticks, completion harvest — allocates nothing.
 //
@@ -167,12 +166,7 @@ func New(nw *noc.Network, jobs []Job) (*Scheduler, error) {
 	}
 
 	// Ejection-side dispatch: the scheduler owns every receive callback.
-	for id := 0; id < nw.Topology().NumNodes(); id++ {
-		nw.NIC(topology.NodeID(id)).OnReceive(s.onPacket)
-	}
-	for row := 0; nw.Sink(row) != nil; row++ {
-		nw.Sink(row).OnReceive(s.onPacket)
-	}
+	nw.OnReceive(s.onPacket)
 	return s, nil
 }
 
@@ -235,7 +229,7 @@ func (s *Scheduler) depsMet(jr *jobRun, pr *phaseRun) bool {
 // injection/drain transitions (which fire edges for the next cycle's
 // admissions — except that a phase admitted this cycle ticks this cycle,
 // so a single dependency-free phase behaves bit-identically to the same
-// driver run standalone).
+// driver run alone under Run).
 func (s *Scheduler) Tick(cycle int64) {
 	if !s.started {
 		s.started = true

@@ -4,9 +4,9 @@
 // schedules any number of such jobs concurrently on one fabric.
 //
 // A Phase wraps a Driver — the injection logic of one traffic stage; the
-// existing one-shot controllers (traffic.Generator,
-// traffic.AccumulationController, traffic.Replayer) all implement it — and
-// names the earlier phases it depends on. Dependency edges come in two
+// round controllers (systolic.Controller, traffic.AccumulationController,
+// collective.Driver), traffic.Generator and traffic.Replayer all implement
+// it — and names the earlier phases it depends on. Dependency edges come in two
 // strengths matching the accelerator's buffering discipline (DESIGN.md
 // §8):
 //
@@ -23,15 +23,37 @@
 // The Scheduler assigns every phase a flit.Tag (job index, phase index);
 // the phase's driver passes it to each NIC send, it rides through
 // packetization, the routers and ejection-side reassembly, and the
-// scheduler dispatches each delivered packet back to its owning driver — which makes per-job
-// latency, throughput and fairness first-class outputs of a shared-fabric
-// run instead of aggregates smeared across jobs.
+// scheduler dispatches each delivered packet back to its owning driver —
+// which makes per-job latency, throughput and fairness first-class outputs
+// of a shared-fabric run instead of aggregates smeared across jobs.
+//
+// Run is the other way to drive a round controller: alone on a fabric,
+// without a scheduler, sleeping between the cycles it has work in.
 package workload
 
 import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/noc"
 )
+
+// Run runs d alone on nw: it makes d.OnPacket the receive callback of every
+// NIC and edge sink (noc.Network.OnReceive), starts d at the engine's
+// current cycle, and steps the engine with d registered as a ticker until d
+// has drained. A driver that sleeps (a round loop) is handed its wake
+// handle, so it is ticked only in the cycles it has work in and the clock
+// jumps the stretches in which nothing is awake. Run returns the engine
+// cycle at exit; the driver's Result reads the outcome. Errors are the
+// engine's (sim.ErrMaxCyclesExceeded, ErrStalled, ErrInterrupted).
+func Run(nw *noc.Network, d interface {
+	Driver
+	PacketSink
+}, maxCycles int64) (int64, error) {
+	nw.OnReceive(d.OnPacket)
+	e := nw.Engine()
+	d.Start(e.Cycle())
+	return e.RunWith(d, d.Drained, maxCycles)
+}
 
 // Driver is one phase's injection logic. The scheduler admits the phase
 // (Start), ticks it every cycle while it is active, and consults

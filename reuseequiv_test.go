@@ -20,6 +20,7 @@ import (
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
+	"gathernoc/internal/workload"
 )
 
 // The reuse equivalence suite (DESIGN.md §14, "Reuse"): a network that
@@ -61,7 +62,7 @@ func collectOn(t *testing.T, nw *noc.Network, mode systolic.Mode, scheme traffic
 	if err != nil {
 		t.Fatalf("predecessor: %v", err)
 	}
-	if _, err := ctl.Run(1_000_000); err != nil {
+	if _, err := workload.Run(nw, ctl, 1_000_000); err != nil {
 		t.Fatalf("predecessor: %v", err)
 	}
 }
@@ -115,6 +116,8 @@ func reusePredecessors() []reusePredecessor {
 			if err != nil {
 				t.Fatalf("predecessor: %v", err)
 			}
+			nw.OnReceive(ctl.OnPacket)
+			ctl.Start(0)
 			eng := nw.Engine()
 			ctl.SetWake(eng.AddTicker(ctl))
 			eng.Run(1234)
@@ -135,7 +138,10 @@ func systolicRun(nw *noc.Network, cfg systolic.Config) (*systolic.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return ctl.Run(50_000_000)
+	if _, err := workload.Run(nw, ctl, 50_000_000); err != nil {
+		return nil, err
+	}
+	return ctl.Result(), nil
 }
 
 // reuseSubject is a run whose result must not depend on the network's past.
@@ -200,10 +206,11 @@ func reuseSubjects(t *testing.T) []reuseSubject {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ctl.Run(50_000_000)
+			cycles, err := workload.Run(nw, ctl, 50_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := ctl.Result(cycles)
 			if res.OracleErrors != 0 {
 				t.Fatalf("%d oracle errors", res.OracleErrors)
 			}
@@ -275,16 +282,17 @@ func reuseSubjects(t *testing.T) []reuseSubject {
 	subjects = append(subjects, reuseSubject{
 		name: "collective/allreduce-tree", cfg: inaCfg,
 		run: func(t *testing.T, nw *noc.Network) any {
-			ctl, err := collective.NewController(nw, collective.Config{
+			ctl, err := collective.NewDriver(nw, collective.Config{
 				Op: collective.AllReduce, Algorithm: collective.AlgTree, Rounds: 2, ComputeLatency: 10,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ctl.Run(50_000_000)
+			cycles, err := workload.Run(nw, ctl, 50_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := ctl.Result(cycles)
 			if res.OracleErrors != 0 || res.BroadcastErrors != 0 {
 				t.Fatalf("%d oracle / %d broadcast errors", res.OracleErrors, res.BroadcastErrors)
 			}

@@ -300,11 +300,10 @@ func layerWork(t *testing.T, layer cnn.LayerConfig, mode systolic.Mode, shards i
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(50_000_000)
-	if err != nil {
+	if _, err := workload.Run(nw, ctl, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return workOf(t, nw, 1), res.TotalCycles
+	return workOf(t, nw, 1), ctl.Result().TotalCycles
 }
 
 // TestShardBoundaryLinksWakeAcrossTheCut pins how the links that cross a

@@ -353,6 +353,8 @@ func TestSnapshotRoundTripMidCollection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			nw.OnReceive(ctrl.OnPacket)
+			ctrl.Start(0)
 			eng := nw.Engine()
 			eng.AddTicker(ctrl)
 
@@ -421,14 +423,18 @@ func TestSnapshotMidComputeWhileAJumpIsPending(t *testing.T) {
 		Activity noc.Activity
 		Cycle    int64
 	}
-	// finish attaches a controller, as Engine.RunWith does, to a network
-	// whose clock stands in the first round's compute time and runs it out.
+	// attach wires and registers a controller, as workload.Run does, but
+	// with its first round opened at cycle 0 whatever the clock reads: a
+	// restored network's clock stands in that round's compute time. finish
+	// runs it out.
 	attach := func(nw *noc.Network) *systolic.Controller {
 		t.Helper()
 		ctl, err := systolic.NewController(nw, scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		nw.OnReceive(ctl.OnPacket)
+		ctl.Start(0)
 		ctl.SetWake(nw.Engine().AddTicker(ctl))
 		return ctl
 	}
