@@ -189,11 +189,12 @@ func TestShardedFlitPoolLeakFreedom(t *testing.T) {
 }
 
 // TestTelemetryAllocationRatchet extends the ratchet to a telemetry-on
-// network (DESIGN.md §11): event buffers are preallocated at
-// Collector.Start, so sampled Emits append within capacity, and the epoch
-// collector allocates one ring row per probe per epoch until its window
-// is full (1/64 per cycle here, far inside the window) and nothing after
-// — the recording path stays bounded by the same ceiling as the dark
+// network (DESIGN.md §11): an event buffer doubles as it fills, so the
+// sampled Emits of a steady run cost one allocation per doubling (none or
+// one per measured run here), and the epoch collector allocates one ring
+// row per probe per epoch until its window is full (1/64 per cycle here,
+// far inside the window) and after that only for a row that outgrows its
+// slot — the recording path stays bounded by the same ceiling as the dark
 // network.
 func TestTelemetryAllocationRatchet(t *testing.T) {
 	cfg := noc.DefaultConfig(8, 8)
@@ -234,13 +235,13 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 
 // maxTelemetryBuildBytes16x16 pins what building a telemetry-on fabric may
 // allocate: noc.New of model-mix's 16x16 (faults on, default telemetry)
-// measured 9.83 MB — 2.7 MB the fabric, 1.9 MB the metrics sources, 5.2 MB
-// the two preallocated trace event buffers. The epoch ring used to be
-// zeroed up front at MaxEpochs x fields x 8 bytes, 83 MB more here, of
-// which a whole-model run wrote 159 of 1024 epochs; it now grows a row per
-// epoch reached and costs nothing at build. The ceiling is the measurement
-// plus 10 %.
-const maxTelemetryBuildBytes16x16 = 10_800_000
+// measured 4.85 MB — 2.7 MB the fabric, the rest the metrics sources and
+// the telemetry wiring. Neither buffer that grows with the run is built up
+// front: the trace event buffers (5.2 MB when they were allocated at
+// MaxEvents) grow as events arrive, and the epoch ring (83 MB when it was
+// zeroed at MaxEpochs dense rows) gains a row per epoch reached. The
+// ceiling is the measurement plus 10 %.
+const maxTelemetryBuildBytes16x16 = 5_340_000
 
 func TestTelemetryBuildBytesPin(t *testing.T) {
 	cfg := noc.DefaultConfig(16, 16)
@@ -311,6 +312,53 @@ func TestMetricsCSVAllocationPin(t *testing.T) {
 	t.Logf("WriteMetricsCSV(8x8): %.0f allocs at 10 epochs, %.0f at 100", at10, at100)
 	if at10 != at100 {
 		t.Fatalf("WriteMetricsCSV allocations grow with the epoch count: %.0f at 10 epochs, %.0f at 100", at10, at100)
+	}
+}
+
+// maxTraceAllocsPerEvent bounds what WriteChromeTrace allocates per
+// recorded event. The writer appends every trace event into one reused
+// buffer and regroups the events with a counting sort, so what it
+// allocates is the grouping index, the track sets and their map growth;
+// building a trace event, an args map and a json.Marshal per event, as it
+// once did, cost 7.7 allocations per event on the run below; the writer
+// that appends measured 50 allocations for its 36 731 events.
+const maxTraceAllocsPerEvent = 0.25
+
+// TestChromeTraceAllocationPin: exporting the trace of a fully traced 8x8
+// run costs fewer than maxTraceAllocsPerEvent allocations per event.
+func TestChromeTraceAllocationPin(t *testing.T) {
+	cfg := noc.DefaultConfig(8, 8)
+	cfg.Telemetry = &telemetry.Config{TraceSample: 1}
+	nw, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
+		Pattern:       traffic.UniformRandom{Nodes: 64},
+		InjectionRate: 0.02,
+		PacketFlits:   2,
+		Measure:       1 << 40,
+		Seed:          1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Engine().AddTicker(gen)
+	nw.Engine().Run(1000)
+	rep := nw.HarvestTelemetry()
+	if len(rep.Events) < 10_000 || rep.DroppedEvents != 0 {
+		t.Fatalf("run recorded %d events (%d dropped); the pin needs a long trace", len(rep.Events), rep.DroppedEvents)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := rep.WriteChromeTrace(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perEvent := allocs / float64(len(rep.Events))
+	t.Logf("WriteChromeTrace(8x8): %.0f allocs for %d events, %.4f per event", allocs, len(rep.Events), perEvent)
+	if perEvent >= maxTraceAllocsPerEvent {
+		t.Fatalf("WriteChromeTrace allocates %.4f per event, pin %v", perEvent, maxTraceAllocsPerEvent)
 	}
 }
 

@@ -597,8 +597,14 @@ func writeTelemetry(nw *noc.Network, tracePath, metricsPath string, w io.Writer)
 		if werr != nil {
 			return fmt.Errorf("metrics: %w", werr)
 		}
-		fmt.Fprintf(w, "metrics        %s (%d epochs x %d sources, epoch %d cycles)\n",
-			metricsPath, len(rep.EpochIndex), len(rep.Sources), rep.Epoch)
+		// A run longer than the ring's window keeps only its newest epochs;
+		// say which ones the file lacks.
+		lost := ""
+		if n := len(rep.EpochIndex); n > 0 && rep.EpochIndex[0] > 0 {
+			lost = fmt.Sprintf("; epochs 0–%d overwritten (window %d)", rep.EpochIndex[0]-1, n)
+		}
+		fmt.Fprintf(w, "metrics        %s (%d epochs x %d sources, epoch %d cycles%s)\n",
+			metricsPath, len(rep.EpochIndex), len(rep.Sources), rep.Epoch, lost)
 	}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)

@@ -212,6 +212,9 @@ func TestRunTelemetryExports(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", frag, out)
 		}
 	}
+	if strings.Contains(out, "overwritten") {
+		t.Errorf("a run inside the metrics window reports overwritten epochs:\n%s", out)
+	}
 
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -298,6 +301,42 @@ func TestRunTelemetryExports(t *testing.T) {
 		if e != last && (cyc+1)%64 != 0 {
 			t.Errorf("epoch %d ends at cycle %d, not a 64-cycle boundary", e, cyc)
 		}
+	}
+}
+
+// TestRunMetricsNamesOverwrittenEpochs: a run longer than the 1024-epoch
+// window keeps only its newest epochs, and the metrics line says which
+// ones the file lacks instead of reading like the whole run.
+func TestRunMetricsNamesOverwrittenEpochs(t *testing.T) {
+	metricsPath := filepath.Join(t.TempDir(), "metrics.csv")
+	var b strings.Builder
+	err := run([]string{
+		"-rows", "4", "-cols", "4", "-rate", "0.02", "-warmup", "0", "-measure", "4500",
+		"-epoch", "4", "-metrics", metricsPath,
+	}, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	first := int64(-1)
+	if err := telemetry.ScanMetricsCSV(f, func(p *telemetry.MetricPoint) error {
+		if first < 0 {
+			first = p.Epoch
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if first <= 0 {
+		t.Fatalf("the CSV starts at epoch %d; the run must outlast the window", first)
+	}
+	want := fmt.Sprintf("(1024 epochs x 205 sources, epoch 4 cycles; epochs 0–%d overwritten (window 1024))", first-1)
+	if out := b.String(); !strings.Contains(out, "metrics        "+metricsPath+" "+want) {
+		t.Errorf("metrics line does not name the overwritten epochs, want %q:\n%s", want, out)
 	}
 }
 

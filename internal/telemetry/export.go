@@ -6,14 +6,14 @@
 package telemetry
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -112,7 +112,8 @@ func (r *Report) WriteMetricsCSV(w io.Writer) error {
 	return writeAll(w, buf)
 }
 
-// csvFlushBytes is how much WriteMetricsCSV buffers between writes.
+// csvFlushBytes is how much WriteMetricsCSV and WriteChromeTrace buffer
+// between writes.
 const csvFlushBytes = 64 << 10
 
 // writeAll hands p to w in one Write, returning w's error unchanged.
@@ -314,125 +315,91 @@ func ReadMetricsCSV(rd io.Reader) ([]MetricPoint, error) {
 	return pts, nil
 }
 
-// traceEvent is one Chrome Trace Event (the JSON array format). Cycles
-// map 1:1 onto the format's microsecond timestamps, so one Perfetto
-// "us" reads as one simulated cycle.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int64          `json:"pid"`
-	Tid  int64          `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // Track layout: pid = workload job index + 1 (0 for untagged traffic),
 // tid 0 = the job's schedule track (phase spans), tid = node+1 = that
-// node's pipeline-stage slices.
+// node's pipeline-stage slices. Cycles map 1:1 onto the format's
+// microsecond timestamps, so one Perfetto "us" reads as one simulated
+// cycle.
 const scheduleTid = 0
 
 // WriteChromeTrace writes the event stream as Chrome Trace Event JSON:
 // per-packet async spans (inject to eject) bracketing per-stage "X"
 // slices on the node tracks, instant events for gather uploads and INA
 // merges, and per-job phase spans on each job's schedule track, all
-// tagged with job/phase args.
+// tagged with job/phase args, then the metadata naming the job processes
+// and node threads in sorted order.
+//
+// The bytes are what json.Marshal emits for each trace event of the JSON
+// array format (fields name, cat, ph, ts, dur, pid, tid, id, s, args in
+// that order; cat, dur, id and s left out when empty; args keys sorted),
+// but no event is built: the writer regroups the events by packet with
+// one counting sort, appends each trace event straight into one buffer
+// and hands it to w in writes of about csvFlushBytes.
 func (r *Report) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-
-	var out []traceEvent
-	jobs := map[int64]bool{}
-	nodes := map[int64]bool{}
-	record := func(ev traceEvent) {
-		jobs[ev.Pid] = true
-		if ev.Tid != scheduleTid {
-			nodes[ev.Tid] = true
-		}
-		out = append(out, ev)
+	tw := &traceWriter{
+		w:     w,
+		buf:   make([]byte, 0, csvFlushBytes+4096),
+		jobs:  map[int64]bool{},
+		nodes: map[int64]bool{},
 	}
+	tw.buf = append(tw.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
 
 	// Per-packet spans: events are sorted by (cycle, packet, ...), so
-	// regroup by packet id first, preserving cycle order within each.
-	byPkt := map[uint64][]Event{}
-	var order []uint64
-	phases := map[[2]int64][3]int64{} // (job, phase) -> start/injected/drained cycles
-	for _, ev := range r.Events {
+	// regroup them by packet id — packets in order of first appearance,
+	// cycle order within each — by counting each packet's events and
+	// placing them stably. Phase boundaries fold into one timeline per
+	// (job, phase).
+	rank := map[uint64]int32{}
+	keys := make([]int32, len(r.Events)) // the event's packet rank, -1 for a phase event
+	var starts []int32                   // events per packet, then each packet's first slot
+	phases := map[[2]int64][3]int64{}    // (job, phase) -> start/injected/drained cycles
+	for i, ev := range r.Events {
 		switch ev.Kind {
 		case EvPhaseStart, EvPhaseInjected, EvPhaseDrained:
 			key := [2]int64{int64(ev.Loc), ev.Aux}
 			tl := phases[key]
 			tl[int(ev.Kind-EvPhaseStart)] = ev.Cycle + 1 // +1 so cycle 0 stays distinguishable
 			phases[key] = tl
+			keys[i] = -1
 		default:
-			if _, seen := byPkt[ev.Packet]; !seen {
-				order = append(order, ev.Packet)
+			k, seen := rank[ev.Packet]
+			if !seen {
+				k = int32(len(starts))
+				rank[ev.Packet] = k
+				starts = append(starts, 0)
 			}
-			byPkt[ev.Packet] = append(byPkt[ev.Packet], ev)
+			starts[k]++
+			keys[i] = k
 		}
 	}
-
-	for _, pid := range order {
-		evs := byPkt[pid]
-		first, last := evs[0], evs[len(evs)-1]
-		// The tag's raw job field (job index + 1, 0 = untagged) is the
-		// process id, matching the phase spans' job+1 tracks.
-		pidTrack := int64(first.Tag.Job())
-		id := strconv.FormatUint(pid, 10)
-		args := map[string]any{
-			"packet": pid,
-			// Job is the scheduler's job index (-1 for untagged traffic;
-			// the tag's job field is offset by one).
-			"job":   int64(first.Tag.Job()) - 1,
-			"phase": int64(first.Tag.Phase()),
+	total := int32(0)
+	for k, n := range starts {
+		starts[k] = total
+		total += n
+	}
+	order := make([]int32, total)
+	next := slices.Clone(starts)
+	for i, k := range keys {
+		if k >= 0 {
+			order[next[k]] = int32(i)
+			next[k]++
 		}
-		if first.Kind == EvInject {
-			args["src"] = first.Loc
-			args["dst"] = first.Aux
+	}
+	for k, from := range starts {
+		if err := tw.packet(r.Events, order[from:next[k]]); err != nil {
+			return err
 		}
-		record(traceEvent{Name: "packet", Cat: "packet", Ph: "b", Ts: first.Cycle,
-			Pid: pidTrack, Tid: int64(first.Loc) + 1, ID: id, Args: args})
-		for i, ev := range evs {
-			switch ev.Kind {
-			case EvGatherUpload, EvReduceMerge:
-				record(traceEvent{Name: ev.Kind.String(), Cat: "collective", Ph: "i", Ts: ev.Cycle,
-					Pid: pidTrack, Tid: int64(ev.Loc) + 1, S: "t",
-					Args: map[string]any{"packet": pid, "operand_src": ev.Aux}})
-				continue
-			case EvEject:
-				continue
-			}
-			// Stage slice: from this step to the packet's next step.
-			dur := int64(1)
-			if i+1 < len(evs) {
-				dur = evs[i+1].Cycle - ev.Cycle
-			}
-			if dur < 1 {
-				dur = 1
-			}
-			record(traceEvent{Name: ev.Kind.String(), Cat: "stage", Ph: "X", Ts: ev.Cycle, Dur: dur,
-				Pid: pidTrack, Tid: int64(ev.Loc) + 1,
-				Args: map[string]any{"packet": pid}})
-		}
-		endArgs := map[string]any{"packet": pid, "latency": last.Cycle - first.Cycle}
-		if last.Kind == EvEject {
-			endArgs["hops"] = last.Aux
-		}
-		record(traceEvent{Name: "packet", Cat: "packet", Ph: "e", Ts: last.Cycle,
-			Pid: pidTrack, Tid: int64(last.Loc) + 1, ID: id, Args: endArgs})
 	}
 
 	phaseKeys := make([][2]int64, 0, len(phases))
 	for key := range phases {
 		phaseKeys = append(phaseKeys, key)
 	}
-	sort.Slice(phaseKeys, func(i, j int) bool {
-		if phaseKeys[i][0] != phaseKeys[j][0] {
-			return phaseKeys[i][0] < phaseKeys[j][0]
+	slices.SortFunc(phaseKeys, func(a, b [2]int64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return phaseKeys[i][1] < phaseKeys[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	for _, key := range phaseKeys {
 		tl := phases[key]
@@ -445,63 +412,177 @@ func (r *Report) WriteChromeTrace(w io.Writer) error {
 		if tl[2] == 0 {
 			end = start // never drained: zero-length marker
 		}
-		args := map[string]any{"job": job, "phase": phase}
+		b := strconv.AppendInt(append(tw.open(), `"job`...), job, 10)
+		b = strconv.AppendInt(append(b, `/phase`...), phase, 10)
+		b = tw.fields(append(b, '"'), "phase", "X", start, max(end-start, 1), job+1, scheduleTid)
+		b = append(b, `,"args":{`...)
 		if tl[1] != 0 {
-			args["injected_cycle"] = injected
+			b = append(strconv.AppendInt(append(b, `"injected_cycle":`...), injected, 10), ',')
 		}
-		record(traceEvent{Name: fmt.Sprintf("job%d/phase%d", job, phase), Cat: "phase",
-			Ph: "X", Ts: start, Dur: max64(end-start, 1), Pid: job + 1, Tid: scheduleTid, Args: args})
+		b = strconv.AppendInt(append(b, `"job":`...), job, 10)
+		b = strconv.AppendInt(append(b, `,"phase":`...), phase, 10)
+		if err := tw.close(append(b, "}}"...)); err != nil {
+			return err
+		}
 	}
 
 	// Metadata: name the job processes and node threads, in sorted order
 	// so the output is byte-deterministic.
-	jobIDs := sortedKeys(jobs)
-	nodeIDs := sortedKeys(nodes)
+	jobIDs := sortedKeys(tw.jobs)
+	nodeIDs := sortedKeys(tw.nodes)
 	for _, pid := range jobIDs {
-		name := fmt.Sprintf("job %d", pid-1)
+		b := append(tw.event("process_name", "", "M", 0, 0, pid, 0), `,"args":{"name":"`...)
 		if pid == 0 {
-			name = "untagged"
+			b = append(b, "untagged"...)
+		} else {
+			b = strconv.AppendInt(append(b, "job "...), pid-1, 10)
 		}
-		out = append(out, traceEvent{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name}})
-		out = append(out, traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: scheduleTid,
-			Args: map[string]any{"name": "schedule"}})
+		if err := tw.close(append(b, `"}}`...)); err != nil {
+			return err
+		}
+		b = append(tw.event("thread_name", "", "M", 0, 0, pid, scheduleTid), `,"args":{"name":"schedule"}}`...)
+		if err := tw.close(b); err != nil {
+			return err
+		}
 	}
 	for _, pid := range jobIDs {
 		for _, tid := range nodeIDs {
-			out = append(out, traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"name": fmt.Sprintf("node %d", tid-1)}})
-		}
-	}
-
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-	for i := range out {
-		if i > 0 {
-			if err := bw.WriteByte(','); err != nil {
+			b := append(tw.event("thread_name", "", "M", 0, 0, pid, tid), `,"args":{"name":"node `...)
+			if err := tw.close(append(strconv.AppendInt(b, tid-1, 10), `"}}`...)); err != nil {
 				return err
 			}
 		}
-		b, err := json.Marshal(&out[i])
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
 	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeAll(w, append(tw.buf, "]}\n"...))
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// traceWriter appends trace events to buf, hands buf to w whenever it
+// passes csvFlushBytes, and keeps the job processes and node threads the
+// events used, for the metadata at the end. Each event is built by open or
+// event, the caller's appends, and close.
+type traceWriter struct {
+	w           io.Writer
+	buf         []byte
+	n           int // events opened
+	jobs, nodes map[int64]bool
+}
+
+// packet writes one packet's span, stage slices and collective instants;
+// idx lists its events in cycle order.
+func (tw *traceWriter) packet(events []Event, idx []int32) error {
+	first, last := &events[idx[0]], &events[idx[len(idx)-1]]
+	pid := first.Packet
+	// The tag's raw job field (job index + 1, 0 = untagged) is the process
+	// id, matching the phase spans' job+1 tracks; the job arg is the
+	// scheduler's job index (-1 for untagged traffic).
+	track := int64(first.Tag.Job())
+
+	b := tw.event("packet", "packet", "b", first.Cycle, 0, track, int64(first.Loc)+1)
+	b = strconv.AppendUint(append(b, `,"id":"`...), pid, 10)
+	b = append(b, `","args":{`...)
+	if first.Kind == EvInject {
+		b = append(strconv.AppendInt(append(b, `"dst":`...), first.Aux, 10), ',')
 	}
-	return b
+	b = strconv.AppendInt(append(b, `"job":`...), track-1, 10)
+	b = strconv.AppendUint(append(b, `,"packet":`...), pid, 10)
+	b = strconv.AppendInt(append(b, `,"phase":`...), int64(first.Tag.Phase()), 10)
+	if first.Kind == EvInject {
+		b = strconv.AppendInt(append(b, `,"src":`...), int64(first.Loc), 10)
+	}
+	if err := tw.close(append(b, "}}"...)); err != nil {
+		return err
+	}
+
+	for i, j := range idx {
+		ev := &events[j]
+		switch ev.Kind {
+		case EvGatherUpload, EvReduceMerge:
+			b = tw.event(ev.Kind.String(), "collective", "i", ev.Cycle, 0, track, int64(ev.Loc)+1)
+			b = strconv.AppendInt(append(b, `,"s":"t","args":{"operand_src":`...), ev.Aux, 10)
+			b = strconv.AppendUint(append(b, `,"packet":`...), pid, 10)
+		case EvEject:
+			continue
+		default:
+			// Stage slice: from this step to the packet's next step.
+			dur := int64(1)
+			if i+1 < len(idx) {
+				dur = events[idx[i+1]].Cycle - ev.Cycle
+			}
+			b = tw.event(ev.Kind.String(), "stage", "X", ev.Cycle, max(dur, 1), track, int64(ev.Loc)+1)
+			b = strconv.AppendUint(append(b, `,"args":{"packet":`...), pid, 10)
+		}
+		if err := tw.close(append(b, "}}"...)); err != nil {
+			return err
+		}
+	}
+
+	b = tw.event("packet", "packet", "e", last.Cycle, 0, track, int64(last.Loc)+1)
+	b = strconv.AppendUint(append(b, `,"id":"`...), pid, 10)
+	b = append(b, `","args":{`...)
+	if last.Kind == EvEject {
+		b = append(strconv.AppendInt(append(b, `"hops":`...), last.Aux, 10), ',')
+	}
+	b = strconv.AppendInt(append(b, `"latency":`...), last.Cycle-first.Cycle, 10)
+	b = strconv.AppendUint(append(b, `,"packet":`...), pid, 10)
+	return tw.close(append(b, "}}"...))
+}
+
+// open starts the next event, up to its name's value.
+func (tw *traceWriter) open() []byte {
+	b := tw.buf
+	if tw.n > 0 {
+		b = append(b, ',')
+	}
+	tw.n++
+	return append(b, `{"name":`...)
+}
+
+// event starts the next event and writes its fields up to tid.
+func (tw *traceWriter) event(name, cat, ph string, ts, dur, pid, tid int64) []byte {
+	return tw.fields(appendJSONString(tw.open(), name), cat, ph, ts, dur, pid, tid)
+}
+
+// fields appends the fields after name, up to tid, and records the event's
+// process and node thread.
+func (tw *traceWriter) fields(b []byte, cat, ph string, ts, dur, pid, tid int64) []byte {
+	tw.jobs[pid] = true
+	if tid != scheduleTid {
+		tw.nodes[tid] = true
+	}
+	if cat != "" {
+		b = appendJSONString(append(b, `,"cat":`...), cat)
+	}
+	b = appendJSONString(append(b, `,"ph":`...), ph)
+	b = strconv.AppendInt(append(b, `,"ts":`...), ts, 10)
+	if dur != 0 {
+		b = strconv.AppendInt(append(b, `,"dur":`...), dur, 10)
+	}
+	b = strconv.AppendInt(append(b, `,"pid":`...), pid, 10)
+	return strconv.AppendInt(append(b, `,"tid":`...), tid, 10)
+}
+
+// close keeps the finished event b and writes the buffer out once it
+// passes csvFlushBytes.
+func (tw *traceWriter) close(b []byte) error {
+	tw.buf = b
+	if len(b) < csvFlushBytes {
+		return nil
+	}
+	tw.buf = b[:0]
+	return writeAll(tw.w, b)
+}
+
+// appendJSONString appends s as encoding/json quotes it. The writer's
+// strings are stage labels and fixed names that need no escape; a string
+// that does is left to json.Marshal.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 func sortedKeys(m map[int64]bool) []int64 {
@@ -509,6 +590,6 @@ func sortedKeys(m map[int64]bool) []int64 {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }

@@ -1,14 +1,17 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -414,6 +417,38 @@ func TestWriteMetricsCSVReturnsTheWritersError(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceReturnsTheWritersError: the trace writer hands its
+// buffer out in several writes and stops at the first that fails.
+func TestWriteChromeTraceReturnsTheWritersError(t *testing.T) {
+	rep := &Report{}
+	for pkt := uint64(1); pkt <= 2000; pkt++ {
+		rep.Events = append(rep.Events,
+			Event{Cycle: int64(pkt), Packet: pkt, Kind: EvInject, Loc: int32(pkt % 64), Aux: 5},
+			Event{Cycle: int64(pkt) + 9, Packet: pkt, Kind: EvEject, Loc: 5, Aux: 3})
+	}
+	var whole bytes.Buffer
+	if err := rep.WriteChromeTrace(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if whole.Len() < 4*csvFlushBytes {
+		t.Fatalf("report renders to %d bytes; the test needs several flushes", whole.Len())
+	}
+	sentinel := errors.New("disk full")
+	for _, failAt := range []int{0, 2 * csvFlushBytes, whole.Len() - 1} {
+		w := &failingWriter{failAt: failAt, err: sentinel}
+		if err := rep.WriteChromeTrace(w); err != sentinel {
+			t.Errorf("writer failing after %d bytes: WriteChromeTrace = %v, want the writer's own error", failAt, err)
+		}
+		if failAt == 0 && w.writes != 1 {
+			t.Errorf("kept writing after the first write failed: %d writes", w.writes)
+		}
+	}
+	short := writerFunc(func(p []byte) (int, error) { return len(p) / 2, nil })
+	if err := rep.WriteChromeTrace(short); !errors.Is(err, io.ErrShortWrite) {
+		t.Errorf("short write: WriteChromeTrace = %v, want io.ErrShortWrite", err)
+	}
+}
+
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
@@ -521,4 +556,191 @@ func FuzzReadMetricsCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// traceEvent is one Chrome Trace Event (the JSON array format). Cycles
+// map 1:1 onto the format's microsecond timestamps, so one Perfetto
+// "us" reads as one simulated cycle.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Ts   int64          `json:"ts"`
+	Dur  int64          `json:"dur,omitempty"`
+	Pid  int64          `json:"pid"`
+	Tid  int64          `json:"tid"`
+	ID   string         `json:"id,omitempty"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// ReferenceChromeTrace lets the external tests compare WriteChromeTrace
+// with referenceChromeTrace.
+var ReferenceChromeTrace = referenceChromeTrace
+
+// referenceChromeTrace is the writer WriteChromeTrace replaced, kept as
+// the definition of the trace bytes: it builds every trace event with an
+// args map and marshals each one with encoding/json.
+func referenceChromeTrace(r *Report, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+
+	var out []traceEvent
+	jobs := map[int64]bool{}
+	nodes := map[int64]bool{}
+	record := func(ev traceEvent) {
+		jobs[ev.Pid] = true
+		if ev.Tid != scheduleTid {
+			nodes[ev.Tid] = true
+		}
+		out = append(out, ev)
+	}
+
+	// Per-packet spans: events are sorted by (cycle, packet, ...), so
+	// regroup by packet id first, preserving cycle order within each.
+	byPkt := map[uint64][]Event{}
+	var order []uint64
+	phases := map[[2]int64][3]int64{} // (job, phase) -> start/injected/drained cycles
+	for _, ev := range r.Events {
+		switch ev.Kind {
+		case EvPhaseStart, EvPhaseInjected, EvPhaseDrained:
+			key := [2]int64{int64(ev.Loc), ev.Aux}
+			tl := phases[key]
+			tl[int(ev.Kind-EvPhaseStart)] = ev.Cycle + 1 // +1 so cycle 0 stays distinguishable
+			phases[key] = tl
+		default:
+			if _, seen := byPkt[ev.Packet]; !seen {
+				order = append(order, ev.Packet)
+			}
+			byPkt[ev.Packet] = append(byPkt[ev.Packet], ev)
+		}
+	}
+
+	for _, pid := range order {
+		evs := byPkt[pid]
+		first, last := evs[0], evs[len(evs)-1]
+		// The tag's raw job field (job index + 1, 0 = untagged) is the
+		// process id, matching the phase spans' job+1 tracks.
+		pidTrack := int64(first.Tag.Job())
+		id := strconv.FormatUint(pid, 10)
+		args := map[string]any{
+			"packet": pid,
+			// Job is the scheduler's job index (-1 for untagged traffic;
+			// the tag's job field is offset by one).
+			"job":   int64(first.Tag.Job()) - 1,
+			"phase": int64(first.Tag.Phase()),
+		}
+		if first.Kind == EvInject {
+			args["src"] = first.Loc
+			args["dst"] = first.Aux
+		}
+		record(traceEvent{Name: "packet", Cat: "packet", Ph: "b", Ts: first.Cycle,
+			Pid: pidTrack, Tid: int64(first.Loc) + 1, ID: id, Args: args})
+		for i, ev := range evs {
+			switch ev.Kind {
+			case EvGatherUpload, EvReduceMerge:
+				record(traceEvent{Name: ev.Kind.String(), Cat: "collective", Ph: "i", Ts: ev.Cycle,
+					Pid: pidTrack, Tid: int64(ev.Loc) + 1, S: "t",
+					Args: map[string]any{"packet": pid, "operand_src": ev.Aux}})
+				continue
+			case EvEject:
+				continue
+			}
+			// Stage slice: from this step to the packet's next step.
+			dur := int64(1)
+			if i+1 < len(evs) {
+				dur = evs[i+1].Cycle - ev.Cycle
+			}
+			if dur < 1 {
+				dur = 1
+			}
+			record(traceEvent{Name: ev.Kind.String(), Cat: "stage", Ph: "X", Ts: ev.Cycle, Dur: dur,
+				Pid: pidTrack, Tid: int64(ev.Loc) + 1,
+				Args: map[string]any{"packet": pid}})
+		}
+		endArgs := map[string]any{"packet": pid, "latency": last.Cycle - first.Cycle}
+		if last.Kind == EvEject {
+			endArgs["hops"] = last.Aux
+		}
+		record(traceEvent{Name: "packet", Cat: "packet", Ph: "e", Ts: last.Cycle,
+			Pid: pidTrack, Tid: int64(last.Loc) + 1, ID: id, Args: endArgs})
+	}
+
+	phaseKeys := make([][2]int64, 0, len(phases))
+	for key := range phases {
+		phaseKeys = append(phaseKeys, key)
+	}
+	sort.Slice(phaseKeys, func(i, j int) bool {
+		if phaseKeys[i][0] != phaseKeys[j][0] {
+			return phaseKeys[i][0] < phaseKeys[j][0]
+		}
+		return phaseKeys[i][1] < phaseKeys[j][1]
+	})
+	for _, key := range phaseKeys {
+		tl := phases[key]
+		job, phase := key[0], key[1]
+		start, injected, drained := tl[0]-1, tl[1]-1, tl[2]-1
+		if tl[0] == 0 {
+			continue
+		}
+		end := drained
+		if tl[2] == 0 {
+			end = start // never drained: zero-length marker
+		}
+		args := map[string]any{"job": job, "phase": phase}
+		if tl[1] != 0 {
+			args["injected_cycle"] = injected
+		}
+		record(traceEvent{Name: fmt.Sprintf("job%d/phase%d", job, phase), Cat: "phase",
+			Ph: "X", Ts: start, Dur: max64(end-start, 1), Pid: job + 1, Tid: scheduleTid, Args: args})
+	}
+
+	// Metadata: name the job processes and node threads, in sorted order
+	// so the output is byte-deterministic.
+	jobIDs := sortedKeys(jobs)
+	nodeIDs := sortedKeys(nodes)
+	for _, pid := range jobIDs {
+		name := fmt.Sprintf("job %d", pid-1)
+		if pid == 0 {
+			name = "untagged"
+		}
+		out = append(out, traceEvent{Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": name}})
+		out = append(out, traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: scheduleTid,
+			Args: map[string]any{"name": "schedule"}})
+	}
+	for _, pid := range jobIDs {
+		for _, tid := range nodeIDs {
+			out = append(out, traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+				Args: map[string]any{"name": fmt.Sprintf("node %d", tid-1)}})
+		}
+	}
+
+	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+		return err
+	}
+	for i := range out {
+		if i > 0 {
+			if err := bw.WriteByte(','); err != nil {
+				return err
+			}
+		}
+		b, err := json.Marshal(&out[i])
+		if err != nil {
+			return err
+		}
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.WriteString("]}\n"); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+func max64(a, b int64) int64 {
+	if a > b {
+		return a
+	}
+	return b
 }

@@ -20,6 +20,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -41,13 +42,16 @@ type Config struct {
 	TraceSample uint64
 	// MaxEpochs bounds each probe's time-series ring (0 = 1024 epochs,
 	// i.e. 256K cycles of history at the default period); older epochs
-	// are overwritten, keeping the most recent window. A ring row (8 bytes
-	// per field) is allocated the first time the run reaches its slot and
-	// reused once the ring wraps, so memory follows the epochs actually
-	// recorded and MaxEpochs is only the ceiling.
+	// are overwritten, keeping the most recent window. A ring row is
+	// allocated the first time the run reaches its slot and reused once
+	// the ring wraps, and it holds only the sources that moved in its
+	// epoch (DESIGN.md §11): a quiet epoch costs a few words, a busy one at
+	// most 8 bytes per field. So memory follows what was recorded and
+	// MaxEpochs is only the ceiling.
 	MaxEpochs int
-	// MaxEvents bounds each probe's event buffer (0 = 65536 events);
-	// events past the bound are dropped and counted in
+	// MaxEvents bounds each probe's event buffer (0 = 65536 events); the
+	// buffer grows as events arrive, so the bound is a ceiling, not an
+	// allocation. Events past it are dropped and counted in
 	// Report.DroppedEvents.
 	MaxEvents int
 }
@@ -186,7 +190,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one recorded lifecycle step. Events are fixed-size values so
-// the per-probe buffers are flat preallocated arrays.
+// the per-probe buffers are flat arrays.
 type Event struct {
 	// Cycle is when the step happened (ejection-side steps of a packet
 	// are back-dated from the timestamps the flits carry).
@@ -223,17 +227,19 @@ type SourceMeta struct {
 	Col  int
 }
 
-// ReadFn writes the source's current cumulative counter values into dst
-// (len(dst) == len(fields)). It runs on the owning shard's goroutine at
-// epoch boundaries, after all of that shard's writes for the cycle.
+// ReadFn writes the source's current cumulative counter values into every
+// element of dst (len(dst) == len(fields)). It runs on the owning shard's
+// goroutine at epoch boundaries, after all of that shard's writes for the
+// cycle.
 type ReadFn func(dst []int64)
 
 type source struct {
 	meta   SourceMeta
 	fields []Field
 	read   ReadFn
-	prev   []int64
-	cur    []int64
+	prev   []int64 // the delta fields' cumulative values at the last snapshot
+	cur    []int64 // the last snapshot's row values: deltas and gauges
+	moved  bool    // cur holds a non-zero value
 }
 
 // Probe is the single-writer recording endpoint for one shard (or the
@@ -243,14 +249,17 @@ type Probe struct {
 	c       *Collector
 	sources []source
 
-	// Event buffer: a flat preallocated slice, appended until full.
-	events  []Event
-	dropped uint64
+	// Event buffer: a flat slice that grows as events arrive, up to
+	// maxEvents.
+	events    []Event
+	maxEvents int
+	dropped   uint64
 
 	// Epoch ring (see Collector.Harvest for the merge): it grows by one
 	// row each time the run reaches a slot for the first time, up to
 	// maxEpochs rows, and from then on head wraps and rows are overwritten.
-	stride    int // fields across all sources
+	stride    int // fields across all sources: a dense row's length
+	words     int // presence-bitmap words of a sparse row, one bit per source
 	maxEpochs int
 	ring      []epochRow
 	head      int   // next slot to write
@@ -258,7 +267,17 @@ type Probe struct {
 }
 
 // epochRow is one ring slot: an epoch's index, its inclusive end cycle and
-// the stride values snapshotted for it.
+// the values snapshotted for it, in one of two layouts told apart by
+// length. A dense row is stride long and holds every source's fields at
+// the source's offset. A sparse row is shorter than that and holds only
+// the sources with a non-zero value:
+//
+//	[0, words)           presence bitmap, bit i set when source i moved
+//	[words, 2*words)     rank: sources present before each bitmap word
+//	[2*words, +present)  each present source's offset into the row
+//	[..., end)           the present sources' fields, packed
+//
+// The probe stores whichever layout is shorter, dense on a tie.
 type epochRow struct {
 	index, end int64
 	vals       []int64
@@ -277,26 +296,55 @@ func (p *Probe) Sampled(pid uint64) bool {
 	return x%n == 0
 }
 
-// Emit records one event; when the buffer is full the event is dropped
-// and counted. Callers must hold the probe's single-writer role (the
-// owning shard's goroutine, or the serial sub-phase).
+// Emit records one event; when the buffer holds MaxEvents the event is
+// dropped and counted. Callers must hold the probe's single-writer role
+// (the owning shard's goroutine, or the serial sub-phase).
 func (p *Probe) Emit(ev Event) {
 	if len(p.events) == cap(p.events) {
-		p.dropped++
-		return
+		if len(p.events) >= p.maxEvents {
+			p.dropped++
+			return
+		}
+		grown := make([]Event, len(p.events), min(max(2*cap(p.events), 256), p.maxEvents))
+		copy(grown, p.events)
+		p.events = grown
 	}
 	p.events = append(p.events, ev)
 }
 
 // snapshot records one epoch row: every source's counters are read and
-// delta-ed (or copied, for gauges) into the next ring slot.
+// delta-ed in place (gauges are kept as read), then the row goes into the
+// next ring slot, sparse when that is shorter than dense.
 func (p *Probe) snapshot(epoch, endCycle int64) {
 	if p.stride == 0 {
 		p.lastEnd = endCycle
 		return
 	}
+	present, packed := 0, 0
+	for i := range p.sources {
+		s := &p.sources[i]
+		s.read(s.cur)
+		s.moved = false
+		for j, f := range s.fields {
+			if !f.Gauge {
+				v := s.cur[j]
+				s.cur[j] = v - s.prev[j]
+				s.prev[j] = v
+			}
+			s.moved = s.moved || s.cur[j] != 0
+		}
+		if s.moved {
+			present++
+			packed += len(s.fields)
+		}
+	}
+	n := 2*p.words + present + packed
+	if n >= p.stride {
+		n = p.stride
+	}
+
 	if p.head == len(p.ring) {
-		p.ring = append(p.ring, epochRow{vals: make([]int64, p.stride)})
+		p.ring = append(p.ring, epochRow{})
 	}
 	row := &p.ring[p.head]
 	p.head++
@@ -304,19 +352,36 @@ func (p *Probe) snapshot(epoch, endCycle int64) {
 		p.head = 0
 	}
 	row.index, row.end = epoch, endCycle
-	off := 0
-	for i := range p.sources {
-		s := &p.sources[i]
-		s.read(s.cur)
-		for j := range s.fields {
-			v := s.cur[j]
-			if s.fields[j].Gauge {
-				row.vals[off] = v
-			} else {
-				row.vals[off] = v - s.prev[j]
-				s.prev[j] = v
+	if cap(row.vals) >= n {
+		row.vals = row.vals[:n]
+	} else {
+		row.vals = make([]int64, n)
+	}
+	vals := row.vals
+
+	if n == p.stride {
+		off := 0
+		for i := range p.sources {
+			off += copy(vals[off:], p.sources[i].cur)
+		}
+	} else {
+		bitmap, rank, offs := vals[:p.words], vals[p.words:2*p.words], vals[2*p.words:2*p.words+present]
+		clear(bitmap)
+		at, k := 2*p.words+present, 0
+		for i := range p.sources {
+			s := &p.sources[i]
+			if !s.moved {
+				continue
 			}
-			off++
+			bitmap[i>>6] = int64(uint64(bitmap[i>>6]) | 1<<(i&63))
+			offs[k] = int64(at)
+			k++
+			at += copy(vals[at:], s.cur)
+		}
+		k = 0
+		for w, word := range bitmap {
+			rank[w] = int64(k)
+			k += bits.OnesCount64(uint64(word))
 		}
 	}
 	p.lastEnd = endCycle
@@ -418,20 +483,23 @@ func (c *Collector) EpochCommitter(s int) *EpochCommitter {
 	return &EpochCommitter{p: c.probes[s], epoch: c.cfg.Epoch}
 }
 
-// Start preallocates every probe's event buffer and sizes its epoch ring.
-// Call once, after all sources are registered and before the first cycle;
-// from then on the tracer allocates nothing and the epoch collector
-// allocates one ring row per probe per epoch until the ring is full.
+// Start bounds every probe's event buffer and sizes its epoch ring. Call
+// once, after all sources are registered and before the first cycle; from
+// then on the tracer's buffer doubles as it fills, up to MaxEvents, and
+// the epoch collector allocates one ring row per probe per epoch until
+// the ring is full, and after that only when an epoch's row outgrows the
+// one in its slot.
 func (c *Collector) Start() {
 	for _, p := range c.probes {
 		p.lastEnd = -1
 		if c.cfg.TraceSample > 0 {
-			p.events = make([]Event, 0, c.cfg.maxEvents())
+			p.maxEvents = c.cfg.maxEvents()
 		}
 		if c.cfg.Epoch > 0 {
 			for i := range p.sources {
 				p.stride += len(p.sources[i].fields)
 			}
+			p.words = (len(p.sources) + 63) / 64
 			p.maxEpochs = c.cfg.maxEpochs()
 		}
 	}
@@ -440,19 +508,45 @@ func (c *Collector) Start() {
 // SourceSeries is one source's merged epoch series: At(i) holds the
 // source's field values for the i-th retained epoch (aligned with
 // Report.EpochIndex). Harvest points Rows at the ring rows of the probe
-// that recorded the source, shared by every source of that probe, each
-// reading its fields at its own Off; a hand-built series may own its rows
-// and leave Off at 0.
+// that recorded the source, shared by every source of that probe and laid
+// out as the probe stored them (see epochRow), so read them through At. A
+// hand-built series owns dense rows and reads its fields at Off (0 for a
+// row per source).
 type SourceSeries struct {
 	Meta   SourceMeta
 	Fields []Field
 	Rows   [][]int64
 	Off    int
+
+	// Set by Harvest for a series over a probe's ring: the layout of its
+	// rows and the source's index in the probe's presence bitmap.
+	rows *rowLayout
+	src  int
 }
 
-// At returns the source's field values for the e-th retained epoch.
+// rowLayout describes one probe's ring rows to the series that read them.
+type rowLayout struct {
+	stride, words int
+	zero          []int64 // what an absent source reads, shared and never written
+}
+
+// At returns the source's field values for the e-th retained epoch, in
+// constant time for either row layout. The slice is the row's own memory
+// (or a shared zero slice for a source that did not move): read it, do
+// not write it.
 func (ss *SourceSeries) At(e int) []int64 {
-	return ss.Rows[e][ss.Off : ss.Off+len(ss.Fields)]
+	row, n := ss.Rows[e], len(ss.Fields)
+	if ss.rows == nil || len(row) == ss.rows.stride {
+		return row[ss.Off : ss.Off+n]
+	}
+	w, word := ss.rows.words, uint64(row[ss.src>>6])
+	bit := uint64(1) << (ss.src & 63)
+	if word&bit == 0 {
+		return ss.rows.zero[:n]
+	}
+	k := row[w+ss.src>>6] + int64(bits.OnesCount64(word&(bit-1)))
+	off := row[2*w+int(k)]
+	return row[off : off+int64(n)]
 }
 
 // Report is a harvested run's telemetry: the merged epoch series in
@@ -514,16 +608,24 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 		sources += len(p.sources)
 	}
 	r.Sources = make([]SourceSeries, 0, sources)
+	widest := 0
+	for _, p := range c.probes {
+		for i := range p.sources {
+			widest = max(widest, len(p.sources[i].fields))
+		}
+	}
+	zero := make([]int64, widest)
 	for _, p := range c.probes {
 		// One row list per probe, oldest epoch first, shared by its sources.
 		rows := make([][]int64, len(p.ring))
 		for e := range rows {
 			rows[e] = p.ring[p.slotAt(e)].vals
 		}
+		layout := &rowLayout{stride: p.stride, words: p.words, zero: zero}
 		base := 0
 		for i := range p.sources {
 			s := &p.sources[i]
-			r.Sources = append(r.Sources, SourceSeries{Meta: s.meta, Fields: s.fields, Rows: rows, Off: base})
+			r.Sources = append(r.Sources, SourceSeries{Meta: s.meta, Fields: s.fields, Rows: rows, Off: base, rows: layout, src: i})
 			base += len(s.fields)
 		}
 		r.Events = append(r.Events, p.events...)
@@ -586,7 +688,7 @@ func sumSplitSources(sorted []SourceSeries) []SourceSeries {
 					sums[e][j] = v + ss.At(e)[j]
 				}
 			}
-			whole.Rows, whole.Off = sums, 0
+			whole.Rows, whole.Off, whole.rows = sums, 0, nil
 			continue
 		}
 		out = append(out, ss)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -467,4 +468,191 @@ func TestChromeTraceExport(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("two exports of one report differ")
 	}
+}
+
+// synthSource is one source of synthFabric with a known counter
+// sequence: in epoch e it moves when its hash says so, and then each
+// delta field advances by, and each gauge reads, a value in [-2, 6]
+// (zero included, so a moving source can still hold zero fields).
+type synthSource struct {
+	shards []int // the probes the source is registered on; > 1 splits it
+	meta   SourceMeta
+	fields []Field
+	state  [][]int64 // per registration: the cumulative values read
+}
+
+func synthHash(a, b, c int) uint64 {
+	x := uint64(a)*0x9E3779B97F4A7C15 ^ uint64(b)*0xC2B2AE3D27D4EB4F ^ uint64(c)*0x165667B19E3779F9
+	x ^= x >> 29
+	x *= 0xBF58476D1CE4E5B9
+	return x ^ x>>32
+}
+
+// synthValue is field f's per-epoch value (the delta, or the gauge
+// reading) for registration part of source s in epoch e, at the given
+// share of moving sources in percent.
+func synthValue(s, part, f, e, pct int) int64 {
+	if synthHash(s, e, -1)%100 >= uint64(pct) {
+		return 0
+	}
+	return int64(synthHash(s*8+part, e, f)%9) - 2
+}
+
+// synthFabric registers sources shaped like an 8x8 fabric's — 64 routers
+// (4 deltas, 2 gauges), 224 links as a flit and a credit source each, 64
+// NICs, 8 sinks, and a one-gauge pool split across every shard — on a
+// collector with the given shard count.
+func synthFabric(cfg Config, shards int) (*Collector, []*synthSource) {
+	c := New(cfg, shards)
+	var srcs []*synthSource
+	add := func(kind string, id int, fields []Field, on ...int) {
+		ss := &synthSource{shards: on, meta: SourceMeta{Kind: kind, ID: id, Name: fmt.Sprintf("%s%d", kind, id), Row: -1, Col: -1}, fields: fields}
+		for range on {
+			ss.state = append(ss.state, make([]int64, len(fields)))
+		}
+		for part, sh := range on {
+			c.AddSource(sh, ss.meta, fields, func(dst []int64) { copy(dst, ss.state[part]) })
+		}
+		srcs = append(srcs, ss)
+	}
+	router := []Field{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}, {Name: "occ", Gauge: true}, {Name: "max", Gauge: true}}
+	nic := []Field{{Name: "pi"}, {Name: "fi"}, {Name: "pe"}, {Name: "fe"}, {Name: "q", Gauge: true}}
+	for i := 0; i < 64; i++ {
+		add("router", i, router, i*shards/64)
+	}
+	for i := 0; i < 224; i++ {
+		add("link", i, []Field{{Name: "flits"}}, i*shards/224)
+		add("link", i, []Field{{Name: "credits"}}, (223-i)*shards/224)
+	}
+	for i := 0; i < 64; i++ {
+		add("nic", i, nic, i*shards/64)
+	}
+	for i := 0; i < 8; i++ {
+		add("sink", i, []Field{{Name: "pe"}, {Name: "fe"}, {Name: "buf", Gauge: true}}, i*shards/8)
+	}
+	var all []int
+	for s := 0; s < shards; s++ {
+		all = append(all, s)
+	}
+	add("pool", 0, []Field{{Name: "live", Gauge: true}}, all...)
+	c.Start()
+	return c, srcs
+}
+
+// runSynth drives epochs 0..epochs-1 of synthFabric (4 cycles each) with
+// pct(e) percent of the sources moving in epoch e, harvests, and checks
+// every retained (source, epoch) against the known sequence.
+func runSynth(t *testing.T, cfg Config, shards, epochs int, pct func(e int) int) *Collector {
+	t.Helper()
+	c, srcs := synthFabric(cfg, shards)
+	var ecs []*EpochCommitter
+	for s := 0; s < shards; s++ {
+		ecs = append(ecs, c.EpochCommitter(s))
+	}
+	for e := 0; e < epochs; e++ {
+		for si, ss := range srcs {
+			for part := range ss.state {
+				for f, fd := range ss.fields {
+					v := synthValue(si, part, f, e, pct(e))
+					if fd.Gauge {
+						ss.state[part][f] = v
+					} else {
+						ss.state[part][f] += v
+					}
+				}
+			}
+		}
+		for _, ec := range ecs {
+			ec.Commit(int64(4*e + 3))
+		}
+	}
+	rep := c.Harvest(int64(4 * epochs))
+	if len(rep.Sources) != len(srcs) {
+		t.Fatalf("harvested %d series, want one per source = %d", len(rep.Sources), len(srcs))
+	}
+	series := map[string]*SourceSeries{}
+	for i := range rep.Sources {
+		ss := &rep.Sources[i]
+		series[fmt.Sprintf("%s/%d/%s", ss.Meta.Kind, ss.Meta.ID, ss.Fields[0].Name)] = ss
+	}
+	first := epochs - len(rep.EpochIndex)
+	for si, src := range srcs {
+		ss := series[fmt.Sprintf("%s/%d/%s", src.meta.Kind, src.meta.ID, src.fields[0].Name)]
+		if ss == nil {
+			t.Fatalf("source %+v missing from the report", src.meta)
+		}
+		for i := range rep.EpochIndex {
+			e := first + i
+			if rep.EpochIndex[i] != int64(e) {
+				t.Fatalf("retained epoch %d is %d, want %d", i, rep.EpochIndex[i], e)
+			}
+			got := ss.At(i)
+			for f := range src.fields {
+				want := int64(0)
+				for part := range src.state {
+					want += synthValue(si, part, f, e, pct(e))
+				}
+				if got[f] != want {
+					t.Fatalf("%s/%d field %s epoch %d: At = %d, want %d", src.meta.Kind, src.meta.ID, src.fields[f].Name, e, got[f], want)
+				}
+			}
+		}
+	}
+	return c
+}
+
+// ringBytes returns what the collector's rings hold and what dense rows
+// for the same epochs would, in bytes.
+func ringBytes(c *Collector) (held, dense int) {
+	for _, p := range c.probes {
+		for _, row := range p.ring {
+			held += 8 * cap(row.vals)
+			dense += 8 * p.stride
+		}
+	}
+	return held, dense
+}
+
+// TestSparseRowsMatchDense: a ring row keeps only the sources that moved,
+// or falls back to the dense layout when that is not shorter, and At reads
+// every (source, epoch) back as the known delta or gauge value either way.
+func TestSparseRowsMatchDense(t *testing.T) {
+	t.Run("quiet", func(t *testing.T) {
+		c := runSynth(t, Config{Epoch: 4}, 1, 40, func(int) int { return 3 })
+		held, dense := ringBytes(c)
+		t.Logf("quiet 8x8: rows hold %d bytes, dense %d", held, dense)
+		if 3*held >= dense {
+			t.Errorf("quiet 8x8: rows hold %d bytes, want under a third of dense %d", held, dense)
+		}
+	})
+	t.Run("saturated", func(t *testing.T) {
+		c := runSynth(t, Config{Epoch: 4}, 1, 40, func(int) int { return 100 })
+		for _, p := range c.probes {
+			for i, row := range p.ring {
+				if len(row.vals) != p.stride {
+					t.Fatalf("saturated row %d is %d long, want the dense fallback's %d", i, len(row.vals), p.stride)
+				}
+			}
+		}
+		if held, dense := ringBytes(c); held > dense {
+			t.Errorf("saturated 8x8: rows hold %d bytes, more than dense %d", held, dense)
+		}
+	})
+	t.Run("wrapping window", func(t *testing.T) {
+		// Rows grow past their slot's capacity and shrink back into it.
+		c := runSynth(t, Config{Epoch: 4, MaxEpochs: 8}, 1, 45, func(e int) int { return []int{0, 40, 5, 100, 15, 70, 1}[e%7] })
+		p := c.probes[0]
+		sparse := 0
+		for _, row := range p.ring {
+			if len(row.vals) < p.stride {
+				sparse++
+			}
+		}
+		if len(p.ring) != 8 || sparse == 0 || sparse == 8 {
+			t.Errorf("ring holds %d rows, %d of them sparse; want MaxEpochs = 8 rows in both layouts", len(p.ring), sparse)
+		}
+	})
+	t.Run("two shards", func(t *testing.T) {
+		runSynth(t, Config{Epoch: 4}, 2, 30, func(e int) int { return 10 + 20*(e%3) })
+	})
 }
