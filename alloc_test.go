@@ -235,13 +235,15 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 
 // maxTelemetryBuildBytes16x16 pins what building a telemetry-on fabric may
 // allocate: noc.New of model-mix's 16x16 (faults on, default telemetry)
-// measured 4.85 MB — 2.7 MB the fabric, the rest the metrics sources and
-// the telemetry wiring. Neither buffer that grows with the run is built up
-// front: the trace event buffers (5.2 MB when they were allocated at
-// MaxEvents) grow as events arrive, and the epoch ring (83 MB when it was
-// zeroed at MaxEpochs dense rows) gains a row per epoch reached. The
-// ceiling is the measurement plus 10 %.
-const maxTelemetryBuildBytes16x16 = 5_340_000
+// measured 4.14 MB — 2.7 MB the fabric, the rest the metrics sources and
+// the telemetry wiring, whose snapshot values sit in two flat arrays per
+// probe (4.85 MB when every source allocated two of its own). Neither
+// buffer that grows with the run is built up front: the trace event
+// buffers (5.2 MB when they were allocated at MaxEvents) grow as events
+// arrive, and the epoch ring (83 MB when it was zeroed at MaxEpochs dense
+// rows) gains a row per epoch reached. The ceiling is the measurement plus
+// 10 %.
+const maxTelemetryBuildBytes16x16 = 4_560_000
 
 func TestTelemetryBuildBytesPin(t *testing.T) {
 	cfg := noc.DefaultConfig(16, 16)
@@ -269,9 +271,15 @@ func TestTelemetryBuildBytesPin(t *testing.T) {
 // telemetryNetwork runs the 8x8 sequential fabric under uniform traffic
 // with 16-cycle epochs for the given number of epochs, ready to harvest.
 func telemetryNetwork(t *testing.T, epochs int64) *noc.Network {
+	return uniformNetwork(t, &telemetry.Config{Epoch: 16}, 16*epochs)
+}
+
+// uniformNetwork runs the 8x8 sequential fabric under uniform traffic for
+// the given cycles with the given telemetry (nil for none).
+func uniformNetwork(t *testing.T, tcfg *telemetry.Config, cycles int64) *noc.Network {
 	t.Helper()
 	cfg := noc.DefaultConfig(8, 8)
-	cfg.Telemetry = &telemetry.Config{Epoch: 16}
+	cfg.Telemetry = tcfg
 	nw, err := noc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +296,38 @@ func telemetryNetwork(t *testing.T, epochs int64) *noc.Network {
 		t.Fatal(err)
 	}
 	nw.Engine().AddTicker(gen)
-	nw.Engine().Run(16 * epochs)
+	nw.Engine().Run(cycles)
 	return nw
+}
+
+// maxRingBytesPerEpoch pins what one more retained epoch of the 8x8
+// telemetryNetwork adds to its epoch ring: the epoch's packed row (a
+// presence bitmap, ranks and offsets, and the moved sources' fields as
+// varints) and its share of the ring's slot headers. It measured 4 192
+// bytes; int64 rows, dense or sparse, measured 12 406. The pin is the
+// measurement plus 10 %.
+const maxRingBytesPerEpoch = 4611
+
+// TestRingBytesPin: what a telemetry-on 8x8 allocates over the 90 epochs
+// after its 10th, less what the same run allocates with telemetry off, per
+// epoch. The difference is the ring rows and slot headers those epochs
+// add, nothing the fabric allocates, and both runs are deterministic, so
+// the count is exact and no host noise can hide a regression.
+func TestRingBytesPin(t *testing.T) {
+	over := func(tcfg *telemetry.Config) int64 {
+		nw := uniformNetwork(t, tcfg, 16*10)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nw.Engine().Run(16 * 90)
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	on, off := over(&telemetry.Config{Epoch: 16}), over(nil)
+	perEpoch := (on - off) / 90
+	t.Logf("8x8 epoch ring: %d bytes per retained epoch (%d with telemetry, %d without, over 90 epochs)", perEpoch, on, off)
+	if perEpoch > maxRingBytesPerEpoch {
+		t.Fatalf("the epoch ring holds %d bytes per retained epoch, pin %d", perEpoch, maxRingBytesPerEpoch)
+	}
 }
 
 // TestMetricsCSVAllocationPin: WriteMetricsCSV formats into one reused

@@ -250,7 +250,11 @@ func TestRunTelemetryExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	pts, err := telemetry.ReadMetricsCSV(f)
+	var pts []telemetry.MetricPoint
+	err = telemetry.ScanMetricsCSV(f, func(p *telemetry.MetricPoint) error {
+		pts = append(pts, *p)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,21 +300,6 @@ func ScanMetricsCSV(rd io.Reader, fn func(*MetricPoint) error) error {
 	return nil
 }
 
-// ReadMetricsCSV collects every point ScanMetricsCSV yields. It holds the
-// whole series in memory; a consumer that needs a few fields of a large
-// file filters inside ScanMetricsCSV instead, as gatherviz does.
-func ReadMetricsCSV(rd io.Reader) ([]MetricPoint, error) {
-	var pts []MetricPoint
-	err := ScanMetricsCSV(rd, func(p *MetricPoint) error {
-		pts = append(pts, *p)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
-}
-
 // Track layout: pid = workload job index + 1 (0 for untagged traffic),
 // tid 0 = the job's schedule track (phase spans), tid = node+1 = that
 // node's pipeline-stage slices. Cycles map 1:1 onto the format's

@@ -19,6 +19,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -45,9 +46,9 @@ type Config struct {
 	// are overwritten, keeping the most recent window. A ring row is
 	// allocated the first time the run reaches its slot and reused once
 	// the ring wraps, and it holds only the sources that moved in its
-	// epoch (DESIGN.md §11): a quiet epoch costs a few words, a busy one at
-	// most 8 bytes per field. So memory follows what was recorded and
-	// MaxEpochs is only the ceiling.
+	// epoch, their fields as varints (DESIGN.md §11): a quiet epoch costs a
+	// few bytes per 64 sources, a busy one a byte or two per field. So
+	// memory follows what was recorded and MaxEpochs is only the ceiling.
 	MaxEpochs int
 	// MaxEvents bounds each probe's event buffer (0 = 65536 events); the
 	// buffer grows as events arrive, so the bound is a ceiling, not an
@@ -237,9 +238,6 @@ type source struct {
 	meta   SourceMeta
 	fields []Field
 	read   ReadFn
-	prev   []int64 // the delta fields' cumulative values at the last snapshot
-	cur    []int64 // the last snapshot's row values: deltas and gauges
-	moved  bool    // cur holds a non-zero value
 }
 
 // Probe is the single-writer recording endpoint for one shard (or the
@@ -258,8 +256,11 @@ type Probe struct {
 	// Epoch ring (see Collector.Harvest for the merge): it grows by one
 	// row each time the run reaches a slot for the first time, up to
 	// maxEpochs rows, and from then on head wraps and rows are overwritten.
-	stride    int // fields across all sources: a dense row's length
-	words     int // presence-bitmap words of a sparse row, one bit per source
+	// Source i's fields are cur[bounds[i]:bounds[i+1]] (and prev[...] for
+	// its delta fields' cumulative values at the last snapshot).
+	bounds    []int
+	cur, prev []int64
+	scratch   []byte // the row being packed, copied into its slot after
 	maxEpochs int
 	ring      []epochRow
 	head      int   // next slot to write
@@ -267,20 +268,66 @@ type Probe struct {
 }
 
 // epochRow is one ring slot: an epoch's index, its inclusive end cycle and
-// the values snapshotted for it, in one of two layouts told apart by
-// length. A dense row is stride long and holds every source's fields at
-// the source's offset. A sparse row is shorter than that and holds only
-// the sources with a non-zero value:
-//
-//	[0, words)           presence bitmap, bit i set when source i moved
-//	[words, 2*words)     rank: sources present before each bitmap word
-//	[2*words, +present)  each present source's offset into the row
-//	[..., end)           the present sources' fields, packed
-//
-// The probe stores whichever layout is shorter, dense on a tie.
+// the row packRow made of the values snapshotted for it.
 type epochRow struct {
 	index, end int64
-	vals       []int64
+	vals       []byte
+}
+
+// packRow appends to dst one packed row: source i's fields are
+// vals[bounds[i]:bounds[i+1]], and the row holds the source only when one
+// of them is non-zero. With words = ceil(sources/64) and present sources
+// held, the row's bytes are laid out as:
+//
+//	[0, 8*words)                    presence bitmap, little-endian uint64 words, bit i set when source i moved
+//	[8*words, 12*words)             rank: uint32 count of the sources present before each bitmap word
+//	[12*words, 12*words+4*present)  each present source's uint32 byte offset into the row
+//	[..., end)                      the present sources' fields, zig-zag varints
+//
+// Offsets count from the row's first byte, so several rows can share one
+// buffer. packRow is the only encoder and SourceSeries.At the only decoder.
+func packRow(dst []byte, vals []int64, bounds []int) []byte {
+	sources := len(bounds) - 1
+	words, present := (sources+63)/64, 0
+	for i := 0; i < sources; i++ {
+		if moved(vals[bounds[i]:bounds[i+1]]) {
+			present++
+		}
+	}
+	// Every header byte is written below, the bitmap and ranks per word
+	// and an offset per present source.
+	base, header := len(dst), 12*words+4*present
+	dst = slices.Grow(dst, header)[:base+header]
+	k := 0
+	for w := 0; w < words; w++ {
+		le.PutUint32(dst[base+8*words+4*w:], uint32(k))
+		var word uint64
+		for i := 64 * w; i < min(64*w+64, sources); i++ {
+			f := vals[bounds[i]:bounds[i+1]]
+			if !moved(f) {
+				continue
+			}
+			word |= 1 << (i & 63)
+			le.PutUint32(dst[base+12*words+4*k:], uint32(len(dst)-base))
+			k++
+			for _, v := range f {
+				dst = binary.AppendVarint(dst, v)
+			}
+		}
+		le.PutUint64(dst[base+8*w:], word)
+	}
+	return dst
+}
+
+var le = binary.LittleEndian
+
+func moved(f []int64) bool {
+	for _, v := range f {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Sampled reports whether packet id pid is in the traced sample. The
@@ -313,35 +360,29 @@ func (p *Probe) Emit(ev Event) {
 }
 
 // snapshot records one epoch row: every source's counters are read and
-// delta-ed in place (gauges are kept as read), then the row goes into the
-// next ring slot, sparse when that is shorter than dense.
+// delta-ed in place (gauges are kept as read), the row is packed into the
+// probe's scratch, and it is copied into the next ring slot, whose row is
+// reused when the packed row fits in it and otherwise replaced by one of
+// exactly the packed row's length.
 func (p *Probe) snapshot(epoch, endCycle int64) {
-	if p.stride == 0 {
-		p.lastEnd = endCycle
+	p.lastEnd = endCycle
+	if len(p.cur) == 0 {
 		return
 	}
-	present, packed := 0, 0
 	for i := range p.sources {
 		s := &p.sources[i]
-		s.read(s.cur)
-		s.moved = false
+		lo, hi := p.bounds[i], p.bounds[i+1]
+		cur, prev := p.cur[lo:hi], p.prev[lo:hi]
+		s.read(cur)
 		for j, f := range s.fields {
 			if !f.Gauge {
-				v := s.cur[j]
-				s.cur[j] = v - s.prev[j]
-				s.prev[j] = v
+				v := cur[j]
+				cur[j] = v - prev[j]
+				prev[j] = v
 			}
-			s.moved = s.moved || s.cur[j] != 0
-		}
-		if s.moved {
-			present++
-			packed += len(s.fields)
 		}
 	}
-	n := 2*p.words + present + packed
-	if n >= p.stride {
-		n = p.stride
-	}
+	p.scratch = packRow(p.scratch[:0], p.cur, p.bounds)
 
 	if p.head == len(p.ring) {
 		p.ring = append(p.ring, epochRow{})
@@ -352,39 +393,12 @@ func (p *Probe) snapshot(epoch, endCycle int64) {
 		p.head = 0
 	}
 	row.index, row.end = epoch, endCycle
-	if cap(row.vals) >= n {
+	if n := len(p.scratch); cap(row.vals) >= n {
 		row.vals = row.vals[:n]
 	} else {
-		row.vals = make([]int64, n)
+		row.vals = make([]byte, n)
 	}
-	vals := row.vals
-
-	if n == p.stride {
-		off := 0
-		for i := range p.sources {
-			off += copy(vals[off:], p.sources[i].cur)
-		}
-	} else {
-		bitmap, rank, offs := vals[:p.words], vals[p.words:2*p.words], vals[2*p.words:2*p.words+present]
-		clear(bitmap)
-		at, k := 2*p.words+present, 0
-		for i := range p.sources {
-			s := &p.sources[i]
-			if !s.moved {
-				continue
-			}
-			bitmap[i>>6] = int64(uint64(bitmap[i>>6]) | 1<<(i&63))
-			offs[k] = int64(at)
-			k++
-			at += copy(vals[at:], s.cur)
-		}
-		k = 0
-		for w, word := range bitmap {
-			rank[w] = int64(k)
-			k += bits.OnesCount64(uint64(word))
-		}
-	}
-	p.lastEnd = endCycle
+	copy(row.vals, p.scratch)
 }
 
 // EpochCommitter is the per-shard component that triggers epoch
@@ -464,13 +478,7 @@ func (c *Collector) SerialProbe() *Probe { return c.probes[len(c.probes)-1] }
 // into one series.
 func (c *Collector) AddSource(s int, meta SourceMeta, fields []Field, read ReadFn) {
 	p := c.probes[s]
-	p.sources = append(p.sources, source{
-		meta:   meta,
-		fields: fields,
-		read:   read,
-		prev:   make([]int64, len(fields)),
-		cur:    make([]int64, len(fields)),
-	})
+	p.sources = append(p.sources, source{meta: meta, fields: fields, read: read})
 }
 
 // EpochCommitter returns shard s's snapshot trigger, or nil when the
@@ -483,12 +491,13 @@ func (c *Collector) EpochCommitter(s int) *EpochCommitter {
 	return &EpochCommitter{p: c.probes[s], epoch: c.cfg.Epoch}
 }
 
-// Start bounds every probe's event buffer and sizes its epoch ring. Call
-// once, after all sources are registered and before the first cycle; from
-// then on the tracer's buffer doubles as it fills, up to MaxEvents, and
-// the epoch collector allocates one ring row per probe per epoch until
-// the ring is full, and after that only when an epoch's row outgrows the
-// one in its slot.
+// Start bounds every probe's event buffer, lays its sources' snapshot
+// values out in two flat arrays and sizes its epoch ring. Call once, after
+// all sources are registered and before the first cycle; from then on the
+// tracer's buffer doubles as it fills, up to MaxEvents, and the epoch
+// collector allocates one ring row per probe per epoch until the ring is
+// full, and after that only when an epoch's row outgrows the one in its
+// slot.
 func (c *Collector) Start() {
 	for _, p := range c.probes {
 		p.lastEnd = -1
@@ -496,57 +505,71 @@ func (c *Collector) Start() {
 			p.maxEvents = c.cfg.maxEvents()
 		}
 		if c.cfg.Epoch > 0 {
+			p.bounds = make([]int, len(p.sources)+1)
 			for i := range p.sources {
-				p.stride += len(p.sources[i].fields)
+				p.bounds[i+1] = p.bounds[i] + len(p.sources[i].fields)
 			}
-			p.words = (len(p.sources) + 63) / 64
+			stride := p.bounds[len(p.sources)]
+			p.cur, p.prev = make([]int64, stride), make([]int64, stride)
 			p.maxEpochs = c.cfg.maxEpochs()
 		}
 	}
 }
 
-// SourceSeries is one source's merged epoch series: At(i) holds the
-// source's field values for the i-th retained epoch (aligned with
-// Report.EpochIndex). Harvest points Rows at the ring rows of the probe
-// that recorded the source, shared by every source of that probe and laid
-// out as the probe stored them (see epochRow), so read them through At. A
-// hand-built series owns dense rows and reads its fields at Off (0 for a
-// row per source).
+// SourceSeries is one source's merged epoch series: At(e) holds the
+// source's field values for the e-th retained epoch (aligned with
+// Report.EpochIndex). The series reads packed rows (see packRow): Harvest
+// hands it the ring rows of the probe that recorded the source, shared by
+// every source of that probe, and a split source's sums get packed rows of
+// their own.
 type SourceSeries struct {
 	Meta   SourceMeta
 	Fields []Field
-	Rows   [][]int64
-	Off    int
 
-	// Set by Harvest for a series over a probe's ring: the layout of its
-	// rows and the source's index in the probe's presence bitmap.
-	rows *rowLayout
-	src  int
-}
-
-// rowLayout describes one probe's ring rows to the series that read them.
-type rowLayout struct {
-	stride, words int
-	zero          []int64 // what an absent source reads, shared and never written
+	rows  [][]byte // one packed row per retained epoch, oldest first
+	src   int      // the source's index in the rows' presence bitmaps
+	words int      // the rows' presence-bitmap words
+	buf   []int64  // what At decodes into, len(Fields) long
 }
 
 // At returns the source's field values for the e-th retained epoch, in
-// constant time for either row layout. The slice is the row's own memory
-// (or a shared zero slice for a source that did not move): read it, do
-// not write it.
+// constant time per field: a bit test, the word's rank plus a popcount for
+// the source's offset, then its varints. The values are decoded into a
+// buffer the series owns, so the slice is valid until the next At on this
+// series (or a copy of it): read it, do not keep it, and do not call At
+// on one series from two goroutines.
 func (ss *SourceSeries) At(e int) []int64 {
-	row, n := ss.Rows[e], len(ss.Fields)
-	if ss.rows == nil || len(row) == ss.rows.stride {
-		return row[ss.Off : ss.Off+n]
-	}
-	w, word := ss.rows.words, uint64(row[ss.src>>6])
-	bit := uint64(1) << (ss.src & 63)
+	row, w := ss.rows[e], ss.src>>6
+	word, bit := le.Uint64(row[8*w:]), uint64(1)<<(ss.src&63)
 	if word&bit == 0 {
-		return ss.rows.zero[:n]
+		clear(ss.buf)
+		return ss.buf
 	}
-	k := row[w+ss.src>>6] + int64(bits.OnesCount64(word&(bit-1)))
-	off := row[2*w+int(k)]
-	return row[off : off+int64(n)]
+	k := int(le.Uint32(row[8*ss.words+4*w:])) + bits.OnesCount64(word&(bit-1))
+	p := row[le.Uint32(row[12*ss.words+4*k:]):]
+	for j := range ss.buf {
+		v, n := binary.Varint(p)
+		ss.buf[j], p = v, p[n:]
+	}
+	return ss.buf
+}
+
+// packedSeries returns a series over packed rows of its own: vals holds
+// the source's fields epoch after epoch, and each epoch becomes a
+// one-source row, every row in one allocation.
+func packedSeries(meta SourceMeta, fields []Field, epochs int, vals []int64) SourceSeries {
+	// A one-source row is at most one bitmap word, its rank, one offset
+	// and k varints long.
+	k := len(fields)
+	buf := make([]byte, 0, epochs*(8+4+4+binary.MaxVarintLen64*k))
+	rows := make([][]byte, epochs)
+	bounds := []int{0, k}
+	for e := range rows {
+		start := len(buf)
+		buf = packRow(buf, vals[e*k:(e+1)*k], bounds)
+		rows[e] = buf[start:len(buf):len(buf)]
+	}
+	return SourceSeries{Meta: meta, Fields: fields, rows: rows, words: 1, buf: make([]int64, k)}
 }
 
 // Report is a harvested run's telemetry: the merged epoch series in
@@ -574,9 +597,11 @@ type Report struct {
 // boundary), merges the per-shard rings in canonical order, and sorts the
 // event streams. Call once, after the run, from the coordinating
 // goroutine. finalCycle is the engine's completed-cycle count. The series
-// read the probes' ring rows in place, so what Harvest allocates follows
-// the probes and sources, not the epochs; only a split source's sums get
-// rows of their own.
+// read the probes' packed ring rows in place, and every series' At buffer
+// is cut from one allocation, so what Harvest allocates follows the probes
+// and sources, not the epochs; only a split source's sums get rows of
+// their own. The report reads the rings it was harvested from: it is valid
+// until the run goes on.
 func (c *Collector) Harvest(finalCycle int64) *Report {
 	r := &Report{Epoch: c.cfg.Epoch}
 	if c.cfg.Epoch > 0 && finalCycle > 0 {
@@ -590,7 +615,7 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 	// Epoch axis: every snapping probe recorded the same slots; take the
 	// axis from the first probe with a ring.
 	for _, p := range c.probes {
-		if p.stride == 0 {
+		if len(p.cur) == 0 {
 			continue
 		}
 		r.EpochIndex = make([]int64, len(p.ring))
@@ -603,30 +628,27 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 		break
 	}
 
-	sources := 0
+	sources, fields := 0, 0
 	for _, p := range c.probes {
 		sources += len(p.sources)
-	}
-	r.Sources = make([]SourceSeries, 0, sources)
-	widest := 0
-	for _, p := range c.probes {
 		for i := range p.sources {
-			widest = max(widest, len(p.sources[i].fields))
+			fields += len(p.sources[i].fields)
 		}
 	}
-	zero := make([]int64, widest)
+	r.Sources = make([]SourceSeries, 0, sources)
+	bufs := make([]int64, fields)
 	for _, p := range c.probes {
 		// One row list per probe, oldest epoch first, shared by its sources.
-		rows := make([][]int64, len(p.ring))
+		rows := make([][]byte, len(p.ring))
 		for e := range rows {
 			rows[e] = p.ring[p.slotAt(e)].vals
 		}
-		layout := &rowLayout{stride: p.stride, words: p.words, zero: zero}
-		base := 0
+		words := (len(p.sources) + 63) / 64
 		for i := range p.sources {
 			s := &p.sources[i]
-			r.Sources = append(r.Sources, SourceSeries{Meta: s.meta, Fields: s.fields, Rows: rows, Off: base, rows: layout, src: i})
-			base += len(s.fields)
+			n := len(s.fields)
+			r.Sources = append(r.Sources, SourceSeries{Meta: s.meta, Fields: s.fields, rows: rows, src: i, words: words, buf: bufs[:n:n]})
+			bufs = bufs[n:]
 		}
 		r.Events = append(r.Events, p.events...)
 		r.DroppedEvents += p.dropped
@@ -672,23 +694,23 @@ func (p *Probe) slotAt(i int) int {
 
 // sumSplitSources folds the per-shard parts of a split source (see
 // AddSource) into one series. The parts carry the same meta and fields,
-// so the canonical sort has left them adjacent; the sums go into fresh
-// rows, never into a probe's ring.
+// so the canonical sort has left them adjacent; the sums are packed into
+// rows of their own, never into a probe's ring.
 func sumSplitSources(sorted []SourceSeries) []SourceSeries {
 	out := sorted[:0]
 	for _, ss := range sorted {
 		if n := len(out); n > 0 && out[n-1].Meta == ss.Meta && slices.Equal(out[n-1].Fields, ss.Fields) {
 			whole := &out[n-1]
-			k := len(ss.Fields)
-			sums := make([][]int64, len(whole.Rows))
-			flat := make([]int64, len(sums)*k)
-			for e := range sums {
-				sums[e] = flat[e*k : (e+1)*k]
-				for j, v := range whole.At(e) {
-					sums[e][j] = v + ss.At(e)[j]
+			k, epochs := len(ss.Fields), len(ss.rows)
+			sums := make([]int64, epochs*k)
+			for e := 0; e < epochs; e++ {
+				sum := sums[e*k : (e+1)*k]
+				copy(sum, whole.At(e))
+				for j, v := range ss.At(e) {
+					sum[j] += v
 				}
 			}
-			whole.Rows, whole.Off, whole.rows = sums, 0, nil
+			*whole = packedSeries(whole.Meta, whole.Fields, epochs, sums)
 			continue
 		}
 		out = append(out, ss)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,12 +157,12 @@ func TestEpochRingWrap(t *testing.T) {
 	c, state := collectorWithSource(Config{Epoch: 2, MaxEpochs: 2})
 	ec := c.EpochCommitter(0)
 	p := c.ShardProbe(0)
-	var first [2]*int64
+	var first [2]*byte
 	for cycle := int64(0); cycle < 10; cycle++ {
 		state[0]++
 		ec.Commit(cycle)
 		if cycle == 3 { // both slots reached once
-			first = [2]*int64{&p.ring[0].vals[0], &p.ring[1].vals[0]}
+			first = [2]*byte{&p.ring[0].vals[0], &p.ring[1].vals[0]}
 		}
 	}
 	if len(p.ring) != 2 {
@@ -194,7 +196,7 @@ func TestEpochRingWrap(t *testing.T) {
 		t.Errorf("3 epochs of a 1024-epoch window allocated %d rows, want 3", n)
 	}
 	if rep := c.Harvest(6); len(rep.EpochIndex) != 3 || rep.Sources[0].At(2)[0] != 2 {
-		t.Errorf("harvested epochs %v, last delta row %v", rep.EpochIndex, rep.Sources[0].Rows)
+		t.Errorf("harvested epochs %v, last epoch's values %v", rep.EpochIndex, rep.Sources[0].At(len(rep.EpochIndex)-1))
 	}
 }
 
@@ -229,11 +231,12 @@ func TestHarvestSumsSplitSource(t *testing.T) {
 		t.Fatalf("harvested %d sources, want link credits, link flits and one pool", len(rep.Sources))
 	}
 	pool := rep.Sources[2]
-	if pool.Meta != meta || len(pool.Rows) != 2 || pool.At(0)[0] != 7 || pool.At(1)[0] != 3 {
+	if pool.Meta != meta || len(pool.rows) != 2 || pool.At(0)[0] != 7 || pool.At(1)[0] != 3 {
 		t.Errorf("pool series = %+v, want live 7 then 3", pool)
 	}
 	// The sums are the report's own rows; the probes' rings keep the parts.
-	if got := c.ShardProbe(0).ring[0].vals[0]; got != 5 {
+	part := SourceSeries{rows: [][]byte{c.ShardProbe(0).ring[0].vals}, words: 1, buf: make([]int64, 1)}
+	if got := part.At(0)[0]; got != 5 {
 		t.Errorf("shard 0's ring row holds %d after Harvest, want its own part 5", got)
 	}
 }
@@ -340,7 +343,7 @@ func TestMetricsCSVRoundTrip(t *testing.T) {
 		t.Errorf("gauge rows should leave per_cycle empty:\n%s", buf.String())
 	}
 
-	pts, err := ReadMetricsCSV(bytes.NewReader(buf.Bytes()))
+	pts, err := scanAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +355,19 @@ func TestMetricsCSVRoundTrip(t *testing.T) {
 		p.Name != "r3" || p.Row != 0 || p.Col != 3 || p.Field != "writes" || p.Value != 12 {
 		t.Errorf("first point = %+v", p)
 	}
-	if _, err := ReadMetricsCSV(strings.NewReader("not,a,metrics\nfile,0,0\n")); err == nil {
+	if _, err := scanAll(strings.NewReader("not,a,metrics\nfile,0,0\n")); err == nil {
 		t.Error("non-metrics CSV accepted")
 	}
+}
+
+// scanAll collects every point ScanMetricsCSV yields, or its error.
+func scanAll(rd io.Reader) ([]MetricPoint, error) {
+	var pts []MetricPoint
+	err := ScanMetricsCSV(rd, func(p *MetricPoint) error {
+		pts = append(pts, *p)
+		return nil
+	})
+	return pts, err
 }
 
 // A damaged metrics CSV must be refused with the damaged place named; it
@@ -362,24 +375,24 @@ func TestMetricsCSVRoundTrip(t *testing.T) {
 func TestReadMetricsCSVRejectsDamagedInput(t *testing.T) {
 	for _, tt := range damagedMetricsCSVs {
 		t.Run(tt.name, func(t *testing.T) {
-			pts, err := ReadMetricsCSV(strings.NewReader(tt.in))
+			pts, err := scanAll(strings.NewReader(tt.in))
 			var ce *MetricsCSVError
 			if !errors.As(err, &ce) {
-				t.Fatalf("ReadMetricsCSV = %v points, err %v; want a *MetricsCSVError", len(pts), err)
+				t.Fatalf("ScanMetricsCSV yielded %v points, err %v; want a *MetricsCSVError", len(pts), err)
 			}
 			if ce.Row != tt.row || ce.Column != tt.column {
 				t.Errorf("error at row %d column %q (%v), want row %d column %q", ce.Row, ce.Column, err, tt.row, tt.column)
 			}
 		})
 	}
-	if _, err := ReadMetricsCSV(strings.NewReader("")); err == nil {
+	if _, err := scanAll(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ReadMetricsCSV(strings.NewReader(goodCSVHeader + "0,3,\"router,3\n")); err == nil {
+	if _, err := scanAll(strings.NewReader(goodCSVHeader + "0,3,\"router,3\n")); err == nil {
 		t.Error("unterminated quote accepted")
 	}
 	// The derived per_cycle column is optional.
-	pts, err := ReadMetricsCSV(strings.NewReader("epoch,cycle,kind,id,name,row,col,field,value\n0,3,router,3,r3,0,3,writes,12\n"))
+	pts, err := scanAll(strings.NewReader("epoch,cycle,kind,id,name,row,col,field,value\n0,3,router,3,r3,0,3,writes,12\n"))
 	if err != nil || len(pts) != 1 || pts[0].Value != 12 {
 		t.Errorf("nine-column CSV: points %v, err %v", pts, err)
 	}
@@ -601,58 +614,196 @@ func runSynth(t *testing.T, cfg Config, shards, epochs int, pct func(e int) int)
 	return c
 }
 
-// ringBytes returns what the collector's rings hold and what dense rows
-// for the same epochs would, in bytes.
-func ringBytes(c *Collector) (held, dense int) {
+// ringBytes returns what the collector's rings hold and what they would
+// hold at 8 bytes per field, the int64 rows that packing replaced.
+func ringBytes(c *Collector) (held, words int) {
 	for _, p := range c.probes {
 		for _, row := range p.ring {
-			held += 8 * cap(row.vals)
-			dense += 8 * p.stride
+			held += cap(row.vals)
+			words += 8 * len(p.cur)
 		}
 	}
-	return held, dense
+	return held, words
 }
 
-// TestSparseRowsMatchDense: a ring row keeps only the sources that moved,
-// or falls back to the dense layout when that is not shorter, and At reads
-// every (source, epoch) back as the known delta or gauge value either way.
+// TestSparseRowsMatchDense: a packed ring row keeps only the sources that
+// moved, their fields as varints, and At reads every (source, epoch) back
+// as the known delta or gauge value, whether few sources moved or all.
 func TestSparseRowsMatchDense(t *testing.T) {
 	t.Run("quiet", func(t *testing.T) {
 		c := runSynth(t, Config{Epoch: 4}, 1, 40, func(int) int { return 3 })
-		held, dense := ringBytes(c)
-		t.Logf("quiet 8x8: rows hold %d bytes, dense %d", held, dense)
-		if 3*held >= dense {
-			t.Errorf("quiet 8x8: rows hold %d bytes, want under a third of dense %d", held, dense)
+		held, words := ringBytes(c)
+		t.Logf("quiet 8x8: rows hold %d bytes, 8 bytes per field %d", held, words)
+		if 3*held >= words {
+			t.Errorf("quiet 8x8: rows hold %d bytes, want under a third of 8 bytes per field, %d", held, words)
 		}
 	})
 	t.Run("saturated", func(t *testing.T) {
 		c := runSynth(t, Config{Epoch: 4}, 1, 40, func(int) int { return 100 })
 		for _, p := range c.probes {
 			for i, row := range p.ring {
-				if len(row.vals) != p.stride {
-					t.Fatalf("saturated row %d is %d long, want the dense fallback's %d", i, len(row.vals), p.stride)
+				if len(row.vals) >= 8*len(p.cur) {
+					t.Fatalf("saturated row %d is %d bytes, want under 8 bytes per field, %d", i, len(row.vals), 8*len(p.cur))
 				}
 			}
 		}
-		if held, dense := ringBytes(c); held > dense {
-			t.Errorf("saturated 8x8: rows hold %d bytes, more than dense %d", held, dense)
-		}
+		held, words := ringBytes(c)
+		t.Logf("saturated 8x8: rows hold %d bytes, 8 bytes per field %d", held, words)
 	})
 	t.Run("wrapping window", func(t *testing.T) {
 		// Rows grow past their slot's capacity and shrink back into it.
 		c := runSynth(t, Config{Epoch: 4, MaxEpochs: 8}, 1, 45, func(e int) int { return []int{0, 40, 5, 100, 15, 70, 1}[e%7] })
 		p := c.probes[0]
-		sparse := 0
+		shrunk := 0
 		for _, row := range p.ring {
-			if len(row.vals) < p.stride {
-				sparse++
+			if len(row.vals) < cap(row.vals) {
+				shrunk++
 			}
 		}
-		if len(p.ring) != 8 || sparse == 0 || sparse == 8 {
-			t.Errorf("ring holds %d rows, %d of them sparse; want MaxEpochs = 8 rows in both layouts", len(p.ring), sparse)
+		if len(p.ring) != 8 || shrunk == 0 {
+			t.Errorf("ring holds %d rows, %d of them shorter than their slot; want MaxEpochs = 8 rows, some reused by a shorter one", len(p.ring), shrunk)
 		}
 	})
 	t.Run("two shards", func(t *testing.T) {
 		runSynth(t, Config{Epoch: 4}, 2, 30, func(e int) int { return 10 + 20*(e%3) })
+	})
+}
+
+// fuzzValues are the field values FuzzEpochRows draws from besides raw
+// eight-byte ones: zero, the one-, two-, four- and eight-byte varint
+// edges, and both extremes.
+var fuzzValues = []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+
+// FuzzEpochRows: whatever the sources, values and presence pattern, At
+// returns exactly what snapshot recorded. The input picks the source count
+// (63, 64 and 65 straddle a bitmap word), one or two shards, a window
+// small enough to wrap, the epoch count, and from its bytes, per (epoch,
+// source), whether the source moved and then each field's value: zero,
+// one of fuzzValues, a small signed one or eight raw bytes. One field in
+// three is a gauge, recorded as read; the rest are deltas of a counter
+// that wraps as int64 arithmetic does, so any value, the extremes
+// included, is recorded as drawn. With two shards a split source,
+// registered on both, reads back as the sum of its parts.
+func FuzzEpochRows(f *testing.F) {
+	f.Add(uint8(63), false, uint8(3), uint8(7), []byte{1, 1, 9, 11, 3, 0, 1, 2, 200, 0, 1, 3, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(64), true, uint8(2), uint8(9), []byte{1, 5, 12, 0, 1, 1, 7, 255, 2, 129})
+	f.Add(uint8(65), true, uint8(4), uint8(4), []byte{3, 1, 10, 1, 11, 1, 12, 0, 0, 2})
+	f.Add(uint8(0), false, uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, nsrc uint8, twoShards bool, window, epochs uint8, data []byte) {
+		sources, shards := 1+int(nsrc)%130, 1
+		if twoShards {
+			shards = 2
+		}
+		maxEpochs, run := 1+int(window)%6, 1+int(epochs)%16
+		at := 0
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			at++
+			return data[(at-1)%len(data)]
+		}
+		draw := func() int64 {
+			switch b := next(); b % 4 {
+			case 1:
+				return fuzzValues[int(next())%len(fuzzValues)]
+			case 2:
+				return int64(int8(next()))
+			case 3:
+				var raw [8]byte
+				for i := range raw {
+					raw[i] = next()
+				}
+				return int64(le.Uint64(raw[:]))
+			}
+			return 0
+		}
+
+		// A registration reads state; want[e][f] is what epoch e records.
+		type part struct {
+			fields []Field
+			state  []int64
+			want   [][]int64
+		}
+		c := New(Config{Epoch: 1, MaxEpochs: maxEpochs}, shards)
+		var parts []*part
+		register := func(sh int, meta SourceMeta, k int) *part {
+			p := &part{state: make([]int64, k)}
+			for j := 0; j < k; j++ {
+				p.fields = append(p.fields, Field{Name: fmt.Sprintf("f%d", j), Gauge: (meta.ID+j)%3 == 2})
+			}
+			c.AddSource(sh, meta, p.fields, func(dst []int64) { copy(dst, p.state) })
+			parts = append(parts, p)
+			return p
+		}
+		for i := 0; i < sources; i++ {
+			register(i%shards, SourceMeta{Kind: "src", ID: i}, 1+i%3)
+		}
+		if shards == 2 {
+			split := SourceMeta{Kind: "split", ID: 0}
+			register(0, split, 2)
+			register(1, split, 2)
+		}
+		c.Start()
+		var ecs []*EpochCommitter
+		for s := 0; s < shards; s++ {
+			ecs = append(ecs, c.EpochCommitter(s))
+		}
+		for e := 0; e < run; e++ {
+			for _, p := range parts {
+				rec := make([]int64, len(p.fields))
+				if next()&1 == 1 {
+					for j, f := range p.fields {
+						rec[j] = draw()
+						if f.Gauge {
+							p.state[j] = rec[j]
+						} else {
+							p.state[j] += rec[j]
+						}
+					}
+				} else {
+					for j, f := range p.fields {
+						if f.Gauge {
+							p.state[j] = 0
+						}
+					}
+				}
+				p.want = append(p.want, rec)
+			}
+			for _, ec := range ecs {
+				ec.Commit(int64(e))
+			}
+		}
+
+		rep := c.Harvest(int64(run))
+		kept := min(run, maxEpochs)
+		if len(rep.EpochIndex) != kept || rep.EpochIndex[0] != int64(run-kept) {
+			t.Fatalf("%d epochs in a window of %d: retained %v", run, maxEpochs, rep.EpochIndex)
+		}
+		if want := sources + shards - 1; len(rep.Sources) != want {
+			t.Fatalf("harvested %d series, want %d", len(rep.Sources), want)
+		}
+		for i := range rep.Sources {
+			ss := &rep.Sources[i]
+			var of []*part
+			if ss.Meta.Kind == "split" {
+				of = parts[sources:]
+			} else {
+				of = parts[ss.Meta.ID : ss.Meta.ID+1]
+			}
+			for r := range rep.EpochIndex {
+				e := run - kept + r
+				got := ss.At(r)
+				for j := range got {
+					want := int64(0)
+					for _, p := range of {
+						want += p.want[e][j]
+					}
+					if got[j] != want {
+						t.Fatalf("%s %d field %d, epoch %d: At = %d, snapshot recorded %d", ss.Meta.Kind, ss.Meta.ID, j, e, got[j], want)
+					}
+				}
+			}
+		}
 	})
 }

@@ -40,7 +40,7 @@ gathernoc/internal/router 87
 gathernoc/internal/sim 97
 gathernoc/internal/stats 95
 gathernoc/internal/systolic 92
-gathernoc/internal/telemetry 94
+gathernoc/internal/telemetry 95
 gathernoc/internal/topology 94
 gathernoc/internal/traffic 88
 gathernoc/internal/workload 90
