@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"testing"
 
+	"gathernoc/internal/cnn"
 	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/systolic"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/traffic"
 	"gathernoc/internal/workload"
@@ -491,5 +493,51 @@ func TestSchedulerAllocationRatchet(t *testing.T) {
 	if perCycle > maxSteadyStateAllocsPerCycle {
 		t.Fatalf("scheduler steady-state allocations regressed: %.4f allocs/cycle, ratchet ceiling %v",
 			perCycle, maxSteadyStateAllocsPerCycle)
+	}
+}
+
+// fastForwardAllocs is what proving a layer's rounds repeat allocates beyond
+// simulating two of them, measured on the run TestFastForwardAllocationPin
+// makes: nothing. The network's encoder keeps its name tables and the round
+// loop takes its two encoding buffers from a pool, so once they have grown
+// to the fabric's size the proof allocates nothing.
+const fastForwardAllocs = 0
+
+// TestFastForwardAllocationPin pins the periodicity proof's allocations. On
+// a reused (noc.Acquire) 16×16 network, AlexNet Conv1 at MaxRounds 3 proves
+// its third round repeats the second and skips it, and must allocate no
+// more than the same run at MaxRounds 2, which takes no encoding, plus
+// fastForwardAllocs, plus 10 %.
+func TestFastForwardAllocationPin(t *testing.T) {
+	layer, ok := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv1")
+	if !ok {
+		t.Fatal("Conv1 missing")
+	}
+	allocs := func(rounds int) float64 {
+		run := func() {
+			nw, err := noc.Acquire(noc.DefaultConfig(16, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl, err := systolic.NewController(nw, systolic.Config{Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: rounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycles, err := workload.Run(nw, ctl, 1_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds == 3 && nw.Engine().Cycle() >= cycles {
+				t.Fatal("the three-round run did not fast-forward")
+			}
+			nw.Release()
+		}
+		run()
+		return testing.AllocsPerRun(10, run)
+	}
+	two, three := allocs(2), allocs(3)
+	t.Logf("AlexNet Conv1 on a reused 16x16: %.1f allocs at MaxRounds 2, %.1f at 3", two, three)
+	if ceiling := (two + fastForwardAllocs) * 1.1; three > ceiling {
+		t.Fatalf("the proving run allocates %.1f, over %.1f (MaxRounds 2 plus %d, plus 10 %%)", three, ceiling, fastForwardAllocs)
 	}
 }

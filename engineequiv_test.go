@@ -1,6 +1,9 @@
 package gathernoc
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -373,6 +376,213 @@ func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
 			}
 			if res.OrphanPackets != 0 || res.OrphanPayloads != 0 {
 				t.Errorf("%d orphan packets, %d orphan payloads", res.OrphanPackets, res.OrphanPayloads)
+			}
+		})
+	}
+}
+
+// TestFastForwardEquivalence holds the periodicity proof to the path that
+// never takes it. workload.Run on a bare fabric proves, at each round open
+// from round 1 on, that the round repeats the one before and then stops
+// simulating (round.Loop.Settled); a one-phase workload.Scheduler runs
+// every round. The subjects are every paper cell the benchmark's
+// paper-cold pass simulates (Table II, Figs. 7–10, both full models) at
+// MaxRounds 3 under RU and gather, and AlexNet Conv3 on 8×8 at MaxRounds 6
+// under flat δ, SkewPerHop 3, 2 VCs, weight-stationary, and a 16-round
+// layer run with SimulateAllRounds. Each Record must encode to the same
+// bytes (what a Cache/v2 entry stores) and both paths must return the same
+// cycle. On the paper cells the fast-forward must have fired: the engine
+// clock stops short of the cycle Run returns. Flat δ under gather must
+// not fire: two VCs meet in VA there, where the cycle-derived rotation may
+// decide, and the rotation's period does not divide the round's.
+func TestFastForwardEquivalence(t *testing.T) {
+	type subject struct {
+		name string
+		mesh int
+		cfg  systolic.Config
+		net  func(*noc.Config)
+		// fires says whether the fast-forward must fire (1), must not (-1)
+		// or may (0).
+		fires int
+	}
+	var subjects []subject
+	seen := map[string]bool{}
+	cells := func(mesh int, layers []cnn.LayerConfig) {
+		for _, l := range layers {
+			for _, mode := range []systolic.Mode{systolic.RepetitiveUnicast, systolic.GatherMode} {
+				name := fmt.Sprintf("%dx%d/%s/%s/%s", mesh, mesh, l.Model, l.Name, mode)
+				if seen[name] {
+					continue
+				}
+				seen[name] = true
+				subjects = append(subjects, subject{name: name, mesh: mesh, fires: 1,
+					cfg: systolic.Config{Layer: l, Mode: mode, TMAC: 5, MaxRounds: 3}})
+			}
+		}
+	}
+	for _, mesh := range []int{8, 16} {
+		cells(mesh, cnn.AlexNetConvLayers())
+		cells(mesh, cnn.VGG16SelectedConvLayers())
+	}
+	cells(8, cnn.AlexNetAllLayers())
+	cells(8, cnn.VGG16AllLayers())
+
+	sixteen := cnn.LayerConfig{Model: "test", Name: "16 rounds", InChannels: 16, OutKernels: 16,
+		Kernel: 3, InputSize: 8, OutputSize: 8, Stride: 1, Pad: 1}
+	for _, ab := range []struct {
+		name  string
+		sys   func(*systolic.Config)
+		net   func(*noc.Config)
+		fires [2]int // RU, gather
+	}{
+		{"flat δ", func(c *systolic.Config) { c.FlatDelta = true }, nil, [2]int{0, -1}},
+		{"skew 3", func(c *systolic.Config) { c.SkewPerHop = 3 }, nil, [2]int{}},
+		{"2 VCs", nil, func(c *noc.Config) { c.Router.VCs = 2 }, [2]int{}},
+		{"WS", func(c *systolic.Config) { c.Dataflow = systolic.WeightStationary }, nil, [2]int{}},
+		{"all rounds", func(c *systolic.Config) { c.Layer, c.SimulateAllRounds = sixteen, true }, nil, [2]int{}},
+	} {
+		for i, mode := range []systolic.Mode{systolic.RepetitiveUnicast, systolic.GatherMode} {
+			cfg := systolic.Config{Layer: conv3(t), Mode: mode, TMAC: 5, MaxRounds: 6}
+			if ab.sys != nil {
+				ab.sys(&cfg)
+			}
+			subjects = append(subjects, subject{name: "Conv3/" + ab.name + "/" + mode.String(),
+				mesh: 8, cfg: cfg, net: ab.net, fires: ab.fires[i]})
+		}
+	}
+
+	for _, sub := range subjects {
+		t.Run(sub.name, func(t *testing.T) {
+			newNet := func() *noc.Network {
+				cfg := noc.DefaultConfig(sub.mesh, sub.mesh)
+				if sub.net != nil {
+					sub.net(&cfg)
+				}
+				nw, err := noc.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return nw
+			}
+			nwD := newNet()
+			cd, err := systolic.NewController(nwD, sub.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycles, err := workload.Run(nwD, cd, 50_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := nwD.Engine().Cycle()
+
+			nwS := newNet()
+			cs, err := systolic.NewController(nwS, sub.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := workload.New(nwS, []workload.Job{
+				{Name: "layer", Phases: []workload.Phase{{Name: sub.cfg.Layer.Name, Driver: cs}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(50_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			direct, sched := cd.Result(), cs.Result()
+			if sub.cfg.SimulateAllRounds && direct.TotalRounds != 16 {
+				t.Fatalf("the all-rounds subject runs %d rounds, want 16", direct.TotalRounds)
+			}
+			dj, err := json.Marshal(direct.Record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sj, err := json.Marshal(sched.Record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dj, sj) {
+				t.Errorf("records diverged:\nrun       %s\nscheduled %s", dj, sj)
+			}
+			if direct.PayloadErrors != 0 {
+				t.Errorf("%d payload errors", direct.PayloadErrors)
+			}
+			if cycles != res.Cycles {
+				t.Errorf("run ends at cycle %d, scheduled at %d", cycles, res.Cycles)
+			}
+			switch fired := clock < cycles; {
+			case sub.fires > 0 && !fired:
+				t.Errorf("fast-forward did not fire: clock %d, run ends at %d", clock, cycles)
+			case sub.fires < 0 && fired:
+				t.Errorf("fast-forward fired: clock %d, run ends at %d", clock, cycles)
+			}
+		})
+	}
+}
+
+// TestFastForwardNeedsABareFabric runs the layer of a proven subject, AlexNet
+// Conv3 on 8×8 at MaxRounds 3, where the fast-forward must not apply: on a
+// network with telemetry, on a faulted one, and with a generator
+// registered on the engine before the run (one that injects nothing, so
+// the run is the bare one's cycle for cycle). Each simulates every round:
+// its engine clock is the cycle Run returns.
+func TestFastForwardNeedsABareFabric(t *testing.T) {
+	cfg := systolic.Config{Layer: conv3(t), Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 3}
+	run := func(t *testing.T, mutate func(*noc.Config), setup func(*noc.Network)) (cycles, clock int64) {
+		t.Helper()
+		nc := noc.DefaultConfig(8, 8)
+		if mutate != nil {
+			mutate(&nc)
+		}
+		nw, err := noc.New(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		if setup != nil {
+			setup(nw)
+		}
+		ctl, err := systolic.NewController(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles, err = workload.Run(nw, ctl, 50_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cycles, nw.Engine().Cycle()
+	}
+	bare, bareClock := run(t, nil, nil)
+	if bareClock >= bare {
+		t.Fatalf("the bare run did not fast-forward (clock %d, ends at %d)", bareClock, bare)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*noc.Config)
+		setup  func(*noc.Network)
+	}{
+		{"telemetry", func(c *noc.Config) { c.Telemetry = &telemetry.Config{Epoch: 64} }, nil},
+		{"faults", func(c *noc.Config) { c.Faults = &fault.Config{DropRate: 0.001, Seed: 1} }, nil},
+		{"generator", nil, func(nw *noc.Network) {
+			gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
+				Pattern: traffic.UniformRandom{Nodes: nw.Mesh().NumNodes()}, InjectionRate: 0,
+				PacketFlits: 2, Measure: 1 << 40, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.Engine().AddTicker(gen)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cycles, clock := run(t, c.mutate, c.setup)
+			if clock != cycles {
+				t.Errorf("fast-forward fired: clock %d, run ends at %d", clock, cycles)
+			}
+			if c.name == "generator" && cycles != bare {
+				t.Errorf("an idle generator moved the run's end from %d to %d", bare, cycles)
 			}
 		})
 	}

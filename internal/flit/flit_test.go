@@ -1,6 +1,7 @@
 package flit
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -284,5 +285,57 @@ func TestPayloadOpsCount(t *testing.T) {
 func TestAccumulatePacketTypeString(t *testing.T) {
 	if Accumulate.String() != "A" {
 		t.Errorf("Accumulate.String() = %q, want A", Accumulate.String())
+	}
+}
+
+// TestEncoderNames pins the identifier renaming of the periodicity proof's
+// encoding: a renaming of identifiers encodes alike, an equality between two
+// identifiers does not encode like an inequality, and an equality across
+// namespaces is no relation.
+func TestEncoderNames(t *testing.T) {
+	enc := func(kinds []NameKind, ids ...uint64) []byte {
+		var e Encoder
+		e.Reset(nil, 0)
+		for i, id := range ids {
+			e.Name(kinds[i%len(kinds)], id)
+		}
+		return e.Bytes()
+	}
+	pkt := []NameKind{PacketName}
+	if a, b := enc(pkt, 7, 9, 7), enc(pkt, 40, 3, 40); !bytes.Equal(a, b) {
+		t.Errorf("renamed identifiers encode apart: % x, % x", a, b)
+	}
+	if a, b := enc(pkt, 7, 9, 7), enc(pkt, 7, 9, 9); bytes.Equal(a, b) {
+		t.Errorf("different equalities encode alike: % x", a)
+	}
+	both := []NameKind{PacketName, SeqName}
+	if a, b := enc(both, 7, 7), enc(both, 7, 8); !bytes.Equal(a, b) {
+		t.Errorf("a packet id equal to a sequence number encodes apart from one that is not: % x, % x", a, b)
+	}
+}
+
+// TestEncoderCycles pins the cycle forms: relative to the base, Never apart
+// from every cycle, and a cycle waited until no earlier than the boundary.
+func TestEncoderCycles(t *testing.T) {
+	enc := func(base int64, write func(*Encoder)) []byte {
+		var e Encoder
+		e.Reset(nil, base)
+		write(&e)
+		return e.Bytes()
+	}
+	if a, b := enc(100, func(e *Encoder) { e.Cycle(130) }), enc(500, func(e *Encoder) { e.Cycle(530) }); !bytes.Equal(a, b) {
+		t.Errorf("cycles the same distance from their bases encode apart: % x, % x", a, b)
+	}
+	never := enc(100, func(e *Encoder) { e.Cycle(1<<63 - 1) })
+	for _, c := range []int64{-1 << 62, 0, 99, 100, 101, 1 << 62} {
+		if bytes.Equal(never, enc(100, func(e *Encoder) { e.Cycle(c) })) {
+			t.Errorf("cycle %d encodes as never", c)
+		}
+	}
+	if a, b := enc(100, func(e *Encoder) { e.Until(3) }), enc(100, func(e *Encoder) { e.Until(101) }); !bytes.Equal(a, b) {
+		t.Errorf("two past cycles waited until encode apart: % x, % x", a, b)
+	}
+	if a, b := enc(100, func(e *Encoder) { e.Until(101) }), enc(100, func(e *Encoder) { e.Until(102) }); bytes.Equal(a, b) {
+		t.Errorf("a future cycle waited until encodes like the boundary: % x", a)
 	}
 }

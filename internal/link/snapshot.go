@@ -56,6 +56,32 @@ func (l *Link) CaptureState() State {
 	return s
 }
 
+// AppendState appends the link's decision state (flit.Encoder): both
+// staging rings, due cycles relative to the encoder's base, or one byte
+// when both are empty. The carried counters are statistics; the
+// owed-credit ledger and the fault state exist only on faulted fabrics,
+// which the periodicity proof does not cover (noc.Network.Bare).
+func (l *Link) AppendState(e *flit.Encoder) {
+	idle := l.flits.Empty() && l.credits.Empty()
+	e.Bool(idle)
+	if idle {
+		return
+	}
+	e.Uint(uint64(l.flits.Len()))
+	for i := 0; i < l.flits.Len(); i++ {
+		in := l.flits.At(i)
+		in.f.AppendState(e)
+		e.Int(int64(in.vc))
+		e.Cycle(in.due)
+	}
+	e.Uint(uint64(l.credits.Len()))
+	for i := 0; i < l.credits.Len(); i++ {
+		c := l.credits.At(i)
+		e.Int(int64(c.vc))
+		e.Cycle(c.due)
+	}
+}
+
 // RestoreState replaces the link's mutable state with the captured one,
 // materializing in-flight flits through pool (the restored network's
 // acquire/release accounting must balance). numNodes sizes rebuilt

@@ -158,6 +158,53 @@ func (e *Ejector) CaptureState() (EjectorState, error) {
 	return s, nil
 }
 
+// AppendState appends the ejector's decision state (flit.Encoder): what
+// CaptureState captures but the counters and the latency sample, and but
+// the dedup set and staged confirmations, which exist only on faulted
+// fabrics (the periodicity proof does not cover those, noc.Network.Bare).
+// An ejector holding no flit and no open packet is one byte before its
+// drain pointer and stall.
+func (e *Ejector) AppendState(enc *flit.Encoder) {
+	empty := len(e.partial) == 0
+	for v := range e.bufs {
+		empty = empty && e.bufs[v].Empty()
+	}
+	enc.Bool(empty)
+	if !empty {
+		e.appendHeld(enc)
+	}
+	enc.Int(int64(e.drainRR))
+	enc.Until(e.pausedUntil)
+}
+
+// appendHeld appends the flits and open packets the ejector holds.
+func (e *Ejector) appendHeld(enc *flit.Encoder) {
+	for v := range e.bufs {
+		enc.Uint(uint64(e.bufs[v].Len()))
+		for i := 0; i < e.bufs[v].Len(); i++ {
+			e.bufs[v].At(i).AppendState(enc)
+		}
+	}
+	enc.Uint(uint64(len(e.partial)))
+	for _, pp := range e.partial {
+		enc.Name(flit.PacketName, pp.id)
+		enc.Uint(uint64(pp.tag))
+		enc.Uint(uint64(pp.pt))
+		enc.Int(int64(pp.src))
+		enc.Int(int64(pp.dst))
+		enc.Int(int64(pp.flits))
+		enc.Cycle(pp.injectCycle)
+		enc.Cycle(pp.networkCycle)
+		enc.Int(int64(pp.hops))
+		enc.Cycle(pp.headArrival)
+		enc.Bool(pp.corrupted)
+		enc.Uint(uint64(len(pp.payloads)))
+		for i := range pp.payloads {
+			pp.payloads[i].AppendState(enc)
+		}
+	}
+}
+
 // RestoreState replaces a freshly constructed ejector's state with the
 // captured one; buffered flits materialize through the attached pool.
 func (e *Ejector) RestoreState(s EjectorState, numNodes int) error {
@@ -283,6 +330,73 @@ func (n *NIC) CaptureState() (State, error) {
 		}
 	}
 	return s, nil
+}
+
+// AppendState appends the NIC's decision state, its ejector's included
+// (flit.Encoder): what CaptureState captures but the counters, and but the
+// reliability table, which exists only on faulted fabrics. Credits all home
+// are one byte, and so are empty streams, queue and wait lists (the
+// streaming count says the streams are empty).
+func (n *NIC) AppendState(e *flit.Encoder) {
+	home := true
+	for _, c := range n.credits {
+		home = home && c == n.cfg.RouterBufferDepth
+	}
+	e.Bool(home)
+	if !home {
+		for _, c := range n.credits {
+			e.Int(int64(c))
+		}
+	}
+	idle := n.streaming == 0 && n.queue.Len() == 0 && len(n.waiting) == 0 && len(n.rwaiting) == 0
+	e.Bool(idle)
+	if !idle {
+		for v := range n.vcPkt {
+			st := &n.vcPkt[v]
+			e.Uint(uint64(len(st.flits) - st.next))
+			for i := st.next; i < len(st.flits); i++ {
+				st.flits[i].AppendState(e)
+			}
+		}
+		e.Uint(uint64(n.queue.Len()))
+		for i := 0; i < n.queue.Len(); i++ {
+			appendPacket(e, n.queue.At(i))
+		}
+		appendWaits(e, n.waiting)
+		appendWaits(e, n.rwaiting)
+	}
+	e.Int(int64(n.sendRR))
+	e.Until(n.now)
+	n.eject.AppendState(e)
+}
+
+func appendPacket(e *flit.Encoder, p flit.Packet) {
+	e.Name(flit.PacketName, p.ID)
+	e.Uint(uint64(p.Tag))
+	e.Uint(uint64(p.PT))
+	e.Int(int64(p.Src))
+	e.Int(int64(p.Dst))
+	e.Set(p.MDst)
+	e.Int(int64(p.Flits))
+	e.Int(int64(p.GatherCapacity))
+	e.Name(flit.ReduceName, p.ReduceID)
+	e.Bool(p.Carried != nil)
+	if p.Carried != nil {
+		p.Carried.AppendState(e)
+	}
+	e.Bool(p.TrackOperands)
+	e.Cycle(p.InjectCycle)
+}
+
+func appendWaits(e *flit.Encoder, ws []gatherWait) {
+	e.Uint(uint64(len(ws)))
+	for i := range ws {
+		w := &ws[i]
+		w.payload.AppendState(e)
+		e.Until(w.deadline)
+		e.Bool(w.acked)
+		e.Uint(uint64(w.tag))
+	}
 }
 
 // RestoreState replaces a freshly constructed NIC's state with the

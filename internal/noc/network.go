@@ -113,6 +113,9 @@ type Network struct {
 	nicCfg   nic.Config
 	leased   bool
 	pristine *pristine
+
+	// enc is AppendState's encoder, kept so its name tables stay grown.
+	enc flit.Encoder
 }
 
 // linkRec records which shard owns each end of a link: downShard mutates
@@ -833,6 +836,31 @@ type Activity struct {
 	ReduceMerges   uint64
 	PacketsSent    uint64
 	FlitsSent      uint64
+}
+
+// counts lists the fields of a, for the arithmetic below.
+func (a *Activity) counts() [11]*uint64 {
+	return [...]*uint64{&a.BufferWrites, &a.BufferReads, &a.RCComputations,
+		&a.VAAllocations, &a.SAGrants, &a.Crossings, &a.LinkFlits,
+		&a.GatherUploads, &a.ReduceMerges, &a.PacketsSent, &a.FlitsSent}
+}
+
+// Sub returns a − b, count by count: the activity between two readings.
+func (a Activity) Sub(b Activity) Activity {
+	bs := b.counts()
+	for i, c := range a.counts() {
+		*c -= *bs[i]
+	}
+	return a
+}
+
+// AddTimes returns a + n·d, count by count.
+func (a Activity) AddTimes(d Activity, n uint64) Activity {
+	ds := d.counts()
+	for i, c := range a.counts() {
+		*c += n * *ds[i]
+	}
+	return a
 }
 
 // Activity sums the per-component counters across the network.

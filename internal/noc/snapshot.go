@@ -81,6 +81,79 @@ func (nw *Network) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
+// AppendState appends the fabric's decision state at a cycle boundary to
+// buf, every absolute cycle written relative to base, and returns the
+// extended buffer. It is the periodicity proof's encoding (round.Loop): two
+// boundaries whose encodings are equal byte for byte, and between which
+// ClockTies did not move, are followed by the same schedule shifted in
+// time. Every router, link, NIC and sink appends itself, in construction
+// order, through the appender beside its CaptureState; flit.Encoder says
+// which values are normalized. What a Snapshot carries and the encoding
+// leaves out:
+//
+//   - statistics (router, link, NIC and ejector counters, the packet
+//     latency sample), which no decision reads;
+//   - PidSeq: packet ids are encoded by first appearance, and whatever the
+//     counters read, a NIC's next id equals no live one;
+//   - the engine clock, which is base plus one at the boundary after a
+//     round opens;
+//   - fault state (a link's doomed set and owed credits, the ejectors'
+//     dedup sets and confirmations, the NICs' retransmission tables),
+//     present only on fabrics Bare refuses.
+//
+// The engine's sleep/wake schedule (awake bits, armed timers) is not
+// encoded either: by the Idle contract it decides when a component is
+// evaluated, never what an evaluation does. Nor are the NICs' δ overrides,
+// which Submit arms on the submit that reads them. AppendState allocates
+// nothing once the network's encoder has grown to the fabric's size.
+func (nw *Network) AppendState(buf []byte, base int64) []byte {
+	e := &nw.enc
+	e.Reset(buf, base)
+	for _, r := range nw.routers {
+		r.AppendState(e)
+	}
+	for _, l := range nw.links {
+		l.AppendState(e)
+	}
+	for _, n := range nw.nics {
+		n.AppendState(e)
+	}
+	for _, s := range nw.sinks {
+		s.ej.AppendState(e)
+	}
+	buf = e.Bytes()
+	e.Reset(nil, 0) // keep no hold on the caller's buffer
+	return buf
+}
+
+// Bare reports whether the engine runs the fabric as built and nothing
+// else: no component registered since New (a traffic generator), no
+// telemetry, no fault injection and no stall watchdog. On a bare fabric a
+// round loop run alone may prove that its rounds repeat and skip them
+// (workload.Run): nothing but the fabric and the loop holds state, and
+// nothing in the run reads the absolute cycle but the VA rotation
+// (ClockTies). Fault injection draws on the absolute cycle, telemetry
+// records it, and a watchdog polls at cycles of its own.
+func (nw *Network) Bare() bool {
+	return nw.engine.Mark() == nw.built && nw.tele == nil && nw.injector == nil &&
+		nw.engine.Watchdog() == nil
+}
+
+// ClockTies sums the routers' router.Router.ClockTies: the VA passes so far
+// whose outcome the cycle-derived rotation may have decided.
+func (nw *Network) ClockTies() uint64 {
+	var n uint64
+	for _, r := range nw.routers {
+		n += r.ClockTies()
+	}
+	return n
+}
+
+// ClockPeriod returns the period, in cycles, of the routers' VA rotation: a
+// schedule shifted by a multiple of it meets every rotation in the same
+// phase, ties or not.
+func (nw *Network) ClockPeriod() int64 { return nw.routers[0].ClockPeriod() }
+
 // Restore applies a snapshot onto this network, which must be freshly
 // constructed (no cycles run) from a configuration with the same
 // canonical hash as the capturing one — shard count and the other

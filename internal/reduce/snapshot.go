@@ -66,3 +66,13 @@ func (s *Station) EntryAt(i int) *Entry {
 	}
 	return s.entries[i]
 }
+
+// AppendState appends the station queue in order, as CaptureEntries
+// captures it (flit.Encoder).
+func (s *Station) AppendState(e *flit.Encoder) {
+	e.Uint(uint64(len(s.entries)))
+	for _, en := range s.entries {
+		en.operand.AppendState(e)
+		e.Bool(en.state == entryReserved)
+	}
+}

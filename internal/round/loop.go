@@ -10,6 +10,9 @@
 package round
 
 import (
+	"bytes"
+	"sync"
+
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/sim"
@@ -37,6 +40,26 @@ type Hooks interface {
 	// RoundClosed reports the latency, open to complete, of the round that
 	// just closed.
 	RoundClosed(latency int64)
+}
+
+// Repeater is the Hooks extension of a controller whose rounds a loop run
+// alone may prove identical and skip (ProveRepeats).
+type Repeater interface {
+	// AppendState appends, at the cycle boundary after a round opened at
+	// base, the state the rest of the run depends on besides the loop's own
+	// — the fabric's and the controller's — with every absolute cycle
+	// written relative to base (noc.Network.AppendState). It returns nil
+	// when that state holds something the encoding cannot express. It also
+	// reads the counters Repeat scales.
+	AppendState(buf []byte, base int64) []byte
+	// Repeat is called when the encoding just taken equals the one taken
+	// period cycles earlier, at the previous open. It reports whether the
+	// round between the two repeats whatever cycle it starts at — false
+	// when the clock's phase may have decided an arbitration in it
+	// (noc.Network.ClockTies) — and, if so, adds rounds times the counters'
+	// growth over the period to the controller's account. The loop then
+	// closes the rounds (RoundClosed) itself.
+	Repeat(rounds int, period int64) bool
 }
 
 // never is the ready cycle of a node with nothing left to release this
@@ -70,6 +93,19 @@ type Loop struct {
 	tag     flit.Tag
 	foreign func(flit.Payload)
 	seq     uint64
+
+	// The periodicity proof (ProveRepeats): rep is the controller, limit
+	// the last cycle the run may end at. encs holds the encodings of the
+	// latest two opens, encs[cur] the latest, taken at the open at prev
+	// when encoded says it is comparable. skipped counts the cycles a
+	// fast-forward accounted without simulating them.
+	rep     Repeater
+	limit   int64
+	encs    *[2][]byte
+	cur     int
+	encoded bool
+	prev    int64
+	skipped int64
 }
 
 // Init prepares the loop to run the given number of rounds over nodes
@@ -209,6 +245,96 @@ func (l *Loop) release(cycle int64) {
 		l.h.Inject(id, cycle)
 	}
 }
+
+// ProveRepeats has a loop run alone try to prove, at each round open from
+// round 1 on, that the round repeats the one before it, and once it does,
+// close every remaining round without simulating it (Settled). Round 0
+// opens on the fabric as built, which no later open matches, so a proof
+// needs the opens of rounds 1 and 2: ProveRepeats reports false, and
+// changes nothing, for fewer than three rounds or hooks that are not a
+// Repeater. limit is the cycle the run's budget ends at: a fast-forward
+// past it is not taken, so the run fails where it always did.
+func (l *Loop) ProveRepeats(limit int64) bool {
+	rep, ok := l.h.(Repeater)
+	if !ok || l.rounds < 3 {
+		return false
+	}
+	l.rep, l.limit = rep, limit
+	l.encs = encodings.Get().(*[2][]byte)
+	return true
+}
+
+// encodings recycles the proof's buffer pairs from run to run: a 16×16
+// fabric encodes to about 7 KB, and a sweep runs hundreds of layers.
+var encodings = sync.Pool{New: func() any { return new([2][]byte) }}
+
+// Settled is the done predicate of a loop proving its rounds repeat: the
+// engine calls it at every cycle boundary, cycle being the clock there. At
+// the boundary after a round opens it encodes the state — the
+// controller's and the fabric's (Repeater.AppendState), then the loop's
+// own — into one of two reused buffers and compares it byte for byte with
+// the previous open's. Equal encodings and a round the controller may
+// repeat (Repeater.Repeat) prove that every later round repeats that one,
+// the run being deterministic: the loop closes the rounds left, each one
+// period long, and is done. Skipped then says how many cycles that
+// accounted. Settled reports Drained.
+//
+// Two fields of the loop stay out of the encoding: the round index, which
+// feeds only the payloads' Value and reduction ids (neither encoded, see
+// flit.Encoder) and the round count the fast-forward accounts for, and the
+// payload sequence counter, which only draws fresh sequence numbers.
+func (l *Loop) Settled(cycle int64) bool {
+	if l.rep != nil && !l.done && l.round > 0 && cycle == l.start+1 {
+		l.prove(cycle)
+	}
+	if l.done && l.encs != nil {
+		encodings.Put(l.encs)
+		l.encs = nil
+	}
+	return l.done
+}
+
+// prove encodes the state at the boundary after the open, cycle being the
+// clock there, and fast-forwards when it repeats the previous open's.
+func (l *Loop) prove(cycle int64) {
+	next := 1 - l.cur
+	enc := l.rep.AppendState(l.encs[next][:0], l.start)
+	if enc != nil {
+		enc = l.appendState(enc)
+		l.encs[next] = enc
+	}
+	if enc != nil && l.encoded && bytes.Equal(enc, l.encs[l.cur]) {
+		period := l.start - l.prev
+		left := l.rounds - l.round
+		if skip := int64(left) * period; cycle+skip <= l.limit && l.rep.Repeat(left, period) {
+			for range left {
+				l.h.RoundClosed(period)
+			}
+			l.round, l.done, l.skipped = l.rounds, true, skip
+			return
+		}
+	}
+	l.cur, l.encoded, l.prev = next, enc != nil, l.start
+}
+
+// appendState appends the loop's carried state: the release schedule,
+// relative to the open.
+func (l *Loop) appendState(buf []byte) []byte {
+	var e flit.Encoder
+	e.Reset(buf, l.start)
+	e.Int(int64(l.pending))
+	e.Cycle(l.nextDue)
+	e.Cycle(l.named)
+	for _, at := range l.readyAt {
+		e.Cycle(at)
+	}
+	return e.Bytes()
+}
+
+// Skipped returns the cycles the fast-forward accounted without simulating
+// them (0 when it did not fire): the run the loop stood in for ended that
+// many cycles after the engine's clock.
+func (l *Loop) Skipped() int64 { return l.skipped }
 
 // Done reports whether every round has closed.
 func (l *Loop) Done() bool { return l.done }

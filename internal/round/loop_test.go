@@ -280,3 +280,101 @@ func TestRunOnEngine(t *testing.T) {
 		t.Fatal("RunWith within 10 cycles: no error")
 	}
 }
+
+// repeatFake is a fakeHooks that can be repeated: AppendState appends what
+// state returns (nil state: nothing it can encode), and Repeat answers
+// repeat, recording the rounds it was asked to account.
+type repeatFake struct {
+	*fakeHooks
+	state   func() []byte
+	repeat  bool
+	repeats []int
+}
+
+func (r *repeatFake) AppendState(buf []byte, base int64) []byte {
+	if r.state == nil {
+		return nil
+	}
+	return append(buf, r.state()...)
+}
+
+func (r *repeatFake) Repeat(rounds int, period int64) bool {
+	r.repeats = append(r.repeats, rounds)
+	return r.repeat
+}
+
+// runProving runs a repeatFake of the given rounds alone on an engine with
+// the periodicity proof on, and reports the cycle the run stood in for
+// ended at, the engine clock, the latencies closed and the engine's error.
+func runProving(r *repeatFake, rounds int, ready func(round, id int) (int64, bool), budget int64) (end, clock int64, closed []int64, err error) {
+	r.fakeHooks = &fakeHooks{l: new(Loop), nodes: 4, ready: ready, hold: 7}
+	r.l.Init(r, 4, rounds)
+	e := sim.NewEngine()
+	proving := r.l.ProveRepeats(e.Cycle() + budget)
+	r.l.Start(e.Cycle())
+	done := r.l.Drained
+	if proving {
+		done = func() bool { return r.l.Settled(e.Cycle()) }
+	}
+	cycles, err := e.RunWith(r.l, done, budget)
+	return cycles + r.l.Skipped(), cycles, r.closed, err
+}
+
+// TestProveRepeats holds the fast-forward to the run it stands in for: with
+// every round alike, the loop must stop at the open of round 2, close the
+// rest with the period's latency and report the cycles it skipped, so the
+// closed latencies and the end cycle equal those of a run that simulates
+// every round. The loop's own release schedule is part of the encoding, so
+// rounds that release on different cycles never match; nor do they when
+// the controller cannot encode its state or declines to repeat, when fewer
+// than three rounds run, or when the run would end past its budget.
+func TestProveRepeats(t *testing.T) {
+	even := func(round, id int) (int64, bool) { return 20 + int64(id), true }
+	same := func() []byte { return []byte{42} }
+
+	ref := &repeatFake{}
+	refEnd, refClock, refClosed, err := runProving(ref, 6, even, 10_000)
+	if err != nil || refEnd != refClock || ref.repeats != nil {
+		t.Fatalf("a run with nothing to encode fast-forwarded or failed: %v", err)
+	}
+	ff := &repeatFake{state: same, repeat: true}
+	end, clock, closed, err := runProving(ff, 6, even, 10_000)
+	if err != nil || end != refEnd || !reflect.DeepEqual(closed, refClosed) {
+		t.Errorf("fast-forward ends at %d closing %v (%v), the full run at %d closing %v", end, closed, err, refEnd, refClosed)
+	}
+	if !reflect.DeepEqual(ff.repeats, []int{4}) || clock >= end || len(ff.opened) != 3 {
+		t.Errorf("fast-forward asked to repeat %v rounds after %d opens, clock %d of %d; want [4] after 3", ff.repeats, len(ff.opened), clock, end)
+	}
+	if ff.l.Round() != 6 || !ff.l.Drained() {
+		t.Errorf("after the fast-forward the loop is at round %d, drained %v", ff.l.Round(), ff.l.Drained())
+	}
+	// A budget the full run overruns fails the proving run too.
+	if _, _, _, err := runProving(&repeatFake{state: same, repeat: true}, 6, even, refEnd-1); err == nil {
+		t.Error("a run past its budget fast-forwarded to success")
+	}
+
+	for _, c := range []struct {
+		name   string
+		r      *repeatFake
+		rounds int
+		ready  func(round, id int) (int64, bool)
+	}{
+		{"staggered releases", &repeatFake{state: same, repeat: true}, 6, staggered},
+		{"same first release", &repeatFake{state: same, repeat: true}, 6, func(round, id int) (int64, bool) {
+			if id == 0 {
+				return 20, true
+			}
+			return 21 + int64((id+round)%3), true
+		}},
+		{"nothing encodable", &repeatFake{repeat: true}, 6, even},
+		{"declined", &repeatFake{state: same}, 6, even},
+		{"two rounds", &repeatFake{state: same, repeat: true}, 2, even},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			end, clock, _, err := runProving(c.r, c.rounds, c.ready, 10_000)
+			if err != nil || clock != end || c.r.l.Skipped() != 0 {
+				t.Errorf("fast-forwarded: clock %d, end %d (%v)", clock, end, err)
+			}
+		})
+	}
+}

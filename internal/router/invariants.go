@@ -17,6 +17,9 @@ import (
 //     actually holds that allocation;
 //   - a raised gather or accumulate Load signal has a reserved station
 //     entry;
+//   - a VC holding no flit and neither in VA nor active is at rest: idle,
+//     with no stage wait, no branch and no Load (the periodicity proof,
+//     AppendState, writes only the VCs that are not);
 //   - the incrementally maintained stage-occupancy counters (which let
 //     Tick skip whole pipeline stages) and slot masks (which let a stage
 //     visit only the VCs it could act on) agree with a full rescan.
@@ -59,6 +62,11 @@ func (r *Router) CheckInvariants() error {
 			if vc.reduceLoad && vc.reduceEntry == nil {
 				return fmt.Errorf("router %d: input %s vc%d reduce load raised without reservation",
 					r.id, topology.Port(p), v)
+			}
+			if vc.buf.Empty() && vc.stage != vcVA && vc.stage != vcActive &&
+				(vc.stage != vcIdle || vc.wait != 0 || len(vc.branches) != 0 || vc.gatherLoad || vc.reduceLoad) {
+				return fmt.Errorf("router %d: input %s vc%d holds no flit and is neither in VA nor active, but not at rest (stage %d, wait %d, %d branches)",
+					r.id, topology.Port(p), v, vc.stage, vc.wait, len(vc.branches))
 			}
 			head := vc.head()
 			for bi := range vc.branches {

@@ -49,6 +49,15 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	h.a.inputs[topology.LocalPort][0].gatherLoad = false
 
+	// Leave a branch on a VC that holds no flit and is idle.
+	rest := &h.a.inputs[topology.WestPort][1]
+	rest.branches = append(rest.branches, branchState{out: topology.EastPort, vc: -1})
+	err = h.a.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "not at rest") {
+		t.Errorf("stale branch on an idle VC not detected: %v", err)
+	}
+	rest.branches = rest.branches[:0]
+
 	// Claim ownership pointing at an input VC that holds nothing.
 	h.a.outputs[topology.EastPort].ownerPort[1] = 0
 	h.a.outputs[topology.EastPort].ownerVC[1] = 0

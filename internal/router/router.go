@@ -190,6 +190,7 @@ func (v *inputVC) head() *flit.Flit {
 
 type outputPort struct {
 	link    *link.Link
+	depth   int   // downstream buffer depth: a VC's credits when all are home
 	credits []int // per downstream VC
 	// owner[vc] identifies the (inPort, inVC) currently holding the
 	// downstream VC; -1 when free.
@@ -242,6 +243,10 @@ type Router struct {
 	occMask [topology.NumPorts]uint64 // buffer non-empty
 	vaMask  [topology.NumPorts]uint64 // stage == vcVA
 	actMask [topology.NumPorts]uint64 // stage == vcActive
+
+	// clockTies counts the VA passes the cycle-derived rotation may have
+	// decided (ClockTies).
+	clockTies uint64
 
 	// Counters is exported for the power model and reports.
 	Counters Counters
@@ -314,6 +319,7 @@ func (r *Router) Idle() bool { return r.buffered == 0 }
 func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamVCs, downstreamDepth int) {
 	o := &r.outputs[p]
 	o.link = l
+	o.depth = downstreamDepth
 	o.credits = make([]int, downstreamVCs)
 	o.ownerPort = make([]int, downstreamVCs)
 	o.ownerVC = make([]int, downstreamVCs)
@@ -601,6 +607,11 @@ func (r *Router) vaStage(cycle int64) {
 	start := int(cycle % int64(topology.NumPorts*nv))
 	p0 := start / nv
 	below := uint64(1)<<(start-p0*nv) - 1 // VCs of port p0 the rotation reaches last
+	if r.vaPending > 1 {
+		// The order in which the rotation serves the VCs can decide what
+		// each is granted only when there are two.
+		r.clockTies++
+	}
 	// No VC enters vcVA during this pass (only rcStage, which runs later,
 	// promotes into it), so each port's mask can be read when the rotation
 	// reaches the port.
@@ -613,6 +624,15 @@ func (r *Router) vaStage(cycle int64) {
 	}
 	r.vaSlots(p0, r.vaMask[p0]&below, cycle)
 }
+
+// ClockTies returns how many VA passes so far the rotation may have
+// decided: passes that began with two or more VCs in VA. The rotation is
+// derived from the cycle number, so a schedule in which this count does
+// not move is the same whatever cycle it starts at.
+func (r *Router) ClockTies() uint64 { return r.clockTies }
+
+// ClockPeriod returns the period, in cycles, of the VA rotation.
+func (r *Router) ClockPeriod() int64 { return int64(topology.NumPorts * r.cfg.VCs) }
 
 // vaSlots runs VC allocation for the VCs of input port cp named in m, in
 // ascending order.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/reduce"
@@ -116,6 +117,89 @@ func (r *Router) CaptureState() State {
 		}
 	}
 	return s
+}
+
+// AppendState appends the router's decision state (flit.Encoder): what
+// CaptureState captures but the Counters, in the same order, less what the
+// router's invariants (CheckInvariants) fix. Only the VCs in a port's
+// occupancy, VA and active masks are written, after the masks: every other
+// VC is at rest — no flit, idle, no wait, branch or Load — and its class is
+// rewritten by route computation before VA reads it. With no VC in VA or
+// active no downstream VC is owned, so the owners are written only while
+// one is held. A router with no flit, no owned VC and every credit home —
+// most of a fabric when a round opens — is its stations, its SA pointers
+// and one byte. Lengths the construction fixes are not written.
+func (r *Router) AppendState(e *flit.Encoder) {
+	r.station.AppendState(e)
+	r.rstation.AppendState(e)
+	for p := 0; p < topology.NumPorts; p++ {
+		e.Int(int64(r.saInputArb[p].next))
+		e.Int(int64(r.saOutputArb[p].next))
+	}
+	held := r.vaPending > 0 || r.active > 0
+	rest := !held && r.buffered == 0 && r.creditsHome()
+	e.Bool(rest)
+	if rest {
+		return
+	}
+	e.Bool(held)
+	for p := 0; p < topology.NumPorts; p++ {
+		busy := r.occMask[p] | r.vaMask[p] | r.actMask[p]
+		e.Uint(busy)
+		for m := busy; m != 0; m &= m - 1 {
+			r.appendVC(e, &r.inputs[p][bits.TrailingZeros64(m)])
+		}
+		o := &r.outputs[p]
+		for dv := range o.credits {
+			e.Int(int64(o.credits[dv]))
+			if held {
+				e.Int(int64(o.ownerPort[dv]))
+				e.Int(int64(o.ownerVC[dv]))
+			}
+		}
+	}
+}
+
+// creditsHome reports whether every output holds all its downstream
+// buffer's credits.
+func (r *Router) creditsHome() bool {
+	for p := range r.outputs {
+		o := &r.outputs[p]
+		for _, c := range o.credits {
+			if c != o.depth {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (r *Router) appendVC(e *flit.Encoder, vc *inputVC) {
+	e.Uint(uint64(vc.buf.Len()))
+	for i := 0; i < vc.buf.Len(); i++ {
+		vc.buf.At(i).AppendState(e)
+	}
+	e.Uint(uint64(vc.stage))
+	e.Int(int64(vc.wait))
+	e.Uint(uint64(len(vc.branches)))
+	for i := range vc.branches {
+		br := &vc.branches[i]
+		e.Int(int64(br.out))
+		e.Set(br.dsts)
+		e.Int(int64(br.vc))
+		e.Bool(br.sent)
+		e.Set(br.headMD)
+	}
+	e.Int(int64(vc.vcClass))
+	gather, reduce := -1, -1
+	if vc.gatherLoad && vc.gatherEntry != nil {
+		gather = r.station.EntryIndex(vc.gatherEntry)
+	}
+	if vc.reduceLoad && vc.reduceEntry != nil {
+		reduce = r.rstation.EntryIndex(vc.reduceEntry)
+	}
+	e.Int(int64(gather))
+	e.Int(int64(reduce))
 }
 
 // RestoreState replaces the router's mutable state with the captured

@@ -72,6 +72,9 @@ func (e *Engine) SetWatchdog(w *Watchdog) {
 	}
 }
 
+// Watchdog returns the installed stall watchdog, nil when there is none.
+func (e *Engine) Watchdog() *Watchdog { return e.watchdog }
+
 // checkStall polls the watchdog at a cycle boundary. It returns a non-nil
 // *StallError when the progress counter has not moved for a full window.
 func (e *Engine) checkStall() *StallError {

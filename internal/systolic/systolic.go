@@ -105,9 +105,12 @@ type Config struct {
 	Dataflow Dataflow
 	// TMAC is the MAC latency in cycles (Table I: 5).
 	TMAC int
-	// MaxRounds bounds how many rounds are actually simulated; the
-	// remaining rounds are extrapolated (every round is statistically
-	// identical — same schedule, drained network). 0 means 2.
+	// MaxRounds is how many rounds the run samples (RoundsSimulated); the
+	// layer's total is their mean latency times TotalRounds. A layer run
+	// alone on a bare fabric (workload.Run) simulates the sampled rounds
+	// only until one is proven identical to the round before it
+	// (round.Loop.Settled), and accounts the rest as its copies: rounds
+	// are proven identical, else extrapolated. 0 means 2.
 	MaxRounds int
 	// SimulateAllRounds disables extrapolation (exact mode).
 	SimulateAllRounds bool
@@ -192,8 +195,9 @@ type Result struct {
 // is not an echo of the run's parameters. It is the unit a result cache
 // stores (DESIGN.md §14).
 type Record struct {
-	// TotalRounds is ⌈P/N⌉·⌈Q/M⌉; RoundsSimulated is how many were run
-	// on the simulator before extrapolation.
+	// TotalRounds is ⌈P/N⌉·⌈Q/M⌉; RoundsSimulated is how many rounds the
+	// Record samples before extrapolation: simulated, or proven identical
+	// to the round before and accounted as its copy (Controller.Repeat).
 	TotalRounds     int64
 	RoundsSimulated int
 
@@ -255,7 +259,33 @@ type Controller struct {
 	seenSrc     map[topology.NodeID]bool
 	payloadErrs int
 
+	// The fast-forward (round.Repeater): reads holds the counter readings
+	// taken with the latest two encodings, the older first; period their
+	// difference once the loop proved the round between them repeats, and
+	// repeats how many more times it ran.
+	reads   [2]reading
+	period  reading
+	repeats uint64
+
 	res Result
+}
+
+// reading is what the controller's Record takes from the network's
+// counters, read at one cycle boundary, and noc.Network.ClockTies.
+type reading struct {
+	act        noc.Activity
+	sig, acks  uint64
+	errs, ties uint64
+}
+
+func (c *Controller) read() reading {
+	r := reading{act: c.nw.Activity(), errs: uint64(c.payloadErrs), ties: c.nw.ClockTies()}
+	for id := range c.nw.Mesh().NumNodes() {
+		n := c.nw.NIC(topology.NodeID(id))
+		r.sig += n.SelfInitiatedGathers.Value()
+		r.acks += n.PiggybackAcks.Value()
+	}
+	return r
 }
 
 // NewController prepares a layer run on nw: it plans each row's collection
@@ -362,14 +392,11 @@ func (c *Controller) BeginRound(now int64) {
 // Result finalizes and returns the run summary. Call after Drained.
 func (c *Controller) Result() *Result {
 	r := c.res
-	r.Activity = c.nw.Activity()
-	mesh := c.nw.Mesh()
-	for id := 0; id < mesh.NumNodes(); id++ {
-		n := c.nw.NIC(topology.NodeID(id))
-		r.SelfInitiatedGathers += n.SelfInitiatedGathers.Value()
-		r.PiggybackAcks += n.PiggybackAcks.Value()
-	}
-	r.PayloadErrors = c.payloadErrs
+	now := c.read()
+	r.Activity = now.act.AddTimes(c.period.act, c.repeats)
+	r.SelfInitiatedGathers = now.sig + c.repeats*c.period.sig
+	r.PiggybackAcks = now.acks + c.repeats*c.period.acks
+	r.PayloadErrors = int(now.errs + c.repeats*c.period.errs)
 	// Streaming and compute activity per round. OS: every PE receives
 	// C·R·R inputs from the west and C·R·R weights from the north (one
 	// hop each) and performs C·R·R MACs. WS: each column consumes C·R·R
@@ -391,6 +418,39 @@ func (c *Controller) Result() *Result {
 		r.TotalCycles = int64(r.RoundCycles.Mean()*float64(r.TotalRounds) + 0.5)
 	}
 	return &r
+}
+
+// AppendState encodes the state the rest of the run depends on at the
+// boundary after a round opened at base (round.Repeater): the fabric's
+// (noc.Network.AppendState) and none of the controller's own — BeginRound
+// has just emptied the buffer's account, which deliveries later in the
+// open's cycle would refill, and the row plans and the run's parameters
+// never change. An account that is not empty is not encoded (nil).
+func (c *Controller) AppendState(buf []byte, base int64) []byte {
+	c.reads[0], c.reads[1] = c.reads[1], c.read()
+	if c.collected != 0 || len(c.seenSeq) != 0 || len(c.seenSrc) != 0 {
+		return nil
+	}
+	return c.nw.AppendState(buf, base)
+}
+
+// Repeat accounts rounds more copies of the round between the latest two
+// encodings (round.Repeater): each adds the counters' growth over that
+// round to the Record. A round in which the VA rotation may have decided
+// an allocation repeats only if its period is a whole number of rotations.
+func (c *Controller) Repeat(rounds int, period int64) bool {
+	prev, last := &c.reads[0], &c.reads[1]
+	if last.ties != prev.ties && period%c.nw.ClockPeriod() != 0 {
+		return false
+	}
+	c.period = reading{
+		act:  last.act.Sub(prev.act),
+		sig:  last.sig - prev.sig,
+		acks: last.acks - prev.acks,
+		errs: last.errs - prev.errs,
+	}
+	c.repeats = uint64(rounds)
+	return true
 }
 
 // Inject releases PE id's result toward its row's global-buffer port

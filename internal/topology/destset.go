@@ -93,6 +93,10 @@ func (s *DestSet) Nodes() []NodeID {
 	return out
 }
 
+// Words returns the set's bit words, bit i of word w standing for node
+// w*64+i. The slice is the set's own: read it, never modify it.
+func (s *DestSet) Words() []uint64 { return s.words }
+
 // Bits returns the number of bits needed to encode the set on the wire,
 // i.e. the mesh node count rounded to the allocated words. It is used by
 // the flit format budget accounting.

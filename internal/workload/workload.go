@@ -45,14 +45,39 @@ import (
 // jumps the stretches in which nothing is awake. Run returns the engine
 // cycle at exit; the driver's Result reads the outcome. Errors are the
 // engine's (sim.ErrMaxCyclesExceeded, ErrStalled, ErrInterrupted).
+//
+// A round loop run alone on a bare fabric (noc.Network.Bare) whose
+// controller can repeat its rounds (round.Repeater: the systolic layer)
+// proves, at each round open, whether the round repeats the one before and
+// stops simulating once it does (round.Loop.Settled). Its Result is then
+// the one simulating every round gives, and Run returns the cycle that run
+// ends at, past the engine's clock.
 func Run(nw *noc.Network, d interface {
 	Driver
 	PacketSink
 }, maxCycles int64) (int64, error) {
 	nw.OnReceive(d.OnPacket)
 	e := nw.Engine()
+	done := d.Drained
+	p, ok := d.(provable)
+	if ok && nw.Bare() && p.ProveRepeats(e.Cycle()+maxCycles) {
+		done = func() bool { return p.Settled(e.Cycle()) }
+	} else {
+		p = nil
+	}
 	d.Start(e.Cycle())
-	return e.RunWith(d, d.Drained, maxCycles)
+	cycle, err := e.RunWith(d, done, maxCycles)
+	if p != nil {
+		cycle += p.Skipped()
+	}
+	return cycle, err
+}
+
+// provable is the round loop's periodicity proof (round.Loop.ProveRepeats).
+type provable interface {
+	ProveRepeats(limit int64) bool
+	Settled(cycle int64) bool
+	Skipped() int64
 }
 
 // Driver is one phase's injection logic. The scheduler admits the phase
