@@ -15,6 +15,9 @@ import (
 	"gathernoc/internal/workload"
 )
 
+// never is the RunUntil predicate of a run that goes the whole budget.
+func never() bool { return false }
+
 // maxSteadyStateAllocsPerCycle is the allocation ratchet: the pinned
 // ceiling on heap allocations per simulated cycle once a network has
 // reached its steady state (pools, rings and sample chunks warmed to
@@ -61,11 +64,11 @@ func TestAllocationRatchet(t *testing.T) {
 	eng.AddTicker(gen)
 
 	// Warm-up: reach the pool/ring/chunk high-water marks.
-	eng.Run(3000)
+	eng.RunUntil(never, 3000)
 
 	const cyclesPerRun = 500
 	avg := testing.AllocsPerRun(4, func() {
-		eng.Run(cyclesPerRun)
+		eng.RunUntil(never, cyclesPerRun)
 	})
 	perCycle := avg / cyclesPerRun
 	t.Logf("steady state: %.4f allocs/cycle (%.0f allocs per %d-cycle run)", perCycle, avg, cyclesPerRun)
@@ -133,11 +136,11 @@ func TestShardedAllocationRatchet(t *testing.T) {
 	// Warm-up: reach the high-water marks *and* start the shard workers
 	// (lazily spawned on the first step — their goroutine and channel
 	// allocations are one-time, not steady state).
-	eng.Run(3000)
+	eng.RunUntil(never, 3000)
 
 	const cyclesPerRun = 500
 	avg := testing.AllocsPerRun(4, func() {
-		eng.Run(cyclesPerRun)
+		eng.RunUntil(never, cyclesPerRun)
 	})
 	perCycle := avg / cyclesPerRun
 	t.Logf("sharded steady state: %.4f allocs/cycle (%.0f allocs per %d-cycle run)", perCycle, avg, cyclesPerRun)
@@ -221,11 +224,11 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 	eng.AddTicker(gen)
 
 	// Warm-up: reach the pool/ring/chunk high-water marks.
-	eng.Run(3000)
+	eng.RunUntil(never, 3000)
 
 	const cyclesPerRun = 500
 	avg := testing.AllocsPerRun(4, func() {
-		eng.Run(cyclesPerRun)
+		eng.RunUntil(never, cyclesPerRun)
 	})
 	perCycle := avg / cyclesPerRun
 	t.Logf("telemetry-on steady state: %.4f allocs/cycle (%.0f allocs per %d-cycle run)", perCycle, avg, cyclesPerRun)
@@ -298,7 +301,7 @@ func uniformNetwork(t *testing.T, tcfg *telemetry.Config, cycles int64) *noc.Net
 		t.Fatal(err)
 	}
 	nw.Engine().AddTicker(gen)
-	nw.Engine().Run(cycles)
+	nw.Engine().RunUntil(never, cycles)
 	return nw
 }
 
@@ -320,7 +323,7 @@ func TestRingBytesPin(t *testing.T) {
 		nw := uniformNetwork(t, tcfg, 16*10)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		nw.Engine().Run(16 * 90)
+		nw.Engine().RunUntil(never, 16*90)
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
@@ -385,7 +388,7 @@ func TestChromeTraceAllocationPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Engine().AddTicker(gen)
-	nw.Engine().Run(1000)
+	nw.Engine().RunUntil(never, 1000)
 	rep := nw.HarvestTelemetry()
 	if len(rep.Events) < 10_000 || rep.DroppedEvents != 0 {
 		t.Fatalf("run recorded %d events (%d dropped); the pin needs a long trace", len(rep.Events), rep.DroppedEvents)
@@ -482,11 +485,11 @@ func TestSchedulerAllocationRatchet(t *testing.T) {
 	eng.AddTicker(s)
 
 	// Warm-up: reach the pool/ring/chunk high-water marks.
-	eng.Run(3000)
+	eng.RunUntil(never, 3000)
 
 	const cyclesPerRun = 500
 	avg := testing.AllocsPerRun(4, func() {
-		eng.Run(cyclesPerRun)
+		eng.RunUntil(never, cyclesPerRun)
 	})
 	perCycle := avg / cyclesPerRun
 	t.Logf("multi-job steady state: %.4f allocs/cycle (%.0f allocs per %d-cycle run)", perCycle, avg, cyclesPerRun)

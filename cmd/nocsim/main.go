@@ -55,6 +55,14 @@ import (
 	"gathernoc/internal/workload"
 )
 
+// Flag values that would run something other than what was asked, or
+// write nothing where a file was asked for.
+var (
+	errNoEpoch       = errors.New("-metrics needs a positive -epoch")
+	errNoTraceSample = errors.New("-trace needs a positive -tracesample")
+	errModelRounds   = errors.New("-model needs -rounds >= 1")
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nocsim:", err)
@@ -125,6 +133,14 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	if *ckptPath != "" && *ckptAt <= 0 {
 		return fmt.Errorf("-checkpoint needs a positive -checkpointat cycle")
+	}
+	switch {
+	case *metricsOut != "" && *epoch <= 0:
+		return errNoEpoch
+	case *traceOut != "" && *traceEvery == 0:
+		return errNoTraceSample
+	case *model != "" && *rounds < 1:
+		return errModelRounds
 	}
 	var ck *checkpointFile
 	if *resumePath != "" {

@@ -93,6 +93,26 @@ func TestRunRejectsBadInputs(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// Flag values that used to exit 0 having written no file, or having
+	// run one round where -3 were asked for.
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args []string
+		want error
+	}{
+		{[]string{"-measure", "10", "-metrics", filepath.Join(dir, "m.csv"), "-epoch", "0"}, errNoEpoch},
+		{[]string{"-measure", "10", "-trace", filepath.Join(dir, "t.json"), "-tracesample", "0"}, errNoTraceSample},
+		{[]string{"-model", "alexnet", "-rounds", "-3"}, errModelRounds},
+		{[]string{"-model", "alexnet", "-rounds", "0"}, errModelRounds},
+	} {
+		var b strings.Builder
+		if err := run(c.args, &b); !errors.Is(err, c.want) {
+			t.Errorf("args %v: err %v, want %v", c.args, err, c.want)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected runs wrote %d files", len(entries))
+	}
 }
 
 func TestRunTraceReplay(t *testing.T) {

@@ -45,7 +45,10 @@ func TestWireTrafficMatchesClosedForm(t *testing.T) {
 			t.Fatalf("gather=%v: payloads = %d, want 64", gather, payloads)
 		}
 
-		format := nw.Format()
+		format, err := cfg.Format()
+		if err != nil {
+			t.Fatal(err)
+		}
 		model := analytic.Traffic{
 			N: cfg.Rows, M: cfg.Cols,
 			UnicastFlits: cfg.UnicastFlits,

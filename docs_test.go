@@ -1,6 +1,7 @@
 package gathernoc
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -115,4 +116,70 @@ func TestDesignSectionReferencesResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsNameExistingCode keeps README.md and DESIGN.md naming only code
+// that exists: every backticked `pkg.Ident` or `pkg.Type.Member`, Ident
+// exported and a call's arguments aside, whose pkg is one of the module's
+// packages (not a metric such as `sim.evaluated`) must resolve
+// against the packages the API-usage pass type-checks. `pkg.Method` is
+// allowed as shorthand when some type in pkg has that method. ROADMAP.md and
+// CHANGES.md record history and are not checked.
+func TestDocsNameExistingCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	p := loadAPIPass(t)
+	pkgs := map[string]*types.Package{}
+	for _, pkg := range p.pkgs {
+		if tp := pkg.checked; tp.Name() != "main" {
+			pkgs[tp.Name()] = tp
+		}
+	}
+	fenceRE := regexp.MustCompile("(?ms)^```.*?^```")
+	spanRE := regexp.MustCompile("`([^`\n]+)`")
+	refRE := regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
+	for _, path := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := fenceRE.ReplaceAllString(string(data), "")
+		for _, span := range spanRE.FindAllStringSubmatch(text, -1) {
+			m := refRE.FindStringSubmatch(span[1])
+			if m == nil || pkgs[m[1]] == nil {
+				continue
+			}
+			if !docRefResolves(pkgs[m[1]], m[2], m[3]) {
+				t.Errorf("%s: `%s` names no %s in package %s", path, span[1], strings.TrimSuffix(m[2]+"."+m[3], "."), m[1])
+			}
+		}
+	}
+}
+
+// docRefResolves reports whether pkg declares name (and member on it, when
+// member is not empty), or, with no member, whether some type in pkg has a
+// method called name.
+func docRefResolves(pkg *types.Package, name, member string) bool {
+	scope := pkg.Scope()
+	if obj := scope.Lookup(name); obj != nil {
+		if member == "" {
+			return true
+		}
+		found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, member)
+		return found != nil
+	}
+	if member != "" {
+		return false
+	}
+	for _, n := range scope.Names() {
+		if tn, ok := scope.Lookup(n).(*types.TypeName); ok {
+			if found, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, name); found != nil {
+				if _, isMethod := found.(*types.Func); isMethod {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

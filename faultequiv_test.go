@@ -332,30 +332,3 @@ func TestShardedFlitPoolLeakFreedomWithFaults(t *testing.T) {
 			gen.Sent(), gen.Delivered(), lostPackets)
 	}
 }
-
-// TestCheckReachableNamesPartition pins the named error: a destination
-// severed by an active outage must be reported as fault.ErrUnreachable,
-// and reachable pairs must stay nil.
-func TestCheckReachableNamesPartition(t *testing.T) {
-	cfg := noc.DefaultConfig(4, 4)
-	cfg.Faults = &fault.Config{
-		Routers: []fault.RouterOutage{{Node: 5, Window: fault.Window{From: 0}}},
-	}
-	nw, err := noc.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	if err := nw.CheckReachable(0, 15); err != nil {
-		t.Errorf("0>15 should route around the dead node: %v", err)
-	}
-	if err := nw.CheckReachable(0, 5); !errors.Is(err, fault.ErrUnreachable) {
-		t.Errorf("0>5 into the dead node: want ErrUnreachable, got %v", err)
-	}
-	if err := nw.CheckReachable(5, 0); !errors.Is(err, fault.ErrUnreachable) {
-		t.Errorf("5>0 out of the dead node: want ErrUnreachable, got %v", err)
-	}
-	if err := nw.CheckReachable(0, nw.RowSinkID(2)); err != nil {
-		t.Errorf("sink 2 should be reachable: %v", err)
-	}
-}

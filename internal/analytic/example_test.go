@@ -28,11 +28,12 @@ func ExampleParams_Improvement() {
 }
 
 // One round's wire traffic, the quantitative Fig. 1 argument.
-func ExampleTraffic_LinkFlitSavingPercent() {
+func ExampleTraffic() {
 	t := analytic.Traffic{N: 8, M: 8, UnicastFlits: 2, GatherFlits: 4}
-	fmt.Printf("RU:     %d flit-link traversals\n", t.RULinkFlits())
-	fmt.Printf("gather: %d flit-link traversals\n", t.GatherLinkFlits())
-	fmt.Printf("saving: %.0f%%\n", t.LinkFlitSavingPercent())
+	ru, g := t.RULinkFlits(), t.GatherLinkFlits()
+	fmt.Printf("RU:     %d flit-link traversals\n", ru)
+	fmt.Printf("gather: %d flit-link traversals\n", g)
+	fmt.Printf("saving: %.0f%%\n", float64(ru-g)/float64(ru)*100)
 	// Output:
 	// RU:     704 flit-link traversals
 	// gather: 288 flit-link traversals

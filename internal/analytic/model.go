@@ -1,12 +1,11 @@
-// Package analytic implements the paper's closed-form latency model:
-// Eq. (2) for the repetitive-unicast total latency, Eq. (3) for the gather
-// total latency, and Eq. (4) for the expected improvement. With the
-// congestion terms and tδ set to zero it reproduces the "Estimated" row of
-// Table II (see DESIGN.md §4 for the calibration of κ, η and the packet
-// lengths).
+// Package analytic implements the paper's closed-form latency model: the
+// collection terms of Eq. (2) (repetitive unicast) and Eq. (3) (gather),
+// whose totals are the round latency times the round count, and Eq. (4)
+// for the expected improvement, in which the round count cancels. With
+// the congestion terms and tδ set to zero it reproduces the "Estimated"
+// row of Table II (see DESIGN.md §4 for the calibration of κ, η and the
+// packet lengths).
 package analytic
-
-import "fmt"
 
 // Params are the inputs to Eqs. (2)–(4).
 type Params struct {
@@ -21,14 +20,6 @@ type Params struct {
 	GatherFlits int
 	// Eta is η, the payload capacity of one gather packet.
 	Eta int
-	// AccumulateFlits is the (constant) accumulate packet length in flits;
-	// 0 selects the wire format's 2 (head + accumulator). Used by the INA
-	// bound only.
-	AccumulateFlits int
-	// ReduceCapacity is the merge budget of one accumulate packet; 0
-	// selects M (one packet reduces a full row). Used by the INA bound
-	// only.
-	ReduceCapacity int
 	// TMAC is the MAC time in cycles (Table I: 5).
 	TMAC int
 	// CRR is C·R·R, the per-round input/weight streaming time in cycles.
@@ -40,42 +31,6 @@ type Params struct {
 	// ideal estimate).
 	DeltaR int
 	DeltaG int
-}
-
-// Validate reports parameter errors.
-func (p Params) Validate() error {
-	switch {
-	case p.N < 1 || p.M < 1:
-		return fmt.Errorf("analytic: mesh %dx%d invalid", p.N, p.M)
-	case p.Kappa < 1:
-		return fmt.Errorf("analytic: kappa %d invalid", p.Kappa)
-	case p.UnicastFlits < 1 || p.GatherFlits < 1:
-		return fmt.Errorf("analytic: packet lengths %d/%d invalid", p.UnicastFlits, p.GatherFlits)
-	case p.Eta < 1:
-		return fmt.Errorf("analytic: eta %d invalid", p.Eta)
-	case p.AccumulateFlits < 0 || p.ReduceCapacity < 0:
-		return fmt.Errorf("analytic: INA parameters %d/%d invalid", p.AccumulateFlits, p.ReduceCapacity)
-	case p.CRR < 0 || p.TMAC < 0 || p.TDelta < 0 || p.DeltaR < 0 || p.DeltaG < 0:
-		return fmt.Errorf("analytic: negative latency component")
-	}
-	return nil
-}
-
-// accFlits resolves the accumulate packet length default (head + one
-// accumulator flit).
-func (p Params) accFlits() int {
-	if p.AccumulateFlits > 0 {
-		return p.AccumulateFlits
-	}
-	return 2
-}
-
-// reduceCapacity resolves the merge-budget default (the row width M).
-func (p Params) reduceCapacity() int {
-	if p.ReduceCapacity > 0 {
-		return p.ReduceCapacity
-	}
-	return p.M
 }
 
 // RUCollection returns the repetitive-unicast result-collection term of
@@ -101,68 +56,9 @@ func (p Params) GatherCollection() int {
 	return total
 }
 
-// INACollection returns the in-network-accumulation collection bound: the
-// row splits into ⌈M/capacity⌉ accumulate packets (one when the merge
-// budget covers the row, the common case); packet i starts M − i·capacity
-// hops from the sink and stays a constant AccumulateFlits long however
-// many operands it absorbs, since merging happens in place. Each packet
-// pays the same tδ and ΔG penalties as a gather packet. With the default
-// capacity this collapses to M·κ + AccumulateFlits − 1 + tδ + ΔG —
-// strictly below GatherCollection whenever the gather packet is longer
-// than an accumulate packet, which is the whole-row case for every mesh
-// the paper evaluates.
-func (p Params) INACollection() int {
-	budget := p.reduceCapacity()
-	packets := (p.M + budget - 1) / budget
-	total := 0
-	for i := 0; i < packets; i++ {
-		total += (p.M-i*budget)*p.Kappa + p.accFlits() - 1 + p.TDelta + p.DeltaG
-	}
-	return total
-}
-
-// INARound returns one round's latency under in-network accumulation.
-func (p Params) INARound() int {
-	return p.CRR + p.TMAC + p.INACollection()
-}
-
-// TotalINA returns the INA analogue of Eq. (3): the INA round latency
-// times the round count.
-func (p Params) TotalINA(rounds int64) int64 {
-	return int64(p.INARound()) * rounds
-}
-
-// INAImprovement returns the collection-latency saving of INA over gather
-// collection relative to the INA round latency, in percent (the Eq. (4)
-// form with gather as the baseline).
-func (p Params) INAImprovement() float64 {
-	r := p.INARound()
-	if r == 0 {
-		return 0
-	}
-	return float64(p.GatherCollection()-p.INACollection()) / float64(r) * 100
-}
-
-// RURound returns one round's latency under repetitive unicast:
-// C·R·R + T_MAC + RUCollection.
-func (p Params) RURound() int {
-	return p.CRR + p.TMAC + p.RUCollection()
-}
-
 // GatherRound returns one round's latency under gather collection.
 func (p Params) GatherRound() int {
 	return p.CRR + p.TMAC + p.GatherCollection()
-}
-
-// TotalRU returns Eq. (2): the RU round latency times the round count.
-func (p Params) TotalRU(rounds int64) int64 {
-	return int64(p.RURound()) * rounds
-}
-
-// TotalGather returns Eq. (3): the gather round latency times the round
-// count.
-func (p Params) TotalGather(rounds int64) int64 {
-	return int64(p.GatherRound()) * rounds
 }
 
 // Improvement returns Eq. (4) as a percentage: the collection-latency

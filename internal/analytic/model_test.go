@@ -48,9 +48,6 @@ func TestCollectionTerms(t *testing.T) {
 	if got := p.GatherCollection(); got != 35 {
 		t.Errorf("GatherCollection = %d, want 35", got)
 	}
-	if got := p.RURound(); got != 363+5+47 {
-		t.Errorf("RURound = %d, want %d", got, 363+5+47)
-	}
 	if got := p.GatherRound(); got != 363+5+35 {
 		t.Errorf("GatherRound = %d, want %d", got, 363+5+35)
 	}
@@ -81,16 +78,6 @@ func TestCongestionTermsRaiseLatency(t *testing.T) {
 	// paper's simulated > estimated observation.
 	if congested.Improvement() <= base.Improvement() {
 		t.Error("RU-side congestion should increase improvement")
-	}
-}
-
-func TestTotalsScaleWithRounds(t *testing.T) {
-	p := tableIIParams(363)
-	if got := p.TotalRU(10); got != int64(p.RURound())*10 {
-		t.Errorf("TotalRU = %d", got)
-	}
-	if got := p.TotalGather(10); got != int64(p.GatherRound())*10 {
-		t.Errorf("TotalGather = %d", got)
 	}
 }
 
@@ -129,29 +116,6 @@ func TestWiderMeshImprovesMore(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	good := tableIIParams(100)
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
-	}
-	bad := []func(*Params){
-		func(p *Params) { p.N = 0 },
-		func(p *Params) { p.Kappa = 0 },
-		func(p *Params) { p.UnicastFlits = 0 },
-		func(p *Params) { p.GatherFlits = 0 },
-		func(p *Params) { p.Eta = 0 },
-		func(p *Params) { p.CRR = -1 },
-		func(p *Params) { p.DeltaR = -1 },
-	}
-	for i, mutate := range bad {
-		p := tableIIParams(100)
-		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
-		}
-	}
-}
-
 func TestImprovementZeroGuard(t *testing.T) {
 	p := Params{N: 1, M: 1, Kappa: 1, UnicastFlits: 1, GatherFlits: 1, Eta: 1}
 	// GatherRound is tiny but nonzero here; force the zero case directly.
@@ -160,68 +124,4 @@ func TestImprovementZeroGuard(t *testing.T) {
 		t.Error("zero params should yield 0 improvement")
 	}
 	_ = p.Improvement() // must not divide by zero
-}
-
-// inaParams returns the Table I parameters with the INA extension's
-// defaults (2-flit accumulate packets, whole-row merge budget).
-func inaParams() Params {
-	return Params{
-		N: 8, M: 8, Kappa: 4, UnicastFlits: 2, GatherFlits: 4,
-		Eta: 8, TMAC: 5, CRR: 100,
-	}
-}
-
-func TestINACollectionBound(t *testing.T) {
-	p := inaParams()
-	// One accumulate packet covers the row: M·κ + 2 − 1 = 33.
-	if got := p.INACollection(); got != 33 {
-		t.Errorf("INACollection = %d, want 33", got)
-	}
-	// Strictly below the gather bound whenever the accumulate packet is
-	// shorter than the gather packet.
-	if p.INACollection() >= p.GatherCollection() {
-		t.Errorf("INA bound %d not below gather bound %d",
-			p.INACollection(), p.GatherCollection())
-	}
-	if got, want := p.INARound(), 100+5+33; got != want {
-		t.Errorf("INARound = %d, want %d", got, want)
-	}
-	if got, want := p.TotalINA(10), int64(10*(100+5+33)); got != want {
-		t.Errorf("TotalINA = %d, want %d", got, want)
-	}
-}
-
-func TestINACollectionSplitsOnBudget(t *testing.T) {
-	p := inaParams()
-	p.ReduceCapacity = 4
-	// Two packets: (8·4 + 1) + (4·4 + 1) = 33 + 17 = 50.
-	if got := p.INACollection(); got != 50 {
-		t.Errorf("INACollection with budget 4 = %d, want 50", got)
-	}
-}
-
-func TestINAImprovementPositive(t *testing.T) {
-	p := inaParams()
-	if got := p.INAImprovement(); got <= 0 {
-		t.Errorf("INAImprovement = %.2f, want > 0", got)
-	}
-	// The penalties apply per packet to both schemes; the gap is the
-	// flit-length difference.
-	want := float64(p.GatherCollection()-p.INACollection()) / float64(p.INARound()) * 100
-	if got := p.INAImprovement(); got != want {
-		t.Errorf("INAImprovement = %v, want %v", got, want)
-	}
-}
-
-func TestINAValidation(t *testing.T) {
-	p := inaParams()
-	p.AccumulateFlits = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative AccumulateFlits accepted")
-	}
-	p = inaParams()
-	p.ReduceCapacity = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative ReduceCapacity accepted")
-	}
 }

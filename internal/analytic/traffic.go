@@ -49,13 +49,3 @@ func (t Traffic) RUBufferWrites() int {
 func (t Traffic) GatherBufferWrites() int {
 	return t.N * t.GatherFlits * t.M
 }
-
-// LinkFlitSavingPercent returns the wire-traffic reduction of gather over
-// RU in percent.
-func (t Traffic) LinkFlitSavingPercent() float64 {
-	ru := t.RULinkFlits()
-	if ru == 0 {
-		return 0
-	}
-	return float64(ru-t.GatherLinkFlits()) / float64(ru) * 100
-}

@@ -40,7 +40,7 @@ func TestAlexNetPoolLayersShapes(t *testing.T) {
 			t.Errorf("%s: %d->%d @%d, want %d->%d @%d",
 				l.Name, l.InputSize, l.OutputSize, l.OutKernels, w.in, w.out, w.q)
 		}
-		if got := l.ExpectedOutputSize(); got != l.OutputSize {
+		if got := shapeFormula(l); got != l.OutputSize {
 			t.Errorf("%s: shape formula gives %d", l.Name, got)
 		}
 		if got := l.MACsPerPE(); got != 9 {
@@ -119,7 +119,7 @@ func TestVGG16AllLayersSequence(t *testing.T) {
 		if err := l.Validate(); err != nil {
 			t.Errorf("%s: %v", l.Name, err)
 		}
-		if got := l.ExpectedOutputSize(); got != l.OutputSize {
+		if got := shapeFormula(l); got != l.OutputSize {
 			t.Errorf("%s: shape formula gives %d, config says %d", l.Name, got, l.OutputSize)
 		}
 	}

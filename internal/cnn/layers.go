@@ -75,12 +75,6 @@ func (l LayerConfig) Rounds(rows, cols int) int64 {
 	return int64(p) * int64(q)
 }
 
-// TotalMACs returns the layer's total multiply-accumulate count
-// P·Q·C·R·R.
-func (l LayerConfig) TotalMACs() int64 {
-	return int64(l.OutputPositions()) * int64(l.OutKernels) * int64(l.MACsPerPE())
-}
-
 // AccumulationRounds returns the round count of the layer's accumulation
 // phase under an input-channel-partitioned mapping on an N-row array: the
 // C·R·R MACs of one output are split across a row's M PEs, each row
@@ -104,12 +98,6 @@ func (l LayerConfig) PartialMACsPerPE(cols int) int {
 		return 0
 	}
 	return (l.MACsPerPE() + cols - 1) / cols
-}
-
-// ExpectedOutputSize applies the standard convolution shape formula
-// ⌊(H + 2·pad − R)/stride⌋ + 1.
-func (l LayerConfig) ExpectedOutputSize() int {
-	return (l.InputSize+2*l.Pad-l.Kernel)/l.Stride + 1
 }
 
 // String renders the Table III notation, e.g. "3x64@11x11 -> 64@55x55".

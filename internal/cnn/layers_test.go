@@ -55,6 +55,12 @@ func TestVGGSelectedMatchesTableIII(t *testing.T) {
 	}
 }
 
+// shapeFormula applies the standard convolution shape formula
+// ⌊(H + 2·pad − R)/stride⌋ + 1 to a layer's input side.
+func shapeFormula(l LayerConfig) int {
+	return (l.InputSize+2*l.Pad-l.Kernel)/l.Stride + 1
+}
+
 func TestShapeFormulaConsistent(t *testing.T) {
 	// Every published layer's OutputSize must satisfy the standard
 	// convolution shape formula (the cross-check that replaces the
@@ -62,7 +68,7 @@ func TestShapeFormulaConsistent(t *testing.T) {
 	all := append(AlexNetConvLayers(), VGG16SelectedConvLayers()...)
 	all = append(all, VGG16AllConvLayers()...)
 	for _, l := range all {
-		if got := l.ExpectedOutputSize(); got != l.OutputSize {
+		if got := shapeFormula(l); got != l.OutputSize {
 			t.Errorf("%s: shape formula gives %d, table says %d", l, got, l.OutputSize)
 		}
 	}
@@ -98,9 +104,10 @@ func TestRounds(t *testing.T) {
 
 func TestTotalMACs(t *testing.T) {
 	l, _ := LayerByName(AlexNetConvLayers(), "Conv1")
+	// P·Q·C·R·R: 55x55 outputs, 64 kernels, 3x11x11 MACs each.
 	want := int64(3025) * 64 * 363
-	if got := l.TotalMACs(); got != want {
-		t.Errorf("TotalMACs = %d, want %d", got, want)
+	if got := int64(l.OutputPositions()) * int64(l.OutKernels) * int64(l.MACsPerPE()); got != want {
+		t.Errorf("total MACs = %d, want %d", got, want)
 	}
 }
 

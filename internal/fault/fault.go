@@ -17,8 +17,8 @@ import (
 
 // ErrUnreachable is the named error for a destination that no alive path
 // can reach under the currently active outages. It is returned (wrapped)
-// by reachability checks such as noc.Network.CheckReachable; callers
-// detect it with errors.Is.
+// by the collective tree planner (collective.NewTreePlan) when a dead node
+// severs a route; callers detect it with errors.Is.
 var ErrUnreachable = errors.New("fault: destination unreachable")
 
 // Window is a half-open cycle interval [From, Until) during which an
@@ -32,9 +32,6 @@ type Window struct {
 func (w Window) Active(now int64) bool {
 	return now >= w.From && (w.Until <= 0 || now < w.Until)
 }
-
-// Permanent reports whether the window never ends.
-func (w Window) Permanent() bool { return w.Until <= 0 }
 
 // WindowSet is a small list of outage windows (typically zero or one).
 type WindowSet []Window
@@ -233,9 +230,6 @@ func NewInjector(cfg *Config) *Injector {
 		corruptT: threshold(cfg.CorruptRate),
 	}
 }
-
-// Config returns the schedule the injector was compiled from.
-func (in *Injector) Config() *Config { return in.cfg }
 
 // NewLink registers decision state for the link with the given
 // construction index and scheduled outage windows. Each LinkState is owned

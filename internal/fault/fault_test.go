@@ -24,12 +24,6 @@ func TestWindowActive(t *testing.T) {
 			t.Errorf("%+v.Active(%d) = %v, want %v", tt.w, tt.now, got, tt.want)
 		}
 	}
-	if !(Window{From: 3}).Permanent() {
-		t.Error("Until=0 must be permanent")
-	}
-	if (Window{From: 3, Until: 9}).Permanent() {
-		t.Error("bounded window must not be permanent")
-	}
 }
 
 func TestConfigValidate(t *testing.T) {

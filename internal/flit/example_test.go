@@ -22,15 +22,16 @@ func ExampleFormat_GatherFlits() {
 
 // A gather packet is born carrying its initiator's payload, with ASpace
 // counting the remaining slots for intermediate PEs (Fig. 3a).
-func ExamplePacketize() {
+func ExamplePacketizeInto() {
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 64)
 	own := &flit.Payload{Seq: 1, Src: 8, Dst: 64, Value: 42, Bits: 32}
-	flits, err := flit.Packetize(flit.Packet{
+	flits, err := flit.PacketizeInto(nil, flit.Packet{
 		ID: 7, PT: flit.Gather, Src: 8, Dst: 64,
 		Flits:          format.GatherFlits(8),
 		GatherCapacity: 8,
 		Carried:        own,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -3,6 +3,7 @@ package flit
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -60,9 +61,6 @@ func TestFormatTableI(t *testing.T) {
 	if got := f.GatherFlits(16); got != 7 {
 		t.Errorf("GatherFlits(16) = %d, want 7", got)
 	}
-	if got := f.NodeBits(); got != 6 {
-		t.Errorf("NodeBits = %d, want 6 (64 nodes)", got)
-	}
 }
 
 func TestFormatRejectsOversizedPayload(t *testing.T) {
@@ -75,12 +73,14 @@ func TestFormatRejectsOversizedPayload(t *testing.T) {
 }
 
 func TestFormatHeadOverheadFitsTableI(t *testing.T) {
-	f := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
-	// FT(2)+PT(2)+ASpace(4 for max 8)+Src(6)+Dst(6) = 20 bits; with the
-	// 64-bit MDst bit-string that is 84 <= 98, so the published format is
-	// realizable.
-	if got := f.HeadOverheadBits(8); got+64 > DefaultFlitBits {
-		t.Errorf("head fields need %d+64 bits, exceeding the %d-bit flit",
+	// FT(2)+PT(2)+ASpace(4 for max 8)+Src(6)+Dst(6) = 20 bits on an 8x8
+	// mesh; with the 64-bit MDst bit-string that is 84 <= 98, so the
+	// published format is realizable.
+	const ptBits = 2 // U/M/G
+	nodeBits := bits.Len(64 - 1)
+	aspaceBits := bits.Len(8)
+	if got := FTBits + ptBits + aspaceBits + 2*nodeBits; got != 20 || got+64 > DefaultFlitBits {
+		t.Errorf("head fields need %d+64 bits, want 20+64 within the %d-bit flit",
 			got, DefaultFlitBits)
 	}
 }
@@ -122,9 +122,10 @@ func TestAddPayloadRespectsSlotCap(t *testing.T) {
 
 func TestPacketizeUnicast(t *testing.T) {
 	format := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
-	flits, err := Packetize(Packet{
+	flits, err := PacketizeInto(nil, Packet{
 		ID: 7, PT: Unicast, Src: 3, Dst: 12, Flits: 2, InjectCycle: 5,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestPacketizeUnicast(t *testing.T) {
 
 func TestPacketizeSingleFlit(t *testing.T) {
 	format := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
-	flits, err := Packetize(Packet{ID: 1, PT: Unicast, Flits: 1}, format)
+	flits, err := PacketizeInto(nil, Packet{ID: 1, PT: Unicast, Flits: 1}, format, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +160,11 @@ func TestPacketizeSingleFlit(t *testing.T) {
 func TestPacketizeGatherCarriesOwnPayload(t *testing.T) {
 	format := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
 	own := Payload{Seq: 99, Src: 8, Dst: 15, Bits: 32, Value: 42}
-	flits, err := Packetize(Packet{
+	flits, err := PacketizeInto(nil, Packet{
 		ID: 2, PT: Gather, Src: 8, Dst: 15, Flits: format.GatherFlits(8),
 		GatherCapacity: 8, Carried: &own,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +186,10 @@ func TestPacketizeGatherCarriesOwnPayload(t *testing.T) {
 
 func TestPacketizeRejectsInvalid(t *testing.T) {
 	format := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
-	if _, err := Packetize(Packet{ID: 1, PT: Unicast, Flits: 0}, format); err == nil {
+	if _, err := PacketizeInto(nil, Packet{ID: 1, PT: Unicast, Flits: 0}, format, nil); err == nil {
 		t.Error("zero-flit packet accepted")
 	}
-	if _, err := Packetize(Packet{ID: 1, PT: Gather, Flits: 1}, format); err == nil {
+	if _, err := PacketizeInto(nil, Packet{ID: 1, PT: Gather, Flits: 1}, format, nil); err == nil {
 		t.Error("single-flit gather packet accepted")
 	}
 }
@@ -195,7 +197,7 @@ func TestPacketizeRejectsInvalid(t *testing.T) {
 func TestPacketizeMulticastKeepsMDst(t *testing.T) {
 	format := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
 	set := topology.DestSetOf(64, 1, 2, 3)
-	flits, err := Packetize(Packet{ID: 3, PT: Multicast, Src: 0, MDst: set, Flits: 2}, format)
+	flits, err := PacketizeInto(nil, Packet{ID: 3, PT: Multicast, Src: 0, MDst: set, Flits: 2}, format, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +218,11 @@ func TestFlitString(t *testing.T) {
 func TestPacketizeAccumulate(t *testing.T) {
 	format := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
 	own := Payload{Seq: 1, Src: 3, Dst: 9, Value: 42}
-	flits, err := Packetize(Packet{
+	flits, err := PacketizeInto(nil, Packet{
 		ID: 5, PT: Accumulate, Src: 3, Dst: 9,
 		Flits: AccumulateFlits, GatherCapacity: 8, ReduceID: 77, Carried: &own,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +257,14 @@ func TestPacketizeAccumulate(t *testing.T) {
 func TestPacketizeAccumulateRejectsBadShapes(t *testing.T) {
 	format := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64)
 	own := Payload{Seq: 1}
-	if _, err := Packetize(Packet{
+	if _, err := PacketizeInto(nil, Packet{
 		ID: 1, PT: Accumulate, Flits: 3, GatherCapacity: 8, Carried: &own,
-	}, format); err == nil {
+	}, format, nil); err == nil {
 		t.Error("wrong flit count accepted")
 	}
-	if _, err := Packetize(Packet{
+	if _, err := PacketizeInto(nil, Packet{
 		ID: 1, PT: Accumulate, Flits: AccumulateFlits, GatherCapacity: 8,
-	}, format); err == nil {
+	}, format, nil); err == nil {
 		t.Error("missing accumulator payload accepted")
 	}
 }

@@ -6,14 +6,10 @@ import (
 )
 
 // Field widths of the packet format in Fig. 3(a), in bits. FT distinguishes
-// H/B/T, PT distinguishes U/M/G. The remaining head-flit fields (ASpace,
-// Src, Dst, MDst) depend on the mesh size and the flit width, so they are
-// computed by Format.
+// H/B/T in every flit, so a body/tail flit's payload slots share the rest.
 const (
 	// FTBits encodes the flit type.
 	FTBits = 2
-	// PTBits encodes the packet type.
-	PTBits = 2
 	// DefaultFlitBits is the flit width from Table I (98 bits/flit).
 	DefaultFlitBits = 98
 	// DefaultPayloadBits is the gather payload width from Table I (32 bits).
@@ -34,34 +30,22 @@ const AccumulateFlits = 2
 // gather payload slots fit in one body/tail flit and how long packets of
 // each kind are. It is immutable after creation.
 type Format struct {
-	flitBits    int
-	payloadBits int
-	nodeBits    int
-	slotsPer    int
+	slotsPer int
 }
 
 // NewFormat computes the format for a network of numNodes nodes with the
-// given flit and payload widths. nodeBits is sized to address every node.
+// given flit and payload widths.
 func NewFormat(flitBits, payloadBits, numNodes int) (*Format, error) {
 	if flitBits <= 0 || payloadBits <= 0 || numNodes <= 0 {
 		return nil, fmt.Errorf("%w: flitBits=%d payloadBits=%d nodes=%d",
 			ErrBadFormat, flitBits, payloadBits, numNodes)
-	}
-	nodeBits := 1
-	for 1<<nodeBits < numNodes {
-		nodeBits++
 	}
 	slots := (flitBits - FTBits) / payloadBits
 	if slots < 1 {
 		return nil, fmt.Errorf("%w: payload (%d bits) does not fit in a %d-bit flit",
 			ErrBadFormat, payloadBits, flitBits)
 	}
-	return &Format{
-		flitBits:    flitBits,
-		payloadBits: payloadBits,
-		nodeBits:    nodeBits,
-		slotsPer:    slots,
-	}, nil
+	return &Format{slotsPer: slots}, nil
 }
 
 // MustFormat is NewFormat for statically known-good parameters.
@@ -72,15 +56,6 @@ func MustFormat(flitBits, payloadBits, numNodes int) *Format {
 	}
 	return f
 }
-
-// FlitBits returns the configured flit width.
-func (f *Format) FlitBits() int { return f.flitBits }
-
-// PayloadBits returns the configured gather payload width.
-func (f *Format) PayloadBits() int { return f.payloadBits }
-
-// NodeBits returns the width of the Src/Dst fields.
-func (f *Format) NodeBits() int { return f.nodeBits }
 
 // SlotsPerFlit returns how many gather payload slots one body/tail flit
 // carries: the flit width minus the FT field, divided by the payload width.
@@ -99,15 +74,4 @@ func (f *Format) GatherFlits(capacity int) int {
 		capacity = 1
 	}
 	return 1 + (capacity+f.slotsPer-1)/f.slotsPer
-}
-
-// HeadOverheadBits returns the head-flit field budget (FT+PT+ASpace+Src+
-// Dst) excluding MDst; it documents that the Table I format is achievable
-// for the meshes the paper evaluates and is used by format sanity tests.
-func (f *Format) HeadOverheadBits(aspaceMax int) int {
-	aspaceBits := 1
-	for 1<<aspaceBits <= aspaceMax {
-		aspaceBits++
-	}
-	return FTBits + PTBits + aspaceBits + 2*f.nodeBits
 }

@@ -39,7 +39,7 @@ type Packet struct {
 	InjectCycle int64
 }
 
-// Packetize expands the packet into its flit sequence according to the
+// PacketizeInto expands the packet into its flit sequence according to the
 // format: a head flit carrying the routing fields, then body flits, then a
 // tail flit, each body/tail flit exposing fmt.SlotsPerFlit() payload slots
 // for gather packets. Packets of length 1 become a single HeadTail flit.
@@ -59,18 +59,10 @@ type Packet struct {
 // operands into that payload in place, so the length never grows with the
 // number of merged operands.
 //
-// Packetize heap-allocates the slice and every flit; the simulator's hot
-// path uses PacketizeInto, which reuses both through a caller-provided
-// destination slice and a Pool.
-func Packetize(p Packet, format *Format) ([]*Flit, error) {
-	return PacketizeInto(nil, p, format, nil)
-}
-
-// PacketizeInto is the allocation-free form of Packetize: flits are
-// acquired from pool (heap-allocated when pool is nil) and appended to
-// dst, whose backing array is reused across packets (pass dst[:0]). On
-// error, acquired flits are returned to the pool and dst's length is
-// unchanged.
+// Flits are acquired from pool (heap-allocated when pool is nil) and
+// appended to dst, whose backing array is reused across packets (pass
+// dst[:0]), so the simulator's hot path allocates nothing. On error,
+// acquired flits are returned to the pool and dst's length is unchanged.
 func PacketizeInto(dst []*Flit, p Packet, format *Format, pool *Pool) ([]*Flit, error) {
 	if p.Flits < 1 {
 		return nil, fmt.Errorf("%w: packet %d has %d flits", ErrBadFormat, p.ID, p.Flits)

@@ -23,7 +23,7 @@ import (
 
 // Name is the diagnostic name of a link or of an ejection point, kept as
 // its parts and rendered by String when a report asks for it: wiring a
-// fabric formats no strings. Make one with Named, Numbered or Between.
+// fabric formats no strings. Make one with Numbered or Between.
 type Name struct {
 	label    string
 	from, to int32
@@ -34,13 +34,10 @@ type Name struct {
 type nameForm uint8
 
 const (
-	formLabel    nameForm = iota // label
+	formLabel    nameForm = iota // label (the zero Name's form)
 	formNumbered                 // label, from: "inj12"
 	formBetween                  // from, via, to: "r3E->r4"
 )
-
-// Named is the fixed name s.
-func Named(s string) Name { return Name{label: s} }
 
 // Numbered is prefix followed by id: "inj12", "sink3".
 func Numbered(prefix string, id int) Name {

@@ -298,23 +298,13 @@ func (n *NIC) SetDelta(d int64) {
 	}
 }
 
-// Delta returns the NIC's current δ timeout.
-func (n *NIC) Delta() int64 { return n.cfg.Delta }
-
 // Every send and submit below takes the workload tag of the job and phase
 // the packet belongs to. It goes into the packet, and into the δ wait and
 // the reliability entry a submit creates, so a fallback or retransmission
 // the NIC sends later carries it too. The zero tag marks untagged traffic.
 
-// SendUnicast queues a unicast packet of the configured length to dst and
-// returns its packet id.
-func (n *NIC) SendUnicast(tag flit.Tag, dst topology.NodeID) uint64 {
-	return n.enqueue(flit.Packet{
-		Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: n.cfg.UnicastFlits,
-	})
-}
-
-// SendUnicastN queues a unicast packet of nFlits flits to dst.
+// SendUnicastN queues a unicast packet of nFlits flits to dst and returns
+// its packet id.
 func (n *NIC) SendUnicastN(tag flit.Tag, dst topology.NodeID, nFlits int) uint64 {
 	return n.enqueue(flit.Packet{Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: nFlits})
 }

@@ -68,11 +68,11 @@ func TestNICInjectsOneFlitPerCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New(link.Named("inj"), 1, cap, n)
+	out := link.New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
-	n.SendUnicast(0, 9)
-	n.SendUnicast(0, 10)
+	n.SendUnicastN(0, 9, 2)
+	n.SendUnicastN(0, 10, 2)
 
 	for c := int64(0); c < 10; c++ {
 		n.Tick(c)
@@ -111,10 +111,10 @@ func TestNICRespectsCredits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New(link.Named("inj"), 1, cap, n)
+	out := link.New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
-	n.SendUnicast(0, 5)
+	n.SendUnicastN(0, 5, 2)
 	n.Tick(0) // sends head, consuming the only credit
 	n.Tick(1) // blocked: no credit
 	out.Commit(0)
@@ -139,11 +139,11 @@ func TestNICGatherVCPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New(link.Named("inj"), 1, cap, n)
+	out := link.New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendGather(0, 9, nil)
-	n.SendUnicast(0, 9)
+	n.SendUnicastN(0, 9, 2)
 	for c := int64(0); c < 20; c++ {
 		n.Tick(c)
 		out.Commit(c)
@@ -159,14 +159,15 @@ func TestNICGatherVCPolicy(t *testing.T) {
 }
 
 func TestEjectorReassembly(t *testing.T) {
-	e := NewEjector(link.Named("t"), 2, 8, 1)
+	e := NewEjector(link.Numbered("t", 0), 2, 8, 1)
 	var got []*ReceivedPacket
 	e.OnReceive(func(p *ReceivedPacket) { got = append(got, p.Clone()) })
 
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 64)
-	fl, err := flit.Packetize(flit.Packet{
+	fl, err := flit.PacketizeInto(nil, flit.Packet{
 		ID: 11, PT: flit.Unicast, Src: 1, Dst: 2, Flits: 3, InjectCycle: 4,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +193,13 @@ func TestEjectorReassembly(t *testing.T) {
 }
 
 func TestEjectorInterleavedVCs(t *testing.T) {
-	e := NewEjector(link.Named("t"), 2, 8, 2)
+	e := NewEjector(link.Numbered("t", 0), 2, 8, 2)
 	var got []*ReceivedPacket
 	e.OnReceive(func(p *ReceivedPacket) { got = append(got, p.Clone()) })
 
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 64)
-	a, _ := flit.Packetize(flit.Packet{ID: 1, PT: flit.Unicast, Flits: 2}, format)
-	b, _ := flit.Packetize(flit.Packet{ID: 2, PT: flit.Unicast, Flits: 2}, format)
+	a, _ := flit.PacketizeInto(nil, flit.Packet{ID: 1, PT: flit.Unicast, Flits: 2}, format, nil)
+	b, _ := flit.PacketizeInto(nil, flit.Packet{ID: 2, PT: flit.Unicast, Flits: 2}, format, nil)
 	// Interleave the two packets across VCs, as wormhole switching allows.
 	e.AcceptFlit(a[0], 0)
 	e.AcceptFlit(b[0], 1)
@@ -213,16 +214,17 @@ func TestEjectorInterleavedVCs(t *testing.T) {
 }
 
 func TestEjectorGatherPayloadCollection(t *testing.T) {
-	e := NewEjector(link.Named("t"), 1, 8, 4)
+	e := NewEjector(link.Numbered("t", 0), 1, 8, 4)
 	var got []*ReceivedPacket
 	e.OnReceive(func(p *ReceivedPacket) { got = append(got, p.Clone()) })
 
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 64)
 	own := &flit.Payload{Seq: 1, Value: 5}
-	fl, _ := flit.Packetize(flit.Packet{
+	fl, _ := flit.PacketizeInto(nil, flit.Packet{
 		ID: 9, PT: flit.Gather, Flits: format.GatherFlits(8),
 		GatherCapacity: 8, Carried: own,
-	}, format)
+	}, format, nil)
+
 	// Simulate two more uploads along the way.
 	fl[1].AddPayload(flit.Payload{Seq: 2, Value: 6})
 	fl[2].AddPayload(flit.Payload{Seq: 3, Value: 7})
@@ -248,7 +250,7 @@ func TestNICPending(t *testing.T) {
 	if n.Pending() {
 		t.Error("fresh NIC pending")
 	}
-	n.SendUnicast(0, 3)
+	n.SendUnicastN(0, 3, 2)
 	if !n.Pending() {
 		t.Error("queued packet not reported pending")
 	}
@@ -273,13 +275,13 @@ func TestInternalSendsCarryTheSubmitTag(t *testing.T) {
 	}
 	n.EnableReliability(8, 1, 2)
 	cap := &flitCapture{}
-	out := link.New(link.Named("inj"), 1, cap, n)
+	out := link.New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 	owner, other := flit.NewTag(1, 0), flit.NewTag(2, 0)
 	n.SubmitGatherPayload(owner, flit.Payload{Seq: 7, Dst: 3, Bits: 32})
 	for c := int64(0); c < 40; c++ {
 		if c%4 == 0 {
-			n.SendUnicast(other, 9) // another job's send in between
+			n.SendUnicastN(other, 9, 2) // another job's send in between
 		}
 		n.Tick(c)
 		out.Commit(c)

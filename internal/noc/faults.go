@@ -157,59 +157,6 @@ func (nw *Network) filterPorts(ports []topology.Port, cur topology.NodeID) []top
 	return keep
 }
 
-// CheckReachable reports whether dst is reachable from src over the
-// fabric links alive at the current cycle, wrapping fault.ErrUnreachable
-// when the active outages sever every path (detect with
-// errors.Is(err, fault.ErrUnreachable)). Sink destinations additionally
-// require the sink's own channel alive. Without fault injection the fabric
-// is always connected and the check is trivially nil.
-func (nw *Network) CheckReachable(src, dst topology.NodeID) error {
-	if nw.injector == nil {
-		return nil
-	}
-	now := nw.engine.Cycle()
-	target := dst
-	if nw.IsSinkID(dst) {
-		row := int(dst) - nw.topo.NumNodes()
-		for i := nw.fabricLinks; i < len(nw.linkRecs); i++ {
-			rec := nw.linkRecs[i]
-			if rec.downID != dst {
-				continue
-			}
-			if ls := rec.l.Faults(); ls != nil && ls.Cut(now) {
-				return fmt.Errorf("noc: sink %d channel cut at cycle %d: %w", row, now, fault.ErrUnreachable)
-			}
-		}
-		target = nw.topo.ID(topology.Coord{Row: row, Col: nw.cfg.Cols - 1})
-	}
-	if src == target {
-		return nil
-	}
-	// BFS over the alive directed fabric links.
-	visited := make([]bool, nw.topo.NumNodes())
-	queue := []topology.NodeID{src}
-	visited[src] = true
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for i := 0; i < nw.fabricLinks; i++ {
-			rec := nw.linkRecs[i]
-			if rec.upID != cur || visited[rec.downID] {
-				continue
-			}
-			if ls := rec.l.Faults(); ls != nil && ls.Cut(now) {
-				continue
-			}
-			if rec.downID == target {
-				return nil
-			}
-			visited[rec.downID] = true
-			queue = append(queue, rec.downID)
-		}
-	}
-	return fmt.Errorf("noc: no alive path %d>%d at cycle %d: %w", src, dst, now, fault.ErrUnreachable)
-}
-
 // WatchdogWindow returns the default no-progress window for this network:
 // four maximally backed-off retransmission intervals, so a lone in-flight
 // retry waiting out its backoff is never mistaken for a stall.

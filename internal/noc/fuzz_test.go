@@ -68,7 +68,7 @@ func TestRandomTrafficConservation(t *testing.T) {
 						set.Add(d)
 					}
 				}
-				if set.Empty() {
+				if set.Len() == 0 {
 					continue
 				}
 				n.SendMulticast(0, set, 1+rng.Intn(3))
@@ -198,7 +198,7 @@ func TestHeatmapRendering(t *testing.T) {
 			}
 		}
 	}
-	nw.NIC(0).SendUnicast(0, 8)
+	nw.NIC(0).SendUnicastN(0, 8, 2)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}

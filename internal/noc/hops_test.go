@@ -34,7 +34,7 @@ func TestHopAccountingMatchesManhattan(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				pid := nw.NIC(src).SendUnicast(0, dst)
+				pid := nw.NIC(src).SendUnicastN(0, dst, 2)
 				byID[pid] = want{src: src, dst: dst}
 			}
 			if _, err := nw.RunUntilQuiescent(100000); err != nil {

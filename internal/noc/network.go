@@ -33,12 +33,6 @@ type EdgeSink struct {
 	now  int64
 }
 
-// ID returns the sink's virtual node id (see Network.RowSinkID).
-func (s *EdgeSink) ID() topology.NodeID { return s.id }
-
-// Row returns the mesh row the sink serves.
-func (s *EdgeSink) Row() int { return s.row }
-
 // Ejector exposes the sink's receive machinery (stats, callbacks).
 func (s *EdgeSink) Ejector() *nic.Ejector { return s.ej }
 
@@ -662,9 +656,6 @@ func (nw *Network) Routing() topology.Routing { return nw.routing }
 // Retained because the coordinate-grid methods (ID, Coord, Hops, ...) are
 // what every caller used, and those live on the interface.
 func (nw *Network) Mesh() topology.Topology { return nw.topo }
-
-// Format returns the wire format.
-func (nw *Network) Format() *flit.Format { return nw.format }
 
 // Engine returns the cycle engine, for registering controllers.
 func (nw *Network) Engine() *sim.Engine { return nw.engine }

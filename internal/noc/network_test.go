@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
 	"gathernoc/internal/flit"
@@ -67,7 +68,7 @@ func TestUnicastCrossesNetwork(t *testing.T) {
 	var got []*nic.ReceivedPacket
 	nw.NIC(15).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
-	nw.NIC(0).SendUnicast(0, 15)
+	nw.NIC(0).SendUnicastN(0, 15, 2)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestUnicastLatencyMatchesHopModel(t *testing.T) {
 		nw := mustNetwork(t, cfg)
 		var got []*nic.ReceivedPacket
 		nw.NIC(topology.NodeID(d)).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
-		nw.NIC(0).SendUnicast(0, topology.NodeID(d))
+		nw.NIC(0).SendUnicastN(0, topology.NodeID(d), 2)
 		if _, err := nw.RunUntilQuiescent(10000); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestRepetitiveUnicastDeliversAll(t *testing.T) {
 
 	for c := 0; c < 4; c++ {
 		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
-		nw.NIC(id).SendUnicast(0, dst)
+		nw.NIC(id).SendUnicastN(0, dst, 2)
 	}
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
@@ -235,7 +236,7 @@ func TestMulticastReachesAllDestinations(t *testing.T) {
 		}
 	}
 	for id, n := range received {
-		if !dsts.Contains(id) && n > 0 {
+		if !slices.Contains(dsts.Nodes(), id) && n > 0 {
 			t.Errorf("non-destination %d received %d packets", id, n)
 		}
 	}
@@ -278,7 +279,7 @@ func TestDeterministicReplay(t *testing.T) {
 			}
 			left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
 			nw.NIC(left).SendGather(0, dst, &flit.Payload{Seq: uint64(row * 100), Src: left, Dst: dst})
-			nw.NIC(left).SendUnicast(0, topology.NodeID((row+1)%4*4))
+			nw.NIC(left).SendUnicastN(0, topology.NodeID((row+1)%4*4), 2)
 		}
 		cycles, err := nw.RunUntilQuiescent(50000)
 		if err != nil {
@@ -307,8 +308,8 @@ func TestSinkAddressing(t *testing.T) {
 	if nw.Sink(-1) != nil || nw.Sink(4) != nil {
 		t.Error("out-of-range Sink() not nil")
 	}
-	if nw.Sink(2).Row() != 2 {
-		t.Errorf("Sink(2).Row() = %d", nw.Sink(2).Row())
+	if nw.Sink(2).row != 2 {
+		t.Errorf("Sink(2) serves row %d", nw.Sink(2).row)
 	}
 }
 
@@ -326,7 +327,7 @@ func TestGatherVCReservation(t *testing.T) {
 	// Background unicast traffic on the same row.
 	for c := 1; c < 4; c++ {
 		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
-		nw.NIC(id).SendUnicast(0, dst)
+		nw.NIC(id).SendUnicastN(0, dst, 2)
 	}
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
@@ -350,7 +351,7 @@ func TestGatherVCReservation(t *testing.T) {
 
 func TestActivityCountsPlausible(t *testing.T) {
 	nw := mustNetwork(t, DefaultConfig(4, 4))
-	nw.NIC(0).SendUnicast(0, 15)
+	nw.NIC(0).SendUnicastN(0, 15, 2)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}

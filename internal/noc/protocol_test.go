@@ -95,17 +95,31 @@ func TestGatherTimeoutWhileReserved(t *testing.T) {
 	}
 }
 
+// fallbackDelay offers one gather payload at node id toward its row's sink,
+// where no gather packet will pass, and returns how many cycles the NIC
+// waited before self-initiating: its δ.
+func fallbackDelay(t *testing.T, nw *Network, id topology.NodeID) int64 {
+	t.Helper()
+	n := nw.NIC(id)
+	before, start := n.SelfInitiatedGathers.Value(), nw.Engine().Cycle()
+	n.SubmitGatherPayload(0, flitPayloadAt(1, id, nw.RowSinkID(nw.Topology().Coord(id).Row)))
+	end, err := nw.Engine().RunUntil(func() bool { return n.SelfInitiatedGathers.Value() > before }, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.RunUntilQuiescent(100_000); err != nil {
+		t.Fatal(err)
+	}
+	return end - start - 1 // the fallback fires in the tick at the deadline
+}
+
 // TestSetDeltaIgnoresNegative pins the defensive behavior of SetDelta.
 func TestSetDeltaIgnoresNegative(t *testing.T) {
 	nw := mustNetwork(t, DefaultConfig(2, 2))
-	n := nw.NIC(0)
-	n.SetDelta(42)
-	if n.Delta() != 42 {
-		t.Fatalf("Delta = %d, want 42", n.Delta())
-	}
-	n.SetDelta(-5)
-	if n.Delta() != 42 {
-		t.Errorf("negative SetDelta changed Delta to %d", n.Delta())
+	nw.NIC(0).SetDelta(42)
+	nw.NIC(0).SetDelta(-5)
+	if got := fallbackDelay(t, nw, 0); got != 42 {
+		t.Errorf("δ = %d after SetDelta(42), SetDelta(-5); want 42", got)
 	}
 }
 
@@ -122,8 +136,8 @@ func TestSinkPacketOverheadSerializes(t *testing.T) {
 		arrivals = append(arrivals, p.TailArrival)
 	})
 	// Two packets from the node adjacent to the sink.
-	nw.NIC(3).SendUnicast(0, dst)
-	nw.NIC(3).SendUnicast(0, dst)
+	nw.NIC(3).SendUnicastN(0, dst, 2)
+	nw.NIC(3).SendUnicastN(0, dst, 2)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +152,7 @@ func TestSinkPacketOverheadSerializes(t *testing.T) {
 // TestEjectorOverflowPanics documents that a credit-protocol violation at
 // an ejection point is treated as an internal bug.
 func TestEjectorOverflowPanics(t *testing.T) {
-	e := nic.NewEjector(link.Named("t"), 1, 1, 1)
+	e := nic.NewEjector(link.Numbered("t", 0), 1, 1, 1)
 	e.AcceptFlit(&flit.Flit{Type: flit.HeadTail, PacketFlits: 1}, 0)
 	defer func() {
 		if recover() == nil {

@@ -24,7 +24,7 @@ func TestWestFirstRoutingDelivers(t *testing.T) {
 		{0, 15}, {15, 0}, {3, 12}, {12, 3}, {5, 10}, {10, 5}, {1, 14}, {7, 8},
 	}
 	for _, pr := range pairs {
-		nw.NIC(pr[0]).SendUnicast(0, pr[1])
+		nw.NIC(pr[0]).SendUnicastN(0, pr[1], 2)
 	}
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)

@@ -216,31 +216,6 @@ func (nw *Network) poolFor(sh int) *flit.Pool {
 	return nw.pools[sh]
 }
 
-// Fork clones the network mid-run: a new Network is built from the same
-// configuration and the current state is copied onto it in memory. The
-// fork owns all of its state — flits are acquired from its own pool,
-// destination sets and statistics are deep-copied, station entries are
-// re-acked through the fork's own NICs — so the original and the fork
-// may run on independently (warm-start reuse: simulate a shared prefix
-// once, fork per divergent suffix). Callers that attach drivers or
-// controllers must re-attach equivalents to the fork; only fabric state
-// is cloned. Close the fork when done (sharded engines own goroutines).
-func (nw *Network) Fork() (*Network, error) {
-	s, err := nw.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	clone, err := New(nw.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := clone.Restore(s); err != nil {
-		clone.Close()
-		return nil, err
-	}
-	return clone, nil
-}
-
 // EncodeSnapshot serializes a snapshot to deterministic JSON (one
 // encoding per state, fit for content addressing and golden comparison).
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {

@@ -48,7 +48,7 @@ func (s *saturator) Tick(cycle int64) {
 		if dst == src {
 			continue
 		}
-		s.nw.NIC(src).SendUnicast(0, dst)
+		s.nw.NIC(src).SendUnicastN(0, dst, 2)
 		s.sent++
 	}
 }
@@ -136,7 +136,7 @@ func TestTorusHopAccountingMatchesTopology(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		pid := nw.NIC(src).SendUnicast(0, dst)
+		pid := nw.NIC(src).SendUnicastN(0, dst, 2)
 		byID[pid] = want{src: src, dst: dst}
 	}
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {

@@ -186,15 +186,6 @@ func (o *Oracle) Add(reduceID, value uint64) {
 // Sum returns the expected sum of the reduction.
 func (o *Oracle) Sum(reduceID uint64) uint64 { return o.sums[reduceID] }
 
-// Ops returns how many operands the reduction expects.
-func (o *Oracle) Ops(reduceID uint64) int { return o.ops[reduceID] }
-
-// Complete reports whether the reduction has received all its operands:
-// gotOps operands summing to gotSum match the oracle exactly.
-func (o *Oracle) Complete(reduceID, gotSum uint64, gotOps int) bool {
-	return gotOps == o.ops[reduceID] && gotSum == o.sums[reduceID]
-}
-
 // Verify returns an error describing the first mismatch between the
 // received (sum, ops) and the oracle's expectation, or nil when they agree
 // exactly.

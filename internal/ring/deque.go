@@ -49,15 +49,6 @@ func (d *Deque[T]) PushBack(v T) {
 	d.n++
 }
 
-// Front returns the front element without removing it. It panics on an
-// empty deque.
-func (d *Deque[T]) Front() T {
-	if d.n == 0 {
-		panic("ring: Front on empty deque")
-	}
-	return d.blocks[0][d.head]
-}
-
 // FrontPtr returns a pointer to the front element in place, for reading a
 // field of a large element without copying it out. The pointer is good
 // until the element is popped. It panics on an empty deque.

@@ -11,8 +11,8 @@ func TestDequeFIFOAcrossBlocks(t *testing.T) {
 	if d.Len() != n {
 		t.Fatalf("Len = %d, want %d", d.Len(), n)
 	}
-	if d.Front() != 0 {
-		t.Fatalf("Front = %d, want 0", d.Front())
+	if *d.FrontPtr() != 0 {
+		t.Fatalf("Front = %d, want 0", *d.FrontPtr())
 	}
 	for i := 0; i < n; i++ {
 		if got := d.PopFront(); got != i {
@@ -36,7 +36,7 @@ func TestDequeBlockRecycling(t *testing.T) {
 	for d.Len() > 0 {
 		d.PopFront()
 	}
-	spareHighWater := d.spare.Len()
+	spareHighWater := len(d.spare.items)
 	if spareHighWater == 0 {
 		t.Fatal("no blocks recycled after a full drain")
 	}
@@ -49,7 +49,7 @@ func TestDequeBlockRecycling(t *testing.T) {
 		for d.Len() > 0 {
 			d.PopFront()
 		}
-		if got := d.spare.Len() + len(d.blocks); got > spareHighWater {
+		if got := len(d.spare.items) + len(d.blocks); got > spareHighWater {
 			t.Fatalf("round %d: %d blocks in circulation, high water was %d", round, got, spareHighWater)
 		}
 	}
@@ -85,7 +85,6 @@ func TestDequeEmptyPanics(t *testing.T) {
 	var d Deque[int]
 	for name, f := range map[string]func(){
 		"PopFront": func() { d.PopFront() },
-		"Front":    func() { d.Front() },
 		"FrontPtr": func() { d.FrontPtr() },
 	} {
 		func() {
@@ -119,9 +118,6 @@ func TestDequeFrontPtrSeesInPlaceEdits(t *testing.T) {
 		if p.pad[3] != int64(100+want) {
 			t.Fatalf("edit through a second FrontPtr not seen through the first")
 		}
-		if got := d.Front().pad[3]; got != int64(100+want) {
-			t.Fatalf("Front() copied pad[3] = %d, want %d", got, 100+want)
-		}
 		if got := d.PopFront(); got.tag != want || got.pad[3] != int64(100+want) {
 			t.Fatalf("PopFront() = {tag %d, pad[3] %d}, want {%d, %d}", got.tag, got.pad[3], want, 100+want)
 		}
@@ -133,7 +129,7 @@ func TestDequePopZeroesSlot(t *testing.T) {
 	x := 1
 	d.PushBack(&x)
 	d.PopFront()
-	if d.spare.Len() != 1 {
+	if len(d.spare.items) != 1 {
 		t.Fatal("drained block not recycled")
 	}
 	b, _ := d.spare.Get()

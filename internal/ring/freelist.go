@@ -15,9 +15,6 @@ type FreeList[T any] struct {
 	items []T
 }
 
-// Len returns the number of parked values.
-func (f *FreeList[T]) Len() int { return len(f.items) }
-
 // Put parks v for a later Get.
 func (f *FreeList[T]) Put(v T) { f.items = append(f.items, v) }
 

@@ -7,8 +7,8 @@ func TestFreeListLIFOAndZeroing(t *testing.T) {
 	a, b := new(int), new(int)
 	f.Put(a)
 	f.Put(b)
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", f.Len())
+	if len(f.items) != 2 {
+		t.Fatalf("Len = %d, want 2", len(f.items))
 	}
 	got, ok := f.Get()
 	if !ok || got != b {

@@ -16,27 +16,15 @@
 package ring
 
 // Ring is a FIFO queue over a circular backing array. The zero value is an
-// empty ring with no capacity (it grows on first push); use New to
-// preallocate.
+// empty ring with no capacity (it grows on first push).
 type Ring[T any] struct {
 	buf  []T
 	head int // index of the front element
 	n    int // number of elements
 }
 
-// New returns a ring with the given preallocated capacity (minimum 1).
-func New[T any](capacity int) Ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return Ring[T]{buf: make([]T, capacity)}
-}
-
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }
-
-// Cap returns the current capacity of the backing array.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
 
 // Empty reports whether the ring holds no elements.
 func (r *Ring[T]) Empty() bool { return r.n == 0 }

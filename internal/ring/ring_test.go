@@ -3,7 +3,7 @@ package ring
 import "testing"
 
 func TestRingFIFOOrder(t *testing.T) {
-	r := New[int](4)
+	r := Ring[int]{buf: make([]int, 4)}
 	for i := 0; i < 4; i++ {
 		r.PushBack(i)
 	}
@@ -20,7 +20,7 @@ func TestRingFIFOOrder(t *testing.T) {
 // TestRingWraparound drives the head index around the backing array
 // several times, checking order across the seam.
 func TestRingWraparound(t *testing.T) {
-	r := New[int](4)
+	r := Ring[int]{buf: make([]int, 4)}
 	next, expect := 0, 0
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 3; i++ {
@@ -34,15 +34,15 @@ func TestRingWraparound(t *testing.T) {
 			expect++
 		}
 	}
-	if r.Cap() != 4 {
-		t.Errorf("capacity grew to %d under bounded use, want 4", r.Cap())
+	if len(r.buf) != 4 {
+		t.Errorf("capacity grew to %d under bounded use, want 4", len(r.buf))
 	}
 }
 
 // TestRingGrowth fills past capacity and checks the doubling preserves
 // order, including when the queue wraps the seam at growth time.
 func TestRingGrowth(t *testing.T) {
-	r := New[int](2)
+	r := Ring[int]{buf: make([]int, 2)}
 	// Wrap the head first so growth must linearize.
 	r.PushBack(-2)
 	r.PushBack(-1)
@@ -51,8 +51,8 @@ func TestRingGrowth(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		r.PushBack(i)
 	}
-	if r.Cap() < 9 {
-		t.Fatalf("cap = %d after 9 pushes", r.Cap())
+	if len(r.buf) < 9 {
+		t.Fatalf("cap = %d after 9 pushes", len(r.buf))
 	}
 	if r.Len() != 9 {
 		t.Fatalf("len = %d, want 9", r.Len())
@@ -70,7 +70,7 @@ func TestRingGrowth(t *testing.T) {
 }
 
 func TestRingFrontAndAt(t *testing.T) {
-	r := New[string](2)
+	r := Ring[string]{buf: make([]string, 2)}
 	r.PushBack("a")
 	r.PushBack("b")
 	if r.Front() != "a" {
@@ -90,7 +90,7 @@ func TestRingEmptyPanics(t *testing.T) {
 		"Front":    func(r *Ring[int]) { r.Front() },
 		"At":       func(r *Ring[int]) { r.At(0) },
 	} {
-		r := New[int](2)
+		r := Ring[int]{buf: make([]int, 2)}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -103,13 +103,13 @@ func TestRingEmptyPanics(t *testing.T) {
 }
 
 func TestRingReset(t *testing.T) {
-	r := New[*int](2)
+	r := Ring[*int]{buf: make([]*int, 2)}
 	x := 7
 	r.PushBack(&x)
 	r.PushBack(&x)
 	r.Reset()
-	if r.Len() != 0 || r.Cap() != 2 {
-		t.Fatalf("after Reset: len=%d cap=%d, want 0/2", r.Len(), r.Cap())
+	if r.Len() != 0 || len(r.buf) != 2 {
+		t.Fatalf("after Reset: len=%d cap=%d, want 0/2", r.Len(), len(r.buf))
 	}
 	// Slots must be zeroed so popped pointers are not pinned.
 	for i := range r.buf {
@@ -129,7 +129,7 @@ func TestRingZeroValueGrows(t *testing.T) {
 }
 
 func TestRingPopZeroesSlot(t *testing.T) {
-	r := New[*int](2)
+	r := Ring[*int]{buf: make([]*int, 2)}
 	x := 1
 	r.PushBack(&x)
 	r.PopFront()

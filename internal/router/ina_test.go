@@ -11,11 +11,12 @@ import (
 func packAccumulate(t *testing.T, budget int, reduceID uint64, own flit.Payload) []*flit.Flit {
 	t.Helper()
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 2)
-	flits, err := flit.Packetize(flit.Packet{
+	flits, err := flit.PacketizeInto(nil, flit.Packet{
 		ID: 10, PT: flit.Accumulate, Src: 0, Dst: 1,
 		Flits: flit.AccumulateFlits, GatherCapacity: budget,
 		ReduceID: reduceID, Carried: &own,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestCheckInvariantsHealthyPipeline(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newTwoRouterHarness(t, cfg)
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 2)
-	flits, err := flit.Packetize(flit.Packet{ID: 1, PT: flit.Unicast, Src: 0, Dst: 1, Flits: 3}, format)
+	flits, err := flit.PacketizeInto(nil, flit.Packet{ID: 1, PT: flit.Unicast, Src: 0, Dst: 1, Flits: 3}, format, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,10 +197,10 @@ func newTwoRouterHarness(t *testing.T, cfg Config) *twoRouterHarness {
 		t.Fatal(err)
 	}
 	h := &twoRouterHarness{a: a, b: b}
-	h.ab = link.New(link.Named("ab"), 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
+	h.ab = link.New(link.Numbered("ab", 0), 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
 	a.ConnectOutput(topology.EastPort, h.ab, cfg.VCs, cfg.BufferDepth)
 	b.ConnectInput(topology.WestPort, h.ab)
-	h.eject = link.New(link.Named("bl"), 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
+	h.eject = link.New(link.Numbered("bl", 0), 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
 	b.ConnectOutput(topology.LocalPort, h.eject, cfg.VCs, cfg.BufferDepth)
 	return h
 }
@@ -225,7 +225,7 @@ func TestRouterPipelineLatency(t *testing.T) {
 
 	// A 2-flit unicast packet from node 0 to node 1.
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 2)
-	flits, err := flit.Packetize(flit.Packet{ID: 1, PT: flit.Unicast, Src: 0, Dst: 1, Flits: 2}, format)
+	flits, err := flit.PacketizeInto(nil, flit.Packet{ID: 1, PT: flit.Unicast, Src: 0, Dst: 1, Flits: 2}, format, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +275,11 @@ func TestRouterGatherPickupInFlight(t *testing.T) {
 
 	// A gather packet from node 0 to node 1 with spare capacity.
 	own := &flit.Payload{Seq: 1, Src: 0, Dst: 1, Value: 11}
-	flits, err := flit.Packetize(flit.Packet{
+	flits, err := flit.PacketizeInto(nil, flit.Packet{
 		ID: 2, PT: flit.Gather, Src: 0, Dst: 1,
 		Flits: format.GatherFlits(4), GatherCapacity: 4, Carried: own,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +336,11 @@ func TestRouterGatherSkipsFullPacket(t *testing.T) {
 	// Capacity 1 gather packet already carrying its initiator's payload:
 	// ASpace is 0 when it reaches B, so B must not reserve or upload.
 	own := &flit.Payload{Seq: 1, Src: 0, Dst: 1, Value: 11}
-	flits, err := flit.Packetize(flit.Packet{
+	flits, err := flit.PacketizeInto(nil, flit.Packet{
 		ID: 3, PT: flit.Gather, Src: 0, Dst: 1,
 		Flits: format.GatherFlits(1), GatherCapacity: 1, Carried: own,
-	}, format)
+	}, format, nil)
+
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +362,7 @@ func TestRouterCountersAdvance(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newTwoRouterHarness(t, cfg)
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 2)
-	flits, _ := flit.Packetize(flit.Packet{ID: 1, PT: flit.Unicast, Src: 0, Dst: 1, Flits: 2}, format)
+	flits, _ := flit.PacketizeInto(nil, flit.Packet{ID: 1, PT: flit.Unicast, Src: 0, Dst: 1, Flits: 2}, format, nil)
 	for _, f := range flits {
 		h.inject(f, 0)
 	}

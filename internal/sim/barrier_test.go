@@ -120,7 +120,7 @@ func TestBarrierOnlyPhases(t *testing.T) {
 						}
 					}
 					cycles := barrierCycles(m.shards, m.spin)
-					e.Run(cycles)
+					e.RunUntil(never, cycles)
 					if e.spin != m.spin {
 						t.Errorf("spin = %v with %d shards on %d procs, want %v", e.spin, m.shards, m.procs, m.spin)
 					}
@@ -159,11 +159,11 @@ func TestBarrierWorkersParkWhenIdleAndResume(t *testing.T) {
 				}
 				const rounds, perRound = 5, 200
 				for r := 0; r < rounds; r++ {
-					e.Run(perRound)
+					e.RunUntil(never, perRound)
 					waitFor(t, "every worker to park", func() bool { return workersParked(e) })
 					time.Sleep(2 * time.Millisecond) // stay parked for a while
 				}
-				e.Run(perRound)
+				e.RunUntil(never, perRound)
 				for sh, s := range stampers {
 					if want := (rounds + 1) * perRound; s.ticks != want || s.stale != 0 {
 						t.Errorf("shard %d: %d ticks (want %d), %d stale commits", sh, s.ticks, want, s.stale)
@@ -188,7 +188,7 @@ func TestBarrierCloseStopsWorkers(t *testing.T) {
 
 	t.Run("sequential", func(t *testing.T) {
 		e := NewEngine()
-		e.Run(3)
+		e.RunUntil(never, 3)
 		e.Close()
 		e.Close()
 	})
@@ -204,7 +204,7 @@ func TestBarrierCloseStopsWorkers(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d/procs=%d/parked", m.shards, m.procs), func(t *testing.T) {
 			withProcs(m.procs, func() {
 				e := NewShardedEngine(m.shards)
-				e.Run(10)
+				e.RunUntil(never, 10)
 				waitFor(t, "one goroutine per worker shard while running", func() bool {
 					return runtime.NumGoroutine() == base+m.shards-1
 				})
@@ -219,7 +219,7 @@ func TestBarrierCloseStopsWorkers(t *testing.T) {
 				// Straight after a step the workers are wherever the mode
 				// leaves them: polling the epoch word, or about to park.
 				e := NewShardedEngine(m.shards)
-				e.Run(10)
+				e.RunUntil(never, 10)
 				e.Close()
 				gone(t)
 				e.Close()

@@ -276,17 +276,17 @@ func TestRestoreCycleAndAlwaysTickWakeAll(t *testing.T) {
 				}
 			}
 		}
-		e.Run(3) // everything sleeps after cycle 0
+		e.RunUntil(never, 3) // everything sleeps after cycle 0
 		check("Run", 1)
 		e.RestoreCycle(100)
 		if e.Cycle() != 100 {
 			t.Fatalf("Cycle() = %d after RestoreCycle(100)", e.Cycle())
 		}
-		e.Run(3)
+		e.RunUntil(never, 3)
 		check("RestoreCycle", 2)
 		e.SetAlwaysTick(true)
 		e.SetAlwaysTick(false)
-		e.Run(3)
+		e.RunUntil(never, 3)
 		check("SetAlwaysTick(true, false)", 3)
 		if got, want := e.Evaluated(), uint64(3*2*n); got != want {
 			t.Errorf("n=%d: Evaluated() = %d, want %d", n, got, want)

@@ -495,9 +495,6 @@ func (e *Engine) SetAlwaysTick(v bool) {
 	}
 }
 
-// AlwaysTick reports whether sleep/wake scheduling is disabled.
-func (e *Engine) AlwaysTick() bool { return e.alwaysTick }
-
 // Evaluated returns how many component evaluations ran; Skipped how many
 // were elided by sleep/wake scheduling. Their sum is what the naive engine
 // would have run, which makes the split a direct measure of the win. Both
@@ -702,16 +699,6 @@ func (p *phase) runAll(cycle int64) int {
 		}
 	}
 	return len(nodes)
-}
-
-// Run advances the simulation by n cycles, jumping over the quiet stretches
-// among them.
-func (e *Engine) Run(n int64) {
-	for stop := e.cycle + n; e.cycle < stop; {
-		if !e.jump(stop) {
-			e.Step()
-		}
-	}
 }
 
 // Interrupt makes any in-progress or future RunUntil return ErrInterrupted

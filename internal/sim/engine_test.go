@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// never is the RunUntil predicate of a run that goes the whole budget.
+func never() bool { return false }
+
 type recorder struct {
 	log   *[]string
 	name  string
@@ -42,7 +45,7 @@ func TestEngineStepOrdering(t *testing.T) {
 
 func TestEngineRun(t *testing.T) {
 	e := NewEngine()
-	e.Run(10)
+	e.RunUntil(never, 10)
 	if e.Cycle() != 10 {
 		t.Errorf("Cycle() = %d, want 10", e.Cycle())
 	}
@@ -112,7 +115,7 @@ func TestEngineSleepsIdleComponents(t *testing.T) {
 	s := &sleeper{work: 3}
 	e.AddTicker(s)
 
-	e.Run(10)
+	e.RunUntil(never, 10)
 
 	// Idle is checked after each tick: the cycle-2 tick drains the last
 	// work unit, so the component sleeps from cycle 3 on.
@@ -133,10 +136,10 @@ func TestEngineWakeResumesEvaluation(t *testing.T) {
 	s := &sleeper{work: 1}
 	h := e.AddTicker(s)
 
-	e.Run(5) // ticks at cycle 0, sleeps from cycle 1
+	e.RunUntil(never, 5) // ticks at cycle 0, sleeps from cycle 1
 	s.work = 2
 	h.Wake()
-	e.Run(5) // ticks at cycles 5,6, sleeps again
+	e.RunUntil(never, 5) // ticks at cycles 5,6, sleeps again
 
 	want := []int64{0, 5, 6}
 	if len(s.ticks) != len(want) {
@@ -155,7 +158,7 @@ func TestEngineAlwaysTickDisablesSleeping(t *testing.T) {
 	e.AddTicker(s)
 	e.SetAlwaysTick(true)
 
-	e.Run(4)
+	e.RunUntil(never, 4)
 
 	if len(s.ticks) != 4 {
 		t.Fatalf("ticks = %v, want every cycle", s.ticks)
@@ -170,9 +173,9 @@ func TestEngineSetAlwaysTickWakesSleepers(t *testing.T) {
 	s := &sleeper{}
 	e.AddTicker(s)
 
-	e.Run(3) // sleeps after cycle 0
+	e.RunUntil(never, 3) // sleeps after cycle 0
 	e.SetAlwaysTick(true)
-	e.Run(2)
+	e.RunUntil(never, 2)
 
 	want := []int64{0, 3, 4}
 	if len(s.ticks) != len(want) {
@@ -258,7 +261,7 @@ func newTruncateFixture() *truncateFixture {
 // drive registers a driver and runs the engine for n cycles.
 func (f *truncateFixture) drive(n int64) *Handle {
 	h := f.e.AddTicker(&pokingDriver{log: &f.log, targets: f.fabric, wakes: f.wakes})
-	f.e.Run(n)
+	f.e.RunUntil(never, n)
 	return h
 }
 
@@ -275,7 +278,7 @@ func TestEngineTruncateReregisterMatchesFresh(t *testing.T) {
 	used := newTruncateFixture()
 	stale := used.drive(cycles / 2) // a different length: counters and sleep states differ
 	committerStale := used.e.AddCommitter(&loggedSleeper{id: 999, work: 1 << 30, log: &used.log})
-	used.e.Run(5)
+	used.e.RunUntil(never, 5)
 	if _, err := used.e.RunUntil(func() bool { return false }, 3); err == nil || used.e.Err() == nil {
 		t.Fatalf("RunUntil past its budget: err %v, Err() %v", err, used.e.Err())
 	}
@@ -338,11 +341,11 @@ func TestEngineTruncateDropsOnlyLaterRegistrations(t *testing.T) {
 	}
 	f.drive(4)
 	f.e.Truncate(f.mark)
-	f.e.Run(6) // what the driver handed out drains; nothing hands out more
+	f.e.RunUntil(never, 6) // what the driver handed out drains; nothing hands out more
 	f.log = f.log[:0]
 	f.fabric[3].work = 1
 	f.wakes[3].Wake()
-	f.e.Run(2)
+	f.e.RunUntil(never, 2)
 	if want := []string{"t3@10"}; !reflect.DeepEqual(f.log, want) {
 		t.Fatalf("after truncate the engine ran %v, want %v", f.log, want)
 	}
@@ -364,7 +367,7 @@ func TestEngineRunWithDropsTheDriver(t *testing.T) {
 			t.Fatalf("budget %d: RunWith left the registration point at %+v, want %+v", budget, got, f.mark)
 		}
 		f.log = f.log[:0]
-		f.e.Run(8)
+		f.e.RunUntil(never, 8)
 		for _, entry := range f.log {
 			if entry[0] == 'd' {
 				t.Fatalf("budget %d: the driver ticked after its run: %v", budget, f.log)

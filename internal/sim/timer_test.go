@@ -65,7 +65,7 @@ func TestTimerFiresInItsCycleAndTheClockJumpsThere(t *testing.T) {
 		e.SetAlwaysTick(alwaysTick)
 		bystanders(e, 5)
 		n := addNapper(e, 40, 25)
-		e.Run(100)
+		e.RunUntil(never, 100)
 		if want := []int64{40, 65, 90}; !reflect.DeepEqual(n.evals, want) {
 			t.Errorf("alwaysTick=%v: acted at %v, want %v", alwaysTick, n.evals, want)
 		}
@@ -91,9 +91,9 @@ func TestTimerOfACommitterSurvivesAnEarlyWake(t *testing.T) {
 	e := NewEngine()
 	n := &napper{until: 30}
 	n.wake = e.AddCommitter(n)
-	e.Run(10)
+	e.RunUntil(never, 10)
 	n.wake.Wake()
-	e.Run(40)
+	e.RunUntil(never, 40)
 	if want := []int64{30}; !reflect.DeepEqual(n.evals, want) {
 		t.Errorf("acted at %v, want %v", n.evals, want)
 	}
@@ -106,10 +106,10 @@ func TestTimerOfACommitterSurvivesAnEarlyWake(t *testing.T) {
 func TestTimerArmedForThePastFiresInTheNextEvaluation(t *testing.T) {
 	e := NewEngine()
 	n := addNapper(e, 50, 0)
-	e.Run(60) // acted at 50, asleep for good since
+	e.RunUntil(never, 60) // acted at 50, asleep for good since
 	n.until = 20
 	n.wake.WakeAt(20)
-	e.Run(5)
+	e.RunUntil(never, 5)
 	if want := []int64{50, 60}; !reflect.DeepEqual(n.evals, want) {
 		t.Errorf("acted at %v, want %v", n.evals, want)
 	}
@@ -173,8 +173,8 @@ func TestJumpLandsWhereSteppingWouldStop(t *testing.T) {
 			return o
 		}},
 		{"run", func(e *Engine) outcome {
-			e.Run(123)
-			e.Run(1)
+			e.RunUntil(never, 123)
+			e.RunUntil(never, 1)
 			return outcome{cycle: e.Cycle()}
 		}},
 		{"predicate", func(e *Engine) outcome {
@@ -248,16 +248,16 @@ func TestTimersThroughRestoreTruncateAndReset(t *testing.T) {
 	keep := addNapper(e, 500, 0)
 	mark := e.Mark()
 	drop := addNapper(e, 200, 0)
-	e.Run(100) // cycle 0 stepped, one jump to 100
+	e.RunUntil(never, 100) // cycle 0 stepped, one jump to 100
 
 	e.Truncate(mark)
-	e.Run(200) // one jump to 300, over 200 where nothing is left to fire
+	e.RunUntil(never, 200) // one jump to 300, over 200 where nothing is left to fire
 	if len(drop.evals) != 0 || e.Jumps() != 2 {
 		t.Errorf("after Truncate: the dropped component acted at %v, %d jumps (want 2: a stale timer stops the clock on the way)", drop.evals, e.Jumps())
 	}
 
-	e.RestoreCycle(350) // wakes everything and drops the timers
-	e.Run(250)          // 350 stepped (the sleeper arms 500 again), one jump to 500, stepping from there
+	e.RestoreCycle(350)    // wakes everything and drops the timers
+	e.RunUntil(never, 250) // 350 stepped (the sleeper arms 500 again), one jump to 500, stepping from there
 	if want := []int64{500}; !reflect.DeepEqual(keep.evals, want) || e.Jumps() != 3 || e.Cycle() != 600 {
 		t.Errorf("after RestoreCycle: acted at %v (want %v), %d jumps (want 3), cycle %d (want 600)", keep.evals, want, e.Jumps(), e.Cycle())
 	}
@@ -275,7 +275,7 @@ func TestTimersThroughRestoreTruncateAndReset(t *testing.T) {
 			e.Cycle(), e.Jumps(), e.JumpedCycles(), e.Evaluated(), e.Skipped())
 	}
 	keep.until, keep.evals = Never, nil
-	e.Run(1000)
+	e.RunUntil(never, 1000)
 	if len(keep.evals) != 0 || e.Jumps() != 0 {
 		t.Errorf("a timer armed before Reset survived it: acted at %v, %d jumps", keep.evals, e.Jumps())
 	}
@@ -295,7 +295,7 @@ func TestRunWithHandsTheDriverItsHandle(t *testing.T) {
 	}
 	// The run is over: the handle is disarmed with the registration.
 	d.wake.WakeAt(200)
-	e.Run(100)
+	e.RunUntil(never, 100)
 	if len(d.evals) != 3 {
 		t.Errorf("the driver was evaluated after its run: %v", d.evals)
 	}

@@ -15,13 +15,6 @@ type Counter struct {
 	n uint64
 }
 
-// Add increments the counter by delta (negative deltas are ignored).
-func (c *Counter) Add(delta int) {
-	if delta > 0 {
-		c.n += uint64(delta)
-	}
-}
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n++ }
 
@@ -132,23 +125,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return sorted[rank]
 }
 
-// StdDev returns the population standard deviation, or 0 with fewer than
-// two observations.
-func (s *Sample) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, chunk := range s.chunks {
-		for _, v := range chunk {
-			d := v - mean
-			ss += d * d
-		}
-	}
-	return math.Sqrt(ss / float64(s.n))
-}
-
 // String summarizes the sample for reports.
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f min=%.0f p50=%.0f p99=%.0f max=%.0f",
@@ -192,15 +168,6 @@ func (r *ReductionStats) Merge(packetFlits, hopsToSink int) {
 		r.LinkTraversalsSaved += uint64(packetFlits) * uint64(hopsToSink)
 	}
 	r.SinkTransactionsSaved++
-}
-
-// Add returns the field-wise sum of two reduction accounts.
-func (r ReductionStats) Add(o ReductionStats) ReductionStats {
-	return ReductionStats{
-		PayloadsMerged:        r.PayloadsMerged + o.PayloadsMerged,
-		LinkTraversalsSaved:   r.LinkTraversalsSaved + o.LinkTraversalsSaved,
-		SinkTransactionsSaved: r.SinkTransactionsSaved + o.SinkTransactionsSaved,
-	}
 }
 
 // String summarizes the account for reports.

@@ -10,10 +10,9 @@ import (
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
-	c.Add(4)
-	c.Add(-3) // ignored
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
+	c.Inc()
+	if c.Value() != 2 {
+		t.Errorf("Value = %d, want 2", c.Value())
 	}
 }
 
@@ -44,7 +43,7 @@ func TestSampleSummary(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 || s.StdDev() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Error("empty sample should report zeros")
 	}
 }
@@ -56,16 +55,6 @@ func TestSampleObserveAfterSort(t *testing.T) {
 	s.Observe(1)
 	if s.Min() != 1 {
 		t.Errorf("Min after late observation = %v, want 1", s.Min())
-	}
-}
-
-func TestSampleStdDev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Observe(v)
-	}
-	if got := s.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
 
@@ -181,16 +170,6 @@ func TestReductionStatsMerge(t *testing.T) {
 	r.Merge(0, -1)
 	if r.PayloadsMerged != 3 || r.LinkTraversalsSaved != 16 {
 		t.Errorf("degenerate merge mis-accounted: %+v", r)
-	}
-}
-
-func TestReductionStatsAdd(t *testing.T) {
-	a := ReductionStats{PayloadsMerged: 1, LinkTraversalsSaved: 10, SinkTransactionsSaved: 1}
-	b := ReductionStats{PayloadsMerged: 2, LinkTraversalsSaved: 5, SinkTransactionsSaved: 2}
-	s := a.Add(b)
-	want := ReductionStats{PayloadsMerged: 3, LinkTraversalsSaved: 15, SinkTransactionsSaved: 3}
-	if s != want {
-		t.Errorf("Add = %+v, want %+v", s, want)
 	}
 }
 

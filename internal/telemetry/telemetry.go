@@ -456,9 +456,6 @@ func New(cfg Config, shards int) *Collector {
 	return c
 }
 
-// Config returns the collector's configuration.
-func (c *Collector) Config() Config { return c.cfg }
-
 // Tracing reports whether the flit-lifecycle tracer is on.
 func (c *Collector) Tracing() bool { return c.cfg.TraceSample > 0 }
 

@@ -43,24 +43,6 @@ func (s *DestSet) Add(id NodeID) {
 	s.words[w] |= 1 << (uint(id) % 64)
 }
 
-// Remove deletes id if present.
-func (s *DestSet) Remove(id NodeID) {
-	w := int(id) / 64
-	if id < 0 || w >= len(s.words) {
-		return
-	}
-	s.words[w] &^= 1 << (uint(id) % 64)
-}
-
-// Contains reports whether id is in the set.
-func (s *DestSet) Contains(id NodeID) bool {
-	w := int(id) / 64
-	if id < 0 || w >= len(s.words) {
-		return false
-	}
-	return s.words[w]&(1<<(uint(id)%64)) != 0
-}
-
 // Len returns the number of destinations in the set.
 func (s *DestSet) Len() int {
 	n := 0
@@ -68,16 +50,6 @@ func (s *DestSet) Len() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Empty reports whether the set has no destinations.
-func (s *DestSet) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Nodes returns the member NodeIDs in ascending order.
@@ -96,13 +68,6 @@ func (s *DestSet) Nodes() []NodeID {
 // Words returns the set's bit words, bit i of word w standing for node
 // w*64+i. The slice is the set's own: read it, never modify it.
 func (s *DestSet) Words() []uint64 { return s.words }
-
-// Bits returns the number of bits needed to encode the set on the wire,
-// i.e. the mesh node count rounded to the allocated words. It is used by
-// the flit format budget accounting.
-func (s *DestSet) Bits() int {
-	return len(s.words) * 64
-}
 
 // String renders the member list, e.g. "{1,5,9}".
 func (s *DestSet) String() string {
@@ -141,15 +106,6 @@ func fmtInt(b *strings.Builder, v int) {
 type MulticastBranch struct {
 	Out  Port
 	Dsts *DestSet
-}
-
-// MulticastRoute partitions a destination set at node cur into XY-routed
-// branches. Destinations equal to cur are reported via deliverLocal. Each
-// destination appears in exactly one branch, so repeated application forms
-// a tree: no link ever carries the same multicast packet twice
-// (the redundant-traffic property multicast exists to provide, Sec. II).
-func (m *Mesh) MulticastRoute(cur NodeID, dsts *DestSet) (branches []MulticastBranch, deliverLocal bool) {
-	return MulticastRoute(m, cur, dsts)
 }
 
 // MulticastRoute partitions a destination set at node cur into XY-tree

@@ -11,8 +11,12 @@ func ExampleMesh_XYRoute() {
 	m := topology.MustMesh(4, 4)
 	src := m.ID(topology.Coord{Row: 0, Col: 0})
 	dst := m.ID(topology.Coord{Row: 2, Col: 3})
-	for _, n := range m.RoutePath(src, dst) {
+	for n := src; ; {
 		fmt.Print(m.Coord(n), " ")
+		if n == dst {
+			break
+		}
+		n, _ = m.Neighbor(n, m.XYRoute(n, dst))
 	}
 	fmt.Println()
 	// Output:
@@ -23,7 +27,7 @@ func ExampleMesh_XYRoute() {
 // way around each ring and the worst-case hop count halves relative to
 // the mesh.
 func ExampleTorus() {
-	tor := topology.MustTorus(8, 8)
+	tor, _ := topology.NewTorus(8, 8)
 	m := topology.MustMesh(8, 8)
 	a := tor.ID(topology.Coord{Row: 0, Col: 0})
 	b := tor.ID(topology.Coord{Row: 7, Col: 7})
@@ -38,13 +42,13 @@ func ExampleTorus() {
 // torus, dimension-order routing exploits the wraparound links and uses
 // two dateline VC classes for deadlock freedom.
 func ExampleNewRouting() {
-	tor := topology.MustTorus(4, 4)
+	tor, _ := topology.NewTorus(4, 4)
 	r, _ := topology.NewRouting("xy", tor)
 	src := tor.ID(topology.Coord{Row: 0, Col: 0})
 	dst := tor.ID(topology.Coord{Row: 0, Col: 3})
 	ports := r.AppendPorts(nil, src, src, dst)
 	fmt.Printf("%s on %s: port %s, class %d of %d\n",
-		r.Name(), r.Topology().Name(), ports[0],
+		r.Name(), tor.Name(), ports[0],
 		r.VCClass(src, dst, ports[0]), r.VCClasses())
 	// Output:
 	// xy on torus: port W, class 1 of 2
@@ -57,21 +61,21 @@ func ExampleDestSet() {
 	s.Add(3)
 	s.Add(12)
 	s.Add(3) // idempotent
-	fmt.Println(s, "len", s.Len(), "contains 12:", s.Contains(12))
+	fmt.Println(s, "len", s.Len())
 	// Output:
-	// {3,12} len 2 contains 12: true
+	// {3,12} len 2
 }
 
 // An XY multicast partitions its destination set into tree branches, each
 // destination reached exactly once.
-func ExampleMesh_MulticastRoute() {
+func ExampleMulticastRoute() {
 	m := topology.MustMesh(4, 4)
 	dsts := topology.DestSetOf(m.NumNodes(),
 		m.ID(topology.Coord{Row: 0, Col: 3}),
 		m.ID(topology.Coord{Row: 2, Col: 0}),
 		m.ID(topology.Coord{Row: 3, Col: 1}),
 	)
-	branches, local := m.MulticastRoute(m.ID(topology.Coord{Row: 1, Col: 1}), dsts)
+	branches, local := topology.MulticastRoute(m, m.ID(topology.Coord{Row: 1, Col: 1}), dsts)
 	fmt.Println("deliver locally:", local)
 	for _, br := range branches {
 		fmt.Printf("port %s -> %s\n", br.Out, br.Dsts)

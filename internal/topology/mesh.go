@@ -143,11 +143,6 @@ func (m *Mesh) InBounds(c Coord) bool {
 	return c.Row >= 0 && c.Row < m.rows && c.Col >= 0 && c.Col < m.cols
 }
 
-// ValidNode reports whether id names a node on the mesh.
-func (m *Mesh) ValidNode(id NodeID) bool {
-	return id >= 0 && int(id) < m.NumNodes()
-}
-
 // Neighbor returns the node adjacent to id through port p, and false when
 // the port faces off the mesh edge (or is LocalPort).
 func (m *Mesh) Neighbor(id NodeID, p Port) (NodeID, bool) {
@@ -189,26 +184,6 @@ func (m *Mesh) XYRoute(cur, dst NodeID) Port {
 		return LocalPort
 	}
 	return xyStep(cc, cd)
-}
-
-// RoutePath returns the full sequence of nodes an XY-routed packet visits
-// from src to dst, inclusive of both endpoints.
-func (m *Mesh) RoutePath(src, dst NodeID) []NodeID {
-	path := make([]NodeID, 0, m.Hops(src, dst)+1)
-	cur := src
-	path = append(path, cur)
-	for cur != dst {
-		p := m.XYRoute(cur, dst)
-		next, ok := m.Neighbor(cur, p)
-		if !ok {
-			// Unreachable on a well-formed mesh: XY always steps toward
-			// dst, which is in bounds.
-			break
-		}
-		cur = next
-		path = append(path, cur)
-	}
-	return path
 }
 
 func abs(v int) int {

@@ -95,7 +95,14 @@ func TestXYRouteReachesDestination(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src := NodeID(int(a) % m.NumNodes())
 		dst := NodeID(int(b) % m.NumNodes())
-		path := m.RoutePath(src, dst)
+		path := []NodeID{src}
+		for cur := src; cur != dst; {
+			var ok bool
+			if cur, ok = m.Neighbor(cur, m.XYRoute(cur, dst)); !ok {
+				return false
+			}
+			path = append(path, cur)
+		}
 		if path[0] != src || path[len(path)-1] != dst {
 			return false
 		}
@@ -160,15 +167,5 @@ func TestNonSquareMesh(t *testing.T) {
 	}
 	if _, ok := m.Neighbor(m.ID(Coord{0, 4}), EastPort); ok {
 		t.Error("east edge should have no east neighbor")
-	}
-}
-
-func TestValidNode(t *testing.T) {
-	m := MustMesh(3, 3)
-	if m.ValidNode(-1) || m.ValidNode(9) {
-		t.Error("out-of-range ids reported valid")
-	}
-	if !m.ValidNode(0) || !m.ValidNode(8) {
-		t.Error("in-range ids reported invalid")
 	}
 }

@@ -1,24 +1,19 @@
 package topology
 
-// OddEvenPorts returns the productive output ports a packet injected at
-// src, currently at cur, may take toward dst under the odd-even turn model
+// appendOddEven appends the productive output ports a packet injected at
+// cs, currently at cc, may take toward cd under the odd-even turn model
 // (Chiu): east-to-north and east-to-south turns are forbidden at nodes in
 // even columns, north-to-west and south-to-west turns at nodes in odd
 // columns. Unlike west-first, the prohibitions are spread across the whole
-// fabric, so no region degenerates to fully deterministic routing. The
-// result is empty only when cur == dst.
+// fabric, so no region degenerates to fully deterministic routing. It
+// appends nothing only when cc == cd.
 //
 // Odd-even routing is deadlock-free on a mesh (the restricted turn graph
 // admits no cycle), minimal, and livelock-free: every returned port
-// strictly reduces the Manhattan distance to dst.
-func (m *Mesh) OddEvenPorts(src, cur, dst NodeID) []Port {
-	return appendOddEven(nil, m.Coord(src), m.Coord(cur), m.Coord(dst))
-}
-
-// appendOddEven appends the odd-even productive ports for a packet from cs
-// at cc toward cd. The src column matters: a packet still in its injection
-// column has not taken an eastward hop yet, so a vertical move there is not
-// an east-to-north/south turn and is always legal.
+// strictly reduces the Manhattan distance to cd. The source column
+// matters: a packet still in its injection column has not taken an
+// eastward hop yet, so a vertical move there is not an east-to-north/south
+// turn and is always legal.
 func appendOddEven(ports []Port, cs, cc, cd Coord) []Port {
 	if cc == cd {
 		return ports

@@ -8,6 +8,7 @@ import "testing"
 // Manhattan distance.
 func TestOddEvenMinimalAndNonEmpty(t *testing.T) {
 	m := MustMesh(5, 6)
+	oddEven, _ := NewRouting("oddeven", m)
 	for src := 0; src < m.NumNodes(); src++ {
 		for dst := 0; dst < m.NumNodes(); dst++ {
 			if src == dst {
@@ -23,7 +24,7 @@ func TestOddEvenMinimalAndNonEmpty(t *testing.T) {
 					continue
 				}
 				seen[cur] = true
-				ports := m.OddEvenPorts(NodeID(src), cur, NodeID(dst))
+				ports := oddEven.AppendPorts(nil, NodeID(src), cur, NodeID(dst))
 				if len(ports) == 0 {
 					t.Fatalf("empty port set at %v, src %v dst %v",
 						m.Coord(cur), m.Coord(NodeID(src)), m.Coord(NodeID(dst)))
@@ -50,6 +51,7 @@ func TestOddEvenMinimalAndNonEmpty(t *testing.T) {
 // south-to-west turn at odd columns.
 func TestOddEvenTurnRules(t *testing.T) {
 	m := MustMesh(6, 6)
+	oddEven, _ := NewRouting("oddeven", m)
 	for src := 0; src < m.NumNodes(); src++ {
 		for dst := 0; dst < m.NumNodes(); dst++ {
 			if src == dst {
@@ -70,7 +72,7 @@ func TestOddEvenTurnRules(t *testing.T) {
 				}
 				seen[s] = true
 				col := m.Coord(s.cur).Col
-				for _, out := range m.OddEvenPorts(NodeID(src), s.cur, NodeID(dst)) {
+				for _, out := range oddEven.AppendPorts(nil, NodeID(src), s.cur, NodeID(dst)) {
 					// Arrival on the west port means the packet was
 					// traveling east; arrival on north/south means it was
 					// traveling south/north.
@@ -94,13 +96,14 @@ func TestOddEvenTurnRules(t *testing.T) {
 
 func TestOddEvenSameColumnGoesStraight(t *testing.T) {
 	m := MustMesh(4, 4)
+	oddEven, _ := NewRouting("oddeven", m)
 	src := m.ID(Coord{Row: 0, Col: 2})
 	dst := m.ID(Coord{Row: 3, Col: 2})
-	ports := m.OddEvenPorts(src, src, dst)
+	ports := oddEven.AppendPorts(nil, src, src, dst)
 	if len(ports) != 1 || ports[0] != SouthPort {
 		t.Errorf("same-column ports = %v, want [S]", ports)
 	}
-	if got := m.OddEvenPorts(src, dst, dst); len(got) != 0 {
+	if got := oddEven.AppendPorts(nil, src, dst, dst); len(got) != 0 {
 		t.Errorf("arrived ports = %v, want empty", got)
 	}
 }

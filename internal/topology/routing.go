@@ -18,8 +18,6 @@ type Routing interface {
 	// Name identifies the algorithm in configs and reports ("xy",
 	// "westfirst", "oddeven").
 	Name() string
-	// Topology returns the fabric the routing was constructed for.
-	Topology() Topology
 	// Adaptive reports whether AppendPorts may return more than one port.
 	Adaptive() bool
 	// AppendPorts appends the productive output ports a packet injected at
@@ -79,10 +77,9 @@ func NewRouting(name string, t Topology) (Routing, error) {
 // graph it induces is acyclic.
 type xyRouting struct{ t Topology }
 
-func (r xyRouting) Name() string       { return "xy" }
-func (r xyRouting) Topology() Topology { return r.t }
-func (r xyRouting) Adaptive() bool     { return false }
-func (r xyRouting) VCClasses() int     { return 1 }
+func (r xyRouting) Name() string   { return "xy" }
+func (r xyRouting) Adaptive() bool { return false }
+func (r xyRouting) VCClasses() int { return 1 }
 
 func (r xyRouting) VCClass(cur, dst NodeID, out Port) int { return 0 }
 
@@ -112,10 +109,9 @@ func xyStep(cc, cd Coord) Port {
 // keeps the turn-model deadlock proof intact (see NewRouting).
 type westFirstRouting struct{ t Topology }
 
-func (r westFirstRouting) Name() string       { return "westfirst" }
-func (r westFirstRouting) Topology() Topology { return r.t }
-func (r westFirstRouting) Adaptive() bool     { return true }
-func (r westFirstRouting) VCClasses() int     { return 1 }
+func (r westFirstRouting) Name() string   { return "westfirst" }
+func (r westFirstRouting) Adaptive() bool { return true }
+func (r westFirstRouting) VCClasses() int { return 1 }
 
 func (r westFirstRouting) VCClass(cur, dst NodeID, out Port) int { return 0 }
 
@@ -123,7 +119,16 @@ func (r westFirstRouting) AppendPorts(ports []Port, src, cur, dst NodeID) []Port
 	return appendWestFirst(ports, r.t.Coord(cur), r.t.Coord(dst))
 }
 
-// appendWestFirst appends the west-first productive ports for cc toward cd.
+// appendWestFirst appends the productive output ports a packet at cc may
+// take toward cd under the west-first turn model (Glass & Ni): any turn
+// into the west direction is forbidden, so westward correction must happen
+// first, after which the packet may route adaptively among the remaining
+// productive directions. It appends nothing only when cc == cd.
+//
+// West-first routing is deadlock-free on a mesh: prohibiting the two turns
+// into west breaks every cycle in the turn graph. It is also minimal and
+// livelock-free: every returned port strictly reduces the Manhattan
+// distance to cd.
 func appendWestFirst(ports []Port, cc, cd Coord) []Port {
 	if cc == cd {
 		return ports
@@ -150,10 +155,9 @@ func appendWestFirst(ports []Port, cc, cd Coord) []Port {
 // the turn-model deadlock proof intact (see NewRouting).
 type oddEvenRouting struct{ t Topology }
 
-func (r oddEvenRouting) Name() string       { return "oddeven" }
-func (r oddEvenRouting) Topology() Topology { return r.t }
-func (r oddEvenRouting) Adaptive() bool     { return true }
-func (r oddEvenRouting) VCClasses() int     { return 1 }
+func (r oddEvenRouting) Name() string   { return "oddeven" }
+func (r oddEvenRouting) Adaptive() bool { return true }
+func (r oddEvenRouting) VCClasses() int { return 1 }
 
 func (r oddEvenRouting) VCClass(cur, dst NodeID, out Port) int { return 0 }
 
@@ -167,10 +171,9 @@ func (r oddEvenRouting) AppendPorts(ports []Port, src, cur, dst NodeID) []Port {
 // see VCClass.
 type torusDOR struct{ t Topology }
 
-func (r torusDOR) Name() string       { return "xy" }
-func (r torusDOR) Topology() Topology { return r.t }
-func (r torusDOR) Adaptive() bool     { return false }
-func (r torusDOR) VCClasses() int     { return 2 }
+func (r torusDOR) Name() string   { return "xy" }
+func (r torusDOR) Adaptive() bool { return false }
+func (r torusDOR) VCClasses() int { return 2 }
 
 func (r torusDOR) AppendPorts(ports []Port, src, cur, dst NodeID) []Port {
 	if cur == dst {

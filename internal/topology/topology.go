@@ -23,10 +23,6 @@ type Topology interface {
 	ID(c Coord) NodeID
 	// Coord converts a NodeID back to its grid coordinate.
 	Coord(id NodeID) Coord
-	// InBounds reports whether c lies on the grid.
-	InBounds(c Coord) bool
-	// ValidNode reports whether id names a node.
-	ValidNode(id NodeID) bool
 	// Neighbor returns the node adjacent to id through port p, and false
 	// when no link exists there (mesh edge, or LocalPort). On a torus every
 	// cardinal port is connected: edge ports wrap around.

@@ -25,16 +25,6 @@ func NewTorus(rows, cols int) (*Torus, error) {
 	return &Torus{grid: m}, nil
 }
 
-// MustTorus is NewTorus for statically known-good dimensions; it panics on
-// error and is intended for tests and package-level defaults.
-func MustTorus(rows, cols int) *Torus {
-	t, err := NewTorus(rows, cols)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements Topology.
 func (t *Torus) Name() string { return "torus" }
 
@@ -52,12 +42,6 @@ func (t *Torus) ID(c Coord) NodeID { return t.grid.ID(c) }
 
 // Coord converts a NodeID back to its grid coordinate.
 func (t *Torus) Coord(id NodeID) Coord { return t.grid.Coord(id) }
-
-// InBounds reports whether c lies on the grid.
-func (t *Torus) InBounds(c Coord) bool { return t.grid.InBounds(c) }
-
-// ValidNode reports whether id names a node.
-func (t *Torus) ValidNode(id NodeID) bool { return t.grid.ValidNode(id) }
 
 // Neighbor returns the node adjacent to id through port p. Unlike the
 // mesh, every cardinal port is connected: ports facing off the grid edge

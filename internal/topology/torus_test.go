@@ -14,7 +14,7 @@ func TestNewTorusRejectsBadSizes(t *testing.T) {
 }
 
 func TestTorusNeighborWrapsEveryEdge(t *testing.T) {
-	tor := MustTorus(4, 6)
+	tor, _ := NewTorus(4, 6)
 	// Interior moves match the mesh.
 	mid := tor.ID(Coord{Row: 1, Col: 2})
 	if nb, ok := tor.Neighbor(mid, EastPort); !ok || tor.Coord(nb) != (Coord{Row: 1, Col: 3}) {
@@ -43,7 +43,7 @@ func TestTorusNeighborWrapsEveryEdge(t *testing.T) {
 }
 
 func TestTorusHopsUsesShorterWay(t *testing.T) {
-	tor := MustTorus(8, 8)
+	tor, _ := NewTorus(8, 8)
 	a := tor.ID(Coord{Row: 0, Col: 0})
 	b := tor.ID(Coord{Row: 0, Col: 7})
 	if got := tor.Hops(a, b); got != 1 {
@@ -68,11 +68,10 @@ func TestTorusHopsUsesShorterWay(t *testing.T) {
 	}
 }
 
-// walkRoute follows a deterministic routing function from src to dst and
+// walkRoute follows a deterministic routing function on topo from src to dst and
 // returns the hop count, failing the test on non-minimal steps or cycles.
-func walkRoute(t *testing.T, r Routing, src, dst NodeID) int {
+func walkRoute(t *testing.T, topo Topology, r Routing, src, dst NodeID) int {
 	t.Helper()
-	topo := r.Topology()
 	cur := src
 	hops := 0
 	var buf [4]Port
@@ -98,14 +97,14 @@ func walkRoute(t *testing.T, r Routing, src, dst NodeID) int {
 }
 
 func TestTorusDORIsMinimalEverywhere(t *testing.T) {
-	tor := MustTorus(5, 6)
+	tor, _ := NewTorus(5, 6)
 	r, err := NewRouting("xy", tor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for src := 0; src < tor.NumNodes(); src++ {
 		for dst := 0; dst < tor.NumNodes(); dst++ {
-			got := walkRoute(t, r, NodeID(src), NodeID(dst))
+			got := walkRoute(t, tor, r, NodeID(src), NodeID(dst))
 			if want := tor.Hops(NodeID(src), NodeID(dst)); got != want {
 				t.Fatalf("route %d->%d took %d hops, want %d", src, dst, got, want)
 			}
@@ -119,7 +118,7 @@ func TestTorusDORIsMinimalEverywhere(t *testing.T) {
 // before the wraparound link. A class that could oscillate would re-create
 // the ring cycle the dateline exists to break.
 func TestTorusDatelineClassMonotonic(t *testing.T) {
-	tor := MustTorus(6, 7)
+	tor, _ := NewTorus(6, 7)
 	r, err := NewRouting("xy", tor)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +213,7 @@ func TestNewTopologyByName(t *testing.T) {
 // torus the turn-model routings never return a port whose hop would cross
 // a wraparound link, which is what keeps their mesh deadlock proofs valid.
 func TestAdaptiveRoutingsAvoidWrapLinks(t *testing.T) {
-	tor := MustTorus(4, 5)
+	tor, _ := NewTorus(4, 5)
 	for _, name := range []string{"westfirst", "oddeven"} {
 		r, err := NewRouting(name, tor)
 		if err != nil {

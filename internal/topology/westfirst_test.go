@@ -8,18 +8,20 @@ import (
 
 func TestWestFirstPortsSelf(t *testing.T) {
 	m := MustMesh(4, 4)
-	if got := m.WestFirstPorts(5, 5); got != nil {
+	westFirst, _ := NewRouting("westfirst", m)
+	if got := westFirst.AppendPorts(nil, 5, 5, 5); got != nil {
 		t.Errorf("self route = %v, want nil", got)
 	}
 }
 
 func TestWestFirstWestIsExclusive(t *testing.T) {
 	m := MustMesh(4, 4)
+	westFirst, _ := NewRouting("westfirst", m)
 	// Destination west and south: only west is legal (turning into west
 	// later would be a prohibited turn).
 	src := m.ID(Coord{Row: 0, Col: 3})
 	dst := m.ID(Coord{Row: 3, Col: 0})
-	got := m.WestFirstPorts(src, dst)
+	got := westFirst.AppendPorts(nil, src, src, dst)
 	if len(got) != 1 || got[0] != WestPort {
 		t.Errorf("ports = %v, want [W]", got)
 	}
@@ -27,8 +29,9 @@ func TestWestFirstWestIsExclusive(t *testing.T) {
 
 func TestWestFirstAdaptiveEastQuadrant(t *testing.T) {
 	m := MustMesh(4, 4)
+	westFirst, _ := NewRouting("westfirst", m)
 	// Destination east and south: both productive ports are legal.
-	got := m.WestFirstPorts(m.ID(Coord{0, 0}), m.ID(Coord{3, 3}))
+	got := westFirst.AppendPorts(nil, m.ID(Coord{0, 0}), m.ID(Coord{0, 0}), m.ID(Coord{3, 3}))
 	if len(got) != 2 {
 		t.Fatalf("ports = %v, want 2 alternatives", got)
 	}
@@ -47,6 +50,7 @@ func TestWestFirstAdaptiveEastQuadrant(t *testing.T) {
 // Manhattan-distance hops.
 func TestWestFirstDeliversMinimally(t *testing.T) {
 	m := MustMesh(8, 8)
+	westFirst, _ := NewRouting("westfirst", m)
 	f := func(a, b uint8, seed int64) bool {
 		src := NodeID(int(a) % m.NumNodes())
 		dst := NodeID(int(b) % m.NumNodes())
@@ -54,7 +58,7 @@ func TestWestFirstDeliversMinimally(t *testing.T) {
 		cur := src
 		steps := 0
 		for cur != dst {
-			ports := m.WestFirstPorts(cur, dst)
+			ports := westFirst.AppendPorts(nil, cur, cur, dst)
 			if len(ports) == 0 {
 				return false
 			}
@@ -83,12 +87,13 @@ func TestWestFirstDeliversMinimally(t *testing.T) {
 // i.e. the turn model holds along any walk.
 func TestWestFirstTurnModel(t *testing.T) {
 	m := MustMesh(8, 8)
+	westFirst, _ := NewRouting("westfirst", m)
 	f := func(a, b uint8) bool {
 		src := NodeID(int(a) % m.NumNodes())
 		dst := NodeID(int(b) % m.NumNodes())
 		cur := src
 		for cur != dst {
-			ports := m.WestFirstPorts(cur, dst)
+			ports := westFirst.AppendPorts(nil, cur, cur, dst)
 			if len(ports) == 0 {
 				return false
 			}

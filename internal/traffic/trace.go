@@ -3,6 +3,7 @@ package traffic
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -26,6 +27,17 @@ const (
 	// EventPayload deposits a gather payload for piggybacking (the
 	// Algorithm 1 path).
 	EventPayload = "payload"
+)
+
+// Errors NewReplayer wraps when it rejects a trace event.
+var (
+	// errNodeOutOfRange: a src, dst or multicast destination names no node
+	// (or, for dst, no row sink) of the network.
+	errNodeOutOfRange = errors.New("node out of range")
+	// errEmptyMulticast: a multicast event lists no destinations.
+	errEmptyMulticast = errors.New("multicast without destinations")
+	// errNegativeFlits: an event asks for a negative packet length.
+	errNegativeFlits = errors.New("negative packet length")
 )
 
 // Event is one line of a JSON-lines traffic trace.
@@ -226,13 +238,25 @@ func NewReplayer(nw *noc.Network, events []Event) (*Replayer, error) {
 		}
 		last = e.Cycle
 		if e.Src < 0 || e.Src >= nodes {
-			return nil, fmt.Errorf("traffic: event %d: src %d out of range", i, e.Src)
+			return nil, fmt.Errorf("traffic: event %d: src %d: %w", i, e.Src, errNodeOutOfRange)
 		}
 		if e.Type != EventMulticast && (e.Dst < 0 || e.Dst >= nodes+sinks) {
-			return nil, fmt.Errorf("traffic: event %d: dst %d out of range", i, e.Dst)
+			return nil, fmt.Errorf("traffic: event %d: dst %d: %w", i, e.Dst, errNodeOutOfRange)
+		}
+		if e.Flits < 0 {
+			return nil, fmt.Errorf("traffic: event %d: %d flits: %w", i, e.Flits, errNegativeFlits)
 		}
 		switch e.Type {
-		case EventUnicast, EventMulticast, EventGather, EventPayload:
+		case EventMulticast:
+			if len(e.Dsts) == 0 {
+				return nil, fmt.Errorf("traffic: event %d: %w", i, errEmptyMulticast)
+			}
+			for _, d := range e.Dsts {
+				if d < 0 || d >= nodes {
+					return nil, fmt.Errorf("traffic: event %d: multicast dst %d: %w", i, d, errNodeOutOfRange)
+				}
+			}
+		case EventUnicast, EventGather, EventPayload:
 		default:
 			return nil, fmt.Errorf("traffic: event %d: unknown type %q", i, e.Type)
 		}

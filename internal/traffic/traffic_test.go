@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -261,15 +262,29 @@ func TestReplayerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := [][]Event{
-		{{Cycle: 5, Type: EventUnicast, Src: 0, Dst: 1}, {Cycle: 4, Type: EventUnicast, Src: 0, Dst: 1}},
-		{{Cycle: 0, Type: EventUnicast, Src: 99, Dst: 1}},
-		{{Cycle: 0, Type: EventUnicast, Src: 0, Dst: 99}},
-		{{Cycle: 0, Type: "bogus", Src: 0, Dst: 1}},
+	bad := []struct {
+		events []Event
+		want   error // nil: any error
+	}{
+		{[]Event{{Cycle: 5, Type: EventUnicast, Src: 0, Dst: 1}, {Cycle: 4, Type: EventUnicast, Src: 0, Dst: 1}}, nil},
+		{[]Event{{Cycle: 0, Type: EventUnicast, Src: 99, Dst: 1}}, errNodeOutOfRange},
+		{[]Event{{Cycle: 0, Type: EventUnicast, Src: 0, Dst: 99}}, errNodeOutOfRange},
+		{[]Event{{Cycle: 0, Type: "bogus", Src: 0, Dst: 1}}, nil},
+		// A destination inside the set's 64-bit word but off the 4x4
+		// fabric, one far outside it, and none at all.
+		{[]Event{{Cycle: 0, Type: EventMulticast, Src: 0, Dsts: []int{1, 40}}}, errNodeOutOfRange},
+		{[]Event{{Cycle: 0, Type: EventMulticast, Src: 0, Dsts: []int{1, 99999}}}, errNodeOutOfRange},
+		{[]Event{{Cycle: 0, Type: EventMulticast, Src: 0, Dsts: []int{-1}}}, errNodeOutOfRange},
+		{[]Event{{Cycle: 0, Type: EventMulticast, Src: 0}}, errEmptyMulticast},
+		{[]Event{{Cycle: 0, Type: EventMulticast, Src: 0, Dsts: []int{1}, Flits: -3}}, errNegativeFlits},
+		{[]Event{{Cycle: 0, Type: EventUnicast, Src: 0, Dst: 1, Flits: -1}}, errNegativeFlits},
 	}
-	for i, events := range bad {
-		if _, err := NewReplayer(nw, events); err == nil {
+	for i, c := range bad {
+		_, err := NewReplayer(nw, c.events)
+		if err == nil {
 			t.Errorf("bad trace %d accepted", i)
+		} else if c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("bad trace %d: %v, want %v", i, err, c.want)
 		}
 	}
 }

@@ -354,9 +354,6 @@ type PhaseResult struct {
 	DrainedCycle  int64
 }
 
-// Time returns the phase's total occupancy in cycles.
-func (p *PhaseResult) Time() int64 { return p.DrainedCycle - p.StartCycle }
-
 // JobResult is one job's outcome: timeline, per-job packet accounting and
 // latency distribution.
 type JobResult struct {

@@ -120,7 +120,8 @@ func reusePredecessors() []reusePredecessor {
 			ctl.Start(0)
 			eng := nw.Engine()
 			ctl.SetWake(eng.AddTicker(ctl))
-			eng.Run(1234)
+			// Reaching the predicate, not the budget, is a clean finish.
+			eng.RunUntil(func() bool { return eng.Cycle() >= 1234 }, 1234)
 			if eng.Jumps() != 1 || eng.Cycle() != 1234 {
 				t.Fatalf("predecessor: %d jumps, cycle %d", eng.Jumps(), eng.Cycle())
 			}
@@ -430,7 +431,7 @@ func TestReuseGoldenThroughRunLayer(t *testing.T) {
 func TestReuseDropsUnfinishedRuns(t *testing.T) {
 	inject := func(nw *noc.Network) {
 		for id := 0; id < 16; id++ {
-			nw.NIC(topology.NodeID(id)).SendUnicast(0, topology.NodeID(63-id))
+			nw.NIC(topology.NodeID(id)).SendUnicastN(0, topology.NodeID(63-id), 2)
 		}
 	}
 	cases := []struct {
@@ -456,7 +457,7 @@ func TestReuseDropsUnfinishedRuns(t *testing.T) {
 		}},
 		{"in-flight", 103, func(t *testing.T, nw *noc.Network) {
 			inject(nw)
-			nw.Engine().Run(5)
+			nw.Engine().RunUntil(never, 5)
 			if nw.Quiescent() {
 				t.Fatal("fabric drained in 5 cycles")
 			}

@@ -27,23 +27,23 @@ gathernoc/internal/cnn 97
 gathernoc/internal/collective 92
 gathernoc/internal/core 88
 gathernoc/internal/experiments 88
-gathernoc/internal/fault 95
-gathernoc/internal/flit 94
+gathernoc/internal/fault 96
+gathernoc/internal/flit 96
 gathernoc/internal/link 96
 gathernoc/internal/nic 92
 gathernoc/internal/noc 90
 gathernoc/internal/power 99
 gathernoc/internal/reduce 87
-gathernoc/internal/ring 94
+gathernoc/internal/ring 96
 gathernoc/internal/round 99
 gathernoc/internal/router 87
 gathernoc/internal/sim 97
 gathernoc/internal/stats 95
 gathernoc/internal/systolic 92
 gathernoc/internal/telemetry 95
-gathernoc/internal/topology 94
+gathernoc/internal/topology 96
 gathernoc/internal/traffic 88
-gathernoc/internal/workload 90
+gathernoc/internal/workload 91
 "
 
 profile="$(mktemp)"

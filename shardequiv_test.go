@@ -358,7 +358,7 @@ func TestShardBoundaryLinksWakeAcrossTheCut(t *testing.T) {
 	// handle, would sleep through its flits and the packets would never
 	// arrive.
 	for id := 0; id < rows*cols; id++ {
-		nw.NIC(topology.NodeID(id)).SendUnicast(0, topology.NodeID(rows*cols-1-id))
+		nw.NIC(topology.NodeID(id)).SendUnicastN(0, topology.NodeID(rows*cols-1-id), 2)
 	}
 	if busy := perCycle(3); busy[2] == 0 {
 		t.Error("a cycle with traffic evaluated nothing")

@@ -89,6 +89,22 @@ func sameGeneratorResult(t *testing.T, label string, a, b *traffic.GeneratorResu
 // the full serialize/deserialize path, resumes it on a freshly built
 // network, and requires the resumed run's results — packet accounting,
 // every latency sample, and the network activity counters — to be
+
+// restoredCopy forks a network mid-run the way a warm start does: a new
+// network built from cfg, with snap restored onto it in memory.
+func restoredCopy(t *testing.T, cfg noc.Config, snap *noc.Snapshot) *noc.Network {
+	t.Helper()
+	nw, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Restore(snap); err != nil {
+		nw.Close()
+		t.Fatal(err)
+	}
+	return nw
+}
+
 // bit-identical to an uninterrupted run at every shard count.
 func TestSnapshotResumeBitIdentical(t *testing.T) {
 	for _, shards := range []int{0, 1, 2, 4} {
@@ -104,7 +120,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 
 			// Interrupted run: stop mid-measurement, checkpoint, discard.
 			nw1, gen1 := buildSnapWorkload(t, cfg, gcfg)
-			nw1.Engine().Run(600)
+			nw1.Engine().RunUntil(never, 600)
 			snap, err := nw1.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +169,7 @@ func TestSnapshotCrossShardRestore(t *testing.T) {
 	refRes := finishSnapWorkload(t, refNW, refGen)
 
 	nw1, gen1 := buildSnapWorkload(t, seqCfg, gcfg)
-	nw1.Engine().Run(600)
+	nw1.Engine().RunUntil(never, 600)
 	snap, err := nw1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -188,12 +204,13 @@ func TestForkDivergenceIndependence(t *testing.T) {
 
 	nw1, gen1 := buildSnapWorkload(t, cfg, gcfg)
 	defer nw1.Close()
-	nw1.Engine().Run(600)
+	nw1.Engine().RunUntil(never, 600)
 	gstate := gen1.CaptureState()
-	fork, err := nw1.Fork()
+	snap, err := nw1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fork := restoredCopy(t, nw1.Config(), snap)
 	defer fork.Close()
 
 	// Original continues first, fork after — if the fork aliased any of
@@ -252,7 +269,7 @@ func TestSnapshotRejectsOtherVersion(t *testing.T) {
 	cfg, gcfg := snapRunConfig(0)
 	nw, _ := buildSnapWorkload(t, cfg, gcfg)
 	defer nw.Close()
-	nw.Engine().Run(300) // mid-flight: a partial restore would show
+	nw.Engine().RunUntil(never, 300) // mid-flight: a partial restore would show
 	snap, err := nw.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +306,7 @@ func TestSnapshotResumeWithFaults(t *testing.T) {
 	refAct := refNW.Activity()
 
 	nw1, gen1 := buildSnapWorkload(t, cfg, gcfg)
-	nw1.Engine().Run(600)
+	nw1.Engine().RunUntil(never, 600)
 	snap, err := nw1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +378,7 @@ func TestSnapshotRoundTripMidCollection(t *testing.T) {
 			// Step cycle by cycle until a station holds an in-flight entry.
 			var snap *noc.Snapshot
 			for !ctrl.Done() && eng.Cycle() < 10_000 {
-				eng.Run(1)
+				eng.RunUntil(never, 1)
 				s, err := nw.Snapshot()
 				if err != nil {
 					t.Fatal(err)
@@ -468,7 +485,7 @@ func TestSnapshotMidComputeWhileAJumpIsPending(t *testing.T) {
 
 	orig := build(0)
 	ctl := attach(orig)
-	orig.Engine().Run(pauseAt)
+	orig.Engine().RunUntil(never, pauseAt)
 	if orig.Engine().Cycle() != pauseAt || orig.Engine().Jumps() != 1 || ctl.Done() {
 		t.Fatalf("paused at cycle %d after %d jumps", orig.Engine().Cycle(), orig.Engine().Jumps())
 	}
@@ -480,10 +497,7 @@ func TestSnapshotMidComputeWhileAJumpIsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := orig.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fork := restoredCopy(t, orig.Config(), snap)
 	defer fork.Close()
 
 	check := func(label string, got outcome) {

@@ -391,7 +391,7 @@ func busyStates(t *testing.T) []*noc.Snapshot {
 			t.Fatal(err)
 		}
 		r.setup(nw)
-		nw.Engine().Run(r.at)
+		nw.Engine().RunUntil(never, r.at)
 		s, err := nw.Snapshot()
 		if err != nil {
 			t.Fatal(err)
