@@ -9,6 +9,7 @@ import (
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/round"
 	"gathernoc/internal/systolic"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/traffic"
@@ -510,8 +511,12 @@ const fastForwardAllocs = 0
 // a reused (noc.Acquire) 16×16 network, AlexNet Conv1 at MaxRounds 3 proves
 // its third round repeats the second and skips it, and must allocate no
 // more than the same run at MaxRounds 2, which takes no encoding, plus
-// fastForwardAllocs, plus 10 %.
+// fastForwardAllocs, plus 10 %. The race detector has sync.Pool drop Puts,
+// which the proof's buffers come from, so the pin holds only without it.
 func TestFastForwardAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
 	layer, ok := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv1")
 	if !ok {
 		t.Fatal("Conv1 missing")
@@ -542,5 +547,55 @@ func TestFastForwardAllocationPin(t *testing.T) {
 	t.Logf("AlexNet Conv1 on a reused 16x16: %.1f allocs at MaxRounds 2, %.1f at 3", two, three)
 	if ceiling := (two + fastForwardAllocs) * 1.1; three > ceiling {
 		t.Fatalf("the proving run allocates %.1f, over %.1f (MaxRounds 2 plus %d, plus 10 %%)", three, ceiling, fastForwardAllocs)
+	}
+}
+
+// replayAllocs is what a run replayed from a trajectory table allocates,
+// measured on the run TestReplayAllocationPin makes: taking the network
+// from the reuse pool, building the controller (its 16 row plans alone are
+// 48), the table's follower, the accounted growth and the Result. No
+// packet is built and no round simulated; simulating the same run at
+// MaxRounds 3 allocates about 150.
+const replayAllocs = 91
+
+// TestReplayAllocationPin pins what a replayed layer run allocates. On a
+// reused 16×16 network, AlexNet Conv2 at MaxRounds 3 follows a table in
+// which Conv1 recorded its trajectory, and must replay it allocating no
+// more than replayAllocs plus 10 %. Like the fast-forward's pin it holds
+// only without the race detector.
+func TestReplayAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	var table round.Trajectories
+	run := func(name string) {
+		layer, ok := cnn.LayerByName(cnn.AlexNetConvLayers(), name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		nw, err := noc.Acquire(noc.DefaultConfig(16, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := systolic.Config{Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 3}
+		ctl, err := systolic.NewController(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.Join(&table, trajectoryKey(nw, cfg))
+		if _, err := workload.Run(nw, ctl, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		nw.Release()
+	}
+	run("Conv1")
+	before := round.Replayed()
+	replay := testing.AllocsPerRun(10, func() { run("Conv2") })
+	if got := round.Replayed() - before; got != 11 {
+		t.Fatalf("%d of 11 runs replayed", got)
+	}
+	t.Logf("AlexNet Conv2 replayed on a reused 16x16: %.1f allocs", replay)
+	if ceiling := replayAllocs * 1.1; replay > ceiling {
+		t.Fatalf("the replayed run allocates %.1f, over %.1f (%d plus 10 %%)", replay, ceiling, replayAllocs)
 	}
 }

@@ -31,6 +31,7 @@ import (
 
 	"gathernoc/internal/experiments"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/round"
 )
 
 func main() {
@@ -169,8 +170,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 				opts.Cache.Dir(), s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten)
 		}
 		if f.Built > 0 || hits != "" {
-			fmt.Fprintf(os.Stderr, "%sfabrics built=%d reused=%d dropped=%d, jumped %d of %d cycles in %d jumps\n",
-				hits, f.Built, f.Reused, f.Dropped, f.JumpedCycles, f.Cycles, f.Jumps)
+			fmt.Fprintf(os.Stderr, "%sfabrics built=%d reused=%d dropped=%d, jumped %d of %d cycles in %d jumps, replayed=%d\n",
+				hits, f.Built, f.Reused, f.Dropped, f.JumpedCycles, f.Cycles, f.Jumps, round.Replayed())
 		}
 	}()
 

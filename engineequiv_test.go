@@ -13,6 +13,7 @@ import (
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/round"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/systolic"
@@ -381,20 +382,34 @@ func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
 	}
 }
 
-// TestFastForwardEquivalence holds the periodicity proof to the path that
-// never takes it. workload.Run on a bare fabric proves, at each round open
-// from round 1 on, that the round repeats the one before and then stops
-// simulating (round.Loop.Settled); a one-phase workload.Scheduler runs
-// every round. The subjects are every paper cell the benchmark's
-// paper-cold pass simulates (Table II, Figs. 7–10, both full models) at
-// MaxRounds 3 under RU and gather, and AlexNet Conv3 on 8×8 at MaxRounds 6
-// under flat δ, SkewPerHop 3, 2 VCs, weight-stationary, and a 16-round
-// layer run with SimulateAllRounds. Each Record must encode to the same
-// bytes (what a Cache/v2 entry stores) and both paths must return the same
-// cycle. On the paper cells the fast-forward must have fired: the engine
-// clock stops short of the cycle Run returns. Flat δ under gather must
-// not fire: two VCs meet in VA there, where the cycle-derived rotation may
-// decide, and the rotation's period does not divide the round's.
+// TestFastForwardEquivalence holds the periodicity proof and the
+// trajectory table to the path that takes neither. workload.Run on a bare
+// fabric proves, at each round open from round 1 on, that the round
+// repeats the one before and then stops simulating (round.Loop.Settled); a
+// one-phase workload.Scheduler runs every round. The subjects are every
+// paper cell the benchmark's paper-cold pass simulates (Table II, Figs.
+// 7–10, both full models) at MaxRounds 3 under RU and gather, and AlexNet
+// Conv3 on 8×8 at MaxRounds 6 under flat δ, SkewPerHop 3, 2 VCs,
+// weight-stationary, and a 16-round layer run with SimulateAllRounds. Each
+// Record must encode to the same bytes (what a Cache/v2 entry stores) and
+// both paths must return the same cycle. On the paper cells the
+// fast-forward must have fired: the engine clock stops short of the cycle
+// Run returns. Flat δ under gather must not fire: two VCs meet in VA
+// there, where the cycle-derived rotation may decide, and the rotation's
+// period does not divide the round's.
+//
+// Every subject also runs, in order, following one shared trajectory table
+// (round.Loop.Join under the key core uses), and its Record and end cycle
+// must equal the proving run's. Every paper cell but the first of each
+// mesh and mode is replayed from the table; no ablation is, each being the
+// first of its key. The paper cells also pin the finding the table rests
+// on: every round of every paper layer collects in 57 (RU) and 38
+// (gather) cycles on 8×8 and 113 and 73 on 16×16, with no clock ties.
+// Three runs must refuse a recorded trajectory and simulate: one whose
+// compute time is below the recorded settle time, flat δ under gather
+// (whose clock ties move) at another residue of the rotation than the
+// recording's, and a fabric with telemetry on. Flat δ under gather a whole
+// number of rotations away replays.
 func TestFastForwardEquivalence(t *testing.T) {
 	type subject struct {
 		name string
@@ -451,8 +466,14 @@ func TestFastForwardEquivalence(t *testing.T) {
 		}
 	}
 
+	// collection is the per-round collection time of every paper layer, by
+	// mesh and mode.
+	collection := map[int][2]float64{8: {57, 38}, 16: {113, 73}}
+	var table round.Trajectories
+	replayed, paper, ran := round.Replayed(), 0, 0
 	for _, sub := range subjects {
 		t.Run(sub.name, func(t *testing.T) {
+			ran++
 			newNet := func() *noc.Network {
 				cfg := noc.DefaultConfig(sub.mesh, sub.mesh)
 				if sub.net != nil {
@@ -518,8 +539,117 @@ func TestFastForwardEquivalence(t *testing.T) {
 			case sub.fires < 0 && fired:
 				t.Errorf("fast-forward fired: clock %d, run ends at %d", clock, cycles)
 			}
+
+			nwT := newNet()
+			ct, err := systolic.NewController(nwT, sub.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct.Join(&table, trajectoryKey(nwT, sub.cfg))
+			tcycles, err := workload.Run(nwT, ct, 50_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ct.Result(); !reflect.DeepEqual(got.Record, direct.Record) || tcycles != cycles {
+				t.Errorf("following the table: record %+v ending at %d, proving %+v ending at %d", got.Record, tcycles, direct.Record, cycles)
+			}
+
+			if sub.fires > 0 {
+				paper++
+				want := collection[sub.mesh][sub.cfg.Mode-systolic.RepetitiveUnicast]
+				if c := &direct.CollectionCycles; c.Min() != want || c.Max() != want || nwD.ClockTies() != 0 {
+					t.Errorf("collections of %v–%v cycles with %d clock ties, want %v with none", c.Min(), c.Max(), nwD.ClockTies(), want)
+				}
+			}
 		})
 	}
+	if got, want := round.Replayed()-replayed, uint64(paper-4); ran == len(subjects) && got != want {
+		t.Errorf("the table replayed %d runs, want %d: every paper cell but the first of each mesh and mode", got, want)
+	}
+
+	// Each case primes a table with a run of seed on a bare 8×8 and then
+	// runs sub following it under the same key, on the bare 8×8 or on the
+	// one net gives: sub replays or not as the case says, and its Record
+	// and end cycle equal those of sub run without a table either way.
+	bare := noc.DefaultConfig(8, 8)
+	probe, err := noc.New(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotation := probe.ClockPeriod()
+	probe.Close()
+	wider := func(n int) cnn.LayerConfig {
+		l := conv3(t)
+		l.InChannels += n
+		return l
+	}
+	ru := systolic.Config{Layer: conv3(t), Mode: systolic.RepetitiveUnicast, TMAC: 5, MaxRounds: 3}
+	// tiny computes one MAC with no MAC latency: its lead is one cycle.
+	tiny := ru
+	tiny.Layer, tiny.TMAC = cnn.LayerConfig{Model: "test", Name: "1x1", InChannels: 1, OutKernels: 1,
+		Kernel: 1, InputSize: 16, OutputSize: 16, Stride: 1}, 0
+	flat := systolic.Config{Layer: conv3(t), Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 6, FlatDelta: true}
+	flatOff, flatOn := flat, flat
+	flatOff.Layer, flatOn.Layer = wider(1), wider(int(rotation))
+	gather := systolic.Config{Layer: conv3(t), Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 3}
+	for _, c := range []struct {
+		name      string
+		seed, sub systolic.Config
+		net       func(*noc.Config)
+		replays   bool
+	}{
+		{"compute below the settle time", ru, tiny, nil, false},
+		{"flat δ under gather at another residue", flat, flatOff, nil, false},
+		{"flat δ under gather a rotation apart", flat, flatOn, nil, true},
+		{"telemetry", gather, gather, func(c *noc.Config) { c.Telemetry = &telemetry.Config{Epoch: 64} }, false},
+	} {
+		t.Run("table/"+c.name, func(t *testing.T) {
+			var table round.Trajectories
+			run := func(cfg systolic.Config, nc noc.Config, join bool) (*systolic.Result, int64) {
+				t.Helper()
+				nw, err := noc.New(nc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nw.Close()
+				ctl, err := systolic.NewController(nw, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if join {
+					ctl.Join(&table, trajectoryKey(nw, c.seed))
+				}
+				cycles, err := workload.Run(nw, ctl, 50_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ctl.Result(), cycles
+			}
+			run(c.seed, bare, true)
+			nc := bare
+			if c.net != nil {
+				c.net(&nc)
+			}
+			before := round.Replayed()
+			got, gotCycles := run(c.sub, nc, true)
+			if replayed := round.Replayed() != before; replayed != c.replays {
+				t.Errorf("replayed %v, want %v", replayed, c.replays)
+			}
+			if want, wantCycles := run(c.sub, nc, false); !reflect.DeepEqual(got.Record, want.Record) || gotCycles != wantCycles {
+				t.Errorf("following the table: record %+v ending at %d, without %+v ending at %d", got.Record, gotCycles, want.Record, wantCycles)
+			}
+		})
+	}
+}
+
+// trajectoryKey is the key core.CompareLayerIn follows a trajectory table
+// under: the configurations less the layer and T_MAC.
+func trajectoryKey(nw *noc.Network, cfg systolic.Config) any {
+	cfg.Layer, cfg.TMAC = cnn.LayerConfig{}, 0
+	return struct {
+		net noc.Config
+		sys systolic.Config
+	}{nw.Config(), cfg}
 }
 
 // TestFastForwardNeedsABareFabric runs the layer of a proven subject, AlexNet

@@ -11,6 +11,7 @@ import (
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/power"
+	"gathernoc/internal/round"
 	"gathernoc/internal/systolic"
 	"gathernoc/internal/workload"
 )
@@ -94,17 +95,31 @@ type LayerReport struct {
 // RunLayer executes one convolution layer on a rows×cols mesh in the given
 // collection mode and returns latency and energy results.
 func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*LayerReport, error) {
-	res, err := simulate(rows, cols, layer, mode, opts)
+	res, err := simulate(nil, rows, cols, layer, mode, opts)
 	if err != nil {
 		return nil, err
 	}
 	return report(opts.networkConfig(rows, cols), layer, mode, opts, res), nil
 }
 
+// trajectoryKey is what the collection of a layer run depends on besides
+// the fabric's state at its first release and its release cycles
+// (round.Trajectories): the materialized configurations less the layer and
+// T_MAC, which set only the compute time before each release and the
+// extrapolation. The network enters as its Config, which separates what
+// its hash would merge.
+type trajectoryKey struct {
+	net noc.Config
+	sys systolic.Config
+}
+
 // simulate runs one layer in one collection mode and returns what the run
-// produced, before any derivation.
-func simulate(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*systolic.Result, error) {
-	nw, err := noc.Acquire(opts.networkConfig(rows, cols))
+// produced, before any derivation. With t non-nil the run follows t: it
+// replays a trajectory an earlier run of its key recorded there, or records
+// its own (round.Loop.Join).
+func simulate(t *round.Trajectories, rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*systolic.Result, error) {
+	cfg := opts.networkConfig(rows, cols)
+	nw, err := noc.Acquire(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -112,9 +127,14 @@ func simulate(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 	// sequential fabric that finished cleanly for the next run of the same
 	// configuration and closes any other (stopping its shard workers).
 	defer nw.Release()
-	ctl, err := systolic.NewController(nw, opts.systolicConfig(layer, mode))
+	sc := opts.systolicConfig(layer, mode)
+	ctl, err := systolic.NewController(nw, sc)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if t != nil {
+		sc.Layer, sc.TMAC = cnn.LayerConfig{}, 0
+		ctl.Join(t, trajectoryKey{net: cfg, sys: sc})
 	}
 	if _, err := workload.Run(nw, ctl, maxCycles); err != nil {
 		return nil, fmt.Errorf("core: systolic: %s %s on %dx%d: %w", layer.Name, mode, rows, cols, err)
@@ -181,11 +201,20 @@ type Comparison struct {
 // CompareLayer runs the layer in both collection modes and derives the
 // improvement figures.
 func CompareLayer(rows, cols int, layer cnn.LayerConfig, opts Options) (*Comparison, error) {
-	ru, err := simulate(rows, cols, layer, systolic.RepetitiveUnicast, opts)
+	return CompareLayerIn(nil, rows, cols, layer, opts)
+}
+
+// CompareLayerIn is CompareLayer with both runs following t
+// (round.Trajectories): each replays a trajectory an earlier run of the
+// same configurations recorded there, when that one provably stands for
+// it, and otherwise simulates and records its own. The comparison is the
+// one CompareLayer returns; a nil t is CompareLayer.
+func CompareLayerIn(t *round.Trajectories, rows, cols int, layer cnn.LayerConfig, opts Options) (*Comparison, error) {
+	ru, err := simulate(t, rows, cols, layer, systolic.RepetitiveUnicast, opts)
 	if err != nil {
 		return nil, err
 	}
-	g, err := simulate(rows, cols, layer, systolic.GatherMode, opts)
+	g, err := simulate(t, rows, cols, layer, systolic.GatherMode, opts)
 	if err != nil {
 		return nil, err
 	}

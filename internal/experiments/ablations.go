@@ -33,7 +33,7 @@ func sweep(param string, values []int, opts Options, mutate func(v int, o *core.
 		func(_ context.Context, _ int, v int) (AblationRow, error) {
 			o := opts.core()
 			mutate(v, &o)
-			cmp, err := cachedCompareLayer(opts.Cache, 8, 8, ablationLayer(), o)
+			cmp, err := cachedCompareLayer(opts.Cache, nil, 8, 8, ablationLayer(), o)
 			if err != nil {
 				return AblationRow{}, fmt.Errorf("ablation %s=%d: %w", param, v, err)
 			}

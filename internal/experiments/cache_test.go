@@ -356,7 +356,7 @@ func TestCacheV1EntryIsOneStaleMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeEntry(t, c1, key, string(raw))
-	got, err := cachedCompareLayer(c1, 4, 4, testLayer, testOpts)
+	got, err := cachedCompareLayer(c1, nil, 4, 4, testLayer, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestCacheV1EntryIsOneStaleMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = cachedCompareLayer(c2, 4, 4, testLayer, testOpts)
+	got, err = cachedCompareLayer(c2, nil, 4, 4, testLayer, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,14 +432,14 @@ func TestCacheDiskHitEqualsCompareLayer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cachedCompareLayer(cold, c.mesh, c.mesh, c.layer, c.opts); err != nil {
+			if _, err := cachedCompareLayer(cold, nil, c.mesh, c.mesh, c.layer, c.opts); err != nil {
 				t.Fatal(err)
 			}
 			warm, err := NewCache(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cachedCompareLayer(warm, c.mesh, c.mesh, c.layer, c.opts)
+			got, err := cachedCompareLayer(warm, nil, c.mesh, c.mesh, c.layer, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/core"
+	"gathernoc/internal/round"
 	"gathernoc/internal/systolic"
 )
 
@@ -107,12 +108,16 @@ func comparePoints(layers []cnn.LayerConfig, meshes []int) []comparePoint {
 
 // compareSweep runs core.CompareLayer for every point on the worker pool,
 // consulting the result cache (when configured) before dispatching a cell.
+// The cells it simulates share one trajectory table, which lives as long as
+// the sweep (round.Trajectories): a layer whose rounds collect as an
+// earlier cell's did is replayed from that cell's instead of simulated.
 func compareSweep(points []comparePoint, opts Options) ([]*core.Comparison, error) {
+	var t round.Trajectories
 	return Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p comparePoint) (*core.Comparison, error) {
 			o := opts.core()
 			o.MutateSystolic = p.mutate
-			cmp, err := cachedCompareLayer(opts.Cache, p.mesh, p.mesh, p.layer, o)
+			cmp, err := cachedCompareLayer(opts.Cache, &t, p.mesh, p.mesh, p.layer, o)
 			if err != nil {
 				return nil, fmt.Errorf("%s %dx%d: %w", p.layer.Name, p.mesh, p.mesh, err)
 			}

@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"gathernoc/internal/cnn"
+	"gathernoc/internal/core"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/round"
 )
 
 func TestSweepPreservesInputOrder(t *testing.T) {
@@ -224,6 +227,42 @@ func TestArtifactsHonorCancellation(t *testing.T) {
 		if after := noc.ReuseStats(); after.Built != before.Built || after.Reused != before.Reused {
 			t.Errorf("%s: took %d built and %d reused fabrics after cancellation",
 				a.name, after.Built-before.Built, after.Reused-before.Reused)
+		}
+	}
+}
+
+// TestTrajectoryTable holds compareSweep's trajectory table to its hit rate
+// and to the runs it stands for. Over Fig. 7's grid at Rounds 3 on one
+// worker, one run per mesh and mode simulates and records, and every other
+// run replays: an encoding change that silently stops the replays fails
+// here. On two workers, which record into and replay from one table at
+// once, the sweep must return the one-worker sweep's Records, and both
+// must equal core.CompareLayer's, cell by cell, without a table.
+func TestTrajectoryTable(t *testing.T) {
+	points := comparePoints(cnn.AlexNetConvLayers(), []int{8, 16})
+	before := round.Replayed()
+	one, err := compareSweep(points, Options{Rounds: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := round.Replayed()-before, uint64(2*len(points)-4); got != want {
+		t.Errorf("one worker replayed %d of %d runs, want %d: all but the first of each mesh and mode", got, 2*len(points), want)
+	}
+	two, err := compareSweep(points, Options{Rounds: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		want, err := core.CompareLayer(p.mesh, p.mesh, p.layer, core.Options{Rounds: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*core.Comparison{one[i], two[i]} {
+			if !reflect.DeepEqual(got.RU.Result.Record, want.RU.Result.Record) ||
+				!reflect.DeepEqual(got.Gather.Result.Record, want.Gather.Result.Record) {
+				t.Errorf("%s %dx%d: the sweep's records differ from CompareLayer's:\n%+v\n%+v",
+					p.layer.Name, p.mesh, p.mesh, got.Gather.Result.Record, want.Gather.Result.Record)
+			}
 		}
 	}
 }

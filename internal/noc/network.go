@@ -836,20 +836,19 @@ func (a *Activity) counts() [11]*uint64 {
 		&a.GatherUploads, &a.ReduceMerges, &a.PacketsSent, &a.FlitsSent}
 }
 
-// Sub returns a − b, count by count: the activity between two readings.
-func (a Activity) Sub(b Activity) Activity {
-	bs := b.counts()
-	for i, c := range a.counts() {
-		*c -= *bs[i]
+// AppendCounts appends a's counts to dst, field by field: the vector form
+// in which the round loop adds readings up (round.Repeater.Tally).
+func (a Activity) AppendCounts(dst []uint64) []uint64 {
+	for _, c := range a.counts() {
+		dst = append(dst, *c)
 	}
-	return a
+	return dst
 }
 
-// AddTimes returns a + n·d, count by count.
-func (a Activity) AddTimes(d Activity, n uint64) Activity {
-	ds := d.counts()
+// AddCounts returns a plus v, count by count, v in AppendCounts's order.
+func (a Activity) AddCounts(v []uint64) Activity {
 	for i, c := range a.counts() {
-		*c += n * *ds[i]
+		*c += v[i]
 	}
 	return a
 }

@@ -43,23 +43,20 @@ type Hooks interface {
 }
 
 // Repeater is the Hooks extension of a controller whose rounds a loop run
-// alone may prove identical and skip (ProveRepeats).
+// alone may prove identical and skip (ProveRepeats), or replay from another
+// run's recorded trajectory (Join).
 type Repeater interface {
-	// AppendState appends, at the cycle boundary after a round opened at
-	// base, the state the rest of the run depends on besides the loop's own
-	// — the fabric's and the controller's — with every absolute cycle
-	// written relative to base (noc.Network.AppendState). It returns nil
-	// when that state holds something the encoding cannot express. It also
-	// reads the counters Repeat scales.
+	// AppendState appends, at the cycle boundary after cycle base, the
+	// state the rest of the run depends on besides the loop's own — the
+	// fabric's and the controller's — with every absolute cycle written
+	// relative to base (noc.Network.AppendState). It returns nil when that
+	// state holds something the encoding cannot express.
 	AppendState(buf []byte, base int64) []byte
-	// Repeat is called when the encoding just taken equals the one taken
-	// period cycles earlier, at the previous open. It reports whether the
-	// round between the two repeats whatever cycle it starts at — false
-	// when the clock's phase may have decided an arbitration in it
-	// (noc.Network.ClockTies) — and, if so, adds rounds times the counters'
-	// growth over the period to the controller's account. The loop then
-	// closes the rounds (RoundClosed) itself.
-	Repeat(rounds int, period int64) bool
+	// Tally appends to dst, read at the boundary, the fabric's clock ties
+	// (noc.Network.ClockTies), then the counters the controller's Result
+	// sums. The loop only subtracts and scales tallies; what it accounted
+	// without simulating, the controller adds from Grown.
+	Tally(dst []uint64) []uint64
 }
 
 // never is the ready cycle of a node with nothing left to release this
@@ -95,17 +92,26 @@ type Loop struct {
 	seq     uint64
 
 	// The periodicity proof (ProveRepeats): rep is the controller, limit
-	// the last cycle the run may end at. encs holds the encodings of the
-	// latest two opens, encs[cur] the latest, taken at the open at prev
-	// when encoded says it is comparable. skipped counts the cycles a
-	// fast-forward accounted without simulating them.
-	rep     Repeater
-	limit   int64
-	encs    *[2][]byte
-	cur     int
-	encoded bool
-	prev    int64
-	skipped int64
+	// the last cycle the run may end at, rotation the clock's period, buf
+	// the pooled buffers. buf.encs holds the encodings of the latest two
+	// opens, encs[cur] the latest, taken at the open at prev when encoded
+	// says it is comparable; buf.tallies holds the tallies taken with them.
+	// skipped counts the cycles a fast-forward or a replay accounted
+	// without simulating them, and grown the tally's growth over them
+	// (Grown).
+	rep      Repeater
+	limit    int64
+	rotation int64
+	buf      *scratch
+	cur      int
+	encoded  bool
+	prev     int64
+	skipped  int64
+	grown    []uint64
+
+	// follow is the run's part in a trajectory table (Join), nil when it
+	// has none.
+	follow *follower
 }
 
 // Init prepares the loop to run the given number of rounds over nodes
@@ -250,46 +256,68 @@ func (l *Loop) release(cycle int64) {
 // round 1 on, that the round repeats the one before it, and once it does,
 // close every remaining round without simulating it (Settled). Round 0
 // opens on the fabric as built, which no later open matches, so a proof
-// needs the opens of rounds 1 and 2: ProveRepeats reports false, and
-// changes nothing, for fewer than three rounds or hooks that are not a
-// Repeater. limit is the cycle the run's budget ends at: a fast-forward
-// past it is not taken, so the run fails where it always did.
-func (l *Loop) ProveRepeats(limit int64) bool {
+// needs the opens of rounds 1 and 2: with fewer than three rounds the loop
+// proves nothing. ProveRepeats reports false, and changes nothing, for hooks
+// that are not a Repeater, or for fewer than three rounds unless the loop
+// follows a trajectory table (Join). limit is the cycle the run's budget
+// ends at: a fast-forward or a replay past it is not taken, so the run fails
+// where it always did. rotation is the period of the fabric's VA rotation
+// (noc.Network.ClockPeriod): a stretch in which the clock ties moved
+// repeats only a whole number of rotations away.
+func (l *Loop) ProveRepeats(limit, rotation int64) bool {
 	rep, ok := l.h.(Repeater)
-	if !ok || l.rounds < 3 {
+	if !ok || (l.rounds < 3 && l.follow == nil) {
 		return false
 	}
-	l.rep, l.limit = rep, limit
-	l.encs = encodings.Get().(*[2][]byte)
+	l.rep, l.limit, l.rotation = rep, limit, rotation
+	l.buf = buffers.Get().(*scratch)
 	return true
 }
 
-// encodings recycles the proof's buffer pairs from run to run: a 16×16
-// fabric encodes to about 7 KB, and a sweep runs hundreds of layers.
-var encodings = sync.Pool{New: func() any { return new([2][]byte) }}
+// scratch is the proof's buffers: the latest two opens' encodings and
+// tallies, and a trajectory's encodings at a release and tally at a close.
+type scratch struct {
+	encs    [2][]byte
+	tallies [2][]uint64
+	rel     [2][]byte
+	tally   []uint64
+}
+
+// buffers recycles the proof's buffers from run to run: a 16×16 fabric
+// encodes to about 7 KB, and a sweep runs hundreds of layers.
+var buffers = sync.Pool{New: func() any { return new(scratch) }}
 
 // Settled is the done predicate of a loop proving its rounds repeat: the
 // engine calls it at every cycle boundary, cycle being the clock there. At
 // the boundary after a round opens it encodes the state — the
 // controller's and the fabric's (Repeater.AppendState), then the loop's
 // own — into one of two reused buffers and compares it byte for byte with
-// the previous open's. Equal encodings and a round the controller may
-// repeat (Repeater.Repeat) prove that every later round repeats that one,
-// the run being deterministic: the loop closes the rounds left, each one
-// period long, and is done. Skipped then says how many cycles that
-// accounted. Settled reports Drained.
+// the previous open's. Equal encodings, and clock ties that did not move
+// between them unless the period is a whole number of rotations, prove
+// that every later round repeats that one, the run being deterministic:
+// the loop accounts the tally's growth over the period once per round left
+// (Grown), closes those rounds, each one period long, and is done. Skipped
+// then says how many cycles that accounted. A loop that follows a
+// trajectory table records or replays there too (Join). Settled reports
+// Drained.
 //
 // Two fields of the loop stay out of the encoding: the round index, which
 // feeds only the payloads' Value and reduction ids (neither encoded, see
 // flit.Encoder) and the round count the fast-forward accounts for, and the
 // payload sequence counter, which only draws fresh sequence numbers.
 func (l *Loop) Settled(cycle int64) bool {
-	if l.rep != nil && !l.done && l.round > 0 && cycle == l.start+1 {
+	if l.follow != nil {
+		l.trace(cycle)
+	}
+	if !l.done && l.rounds >= 3 && l.round > 0 && cycle == l.start+1 {
 		l.prove(cycle)
 	}
-	if l.done && l.encs != nil {
-		encodings.Put(l.encs)
-		l.encs = nil
+	if l.done && l.buf != nil {
+		if l.follow != nil {
+			l.publish()
+		}
+		buffers.Put(l.buf)
+		l.buf = nil
 	}
 	return l.done
 }
@@ -297,31 +325,62 @@ func (l *Loop) Settled(cycle int64) bool {
 // prove encodes the state at the boundary after the open, cycle being the
 // clock there, and fast-forwards when it repeats the previous open's.
 func (l *Loop) prove(cycle int64) {
-	next := 1 - l.cur
-	enc := l.rep.AppendState(l.encs[next][:0], l.start)
+	b, next := l.buf, 1-l.cur
+	enc := l.rep.AppendState(b.encs[next][:0], l.start)
 	if enc != nil {
-		enc = l.appendState(enc)
-		l.encs[next] = enc
+		enc = l.appendState(enc, l.start)
+		b.encs[next] = enc
 	}
-	if enc != nil && l.encoded && bytes.Equal(enc, l.encs[l.cur]) {
+	b.tallies[next] = l.rep.Tally(b.tallies[next][:0])
+	if enc != nil && l.encoded && bytes.Equal(enc, b.encs[l.cur]) {
 		period := l.start - l.prev
 		left := l.rounds - l.round
-		if skip := int64(left) * period; cycle+skip <= l.limit && l.rep.Repeat(left, period) {
-			for range left {
-				l.h.RoundClosed(period)
+		skip := int64(left) * period
+		// A round in which the rotation may have decided an allocation
+		// repeats only if its period is a whole number of rotations.
+		if b.tallies[next][0] == b.tallies[l.cur][0] || period%l.rotation == 0 {
+			if cycle+skip <= l.limit {
+				l.grown = extend(nil, nil, b.tallies[l.cur], b.tallies[next], left)
+				l.finish(skip, period, left)
+				return
 			}
-			l.round, l.done, l.skipped = l.rounds, true, skip
-			return
+			// Another run of the trajectory may fast-forward here: this
+			// one cannot stand for it.
+			if l.follow != nil {
+				l.follow.rec = nil
+			}
 		}
 	}
 	l.cur, l.encoded, l.prev = next, enc != nil, l.start
 }
 
+// finish closes the rounds left, each period cycles long, and accounts
+// skip cycles not simulated.
+func (l *Loop) finish(skip, period int64, left int) {
+	for range left {
+		l.h.RoundClosed(period)
+	}
+	l.round, l.done, l.skipped = l.rounds, true, skip
+}
+
+// extend appends to dst, count by count, base + n·(to − from); a nil base
+// stands for zeros.
+func extend(dst, base, from, to []uint64, n int) []uint64 {
+	for i := range to {
+		v := uint64(n) * (to[i] - from[i])
+		if base != nil {
+			v += base[i]
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 // appendState appends the loop's carried state: the release schedule,
-// relative to the open.
-func (l *Loop) appendState(buf []byte) []byte {
+// relative to base.
+func (l *Loop) appendState(buf []byte, base int64) []byte {
 	var e flit.Encoder
-	e.Reset(buf, l.start)
+	e.Reset(buf, base)
 	e.Int(int64(l.pending))
 	e.Cycle(l.nextDue)
 	e.Cycle(l.named)
@@ -331,9 +390,20 @@ func (l *Loop) appendState(buf []byte) []byte {
 	return e.Bytes()
 }
 
-// Skipped returns the cycles the fast-forward accounted without simulating
-// them (0 when it did not fire): the run the loop stood in for ended that
-// many cycles after the engine's clock.
+// Grown returns the growth of the counters Repeater.Tally reads, less the
+// clock ties, over the rounds the fast-forward or a replay accounted
+// without simulating them; nil when the loop simulated every round. The
+// controller's Result adds it to what it reads.
+func (l *Loop) Grown() []uint64 {
+	if l.grown == nil {
+		return nil
+	}
+	return l.grown[1:]
+}
+
+// Skipped returns the cycles the fast-forward or a replay accounted
+// without simulating them (0 when neither did): the run the loop stood in
+// for ended that many cycles after the engine's clock.
 func (l *Loop) Skipped() int64 { return l.skipped }
 
 // Done reports whether every round has closed.

@@ -282,35 +282,66 @@ func TestRunOnEngine(t *testing.T) {
 }
 
 // repeatFake is a fakeHooks that can be repeated: AppendState appends what
-// state returns (nil state: nothing it can encode), and Repeat answers
-// repeat, recording the rounds it was asked to account.
+// state returns (nil state, or nil returned: nothing it can encode) and, with pause set, a
+// cycle it waits for from round 1 on, pause cycles after the latest open
+// (so round 0's first release reads alike at any lead); Tally reads the
+// clock ties, which move in every tally when tied, then the rounds closed.
 type repeatFake struct {
 	*fakeHooks
-	state   func() []byte
-	repeat  bool
-	repeats []int
+	state func() []byte
+	pause int64
+	tied  bool
+	ties  uint64
+	// busy runs the fake beside a ticker awake in every cycle, so the
+	// engine never jumps.
+	busy bool
 }
+
+// awake is a ticker that never sleeps.
+type awake struct{}
+
+func (awake) Tick(int64) {}
 
 func (r *repeatFake) AppendState(buf []byte, base int64) []byte {
-	if r.state == nil {
+	if r.state == nil || r.state() == nil {
 		return nil
 	}
-	return append(buf, r.state()...)
+	buf = append(buf, r.state()...)
+	if n := len(r.opened); r.pause > 0 && n > 1 {
+		var e flit.Encoder
+		e.Reset(buf, base)
+		e.Until(r.opened[n-1] + r.pause)
+		buf = e.Bytes()
+	}
+	return buf
 }
 
-func (r *repeatFake) Repeat(rounds int, period int64) bool {
-	r.repeats = append(r.repeats, rounds)
-	return r.repeat
+func (r *repeatFake) Tally(dst []uint64) []uint64 {
+	if r.tied {
+		r.ties++
+	}
+	return append(dst, r.ties, uint64(len(r.closed)))
 }
+
+// fakeRotation is the clock period the fakes run under: no round of theirs
+// is a whole number of rotations long.
+const fakeRotation = 1000
 
 // runProving runs a repeatFake of the given rounds alone on an engine with
-// the periodicity proof on, and reports the cycle the run stood in for
-// ended at, the engine clock, the latencies closed and the engine's error.
-func runProving(r *repeatFake, rounds int, ready func(round, id int) (int64, bool), budget int64) (end, clock int64, closed []int64, err error) {
+// the periodicity proof on, following t when it is not nil, and reports
+// the cycle the run stood in for ended at, the engine clock, the latencies
+// closed and the engine's error.
+func runProving(r *repeatFake, t *Trajectories, rounds int, ready func(round, id int) (int64, bool), budget int64) (end, clock int64, closed []int64, err error) {
 	r.fakeHooks = &fakeHooks{l: new(Loop), nodes: 4, ready: ready, hold: 7}
 	r.l.Init(r, 4, rounds)
+	if t != nil {
+		r.l.Join(t, "fake")
+	}
 	e := sim.NewEngine()
-	proving := r.l.ProveRepeats(e.Cycle() + budget)
+	if r.busy {
+		e.AddTicker(awake{})
+	}
+	proving := r.l.ProveRepeats(e.Cycle()+budget, fakeRotation)
 	r.l.Start(e.Cycle())
 	done := r.l.Drained
 	if proving {
@@ -324,32 +355,35 @@ func runProving(r *repeatFake, rounds int, ready func(round, id int) (int64, boo
 // every round alike, the loop must stop at the open of round 2, close the
 // rest with the period's latency and report the cycles it skipped, so the
 // closed latencies and the end cycle equal those of a run that simulates
-// every round. The loop's own release schedule is part of the encoding, so
-// rounds that release on different cycles never match; nor do they when
-// the controller cannot encode its state or declines to repeat, when fewer
-// than three rounds run, or when the run would end past its budget.
+// every round and account the tally's growth over the rounds skipped. The
+// loop's own release schedule is part of the encoding, so rounds that
+// release on different cycles never match; nor do they when the controller
+// cannot encode its state, when the clock ties moved in a period that is
+// not a whole number of rotations (declined), when fewer than three rounds
+// run, or when the run would end past its budget.
 func TestProveRepeats(t *testing.T) {
 	even := func(round, id int) (int64, bool) { return 20 + int64(id), true }
 	same := func() []byte { return []byte{42} }
 
 	ref := &repeatFake{}
-	refEnd, refClock, refClosed, err := runProving(ref, 6, even, 10_000)
-	if err != nil || refEnd != refClock || ref.repeats != nil {
+	refEnd, refClock, refClosed, err := runProving(ref, nil, 6, even, 10_000)
+	if err != nil || refEnd != refClock || ref.l.Grown() != nil {
 		t.Fatalf("a run with nothing to encode fast-forwarded or failed: %v", err)
 	}
-	ff := &repeatFake{state: same, repeat: true}
-	end, clock, closed, err := runProving(ff, 6, even, 10_000)
+	ff := &repeatFake{state: same}
+	end, clock, closed, err := runProving(ff, nil, 6, even, 10_000)
 	if err != nil || end != refEnd || !reflect.DeepEqual(closed, refClosed) {
 		t.Errorf("fast-forward ends at %d closing %v (%v), the full run at %d closing %v", end, closed, err, refEnd, refClosed)
 	}
-	if !reflect.DeepEqual(ff.repeats, []int{4}) || clock >= end || len(ff.opened) != 3 {
-		t.Errorf("fast-forward asked to repeat %v rounds after %d opens, clock %d of %d; want [4] after 3", ff.repeats, len(ff.opened), clock, end)
+	// The rounds closed grow by one a round: four rounds accounted.
+	if !reflect.DeepEqual(ff.l.Grown(), []uint64{4}) || clock >= end || len(ff.opened) != 3 {
+		t.Errorf("fast-forward accounted %v after %d opens, clock %d of %d; want [4] after 3", ff.l.Grown(), len(ff.opened), clock, end)
 	}
 	if ff.l.Round() != 6 || !ff.l.Drained() {
 		t.Errorf("after the fast-forward the loop is at round %d, drained %v", ff.l.Round(), ff.l.Drained())
 	}
 	// A budget the full run overruns fails the proving run too.
-	if _, _, _, err := runProving(&repeatFake{state: same, repeat: true}, 6, even, refEnd-1); err == nil {
+	if _, _, _, err := runProving(&repeatFake{state: same}, nil, 6, even, refEnd-1); err == nil {
 		t.Error("a run past its budget fast-forwarded to success")
 	}
 
@@ -359,22 +393,166 @@ func TestProveRepeats(t *testing.T) {
 		rounds int
 		ready  func(round, id int) (int64, bool)
 	}{
-		{"staggered releases", &repeatFake{state: same, repeat: true}, 6, staggered},
-		{"same first release", &repeatFake{state: same, repeat: true}, 6, func(round, id int) (int64, bool) {
+		{"staggered releases", &repeatFake{state: same}, 6, staggered},
+		{"same first release", &repeatFake{state: same}, 6, func(round, id int) (int64, bool) {
 			if id == 0 {
 				return 20, true
 			}
 			return 21 + int64((id+round)%3), true
 		}},
-		{"nothing encodable", &repeatFake{repeat: true}, 6, even},
-		{"declined", &repeatFake{state: same}, 6, even},
-		{"two rounds", &repeatFake{state: same, repeat: true}, 2, even},
+		{"nothing encodable", &repeatFake{}, 6, even},
+		{"declined", &repeatFake{state: same, tied: true}, 6, even},
+		{"two rounds", &repeatFake{state: same}, 2, even},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			end, clock, _, err := runProving(c.r, c.rounds, c.ready, 10_000)
+			end, clock, _, err := runProving(c.r, nil, c.rounds, c.ready, 10_000)
 			if err != nil || clock != end || c.r.l.Skipped() != 0 {
 				t.Errorf("fast-forwarded: clock %d, end %d (%v)", clock, end, err)
 			}
 		})
+	}
+}
+
+// TestTrajectoryReplay holds a replayed run to the one it stands for: in a
+// table a first run recorded, a run whose rounds release later after each
+// open must close the latencies and end at the cycle simulating it gives,
+// without stepping past its first release, and account the growth of
+// every round. A lead shorter than the recorded settle time, a lead at another
+// residue of the rotation when the clock ties moved, more rounds than the
+// trajectory recorded without its proof firing, and a state that encodes
+// otherwise each refuse, and the run simulates.
+func TestTrajectoryReplay(t *testing.T) {
+	same := func() []byte { return []byte{42} }
+	lead := func(d int64) func(round, id int) (int64, bool) {
+		return func(round, id int) (int64, bool) { return d + int64(id), true }
+	}
+	replayed := func(f func()) bool {
+		before := Replayed()
+		f()
+		return Replayed() != before
+	}
+
+	for _, rounds := range []int{1, 2, 6} {
+		var table Trajectories
+		if replayed(func() { runProving(&repeatFake{state: same}, &table, rounds, lead(20), 10_000) }) {
+			t.Fatalf("%d rounds: the first run of a key replayed", rounds)
+		}
+		for _, d := range []int64{20, 35, 500} {
+			want := &repeatFake{state: same}
+			wantEnd, _, wantClosed, err := runProving(want, nil, rounds, lead(d), 10_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := &repeatFake{state: same}
+			var end, clock int64
+			var closed []int64
+			if !replayed(func() { end, clock, closed, err = runProving(got, &table, rounds, lead(d), 10_000) }) {
+				t.Errorf("%d rounds, lead %d: not replayed", rounds, d)
+				continue
+			}
+			if err != nil || end != wantEnd || !reflect.DeepEqual(closed, wantClosed) {
+				t.Errorf("%d rounds, lead %d: replay ends at %d closing %v (%v), simulating at %d closing %v",
+					rounds, d, end, closed, err, wantEnd, wantClosed)
+			}
+			if clock != d || len(got.released) != 0 {
+				t.Errorf("%d rounds, lead %d: the replay stepped to cycle %d and released %d operands", rounds, d, clock, len(got.released))
+			}
+			// Replayed from its first release, the run accounts the growth
+			// of every round: each closes one.
+			if g := got.l.Grown(); len(g) != 1 || g[0] != uint64(rounds) {
+				t.Errorf("%d rounds, lead %d: replay accounted %v", rounds, d, g)
+			}
+		}
+	}
+
+	// The fake waits 30 cycles after each open: the state settles then.
+	var table, tied Trajectories
+	runProving(&repeatFake{state: same, pause: 30}, &table, 2, lead(40), 10_000)
+	runProving(&repeatFake{state: same, tied: true}, &tied, 2, lead(20), 10_000)
+	for _, c := range []struct {
+		name   string
+		table  *Trajectories
+		r      *repeatFake
+		rounds int
+		lead   int64
+		budget int64
+		want   bool
+	}{
+		{"lead at settle", &table, &repeatFake{state: same, pause: 30}, 2, 30, 10_000, true},
+		{"lead below settle", &table, &repeatFake{state: same, pause: 30}, 2, 29, 10_000, false},
+		{"more rounds than recorded", &table, &repeatFake{state: same, pause: 30}, 6, 40, 10_000, false},
+		{"another state", &table, &repeatFake{state: func() []byte { return []byte{43} }, pause: 30}, 2, 40, 10_000, false},
+		{"past the budget", &table, &repeatFake{state: same, pause: 30}, 2, 40, 100, false},
+		{"ties a rotation apart", &tied, &repeatFake{state: same, tied: true}, 2, 20 + fakeRotation, 10_000, true},
+		{"ties at another residue", &tied, &repeatFake{state: same, tied: true}, 2, 21, 10_000, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var end int64
+			var err error
+			if got := replayed(func() { end, _, _, err = runProving(c.r, c.table, c.rounds, lead(c.lead), c.budget) }); got != c.want {
+				t.Errorf("replayed %v, want %v", got, c.want)
+			}
+			if c.want {
+				if wantEnd, _, _, _ := runProving(&repeatFake{state: same}, nil, c.rounds, lead(c.lead), c.budget); err != nil || end != wantEnd {
+					t.Errorf("replay ends at %d (%v), simulating at %d", end, err, wantEnd)
+				}
+			}
+		})
+	}
+}
+
+// TestTrajectoryRecording holds a recording run to what it may file: a
+// trajectory that stands for the runs that replay it, or none. A run whose
+// state the controller cannot encode at its first release, or from round 1
+// on, whose rounds release at different leads, whose engine never jumps
+// to a release (nothing shows the state stayed put), whose state waits
+// for a cycle past the release, or whose proof was refused for its budget
+// files nothing: a run after it simulates. A run that cannot encode its
+// own first release does not replay either.
+func TestTrajectoryRecording(t *testing.T) {
+	same := func() []byte { return []byte{42} }
+	even := func(round, id int) (int64, bool) { return 20 + int64(id), true }
+	replays := func(table *Trajectories, r *repeatFake) bool {
+		before := Replayed()
+		runProving(r, table, 6, even, 10_000)
+		return Replayed() != before
+	}
+	// roundOne encodes round 0's first release, and nothing from round 1 on.
+	roundOne := &repeatFake{}
+	roundOne.state = func() []byte {
+		if len(roundOne.opened) > 1 {
+			return nil
+		}
+		return []byte{42}
+	}
+	for _, c := range []struct {
+		name   string
+		r      *repeatFake
+		ready  func(round, id int) (int64, bool)
+		budget int64
+	}{
+		{"nothing encodable", &repeatFake{}, even, 10_000},
+		{"nothing encodable from round 1", roundOne, even, 10_000},
+		{"leads differ", &repeatFake{state: same}, staggered, 10_000},
+		{"no jump", &repeatFake{state: same, busy: true}, even, 10_000},
+		{"waits past the release", &repeatFake{state: same, pause: 1000}, even, 10_000},
+		{"proof past the budget", &repeatFake{state: same}, even, 150},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var table Trajectories
+			runProving(c.r, &table, 6, c.ready, c.budget)
+			if replays(&table, &repeatFake{state: same}) {
+				t.Error("a run replayed what the recording filed")
+			}
+		})
+	}
+
+	var table Trajectories
+	runProving(&repeatFake{state: same}, &table, 6, even, 10_000)
+	if replays(&table, &repeatFake{}) {
+		t.Error("a run that cannot encode its first release replayed")
+	}
+	if !replays(&table, &repeatFake{state: same}) {
+		t.Error("the recorded trajectory was not replayed")
 	}
 }

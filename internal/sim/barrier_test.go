@@ -193,6 +193,8 @@ func TestBarrierCloseStopsWorkers(t *testing.T) {
 		e.Close()
 	})
 	t.Run("before the first step", func(t *testing.T) {
+		// The previous subtest's goroutine may still be leaving.
+		gone(t)
 		e := NewShardedEngine(3)
 		e.Close()
 		e.Close()

@@ -110,7 +110,9 @@ type Config struct {
 	// alone on a bare fabric (workload.Run) simulates the sampled rounds
 	// only until one is proven identical to the round before it
 	// (round.Loop.Settled), and accounts the rest as its copies: rounds
-	// are proven identical, else extrapolated. 0 means 2.
+	// are proven identical, else extrapolated. One that follows a
+	// trajectory table (round.Loop.Join) may instead replay the rounds of
+	// an earlier layer they provably repeat. 0 means 2.
 	MaxRounds int
 	// SimulateAllRounds disables extrapolation (exact mode).
 	SimulateAllRounds bool
@@ -197,7 +199,7 @@ type Result struct {
 type Record struct {
 	// TotalRounds is ⌈P/N⌉·⌈Q/M⌉; RoundsSimulated is how many rounds the
 	// Record samples before extrapolation: simulated, or proven identical
-	// to the round before and accounted as its copy (Controller.Repeat).
+	// to the round before and accounted as its copy (round.Loop.Settled).
 	TotalRounds     int64
 	RoundsSimulated int
 
@@ -259,27 +261,18 @@ type Controller struct {
 	seenSrc     map[topology.NodeID]bool
 	payloadErrs int
 
-	// The fast-forward (round.Repeater): reads holds the counter readings
-	// taken with the latest two encodings, the older first; period their
-	// difference once the loop proved the round between them repeats, and
-	// repeats how many more times it ran.
-	reads   [2]reading
-	period  reading
-	repeats uint64
-
 	res Result
 }
 
 // reading is what the controller's Record takes from the network's
-// counters, read at one cycle boundary, and noc.Network.ClockTies.
+// counters, read at one cycle boundary.
 type reading struct {
-	act        noc.Activity
-	sig, acks  uint64
-	errs, ties uint64
+	act             noc.Activity
+	sig, acks, errs uint64
 }
 
 func (c *Controller) read() reading {
-	r := reading{act: c.nw.Activity(), errs: uint64(c.payloadErrs), ties: c.nw.ClockTies()}
+	r := reading{act: c.nw.Activity(), errs: uint64(c.payloadErrs)}
 	for id := range c.nw.Mesh().NumNodes() {
 		n := c.nw.NIC(topology.NodeID(id))
 		r.sig += n.SelfInitiatedGathers.Value()
@@ -393,10 +386,16 @@ func (c *Controller) BeginRound(now int64) {
 func (c *Controller) Result() *Result {
 	r := c.res
 	now := c.read()
-	r.Activity = now.act.AddTimes(c.period.act, c.repeats)
-	r.SelfInitiatedGathers = now.sig + c.repeats*c.period.sig
-	r.PiggybackAcks = now.acks + c.repeats*c.period.acks
-	r.PayloadErrors = int(now.errs + c.repeats*c.period.errs)
+	if g := c.Grown(); g != nil {
+		now.sig += g[0]
+		now.acks += g[1]
+		now.errs += g[2]
+		now.act = now.act.AddCounts(g[3:])
+	}
+	r.Activity = now.act
+	r.SelfInitiatedGathers = now.sig
+	r.PiggybackAcks = now.acks
+	r.PayloadErrors = int(now.errs)
 	// Streaming and compute activity per round. OS: every PE receives
 	// C·R·R inputs from the west and C·R·R weights from the north (one
 	// hop each) and performs C·R·R MACs. WS: each column consumes C·R·R
@@ -421,36 +420,28 @@ func (c *Controller) Result() *Result {
 }
 
 // AppendState encodes the state the rest of the run depends on at the
-// boundary after a round opened at base (round.Repeater): the fabric's
-// (noc.Network.AppendState) and none of the controller's own — BeginRound
-// has just emptied the buffer's account, which deliveries later in the
-// open's cycle would refill, and the row plans and the run's parameters
-// never change. An account that is not empty is not encoded (nil).
+// boundary after cycle base (round.Repeater): the fabric's
+// (noc.Network.AppendState) and none of the controller's own — at a round's
+// open BeginRound has just emptied the buffer's account, which deliveries
+// later in the open's cycle would refill, and from then to the round's
+// first release nothing is delivered; the row plans and the run's
+// parameters never change. An account that is not empty is not encoded
+// (nil).
 func (c *Controller) AppendState(buf []byte, base int64) []byte {
-	c.reads[0], c.reads[1] = c.reads[1], c.read()
 	if c.collected != 0 || len(c.seenSeq) != 0 || len(c.seenSrc) != 0 {
 		return nil
 	}
 	return c.nw.AppendState(buf, base)
 }
 
-// Repeat accounts rounds more copies of the round between the latest two
-// encodings (round.Repeater): each adds the counters' growth over that
-// round to the Record. A round in which the VA rotation may have decided
-// an allocation repeats only if its period is a whole number of rotations.
-func (c *Controller) Repeat(rounds int, period int64) bool {
-	prev, last := &c.reads[0], &c.reads[1]
-	if last.ties != prev.ties && period%c.nw.ClockPeriod() != 0 {
-		return false
-	}
-	c.period = reading{
-		act:  last.act.Sub(prev.act),
-		sig:  last.sig - prev.sig,
-		acks: last.acks - prev.acks,
-		errs: last.errs - prev.errs,
-	}
-	c.repeats = uint64(rounds)
-	return true
+// Tally appends the fabric's clock ties, then the counters Result sums,
+// read now (round.Repeater): the self-initiated gathers, the piggyback
+// acks and the payload errors, then the NoC activity
+// (noc.Activity.AppendCounts). Result adds what the loop accounted without
+// simulating (round.Loop.Grown) in the same order, less the ties.
+func (c *Controller) Tally(dst []uint64) []uint64 {
+	r := c.read()
+	return r.act.AppendCounts(append(dst, c.nw.ClockTies(), r.sig, r.acks, r.errs))
 }
 
 // Inject releases PE id's result toward its row's global-buffer port

@@ -49,9 +49,11 @@ import (
 // A round loop run alone on a bare fabric (noc.Network.Bare) whose
 // controller can repeat its rounds (round.Repeater: the systolic layer)
 // proves, at each round open, whether the round repeats the one before and
-// stops simulating once it does (round.Loop.Settled). Its Result is then
-// the one simulating every round gives, and Run returns the cycle that run
-// ends at, past the engine's clock.
+// stops simulating once it does (round.Loop.Settled); one that follows a
+// trajectory table (round.Loop.Join) may replay an earlier run's rounds
+// without simulating any. Its Result is then the one simulating every
+// round gives, and Run returns the cycle that run ends at, past the
+// engine's clock.
 func Run(nw *noc.Network, d interface {
 	Driver
 	PacketSink
@@ -60,7 +62,7 @@ func Run(nw *noc.Network, d interface {
 	e := nw.Engine()
 	done := d.Drained
 	p, ok := d.(provable)
-	if ok && nw.Bare() && p.ProveRepeats(e.Cycle()+maxCycles) {
+	if ok && nw.Bare() && p.ProveRepeats(e.Cycle()+maxCycles, nw.ClockPeriod()) {
 		done = func() bool { return p.Settled(e.Cycle()) }
 	} else {
 		p = nil
@@ -75,7 +77,7 @@ func Run(nw *noc.Network, d interface {
 
 // provable is the round loop's periodicity proof (round.Loop.ProveRepeats).
 type provable interface {
-	ProveRepeats(limit int64) bool
+	ProveRepeats(limit, rotation int64) bool
 	Settled(cycle int64) bool
 	Skipped() int64
 }
