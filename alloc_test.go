@@ -33,9 +33,9 @@ func never() bool { return false }
 // allocs/cycle as the direct path — per-tag dispatch, admission scans
 // and job accounting all stay off the allocator.
 //
-// If this test fails, profile with:
+// If this test fails, profile the test's own run with:
 //
-//	go run ./cmd/nocsim -rate 0.30 -measure 20000 -alwaystick -memprofile mem.out
+//	go test -run '^TestAllocationRatchet$' -count 1 -memprofile mem.out .
 const maxSteadyStateAllocsPerCycle = 0.5
 
 // TestAllocationRatchet drives an 8x8 mesh under sustained uniform-random
@@ -245,10 +245,10 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 // the telemetry wiring, whose snapshot values sit in two flat arrays per
 // probe (4.85 MB when every source allocated two of its own). Neither
 // buffer that grows with the run is built up front: the trace event
-// buffers (5.2 MB when they were allocated at MaxEvents) grow as events
-// arrive, and the epoch ring (83 MB when it was zeroed at MaxEpochs dense
-// rows) gains a row per epoch reached. The ceiling is the measurement plus
-// 10 %.
+// buffers (5.2 MB when they were allocated at their 65 536-event bound)
+// grow as events arrive, and the epoch ring (83 MB when it was zeroed at
+// its 1 024-epoch bound as dense rows) gains a row per epoch reached. The
+// ceiling is the measurement plus 10 %.
 const maxTelemetryBuildBytes16x16 = 4_560_000
 
 func TestTelemetryBuildBytesPin(t *testing.T) {

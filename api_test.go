@@ -33,13 +33,20 @@ import (
 // satisfies is called, anonymous interfaces in type assertions included, and
 // by the program whenever it satisfies an interface of a standard package
 // the module imports (the standard library calls those: rand.Source64,
-// fmt.Stringer, io.Writer, ...). Struct fields are not tracked.
+// fmt.Stringer, io.Writer, ...).
 //
-// testdata/api.txt holds the tests-only list, one identifier and its reason
-// for staying per line, and the own-package-only count. The test fails on
-// any identifier the pass finds that the file lacks, on any file entry the
-// pass no longer finds, and on an own-package-only count that differs from
-// the file's: lower the count when it falls; it may not rise.
+// The exported fields of the exported struct types under internal/ whose
+// names end in Config or Options are classified the same way, but by who
+// writes them, since a knob nothing sets is no option: a keyed
+// composite-literal element, an assignment or inc/dec target, or the
+// operand of &. Writing x.A.B writes B and A both.
+//
+// testdata/api.txt holds the tests-only list, one identifier or field and
+// its reason for staying per line, and the own-package-only counts of each.
+// The test fails on any identifier or field the pass finds that the file
+// lacks, on any file entry the pass no longer finds, and on an
+// own-package-only count that differs from the file's: lower a count when
+// it falls; it may not rise.
 
 const apiModule = "gathernoc"
 
@@ -53,11 +60,12 @@ const (
 )
 
 type apiDecl struct {
-	name string // e.g. "sim.Engine.RunUntil"
-	pkg  string // declaring import path
-	recv *types.Named
-	fn   *types.Func // non-nil for methods
-	uses apiUse
+	name  string // e.g. "sim.Engine.RunUntil"
+	pkg   string // declaring import path
+	recv  *types.Named
+	fn    *types.Func // non-nil for methods
+	field bool        // a *Config/*Options field: uses are writes
+	uses  apiUse
 }
 
 type apiPkg struct {
@@ -195,7 +203,7 @@ func loadAPIPass(t *testing.T) *apiPass {
 				t.Fatalf("%s (test): %v", path, err)
 			}
 			pkg.test = tp
-			p.record(info)
+			p.record(info, pkg.tests)
 		}
 		if len(pkg.xtests) > 0 {
 			over := map[string]*types.Package{}
@@ -207,7 +215,7 @@ func loadAPIPass(t *testing.T) *apiPass {
 			if _, err := conf.Check(path+"_test", p.fset, pkg.xtests, info); err != nil {
 				t.Fatalf("%s (external test): %v", path, err)
 			}
-			p.record(info)
+			p.record(info, pkg.xtests)
 		}
 	}
 	p.stdInterfaces()
@@ -216,7 +224,11 @@ func loadAPIPass(t *testing.T) *apiPass {
 }
 
 func newAPIInfo() *types.Info {
-	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
 
 // check type-checks a package's non-test files once, collects the
@@ -243,7 +255,7 @@ func (p *apiPass) check(path string) (*types.Package, error) {
 	if strings.HasPrefix(path, apiModule+"/internal/") {
 		p.declare(tp, info)
 	}
-	p.record(info)
+	p.record(info, pkg.files)
 	return tp, nil
 }
 
@@ -290,17 +302,29 @@ func (p *apiPass) declare(pkg *types.Package, info *types.Info) {
 		}
 		p.decls[obj.Pos()] = d
 	}
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				p.decls[f.Pos()] = &apiDecl{name: short + "." + name + "." + f.Name(), pkg: pkg.Path(), field: true}
+			}
+		}
+	}
 }
 
 // record notes where each reference in info comes from: direct references
-// to tracked identifiers, and calls of interface methods.
-func (p *apiPass) record(info *types.Info) {
+// to tracked identifiers, calls of interface methods, and writes to tracked
+// fields.
+func (p *apiPass) record(info *types.Info, files []*ast.File) {
 	for id, obj := range info.Uses {
-		file := p.fset.File(id.Pos()).Name()
-		from := p.fileDir[file] // the referring package; "" for a test file
-		if strings.HasSuffix(file, "_test.go") {
-			from = ""
-		}
+		from := p.from(id.Pos())
 		if fn, ok := obj.(*types.Func); ok {
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
@@ -310,8 +334,80 @@ func (p *apiPass) record(info *types.Info) {
 		}
 		// Objects of a test variant sit at the positions of the
 		// non-test variant's, so the declaration's position is the key.
-		if d := p.decls[obj.Pos()]; d != nil && obj.Pkg() != nil && obj.Pkg().Path() == d.pkg {
+		if d := p.decls[obj.Pos()]; d != nil && !d.field && obj.Pkg() != nil && obj.Pkg().Path() == d.pkg {
 			d.uses |= d.useFrom(from)
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				p.literalWrites(info, n)
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					p.writes(info, lhs)
+				}
+			case *ast.IncDecStmt:
+				p.writes(info, n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					p.writes(info, n.X)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// from returns the package a position's file belongs to, "" for a test file.
+func (p *apiPass) from(pos token.Pos) string {
+	file := p.fset.File(pos).Name()
+	if strings.HasSuffix(file, "_test.go") {
+		return ""
+	}
+	return p.fileDir[file]
+}
+
+// noteWrite credits a write at pos to field obj when it is tracked.
+func (p *apiPass) noteWrite(obj types.Object, pos token.Pos) {
+	if d := p.decls[obj.Pos()]; d != nil && d.field && obj.Pkg() != nil && obj.Pkg().Path() == d.pkg {
+		d.uses |= d.useFrom(p.from(pos))
+	}
+}
+
+// literalWrites notes the fields a keyed struct literal sets.
+func (p *apiPass) literalWrites(info *types.Info, lit *ast.CompositeLit) {
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			return
+		}
+		if key, ok := kv.Key.(*ast.Ident); ok {
+			if v, ok := info.Uses[key].(*types.Var); ok && v.IsField() {
+				p.noteWrite(v, key.Pos())
+			}
+		}
+	}
+}
+
+// writes notes every field selected along a written expression's operand
+// chain: x.A.B[i].C writes C, B and A.
+func (p *apiPass) writes(info *types.Info, x ast.Expr) {
+	for {
+		switch e := x.(type) {
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				p.noteWrite(sel.Obj(), e.Sel.Pos())
+			}
+			x = e.X
+		default:
+			return
 		}
 	}
 }
@@ -431,34 +527,55 @@ func (p *apiPass) resolveMethods() {
 	}
 }
 
-// classify returns the tests-only-or-unused identifiers, sorted, and the
-// own-package-only count.
-func (p *apiPass) classify() (testsOnly []string, ownOnly []string) {
-	for _, d := range p.decls {
-		switch {
-		case d.uses&useProgram != 0:
-		case d.uses&useOwn != 0:
-			ownOnly = append(ownOnly, d.name)
-		default:
-			testsOnly = append(testsOnly, d.name)
-		}
-	}
-	sort.Strings(testsOnly)
-	sort.Strings(ownOnly)
-	return testsOnly, ownOnly
+// apiCounts is the pass's classification: the tests-only-or-unused
+// identifiers and fields, sorted, and the own-package-only ones of each.
+type apiCounts struct {
+	testsOnly, ownOnly, ownOnlyFields []string
+	fields, programFields             int
 }
 
-// readAPIFile parses testdata/api.txt: "own-package-only N" once, and
-// "<identifier> <reason>" per tests-only entry; # starts a comment line.
-func readAPIFile(t *testing.T) (entries map[string]string, ownOnly int) {
+func (p *apiPass) classify() apiCounts {
+	var c apiCounts
+	for _, d := range p.decls {
+		if d.field {
+			c.fields++
+		}
+		switch {
+		case d.uses&useProgram != 0:
+			if d.field {
+				c.programFields++
+			}
+		case d.uses&useOwn != 0 && d.field:
+			c.ownOnlyFields = append(c.ownOnlyFields, d.name)
+		case d.uses&useOwn != 0:
+			c.ownOnly = append(c.ownOnly, d.name)
+		default:
+			c.testsOnly = append(c.testsOnly, d.name)
+		}
+	}
+	sort.Strings(c.testsOnly)
+	sort.Strings(c.ownOnly)
+	sort.Strings(c.ownOnlyFields)
+	return c
+}
+
+// The two count lines of testdata/api.txt.
+const (
+	ownOnlyKey       = "own-package-only"
+	ownOnlyFieldsKey = "own-package-only-fields"
+)
+
+// readAPIFile parses testdata/api.txt: each count line ("own-package-only N",
+// "own-package-only-fields N") once, and "<identifier> <reason>" per
+// tests-only entry; # starts a comment line.
+func readAPIFile(t *testing.T) (entries map[string]string, counts map[string]int) {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "api.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	entries = map[string]string{}
-	ownOnly = -1
+	entries, counts = map[string]string{}, map[string]int{}
 	sc := bufio.NewScanner(f)
 	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
@@ -467,8 +584,8 @@ func readAPIFile(t *testing.T) (entries map[string]string, ownOnly int) {
 		}
 		name, reason, _ := strings.Cut(line, " ")
 		reason = strings.TrimSpace(reason)
-		if name == "own-package-only" {
-			if ownOnly, err = strconv.Atoi(reason); err != nil {
+		if name == ownOnlyKey || name == ownOnlyFieldsKey {
+			if counts[name], err = strconv.Atoi(reason); err != nil {
 				t.Fatalf("api.txt:%d: bad count %q", n, reason)
 			}
 			continue
@@ -484,27 +601,38 @@ func readAPIFile(t *testing.T) (entries map[string]string, ownOnly int) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if ownOnly < 0 {
-		t.Fatal("api.txt has no own-package-only line")
+	for _, key := range []string{ownOnlyKey, ownOnlyFieldsKey} {
+		if _, ok := counts[key]; !ok {
+			t.Fatalf("api.txt has no %s line", key)
+		}
 	}
-	return entries, ownOnly
+	return entries, counts
 }
 
 // TestAPIUsage is the ratchet: an exported identifier that only tests call
-// (or nothing does) needs a line in testdata/api.txt saying why it stays,
-// and a line whose identifier the program now uses, or that is gone, must
-// go too.
+// (or nothing does), or a *Config/*Options field that only tests set, needs
+// a line in testdata/api.txt saying why it stays, and a line whose entry
+// the program now uses, or that is gone, must go too.
 func TestAPIUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
 	p := loadAPIPass(t)
-	testsOnly, ownOnly := p.classify()
-	entries, ownCount := readAPIFile(t)
+	c := p.classify()
+	entries, counts := readAPIFile(t)
+	fields := map[string]bool{}
+	for _, d := range p.decls {
+		fields[d.name] = d.field
+	}
 	found := map[string]bool{}
-	for _, name := range testsOnly {
+	for _, name := range c.testsOnly {
 		found[name] = true
-		if _, ok := entries[name]; !ok {
+		if _, ok := entries[name]; ok {
+			continue
+		}
+		if fields[name] {
+			t.Errorf("%s is set only by tests, or by nothing: delete it, point its tests at what the program sets, or list it in testdata/api.txt with a reason", name)
+		} else {
 			t.Errorf("%s is called only by tests, or by nothing: delete it, point its tests at what the program runs, or list it in testdata/api.txt with a reason", name)
 		}
 	}
@@ -513,13 +641,24 @@ func TestAPIUsage(t *testing.T) {
 			t.Errorf("testdata/api.txt lists %s, which the program now uses or which is gone: remove the line", name)
 		}
 	}
-	switch n := len(ownOnly); {
-	case n > ownCount:
-		t.Errorf("%d exported identifiers are referred to only inside their own package, more than testdata/api.txt's %d: unexport the new ones", n, ownCount)
-	case n < ownCount:
-		t.Errorf("own-package-only count fell to %d: lower it in testdata/api.txt (from %d)", n, ownCount)
+	for _, own := range []struct {
+		key, what string
+		names     []string
+	}{
+		{ownOnlyKey, "exported identifiers are referred to", c.ownOnly},
+		{ownOnlyFieldsKey, "*Config/*Options fields are set", c.ownOnlyFields},
+	} {
+		switch n, want := len(own.names), counts[own.key]; {
+		case n > want:
+			t.Errorf("%d %s only inside their own package, more than testdata/api.txt's %s %d: unexport or delete the new ones", n, own.what, own.key, want)
+		case n < want:
+			t.Errorf("%s count fell to %d: lower it in testdata/api.txt (from %d)", own.key, n, want)
+		}
 	}
+	t.Logf("%d *Config/*Options fields: %d set by the program, %d only inside their own package, the rest only by tests or by nothing",
+		c.fields, c.programFields, len(c.ownOnlyFields))
 	if t.Failed() {
-		t.Logf("tests only or unused (%d):\n%s", len(testsOnly), strings.Join(testsOnly, "\n"))
+		t.Logf("tests only or unused (%d):\n%s", len(c.testsOnly), strings.Join(c.testsOnly, "\n"))
+		t.Logf("fields set only inside their own package (%d):\n%s", len(c.ownOnlyFields), strings.Join(c.ownOnlyFields, "\n"))
 	}
 }

@@ -136,7 +136,8 @@ func BenchmarkGatherRow(b *testing.B) { benchRow(b, noc.CollectGather) }
 // on the 8x8 mesh under gather collection, the unit every paper artifact is
 // made of: C·R·R + T_MAC cycles of compute with a silent fabric, which the
 // engine jumps over (sim.Handle.WakeAt), then the many-to-one burst it
-// steps through. The always-tick variant steps through all of it.
+// steps through. The always-tick variant steps through all of it. Each
+// iteration builds its fabric.
 func BenchmarkLayerRound(b *testing.B) {
 	layer, _ := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
 	for _, alwaysTick := range []bool{false, true} {
@@ -145,15 +146,9 @@ func BenchmarkLayerRound(b *testing.B) {
 			name = "always-tick"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := benchOpts
-			opts.MutateNetwork = func(c *noc.Config) { c.AlwaysTick = alwaysTick }
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.RunLayer(8, 8, layer, systolic.GatherMode, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = rep.Result.MeasuredCycles
+				cycles = layerRun(b, layer, systolic.GatherMode, alwaysTick).MeasuredCycles
 			}
 			b.ReportMetric(float64(cycles), "sim-cycles")
 		})

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -17,6 +18,12 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/traffic"
+)
+
+// Named input errors, so callers and tests can match them.
+var (
+	errMesh = errors.New("-rows and -cols must be >= 1")
+	errTMAC = errors.New("-tmac must be >= 0")
 )
 
 func main() {
@@ -40,6 +47,12 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *rows < 1 || *cols < 1:
+		return errMesh
+	case *tmac < 0:
+		return errTMAC
 	}
 
 	var layers []cnn.LayerConfig

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,16 +104,30 @@ func TestRunVGGModels(t *testing.T) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	cases := [][]string{
-		{"-model", "resnet"},
-		{"-layer", "Conv99"},
-		{"-mode", "teleport"},
-		{"-rounds", "0"},
+	cases := []struct {
+		args []string
+		want error // nil: any error
+	}{
+		{[]string{"-model", "resnet"}, nil},
+		{[]string{"-layer", "Conv99"}, nil},
+		{[]string{"-mode", "teleport"}, nil},
+		{[]string{"-rounds", "0"}, nil},
+		{[]string{"-rows", "0"}, errMesh},
+		{[]string{"-rows", "-2"}, errMesh},
+		{[]string{"-cols", "0"}, errMesh},
+		{[]string{"-tmac", "-1000"}, errTMAC},
 	}
-	for _, args := range cases {
+	for _, c := range cases {
 		var b bytes.Buffer
-		if err := run(args, &b); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(c.args, &b)
+		switch {
+		case err == nil:
+			t.Errorf("args %v accepted", c.args)
+		case c.want != nil && !errors.Is(err, c.want):
+			t.Errorf("args %v: err %v, want %v", c.args, err, c.want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("args %v wrote %d bytes", c.args, b.Len())
 		}
 	}
 }

@@ -21,6 +21,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,12 @@ import (
 	"gathernoc/internal/experiments"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/round"
+)
+
+// Named flag errors, refused before anything runs.
+var (
+	errRounds = errors.New("-rounds must be >= 1")
+	errJobs   = errors.New("-jobs must be >= 1")
 )
 
 func main() {
@@ -142,8 +149,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *format != "text" && *format != "json" {
+	switch {
+	case *format != "text" && *format != "json":
 		return fmt.Errorf("unknown format %q (text, json)", *format)
+	case *rounds < 1:
+		return errRounds
+	case *jobs < 1:
+		return errJobs
 	}
 	opts := experiments.Options{
 		Rounds: *rounds, Workers: *workers, Ctx: ctx,

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -106,6 +107,25 @@ func TestRunJSONFormat(t *testing.T) {
 	}
 	if out["fig1"].UnicastHops != 15 || out["fig1"].GatherHops != 5 {
 		t.Errorf("fig1 = %+v", out["fig1"])
+	}
+}
+
+// Out-of-range -rounds and -jobs are refused by name before anything runs,
+// instead of failing deep in one artifact or falling back to a default.
+func TestRunRejectsBadFlagValues(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want error
+	}{
+		{[]string{"-exp", "ina", "-rounds", "-1"}, errRounds},
+		{[]string{"-exp", "table2", "-rounds", "0"}, errRounds},
+		{[]string{"-exp", "multijob", "-jobs", "-3"}, errJobs},
+		{[]string{"-exp", "multijob", "-jobs", "0"}, errJobs},
+	} {
+		var b strings.Builder
+		if err := run(context.Background(), c.args, &b); !errors.Is(err, c.want) || b.Len() != 0 {
+			t.Errorf("args %v: err %v with %d bytes printed, want %v and no output", c.args, err, b.Len(), c.want)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@
 //	nocsim -rate 0.005 -cpuprofile cpu.out        # profile a run
 //	nocsim -rate 0.005 -memprofile mem.out        # heap profile at exit
 //	nocsim -rows 64 -cols 64 -shards 4            # sharded tick loop
-//	nocsim -rate 0.005 -alwaystick                # naive engine reference
 //	nocsim -ina -inamode ina -inarounds 4         # in-network accumulation
 //	nocsim -collective allreduce -algorithm tree  # mesh-wide collective
 //	nocsim -collective bcast -topology torus      # multicast broadcast
@@ -88,7 +87,6 @@ func run(args []string, w io.Writer) (err error) {
 		replayPath = fs.String("replay", "", "replay a JSON trace file instead of synthetic traffic")
 		maxCycles  = fs.Int64("maxcycles", 10_000_000, "simulation cycle budget")
 		heatmap    = fs.Bool("heatmap", false, "print a per-router utilization heatmap after the run")
-		alwaysTick = fs.Bool("alwaystick", false, "disable sleep/wake scheduling (tick every component every cycle)")
 		shards     = fs.Int("shards", 0, "row-partitioned tick-loop shards (0 = sequential engine)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write an allocation profile at exit to this file")
@@ -185,7 +183,6 @@ func run(args []string, w io.Writer) (err error) {
 	cfg.Router.VCs = *vcs
 	cfg.Router.BufferDepth = *depth
 	cfg.Routing = *routing
-	cfg.AlwaysTick = *alwaysTick
 	cfg.Shards = *shards
 	cfg.EnableINA = *ina
 	if *coll != "" && *collAlg == "fused" {
@@ -209,11 +206,10 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	if ck != nil {
 		// The checkpoint carries the capturing run's full configuration;
-		// only the result-invariant execution knobs (engine sharding,
-		// sleep/wake) follow this invocation's flags. Everything else is
-		// enforced by the config-hash guard inside Restore.
+		// only the result-invariant engine sharding follows this
+		// invocation's flags. Everything else is enforced by the
+		// config-hash guard inside Restore.
 		cfg = ck.Network.Config
-		cfg.AlwaysTick = *alwaysTick
 		cfg.Shards = *shards
 	}
 	nw, err := noc.New(cfg)

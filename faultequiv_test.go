@@ -125,13 +125,13 @@ func TestFaultRecoveryEngineEquivalence(t *testing.T) {
 	run := func(alwaysTick bool) (*traffic.AccumulationResult, noc.Activity) {
 		t.Helper()
 		cfg := noc.DefaultConfig(6, 6)
-		cfg.AlwaysTick = alwaysTick
 		cfg.Faults = &fault.Config{Seed: 21, DropRate: 0.05, CorruptRate: 0.02}
 		nw, err := noc.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer nw.Close()
+		nw.Engine().SetAlwaysTick(alwaysTick)
 		ctrl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
 			Scheme: traffic.CollectGather, Rounds: 3, ComputeLatency: 15,
 		})

@@ -80,9 +80,6 @@ func TestTreePlanShape(t *testing.T) {
 			} else if plan.RootIsSink {
 				t.Fatal("torus plan claims a sink root")
 			}
-			if plan.LiveCount != topo.NumNodes() {
-				t.Fatalf("LiveCount = %d, want %d", plan.LiveCount, topo.NumNodes())
-			}
 			if plan.Dests(topo).Len() != topo.NumNodes() {
 				t.Fatalf("Dests covers %d nodes, want all", plan.Dests(topo).Len())
 			}
@@ -96,74 +93,6 @@ func TestTreePlanRootAtSinkNeedsSinks(t *testing.T) {
 	if _, err := NewTreePlan(nw, PlanOptions{RootAtSink: true}); err == nil {
 		t.Fatal("RootAtSink on a torus should fail")
 	}
-}
-
-// TestTreePlanDeadMasks exercises the fault-masked construction: a dead
-// node off every live sweep path is skipped, while one sitting on a live
-// node's route makes the plan infeasible with fault.ErrUnreachable.
-func TestTreePlanDeadMasks(t *testing.T) {
-	cfg := noc.DefaultConfig(4, 4)
-	nw := newNetwork(t, cfg)
-	topo := nw.Topology()
-	id := func(r, c int) int { return int(topo.ID(topology.Coord{Row: r, Col: c})) }
-
-	t.Run("west-column-dead", func(t *testing.T) {
-		// Column 0 dead: live sweeps run east from column >= 1 and down
-		// the east column, never crossing column 0.
-		dead := make([]bool, topo.NumNodes())
-		for r := 0; r < 4; r++ {
-			dead[id(r, 0)] = true
-		}
-		plan, err := NewTreePlan(nw, PlanOptions{Dead: dead})
-		if err != nil {
-			t.Fatalf("NewTreePlan: %v", err)
-		}
-		if plan.LiveCount != 12 {
-			t.Fatalf("LiveCount = %d, want 12", plan.LiveCount)
-		}
-		if plan.Alive(topo.ID(topology.Coord{Row: 1, Col: 0})) {
-			t.Fatal("dead node reported alive")
-		}
-	})
-
-	t.Run("row-sweep-cut", func(t *testing.T) {
-		// A dead mid-row node cuts every live node west of it off its
-		// row target.
-		dead := make([]bool, topo.NumNodes())
-		dead[id(1, 2)] = true
-		_, err := NewTreePlan(nw, PlanOptions{Dead: dead})
-		if !errors.Is(err, fault.ErrUnreachable) {
-			t.Fatalf("err = %v, want fault.ErrUnreachable", err)
-		}
-	})
-
-	t.Run("column-sweep-cut", func(t *testing.T) {
-		// A dead east-column node cuts every row above it off the root.
-		dead := make([]bool, topo.NumNodes())
-		for c := 0; c < 4; c++ {
-			// Kill row 1 entirely so no live node needs its row sweep...
-			dead[id(1, c)] = true
-		}
-		// ...but rows 0's column relay still crosses the dead (1, 3).
-		_, err := NewTreePlan(nw, PlanOptions{Dead: dead})
-		if !errors.Is(err, fault.ErrUnreachable) {
-			t.Fatalf("err = %v, want fault.ErrUnreachable", err)
-		}
-	})
-
-	t.Run("all-dead", func(t *testing.T) {
-		dead := make([]bool, topo.NumNodes())
-		for i := range dead {
-			dead[i] = true
-		}
-		plan, err := NewTreePlan(nw, PlanOptions{Dead: dead})
-		if err != nil {
-			t.Fatalf("NewTreePlan: %v", err)
-		}
-		if plan.LiveCount != 0 {
-			t.Fatalf("LiveCount = %d, want 0", plan.LiveCount)
-		}
-	})
 }
 
 // runAlone is workload.Run, which imports this package: every delivery to

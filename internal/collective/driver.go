@@ -252,7 +252,7 @@ func (d *Driver) Inject(id int, cycle int64) {
 
 // Advance relays completed row sums, launches the broadcast leg once its
 // value is ready and reports whether the round is complete (round.Hooks):
-// every live node holds the broadcast, or for a pure reduce the root
+// every node holds the broadcast, or for a pure reduce the root
 // account verified.
 func (d *Driver) Advance(cycle int64) bool {
 	if d.treeLevels() {
@@ -260,7 +260,7 @@ func (d *Driver) Advance(cycle int64) bool {
 	}
 	d.maybeBroadcast(cycle)
 	if d.hasBroadcast() {
-		return d.gotCount >= d.plan.LiveCount
+		return d.gotCount >= d.nodes
 	}
 	return d.reduceDone
 }
@@ -354,11 +354,11 @@ func (d *Driver) OnPacket(p *nic.ReceivedPacket) {
 }
 
 // onBroadcast accounts one broadcast delivery at node `at`: exactly one
-// receipt per live node per round, carrying exactly the round's value.
+// receipt per node per round, carrying exactly the round's value.
 func (d *Driver) onBroadcast(pl flit.Payload, at topology.NodeID) {
 	if flit.ReduceIDTag(pl.ReduceID) != d.Tag() ||
 		flit.ReduceIDRound(pl.ReduceID) != uint32(d.Round()) ||
-		int(at) >= d.nodes || !d.plan.Alive(at) || d.got[at] {
+		int(at) >= d.nodes || d.got[at] {
 		d.res.BroadcastErrors++
 		return
 	}

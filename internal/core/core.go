@@ -26,8 +26,6 @@ type Options struct {
 	MutateNetwork func(*noc.Config)
 	// MutateSystolic, when non-nil, adjusts the systolic configuration.
 	MutateSystolic func(*systolic.Config)
-	// Coefficients overrides the energy model (nil = defaults).
-	Coefficients *power.Coefficients
 }
 
 func (o Options) rounds() int {
@@ -43,13 +41,6 @@ const (
 	tmac      = 5
 	maxCycles = 50_000_000
 )
-
-func (o Options) coefficients() power.Coefficients {
-	if o.Coefficients != nil {
-		return *o.Coefficients
-	}
-	return power.DefaultCoefficients()
-}
 
 // networkConfig and systolicConfig materialize the configurations of one
 // layer run: defaults, then the Options' mutators. RunLayer simulates what
@@ -159,7 +150,7 @@ func report(cfg noc.Config, layer cnn.LayerConfig, mode systolic.Mode, opts Opti
 	return &LayerReport{
 		Result:        res,
 		Events:        events,
-		Energy:        power.Compute(events, opts.coefficients(), res.MeasuredCycles, 1.0),
+		Energy:        power.Compute(events, power.DefaultCoefficients(), res.MeasuredCycles, 1.0),
 		NetworkConfig: cfg,
 	}
 }

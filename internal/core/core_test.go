@@ -2,12 +2,10 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/noc"
-	"gathernoc/internal/power"
 	"gathernoc/internal/systolic"
 )
 
@@ -97,9 +95,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.rounds() != 2 {
 		t.Errorf("default rounds = %d", o.rounds())
 	}
-	if o.coefficients().BufferWrite <= 0 {
-		t.Error("default coefficients empty")
-	}
 }
 
 func TestMutateSystolicApplied(t *testing.T) {
@@ -118,33 +113,5 @@ func TestMutateSystolicApplied(t *testing.T) {
 	if rep.Result.RoundCycles.Mean() <= base.Result.RoundCycles.Mean() {
 		t.Errorf("skewed round %.1f <= base %.1f",
 			rep.Result.RoundCycles.Mean(), base.Result.RoundCycles.Mean())
-	}
-}
-
-// TestCompareAppliesCoefficients: Compare prices the same Records with the
-// Options' energy model, so doubling every coefficient doubles each energy
-// figure exactly and leaves the latencies and the latency figure alone.
-func TestCompareAppliesCoefficients(t *testing.T) {
-	base, err := CompareLayer(4, 4, testLayer(), Options{Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := power.DefaultCoefficients()
-	v := reflect.ValueOf(&c).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetFloat(2 * v.Field(i).Float())
-	}
-	got := Compare(4, 4, testLayer(), Options{Rounds: 1, Coefficients: &c},
-		&systolic.Result{Record: base.RU.Result.Record}, &systolic.Result{Record: base.Gather.Result.Record})
-	for _, pair := range [][2]*LayerReport{{got.RU, base.RU}, {got.Gather, base.Gather}} {
-		if g, b := pair[0].Energy, pair[1].Energy; g.NoCPJ != 2*b.NoCPJ || g.ComputePJ != 2*b.ComputePJ || g.AvgPowerMW != 2*b.AvgPowerMW {
-			t.Errorf("doubled coefficients: energy %+v, base %+v", g, b)
-		}
-		if pair[0].Result.TotalCycles != pair[1].Result.TotalCycles {
-			t.Errorf("coefficients moved the latency: %d vs %d", pair[0].Result.TotalCycles, pair[1].Result.TotalCycles)
-		}
-	}
-	if got.LatencyImprovementPct != base.LatencyImprovementPct {
-		t.Errorf("latency improvement %v, base %v", got.LatencyImprovementPct, base.LatencyImprovementPct)
 	}
 }

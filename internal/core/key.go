@@ -21,7 +21,9 @@ const ComparisonKeyVersion = "gathernoc/core.Comparison/v1"
 // normalizes defaults and excludes result-invariant execution knobs), and
 // the systolic configurations enter fully materialized — Options carries
 // mutation closures, which cannot be hashed, so the key captures what they
-// produced rather than what they are.
+// produced rather than what they are. Coefficients is the energy model
+// every run is priced with, so an edit to power.DefaultCoefficients
+// invalidates cached entries.
 type comparisonKey struct {
 	Version      string
 	Rows, Cols   int
@@ -48,7 +50,7 @@ func ComparisonKey(rows, cols int, layer cnn.LayerConfig, opts Options) (string,
 		RU:           opts.systolicConfig(layer, systolic.RepetitiveUnicast),
 		Gather:       opts.systolicConfig(layer, systolic.GatherMode),
 		MaxCycles:    maxCycles,
-		Coefficients: opts.coefficients(),
+		Coefficients: power.DefaultCoefficients(),
 	}
 	data, err := json.Marshal(k)
 	if err != nil {

@@ -83,15 +83,16 @@ func mustLayer(t *testing.T, name string) cnn.LayerConfig {
 }
 
 // conv1Key is the key of AlexNet Conv1 on the 8x8 mesh at Options{Rounds:
-// 1}, byte for byte. The T_MAC, exact-rounds and cycle-budget defaults are
-// constants, not Options fields, but the key still spells them out, so
-// cache entries written under earlier builds keep their paths.
+// 1}, byte for byte. The T_MAC, cycle-budget and energy-model defaults are
+// constants, not Options fields, but the key still spells them out. A
+// change to these bytes moves every cache entry's path, so it is made on
+// purpose, never as a side effect.
 const conv1Key = `{"Version":"gathernoc/core.Comparison/v1","Rows":8,"Cols":8,` +
-	`"NetworkHash":"5e8dbdd5a2b9e45e794dcac6ddf513c8f92da1a37c27493ddfabdfc9887cc8d7",` +
+	`"NetworkHash":"44b42a54e98071b57a0a722bf531a75e73d5eb3f3dfda5e3d54b729fc30fbf58",` +
 	`"RU":{"Layer":{"Model":"AlexNet","Name":"Conv1","Kind":0,"InChannels":3,"OutKernels":64,"Kernel":11,"InputSize":224,"OutputSize":55,"Stride":4,"Pad":2},` +
-	`"Mode":1,"Dataflow":0,"TMAC":5,"MaxRounds":1,"SimulateAllRounds":false,"FlatDelta":false,"SkewPerHop":0},` +
+	`"Mode":1,"Dataflow":0,"TMAC":5,"MaxRounds":1,"FlatDelta":false,"SkewPerHop":0},` +
 	`"Gather":{"Layer":{"Model":"AlexNet","Name":"Conv1","Kind":0,"InChannels":3,"OutKernels":64,"Kernel":11,"InputSize":224,"OutputSize":55,"Stride":4,"Pad":2},` +
-	`"Mode":2,"Dataflow":0,"TMAC":5,"MaxRounds":1,"SimulateAllRounds":false,"FlatDelta":false,"SkewPerHop":0},` +
+	`"Mode":2,"Dataflow":0,"TMAC":5,"MaxRounds":1,"FlatDelta":false,"SkewPerHop":0},` +
 	`"MaxCycles":50000000,` +
 	`"Coefficients":{"BufferWrite":0.75,"BufferRead":0.65,"RouteCompute":0.08,"VAAllocation":0.12,"SAArbitration":0.1,` +
 	`"CrossbarTraversal":1.2,"LinkTraversal":1.75,"GatherUpload":0.05,"ReduceMerge":0.18,"StreamHop":4.35,"MAC":0.9}}`

@@ -409,15 +409,11 @@ func TestCacheDiskHitEqualsCompareLayer(t *testing.T) {
 	for _, l := range cnn.AlexNetConvLayers() {
 		cells = append(cells, cell{"table2 " + l.Name, 8, l, core.Options{Rounds: 1}})
 	}
-	coeff := power.DefaultCoefficients()
-	coeff.LinkTraversal *= 2
-	coeff.MAC /= 3
 	cells = append(cells,
 		cell{"fig8", 8, cnn.VGG16SelectedConvLayers()[0], core.Options{Rounds: 1}},
 		cell{"ablation delta=5", 8, ablationLayer(), core.Options{Rounds: 1,
 			MutateNetwork:  func(c *noc.Config) { c.Delta = 5 },
 			MutateSystolic: func(s *systolic.Config) { s.FlatDelta = true }}},
-		cell{"coefficients", 4, testLayer, core.Options{Rounds: 1, Coefficients: &coeff}},
 		cell{"weight stationary", 4, testLayer, core.Options{Rounds: 1,
 			MutateSystolic: func(s *systolic.Config) { s.Dataflow = systolic.WeightStationary }}},
 	)

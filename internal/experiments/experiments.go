@@ -12,7 +12,6 @@ import (
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/core"
 	"gathernoc/internal/noc"
-	"gathernoc/internal/telemetry"
 	"gathernoc/internal/topology"
 )
 
@@ -47,12 +46,6 @@ type Options struct {
 	// of resimulating. Nil leaves every cell simulated, bit-identical to
 	// the uncached code path.
 	Cache *Cache
-	// Telemetry, when non-nil, enables the observability layer on every
-	// simulated sweep cell (each cell runs on its own Network, so each
-	// gets its own collector); the cell's report then carries epoch/event
-	// counts from the harvested run. Nil leaves telemetry off — the
-	// default, and the configuration every published number uses.
-	Telemetry *telemetry.Config
 }
 
 func (o Options) meshes() []int {

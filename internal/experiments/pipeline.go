@@ -33,11 +33,6 @@ type PipelineRow struct {
 	// OracleErrors counts row reductions that failed verification
 	// (must be 0).
 	OracleErrors int
-	// TelemetryEpochs/TelemetryEvents summarize the cell's harvested
-	// telemetry when Options.Telemetry opted in (0/0 otherwise; the
-	// analytic arm runs many short fabrics and reports none).
-	TelemetryEpochs int
-	TelemetryEvents int
 }
 
 // pipelinePoint is one cell of the comparison sweep.
@@ -46,15 +41,13 @@ type pipelinePoint struct {
 	mode     string
 }
 
-// pipelineFabric acquires the 8x8 network for a topology name, with the
-// sweep's telemetry opt-in applied (each cell owns its network, so each
-// harvests independently). The caller releases it.
-func pipelineFabric(topology string, opts Options) (*noc.Network, error) {
+// pipelineFabric acquires the 8x8 network for a topology name. The caller
+// releases it.
+func pipelineFabric(topology string) (*noc.Network, error) {
 	cfg := noc.DefaultConfig(8, 8)
 	if topology == "torus" {
 		cfg = noc.DefaultTorusConfig(8, 8)
 	}
-	cfg.Telemetry = opts.Telemetry
 	return noc.Acquire(cfg)
 }
 
@@ -108,10 +101,7 @@ func analyticComposition(row PipelineRow, layers []cnn.LayerConfig, opts Options
 // the layer (workload.NewPipelineJob), so the two arms share its compute
 // latency by construction.
 func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traffic.AccumulationResult, error) {
-	// The analytic arm intentionally passes a telemetry-free Options: it
-	// runs one fabric per layer, and a per-layer harvest would not compose
-	// into one run's series.
-	nw, err := pipelineFabric(topology, Options{})
+	nw, err := pipelineFabric(topology)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +125,7 @@ func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traff
 // pipelineRun composes the whole model on one fabric through the
 // scheduler.
 func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts Options) (PipelineRow, error) {
-	nw, err := pipelineFabric(row.Topology, opts)
+	nw, err := pipelineFabric(row.Topology)
 	if err != nil {
 		return row, err
 	}
@@ -162,10 +152,6 @@ func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts O
 		snap := d.Snapshot()
 		row.ExtrapolatedCycles += snap.TotalCycles
 		row.OracleErrors += snap.OracleErrors
-	}
-	if rep := nw.HarvestTelemetry(); rep != nil {
-		row.TelemetryEpochs = len(rep.EpochIndex)
-		row.TelemetryEvents = len(rep.Events)
 	}
 	return row, nil
 }
@@ -226,10 +212,6 @@ type MultiJobReport struct {
 	OrphanPayloads  uint64
 	BackgroundRate  float64
 	InferenceLayers int
-	// TelemetryEpochs/TelemetryEvents summarize the run's harvested
-	// telemetry when Options.Telemetry opted in (0/0 otherwise).
-	TelemetryEpochs int
-	TelemetryEvents int
 }
 
 // MultiJob batches opts.Jobs (default 4) concurrent two-layer inference
@@ -242,7 +224,7 @@ func MultiJob(opts Options) (*MultiJobReport, error) {
 	layers := cnn.AlexNetAllLayers()[:2] // Conv1 → Pool1
 	const bgRate = 0.005
 
-	nw, err := pipelineFabric("mesh", opts)
+	nw, err := pipelineFabric("mesh")
 	if err != nil {
 		return nil, err
 	}
@@ -326,10 +308,6 @@ func MultiJob(opts Options) (*MultiJobReport, error) {
 		for _, d := range drv {
 			rep.OracleErrors += d.Snapshot().OracleErrors
 		}
-	}
-	if trep := nw.HarvestTelemetry(); trep != nil {
-		rep.TelemetryEpochs = len(trep.EpochIndex)
-		rep.TelemetryEvents = len(trep.Events)
 	}
 	return rep, nil
 }

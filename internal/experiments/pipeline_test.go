@@ -3,8 +3,6 @@ package experiments
 import (
 	"math"
 	"testing"
-
-	"gathernoc/internal/telemetry"
 )
 
 // pipelineReconcileTolerance is the stated tolerance between the
@@ -105,35 +103,5 @@ func TestMultiJobReport(t *testing.T) {
 	}
 	if RenderMultiJob(rep) == "" {
 		t.Error("empty render")
-	}
-}
-
-// TestMultiJobTelemetryOptIn covers the sweep harness's per-cell opt-in:
-// the same batch with Options.Telemetry carries harvested epoch/event
-// counts in its report, and without it records none (the published
-// numbers' configuration).
-func TestMultiJobTelemetryOptIn(t *testing.T) {
-	dark, err := MultiJob(Options{Rounds: 1, Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dark.TelemetryEpochs != 0 || dark.TelemetryEvents != 0 {
-		t.Errorf("telemetry-off report carries counts: %d epochs, %d events",
-			dark.TelemetryEpochs, dark.TelemetryEvents)
-	}
-	lit, err := MultiJob(Options{Rounds: 1, Jobs: 2,
-		Telemetry: &telemetry.Config{Epoch: 64, TraceSample: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lit.TelemetryEpochs == 0 {
-		t.Error("telemetry-on report harvested no epochs")
-	}
-	if lit.TelemetryEvents == 0 {
-		t.Error("telemetry-on report harvested no events")
-	}
-	// Observational only: the schedule must not notice the probes.
-	if lit.Cycles != dark.Cycles {
-		t.Errorf("telemetry changed the schedule: %d vs %d cycles", lit.Cycles, dark.Cycles)
 	}
 }

@@ -43,8 +43,8 @@ func TestSweepBuildsOneFabricPerWorkerAndConfig(t *testing.T) {
 }
 
 // TestMultiJobReleasesItsFabric: MultiJob takes its network from Acquire
-// like every other cell, so it must hand it back. With telemetry off the
-// fabric is poolable: the second of two calls runs on the one the first
+// like every other cell, so it must hand it back. The fabric carries no
+// telemetry, so it is poolable: the second of two calls runs on the one the first
 // released (the first builds it, unless an earlier test parked one of the
 // same configuration), and neither drops it.
 func TestMultiJobReleasesItsFabric(t *testing.T) {

@@ -10,16 +10,9 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrUnreachable is the named error for a destination that no alive path
-// can reach under the currently active outages. It is returned (wrapped)
-// by the collective tree planner (collective.NewTreePlan) when a dead node
-// severs a route; callers detect it with errors.Is.
-var ErrUnreachable = errors.New("fault: destination unreachable")
 
 // Window is a half-open cycle interval [From, Until) during which an
 // outage is active. Until <= 0 means the outage is permanent.

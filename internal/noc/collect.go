@@ -44,10 +44,6 @@ type LineCollect struct {
 	// DeltaScale[i] is the δ multiplier for Nodes[i]: 1 + its hop distance
 	// from the initiator whose packet sweeps it.
 	DeltaScale []int
-	// Wrap records whether the plan covers a ring with two directional
-	// arcs (wrap-aware routing) rather than one straight mesh sweep; it
-	// decides which segment SweepPath walks.
-	Wrap bool
 }
 
 // IsInitiator reports whether id launches one of the line's collective
@@ -59,36 +55,6 @@ func (lc *LineCollect) IsInitiator(id topology.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// SweepPath appends to buf the line indices a payload from Nodes[i]
-// traverses to reach the target (both endpoints included): the straight
-// east/south segment on mesh paths, or the node's directional arc on a
-// ring. Fault-masked plan builders walk it to decide whether a dead router
-// cuts the node off.
-func (lc *LineCollect) SweepPath(i int, buf []int) []int {
-	n := len(lc.Nodes)
-	t := n - 1
-	buf = append(buf, i)
-	if !lc.Wrap {
-		for j := i + 1; j < n; j++ {
-			buf = append(buf, j)
-		}
-		return buf
-	}
-	if d := pmod(t-i, n); d <= n-d {
-		// Swept by the forward (east/south) packet.
-		for j := i; j != t; {
-			j = pmod(j+1, n)
-			buf = append(buf, j)
-		}
-	} else {
-		for j := i; j != t; {
-			j = pmod(j-1, n)
-			buf = append(buf, j)
-		}
-	}
-	return buf
 }
 
 // RowLine plans the collection of one row at its east-column PE, or — when
@@ -128,7 +94,6 @@ func (nw *Network) lineCollect(nodes []topology.NodeID, sinkRow int, toSink bool
 		Nodes:        nodes,
 		Target:       nodes[n-1],
 		TargetIsSink: toSink,
-		Wrap:         nw.routing.VCClasses() > 1,
 	}
 	if toSink {
 		if len(nw.sinks) == 0 {

@@ -80,16 +80,11 @@ type Config struct {
 	// Schedules are bit-identical for every value, sequential included;
 	// shard counts above Rows are clamped (see EffectiveShards), and
 	// Shards=1 exercises the sharded machinery without parallelism. Each
-	// shard sleeps and wakes its components as the sequential engine
-	// does (AlwaysTick turns that off on either); only the link halves on
-	// a shard boundary and the serial sub-phase run every cycle.
+	// shard sleeps and wakes its components as the sequential engine does
+	// (sim.Engine.SetAlwaysTick, the tests' naive reference, turns that
+	// off on either); only the link halves on a shard boundary and the
+	// serial sub-phase run every cycle.
 	Shards int
-	// AlwaysTick disables the engine's sleep/wake scheduling, evaluating
-	// every router, link and NIC every cycle. The default (false) skips
-	// quiescent components, which is bit-identical but much faster at the
-	// paper's operating points; the naive mode exists as the reference
-	// path for the golden equivalence tests and for perf comparisons.
-	AlwaysTick bool
 	// DebugFlitPool enables the flit pool's ownership checker: every
 	// acquire/release is tracked, double releases panic, and tests can
 	// assert a drained network leaked nothing (Network.FlitPool().Live()
@@ -213,11 +208,6 @@ func (c Config) Validate() error {
 		case c.EffectiveRouting() == "xy" && c.Router.GatherVC >= 0:
 			return fmt.Errorf("noc: GatherVC %d conflicts with the torus dateline VC classes; "+
 				"use GatherVC=-1 or an adaptive routing (westfirst, oddeven)", c.Router.GatherVC)
-		}
-	}
-	if c.Telemetry != nil {
-		if err := c.Telemetry.Validate(); err != nil {
-			return err
 		}
 	}
 	if err := c.Faults.Validate(); err != nil {

@@ -14,7 +14,7 @@ import (
 // field changes — a version bump invalidates every cached result and
 // checkpoint keyed by the old scheme, which is exactly what a semantic
 // change requires.
-const configHashVersion = "gathernoc/noc.Config/v1"
+const configHashVersion = "gathernoc/noc.Config/v2"
 
 // hashExcludedFields names the Config fields the canonical hash ignores,
 // with the invariance argument for each. Every field listed here must be
@@ -29,9 +29,8 @@ const configHashVersion = "gathernoc/noc.Config/v1"
 // invariant by being added to this set.
 var hashExcludedFields = map[string]string{
 	// Engine backends: schedules are bit-identical at every shard count
-	// (DESIGN.md §9) and under naive ticking (the engineequiv contract).
-	"Shards":     "sharded and sequential engines are bit-identical",
-	"AlwaysTick": "sleep/wake and naive ticking are bit-identical",
+	// (DESIGN.md §9).
+	"Shards": "sharded and sequential engines are bit-identical",
 	// Debug/observability: purely observational layers, no schedule effect.
 	"DebugFlitPool": "ownership checking never alters a schedule",
 	"Telemetry":     "the collector is observational (DESIGN.md §11)",
@@ -49,7 +48,6 @@ func (c Config) normalizeForHash() Config {
 	n.ReduceCapacity = c.EffectiveReduceCapacity()
 	n.ReduceDelta = c.EffectiveReduceDelta()
 	n.Shards = 0
-	n.AlwaysTick = false
 	n.DebugFlitPool = false
 	n.Telemetry = nil
 	if !n.Faults.Enabled() {

@@ -22,7 +22,6 @@ func TestConfigHashEquivalences(t *testing.T) {
 		{"reduce capacity default", func(c *Config) { c.ReduceCapacity = 8 }},
 		{"reduce delta default", func(c *Config) { c.ReduceDelta = c.Delta }},
 		{"shards invariant", func(c *Config) { c.Shards = 4 }},
-		{"always-tick invariant", func(c *Config) { c.AlwaysTick = true }},
 		{"debug pool invariant", func(c *Config) { c.DebugFlitPool = true }},
 		{"telemetry invariant", func(c *Config) { c.Telemetry = &telemetry.Config{Epoch: 256} }},
 		{"disabled faults fold to nil", func(c *Config) { c.Faults = &fault.Config{Seed: 99} }},

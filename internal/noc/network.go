@@ -553,7 +553,6 @@ func (nw *Network) register() {
 			n.Ejector().SetStaged(dispatcher[nw.shardOfNode(n.ID())])
 		}
 	}
-	nw.engine.SetAlwaysTick(nw.cfg.AlwaysTick)
 }
 
 // wakeFromShards returns, indexed by shard, the handle the components of

@@ -251,14 +251,15 @@ func (nw *Network) Release() {
 // snapshot layer. What snapshots leave to the caller is put back here: the
 // engine (whatever was registered after the build is dropped and its
 // handles disarmed; clock, evaluation and jump counters, timers, watchdog,
-// interrupt flag and mode as built), the per-NIC δ overrides workload layers apply,
-// the receive callbacks on NICs and sinks, and the flit pool's counters.
+// interrupt flag, and the sleep/wake mode a test may have turned off), the
+// per-NIC δ overrides workload layers apply, the receive callbacks on NICs
+// and sinks, and the flit pool's counters.
 // The pool's freelist and the grown ring buffers stay: they hold capacity,
 // not state.
 func (nw *Network) reset() error {
 	nw.engine.Truncate(nw.built)
 	nw.engine.Reset()
-	nw.engine.SetAlwaysTick(nw.cfg.AlwaysTick)
+	nw.engine.SetAlwaysTick(false)
 	nw.pool.ResetCounts()
 
 	p, numNodes := nw.pristine, nw.topo.NumNodes()

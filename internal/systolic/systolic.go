@@ -112,10 +112,9 @@ type Config struct {
 	// (round.Loop.Settled), and accounts the rest as its copies: rounds
 	// are proven identical, else extrapolated. One that follows a
 	// trajectory table (round.Loop.Join) may instead replay the rounds of
-	// an earlier layer they provably repeat. 0 means 2.
+	// an earlier layer they provably repeat. 0 means 2; a value of at
+	// least the layer's round count simulates every round (exact mode).
 	MaxRounds int
-	// SimulateAllRounds disables extrapolation (exact mode).
-	SimulateAllRounds bool
 	// FlatDelta gives the controller's row plans unit δ scales, applying
 	// the network config's base δ uniformly — the literal reading of
 	// Table I, exercised by the δ ablation.
@@ -309,10 +308,7 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 	if sim == 0 {
 		sim = 2
 	}
-	if cfg.SimulateAllRounds || int64(sim) > total {
-		if total > int64(int(^uint(0)>>1)) {
-			return nil, fmt.Errorf("systolic: round count %d too large to simulate exactly", total)
-		}
+	if int64(sim) > total {
 		sim = int(total)
 	}
 	c.Init(c, c.rows*c.cols, sim)

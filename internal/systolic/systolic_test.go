@@ -1,6 +1,7 @@
 package systolic
 
 import (
+	"reflect"
 	"testing"
 
 	"gathernoc/internal/analytic"
@@ -128,30 +129,46 @@ func TestRoundsAreIdentical(t *testing.T) {
 	}
 }
 
+// TestExactModeSmallLayer: a MaxRounds of at least the layer's round count
+// simulates every round, and one above it yields exactly the Record of
+// MaxRounds equal to it (NewController clamps).
 func TestExactModeSmallLayer(t *testing.T) {
 	layer := cnn.LayerConfig{
 		Model: "test", Name: "micro", InChannels: 1, OutKernels: 4, Kernel: 2,
 		InputSize: 5, OutputSize: 4, Stride: 1, Pad: 0,
 	}
-	nw, err := noc.New(noc.DefaultConfig(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := NewController(nw, Config{
-		Layer: layer, Mode: GatherMode, TMAC: 5, SimulateAllRounds: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := workload.Run(nw, ctl, 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	res := ctl.Result()
-	if int64(res.RoundsSimulated) != res.TotalRounds {
-		t.Errorf("simulated %d of %d rounds in exact mode", res.RoundsSimulated, res.TotalRounds)
-	}
-	if res.MeasuredCycles != res.TotalCycles {
-		t.Errorf("exact mode measured %d != total %d", res.MeasuredCycles, res.TotalCycles)
+	total := Config{Layer: layer}.totalRounds(4, 4)
+	var exact Record
+	for _, tc := range []struct {
+		name      string
+		maxRounds int
+	}{
+		{"equal to the round count", int(total)},
+		{"above the round count", int(total) + 1000},
+	} {
+		nw, err := noc.New(noc.DefaultConfig(4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := NewController(nw, Config{Layer: layer, Mode: GatherMode, TMAC: 5, MaxRounds: tc.maxRounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.Run(nw, ctl, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		res := ctl.Result()
+		if int64(res.RoundsSimulated) != res.TotalRounds || res.TotalRounds != total {
+			t.Errorf("%s: simulated %d of %d rounds, want %d of %d", tc.name, res.RoundsSimulated, res.TotalRounds, total, total)
+		}
+		if res.MeasuredCycles != res.TotalCycles {
+			t.Errorf("%s: exact mode measured %d != total %d", tc.name, res.MeasuredCycles, res.TotalCycles)
+		}
+		if exact.TotalRounds == 0 {
+			exact = res.Record
+		} else if !reflect.DeepEqual(res.Record, exact) {
+			t.Errorf("%s: record %+v, want %+v", tc.name, res.Record, exact)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func awkwardReport(epochs int, wrapped bool) *Report {
 	r := &Report{Epoch: 256}
 	first := int64(0)
 	if wrapped {
-		first = 1000 // MaxEpochs < epochs run: the window starts mid-run
+		first = 1000 // maxEpochs < epochs run: the window starts mid-run
 	}
 	for e := 0; e < epochs; e++ {
 		idx := first + int64(e)

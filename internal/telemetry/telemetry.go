@@ -20,7 +20,6 @@ package telemetry
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -29,9 +28,8 @@ import (
 	"gathernoc/internal/sim"
 )
 
-// Config enables and sizes the telemetry subsystem. The zero value
-// disables everything; a Config reaches the network through
-// noc.Config.Telemetry.
+// Config enables the telemetry subsystem. The zero value disables
+// everything; a Config reaches the network through noc.Config.Telemetry.
 type Config struct {
 	// Epoch is the metrics snapshot period in cycles; <= 0 disables the
 	// epoch collector (the tracer may still run).
@@ -41,21 +39,24 @@ type Config struct {
 	// identical for every shard count); 0 disables tracing, 1 traces
 	// every packet.
 	TraceSample uint64
-	// MaxEpochs bounds each probe's time-series ring (0 = 1024 epochs,
-	// i.e. 256K cycles of history at the default period); older epochs
-	// are overwritten, keeping the most recent window. A ring row is
-	// allocated the first time the run reaches its slot and reused once
-	// the ring wraps, and it holds only the sources that moved in its
-	// epoch, their fields as varints (DESIGN.md §11): a quiet epoch costs a
-	// few bytes per 64 sources, a busy one a byte or two per field. So
-	// memory follows what was recorded and MaxEpochs is only the ceiling.
-	MaxEpochs int
-	// MaxEvents bounds each probe's event buffer (0 = 65536 events); the
-	// buffer grows as events arrive, so the bound is a ceiling, not an
-	// allocation. Events past it are dropped and counted in
-	// Report.DroppedEvents.
-	MaxEvents int
 }
+
+// The probes' bounds.
+const (
+	// maxEpochs bounds each probe's time-series ring (256K cycles of
+	// history at the default period); older epochs are overwritten,
+	// keeping the most recent window. A ring row is allocated the first
+	// time the run reaches its slot and reused once the ring wraps, and it
+	// holds only the sources that moved in its epoch, their fields as
+	// varints (DESIGN.md §11): a quiet epoch costs a few bytes per 64
+	// sources, a busy one a byte or two per field. So memory follows what
+	// was recorded and maxEpochs is only the ceiling.
+	maxEpochs = 1024
+	// maxEvents bounds each probe's event buffer; the buffer grows as
+	// events arrive, so the bound is a ceiling, not an allocation. Events
+	// past it are dropped and counted in Report.DroppedEvents.
+	maxEvents = 65536
+)
 
 // DefaultConfig returns the default-sampling telemetry configuration the
 // CLIs enable: 256-cycle epochs, one traced packet in 64.
@@ -65,31 +66,6 @@ func DefaultConfig() Config {
 
 // Enabled reports whether the config turns any telemetry on.
 func (c Config) Enabled() bool { return c.Epoch > 0 || c.TraceSample > 0 }
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.MaxEpochs < 0:
-		return fmt.Errorf("telemetry: MaxEpochs must be >= 0, got %d", c.MaxEpochs)
-	case c.MaxEvents < 0:
-		return fmt.Errorf("telemetry: MaxEvents must be >= 0, got %d", c.MaxEvents)
-	}
-	return nil
-}
-
-func (c Config) maxEpochs() int {
-	if c.MaxEpochs > 0 {
-		return c.MaxEpochs
-	}
-	return 1024
-}
-
-func (c Config) maxEvents() int {
-	if c.MaxEvents > 0 {
-		return c.MaxEvents
-	}
-	return 65536
-}
 
 // EventKind identifies one step of a packet's lifecycle (or a workload
 // phase boundary). The numeric order is part of the canonical event sort,
@@ -249,9 +225,8 @@ type Probe struct {
 
 	// Event buffer: a flat slice that grows as events arrive, up to
 	// maxEvents.
-	events    []Event
-	maxEvents int
-	dropped   uint64
+	events  []Event
+	dropped uint64
 
 	// Epoch ring (see Collector.Harvest for the merge): it grows by one
 	// row each time the run reaches a slot for the first time, up to
@@ -261,7 +236,6 @@ type Probe struct {
 	bounds    []int
 	cur, prev []int64
 	scratch   []byte // the row being packed, copied into its slot after
-	maxEpochs int
 	ring      []epochRow
 	head      int   // next slot to write
 	lastEnd   int64 // last snapshotted end cycle (-1 before the first)
@@ -343,16 +317,16 @@ func (p *Probe) Sampled(pid uint64) bool {
 	return x%n == 0
 }
 
-// Emit records one event; when the buffer holds MaxEvents the event is
+// Emit records one event; when the buffer holds maxEvents the event is
 // dropped and counted. Callers must hold the probe's single-writer role
 // (the owning shard's goroutine, or the serial sub-phase).
 func (p *Probe) Emit(ev Event) {
 	if len(p.events) == cap(p.events) {
-		if len(p.events) >= p.maxEvents {
+		if len(p.events) >= maxEvents {
 			p.dropped++
 			return
 		}
-		grown := make([]Event, len(p.events), min(max(2*cap(p.events), 256), p.maxEvents))
+		grown := make([]Event, len(p.events), min(max(2*cap(p.events), 256), maxEvents))
 		copy(grown, p.events)
 		p.events = grown
 	}
@@ -389,7 +363,7 @@ func (p *Probe) snapshot(epoch, endCycle int64) {
 	}
 	row := &p.ring[p.head]
 	p.head++
-	if p.head == p.maxEpochs {
+	if p.head == maxEpochs {
 		p.head = 0
 	}
 	row.index, row.end = epoch, endCycle
@@ -491,16 +465,13 @@ func (c *Collector) EpochCommitter(s int) *EpochCommitter {
 // Start bounds every probe's event buffer, lays its sources' snapshot
 // values out in two flat arrays and sizes its epoch ring. Call once, after
 // all sources are registered and before the first cycle; from then on the
-// tracer's buffer doubles as it fills, up to MaxEvents, and the epoch
+// tracer's buffer doubles as it fills, up to maxEvents, and the epoch
 // collector allocates one ring row per probe per epoch until the ring is
 // full, and after that only when an epoch's row outgrows the one in its
 // slot.
 func (c *Collector) Start() {
 	for _, p := range c.probes {
 		p.lastEnd = -1
-		if c.cfg.TraceSample > 0 {
-			p.maxEvents = c.cfg.maxEvents()
-		}
 		if c.cfg.Epoch > 0 {
 			p.bounds = make([]int, len(p.sources)+1)
 			for i := range p.sources {
@@ -508,7 +479,6 @@ func (c *Collector) Start() {
 			}
 			stride := p.bounds[len(p.sources)]
 			p.cur, p.prev = make([]int64, stride), make([]int64, stride)
-			p.maxEpochs = c.cfg.maxEpochs()
 		}
 	}
 }

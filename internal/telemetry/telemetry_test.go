@@ -23,7 +23,6 @@ func TestConfigEnabled(t *testing.T) {
 		{Config{Epoch: 256}, true},
 		{Config{TraceSample: 1}, true},
 		{Config{Epoch: 64, TraceSample: 8}, true},
-		{Config{MaxEpochs: 16, MaxEvents: 16}, false}, // bounds alone enable nothing
 	}
 	for _, c := range cases {
 		if got := c.cfg.Enabled(); got != c.want {
@@ -32,18 +31,6 @@ func TestConfigEnabled(t *testing.T) {
 	}
 	if DefaultConfig() != (Config{Epoch: 256, TraceSample: 64}) {
 		t.Errorf("DefaultConfig() = %+v", DefaultConfig())
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{Epoch: 256, TraceSample: 64}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-	if err := (Config{MaxEpochs: -1}).Validate(); err == nil {
-		t.Error("negative MaxEpochs accepted")
-	}
-	if err := (Config{MaxEvents: -1}).Validate(); err == nil {
-		t.Error("negative MaxEvents accepted")
 	}
 }
 
@@ -92,15 +79,15 @@ func TestSampledEdgeRates(t *testing.T) {
 }
 
 func TestEmitOverflowCountsDrops(t *testing.T) {
-	c := New(Config{TraceSample: 1, MaxEvents: 4}, 1)
+	c := New(Config{TraceSample: 1}, 1)
 	c.Start()
 	p := c.ShardProbe(0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxEvents+6; i++ {
 		p.Emit(Event{Cycle: int64(i), Packet: uint64(i), Kind: EvInject})
 	}
-	rep := c.Harvest(10)
-	if len(rep.Events) != 4 {
-		t.Errorf("kept %d events, want 4", len(rep.Events))
+	rep := c.Harvest(maxEvents + 6)
+	if len(rep.Events) != maxEvents {
+		t.Errorf("kept %d events, want maxEvents = %d", len(rep.Events), maxEvents)
 	}
 	if rep.DroppedEvents != 6 {
 		t.Errorf("DroppedEvents = %d, want 6", rep.DroppedEvents)
@@ -150,40 +137,41 @@ func TestSnapshotDeltaVsGauge(t *testing.T) {
 	}
 }
 
-// TestEpochRingWrap bounds the series: with MaxEpochs=2 only the newest
-// two epochs survive, indices intact. Ring rows exist only for the slots
-// the run reached, and a wrapped ring writes into the rows it has.
+// TestEpochRingWrap bounds the series: past maxEpochs epochs only the
+// newest maxEpochs survive, indices intact. Ring rows exist only for the
+// slots the run reached, and a wrapped ring writes into the rows it has.
 func TestEpochRingWrap(t *testing.T) {
-	c, state := collectorWithSource(Config{Epoch: 2, MaxEpochs: 2})
+	c, state := collectorWithSource(Config{Epoch: 2})
 	ec := c.EpochCommitter(0)
 	p := c.ShardProbe(0)
 	var first [2]*byte
-	for cycle := int64(0); cycle < 10; cycle++ {
+	const epochs = maxEpochs + 3
+	for cycle := int64(0); cycle < 2*epochs; cycle++ {
 		state[0]++
 		ec.Commit(cycle)
-		if cycle == 3 { // both slots reached once
+		if cycle == 3 { // the first two slots reached once
 			first = [2]*byte{&p.ring[0].vals[0], &p.ring[1].vals[0]}
 		}
 	}
-	if len(p.ring) != 2 {
-		t.Fatalf("ring holds %d rows, want MaxEpochs = 2", len(p.ring))
+	if len(p.ring) != maxEpochs {
+		t.Fatalf("ring holds %d rows, want maxEpochs = %d", len(p.ring), maxEpochs)
 	}
 	if &p.ring[0].vals[0] != first[0] || &p.ring[1].vals[0] != first[1] {
 		t.Error("rows were reallocated after the ring wrapped; they must be reused")
 	}
-	rep := c.Harvest(10)
-	if len(rep.EpochIndex) != 2 {
-		t.Fatalf("retained %d epochs, want 2", len(rep.EpochIndex))
+	rep := c.Harvest(2 * epochs)
+	if len(rep.EpochIndex) != maxEpochs {
+		t.Fatalf("retained %d epochs, want %d", len(rep.EpochIndex), maxEpochs)
 	}
-	if rep.EpochIndex[0] != 3 || rep.EpochIndex[1] != 4 {
-		t.Errorf("retained epochs %v, want [3 4]", rep.EpochIndex)
+	if first, last := rep.EpochIndex[0], rep.EpochIndex[maxEpochs-1]; first != 3 || last != epochs-1 {
+		t.Errorf("retained epochs %d..%d, want 3..%d", first, last, epochs-1)
 	}
-	if rep.EpochEnd[0] != 7 || rep.EpochEnd[1] != 9 {
-		t.Errorf("epoch ends %v, want [7 9]", rep.EpochEnd)
+	if first, last := rep.EpochEnd[0], rep.EpochEnd[maxEpochs-1]; first != 7 || last != 2*epochs-1 {
+		t.Errorf("epoch ends %d..%d, want 7..%d", first, last, 2*epochs-1)
 	}
 
 	// A long window costs nothing until it is used: 3 epochs, 3 rows.
-	c, state = collectorWithSource(Config{Epoch: 2, MaxEpochs: 1024})
+	c, state = collectorWithSource(Config{Epoch: 2})
 	ec = c.EpochCommitter(0)
 	if n := len(c.ShardProbe(0).ring); n != 0 {
 		t.Errorf("Start allocated %d ring rows before any epoch ran", n)
@@ -652,7 +640,7 @@ func TestSparseRowsMatchDense(t *testing.T) {
 	})
 	t.Run("wrapping window", func(t *testing.T) {
 		// Rows grow past their slot's capacity and shrink back into it.
-		c := runSynth(t, Config{Epoch: 4, MaxEpochs: 8}, 1, 45, func(e int) int { return []int{0, 40, 5, 100, 15, 70, 1}[e%7] })
+		c := runSynth(t, Config{Epoch: 4}, 1, maxEpochs+37, func(e int) int { return []int{0, 40, 5, 100, 15, 70, 1}[e%7] })
 		p := c.probes[0]
 		shrunk := 0
 		for _, row := range p.ring {
@@ -660,8 +648,8 @@ func TestSparseRowsMatchDense(t *testing.T) {
 				shrunk++
 			}
 		}
-		if len(p.ring) != 8 || shrunk == 0 {
-			t.Errorf("ring holds %d rows, %d of them shorter than their slot; want MaxEpochs = 8 rows, some reused by a shorter one", len(p.ring), shrunk)
+		if len(p.ring) != maxEpochs || shrunk == 0 {
+			t.Errorf("ring holds %d rows, %d of them shorter than their slot; want maxEpochs = %d rows, some reused by a shorter one", len(p.ring), shrunk, maxEpochs)
 		}
 	})
 	t.Run("two shards", func(t *testing.T) {
@@ -676,8 +664,10 @@ var fuzzValues = []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, math.MaxInt32,
 
 // FuzzEpochRows: whatever the sources, values and presence pattern, At
 // returns exactly what snapshot recorded. The input picks the source count
-// (63, 64 and 65 straddle a bitmap word), one or two shards, a window
-// small enough to wrap, the epoch count, and from its bytes, per (epoch,
+// (63, 64 and 65 straddle a bitmap word), one or two shards, whether the
+// run straddles the end of the maxEpochs window (a few epochs short of it
+// to a few past, wrapping the ring) or stays short, the epoch count, and
+// from its bytes, per (epoch,
 // source), whether the source moved and then each field's value: zero,
 // one of fuzzValues, a small signed one or eight raw bytes. One field in
 // three is a gauge, recorded as read; the rest are deltas of a counter
@@ -685,16 +675,19 @@ var fuzzValues = []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, math.MaxInt32,
 // included, is recorded as drawn. With two shards a split source,
 // registered on both, reads back as the sum of its parts.
 func FuzzEpochRows(f *testing.F) {
-	f.Add(uint8(63), false, uint8(3), uint8(7), []byte{1, 1, 9, 11, 3, 0, 1, 2, 200, 0, 1, 3, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint8(64), true, uint8(2), uint8(9), []byte{1, 5, 12, 0, 1, 1, 7, 255, 2, 129})
-	f.Add(uint8(65), true, uint8(4), uint8(4), []byte{3, 1, 10, 1, 11, 1, 12, 0, 0, 2})
-	f.Add(uint8(0), false, uint8(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, nsrc uint8, twoShards bool, window, epochs uint8, data []byte) {
+	f.Add(uint8(63), false, true, uint8(7), []byte{1, 1, 9, 11, 3, 0, 1, 2, 200, 0, 1, 3, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(64), true, true, uint8(9), []byte{1, 5, 12, 0, 1, 1, 7, 255, 2, 129})
+	f.Add(uint8(65), true, false, uint8(4), []byte{3, 1, 10, 1, 11, 1, 12, 0, 0, 2})
+	f.Add(uint8(0), false, false, uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, nsrc uint8, twoShards, wrap bool, epochs uint8, data []byte) {
 		sources, shards := 1+int(nsrc)%130, 1
 		if twoShards {
 			shards = 2
 		}
-		maxEpochs, run := 1+int(window)%6, 1+int(epochs)%16
+		run := 1 + int(epochs)%16
+		if wrap {
+			run += maxEpochs - 8
+		}
 		at := 0
 		next := func() byte {
 			if len(data) == 0 {
@@ -725,7 +718,7 @@ func FuzzEpochRows(f *testing.F) {
 			state  []int64
 			want   [][]int64
 		}
-		c := New(Config{Epoch: 1, MaxEpochs: maxEpochs}, shards)
+		c := New(Config{Epoch: 1}, shards)
 		var parts []*part
 		register := func(sh int, meta SourceMeta, k int) *part {
 			p := &part{state: make([]int64, k)}

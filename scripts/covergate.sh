@@ -31,7 +31,7 @@ gathernoc/internal/fault 96
 gathernoc/internal/flit 96
 gathernoc/internal/link 96
 gathernoc/internal/nic 92
-gathernoc/internal/noc 90
+gathernoc/internal/noc 92
 gathernoc/internal/power 99
 gathernoc/internal/reduce 87
 gathernoc/internal/ring 96

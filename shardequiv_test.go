@@ -250,13 +250,12 @@ type engineWork struct{ evaluated, skipped, alwaysTick uint64 }
 // of the same configuration counts the components.
 func workOf(t *testing.T, nw *noc.Network, drivers int) engineWork {
 	t.Helper()
-	cfg := nw.Config()
-	cfg.AlwaysTick = true
-	naive, err := noc.New(cfg)
+	naive, err := noc.New(nw.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer naive.Close()
+	naive.Engine().SetAlwaysTick(true)
 	for i := 0; i < drivers; i++ {
 		naive.Engine().AddTicker(idleDriver{})
 	}

@@ -106,7 +106,7 @@ func compareTelemetry(t *testing.T, seqRep, rep *telemetry.Report, seqCSV, csv, 
 func TestTelemetryShardInvariance(t *testing.T) {
 	seqRep, seqCSV, seqTrace := telemetryRun(t, 0)
 	if seqRep.DroppedEvents != 0 {
-		t.Fatalf("sequential run dropped %d events; grow MaxEvents, the comparison needs the full stream", seqRep.DroppedEvents)
+		t.Fatalf("sequential run dropped %d events; shrink the workload below the probes' event bound, the comparison needs the full stream", seqRep.DroppedEvents)
 	}
 	if len(seqRep.EpochIndex) == 0 || len(seqRep.Events) == 0 {
 		t.Fatalf("sequential run harvested %d epochs, %d events — workload did not exercise telemetry",
