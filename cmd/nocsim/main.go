@@ -46,6 +46,7 @@ import (
 
 	"gathernoc/internal/collective"
 	"gathernoc/internal/fault"
+	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/telemetry"
@@ -209,7 +210,7 @@ func run(args []string, w io.Writer) (err error) {
 		// only the result-invariant engine sharding follows this
 		// invocation's flags. Everything else is enforced by the
 		// config-hash guard inside Restore.
-		cfg = ck.Network.Config
+		cfg = ck.network.Config
 		cfg.Shards = *shards
 	}
 	nw, err := noc.New(cfg)
@@ -312,10 +313,12 @@ func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorCon
 	eng := nw.Engine()
 	eng.AddTicker(gen)
 	if ck != nil {
-		if err := nw.Restore(ck.Network); err != nil {
+		if err := nw.Restore(ck.network); err != nil {
 			return err
 		}
-		if err := gen.RestoreState(ck.Generator); err != nil {
+		var d flit.Decoder
+		d.Reset(ck.generator, 0, 0)
+		if err := gen.LoadState(&d); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "resumed        %s at cycle %d\n", resumePath, eng.Cycle())

@@ -612,7 +612,8 @@ func perturb(v reflect.Value) bool {
 		v.SetString(v.String() + "x")
 	case reflect.Struct:
 		if s, ok := v.Addr().Interface().(*stats.Sample); ok {
-			c := s.Clone()
+			var c stats.Sample
+			s.Each(c.Observe)
 			c.Observe(3)
 			*s = c
 			return true

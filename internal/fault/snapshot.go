@@ -1,37 +1,40 @@
 package fault
 
-import "sort"
+import (
+	"slices"
 
-// LinkSnapshot is the serialized mutable state of one LinkState: the
-// packet-atomic drop set plus the diagnostic counters. The decision
-// inputs (salt, thresholds, outage windows) are pure functions of the
-// configuration and are rebuilt by construction, not serialized.
-type LinkSnapshot struct {
-	Doomed   []uint64 `json:",omitempty"`
-	Drops    uint64
-	Corrupts uint64
-}
+	"gathernoc/internal/flit"
+)
 
-// Capture serializes the link's mutable fault state. The doomed set is
-// emitted sorted so identical states serialize identically.
-func (ls *LinkState) Capture() LinkSnapshot {
-	s := LinkSnapshot{Drops: ls.Drops, Corrupts: ls.Corrupts}
+// AppendState appends the link's mutable fault state (flit.Encoder, absolute
+// mode only): the packet-atomic drop set, sorted so that equal states encode
+// alike, and the diagnostic counters. The decision inputs (salt,
+// thresholds, outage windows) are pure functions of the configuration and
+// are rebuilt by construction.
+func (ls *LinkState) AppendState(e *flit.Encoder) {
+	doomed := make([]uint64, 0, len(ls.doomed))
 	for pid := range ls.doomed {
-		s.Doomed = append(s.Doomed, pid)
+		doomed = append(doomed, pid)
 	}
-	sort.Slice(s.Doomed, func(i, j int) bool { return s.Doomed[i] < s.Doomed[j] })
-	return s
+	slices.Sort(doomed)
+	e.Uint(uint64(len(doomed)))
+	for _, pid := range doomed {
+		e.Uint(pid)
+	}
+	e.Uint(ls.Drops)
+	e.Uint(ls.Corrupts)
 }
 
-// Restore replaces the link's mutable fault state with the captured one.
-func (ls *LinkState) Restore(s LinkSnapshot) {
-	ls.Drops = s.Drops
-	ls.Corrupts = s.Corrupts
+// LoadState replaces the link's mutable fault state with the one
+// AppendState wrote.
+func (ls *LinkState) LoadState(d *flit.Decoder) {
 	clear(ls.doomed)
-	if len(s.Doomed) > 0 && ls.doomed == nil {
-		ls.doomed = make(map[uint64]struct{}, len(s.Doomed))
+	for n := d.Len(); n > 0; n-- {
+		if ls.doomed == nil {
+			ls.doomed = make(map[uint64]struct{}, n)
+		}
+		ls.doomed[d.Uint()] = struct{}{}
 	}
-	for _, pid := range s.Doomed {
-		ls.doomed[pid] = struct{}{}
-	}
+	ls.Drops = d.Uint()
+	ls.Corrupts = d.Uint()
 }

@@ -2,104 +2,29 @@ package flit
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
 
+	"gathernoc/internal/stats"
 	"gathernoc/internal/topology"
 )
 
-// State is the serialized form of one in-flight flit: every field by
-// value, with the multicast destination set flattened to its member list
-// (the only pointer a flit carries). Snapshots store flits in State form;
-// restore materializes them through the owning network's pool so the
-// acquire/release accounting balances exactly as if the flit had lived
-// its whole life in the restored network.
-type State struct {
-	Type          Type
-	PT            PacketType
-	PacketID      uint64
-	Tag           Tag
-	Seq           int
-	PacketFlits   int
-	Src           topology.NodeID
-	Dst           topology.NodeID
-	MDst          []topology.NodeID `json:",omitempty"`
-	ASpace        int
-	ReduceID      uint64
-	SlotCap       int
-	Payloads      []Payload `json:",omitempty"`
-	Corrupted     bool
-	TrackOperands bool
-	InjectCycle   int64
-	NetworkCycle  int64
-	Hops          int
-}
-
-// CaptureFlit serializes f by value.
-func CaptureFlit(f *Flit) State {
-	s := State{
-		Type:          f.Type,
-		PT:            f.PT,
-		PacketID:      f.PacketID,
-		Tag:           f.Tag,
-		Seq:           f.Seq,
-		PacketFlits:   f.PacketFlits,
-		Src:           f.Src,
-		Dst:           f.Dst,
-		ASpace:        f.ASpace,
-		ReduceID:      f.ReduceID,
-		SlotCap:       f.SlotCap,
-		Corrupted:     f.Corrupted,
-		TrackOperands: f.TrackOperands,
-		InjectCycle:   f.InjectCycle,
-		NetworkCycle:  f.NetworkCycle,
-		Hops:          f.Hops,
-	}
-	if f.MDst != nil {
-		s.MDst = f.MDst.Nodes()
-	}
-	if len(f.Payloads) > 0 {
-		s.Payloads = append([]Payload(nil), f.Payloads...)
-	}
-	return s
-}
-
-// Materialize acquires a fresh flit from p and restores the captured
-// fields onto it. numNodes sizes the rebuilt multicast destination set.
-func (s State) Materialize(p *Pool, numNodes int) *Flit {
-	f := p.Acquire()
-	payloads := append(f.Payloads[:0], s.Payloads...)
-	*f = Flit{
-		Type:          s.Type,
-		PT:            s.PT,
-		PacketID:      s.PacketID,
-		Tag:           s.Tag,
-		Seq:           s.Seq,
-		PacketFlits:   s.PacketFlits,
-		Src:           s.Src,
-		Dst:           s.Dst,
-		ASpace:        s.ASpace,
-		ReduceID:      s.ReduceID,
-		SlotCap:       s.SlotCap,
-		Payloads:      payloads,
-		Corrupted:     s.Corrupted,
-		TrackOperands: s.TrackOperands,
-		InjectCycle:   s.InjectCycle,
-		NetworkCycle:  s.NetworkCycle,
-		Hops:          s.Hops,
-	}
-	if len(s.MDst) > 0 {
-		f.MDst = topology.DestSetOf(numNodes, s.MDst...)
-	}
-	return f
-}
-
-// Encoder appends the decision state of a fabric, component by component,
-// to one byte buffer: the periodicity proof (noc.Network.AppendState)
-// compares two such encodings byte for byte. Every component's appender
-// sits beside its CaptureState and writes the same fields, less the
-// statistics. Integers are varints, lists carry their length, and the
+// Encoder appends the state of a fabric, component by component, to one
+// byte buffer. Every stateful component has one AppendState writing to it
+// and one LoadState reading the same fields back through a Decoder, so
+// checkpoint, fork, reset and the periodicity proof share one description
+// of the state. Integers are varints, lists carry their length, and the
 // fields of a component come in a fixed order, so two encodings are equal
-// only if the states are. Three kinds of value are written in a normalized
-// form:
+// only if the states are.
+//
+// Absolute mode (ResetAbsolute), for checkpoint, fork and reset, writes
+// every value as it is, statistics, payload values and fault state
+// included. Relative mode (Reset), for the periodicity proof
+// (noc.Network.AppendState), is compared byte for byte and never decoded.
+// It leaves statistics, payload values (the fabric adds them up but never
+// branches on them) and fault state (the proof covers fault-free fabrics
+// only) out, and normalizes two kinds of value:
 //
 //   - Cycles (Cycle) are written relative to a base cycle, with sim.Never
 //     kept apart, so two states a whole number of rounds apart compare
@@ -111,15 +36,14 @@ func (s State) Materialize(p *Pool, numNodes int) *Flit {
 //     in the encoding. The fabric and the round controllers compare them
 //     only for equality and draw fresh ones that equal no live value, so
 //     two states that differ only by a renaming of identifiers behave alike.
-//   - Payload values are left out: the fabric adds them up (accumulate
-//     merges) but never branches on them.
 //
 // An Encoder allocates nothing once its buffer and name tables have grown
 // to a state's size; keep one and Reset it for every encoding.
 type Encoder struct {
-	buf   []byte
-	base  int64
-	names [numNameKinds][]uint64
+	buf      []byte
+	base     int64
+	relative bool
+	names    [numNameKinds][]uint64
 }
 
 // NameKind is the namespace of an identifier written with Encoder.Name:
@@ -138,14 +62,24 @@ const (
 // import sim).
 const never = 1<<63 - 1
 
-// Reset starts a new encoding appended to buf, with cycles written relative
-// to base, and forgets the identifiers seen so far.
+// Reset starts a new relative encoding appended to buf, with cycles written
+// relative to base, and forgets the identifiers seen so far.
 func (e *Encoder) Reset(buf []byte, base int64) {
-	e.buf, e.base = buf, base
+	e.buf, e.base, e.relative = buf, base, true
 	for k := range e.names {
 		e.names[k] = e.names[k][:0]
 	}
 }
+
+// ResetAbsolute starts a new absolute encoding appended to buf.
+func (e *Encoder) ResetAbsolute(buf []byte) {
+	e.Reset(buf, 0)
+	e.relative = false
+}
+
+// Relative reports whether the encoding is the periodicity proof's, which
+// leaves statistics, payload values and fault state out.
+func (e *Encoder) Relative() bool { return e.relative }
 
 // Bytes returns the encoding so far: the buffer given to Reset with the
 // encoding appended.
@@ -172,9 +106,23 @@ func (e *Encoder) Bool(b bool) {
 	}
 }
 
-// Cycle appends an absolute cycle relative to the base (sim.Never as its
-// own value).
+// Float appends a float by its bits, byte-reversed so that the small whole
+// numbers a latency sample holds take a few bytes.
+func (e *Encoder) Float(v float64) { e.Uint(bits.ReverseBytes64(math.Float64bits(v))) }
+
+// Sample appends a sample's observations in insertion order.
+func (e *Encoder) Sample(s *stats.Sample) {
+	e.Uint(uint64(s.N()))
+	s.Each(e.Float)
+}
+
+// Cycle appends an absolute cycle: as it is, or in relative mode relative to
+// the base (sim.Never as its own value).
 func (e *Encoder) Cycle(c int64) {
+	if !e.relative {
+		e.Int(c)
+		return
+	}
 	if c == never {
 		e.Uint(0)
 		return
@@ -185,14 +133,23 @@ func (e *Encoder) Cycle(c int64) {
 }
 
 // Until appends a cycle a component waits until, or last acted in, that
-// it only ever compares with a cycle it is evaluated in. The encoding is
-// taken at the boundary after cycle base, so no evaluation is left at or
-// before base+1 and every such cycle is written as base+1.
-func (e *Encoder) Until(c int64) { e.Cycle(max(c, e.base+1)) }
+// it only ever compares with a cycle it is evaluated in. A relative
+// encoding is taken at the boundary after cycle base, so no evaluation is
+// left at or before base+1 and every such cycle is written as base+1.
+func (e *Encoder) Until(c int64) {
+	if e.relative {
+		c = max(c, e.base+1)
+	}
+	e.Cycle(c)
+}
 
-// Name appends identifier v of kind k as the index of its first appearance
-// in this encoding.
+// Name appends identifier v of kind k: as it is, or in relative mode as the
+// index of its first appearance in this encoding.
 func (e *Encoder) Name(k NameKind, v uint64) {
+	if !e.relative {
+		e.Uint(v)
+		return
+	}
 	seen := e.names[k]
 	for i, w := range seen {
 		if w == v {
@@ -218,8 +175,145 @@ func (e *Encoder) Set(s *topology.DestSet) {
 	}
 }
 
-// AppendState appends the flit's fields (State's, with the destination set
-// as words): identifiers named, timestamps relative to the base.
+// Decoder reads an absolute encoding back (LoadState), checking what it
+// reads: a list length against the bytes left, a node id against the
+// fabric's, a bounded value against its bound. The first failure sticks:
+// later reads return zero, and Err reports it, so a LoadState reads on and
+// looks once at the end. A Decoder allocates nothing but the sets, flit
+// payloads and samples it decodes.
+type Decoder struct {
+	buf []byte
+	// nodes is the fabric's processing-node count, the width of its
+	// destination sets; endpoints counts nodes and edge sinks, the ids a
+	// destination may name.
+	nodes, endpoints int
+	err              error
+}
+
+// Reset starts decoding buf, written by a fabric of nodes processing nodes
+// and endpoints endpoints.
+func (d *Decoder) Reset(buf []byte, nodes, endpoints int) {
+	d.buf, d.nodes, d.endpoints, d.err = buf, nodes, endpoints, nil
+}
+
+// Err returns the first failure, nil if none.
+func (d *Decoder) Err() error { return d.err }
+
+// Remaining returns how many bytes are left unread.
+func (d *Decoder) Remaining() int { return len(d.buf) }
+
+// Failf records a failure unless one is recorded already.
+func (d *Decoder) Failf(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+		d.buf = nil
+	}
+}
+
+// Uint reads an unsigned integer.
+func (d *Decoder) Uint() uint64 {
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.Failf("state truncated or malformed")
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// Int reads a signed integer.
+func (d *Decoder) Int() int64 {
+	u := d.Uint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Bool reads a flag.
+func (d *Decoder) Bool() bool {
+	switch d.Uint() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	d.Failf("flag is neither 0 nor 1")
+	return false
+}
+
+// IntRange reads a signed integer in [lo, hi]; what names it in the
+// failure.
+func (d *Decoder) IntRange(lo, hi int, what string) int { return d.check(d.Int(), lo, hi, what) }
+
+// UintRange reads an unsigned integer in [lo, hi].
+func (d *Decoder) UintRange(lo, hi int, what string) int {
+	v := d.Uint()
+	return d.check(int64(min(v, math.MaxInt64)), lo, hi, what)
+}
+
+func (d *Decoder) check(v int64, lo, hi int, what string) int {
+	if v < int64(lo) || v > int64(hi) {
+		d.Failf("%s %d outside [%d, %d]", what, v, lo, hi)
+		return lo
+	}
+	return int(v)
+}
+
+// Len reads a list length: at most the bytes left, as every element takes
+// at least one.
+func (d *Decoder) Len() int {
+	n := d.Uint()
+	if n > uint64(len(d.buf)) {
+		d.Failf("list of %d overruns the state", n)
+		return 0
+	}
+	return int(n)
+}
+
+// PE reads the id of a processing node.
+func (d *Decoder) PE(what string) topology.NodeID {
+	return topology.NodeID(d.IntRange(0, d.nodes-1, what))
+}
+
+// Node reads the id of an endpoint: a processing node or an edge sink.
+func (d *Decoder) Node(what string) topology.NodeID {
+	return topology.NodeID(d.IntRange(0, d.endpoints-1, what))
+}
+
+// Set reads a destination set, nil included.
+func (d *Decoder) Set() *topology.DestSet {
+	if !d.Bool() {
+		return nil
+	}
+	s := topology.NewDestSet(d.nodes)
+	if n := d.Uint(); n != uint64(len(s.Words())) {
+		d.Failf("destination set of %d words, want %d", n, len(s.Words()))
+		return nil
+	}
+	for w := range s.Words() {
+		for x := d.Uint(); x != 0; x &= x - 1 {
+			id := w*64 + bits.TrailingZeros64(x)
+			if id >= d.nodes {
+				d.Failf("destination %d outside the fabric's %d nodes", id, d.nodes)
+				return nil
+			}
+			s.Add(topology.NodeID(id))
+		}
+	}
+	return s
+}
+
+// Float reads a float written by Encoder.Float.
+func (d *Decoder) Float() float64 { return math.Float64frombits(bits.ReverseBytes64(d.Uint())) }
+
+// Sample replaces s with the observations written by Encoder.Sample,
+// observed again in order so that the sample is the one encoded.
+func (d *Decoder) Sample(s *stats.Sample) {
+	*s = stats.Sample{}
+	for i := d.Len(); i > 0; i-- {
+		s.Observe(d.Float())
+	}
+}
+
+// AppendState appends the flit's fields, the destination set as words.
 func (f *Flit) AppendState(e *Encoder) {
 	e.Uint(uint64(f.Type))
 	e.Uint(uint64(f.PT))
@@ -244,7 +338,39 @@ func (f *Flit) AppendState(e *Encoder) {
 	e.Int(int64(f.Hops))
 }
 
-// AppendState appends the payload's fields but its Value (see Encoder).
+// LoadState replaces the flit's fields with the ones AppendState wrote,
+// keeping its payload capacity.
+func (f *Flit) LoadState(d *Decoder) {
+	payloads := f.Payloads[:0]
+	*f = Flit{
+		Type:        Type(d.UintRange(int(Head), int(HeadTail), "flit type")),
+		PT:          PacketType(d.UintRange(int(Unicast), int(Accumulate), "packet type")),
+		PacketID:    d.Uint(),
+		Tag:         Tag(d.Uint()),
+		Seq:         int(d.Int()),
+		PacketFlits: int(d.Int()),
+		Src:         d.PE("flit source"),
+		Dst:         d.Node("flit destination"),
+		MDst:        d.Set(),
+		ASpace:      int(d.Int()),
+		ReduceID:    d.Uint(),
+		SlotCap:     int(d.Int()),
+	}
+	for i := d.Len(); i > 0; i-- {
+		var p Payload
+		p.LoadState(d)
+		payloads = append(payloads, p)
+	}
+	f.Payloads = payloads
+	f.Corrupted = d.Bool()
+	f.TrackOperands = d.Bool()
+	f.InjectCycle = d.Int()
+	f.NetworkCycle = d.Int()
+	f.Hops = int(d.Int())
+}
+
+// AppendState appends the payload's fields, its Value in absolute mode
+// only.
 func (p *Payload) AppendState(e *Encoder) {
 	e.Name(SeqName, p.Seq)
 	e.Int(int64(p.Src))
@@ -253,4 +379,21 @@ func (p *Payload) AppendState(e *Encoder) {
 	e.Cycle(p.ReadyCycle)
 	e.Name(ReduceName, p.ReduceID)
 	e.Int(int64(p.Ops))
+	if !e.relative {
+		e.Uint(p.Value)
+	}
+}
+
+// LoadState replaces the payload with the one AppendState wrote.
+func (p *Payload) LoadState(d *Decoder) {
+	*p = Payload{
+		Seq:        d.Uint(),
+		Src:        d.PE("payload source"),
+		Dst:        d.Node("payload destination"),
+		Bits:       int(d.Int()),
+		ReadyCycle: d.Int(),
+		ReduceID:   d.Uint(),
+		Ops:        int(d.Int()),
+		Value:      d.Uint(),
+	}
 }

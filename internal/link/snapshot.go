@@ -1,67 +1,30 @@
 package link
 
 import (
-	"gathernoc/internal/fault"
+	"math"
+
 	"gathernoc/internal/flit"
-	"gathernoc/internal/stats"
 )
 
-// InflightFlit is one serialized entry of the forward staging ring.
-type InflightFlit struct {
-	Flit flit.State
-	VC   int
-	Due  int64
-}
-
-// InflightCredit is one serialized entry of the credit staging ring.
-type InflightCredit struct {
-	VC  int
-	Due int64
-}
-
-// State is the serialized mutable state of one link: both staging rings
-// in send order (due cycles are absolute, matching the snapshot's engine
-// cycle), the owed-credit ledger of the fault path, the carried counters,
-// and the fault decision state when injection is enabled.
-type State struct {
-	Flits          []InflightFlit   `json:",omitempty"`
-	Credits        []InflightCredit `json:",omitempty"`
-	OwedCredits    []int            `json:",omitempty"`
-	FlitsCarried   stats.Counter
-	CreditsCarried stats.Counter
-	Faults         *fault.LinkSnapshot `json:",omitempty"`
-}
-
-// CaptureState serializes the link's mutable state.
-func (l *Link) CaptureState() State {
-	s := State{
-		FlitsCarried:   l.FlitsCarried,
-		CreditsCarried: l.CreditsCarried,
-	}
-	for i := 0; i < l.flits.Len(); i++ {
-		in := l.flits.At(i)
-		s.Flits = append(s.Flits, InflightFlit{Flit: flit.CaptureFlit(in.f), VC: in.vc, Due: in.due})
-	}
-	for i := 0; i < l.credits.Len(); i++ {
-		c := l.credits.At(i)
-		s.Credits = append(s.Credits, InflightCredit{VC: c.vc, Due: c.due})
-	}
-	if l.owedAny {
-		s.OwedCredits = append([]int(nil), l.owedCredits...)
-	}
-	if l.faults != nil {
-		fs := l.faults.Capture()
-		s.Faults = &fs
-	}
-	return s
-}
-
-// AppendState appends the link's decision state (flit.Encoder): both
-// staging rings, due cycles relative to the encoder's base, or one byte
-// when both are empty. The carried counters are statistics; the
-// owed-credit ledger and the fault state exist only on faulted fabrics,
-// which the periodicity proof does not cover (noc.Network.Bare).
+// AppendState appends the link's state (flit.Encoder). In absolute mode it
+// opens with the carried counters, the owed-credit ledger and, on a faulted
+// link, the fault decision state; the proof's relative mode leaves them out
+// (statistics, and state only faulted fabrics have, which the periodicity
+// proof does not cover: noc.Network.Bare). Both modes then write the two
+// staging rings in send order, due cycles as cycles, or one byte when both
+// are empty.
 func (l *Link) AppendState(e *flit.Encoder) {
+	if !e.Relative() {
+		e.Uint(l.FlitsCarried.Value())
+		e.Uint(l.CreditsCarried.Value())
+		e.Uint(uint64(len(l.owedCredits)))
+		for _, n := range l.owedCredits {
+			e.Int(int64(n))
+		}
+		if l.faults != nil {
+			l.faults.AppendState(e)
+		}
+	}
 	idle := l.flits.Empty() && l.credits.Empty()
 	e.Bool(idle)
 	if idle {
@@ -82,30 +45,35 @@ func (l *Link) AppendState(e *flit.Encoder) {
 	}
 }
 
-// RestoreState replaces the link's mutable state with the captured one,
-// materializing in-flight flits through pool (the restored network's
-// acquire/release accounting must balance). numNodes sizes rebuilt
-// multicast destination sets.
-func (l *Link) RestoreState(s State, pool *flit.Pool, numNodes int) {
-	l.FlitsCarried = s.FlitsCarried
-	l.CreditsCarried = s.CreditsCarried
-	l.flits.Reset()
-	for _, in := range s.Flits {
-		l.flits.PushBack(inflightFlit{f: in.Flit.Materialize(pool, numNodes), vc: in.VC, due: in.Due})
-	}
-	l.credits.Reset()
-	for _, c := range s.Credits {
-		l.credits.PushBack(inflightCredit{vc: c.VC, due: c.Due})
-	}
+// LoadState replaces the link's state with the absolute encoding
+// AppendState wrote, checking every VC against the vcs its endpoints have.
+// In-flight flits are acquired from pool, the view of the shard that
+// commits them.
+func (l *Link) LoadState(d *flit.Decoder, pool *flit.Pool, vcs int) error {
+	l.FlitsCarried.Set(d.Uint())
+	l.CreditsCarried.Set(d.Uint())
 	l.owedCredits = l.owedCredits[:0]
 	l.owedAny = false
-	for vc, n := range s.OwedCredits {
-		if n > 0 {
-			l.oweCredit(vc)
-			l.owedCredits[vc] = n
-		}
+	for n := d.UintRange(0, vcs, "owed-credit VCs"); n > 0; n-- {
+		c := d.IntRange(0, math.MaxInt32, "owed credits")
+		l.owedCredits = append(l.owedCredits, c)
+		l.owedAny = l.owedAny || c > 0
 	}
-	if s.Faults != nil && l.faults != nil {
-		l.faults.Restore(*s.Faults)
+	if l.faults != nil {
+		l.faults.LoadState(d)
 	}
+	l.flits.Reset()
+	l.credits.Reset()
+	if d.Bool() {
+		return d.Err()
+	}
+	for n := d.Len(); n > 0; n-- {
+		f := pool.Acquire()
+		f.LoadState(d)
+		l.flits.PushBack(inflightFlit{f: f, vc: d.IntRange(0, vcs-1, "link VC"), due: d.Int()})
+	}
+	for n := d.Len(); n > 0; n-- {
+		l.credits.PushBack(inflightCredit{vc: d.IntRange(0, vcs-1, "credit VC"), due: d.Int()})
+	}
+	return d.Err()
 }

@@ -192,6 +192,37 @@ func TestEjectorReassembly(t *testing.T) {
 	}
 }
 
+// TestEjectorDiscardsPacketCorruptedAfterItsHead: the receiver CRC model
+// discards a packet when any flit arrived corrupted, not only its head, and
+// neither delivers nor confirms its payload.
+func TestEjectorDiscardsPacketCorruptedAfterItsHead(t *testing.T) {
+	e := NewEjector(link.Numbered("t", 0), 1, 8, 1)
+	e.SetFaultAware(nil)
+	delivered := 0
+	e.OnReceive(func(*ReceivedPacket) { delivered++ })
+
+	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 64)
+	fl, err := flit.PacketizeInto(nil, flit.Packet{
+		ID: 5, PT: flit.Unicast, Src: 1, Dst: 2, Flits: 3, Carried: &flit.Payload{Seq: 7, Src: 1, Dst: 2},
+	}, format, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl[len(fl)-1].Corrupted = true
+	for _, f := range fl {
+		e.AcceptFlit(f, 0)
+	}
+	for c := int64(0); c < 6; c++ {
+		e.Tick(c)
+	}
+	confirmed := 0
+	e.DrainDelivered(func(DeliveredPayload) { confirmed++ })
+	if e.PacketsDiscarded.Value() != 1 || delivered != 0 || confirmed != 0 {
+		t.Errorf("discarded %d, delivered %d, confirmed %d; want 1, 0, 0",
+			e.PacketsDiscarded.Value(), delivered, confirmed)
+	}
+}
+
 func TestEjectorInterleavedVCs(t *testing.T) {
 	e := NewEjector(link.Numbered("t", 0), 2, 8, 2)
 	var got []*ReceivedPacket

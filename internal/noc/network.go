@@ -108,8 +108,11 @@ type Network struct {
 	leased   bool
 	pristine *pristine
 
-	// enc is AppendState's encoder, kept so its name tables stay grown.
+	// enc and dec encode and decode the fabric's state (Snapshot,
+	// AppendState, Restore, reset), kept so the encoder's name tables stay
+	// grown.
 	enc flit.Encoder
+	dec flit.Decoder
 }
 
 // linkRec records which shard owns each end of a link: downShard mutates

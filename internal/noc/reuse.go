@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gathernoc/internal/link"
-	"gathernoc/internal/nic"
-	"gathernoc/internal/router"
+	"gathernoc/internal/flit"
 )
 
 // Reuse (DESIGN.md §14): a sweep runs hundreds of short simulations on a
@@ -122,38 +120,35 @@ func expireIdle(now time.Time) {
 	}
 }
 
-// pristine is the mutable state of a just-built fabric, captured through
-// the snapshot layer's CaptureState and kept once per kind of component
-// rather than once per component (a whole Snapshot of a 16x16 is ≈1 MB):
-// every NIC, every link and every sink of a network is built alike and
-// starts in the same State, and routers differ only in which of their
-// output ports are wired. RestoreState copies out of the State it is given,
-// so one value serves every component of its kind.
+// pristine is the state of a just-built fabric in absolute encoding
+// (flit.Encoder), kept once per kind of component rather than once per
+// component: every NIC, every link and every sink of a network is built
+// alike and starts in the same state, and routers differ only in which of
+// their output ports are wired.
 type pristine struct {
-	routers map[uint8]router.State // by Router.ConnectedOutputs
-	link    link.State
-	nic     nic.State
-	sink    nic.EjectorState
+	routers         map[uint8][]byte // by Router.ConnectedOutputs
+	link, nic, sink []byte
 }
 
 // capturePristine records the state of nw, which New has just returned.
-func (nw *Network) capturePristine() (*pristine, error) {
-	p := &pristine{routers: map[uint8]router.State{}, link: nw.links[0].CaptureState()}
+func (nw *Network) capturePristine() *pristine {
+	e := &nw.enc
+	encode := func(c interface{ AppendState(*flit.Encoder) }) []byte {
+		e.ResetAbsolute(nil)
+		c.AppendState(e)
+		return e.Bytes()
+	}
+	p := &pristine{routers: map[uint8][]byte{}, link: encode(nw.links[0]), nic: encode(nw.nics[0])}
 	for _, r := range nw.routers {
 		if _, ok := p.routers[r.ConnectedOutputs()]; !ok {
-			p.routers[r.ConnectedOutputs()] = r.CaptureState()
+			p.routers[r.ConnectedOutputs()] = encode(r)
 		}
-	}
-	var err error
-	if p.nic, err = nw.nics[0].CaptureState(); err != nil {
-		return nil, err
 	}
 	if len(nw.sinks) > 0 {
-		if p.sink, err = nw.sinks[0].ej.CaptureState(); err != nil {
-			return nil, err
-		}
+		p.sink = encode(nw.sinks[0].ej)
 	}
-	return p, nil
+	e.ResetAbsolute(nil)
+	return p
 }
 
 // reuse counts what Acquire and Release did, process-wide.
@@ -210,9 +205,7 @@ func Acquire(cfg Config) (*Network, error) {
 		// Never pooled (see Release); leased stays false.
 		return nw, nil
 	}
-	if nw.pristine, err = nw.capturePristine(); err != nil {
-		return nw, nil // cannot be reset, so not pooled either
-	}
+	nw.pristine = nw.capturePristine()
 	nw.leased = true
 	return nw, nil
 }
@@ -245,44 +238,45 @@ func (nw *Network) Release() {
 }
 
 // reset returns a drained sequential network to the state New left it in.
-// The mutable fabric state — everything a Snapshot carries — goes back
-// through the same per-component RestoreState a checkpoint resume uses,
-// fed the pristine States, so the list of what that state is stays in the
-// snapshot layer. What snapshots leave to the caller is put back here: the
-// engine (whatever was registered after the build is dropped and its
-// handles disarmed; clock, evaluation and jump counters, timers, watchdog,
-// interrupt flag, and the sleep/wake mode a test may have turned off), the
-// per-NIC δ overrides workload layers apply, the receive callbacks on NICs
-// and sinks, and the flit pool's counters.
-// The pool's freelist and the grown ring buffers stay: they hold capacity,
-// not state.
+// The fabric's state goes back the way a checkpoint resume loads it: every
+// component's LoadState, here of the pristine bytes of its kind, so the
+// list of what that state is stays in one place. What that state leaves to
+// the caller is put back here: the engine (whatever was registered after
+// the build is dropped and its handles disarmed; clock, evaluation and jump
+// counters, timers, watchdog, interrupt flag, and the sleep/wake mode a test
+// may have turned off), the per-NIC δ overrides workload layers apply, the
+// receive callbacks on NICs and sinks, and the flit pool's counters. The
+// pool's freelist and the grown ring buffers stay: they hold capacity, not
+// state. Decoding allocates nothing: the pristine state holds no flit, set
+// or observation.
 func (nw *Network) reset() error {
 	nw.engine.Truncate(nw.built)
 	nw.engine.Reset()
 	nw.engine.SetAlwaysTick(false)
 	nw.pool.ResetCounts()
 
-	p, numNodes := nw.pristine, nw.topo.NumNodes()
+	p := nw.pristine
 	clear(nw.pidSeq)
 	for i, r := range nw.routers {
 		n := nw.nics[i]
-		if err := r.RestoreState(p.routers[r.ConnectedOutputs()], nw.pool, numNodes,
-			n.GatherAckFunc(), n.ReduceAckFunc()); err != nil {
+		if err := r.LoadState(nw.decoder(p.routers[r.ConnectedOutputs()]), n.GatherAckFunc(), n.ReduceAckFunc()); err != nil {
 			return err
 		}
 	}
 	for _, l := range nw.links {
-		l.RestoreState(p.link, nw.pool, numNodes)
+		if err := l.LoadState(nw.decoder(p.link), nw.pool, nw.cfg.Router.VCs); err != nil {
+			return err
+		}
 	}
 	for _, n := range nw.nics {
-		if err := n.RestoreState(p.nic, numNodes); err != nil {
+		if err := n.LoadState(nw.decoder(p.nic)); err != nil {
 			return err
 		}
 		n.SetDelta(nw.nicCfg.Delta)
 		n.SetReduceDelta(nw.nicCfg.ReduceDelta)
 	}
 	for _, s := range nw.sinks {
-		if err := s.ej.RestoreState(p.sink, numNodes); err != nil {
+		if err := s.ej.LoadState(nw.decoder(p.sink)); err != nil {
 			return err
 		}
 	}

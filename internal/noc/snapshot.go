@@ -1,41 +1,37 @@
 package noc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
 	"gathernoc/internal/flit"
-	"gathernoc/internal/link"
-	"gathernoc/internal/nic"
-	"gathernoc/internal/router"
 )
 
-// SnapshotVersion tags the snapshot envelope. Any change to a component
-// State layout or to the capture/restore rules must bump it; Restore
-// rejects snapshots from other versions instead of misinterpreting them.
-const SnapshotVersion = "gathernoc/noc.Snapshot/v2"
+// SnapshotVersion tags the snapshot envelope. Any change to what a
+// component's AppendState writes in absolute mode, or to the envelope, must
+// bump it; DecodeSnapshot and Restore refuse snapshots from other versions
+// instead of misreading them. v2 was JSON; v3 is the absolute encoding.
+const SnapshotVersion = "gathernoc/noc.Snapshot/v3"
 
-// Snapshot is the complete serialized mutable state of a Network at a
-// cycle boundary: the engine clock, the per-NIC packet-id counters, and
-// every router, link, NIC and sink in deterministic construction order.
-// Immutable structure — topology, routing, wiring, capacities — is not
-// serialized: Restore applies a snapshot onto a freshly constructed
-// Network of the same canonical configuration (enforced via ConfigHash,
-// so result-invariant knobs like Shards may differ between the capturing
-// and restoring processes).
+// Snapshot is the complete mutable state of a Network at a cycle boundary:
+// the capturing network's configuration, the engine clock, and State, the
+// absolute encoding (flit.Encoder) of the per-NIC packet-id counters and of
+// every router, link, NIC and sink in construction order. Immutable
+// structure — topology, routing, wiring, capacities — is not encoded:
+// Restore loads a snapshot onto a freshly constructed Network of the same
+// canonical configuration (enforced via Config.Hash, so result-invariant
+// knobs like Shards may differ between the capturing and restoring
+// processes).
 type Snapshot struct {
-	Version    string
-	ConfigHash string
+	Version string
 	// Config is the capturing network's configuration (telemetry cleared:
 	// snapshots reject telemetry-enabled networks), letting a resuming
 	// process reconstruct the network without out-of-band state.
-	Config  Config
-	Cycle   int64
-	PidSeq  []uint64
-	Routers []router.State
-	Links   []link.State
-	NICs    []nic.State
-	Sinks   []nic.EjectorState `json:",omitempty"`
+	Config Config
+	Cycle  int64
+	State  []byte
 }
 
 // Snapshot captures the network's complete mutable state. It must be
@@ -47,37 +43,16 @@ func (nw *Network) Snapshot() (*Snapshot, error) {
 	if nw.tele != nil {
 		return nil, fmt.Errorf("noc: snapshot of a telemetry-enabled network is unsupported")
 	}
-	s := &Snapshot{
-		Version:    SnapshotVersion,
-		ConfigHash: nw.cfg.Hash(),
-		Config:     nw.cfg,
-		Cycle:      nw.engine.Cycle(),
-		PidSeq:     append([]uint64(nil), nw.pidSeq...),
-	}
+	s := &Snapshot{Version: SnapshotVersion, Config: nw.cfg, Cycle: nw.engine.Cycle()}
 	s.Config.Telemetry = nil
-	s.Routers = make([]router.State, len(nw.routers))
-	for i, r := range nw.routers {
-		s.Routers[i] = r.CaptureState()
+	e := &nw.enc
+	e.ResetAbsolute(nil)
+	for _, n := range nw.pidSeq {
+		e.Uint(n)
 	}
-	s.Links = make([]link.State, len(nw.links))
-	for i, l := range nw.links {
-		s.Links[i] = l.CaptureState()
-	}
-	s.NICs = make([]nic.State, len(nw.nics))
-	for i, n := range nw.nics {
-		ns, err := n.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		s.NICs[i] = ns
-	}
-	for _, sk := range nw.sinks {
-		es, err := sk.ej.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		s.Sinks = append(s.Sinks, es)
-	}
+	nw.appendComponents(e)
+	s.State = e.Bytes()
+	e.ResetAbsolute(nil) // keep no hold on the snapshot's bytes
 	return s, nil
 }
 
@@ -87,14 +62,15 @@ func (nw *Network) Snapshot() (*Snapshot, error) {
 // boundaries whose encodings are equal byte for byte, and between which
 // ClockTies did not move, are followed by the same schedule shifted in
 // time. Every router, link, NIC and sink appends itself, in construction
-// order, through the appender beside its CaptureState; flit.Encoder says
-// which values are normalized. What a Snapshot carries and the encoding
-// leaves out:
+// order, through the AppendState a Snapshot writes in absolute mode, in
+// relative mode (flit.Encoder says which values are normalized). What a
+// Snapshot carries and this encoding leaves out:
 //
 //   - statistics (router, link, NIC and ejector counters, the packet
-//     latency sample), which no decision reads;
-//   - PidSeq: packet ids are encoded by first appearance, and whatever the
-//     counters read, a NIC's next id equals no live one;
+//     latency sample, clock ties), which no decision reads;
+//   - payload values, which the fabric adds up but never branches on;
+//   - the packet-id counters: packet ids are encoded by first appearance,
+//     and whatever the counters read, a NIC's next id equals no live one;
 //   - the engine clock, which is base plus one at the boundary after a
 //     round opens;
 //   - fault state (a link's doomed set and owed credits, the ejectors'
@@ -109,6 +85,15 @@ func (nw *Network) Snapshot() (*Snapshot, error) {
 func (nw *Network) AppendState(buf []byte, base int64) []byte {
 	e := &nw.enc
 	e.Reset(buf, base)
+	nw.appendComponents(e)
+	buf = e.Bytes()
+	e.Reset(nil, 0) // keep no hold on the caller's buffer
+	return buf
+}
+
+// appendComponents appends every router, link, NIC and sink, in
+// construction order.
+func (nw *Network) appendComponents(e *flit.Encoder) {
 	for _, r := range nw.routers {
 		r.AppendState(e)
 	}
@@ -121,9 +106,6 @@ func (nw *Network) AppendState(buf []byte, base int64) []byte {
 	for _, s := range nw.sinks {
 		s.ej.AppendState(e)
 	}
-	buf = e.Bytes()
-	e.Reset(nil, 0) // keep no hold on the caller's buffer
-	return buf
 }
 
 // Bare reports whether the engine runs the fabric as built and nothing
@@ -154,18 +136,21 @@ func (nw *Network) ClockTies() uint64 {
 // phase, ties or not.
 func (nw *Network) ClockPeriod() int64 { return nw.routers[0].ClockPeriod() }
 
-// Restore applies a snapshot onto this network, which must be freshly
+// Restore loads a snapshot onto this network, which must be freshly
 // constructed (no cycles run) from a configuration with the same
 // canonical hash as the capturing one — shard count and the other
 // result-invariant knobs may differ, everything else may not. All
 // restored flits are acquired from this network's pool, so the pool's
-// live accounting balances exactly as in an uninterrupted run.
+// live accounting balances exactly as in an uninterrupted run. Every
+// value is bounds-checked as it is read, and the loaded routers must pass
+// CheckInvariants; a snapshot that fails either is refused with an error,
+// after which the network is fit only for Close.
 func (nw *Network) Restore(s *Snapshot) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("noc: snapshot version %q, want %q", s.Version, SnapshotVersion)
 	}
-	if h := nw.cfg.Hash(); s.ConfigHash != h {
-		return fmt.Errorf("noc: snapshot config hash %.12s does not match network config hash %.12s", s.ConfigHash, h)
+	if got, h := s.Config.Hash(), nw.cfg.Hash(); got != h {
+		return fmt.Errorf("noc: snapshot config hash %.12s does not match network config hash %.12s", got, h)
 	}
 	if nw.engine.Cycle() != 0 {
 		return fmt.Errorf("noc: restore target must be a fresh network (engine at cycle %d)", nw.engine.Cycle())
@@ -173,36 +158,59 @@ func (nw *Network) Restore(s *Snapshot) error {
 	if nw.tele != nil {
 		return fmt.Errorf("noc: restore onto a telemetry-enabled network is unsupported")
 	}
-	if len(s.Routers) != len(nw.routers) || len(s.Links) != len(nw.links) ||
-		len(s.NICs) != len(nw.nics) || len(s.Sinks) != len(nw.sinks) ||
-		len(s.PidSeq) != len(nw.pidSeq) {
-		return fmt.Errorf("noc: snapshot shape mismatch (%d/%d routers, %d/%d links, %d/%d nics, %d/%d sinks)",
-			len(s.Routers), len(nw.routers), len(s.Links), len(nw.links),
-			len(s.NICs), len(nw.nics), len(s.Sinks), len(nw.sinks))
+	if s.Cycle < 0 {
+		return fmt.Errorf("noc: snapshot at cycle %d", s.Cycle)
 	}
-	copy(nw.pidSeq, s.PidSeq)
-	numNodes := nw.topo.NumNodes()
+	d := nw.decoder(s.State)
+	for i := range nw.pidSeq {
+		nw.pidSeq[i] = d.Uint()
+	}
+	err := nw.loadComponents(d)
+	if err == nil && d.Remaining() > 0 {
+		err = fmt.Errorf("%d bytes past the fabric's state", d.Remaining())
+	}
+	d.Reset(nil, 0, 0) // keep no hold on the snapshot's bytes
+	if err == nil {
+		err = nw.CheckInvariants()
+	}
+	if err != nil {
+		return fmt.Errorf("noc: restore: %w", err)
+	}
+	nw.engine.RestoreCycle(s.Cycle)
+	return nil
+}
+
+// decoder returns a decoder of buf checking node ids against the fabric's.
+func (nw *Network) decoder(buf []byte) *flit.Decoder {
+	d := &nw.dec
+	d.Reset(buf, nw.topo.NumNodes(), nw.topo.NumNodes()+len(nw.sinks))
+	return d
+}
+
+// loadComponents loads every router, link, NIC and sink from d, in the
+// order appendComponents wrote them. Flits are acquired from the pool view
+// of the shard that owns the component holding them.
+func (nw *Network) loadComponents(d *flit.Decoder) error {
 	for i, r := range nw.routers {
-		n := nw.nics[i]
-		if err := r.RestoreState(s.Routers[i], nw.poolFor(nw.shardOfNode(r.ID())), numNodes,
-			n.GatherAckFunc(), n.ReduceAckFunc()); err != nil {
-			return err
+		if err := r.LoadState(d, nw.nics[i].GatherAckFunc(), nw.nics[i].ReduceAckFunc()); err != nil {
+			return fmt.Errorf("router %d: %w", r.ID(), err)
 		}
 	}
 	for i, l := range nw.links {
-		l.RestoreState(s.Links[i], nw.poolFor(nw.linkRecs[i].downShard), numNodes)
-	}
-	for i, n := range nw.nics {
-		if err := n.RestoreState(s.NICs[i], numNodes); err != nil {
-			return err
+		if err := l.LoadState(d, nw.poolFor(nw.linkRecs[i].downShard), nw.cfg.Router.VCs); err != nil {
+			return fmt.Errorf("link %s: %w", l.Name(), err)
 		}
 	}
-	for i, sk := range nw.sinks {
-		if err := sk.ej.RestoreState(s.Sinks[i], numNodes); err != nil {
-			return err
+	for _, n := range nw.nics {
+		if err := n.LoadState(d); err != nil {
+			return fmt.Errorf("nic %d: %w", n.ID(), err)
 		}
 	}
-	nw.engine.RestoreCycle(s.Cycle)
+	for _, s := range nw.sinks {
+		if err := s.ej.LoadState(d); err != nil {
+			return fmt.Errorf("sink %d: %w", s.row, err)
+		}
+	}
 	return nil
 }
 
@@ -216,20 +224,39 @@ func (nw *Network) poolFor(sh int) *flit.Pool {
 	return nw.pools[sh]
 }
 
-// EncodeSnapshot serializes a snapshot to deterministic JSON (one
-// encoding per state, fit for content addressing and golden comparison).
+// EncodeSnapshot serializes a snapshot: the version line, the Config as
+// JSON (length first), the cycle, then the state bytes.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	return json.Marshal(s)
+	cfg, err := json.Marshal(s.Config)
+	if err != nil {
+		return nil, fmt.Errorf("noc: encoding snapshot config: %w", err)
+	}
+	b := append([]byte(s.Version), '\n')
+	b = binary.AppendUvarint(b, uint64(len(cfg)))
+	b = append(b, cfg...)
+	b = binary.AppendVarint(b, s.Cycle)
+	return append(b, s.State...), nil
 }
 
-// DecodeSnapshot parses a snapshot produced by EncodeSnapshot.
+// DecodeSnapshot parses a snapshot produced by EncodeSnapshot, refusing
+// another version by name. The state bytes are checked by Restore.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("noc: decoding snapshot: %w", err)
+	version, rest, _ := bytes.Cut(data, []byte{'\n'})
+	if string(version) != SnapshotVersion {
+		return nil, fmt.Errorf("noc: snapshot version %.40q, want %q", version, SnapshotVersion)
 	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("noc: snapshot version %q, want %q", s.Version, SnapshotVersion)
+	s := &Snapshot{Version: SnapshotVersion}
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || n > uint64(len(rest)-k) {
+		return nil, fmt.Errorf("noc: decoding snapshot: config truncated")
 	}
-	return &s, nil
+	if err := json.Unmarshal(rest[k:k+int(n)], &s.Config); err != nil {
+		return nil, fmt.Errorf("noc: decoding snapshot config: %w", err)
+	}
+	rest = rest[k+int(n):]
+	if s.Cycle, k = binary.Varint(rest); k <= 0 {
+		return nil, fmt.Errorf("noc: decoding snapshot: cycle truncated")
+	}
+	s.State = rest[k:]
+	return s, nil
 }

@@ -2,50 +2,6 @@ package reduce
 
 import "gathernoc/internal/flit"
 
-// EntrySnapshot is the serialized form of one station entry: the operand
-// by value plus its reservation state. The ack callback is not serialized
-// — every entry of a station is offered with the owning NIC's single ack
-// function (gather or reduce), which the restoring network re-wires.
-type EntrySnapshot struct {
-	Operand  flit.Payload
-	Reserved bool
-}
-
-// CaptureEntries serializes the station queue in order.
-func (s *Station) CaptureEntries() []EntrySnapshot {
-	if len(s.entries) == 0 {
-		return nil
-	}
-	out := make([]EntrySnapshot, len(s.entries))
-	for i, e := range s.entries {
-		out[i] = EntrySnapshot{Operand: e.operand, Reserved: e.state == entryReserved}
-	}
-	return out
-}
-
-// RestoreEntries replaces the station queue with the captured entries,
-// all acked through the given function (the owning NIC's handler, exactly
-// as Offer would have wired them).
-func (s *Station) RestoreEntries(entries []EntrySnapshot, ack AckFunc) {
-	for _, e := range s.entries {
-		s.recycle(e)
-	}
-	s.entries = s.entries[:0]
-	for _, es := range entries {
-		e, ok := s.spares.Get()
-		if !ok {
-			e = &Entry{}
-		}
-		e.operand = es.Operand
-		e.state = entryPending
-		if es.Reserved {
-			e.state = entryReserved
-		}
-		e.ack = ack
-		s.entries = append(s.entries, e)
-	}
-}
-
 // EntryIndex returns e's position in the station queue, or -1 when e is
 // not queued. Snapshots use it to encode a router's live entry pointers
 // as stable indices.
@@ -67,12 +23,41 @@ func (s *Station) EntryAt(i int) *Entry {
 	return s.entries[i]
 }
 
-// AppendState appends the station queue in order, as CaptureEntries
-// captures it (flit.Encoder).
+// AppendState appends the station queue in order (flit.Encoder): each
+// operand and whether it is reserved. The ack callback is not written —
+// every entry of a station is offered with the owning NIC's one ack
+// function (gather or reduce), which LoadState is given.
 func (s *Station) AppendState(e *flit.Encoder) {
 	e.Uint(uint64(len(s.entries)))
 	for _, en := range s.entries {
 		en.operand.AppendState(e)
 		e.Bool(en.state == entryReserved)
+	}
+}
+
+// LoadState replaces the station queue with the one AppendState wrote,
+// every entry acked through ack, as Offer would have wired it.
+func (s *Station) LoadState(d *flit.Decoder, ack AckFunc) {
+	for _, e := range s.entries {
+		s.recycle(e)
+	}
+	s.entries = s.entries[:0]
+	n := d.Len()
+	if n > s.cap {
+		d.Failf("station of %d entries over its capacity %d", n, s.cap)
+		n = 0
+	}
+	for ; n > 0; n-- {
+		e, ok := s.spares.Get()
+		if !ok {
+			e = &Entry{}
+		}
+		e.operand.LoadState(d)
+		e.state = entryPending
+		if d.Bool() {
+			e.state = entryReserved
+		}
+		e.ack = ack
+		s.entries = append(s.entries, e)
 	}
 }

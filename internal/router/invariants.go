@@ -12,7 +12,10 @@ import (
 //
 //   - input buffers never exceed the configured depth;
 //   - credit counters stay within [0, downstream depth];
-//   - an input VC past route computation has at least one branch;
+//   - an input VC past route computation has at least one branch, and
+//     no two of its branches share an output (so the one unsent branch
+//     to an output SA grants is the credited one requestedOutputs saw);
+//     an active VC holds a downstream VC on every branch;
 //   - every downstream-VC ownership entry points back at an input VC that
 //     actually holds that allocation;
 //   - a raised gather or accumulate Load signal has a reserved station
@@ -67,6 +70,19 @@ func (r *Router) CheckInvariants() error {
 				(vc.stage != vcIdle || vc.wait != 0 || len(vc.branches) != 0 || vc.gatherLoad || vc.reduceLoad) {
 				return fmt.Errorf("router %d: input %s vc%d holds no flit and is neither in VA nor active, but not at rest (stage %d, wait %d, %d branches)",
 					r.id, topology.Port(p), v, vc.stage, vc.wait, len(vc.branches))
+			}
+			var outs uint8
+			for bi := range vc.branches {
+				out := vc.branches[bi].out
+				if outs&(1<<out) != 0 {
+					return fmt.Errorf("router %d: input %s vc%d has two branches to output %s",
+						r.id, topology.Port(p), v, out)
+				}
+				outs |= 1 << out
+				if vc.stage == vcActive && vc.branches[bi].vc < 0 {
+					return fmt.Errorf("router %d: input %s vc%d active without a downstream VC on output %s",
+						r.id, topology.Port(p), v, out)
+				}
 			}
 			head := vc.head()
 			for bi := range vc.branches {

@@ -58,6 +58,15 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	rest.branches = rest.branches[:0]
 
+	// Fork a VC in VA twice to one output.
+	rest.stage = vcVA
+	rest.branches = append(rest.branches, branchState{out: topology.EastPort, vc: -1}, branchState{out: topology.EastPort, vc: -1})
+	err = h.a.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "two branches") {
+		t.Errorf("two branches to one output not detected: %v", err)
+	}
+	rest.stage, rest.branches = vcIdle, rest.branches[:0]
+
 	// Claim ownership pointing at an input VC that holds nothing.
 	h.a.outputs[topology.EastPort].ownerPort[1] = 0
 	h.a.outputs[topology.EastPort].ownerVC[1] = 0

@@ -921,12 +921,13 @@ func (r *Router) requestedOutputs(vc *inputVC) uint8 {
 	return req
 }
 
-// branchRequesting returns the index of the unserved credited branch of vc
-// aimed at out, or -1.
+// branchRequesting returns the index of the unserved branch of vc aimed at
+// out, or -1. A VC has at most one branch per output (CheckInvariants), so
+// for an out in requestedOutputs' mask it is the credited one.
 func (r *Router) branchRequesting(vc *inputVC, out topology.Port) int {
 	for i := range vc.branches {
 		br := &vc.branches[i]
-		if br.out == out && !br.sent && r.outputs[br.out].credits[br.vc] > 0 {
+		if br.out == out && !br.sent {
 			return i
 		}
 	}

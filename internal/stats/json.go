@@ -7,39 +7,13 @@ import (
 	"strconv"
 )
 
-// The JSON forms below exist for two consumers with the same need: the
-// content-addressed result cache (experiments must round-trip a report
-// byte-for-byte) and engine snapshots (a restored component must replay
-// the exact statistics of the run it left). Both require that decoding
-// reproduces the encoder's state bit-for-bit, so Sample serializes its
-// raw observations in insertion order — re-observing them rebuilds the
+// Sample's JSON form exists for the content-addressed result cache
+// (experiments must round-trip a report byte-for-byte), which requires
+// that decoding reproduces the encoder's state bit-for-bit, so it holds
+// the raw observations in insertion order — re-observing them rebuilds the
 // identical chunk layout, sum (same float addition order) and order
-// statistics — rather than any lossy summary.
-
-// Clone returns an independent deep copy of the sample, rebuilt by
-// replaying the observations in insertion order so the copy's chunk
-// layout, running sum and order statistics match the original exactly.
-// In-memory snapshot forks use it: assigning a Sample by value would
-// share chunk backing arrays with the live original.
-func (s *Sample) Clone() Sample {
-	var c Sample
-	for _, chunk := range s.chunks {
-		for _, v := range chunk {
-			c.Observe(v)
-		}
-	}
-	return c
-}
-
-// MarshalJSON encodes the counter as its plain count.
-func (c Counter) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.n)
-}
-
-// UnmarshalJSON decodes a plain count.
-func (c *Counter) UnmarshalJSON(data []byte) error {
-	return json.Unmarshal(data, &c.n)
-}
+// statistics — rather than any lossy summary. Engine snapshots do the same
+// in binary (flit.Encoder.Sample).
 
 // MarshalJSON encodes the sample as its observations in insertion order.
 func (s Sample) MarshalJSON() ([]byte, error) {

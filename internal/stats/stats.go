@@ -21,6 +21,9 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
+// Set sets the count, restoring one a snapshot recorded.
+func (c *Counter) Set(n uint64) { c.n = n }
+
 // Sample accumulates scalar observations and reports summary statistics.
 // Observations are retained so percentiles are exact.
 //
@@ -62,6 +65,16 @@ func (s *Sample) Observe(v float64) {
 	s.n++
 	s.sum += v
 	s.sorted = nil
+}
+
+// Each calls f with every observation in insertion order: observing them
+// again rebuilds the sample exactly.
+func (s *Sample) Each(f func(float64)) {
+	for _, chunk := range s.chunks {
+		for _, v := range chunk {
+			f(v)
+		}
+	}
 }
 
 // N returns the observation count.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"gathernoc/internal/flit"
 	"gathernoc/internal/stats"
 )
 
@@ -51,62 +52,44 @@ func (s *countingSource) skipTo(seed int64, n uint64) {
 	s.draws = n
 }
 
-// GeneratorState is the serialized mutable state of a Generator. The
-// configuration (pattern, rates, windows, seed) is not serialized — a
-// resuming run reconstructs the generator from the same config, and the
-// checkpoint layer guards that with the network config hash.
-type GeneratorState struct {
-	Base      int64
-	Injecting bool
-	Injected  uint64
-	Received  uint64
-	Sent      uint64
-	Delivered uint64
-	// Draws is the RNG position: how many values the generator has drawn
-	// from its seeded source.
-	Draws uint64
-
-	Latency        stats.Sample
-	QueueLatency   stats.Sample
-	NetworkLatency stats.Sample
-	Hops           stats.Sample
-}
-
-// CaptureState serializes the generator's progress at a cycle boundary.
-func (g *Generator) CaptureState() GeneratorState {
-	return GeneratorState{
-		Base:      g.base,
-		Injecting: g.injecting,
-		Injected:  g.injected,
-		Received:  g.received,
-		Sent:      g.sent,
-		Delivered: g.delivered,
-		Draws:     g.src.draws,
-
-		Latency:        g.res.Latency.Clone(),
-		QueueLatency:   g.res.QueueLatency.Clone(),
-		NetworkLatency: g.res.NetworkLatency.Clone(),
-		Hops:           g.res.Hops.Clone(),
+// AppendState appends the generator's progress (flit.Encoder, absolute
+// mode): injection window base and state, the packet counts, the RNG
+// position — how many values the generator has drawn from its seeded
+// source — and the measured samples. The configuration (pattern, rates,
+// windows, seed) is not written: a resuming run reconstructs the generator
+// from the same config.
+func (g *Generator) AppendState(e *flit.Encoder) {
+	e.Int(g.base)
+	e.Bool(g.injecting)
+	for _, c := range []uint64{g.injected, g.received, g.sent, g.delivered, g.src.draws} {
+		e.Uint(c)
+	}
+	for _, s := range g.samples() {
+		e.Sample(s)
 	}
 }
 
-// RestoreState rewinds a freshly constructed generator (same config as
-// the captured one) to the captured progress, RNG position included.
-func (g *Generator) RestoreState(s GeneratorState) error {
+// samples lists the measured samples, in the order AppendState writes them.
+func (g *Generator) samples() []*stats.Sample {
+	return []*stats.Sample{&g.res.Latency, &g.res.QueueLatency, &g.res.NetworkLatency, &g.res.Hops}
+}
+
+// LoadState rewinds a freshly constructed generator (same config as the
+// encoded one) to the progress AppendState wrote, RNG position included.
+func (g *Generator) LoadState(d *flit.Decoder) error {
 	if g.sent != 0 || g.src.draws != 0 {
-		return fmt.Errorf("traffic: RestoreState needs a fresh generator")
+		return fmt.Errorf("traffic: LoadState needs a fresh generator")
 	}
-	g.base = s.Base
-	g.injecting = s.Injecting
-	g.injected = s.Injected
-	g.received = s.Received
-	g.sent = s.Sent
-	g.delivered = s.Delivered
-	g.src.skipTo(g.cfg.Seed, s.Draws)
-
-	g.res.Latency = s.Latency.Clone()
-	g.res.QueueLatency = s.QueueLatency.Clone()
-	g.res.NetworkLatency = s.NetworkLatency.Clone()
-	g.res.Hops = s.Hops.Clone()
+	g.base = d.Int()
+	g.injecting = d.Bool()
+	g.injected, g.received, g.sent, g.delivered = d.Uint(), d.Uint(), d.Uint(), d.Uint()
+	draws := d.Uint()
+	for _, s := range g.samples() {
+		d.Sample(s)
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("traffic: generator state: %w", err)
+	}
+	g.src.skipTo(g.cfg.Seed, draws)
 	return nil
 }

@@ -8,9 +8,10 @@ import (
 	"testing"
 
 	"gathernoc/internal/fault"
-
+	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/systolic"
+	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 )
 
@@ -63,6 +64,24 @@ func finishSnapWorkload(t *testing.T, nw *noc.Network, gen *traffic.Generator) *
 		t.Errorf("flit pool leaked %d flits", live)
 	}
 	return gen.Result(cycles)
+}
+
+// generatorState encodes gen's progress in absolute mode.
+func generatorState(gen *traffic.Generator) []byte {
+	var e flit.Encoder
+	e.ResetAbsolute(nil)
+	gen.AppendState(&e)
+	return e.Bytes()
+}
+
+// loadGenerator loads progress generatorState encoded onto a fresh gen.
+func loadGenerator(t *testing.T, gen *traffic.Generator, state []byte) {
+	t.Helper()
+	var d flit.Decoder
+	d.Reset(state, 0, 0)
+	if err := gen.LoadState(&d); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func sameGeneratorResult(t *testing.T, label string, a, b *traffic.GeneratorResult) {
@@ -125,7 +144,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gstate := gen1.CaptureState()
+			gstate := generatorState(gen1)
 			data, err := noc.EncodeSnapshot(snap)
 			if err != nil {
 				t.Fatal(err)
@@ -142,9 +161,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 			if err := nw2.Restore(decoded); err != nil {
 				t.Fatal(err)
 			}
-			if err := gen2.RestoreState(gstate); err != nil {
-				t.Fatal(err)
-			}
+			loadGenerator(t, gen2, gstate)
 			if got := nw2.Engine().Cycle(); got != 600 {
 				t.Fatalf("restored engine at cycle %d, want 600", got)
 			}
@@ -174,7 +191,7 @@ func TestSnapshotCrossShardRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gstate := gen1.CaptureState()
+	gstate := generatorState(gen1)
 	nw1.Close()
 
 	shardCfg, _ := snapRunConfig(4)
@@ -183,9 +200,7 @@ func TestSnapshotCrossShardRestore(t *testing.T) {
 	if err := nw2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := gen2.RestoreState(gstate); err != nil {
-		t.Fatal(err)
-	}
+	loadGenerator(t, gen2, gstate)
 	res := finishSnapWorkload(t, nw2, gen2)
 	sameGeneratorResult(t, "cross-shard", refRes, res)
 }
@@ -205,7 +220,7 @@ func TestForkDivergenceIndependence(t *testing.T) {
 	nw1, gen1 := buildSnapWorkload(t, cfg, gcfg)
 	defer nw1.Close()
 	nw1.Engine().RunUntil(never, 600)
-	gstate := gen1.CaptureState()
+	gstate := generatorState(gen1)
 	snap, err := nw1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +238,7 @@ func TestForkDivergenceIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	fork.Engine().AddTicker(genF)
-	if err := genF.RestoreState(gstate); err != nil {
-		t.Fatal(err)
-	}
+	loadGenerator(t, genF, gstate)
 	resF := finishSnapWorkload(t, fork, genF)
 
 	sameGeneratorResult(t, "original", refRes, res1)
@@ -262,10 +275,10 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 }
 
 // TestSnapshotRejectsOtherVersion proves the version guard: an envelope of
-// another snapshot version (v1 carried a per-NIC tag the v2 layout dropped)
-// is refused by name at both entries, before anything is restored.
+// another snapshot version (v2 was JSON, v3 the absolute encoding) is
+// refused by name at both entries, before anything is restored.
 func TestSnapshotRejectsOtherVersion(t *testing.T) {
-	const v1 = "gathernoc/noc.Snapshot/v1"
+	const v2 = "gathernoc/noc.Snapshot/v2"
 	cfg, gcfg := snapRunConfig(0)
 	nw, _ := buildSnapWorkload(t, cfg, gcfg)
 	defer nw.Close()
@@ -274,17 +287,17 @@ func TestSnapshotRejectsOtherVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := noc.DecodeSnapshot([]byte(`{"Version":"` + v1 + `"}`)); err == nil || !strings.Contains(err.Error(), "snapshot version") {
-		t.Errorf("DecodeSnapshot of a v1 envelope: %v, want the version error", err)
+	if _, err := noc.DecodeSnapshot([]byte(`{"Version":"` + v2 + `"}`)); err == nil || !strings.Contains(err.Error(), "snapshot version") {
+		t.Errorf("DecodeSnapshot of a v2 envelope: %v, want the version error", err)
 	}
 	fresh, err := noc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	snap.Version = v1
+	snap.Version = v2
 	if err := fresh.Restore(snap); err == nil || !strings.Contains(err.Error(), "snapshot version") {
-		t.Errorf("Restore of a v1 snapshot: %v, want the version error", err)
+		t.Errorf("Restore of a v2 snapshot: %v, want the version error", err)
 	}
 	if fresh.Engine().Cycle() != 0 || !fresh.Quiescent() {
 		t.Error("a refused restore changed the network")
@@ -311,7 +324,7 @@ func TestSnapshotResumeWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gstate := gen1.CaptureState()
+	gstate := generatorState(gen1)
 	data, err := noc.EncodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -327,9 +340,7 @@ func TestSnapshotResumeWithFaults(t *testing.T) {
 	if err := nw2.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
-	if err := gen2.RestoreState(gstate); err != nil {
-		t.Fatal(err)
-	}
+	loadGenerator(t, gen2, gstate)
 	res := finishSnapWorkload(t, nw2, gen2)
 
 	sameGeneratorResult(t, "faulty resume", refRes, res)
@@ -384,8 +395,9 @@ func TestSnapshotRoundTripMidCollection(t *testing.T) {
 					t.Fatal(err)
 				}
 				entries := 0
-				for _, rs := range s.Routers {
-					entries += len(rs.GatherStation) + len(rs.ReduceStation)
+				for id := 0; id < nw.Mesh().NumNodes(); id++ {
+					r := nw.Router(topology.NodeID(id))
+					entries += r.GatherBacklog() + r.ReduceBacklog()
 				}
 				if entries > 0 {
 					snap = s
@@ -417,7 +429,7 @@ func TestSnapshotRoundTripMidCollection(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(data1, data2) {
-				t.Errorf("restore is not an exact inverse of capture:\n%s\nvs\n%s", data1, data2)
+				t.Errorf("restore is not an exact inverse of capture: %d bytes re-captured as %d", len(data1), len(data2))
 			}
 		})
 	}
