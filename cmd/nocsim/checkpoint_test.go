@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gathernoc/internal/flit"
 )
 
 // resultLines strips the process-local lines (scheduler evaluations,
@@ -118,4 +122,52 @@ func TestRunCheckpointRejectsBadInputs(t *testing.T) {
 			t.Errorf("%s checkpoint: %v, want the incompatible-version error", version, err)
 		}
 	}
+
+	// A generator draw count the checkpoint's cycle could not have made is
+	// refused before it is replayed: resuming one used to spin for ever.
+	args := []string{"-rows", "4", "-cols", "4", "-rate", "0.05", "-warmup", "100", "-measure", "500",
+		"-checkpoint", ck, "-checkpointat", "300"}
+	if err := run(args, new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ck, withDrawCount(t, data, 1<<62), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-resume", ck}, new(strings.Builder)); err == nil || !strings.Contains(err.Error(), "draw count") {
+		t.Errorf("damaged draw count: %v, want the draw-count error", err)
+	}
+}
+
+// withDrawCount returns checkpoint data with the generator's draw count
+// (traffic.Generator.AppendState: the base, the injecting flag, four packet
+// counts, then the count) set to draws.
+func withDrawCount(t *testing.T, data []byte, draws uint64) []byte {
+	t.Helper()
+	version, rest, _ := bytes.Cut(data, []byte{'\n'})
+	header, rest, _ := bytes.Cut(rest, []byte{'\n'})
+	n, k := binary.Uvarint(rest)
+	gen, network := rest[k:k+int(n)], rest[k+int(n):]
+	var d flit.Decoder
+	d.Reset(gen, 0, 0)
+	var e flit.Encoder
+	e.ResetAbsolute(nil)
+	e.Int(d.Int())
+	e.Bool(d.Bool())
+	for i := 0; i < 4; i++ {
+		e.Uint(d.Uint())
+	}
+	d.Uint()
+	e.Uint(draws)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	gen = append(e.Bytes(), gen[len(gen)-d.Remaining():]...)
+	out := append(append([]byte(nil), version...), '\n')
+	out = append(append(out, header...), '\n')
+	out = binary.AppendUvarint(out, uint64(len(gen)))
+	return append(append(out, gen...), network...)
 }

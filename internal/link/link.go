@@ -10,6 +10,7 @@
 package link
 
 import (
+	"fmt"
 	"strconv"
 
 	"gathernoc/internal/fault"
@@ -105,9 +106,10 @@ type Link struct {
 	flits   ring.Ring[inflightFlit]
 	credits ring.Ring[inflightCredit]
 
-	// Engine wake-ups, armed when traffic is staged: flitWake by Send,
-	// creditWake by ReturnCredit. One handle on a link committed whole, one
-	// per half on a link two shards commit (SetHalfWakes).
+	// Engine wake-ups, armed for the next cycle when traffic is staged:
+	// flitWake by Send, creditWake by ReturnCredit. One handle on a link
+	// committed whole, one per half on a link two shards commit
+	// (SetHalfWakes).
 	flitWake, creditWake *sim.Handle
 
 	probe *telemetry.Probe
@@ -156,8 +158,8 @@ func New(name Name, latency int, down FlitSink, up CreditSink) *Link {
 func (l *Link) Name() string { return l.name.String() }
 
 // SetWake attaches the engine wake handle; Send and ReturnCredit arm it so
-// a sleeping link is committed. Links work without one (nil handles ignore
-// Wake).
+// a sleeping link is committed from the next cycle on. Links work without
+// one (nil handles ignore wakes).
 func (l *Link) SetWake(h *sim.Handle) { l.flitWake, l.creditWake = h, h }
 
 // SetHalfWakes attaches the wake handles of a link committed in two halves
@@ -253,26 +255,71 @@ func (l *Link) oweCredit(vc int) {
 }
 
 // Idle implements sim.Idler: with nothing in flight the commit is a pure
-// no-op, so the engine may skip the link until traffic is staged again.
+// no-op, so the engine may skip the link until traffic is staged again. A
+// link with anything still on the wire stays awake, so a latency above one
+// cycle needs no timer: the commits before the item is due find nothing
+// ripe.
 func (l *Link) Idle() bool { return l.flits.Empty() && l.credits.Empty() }
 
 // Send stages a flit for traversal; called by the upstream component
-// during its tick at cycle now.
+// during its tick at cycle now. Nothing staged in cycle now can be due
+// before now+1, so the link is woken for the next cycle, not this one.
 func (l *Link) Send(f *flit.Flit, vc int, now int64) {
 	l.flits.PushBack(inflightFlit{f: f, vc: vc, due: now + l.latency})
-	l.flitWake.Wake()
+	l.flitWake.WakeNext()
 }
 
 // ReturnCredit stages a credit for the upstream component; called by the
 // downstream component during its tick at cycle now when it frees a buffer
-// slot on vc.
+// slot on vc. Like Send, it wakes the link for the cycle the credit is due.
 func (l *Link) ReturnCredit(vc int, now int64) {
 	l.credits.PushBack(inflightCredit{vc: vc, due: now + 1})
-	l.creditWake.Wake()
+	l.creditWake.WakeNext()
 }
 
 // InFlight returns the number of flits currently traversing the link.
 func (l *Link) InFlight() int { return l.flits.Len() }
+
+// CheckInvariants reports the first way the channel is inconsistent,
+// between cycles. Credits are conserved on each of its vcs VCs: the
+// credits the upstream end holds (its Credits(vc)), the flits and credits
+// on the wire, the credits owed for flits a fault dropped and the flits the
+// downstream end buffers (its Occupancy(vc)) add up to depth, the buffer's
+// size. (One credit too many lets a flit overflow the buffer; one too few
+// loses a slot for good.) A channel whose ends cannot count is left out of
+// that check. With intoRouter, a multicast head on the wire must carry its
+// destination set, which the router's route computation reads;
+// ejection-bound heads need none.
+func (l *Link) CheckInvariants(depth, vcs int, intoRouter bool) error {
+	up, _ := l.up.(interface{ Credits(vc int) int })
+	down, _ := l.down.(interface{ Occupancy(vc int) int })
+	for vc := 0; vc < vcs && up != nil && down != nil; vc++ {
+		n := up.Credits(vc) + down.Occupancy(vc)
+		for i := 0; i < l.flits.Len(); i++ {
+			if l.flits.At(i).vc == vc {
+				n++
+			}
+		}
+		for i := 0; i < l.credits.Len(); i++ {
+			if l.credits.At(i).vc == vc {
+				n++
+			}
+		}
+		if vc < len(l.owedCredits) {
+			n += l.owedCredits[vc]
+		}
+		if n != depth {
+			return fmt.Errorf("link %s: vc%d accounts for %d buffer slots (credits upstream, on the wire and owed, flits on the wire and buffered), want %d",
+				l.name, vc, n, depth)
+		}
+	}
+	for i := 0; intoRouter && i < l.flits.Len(); i++ {
+		if f := l.flits.At(i).f; f.IsHead() && f.PT == flit.Multicast && f.MDst == nil {
+			return fmt.Errorf("link %s: multicast head of packet %d has no destination set", l.name, f.PacketID)
+		}
+	}
+	return nil
+}
 
 // Commit delivers flits and credits whose latency has elapsed. Items are
 // staged in send order with non-decreasing due cycles and latencies are

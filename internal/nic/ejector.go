@@ -280,6 +280,10 @@ func (e *Ejector) Buffered() int {
 	return n
 }
 
+// Occupancy returns the flits buffered on vc, the ejector's end of the
+// credit loop link.Link.CheckInvariants balances.
+func (e *Ejector) Occupancy(vc int) int { return e.bufs[vc].Len() }
+
 // PendingPackets reports partially reassembled packets.
 func (e *Ejector) PendingPackets() int { return len(e.partial) }
 

@@ -245,8 +245,9 @@ func (n *NIC) SetFlitPool(p *flit.Pool) { n.pool = p }
 // tick (fine when it is ticked every cycle, as in standalone unit tests).
 func (n *NIC) SetClock(c sim.Clock) { n.clock = c }
 
-// SetWake attaches the engine wake handle; credit arrivals, enqueues and
-// gather-payload submissions arm it so a sleeping NIC is re-evaluated.
+// SetWake attaches the engine wake handle; enqueues and gather-payload
+// submissions arm it so a sleeping NIC is re-evaluated (credit arrivals do
+// not: see Idle).
 func (n *NIC) SetWake(h *sim.Handle) { n.wake = h }
 
 // currentCycle returns the cycle to timestamp externally triggered work
@@ -264,7 +265,11 @@ func (n *NIC) currentCycle() int64 {
 // an unconfirmed payload's retransmission, the end of an ejector stall),
 // which Idle arms the timer for. The engine may skip it until then or
 // until new work arrives (wakes come from enqueues, payload submissions,
-// acks, delivery confirmations, credit returns and ejection deliveries).
+// acks, delivery confirmations and ejection deliveries). A credit return
+// is not new work: with nothing queued or streaming there is no flit it
+// could let out, and the enqueue that brings one wakes the NIC. A NIC
+// blocked on a credit has a packet queued or streaming and so never
+// sleeps; were Idle ever to admit one, AcceptCredit would have to wake it.
 func (n *NIC) Idle() bool {
 	return n.streaming == 0 && n.queue.Len() == 0 &&
 		n.wake.IdleUntil(n.now, min(n.sweepAt, n.eject.NextDrain(n.now)))
@@ -278,11 +283,15 @@ func (n *NIC) sweepBy(cycle int64) {
 	}
 }
 
-// AcceptCredit implements link.CreditSink for the injection channel.
+// AcceptCredit implements link.CreditSink for the injection channel. It
+// wakes nothing: see Idle.
 func (n *NIC) AcceptCredit(vc int) {
 	n.credits[vc]++
-	n.wake.Wake()
 }
+
+// Credits returns the credits the NIC holds for the router's local input
+// VC vc, its end of the credit loop link.Link.CheckInvariants balances.
+func (n *NIC) Credits(vc int) int { return n.credits[vc] }
 
 // OnReceive registers the completed-packet callback.
 func (n *NIC) OnReceive(fn func(*ReceivedPacket)) { n.eject.OnReceive(fn) }

@@ -121,11 +121,14 @@ type Network struct {
 // endpoint's node (or sink) id, reported on link trace events; upID the
 // upstream one. outPort is the upstream router's output port, meaningful
 // only for the inter-router records (the first fabricLinks entries).
+// intoRouter marks the links whose downstream end is a router (inter-router
+// and injection links), not an ejector.
 type linkRec struct {
 	l                  *link.Link
 	downShard, upShard int
 	downID, upID       topology.NodeID
 	outPort            topology.Port
+	intoRouter         bool
 }
 
 // New builds and wires a network according to cfg.
@@ -278,6 +281,7 @@ func New(cfg Config) (*Network, error) {
 		n.ConnectInjection(inj)
 		rtr.ConnectInput(topology.LocalPort, inj)
 		nw.addLink(inj, sh, sh, topology.NodeID(id), topology.NodeID(id))
+		nw.linkRecs[len(nw.linkRecs)-1].intoRouter = true
 
 		ej := link.New(link.Numbered("ej", id), cfg.LinkLatency, n.Ejector(), rtr.CreditSink(topology.LocalPort))
 		rtr.ConnectOutput(topology.LocalPort, ej, cfg.Router.VCs, cfg.Router.BufferDepth)
@@ -620,6 +624,7 @@ func (nw *Network) wireRouterPair(src, dst *router.Router, out topology.Port) {
 	dst.ConnectInput(in, l)
 	nw.addLink(l, nw.shardOfNode(dst.ID()), nw.shardOfNode(src.ID()), dst.ID(), src.ID())
 	nw.linkRecs[len(nw.linkRecs)-1].outPort = out
+	nw.linkRecs[len(nw.linkRecs)-1].intoRouter = true
 }
 
 // addLink records a wired link with the shards owning its two endpoints:
@@ -806,10 +811,18 @@ func (nw *Network) RunUntilQuiescent(maxCycles int64) (int64, error) {
 }
 
 // CheckInvariants validates every router's internal consistency (see
-// router.CheckInvariants); intended for tests and debugging runs.
+// router.CheckInvariants) and every channel's: credits conserved on each
+// link and VC, and every multicast head on a link into a router routable
+// (see link.Link.CheckInvariants). Restore ends with it; tests and
+// debugging runs call it between cycles.
 func (nw *Network) CheckInvariants() error {
 	for _, r := range nw.routers {
 		if err := r.CheckInvariants(); err != nil {
+			return err
+		}
+	}
+	for _, rec := range nw.linkRecs {
+		if err := rec.l.CheckInvariants(nw.cfg.Router.BufferDepth, nw.cfg.Router.VCs, rec.intoRouter); err != nil {
 			return err
 		}
 	}

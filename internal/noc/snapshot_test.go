@@ -1,9 +1,11 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/link"
 	"gathernoc/internal/topology"
 )
 
@@ -109,4 +111,98 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restoreDamaged(t, cfg, data, "fuzzed bytes")
 	})
+}
+
+// refusedRestore snapshots nw, which the caller has edited, and restores
+// the encoded snapshot onto a fresh network of the same configuration: the
+// restore must fail with an error containing want.
+func refusedRestore(t *testing.T, nw *Network, want string) {
+	t.Helper()
+	s, err := nw.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeSnapshot(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreDamaged(t, nw.Config(), data, "the edited snapshot")
+	decoded, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(nw.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.Restore(decoded); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore of the edited snapshot: %v, want an error containing %q", err, want)
+	}
+}
+
+// A credit returned without a flit leaving the buffer breaks the channel's
+// conservation: restored and run, the upstream router would send into a
+// full buffer ("overflow"). Restore refuses it.
+func TestRestoreRefusesUnbalancedCredits(t *testing.T) {
+	cfg, data := busySnapshot(t)
+	s, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	if err := nw.Restore(s); err != nil {
+		t.Fatal(err)
+	}
+	nw.linkRecs[0].l.ReturnCredit(1, nw.Engine().Cycle())
+	refusedRestore(t, nw, "buffer slots")
+}
+
+// A multicast head on a link into a router without its destination set
+// would panic at the router's route computation. Restore refuses it. The
+// edit replaces the head of a real packet on the same VC, so the channel's
+// credits still balance and the destination check is the one that fails.
+func TestRestoreRefusesMulticastHeadWithoutSet(t *testing.T) {
+	c := DefaultConfig(3, 3)
+	nw, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	nw.NIC(0).SendUnicastN(0, 4, 1)
+	nw.Engine().Step() // the NIC puts the flit on its injection link
+	var inj *link.Link
+	for _, rec := range nw.linkRecs {
+		if rec.intoRouter && rec.upID == 0 && rec.downID == 0 {
+			inj = rec.l
+		}
+	}
+	vc := -1
+	for v := 0; v < c.Router.VCs; v++ {
+		if nw.NIC(0).Credits(v) < c.Router.BufferDepth {
+			vc = v
+		}
+	}
+	if inj == nil || inj.InFlight() != 1 || vc < 0 {
+		t.Fatalf("no flit on node 0's injection link (link %v, vc %d)", inj, vc)
+	}
+	var e flit.Encoder
+	e.ResetAbsolute(nil)
+	e.Uint(0) // flits carried
+	e.Uint(0) // credits carried
+	e.Uint(0) // no owed credits
+	e.Bool(false)
+	e.Uint(1)
+	(&flit.Flit{Type: flit.Head, PT: flit.Multicast, PacketID: 1, Src: 0}).AppendState(&e)
+	e.Int(int64(vc))
+	e.Cycle(nw.Engine().Cycle())
+	e.Uint(0) // no credits on the wire
+	if err := inj.LoadState(nw.decoder(e.Bytes()), nw.FlitPool(), c.Router.VCs); err != nil {
+		t.Fatal(err)
+	}
+	refusedRestore(t, nw, "no destination set")
 }

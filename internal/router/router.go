@@ -278,9 +278,10 @@ func New(id topology.NodeID, cfg Config, routeFn RoutingFunc) (*Router, error) {
 // ID returns the node this router serves.
 func (r *Router) ID() topology.NodeID { return r.id }
 
-// SetWake attaches the engine wake handle; flit and credit arrivals arm it
-// so a sleeping router is re-evaluated. Routers work without one (nil
-// handles ignore Wake), which standalone unit tests rely on.
+// SetWake attaches the engine wake handle; flit arrivals arm it so a
+// sleeping router is re-evaluated (a credit arrival does not: see Idle).
+// Routers work without one (nil handles ignore Wake), which standalone
+// unit tests rely on.
 func (r *Router) SetWake(h *sim.Handle) { r.wake = h }
 
 // SetFlitPool attaches the network's flit pool: multicast fork copies are
@@ -310,8 +311,12 @@ func (r *Router) MaxVCOccupancy() int {
 // Idle implements sim.Idler: with every input buffer empty the router's
 // tick is a pure no-op (stages only act on buffered flits, the SA arbiters
 // only rotate past a winner, and the VA rotation is derived from the cycle
-// number), so the engine may skip the router until a flit or credit
-// arrives. Buffer occupancy is counted incrementally, so the check is O(1).
+// number), so the engine may skip the router until a flit arrives. A
+// credit arriving meanwhile needs no wake: with no buffered flit there is
+// nothing it could unblock, and the flit that will use it wakes the router.
+// A router waiting on a credit holds a flit and so never sleeps; were Idle
+// ever to admit one, acceptCredit would have to wake it again. Buffer
+// occupancy is counted incrementally, so the check is O(1).
 func (r *Router) Idle() bool { return r.buffered == 0 }
 
 // ConnectOutput attaches l as the outgoing channel on port p; downstreamDepth
@@ -367,12 +372,19 @@ type portSink struct {
 
 func (s *portSink) AcceptFlit(f *flit.Flit, vc int) { s.r.acceptFlit(s.port, f, vc) }
 
+// Occupancy returns the flits the input port buffers on vc, its end of the
+// credit loop link.Link.CheckInvariants balances.
+func (s *portSink) Occupancy(vc int) int { return s.r.inputs[s.port][vc].buf.Len() }
+
 type portCredit struct {
 	r    *Router
 	port topology.Port
 }
 
 func (s *portCredit) AcceptCredit(vc int) { s.r.acceptCredit(s.port, vc) }
+
+// Credits returns the credits the output port holds for downstream VC vc.
+func (s *portCredit) Credits(vc int) int { return s.r.outputs[s.port].credits[vc] }
 
 func (r *Router) acceptFlit(p topology.Port, f *flit.Flit, vc int) {
 	in := &r.inputs[p][vc]
@@ -389,12 +401,12 @@ func (r *Router) acceptFlit(p topology.Port, f *flit.Flit, vc int) {
 	r.wake.Wake()
 }
 
+// acceptCredit counts a returned credit. It wakes nothing: see Idle.
 func (r *Router) acceptCredit(p topology.Port, vc int) {
 	o := &r.outputs[p]
 	if vc < len(o.credits) {
 		o.credits[vc]++
 	}
-	r.wake.Wake()
 }
 
 // OfferGatherPayload hands the local PE's payload to the Gather Payload

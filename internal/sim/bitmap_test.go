@@ -9,8 +9,8 @@ import (
 // scheduler is what the wake-ordering scenarios below need from an engine,
 // so each can run on the real Engine and on listWalk and compare.
 type scheduler interface {
-	addTicker(Ticker) (wake func())
-	addCommitter(Committer) (wake func())
+	addTicker(Ticker) (wake, wakeNext func())
+	addCommitter(Committer) (wake, wakeNext func())
 	step()
 	cycle() int64
 	counts() (evaluated, skipped uint64)
@@ -18,15 +18,20 @@ type scheduler interface {
 
 type engineSched struct{ e *Engine }
 
-func (s engineSched) addTicker(t Ticker) func()       { return s.e.AddTicker(t).Wake }
-func (s engineSched) addCommitter(c Committer) func() { return s.e.AddCommitter(c).Wake }
-func (s engineSched) step()                           { s.e.Step() }
-func (s engineSched) cycle() int64                    { return s.e.Cycle() }
-func (s engineSched) counts() (uint64, uint64)        { return s.e.Evaluated(), s.e.Skipped() }
+func (s engineSched) addTicker(t Ticker) (func(), func()) { return wakes(s.e.AddTicker(t)) }
+func (s engineSched) addCommitter(c Committer) (func(), func()) {
+	return wakes(s.e.AddCommitter(c))
+}
+func (s engineSched) step()                    { s.e.Step() }
+func (s engineSched) cycle() int64             { return s.e.Cycle() }
+func (s engineSched) counts() (uint64, uint64) { return s.e.Evaluated(), s.e.Skipped() }
+
+func wakes(h *Handle) (wake, wakeNext func()) { return h.Wake, h.WakeNext }
 
 // listWalk is the reference the bitmap engine must match: one heap node per
-// component with an awake flag, and a walk over the whole registration-order
-// list every cycle. It stands for a sequential engine, or for one shard of a
+// component with an awake flag and a next flag, and a walk over the whole
+// registration-order list every cycle that turns next flags into awake ones
+// when it ends. It stands for a sequential engine, or for one shard of a
 // sharded one (see shardedWalk).
 type listWalk struct {
 	now                 int64
@@ -39,7 +44,11 @@ type listNode struct {
 	committer Committer
 	idler     Idler
 	awake     bool
+	next      bool // woken by WakeNext since the list's walk last ended
 }
+
+func (n *listNode) wake()     { n.awake = true }
+func (n *listNode) wakeNext() { n.next = true }
 
 func (n *listNode) eval(cycle int64) {
 	if n.ticker != nil {
@@ -49,18 +58,18 @@ func (n *listNode) eval(cycle int64) {
 	}
 }
 
-func (l *listWalk) addTicker(t Ticker) func() {
+func (l *listWalk) addTicker(t Ticker) (func(), func()) {
 	n := &listNode{ticker: t, awake: true}
 	n.idler, _ = t.(Idler)
 	l.tickers = append(l.tickers, n)
-	return func() { n.awake = true }
+	return n.wake, n.wakeNext
 }
 
-func (l *listWalk) addCommitter(c Committer) func() {
+func (l *listWalk) addCommitter(c Committer) (func(), func()) {
 	n := &listNode{committer: c, awake: true}
 	n.idler, _ = c.(Idler)
 	l.committers = append(l.committers, n)
-	return func() { n.awake = true }
+	return n.wake, n.wakeNext
 }
 
 func (l *listWalk) cycle() int64             { return l.now }
@@ -83,6 +92,11 @@ func (l *listWalk) walk(list []*listNode) {
 		l.evaluated++
 		if n.idler != nil && n.idler.Idle() {
 			n.awake = false
+		}
+	}
+	for _, n := range list {
+		if n.next {
+			n.awake, n.next = true, false
 		}
 	}
 }
@@ -161,9 +175,9 @@ func TestWakeLaterRunsThisCycleEarlierRunsNext(t *testing.T) {
 			}
 		}}
 		c := &actor{name: "c", log: log}
-		wakeA = s.addTicker(a)
+		wakeA, _ = s.addTicker(a)
 		s.addTicker(b)
-		wakeC = s.addTicker(c)
+		wakeC, _ = s.addTicker(c)
 		for i := 0; i < 5; i++ {
 			s.step()
 		}
@@ -177,7 +191,7 @@ func TestSelfWakeDuringTickThenIdleSleeps(t *testing.T) {
 	got := onBoth(t, func(s scheduler, log *[]string) {
 		var wake func()
 		a := &actor{name: "a", log: log, work: 2, act: func(*actor, int64) { wake() }}
-		wake = s.addTicker(a)
+		wake, _ = s.addTicker(a)
 		for i := 0; i < 4; i++ {
 			s.step()
 		}
@@ -196,12 +210,90 @@ func TestTickPhaseWakeOfCommitter(t *testing.T) {
 		}}
 		x := &actor{name: "x", log: log}
 		s.addTicker(tk)
-		wakeX = s.addCommitter(x)
+		wakeX, _ = s.addCommitter(x)
 		for i := 0; i < 6; i++ {
 			s.step()
 		}
 	})
 	wantLog(t, got, "0:t", "0:x", "1:t", "2:t", "3:t", "3:x")
+}
+
+// A committer woken with WakeNext from the tick phase of cycle c first
+// commits in cycle c+1, as a link does for the flit staged on it in c.
+func TestTickPhaseWakeNextOfCommitter(t *testing.T) {
+	got := onBoth(t, func(s scheduler, log *[]string) {
+		var nextX func()
+		tk := &actor{name: "t", log: log, work: 4, act: func(a *actor, cycle int64) {
+			if cycle == 3 {
+				nextX()
+			}
+		}}
+		x := &actor{name: "x", log: log}
+		s.addTicker(tk)
+		_, nextX = s.addCommitter(x)
+		for i := 0; i < 6; i++ {
+			s.step()
+		}
+	})
+	wantLog(t, got, "0:t", "0:x", "1:t", "2:t", "3:t", "4:x")
+}
+
+// A WakeNext made in the commit phase runs a committer next cycle whether
+// it sits before or after the waker in the list; a ticker, whose phase of
+// the cycle is over, waits for the tick walk after next to end.
+func TestCommitPhaseWakeNext(t *testing.T) {
+	got := onBoth(t, func(s scheduler, log *[]string) {
+		var nextA, nextC, nextT func()
+		a := &actor{name: "a", log: log}
+		b := &actor{name: "b", log: log, work: 3, act: func(b *actor, cycle int64) {
+			if cycle == 2 {
+				nextA()
+				nextC()
+				nextT()
+			}
+		}}
+		c := &actor{name: "c", log: log}
+		_, nextT = s.addTicker(&actor{name: "t", log: log})
+		_, nextA = s.addCommitter(a)
+		s.addCommitter(b)
+		_, nextC = s.addCommitter(c)
+		for i := 0; i < 6; i++ {
+			s.step()
+		}
+	})
+	wantLog(t, got, "0:t", "0:a", "0:b", "0:c", "1:b", "2:b", "3:a", "3:c", "4:t")
+}
+
+// Truncate drops a pending WakeNext with the component it names: the
+// component registered at its index afterwards is not woken by it.
+func TestTruncateDropsPendingWakeNext(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 129} {
+		e := NewEngine()
+		e.AddCommitter(tickCommitter{&sleeper{}}) // kept: word 0 is cut, not dropped
+		m := e.Mark()
+		var hs []*Handle
+		for i := 0; i < n; i++ {
+			hs = append(hs, e.AddCommitter(tickCommitter{&sleeper{}}))
+		}
+		e.Step() // everything sleeps
+		hs[0].WakeNext()
+		hs[n-1].WakeNext()
+		e.Truncate(m)
+		hs[0].WakeNext() // disarmed: a no-op
+		var fresh []*sleeper
+		for i := 0; i < n; i++ {
+			fresh = append(fresh, &sleeper{})
+			e.AddCommitter(tickCommitter{fresh[i]})
+		}
+		for i := 0; i < 3; i++ {
+			e.Step()
+		}
+		for i, s := range fresh {
+			if len(s.ticks) != 1 {
+				t.Fatalf("n=%d: component %d evaluated in cycles %v, want once", n, i, s.ticks)
+			}
+		}
+	}
 }
 
 // mix is a small deterministic hash for the scripted wake patterns.
@@ -221,21 +313,30 @@ func TestBitmapMatchesListWalkAcrossWordBoundaries(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d/adaptive=false", n), func(t *testing.T) {
 			got := onBoth(t, func(s scheduler, log *[]string) {
 				wakes := make([]func(), 0, 2*n)
+				nexts := make([]func(), 0, 2*n)
 				act := func(a *actor, cycle int64) {
 					h := mix(a.id, cycle)
 					a.work = int(h % 3)
 					// Below one wake in ten evaluations the fabric dies
-					// out; above, everything stays awake.
-					if h>>8%10 == 0 {
+					// out; above, everything stays awake. Half of them
+					// are for the next cycle.
+					switch h >> 8 % 20 {
+					case 0:
 						wakes[h>>16%uint64(len(wakes))]()
 						wakes[h>>40%uint64(len(wakes))]()
+					case 1:
+						nexts[h>>16%uint64(len(nexts))]()
+						nexts[h>>40%uint64(len(nexts))]()
 					}
 				}
-				for i := 0; i < n; i++ {
-					wakes = append(wakes, s.addTicker(&actor{name: fmt.Sprintf("t%d", i), id: int64(i), log: log, work: 1, act: act}))
+				add := func(wake, next func()) {
+					wakes, nexts = append(wakes, wake), append(nexts, next)
 				}
 				for i := 0; i < n; i++ {
-					wakes = append(wakes, s.addCommitter(&actor{name: fmt.Sprintf("c%d", i), id: int64(n + i), log: log, work: 1, act: act}))
+					add(s.addTicker(&actor{name: fmt.Sprintf("t%d", i), id: int64(i), log: log, work: 1, act: act}))
+				}
+				for i := 0; i < n; i++ {
+					add(s.addCommitter(&actor{name: fmt.Sprintf("c%d", i), id: int64(n + i), log: log, work: 1, act: act}))
 				}
 				for s.cycle() < 300 {
 					if s.cycle()%50 == 49 {
@@ -359,8 +460,8 @@ func TestRegisterDuringTickRunsNextCycle(t *testing.T) {
 // shardScheduler is the sharded counterpart of scheduler: components go to
 // a shard or to the serial tick sub-phase.
 type shardScheduler interface {
-	addShardTicker(s int, t Ticker) (wake func())
-	addShardCommitter(s int, c Committer) (wake func())
+	addShardTicker(s int, t Ticker) (wake, wakeNext func())
+	addShardCommitter(s int, c Committer) (wake, wakeNext func())
 	addSerial(t Ticker)
 	step()
 	restore(cycle int64)
@@ -369,11 +470,11 @@ type shardScheduler interface {
 
 type shardedEngineSched struct{ e *Engine }
 
-func (s shardedEngineSched) addShardTicker(sh int, t Ticker) func() {
-	return s.e.AddShardTicker(sh, t).Wake
+func (s shardedEngineSched) addShardTicker(sh int, t Ticker) (func(), func()) {
+	return wakes(s.e.AddShardTicker(sh, t))
 }
-func (s shardedEngineSched) addShardCommitter(sh int, c Committer) func() {
-	return s.e.AddShardCommitter(sh, c).Wake
+func (s shardedEngineSched) addShardCommitter(sh int, c Committer) (func(), func()) {
+	return wakes(s.e.AddShardCommitter(sh, c))
 }
 func (s shardedEngineSched) addSerial(t Ticker) { s.e.AddTicker(t) }
 func (s shardedEngineSched) step()              { s.e.Step() }
@@ -392,8 +493,10 @@ type shardedWalk struct {
 	ran    uint64 // serial evaluations
 }
 
-func (w *shardedWalk) addShardTicker(s int, t Ticker) func() { return w.shards[s].addTicker(t) }
-func (w *shardedWalk) addShardCommitter(s int, c Committer) func() {
+func (w *shardedWalk) addShardTicker(s int, t Ticker) (func(), func()) {
+	return w.shards[s].addTicker(t)
+}
+func (w *shardedWalk) addShardCommitter(s int, c Committer) (func(), func()) {
 	return w.shards[s].addCommitter(c)
 }
 func (w *shardedWalk) addSerial(t Ticker) { w.serial = append(w.serial, t) }
@@ -423,9 +526,9 @@ func (w *shardedWalk) restore(cycle int64) {
 
 // The scripted-wake scenario on 2 and 3 shards: every component, when
 // evaluated, takes on a hash-chosen amount of work and wakes hash-chosen
-// components of its own shard and of both phases; a serial ticker wakes
-// components of any shard, as a driver's enqueue does; RestoreCycle lands
-// mid-run. Shard 0's components never go idle while the others mostly are
+// components of its own shard and of both phases, this cycle or the next; a
+// serial ticker wakes components of any shard, as a driver's enqueue does;
+// RestoreCycle lands mid-run. Shard 0's components never go idle while the others mostly are
 // and keep skipping. Every shard's evaluation order and counters must match
 // the list walk's.
 func TestShardedBitmapMatchesListWalk(t *testing.T) {
@@ -436,7 +539,8 @@ func TestShardedBitmapMatchesListWalk(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/n=%d/adaptive=false", shards, n), func(t *testing.T) {
 				scenario := func(s shardScheduler, logs [][]string) {
 					wakes := make([][]func(), shards)
-					var all []func()
+					nexts := make([][]func(), shards)
+					var all, allNext []func()
 					for sh := 0; sh < shards; sh++ {
 						sh := sh
 						act := func(a *actor, cycle int64) {
@@ -445,27 +549,39 @@ func TestShardedBitmapMatchesListWalk(t *testing.T) {
 							if sh == 0 {
 								a.work++ // never idle
 							}
-							if h>>8%10 == 0 {
+							switch h >> 8 % 20 {
+							case 0:
 								wakes[sh][h>>16%uint64(len(wakes[sh]))]()
 								wakes[sh][h>>40%uint64(len(wakes[sh]))]()
+							case 1:
+								nexts[sh][h>>16%uint64(len(nexts[sh]))]()
+								nexts[sh][h>>40%uint64(len(nexts[sh]))]()
 							}
+						}
+						add := func(wake, next func()) {
+							wakes[sh], nexts[sh] = append(wakes[sh], wake), append(nexts[sh], next)
 						}
 						base := int64(sh * 2 * n)
 						for i := 0; i < n; i++ {
 							a := &actor{name: fmt.Sprintf("t%d", i), id: base + int64(i), log: &logs[sh], work: 1, act: act}
-							wakes[sh] = append(wakes[sh], s.addShardTicker(sh, a))
+							add(s.addShardTicker(sh, a))
 						}
 						for i := 0; i < n; i++ {
 							a := &actor{name: fmt.Sprintf("c%d", i), id: base + int64(n+i), log: &logs[sh], work: 1, act: act}
-							wakes[sh] = append(wakes[sh], s.addShardCommitter(sh, a))
+							add(s.addShardCommitter(sh, a))
 						}
 						all = append(all, wakes[sh]...)
+						allNext = append(allNext, nexts[sh]...)
 					}
 					s.addSerial(&actor{name: "driver", id: -1, log: &logs[shards], work: 1, act: func(a *actor, cycle int64) {
 						a.work = 1
-						if h := mix(a.id, cycle); h%4 == 0 {
+						switch h := mix(a.id, cycle); h % 8 {
+						case 0:
 							all[h>>8%uint64(len(all))]()
 							all[h>>32%uint64(len(all))]()
+						case 1:
+							allNext[h>>8%uint64(len(allNext))]()
+							allNext[h>>32%uint64(len(allNext))]()
 						}
 					}})
 					for i := 0; i < cycles; i++ {
@@ -511,6 +627,85 @@ func TestShardedBitmapMatchesListWalk(t *testing.T) {
 					t.Errorf("Evaluated()+Skipped() = %d, want every component every cycle = %d", e.Evaluated()+e.Skipped(), total)
 				}
 			})
+		}
+	}
+}
+
+// A remote WakeNext made in shard 0's tick phase runs shard 1's committer
+// in the next cycle, on both sides of a bitmap word boundary, as the flit
+// half of a link that crosses a shard boundary commits the cycle after the
+// send; a remote Wake still runs it in the same cycle.
+func TestRemoteWakeNextRunsNextCycle(t *testing.T) {
+	e := NewShardedEngine(2)
+	defer e.Close()
+	var sleepers []*sleeper
+	var remote []*Handle
+	for i := 0; i < 65; i++ {
+		sleepers = append(sleepers, &sleeper{})
+		remote = append(remote, e.AddShardCommitter(1, tickCommitter{sleepers[i]}).Remote(0))
+	}
+	var log []string
+	e.AddShardTicker(0, &actor{name: "t", log: &log, work: 7, act: func(a *actor, cycle int64) {
+		switch cycle {
+		case 3:
+			remote[63].WakeNext()
+			remote[64].WakeNext()
+		case 5:
+			remote[0].Wake()
+		}
+	}})
+	for i := 0; i < 8; i++ {
+		e.Step()
+	}
+	for i, want := range map[int][]int64{0: {0, 5}, 1: {0}, 63: {0, 4}, 64: {0, 4}} {
+		if got := sleepers[i].ticks; !reflect.DeepEqual(got, want) {
+			t.Errorf("committer %d ran in cycles %v, want %v", i, got, want)
+		}
+	}
+}
+
+// WakeNext leaves the always-tick engine's schedule alone: every component
+// runs every cycle, whatever wakes they make.
+func TestAlwaysTickIgnoresWakeNext(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 129} {
+		e := NewEngine()
+		e.SetAlwaysTick(true)
+		var log []string
+		var nexts []func()
+		act := func(a *actor, cycle int64) {
+			if h := mix(a.id, cycle); h%3 == 0 {
+				nexts[h>>8%uint64(len(nexts))]()
+			}
+		}
+		for i := 0; i < 2*n; i++ {
+			a := &actor{name: fmt.Sprint(i), id: int64(i), log: &log, act: act}
+			var h *Handle
+			if i < n {
+				h = e.AddTicker(a)
+			} else {
+				h = e.AddCommitter(a)
+			}
+			nexts = append(nexts, h.WakeNext)
+		}
+		const cycles = 10
+		for i := 0; i < cycles; i++ {
+			e.Step()
+		}
+		if len(log) != cycles*2*n || e.Evaluated() != cycles*2*uint64(n) || e.Skipped() != 0 {
+			t.Fatalf("n=%d: %d log entries, evaluated/skipped %d/%d, want every component every cycle (%d)",
+				n, len(log), e.Evaluated(), e.Skipped(), cycles*2*n)
+		}
+		for i, entry := range log {
+			if want := fmt.Sprintf("%d:%d", i/(2*n), i%(2*n)); entry != want {
+				t.Fatalf("n=%d: log[%d] = %s, want %s", n, i, entry, want)
+			}
+		}
+		// The walk folds next bits in as the tracked one does: after the
+		// commit phase no committer's is left pending.
+		for w, bits := range e.committers.next {
+			if bits != 0 {
+				t.Fatalf("n=%d: next-cycle wakes left pending after the commit walk: word %d = %x", n, w, bits)
+			}
 		}
 	}
 }

@@ -17,13 +17,20 @@
 // most cycles, so the engine supports sleep/wake scheduling: a component
 // that also implements Idler is put to sleep whenever it reports Idle after
 // its evaluation, and is skipped on subsequent cycles until something wakes
-// it through the Handle returned at registration (a flit or credit arriving
-// on a link, a packet being enqueued at a NIC, ...).
+// it through the Handle returned at registration (a flit staged on a link,
+// a flit arriving in a router's buffer, a packet being enqueued at a NIC,
+// ...).
 //
 // Sleeping preserves bit-exact determinism under one contract: a component
 // reporting Idle must make its next evaluation a pure no-op (no state
 // change, no counters, no external effects), and every transition out of
-// idleness must be accompanied by a Handle.Wake call.
+// idleness must be accompanied by a wake: Handle.Wake for work the component
+// may have in the current cycle, Handle.WakeNext for work that cannot be due
+// before the next one (a link woken by Send or ReturnCredit: the latency is
+// at least one cycle). Only a transition out of idleness needs one. A
+// credit returned to a router or NIC that holds no flit and has nothing
+// queued changes a counter its next evaluation does not act on, so it wakes
+// nothing.
 //
 // Each phase keeps its components in one flat slice in registration order
 // and their sleep state in a bitmap beside it, one bit per component. A
@@ -33,7 +40,9 @@
 // is read again after every evaluation: a Wake that lands on a component
 // registered later in the same phase takes effect this cycle, one that
 // lands on an earlier (already passed) component takes effect next cycle —
-// what a walk over the whole list would do. SetAlwaysTick(true) disables
+// what a walk over the whole list would do. A WakeNext waits in a second
+// bitmap that the end of the phase's walk folds in, so it takes effect next
+// cycle whatever the index. SetAlwaysTick(true) disables
 // the skipping entirely, which the golden equivalence tests use to prove
 // both paths produce identical results.
 //
@@ -83,8 +92,11 @@ type Committer interface {
 // Idle is consulted right after the component's evaluation; returning true
 // promises that evaluating the component again — in any later cycle before
 // the one its timer is armed for (Handle.WakeAt), if it armed one during this
-// evaluation or this call, and absent an intervening Wake — would be a pure
-// no-op.
+// evaluation or this call, and absent an intervening Wake or WakeNext — would
+// be a pure no-op. Whoever changes the state Idle reads, so that the promise
+// no longer holds, wakes the component; a change that leaves the next
+// evaluation a no-op (a credit reaching a component with nothing to send)
+// need not.
 type Idler interface {
 	Idle() bool
 }
@@ -111,6 +123,11 @@ type node struct {
 type phase struct {
 	nodes []node
 	awake []uint64
+	// next holds the WakeNext bits set since the phase's walk last ended,
+	// laid out like awake; the end of the walk folds them into awake, so
+	// between steps it holds only what a commit phase or the caller set on
+	// a ticker.
+	next []uint64
 	// wakeAt[i] is the cycle nodes[i]'s timer fires, Never while it is not
 	// armed. due is at or before the earliest of them, so a cycle before due
 	// has no timer to fire; like round.Loop's next-due word it is brought
@@ -144,6 +161,7 @@ func (p *phase) add(n node) *Handle {
 	p.wakeAt = append(p.wakeAt, Never)
 	if i>>6 == len(p.awake) {
 		p.awake = append(p.awake, 0)
+		p.next = append(p.next, 0)
 	}
 	p.awake[i>>6] |= 1 << (i & 63)
 	if len(p.handles) == cap(p.handles) {
@@ -159,9 +177,9 @@ func (p *phase) add(n node) *Handle {
 }
 
 // truncate drops the components registered at index n and after, their
-// timers with them. Their handles are disarmed for good: a Wake or WakeAt
-// through one must neither set a bit past the list nor run whatever is
-// registered at that index next.
+// timers and pending next-cycle wakes with them. Their handles are disarmed
+// for good: a Wake, WakeNext or WakeAt through one must neither set a bit
+// past the list nor run whatever is registered at that index next.
 func (p *phase) truncate(n int) {
 	if n >= len(p.nodes) {
 		return
@@ -178,9 +196,11 @@ func (p *phase) truncate(n int) {
 	for _, at := range p.wakeAt {
 		p.due = min(p.due, at)
 	}
-	p.awake = p.awake[:(n+63)>>6]
+	words := (n + 63) >> 6
+	p.awake, p.next = p.awake[:words], p.next[:words]
 	if tail := n & 63; tail != 0 {
-		p.awake[len(p.awake)-1] &= 1<<tail - 1
+		p.awake[words-1] &= 1<<tail - 1
+		p.next[words-1] &= 1<<tail - 1
 	}
 }
 
@@ -200,10 +220,10 @@ func (p *phase) wakeAll() {
 }
 
 // asleep reports whether no component of the phase is runnable or about to
-// be made so by a remote wake.
+// be made so by a next-cycle or remote wake.
 func (p *phase) asleep() bool {
-	for _, w := range p.awake {
-		if w != 0 {
+	for w := range p.awake {
+		if p.awake[w]|p.next[w] != 0 {
 			return false
 		}
 	}
@@ -215,26 +235,45 @@ func (p *phase) asleep() bool {
 	return true
 }
 
-// collect takes the remote wakes left since the phase last started over
-// into awake. A bit left by a handle whose component was truncated since is
-// dropped with everything else past the list.
+// collect takes the remote wakes left since the phase last started over:
+// Wake bits into awake, WakeNext bits into next, which the end of this walk
+// folds into awake. A bit left by a handle whose component was truncated
+// since is dropped with everything else past the list.
 func (p *phase) collect() {
 	for _, m := range p.mail {
 		if m == nil {
 			continue
 		}
-		for w, bits := range m.awake {
-			if bits == 0 {
-				continue
-			}
-			m.awake[w] = 0
-			if w >= len(p.awake) {
-				continue
-			}
-			if tail := len(p.nodes) & 63; tail != 0 && w == len(p.awake)-1 {
-				bits &= 1<<tail - 1
-			}
+		p.take(m.awake, p.awake)
+		p.take(m.next, p.next)
+	}
+}
+
+// take moves the bits of from that name registered components into to and
+// clears from.
+func (p *phase) take(from, to []uint64) {
+	for w, bits := range from {
+		if bits == 0 {
+			continue
+		}
+		from[w] = 0
+		if w >= len(to) {
+			continue
+		}
+		if tail := len(p.nodes) & 63; tail != 0 && w == len(to)-1 {
+			bits &= 1<<tail - 1
+		}
+		to[w] |= bits
+	}
+}
+
+// fold makes the components WakeNext named during the walk that just ended
+// runnable, from the phase's next walk on.
+func (p *phase) fold() {
+	for w, bits := range p.next {
+		if bits != 0 {
 			p.awake[w] |= bits
+			p.next[w] = 0
 		}
 	}
 }
@@ -255,9 +294,11 @@ func (p *phase) fire(cycle int64) {
 	p.due = due
 }
 
-// Handle wakes one registered component. Handles are safe to share with
-// the component's peers (links wake their downstream router, controllers
-// wake the NIC they enqueue into) and a nil *Handle ignores Wake calls, so
+// Handle wakes one registered component: Wake for the current cycle,
+// WakeNext for the next, WakeAt for a cycle the component names itself.
+// Handles are safe to share with the component's peers (links wake their
+// downstream router, routers and NICs the link they send on, controllers
+// wake the NIC they enqueue into) and a nil *Handle ignores every wake, so
 // components can be used without an engine in unit tests. So does the
 // handle of a component that Truncate has dropped.
 type Handle struct {
@@ -274,9 +315,14 @@ type Handle struct {
 // component's phase next starts. The peers must therefore run in a phase
 // that ends before that one begins (shard tick phases wake serial tickers
 // and any lane's committers), which also makes the component run in the
-// cycle a same-lane wake would have run it in. Make remote handles while
-// wiring, before the first step; a timer is armed through the component's
-// own handle only.
+// cycle a same-lane wake would have run it in. The same holds for WakeNext,
+// whose bit goes to the mail's own next bitmap: the woken phase takes it
+// over when it starts and folds it in when its walk ends, so the component
+// runs next cycle. That is right only because remote wakers run in tick
+// phases (DESIGN.md §9): a bit left while the woken phase runs would be
+// taken over one phase late, a Wake a cycle late and a WakeNext two. Make
+// remote handles while wiring, before the first step; a timer is armed
+// through the component's own handle only.
 func (h *Handle) Remote(from int) *Handle {
 	if h == nil || h.list == nil {
 		return h
@@ -291,6 +337,7 @@ func (h *Handle) Remote(from int) *Handle {
 	m := p.mail[from]
 	for len(m.awake) <= h.index>>6 {
 		m.awake = append(m.awake, 0)
+		m.next = append(m.next, 0)
 	}
 	return &Handle{list: m, index: h.index}
 }
@@ -306,6 +353,31 @@ func (h *Handle) Wake() {
 		return
 	}
 	w, bit := &h.list.awake[h.index>>6], uint64(1)<<(h.index&63)
+	if *w&bit == 0 {
+		*w |= bit
+	}
+}
+
+// WakeNext marks the component runnable from the next cycle on. The bit
+// waits in the phase's next bitmap until the phase's walk ends, so a
+// committer woken from the tick phase of cycle c first commits in cycle
+// c+1, and a component woken from its own phase runs next cycle whatever
+// its index. (A bit set after the phase's walk of the cycle, by a commit
+// phase waking a ticker or between steps, waits for the walk after, and the
+// component runs a cycle later: use Wake there.) It is the wake for work
+// that cannot be due before the next cycle (a flit staged on a link with a
+// latency of at least one cycle), and saves the evaluation a same-cycle
+// Wake would spend on a component that can do nothing yet. Through a remote
+// handle it sets a bit in the mail's next bitmap, which the woken phase
+// takes over when it starts and folds in when it ends: the cycle a
+// same-lane WakeNext gives, because remote wakers run in a phase that ends
+// before the woken one starts (Remote).
+func (h *Handle) WakeNext() {
+	if h == nil || h.list == nil {
+		return
+	}
+	p := h.list
+	w, bit := &p.next[h.index>>6], uint64(1)<<(h.index&63)
 	if *w&bit == 0 {
 		*w |= bit
 	}
@@ -684,11 +756,14 @@ func (p *phase) runAwake(cycle int64) (ran, skipped, load int) {
 			}
 		}
 	}
+	p.fold()
 	return ran, n - ran, load
 }
 
 // runAll evaluates every component in registration order, awake or not,
-// and returns how many it ran (one registered meanwhile waits a cycle).
+// and returns how many it ran (one registered meanwhile waits a cycle). It
+// folds the next-cycle wakes in as runAwake does, so that the bitmaps are
+// right if tracking is turned back on.
 func (p *phase) runAll(cycle int64) int {
 	nodes := p.nodes
 	for _, nd := range nodes {
@@ -698,6 +773,7 @@ func (p *phase) runAll(cycle int64) int {
 			nd.committer.Commit(cycle)
 		}
 	}
+	p.fold()
 	return len(nodes)
 }
 

@@ -183,8 +183,11 @@ func (g *Generator) Tick(cycle int64) {
 		return
 	}
 	measured := rel >= g.cfg.Warmup
-	for id := 0; id < g.nw.Mesh().NumNodes(); id++ {
-		if g.rng.Float64() >= g.cfg.InjectionRate {
+	nodes, rate := g.nw.Mesh().NumNodes(), g.cfg.InjectionRate
+	for id := 0; id < nodes; id++ {
+		// The trial draws from the source directly (countingSource.float64);
+		// destinations draw through g.rng, which reads the same source.
+		if g.src.float64() >= rate {
 			continue
 		}
 		src := topology.NodeID(id)
