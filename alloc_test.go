@@ -79,28 +79,85 @@ func TestAllocationRatchet(t *testing.T) {
 	}
 }
 
-// maxBuildAllocs8x8 pins what building one 8x8 fabric may allocate. A
-// build costs about as much as one of the paper's short simulations, and
-// every run that does not find a released network to reuse pays it. The engine
-// keeps its components in one slice per phase rather than one heap node
-// each, which took the build from 5012 allocations to 4539, and cuts wake
-// handles from blocks of 256, which took it to 4062; links and ejection
-// points keep the parts of their names and format them when a report asks,
-// which took it to 3652. The ceiling is that plus 1 %, so a per-component
+// maxBuildAllocs8x8 and maxBuildAllocs32x32 pin what building one fabric
+// may allocate. A build costs about as much as one of the paper's short
+// simulations, and every run that does not find a released network to
+// reuse pays it. The 8x8 build took 5012 allocations when every component
+// and wake handle was a heap node of its own, 3652 once the engine kept
+// its components in one slice per phase, cut wake handles from blocks of
+// 256 and links formatted their names only when asked. Now every shard's
+// routers, links and NICs, with their VC buffers, branches, counters and
+// staging rings, come out of a few slabs per shard (DESIGN.md §9): 8x8
+// measures 230 or 231 and 32x32 2256, about two per node, nearly all the two ack
+// callbacks each NIC hands its router's stations. Each ceiling is that
+// plus 1 % (of 231, the 8x8's higher reading), so a per-component
 // allocation coming back fails here.
-const maxBuildAllocs8x8 = 3688
+const (
+	maxBuildAllocs8x8   = 233
+	maxBuildAllocs32x32 = 2278
+)
 
 func TestBuildAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	for _, c := range []struct {
+		n   int
+		pin float64
+	}{{8, maxBuildAllocs8x8}, {32, maxBuildAllocs32x32}} {
+		cfg := noc.DefaultConfig(c.n, c.n)
+		cfg.EastSinks = false
+		avg := testing.AllocsPerRun(3, func() {
+			if _, err := noc.New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("noc.New(%dx%d): %.0f allocs", c.n, c.n, avg)
+		if avg > c.pin {
+			t.Errorf("noc.New(%dx%d) allocates %.0f objects, pin %.0f", c.n, c.n, avg, c.pin)
+		}
+	}
+}
+
+// maxFirstUseAllocs pins what the first 300 cycles of a freshly built 8x8
+// allocate under uniform traffic at rate 0.05: routers, links, NICs and
+// ejectors allocate nothing after the build, so what is left is each NIC's
+// first injection-queue block (three allocations a NIC), the first chunks
+// of the ejectors' latency samples and a few flit-pool blocks, 372 to 378
+// in all.
+// When VC rings, branch lists, link staging rings and pooled flits were
+// allocated on first use the same cycles took 2932.
+const maxFirstUseAllocs = 400
+
+func TestFirstUseAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
 	cfg := noc.DefaultConfig(8, 8)
 	cfg.EastSinks = false
-	avg := testing.AllocsPerRun(5, func() {
-		if _, err := noc.New(cfg); err != nil {
-			t.Fatal(err)
-		}
+	nw, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
+		Pattern:       traffic.UniformRandom{Nodes: 64},
+		InjectionRate: 0.05,
+		PacketFlits:   2,
+		Measure:       1 << 40, // never stop injecting
+		Seed:          1,
 	})
-	t.Logf("noc.New(8x8): %.0f allocs", avg)
-	if avg > maxBuildAllocs8x8 {
-		t.Fatalf("noc.New(8x8) allocates %.0f objects, pin %d", avg, maxBuildAllocs8x8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Engine().AddTicker(gen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nw.Engine().RunUntil(never, 300)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("first 300 cycles of a new 8x8: %d allocs", allocs)
+	if allocs > maxFirstUseAllocs {
+		t.Fatalf("the first 300 cycles of a new 8x8 allocate %d objects, pin %d", allocs, maxFirstUseAllocs)
 	}
 }
 
@@ -241,15 +298,21 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 
 // maxTelemetryBuildBytes16x16 pins what building a telemetry-on fabric may
 // allocate: noc.New of model-mix's 16x16 (faults on, default telemetry)
-// measured 4.14 MB — 2.7 MB the fabric, the rest the metrics sources and
+// measured 4.76 MB — 3.1 MB the fabric, the rest the metrics sources and
 // the telemetry wiring, whose snapshot values sit in two flat arrays per
-// probe (4.85 MB when every source allocated two of its own). Neither
-// buffer that grows with the run is built up front: the trace event
-// buffers (5.2 MB when they were allocated at their 65 536-event bound)
-// grow as events arrive, and the epoch ring (83 MB when it was zeroed at
-// its 1 024-epoch bound as dense rows) gains a row per epoch reached. The
-// ceiling is the measurement plus 10 %.
-const maxTelemetryBuildBytes16x16 = 4_560_000
+// probe (0.71 MB more when every source allocated two of its own). The
+// fabric's buffers are built up front, out of per-shard slabs: VC rings,
+// first branches, link staging rings, ejector buffers and partial-packet
+// records. They took the build from 4.18 MB to 4.76 MB, bytes the run
+// used to allocate on its first cycles instead: after 3 000 cycles of
+// uniform traffic at 0.05 the fabric without telemetry has allocated
+// within 0.4 % of what it did then. Neither buffer that grows with the run
+// is built up front: the trace event buffers (5.2 MB when they were
+// allocated at their 65 536-event bound) grow as events arrive, and the
+// epoch ring (83 MB when it was zeroed at its 1 024-epoch bound as dense
+// rows) gains a row per epoch reached. The ceiling is the measurement plus
+// 10 %.
+const maxTelemetryBuildBytes16x16 = 5_240_000
 
 func TestTelemetryBuildBytesPin(t *testing.T) {
 	cfg := noc.DefaultConfig(16, 16)

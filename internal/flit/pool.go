@@ -26,6 +26,10 @@ import (
 // tests rely on this.
 type Pool struct {
 	free ring.FreeList[*Flit]
+	// block is the rest of the array the latest miss allocated: a miss
+	// takes its flit from here, and allocates a block only once it is
+	// spent (newBlock).
+	block []Flit
 
 	// debug, when enabled, tracks every outstanding flit so tests can
 	// catch double releases, releases of foreign flits, and leaks. The
@@ -91,8 +95,12 @@ func (p *Pool) Acquire() *Flit {
 	p.acquired++
 	f, ok := p.free.Get()
 	if !ok {
+		if len(p.block) == 0 {
+			p.block = make([]Flit, p.newBlock())
+		}
+		f = &p.block[0]
+		p.block = p.block[1:]
 		p.misses++
-		f = &Flit{}
 	}
 	if root := p.root(); root.debug {
 		root.mu.Lock()
@@ -101,6 +109,19 @@ func (p *Pool) Acquire() *Flit {
 	}
 	return f
 }
+
+// Flit block sizes: a pool's blocks start at blockMin flits and double with
+// its misses up to blockMax, so a pool that stays small allocates little
+// and a large fabric's pool reaches its high-water mark in a few dozen
+// allocations rather than one per flit.
+const (
+	blockMin = 16
+	blockMax = 1024
+)
+
+// newBlock returns the size of the pool's next flit block: as many flits as
+// it has missed so far, within [blockMin, blockMax].
+func (p *Pool) newBlock() int { return min(max(int(p.misses), blockMin), blockMax) }
 
 // Release resets f and returns it to the freelist. The flit must not be
 // used after release. A nil pool ignores the call (the GC reclaims f).

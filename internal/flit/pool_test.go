@@ -23,6 +23,34 @@ func TestPoolReusesFlits(t *testing.T) {
 	}
 }
 
+// TestPoolMissesAllocateBlocks: misses hand out distinct zeroed flits cut
+// from blocks that double with the misses, so 100 cold acquires cost the
+// pool and four blocks (16, 16, 32 and 64 flits), not 100 allocations.
+func TestPoolMissesAllocateBlocks(t *testing.T) {
+	var p *Pool
+	fs := make([]*Flit, 100)
+	allocs := testing.AllocsPerRun(1, func() {
+		p = NewPool()
+		for i := range fs {
+			fs[i] = p.Acquire()
+		}
+	})
+	seen := map[*Flit]bool{}
+	for i, f := range fs {
+		if seen[f] || f.PacketID != 0 {
+			t.Fatalf("acquire %d: flit handed out twice or not zeroed", i)
+		}
+		seen[f] = true
+		f.PacketID = uint64(i + 1)
+	}
+	if p.Misses() != 100 {
+		t.Errorf("Misses = %d, want 100", p.Misses())
+	}
+	if allocs != 5 {
+		t.Errorf("100 cold acquires allocated %.0f times, want 5: the pool and four blocks", allocs)
+	}
+}
+
 func TestNilPoolDegradesToHeap(t *testing.T) {
 	var p *Pool
 	f := p.Acquire()

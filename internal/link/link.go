@@ -138,20 +138,57 @@ type Link struct {
 	CreditsCarried stats.Counter
 }
 
-// New returns a link with the given forward latency in cycles (minimum 1:
-// a flit sent in cycle c is visible downstream in cycle c+latency+1, i.e.
-// it spends latency cycles on the wire after the send cycle). down receives
-// delivered flits; up (may be nil) receives returned credits after one
-// cycle.
-func New(name Name, latency int, down FlitSink, up CreditSink) *Link {
-	if latency < 1 {
-		latency = 1
+// stageDepth is the capacity each staging ring starts at: what a busy link
+// used to grow its ring to on first use. A burst past it (a credit flusher
+// returning several owed credits at once) grows the ring.
+const stageDepth = 4
+
+// Slab is the memory of a block of links, allocated at once so that a link
+// allocates nothing after construction: the links and the backing arrays
+// of their staging rings. A fabric builds one per shard.
+type Slab struct {
+	links   []Link
+	flits   []inflightFlit
+	credits []inflightCredit
+}
+
+// NewSlab returns a slab for n links.
+func NewSlab(n int) *Slab {
+	return &Slab{
+		links:   make([]Link, n),
+		flits:   make([]inflightFlit, n*stageDepth),
+		credits: make([]inflightCredit, n*stageDepth),
 	}
-	// The staging rings stay zero-valued: they grow on first use, so the
-	// many links an experiment never exercises cost nothing, and a busy
-	// link settles at its in-flight high-water mark after a handful of
-	// doublings.
-	return &Link{name: name, latency: int64(latency), down: down, up: up}
+}
+
+// carve cuts the next n elements off *slab, allocating them afresh once the
+// slab is spent.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, n)
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// New returns a link out of the slab with the given forward latency in
+// cycles (minimum 1: a flit sent in cycle c is visible downstream in cycle
+// c+latency+1, i.e. it spends latency cycles on the wire after the send
+// cycle). down receives delivered flits; up (may be nil) receives returned
+// credits after one cycle. Beyond the n links the slab was made for, it
+// allocates each one's memory anew.
+func (s *Slab) New(name Name, latency int, down FlitSink, up CreditSink) *Link {
+	l := &carve(&s.links, 1)[0]
+	*l = Link{
+		name:    name,
+		latency: int64(max(latency, 1)),
+		down:    down,
+		up:      up,
+		flits:   ring.Over(carve(&s.flits, stageDepth)),
+		credits: ring.Over(carve(&s.credits, stageDepth)),
+	}
+	return l
 }
 
 // Name returns the link's diagnostic name.

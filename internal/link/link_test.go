@@ -26,7 +26,7 @@ func (c *captureCredit) AcceptCredit(vc int) { c.vcs = append(c.vcs, vc) }
 
 func TestLinkDeliversAfterLatency(t *testing.T) {
 	down := &captureSink{}
-	l := New(Name{label: "t"}, 1, down, nil)
+	l := newLink(Name{label: "t"}, 1, down, nil)
 	f := &flit.Flit{PacketID: 1}
 
 	l.Send(f, 2, 10) // due at cycle 11
@@ -51,7 +51,7 @@ func TestLinkDeliversAfterLatency(t *testing.T) {
 
 func TestLinkLatencyFloor(t *testing.T) {
 	down := &captureSink{}
-	l := New(Name{label: "t"}, 0, down, nil) // coerced to 1
+	l := newLink(Name{label: "t"}, 0, down, nil) // coerced to 1
 	l.Send(&flit.Flit{}, 0, 5)
 	l.Commit(5)
 	if len(down.flits) != 0 {
@@ -65,7 +65,7 @@ func TestLinkLatencyFloor(t *testing.T) {
 
 func TestLinkPreservesOrder(t *testing.T) {
 	down := &captureSink{}
-	l := New(Name{label: "t"}, 3, down, nil)
+	l := newLink(Name{label: "t"}, 3, down, nil)
 	for i := 0; i < 5; i++ {
 		l.Send(&flit.Flit{PacketID: uint64(i)}, 0, int64(i))
 	}
@@ -84,7 +84,7 @@ func TestLinkPreservesOrder(t *testing.T) {
 
 func TestLinkCreditReturn(t *testing.T) {
 	up := &captureCredit{}
-	l := New(Name{label: "t"}, 1, &captureSink{}, up)
+	l := newLink(Name{label: "t"}, 1, &captureSink{}, up)
 	l.ReturnCredit(3, 7) // due at cycle 8
 	l.Commit(7)
 	if len(up.vcs) != 0 {
@@ -97,7 +97,7 @@ func TestLinkCreditReturn(t *testing.T) {
 }
 
 func TestLinkNilCreditSink(t *testing.T) {
-	l := New(Name{label: "t"}, 1, &captureSink{}, nil)
+	l := newLink(Name{label: "t"}, 1, &captureSink{}, nil)
 	l.ReturnCredit(0, 0)
 	l.Commit(1) // must not panic
 }
@@ -116,7 +116,7 @@ func TestLinkName(t *testing.T) {
 		{Between(3, topology.EastPort, 4), fmt.Sprintf("r%d%s->r%d", 3, topology.EastPort, 4)},
 		{Between(12, topology.SouthPort, 4), fmt.Sprintf("r%d%s->r%d", 12, topology.SouthPort, 4)},
 	} {
-		if got := New(c.name, 1, &captureSink{}, nil).Name(); got != c.want {
+		if got := newLink(c.name, 1, &captureSink{}, nil).Name(); got != c.want {
 			t.Errorf("Name = %q, want %q", got, c.want)
 		}
 	}
@@ -127,7 +127,7 @@ func TestLinkName(t *testing.T) {
 // checks every credit is still delivered, in order, one cycle later.
 func TestLinkCreditBurstGrowsRing(t *testing.T) {
 	up := &captureCredit{}
-	l := New(Name{label: "t"}, 1, &captureSink{}, up)
+	l := newLink(Name{label: "t"}, 1, &captureSink{}, up)
 	const burst = 64
 	for i := 0; i < burst; i++ {
 		l.ReturnCredit(i%4, 10)
@@ -154,7 +154,7 @@ func TestLinkCreditBurstGrowsRing(t *testing.T) {
 // way: more staged flits than the initial capacity, delivered in order.
 func TestLinkFlitBurstGrowsRing(t *testing.T) {
 	down := &captureSink{}
-	l := New(Name{label: "t"}, 2, down, nil)
+	l := newLink(Name{label: "t"}, 2, down, nil)
 	const burst = 32
 	for i := 0; i < burst; i++ {
 		l.Send(&flit.Flit{PacketID: uint64(i + 1)}, 0, 5)
@@ -172,4 +172,9 @@ func TestLinkFlitBurstGrowsRing(t *testing.T) {
 			t.Fatalf("flit %d is packet %d (order lost)", i, f.PacketID)
 		}
 	}
+}
+
+// newLink returns a link with a slab of its own.
+func newLink(name Name, latency int, down FlitSink, up CreditSink) *Link {
+	return NewSlab(1).New(name, latency, down, up)
 }

@@ -118,12 +118,13 @@ type Ejector struct {
 
 	bufs    []ring.Ring[*flit.Flit]
 	reverse *link.Link // credits back to the router's output port
-	// partial holds the packets under reassembly. Wormhole switching
-	// pins a packet to one VC from head to tail, so at most vcs packets
-	// are ever open at once and a linear scan beats a map. Finished
-	// records park on the spares freelist, payload capacity intact.
+	// partial holds the packets under reassembly, in the order their
+	// first flits arrived. Wormhole switching pins a packet to one VC from
+	// head to tail, so at most vcs packets are ever open at once and a
+	// linear scan beats a map. Past its length the slice keeps the closed
+	// records, payload capacity intact, most recently closed first: the
+	// next packets reopen them (acquirePartial, releasePartial).
 	partial []*partialPacket
-	spares  ring.FreeList[*partialPacket]
 	scratch ReceivedPacket // handed to recv, reused per packet
 	pool    *flit.Pool     // drained flits return here
 	recv    func(*ReceivedPacket)
@@ -184,22 +185,58 @@ type stagedPacket struct {
 	payOff, payLen int
 }
 
-// NewEjector returns an ejector with vcs virtual channels of the given
-// buffer depth, draining up to drainRate flits per cycle (minimum 1).
-func NewEjector(name link.Name, vcs, depth, drainRate int) *Ejector {
-	if drainRate < 1 {
-		drainRate = 1
+// ejectorSlab is the memory of a block of ejectors of one shape, allocated
+// at once so that an ejector allocates nothing after construction: each
+// VC's buffer ring (depth slots) and partial-packet record, and room to
+// stage drainRate packets a cycle.
+type ejectorSlab struct {
+	rings  []ring.Ring[*flit.Flit]
+	flits  []*flit.Flit
+	recs   []partialPacket
+	open   []*partialPacket
+	staged []stagedPacket
+}
+
+func newEjectorSlab(n, vcs, depth, drainRate int) ejectorSlab {
+	return ejectorSlab{
+		rings:  make([]ring.Ring[*flit.Flit], n*vcs),
+		flits:  make([]*flit.Flit, n*vcs*depth),
+		recs:   make([]partialPacket, n*vcs),
+		open:   make([]*partialPacket, n*vcs),
+		staged: make([]stagedPacket, n*max(drainRate, 1)),
 	}
-	// The per-VC rings stay zero-valued and grow to the buffer depth on
-	// first delivery (AcceptFlit bounds occupancy first), so unused VCs
-	// cost no backing array.
-	return &Ejector{
+}
+
+// init makes e an ejector with vcs virtual channels of the given buffer
+// depth, draining up to drainRate flits per cycle (minimum 1), out of the
+// slab.
+func (s *ejectorSlab) init(e *Ejector, name link.Name, vcs, depth, drainRate int) {
+	drainRate = max(drainRate, 1)
+	bufs, flits := carve(&s.rings, vcs), carve(&s.flits, vcs*depth)
+	open, recs := carve(&s.open, vcs), carve(&s.recs, vcs)
+	for v := range bufs {
+		// AcceptFlit bounds occupancy first, so no ring grows.
+		bufs[v] = ring.Over(flits[v*depth : (v+1)*depth : (v+1)*depth])
+		open[v] = &recs[v]
+	}
+	*e = Ejector{
 		name:      name,
 		vcs:       vcs,
 		depth:     depth,
 		drainRate: drainRate,
-		bufs:      make([]ring.Ring[*flit.Flit], vcs),
+		bufs:      bufs,
+		partial:   open[:0], // every record closed
+		stagedPkt: carve(&s.staged, drainRate)[:0],
 	}
+}
+
+// NewEjector returns an ejector with vcs virtual channels of the given
+// buffer depth, draining up to drainRate flits per cycle (minimum 1).
+func NewEjector(name link.Name, vcs, depth, drainRate int) *Ejector {
+	s := newEjectorSlab(1, vcs, depth, drainRate)
+	e := new(Ejector)
+	s.init(e, name, vcs, depth, drainRate)
+	return e
 }
 
 // SetOwner records the node id of the ejection point (the NIC's node or
@@ -345,25 +382,35 @@ func (e *Ejector) lookup(id uint64) *partialPacket {
 	return nil
 }
 
+// acquirePartial opens a record for a new packet at the end of the open
+// list: the most recently closed one, else a fresh one.
 func (e *Ejector) acquirePartial() *partialPacket {
-	if pp, ok := e.spares.Get(); ok {
-		return pp
+	n := len(e.partial)
+	if n < cap(e.partial) {
+		if pp := e.partial[:n+1][n]; pp != nil {
+			e.partial = e.partial[:n+1]
+			return pp
+		}
 	}
-	return &partialPacket{}
+	pp := &partialPacket{}
+	e.partial = append(e.partial, pp)
+	return pp
 }
 
-// releasePartial removes pp from the open list and parks it on the
-// freelist, keeping its payload capacity.
+// releasePartial closes pp: it leaves the open list, keeping the order of
+// the rest, to sit just past its end, reset but with its payload capacity.
 func (e *Ejector) releasePartial(pp *partialPacket) {
+	last := len(e.partial) - 1
 	for i, cur := range e.partial {
 		if cur == pp {
-			e.partial = append(e.partial[:i], e.partial[i+1:]...)
+			copy(e.partial[i:], e.partial[i+1:])
+			e.partial[last] = pp
+			e.partial = e.partial[:last]
 			break
 		}
 	}
 	payloads := pp.payloads[:0]
 	*pp = partialPacket{payloads: payloads}
-	e.spares.Put(pp)
 }
 
 func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
@@ -372,7 +419,6 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 		pp = e.acquirePartial()
 		pp.id = f.PacketID
 		pp.headArrival = cycle
-		e.partial = append(e.partial, pp)
 	}
 	if f.IsHead() {
 		pp.pt = f.PT

@@ -131,8 +131,8 @@ type NIC struct {
 	cfg    Config
 	rtr    *router.Router
 	out    *link.Link
-	eject  *Ejector
-	nextID func() uint64
+	eject  Ejector
+	nextID func(topology.NodeID) uint64
 
 	credits []int
 	// vcPkt holds the remaining flits of the packet currently streaming on
@@ -194,28 +194,68 @@ type NIC struct {
 	AbandonedPayloads stats.Counter
 }
 
-// New constructs a NIC for node id attached to rtr. nextID must return
-// network-unique packet ids.
-func New(id topology.NodeID, cfg Config, rtr *router.Router, nextID func() uint64) (*NIC, error) {
+// Slab is the memory of a block of NICs of one Config, allocated at once so
+// that a NIC allocates nothing after construction: the NICs with their
+// ejectors, each injection VC's credit counter and room for a unicast
+// packet's flits, and the ejectors' buffers (ejectorSlab). A fabric builds
+// one per shard.
+type Slab struct {
+	cfg     Config
+	nics    []NIC
+	credits []int
+	streams []vcStream
+	flits   []*flit.Flit
+	eject   ejectorSlab
+}
+
+// NewSlab returns a slab for n NICs of configuration cfg.
+func NewSlab(cfg Config, n int) (*Slab, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return &Slab{
+		cfg:     cfg,
+		nics:    make([]NIC, n),
+		credits: make([]int, n*cfg.VCs),
+		streams: make([]vcStream, n*cfg.VCs),
+		flits:   make([]*flit.Flit, n*cfg.VCs*cfg.UnicastFlits),
+		eject:   newEjectorSlab(n, cfg.VCs, cfg.EjectDepth, cfg.EjectRate),
+	}, nil
+}
+
+// carve cuts the next n elements off *slab, allocating them afresh once the
+// slab is spent.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, n)
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// New constructs a NIC for node id attached to rtr out of the slab.
+// nextID(id) must return network-unique packet ids; every NIC of a fabric
+// shares it. Beyond the n NICs the slab was made for, it allocates each
+// one's memory anew.
+func (s *Slab) New(id topology.NodeID, rtr *router.Router, nextID func(topology.NodeID) uint64) (*NIC, error) {
 	if nextID == nil {
 		return nil, fmt.Errorf("nic %d: nil id allocator", id)
 	}
-	n := &NIC{
-		id:      id,
-		cfg:     cfg,
-		rtr:     rtr,
-		nextID:  nextID,
-		credits: make([]int, cfg.VCs),
-		vcPkt:   make([]vcStream, cfg.VCs),
-		eject:   NewEjector(link.Numbered("nic", int(id)), cfg.VCs, cfg.EjectDepth, cfg.EjectRate),
-	}
-	n.eject.SetOwner(id)
+	cfg := s.cfg
+	n := &carve(&s.nics, 1)[0]
+	n.id, n.cfg, n.rtr, n.nextID = id, cfg, rtr, nextID
+	n.credits = carve(&s.credits, cfg.VCs)
+	n.vcPkt = carve(&s.streams, cfg.VCs)
+	flits := carve(&s.flits, cfg.VCs*cfg.UnicastFlits)
 	for v := range n.credits {
 		n.credits[v] = cfg.RouterBufferDepth
+		// bindTo packetizes into the stream's array; a packet longer than a
+		// unicast one takes an array of its own.
+		n.vcPkt[v].flits = flits[v*cfg.UnicastFlits : v*cfg.UnicastFlits : (v+1)*cfg.UnicastFlits]
 	}
+	s.eject.init(&n.eject, link.Numbered("nic", int(id)), cfg.VCs, cfg.EjectDepth, cfg.EjectRate)
+	n.eject.SetOwner(id)
 	n.gatherAckFn = n.onGatherAck
 	n.reduceAckFn = n.onReduceAck
 	return n, nil
@@ -226,7 +266,7 @@ func (n *NIC) ID() topology.NodeID { return n.id }
 
 // Ejector returns the receive side, for wiring to the router's local
 // output link.
-func (n *NIC) Ejector() *Ejector { return n.eject }
+func (n *NIC) Ejector() *Ejector { return &n.eject }
 
 // QueueDepth reports packets waiting in the injection queue; the telemetry
 // epoch collector samples it as a gauge.
@@ -536,7 +576,7 @@ func (n *NIC) selfInitiateReduce(p flit.Payload, tag flit.Tag) {
 }
 
 func (n *NIC) enqueue(p flit.Packet) uint64 {
-	p.ID = n.nextID()
+	p.ID = n.nextID(n.id)
 	p.InjectCycle = n.currentCycle()
 	if n.reliable != nil && p.Carried != nil {
 		n.track(*p.Carried, p.Tag)

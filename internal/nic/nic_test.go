@@ -63,12 +63,12 @@ func (c *flitCapture) AcceptFlit(f *flit.Flit, vc int) {
 
 func TestNICInjectsOneFlitPerCycle(t *testing.T) {
 	cfg := validConfig()
-	n, err := New(3, cfg, nil, seq())
+	n, err := newNIC(3, cfg, nil, seq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendUnicastN(0, 9, 2)
@@ -106,12 +106,12 @@ func TestNICRespectsCredits(t *testing.T) {
 	cfg := validConfig()
 	cfg.VCs = 1
 	cfg.RouterBufferDepth = 1
-	n, err := New(0, cfg, nil, seq())
+	n, err := newNIC(0, cfg, nil, seq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendUnicastN(0, 5, 2)
@@ -134,12 +134,12 @@ func TestNICRespectsCredits(t *testing.T) {
 func TestNICGatherVCPolicy(t *testing.T) {
 	cfg := validConfig()
 	cfg.GatherVC = 0
-	n, err := New(0, cfg, nil, seq())
+	n, err := newNIC(0, cfg, nil, seq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendGather(0, 9, nil)
@@ -274,7 +274,7 @@ func TestEjectorGatherPayloadCollection(t *testing.T) {
 }
 
 func TestNICPending(t *testing.T) {
-	n, err := New(0, validConfig(), nil, seq())
+	n, err := newNIC(0, validConfig(), nil, seq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,20 +293,23 @@ func TestNICPending(t *testing.T) {
 func TestInternalSendsCarryTheSubmitTag(t *testing.T) {
 	// The router is never ticked, so the offered payload stays at its
 	// station until δ retracts it, and nothing ever confirms delivery.
-	rtr, err := router.New(0, router.DefaultConfig(),
-		func(topology.NodeID, *flit.Flit) router.Route { return router.Route{} })
+	slab, err := router.NewSlab(router.DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtr, err := slab.New(0, func(topology.NodeID, *flit.Flit) router.Route { return router.Route{} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := validConfig()
 	cfg.RouterBufferDepth = 64 // nothing returns credits here
-	n, err := New(0, cfg, rtr, seq())
+	n, err := newNIC(0, cfg, rtr, seq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.EnableReliability(8, 1, 2)
 	cap := &flitCapture{}
-	out := link.New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 	owner, other := flit.NewTag(1, 0), flit.NewTag(2, 0)
 	n.SubmitGatherPayload(owner, flit.Payload{Seq: 7, Dst: 3, Bits: 32})
@@ -332,9 +335,9 @@ func TestInternalSendsCarryTheSubmitTag(t *testing.T) {
 }
 
 // seq returns a fresh packet-id allocator.
-func seq() func() uint64 {
+func seq() func(topology.NodeID) uint64 {
 	var n uint64
-	return func() uint64 {
+	return func(topology.NodeID) uint64 {
 		n++
 		return n
 	}
@@ -355,7 +358,7 @@ func TestNICConfigRejectsBadReduceKnobs(t *testing.T) {
 
 func TestNICReduceDefaults(t *testing.T) {
 	cfg := validConfig()
-	n, err := New(0, cfg, nil, func() uint64 { return 1 })
+	n, err := newNIC(0, cfg, nil, func(topology.NodeID) uint64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +383,7 @@ func TestNICConfigEnableINANeedsCapacity(t *testing.T) {
 
 func TestNICRejectsAccumulateWithoutINA(t *testing.T) {
 	cfg := validConfig()
-	n, err := New(0, cfg, nil, func() uint64 { return 1 })
+	n, err := newNIC(0, cfg, nil, func(topology.NodeID) uint64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,4 +397,13 @@ func TestNICRejectsAccumulateWithoutINA(t *testing.T) {
 	}
 	mustPanic("SendAccumulate", func() { n.SendAccumulate(0, 9, 1, flit.Payload{}) })
 	mustPanic("SubmitReduceOperand", func() { n.SubmitReduceOperand(0, flit.Payload{}) })
+}
+
+// newNIC returns a NIC with a slab of its own.
+func newNIC(id topology.NodeID, cfg Config, rtr *router.Router, nextID func(topology.NodeID) uint64) (*NIC, error) {
+	s, err := NewSlab(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return s.New(id, rtr, nextID)
 }

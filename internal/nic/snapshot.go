@@ -146,7 +146,6 @@ func (e *Ejector) loadHeld(d *flit.Decoder) {
 			payloads = append(payloads, p)
 		}
 		pp.payloads = payloads
-		e.partial = append(e.partial, pp)
 	}
 }
 

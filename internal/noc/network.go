@@ -66,8 +66,8 @@ type Network struct {
 	sinks   []*EdgeSink
 	links   []*link.Link
 
-	// pidSeq[id] counts the packet ids node id's NIC has drawn; kept here
-	// rather than in the nextID closures so snapshots can capture it.
+	// pidSeq[id] counts the packet ids node id's NIC has drawn
+	// (nextPacketID); kept here so snapshots can capture it.
 	pidSeq []uint64
 
 	// portBranch[p] is the shared single-branch route through port p.
@@ -187,47 +187,58 @@ func New(cfg Config) (*Network, error) {
 		nw.portBranch[p] = []topology.MulticastBranch{{Out: topology.Port(p)}}
 	}
 
+	// Memory (DESIGN.md §9): every shard's routers, links and NICs come out
+	// of that shard's own slabs, sized here, so that nothing the fabric
+	// holds allocates after New returns.
+	shards := max(cfg.EffectiveShards(), 1)
+	nodes, links := nw.shardCounts(shards)
+
 	// Routers. The routing algorithm dictates the dateline VC partition
 	// (2 classes for torus dimension-order routing, 1 otherwise).
 	rcfg := cfg.Router
 	if n := routing.VCClasses(); n > 1 {
 		rcfg.VCClasses = n
 	}
-	nw.routers = make([]*router.Router, topo.NumNodes())
-	for id := 0; id < topo.NumNodes(); id++ {
-		// Every router gets its own adaptive-route scratch buffer: route
-		// computation may run concurrently across shards, and even in
-		// sequential mode the buffer's contents never outlive one call,
-		// so per-router scratch is always safe and allocation-free.
+	routerSlabs := make([]*router.Slab, shards)
+	routeFns := make([]router.RoutingFunc, shards)
+	for sh := range routerSlabs {
+		if routerSlabs[sh], err = router.NewSlab(rcfg, nodes[sh]); err != nil {
+			return nil, err
+		}
+		// Every shard's routers share one adaptive-route scratch buffer:
+		// route computation runs concurrently across shards but one router
+		// at a time within one, and the buffer's contents never outlive
+		// one call.
 		scratch := new([4]topology.Port)
-		rf := func(cur topology.NodeID, f *flit.Flit) router.Route {
+		routeFns[sh] = func(cur topology.NodeID, f *flit.Flit) router.Route {
 			return nw.routeFlit(scratch, cur, f)
 		}
-		r, err := router.New(topology.NodeID(id), rcfg, rf)
+	}
+	nw.routers = make([]*router.Router, topo.NumNodes())
+	for id := range nw.routers {
+		sh := nw.shardOfNode(topology.NodeID(id))
+		r, err := routerSlabs[sh].New(topology.NodeID(id), routeFns[sh])
 		if err != nil {
 			return nil, err
 		}
 		nw.routers[id] = r
 	}
 
-	// Inter-router links (both directions of every fabric edge). Scanning
-	// every node's east and south ports enumerates each undirected edge
-	// exactly once on the mesh and on the torus — a wraparound edge is
-	// seen only from its east/south end.
-	for id := 0; id < topo.NumNodes(); id++ {
-		src := nw.routers[id]
-		for _, p := range []topology.Port{topology.EastPort, topology.SouthPort} {
-			nbID, ok := topo.Neighbor(topology.NodeID(id), p)
-			if !ok || nbID == topology.NodeID(id) {
-				// Degenerate 1-wide torus rings wrap onto themselves; no
-				// routing function ever uses such a link, so skip it.
-				continue
-			}
-			dst := nw.routers[nbID]
-			nw.wireRouterPair(src, dst, p)
-			nw.wireRouterPair(dst, src, p.Opposite())
-		}
+	// Links, each from the slab of the shard that owns its downstream end.
+	linkSlabs := make([]*link.Slab, shards)
+	total := 0
+	for sh := range linkSlabs {
+		linkSlabs[sh] = link.NewSlab(links[sh])
+		total += links[sh]
 	}
+	nw.links = make([]*link.Link, 0, total)
+	nw.linkRecs = make([]linkRec, 0, total)
+
+	// Inter-router links, both directions of every fabric edge.
+	nw.eachEdge(func(src, dst topology.NodeID, p topology.Port) {
+		nw.wireRouterPair(linkSlabs, nw.routers[src], nw.routers[dst], p)
+		nw.wireRouterPair(linkSlabs, nw.routers[dst], nw.routers[src], p.Opposite())
+	})
 	// Everything wired so far is an inter-router link; fault injection's
 	// transient rates apply to this prefix of linkRecs only.
 	nw.fabricLinks = len(nw.linkRecs)
@@ -248,43 +259,32 @@ func New(cfg Config) (*Network, error) {
 		Format:            format,
 	}
 	nw.nicCfg = nicCfg
+	nicSlabs := make([]*nic.Slab, shards)
+	for sh := range nicSlabs {
+		if nicSlabs[sh], err = nic.NewSlab(nicCfg, nodes[sh]); err != nil {
+			return nil, err
+		}
+	}
 	nw.nics = make([]*nic.NIC, topo.NumNodes())
 	nw.pidSeq = make([]uint64, topo.NumNodes())
+	nextID := nw.nextPacketID
 	for id := 0; id < topo.NumNodes(); id++ {
-		// Packet ids are striped per NIC — node id's NIC issues id+1,
-		// id+1+N, id+1+2N, ... — so every id is network-unique (ejectors
-		// key reassembly on them) without a global counter. A shared
-		// counter would be read-modify-written concurrently in sharded
-		// mode (self-initiated gathers draw ids inside NIC.Tick), and
-		// per-NIC striping keeps the sequence identical for any shard
-		// count, sequential mode included. The per-NIC draw counts live
-		// in pidSeq — not in closure locals — so snapshots can capture
-		// and restore them; each slot is written only by its own NIC's
-		// shard, preserving the single-writer rule.
-		stride := uint64(topo.NumNodes())
-		base := uint64(id) + 1
-		seq := &nw.pidSeq[id]
-		nextID := func() uint64 {
-			pid := base + *seq*stride
-			*seq++
-			return pid
-		}
-		n, err := nic.New(topology.NodeID(id), nicCfg, nw.routers[id], nextID)
+		sh := nw.shardOfNode(topology.NodeID(id))
+		n, err := nicSlabs[sh].New(topology.NodeID(id), nw.routers[id], nextID)
 		if err != nil {
 			return nil, err
 		}
 		nw.nics[id] = n
 		rtr := nw.routers[id]
 
-		sh := nw.shardOfNode(topology.NodeID(id))
-		inj := link.New(link.Numbered("inj", id), cfg.LinkLatency, rtr.InputSink(topology.LocalPort), n)
+		inj := linkSlabs[sh].New(link.Numbered("inj", id), cfg.LinkLatency, rtr.InputSink(topology.LocalPort), n)
 		n.ConnectInjection(inj)
 		rtr.ConnectInput(topology.LocalPort, inj)
 		nw.addLink(inj, sh, sh, topology.NodeID(id), topology.NodeID(id))
 		nw.linkRecs[len(nw.linkRecs)-1].intoRouter = true
 
-		ej := link.New(link.Numbered("ej", id), cfg.LinkLatency, n.Ejector(), rtr.CreditSink(topology.LocalPort))
-		rtr.ConnectOutput(topology.LocalPort, ej, cfg.Router.VCs, cfg.Router.BufferDepth)
+		ej := linkSlabs[sh].New(link.Numbered("ej", id), cfg.LinkLatency, n.Ejector(), rtr.CreditSink(topology.LocalPort))
+		rtr.ConnectOutput(topology.LocalPort, ej, cfg.Router.BufferDepth)
 		n.Ejector().ConnectReverse(ej)
 		nw.addLink(ej, sh, sh, topology.NodeID(id), topology.NodeID(id))
 	}
@@ -302,11 +302,11 @@ func New(cfg Config) (*Network, error) {
 			}
 			s.ej.SetOwner(s.id)
 			s.ej.SetPacketOverhead(cfg.SinkPacketOverhead)
-			l := link.New(link.Numbered("sinklink", row), cfg.LinkLatency, s.ej, edge.CreditSink(topology.EastPort))
-			edge.ConnectOutput(topology.EastPort, l, cfg.Router.VCs, cfg.Router.BufferDepth)
+			sh := nw.shardOfRow(row)
+			l := linkSlabs[sh].New(link.Numbered("sinklink", row), cfg.LinkLatency, s.ej, edge.CreditSink(topology.EastPort))
+			edge.ConnectOutput(topology.EastPort, l, cfg.Router.BufferDepth)
 			s.ej.ConnectReverse(l)
 			nw.sinks[row] = s
-			sh := nw.shardOfRow(row)
 			nw.addLink(l, sh, sh, s.id, edge.ID())
 		}
 	}
@@ -612,19 +612,73 @@ func (d stagedDispatcher) Tick(cycle int64) {
 	}
 }
 
-func (nw *Network) wireRouterPair(src, dst *router.Router, out topology.Port) {
+// wireRouterPair wires the link that leaves src by port out into dst, out of
+// the link slab of the shard owning dst.
+func (nw *Network) wireRouterPair(slabs []*link.Slab, src, dst *router.Router, out topology.Port) {
 	in := out.Opposite()
-	l := link.New(
+	l := slabs[nw.shardOfNode(dst.ID())].New(
 		link.Between(src.ID(), out, dst.ID()),
 		nw.cfg.LinkLatency,
 		dst.InputSink(in),
 		src.CreditSink(out),
 	)
-	src.ConnectOutput(out, l, nw.cfg.Router.VCs, nw.cfg.Router.BufferDepth)
+	src.ConnectOutput(out, l, nw.cfg.Router.BufferDepth)
 	dst.ConnectInput(in, l)
 	nw.addLink(l, nw.shardOfNode(dst.ID()), nw.shardOfNode(src.ID()), dst.ID(), src.ID())
 	nw.linkRecs[len(nw.linkRecs)-1].outPort = out
 	nw.linkRecs[len(nw.linkRecs)-1].intoRouter = true
+}
+
+// nextPacketID draws the next packet id of node id's NIC. Packet ids are
+// striped per NIC — node id's NIC issues id+1, id+1+N, id+1+2N, ... — so
+// every id is network-unique (ejectors key reassembly on them) without a
+// global counter. A shared counter would be read-modify-written
+// concurrently in sharded mode (self-initiated gathers draw ids inside
+// NIC.Tick), and per-NIC striping keeps the sequence identical for any
+// shard count, sequential mode included. Each pidSeq slot is written only
+// by its own NIC's shard, preserving the single-writer rule.
+func (nw *Network) nextPacketID(id topology.NodeID) uint64 {
+	seq := &nw.pidSeq[id]
+	pid := uint64(id) + 1 + *seq*uint64(len(nw.pidSeq))
+	*seq++
+	return pid
+}
+
+// eachEdge calls fn once for every undirected fabric edge, with the end
+// src that reaches the other end dst by its east or south port p: scanning
+// every node's east and south ports enumerates each edge exactly once on
+// the mesh and on the torus (a wraparound edge is seen only from its
+// east/south end). A degenerate 1-wide torus ring wraps onto itself; no
+// routing function ever uses such a link, so it has none.
+func (nw *Network) eachEdge(fn func(src, dst topology.NodeID, p topology.Port)) {
+	for id := 0; id < nw.topo.NumNodes(); id++ {
+		for _, p := range [...]topology.Port{topology.EastPort, topology.SouthPort} {
+			if nb, ok := nw.topo.Neighbor(topology.NodeID(id), p); ok && nb != topology.NodeID(id) {
+				fn(topology.NodeID(id), nb, p)
+			}
+		}
+	}
+}
+
+// shardCounts returns, per shard, the nodes it owns and the links whose
+// downstream end it owns: the sizes of its slabs.
+func (nw *Network) shardCounts(shards int) (nodes, links []int) {
+	nodes, links = make([]int, shards), make([]int, shards)
+	for id := 0; id < nw.topo.NumNodes(); id++ {
+		sh := nw.shardOfNode(topology.NodeID(id))
+		nodes[sh]++
+		links[sh] += 2 // injection and ejection
+	}
+	nw.eachEdge(func(src, dst topology.NodeID, _ topology.Port) {
+		links[nw.shardOfNode(src)]++
+		links[nw.shardOfNode(dst)]++
+	})
+	if nw.cfg.EastSinks {
+		for row := 0; row < nw.cfg.Rows; row++ {
+			links[nw.shardOfRow(row)]++
+		}
+	}
+	return nodes, links
 }
 
 // addLink records a wired link with the shards owning its two endpoints:

@@ -62,12 +62,13 @@ type Station struct {
 	cap    int
 }
 
-// NewStation returns a station bounding its queue at capacity (minimum 1).
-func NewStation(capacity int) *Station {
+// NewStation returns a station bounding its queue at capacity (minimum 1),
+// as a value for its owner to hold in place.
+func NewStation(capacity int) Station {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Station{cap: capacity}
+	return Station{cap: capacity}
 }
 
 // Offer enqueues an operand, returning false when the station is full.

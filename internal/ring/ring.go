@@ -4,12 +4,13 @@
 // (`q = append(q, v)` ... `q = q[1:]`), a ring never abandons its backing
 // array, so steady-state queue traffic performs zero heap allocations.
 //
-// Rings grow by doubling only when a push finds the buffer full; callers
-// that model hardware buffers of a fixed depth (router VCs, ejectors)
-// bound their occupancy with Len before pushing, so their rings never
-// grow after construction. Unbounded producers (links staging in-flight
-// flits and credits) amortize growth to zero once the high-water mark is
-// reached.
+// Rings grow by doubling only when a push finds the buffer full. The
+// fabric starts its rings with Over, on backing arrays it carves out of one
+// slab per shard at construction: callers that model hardware buffers of a
+// fixed depth (router VCs, ejectors) size them at that depth and bound
+// their occupancy with Len before pushing, so those rings never grow;
+// unbounded producers (links staging in-flight flits and credits) start at
+// the depth a busy link reaches and keep growth as the fallback for bursts.
 //
 // The package is not safe for concurrent use; the simulator is
 // single-threaded.
@@ -22,6 +23,12 @@ type Ring[T any] struct {
 	head int // index of the front element
 	n    int // number of elements
 }
+
+// Over returns an empty ring that queues into buf, whose length is its
+// capacity: the caller owns the array (typically a piece of a larger
+// slab), and a push past that capacity moves the ring to a fresh array of
+// its own, as growth from the zero value does.
+func Over[T any](buf []T) Ring[T] { return Ring[T]{buf: buf} }
 
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }

@@ -137,3 +137,25 @@ func TestRingPopZeroesSlot(t *testing.T) {
 		t.Fatal("PopFront left the slot holding the pointer")
 	}
 }
+
+// TestRingOverCallerArray: a ring started with Over queues into the
+// caller's array, and a push past its length moves the ring to an array of
+// its own without writing beyond the piece it was given.
+func TestRingOverCallerArray(t *testing.T) {
+	slab := make([]int, 6)
+	r := Over(slab[2:4:4])
+	r.PushBack(1)
+	r.PushBack(2)
+	if slab[2] != 1 || slab[3] != 2 {
+		t.Fatalf("slab = %v, want the two pushes at [2] and [3]", slab)
+	}
+	r.PushBack(3)
+	if slab[1] != 0 || slab[4] != 0 {
+		t.Fatalf("slab = %v: growth wrote outside the ring's piece", slab)
+	}
+	for want := 1; want <= 3; want++ {
+		if got := r.PopFront(); got != want {
+			t.Fatalf("PopFront = %d, want %d", got, want)
+		}
+	}
+}

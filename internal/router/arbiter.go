@@ -8,10 +8,6 @@ type rrArbiter struct {
 	next int
 }
 
-func newRRArbiter(n int) *rrArbiter {
-	return &rrArbiter{n: n}
-}
-
 // pick returns the first index i, scanning round-robin from the last
 // grant, for which want(i) is true, advancing the rotation past the
 // winner. It returns -1 when nothing is requesting.

@@ -28,7 +28,7 @@ import (
 //     visit only the VCs it could act on) agree with a full rescan.
 func (r *Router) CheckInvariants() error {
 	buffered, loads, vaPending, active := 0, 0, 0, 0
-	var occMask, vaMask, actMask [topology.NumPorts]uint64
+	var occMask, vaMask, actMask, loadMask [topology.NumPorts]uint64
 	for p := 0; p < topology.NumPorts; p++ {
 		for v := range r.inputs[p] {
 			vc := &r.inputs[p][v]
@@ -41,6 +41,9 @@ func (r *Router) CheckInvariants() error {
 			}
 			if vc.reduceLoad {
 				loads++
+			}
+			if vc.gatherLoad || vc.reduceLoad {
+				loadMask[p] |= 1 << v
 			}
 			switch vc.stage {
 			case vcVA:
@@ -140,9 +143,9 @@ func (r *Router) CheckInvariants() error {
 		return fmt.Errorf("router %d: occupancy counters (buffered=%d loads=%d vaPending=%d active=%d) drifted from rescan (%d %d %d %d)",
 			r.id, r.buffered, r.loads, r.vaPending, r.active, buffered, loads, vaPending, active)
 	}
-	if occMask != r.occMask || vaMask != r.vaMask || actMask != r.actMask {
-		return fmt.Errorf("router %d: slot masks (occ=%x va=%x act=%x) drifted from rescan (%x %x %x)",
-			r.id, r.occMask, r.vaMask, r.actMask, occMask, vaMask, actMask)
+	if occMask != r.occMask || vaMask != r.vaMask || actMask != r.actMask || loadMask != r.loadMask {
+		return fmt.Errorf("router %d: slot masks (occ=%x va=%x act=%x load=%x) drifted from rescan (%x %x %x %x)",
+			r.id, r.occMask, r.vaMask, r.actMask, r.loadMask, occMask, vaMask, actMask, loadMask)
 	}
 	return nil
 }

@@ -157,9 +157,9 @@ const (
 // input VC.
 type branchState struct {
 	out    topology.Port
-	dsts   *topology.DestSet // multicast subset forwarded on this branch
-	vc     int               // allocated downstream VC (-1 until VA)
 	sent   bool              // current head-of-buffer flit already copied here
+	vc     int               // allocated downstream VC (-1 until VA)
+	dsts   *topology.DestSet // multicast subset forwarded on this branch
 	headMD *topology.DestSet // MDst for the head copy on this branch
 }
 
@@ -209,16 +209,21 @@ type Router struct {
 	cfg   Config
 	route RoutingFunc
 
+	// inputs[p] is input port p's VCs; the five ports share one array.
 	inputs  [topology.NumPorts][]inputVC
 	inLinks [topology.NumPorts]*link.Link // reverse channels for credit return
 	outputs [topology.NumPorts]outputPort
 
-	station  *reduce.Station // gather payloads
-	rstation *reduce.Station // accumulate operands
-	pool     *flit.Pool      // multicast fork copies; forked originals return here
+	// The link-facing views of each port (InputSink, CreditSink).
+	sinks       [topology.NumPorts]portSink
+	creditSinks [topology.NumPorts]portCredit
 
-	saInputArb  [topology.NumPorts]*rrArbiter // per input port, across its VCs
-	saOutputArb [topology.NumPorts]*rrArbiter // per output port, across input-port candidates
+	station  reduce.Station // gather payloads
+	rstation reduce.Station // accumulate operands
+	pool     *flit.Pool     // multicast fork copies; forked originals return here
+
+	saInputArb  [topology.NumPorts]rrArbiter // per input port, across its VCs
+	saOutputArb [topology.NumPorts]rrArbiter // per output port, across input-port candidates
 
 	wake *sim.Handle // engine wake-up, armed on flit/credit arrival
 
@@ -240,9 +245,10 @@ type Router struct {
 	// Slot masks, one word per input port with bit v standing for VC v,
 	// maintained beside the counters above and under the same rule. They
 	// let a stage that does run visit only the slots it could act on.
-	occMask [topology.NumPorts]uint64 // buffer non-empty
-	vaMask  [topology.NumPorts]uint64 // stage == vcVA
-	actMask [topology.NumPorts]uint64 // stage == vcActive
+	occMask  [topology.NumPorts]uint64 // buffer non-empty
+	vaMask   [topology.NumPorts]uint64 // stage == vcVA
+	actMask  [topology.NumPorts]uint64 // stage == vcActive
+	loadMask [topology.NumPorts]uint64 // a gather or accumulate Load raised
 
 	// clockTies counts the VA passes the cycle-derived rotation may have
 	// decided (ClockTies).
@@ -252,23 +258,80 @@ type Router struct {
 	Counters Counters
 }
 
-// New constructs a router for node id using the given routing function.
-func New(id topology.NodeID, cfg Config, routeFn RoutingFunc) (*Router, error) {
+// Slab is the memory of a block of routers of one Config, allocated at
+// once so that a router allocates nothing after construction: the routers
+// themselves, their input VCs, every VC's buffer ring (BufferDepth slots),
+// its first branch, and every output's credit and owner counters. A fabric
+// builds one per shard, so the routers a shard ticks share no slab with
+// another shard's.
+type Slab struct {
+	cfg      Config
+	routers  []Router
+	vcs      []inputVC
+	bufs     []*flit.Flit
+	branches []branchState
+	counts   []int
+}
+
+// NewSlab returns a slab for n routers of configuration cfg.
+func NewSlab(cfg Config, n int) (*Slab, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	nvc := n * topology.NumPorts * cfg.VCs
+	return &Slab{
+		cfg:      cfg,
+		routers:  make([]Router, n),
+		vcs:      make([]inputVC, nvc),
+		bufs:     make([]*flit.Flit, nvc*cfg.BufferDepth),
+		branches: make([]branchState, nvc),
+		counts:   make([]int, 3*nvc),
+	}, nil
+}
+
+// carve cuts the next n elements off *slab, allocating them afresh once the
+// slab is spent.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, n)
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// New constructs a router for node id out of the slab, using the given
+// routing function. Beyond the n routers the slab was made for, it
+// allocates each one's memory anew.
+func (s *Slab) New(id topology.NodeID, routeFn RoutingFunc) (*Router, error) {
 	if routeFn == nil {
 		return nil, fmt.Errorf("router %d: nil routing function", id)
 	}
-	r := &Router{id: id, cfg: cfg, route: routeFn}
+	cfg := s.cfg
+	r := &carve(&s.routers, 1)[0]
+	r.id, r.cfg, r.route = id, cfg, routeFn
+	vcs := carve(&s.vcs, topology.NumPorts*cfg.VCs)
+	bufs := carve(&s.bufs, len(vcs)*cfg.BufferDepth)
+	branches := carve(&s.branches, len(vcs))
+	for i := range vcs {
+		// acceptFlit bounds occupancy before every push, so a VC's ring
+		// never grows past its BufferDepth slots, and completeRC appends a
+		// unicast packet's one branch in place; only a multicast fork
+		// grows the branch list.
+		vcs[i].buf = ring.Over(bufs[i*cfg.BufferDepth : (i+1)*cfg.BufferDepth : (i+1)*cfg.BufferDepth])
+		vcs[i].branches = branches[i : i : i+1]
+	}
 	for p := 0; p < topology.NumPorts; p++ {
-		// The VC buffer rings stay zero-valued and grow to BufferDepth on
-		// first use; acceptFlit bounds occupancy before every push, so
-		// they never grow past the configured depth (modulo the ring's
-		// power-of-two rounding) and idle VCs cost no backing array.
-		r.inputs[p] = make([]inputVC, cfg.VCs)
-		r.saInputArb[p] = newRRArbiter(cfg.VCs)
-		r.saOutputArb[p] = newRRArbiter(topology.NumPorts)
+		r.inputs[p] = vcs[p*cfg.VCs : (p+1)*cfg.VCs : (p+1)*cfg.VCs]
+		// ConnectOutput lengthens the counters of the ports it wires.
+		o := &r.outputs[p]
+		o.credits = carve(&s.counts, cfg.VCs)[:0]
+		o.ownerPort = carve(&s.counts, cfg.VCs)[:0]
+		o.ownerVC = carve(&s.counts, cfg.VCs)[:0]
+		r.sinks[p] = portSink{r: r, port: topology.Port(p)}
+		r.creditSinks[p] = portCredit{r: r, port: topology.Port(p)}
+		r.saInputArb[p] = rrArbiter{n: cfg.VCs}
+		r.saOutputArb[p] = rrArbiter{n: topology.NumPorts}
 	}
 	r.station = reduce.NewStation(cfg.GatherQueueCap)
 	r.rstation = reduce.NewStation(cfg.ReduceQueueCap)
@@ -320,15 +383,17 @@ func (r *Router) MaxVCOccupancy() int {
 func (r *Router) Idle() bool { return r.buffered == 0 }
 
 // ConnectOutput attaches l as the outgoing channel on port p; downstreamDepth
-// is the buffer depth of the receiving input VCs (credit initialization).
-func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamVCs, downstreamDepth int) {
+// is the buffer depth of the receiving VCs (credit initialization). The
+// receiving end has as many VCs as this router: every router and ejector
+// of a fabric shares the VC count.
+func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamDepth int) {
 	o := &r.outputs[p]
 	o.link = l
 	o.depth = downstreamDepth
-	o.credits = make([]int, downstreamVCs)
-	o.ownerPort = make([]int, downstreamVCs)
-	o.ownerVC = make([]int, downstreamVCs)
-	for v := 0; v < downstreamVCs; v++ {
+	o.credits = o.credits[:r.cfg.VCs]
+	o.ownerPort = o.ownerPort[:r.cfg.VCs]
+	o.ownerVC = o.ownerVC[:r.cfg.VCs]
+	for v := range o.credits {
 		o.credits[v] = downstreamDepth
 		o.ownerPort[v] = -1
 		o.ownerVC[v] = -1
@@ -356,14 +421,10 @@ func (r *Router) ConnectInput(p topology.Port, reverse *link.Link) {
 }
 
 // InputSink returns a link.FlitSink delivering into input port p.
-func (r *Router) InputSink(p topology.Port) link.FlitSink {
-	return &portSink{r: r, port: p}
-}
+func (r *Router) InputSink(p topology.Port) link.FlitSink { return &r.sinks[p] }
 
 // CreditSink returns a link.CreditSink crediting output port p.
-func (r *Router) CreditSink(p topology.Port) link.CreditSink {
-	return &portCredit{r: r, port: p}
-}
+func (r *Router) CreditSink(p topology.Port) link.CreditSink { return &r.creditSinks[p] }
 
 type portSink struct {
 	r    *Router
@@ -480,7 +541,8 @@ func (r *Router) Tick(cycle int64) {
 // the upload or merge happens while the flit waits for switch allocation.
 func (r *Router) gatherUploadStage(cycle int64) {
 	for p := 0; p < topology.NumPorts; p++ {
-		for v := range r.inputs[p] {
+		for m := r.loadMask[p]; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
 			vc := &r.inputs[p][v]
 			if vc.gatherLoad && vc.gatherEntry != nil {
 				f := vc.head()
@@ -494,7 +556,7 @@ func (r *Router) gatherUploadStage(cycle int64) {
 					}
 					vc.gatherEntry = nil
 					vc.gatherLoad = false
-					r.loads--
+					r.dropLoad(p, v)
 				}
 			}
 			if vc.reduceLoad && vc.reduceEntry != nil {
@@ -509,10 +571,25 @@ func (r *Router) gatherUploadStage(cycle int64) {
 					}
 					vc.reduceEntry = nil
 					vc.reduceLoad = false
-					r.loads--
+					r.dropLoad(p, v)
 				}
 			}
 		}
+	}
+}
+
+// raiseLoad counts a Load signal raised on VC v of input port p.
+func (r *Router) raiseLoad(p, v int) {
+	r.loads++
+	r.loadMask[p] |= 1 << v
+}
+
+// dropLoad counts a Load signal of VC v of input port p lowered; the VC
+// leaves loadMask once neither of its two signals is raised.
+func (r *Router) dropLoad(p, v int) {
+	r.loads--
+	if vc := &r.inputs[p][v]; !vc.gatherLoad && !vc.reduceLoad {
+		r.loadMask[p] &^= 1 << v
 	}
 }
 
@@ -581,7 +658,7 @@ func (r *Router) completeRC(p, v int, cycle int64) {
 			f.ASpace--
 			vc.gatherLoad = true
 			vc.gatherEntry = e
-			r.loads++
+			r.raiseLoad(p, v)
 			r.Counters.GatherReserves.Inc()
 		}
 	}
@@ -595,7 +672,7 @@ func (r *Router) completeRC(p, v int, cycle int64) {
 			f.ASpace--
 			vc.reduceLoad = true
 			vc.reduceEntry = e
-			r.loads++
+			r.raiseLoad(p, v)
 			r.Counters.ReduceReserves.Inc()
 		}
 	}
@@ -772,7 +849,7 @@ func (r *Router) switchStage(cycle int64) {
 		if m == 0 {
 			continue
 		}
-		arb := r.saInputArb[p]
+		arb := &r.saInputArb[p]
 		in := r.inputs[p]
 		for rot := (m>>arb.next | m<<(arb.n-arb.next)) & (1<<arb.n - 1); rot != 0; rot &= rot - 1 {
 			idx := bits.TrailingZeros64(rot) + arb.next
@@ -808,7 +885,7 @@ func (r *Router) switchStage(cycle int64) {
 		if requested&(1<<out) == 0 {
 			continue
 		}
-		arb := r.saOutputArb[out]
+		arb := &r.saOutputArb[out]
 		idx := arb.next
 		for off := 0; off < arb.n; off++ {
 			if idx >= arb.n {
@@ -895,7 +972,7 @@ func (r *Router) switchStage(cycle int64) {
 					vc.gatherEntry = nil
 				}
 				vc.gatherLoad = false
-				r.loads--
+				r.dropLoad(p, v)
 			}
 			if vc.reduceLoad {
 				if vc.reduceEntry != nil {
@@ -903,7 +980,7 @@ func (r *Router) switchStage(cycle int64) {
 					vc.reduceEntry = nil
 				}
 				vc.reduceLoad = false
-				r.loads--
+				r.dropLoad(p, v)
 			}
 			vc.branches = vc.branches[:0]
 			vc.stage = vcIdle

@@ -18,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"default", func(c *Config) {}, true},
 		{"zero vcs", func(c *Config) { c.VCs = 0 }, false},
+		{"one vc", func(c *Config) { c.VCs = 1 }, true},
 		{"vcs at mask width", func(c *Config) { c.VCs = maxVCs }, true},
 		{"vcs past mask width", func(c *Config) { c.VCs = maxVCs + 1 }, false},
 		{"zero depth", func(c *Config) { c.BufferDepth = 0 }, false},
@@ -53,7 +54,7 @@ func TestConfigValidate(t *testing.T) {
 func TestVCClassPartition(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VCClasses = 2
-	r, err := New(0, cfg, func(topology.NodeID, *flit.Flit) Route { return Route{} })
+	r, err := newRouter(0, cfg, func(topology.NodeID, *flit.Flit) Route { return Route{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestVCClassPartition(t *testing.T) {
 	}
 	// Single-class configs ignore the partition entirely.
 	cfg.VCClasses = 1
-	r1, err := New(0, cfg, func(topology.NodeID, *flit.Flit) Route { return Route{} })
+	r1, err := newRouter(0, cfg, func(topology.NodeID, *flit.Flit) Route { return Route{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestVCClassPartition(t *testing.T) {
 }
 
 func TestRRArbiterFairness(t *testing.T) {
-	a := newRRArbiter(3)
+	a := &rrArbiter{n: 3}
 	always := func(i int) bool { return true }
 	got := []int{a.pick(always), a.pick(always), a.pick(always), a.pick(always)}
 	want := []int{0, 1, 2, 0}
@@ -96,7 +97,7 @@ func TestRRArbiterFairness(t *testing.T) {
 }
 
 func TestRRArbiterSkipsNonRequesters(t *testing.T) {
-	a := newRRArbiter(4)
+	a := &rrArbiter{n: 4}
 	only2 := func(i int) bool { return i == 2 }
 	if got := a.pick(only2); got != 2 {
 		t.Fatalf("pick = %d, want 2", got)
@@ -104,7 +105,7 @@ func TestRRArbiterSkipsNonRequesters(t *testing.T) {
 	if got := a.pick(func(i int) bool { return false }); got != -1 {
 		t.Fatalf("pick = %d, want -1", got)
 	}
-	if got := newRRArbiter(0).pick(only2); got != -1 {
+	if got := (&rrArbiter{}).pick(only2); got != -1 {
 		t.Fatalf("empty arbiter pick = %d, want -1", got)
 	}
 }
@@ -188,20 +189,20 @@ func newTwoRouterHarness(t *testing.T, cfg Config) *twoRouterHarness {
 	routeFn := func(cur topology.NodeID, f *flit.Flit) Route {
 		return Route{Branches: []topology.MulticastBranch{{Out: mesh.XYRoute(cur, f.Dst)}}}
 	}
-	a, err := New(0, cfg, routeFn)
+	a, err := newRouter(0, cfg, routeFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(1, cfg, routeFn)
+	b, err := newRouter(1, cfg, routeFn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := &twoRouterHarness{a: a, b: b}
-	h.ab = link.New(link.Numbered("ab", 0), 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
-	a.ConnectOutput(topology.EastPort, h.ab, cfg.VCs, cfg.BufferDepth)
+	h.ab = link.NewSlab(1).New(link.Numbered("ab", 0), 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
+	a.ConnectOutput(topology.EastPort, h.ab, cfg.BufferDepth)
 	b.ConnectInput(topology.WestPort, h.ab)
-	h.eject = link.New(link.Numbered("bl", 0), 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
-	b.ConnectOutput(topology.LocalPort, h.eject, cfg.VCs, cfg.BufferDepth)
+	h.eject = link.NewSlab(1).New(link.Numbered("bl", 0), 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
+	b.ConnectOutput(topology.LocalPort, h.eject, cfg.BufferDepth)
 	return h
 }
 
@@ -384,10 +385,19 @@ func TestRouterCountersAdvance(t *testing.T) {
 }
 
 func TestNewRouterRejectsBadInputs(t *testing.T) {
-	if _, err := New(0, Config{}, nil); err == nil {
+	if _, err := newRouter(0, Config{}, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := New(0, DefaultConfig(), nil); err == nil {
+	if _, err := newRouter(0, DefaultConfig(), nil); err == nil {
 		t.Error("nil routing func accepted")
 	}
+}
+
+// newRouter returns a router with a slab of its own.
+func newRouter(id topology.NodeID, cfg Config, routeFn RoutingFunc) (*Router, error) {
+	s, err := NewSlab(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return s.New(id, routeFn)
 }

@@ -126,7 +126,7 @@ func (r *Router) LoadState(d *flit.Decoder, gatherAck, reduceAck reduce.AckFunc)
 		r.saOutputArb[p].next = d.IntRange(0, r.saOutputArb[p].n-1, "SA output pointer")
 	}
 	r.buffered, r.loads, r.vaPending, r.active = 0, 0, 0, 0
-	r.occMask, r.vaMask, r.actMask = [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}
+	r.occMask, r.vaMask, r.actMask, r.loadMask = [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}
 	rest := d.Bool()
 	held := !rest && d.Bool()
 	for p := 0; p < topology.NumPorts; p++ {
@@ -199,14 +199,14 @@ func (r *Router) loadVC(d *flit.Decoder, p, v int) {
 			d.Failf("gather entry %d beyond the station's %d", i, r.station.Backlog())
 		}
 		vc.gatherLoad = true
-		r.loads++
+		r.raiseLoad(p, v)
 	}
 	if i := int(d.Int()); i >= 0 {
 		if vc.reduceEntry = r.rstation.EntryAt(i); vc.reduceEntry == nil {
 			d.Failf("reduce entry %d beyond the station's %d", i, r.rstation.Backlog())
 		}
 		vc.reduceLoad = true
-		r.loads++
+		r.raiseLoad(p, v)
 	}
 	switch vc.stage {
 	case vcVA:

@@ -60,6 +60,8 @@ var stateFields = map[string]string{
 	"router.Router.inputs":      both + " (VCs at rest as the occupancy, VA and active masks)",
 	"router.Router.inLinks":     fixed + wiring,
 	"router.Router.outputs":     both,
+	"router.Router.sinks":       fixed + wiring,
+	"router.Router.creditSinks": fixed + wiring,
 	"router.Router.station":     both,
 	"router.Router.rstation":    both,
 	"router.Router.pool":        fixed + wiring,
@@ -74,6 +76,7 @@ var stateFields = map[string]string{
 	"router.Router.occMask":     derived,
 	"router.Router.vaMask":      derived,
 	"router.Router.actMask":     derived,
+	"router.Router.loadMask":    derived,
 	"router.Router.clockTies":   absolute + statistic + " (the proof reads its growth, noc.Network.ClockTies)",
 	"router.Router.Counters":    absolute + statistic,
 
@@ -238,7 +241,6 @@ var stateFields = map[string]string{
 	"nic.Ejector.bufs":                 both,
 	"nic.Ejector.reverse":              fixed + wiring,
 	"nic.Ejector.partial":              both,
-	"nic.Ejector.spares":               fixed + capacity,
 	"nic.Ejector.scratch":              fixed + ": a buffer handed to the receive callback",
 	"nic.Ejector.pool":                 fixed + wiring,
 	"nic.Ejector.recv":                 fixed + ": the workload's callback",
