@@ -85,16 +85,17 @@ func TestAllocationRatchet(t *testing.T) {
 // reuse pays it. The 8x8 build took 5012 allocations when every component
 // and wake handle was a heap node of its own, 3652 once the engine kept
 // its components in one slice per phase, cut wake handles from blocks of
-// 256 and links formatted their names only when asked. Now every shard's
-// routers, links and NICs, with their VC buffers, branches, counters and
-// staging rings, come out of a few slabs per shard (DESIGN.md §9): 8x8
-// measures 230 or 231 and 32x32 2256, about two per node, nearly all the two ack
-// callbacks each NIC hands its router's stations. Each ceiling is that
-// plus 1 % (of 231, the 8x8's higher reading), so a per-component
-// allocation coming back fails here.
+// 256 and links formatted their names only when asked. Every shard's
+// routers, links and NICs, with their VC buffers, counters and staging
+// rings, come out of a few slabs per shard (DESIGN.md §9), which left
+// about two allocations per node, the two ack callbacks each NIC handed
+// its router's stations (8x8 230 or 231, 32x32 2256). The stations now
+// ack their owner, the NIC, and the engine sizes its lists once
+// (sim.Engine.Reserve): 8x8 measures 69 and 32x32 134. Each ceiling is
+// that plus 10 %, so a per-component allocation coming back fails here.
 const (
-	maxBuildAllocs8x8   = 233
-	maxBuildAllocs32x32 = 2278
+	maxBuildAllocs8x8   = 76
+	maxBuildAllocs32x32 = 148
 )
 
 func TestBuildAllocationPin(t *testing.T) {
@@ -298,27 +299,57 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 
 // maxTelemetryBuildBytes16x16 pins what building a telemetry-on fabric may
 // allocate: noc.New of model-mix's 16x16 (faults on, default telemetry)
-// measured 4.76 MB — 3.1 MB the fabric, the rest the metrics sources and
-// the telemetry wiring, whose snapshot values sit in two flat arrays per
-// probe (0.71 MB more when every source allocated two of its own). The
-// fabric's buffers are built up front, out of per-shard slabs: VC rings,
-// first branches, link staging rings, ejector buffers and partial-packet
-// records. They took the build from 4.18 MB to 4.76 MB, bytes the run
-// used to allocate on its first cycles instead: after 3 000 cycles of
-// uniform traffic at 0.05 the fabric without telemetry has allocated
-// within 0.4 % of what it did then. Neither buffer that grows with the run
-// is built up front: the trace event buffers (5.2 MB when they were
-// allocated at their 65 536-event bound) grow as events arrive, and the
-// epoch ring (83 MB when it was zeroed at its 1 024-epoch bound as dense
-// rows) gains a row per epoch reached. The ceiling is the measurement plus
-// 10 %.
-const maxTelemetryBuildBytes16x16 = 5_240_000
+// measured 4.76 MB when the fabric took 3.1 MB of it, the rest the metrics
+// sources and the telemetry wiring, whose snapshot values sit in two flat
+// arrays per probe (0.71 MB more when every source allocated two of its
+// own). Since the fabric's per-node state was halved (DESIGN.md §9: byte
+// counters and indices, a VC's buffer as a window of its router's slab,
+// cold fields out of the hot records) it measures 3.21 MB. The fabric's
+// buffers are built up front, out of per-shard slabs: VC buffers, link
+// staging rings, ejector buffers and partial-packet records, bytes the run
+// would otherwise allocate on its first cycles. Neither buffer that grows
+// with the run is built up front: the trace event buffers (5.2 MB when
+// they were allocated at their 65 536-event bound) grow as events arrive,
+// and the epoch ring (83 MB when it was zeroed at its 1 024-epoch bound as
+// dense rows) gains a row per epoch reached. The ceiling is the
+// measurement plus 10 %.
+const maxTelemetryBuildBytes16x16 = 3_540_000
+
+// maxBuildBytes32x32 pins what building the 32x32 fabric of the mesh32
+// workload (sequential, no east sinks) may allocate. It measured 12.8 MB,
+// about 12.5 KB a node, when routers, links, NICs and engine lists held
+// word-sized counters, a 40-byte ring and a 120-byte record per VC and the
+// engine grew its lists by appending; the fabric then ran a third slower
+// per evaluation than at 16x16 (BenchmarkEvaluationCost). It measures 6.03
+// MB now. The ceiling is half the old measurement.
+const maxBuildBytes32x32 = 6_400_000
 
 func TestTelemetryBuildBytesPin(t *testing.T) {
 	cfg := noc.DefaultConfig(16, 16)
 	cfg.Faults = &fault.Config{Seed: 1, DropRate: 0.002, CorruptRate: 0.0005}
 	tcfg := telemetry.DefaultConfig()
 	cfg.Telemetry = &tcfg
+	least := buildBytes(t, cfg)
+	t.Logf("noc.New(16x16, faults, telemetry): %d bytes", least)
+	if least > maxTelemetryBuildBytes16x16 {
+		t.Fatalf("telemetry-on noc.New(16x16) allocates %d bytes, pin %d", least, maxTelemetryBuildBytes16x16)
+	}
+}
+
+func TestBuildBytesPin(t *testing.T) {
+	cfg := noc.DefaultConfig(32, 32)
+	cfg.EastSinks = false
+	least := buildBytes(t, cfg)
+	t.Logf("noc.New(32x32): %d bytes", least)
+	if least > maxBuildBytes32x32 {
+		t.Fatalf("noc.New(32x32) allocates %d bytes, pin %d", least, maxBuildBytes32x32)
+	}
+}
+
+// buildBytes returns the least of three readings of the bytes noc.New(cfg)
+// allocates.
+func buildBytes(t *testing.T, cfg noc.Config) uint64 {
+	t.Helper()
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
@@ -331,10 +362,7 @@ func TestTelemetryBuildBytesPin(t *testing.T) {
 		nw.Close()
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	t.Logf("noc.New(16x16, faults, telemetry): %d bytes", least)
-	if least > maxTelemetryBuildBytes16x16 {
-		t.Fatalf("telemetry-on noc.New(16x16) allocates %d bytes, pin %d", least, maxTelemetryBuildBytes16x16)
-	}
+	return least
 }
 
 // telemetryNetwork runs the 8x8 sequential fabric under uniform traffic

@@ -19,6 +19,7 @@ import (
 	"gathernoc/internal/experiments"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/systolic"
+	"gathernoc/internal/traffic"
 )
 
 var benchOpts = core.Options{Rounds: 1}
@@ -151,6 +152,54 @@ func BenchmarkLayerRound(b *testing.B) {
 				cycles = layerRun(b, layer, systolic.GatherMode, alwaysTick).MeasuredCycles
 			}
 			b.ReportMetric(float64(cycles), "sim-cycles")
+		})
+	}
+}
+
+// BenchmarkEvaluationCost measures what one component evaluation and one
+// link flit cost as the fabric grows, at equal channel load: uniform
+// traffic of two-flit packets on a sequential n×n mesh at a rate that
+// scales as 1/n (8×8 @0.08 … 32×32 @0.02), after a warm-up that fills the
+// queues. An op is one cycle. ns/eval is the measured time over the
+// components the engine evaluated (sim.Engine.Evaluated), ns/linkflit the
+// same time over the flits the links carried: with the load per channel
+// held, a rise along the sizes is the cost of the fabric's state leaving
+// the cache, not of more work. -short cuts the warm-up to a few cycles.
+func BenchmarkEvaluationCost(b *testing.B) {
+	for _, c := range []struct {
+		n    int
+		rate float64
+	}{{8, 0.08}, {16, 0.04}, {22, 0.029}, {32, 0.02}} {
+		b.Run(fmt.Sprintf("%dx%d", c.n, c.n), func(b *testing.B) {
+			nw, err := noc.New(noc.DefaultConfig(c.n, c.n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nw.Close()
+			gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
+				Pattern:       traffic.UniformRandom{Nodes: c.n * c.n},
+				InjectionRate: c.rate,
+				PacketFlits:   2,
+				Measure:       1 << 40, // never stop injecting
+				Seed:          1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := nw.Engine()
+			eng.AddTicker(gen)
+			warmup := int64(1000)
+			if testing.Short() {
+				warmup = 10
+			}
+			eng.RunUntil(never, warmup)
+			evals, flits := eng.Evaluated(), nw.Activity().LinkFlits
+			b.ResetTimer()
+			eng.RunUntil(never, int64(b.N))
+			b.StopTimer()
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(max(eng.Evaluated()-evals, 1)), "ns/eval")
+			b.ReportMetric(ns/float64(max(nw.Activity().LinkFlits-flits, 1)), "ns/linkflit")
 		})
 	}
 }

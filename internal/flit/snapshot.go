@@ -42,6 +42,7 @@ import (
 type Encoder struct {
 	buf      []byte
 	base     int64
+	now      int64
 	relative bool
 	names    [numNameKinds][]uint64
 }
@@ -63,9 +64,10 @@ const (
 const never = 1<<63 - 1
 
 // Reset starts a new relative encoding appended to buf, with cycles written
-// relative to base, and forgets the identifiers seen so far.
+// relative to base, and forgets the identifiers seen so far. The clock
+// (SetNow) goes back to cycle 0.
 func (e *Encoder) Reset(buf []byte, base int64) {
-	e.buf, e.base, e.relative = buf, base, true
+	e.buf, e.base, e.now, e.relative = buf, base, 0, true
 	for k := range e.names {
 		e.names[k] = e.names[k][:0]
 	}
@@ -76,6 +78,15 @@ func (e *Encoder) ResetAbsolute(buf []byte) {
 	e.Reset(buf, 0)
 	e.relative = false
 }
+
+// SetNow sets the clock of the encoding: the engine cycle of the boundary
+// the state is taken at. A component that keeps a cycle narrowed relative
+// to the clock (link.Link's due cycles) widens it with Now before writing
+// it.
+func (e *Encoder) SetNow(c int64) { e.now = c }
+
+// Now returns the clock SetNow set.
+func (e *Encoder) Now() int64 { return e.now }
 
 // Relative reports whether the encoding is the periodicity proof's, which
 // leaves statistics, payload values and fault state out.
@@ -183,6 +194,7 @@ func (e *Encoder) Set(s *topology.DestSet) {
 // payloads and samples it decodes.
 type Decoder struct {
 	buf []byte
+	now int64
 	// nodes is the fabric's processing-node count, the width of its
 	// destination sets; endpoints counts nodes and edge sinks, the ids a
 	// destination may name.
@@ -191,10 +203,17 @@ type Decoder struct {
 }
 
 // Reset starts decoding buf, written by a fabric of nodes processing nodes
-// and endpoints endpoints.
+// and endpoints endpoints. The clock (SetNow) goes back to cycle 0.
 func (d *Decoder) Reset(buf []byte, nodes, endpoints int) {
-	d.buf, d.nodes, d.endpoints, d.err = buf, nodes, endpoints, nil
+	d.buf, d.nodes, d.endpoints, d.now, d.err = buf, nodes, endpoints, 0, nil
 }
+
+// SetNow sets the clock of the decoding: the engine cycle the state is
+// loaded at, the Encoder's Now when it was written.
+func (d *Decoder) SetNow(c int64) { d.now = c }
+
+// Now returns the clock SetNow set.
+func (d *Decoder) Now() int64 { return d.now }
 
 // Err returns the first failure, nil if none.
 func (d *Decoder) Err() error { return d.err }

@@ -10,6 +10,7 @@
 package link
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -79,16 +80,37 @@ type CreditSink interface {
 	AcceptCredit(vc int)
 }
 
+// A staged flit or credit keeps its due cycle as the low 32 bits of the
+// cycle, which it is compared with in wrap-around arithmetic (ripe): an item
+// is due at most MaxLatency cycles after the cycle it is staged in, so the
+// distance to the clock always fits. dueAt widens it again against the
+// clock, for the state encoding.
 type inflightFlit struct {
 	f   *flit.Flit
-	vc  int
-	due int64
+	due uint32
+	vc  uint8
 }
 
 type inflightCredit struct {
-	vc  int
-	due int64
+	due uint32
+	vc  uint8
 }
+
+// MaxLatency is the longest forward latency a link supports, in cycles:
+// far below the 2³¹ cycles within which a narrowed due cycle still orders
+// against the clock.
+const MaxLatency = 1 << 20
+
+// ErrLatencyTooLong reports a latency above MaxLatency.
+var ErrLatencyTooLong = errors.New("link: latency too long")
+
+// ripe reports whether an item due at the narrowed cycle due is due by
+// cycle now.
+func ripe(due uint32, now int64) bool { return int32(uint32(now)-due) >= 0 }
+
+// dueAt returns the cycle the narrowed due cycle due stands for, given the
+// clock now it lies within 2³¹ cycles of.
+func dueAt(due uint32, now int64) int64 { return now - int64(int32(uint32(now)-due)) }
 
 // Link is one direction of a channel. Construct with New and register with
 // the engine as a Committer.
@@ -99,7 +121,8 @@ type inflightCredit struct {
 // backing arrays are reused forever — zero steady-state allocation.
 type Link struct {
 	name    Name
-	latency int64
+	latency uint32
+	loc     int32 // downstream node id reported in trace events
 	down    FlitSink
 	up      CreditSink
 
@@ -113,22 +136,10 @@ type Link struct {
 	flitWake, creditWake *sim.Handle
 
 	probe *telemetry.Probe
-	loc   int32 // downstream node id reported in trace events
 
-	// Fault injection (SetFaults; nil on fault-free fabrics). faults
-	// decides drops/corruption per flit during CommitFlits; pool reclaims
-	// dropped flits (the downstream shard's view — CommitFlits runs
-	// there); owedCredits accumulates, per VC, the credits the upstream
-	// spent on flits that vanished at this link. The credits cannot be
-	// pushed from the commit phase (the upstream shard pops the credit
-	// ring concurrently), so the flusher ticker returns them in the next
-	// tick phase — the same cycle offset as a downstream component that
-	// consumed the flit instantly.
-	faults      *fault.LinkState
-	pool        *flit.Pool
-	owedCredits []int
-	owedAny     bool
-	flushWake   *sim.Handle
+	// faults is the link's fault-injection state and its credit flusher
+	// (SetFaults), nil on fault-free fabrics.
+	faults *CreditFlusher
 
 	// FlitsCarried counts flits that completed traversal, by the power
 	// model and utilization reports.
@@ -138,10 +149,15 @@ type Link struct {
 	CreditsCarried stats.Counter
 }
 
-// stageDepth is the capacity each staging ring starts at: what a busy link
-// used to grow its ring to on first use. A burst past it (a credit flusher
-// returning several owed credits at once) grows the ring.
-const stageDepth = 4
+// creditDepth is the capacity a link's credit ring starts at: a
+// downstream end returns at most one credit a cycle (a router frees one
+// slot per input port, a NIC ejector drains one flit at the default rate),
+// and each is due the next cycle, so two are staged at most. A link's flit
+// ring starts at one more than its latency, the flits one a cycle can
+// stage before the first is due. A burst past either (an ejector draining
+// several flits a cycle, a credit flusher returning owed credits at once)
+// grows the ring.
+const creditDepth = 2
 
 // Slab is the memory of a block of links, allocated at once so that a link
 // allocates nothing after construction: the links and the backing arrays
@@ -152,14 +168,18 @@ type Slab struct {
 	credits []inflightCredit
 }
 
-// NewSlab returns a slab for n links.
-func NewSlab(n int) *Slab {
+// NewSlab returns a slab for n links of the given latency.
+func NewSlab(n, latency int) *Slab {
 	return &Slab{
 		links:   make([]Link, n),
-		flits:   make([]inflightFlit, n*stageDepth),
-		credits: make([]inflightCredit, n*stageDepth),
+		flits:   make([]inflightFlit, n*flitDepth(latency)),
+		credits: make([]inflightCredit, n*creditDepth),
 	}
 }
+
+// flitDepth is the capacity a flit ring of a link of the given latency
+// starts at.
+func flitDepth(latency int) int { return max(latency, 1) + 1 }
 
 // carve cuts the next n elements off *slab, allocating them afresh once the
 // slab is spent.
@@ -173,20 +193,24 @@ func carve[T any](slab *[]T, n int) []T {
 }
 
 // New returns a link out of the slab with the given forward latency in
-// cycles (minimum 1: a flit sent in cycle c is visible downstream in cycle
-// c+latency+1, i.e. it spends latency cycles on the wire after the send
-// cycle). down receives delivered flits; up (may be nil) receives returned
-// credits after one cycle. Beyond the n links the slab was made for, it
-// allocates each one's memory anew.
+// cycles (1 to MaxLatency: a flit sent in cycle c is visible downstream in
+// cycle c+latency+1, i.e. it spends latency cycles on the wire after the
+// send cycle). down receives delivered flits; up (may be nil) receives
+// returned credits after one cycle. Beyond the n links the slab was made
+// for, it allocates each one's memory anew.
 func (s *Slab) New(name Name, latency int, down FlitSink, up CreditSink) *Link {
+	latency = max(latency, 1)
+	if latency > MaxLatency {
+		panic(fmt.Sprintf("link %s: %v: %d above %d", name, ErrLatencyTooLong, latency, MaxLatency))
+	}
 	l := &carve(&s.links, 1)[0]
 	*l = Link{
 		name:    name,
-		latency: int64(max(latency, 1)),
+		latency: uint32(latency),
 		down:    down,
 		up:      up,
-		flits:   ring.Over(carve(&s.flits, stageDepth)),
-		credits: ring.Over(carve(&s.credits, stageDepth)),
+		flits:   ring.Over(carve(&s.flits, flitDepth(latency))),
+		credits: ring.Over(carve(&s.credits, creditDepth)),
 	}
 	return l
 }
@@ -239,56 +263,75 @@ func (l *Link) SetTelemetry(p *telemetry.Probe, loc int) {
 // commits this link's flits). Call before the first cycle; a link without
 // faults skips every fault check.
 func (l *Link) SetFaults(ls *fault.LinkState, pool *flit.Pool) {
-	l.faults = ls
-	l.pool = pool
+	if l.faults == nil {
+		l.faults = &CreditFlusher{l: l}
+	}
+	l.faults.ls, l.faults.pool = ls, pool
 }
 
 // Faults returns the link's fault state (nil on fault-free fabrics).
-func (l *Link) Faults() *fault.LinkState { return l.faults }
+func (l *Link) Faults() *fault.LinkState {
+	if l.faults == nil {
+		return nil
+	}
+	return l.faults.ls
+}
 
-// CreditFlusher is the tick-phase companion of a faulted link: it returns
-// the credits owed for flits dropped during the previous commit phase.
-// Register it as a ticker on the shard that owns the link's downstream
-// endpoint (the same shard that runs CommitFlits), so the owed counters
-// have a single writer per phase.
-type CreditFlusher struct{ l *Link }
+// CreditFlusher is what a faulted link holds beside its channel (SetFaults),
+// and the link's tick-phase companion. ls decides drops/corruption per
+// flit during CommitFlits; pool reclaims dropped flits (the downstream
+// shard's view — CommitFlits runs there); owedCredits accumulates, per VC,
+// the credits the upstream spent on flits that vanished at this link. The
+// credits cannot be pushed from the commit phase (the upstream shard pops
+// the credit ring concurrently), so the flusher returns them in the next
+// tick phase — the same cycle offset as a downstream component that
+// consumed the flit instantly. Register it as a ticker on the shard that
+// owns the link's downstream endpoint (the same shard that runs
+// CommitFlits), so the owed counters have a single writer per phase.
+type CreditFlusher struct {
+	l           *Link
+	ls          *fault.LinkState
+	pool        *flit.Pool
+	owedCredits []int
+	owedAny     bool
+	wake        *sim.Handle
+}
 
-// NewCreditFlusher returns the link's credit flusher.
-func (l *Link) NewCreditFlusher() *CreditFlusher { return &CreditFlusher{l: l} }
+// Flusher returns the credit flusher of a link SetFaults was called on.
+func (l *Link) Flusher() *CreditFlusher { return l.faults }
 
 // SetWake attaches the flusher's engine wake handle; CommitFlits arms it
 // when a drop leaves credits owed.
-func (cf *CreditFlusher) SetWake(h *sim.Handle) { cf.l.flushWake = h }
+func (cf *CreditFlusher) SetWake(h *sim.Handle) { cf.wake = h }
 
 // Idle implements sim.Idler: nothing owed means the tick is a no-op.
-func (cf *CreditFlusher) Idle() bool { return !cf.l.owedAny }
+func (cf *CreditFlusher) Idle() bool { return !cf.owedAny }
 
 // Tick returns every owed credit upstream via the normal staged credit
 // path (due next cycle), exactly as a downstream component that consumed
 // the dropped flit immediately would have.
 func (cf *CreditFlusher) Tick(cycle int64) {
-	l := cf.l
-	if !l.owedAny {
+	if !cf.owedAny {
 		return
 	}
-	for vc, n := range l.owedCredits {
+	for vc, n := range cf.owedCredits {
 		for ; n > 0; n-- {
-			l.ReturnCredit(vc, cycle)
+			cf.l.ReturnCredit(vc, cycle)
 		}
-		l.owedCredits[vc] = 0
+		cf.owedCredits[vc] = 0
 	}
-	l.owedAny = false
+	cf.owedAny = false
 }
 
 // oweCredit records, during CommitFlits, one credit to return for a
 // dropped flit.
-func (l *Link) oweCredit(vc int) {
-	for len(l.owedCredits) <= vc {
-		l.owedCredits = append(l.owedCredits, 0)
+func (cf *CreditFlusher) oweCredit(vc int) {
+	for len(cf.owedCredits) <= vc {
+		cf.owedCredits = append(cf.owedCredits, 0)
 	}
-	l.owedCredits[vc]++
-	l.owedAny = true
-	l.flushWake.Wake()
+	cf.owedCredits[vc]++
+	cf.owedAny = true
+	cf.wake.Wake()
 }
 
 // Idle implements sim.Idler: with nothing in flight the commit is a pure
@@ -302,7 +345,7 @@ func (l *Link) Idle() bool { return l.flits.Empty() && l.credits.Empty() }
 // during its tick at cycle now. Nothing staged in cycle now can be due
 // before now+1, so the link is woken for the next cycle, not this one.
 func (l *Link) Send(f *flit.Flit, vc int, now int64) {
-	l.flits.PushBack(inflightFlit{f: f, vc: vc, due: now + l.latency})
+	l.flits.PushBack(inflightFlit{f: f, vc: uint8(vc), due: uint32(now) + l.latency})
 	l.flitWake.WakeNext()
 }
 
@@ -310,7 +353,7 @@ func (l *Link) Send(f *flit.Flit, vc int, now int64) {
 // downstream component during its tick at cycle now when it frees a buffer
 // slot on vc. Like Send, it wakes the link for the cycle the credit is due.
 func (l *Link) ReturnCredit(vc int, now int64) {
-	l.credits.PushBack(inflightCredit{vc: vc, due: now + 1})
+	l.credits.PushBack(inflightCredit{vc: uint8(vc), due: uint32(now) + 1})
 	l.creditWake.WakeNext()
 }
 
@@ -333,17 +376,17 @@ func (l *Link) CheckInvariants(depth, vcs int, intoRouter bool) error {
 	for vc := 0; vc < vcs && up != nil && down != nil; vc++ {
 		n := up.Credits(vc) + down.Occupancy(vc)
 		for i := 0; i < l.flits.Len(); i++ {
-			if l.flits.At(i).vc == vc {
+			if int(l.flits.At(i).vc) == vc {
 				n++
 			}
 		}
 		for i := 0; i < l.credits.Len(); i++ {
-			if l.credits.At(i).vc == vc {
+			if int(l.credits.At(i).vc) == vc {
 				n++
 			}
 		}
-		if vc < len(l.owedCredits) {
-			n += l.owedCredits[vc]
+		if fs := l.faults; fs != nil && vc < len(fs.owedCredits) {
+			n += fs.owedCredits[vc]
 		}
 		if n != depth {
 			return fmt.Errorf("link %s: vc%d accounts for %d buffer slots (credits upstream, on the wire and owed, flits on the wire and buffered), want %d",
@@ -376,7 +419,7 @@ func (l *Link) Commit(now int64) {
 // two goroutines without a race, and in either order without a schedule
 // change.
 func (l *Link) CommitFlits(now int64) {
-	for !l.flits.Empty() && l.flits.Front().due <= now {
+	for !l.flits.Empty() && ripe(l.flits.Front().due, now) {
 		in := l.flits.PopFront()
 		if l.faults != nil && l.faultFlit(in, now) {
 			continue
@@ -385,7 +428,7 @@ func (l *Link) CommitFlits(now int64) {
 			l.probe.Emit(telemetry.Event{Cycle: now, Kind: telemetry.EvLink,
 				Packet: in.f.PacketID, Tag: in.f.Tag, Loc: l.loc, Aux: int64(in.vc)})
 		}
-		l.down.AcceptFlit(in.f, in.vc)
+		l.down.AcceptFlit(in.f, int(in.vc))
 		l.FlitsCarried.Inc()
 	}
 }
@@ -396,17 +439,18 @@ func (l *Link) CommitFlits(now int64) {
 func (l *Link) faultFlit(in inflightFlit, now int64) bool {
 	pid := in.f.PacketID
 	head, tail := in.f.IsHead(), in.f.IsTail()
-	if l.faults.DropFlit(pid, head, tail, now) {
+	fs := l.faults
+	if fs.ls.DropFlit(pid, head, tail, now) {
 		if l.probe != nil && head && l.probe.Sampled(pid) {
 			l.probe.Emit(telemetry.Event{Cycle: now, Kind: telemetry.EvFaultDrop,
 				Packet: pid, Tag: in.f.Tag, Loc: l.loc, Aux: int64(in.vc)})
 		}
-		l.oweCredit(in.vc)
+		fs.oweCredit(int(in.vc))
 		l.FlitsCarried.Inc() // the wire was traversed; the far end ate it
-		l.pool.ReleaseDropped(in.f)
+		fs.pool.ReleaseDropped(in.f)
 		return true
 	}
-	if l.faults.CorruptFlit(pid, head) {
+	if fs.ls.CorruptFlit(pid, head) {
 		in.f.Corrupted = true
 		if l.probe != nil && head && l.probe.Sampled(pid) {
 			l.probe.Emit(telemetry.Event{Cycle: now, Kind: telemetry.EvFaultCorrupt,
@@ -419,10 +463,10 @@ func (l *Link) faultFlit(in inflightFlit, now int64) bool {
 // CommitCredits delivers the ripe credits to the upstream endpoint; see
 // CommitFlits for the sharding contract.
 func (l *Link) CommitCredits(now int64) {
-	for !l.credits.Empty() && l.credits.Front().due <= now {
+	for !l.credits.Empty() && ripe(l.credits.Front().due, now) {
 		c := l.credits.PopFront()
 		if l.up != nil {
-			l.up.AcceptCredit(c.vc)
+			l.up.AcceptCredit(int(c.vc))
 		}
 		l.CreditsCarried.Inc()
 	}

@@ -3,6 +3,7 @@ package link
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/topology"
@@ -176,5 +177,86 @@ func TestLinkFlitBurstGrowsRing(t *testing.T) {
 
 // newLink returns a link with a slab of its own.
 func newLink(name Name, latency int, down FlitSink, up CreditSink) *Link {
-	return NewSlab(1).New(name, latency, down, up)
+	return NewSlab(1, latency).New(name, latency, down, up)
+}
+
+// TestComponentSizePin pins the bytes of a link and of its staged flit and
+// credit, which a 32x32 fabric holds 6 016, 12 032 and 12 032 of: each may
+// fall, never rise (DESIGN.md §9). They were 256, 24 and 16 with the fault
+// state in the hot record and a 64-bit VC and due cycle per staged item.
+func TestComponentSizePin(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, pin uintptr
+	}{
+		{"Link", unsafe.Sizeof(Link{}), 184},
+		{"inflightFlit", unsafe.Sizeof(inflightFlit{}), 16},
+		{"inflightCredit", unsafe.Sizeof(inflightCredit{}), 8},
+	} {
+		if c.size > c.pin {
+			t.Errorf("%s is %d bytes, pin %d", c.name, c.size, c.pin)
+		}
+	}
+}
+
+// TestLinkDueCyclesAcrossTheWrap stages a flit and a credit whose narrowed
+// due cycles wrap past 2³², checks they are delivered in the cycle they are
+// due, that the state encoding writes and reads their full cycles, and that
+// loading refuses a due cycle the link's latency cannot produce.
+func TestLinkDueCyclesAcrossTheWrap(t *testing.T) {
+	const now = 1<<32 - 2
+	down, up := &captureSink{}, &captureCredit{}
+	l := newLink(Name{label: "w"}, 3, down, up)
+	l.Send(&flit.Flit{Type: flit.HeadTail, PT: flit.Unicast, PacketID: 9}, 1, now) // due 2³²+1
+	l.ReturnCredit(2, now)                                                         // due 2³²-1
+
+	var e flit.Encoder
+	e.ResetAbsolute(nil)
+	e.SetNow(now + 1)
+	l.AppendState(&e)
+	state := append([]byte(nil), e.Bytes()...)
+
+	var d flit.Decoder
+	d.Reset(state, 4, 4)
+	d.SetNow(now + 1)
+	back := newLink(Name{label: "w"}, 3, &captureSink{}, &captureCredit{})
+	if err := back.LoadState(&d, nil, 4); err != nil {
+		t.Fatalf("loading the link's own state: %v", err)
+	}
+	e.ResetAbsolute(nil)
+	e.SetNow(now + 1)
+	back.AppendState(&e)
+	if string(e.Bytes()) != string(state) {
+		t.Fatal("a loaded link encodes other bytes than the one it was taken from")
+	}
+
+	for c := int64(now + 1); c <= now+3; c++ {
+		l.Commit(c)
+		if got, want := len(down.flits), 0; c < now+3 && got != want {
+			t.Fatalf("cycle %d: %d flits delivered before the flit is due", c, got)
+		}
+		if got := len(up.vcs); c == now+1 && got != 1 {
+			t.Fatalf("cycle %d: %d credits delivered, want the one due", c, got)
+		}
+	}
+	if len(down.flits) != 1 {
+		t.Fatalf("the flit due in cycle 2³²+1 was not delivered then (%d delivered)", len(down.flits))
+	}
+
+	late := newLink(Name{label: "w"}, 3, &captureSink{}, &captureCredit{})
+	e.ResetAbsolute(nil)
+	e.Uint(0)     // flits carried
+	e.Uint(0)     // credits carried
+	e.Uint(0)     // no owed credits
+	e.Bool(false) // something on the wire
+	e.Uint(1)
+	(&flit.Flit{Type: flit.HeadTail, PT: flit.Unicast, PacketID: 9}).AppendState(&e)
+	e.Int(1)
+	e.Cycle(now + 1 + 4) // one cycle more than the latency
+	e.Uint(0)
+	d.Reset(e.Bytes(), 4, 4)
+	d.SetNow(now + 1)
+	if err := late.LoadState(&d, nil, 4); err == nil {
+		t.Fatal("loaded a flit due past the link's latency")
+	}
 }

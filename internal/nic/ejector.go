@@ -112,11 +112,14 @@ type DeliveredPayload struct {
 type Ejector struct {
 	name      link.Name
 	owner     topology.NodeID
-	vcs       int
-	depth     int
+	vcs       uint8
+	depth     uint8
+	drainRR   uint8
 	drainRate int
 
-	bufs    []ring.Ring[*flit.Flit]
+	// bufs[v] is VC v's buffer, over slots[v*depth:(v+1)*depth].
+	bufs    []ring.Fixed
+	slots   []*flit.Flit
 	reverse *link.Link // credits back to the router's output port
 	// partial holds the packets under reassembly, in the order their
 	// first flits arrived. Wormhole switching pins a packet to one VC from
@@ -125,10 +128,12 @@ type Ejector struct {
 	// records, payload capacity intact, most recently closed first: the
 	// next packets reopen them (acquirePartial, releasePartial).
 	partial []*partialPacket
-	scratch ReceivedPacket // handed to recv, reused per packet
-	pool    *flit.Pool     // drained flits return here
+	// scratch is handed to recv, reused per packet. The ejectors of one
+	// slab share it: they are ticked one at a time, by one shard, and the
+	// packet is valid only during the callback.
+	scratch *ReceivedPacket
+	pool    *flit.Pool // drained flits return here
 	recv    func(*ReceivedPacket)
-	drainRR int
 	wake    *sim.Handle // wakes the owning ticker (NIC or edge sink)
 
 	probe    *telemetry.Probe
@@ -187,51 +192,64 @@ type stagedPacket struct {
 
 // ejectorSlab is the memory of a block of ejectors of one shape, allocated
 // at once so that an ejector allocates nothing after construction: each
-// VC's buffer ring (depth slots) and partial-packet record, and room to
-// stage drainRate packets a cycle.
+// VC's buffer (depth slots) and partial-packet record, room to stage
+// drainRate packets a cycle, and the one scratch packet they share.
 type ejectorSlab struct {
-	rings  []ring.Ring[*flit.Flit]
-	flits  []*flit.Flit
-	recs   []partialPacket
-	open   []*partialPacket
-	staged []stagedPacket
+	rings   []ring.Fixed
+	flits   []*flit.Flit
+	recs    []partialPacket
+	open    []*partialPacket
+	staged  []stagedPacket
+	scratch *ReceivedPacket
 }
 
 func newEjectorSlab(n, vcs, depth, drainRate int) ejectorSlab {
 	return ejectorSlab{
-		rings:  make([]ring.Ring[*flit.Flit], n*vcs),
-		flits:  make([]*flit.Flit, n*vcs*depth),
-		recs:   make([]partialPacket, n*vcs),
-		open:   make([]*partialPacket, n*vcs),
-		staged: make([]stagedPacket, n*max(drainRate, 1)),
+		rings:   make([]ring.Fixed, n*vcs),
+		flits:   make([]*flit.Flit, n*vcs*depth),
+		recs:    make([]partialPacket, n*vcs),
+		open:    make([]*partialPacket, n*vcs),
+		staged:  make([]stagedPacket, n*max(drainRate, 1)),
+		scratch: new(ReceivedPacket),
 	}
 }
 
-// init makes e an ejector with vcs virtual channels of the given buffer
-// depth, draining up to drainRate flits per cycle (minimum 1), out of the
-// slab.
+// init makes e an ejector with vcs virtual channels (at most 64) of the
+// given buffer depth (at most 255), draining up to drainRate flits per
+// cycle (minimum 1), out of the slab.
 func (s *ejectorSlab) init(e *Ejector, name link.Name, vcs, depth, drainRate int) {
 	drainRate = max(drainRate, 1)
-	bufs, flits := carve(&s.rings, vcs), carve(&s.flits, vcs*depth)
+	if vcs > maxVCs || depth > maxDepth {
+		panic(fmt.Sprintf("ejector %s: %d VCs of depth %d, more than a byte counts", name, vcs, depth))
+	}
 	open, recs := carve(&s.open, vcs), carve(&s.recs, vcs)
-	for v := range bufs {
-		// AcceptFlit bounds occupancy first, so no ring grows.
-		bufs[v] = ring.Over(flits[v*depth : (v+1)*depth : (v+1)*depth])
+	for v := range open {
 		open[v] = &recs[v]
 	}
 	*e = Ejector{
 		name:      name,
-		vcs:       vcs,
-		depth:     depth,
+		vcs:       uint8(vcs),
+		depth:     uint8(depth),
 		drainRate: drainRate,
-		bufs:      bufs,
+		// AcceptFlit bounds occupancy first, so a VC's depth slots are
+		// all it ever needs.
+		bufs:      carve(&s.rings, vcs),
+		slots:     carve(&s.flits, vcs*depth),
 		partial:   open[:0], // every record closed
+		scratch:   s.scratch,
 		stagedPkt: carve(&s.staged, drainRate)[:0],
 	}
 }
 
-// NewEjector returns an ejector with vcs virtual channels of the given
-// buffer depth, draining up to drainRate flits per cycle (minimum 1).
+// slotsOf returns the buffer slots of VC v.
+func (e *Ejector) slotsOf(v int) []*flit.Flit {
+	d := int(e.depth)
+	return e.slots[v*d : v*d+d : v*d+d]
+}
+
+// NewEjector returns an ejector with vcs virtual channels (at most 64) of
+// the given buffer depth (at most 255), draining up to drainRate flits per
+// cycle (minimum 1).
 func NewEjector(name link.Name, vcs, depth, drainRate int) *Ejector {
 	s := newEjectorSlab(1, vcs, depth, drainRate)
 	e := new(Ejector)
@@ -301,10 +319,10 @@ func (e *Ejector) DrainDelivered(fn func(DeliveredPayload)) {
 
 // AcceptFlit implements link.FlitSink.
 func (e *Ejector) AcceptFlit(f *flit.Flit, vc int) {
-	if e.bufs[vc].Len() >= e.depth {
+	if e.bufs[vc].Len() >= int(e.depth) {
 		panic(fmt.Sprintf("ejector %s: vc%d overflow (%s)", e.name, vc, f))
 	}
-	e.bufs[vc].PushBack(f)
+	ring.PushBack(&e.bufs[vc], e.slotsOf(vc), f)
 	e.wake.Wake()
 }
 
@@ -344,15 +362,16 @@ func (e *Ejector) Tick(cycle int64) {
 	if cycle < e.pausedUntil {
 		return
 	}
+	vcs := int(e.vcs)
 	for slot := 0; slot < e.drainRate; slot++ {
 		drained := false
-		for off := 0; off < e.vcs; off++ {
-			vc := (e.drainRR + off) % e.vcs
+		for off := 0; off < vcs; off++ {
+			vc := (int(e.drainRR) + off) % vcs
 			if e.bufs[vc].Empty() {
 				continue
 			}
-			f := e.bufs[vc].PopFront()
-			e.drainRR = (vc + 1) % e.vcs
+			f := ring.PopFront(&e.bufs[vc], e.slotsOf(vc))
+			e.drainRR = uint8((vc + 1) % vcs)
 			if e.reverse != nil {
 				e.reverse.ReturnCredit(vc, cycle)
 			}
@@ -448,7 +467,7 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 	if e.seen != nil && len(pp.payloads) > 0 {
 		pp.payloads = e.dedupPayloads(pp.payloads)
 	}
-	rp := &e.scratch
+	rp := e.scratch
 	*rp = ReceivedPacket{
 		ID:           pp.id,
 		Tag:          pp.tag,
@@ -533,7 +552,7 @@ func (e *Ejector) SetStaged(dispatcher *sim.Handle) { e.dispatcher = dispatcher 
 func (e *Ejector) DispatchStaged() {
 	for i := range e.stagedPkt {
 		sp := &e.stagedPkt[i]
-		rp := &e.scratch
+		rp := e.scratch
 		*rp = sp.pkt
 		if sp.payLen > 0 {
 			rp.Payloads = e.stagedPay[sp.payOff : sp.payOff+sp.payLen]

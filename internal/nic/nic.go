@@ -24,6 +24,7 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/ring"
 	"gathernoc/internal/router"
 	"gathernoc/internal/sim"
@@ -69,15 +70,29 @@ type Config struct {
 	Format *flit.Format
 }
 
+// maxVCs and maxDepth bound what a NIC holds in a byte, as its router
+// does: its VC count and round-robin pointers (the router's mask width),
+// its injection credits and ejection buffer occupancy (DESIGN.md §9).
+const (
+	maxVCs   = 64
+	maxDepth = ring.MaxFixed
+)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.VCs < 1:
 		return fmt.Errorf("nic: VCs must be >= 1, got %d", c.VCs)
+	case c.VCs > maxVCs:
+		return fmt.Errorf("nic: %w: VCs must be <= %d, got %d", router.ErrTooManyVCs, maxVCs, c.VCs)
 	case c.RouterBufferDepth < 1:
 		return fmt.Errorf("nic: RouterBufferDepth must be >= 1, got %d", c.RouterBufferDepth)
+	case c.RouterBufferDepth > maxDepth:
+		return fmt.Errorf("nic: %w: RouterBufferDepth must be <= %d, got %d", router.ErrOutOfRange, maxDepth, c.RouterBufferDepth)
 	case c.EjectDepth < 1:
 		return fmt.Errorf("nic: EjectDepth must be >= 1, got %d", c.EjectDepth)
+	case c.EjectDepth > maxDepth:
+		return fmt.Errorf("nic: %w: EjectDepth must be <= %d, got %d", router.ErrOutOfRange, maxDepth, c.EjectDepth)
 	case c.UnicastFlits < 1:
 		return fmt.Errorf("nic: UnicastFlits must be >= 1, got %d", c.UnicastFlits)
 	case c.GatherCapacity < 1:
@@ -128,13 +143,18 @@ func (s *vcStream) empty() bool { return s.next >= len(s.flits) }
 // correctness; links decouple them).
 type NIC struct {
 	id     topology.NodeID
-	cfg    Config
+	cfg    *Config // the slab's
 	rtr    *router.Router
 	out    *link.Link
 	eject  Ejector
 	nextID func(topology.NodeID) uint64
 
-	credits []int
+	// delta and reduceDelta are this NIC's δ timeouts, Config.Delta and
+	// the effective reduce δ until SetDelta or SetReduceDelta overrides
+	// them.
+	delta, reduceDelta int64
+
+	credits []uint8
 	// vcPkt holds the remaining flits of the packet currently streaming on
 	// each injection VC.
 	vcPkt []vcStream
@@ -151,16 +171,11 @@ type NIC struct {
 	// reliability table alone. It is derived from them (a restored NIC
 	// starts at 0 and the first sweep brings it up to date).
 	sweepAt int64
-	sendRR  int
+	sendRR  uint8
 	// streaming counts injection VCs with flits left to send, so Idle and
 	// Pending answer without scanning vcPkt.
-	streaming int
+	streaming int32
 	pool      *flit.Pool // flit allocation for outgoing packets
-
-	// The ack callbacks handed to the router's stations are allocated
-	// once here, not per submission.
-	gatherAckFn router.AckFunc
-	reduceAckFn router.AckFunc
 
 	// now tracks the last observed tick; clock, when set, supersedes it so
 	// that work submitted from outside Tick (controllers enqueueing packets
@@ -200,9 +215,9 @@ type NIC struct {
 // packet's flits, and the ejectors' buffers (ejectorSlab). A fabric builds
 // one per shard.
 type Slab struct {
-	cfg     Config
+	cfg     *Config
 	nics    []NIC
-	credits []int
+	credits []uint8
 	streams []vcStream
 	flits   []*flit.Flit
 	eject   ejectorSlab
@@ -214,9 +229,9 @@ func NewSlab(cfg Config, n int) (*Slab, error) {
 		return nil, err
 	}
 	return &Slab{
-		cfg:     cfg,
+		cfg:     &cfg,
 		nics:    make([]NIC, n),
-		credits: make([]int, n*cfg.VCs),
+		credits: make([]uint8, n*cfg.VCs),
 		streams: make([]vcStream, n*cfg.VCs),
 		flits:   make([]*flit.Flit, n*cfg.VCs*cfg.UnicastFlits),
 		eject:   newEjectorSlab(n, cfg.VCs, cfg.EjectDepth, cfg.EjectRate),
@@ -234,10 +249,11 @@ func carve[T any](slab *[]T, n int) []T {
 	return s
 }
 
-// New constructs a NIC for node id attached to rtr out of the slab.
-// nextID(id) must return network-unique packet ids; every NIC of a fabric
-// shares it. Beyond the n NICs the slab was made for, it allocates each
-// one's memory anew.
+// New constructs a NIC for node id attached to rtr out of the slab, and
+// makes it the owner of rtr's stations: uploads and merges are acked to it
+// (Acked). nextID(id) must return network-unique packet ids; every NIC of
+// a fabric shares it. Beyond the n NICs the slab was made for, it
+// allocates each one's memory anew.
 func (s *Slab) New(id topology.NodeID, rtr *router.Router, nextID func(topology.NodeID) uint64) (*NIC, error) {
 	if nextID == nil {
 		return nil, fmt.Errorf("nic %d: nil id allocator", id)
@@ -245,19 +261,21 @@ func (s *Slab) New(id topology.NodeID, rtr *router.Router, nextID func(topology.
 	cfg := s.cfg
 	n := &carve(&s.nics, 1)[0]
 	n.id, n.cfg, n.rtr, n.nextID = id, cfg, rtr, nextID
+	n.delta, n.reduceDelta = cfg.Delta, cfg.ReduceDelta
 	n.credits = carve(&s.credits, cfg.VCs)
 	n.vcPkt = carve(&s.streams, cfg.VCs)
 	flits := carve(&s.flits, cfg.VCs*cfg.UnicastFlits)
 	for v := range n.credits {
-		n.credits[v] = cfg.RouterBufferDepth
+		n.credits[v] = uint8(cfg.RouterBufferDepth)
 		// bindTo packetizes into the stream's array; a packet longer than a
 		// unicast one takes an array of its own.
 		n.vcPkt[v].flits = flits[v*cfg.UnicastFlits : v*cfg.UnicastFlits : (v+1)*cfg.UnicastFlits]
 	}
 	s.eject.init(&n.eject, link.Numbered("nic", int(id)), cfg.VCs, cfg.EjectDepth, cfg.EjectRate)
 	n.eject.SetOwner(id)
-	n.gatherAckFn = n.onGatherAck
-	n.reduceAckFn = n.onReduceAck
+	if rtr != nil {
+		rtr.SetStationOwner(n)
+	}
 	return n, nil
 }
 
@@ -331,7 +349,7 @@ func (n *NIC) AcceptCredit(vc int) {
 
 // Credits returns the credits the NIC holds for the router's local input
 // VC vc, its end of the credit loop link.Link.CheckInvariants balances.
-func (n *NIC) Credits(vc int) int { return n.credits[vc] }
+func (n *NIC) Credits(vc int) int { return int(n.credits[vc]) }
 
 // OnReceive registers the completed-packet callback.
 func (n *NIC) OnReceive(fn func(*ReceivedPacket)) { n.eject.OnReceive(fn) }
@@ -343,7 +361,7 @@ func (n *NIC) OnReceive(fn func(*ReceivedPacket)) { n.eject.OnReceive(fn) }
 // packet in flight is not preempted by spurious self-initiations.
 func (n *NIC) SetDelta(d int64) {
 	if d >= 0 {
-		n.cfg.Delta = d
+		n.delta = d
 	}
 }
 
@@ -407,32 +425,31 @@ func (n *NIC) SubmitGatherPayload(tag flit.Tag, p flit.Payload) {
 	if n.reliable != nil {
 		n.track(p, tag)
 	}
-	ok := n.rtr.OfferGatherPayload(p, n.gatherAckFn)
+	ok := n.rtr.OfferGatherPayload(p)
 	if !ok {
 		// Station full: fall back immediately.
 		n.selfInitiate(p, tag)
 		return
 	}
-	deadline := n.currentCycle() + n.cfg.Delta
+	deadline := n.currentCycle() + n.delta
 	n.waiting = append(n.waiting, gatherWait{payload: p, deadline: deadline, tag: tag})
 	n.sweepBy(deadline)
 	n.wake.Wake()
 }
 
-// onGatherAck marks the waiting payload picked up by a passing gather
-// packet. Payload sequence numbers are run-unique, so the lookup is exact.
-// The NIC's next tick (this cycle's: routers tick first) drops the wait.
-func (n *NIC) onGatherAck(p flit.Payload) {
-	markAcked(n.waiting, p.Seq)
-	n.PiggybackAcks.Inc()
-	n.sweepBy(n.currentCycle())
-	n.wake.Wake()
-}
-
-// onReduceAck is the INA twin of onGatherAck.
-func (n *NIC) onReduceAck(p flit.Payload) {
-	markAcked(n.rwaiting, p.Seq)
-	n.MergeAcks.Inc()
+// Acked implements reduce.Owner: it marks the waiting payload picked up by
+// a passing gather packet, or the waiting operand merged into a passing
+// accumulate packet. Payload sequence numbers are run-unique, so the
+// lookup is exact. The NIC's next tick (this cycle's: routers tick first)
+// drops the wait.
+func (n *NIC) Acked(k reduce.Kind, p flit.Payload) {
+	if k == reduce.GatherStation {
+		markAcked(n.waiting, p.Seq)
+		n.PiggybackAcks.Inc()
+	} else {
+		markAcked(n.rwaiting, p.Seq)
+		n.MergeAcks.Inc()
+	}
 	n.sweepBy(n.currentCycle())
 	n.wake.Wake()
 }
@@ -457,18 +474,18 @@ func (n *NIC) requireINA(op string) {
 
 // reduceDelta returns the δ applied to reduce operands (ReduceDelta,
 // falling back to the gather Delta).
-func (n *NIC) reduceDelta() int64 {
-	if n.cfg.ReduceDelta > 0 {
-		return n.cfg.ReduceDelta
+func (n *NIC) effectiveReduceDelta() int64 {
+	if n.reduceDelta > 0 {
+		return n.reduceDelta
 	}
-	return n.cfg.Delta
+	return n.delta
 }
 
 // SetReduceDelta overrides this NIC's reduce-operand δ timeout, the INA
 // twin of SetDelta.
 func (n *NIC) SetReduceDelta(d int64) {
 	if d >= 0 {
-		n.cfg.ReduceDelta = d
+		n.reduceDelta = d
 	}
 }
 
@@ -501,12 +518,12 @@ func (n *NIC) SubmitReduceOperand(tag flit.Tag, p flit.Payload) {
 	if n.reliable != nil {
 		n.track(p, tag)
 	}
-	ok := n.rtr.OfferReduceOperand(p, n.reduceAckFn)
+	ok := n.rtr.OfferReduceOperand(p)
 	if !ok {
 		n.selfInitiateReduce(p, tag)
 		return
 	}
-	deadline := n.currentCycle() + n.reduceDelta()
+	deadline := n.currentCycle() + n.effectiveReduceDelta()
 	n.rwaiting = append(n.rwaiting, gatherWait{payload: p, deadline: deadline, tag: tag})
 	n.sweepBy(deadline)
 	n.wake.Wake()
@@ -664,7 +681,7 @@ func (n *NIC) injectOne(cycle int64) {
 		return
 	}
 	for off := 0; off < n.cfg.VCs; off++ {
-		vc := (n.sendRR + off) % n.cfg.VCs
+		vc := (int(n.sendRR) + off) % n.cfg.VCs
 		s := &n.vcPkt[vc]
 		if s.empty() || n.credits[vc] == 0 {
 			continue
@@ -679,7 +696,7 @@ func (n *NIC) injectOne(cycle int64) {
 		n.out.Send(f, vc, cycle)
 		n.credits[vc]--
 		n.FlitsInjected.Inc()
-		n.sendRR = (vc + 1) % n.cfg.VCs
+		n.sendRR = uint8((vc + 1) % n.cfg.VCs)
 		return
 	}
 }

@@ -1,7 +1,9 @@
 package nic
 
 import (
+	"errors"
 	"testing"
+	"unsafe"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
@@ -38,6 +40,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative delta", func(c *Config) { c.Delta = -1 }, false},
 		{"nil format", func(c *Config) { c.Format = nil }, false},
 		{"gather vc out of range", func(c *Config) { c.GatherVC = 4 }, false},
+		{"vcs past a mask", func(c *Config) { c.VCs = maxVCs + 1 }, false},
+		{"depth past a byte", func(c *Config) { c.RouterBufferDepth = maxDepth + 1 }, false},
+		{"eject depth past a byte", func(c *Config) { c.EjectDepth = maxDepth + 1 }, false},
+		{"depths at a byte", func(c *Config) { c.RouterBufferDepth, c.EjectDepth = maxDepth, maxDepth }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -48,6 +54,11 @@ func TestConfigValidate(t *testing.T) {
 				t.Errorf("Validate() = %v, wantOK = %v", err, tt.wantOK)
 			}
 		})
+	}
+	cfg := validConfig()
+	cfg.EjectDepth = maxDepth + 1
+	if err := cfg.Validate(); !errors.Is(err, router.ErrOutOfRange) {
+		t.Errorf("Validate() with EjectDepth %d = %v, want router.ErrOutOfRange", cfg.EjectDepth, err)
 	}
 }
 
@@ -68,7 +79,7 @@ func TestNICInjectsOneFlitPerCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1, 1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendUnicastN(0, 9, 2)
@@ -111,7 +122,7 @@ func TestNICRespectsCredits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1, 1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendUnicastN(0, 5, 2)
@@ -139,7 +150,7 @@ func TestNICGatherVCPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &flitCapture{}
-	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1, 1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 
 	n.SendGather(0, 9, nil)
@@ -309,7 +320,7 @@ func TestInternalSendsCarryTheSubmitTag(t *testing.T) {
 	}
 	n.EnableReliability(8, 1, 2)
 	cap := &flitCapture{}
-	out := link.NewSlab(1).New(link.Numbered("inj", 0), 1, cap, n)
+	out := link.NewSlab(1, 1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 	owner, other := flit.NewTag(1, 0), flit.NewTag(2, 0)
 	n.SubmitGatherPayload(owner, flit.Payload{Seq: 7, Dst: 3, Bits: 32})
@@ -364,7 +375,7 @@ func TestNICReduceDefaults(t *testing.T) {
 	}
 	n.SetReduceDelta(17)
 	n.SetReduceDelta(-1) // ignored
-	if got := n.reduceDelta(); got != 17 {
+	if got := n.effectiveReduceDelta(); got != 17 {
 		t.Errorf("reduceDelta = %d, want 17", got)
 	}
 }
@@ -406,4 +417,22 @@ func newNIC(id topology.NodeID, cfg Config, rtr *router.Router, nextID func(topo
 		return nil, err
 	}
 	return s.New(id, rtr, nextID)
+}
+
+// TestComponentSizePin pins the bytes of a NIC, its ejector included, and
+// of an ejector, which a 32x32 fabric holds 1 024 of: each may fall, never
+// rise (DESIGN.md §9). They were 936 and 488 with a configuration copy and
+// two ack closures per NIC, word-sized counters and a ring per ejection VC.
+func TestComponentSizePin(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, pin uintptr
+	}{
+		{"NIC", unsafe.Sizeof(NIC{}), 744},
+		{"Ejector", unsafe.Sizeof(Ejector{}), 392},
+	} {
+		if c.size > c.pin {
+			t.Errorf("%s is %d bytes, pin %d", c.name, c.size, c.pin)
+		}
+	}
 }

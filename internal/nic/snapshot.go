@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/ring"
 	"gathernoc/internal/stats"
 )
 
@@ -61,7 +62,7 @@ func (e *Ejector) appendHeld(enc *flit.Encoder) {
 	for v := range e.bufs {
 		enc.Uint(uint64(e.bufs[v].Len()))
 		for i := 0; i < e.bufs[v].Len(); i++ {
-			e.bufs[v].At(i).AppendState(enc)
+			ring.At(&e.bufs[v], e.slotsOf(v), i).AppendState(enc)
 		}
 	}
 	enc.Uint(uint64(len(e.partial)))
@@ -102,7 +103,7 @@ func (e *Ejector) LoadState(d *flit.Decoder) error {
 		}
 	}
 	for v := range e.bufs {
-		e.bufs[v].Reset()
+		ring.Clear(&e.bufs[v], e.slotsOf(v))
 	}
 	for len(e.partial) > 0 {
 		e.releasePartial(e.partial[0])
@@ -110,7 +111,7 @@ func (e *Ejector) LoadState(d *flit.Decoder) error {
 	if !d.Bool() {
 		e.loadHeld(d)
 	}
-	e.drainRR = d.IntRange(0, e.vcs-1, "drain pointer")
+	e.drainRR = uint8(d.IntRange(0, int(e.vcs)-1, "drain pointer"))
 	e.pausedUntil = d.Int()
 	return d.Err()
 }
@@ -118,13 +119,13 @@ func (e *Ejector) LoadState(d *flit.Decoder) error {
 // loadHeld reads what appendHeld wrote.
 func (e *Ejector) loadHeld(d *flit.Decoder) {
 	for v := range e.bufs {
-		for n := d.UintRange(0, e.depth, "ejection buffer flits"); n > 0; n-- {
+		for n := d.UintRange(0, int(e.depth), "ejection buffer flits"); n > 0; n-- {
 			f := e.pool.Acquire()
 			f.LoadState(d)
-			e.bufs[v].PushBack(f)
+			ring.PushBack(&e.bufs[v], e.slotsOf(v), f)
 		}
 	}
-	for n := d.UintRange(0, e.vcs, "open packets"); n > 0; n-- {
+	for n := d.UintRange(0, int(e.vcs), "open packets"); n > 0; n-- {
 		pp := e.acquirePartial()
 		payloads := pp.payloads[:0]
 		*pp = partialPacket{
@@ -173,7 +174,7 @@ func (n *NIC) AppendState(e *flit.Encoder) {
 	}
 	home := true
 	for _, c := range n.credits {
-		home = home && c == n.cfg.RouterBufferDepth
+		home = home && int(c) == n.cfg.RouterBufferDepth
 	}
 	e.Bool(home)
 	if !home {
@@ -297,9 +298,9 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 	}
 	home := d.Bool()
 	for v := range n.credits {
-		n.credits[v] = n.cfg.RouterBufferDepth
+		n.credits[v] = uint8(n.cfg.RouterBufferDepth)
 		if !home {
-			n.credits[v] = d.IntRange(0, n.cfg.RouterBufferDepth, "injection credits")
+			n.credits[v] = uint8(d.IntRange(0, n.cfg.RouterBufferDepth, "injection credits"))
 		}
 	}
 	n.streaming = 0
@@ -328,16 +329,8 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 		n.waiting = loadWaits(d, n.waiting)
 		n.rwaiting = loadWaits(d, n.rwaiting)
 	}
-	n.sendRR = d.IntRange(0, n.cfg.VCs-1, "injection pointer")
+	n.sendRR = uint8(d.IntRange(0, n.cfg.VCs-1, "injection pointer"))
 	n.now = d.Int()
 	n.sweepAt = 0
 	return n.eject.LoadState(d)
 }
-
-// GatherAckFunc exposes the NIC's gather-station ack handler so a
-// restoring network can re-wire the router's station entries exactly as
-// SubmitGatherPayload would have.
-func (n *NIC) GatherAckFunc() func(flit.Payload) { return n.gatherAckFn }
-
-// ReduceAckFunc is the INA twin of GatherAckFunc.
-func (n *NIC) ReduceAckFunc() func(flit.Payload) { return n.reduceAckFn }

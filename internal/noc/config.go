@@ -7,6 +7,7 @@ import (
 
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
+	"gathernoc/internal/link"
 	"gathernoc/internal/router"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/topology"
@@ -179,6 +180,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: Shards must be >= 0, got %d", c.Shards)
 	case c.LinkLatency < 1:
 		return fmt.Errorf("noc: LinkLatency must be >= 1, got %d", c.LinkLatency)
+	case c.LinkLatency > link.MaxLatency:
+		return fmt.Errorf("noc: %w: LinkLatency must be <= %d, got %d", link.ErrLatencyTooLong, link.MaxLatency, c.LinkLatency)
 	case c.UnicastFlits < 1:
 		return fmt.Errorf("noc: UnicastFlits must be >= 1, got %d", c.UnicastFlits)
 	case c.GatherCapacity < 0:

@@ -83,7 +83,7 @@ func (nw *Network) wireFaults() error {
 		// The flusher ticks on the shard that commits the link's flits, so
 		// the owed-credit counters keep a single writer per phase and the
 		// wake CommitFlits sends it stays inside that shard.
-		cf := rec.l.NewCreditFlusher()
+		cf := rec.l.Flusher()
 		cf.SetWake(nw.addTicker(rec.downShard, cf))
 	}
 

@@ -228,7 +228,7 @@ func New(cfg Config) (*Network, error) {
 	linkSlabs := make([]*link.Slab, shards)
 	total := 0
 	for sh := range linkSlabs {
-		linkSlabs[sh] = link.NewSlab(links[sh])
+		linkSlabs[sh] = link.NewSlab(links[sh], cfg.LinkLatency)
 		total += links[sh]
 	}
 	nw.links = make([]*link.Link, 0, total)
@@ -522,6 +522,7 @@ func (nw *Network) HarvestTelemetry() *telemetry.Report {
 // before any workload driver runs; it sleeps until an ejector stages a
 // packet.
 func (nw *Network) register() {
+	nw.reserve()
 	for _, r := range nw.routers {
 		sh := nw.shardOfNode(r.ID())
 		r.SetWake(nw.addTicker(sh, r))
@@ -559,6 +560,32 @@ func (nw *Network) register() {
 		for _, n := range nw.nics {
 			n.Ejector().SetStaged(dispatcher[nw.shardOfNode(n.ID())])
 		}
+	}
+}
+
+// reserve tells the engine how many components register will hand each
+// of its lanes, so that their lists are allocated once.
+func (nw *Network) reserve() {
+	if !nw.engine.Sharded() {
+		nw.engine.Reserve(len(nw.routers)+len(nw.sinks)+len(nw.nics), len(nw.linkRecs))
+		return
+	}
+	tickers := make([]int, nw.cfg.EffectiveShards())
+	committers := make([]int, len(tickers))
+	for _, r := range nw.routers {
+		tickers[nw.shardOfNode(r.ID())] += 2 // the router and its NIC
+	}
+	for _, s := range nw.sinks {
+		tickers[nw.shardOfRow(s.row)]++
+	}
+	for _, rec := range nw.linkRecs {
+		committers[rec.downShard]++
+		if rec.upShard != rec.downShard {
+			committers[rec.upShard]++
+		}
+	}
+	for sh := range tickers {
+		nw.engine.ReserveShard(sh, tickers[sh], committers[sh])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/topology"
 )
@@ -27,11 +28,15 @@ func TestConfigValidate(t *testing.T) {
 		{"default", func(c *Config) {}, true},
 		{"bad mesh", func(c *Config) { c.Rows = 0 }, false},
 		{"bad link", func(c *Config) { c.LinkLatency = 0 }, false},
+		{"link past a narrowed due cycle", func(c *Config) { c.LinkLatency = link.MaxLatency + 1 }, false},
 		{"bad unicast", func(c *Config) { c.UnicastFlits = 0 }, false},
 		{"bad eject", func(c *Config) { c.EjectRate = 0 }, false},
 		{"bad sink drain", func(c *Config) { c.SinkDrainRate = 0 }, false},
 		{"bad router", func(c *Config) { c.Router.VCs = 0 }, false},
 		{"negative gather capacity", func(c *Config) { c.GatherCapacity = -1 }, false},
+		{"buffer past a byte", func(c *Config) { c.Router.BufferDepth = 256 }, false},
+		{"rc delay past a byte", func(c *Config) { c.Router.RCDelay = 256 }, false},
+		{"va delay past a byte", func(c *Config) { c.Router.VADelay = 256 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -135,6 +135,7 @@ func (nw *Network) capturePristine() *pristine {
 	e := &nw.enc
 	encode := func(c interface{ AppendState(*flit.Encoder) }) []byte {
 		e.ResetAbsolute(nil)
+		e.SetNow(nw.engine.Cycle())
 		c.AppendState(e)
 		return e.Bytes()
 	}
@@ -257,26 +258,25 @@ func (nw *Network) reset() error {
 
 	p := nw.pristine
 	clear(nw.pidSeq)
-	for i, r := range nw.routers {
-		n := nw.nics[i]
-		if err := r.LoadState(nw.decoder(p.routers[r.ConnectedOutputs()]), n.GatherAckFunc(), n.ReduceAckFunc()); err != nil {
+	for _, r := range nw.routers {
+		if err := r.LoadState(nw.decoder(p.routers[r.ConnectedOutputs()], 0)); err != nil {
 			return err
 		}
 	}
 	for _, l := range nw.links {
-		if err := l.LoadState(nw.decoder(p.link), nw.pool, nw.cfg.Router.VCs); err != nil {
+		if err := l.LoadState(nw.decoder(p.link, 0), nw.pool, nw.cfg.Router.VCs); err != nil {
 			return err
 		}
 	}
 	for _, n := range nw.nics {
-		if err := n.LoadState(nw.decoder(p.nic)); err != nil {
+		if err := n.LoadState(nw.decoder(p.nic, 0)); err != nil {
 			return err
 		}
 		n.SetDelta(nw.nicCfg.Delta)
 		n.SetReduceDelta(nw.nicCfg.ReduceDelta)
 	}
 	for _, s := range nw.sinks {
-		if err := s.ej.LoadState(nw.decoder(p.sink)); err != nil {
+		if err := s.ej.LoadState(nw.decoder(p.sink, 0)); err != nil {
 			return err
 		}
 	}

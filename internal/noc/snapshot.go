@@ -47,6 +47,7 @@ func (nw *Network) Snapshot() (*Snapshot, error) {
 	s.Config.Telemetry = nil
 	e := &nw.enc
 	e.ResetAbsolute(nil)
+	e.SetNow(nw.engine.Cycle())
 	for _, n := range nw.pidSeq {
 		e.Uint(n)
 	}
@@ -85,6 +86,7 @@ func (nw *Network) Snapshot() (*Snapshot, error) {
 func (nw *Network) AppendState(buf []byte, base int64) []byte {
 	e := &nw.enc
 	e.Reset(buf, base)
+	e.SetNow(nw.engine.Cycle())
 	nw.appendComponents(e)
 	buf = e.Bytes()
 	e.Reset(nil, 0) // keep no hold on the caller's buffer
@@ -161,7 +163,7 @@ func (nw *Network) Restore(s *Snapshot) error {
 	if s.Cycle < 0 {
 		return fmt.Errorf("noc: snapshot at cycle %d", s.Cycle)
 	}
-	d := nw.decoder(s.State)
+	d := nw.decoder(s.State, s.Cycle)
 	for i := range nw.pidSeq {
 		nw.pidSeq[i] = d.Uint()
 	}
@@ -180,10 +182,12 @@ func (nw *Network) Restore(s *Snapshot) error {
 	return nil
 }
 
-// decoder returns a decoder of buf checking node ids against the fabric's.
-func (nw *Network) decoder(buf []byte) *flit.Decoder {
+// decoder returns a decoder of buf, a state taken at cycle now, checking
+// node ids against the fabric's.
+func (nw *Network) decoder(buf []byte, now int64) *flit.Decoder {
 	d := &nw.dec
 	d.Reset(buf, nw.topo.NumNodes(), nw.topo.NumNodes()+len(nw.sinks))
+	d.SetNow(now)
 	return d
 }
 
@@ -191,8 +195,8 @@ func (nw *Network) decoder(buf []byte) *flit.Decoder {
 // order appendComponents wrote them. Flits are acquired from the pool view
 // of the shard that owns the component holding them.
 func (nw *Network) loadComponents(d *flit.Decoder) error {
-	for i, r := range nw.routers {
-		if err := r.LoadState(d, nw.nics[i].GatherAckFunc(), nw.nics[i].ReduceAckFunc()); err != nil {
+	for _, r := range nw.routers {
+		if err := r.LoadState(d); err != nil {
 			return fmt.Errorf("router %d: %w", r.ID(), err)
 		}
 	}

@@ -201,7 +201,7 @@ func TestRestoreRefusesMulticastHeadWithoutSet(t *testing.T) {
 	e.Int(int64(vc))
 	e.Cycle(nw.Engine().Cycle())
 	e.Uint(0) // no credits on the wire
-	if err := inj.LoadState(nw.decoder(e.Bytes()), nw.FlitPool(), c.Router.VCs); err != nil {
+	if err := inj.LoadState(nw.decoder(e.Bytes(), nw.Engine().Cycle()), nw.FlitPool(), c.Router.VCs); err != nil {
 		t.Fatal(err)
 	}
 	refusedRestore(t, nw, "no destination set")

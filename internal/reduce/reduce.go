@@ -24,10 +24,26 @@ import (
 	"gathernoc/internal/topology"
 )
 
-// AckFunc is invoked (synchronously, during the router tick) when an
-// operand offered to the station has been merged into a passing accumulate
-// packet — the INA analogue of the gather ack path back to the PE.
-type AckFunc func(op flit.Payload)
+// Kind names the protocol a station serves, which its Owner is told with
+// every ack.
+type Kind uint8
+
+const (
+	// GatherStation holds gather payloads (the Gather Payload block).
+	GatherStation Kind = iota
+	// ReduceStation holds accumulation operands (INA).
+	ReduceStation
+)
+
+// Owner is the processing element behind a station: Acked is invoked
+// (synchronously, during the router tick) when op, offered to the station
+// of kind k, has been taken up by a passing packet — uploaded into a
+// gather packet or merged into an accumulate packet. It is the ack path
+// from the Gather Payload block back to the PE in Fig. 6. Every operand of
+// a station is acked to its one owner, so an entry holds no callback.
+type Owner interface {
+	Acked(k Kind, op flit.Payload)
+}
 
 type entryState uint8
 
@@ -36,109 +52,144 @@ const (
 	entryReserved
 )
 
-// Entry is one operand queued at a router's accumulation station.
-type Entry struct {
+// noHolder is the holder of an entry no packet has reserved.
+const noHolder = -1
+
+// entry is one operand queued at a station.
+type entry struct {
 	operand flit.Payload
 	state   entryState
-	ack     AckFunc
+	// holder names, while the entry is reserved, what reserved it: the
+	// owning router's input VC slot, through which the router reaches the
+	// entry again without keeping a pointer per VC.
+	holder int16
 }
-
-// Operand returns the queued operand.
-func (e *Entry) Operand() flit.Payload { return e.operand }
 
 // Station is the router-resident payload station shared by the gather and
 // accumulation protocols: it holds payloads/operands handed over by the
 // local PE, reserves them against passing collective headers, and hands
 // them to the upload/merge stage. Gather reservations match on
 // destination only (ReserveByDst); accumulate reservations additionally
-// match the reduction ID (Reserve). It is passive — only the owning
-// router's tick mutates it — so it needs no locking and never wakes the
-// router by itself.
+// match the reduction ID (Reserve). A reservation is made for a holder,
+// which names it in every later call. The station is passive — only the
+// owning router's tick mutates it — so it needs no locking and never wakes
+// the router by itself.
 type Station struct {
-	entries []*Entry
+	entries []*entry
 	// spares is the entry freelist: completed and retracted entries are
 	// recycled so a steady stream of offers allocates nothing.
-	spares ring.FreeList[*Entry]
+	spares ring.FreeList[*entry]
+	owner  Owner
 	cap    int
+	kind   Kind
 }
 
-// NewStation returns a station bounding its queue at capacity (minimum 1),
-// as a value for its owner to hold in place.
-func NewStation(capacity int) Station {
+// NewStation returns a station of kind k bounding its queue at capacity
+// (minimum 1), as a value for its owner to hold in place.
+func NewStation(capacity int, k Kind) Station {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return Station{cap: capacity}
+	return Station{cap: capacity, kind: k}
 }
 
+// SetOwner attaches the processing element that every completed entry is
+// acked to. A station without one acks nobody.
+func (s *Station) SetOwner(o Owner) { s.owner = o }
+
 // Offer enqueues an operand, returning false when the station is full.
-func (s *Station) Offer(op flit.Payload, ack AckFunc) bool {
+func (s *Station) Offer(op flit.Payload) bool {
 	if len(s.entries) >= s.cap {
 		return false
 	}
-	e, ok := s.spares.Get()
-	if !ok {
-		e = &Entry{}
-	}
-	e.operand = op
-	e.state = entryPending
-	e.ack = ack
-	s.entries = append(s.entries, e)
+	s.entries = append(s.entries, s.spare(op))
 	return true
 }
 
+// spare returns a recycled (or new) pending entry holding op.
+func (s *Station) spare(op flit.Payload) *entry {
+	e, ok := s.spares.Get()
+	if !ok {
+		e = &entry{}
+	}
+	*e = entry{operand: op, state: entryPending, holder: noHolder}
+	return e
+}
+
 // recycle parks a removed entry on the freelist.
-func (s *Station) recycle(e *Entry) {
-	*e = Entry{}
+func (s *Station) recycle(e *entry) {
+	*e = entry{}
 	s.spares.Put(e)
 }
 
 // Reserve finds the oldest pending operand destined for dst and tagged
-// with the given reduction ID, marks it reserved and returns it; ok is
-// false when none matches. Matching on the reduction ID keeps operands of
+// with the given reduction ID and reserves it for holder, reporting
+// whether one matched. Matching on the reduction ID keeps operands of
 // different rows or rounds from folding into the wrong sum.
-func (s *Station) Reserve(dst topology.NodeID, reduceID uint64) (*Entry, bool) {
+func (s *Station) Reserve(dst topology.NodeID, reduceID uint64, holder int) bool {
 	for _, e := range s.entries {
 		if e.state == entryPending && e.operand.Dst == dst && e.operand.ReduceID == reduceID {
-			e.state = entryReserved
-			return e, true
+			e.state, e.holder = entryReserved, int16(holder)
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // ReserveByDst finds the oldest pending payload destined for dst whatever
-// its reduction tag — the gather protocol's Load signal (Algorithm 1),
-// where a payload keeps its identity and any passing gather packet to the
-// same destination may pick it up.
-func (s *Station) ReserveByDst(dst topology.NodeID) (*Entry, bool) {
+// its reduction tag and reserves it for holder — the gather protocol's
+// Load signal (Algorithm 1), where a payload keeps its identity and any
+// passing gather packet to the same destination may pick it up.
+func (s *Station) ReserveByDst(dst topology.NodeID, holder int) bool {
 	for _, e := range s.entries {
 		if e.state == entryPending && e.operand.Dst == dst {
-			e.state = entryReserved
-			return e, true
+			e.state, e.holder = entryReserved, int16(holder)
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
-// Release returns a reserved entry to pending; used when an accumulate
-// packet's tail departed without the merge completing (defensive: the
-// ASpace arithmetic should make this unreachable).
-func (s *Station) Release(e *Entry) {
-	e.state = entryPending
-}
-
-// Complete removes an entry after its operand was merged and fires the ack
-// callback. The entry is recycled; callers must drop their reference.
-func (s *Station) Complete(e *Entry) {
-	for i, cur := range s.entries {
-		if cur == e {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			break
+// HeldIndex returns the queue position of the entry reserved for holder,
+// or -1 when there is none.
+func (s *Station) HeldIndex(holder int) int {
+	for i, e := range s.entries {
+		if e.state == entryReserved && int(e.holder) == holder {
+			return i
 		}
 	}
-	if e.ack != nil {
-		e.ack(e.operand)
+	return -1
+}
+
+// Held returns the operand reserved for holder; ok is false when there is
+// none.
+func (s *Station) Held(holder int) (op flit.Payload, ok bool) {
+	if i := s.HeldIndex(holder); i >= 0 {
+		return s.entries[i].operand, true
+	}
+	return op, false
+}
+
+// Release returns the entry reserved for holder, if any, to pending; used
+// when a packet's tail departed without the upload or merge completing
+// (defensive: the ASpace arithmetic should make this unreachable).
+func (s *Station) Release(holder int) {
+	if i := s.HeldIndex(holder); i >= 0 {
+		s.entries[i].state, s.entries[i].holder = entryPending, noHolder
+	}
+}
+
+// Complete removes the entry reserved for holder after its operand was
+// uploaded or merged, and acks the operand to the owner.
+func (s *Station) Complete(holder int) {
+	i := s.HeldIndex(holder)
+	if i < 0 {
+		return
+	}
+	e := s.entries[i]
+	s.entries = append(s.entries[:i], s.entries[i+1:]...)
+	if s.owner != nil {
+		s.owner.Acked(s.kind, e.operand)
 	}
 	s.recycle(e)
 }

@@ -12,11 +12,11 @@ func op(seq uint64, dst topology.NodeID, reduceID, value uint64) flit.Payload {
 }
 
 func TestStationOfferCapacity(t *testing.T) {
-	s := NewStation(2)
-	if !s.Offer(op(1, 9, 7, 10), nil) || !s.Offer(op(2, 9, 7, 20), nil) {
+	s := NewStation(2, ReduceStation)
+	if !s.Offer(op(1, 9, 7, 10)) || !s.Offer(op(2, 9, 7, 20)) {
 		t.Fatal("offers under capacity must succeed")
 	}
-	if s.Offer(op(3, 9, 7, 30), nil) {
+	if s.Offer(op(3, 9, 7, 30)) {
 		t.Error("offer over capacity must fail")
 	}
 	if s.Backlog() != 2 {
@@ -25,55 +25,63 @@ func TestStationOfferCapacity(t *testing.T) {
 }
 
 func TestStationZeroCapacityClamped(t *testing.T) {
-	s := NewStation(0)
-	if !s.Offer(op(1, 9, 7, 10), nil) {
+	s := NewStation(0, ReduceStation)
+	if !s.Offer(op(1, 9, 7, 10)) {
 		t.Error("clamped station must accept one operand")
 	}
 }
 
 func TestReserveMatchesDstAndReduceID(t *testing.T) {
-	s := NewStation(4)
-	s.Offer(op(1, 9, 100, 10), nil)
-	s.Offer(op(2, 8, 200, 20), nil)
-	s.Offer(op(3, 9, 200, 30), nil)
+	s := NewStation(4, ReduceStation)
+	s.Offer(op(1, 9, 100, 10))
+	s.Offer(op(2, 8, 200, 20))
+	s.Offer(op(3, 9, 200, 30))
 
-	if _, ok := s.Reserve(9, 300); ok {
+	if s.Reserve(9, 300, 0) {
 		t.Error("reserve must not match a foreign reduce ID")
 	}
-	if _, ok := s.Reserve(7, 100); ok {
+	if s.Reserve(7, 100, 0) {
 		t.Error("reserve must not match a foreign destination")
 	}
-	e, ok := s.Reserve(9, 200)
-	if !ok || e.Operand().Seq != 3 {
+	ok := s.Reserve(9, 200, 1)
+	if e, held := s.Held(1); !ok || !held || e.Seq != 3 {
 		t.Fatalf("reserve(9,200) = %v,%v, want seq 3", e, ok)
 	}
 	// A reserved entry is not reservable twice.
-	if _, ok := s.Reserve(9, 200); ok {
+	if s.Reserve(9, 200, 2) {
 		t.Error("double reservation must fail")
 	}
 	// Release returns it to the pool.
-	s.Release(e)
-	if _, ok := s.Reserve(9, 200); !ok {
+	s.Release(1)
+	if _, held := s.Held(1); held {
+		t.Error("released entry must be held by nobody")
+	}
+	if !s.Reserve(9, 200, 2) {
 		t.Error("released entry must be reservable again")
 	}
 }
 
 func TestReserveOldestFirst(t *testing.T) {
-	s := NewStation(4)
-	s.Offer(op(5, 9, 1, 0), nil)
-	s.Offer(op(6, 9, 1, 0), nil)
-	e, ok := s.Reserve(9, 1)
-	if !ok || e.Operand().Seq != 5 {
-		t.Errorf("reserve picked seq %d, want oldest (5)", e.Operand().Seq)
+	s := NewStation(4, ReduceStation)
+	s.Offer(op(5, 9, 1, 0))
+	s.Offer(op(6, 9, 1, 0))
+	ok := s.Reserve(9, 1, 0)
+	if e, _ := s.Held(0); !ok || e.Seq != 5 {
+		t.Errorf("reserve picked seq %d, want oldest (5)", e.Seq)
 	}
 }
 
 func TestCompleteFiresAckAndRemoves(t *testing.T) {
-	s := NewStation(4)
+	s := NewStation(4, ReduceStation)
 	var acked []uint64
-	s.Offer(op(1, 9, 1, 0), func(p flit.Payload) { acked = append(acked, p.Seq) })
-	e, _ := s.Reserve(9, 1)
-	s.Complete(e)
+	s.SetOwner(ackFunc(func(k Kind, p flit.Payload) {
+		if k == ReduceStation {
+			acked = append(acked, p.Seq)
+		}
+	}))
+	s.Offer(op(1, 9, 1, 0))
+	s.Reserve(9, 1, 0)
+	s.Complete(0)
 	if len(acked) != 1 || acked[0] != 1 {
 		t.Errorf("ack fired for %v, want [1]", acked)
 	}
@@ -83,9 +91,9 @@ func TestCompleteFiresAckAndRemoves(t *testing.T) {
 }
 
 func TestRetract(t *testing.T) {
-	s := NewStation(4)
-	s.Offer(op(1, 9, 1, 0), nil)
-	s.Offer(op(2, 9, 1, 0), nil)
+	s := NewStation(4, ReduceStation)
+	s.Offer(op(1, 9, 1, 0))
+	s.Offer(op(2, 9, 1, 0))
 	if !s.Retract(2) {
 		t.Error("retract of a pending operand must succeed")
 	}
@@ -93,7 +101,7 @@ func TestRetract(t *testing.T) {
 		t.Error("retract of a removed operand must fail")
 	}
 	// Reserved operands cannot be retracted: the merge is imminent.
-	s.Reserve(9, 1)
+	s.Reserve(9, 1, 0)
 	if s.Retract(1) {
 		t.Error("retract of a reserved operand must fail")
 	}
@@ -140,21 +148,26 @@ func TestMergePayloadExactness(t *testing.T) {
 }
 
 func TestReserveByDstIgnoresReduceID(t *testing.T) {
-	s := NewStation(4)
-	s.Offer(op(1, 9, 100, 10), nil)
-	s.Offer(op(2, 9, 200, 20), nil)
+	s := NewStation(4, ReduceStation)
+	s.Offer(op(1, 9, 100, 10))
+	s.Offer(op(2, 9, 200, 20))
 	// Destination-only reservation (the gather path) picks the oldest
 	// pending payload for the destination, whatever its reduction tag.
-	e, ok := s.ReserveByDst(9)
-	if !ok || e.Operand().Seq != 1 {
+	ok := s.ReserveByDst(9, 0)
+	if e, held := s.Held(0); !ok || !held || e.Seq != 1 {
 		t.Fatalf("ReserveByDst = %v,%v, want seq 1", e, ok)
 	}
-	if _, ok := s.ReserveByDst(7); ok {
+	if s.ReserveByDst(7, 1) {
 		t.Error("ReserveByDst matched a foreign destination")
 	}
 	// The ID-matched reservation still works alongside.
-	e2, ok := s.Reserve(9, 200)
-	if !ok || e2.Operand().Seq != 2 {
+	ok = s.Reserve(9, 200, 1)
+	if e2, held := s.Held(1); !ok || !held || e2.Seq != 2 {
 		t.Fatalf("Reserve(9,200) = %v,%v, want seq 2", e2, ok)
 	}
 }
+
+// ackFunc is a station owner made of a function.
+type ackFunc func(Kind, flit.Payload)
+
+func (f ackFunc) Acked(k Kind, op flit.Payload) { f(k, op) }

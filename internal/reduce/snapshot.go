@@ -2,31 +2,25 @@ package reduce
 
 import "gathernoc/internal/flit"
 
-// EntryIndex returns e's position in the station queue, or -1 when e is
-// not queued. Snapshots use it to encode a router's live entry pointers
-// as stable indices.
-func (s *Station) EntryIndex(e *Entry) int {
-	for i, cur := range s.entries {
-		if cur == e {
-			return i
-		}
-	}
-	return -1
-}
-
-// EntryAt returns the i-th queued entry (nil when out of range); the
-// restore path re-links router-held entry pointers through it.
-func (s *Station) EntryAt(i int) *Entry {
+// Hold marks the i-th queued entry, which must be reserved and held by
+// nothing, as held by holder, reporting whether it was: the restore path
+// re-links a router VC's reservation through it.
+func (s *Station) Hold(i, holder int) bool {
 	if i < 0 || i >= len(s.entries) {
-		return nil
+		return false
 	}
-	return s.entries[i]
+	e := s.entries[i]
+	if e.state != entryReserved || e.holder != noHolder {
+		return false
+	}
+	e.holder = int16(holder)
+	return true
 }
 
 // AppendState appends the station queue in order (flit.Encoder): each
-// operand and whether it is reserved. The ack callback is not written —
-// every entry of a station is offered with the owning NIC's one ack
-// function (gather or reduce), which LoadState is given.
+// operand and whether it is reserved. Neither the owner, which
+// construction wires, nor the holders, which the owning router re-links
+// (Hold), are written.
 func (s *Station) AppendState(e *flit.Encoder) {
 	e.Uint(uint64(len(s.entries)))
 	for _, en := range s.entries {
@@ -36,8 +30,8 @@ func (s *Station) AppendState(e *flit.Encoder) {
 }
 
 // LoadState replaces the station queue with the one AppendState wrote,
-// every entry acked through ack, as Offer would have wired it.
-func (s *Station) LoadState(d *flit.Decoder, ack AckFunc) {
+// every entry held by nothing until its router re-links it.
+func (s *Station) LoadState(d *flit.Decoder) {
 	for _, e := range s.entries {
 		s.recycle(e)
 	}
@@ -48,16 +42,12 @@ func (s *Station) LoadState(d *flit.Decoder, ack AckFunc) {
 		n = 0
 	}
 	for ; n > 0; n-- {
-		e, ok := s.spares.Get()
-		if !ok {
-			e = &Entry{}
-		}
-		e.operand.LoadState(d)
-		e.state = entryPending
+		var op flit.Payload
+		op.LoadState(d)
+		e := s.spare(op)
 		if d.Bool() {
 			e.state = entryReserved
 		}
-		e.ack = ack
 		s.entries = append(s.entries, e)
 	}
 }

@@ -1,16 +1,16 @@
-// Package ring provides the fixed-capacity FIFO ring buffer used by the
-// simulator's hot-path queues (router input VCs, link in-flight stages,
-// ejection buffers). Unlike the append/re-slice idiom
-// (`q = append(q, v)` ... `q = q[1:]`), a ring never abandons its backing
-// array, so steady-state queue traffic performs zero heap allocations.
+// Package ring provides the FIFO queues of the simulator's hot paths. Unlike
+// the append/re-slice idiom (`q = append(q, v)` ... `q = q[1:]`), they never
+// abandon their backing arrays, so steady-state queue traffic performs zero
+// heap allocations.
 //
-// Rings grow by doubling only when a push finds the buffer full. The
-// fabric starts its rings with Over, on backing arrays it carves out of one
-// slab per shard at construction: callers that model hardware buffers of a
-// fixed depth (router VCs, ejectors) size them at that depth and bound
-// their occupancy with Len before pushing, so those rings never grow;
-// unbounded producers (links staging in-flight flits and credits) start at
-// the depth a busy link reaches and keep growth as the fallback for bursts.
+// Hardware buffers of a fixed depth (router input VCs, ejection buffers)
+// are Fixed queues: two bytes each over slots their owner carves out of a
+// slab, bounded by their users with Len before every push. Queues without a
+// hardware bound (links staging in-flight flits and credits) are Rings,
+// which grow by doubling only when a push finds the buffer full: the fabric
+// starts them with Over, on backing arrays it carves out of one slab per
+// shard at construction, at the depth a busy link reaches, and keeps growth
+// as the fallback for bursts.
 //
 // The package is not safe for concurrent use; the simulator is
 // single-threaded.
@@ -20,8 +20,8 @@ package ring
 // empty ring with no capacity (it grows on first push).
 type Ring[T any] struct {
 	buf  []T
-	head int // index of the front element
-	n    int // number of elements
+	head uint32 // index of the front element
+	n    uint32 // number of elements
 }
 
 // Over returns an empty ring that queues into buf, whose length is its
@@ -31,17 +31,17 @@ type Ring[T any] struct {
 func Over[T any](buf []T) Ring[T] { return Ring[T]{buf: buf} }
 
 // Len returns the number of queued elements.
-func (r *Ring[T]) Len() int { return r.n }
+func (r *Ring[T]) Len() int { return int(r.n) }
 
 // Empty reports whether the ring holds no elements.
 func (r *Ring[T]) Empty() bool { return r.n == 0 }
 
 // PushBack appends v at the tail, doubling the backing array when full.
 func (r *Ring[T]) PushBack(v T) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.buf[(int(r.head)+int(r.n))%len(r.buf)] = v
 	r.n++
 }
 
@@ -55,7 +55,7 @@ func (r *Ring[T]) PopFront() T {
 	var zero T
 	v := r.buf[r.head]
 	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = uint32((int(r.head) + 1) % len(r.buf))
 	r.n--
 	return v
 }
@@ -72,17 +72,17 @@ func (r *Ring[T]) Front() T {
 // At returns the i-th element from the front (0 = front). It panics when i
 // is out of range.
 func (r *Ring[T]) At(i int) T {
-	if i < 0 || i >= r.n {
+	if i < 0 || i >= int(r.n) {
 		panic("ring: At out of range")
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return r.buf[(int(r.head)+i)%len(r.buf)]
 }
 
 // Reset empties the ring, zeroing all slots but keeping the capacity.
 func (r *Ring[T]) Reset() {
 	var zero T
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)%len(r.buf)] = zero
+	for i := 0; i < int(r.n); i++ {
+		r.buf[(int(r.head)+i)%len(r.buf)] = zero
 	}
 	r.head = 0
 	r.n = 0
@@ -96,8 +96,8 @@ func (r *Ring[T]) grow() {
 		capNew = 4
 	}
 	buf := make([]T, capNew)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+	for i := 0; i < int(r.n); i++ {
+		buf[i] = r.buf[(int(r.head)+i)%len(r.buf)]
 	}
 	r.buf = buf
 	r.head = 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/reduce"
 )
 
 // packAccumulate builds an accumulate packet's flits for the two-router
@@ -31,8 +32,8 @@ func TestRouterAccumulateMergeInFlight(t *testing.T) {
 	h := newTwoRouterHarness(t, cfg)
 
 	merged := false
-	if !h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1},
-		func(flit.Payload) { merged = true }) {
+	h.b.SetStationOwner(ackFunc(func(reduce.Kind, flit.Payload) { merged = true }))
+	if !h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1}) {
 		t.Fatal("offer rejected")
 	}
 
@@ -79,7 +80,7 @@ func TestRouterAccumulateSkipsForeignReduceID(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newTwoRouterHarness(t, cfg)
 
-	h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 99, Value: 30, Ops: 1}, nil)
+	h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 99, Value: 30, Ops: 1})
 	for _, f := range packAccumulate(t, 8, 5, flit.Payload{Seq: 1, Src: 0, Dst: 1, Value: 12, Ops: 1}) {
 		h.inject(f, 0)
 	}
@@ -118,7 +119,7 @@ func TestRouterAccumulateBudgetExhausted(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newTwoRouterHarness(t, cfg)
 
-	h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1}, nil)
+	h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1})
 	// Budget 1: the initiator's own operand uses it up (ASpace = 0).
 	for _, f := range packAccumulate(t, 1, 5, flit.Payload{Seq: 1, Src: 0, Dst: 1, Value: 12, Ops: 1}) {
 		h.inject(f, 0)

@@ -27,22 +27,25 @@ import (
 //     Tick skip whole pipeline stages) and slot masks (which let a stage
 //     visit only the VCs it could act on) agree with a full rescan.
 func (r *Router) CheckInvariants() error {
-	buffered, loads, vaPending, active := 0, 0, 0, 0
+	var buffered, loads, vaPending, active int32
 	var occMask, vaMask, actMask, loadMask [topology.NumPorts]uint64
+	nv := r.cfg.VCs
 	for p := 0; p < topology.NumPorts; p++ {
-		for v := range r.inputs[p] {
-			vc := &r.inputs[p][v]
-			buffered += vc.buf.Len()
+		for v := 0; v < nv; v++ {
+			s := r.slot(p, v)
+			vc := &r.vcs[s]
+			gather, reduce := vc.flags&gatherLoad != 0, vc.flags&reduceLoad != 0
+			buffered += int32(vc.buf.Len())
 			if !vc.buf.Empty() {
 				occMask[p] |= 1 << v
 			}
-			if vc.gatherLoad {
+			if gather {
 				loads++
 			}
-			if vc.reduceLoad {
+			if reduce {
 				loads++
 			}
-			if vc.gatherLoad || vc.reduceLoad {
+			if gather || reduce {
 				loadMask[p] |= 1 << v
 			}
 			switch vc.stage {
@@ -57,44 +60,41 @@ func (r *Router) CheckInvariants() error {
 				return fmt.Errorf("router %d: input %s vc%d holds %d flits (depth %d)",
 					r.id, topology.Port(p), v, vc.buf.Len(), r.cfg.BufferDepth)
 			}
-			if (vc.stage == vcActive) && len(vc.branches) == 0 {
+			if (vc.stage == vcActive) && vc.nbr == 0 {
 				return fmt.Errorf("router %d: input %s vc%d active without branches",
 					r.id, topology.Port(p), v)
 			}
-			if vc.gatherLoad && vc.gatherEntry == nil {
+			if gather && r.cold.station.HeldIndex(s) < 0 {
 				return fmt.Errorf("router %d: input %s vc%d load raised without reservation",
 					r.id, topology.Port(p), v)
 			}
-			if vc.reduceLoad && vc.reduceEntry == nil {
+			if reduce && r.cold.rstation.HeldIndex(s) < 0 {
 				return fmt.Errorf("router %d: input %s vc%d reduce load raised without reservation",
 					r.id, topology.Port(p), v)
 			}
 			if vc.buf.Empty() && vc.stage != vcVA && vc.stage != vcActive &&
-				(vc.stage != vcIdle || vc.wait != 0 || len(vc.branches) != 0 || vc.gatherLoad || vc.reduceLoad) {
+				(vc.stage != vcIdle || vc.wait != 0 || vc.nbr != 0 || gather || reduce) {
 				return fmt.Errorf("router %d: input %s vc%d holds no flit and is neither in VA nor active, but not at rest (stage %d, wait %d, %d branches)",
-					r.id, topology.Port(p), v, vc.stage, vc.wait, len(vc.branches))
+					r.id, topology.Port(p), v, vc.stage, vc.wait, vc.nbr)
 			}
 			var outs uint8
-			for bi := range vc.branches {
-				out := vc.branches[bi].out
-				if outs&(1<<out) != 0 {
+			for _, br := range vc.branches() {
+				if outs&(1<<br.out) != 0 {
 					return fmt.Errorf("router %d: input %s vc%d has two branches to output %s",
-						r.id, topology.Port(p), v, out)
+						r.id, topology.Port(p), v, br.out)
 				}
-				outs |= 1 << out
-				if vc.stage == vcActive && vc.branches[bi].vc < 0 {
+				outs |= 1 << br.out
+				if vc.stage == vcActive && br.vc < 0 {
 					return fmt.Errorf("router %d: input %s vc%d active without a downstream VC on output %s",
-						r.id, topology.Port(p), v, out)
+						r.id, topology.Port(p), v, br.out)
 				}
 			}
-			head := vc.head()
-			for bi := range vc.branches {
-				br := &vc.branches[bi]
+			head := r.head(s)
+			for _, br := range vc.branches() {
 				if br.vc < 0 {
 					continue
 				}
-				out := &r.outputs[br.out]
-				if !out.connected() {
+				if !r.connected(br.out) {
 					return fmt.Errorf("router %d: branch to unconnected port %s", r.id, br.out)
 				}
 				// A branch that already forwarded the packet's tail has
@@ -103,39 +103,36 @@ func (r *Router) CheckInvariants() error {
 				if br.sent && head != nil && head.IsTail() {
 					continue
 				}
-				if out.ownerPort[br.vc] != p || out.ownerVC[br.vc] != v {
+				if o := r.outVC(br.out, int(br.vc)); int(o.ownerPort) != p || int(o.ownerVC) != v {
 					return fmt.Errorf("router %d: output %s vc%d owned by (%d,%d), branch claims (%d,%d)",
-						r.id, br.out, br.vc, out.ownerPort[br.vc], out.ownerVC[br.vc], p, v)
+						r.id, br.out, br.vc, o.ownerPort, o.ownerVC, p, v)
 				}
 			}
 		}
 	}
 	for p := 0; p < topology.NumPorts; p++ {
-		out := &r.outputs[p]
-		if !out.connected() {
+		if !r.connected(topology.Port(p)) {
 			continue
 		}
-		for v, c := range out.credits {
-			if c < 0 {
-				return fmt.Errorf("router %d: output %s vc%d credit %d < 0",
-					r.id, topology.Port(p), v, c)
+		for v := 0; v < nv; v++ {
+			o := r.outVC(topology.Port(p), v)
+			if o.credits > r.outDepth[p] {
+				return fmt.Errorf("router %d: output %s vc%d credit %d > depth %d",
+					r.id, topology.Port(p), v, o.credits, r.outDepth[p])
 			}
-		}
-		for v := range out.ownerPort {
-			op, ov := out.ownerPort[v], out.ownerVC[v]
-			if op < 0 {
+			if o.ownerPort < 0 {
 				continue
 			}
-			vc := &r.inputs[op][ov]
+			vc := &r.vcs[r.slot(int(o.ownerPort), int(o.ownerVC))]
 			held := false
-			for bi := range vc.branches {
-				if vc.branches[bi].out == topology.Port(p) && vc.branches[bi].vc == v {
+			for _, br := range vc.branches() {
+				if br.out == topology.Port(p) && int(br.vc) == v {
 					held = true
 				}
 			}
 			if !held {
 				return fmt.Errorf("router %d: output %s vc%d allocated to (%d,%d) which does not hold it",
-					r.id, topology.Port(p), v, op, ov)
+					r.id, topology.Port(p), v, o.ownerPort, o.ownerVC)
 			}
 		}
 	}

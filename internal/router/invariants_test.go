@@ -33,49 +33,50 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newTwoRouterHarness(t, cfg)
 
-	// Corrupt a credit counter directly.
-	h.a.outputs[topology.EastPort].credits[0] = -1
+	// Corrupt a credit counter directly: more credits than the
+	// downstream buffer has slots.
+	h.a.outVC(topology.EastPort, 0).credits = uint8(cfg.BufferDepth + 1)
 	err := h.a.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "credit") {
-		t.Errorf("negative credit not detected: %v", err)
+		t.Errorf("excess credit not detected: %v", err)
 	}
-	h.a.outputs[topology.EastPort].credits[0] = 0
+	h.a.outVC(topology.EastPort, 0).credits = uint8(cfg.BufferDepth)
 
 	// Raise a gather load without a reservation.
-	h.a.inputs[topology.LocalPort][0].gatherLoad = true
+	local := &h.a.vcs[h.a.slot(int(topology.LocalPort), 0)]
+	local.flags |= gatherLoad
 	err = h.a.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "load") {
 		t.Errorf("dangling load not detected: %v", err)
 	}
-	h.a.inputs[topology.LocalPort][0].gatherLoad = false
+	local.flags &^= gatherLoad
 
 	// Leave a branch on a VC that holds no flit and is idle.
-	rest := &h.a.inputs[topology.WestPort][1]
-	rest.branches = append(rest.branches, branchState{out: topology.EastPort, vc: -1})
+	rest := &h.a.vcs[h.a.slot(int(topology.WestPort), 1)]
+	rest.br[0], rest.nbr = branchState{out: topology.EastPort, vc: -1}, 1
 	err = h.a.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "not at rest") {
 		t.Errorf("stale branch on an idle VC not detected: %v", err)
 	}
-	rest.branches = rest.branches[:0]
+	rest.nbr = 0
 
 	// Fork a VC in VA twice to one output.
 	rest.stage = vcVA
-	rest.branches = append(rest.branches, branchState{out: topology.EastPort, vc: -1}, branchState{out: topology.EastPort, vc: -1})
+	rest.br[1], rest.nbr = branchState{out: topology.EastPort, vc: -1}, 2
 	err = h.a.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "two branches") {
 		t.Errorf("two branches to one output not detected: %v", err)
 	}
-	rest.stage, rest.branches = vcIdle, rest.branches[:0]
+	rest.stage, rest.nbr = vcIdle, 0
 
 	// Claim ownership pointing at an input VC that holds nothing.
-	h.a.outputs[topology.EastPort].ownerPort[1] = 0
-	h.a.outputs[topology.EastPort].ownerVC[1] = 0
+	owned := h.a.outVC(topology.EastPort, 1)
+	owned.ownerPort, owned.ownerVC = 0, 0
 	err = h.a.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Errorf("orphan ownership not detected: %v", err)
 	}
-	h.a.outputs[topology.EastPort].ownerPort[1] = -1
-	h.a.outputs[topology.EastPort].ownerVC[1] = -1
+	owned.ownerPort, owned.ownerVC = -1, -1
 
 	// Flip one bit of each slot mask in turn.
 	for name, mask := range map[string]*[topology.NumPorts]uint64{

@@ -81,8 +81,21 @@ func DefaultConfig() Config {
 // port's virtual channels in one 64-bit slot mask.
 const maxVCs = 64
 
+// maxDepth is the largest supported Config.BufferDepth and maxDelay the
+// largest RCDelay and VADelay: a VC's occupancy, a credit count and a
+// stage's remaining wait are each held in one byte (DESIGN.md §9).
+const (
+	maxDepth = ring.MaxFixed
+	maxDelay = 255
+)
+
 // ErrTooManyVCs reports a Config.VCs above 64, the width of those masks.
 var ErrTooManyVCs = errors.New("router: too many virtual channels")
+
+// ErrOutOfRange reports a Config.BufferDepth, RCDelay or VADelay above 255,
+// the most the byte-wide occupancy, credit count or stage wait that holds
+// it can count.
+var ErrOutOfRange = errors.New("router: configuration value out of range")
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -93,8 +106,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: VCs must be <= %d, got %d", ErrTooManyVCs, maxVCs, c.VCs)
 	case c.BufferDepth < 1:
 		return fmt.Errorf("router: BufferDepth must be >= 1, got %d", c.BufferDepth)
+	case c.BufferDepth > maxDepth:
+		return fmt.Errorf("%w: BufferDepth must be <= %d, got %d", ErrOutOfRange, maxDepth, c.BufferDepth)
 	case c.RCDelay < 1 || c.VADelay < 1:
 		return fmt.Errorf("router: stage delays must be >= 1, got RC=%d VA=%d", c.RCDelay, c.VADelay)
+	case c.RCDelay > maxDelay || c.VADelay > maxDelay:
+		return fmt.Errorf("%w: stage delays must be <= %d, got RC=%d VA=%d", ErrOutOfRange, maxDelay, c.RCDelay, c.VADelay)
 	case c.GatherVC >= c.VCs:
 		return fmt.Errorf("router: GatherVC %d out of range (VCs=%d)", c.GatherVC, c.VCs)
 	case c.VCClasses < 0 || c.VCClasses > c.VCs:
@@ -154,93 +171,96 @@ const (
 )
 
 // branchState tracks one output branch of the packet currently holding an
-// input VC.
+// input VC. A branch's destination set, which only multicast trees carry,
+// lives in the router's cold record (vcSets).
 type branchState struct {
-	out    topology.Port
-	sent   bool              // current head-of-buffer flit already copied here
-	vc     int               // allocated downstream VC (-1 until VA)
-	dsts   *topology.DestSet // multicast subset forwarded on this branch
-	headMD *topology.DestSet // MDst for the head copy on this branch
+	out  topology.Port
+	sent bool // current head-of-buffer flit already copied here
+	vc   int8 // allocated downstream VC (-1 until VA)
 }
 
+// Input VC flags.
+const (
+	// gatherLoad and reduceLoad are the Load signals: a gather payload
+	// (Gather Load Generator, Fig. 3b / Algorithm 1) or an accumulation
+	// operand (the INA merge path) is reserved in the router's station
+	// against the packet holding the VC (reduce.Station.Held by its slot).
+	gatherLoad uint8 = 1 << iota
+	reduceLoad
+	// withSets marks a packet whose branches carry destination sets, held
+	// for its slot in the router's cold record; multicastHead a multicast
+	// packet, whose head copy on each branch carries that branch's set.
+	withSets
+	multicastHead
+)
+
+// inputVC is one input virtual channel: the hot per-VC record the pipeline
+// stages walk, 22 bytes. Its buffer is a window of the router's slot slab;
+// a packet's branches sit inline, one per output port at most.
 type inputVC struct {
-	buf   ring.Ring[*flit.Flit] // fixed capacity BufferDepth, never grows
+	buf   ring.Fixed // over the VC's BufferDepth slots (Router.slotsOf)
 	stage vcStage
-	wait  int // remaining cycles in the current multi-cycle stage
-
-	branches []branchState
-	vcClass  int // dateline class of the packet's current hop (VA restriction)
-
-	// Gather Load Generator state (Fig. 3b / Algorithm 1).
-	gatherLoad  bool
-	gatherEntry *reduce.Entry
-
-	// Accumulation load state: the local operand reserved against the
-	// accumulate packet currently holding this VC (INA merge path).
-	reduceLoad  bool
-	reduceEntry *reduce.Entry
+	wait  uint8 // remaining cycles in the current multi-cycle stage
+	class uint8 // dateline class of the packet's current hop (VA restriction)
+	flags uint8
+	nbr   uint8 // branches in use
+	br    [topology.NumPorts]branchState
 }
 
-func (v *inputVC) head() *flit.Flit {
-	if v.buf.Empty() {
-		return nil
-	}
-	return v.buf.Front()
+// branches returns the branches of the packet holding vc.
+func (vc *inputVC) branches() []branchState { return vc.br[:vc.nbr] }
+
+// outVC is an output port's view of one downstream VC: the credits it
+// holds and which input VC, if any, owns it.
+type outVC struct {
+	credits uint8
+	// ownerPort and ownerVC identify the (inPort, inVC) currently holding
+	// the downstream VC; -1 when free.
+	ownerPort int8
+	ownerVC   int8
 }
 
-type outputPort struct {
-	link    *link.Link
-	depth   int   // downstream buffer depth: a VC's credits when all are home
-	credits []int // per downstream VC
-	// owner[vc] identifies the (inPort, inVC) currently holding the
-	// downstream VC; -1 when free.
-	ownerPort []int
-	ownerVC   []int
-}
-
-func (o *outputPort) connected() bool { return o.link != nil }
-
-func (o *outputPort) vcFree(vc int) bool { return o.ownerPort[vc] < 0 }
+func (o *outVC) free() bool { return o.ownerPort < 0 }
 
 // Router is one mesh node's switch. It is a phase-1 (tick) component; its
 // outgoing links are the matching phase-2 components.
+//
+// Its memory is what every cycle's stages read, here and in the slab
+// windows it points into (VCs, buffer slots, downstream-VC views), and a
+// cold record of what only arrivals, collectives and snapshots reach
+// (DESIGN.md §9).
 type Router struct {
 	id    topology.NodeID
-	cfg   Config
+	cfg   *Config // the slab's
 	route RoutingFunc
 
-	// inputs[p] is input port p's VCs; the five ports share one array.
-	inputs  [topology.NumPorts][]inputVC
-	inLinks [topology.NumPorts]*link.Link // reverse channels for credit return
-	outputs [topology.NumPorts]outputPort
+	// vcs[p*VCs+v] is input port p's VC v, its slot; the VC's buffer is
+	// slotsOf(slot). outVCs[p*VCs+dv] is output port p's downstream VC dv,
+	// meaningful only while outLinks[p] is wired.
+	vcs    []inputVC
+	slots  []*flit.Flit
+	outVCs []outVC
 
-	// The link-facing views of each port (InputSink, CreditSink).
-	sinks       [topology.NumPorts]portSink
-	creditSinks [topology.NumPorts]portCredit
-
-	station  reduce.Station // gather payloads
-	rstation reduce.Station // accumulate operands
-	pool     *flit.Pool     // multicast fork copies; forked originals return here
+	outLinks [topology.NumPorts]*link.Link
+	inLinks  [topology.NumPorts]*link.Link // reverse channels for credit return
+	outDepth [topology.NumPorts]uint8      // downstream buffer depth: a VC's credits when all are home
 
 	saInputArb  [topology.NumPorts]rrArbiter // per input port, across its VCs
 	saOutputArb [topology.NumPorts]rrArbiter // per output port, across input-port candidates
 
-	wake *sim.Handle // engine wake-up, armed on flit/credit arrival
-
-	// probe, when non-nil, records sampled pipeline-stage events for the
-	// flit-lifecycle tracer. Every hook is behind a nil-check, so the
-	// telemetry-off path does no extra work (DESIGN.md §11).
-	probe *telemetry.Probe
+	// nv and depth are the configuration's VCs and BufferDepth, read by
+	// every slot index in the hot record itself.
+	nv, depth uint8
 
 	// Stage occupancy counters, maintained incrementally so Tick can skip
 	// whole pipeline stages (and Idle can answer) in O(1) instead of
 	// scanning every (port, VC) ring. They never influence *what* a stage
 	// does — only whether a stage that would be a pure no-op runs at all —
 	// so schedules are bit-identical with the scanning implementation.
-	buffered  int // flits held across all input VC buffers
-	loads     int // raised gather/accumulate Load signals awaiting upload
-	vaPending int // input VCs in the vcVA stage
-	active    int // input VCs in the vcActive stage
+	buffered  int32 // flits held across all input VC buffers
+	loads     int32 // raised gather/accumulate Load signals awaiting upload
+	vaPending int32 // input VCs in the vcVA stage
+	active    int32 // input VCs in the vcActive stage
 
 	// Slot masks, one word per input port with bit v standing for VC v,
 	// maintained beside the counters above and under the same rule. They
@@ -250,6 +270,15 @@ type Router struct {
 	actMask  [topology.NumPorts]uint64 // stage == vcActive
 	loadMask [topology.NumPorts]uint64 // a gather or accumulate Load raised
 
+	pool *flit.Pool  // multicast fork copies; forked originals return here
+	wake *sim.Handle // engine wake-up, armed on flit arrival
+	cold *routerCold
+
+	// probe, when non-nil, records sampled pipeline-stage events for the
+	// flit-lifecycle tracer. Every hook is behind a nil-check, so the
+	// telemetry-off path does no extra work (DESIGN.md §11).
+	probe *telemetry.Probe
+
 	// clockTies counts the VA passes the cycle-derived rotation may have
 	// decided (ClockTies).
 	clockTies uint64
@@ -258,19 +287,51 @@ type Router struct {
 	Counters Counters
 }
 
+// routerCold is what a router holds beside the hot record: the link-facing
+// views of its ports, its two stations and the destination sets of the
+// packets whose branches carry them.
+//
+// The Gather Payload station is the same reservation state machine the
+// accumulation subsystem uses (reserve against a passing header, upload or
+// merge during idle pipeline slots, δ-retract recovery), so both protocols
+// share reduce.Station: gather reservations match on destination only
+// (Station.ReserveByDst), accumulate reservations additionally match the
+// reduction ID (Station.Reserve). A reservation is held by the input VC's
+// slot, and every upload or merge is acked to the station's owner, the
+// local NIC (SetStationOwner).
+type routerCold struct {
+	views    [topology.NumPorts]portView
+	station  reduce.Station // gather payloads
+	rstation reduce.Station // accumulate operands
+	// sets holds one record per input VC whose packet carries destination
+	// sets (withSets), taken when its route is computed and given back
+	// (slot -1) when its tail leaves; it grows on the first multicast
+	// packets and is reused after.
+	sets []vcSets
+}
+
+// vcSets is the destination set of each branch of the packet holding input
+// VC slot: the multicast subset forwarded on that branch, which its head
+// copy carries as MDst when the packet is multicast.
+type vcSets struct {
+	slot int
+	dsts [topology.NumPorts]*topology.DestSet
+}
+
 // Slab is the memory of a block of routers of one Config, allocated at
-// once so that a router allocates nothing after construction: the routers
-// themselves, their input VCs, every VC's buffer ring (BufferDepth slots),
-// its first branch, and every output's credit and owner counters. A fabric
+// once so that a router allocates nothing after construction (but the
+// destination-set records of its first multicast packets): the routers,
+// their cold records, their input VCs, every VC's buffer slots
+// (BufferDepth each), and every output's downstream-VC views. A fabric
 // builds one per shard, so the routers a shard ticks share no slab with
 // another shard's.
 type Slab struct {
-	cfg      Config
-	routers  []Router
-	vcs      []inputVC
-	bufs     []*flit.Flit
-	branches []branchState
-	counts   []int
+	cfg     *Config
+	routers []Router
+	colds   []routerCold
+	vcs     []inputVC
+	slots   []*flit.Flit
+	outVCs  []outVC
 }
 
 // NewSlab returns a slab for n routers of configuration cfg.
@@ -280,12 +341,12 @@ func NewSlab(cfg Config, n int) (*Slab, error) {
 	}
 	nvc := n * topology.NumPorts * cfg.VCs
 	return &Slab{
-		cfg:      cfg,
-		routers:  make([]Router, n),
-		vcs:      make([]inputVC, nvc),
-		bufs:     make([]*flit.Flit, nvc*cfg.BufferDepth),
-		branches: make([]branchState, nvc),
-		counts:   make([]int, 3*nvc),
+		cfg:     &cfg,
+		routers: make([]Router, n),
+		colds:   make([]routerCold, n),
+		vcs:     make([]inputVC, nvc),
+		slots:   make([]*flit.Flit, nvc*cfg.BufferDepth),
+		outVCs:  make([]outVC, nvc),
 	}, nil
 }
 
@@ -310,31 +371,21 @@ func (s *Slab) New(id topology.NodeID, routeFn RoutingFunc) (*Router, error) {
 	cfg := s.cfg
 	r := &carve(&s.routers, 1)[0]
 	r.id, r.cfg, r.route = id, cfg, routeFn
-	vcs := carve(&s.vcs, topology.NumPorts*cfg.VCs)
-	bufs := carve(&s.bufs, len(vcs)*cfg.BufferDepth)
-	branches := carve(&s.branches, len(vcs))
-	for i := range vcs {
-		// acceptFlit bounds occupancy before every push, so a VC's ring
-		// never grows past its BufferDepth slots, and completeRC appends a
-		// unicast packet's one branch in place; only a multicast fork
-		// grows the branch list.
-		vcs[i].buf = ring.Over(bufs[i*cfg.BufferDepth : (i+1)*cfg.BufferDepth : (i+1)*cfg.BufferDepth])
-		vcs[i].branches = branches[i : i : i+1]
-	}
-	for p := 0; p < topology.NumPorts; p++ {
-		r.inputs[p] = vcs[p*cfg.VCs : (p+1)*cfg.VCs : (p+1)*cfg.VCs]
-		// ConnectOutput lengthens the counters of the ports it wires.
-		o := &r.outputs[p]
-		o.credits = carve(&s.counts, cfg.VCs)[:0]
-		o.ownerPort = carve(&s.counts, cfg.VCs)[:0]
-		o.ownerVC = carve(&s.counts, cfg.VCs)[:0]
-		r.sinks[p] = portSink{r: r, port: topology.Port(p)}
-		r.creditSinks[p] = portCredit{r: r, port: topology.Port(p)}
-		r.saInputArb[p] = rrArbiter{n: cfg.VCs}
+	r.nv, r.depth = uint8(cfg.VCs), uint8(cfg.BufferDepth)
+	r.cold = &carve(&s.colds, 1)[0]
+	nvc := topology.NumPorts * cfg.VCs
+	// acceptFlit bounds occupancy before every push, so a VC's window of
+	// BufferDepth slots is all it ever needs.
+	r.vcs = carve(&s.vcs, nvc)
+	r.slots = carve(&s.slots, nvc*cfg.BufferDepth)
+	r.outVCs = carve(&s.outVCs, nvc)
+	for p := range r.cold.views {
+		r.cold.views[p] = portView{r: r, port: topology.Port(p)}
+		r.saInputArb[p] = rrArbiter{n: uint8(cfg.VCs)}
 		r.saOutputArb[p] = rrArbiter{n: topology.NumPorts}
 	}
-	r.station = reduce.NewStation(cfg.GatherQueueCap)
-	r.rstation = reduce.NewStation(cfg.ReduceQueueCap)
+	r.cold.station = reduce.NewStation(cfg.GatherQueueCap, reduce.GatherStation)
+	r.cold.rstation = reduce.NewStation(cfg.ReduceQueueCap, reduce.ReduceStation)
 	return r, nil
 }
 
@@ -356,17 +407,42 @@ func (r *Router) SetFlitPool(p *flit.Pool) { r.pool = p }
 // tracing; the default).
 func (r *Router) SetTelemetry(p *telemetry.Probe) { r.probe = p }
 
+// SetStationOwner attaches the processing element behind both stations:
+// every payload uploaded and every operand merged is acked to it
+// (reduce.Owner).
+func (r *Router) SetStationOwner(o reduce.Owner) {
+	r.cold.station.SetOwner(o)
+	r.cold.rstation.SetOwner(o)
+}
+
+// slot returns the index of input port p's VC v.
+func (r *Router) slot(p, v int) int { return p*int(r.nv) + v }
+
+// slotsOf returns the buffer slots of input VC slot s.
+func (r *Router) slotsOf(s int) []*flit.Flit {
+	d := int(r.depth)
+	return r.slots[s*d : s*d+d : s*d+d]
+}
+
+// head returns the flit at the front of input VC slot s, nil when empty.
+func (r *Router) head(s int) *flit.Flit {
+	vc := &r.vcs[s]
+	if vc.buf.Empty() {
+		return nil
+	}
+	return ring.Front(&vc.buf, r.slotsOf(s))
+}
+
+// outVC returns output port p's view of downstream VC dv.
+func (r *Router) outVC(p topology.Port, dv int) *outVC { return &r.outVCs[int(p)*int(r.nv)+dv] }
+
 // MaxVCOccupancy returns the deepest input VC buffer in flits — the
 // congestion gauge the telemetry epoch collector snapshots alongside the
 // total occupancy.
 func (r *Router) MaxVCOccupancy() int {
 	m := 0
-	for p := 0; p < topology.NumPorts; p++ {
-		for v := range r.inputs[p] {
-			if n := r.inputs[p][v].buf.Len(); n > m {
-				m = n
-			}
-		}
+	for s := range r.vcs {
+		m = max(m, r.vcs[s].buf.Len())
 	}
 	return m
 }
@@ -383,22 +459,22 @@ func (r *Router) MaxVCOccupancy() int {
 func (r *Router) Idle() bool { return r.buffered == 0 }
 
 // ConnectOutput attaches l as the outgoing channel on port p; downstreamDepth
-// is the buffer depth of the receiving VCs (credit initialization). The
-// receiving end has as many VCs as this router: every router and ejector
-// of a fabric shares the VC count.
+// is the buffer depth of the receiving VCs (credit initialization), at most
+// 255. The receiving end has as many VCs as this router: every router and
+// ejector of a fabric shares the VC count.
 func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamDepth int) {
-	o := &r.outputs[p]
-	o.link = l
-	o.depth = downstreamDepth
-	o.credits = o.credits[:r.cfg.VCs]
-	o.ownerPort = o.ownerPort[:r.cfg.VCs]
-	o.ownerVC = o.ownerVC[:r.cfg.VCs]
-	for v := range o.credits {
-		o.credits[v] = downstreamDepth
-		o.ownerPort[v] = -1
-		o.ownerVC[v] = -1
+	if downstreamDepth < 0 || downstreamDepth > maxDepth {
+		panic(fmt.Sprintf("router %d: downstream depth %d outside [0, %d]", r.id, downstreamDepth, maxDepth))
+	}
+	r.outLinks[p] = l
+	r.outDepth[p] = uint8(downstreamDepth)
+	for dv := 0; dv < r.cfg.VCs; dv++ {
+		*r.outVC(p, dv) = outVC{credits: uint8(downstreamDepth), ownerPort: -1, ownerVC: -1}
 	}
 }
+
+// connected reports whether output port p has a channel attached.
+func (r *Router) connected(p topology.Port) bool { return r.outLinks[p] != nil }
 
 // ConnectedOutputs returns the set of output ports with a channel attached,
 // bit p standing for port p. It is the one thing that tells apart the
@@ -406,8 +482,8 @@ func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamDepth in
 // downstream VC count and depth: the edges of a mesh leave ports dangling.
 func (r *Router) ConnectedOutputs() uint8 {
 	var set uint8
-	for p := range r.outputs {
-		if r.outputs[p].connected() {
+	for p := range r.outLinks {
+		if r.connected(topology.Port(p)) {
 			set |= 1 << p
 		}
 	}
@@ -421,40 +497,38 @@ func (r *Router) ConnectInput(p topology.Port, reverse *link.Link) {
 }
 
 // InputSink returns a link.FlitSink delivering into input port p.
-func (r *Router) InputSink(p topology.Port) link.FlitSink { return &r.sinks[p] }
+func (r *Router) InputSink(p topology.Port) link.FlitSink { return &r.cold.views[p] }
 
 // CreditSink returns a link.CreditSink crediting output port p.
-func (r *Router) CreditSink(p topology.Port) link.CreditSink { return &r.creditSinks[p] }
+func (r *Router) CreditSink(p topology.Port) link.CreditSink { return &r.cold.views[p] }
 
-type portSink struct {
+// portView is the link-facing view of one port: the flit sink of its input
+// and the credit sink of its output.
+type portView struct {
 	r    *Router
 	port topology.Port
 }
 
-func (s *portSink) AcceptFlit(f *flit.Flit, vc int) { s.r.acceptFlit(s.port, f, vc) }
+func (s *portView) AcceptFlit(f *flit.Flit, vc int) { s.r.acceptFlit(s.port, f, vc) }
 
 // Occupancy returns the flits the input port buffers on vc, its end of the
 // credit loop link.Link.CheckInvariants balances.
-func (s *portSink) Occupancy(vc int) int { return s.r.inputs[s.port][vc].buf.Len() }
+func (s *portView) Occupancy(vc int) int { return s.r.vcs[s.r.slot(int(s.port), vc)].buf.Len() }
 
-type portCredit struct {
-	r    *Router
-	port topology.Port
-}
-
-func (s *portCredit) AcceptCredit(vc int) { s.r.acceptCredit(s.port, vc) }
+func (s *portView) AcceptCredit(vc int) { s.r.acceptCredit(s.port, vc) }
 
 // Credits returns the credits the output port holds for downstream VC vc.
-func (s *portCredit) Credits(vc int) int { return s.r.outputs[s.port].credits[vc] }
+func (s *portView) Credits(vc int) int { return int(s.r.outVC(s.port, vc).credits) }
 
 func (r *Router) acceptFlit(p topology.Port, f *flit.Flit, vc int) {
-	in := &r.inputs[p][vc]
+	s := r.slot(int(p), vc)
+	in := &r.vcs[s]
 	if in.buf.Len() >= r.cfg.BufferDepth {
 		// Credit-protocol violation: upstream sent into a full buffer.
 		// This is an internal simulator bug, not a runtime condition.
 		panic(fmt.Sprintf("router %d: input %s vc%d overflow (%s)", r.id, p, vc, f))
 	}
-	in.buf.PushBack(f)
+	ring.PushBack(&in.buf, r.slotsOf(s), f)
 	r.buffered++
 	r.occMask[p] |= 1 << vc
 	f.Hops++
@@ -464,49 +538,49 @@ func (r *Router) acceptFlit(p topology.Port, f *flit.Flit, vc int) {
 
 // acceptCredit counts a returned credit. It wakes nothing: see Idle.
 func (r *Router) acceptCredit(p topology.Port, vc int) {
-	o := &r.outputs[p]
-	if vc < len(o.credits) {
-		o.credits[vc]++
+	if r.connected(p) && vc < r.cfg.VCs {
+		r.outVC(p, vc).credits++
 	}
 }
 
 // OfferGatherPayload hands the local PE's payload to the Gather Payload
-// station; ack fires when a passing gather packet picked it up. It returns
-// false when the station queue is full.
-func (r *Router) OfferGatherPayload(p flit.Payload, ack AckFunc) bool {
-	return r.station.Offer(p, ack)
+// station; the station's owner is acked when a passing gather packet
+// picked it up. It returns false when the station queue is full.
+func (r *Router) OfferGatherPayload(p flit.Payload) bool {
+	return r.cold.station.Offer(p)
 }
 
 // RetractGatherPayload removes a not-yet-reserved payload from the station
 // (δ-timeout path). It returns false when the payload is gone or already
 // reserved by an in-flight packet.
 func (r *Router) RetractGatherPayload(seq uint64) bool {
-	return r.station.Retract(seq)
+	return r.cold.station.Retract(seq)
 }
 
 // GatherBacklog reports how many payloads sit in the station.
-func (r *Router) GatherBacklog() int { return r.station.Backlog() }
+func (r *Router) GatherBacklog() int { return r.cold.station.Backlog() }
 
 // OfferReduceOperand hands the local PE's partial-sum operand to the
-// accumulation station; ack fires when a passing accumulate packet merged
-// it. It returns false when the station queue is full.
-func (r *Router) OfferReduceOperand(op flit.Payload, ack reduce.AckFunc) bool {
-	return r.rstation.Offer(op, ack)
+// accumulation station; the station's owner is acked when a passing
+// accumulate packet merged it. It returns false when the station queue is
+// full.
+func (r *Router) OfferReduceOperand(op flit.Payload) bool {
+	return r.cold.rstation.Offer(op)
 }
 
 // RetractReduceOperand removes a not-yet-reserved operand from the
 // accumulation station (δ-timeout path). It returns false when the operand
 // is gone or already reserved by an in-flight packet.
 func (r *Router) RetractReduceOperand(seq uint64) bool {
-	return r.rstation.Retract(seq)
+	return r.cold.rstation.Retract(seq)
 }
 
 // ReduceBacklog reports how many operands sit in the accumulation station.
-func (r *Router) ReduceBacklog() int { return r.rstation.Backlog() }
+func (r *Router) ReduceBacklog() int { return r.cold.rstation.Backlog() }
 
 // BufferedFlits reports the total flits currently held in input buffers;
 // the network layer uses it for drain detection.
-func (r *Router) BufferedFlits() int { return r.buffered }
+func (r *Router) BufferedFlits() int { return int(r.buffered) }
 
 // Tick advances the router by one cycle. Stages run in reverse pipeline
 // order (gather upload, SA/ST, VA, RC) so a flit progresses through at most
@@ -543,35 +617,42 @@ func (r *Router) gatherUploadStage(cycle int64) {
 	for p := 0; p < topology.NumPorts; p++ {
 		for m := r.loadMask[p]; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
-			vc := &r.inputs[p][v]
-			if vc.gatherLoad && vc.gatherEntry != nil {
-				f := vc.head()
-				if f != nil && f.PT == flit.Gather && !f.Type.IsHead() &&
-					f.AddPayload(vc.gatherEntry.Operand()) {
-					r.station.Complete(vc.gatherEntry)
-					r.Counters.GatherUploads.Inc()
-					if r.probe != nil && r.probe.Sampled(f.PacketID) {
-						r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvGatherUpload,
-							Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(f.Payloads[len(f.Payloads)-1].Src)})
+			s := r.slot(p, v)
+			vc := &r.vcs[s]
+			if vc.flags&gatherLoad != 0 {
+				if op, ok := r.cold.station.Held(s); ok {
+					f := r.head(s)
+					if f != nil && f.PT == flit.Gather && !f.Type.IsHead() &&
+						f.AddPayload(op) {
+						r.cold.station.Complete(s)
+						r.Counters.GatherUploads.Inc()
+						if r.probe != nil && r.probe.Sampled(f.PacketID) {
+							r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvGatherUpload,
+								Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(f.Payloads[len(f.Payloads)-1].Src)})
+						}
+						vc.flags &^= gatherLoad
+						r.dropLoad(p, v)
 					}
-					vc.gatherEntry = nil
-					vc.gatherLoad = false
-					r.dropLoad(p, v)
 				}
 			}
-			if vc.reduceLoad && vc.reduceEntry != nil {
-				f := vc.head()
-				if f != nil && f.PT == flit.Accumulate && !f.Type.IsHead() &&
-					f.MergePayload(vc.reduceEntry.Operand()) {
-					r.rstation.Complete(vc.reduceEntry)
-					r.Counters.ReduceMerges.Inc()
-					if r.probe != nil && r.probe.Sampled(f.PacketID) {
-						r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvReduceMerge,
-							Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(vc.reduceEntry.Operand().Src)})
+			if vc.flags&reduceLoad != 0 {
+				if op, ok := r.cold.rstation.Held(s); ok {
+					f := r.head(s)
+					if f != nil && f.PT == flit.Accumulate && !f.Type.IsHead() &&
+						f.MergePayload(op) {
+						r.cold.rstation.Complete(s)
+						r.Counters.ReduceMerges.Inc()
+						if r.probe != nil && r.probe.Sampled(f.PacketID) {
+							// A merge event names no source: the trace has
+							// always recorded Aux 0 here (the operand was
+							// read after the station had recycled it), and
+							// traces stay byte-identical.
+							r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvReduceMerge,
+								Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id)})
+						}
+						vc.flags &^= reduceLoad
+						r.dropLoad(p, v)
 					}
-					vc.reduceEntry = nil
-					vc.reduceLoad = false
-					r.dropLoad(p, v)
 				}
 			}
 		}
@@ -588,7 +669,7 @@ func (r *Router) raiseLoad(p, v int) {
 // leaves loadMask once neither of its two signals is raised.
 func (r *Router) dropLoad(p, v int) {
 	r.loads--
-	if vc := &r.inputs[p][v]; !vc.gatherLoad && !vc.reduceLoad {
+	if r.vcs[r.slot(p, v)].flags&(gatherLoad|reduceLoad) == 0 {
 		r.loadMask[p] &^= 1 << v
 	}
 }
@@ -602,14 +683,15 @@ func (r *Router) rcStage(cycle int64) {
 		// idle VC needs a head to start on, and one in vcRC still holds its.
 		for m := r.occMask[p] &^ (r.vaMask[p] | r.actMask[p]); m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
-			vc := &r.inputs[p][v]
+			s := r.slot(p, v)
+			vc := &r.vcs[s]
 			switch vc.stage {
 			case vcIdle:
-				if !vc.buf.Front().IsHead() {
+				if !r.head(s).IsHead() {
 					continue
 				}
 				vc.stage = vcRC
-				vc.wait = r.cfg.RCDelay - 1
+				vc.wait = uint8(r.cfg.RCDelay - 1)
 				if vc.wait == 0 {
 					r.completeRC(p, v, cycle)
 				}
@@ -626,20 +708,33 @@ func (r *Router) rcStage(cycle int64) {
 }
 
 func (r *Router) completeRC(p, v int, cycle int64) {
-	vc := &r.inputs[p][v]
-	f := vc.head()
+	s := r.slot(p, v)
+	vc := &r.vcs[s]
+	f := r.head(s)
 	rt := r.route(r.id, f)
-	vc.vcClass = rt.VCClass
-	vc.branches = vc.branches[:0]
+	vc.class = uint8(rt.VCClass)
+	r.clearBranches(s)
 	if len(rt.Adaptive) > 0 {
-		vc.branches = append(vc.branches, branchState{out: r.pickAdaptive(rt.Adaptive), vc: -1})
+		vc.br[0] = branchState{out: r.pickAdaptive(rt.Adaptive), vc: -1}
+		vc.nbr = 1
 	} else {
-		for _, br := range rt.Branches {
-			bs := branchState{out: br.Out, dsts: br.Dsts, vc: -1}
-			if f.PT == flit.Multicast {
-				bs.headMD = br.Dsts
+		if len(rt.Branches) > topology.NumPorts {
+			panic(fmt.Sprintf("router %d: route of %d branches for %s", r.id, len(rt.Branches), f))
+		}
+		var sets *vcSets
+		for i, br := range rt.Branches {
+			vc.br[i] = branchState{out: br.Out, vc: -1}
+			if br.Dsts != nil {
+				if sets == nil {
+					sets = r.takeSets(s)
+					vc.flags |= withSets
+				}
+				sets.dsts[i] = br.Dsts
 			}
-			vc.branches = append(vc.branches, bs)
+		}
+		vc.nbr = uint8(len(rt.Branches))
+		if f.PT == flit.Multicast {
+			vc.flags |= multicastHead
 		}
 	}
 	r.Counters.RCComputations.Inc()
@@ -654,10 +749,9 @@ func (r *Router) completeRC(p, v int, cycle int64) {
 	// both are internal to the head's pipeline transit, so we apply them
 	// together at RC completion with identical external timing.
 	if f.PT == flit.Gather && f.IsHead() && f.ASpace >= 1 {
-		if e, ok := r.station.ReserveByDst(f.Dst); ok {
+		if r.cold.station.ReserveByDst(f.Dst, s) {
 			f.ASpace--
-			vc.gatherLoad = true
-			vc.gatherEntry = e
+			vc.flags |= gatherLoad
 			r.raiseLoad(p, v)
 			r.Counters.GatherReserves.Inc()
 		}
@@ -668,19 +762,75 @@ func (r *Router) completeRC(p, v int, cycle int64) {
 	// the INA twin of the Gather Load Generator, with the reservation
 	// additionally matched on the packet's reduction ID.
 	if f.PT == flit.Accumulate && f.IsHead() && f.ASpace >= 1 {
-		if e, ok := r.rstation.Reserve(f.Dst, f.ReduceID); ok {
+		if r.cold.rstation.Reserve(f.Dst, f.ReduceID, s) {
 			f.ASpace--
-			vc.reduceLoad = true
-			vc.reduceEntry = e
+			vc.flags |= reduceLoad
 			r.raiseLoad(p, v)
 			r.Counters.ReduceReserves.Inc()
 		}
 	}
 
 	vc.stage = vcVA
-	vc.wait = r.cfg.VADelay - 1
+	vc.wait = uint8(r.cfg.VADelay - 1)
 	r.vaPending++
 	r.vaMask[p] |= 1 << v
+}
+
+// takeSets returns a cleared destination-set record for input VC slot s:
+// a free one of the cold record's, or a new one.
+func (r *Router) takeSets(s int) *vcSets {
+	c := r.cold
+	for i := range c.sets {
+		if c.sets[i].slot < 0 {
+			c.sets[i].slot = s
+			return &c.sets[i]
+		}
+	}
+	c.sets = append(c.sets, vcSets{slot: s})
+	return &c.sets[len(c.sets)-1]
+}
+
+// setsOf returns the destination-set record of input VC slot s, nil when
+// its packet's branches carry none.
+func (r *Router) setsOf(s int) *vcSets {
+	if r.vcs[s].flags&withSets == 0 {
+		return nil
+	}
+	c := r.cold
+	for i := range c.sets {
+		if c.sets[i].slot == s {
+			return &c.sets[i]
+		}
+	}
+	return nil
+}
+
+// dsts returns the destination set of branch i of input VC slot s.
+func (r *Router) dsts(s, i int) *topology.DestSet {
+	if sets := r.setsOf(s); sets != nil {
+		return sets.dsts[i]
+	}
+	return nil
+}
+
+// headMD returns the MDst the head copy on branch i of input VC slot s
+// carries: the branch's destination set on a multicast packet, else nil.
+func (r *Router) headMD(s, i int) *topology.DestSet {
+	if r.vcs[s].flags&multicastHead == 0 {
+		return nil
+	}
+	return r.dsts(s, i)
+}
+
+// clearBranches drops the branches of input VC slot s and gives its
+// destination-set record back.
+func (r *Router) clearBranches(s int) {
+	vc := &r.vcs[s]
+	if sets := r.setsOf(s); sets != nil {
+		*sets = vcSets{slot: -1}
+	}
+	vc.nbr = 0
+	vc.flags &^= withSets | multicastHead
 }
 
 // vaStage allocates downstream VCs to packets that completed RC. Multicast
@@ -726,33 +876,34 @@ func (r *Router) ClockPeriod() int64 { return int64(topology.NumPorts * r.cfg.VC
 // vaSlots runs VC allocation for the VCs of input port cp named in m, in
 // ascending order.
 func (r *Router) vaSlots(cp int, m uint64, cycle int64) {
+	nv := r.cfg.VCs
 	for ; m != 0; m &= m - 1 {
 		cv := bits.TrailingZeros64(m)
-		vc := &r.inputs[cp][cv]
+		s := r.slot(cp, cv)
+		vc := &r.vcs[s]
 		if vc.wait > 0 {
 			vc.wait--
 			continue
 		}
-		f := vc.head()
+		f := r.head(s)
 		if f == nil {
 			continue
 		}
 		done := true
-		for i := range vc.branches {
-			br := &vc.branches[i]
+		for i := range vc.branches() {
+			br := &vc.br[i]
 			if br.vc >= 0 {
 				continue
 			}
-			out := &r.outputs[br.out]
-			if !out.connected() {
+			if !r.connected(br.out) {
 				panic(fmt.Sprintf("router %d: route to unconnected port %s for %s", r.id, br.out, f))
 			}
 			alloc := -1
-			for dv := 0; dv < len(out.credits); dv++ {
-				if !r.vcAllowed(f.PT, dv, len(out.credits), vc.vcClass, br.out != topology.LocalPort) {
+			for dv := 0; dv < nv; dv++ {
+				if !r.vcAllowed(f.PT, dv, nv, int(vc.class), br.out != topology.LocalPort) {
 					continue
 				}
-				if out.vcFree(dv) {
+				if r.outVC(br.out, dv).free() {
 					alloc = dv
 					break
 				}
@@ -761,9 +912,9 @@ func (r *Router) vaSlots(cp int, m uint64, cycle int64) {
 				done = false
 				continue
 			}
-			out.ownerPort[alloc] = cp
-			out.ownerVC[alloc] = cv
-			br.vc = alloc
+			o := r.outVC(br.out, alloc)
+			o.ownerPort, o.ownerVC = int8(cp), int8(cv)
+			br.vc = int8(alloc)
 			r.Counters.VAAllocations.Inc()
 		}
 		if done {
@@ -787,13 +938,12 @@ func (r *Router) pickAdaptive(alts []topology.Port) topology.Port {
 	best := alts[0]
 	bestCredit := -1
 	for _, p := range alts {
-		out := &r.outputs[p]
-		if !out.connected() {
+		if !r.connected(p) {
 			continue
 		}
 		total := 0
-		for _, c := range out.credits {
-			total += c
+		for dv := 0; dv < r.cfg.VCs; dv++ {
+			total += int(r.outVC(p, dv).credits)
 		}
 		if total > bestCredit {
 			best = p
@@ -850,15 +1000,15 @@ func (r *Router) switchStage(cycle int64) {
 			continue
 		}
 		arb := &r.saInputArb[p]
-		in := r.inputs[p]
-		for rot := (m>>arb.next | m<<(arb.n-arb.next)) & (1<<arb.n - 1); rot != 0; rot &= rot - 1 {
-			idx := bits.TrailingZeros64(rot) + arb.next
-			if idx >= arb.n {
-				idx -= arb.n
+		n, next := int(arb.n), int(arb.next)
+		for rot := (m>>next | m<<(n-next)) & (1<<n - 1); rot != 0; rot &= rot - 1 {
+			idx := bits.TrailingZeros64(rot) + next
+			if idx >= n {
+				idx -= n
 			}
-			if req := r.requestedOutputs(&in[idx]); req != 0 {
-				arb.next = idx + 1
-				if arb.next == arb.n {
+			if req := r.requestedOutputs(&r.vcs[r.slot(p, idx)]); req != 0 {
+				arb.next = uint8(idx + 1)
+				if int(arb.next) == n {
 					arb.next = 0
 				}
 				candidate[p] = idx
@@ -886,18 +1036,18 @@ func (r *Router) switchStage(cycle int64) {
 			continue
 		}
 		arb := &r.saOutputArb[out]
-		idx := arb.next
-		for off := 0; off < arb.n; off++ {
-			if idx >= arb.n {
-				idx -= arb.n
+		n, idx := int(arb.n), int(arb.next)
+		for off := 0; off < n; off++ {
+			if idx >= n {
+				idx -= n
 			}
 			if requests[idx]&(1<<out) != 0 {
 				v := candidate[idx]
-				arb.next = idx + 1
-				if arb.next == arb.n {
+				arb.next = uint8(idx + 1)
+				if int(arb.next) == n {
 					arb.next = 0
 				}
-				grants[nGrants] = grant{inPort: idx, inVC: v, branch: r.branchRequesting(&r.inputs[idx][v], topology.Port(out))}
+				grants[nGrants] = grant{inPort: idx, inVC: v, branch: branchRequesting(&r.vcs[r.slot(idx, v)], topology.Port(out))}
 				nGrants++
 				r.Counters.SAGrants.Inc()
 				break
@@ -915,17 +1065,18 @@ func (r *Router) switchStage(cycle int64) {
 		touched[p] = -1
 	}
 	for _, g := range grants[:nGrants] {
-		vc := &r.inputs[g.inPort][g.inVC]
-		f := vc.head()
-		br := &vc.branches[g.branch]
-		out := &r.outputs[br.out]
+		s := r.slot(g.inPort, g.inVC)
+		vc := &r.vcs[s]
+		f := r.head(s)
+		br := &vc.br[g.branch]
+		o := r.outVC(br.out, int(br.vc))
 
-		copyF := r.flitForBranch(f, br, len(vc.branches) > 1)
-		out.link.Send(copyF, br.vc, cycle)
-		out.credits[br.vc]--
-		if out.credits[br.vc] < 0 {
+		copyF := r.flitForBranch(f, s, g.branch, vc.nbr > 1)
+		r.outLinks[br.out].Send(copyF, int(br.vc), cycle)
+		if o.credits == 0 {
 			panic(fmt.Sprintf("router %d: negative credit on %s vc%d", r.id, br.out, br.vc))
 		}
+		o.credits--
 		br.sent = true
 		r.Counters.Crossings.Inc()
 		if r.probe != nil && f.IsHead() && r.probe.Sampled(f.PacketID) {
@@ -936,8 +1087,7 @@ func (r *Router) switchStage(cycle int64) {
 		if f.IsTail() || f.Type == flit.HeadTail {
 			// Free the downstream VC at this branch once its copy of the
 			// tail has departed.
-			out.ownerPort[br.vc] = -1
-			out.ownerVC[br.vc] = -1
+			o.ownerPort, o.ownerVC = -1, -1
 		}
 		touched[g.inPort] = g.inVC
 	}
@@ -946,43 +1096,38 @@ func (r *Router) switchStage(cycle int64) {
 		if v < 0 {
 			continue
 		}
-		vc := &r.inputs[p][v]
-		if !r.allBranchesSent(vc) {
+		s := r.slot(p, v)
+		vc := &r.vcs[s]
+		if !allBranchesSent(vc) {
 			continue
 		}
-		f := vc.buf.PopFront()
+		f := ring.PopFront(&vc.buf, r.slotsOf(s))
 		r.buffered--
 		if vc.buf.Empty() {
 			r.occMask[p] &^= 1 << v
 		}
-		forked := len(vc.branches) > 1
+		forked := vc.nbr > 1
 		r.Counters.BufferReads.Inc()
 		if r.inLinks[p] != nil {
 			r.inLinks[p].ReturnCredit(v, cycle)
 		}
-		for i := range vc.branches {
-			vc.branches[i].sent = false
+		for i := range vc.branches() {
+			vc.br[i].sent = false
 		}
 		if f.IsTail() {
-			if vc.gatherLoad {
-				if vc.gatherEntry != nil {
-					// The packet left before the upload could complete;
-					// return the payload so the δ-timeout can recover it.
-					r.station.Release(vc.gatherEntry)
-					vc.gatherEntry = nil
-				}
-				vc.gatherLoad = false
+			if vc.flags&gatherLoad != 0 {
+				// The packet left before the upload could complete;
+				// return the payload so the δ-timeout can recover it.
+				r.cold.station.Release(s)
+				vc.flags &^= gatherLoad
 				r.dropLoad(p, v)
 			}
-			if vc.reduceLoad {
-				if vc.reduceEntry != nil {
-					r.rstation.Release(vc.reduceEntry)
-					vc.reduceEntry = nil
-				}
-				vc.reduceLoad = false
+			if vc.flags&reduceLoad != 0 {
+				r.cold.rstation.Release(s)
+				vc.flags &^= reduceLoad
 				r.dropLoad(p, v)
 			}
-			vc.branches = vc.branches[:0]
+			r.clearBranches(s)
 			vc.stage = vcIdle
 			r.active--
 			r.actMask[p] &^= 1 << v
@@ -1001,9 +1146,9 @@ func (r *Router) switchStage(cycle int64) {
 // branches with downstream credit. Zero means the VC is not ready.
 func (r *Router) requestedOutputs(vc *inputVC) uint8 {
 	var req uint8
-	for i := range vc.branches {
-		br := &vc.branches[i]
-		if !br.sent && r.outputs[br.out].credits[br.vc] > 0 {
+	for i := range vc.branches() {
+		br := &vc.br[i]
+		if !br.sent && r.outVC(br.out, int(br.vc)).credits > 0 {
 			req |= 1 << br.out
 		}
 	}
@@ -1013,9 +1158,8 @@ func (r *Router) requestedOutputs(vc *inputVC) uint8 {
 // branchRequesting returns the index of the unserved branch of vc aimed at
 // out, or -1. A VC has at most one branch per output (CheckInvariants), so
 // for an out in requestedOutputs' mask it is the credited one.
-func (r *Router) branchRequesting(vc *inputVC, out topology.Port) int {
-	for i := range vc.branches {
-		br := &vc.branches[i]
+func branchRequesting(vc *inputVC, out topology.Port) int {
+	for i, br := range vc.branches() {
 		if br.out == out && !br.sent {
 			return i
 		}
@@ -1025,25 +1169,27 @@ func (r *Router) branchRequesting(vc *inputVC, out topology.Port) int {
 
 // allBranchesSent reports whether the head flit has been copied to every
 // branch.
-func (r *Router) allBranchesSent(vc *inputVC) bool {
-	if len(vc.branches) == 0 {
+func allBranchesSent(vc *inputVC) bool {
+	if vc.nbr == 0 {
 		return false
 	}
-	for i := range vc.branches {
-		if !vc.branches[i].sent {
+	for _, br := range vc.branches() {
+		if !br.sent {
 			return false
 		}
 	}
 	return true
 }
 
-// flitForBranch returns the flit instance to send on a branch: the original
-// for single-branch packets, a copy (with the branch's MDst subset on head
-// flits) when the packet forks.
-func (r *Router) flitForBranch(f *flit.Flit, br *branchState, fork bool) *flit.Flit {
+// flitForBranch returns the flit instance to send on branch i of input VC
+// slot s: the original for single-branch packets, a copy (with the
+// branch's MDst subset on head flits) when the packet forks.
+func (r *Router) flitForBranch(f *flit.Flit, s, i int, fork bool) *flit.Flit {
 	if !fork {
-		if f.IsHead() && f.PT == flit.Multicast && br.headMD != nil {
-			f.MDst = br.headMD
+		if f.IsHead() && f.PT == flit.Multicast {
+			if md := r.headMD(s, i); md != nil {
+				f.MDst = md
+			}
 		}
 		return f
 	}
@@ -1052,7 +1198,7 @@ func (r *Router) flitForBranch(f *flit.Flit, br *branchState, fork bool) *flit.F
 	*c = *f
 	c.Payloads = payloads
 	if c.IsHead() && c.PT == flit.Multicast {
-		c.MDst = br.headMD
+		c.MDst = r.headMD(s, i)
 	}
 	return c
 }

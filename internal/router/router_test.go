@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
@@ -22,8 +23,13 @@ func TestConfigValidate(t *testing.T) {
 		{"vcs at mask width", func(c *Config) { c.VCs = maxVCs }, true},
 		{"vcs past mask width", func(c *Config) { c.VCs = maxVCs + 1 }, false},
 		{"zero depth", func(c *Config) { c.BufferDepth = 0 }, false},
+		{"depth at a byte", func(c *Config) { c.BufferDepth = maxDepth }, true},
+		{"depth past a byte", func(c *Config) { c.BufferDepth = maxDepth + 1 }, false},
 		{"zero rc", func(c *Config) { c.RCDelay = 0 }, false},
 		{"zero va", func(c *Config) { c.VADelay = 0 }, false},
+		{"rc at a byte", func(c *Config) { c.RCDelay = maxDelay }, true},
+		{"rc past a byte", func(c *Config) { c.RCDelay = maxDelay + 1 }, false},
+		{"va past a byte", func(c *Config) { c.VADelay = maxDelay + 1 }, false},
 		{"gather vc out of range", func(c *Config) { c.GatherVC = 4 }, false},
 		{"gather vc in range", func(c *Config) { c.GatherVC = 3 }, true},
 		{"vc classes zero value", func(c *Config) { c.VCClasses = 0 }, true},
@@ -46,6 +52,17 @@ func TestConfigValidate(t *testing.T) {
 	cfg.VCs = maxVCs + 1
 	if err := cfg.Validate(); !errors.Is(err, ErrTooManyVCs) {
 		t.Errorf("Validate() with %d VCs = %v, want ErrTooManyVCs", cfg.VCs, err)
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.BufferDepth = maxDepth + 1 },
+		func(c *Config) { c.RCDelay = maxDelay + 1 },
+		func(c *Config) { c.VADelay = maxDelay + 1 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("Validate() of %+v = %v, want ErrOutOfRange", cfg, err)
+		}
 	}
 }
 
@@ -114,26 +131,32 @@ func TestGatherStationLifecycle(t *testing.T) {
 	// The gather payload station is the shared reduce.Station with
 	// destination-only reservation; this pins the gather-facing contract
 	// through the router's own API surface.
-	s := reduce.NewStation(2)
+	s := reduce.NewStation(2, reduce.GatherStation)
 	acked := 0
+	s.SetOwner(ackFunc(func(k reduce.Kind, p flit.Payload) {
+		if k == reduce.GatherStation && p.Seq == 1 {
+			acked++
+		}
+	}))
 	p1 := flit.Payload{Seq: 1, Dst: 9}
 	p2 := flit.Payload{Seq: 2, Dst: 9}
-	if !s.Offer(p1, func(flit.Payload) { acked++ }) {
+	if !s.Offer(p1) {
 		t.Fatal("offer p1 failed")
 	}
-	if !s.Offer(p2, nil) {
+	if !s.Offer(p2) {
 		t.Fatal("offer p2 failed")
 	}
-	if s.Offer(flit.Payload{Seq: 3}, nil) {
+	if s.Offer(flit.Payload{Seq: 3}) {
 		t.Fatal("offer beyond capacity accepted")
 	}
 
-	// Reservation matches on destination and is FIFO by age.
-	if _, ok := s.ReserveByDst(8); ok {
+	// Reservation matches on destination and is FIFO by age; the holder
+	// finds its entry again.
+	if s.ReserveByDst(8, 0) {
 		t.Fatal("reserved payload for wrong dst")
 	}
-	e, ok := s.ReserveByDst(9)
-	if !ok || e.Operand().Seq != 1 {
+	ok := s.ReserveByDst(9, 3)
+	if e, held := s.Held(3); !ok || !held || e.Seq != 1 {
 		t.Fatalf("reserve = %+v, %v; want seq 1", e, ok)
 	}
 
@@ -149,7 +172,7 @@ func TestGatherStationLifecycle(t *testing.T) {
 	}
 
 	// Completion removes the entry and fires the ack.
-	s.Complete(e)
+	s.Complete(3)
 	if acked != 1 {
 		t.Fatalf("acks = %d, want 1", acked)
 	}
@@ -159,10 +182,13 @@ func TestGatherStationLifecycle(t *testing.T) {
 }
 
 func TestGatherStationRelease(t *testing.T) {
-	s := reduce.NewStation(1)
-	s.Offer(flit.Payload{Seq: 5, Dst: 3}, nil)
-	e, _ := s.ReserveByDst(3)
-	s.Release(e)
+	s := reduce.NewStation(1, reduce.GatherStation)
+	s.Offer(flit.Payload{Seq: 5, Dst: 3})
+	s.ReserveByDst(3, 0)
+	s.Release(0)
+	if _, held := s.Held(0); held {
+		t.Fatal("released payload still held")
+	}
 	if !s.Retract(5) {
 		t.Fatal("released payload not retractable")
 	}
@@ -198,10 +224,10 @@ func newTwoRouterHarness(t *testing.T, cfg Config) *twoRouterHarness {
 		t.Fatal(err)
 	}
 	h := &twoRouterHarness{a: a, b: b}
-	h.ab = link.NewSlab(1).New(link.Numbered("ab", 0), 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
+	h.ab = link.NewSlab(1, 1).New(link.Numbered("ab", 0), 1, b.InputSink(topology.WestPort), a.CreditSink(topology.EastPort))
 	a.ConnectOutput(topology.EastPort, h.ab, cfg.BufferDepth)
 	b.ConnectInput(topology.WestPort, h.ab)
-	h.eject = link.NewSlab(1).New(link.Numbered("bl", 0), 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
+	h.eject = link.NewSlab(1, 1).New(link.Numbered("bl", 0), 1, &harnessSink{h}, b.CreditSink(topology.LocalPort))
 	b.ConnectOutput(topology.LocalPort, h.eject, cfg.BufferDepth)
 	return h
 }
@@ -269,8 +295,8 @@ func TestRouterGatherPickupInFlight(t *testing.T) {
 
 	// Router B holds a payload for destination 1 (its own PE's result).
 	uploaded := false
-	if !h.b.OfferGatherPayload(flit.Payload{Seq: 7, Src: 1, Dst: 1, Value: 77},
-		func(flit.Payload) { uploaded = true }) {
+	h.b.SetStationOwner(ackFunc(func(reduce.Kind, flit.Payload) { uploaded = true }))
+	if !h.b.OfferGatherPayload(flit.Payload{Seq: 7, Src: 1, Dst: 1, Value: 77}) {
 		t.Fatal("offer rejected")
 	}
 
@@ -331,8 +357,8 @@ func TestRouterGatherSkipsFullPacket(t *testing.T) {
 	format := flit.MustFormat(flit.DefaultFlitBits, flit.DefaultPayloadBits, 2)
 
 	uploaded := false
-	h.b.OfferGatherPayload(flit.Payload{Seq: 9, Src: 1, Dst: 1, Value: 99},
-		func(flit.Payload) { uploaded = true })
+	h.b.SetStationOwner(ackFunc(func(reduce.Kind, flit.Payload) { uploaded = true }))
+	h.b.OfferGatherPayload(flit.Payload{Seq: 9, Src: 1, Dst: 1, Value: 99})
 
 	// Capacity 1 gather packet already carrying its initiator's payload:
 	// ASpace is 0 when it reaches B, so B must not reserve or upload.
@@ -400,4 +426,27 @@ func newRouter(id topology.NodeID, cfg Config, routeFn RoutingFunc) (*Router, er
 		return nil, err
 	}
 	return s.New(id, routeFn)
+}
+
+// ackFunc is a station owner made of a function.
+type ackFunc func(reduce.Kind, flit.Payload)
+
+func (f ackFunc) Acked(k reduce.Kind, op flit.Payload) { f(k, op) }
+
+// TestComponentSizePin pins the bytes of a router and of its per-VC record,
+// which a 32x32 fabric holds 1 024 and 20 480 of: each may fall, never
+// rise (DESIGN.md §9). They were 1 416 and 120 when counters, indices and
+// the VC ring were word-sized and the cold fields sat in the hot record.
+func TestComponentSizePin(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, pin uintptr
+	}{
+		{"Router", unsafe.Sizeof(Router{}), 504},
+		{"inputVC", unsafe.Sizeof(inputVC{}), 22},
+	} {
+		if c.size > c.pin {
+			t.Errorf("%s is %d bytes, pin %d", c.name, c.size, c.pin)
+		}
+	}
 }

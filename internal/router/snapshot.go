@@ -2,9 +2,10 @@ package router
 
 import (
 	"math/bits"
+	"slices"
 
 	"gathernoc/internal/flit"
-	"gathernoc/internal/reduce"
+	"gathernoc/internal/ring"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/topology"
 )
@@ -28,8 +29,8 @@ func (r *Router) AppendState(e *flit.Encoder) {
 		}
 		e.Uint(r.clockTies)
 	}
-	r.station.AppendState(e)
-	r.rstation.AppendState(e)
+	r.cold.station.AppendState(e)
+	r.cold.rstation.AppendState(e)
 	for p := 0; p < topology.NumPorts; p++ {
 		e.Int(int64(r.saInputArb[p].next))
 		e.Int(int64(r.saOutputArb[p].next))
@@ -45,14 +46,17 @@ func (r *Router) AppendState(e *flit.Encoder) {
 		busy := r.occMask[p] | r.vaMask[p] | r.actMask[p]
 		e.Uint(busy)
 		for m := busy; m != 0; m &= m - 1 {
-			r.appendVC(e, &r.inputs[p][bits.TrailingZeros64(m)])
+			r.appendVC(e, r.slot(p, bits.TrailingZeros64(m)))
 		}
-		o := &r.outputs[p]
-		for dv := range o.credits {
-			e.Int(int64(o.credits[dv]))
+		if !r.connected(topology.Port(p)) {
+			continue
+		}
+		for dv := 0; dv < r.cfg.VCs; dv++ {
+			o := r.outVC(topology.Port(p), dv)
+			e.Int(int64(o.credits))
 			if held {
-				e.Int(int64(o.ownerPort[dv]))
-				e.Int(int64(o.ownerVC[dv]))
+				e.Int(int64(o.ownerPort))
+				e.Int(int64(o.ownerVC))
 			}
 		}
 	}
@@ -68,10 +72,12 @@ func (r *Router) counters() [10]*stats.Counter {
 // creditsHome reports whether every output holds all its downstream
 // buffer's credits.
 func (r *Router) creditsHome() bool {
-	for p := range r.outputs {
-		o := &r.outputs[p]
-		for _, c := range o.credits {
-			if c != o.depth {
+	for p := range r.outLinks {
+		if !r.connected(topology.Port(p)) {
+			continue
+		}
+		for dv := 0; dv < r.cfg.VCs; dv++ {
+			if r.outVC(topology.Port(p), dv).credits != r.outDepth[p] {
 				return false
 			}
 		}
@@ -79,29 +85,31 @@ func (r *Router) creditsHome() bool {
 	return true
 }
 
-func (r *Router) appendVC(e *flit.Encoder, vc *inputVC) {
+// appendVC appends input VC slot s.
+func (r *Router) appendVC(e *flit.Encoder, s int) {
+	vc := &r.vcs[s]
+	slots := r.slotsOf(s)
 	e.Uint(uint64(vc.buf.Len()))
 	for i := 0; i < vc.buf.Len(); i++ {
-		vc.buf.At(i).AppendState(e)
+		ring.At(&vc.buf, slots, i).AppendState(e)
 	}
 	e.Uint(uint64(vc.stage))
 	e.Int(int64(vc.wait))
-	e.Uint(uint64(len(vc.branches)))
-	for i := range vc.branches {
-		br := &vc.branches[i]
+	e.Uint(uint64(vc.nbr))
+	for i, br := range vc.branches() {
 		e.Int(int64(br.out))
-		e.Set(br.dsts)
+		e.Set(r.dsts(s, i))
 		e.Int(int64(br.vc))
 		e.Bool(br.sent)
-		e.Set(br.headMD)
+		e.Set(r.headMD(s, i))
 	}
-	e.Int(int64(vc.vcClass))
+	e.Int(int64(vc.class))
 	gather, reduce := -1, -1
-	if vc.gatherLoad && vc.gatherEntry != nil {
-		gather = r.station.EntryIndex(vc.gatherEntry)
+	if vc.flags&gatherLoad != 0 {
+		gather = r.cold.station.HeldIndex(s)
 	}
-	if vc.reduceLoad && vc.reduceEntry != nil {
-		reduce = r.rstation.EntryIndex(vc.reduceEntry)
+	if vc.flags&reduceLoad != 0 {
+		reduce = r.cold.rstation.HeldIndex(s)
 	}
 	e.Int(int64(gather))
 	e.Int(int64(reduce))
@@ -110,54 +118,62 @@ func (r *Router) appendVC(e *flit.Encoder, vc *inputVC) {
 // LoadState replaces the router's state with the absolute encoding
 // AppendState wrote, bounds-checking every port, VC, stage, arbiter pointer
 // and station index it reads. Buffered flits are acquired from the router's
-// pool; station entries are acked through the owning NIC's gatherAck and
-// reduceAck, as its submissions wire them, and the VC-held entry pointers
-// are re-linked by queue index. The occupancy counters and slot masks are
-// recomputed.
-func (r *Router) LoadState(d *flit.Decoder, gatherAck, reduceAck reduce.AckFunc) error {
+// pool; the stations keep the owner construction wired, and the VCs' Load
+// signals re-link their reservations by queue index (reduce.Station.Hold).
+// A branch's head set must be none or its destination set, the same on
+// every branch of a VC: the router keeps one set per branch. The occupancy
+// counters and slot masks are recomputed.
+func (r *Router) LoadState(d *flit.Decoder) error {
 	for _, c := range r.counters() {
 		c.Set(d.Uint())
 	}
 	r.clockTies = d.Uint()
-	r.station.LoadState(d, gatherAck)
-	r.rstation.LoadState(d, reduceAck)
+	r.cold.station.LoadState(d)
+	r.cold.rstation.LoadState(d)
 	for p := 0; p < topology.NumPorts; p++ {
-		r.saInputArb[p].next = d.IntRange(0, r.saInputArb[p].n-1, "SA input pointer")
-		r.saOutputArb[p].next = d.IntRange(0, r.saOutputArb[p].n-1, "SA output pointer")
+		r.saInputArb[p].next = uint8(d.IntRange(0, int(r.saInputArb[p].n)-1, "SA input pointer"))
+		r.saOutputArb[p].next = uint8(d.IntRange(0, int(r.saOutputArb[p].n)-1, "SA output pointer"))
 	}
 	r.buffered, r.loads, r.vaPending, r.active = 0, 0, 0, 0
 	r.occMask, r.vaMask, r.actMask, r.loadMask = [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}, [topology.NumPorts]uint64{}
+	for s := range r.vcs {
+		ring.Clear(&r.vcs[s].buf, r.slotsOf(s))
+		r.vcs[s] = inputVC{}
+	}
+	for i := range r.cold.sets {
+		r.cold.sets[i] = vcSets{slot: -1}
+	}
 	rest := d.Bool()
 	held := !rest && d.Bool()
+	nv := r.cfg.VCs
 	for p := 0; p < topology.NumPorts; p++ {
 		var busy uint64
 		if !rest {
-			if busy = d.Uint(); busy>>len(r.inputs[p]) != 0 {
-				d.Failf("input %s busy mask %#x beyond its %d VCs", topology.Port(p), busy, len(r.inputs[p]))
+			if busy = d.Uint(); busy>>nv != 0 {
+				d.Failf("input %s busy mask %#x beyond its %d VCs", topology.Port(p), busy, nv)
+				busy = 0
 			}
 		}
-		for v := range r.inputs[p] {
-			vc := &r.inputs[p][v]
-			vc.buf.Reset()
-			*vc = inputVC{buf: vc.buf, branches: vc.branches[:0]}
-			if busy&(1<<v) != 0 {
-				r.loadVC(d, p, v)
-			}
+		for m := busy; m != 0; m &= m - 1 {
+			r.loadVC(d, p, bits.TrailingZeros64(m))
 		}
-		o := &r.outputs[p]
-		for dv := range o.credits {
-			o.credits[dv], o.ownerPort[dv], o.ownerVC[dv] = o.depth, -1, -1
+		if !r.connected(topology.Port(p)) {
+			continue
+		}
+		for dv := 0; dv < nv; dv++ {
+			o := r.outVC(topology.Port(p), dv)
+			*o = outVC{credits: r.outDepth[p], ownerPort: -1, ownerVC: -1}
 			if rest {
 				continue
 			}
-			o.credits[dv] = d.IntRange(0, o.depth, "credit count")
+			o.credits = uint8(d.IntRange(0, int(r.outDepth[p]), "credit count"))
 			if held {
 				op := d.IntRange(-1, topology.NumPorts-1, "owner port")
-				o.ownerPort[dv] = op
+				o.ownerPort = int8(op)
 				if op < 0 {
-					o.ownerVC[dv] = d.IntRange(-1, -1, "owner VC of a free VC")
+					o.ownerVC = int8(d.IntRange(-1, -1, "owner VC of a free VC"))
 				} else {
-					o.ownerVC[dv] = d.IntRange(0, len(r.inputs[op])-1, "owner VC")
+					o.ownerVC = int8(d.IntRange(0, nv-1, "owner VC"))
 				}
 			}
 		}
@@ -167,45 +183,76 @@ func (r *Router) LoadState(d *flit.Decoder, gatherAck, reduceAck reduce.AckFunc)
 
 // loadVC reads input VC v of port p, which LoadState has put at rest.
 func (r *Router) loadVC(d *flit.Decoder, p, v int) {
-	vc := &r.inputs[p][v]
+	s := r.slot(p, v)
+	vc := &r.vcs[s]
+	slots := r.slotsOf(s)
 	for n := d.UintRange(0, r.cfg.BufferDepth, "buffered flits"); n > 0; n-- {
 		f := r.pool.Acquire()
 		if f.LoadState(d); f.PT == flit.Multicast && f.MDst == nil {
 			d.Failf("buffered multicast flit without destinations")
 		}
-		vc.buf.PushBack(f)
+		ring.PushBack(&vc.buf, slots, f)
 		r.buffered++
 		r.occMask[p] |= 1 << v
 	}
 	vc.stage = vcStage(d.UintRange(int(vcIdle), int(vcActive), "VC stage"))
-	vc.wait = d.IntRange(0, max(r.cfg.RCDelay, r.cfg.VADelay), "stage wait")
+	vc.wait = uint8(d.IntRange(0, max(r.cfg.RCDelay, r.cfg.VADelay), "stage wait"))
+	var sets vcSets
+	withHead := 0
 	for n := d.UintRange(0, topology.NumPorts, "branch count"); n > 0; n-- {
+		i := vc.nbr
 		out := topology.Port(d.IntRange(0, topology.NumPorts-1, "branch port"))
-		o := &r.outputs[out]
-		if !o.connected() {
+		if !r.connected(out) {
 			d.Failf("branch to unconnected port %s", out)
 		}
-		vc.branches = append(vc.branches, branchState{
-			out:    out,
-			dsts:   d.Set(),
-			vc:     d.IntRange(-1, len(o.credits)-1, "branch VC"),
-			sent:   d.Bool(),
-			headMD: d.Set(),
-		})
-	}
-	vc.vcClass = d.IntRange(0, max(r.cfg.VCClasses, 1)-1, "VC class")
-	if i := int(d.Int()); i >= 0 {
-		if vc.gatherEntry = r.station.EntryAt(i); vc.gatherEntry == nil {
-			d.Failf("gather entry %d beyond the station's %d", i, r.station.Backlog())
+		sets.dsts[i] = d.Set()
+		vc.br[i] = branchState{
+			out:  out,
+			vc:   int8(d.IntRange(-1, r.cfg.VCs-1, "branch VC")),
+			sent: d.Bool(),
 		}
-		vc.gatherLoad = true
+		switch md := d.Set(); {
+		case md == nil:
+		case sets.dsts[i] == nil || !slices.Equal(md.Words(), sets.dsts[i].Words()):
+			d.Failf("branch to %s heads a set that is not its destination set", out)
+		default:
+			withHead++
+		}
+		vc.nbr++
+	}
+	if withHead > 0 {
+		// Every branch's head copy carries its destination set, the local
+		// branch's none.
+		for i := range vc.branches() {
+			if sets.dsts[i] != nil {
+				withHead--
+			}
+		}
+		if withHead != 0 {
+			d.Failf("a multicast VC's branches disagree on carrying their sets")
+		}
+		vc.flags |= multicastHead
+	}
+	for i := range vc.branches() {
+		if sets.dsts[i] != nil {
+			*r.takeSets(s) = vcSets{slot: s, dsts: sets.dsts}
+			vc.flags |= withSets
+			break
+		}
+	}
+	vc.class = uint8(d.IntRange(0, max(r.cfg.VCClasses, 1)-1, "VC class"))
+	if i := int(d.Int()); i >= 0 {
+		if !r.cold.station.Hold(i, s) {
+			d.Failf("gather entry %d is not a free reservation of the station's %d", i, r.cold.station.Backlog())
+		}
+		vc.flags |= gatherLoad
 		r.raiseLoad(p, v)
 	}
 	if i := int(d.Int()); i >= 0 {
-		if vc.reduceEntry = r.rstation.EntryAt(i); vc.reduceEntry == nil {
-			d.Failf("reduce entry %d beyond the station's %d", i, r.rstation.Backlog())
+		if !r.cold.rstation.Hold(i, s) {
+			d.Failf("reduce entry %d is not a free reservation of the station's %d", i, r.cold.rstation.Backlog())
 		}
-		vc.reduceLoad = true
+		vc.flags |= reduceLoad
 		r.raiseLoad(p, v)
 	}
 	switch vc.stage {

@@ -372,7 +372,7 @@ func TestRestoreCycleAndAlwaysTickWakeAll(t *testing.T) {
 				}
 			}
 			for _, p := range []*phase{&e.tickers, &e.committers} {
-				if tail := len(p.nodes) & 63; tail != 0 && p.awake[len(p.awake)-1]>>tail != 0 {
+				if tail := p.size() & 63; tail != 0 && p.awake[len(p.awake)-1]>>tail != 0 {
 					t.Fatalf("n=%d after %s: awake bits set past the last component: %x", n, step, p.awake[len(p.awake)-1])
 				}
 			}

@@ -68,6 +68,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -109,30 +110,31 @@ type Clock interface {
 	Cycle() int64
 }
 
-// node is one registered component: a Ticker in the tick phase's list, a
-// Committer in the commit phase's. It is never modified once registered.
-type node struct {
-	ticker    Ticker
-	committer Committer
-	idler     Idler
-}
-
 // phase is one phase's components in registration order, with bit i of
-// awake set while nodes[i] is runnable. Bits at and above len(nodes) are
-// always clear.
+// awake set while component i is runnable. Bits at and above the
+// component count are always clear.
 type phase struct {
-	nodes []node
-	awake []uint64
+	// A phase holds Tickers (the tick phase) or Committers (the commit
+	// phase): component i is tickers[i] or committers[i], and idlers[i] is
+	// its Idler, nil when it never sleeps. An entry is never modified once
+	// registered.
+	tickers    []Ticker
+	committers []Committer
+	idlers     []Idler
+	awake      []uint64
 	// next holds the WakeNext bits set since the phase's walk last ended,
 	// laid out like awake; the end of the walk folds them into awake, so
 	// between steps it holds only what a commit phase or the caller set on
 	// a ticker.
 	next []uint64
-	// wakeAt[i] is the cycle nodes[i]'s timer fires, Never while it is not
-	// armed. due is at or before the earliest of them, so a cycle before due
-	// has no timer to fire; like round.Loop's next-due word it is brought
-	// up to date by the scan that fires.
+	// wakeAt[i] is the cycle component i's timer fires, Never while it is
+	// not armed, and armed lists the components whose timers are (once
+	// each, in no order), so that firing visits those and not the rest.
+	// due is at or before the earliest of them, so a cycle before due has
+	// no timer to fire; like round.Loop's next-due word it is brought up to
+	// date by the scan that fires.
 	wakeAt []int64
+	armed  []int32
 	due    int64
 	// mail[s] collects the wakes that reach the phase's components from
 	// shard s while it runs in parallel with the phase's own lane
@@ -140,7 +142,7 @@ type phase struct {
 	// is used) that only shard s writes, and that the phase takes over into
 	// awake when it next starts. Nil where no remote handle was made.
 	mail []*phase
-	// handleOf holds the handle add returned for nodes[i] at
+	// handleOf holds the handle add returned for component i at
 	// [i/handleBlock][i%handleBlock], so that truncate can disarm the
 	// handles of the components it drops. Blocks like the handles', so
 	// that a large fabric's list is never copied to grow.
@@ -154,10 +156,34 @@ type phase struct {
 
 const handleBlock = 256
 
-// add appends an awake component and returns its handle.
-func (p *phase) add(n node) *Handle {
-	i := len(p.nodes)
-	p.nodes = append(p.nodes, n)
+// size returns the number of registered components.
+func (p *phase) size() int { return len(p.idlers) }
+
+// reserve makes room for n more components of the phase (tickers when
+// tick), so that registering them copies no list.
+func (p *phase) reserve(n int, tick bool) {
+	if tick {
+		p.tickers = slices.Grow(p.tickers, n)
+	} else {
+		p.committers = slices.Grow(p.committers, n)
+	}
+	p.idlers = slices.Grow(p.idlers, n)
+	p.wakeAt = slices.Grow(p.wakeAt, n)
+	p.armed = slices.Grow(p.armed, p.size()+n-len(p.armed))
+	words := (p.size()+n+63)>>6 - len(p.awake)
+	p.awake = slices.Grow(p.awake, words)
+	p.next = slices.Grow(p.next, words)
+}
+
+// add appends an awake component, t or c, and returns its handle.
+func (p *phase) add(t Ticker, c Committer, idler Idler) *Handle {
+	i := p.size()
+	if t != nil {
+		p.tickers = append(p.tickers, t)
+	} else {
+		p.committers = append(p.committers, c)
+	}
+	p.idlers = append(p.idlers, idler)
 	p.wakeAt = append(p.wakeAt, Never)
 	if i>>6 == len(p.awake) {
 		p.awake = append(p.awake, 0)
@@ -181,20 +207,29 @@ func (p *phase) add(n node) *Handle {
 // for good: a Wake, WakeNext or WakeAt through one must neither set a bit
 // past the list nor run whatever is registered at that index next.
 func (p *phase) truncate(n int) {
-	if n >= len(p.nodes) {
+	if n >= p.size() {
 		return
 	}
-	for i := n; i < len(p.nodes); i++ {
+	for i := n; i < p.size(); i++ {
 		slot := &p.handleOf[i/handleBlock][i%handleBlock]
 		(*slot).list = nil
 		*slot = nil
 	}
-	clear(p.nodes[n:])
-	p.nodes = p.nodes[:n]
+	if len(p.tickers) > n {
+		clear(p.tickers[n:])
+		p.tickers = p.tickers[:n]
+	}
+	if len(p.committers) > n {
+		clear(p.committers[n:])
+		p.committers = p.committers[:n]
+	}
+	clear(p.idlers[n:])
+	p.idlers = p.idlers[:n]
 	p.wakeAt = p.wakeAt[:n]
 	p.due = Never
-	for _, at := range p.wakeAt {
-		p.due = min(p.due, at)
+	p.armed = slices.DeleteFunc(p.armed, func(i int32) bool { return int(i) >= n })
+	for _, i := range p.armed {
+		p.due = min(p.due, p.wakeAt[i])
 	}
 	words := (n + 63) >> 6
 	p.awake, p.next = p.awake[:words], p.next[:words]
@@ -210,12 +245,13 @@ func (p *phase) wakeAll() {
 	for w := range p.awake {
 		p.awake[w] = ^uint64(0)
 	}
-	if tail := len(p.nodes) & 63; tail != 0 {
+	if tail := p.size() & 63; tail != 0 {
 		p.awake[len(p.awake)-1] = 1<<tail - 1
 	}
-	for i := range p.wakeAt {
+	for _, i := range p.armed {
 		p.wakeAt[i] = Never
 	}
+	p.armed = p.armed[:0]
 	p.due = Never
 }
 
@@ -260,7 +296,7 @@ func (p *phase) take(from, to []uint64) {
 		if w >= len(to) {
 			continue
 		}
-		if tail := len(p.nodes) & 63; tail != 0 && w == len(to)-1 {
+		if tail := p.size() & 63; tail != 0 && w == len(to)-1 {
 			bits &= 1<<tail - 1
 		}
 		to[w] |= bits
@@ -278,19 +314,23 @@ func (p *phase) fold() {
 	}
 }
 
-// fire wakes the components whose timers are due at cycle and brings due up
-// to date.
+// fire wakes the components whose timers are due at cycle, disarming
+// them, and brings due up to date. It visits the armed timers only.
 func (p *phase) fire(cycle int64) {
 	due := int64(Never)
-	for i, at := range p.wakeAt {
-		switch {
+	armed := p.armed[:0]
+	for _, i := range p.armed {
+		switch at := p.wakeAt[i]; {
 		case at <= cycle:
 			p.wakeAt[i] = Never
 			p.awake[i>>6] |= 1 << (i & 63)
-		case at < due:
-			due = at
+		case at == Never: // disarmed by WakeAt(Never)
+		default:
+			armed = append(armed, i)
+			due = min(due, at)
 		}
 	}
+	p.armed = armed
 	p.due = due
 }
 
@@ -399,6 +439,9 @@ func (h *Handle) WakeAt(cycle int64) {
 		return
 	}
 	p := h.list
+	if p.wakeAt[h.index] == Never {
+		p.armed = append(p.armed, int32(h.index))
+	}
 	p.wakeAt[h.index] = cycle
 	if cycle < p.due {
 		p.due = cycle
@@ -456,7 +499,7 @@ func (l *lane) quiet() bool {
 func (l *lane) nextTimer() int64 { return min(l.tickers.due, l.committers.due) }
 
 // components returns how many components the lane evaluates in a naive step.
-func (l *lane) components() int { return len(l.tickers.nodes) + len(l.committers.nodes) }
+func (l *lane) components() int { return l.tickers.size() + l.committers.size() }
 
 // Engine owns the simulated clock and the component lists.
 // The zero value is ready to use, with activity tracking enabled.
@@ -602,14 +645,26 @@ func (e *Engine) JumpedCycles() uint64 { return e.jumpedCycles }
 // that never sleep (components not implementing Idler) may ignore it.
 func (e *Engine) AddTicker(t Ticker) *Handle {
 	idler, _ := t.(Idler)
-	return e.tickers.add(node{ticker: t, idler: idler})
+	return e.tickers.add(t, nil, idler)
 }
 
 // AddCommitter registers a phase-2 component. Order of registration is the
 // order of evaluation.
 func (e *Engine) AddCommitter(c Committer) *Handle {
 	idler, _ := c.(Idler)
-	return e.committers.add(node{committer: c, idler: idler})
+	return e.committers.add(nil, c, idler)
+}
+
+// Reserve makes room for the given numbers of AddTicker and AddCommitter
+// registrations still to come, so that a fabric's worth of them allocates
+// its lists once instead of growing them: a builder that knows its
+// component count calls it first. Registering more than reserved still
+// works.
+func (e *Engine) Reserve(tickers, committers int) { e.lane.reserve(tickers, committers) }
+
+func (l *lane) reserve(tickers, committers int) {
+	l.tickers.reserve(tickers, true)
+	l.committers.reserve(committers, false)
 }
 
 // Mark is a point in the registration order of AddTicker and AddCommitter,
@@ -621,7 +676,7 @@ type Mark struct {
 // Mark returns the current registration point: Truncate(m) later drops
 // exactly the components AddTicker and AddCommitter register from here on.
 func (e *Engine) Mark() Mark {
-	return Mark{tickers: len(e.tickers.nodes), committers: len(e.committers.nodes)}
+	return Mark{tickers: e.tickers.size(), committers: e.committers.size()}
 }
 
 // Truncate drops every component AddTicker and AddCommitter registered
@@ -728,7 +783,7 @@ func (p *phase) runAwake(cycle int64) (ran, skipped, load int) {
 	if cycle >= p.due {
 		p.fire(cycle)
 	}
-	n := len(p.nodes)
+	n := p.size()
 	for w := 0; w<<6 < n; w++ {
 		above := ^uint64(0) // bit positions not yet passed in this word
 		for {
@@ -742,14 +797,13 @@ func (p *phase) runAwake(cycle int64) (ran, skipped, load int) {
 				break
 			}
 			above = ^uint64(1) << b
-			nd := &p.nodes[i] // stays good if the slice moves: nodes are immutable
-			if nd.ticker != nil {
-				nd.ticker.Tick(cycle)
+			if i < len(p.tickers) {
+				p.tickers[i].Tick(cycle)
 			} else {
-				nd.committer.Commit(cycle)
+				p.committers[i].Commit(cycle)
 			}
 			ran++
-			if nd.idler != nil && nd.idler.Idle() {
+			if idler := p.idlers[i]; idler != nil && idler.Idle() {
 				p.awake[w] &^= 1 << b
 			} else {
 				load++
@@ -765,16 +819,15 @@ func (p *phase) runAwake(cycle int64) (ran, skipped, load int) {
 // folds the next-cycle wakes in as runAwake does, so that the bitmaps are
 // right if tracking is turned back on.
 func (p *phase) runAll(cycle int64) int {
-	nodes := p.nodes
-	for _, nd := range nodes {
-		if nd.ticker != nil {
-			nd.ticker.Tick(cycle)
-		} else {
-			nd.committer.Commit(cycle)
-		}
+	tickers, committers := p.tickers, p.committers
+	for _, t := range tickers {
+		t.Tick(cycle)
+	}
+	for _, c := range committers {
+		c.Commit(cycle)
 	}
 	p.fold()
-	return len(nodes)
+	return len(tickers) + len(committers)
 }
 
 // Interrupt makes any in-progress or future RunUntil return ErrInterrupted

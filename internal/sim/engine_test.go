@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // never is the RunUntil predicate of a run that goes the whole budget.
@@ -306,11 +307,11 @@ func TestEngineTruncateReregisterMatchesFresh(t *testing.T) {
 	stale.Wake()
 	committerStale.Wake()
 	for _, p := range []*phase{&used.e.tickers, &used.e.committers} {
-		if len(p.awake) != (len(p.nodes)+63)>>6 {
-			t.Fatalf("bitmap has %d words for %d components", len(p.awake), len(p.nodes))
+		if len(p.awake) != (p.size()+63)>>6 {
+			t.Fatalf("bitmap has %d words for %d components", len(p.awake), p.size())
 		}
-		if tail := len(p.nodes) & 63; tail != 0 && p.awake[len(p.awake)-1]>>tail != 0 {
-			t.Fatalf("awake bit set at or above len(nodes)=%d: %b", len(p.nodes), p.awake[len(p.awake)-1])
+		if tail := p.size() & 63; tail != 0 && p.awake[len(p.awake)-1]>>tail != 0 {
+			t.Fatalf("awake bit set at or above size()=%d: %b", p.size(), p.awake[len(p.awake)-1])
 		}
 	}
 
@@ -373,5 +374,20 @@ func TestEngineRunWithDropsTheDriver(t *testing.T) {
 				t.Fatalf("budget %d: the driver ticked after its run: %v", budget, f.log)
 			}
 		}
+	}
+}
+
+// TestComponentSizePin pins the bytes the engine holds per registered
+// component (its entry in the phase's component and idler lists, its timer
+// cycle and armed-list slot, its handle and the handle's index entry),
+// which a 32x32 fabric has 8 064 of: it may fall, never rise (DESIGN.md
+// §9). It was 96 when one 48-byte node held a ticker, a committer and an
+// idler interface each.
+func TestComponentSizePin(t *testing.T) {
+	var p phase
+	size := unsafe.Sizeof(p.tickers[0]) + unsafe.Sizeof(p.idlers[0]) + unsafe.Sizeof(p.wakeAt[0]) +
+		unsafe.Sizeof(p.armed[0]) + unsafe.Sizeof(Handle{}) + unsafe.Sizeof(p.handleOf[0][0])
+	if size > 68 {
+		t.Errorf("the engine holds %d bytes per component, pin 68", size)
 	}
 }

@@ -159,14 +159,20 @@ func (e *Engine) Sharded() bool { return len(e.shards) > 0 }
 // Handle.Remote of it).
 func (e *Engine) AddShardTicker(s int, t Ticker) *Handle {
 	idler, _ := t.(Idler)
-	return e.shards[s].tickers.add(node{ticker: t, idler: idler})
+	return e.shards[s].tickers.add(t, nil, idler)
 }
 
 // AddShardCommitter registers a phase-2 component with one shard, under
 // the same isolation contract as AddShardTicker.
 func (e *Engine) AddShardCommitter(s int, c Committer) *Handle {
 	idler, _ := c.(Idler)
-	return e.shards[s].committers.add(node{committer: c, idler: idler})
+	return e.shards[s].committers.add(nil, c, idler)
+}
+
+// ReserveShard is Reserve for the AddShardTicker and AddShardCommitter
+// registrations of shard s.
+func (e *Engine) ReserveShard(s, tickers, committers int) {
+	e.shards[s].reserve(tickers, committers)
 }
 
 // startWorkers spawns the persistent shard workers on the first step: one

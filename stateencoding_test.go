@@ -57,18 +57,16 @@ var stateFields = map[string]string{
 	"router.Router.id":          fixed,
 	"router.Router.cfg":         fixed,
 	"router.Router.route":       fixed + wiring,
-	"router.Router.inputs":      both + " (VCs at rest as the occupancy, VA and active masks)",
+	"router.Router.vcs":         both + " (VCs at rest as the occupancy, VA and active masks)",
+	"router.Router.slots":       both + " (as each busy VC's buffered flits)",
+	"router.Router.outVCs":      both + " (of the wired outputs)",
+	"router.Router.outLinks":    fixed + wiring,
 	"router.Router.inLinks":     fixed + wiring,
-	"router.Router.outputs":     both,
-	"router.Router.sinks":       fixed + wiring,
-	"router.Router.creditSinks": fixed + wiring,
-	"router.Router.station":     both,
-	"router.Router.rstation":    both,
-	"router.Router.pool":        fixed + wiring,
+	"router.Router.outDepth":    fixed,
 	"router.Router.saInputArb":  both,
 	"router.Router.saOutputArb": both,
-	"router.Router.wake":        fixed + ": the engine's; a restore wakes every component",
-	"router.Router.probe":       fixed + ": telemetry, which snapshots refuse",
+	"router.Router.nv":          fixed,
+	"router.Router.depth":       fixed,
 	"router.Router.buffered":    derived,
 	"router.Router.loads":       derived,
 	"router.Router.vaPending":   derived,
@@ -77,30 +75,36 @@ var stateFields = map[string]string{
 	"router.Router.vaMask":      derived,
 	"router.Router.actMask":     derived,
 	"router.Router.loadMask":    derived,
+	"router.Router.pool":        fixed + wiring,
+	"router.Router.wake":        fixed + ": the engine's; a restore wakes every component",
+	"router.Router.cold":        both + " (its stations and sets)",
+	"router.Router.probe":       fixed + ": telemetry, which snapshots refuse",
 	"router.Router.clockTies":   absolute + statistic + " (the proof reads its growth, noc.Network.ClockTies)",
 	"router.Router.Counters":    absolute + statistic,
 
-	"router.inputVC.buf":         both,
-	"router.inputVC.stage":       both,
-	"router.inputVC.wait":        both,
-	"router.inputVC.branches":    both,
-	"router.inputVC.vcClass":     both + " (at rest not written: route computation rewrites it before VA reads it)",
-	"router.inputVC.gatherLoad":  both + " (as the entry index)",
-	"router.inputVC.gatherEntry": both + " (as its station queue index)",
-	"router.inputVC.reduceLoad":  both + " (as the entry index)",
-	"router.inputVC.reduceEntry": both + " (as its station queue index)",
+	"router.routerCold.views":    fixed + wiring,
+	"router.routerCold.station":  both,
+	"router.routerCold.rstation": both,
+	"router.routerCold.sets":     both + " (as each branch's destination and head sets)",
 
-	"router.branchState.out":    both,
-	"router.branchState.dsts":   both,
-	"router.branchState.vc":     both,
-	"router.branchState.sent":   both,
-	"router.branchState.headMD": both,
+	"router.vcSets.slot": both + " (as the VC whose branches it belongs to)",
+	"router.vcSets.dsts": both + " (as each branch's destination set, and its head set on a multicast packet)",
 
-	"router.outputPort.link":      fixed + wiring,
-	"router.outputPort.depth":     fixed,
-	"router.outputPort.credits":   both,
-	"router.outputPort.ownerPort": both + " (while a VC is in VA or active; otherwise every one is free)",
-	"router.outputPort.ownerVC":   both + " (while a VC is in VA or active; otherwise every one is free)",
+	"router.inputVC.buf":   both + " (as the occupancy and the buffered flits)",
+	"router.inputVC.stage": both,
+	"router.inputVC.wait":  both,
+	"router.inputVC.class": both + " (at rest not written: route computation rewrites it before VA reads it)",
+	"router.inputVC.flags": both + " (the Loads as their entry indices, the sets as each branch's destination and head sets)",
+	"router.inputVC.nbr":   both,
+	"router.inputVC.br":    both,
+
+	"router.branchState.out":  both,
+	"router.branchState.vc":   both,
+	"router.branchState.sent": both,
+
+	"router.outVC.credits":   both,
+	"router.outVC.ownerPort": both + " (while a VC is in VA or active; otherwise every one is free)",
+	"router.outVC.ownerVC":   both + " (while a VC is in VA or active; otherwise every one is free)",
 
 	"router.rrArbiter.n":    fixed,
 	"router.rrArbiter.next": both,
@@ -108,9 +112,11 @@ var stateFields = map[string]string{
 	"reduce.Station.entries": both,
 	"reduce.Station.spares":  fixed + capacity,
 	"reduce.Station.cap":     fixed,
-	"reduce.Entry.operand":   both,
-	"reduce.Entry.state":     both,
-	"reduce.Entry.ack":       fixed + ": the owning NIC's handler, which LoadState is given",
+	"reduce.Station.owner":   fixed + wiring + ": the local NIC, which every entry is acked to",
+	"reduce.Station.kind":    fixed,
+	"reduce.entry.operand":   both,
+	"reduce.entry.state":     both,
+	"reduce.entry.holder":    both + " (as the entry index the holding VC writes)",
 
 	"flit.Payload.Seq":        both + renamed,
 	"flit.Payload.Src":        both,
@@ -153,28 +159,30 @@ var stateFields = map[string]string{
 	"flit.Packet.TrackOperands":  both,
 	"flit.Packet.InjectCycle":    both + rebased,
 
-	"link.Link.name":           fixed,
-	"link.Link.latency":        fixed,
-	"link.Link.down":           fixed + wiring,
-	"link.Link.up":             fixed + wiring,
-	"link.Link.flits":          both,
-	"link.Link.credits":        both,
-	"link.Link.flitWake":       fixed + ": the engine's; a restore wakes every component",
-	"link.Link.creditWake":     fixed + ": the engine's; a restore wakes every component",
-	"link.Link.probe":          fixed + ": telemetry, which snapshots refuse",
-	"link.Link.loc":            fixed,
-	"link.Link.faults":         absolute + faultOnly,
-	"link.Link.pool":           fixed + wiring,
-	"link.Link.owedCredits":    absolute + faultOnly,
-	"link.Link.owedAny":        derived,
-	"link.Link.flushWake":      fixed + ": the engine's; a restore wakes every component",
-	"link.Link.FlitsCarried":   absolute + statistic,
-	"link.Link.CreditsCarried": absolute + statistic,
-	"link.inflightFlit.f":      both,
-	"link.inflightFlit.vc":     both,
-	"link.inflightFlit.due":    both + rebased,
-	"link.inflightCredit.vc":   both,
-	"link.inflightCredit.due":  both + rebased,
+	"link.Link.name":                 fixed,
+	"link.Link.latency":              fixed,
+	"link.Link.down":                 fixed + wiring,
+	"link.Link.up":                   fixed + wiring,
+	"link.Link.flits":                both,
+	"link.Link.credits":              both,
+	"link.Link.flitWake":             fixed + ": the engine's; a restore wakes every component",
+	"link.Link.creditWake":           fixed + ": the engine's; a restore wakes every component",
+	"link.Link.probe":                fixed + ": telemetry, which snapshots refuse",
+	"link.Link.loc":                  fixed,
+	"link.Link.faults":               absolute + faultOnly,
+	"link.CreditFlusher.l":           fixed + wiring,
+	"link.CreditFlusher.ls":          absolute + faultOnly,
+	"link.CreditFlusher.pool":        fixed + wiring,
+	"link.CreditFlusher.owedCredits": absolute + faultOnly,
+	"link.CreditFlusher.owedAny":     derived,
+	"link.CreditFlusher.wake":        fixed + ": the engine's; a restore wakes every component",
+	"link.Link.FlitsCarried":         absolute + statistic,
+	"link.Link.CreditsCarried":       absolute + statistic,
+	"link.inflightFlit.f":            both,
+	"link.inflightFlit.vc":           both,
+	"link.inflightFlit.due":          both + rebased,
+	"link.inflightCredit.vc":         both,
+	"link.inflightCredit.due":        both + rebased,
 
 	"fault.LinkState.salt":     fixed + ": the configuration's",
 	"fault.LinkState.dropT":    fixed + ": the configuration's",
@@ -199,8 +207,8 @@ var stateFields = map[string]string{
 	"nic.NIC.sendRR":               both,
 	"nic.NIC.streaming":            derived,
 	"nic.NIC.pool":                 fixed + wiring,
-	"nic.NIC.gatherAckFn":          fixed,
-	"nic.NIC.reduceAckFn":          fixed,
+	"nic.NIC.delta":                fixed + ": the δ override Submit arms before every offer (noc.Network.AppendState)",
+	"nic.NIC.reduceDelta":          fixed + ": the δ override Submit arms before every offer (noc.Network.AppendState)",
 	"nic.NIC.now":                  both + until + ": a tick rewrites it before any read",
 	"nic.NIC.clock":                fixed + wiring,
 	"nic.NIC.wake":                 fixed + ": the engine's; a restore wakes every component",
@@ -238,7 +246,8 @@ var stateFields = map[string]string{
 	"nic.Ejector.vcs":                  fixed,
 	"nic.Ejector.depth":                fixed,
 	"nic.Ejector.drainRate":            fixed,
-	"nic.Ejector.bufs":                 both,
+	"nic.Ejector.bufs":                 both + " (as each VC's occupancy)",
+	"nic.Ejector.slots":                both + " (as each VC's buffered flits)",
 	"nic.Ejector.reverse":              fixed + wiring,
 	"nic.Ejector.partial":              both,
 	"nic.Ejector.scratch":              fixed + ": a buffer handed to the receive callback",
