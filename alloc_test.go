@@ -122,13 +122,22 @@ func TestBuildAllocationPin(t *testing.T) {
 
 // maxFirstUseAllocs pins what the first 300 cycles of a freshly built 8x8
 // allocate under uniform traffic at rate 0.05: routers, links, NICs and
-// ejectors allocate nothing after the build, so what is left is each NIC's
-// first injection-queue block (three allocations a NIC), the first chunks
-// of the ejectors' latency samples and a few flit-pool blocks, 372 to 378
-// in all.
-// When VC rings, branch lists, link staging rings and pooled flits were
-// allocated on first use the same cycles took 2932.
-const maxFirstUseAllocs = 400
+// ejectors allocate nothing after the build, and the NICs' first
+// injection-queue blocks and the first chunks of the ejectors' latency
+// samples come from their slab's arenas (ring.Arena, stats.Arena), a
+// refill for up to 32 of them at a time, so what is left is those
+// refills and a few flit-pool blocks, 61 or 62 in all. With one queue
+// block and its lists allocated per NIC and two allocations per sample it
+// was 372 to 378; when VC rings, branch lists, link staging rings and
+// pooled flits were allocated on first use, 2932.
+const maxFirstUseAllocs = 75
+
+// maxFirstUseBytes pins the bytes the same cycles allocate. The arenas
+// hand out every byte their refills allocate and allocate for no more
+// queues or samples than the slab has, so batching may not cost bytes: it
+// measures 134 392, and the pin is what allocating each first block, its
+// lists and each first chunk alone took, 135 160.
+const maxFirstUseBytes = 135_160
 
 func TestFirstUseAllocationPin(t *testing.T) {
 	if raceEnabled {
@@ -155,10 +164,13 @@ func TestFirstUseAllocationPin(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	nw.Engine().RunUntil(never, 300)
 	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	t.Logf("first 300 cycles of a new 8x8: %d allocs", allocs)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("first 300 cycles of a new 8x8: %d allocs, %d bytes", allocs, bytes)
 	if allocs > maxFirstUseAllocs {
-		t.Fatalf("the first 300 cycles of a new 8x8 allocate %d objects, pin %d", allocs, maxFirstUseAllocs)
+		t.Errorf("the first 300 cycles of a new 8x8 allocate %d objects, pin %d", allocs, maxFirstUseAllocs)
+	}
+	if bytes > maxFirstUseBytes {
+		t.Errorf("the first 300 cycles of a new 8x8 allocate %d bytes, pin %d", bytes, maxFirstUseBytes)
 	}
 }
 

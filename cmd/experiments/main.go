@@ -37,14 +37,15 @@ import (
 
 // Named flag errors, refused before anything runs.
 var (
-	errRounds = errors.New("-rounds must be >= 1")
-	errJobs   = errors.New("-jobs must be >= 1")
+	errRounds  = errors.New("-rounds must be >= 1")
+	errJobs    = errors.New("-jobs must be >= 1")
+	errWorkers = errors.New("-workers must be >= 0")
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -136,7 +137,8 @@ func artifactNames() string {
 	return strings.Join(names, ", ")
 }
 
-func run(ctx context.Context, args []string, w io.Writer) error {
+// run writes the report to w and the accounting line to errw.
+func run(ctx context.Context, args []string, w, errw io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "artifacts to regenerate, comma-separated ("+artifactNames()+")")
 	rounds := fs.Int("rounds", 2, "systolic rounds to simulate per run")
@@ -156,6 +158,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return errRounds
 	case *jobs < 1:
 		return errJobs
+	case *workers < 0:
+		return errWorkers
 	}
 	opts := experiments.Options{
 		Rounds: *rounds, Workers: *workers, Ctx: ctx,
@@ -163,10 +167,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	// The accounting goes to stderr so the report on stdout stays
 	// byte-identical between a cold run and its fully cached rerun — the
-	// property CI pins. It says what the simulations cost in fabrics (built,
-	// taken from the reuse pool, dropped on release) and how much of their
-	// simulated time the engine jumped over; with a cache the hit accounting
-	// comes first on the same line.
+	// property CI pins. It says what this run's simulations cost in fabrics
+	// (built, taken from the reuse pool, dropped on release) and how much of
+	// their simulated time the engine jumped over, then what the sweeps'
+	// trajectory tables saved: the layer runs that recorded a trajectory,
+	// replayed one, or waited for another run's recording, and the releases
+	// that kept the fabric as it was loaded, no NIC having taken work. With
+	// a cache the hit accounting comes first on the same line.
 	if *cacheDir != "" {
 		cache, err := experiments.NewCache(*cacheDir)
 		if err != nil {
@@ -174,6 +181,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		opts.Cache = cache
 	}
+	f0 := noc.ReuseStats()
+	tables0 := [...]uint64{round.Recorded(), round.Replayed(), round.Waited()}
 	defer func() {
 		f, hits := noc.ReuseStats(), ""
 		if opts.Cache != nil {
@@ -181,9 +190,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			hits = fmt.Sprintf("cache          dir=%s hits=%d misses=%d stale=%d read=%dB written=%dB ",
 				opts.Cache.Dir(), s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten)
 		}
-		if f.Built > 0 || hits != "" {
-			fmt.Fprintf(os.Stderr, "%sfabrics built=%d reused=%d dropped=%d, jumped %d of %d cycles in %d jumps, replayed=%d\n",
-				hits, f.Built, f.Reused, f.Dropped, f.JumpedCycles, f.Cycles, f.Jumps, round.Replayed())
+		if f.Built+f.Reused > f0.Built+f0.Reused || hits != "" {
+			fmt.Fprintf(errw, "%sfabrics built=%d reused=%d dropped=%d, jumped %d of %d cycles in %d jumps, recorded=%d replayed=%d waited=%d kept=%d\n",
+				hits, f.Built-f0.Built, f.Reused-f0.Reused, f.Dropped-f0.Dropped,
+				f.JumpedCycles-f0.JumpedCycles, f.Cycles-f0.Cycles, f.Jumps-f0.Jumps,
+				round.Recorded()-tables0[0], round.Replayed()-tables0[1], round.Waited()-tables0[2], f.Kept-f0.Kept)
 		}
 	}()
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 func TestRunSingleArtifact(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "fig1"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig1"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -23,7 +24,7 @@ func TestRunSingleArtifact(t *testing.T) {
 func TestRunStaticTables(t *testing.T) {
 	for _, exp := range []string{"table1", "table3"} {
 		var b strings.Builder
-		if err := run(context.Background(), []string{"-exp", exp}, &b); err != nil {
+		if err := run(context.Background(), []string{"-exp", exp}, &b, io.Discard); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if !strings.Contains(b.String(), "== "+exp+" ==") {
@@ -36,7 +37,7 @@ func TestRunStaticTables(t *testing.T) {
 // does, and one unknown name among them is an error before anything runs.
 func TestRunArtifactList(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table3,fig1,table1"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table3,fig1,table1"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -45,7 +46,7 @@ func TestRunArtifactList(t *testing.T) {
 		t.Errorf("artifacts missing or out of order (table1 at %d, table3 at %d, fig1 at %d):\n%s", t1, t3, f1, out)
 	}
 	b.Reset()
-	err := run(context.Background(), []string{"-exp", "table1,nope"}, &b)
+	err := run(context.Background(), []string{"-exp", "table1,nope"}, &b, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) || b.Len() != 0 {
 		t.Errorf("err = %v with %d bytes printed, want an unknown-experiment error and no output", err, b.Len())
 	}
@@ -53,7 +54,7 @@ func TestRunArtifactList(t *testing.T) {
 
 func TestRunSimulatedArtifact(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -67,10 +68,10 @@ func TestRunParallelWorkersMatchSerial(t *testing.T) {
 		t.Skip("simulation sweep; internal/experiments covers sweep determinism")
 	}
 	var serial, parallel strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1", "-workers", "1"}, &serial); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1", "-workers", "1"}, &serial, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1", "-workers", "4"}, &parallel); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1", "-workers", "4"}, &parallel, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
@@ -80,7 +81,7 @@ func TestRunParallelWorkersMatchSerial(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var b strings.Builder
-	err := run(context.Background(), []string{"-exp", "nope"}, &b)
+	err := run(context.Background(), []string{"-exp", "nope"}, &b, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("err = %v, want unknown-experiment error", err)
 	}
@@ -88,14 +89,14 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-bogus"}, &b); err == nil {
+	if err := run(context.Background(), []string{"-bogus"}, &b, io.Discard); err == nil {
 		t.Error("bad flag accepted")
 	}
 }
 
 func TestRunJSONFormat(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "fig1", "-format", "json"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig1", "-format", "json"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var out map[string]struct {
@@ -121,24 +122,52 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{[]string{"-exp", "table2", "-rounds", "0"}, errRounds},
 		{[]string{"-exp", "multijob", "-jobs", "-3"}, errJobs},
 		{[]string{"-exp", "multijob", "-jobs", "0"}, errJobs},
+		{[]string{"-exp", "table2", "-workers", "-1"}, errWorkers},
+		{[]string{"-exp", "fig7", "-workers", "-8"}, errWorkers},
 	} {
 		var b strings.Builder
-		if err := run(context.Background(), c.args, &b); !errors.Is(err, c.want) || b.Len() != 0 {
+		if err := run(context.Background(), c.args, &b, io.Discard); !errors.Is(err, c.want) || b.Len() != 0 {
 			t.Errorf("args %v: err %v with %d bytes printed, want %v and no output", c.args, err, b.Len(), c.want)
 		}
 	}
 }
 
+// TestRunAccountingLine pins the stderr accounting of a Table II pass at
+// Rounds 3 on one worker: each mode's first layer records a trajectory and
+// the other four replay it without waiting, and each of the eight replays
+// leaves its fabric as it was loaded, so its release keeps it. The line
+// counts this run only, whatever the process ran before.
+func TestRunAccountingLine(t *testing.T) {
+	var out, acct strings.Builder
+	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "3", "-workers", "1"}, &out, &acct); err != nil {
+		t.Fatal(err)
+	}
+	line := acct.String()
+	if !strings.HasPrefix(line, "fabrics built=") || strings.Count(line, "\n") != 1 {
+		t.Fatalf("accounting %q, want one fabrics line", line)
+	}
+	if !strings.HasSuffix(line, ", recorded=2 replayed=8 waited=0 kept=8\n") {
+		t.Errorf("accounting %q, want recorded=2 replayed=8 waited=0 kept=8", line)
+	}
+	var quiet strings.Builder
+	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "3", "-workers", "1"}, &quiet, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if quiet.String() != out.String() {
+		t.Error("the report depends on where the accounting goes")
+	}
+}
+
 func TestRunRejectsBadFormat(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-format", "xml"}, &b); err == nil {
+	if err := run(context.Background(), []string{"-format", "xml"}, &b, io.Discard); err == nil {
 		t.Error("bad format accepted")
 	}
 }
 
 func TestRunPipelineArtifacts(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "pipeline", "-rounds", "1"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "pipeline", "-rounds", "1"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -149,7 +178,7 @@ func TestRunPipelineArtifacts(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := run(context.Background(), []string{"-exp", "multijob", "-rounds", "1", "-jobs", "2", "-overlap"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "multijob", "-rounds", "1", "-jobs", "2", "-overlap"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out = b.String()
@@ -162,7 +191,7 @@ func TestRunPipelineArtifacts(t *testing.T) {
 
 func TestRunCollectivesArtifact(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "collectives", "-rounds", "1"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "collectives", "-rounds", "1"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -175,7 +204,7 @@ func TestRunCollectivesArtifact(t *testing.T) {
 
 func TestRunFaultsArtifact(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "faults", "-rounds", "1"}, &b); err != nil {
+	if err := run(context.Background(), []string{"-exp", "faults", "-rounds", "1"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -191,7 +220,7 @@ func TestRunCachedRerunByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-exp", "table2", "-rounds", "1", "-cachedir", dir}
 	var cold strings.Builder
-	if err := run(context.Background(), args, &cold); err != nil {
+	if err := run(context.Background(), args, &cold, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
@@ -199,7 +228,7 @@ func TestRunCachedRerunByteIdentical(t *testing.T) {
 		t.Fatalf("no cache entries written: %v, %v", entries, err)
 	}
 	var warm strings.Builder
-	if err := run(context.Background(), args, &warm); err != nil {
+	if err := run(context.Background(), args, &warm, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if cold.String() != warm.String() {
@@ -207,7 +236,7 @@ func TestRunCachedRerunByteIdentical(t *testing.T) {
 	}
 
 	var asJSON strings.Builder
-	if err := run(context.Background(), append(args, "-format", "json"), &asJSON); err != nil {
+	if err := run(context.Background(), append(args, "-format", "json"), &asJSON, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
@@ -218,7 +247,7 @@ func TestRunCachedRerunByteIdentical(t *testing.T) {
 	// An uncached run must produce the same report — the cache may never
 	// change results, only skip simulation.
 	var uncached strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1"}, &uncached); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1"}, &uncached, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if uncached.String() != cold.String() {

@@ -86,7 +86,7 @@ type LayerReport struct {
 // RunLayer executes one convolution layer on a rows×cols mesh in the given
 // collection mode and returns latency and energy results.
 func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*LayerReport, error) {
-	res, err := simulate(nil, rows, cols, layer, mode, opts)
+	res, err := Simulate(nil, rows, cols, layer, mode, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -104,11 +104,13 @@ type trajectoryKey struct {
 	sys systolic.Config
 }
 
-// simulate runs one layer in one collection mode and returns what the run
-// produced, before any derivation. With t non-nil the run follows t: it
-// replays a trajectory an earlier run of its key recorded there, or records
-// its own (round.Loop.Join).
-func simulate(t *round.Trajectories, rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*systolic.Result, error) {
+// Simulate runs one layer in one collection mode and returns what the run
+// produced, before any derivation (Compare derives a comparison from two
+// of them). With t non-nil the run follows t: it replays a trajectory an
+// earlier run of the same configurations recorded there, when that one
+// provably stands for it, and otherwise simulates and records its own
+// (round.Loop.Join); the Result is the one simulating gives either way.
+func Simulate(t *round.Trajectories, rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Options) (*systolic.Result, error) {
 	cfg := opts.networkConfig(rows, cols)
 	nw, err := noc.Acquire(cfg)
 	if err != nil {
@@ -126,6 +128,7 @@ func simulate(t *round.Trajectories, rows, cols int, layer cnn.LayerConfig, mode
 	if t != nil {
 		sc.Layer, sc.TMAC = cnn.LayerConfig{}, 0
 		ctl.Join(t, trajectoryKey{net: cfg, sys: sc})
+		defer ctl.Leave()
 	}
 	if _, err := workload.Run(nw, ctl, maxCycles); err != nil {
 		return nil, fmt.Errorf("core: systolic: %s %s on %dx%d: %w", layer.Name, mode, rows, cols, err)
@@ -192,20 +195,11 @@ type Comparison struct {
 // CompareLayer runs the layer in both collection modes and derives the
 // improvement figures.
 func CompareLayer(rows, cols int, layer cnn.LayerConfig, opts Options) (*Comparison, error) {
-	return CompareLayerIn(nil, rows, cols, layer, opts)
-}
-
-// CompareLayerIn is CompareLayer with both runs following t
-// (round.Trajectories): each replays a trajectory an earlier run of the
-// same configurations recorded there, when that one provably stands for
-// it, and otherwise simulates and records its own. The comparison is the
-// one CompareLayer returns; a nil t is CompareLayer.
-func CompareLayerIn(t *round.Trajectories, rows, cols int, layer cnn.LayerConfig, opts Options) (*Comparison, error) {
-	ru, err := simulate(t, rows, cols, layer, systolic.RepetitiveUnicast, opts)
+	ru, err := Simulate(nil, rows, cols, layer, systolic.RepetitiveUnicast, opts)
 	if err != nil {
 		return nil, err
 	}
-	g, err := simulate(t, rows, cols, layer, systolic.GatherMode, opts)
+	g, err := Simulate(nil, rows, cols, layer, systolic.GatherMode, opts)
 	if err != nil {
 		return nil, err
 	}

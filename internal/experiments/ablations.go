@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -28,22 +27,27 @@ func ablationLayer() cnn.LayerConfig {
 	return l
 }
 
+// sweep compares gather against RU on AlexNet Conv3 at 8x8 once per value,
+// with mutate applying the value to the run options.
 func sweep(param string, values []int, opts Options, mutate func(v int, o *core.Options)) ([]AblationRow, error) {
-	return Sweep(opts.ctx(), opts.Workers, values,
-		func(_ context.Context, _ int, v int) (AblationRow, error) {
-			o := opts.core()
-			mutate(v, &o)
-			cmp, err := cachedCompareLayer(opts.Cache, nil, 8, 8, ablationLayer(), o)
-			if err != nil {
-				return AblationRow{}, fmt.Errorf("ablation %s=%d: %w", param, v, err)
-			}
-			return AblationRow{
-				Param: param, Value: v,
-				LatencyImprovement: cmp.LatencyImprovementPct,
-				PowerImprovement:   cmp.PowerImprovementPct,
-				SelfInitiated:      cmp.Gather.Result.SelfInitiatedGathers,
-			}, nil
-		})
+	points := make([]comparePoint, len(values))
+	for i, v := range values {
+		points[i] = comparePoint{mesh: 8, layer: ablationLayer(), mutate: func(o *core.Options) { mutate(v, o) }}
+	}
+	cmps, err := compareSweep(points, opts)
+	if err != nil {
+		return nil, fmt.Errorf("ablation %s: %w", param, err)
+	}
+	rows := make([]AblationRow, len(values))
+	for i, cmp := range cmps {
+		rows[i] = AblationRow{
+			Param: param, Value: values[i],
+			LatencyImprovement: cmp.LatencyImprovementPct,
+			PowerImprovement:   cmp.PowerImprovementPct,
+			SelfInitiated:      cmp.Gather.Result.SelfInitiatedGathers,
+		}
+	}
+	return rows, nil
 }
 
 // AblationDelta sweeps a flat δ timeout (the literal Table I policy,

@@ -9,9 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 
-	"gathernoc/internal/cnn"
 	"gathernoc/internal/core"
-	"gathernoc/internal/round"
 	"gathernoc/internal/systolic"
 )
 
@@ -189,38 +187,4 @@ func (c *Cache) store(key string, cmp *core.Comparison) error {
 	c.stats.BytesWritten += uint64(len(raw))
 	c.mu.Unlock()
 	return nil
-}
-
-// cachedCompareLayer is the memoized form of core.CompareLayerIn every
-// experiment sweep routes through: a hit derives the comparison from the
-// stored Records (core.Compare) without building a network; a miss runs
-// the simulation, following the sweep's trajectory table t, and stores its
-// result. A nil cache is a plain call, so uncached sweeps stay
-// bit-identical to the pre-cache code path.
-//
-// The returned comparison is shared with every later lookup of its key in
-// the same Cache, possibly on other sweep workers, so callers treat it as
-// read-only: they read fields and stats.Sample.Mean, and never call
-// Observe or the order statistics (Min, Max, Percentile), which sort a
-// sample in place.
-func cachedCompareLayer(cache *Cache, t *round.Trajectories, rows, cols int, layer cnn.LayerConfig, opts core.Options) (*core.Comparison, error) {
-	if cache == nil {
-		return core.CompareLayerIn(t, rows, cols, layer, opts)
-	}
-	key, err := core.ComparisonKey(rows, cols, layer, opts)
-	if err != nil {
-		// Unkeyable inputs are never wrong results — just uncacheable.
-		return core.CompareLayerIn(t, rows, cols, layer, opts)
-	}
-	derive := func(ru, g *systolic.Result) *core.Comparison {
-		return core.Compare(rows, cols, layer, opts, ru, g)
-	}
-	if cmp, ok := cache.lookup(key, derive); ok {
-		return cmp, nil
-	}
-	cmp, err := core.CompareLayerIn(t, rows, cols, layer, opts)
-	if err != nil {
-		return nil, err
-	}
-	return cmp, cache.store(key, cmp)
 }

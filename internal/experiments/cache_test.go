@@ -356,7 +356,7 @@ func TestCacheV1EntryIsOneStaleMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeEntry(t, c1, key, string(raw))
-	got, err := cachedCompareLayer(c1, nil, 4, 4, testLayer, testOpts)
+	got, err := compareCached(c1, 4, testLayer, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestCacheV1EntryIsOneStaleMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = cachedCompareLayer(c2, nil, 4, 4, testLayer, testOpts)
+	got, err = compareCached(c2, 4, testLayer, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,14 +428,14 @@ func TestCacheDiskHitEqualsCompareLayer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cachedCompareLayer(cold, nil, c.mesh, c.mesh, c.layer, c.opts); err != nil {
+			if _, err := compareCached(cold, c.mesh, c.layer, c.opts); err != nil {
 				t.Fatal(err)
 			}
 			warm, err := NewCache(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cachedCompareLayer(warm, nil, c.mesh, c.mesh, c.layer, c.opts)
+			got, err := compareCached(warm, c.mesh, c.layer, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -452,6 +452,18 @@ func TestCacheDiskHitEqualsCompareLayer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// compareCached is one cell's comparison through compareSweep with cache:
+// core.CompareLayer's on a mesh×mesh fabric with run options o, looked up
+// first and stored on a miss.
+func compareCached(cache *Cache, mesh int, layer cnn.LayerConfig, o core.Options) (*core.Comparison, error) {
+	cmps, err := compareSweep([]comparePoint{{mesh: mesh, layer: layer, mutate: func(p *core.Options) { *p = o }}},
+		Options{Workers: 1, Cache: cache})
+	if err != nil {
+		return nil, err
+	}
+	return cmps[0], nil
 }
 
 // sameBits reports whether two structs of float and integer fields hold

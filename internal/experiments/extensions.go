@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"gathernoc/internal/cnn"
+	"gathernoc/internal/core"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/systolic"
 	"gathernoc/internal/topology"
@@ -32,8 +33,9 @@ func Dataflows(opts Options) ([]DataflowRow, error) {
 	var rows []DataflowRow
 	for _, df := range []systolic.Dataflow{systolic.OutputStationary, systolic.WeightStationary} {
 		for _, mesh := range opts.meshes() {
-			points = append(points, comparePoint{mesh: mesh, layer: layer,
-				mutate: func(s *systolic.Config) { s.Dataflow = df }})
+			points = append(points, comparePoint{mesh: mesh, layer: layer, mutate: func(o *core.Options) {
+				o.MutateSystolic = func(s *systolic.Config) { s.Dataflow = df }
+			}})
 			rows = append(rows, DataflowRow{Dataflow: df.String(), Layer: layer.Name, Mesh: mesh})
 		}
 	}

@@ -87,12 +87,13 @@ func Sweep[T, R any](ctx context.Context, workers int, items []T, fn func(ctx co
 	return results, ctx.Err()
 }
 
-// comparePoint is one (mesh, layer) cell of a figure or table sweep.
+// comparePoint is one (mesh, layer) cell of a figure, table or ablation
+// sweep.
 type comparePoint struct {
 	mesh  int
 	layer cnn.LayerConfig
-	// mutate, when non-nil, adjusts the cell's systolic configuration.
-	mutate func(*systolic.Config)
+	// mutate, when non-nil, adjusts the cell's run options.
+	mutate func(*core.Options)
 }
 
 // comparePoints enumerates the mesh-major point grid the figures iterate.
@@ -106,21 +107,142 @@ func comparePoints(layers []cnn.LayerConfig, meshes []int) []comparePoint {
 	return points
 }
 
-// compareSweep runs core.CompareLayer for every point on the worker pool,
-// consulting the result cache (when configured) before dispatching a cell.
-// The cells it simulates share one trajectory table, which lives as long as
-// the sweep (round.Trajectories): a layer whose rounds collect as an
-// earlier cell's did is replayed from that cell's instead of simulated.
+// options are the point's run options: the sweep's, adjusted by mutate.
+func (p comparePoint) options(opts Options) core.Options {
+	if p.mutate == nil {
+		return opts.core()
+	}
+	// Declared here, the copy mutate escapes with is allocated only for
+	// points that have one.
+	o := opts.core()
+	p.mutate(&o)
+	return o
+}
+
+// lookup returns the point's comparison from opts.Cache, nil on a miss.
+// Unkeyable inputs are never wrong results, only uncacheable.
+func (p comparePoint) lookup(opts Options) *core.Comparison {
+	o := p.options(opts)
+	key, err := core.ComparisonKey(p.mesh, p.mesh, p.layer, o)
+	if err != nil {
+		return nil
+	}
+	cmp, _ := opts.Cache.lookup(key, func(ru, g *systolic.Result) *core.Comparison {
+		return core.Compare(p.mesh, p.mesh, p.layer, o, ru, g)
+	})
+	return cmp
+}
+
+// compareCell is a point's comparison in the making: its run options, its
+// cache key ("" when it has none), the results of its two runs, RU then
+// gather, how many of them are still running, and where the comparison
+// goes.
+type compareCell struct {
+	comparePoint
+	opts    core.Options
+	key     string
+	runs    [2]*systolic.Result
+	pending atomic.Int32
+	out     **core.Comparison
+}
+
+// modes are the collection modes of a cell's two runs.
+var modes = [2]systolic.Mode{systolic.RepetitiveUnicast, systolic.GatherMode}
+
+// compareRun is one simulation of a sweep: run mode of cell.
+type compareRun struct {
+	cell *compareCell
+	mode int
+}
+
+// compareSweep returns the RU-vs-gather comparison of every point, in
+// input order. With a result cache it looks every cell up first, on the
+// worker pool, and simulates only the cells it misses. Each of those is two
+// items on the pool, its RU run and its gather run, and all of them (but
+// those of cells with options of their own, compareRun.run) follow one
+// trajectory table that lives as long as the sweep (round.Trajectories):
+// the first runs of distinct keys record at once, a run that reaches a key
+// another run is recording waits for it, and a run whose rounds collect as
+// a recorded one did is replayed from it instead of simulated. Whichever
+// worker finishes a cell's second run derives the comparison
+// (core.Compare) and stores it in the cache.
+//
+// A comparison the cache serves is shared with every later lookup of its
+// key in the same Cache, possibly on other sweep workers, so callers treat
+// what compareSweep returns as read-only: they read fields and
+// stats.Sample.Mean, and never call Observe or the order statistics (Min,
+// Max, Percentile), which sort a sample in place.
 func compareSweep(points []comparePoint, opts Options) ([]*core.Comparison, error) {
+	ctx := opts.ctx()
+	var cmps []*core.Comparison
+	if opts.Cache == nil {
+		cmps = make([]*core.Comparison, len(points))
+	} else {
+		var err error
+		cmps, err = Sweep(ctx, opts.Workers, points,
+			func(_ context.Context, _ int, p comparePoint) (*core.Comparison, error) {
+				return p.lookup(opts), nil
+			})
+		if err != nil {
+			return nil, err
+		}
+	}
+	misses := 0
+	for _, cmp := range cmps {
+		if cmp == nil {
+			misses++
+		}
+	}
+	if misses == 0 {
+		return cmps, ctx.Err()
+	}
+	cells := make([]compareCell, misses)
+	runs := make([]compareRun, 0, 2*misses)
+	for i, p := range points {
+		if cmps[i] != nil {
+			continue
+		}
+		c := &cells[len(runs)/2]
+		c.comparePoint, c.opts, c.out = p, p.options(opts), &cmps[i]
+		if opts.Cache != nil {
+			c.key, _ = core.ComparisonKey(p.mesh, p.mesh, p.layer, c.opts)
+		}
+		c.pending.Store(2)
+		runs = append(runs, compareRun{c, 0}, compareRun{c, 1})
+	}
 	var t round.Trajectories
-	return Sweep(opts.ctx(), opts.Workers, points,
-		func(_ context.Context, _ int, p comparePoint) (*core.Comparison, error) {
-			o := opts.core()
-			o.MutateSystolic = p.mutate
-			cmp, err := cachedCompareLayer(opts.Cache, &t, p.mesh, p.mesh, p.layer, o)
-			if err != nil {
-				return nil, fmt.Errorf("%s %dx%d: %w", p.layer.Name, p.mesh, p.mesh, err)
-			}
-			return cmp, nil
+	_, err := Sweep(ctx, opts.Workers, runs,
+		func(_ context.Context, _ int, r compareRun) (struct{}, error) {
+			return struct{}{}, r.run(&t, opts.Cache)
 		})
+	if err != nil {
+		return nil, err
+	}
+	return cmps, nil
+}
+
+// run simulates the run, following the sweep's table t; the cell's second
+// run to finish derives the comparison and stores it in cache under the
+// cell's key. A cell with run options of its own (an ablation's, a
+// dataflow's) follows no table: it is the only cell of its key in its
+// sweep, and could only record.
+func (r compareRun) run(t *round.Trajectories, cache *Cache) error {
+	c := r.cell
+	if c.mutate != nil {
+		t = nil
+	}
+	res, err := core.Simulate(t, c.mesh, c.mesh, c.layer, modes[r.mode], c.opts)
+	if err != nil {
+		return fmt.Errorf("%s %dx%d: %w", c.layer.Name, c.mesh, c.mesh, err)
+	}
+	c.runs[r.mode] = res
+	if c.pending.Add(-1) > 0 {
+		return nil
+	}
+	cmp := core.Compare(c.mesh, c.mesh, c.layer, c.opts, c.runs[0], c.runs[1])
+	*c.out = cmp
+	if c.key == "" {
+		return nil
+	}
+	return cache.store(c.key, cmp)
 }

@@ -232,25 +232,31 @@ func TestArtifactsHonorCancellation(t *testing.T) {
 }
 
 // TestTrajectoryTable holds compareSweep's trajectory table to its hit rate
-// and to the runs it stands for. Over Fig. 7's grid at Rounds 3 on one
-// worker, one run per mesh and mode simulates and records, and every other
-// run replays: an encoding change that silently stops the replays fails
-// here. On two workers, which record into and replay from one table at
-// once, the sweep must return the one-worker sweep's Records, and both
-// must equal core.CompareLayer's, cell by cell, without a table.
+// and to the runs it stands for. Over Fig. 7's grid at Rounds 3, one run
+// per mesh and mode simulates and records, and every other run replays: an
+// encoding change that silently stops the replays fails here. Two workers,
+// which record distinct keys at once and make a run that reaches a key
+// being recorded wait for it, must replay as many runs as one worker and
+// return its Records, and both must equal core.CompareLayer's, cell by
+// cell, without a table.
 func TestTrajectoryTable(t *testing.T) {
 	points := comparePoints(cnn.AlexNetConvLayers(), []int{8, 16})
+	want := uint64(2*len(points) - 4)
 	before := round.Replayed()
 	one, err := compareSweep(points, Options{Rounds: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := round.Replayed()-before, uint64(2*len(points)-4); got != want {
+	if got := round.Replayed() - before; got != want {
 		t.Errorf("one worker replayed %d of %d runs, want %d: all but the first of each mesh and mode", got, 2*len(points), want)
 	}
+	before = round.Replayed()
 	two, err := compareSweep(points, Options{Rounds: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := round.Replayed() - before; got != want {
+		t.Errorf("two workers replayed %d of %d runs, want %d as one worker does", got, 2*len(points), want)
 	}
 	for i, p := range points {
 		want, err := core.CompareLayer(p.mesh, p.mesh, p.layer, core.Options{Rounds: 3})

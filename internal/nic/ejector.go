@@ -128,13 +128,11 @@ type Ejector struct {
 	// records, payload capacity intact, most recently closed first: the
 	// next packets reopen them (acquirePartial, releasePartial).
 	partial []*partialPacket
-	// scratch is handed to recv, reused per packet. The ejectors of one
-	// slab share it: they are ticked one at a time, by one shard, and the
-	// packet is valid only during the callback.
-	scratch *ReceivedPacket
-	pool    *flit.Pool // drained flits return here
-	recv    func(*ReceivedPacket)
-	wake    *sim.Handle // wakes the owning ticker (NIC or edge sink)
+	// shared is what the ejectors and NICs of one slab share (slabShared).
+	shared *slabShared
+	pool   *flit.Pool // drained flits return here
+	recv   func(*ReceivedPacket)
+	wake   *sim.Handle // wakes the owning ticker (NIC or edge sink)
 
 	probe    *telemetry.Probe
 	probeLoc int32 // this ejection point's node id in trace events
@@ -193,24 +191,38 @@ type stagedPacket struct {
 // ejectorSlab is the memory of a block of ejectors of one shape, allocated
 // at once so that an ejector allocates nothing after construction: each
 // VC's buffer (depth slots) and partial-packet record, room to stage
-// drainRate packets a cycle, and the one scratch packet they share.
+// drainRate packets a cycle, and what they share.
 type ejectorSlab struct {
-	rings   []ring.Fixed
-	flits   []*flit.Flit
-	recs    []partialPacket
-	open    []*partialPacket
-	staged  []stagedPacket
-	scratch *ReceivedPacket
+	rings  []ring.Fixed
+	flits  []*flit.Flit
+	recs   []partialPacket
+	open   []*partialPacket
+	staged []stagedPacket
+	shared *slabShared
+}
+
+// slabShared is what the n ejectors of a slab, and the NICs they belong
+// to, share: they are ticked one at a time, by one shard. packet is handed
+// to recv, reused per packet, and is valid only during the callback.
+// latency serves the ejectors' latency samples their first chunks, and
+// queues the NICs' injection queues their first blocks, on first use.
+type slabShared struct {
+	packet  ReceivedPacket
+	latency stats.Arena
+	queues  ring.Arena[flit.Packet]
 }
 
 func newEjectorSlab(n, vcs, depth, drainRate int) ejectorSlab {
 	return ejectorSlab{
-		rings:   make([]ring.Fixed, n*vcs),
-		flits:   make([]*flit.Flit, n*vcs*depth),
-		recs:    make([]partialPacket, n*vcs),
-		open:    make([]*partialPacket, n*vcs),
-		staged:  make([]stagedPacket, n*max(drainRate, 1)),
-		scratch: new(ReceivedPacket),
+		rings:  make([]ring.Fixed, n*vcs),
+		flits:  make([]*flit.Flit, n*vcs*depth),
+		recs:   make([]partialPacket, n*vcs),
+		open:   make([]*partialPacket, n*vcs),
+		staged: make([]stagedPacket, n*max(drainRate, 1)),
+		shared: &slabShared{
+			latency: stats.NewArena(n),
+			queues:  ring.NewArena[flit.Packet](n),
+		},
 	}
 }
 
@@ -236,7 +248,7 @@ func (s *ejectorSlab) init(e *Ejector, name link.Name, vcs, depth, drainRate int
 		bufs:      carve(&s.rings, vcs),
 		slots:     carve(&s.flits, vcs*depth),
 		partial:   open[:0], // every record closed
-		scratch:   s.scratch,
+		shared:    s.shared,
 		stagedPkt: carve(&s.staged, drainRate)[:0],
 	}
 }
@@ -467,7 +479,7 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 	if e.seen != nil && len(pp.payloads) > 0 {
 		pp.payloads = e.dedupPayloads(pp.payloads)
 	}
-	rp := e.scratch
+	rp := &e.shared.packet
 	*rp = ReceivedPacket{
 		ID:           pp.id,
 		Tag:          pp.tag,
@@ -487,7 +499,7 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 		rp.Payloads = nil
 	}
 	e.PacketsEjected.Inc()
-	e.PacketLatency.Observe(float64(rp.Latency()))
+	e.PacketLatency.ObserveIn(&e.shared.latency, float64(rp.Latency()))
 	if e.probe != nil && e.probe.Sampled(pp.id) {
 		// Back-dated endpoint events: the source-side timestamps rode on
 		// the head flit, so the whole timeline is emitted here at once.
@@ -552,7 +564,7 @@ func (e *Ejector) SetStaged(dispatcher *sim.Handle) { e.dispatcher = dispatcher 
 func (e *Ejector) DispatchStaged() {
 	for i := range e.stagedPkt {
 		sp := &e.stagedPkt[i]
-		rp := e.scratch
+		rp := &e.shared.packet
 		*rp = sp.pkt
 		if sp.payLen > 0 {
 			rp.Payloads = e.stagedPay[sp.payOff : sp.payOff+sp.payLen]

@@ -172,6 +172,9 @@ type NIC struct {
 	// starts at 0 and the first sweep brings it up to date).
 	sweepAt int64
 	sendRR  uint8
+	// fed says that the NIC took work since its state was last loaded:
+	// a packet to send or a payload or operand to offer (Fed).
+	fed bool
 	// streaming counts injection VCs with flits left to send, so Idle and
 	// Pending answer without scanning vcPkt.
 	streaming int32
@@ -278,6 +281,13 @@ func (s *Slab) New(id topology.NodeID, rtr *router.Router, nextID func(topology.
 	}
 	return n, nil
 }
+
+// Fed reports whether the NIC took work since its state was last loaded
+// (LoadState): a packet to send (every Send*, the δ fallbacks), a payload
+// to offer (SubmitGatherPayload) or an operand (SubmitReduceOperand). A
+// fabric fed only through its NICs, none of them fed, holds the state it
+// was loaded with (noc.Network.Release).
+func (n *NIC) Fed() bool { return n.fed }
 
 // ID returns the node this NIC serves.
 func (n *NIC) ID() topology.NodeID { return n.id }
@@ -422,6 +432,7 @@ func (n *NIC) SendGather(tag flit.Tag, dst topology.NodeID, own *flit.Payload) u
 // packet picks it up within δ cycles the NIC retracts it and initiates its
 // own gather packet to the payload's destination.
 func (n *NIC) SubmitGatherPayload(tag flit.Tag, p flit.Payload) {
+	n.fed = true
 	if n.reliable != nil {
 		n.track(p, tag)
 	}
@@ -514,6 +525,7 @@ func (n *NIC) SendAccumulate(tag flit.Tag, dst topology.NodeID, reduceID uint64,
 // accumulate packet carrying the operand.
 func (n *NIC) SubmitReduceOperand(tag flit.Tag, p flit.Payload) {
 	n.requireINA("SubmitReduceOperand")
+	n.fed = true
 	p.Ops = p.OpsCount()
 	if n.reliable != nil {
 		n.track(p, tag)
@@ -593,12 +605,13 @@ func (n *NIC) selfInitiateReduce(p flit.Payload, tag flit.Tag) {
 }
 
 func (n *NIC) enqueue(p flit.Packet) uint64 {
+	n.fed = true
 	p.ID = n.nextID(n.id)
 	p.InjectCycle = n.currentCycle()
 	if n.reliable != nil && p.Carried != nil {
 		n.track(*p.Carried, p.Tag)
 	}
-	n.queue.PushBack(p)
+	n.queue.PushBackIn(&n.eject.shared.queues, p)
 	n.PacketsInjected.Inc()
 	n.wake.Wake()
 	return p.ID

@@ -277,9 +277,10 @@ func loadWaits(d *flit.Decoder, ws []gatherWait) []gatherWait {
 
 // LoadState replaces the NIC's state, its ejector's included, with the
 // absolute encoding AppendState wrote. Streaming flits are acquired from
-// the attached pool; the streaming count is recomputed, and the first
-// tick's sweep books the loaded deadlines.
+// the attached pool; the streaming count is recomputed, the first tick's
+// sweep books the loaded deadlines, and Fed reads false.
 func (n *NIC) LoadState(d *flit.Decoder) error {
+	n.fed = false
 	for _, c := range n.counters() {
 		c.Set(d.Uint())
 	}

@@ -2,11 +2,13 @@ package noc
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/nic"
 )
 
 // Reuse (DESIGN.md §14): a sweep runs hundreds of short simulations on a
@@ -154,8 +156,8 @@ func (nw *Network) capturePristine() *pristine {
 
 // reuse counts what Acquire and Release did, process-wide.
 var reuse struct {
-	built, reused, dropped      atomic.Uint64
-	cycles, jumpedCycles, jumps atomic.Uint64
+	built, reused, dropped, kept atomic.Uint64
+	cycles, jumpedCycles, jumps  atomic.Uint64
 }
 
 // ReuseCounts is a reading of the process-wide reuse counters.
@@ -163,8 +165,10 @@ type ReuseCounts struct {
 	// Built counts the networks Acquire had to construct, Reused the ones
 	// it took from a pool; their sum is the number of successful Acquires.
 	Built, Reused uint64
-	// Dropped counts the networks Release closed instead of pooling.
-	Dropped uint64
+	// Dropped counts the networks Release closed instead of pooling, Kept
+	// the ones it reset without reloading their components' state: no NIC
+	// took work in the run (nic.NIC.Fed).
+	Dropped, Kept uint64
 	// Cycles sums the simulated cycles of every network Release was given,
 	// JumpedCycles those among them the engine jumped over instead of
 	// stepping through, in Jumps jumps (sim.Engine.Jumps).
@@ -178,6 +182,7 @@ func ReuseStats() ReuseCounts {
 		Built:   reuse.built.Load(),
 		Reused:  reuse.reused.Load(),
 		Dropped: reuse.dropped.Load(),
+		Kept:    reuse.kept.Load(),
 
 		Cycles:       reuse.cycles.Load(),
 		JumpedCycles: reuse.jumpedCycles.Load(),
@@ -221,7 +226,8 @@ func Acquire(cfg Config) (*Network, error) {
 // reset to its just-built state and parked for the next Acquire of the same
 // Config. Anything else — a sharded, observed or faulted fabric, a run that
 // hit its cycle budget, was interrupted or stalled, one left with traffic
-// in flight, a network built by New, one more than the free list holds — is
+// in flight, a network built by New or restored from a snapshot, one more
+// than the free list holds — is
 // closed and left to the collector, which is what happened to every network
 // before reuse existed.
 func (nw *Network) Release() {
@@ -245,19 +251,34 @@ func (nw *Network) Release() {
 // the caller is put back here: the engine (whatever was registered after
 // the build is dropped and its handles disarmed; clock, evaluation and jump
 // counters, timers, watchdog, interrupt flag, and the sleep/wake mode a test
-// may have turned off), the per-NIC δ overrides workload layers apply, the
-// receive callbacks on NICs and sinks, and the flit pool's counters. The
-// pool's freelist and the grown ring buffers stay: they hold capacity, not
-// state. Decoding allocates nothing: the pristine state holds no flit, set
-// or observation.
+// may have turned off), the packet-id counters, the per-NIC δ overrides
+// workload layers apply, the receive callbacks on NICs and sinks, and the
+// flit pool's counters. The pool's freelist and the grown ring buffers
+// stay: they hold capacity, not state. Decoding allocates nothing: the
+// pristine state holds no flit, set or observation.
+//
+// A pooled fabric takes work only through its NICs: a router's stations
+// are fed by its own NIC, and links, routers and sinks only by other
+// components. When no NIC was fed since the last load (nic.NIC.Fed), as
+// after a run replayed from a trajectory table (round.Trajectories), no
+// component left the state it was loaded with, and reset keeps it.
 func (nw *Network) reset() error {
 	nw.engine.Truncate(nw.built)
 	nw.engine.Reset()
 	nw.engine.SetAlwaysTick(false)
 	nw.pool.ResetCounts()
+	clear(nw.pidSeq)
+	for _, n := range nw.nics {
+		n.SetDelta(nw.nicCfg.Delta)
+		n.SetReduceDelta(nw.nicCfg.ReduceDelta)
+	}
+	nw.OnReceive(nil)
+	if !slices.ContainsFunc(nw.nics, (*nic.NIC).Fed) {
+		reuse.kept.Add(1)
+		return nil
+	}
 
 	p := nw.pristine
-	clear(nw.pidSeq)
 	for _, r := range nw.routers {
 		if err := r.LoadState(nw.decoder(p.routers[r.ConnectedOutputs()], 0)); err != nil {
 			return err
@@ -272,14 +293,11 @@ func (nw *Network) reset() error {
 		if err := n.LoadState(nw.decoder(p.nic, 0)); err != nil {
 			return err
 		}
-		n.SetDelta(nw.nicCfg.Delta)
-		n.SetReduceDelta(nw.nicCfg.ReduceDelta)
 	}
 	for _, s := range nw.sinks {
 		if err := s.ej.LoadState(nw.decoder(p.sink, 0)); err != nil {
 			return err
 		}
 	}
-	nw.OnReceive(nil)
 	return nil
 }

@@ -179,6 +179,9 @@ func (nw *Network) Restore(s *Snapshot) error {
 		return fmt.Errorf("noc: restore: %w", err)
 	}
 	nw.engine.RestoreCycle(s.Cycle)
+	// The state came in by a load, which no NIC's Fed sees: Release must
+	// not take the network for one whose components never left it.
+	nw.leased = false
 	return nil
 }
 

@@ -77,7 +77,9 @@ func (d *Deque[T]) At(i int) T {
 }
 
 // PopFront removes and returns the front element, panicking on an empty
-// deque. Vacated slots are zeroed and fully drained blocks recycled.
+// deque. Vacated slots are zeroed and fully drained blocks recycled; the
+// last block stays in place, so a queue that keeps emptying holds one
+// block and no spare.
 func (d *Deque[T]) PopFront() T {
 	if d.n == 0 {
 		panic("ring: PopFront on empty deque")
@@ -88,7 +90,11 @@ func (d *Deque[T]) PopFront() T {
 	b[d.head] = zero
 	d.head++
 	d.n--
-	if d.head == len(b) {
+	if d.head == len(b) && len(d.blocks) == 1 {
+		// The last block drained: it stays, empty, for the next PushBack.
+		d.blocks[0] = b[:0]
+		d.head = 0
+	} else if d.head == len(b) {
 		// Block drained: recycle it and advance. The block list is a
 		// handful of entries, so the copy is trivial.
 		d.spare.Put(b[:0])
@@ -98,4 +104,27 @@ func (d *Deque[T]) PopFront() T {
 		d.head = 0
 	}
 	return v
+}
+
+// Arena serves many deques their first block, and the room for it in the
+// deque's block list, out of a few shared allocations: a fabric of a
+// thousand NIC queues would otherwise make two allocations per queue the
+// first time each is used. The zero value is ready and allocates nothing
+// until a deque asks (PushBackIn).
+type Arena[T any] struct {
+	blocks Runs[T]
+	lists  Runs[[]T]
+}
+
+// NewArena returns an arena for n deques (Runs).
+func NewArena[T any](n int) Arena[T] { return Arena[T]{NewRuns[T](n), NewRuns[[]T](n)} }
+
+// PushBackIn is PushBack, taking the deque's first block from a when it
+// has never held one.
+func (d *Deque[T]) PushBackIn(a *Arena[T], v T) {
+	if d.blocks == nil {
+		d.blocks = a.lists.Take(1)
+		d.blocks[0] = a.blocks.Take(dequeBlockMin)[:0]
+	}
+	d.PushBack(v)
 }

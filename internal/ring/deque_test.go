@@ -36,9 +36,10 @@ func TestDequeBlockRecycling(t *testing.T) {
 	for d.Len() > 0 {
 		d.PopFront()
 	}
-	spareHighWater := len(d.spare.items)
-	if spareHighWater == 0 {
-		t.Fatal("no blocks recycled after a full drain")
+	// The last block stays in place; the others wait on the spare list.
+	spareHighWater := len(d.spare.items) + len(d.blocks)
+	if len(d.spare.items) == 0 || len(d.blocks) != 1 {
+		t.Fatalf("%d blocks recycled and %d kept after a full drain, want some and 1", len(d.spare.items), len(d.blocks))
 	}
 	// Oscillate: total spare+live blocks must never exceed the high-water
 	// set (no fresh allocations once warmed).
@@ -124,16 +125,70 @@ func TestDequeFrontPtrSeesInPlaceEdits(t *testing.T) {
 	}
 }
 
+// TestDequePopZeroesSlot: a drained block, the last one kept in place or
+// one recycled to the spare list, holds no pointer to what was popped.
 func TestDequePopZeroesSlot(t *testing.T) {
 	var d Deque[*int]
 	x := 1
 	d.PushBack(&x)
 	d.PopFront()
-	if len(d.spare.items) != 1 {
-		t.Fatal("drained block not recycled")
+	if len(d.blocks) != 1 || len(d.blocks[0]) != 0 || len(d.spare.items) != 0 {
+		t.Fatal("the drained last block did not stay in place, empty")
 	}
-	b, _ := d.spare.Get()
-	if b[:1][0] != nil {
+	if d.blocks[0][:1][0] != nil {
 		t.Fatal("PopFront left the slot holding the pointer")
+	}
+	for i := 0; i < 2*dequeBlockMin; i++ {
+		d.PushBack(&x)
+	}
+	for d.Len() > 0 {
+		d.PopFront()
+	}
+	b, ok := d.spare.Get()
+	if !ok {
+		t.Fatal("a drained front block was not recycled")
+	}
+	if b[:1][0] != nil {
+		t.Fatal("PopFront left a recycled block's slot holding the pointer")
+	}
+}
+
+// TestArenaServesFirstBlocks: deques that take their first block from an
+// arena for n of them allocate a few times in all, behave as deques that
+// allocate their own, and leave the arena nothing when all n have asked.
+func TestArenaServesFirstBlocks(t *testing.T) {
+	const n = 100
+	var plain []Deque[int]
+	alone := testing.AllocsPerRun(1, func() {
+		plain = make([]Deque[int], n)
+		for i := range plain {
+			plain[i].PushBack(i)
+		}
+	})
+	var a Arena[int]
+	var ds []Deque[int]
+	allocs := testing.AllocsPerRun(1, func() {
+		a, ds = NewArena[int](n), make([]Deque[int], n)
+		for i := range ds {
+			ds[i].PushBackIn(&a, i)
+		}
+	})
+	// Without an arena each deque allocates its block and its block list;
+	// with one, four refills of each serve all of them.
+	if allocs*4 > alone {
+		t.Errorf("%d deques' first pushes allocated %v times, %v without an arena", n, allocs, alone)
+	}
+	if len(a.blocks.free) >= dequeBlockMin || len(a.lists.free) != 0 {
+		t.Errorf("after all %d deques asked the arena holds %d elements and %d lists", n, len(a.blocks.free), len(a.lists.free))
+	}
+	for i := range ds {
+		for j := 1; j < 3*dequeBlockMin; j++ {
+			ds[i].PushBackIn(&a, i+j)
+		}
+		for j := 0; j < 3*dequeBlockMin; j++ {
+			if got := ds[i].PopFront(); got != i+j {
+				t.Fatalf("deque %d: pop %d = %d, want %d", i, j, got, i+j)
+			}
+		}
 	}
 }

@@ -347,7 +347,7 @@ func (l *Loop) prove(cycle int64) {
 			// Another run of the trajectory may fast-forward here: this
 			// one cannot stand for it.
 			if l.follow != nil {
-				l.follow.rec = nil
+				l.follow.abandon()
 			}
 		}
 	}

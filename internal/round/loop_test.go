@@ -2,7 +2,9 @@ package round
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
@@ -336,6 +338,7 @@ func runProving(r *repeatFake, t *Trajectories, rounds int, ready func(round, id
 	r.l.Init(r, 4, rounds)
 	if t != nil {
 		r.l.Join(t, "fake")
+		defer r.l.Leave()
 	}
 	e := sim.NewEngine()
 	if r.busy {
@@ -554,5 +557,144 @@ func TestTrajectoryRecording(t *testing.T) {
 	}
 	if !replays(&table, &repeatFake{state: same}) {
 		t.Error("the recorded trajectory was not replayed")
+	}
+}
+
+// holdFirst returns a state function whose first call signals held and
+// blocks until gate closes, then encodes 42; later calls return what then
+// does. A recorder's first call comes at round 0's first release, once it
+// has claimed its key: it holds the key there.
+func holdFirst(held chan<- struct{}, gate <-chan struct{}, then func() []byte) func() []byte {
+	first := true
+	return func() []byte {
+		if first {
+			first = false
+			close(held)
+			<-gate
+			return []byte{42}
+		}
+		return then()
+	}
+}
+
+// joined is what a run that followed a table ended with.
+type joined struct {
+	end    int64
+	closed []int64
+	err    error
+}
+
+// race runs rec on table until it holds the key at its first release,
+// then follower on the same key until it waits for rec's recording, then
+// lets rec go, and returns how both runs ended. It fails the test, rather
+// than hang, when the follower does not wait or is not let go, and when a
+// goroutine outlives the runs.
+func race(t *testing.T, table *Trajectories, rec *repeatFake, recBudget int64, follower *repeatFake) (recRun, follow joined) {
+	t.Helper()
+	entry := runtime.NumGoroutine()
+	even := func(round, id int) (int64, bool) { return 20 + int64(id), true }
+	held, gate := make(chan struct{}), make(chan struct{})
+	rec.state = holdFirst(held, gate, rec.state)
+	// One send each: a run ends even when the test gave up on it.
+	recDone, followDone := make(chan joined, 1), make(chan joined, 1)
+	go func() {
+		end, _, closed, err := runProving(rec, table, 6, even, recBudget)
+		recDone <- joined{end, closed, err}
+	}()
+	<-held
+	waited := Waited()
+	go func() {
+		end, _, closed, err := runProving(follower, table, 6, even, 10_000)
+		followDone <- joined{end, closed, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); Waited() == waited; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatal("the follower did not wait for the recording")
+		}
+	}
+	close(gate)
+	recRun = <-recDone
+	select {
+	case follow = <-followDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower was not let go when the recording ended")
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > entry; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), entry)
+		}
+	}
+	return recRun, follow
+}
+
+// TestTrajectoryWaitsForRecording: a run that reaches its first release
+// while another run records its key waits for that recording, replays it
+// once it is published, and ends as simulating it would.
+func TestTrajectoryWaitsForRecording(t *testing.T) {
+	same := func() []byte { return []byte{42} }
+	even := func(round, id int) (int64, bool) { return 20 + int64(id), true }
+	wantEnd, _, wantClosed, err := runProving(&repeatFake{state: same}, nil, 6, even, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table Trajectories
+	recorded, replayed := Recorded(), Replayed()
+	follower := &repeatFake{state: same}
+	rec, follow := race(t, &table, &repeatFake{state: same}, 10_000, follower)
+	if rec.err != nil || follow.err != nil {
+		t.Fatalf("recorder %v, follower %v", rec.err, follow.err)
+	}
+	if Recorded()-recorded != 1 || Replayed()-replayed != 1 || len(follower.released) != 0 {
+		t.Errorf("%d recorded, %d replayed, the follower released %d operands; want 1, 1 and none",
+			Recorded()-recorded, Replayed()-replayed, len(follower.released))
+	}
+	if follow.end != wantEnd || !reflect.DeepEqual(follow.closed, wantClosed) {
+		t.Errorf("the follower ends at %d closing %v, simulating at %d closing %v", follow.end, follow.closed, wantEnd, wantClosed)
+	}
+}
+
+// TestTrajectoryUnpublishedReleasesWaiters: a recording that ends
+// unpublished, given up at a settle or cut short by an error, lets the
+// run waiting for it go, which simulates, records in its stead, and
+// leaves the key to a third run to replay.
+func TestTrajectoryUnpublishedReleasesWaiters(t *testing.T) {
+	same := func() []byte { return []byte{42} }
+	even := func(round, id int) (int64, bool) { return 20 + int64(id), true }
+	wantEnd, _, wantClosed, err := runProving(&repeatFake{state: same}, nil, 6, even, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		rec    *repeatFake
+		budget int64
+		err    bool
+	}{
+		// Nothing encodes from round 1 on: the settle gives the recording up.
+		{"abandoned", &repeatFake{state: func() []byte { return nil }}, 10_000, false},
+		// The budget runs out in round 1, with the recording open.
+		{"error", &repeatFake{state: same}, 40, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var table Trajectories
+			recorded, replayed := Recorded(), Replayed()
+			follower := &repeatFake{state: same}
+			rec, follow := race(t, &table, c.rec, c.budget, follower)
+			if (rec.err != nil) != c.err || follow.err != nil {
+				t.Fatalf("recorder %v, follower %v", rec.err, follow.err)
+			}
+			if Replayed() != replayed || len(follower.released) == 0 || Recorded()-recorded != 1 {
+				t.Errorf("%d replayed, %d recorded, the follower released %d operands: want it simulated and recorded",
+					Replayed()-replayed, Recorded()-recorded, len(follower.released))
+			}
+			if follow.end != wantEnd || !reflect.DeepEqual(follow.closed, wantClosed) {
+				t.Errorf("the follower ends at %d closing %v, simulating at %d closing %v", follow.end, follow.closed, wantEnd, wantClosed)
+			}
+			third := &repeatFake{state: same}
+			if end, _, _, err := runProving(third, &table, 6, even, 10_000); err != nil || end != wantEnd || len(third.released) != 0 {
+				t.Errorf("a third run ended at %d (%v) releasing %d operands, want the follower's recording replayed", end, err, len(third.released))
+			}
+		})
 	}
 }

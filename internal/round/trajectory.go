@@ -14,10 +14,19 @@ import (
 // compute time, so layers that differ only in what they compute collect
 // alike: the key names what the collection depends on, and the replay
 // checks the rest. The zero value is an empty table; it is safe for
-// concurrent use, and of two runs that record one key the first keeps it.
+// concurrent use, and each key is recorded once: a run that reaches its
+// first release while another records its key waits for that recording,
+// and replays it, or, when it ends unpublished, simulates and may record.
 type Trajectories struct {
 	mu sync.Mutex
-	m  map[any]*trajectory
+	m  map[any]*slot
+}
+
+// slot is a key's place in a table: the trajectory published there, nil
+// while a run records one, and the channel the recording's end closes.
+type slot struct {
+	tr   *trajectory
+	done chan struct{}
 }
 
 // trajectory is what a recording run saw, from the boundary before its
@@ -51,38 +60,62 @@ type recorded struct {
 	tally []uint64
 }
 
-func (t *Trajectories) get(key any) *trajectory {
+// claim returns the trajectory published under key; else, while another
+// run records one there, the channel that recording's end closes; else it
+// makes the caller the key's recorder and returns the slot to end.
+func (t *Trajectories) claim(key any) (tr *trajectory, wait <-chan struct{}, own *slot) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.m[key]
-}
-
-func (t *Trajectories) put(key any, tr *trajectory) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[key]; ok {
-		return
+	if s := t.m[key]; s != nil {
+		return s.tr, s.done, nil
 	}
 	if t.m == nil {
-		t.m = make(map[any]*trajectory)
+		t.m = make(map[any]*slot)
 	}
-	t.m[key] = tr
+	s := &slot{done: make(chan struct{})}
+	t.m[key] = s
+	return nil, nil, s
 }
 
-// replays counts the runs built from a table, process-wide.
-var replays atomic.Uint64
+// end closes the recording in s, the slot key's recorder claimed:
+// publishing tr, or, when tr is nil, leaving the key to the next run that
+// reaches it. Either way the runs waiting on it go on.
+func (t *Trajectories) end(key any, s *slot, tr *trajectory) {
+	t.mu.Lock()
+	if tr != nil {
+		s.tr = tr
+	} else {
+		delete(t.m, key)
+	}
+	t.mu.Unlock()
+	close(s.done)
+}
+
+// The table counters, process-wide: runs built from a table, trajectories
+// published, and runs that waited for another run's recording.
+var replays, records, waits atomic.Uint64
 
 // Replayed returns how many loop runs, process-wide, were built from a
 // recorded trajectory (Join) instead of simulated.
 func Replayed() uint64 { return replays.Load() }
+
+// Recorded returns how many trajectories, process-wide, runs recorded and
+// published in a table.
+func Recorded() uint64 { return records.Load() }
+
+// Waited returns how many loop runs, process-wide, reached their first
+// release while another run recorded their key, and waited for it.
+func Waited() uint64 { return waits.Load() }
 
 // follower is a run's part in a trajectory table.
 type follower struct {
 	t   *Trajectories
 	key any
 	// rec is the trajectory the run is recording, nil once it cannot stand
-	// for another run; tally0 is the tally at its first release.
+	// for another run; own is the key's slot it records into, held until
+	// the recording ends; tally0 is the tally at its first release.
 	rec    *trajectory
+	own    *slot
 	tally0 []uint64
 	// seen and closed count the rounds whose first release the run has
 	// reached and that have closed; release and close are the cycles of
@@ -93,11 +126,32 @@ type follower struct {
 
 // Join has the loop follow t under key: run alone and proving
 // (ProveRepeats), it replays the trajectory recorded there when that one
-// stands for its own, and records its own when there is none. The key must name everything
-// the rounds' collection depends on besides the state encoded at the first
-// release and the release cycles; call Join before ProveRepeats.
+// stands for its own, and records its own when there is none. The key must
+// name everything the rounds' collection depends on besides the state
+// encoded at the first release and the release cycles; call Join before
+// ProveRepeats, and Leave once the run is over, however it ended.
 func (l *Loop) Join(t *Trajectories, key any) {
 	l.follow = &follower{t: t, key: key}
+}
+
+// Leave ends the loop's part in the table it joined: a recording the run
+// did not finish (an error, a run cut short) ends unpublished, and the
+// runs waiting for it go on. It does nothing for a loop that joined none,
+// or whose run published or gave up its recording.
+func (l *Loop) Leave() {
+	if l.follow != nil {
+		l.follow.abandon()
+	}
+}
+
+// abandon gives up the recording, if the run holds one: nothing is
+// published, and the runs waiting for the key simulate.
+func (f *follower) abandon() {
+	f.rec = nil
+	if f.own != nil {
+		f.t.end(f.key, f.own, nil)
+		f.own = nil
+	}
 }
 
 // trace is Settled's part in the table, at every boundary: it takes what
@@ -132,16 +186,30 @@ func (l *Loop) trace(cycle int64) {
 }
 
 // first replays the trajectory recorded under the run's key if it stands
-// for this run, and starts recording when there is none (the table would
-// keep the one it has); cycle is round 0's first release.
+// for this run, and starts recording when there is none (the table keeps
+// the one it has); while another run records the key it waits for that
+// run's recording to end. cycle is round 0's first release.
 func (l *Loop) first(cycle int64) {
 	f, b := l.follow, l.buf
-	if tr := f.t.get(f.key); tr != nil {
-		l.replay(tr, cycle)
-		return
+	for waited := false; ; {
+		tr, wait, own := f.t.claim(f.key)
+		if tr != nil {
+			l.replay(tr, cycle)
+			return
+		}
+		if own != nil {
+			f.own = own
+			break
+		}
+		if !waited {
+			waited = true
+			waits.Add(1)
+		}
+		<-wait
 	}
 	enc := l.rep.AppendState(b.rel[0][:0], cycle-1)
 	if enc == nil {
+		f.abandon()
 		return
 	}
 	enc = l.appendState(enc, cycle-1)
@@ -163,12 +231,12 @@ func (l *Loop) first(cycle int64) {
 func (l *Loop) settle(cycle int64) {
 	f, b := l.follow, l.buf
 	if cycle-l.start != f.rec.lead || cycle-f.last < 2 {
-		f.rec = nil
+		f.abandon()
 		return
 	}
 	now := l.rep.AppendState(b.rel[1][:0], cycle-1)
 	if now == nil {
-		f.rec = nil
+		f.abandon()
 		return
 	}
 	b.rel[1] = now
@@ -193,7 +261,7 @@ func (l *Loop) settle(cycle int64) {
 		}
 	}
 	if hi == cycle {
-		f.rec = nil
+		f.abandon()
 		return
 	}
 	f.rec.rounds[len(f.rec.rounds)-1].settle = hi - f.close
@@ -260,10 +328,12 @@ func (l *Loop) replay(tr *trajectory, cycle int64) bool {
 func (l *Loop) publish() {
 	f := l.follow
 	if f.rec == nil || len(f.rec.rounds) == 0 {
+		f.abandon()
 		return
 	}
 	f.rec.ties = f.rec.rounds[len(f.rec.rounds)-1].tally[0] != 0
 	f.rec.fired = len(f.rec.rounds) < l.rounds
-	f.t.put(f.key, f.rec)
-	f.rec = nil
+	f.t.end(f.key, f.own, f.rec)
+	records.Add(1)
+	f.rec, f.own = nil, nil
 }

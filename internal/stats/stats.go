@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"gathernoc/internal/ring"
 )
 
 // Counter is a monotonically increasing event count.
@@ -187,4 +189,27 @@ func (r *ReductionStats) Merge(packetFlits, hopsToSink int) {
 func (r ReductionStats) String() string {
 	return fmt.Sprintf("merged=%d link-traversals-saved=%d sink-transactions-saved=%d",
 		r.PayloadsMerged, r.LinkTraversalsSaved, r.SinkTransactionsSaved)
+}
+
+// Arena serves many samples their first chunk, and the room for it in the
+// sample's chunk list, out of a few shared allocations: a fabric of a
+// thousand ejectors would otherwise make two allocations per latency
+// sample on its first packet. The zero value is ready and allocates
+// nothing until a sample asks (ObserveIn).
+type Arena struct {
+	floats ring.Runs[float64]
+	lists  ring.Runs[[]float64]
+}
+
+// NewArena returns an arena for n samples (ring.Runs).
+func NewArena(n int) Arena { return Arena{ring.NewRuns[float64](n), ring.NewRuns[[]float64](n)} }
+
+// ObserveIn is Observe, taking the sample's first chunk from a when it has
+// none.
+func (s *Sample) ObserveIn(a *Arena, v float64) {
+	if s.chunks == nil {
+		s.chunks = a.lists.Take(1)
+		s.chunks[0] = a.floats.Take(sampleChunkMin)[:0]
+	}
+	s.Observe(v)
 }

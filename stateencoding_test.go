@@ -205,6 +205,7 @@ var stateFields = map[string]string{
 	"nic.NIC.rwaiting":             both,
 	"nic.NIC.sweepAt":              derived + ": the first tick's sweep books the loaded deadlines",
 	"nic.NIC.sendRR":               both,
+	"nic.NIC.fed":                  derived + ": whether work came in since the latest load, which clears it (noc.Network.Release keeps a fabric no NIC of which was fed)",
 	"nic.NIC.streaming":            derived,
 	"nic.NIC.pool":                 fixed + wiring,
 	"nic.NIC.delta":                fixed + ": the δ override Submit arms before every offer (noc.Network.AppendState)",
@@ -250,7 +251,7 @@ var stateFields = map[string]string{
 	"nic.Ejector.slots":                both + " (as each VC's buffered flits)",
 	"nic.Ejector.reverse":              fixed + wiring,
 	"nic.Ejector.partial":              both,
-	"nic.Ejector.scratch":              fixed + ": a buffer handed to the receive callback",
+	"nic.Ejector.shared":               fixed + ": the slab's buffer handed to the receive callback, and its first-use arenas" + capacity,
 	"nic.Ejector.pool":                 fixed + wiring,
 	"nic.Ejector.recv":                 fixed + ": the workload's callback",
 	"nic.Ejector.drainRR":              both,
