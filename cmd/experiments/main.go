@@ -10,9 +10,9 @@
 //	experiments -exp fig7 -format json   # machine-readable rows
 //
 // Artifacts:  table1 table2 table3 fig1 fig7 fig8 fig9 fig10
-// Ablations:  delta eta gathervc vcs depth sinkcost skew routing
-// Extensions: ina collectives topology dataflow mixed streaming fullmodel
-// fullvgg
+// Ablations:  delta eta depth sinkcost skew (AlexNet Conv3, 8x8; the VC
+// count, a gather VC and the routing change no cycle there, so none runs)
+// Extensions: ina collectives topology dataflow mixed fullmodel fullvgg
 // Reliability: faults (collection-scheme degradation under transient loss)
 // Workloads:  pipeline (whole-model barrier/overlap vs analytic; -model)
 // and multijob (batched inferences + background traffic; -jobs/-overlap)
@@ -33,6 +33,7 @@ import (
 	"gathernoc/internal/experiments"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/round"
+	"gathernoc/internal/workload"
 )
 
 // Named flag errors, refused before anything runs.
@@ -40,6 +41,7 @@ var (
 	errRounds  = errors.New("-rounds must be >= 1")
 	errJobs    = errors.New("-jobs must be >= 1")
 	errWorkers = errors.New("-workers must be >= 0")
+	errModel   = errors.New("-model must be alexnet or vgg16")
 )
 
 func main() {
@@ -106,21 +108,15 @@ var artifacts = []artifact{
 	figure("fig10", "Fig. 10: NoC power improvement, VGG-16", experiments.Fig10),
 	ablation("delta", "Ablation: flat delta sweep (AlexNet Conv3, 8x8)", experiments.AblationDelta),
 	ablation("eta", "Ablation: gather capacity sweep", experiments.AblationEta),
-	ablation("gathervc", "Ablation: dedicated gather VC (0=shared, 1=dedicated)", experiments.AblationGatherVC),
-	ablation("vcs", "Ablation: virtual channel count", experiments.AblationVCs),
 	ablation("depth", "Ablation: buffer depth", experiments.AblationBufferDepth),
 	ablation("sinkcost", "Ablation: buffer transaction cost per packet", experiments.AblationSinkCost),
 	ablation("skew", "Ablation: completion stagger per hop", experiments.AblationSkew),
-	ablation("routing", "Ablation: routing algorithm (0=XY, 1=west-first)", experiments.AblationRouting),
 	rows("ina", experiments.INAComparison, experiments.RenderINA),
 	rows("collectives", experiments.CollectiveComparison, experiments.RenderCollectives),
 	rows("topology", experiments.TopologyComparison, experiments.RenderTopologyComparison),
 	rows("dataflow", experiments.Dataflows, experiments.RenderDataflows),
 	rows("mixed", experiments.MixedTraffic, experiments.RenderMixedTraffic),
 	rows("faults", experiments.FaultSweep, experiments.RenderFaultSweep),
-	rows("streaming", func(experiments.Options) (*experiments.StreamingRow, error) {
-		return experiments.StreamingOverNoC(64)
-	}, experiments.RenderStreaming),
 	rows("fullmodel", fullModel(experiments.FullAlexNet), experiments.RenderModel),
 	rows("fullvgg", fullModel(experiments.FullVGG16), experiments.RenderModel),
 	rows("pipeline", experiments.PipelineComparison, experiments.RenderPipeline),
@@ -160,6 +156,9 @@ func run(ctx context.Context, args []string, w, errw io.Writer) error {
 		return errJobs
 	case *workers < 0:
 		return errWorkers
+	}
+	if _, err := workload.ModelLayers(*model); err != nil {
+		return fmt.Errorf("%w, not %q", errModel, *model)
 	}
 	opts := experiments.Options{
 		Rounds: *rounds, Workers: *workers, Ctx: ctx,

@@ -111,8 +111,10 @@ func TestRunJSONFormat(t *testing.T) {
 	}
 }
 
-// Out-of-range -rounds and -jobs are refused by name before anything runs,
-// instead of failing deep in one artifact or falling back to a default.
+// Out-of-range -rounds, -jobs and -workers and an unknown -model are
+// refused by name before anything runs, instead of failing deep in one
+// artifact, being ignored by the artifacts that do not read them, or
+// falling back to a default.
 func TestRunRejectsBadFlagValues(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -124,6 +126,8 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{[]string{"-exp", "multijob", "-jobs", "0"}, errJobs},
 		{[]string{"-exp", "table2", "-workers", "-1"}, errWorkers},
 		{[]string{"-exp", "fig7", "-workers", "-8"}, errWorkers},
+		{[]string{"-exp", "all", "-model", "bogus"}, errModel},
+		{[]string{"-exp", "table1", "-model", "bogus"}, errModel},
 	} {
 		var b strings.Builder
 		if err := run(context.Background(), c.args, &b, io.Discard); !errors.Is(err, c.want) || b.Len() != 0 {

@@ -69,27 +69,10 @@ func AblationEta(opts Options) ([]AblationRow, error) {
 	})
 }
 
-// AblationGatherVC compares a dedicated gather VC (the conclusion's
-// future-work mitigation) against shared VCs: value 0 = shared, 1 =
-// dedicated VC.
-func AblationGatherVC(opts Options) ([]AblationRow, error) {
-	return sweep("gathervc", []int{0, 1}, opts, func(v int, o *core.Options) {
-		o.MutateNetwork = func(c *noc.Config) {
-			if v == 1 {
-				c.Router.GatherVC = c.Router.VCs - 1
-			}
-		}
-	})
-}
-
-// AblationVCs sweeps the virtual-channel count.
-func AblationVCs(opts Options) ([]AblationRow, error) {
-	return sweep("vcs", []int{1, 2, 4, 8}, opts, func(v int, o *core.Options) {
-		o.MutateNetwork = func(c *noc.Config) { c.Router.VCs = v }
-	})
-}
-
-// AblationBufferDepth sweeps the per-VC buffer depth.
+// AblationBufferDepth sweeps the per-VC buffer depth. Depth 2, shorter
+// than the 4-flit gather packet, is the one setting the paper's operating
+// point feels; the knobs it does not feel (VC count, a dedicated gather
+// VC, west-first routing) are held to that in invariance_test.go.
 func AblationBufferDepth(opts Options) ([]AblationRow, error) {
 	return sweep("depth", []int{2, 4, 8}, opts, func(v int, o *core.Options) {
 		o.MutateNetwork = func(c *noc.Config) { c.Router.BufferDepth = v }
@@ -115,18 +98,6 @@ func AblationSinkCost(opts Options) ([]AblationRow, error) {
 func AblationSkew(opts Options) ([]AblationRow, error) {
 	return sweep("skew", []int{0, 1, 2, 4}, opts, func(v int, o *core.Options) {
 		o.MutateSystolic = func(s *systolic.Config) { s.SkewPerHop = v }
-	})
-}
-
-// AblationRouting compares XY and adaptive west-first routing for the
-// collection workload (value 0 = XY, 1 = west-first). Collection traffic
-// is purely eastward, so the algorithms should agree — a consistency check
-// that the adaptive machinery does not distort the headline experiment.
-func AblationRouting(opts Options) ([]AblationRow, error) {
-	algos := []string{"xy", "westfirst"}
-	return sweep("routing", []int{0, 1}, opts, func(v int, o *core.Options) {
-		algo := algos[v]
-		o.MutateNetwork = func(c *noc.Config) { c.Routing = algo }
 	})
 }
 

@@ -90,50 +90,18 @@ func TestAblationSkewAlignmentEffect(t *testing.T) {
 	}
 }
 
-func TestAblationVCsAndDepthRun(t *testing.T) {
-	vcs, err := AblationVCs(Options{Rounds: 1})
+func TestAblationDepthRun(t *testing.T) {
+	rows, err := AblationBufferDepth(Options{Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vcs) != 4 {
-		t.Fatalf("vc rows = %d", len(vcs))
-	}
-	depth, err := AblationBufferDepth(Options{Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range append(vcs, depth...) {
-		if r.LatencyImprovement <= 0 {
-			t.Errorf("%s=%d: improvement %.2f not positive", r.Param, r.Value, r.LatencyImprovement)
-		}
-	}
-}
-
-func TestAblationGatherVC(t *testing.T) {
-	rows, err := AblationGatherVC(Options{Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
+	if len(rows) != 3 {
+		t.Fatalf("depth rows = %d, want 3", len(rows))
 	}
 	for _, r := range rows {
 		if r.LatencyImprovement <= 0 {
-			t.Errorf("gathervc=%d: improvement %.2f not positive", r.Value, r.LatencyImprovement)
+			t.Errorf("%s=%d: improvement %.2f not positive", r.Param, r.Value, r.LatencyImprovement)
 		}
-	}
-}
-
-func TestAblationRoutingConsistency(t *testing.T) {
-	rows, err := AblationRouting(Options{Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	// Collection traffic is purely eastward: XY and west-first must agree
-	// exactly (the adaptive machinery has no choices to make).
-	if rows[0].LatencyImprovement != rows[1].LatencyImprovement {
-		t.Errorf("xy %.3f != westfirst %.3f",
-			rows[0].LatencyImprovement, rows[1].LatencyImprovement)
 	}
 }
 

@@ -174,68 +174,3 @@ func RenderMixedTraffic(rows []MixedTrafficRow) string {
 	}
 	return b.String()
 }
-
-// StreamingRow measures streaming one round's operands over the NoC itself
-// instead of dedicated systolic paths.
-type StreamingRow struct {
-	// Operands is the number of operands delivered per destination.
-	Operands int
-	// IdealCycles is the dedicated-path time (1 operand/cycle).
-	IdealCycles int64
-	// NoCCycles is the measured makespan over the NoC.
-	NoCCycles int64
-	// Slowdown is NoCCycles / IdealCycles.
-	Slowdown float64
-}
-
-// StreamingOverNoC quantifies why OS arrays use dedicated forwarding paths
-// rather than routing operands through the packet network: each west-edge
-// PE multicasts a window of operands to its row (one single-flit packet
-// per operand), and the makespan is compared with the 1-operand/cycle
-// dedicated-path ideal. The per-packet RC/VA/SA overhead caps the NoC's
-// streaming throughput well below wire speed.
-func StreamingOverNoC(operands int) (*StreamingRow, error) {
-	if operands < 1 {
-		operands = 64
-	}
-	cfg := noc.DefaultConfig(8, 8)
-	cfg.EastSinks = false
-	nw, err := noc.Acquire(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer nw.Release()
-	mesh := nw.Mesh()
-	// Row-wise operand multicast: PE (r,0) sends each operand to all other
-	// PEs of its row as a 1-flit multicast packet.
-	for row := 0; row < cfg.Rows; row++ {
-		src := mesh.ID(topology.Coord{Row: row})
-		dsts := topology.NewDestSet(mesh.NumNodes())
-		for col := 1; col < cfg.Cols; col++ {
-			dsts.Add(mesh.ID(topology.Coord{Row: row, Col: col}))
-		}
-		for k := 0; k < operands; k++ {
-			nw.NIC(src).SendMulticast(0, dsts, 1)
-		}
-	}
-	cycles, err := nw.RunUntilQuiescent(10_000_000)
-	if err != nil {
-		return nil, err
-	}
-	row := &StreamingRow{
-		Operands:    operands,
-		IdealCycles: int64(operands),
-		NoCCycles:   cycles,
-	}
-	row.Slowdown = float64(row.NoCCycles) / float64(row.IdealCycles)
-	return row, nil
-}
-
-// RenderStreaming formats the streaming-over-NoC measurement.
-func RenderStreaming(r *StreamingRow) string {
-	return fmt.Sprintf(
-		"Extension: streaming %d operands per row over the NoC (vs dedicated paths)\n"+
-			"  dedicated-path ideal: %d cycles\n"+
-			"  over the NoC:         %d cycles (%.1fx slowdown)\n",
-		r.Operands, r.IdealCycles, r.NoCCycles, r.Slowdown)
-}

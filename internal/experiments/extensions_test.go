@@ -66,31 +66,3 @@ func TestMixedTrafficDedicatedVCHelps(t *testing.T) {
 		t.Error("render missing dedicated rows")
 	}
 }
-
-func TestStreamingOverNoCSlowdown(t *testing.T) {
-	r, err := StreamingOverNoC(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NoCCycles <= r.IdealCycles {
-		t.Errorf("NoC streaming %d cycles <= dedicated-path ideal %d",
-			r.NoCCycles, r.IdealCycles)
-	}
-	// The per-packet pipeline overhead should cost at least 2x.
-	if r.Slowdown < 2 {
-		t.Errorf("slowdown %.2f < 2, suspiciously fast", r.Slowdown)
-	}
-	if !strings.Contains(RenderStreaming(r), "slowdown") {
-		t.Error("render missing slowdown")
-	}
-}
-
-func TestStreamingOverNoCDefaultOperands(t *testing.T) {
-	r, err := StreamingOverNoC(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Operands != 64 {
-		t.Errorf("default operands = %d, want 64", r.Operands)
-	}
-}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"testing"
 
 	"gathernoc/internal/noc"
@@ -14,11 +13,10 @@ import (
 // sweep builds at most one network per worker and configuration, however
 // many cells it has, and drops none.
 func TestSweepBuildsOneFabricPerWorkerAndConfig(t *testing.T) {
-	const configs, runs = 2, 30
-	// The free list parks GOMAXPROCS networks per configuration: with no
-	// more workers than processors every release finds room, whatever the
-	// collector does meanwhile, and the bound is exact.
-	workers := min(3, runtime.GOMAXPROCS(0))
+	// The free list parks every release, whatever the collector does
+	// meanwhile and however few processors the workers share, so the bound
+	// is exact.
+	const configs, runs, workers = 2, 30, 3
 
 	opts := Options{Rounds: 1, Workers: workers}
 	before := noc.ReuseStats()

@@ -7,6 +7,7 @@ import (
 
 	"gathernoc/internal/analytic"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 )
 
@@ -45,20 +46,33 @@ type topologyPoint struct {
 // well below saturation, moderate, and near the mesh's saturation knee.
 var TopologyComparisonRates = []float64{0.01, 0.03, 0.05}
 
-// TopologyComparison sweeps uniform-random traffic across every built-in
-// (topology, routing) pair and injection rate on one fabric size (the
-// first of Options.Meshes, the paper's 8x8 by default), one simulation
-// point per cell on the worker pool. It reports the per-topology
-// latency and hop curves next to the analytic hop bounds: the torus's
-// shorter-way-around rings cut the mean hop count by roughly a third and
-// the diameter in half, which shows up directly as network latency.
+// topologyRoutings are the routings the comparison runs on each fabric.
+// The torus runs XY only: the adaptive turn models route over its mesh
+// sub-network and never take a wrap link (topology.NewRouting), so a torus
+// row of theirs repeats the mesh row value for value.
+var topologyRoutings = []struct {
+	topo     string
+	routings []string
+}{
+	{"mesh", topology.RoutingNames()},
+	{"torus", []string{"xy"}},
+}
+
+// TopologyComparison sweeps uniform-random traffic across the fabrics and
+// their routings (topologyRoutings) and the injection rates on one fabric
+// size (the first of Options.Meshes, the paper's 8x8 by default), one
+// simulation point per cell on the worker pool. It reports the
+// per-topology latency and hop curves next to the analytic hop bounds:
+// the torus's shorter-way-around rings cut the mean hop count by roughly a
+// third and the diameter in half, which shows up directly as network
+// latency.
 func TopologyComparison(opts Options) ([]TopologyRow, error) {
 	size := opts.meshes()[0]
 	var points []topologyPoint
-	for _, topo := range []string{"mesh", "torus"} {
-		for _, routing := range []string{"xy", "westfirst", "oddeven"} {
+	for _, f := range topologyRoutings {
+		for _, routing := range f.routings {
 			for _, rate := range TopologyComparisonRates {
-				points = append(points, topologyPoint{topo: topo, routing: routing, rate: rate})
+				points = append(points, topologyPoint{topo: f.topo, routing: routing, rate: rate})
 			}
 		}
 	}
@@ -100,19 +114,11 @@ func runTopologyPoint(p topologyPoint, size int) (TopologyRow, error) {
 	if err != nil {
 		return TopologyRow{}, fmt.Errorf("%s/%s rate %v: %w", p.topo, p.routing, p.rate, err)
 	}
-	// The hop bounds follow the routing's effective fabric: the adaptive
-	// turn models stay on the mesh sub-network even on a torus (only
-	// wrap-aware DOR uses the wraparound links — it is the routing with
-	// dateline VC classes), so their minimal paths obey the mesh bounds.
-	effective := p.topo
-	if nw.Routing().VCClasses() == 1 {
-		effective = "mesh"
-	}
-	meanBound, err := analytic.UniformMeanHops(effective, size, size)
+	meanBound, err := analytic.UniformMeanHops(p.topo, size, size)
 	if err != nil {
 		return TopologyRow{}, err
 	}
-	maxBound, err := analytic.MaxHops(effective, size, size)
+	maxBound, err := analytic.MaxHops(p.topo, size, size)
 	if err != nil {
 		return TopologyRow{}, err
 	}

@@ -15,7 +15,8 @@ func TestTopologyComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := 2 * 3 * len(TopologyComparisonRates)
+	// The mesh under each of its three routings, the torus under XY.
+	wantRows := (3 + 1) * len(TopologyComparisonRates)
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
 	}

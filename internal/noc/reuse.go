@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,13 +23,13 @@ import (
 // result-invariant field get two lists. What is idle is what Release parked,
 // whatever the collector does meanwhile (a sync.Pool, the first version, is
 // emptied by every collection, which made a sweep's allocations depend on
-// when one fell). Three rules, none of them tunable, keep the lists small:
-// a list holds at most GOMAXPROCS networks, what a sweep with one worker per
-// processor has in use at once; only the maxIdleConfigs Configs released to
-// most recently keep a list, so a sweep over many Configs parks a few
-// fabrics and not one per cell; and a list nobody has released to for
-// idleFor is let go, key and all, so a process that has finished simulating
-// does not hold its last fabrics for good.
+// when one fell). A list never holds more networks than its Config had
+// leased at once, and two rules, neither of them tunable, bound how long it
+// holds them: only the maxIdleConfigs Configs released to most recently
+// keep a list, so a sweep over many Configs parks a few fabrics and not one
+// per cell; and a list nobody has released to for idleFor is let go, key
+// and all, so a process that has finished simulating does not hold its
+// last fabrics for good.
 var fabrics = struct {
 	sync.Mutex
 	idle map[Config]*idleList
@@ -75,17 +74,14 @@ func takeIdle(cfg Config) *Network {
 	return nw
 }
 
-// parkIdle adds a reset network to its Config's free list and reports
-// whether there was room.
-func parkIdle(nw *Network) bool {
+// parkIdle adds a reset network to its Config's free list.
+func parkIdle(nw *Network) {
 	fabrics.Lock()
 	defer fabrics.Unlock()
 	l := fabrics.idle[nw.cfg]
 	if l == nil {
 		l = &idleList{}
 		fabrics.idle[nw.cfg] = l
-	} else if len(l.nets) >= runtime.GOMAXPROCS(0) {
-		return false
 	}
 	l.nets = append(l.nets, nw)
 	l.released = time.Now()
@@ -102,7 +98,6 @@ func parkIdle(nw *Network) bool {
 		fabrics.expiring = true
 		expireLater()
 	}
-	return true
 }
 
 func expireLater() { time.AfterFunc(idleFor, func() { expireIdle(time.Now()) }) }
@@ -226,10 +221,9 @@ func Acquire(cfg Config) (*Network, error) {
 // reset to its just-built state and parked for the next Acquire of the same
 // Config. Anything else — a sharded, observed or faulted fabric, a run that
 // hit its cycle budget, was interrupted or stalled, one left with traffic
-// in flight, a network built by New or restored from a snapshot, one more
-// than the free list holds — is
-// closed and left to the collector, which is what happened to every network
-// before reuse existed.
+// in flight, a network built by New or restored from a snapshot — is closed
+// and left to the collector, which is what happened to every network before
+// reuse existed.
 func (nw *Network) Release() {
 	reuse.cycles.Add(uint64(nw.engine.Cycle()))
 	reuse.jumpedCycles.Add(nw.engine.JumpedCycles())
@@ -237,7 +231,8 @@ func (nw *Network) Release() {
 	leased := nw.leased
 	nw.leased = false // a second Release must not park the network twice
 	if leased && nw.engine.Err() == nil && !nw.engine.Interrupted() &&
-		nw.Quiescent() && nw.pool.Live() == 0 && nw.reset() == nil && parkIdle(nw) {
+		nw.Quiescent() && nw.pool.Live() == 0 && nw.reset() == nil {
+		parkIdle(nw)
 		return
 	}
 	reuse.dropped.Add(1)

@@ -643,12 +643,8 @@ func (r *Router) gatherUploadStage(cycle int64) {
 						r.cold.rstation.Complete(s)
 						r.Counters.ReduceMerges.Inc()
 						if r.probe != nil && r.probe.Sampled(f.PacketID) {
-							// A merge event names no source: the trace has
-							// always recorded Aux 0 here (the operand was
-							// read after the station had recycled it), and
-							// traces stay byte-identical.
 							r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvReduceMerge,
-								Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id)})
+								Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(op.Src)})
 						}
 						vc.flags &^= reduceLoad
 						r.dropLoad(p, v)

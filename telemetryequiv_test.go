@@ -8,6 +8,7 @@ import (
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/systolic"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/traffic"
 	"gathernoc/internal/workload"
@@ -246,5 +247,79 @@ func TestTelemetryOffIsIdentical(t *testing.T) {
 	on := run(&telemetry.Config{Epoch: 64, TraceSample: 8})
 	if off != on {
 		t.Errorf("telemetry-on schedule diverged (must be purely observational):\noff %+v\non  %+v", off, on)
+	}
+}
+
+// TestStationEventsMatchCounters traces every packet of an 8x8 INA run and
+// of a gather layer and reconciles the station events with the router
+// counters: one merge event per ReduceMerges count and one upload event per
+// GatherUploads count, each naming the operand's or payload's source. A
+// router's stations are fed only by its own NIC, so that source is the
+// router's own node (Aux == Loc).
+func TestStationEventsMatchCounters(t *testing.T) {
+	type controller interface {
+		workload.Driver
+		workload.PacketSink
+	}
+	layer, _ := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
+	for _, c := range []struct {
+		name string
+		ina  bool
+		ctl  func(*noc.Network) (controller, error)
+	}{
+		{"ina", true, func(nw *noc.Network) (controller, error) {
+			return traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
+				Scheme: traffic.CollectINA, Rounds: 4, ComputeLatency: 10,
+			})
+		}},
+		{"gather", false, func(nw *noc.Network) (controller, error) {
+			return systolic.NewController(nw, systolic.Config{
+				Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 2,
+			})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := noc.DefaultConfig(8, 8)
+			cfg.EnableINA = c.ina
+			cfg.Telemetry = &telemetry.Config{TraceSample: 1}
+			nw, err := noc.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
+			ctl, err := c.ctl(nw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := workload.Run(nw, ctl, 10_000_000); err != nil {
+				t.Fatal(err)
+			}
+			rep := nw.HarvestTelemetry()
+			if rep.DroppedEvents != 0 {
+				t.Fatalf("%d events dropped", rep.DroppedEvents)
+			}
+			var merges, uploads uint64
+			for _, e := range rep.Events {
+				switch e.Kind {
+				case telemetry.EvReduceMerge:
+					merges++
+				case telemetry.EvGatherUpload:
+					uploads++
+				default:
+					continue
+				}
+				if e.Aux != int64(e.Loc) {
+					t.Errorf("%s event at router %d names source %d", e.Kind, e.Loc, e.Aux)
+				}
+			}
+			a := nw.Activity()
+			t.Logf("traced %d merges and %d uploads", merges, uploads)
+			if merges != a.ReduceMerges || uploads != a.GatherUploads {
+				t.Errorf("traced %d merges and %d uploads, counted %d and %d", merges, uploads, a.ReduceMerges, a.GatherUploads)
+			}
+			if merges+uploads == 0 {
+				t.Error("the run merged and uploaded nothing")
+			}
+		})
 	}
 }
