@@ -42,7 +42,7 @@ func run(args []string, stdout io.Writer) error {
 		cols   = fs.Int("cols", 8, "mesh columns")
 		mode   = fs.String("mode", "gather", "collection mode (gather, ru)")
 		rounds = fs.Int("rounds", 1, "rounds to emit")
-		tmac   = fs.Int("tmac", 5, "MAC latency in cycles")
+		tmac   = fs.Int("tmac", cnn.TMAC, "MAC latency in cycles")
 		out    = fs.String("o", "", "output file (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {

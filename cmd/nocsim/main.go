@@ -50,7 +50,6 @@ import (
 	"gathernoc/internal/noc"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/telemetry"
-	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 	"gathernoc/internal/workload"
 )
@@ -298,7 +297,7 @@ func run(args []string, w io.Writer) (err error) {
 // (ck) and optionally pausing to write one at cycle ckptAt.
 func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorConfig, ck *checkpointFile,
 	resumePath, ckptPath string, ckptAt, maxCycles int64, w io.Writer) error {
-	p, err := traffic.PatternByName(patternName, nw.Mesh())
+	p, err := traffic.PatternByName(patternName, nw.Topology())
 	if err != nil {
 		return err
 	}
@@ -438,14 +437,9 @@ func faultSummary(nw *noc.Network, w io.Writer) {
 	if inj == nil {
 		return
 	}
-	var retr, abandoned uint64
-	for id := 0; id < nw.Topology().NumNodes(); id++ {
-		n := nw.NIC(topology.NodeID(id))
-		retr += n.Retransmits.Value()
-		abandoned += n.AbandonedPayloads.Value()
-	}
+	nics := nw.NICTotals()
 	fmt.Fprintf(w, "faults         %d flits dropped, %d packets corrupted, %d retransmits, %d payloads abandoned\n",
-		inj.Drops(), inj.Corrupts(), retr, abandoned)
+		inj.Drops(), inj.Corrupts(), nics.Retransmits, nics.AbandonedPayloads)
 }
 
 // runPipeline drives a whole-model CNN inference pipeline — one job per

@@ -25,11 +25,11 @@ func TestWireTrafficMatchesClosedForm(t *testing.T) {
 		}
 		for row := 0; row < cfg.Rows; row++ {
 			for col := 0; col < cfg.Cols; col++ {
-				id := nw.Mesh().ID(topology.Coord{Row: row, Col: col})
+				id := nw.Topology().ID(topology.Coord{Row: row, Col: col})
 				nw.NIC(id).SetDelta(cfg.Delta * int64(1+col))
 			}
 		}
-		events := traffic.GenerateLayerTrace(layer, cfg.Rows, cfg.Cols, gather, 0, nw.Mesh().NumNodes())
+		events := traffic.GenerateLayerTrace(layer, cfg.Rows, cfg.Cols, gather, 0, nw.Topology().NumNodes())
 		rp, err := traffic.NewReplayer(nw, events)
 		if err != nil {
 			t.Fatal(err)

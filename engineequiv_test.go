@@ -689,7 +689,7 @@ func TestFastForwardNeedsABareFabric(t *testing.T) {
 		{"faults", func(c *noc.Config) { c.Faults = &fault.Config{DropRate: 0.001, Seed: 1} }, nil},
 		{"generator", nil, func(nw *noc.Network) {
 			gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-				Pattern: traffic.UniformRandom{Nodes: nw.Mesh().NumNodes()}, InjectionRate: 0,
+				Pattern: traffic.UniformRandom{Nodes: nw.Topology().NumNodes()}, InjectionRate: 0,
 				PacketFlits: 2, Measure: 1 << 40, Seed: 1,
 			})
 			if err != nil {

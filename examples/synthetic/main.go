@@ -25,7 +25,7 @@ func main() {
 			log.Fatal(err)
 		}
 		gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-			Pattern:       traffic.UniformRandom{Nodes: nw.Mesh().NumNodes()},
+			Pattern:       traffic.UniformRandom{Nodes: nw.Topology().NumNodes()},
 			InjectionRate: rate,
 			PacketFlits:   2,
 			Warmup:        1000,
@@ -53,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 		gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-			Pattern:       traffic.Hotspot{Nodes: nw.Mesh().NumNodes(), Target: 0, Fraction: 0.3},
+			Pattern:       traffic.Hotspot{Nodes: nw.Topology().NumNodes(), Target: 0, Fraction: 0.3},
 			InjectionRate: rate,
 			PacketFlits:   2,
 			Warmup:        1000,

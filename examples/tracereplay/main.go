@@ -38,14 +38,14 @@ func main() {
 		// Scale per-column δ as the accelerator layer would.
 		for row := 0; row < cfg.Rows; row++ {
 			for col := 0; col < cfg.Cols; col++ {
-				id := nw.Mesh().ID(topology.Coord{Row: row, Col: col})
+				id := nw.Topology().ID(topology.Coord{Row: row, Col: col})
 				nw.NIC(id).SetDelta(cfg.Delta * int64(1+col))
 			}
 		}
 
 		// One round of result collection, starting after streaming+MAC.
-		start := int64(layer.MACsPerPE() + 5)
-		events := traffic.GenerateLayerTrace(layer, cfg.Rows, cfg.Cols, gather, start, nw.Mesh().NumNodes())
+		start := int64(layer.MACsPerPE() + cnn.TMAC)
+		events := traffic.GenerateLayerTrace(layer, cfg.Rows, cfg.Cols, gather, start, nw.Topology().NumNodes())
 
 		// Round-trip through the wire format.
 		var buf bytes.Buffer

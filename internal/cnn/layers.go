@@ -10,6 +10,11 @@ package cnn
 
 import "fmt"
 
+// TMAC is the PE's multiply-accumulate latency in cycles (Table I: 5): a
+// round's results are ready C·R·R + TMAC cycles after its operands start
+// streaming.
+const TMAC = 5
+
 // LayerConfig describes one convolution layer mapped onto the output-
 // stationary systolic array: P = OutputSize² input positions stream from
 // the west edge, Q = OutKernels filter columns stream from the north edge,

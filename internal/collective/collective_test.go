@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"gathernoc/internal/fault"
+	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -13,7 +15,7 @@ import (
 func leafSum(nodes, round int) uint64 {
 	var s uint64
 	for id := 0; id < nodes; id++ {
-		s += (uint64(id)+1)*0x9E3779B97F4A7C15 + (uint64(round)+3)*0xD1B54A32D192ED03
+		s += reduce.Operand(id, round)
 	}
 	return s
 }
@@ -261,5 +263,53 @@ func TestLossyMulticastRejected(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCollectivePayloadAfterVerification: an operand delivered after its
+// reduction verified, a row's level-1 sum or the root's, is exactly one
+// oracle error and never part of a sum.
+func TestCollectivePayloadAfterVerification(t *testing.T) {
+	const rows, cols = 4, 4
+	nw := newNetwork(t, noc.DefaultConfig(rows, cols))
+	d, err := NewDriver(nw, Config{Op: Reduce, Algorithm: AlgTree, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start(0)
+	errs := func() int { return d.Snapshot().OracleErrors }
+	topo := nw.Topology()
+	rowID := flit.TaggedReduceID(0, 0, 0)
+	var row0 uint64
+	for col := 0; col < cols; col++ {
+		v := reduce.Operand(int(topo.ID(topology.Coord{Row: 0, Col: col})), 0)
+		row0 += v
+		d.OnPayload(flit.Payload{ReduceID: rowID, Value: v, Ops: 1})
+	}
+	if got := errs(); got != 0 {
+		t.Fatalf("%d oracle errors after row 0's operands, want 0", got)
+	}
+	d.OnPayload(flit.Payload{ReduceID: rowID, Value: 1, Ops: 1})
+	if got := errs(); got != 1 {
+		t.Fatalf("%d oracle errors after a row operand past its verified reduction, want 1", got)
+	}
+	if d.rowSum[0] != row0 {
+		t.Fatalf("row 0 relays %#x, want its verified sum %#x", d.rowSum[0], row0)
+	}
+
+	rootID := flit.TaggedReduceID(0, rows+rowIDColumnOffset, 0)
+	for row := 0; row < rows; row++ {
+		var sum uint64
+		for col := 0; col < cols; col++ {
+			sum += reduce.Operand(int(topo.ID(topology.Coord{Row: row, Col: col})), 0)
+		}
+		d.OnPayload(flit.Payload{ReduceID: rootID, Value: sum, Ops: cols})
+	}
+	if got := errs(); got != 1 || !d.reduceDone {
+		t.Fatalf("root verified %v with %d oracle errors, want verified with 1", d.reduceDone, got)
+	}
+	d.OnPayload(flit.Payload{ReduceID: rootID, Value: 1, Ops: 1})
+	if got := errs(); got != 2 {
+		t.Fatalf("%d oracle errors after a root operand past its verified reduction, want 2", got)
 	}
 }

@@ -21,14 +21,6 @@ const (
 	rowIDBroadcastOffset = 1
 )
 
-// acct accumulates one reduction account (a row's level-1 sum or the
-// root's column-stage sum).
-type acct struct {
-	sum  uint64
-	ops  int
-	done bool
-}
-
 // Driver runs a collective workload phase on a network: per round every
 // PE contributes one operand (or, for a pure broadcast, the root produces
 // one value), the operands flow through the two-level tree — or straight
@@ -59,15 +51,13 @@ type Driver struct {
 	rows, cols, nodes int
 	bcastDests        *topology.DestSet
 
-	// Level 1 (tree/fused): per-row accounts and row-sum relays.
-	rowAccs []acct
+	// Level 1 (tree/fused): the row-sum relays.
 	rowSum  []uint64
 	l2Ready []bool
 	l2Sent  []bool
 	l2Left  int
 
-	// Level 2: the root account.
-	rootAcct   acct
+	// Level 2: whether the root's reduction completed.
 	reduceDone bool
 
 	// Broadcast leg.
@@ -77,7 +67,9 @@ type Driver struct {
 	got         []bool
 	gotCount    int
 
-	oracle *reduce.Oracle
+	// oracle holds the round's accounts: each row's level-1 reduction
+	// (tree/fused) and the root's.
+	oracle reduce.Oracle
 	res    Result
 }
 
@@ -121,13 +113,11 @@ func NewDriver(nw *noc.Network, cfg Config) (*Driver, error) {
 		cols:  nc.Cols,
 		nodes: nc.Rows * nc.Cols,
 	}
-	d.Init(d, d.nodes, cfg.Rounds)
-	d.rowAccs = make([]acct, d.rows)
+	d.Init(d, d.nodes, cfg.Rounds, nc.PayloadBits)
 	d.rowSum = make([]uint64, d.rows)
 	d.l2Ready = make([]bool, d.rows)
 	d.l2Sent = make([]bool, d.rows)
 	d.got = make([]bool, d.nodes)
-	d.oracle = reduce.NewOracle()
 	d.bcastDests = plan.Dests(nw.Topology())
 	d.res = Result{
 		Op: cfg.Op, Algorithm: cfg.Algorithm,
@@ -167,15 +157,13 @@ func (d *Driver) broadcastID() uint64 {
 	return flit.TaggedReduceID(d.Tag(), d.rows+rowIDBroadcastOffset, uint32(d.Round()))
 }
 
-// leafValue derives the deterministic synthetic operand PE id contributes
-// in the given round (Config.Values overrides). The multiplier spreads
-// values across the full uint64 range so sums exercise wrap-around
-// arithmetic, which the oracle reproduces exactly.
+// leafValue returns the operand PE id contributes in the given round:
+// reduce.Operand, unless Config.Values overrides it.
 func (d *Driver) leafValue(id, round int) uint64 {
 	if d.cfg.Values != nil {
 		return d.cfg.Values(id, round)
 	}
-	return (uint64(id)+1)*0x9E3779B97F4A7C15 + (uint64(round)+3)*0xD1B54A32D192ED03
+	return reduce.Operand(id, round)
 }
 
 // rootValue derives the value a pure broadcast fans out in the given
@@ -192,8 +180,7 @@ func (d *Driver) rootValue(round int) uint64 {
 // latency; a pure broadcast declares none and only times the root.
 func (d *Driver) BeginRound(now int64) {
 	r := d.Round()
-	d.oracle = reduce.NewOracle()
-	d.rootAcct = acct{}
+	d.oracle.Reset()
 	d.reduceDone = false
 	d.bcastSent = false
 	d.gotCount = 0
@@ -210,7 +197,6 @@ func (d *Driver) BeginRound(now int64) {
 		return
 	}
 
-	clear(d.rowAccs)
 	clear(d.l2Ready)
 	clear(d.l2Sent)
 	d.l2Left = 0
@@ -240,13 +226,13 @@ func (d *Driver) BeginRound(now int64) {
 func (d *Driver) Inject(id int, cycle int64) {
 	node := topology.NodeID(id)
 	if d.cfg.Algorithm == AlgFlat {
-		p := d.payload(node, d.plan.Root, d.columnID(), d.leafValue(id, d.Round()), 1, cycle)
+		p := d.Payload(node, d.plan.Root, d.columnID(), d.leafValue(id, d.Round()), 1, cycle)
 		d.nw.NIC(node).SendUnicastPayload(d.Tag(), d.plan.Root, p)
 		return
 	}
 	coord := d.nw.Topology().Coord(node)
 	line := &d.plan.Rows[coord.Row]
-	p := d.payload(node, line.Target, d.rowID(coord.Row), d.leafValue(id, d.Round()), 1, cycle)
+	p := d.Payload(node, line.Target, d.rowID(coord.Row), d.leafValue(id, d.Round()), 1, cycle)
 	d.nw.Submit(line, coord.Col, d.cfg.Algorithm.scheme(), d.Tag(), p)
 }
 
@@ -284,20 +270,8 @@ func (d *Driver) releaseRowSums(cycle int64) {
 		d.l2Sent[row] = true
 		d.l2Left--
 		east := d.plan.Rows[row].Target
-		p := d.payload(east, d.plan.Root, d.columnID(), d.rowSum[row], d.cols, cycle)
+		p := d.Payload(east, d.plan.Root, d.columnID(), d.rowSum[row], d.cols, cycle)
 		d.nw.Submit(&d.plan.Column, row, d.cfg.Algorithm.scheme(), d.Tag(), p)
-	}
-}
-
-// payload assembles one operand payload.
-func (d *Driver) payload(src, dst topology.NodeID, rid, value uint64, ops int, cycle int64) flit.Payload {
-	return flit.Payload{
-		Seq: d.NextSeq(), Src: src, Dst: dst,
-		Bits:       d.nw.Config().PayloadBits,
-		Value:      value,
-		ReadyCycle: cycle,
-		ReduceID:   rid,
-		Ops:        ops,
 	}
 }
 
@@ -325,12 +299,12 @@ func (d *Driver) maybeBroadcast(cycle int64) {
 	flits := d.nw.Config().UnicastFlits
 	if d.cfg.Algorithm == AlgFlat {
 		for id := 0; id < d.nodes; id++ {
-			p := d.payload(root, topology.NodeID(id), bid, d.bcastVal, 1, cycle)
+			p := d.Payload(root, topology.NodeID(id), bid, d.bcastVal, 1, cycle)
 			n.SendUnicastPayload(d.Tag(), topology.NodeID(id), p)
 		}
 		return
 	}
-	p := d.payload(root, root, bid, d.bcastVal, 1, cycle)
+	p := d.Payload(root, root, bid, d.bcastVal, 1, cycle)
 	n.SendMulticastPayload(d.Tag(), d.bcastDests, flits, p)
 }
 
@@ -372,65 +346,24 @@ func (d *Driver) onBroadcast(pl flit.Payload, at topology.NodeID) {
 
 // OnPayload folds one delivered reduction payload into its account — a
 // row's level-1 sum at the row target, or the column stage at the root —
-// and checks completed reductions against the oracle. Payloads whose
-// ReduceID does not name this driver's tag, a valid channel and the
-// current round count as oracle errors (workload.PayloadSink).
+// which the oracle verifies once complete (reduce.Oracle.Fold). A completed
+// row's sum is staged for the column relay; the completed root finishes the
+// round's reduce leg. A payload whose ReduceID names no reduction of this
+// driver's tag and the current round, or that arrives after its reduction
+// completed, is an oracle error (workload.PayloadSink).
 func (d *Driver) OnPayload(pl flit.Payload) {
 	d.Wake()
-	row := flit.ReduceIDRow(pl.ReduceID)
-	if flit.ReduceIDTag(pl.ReduceID) != d.Tag() || !d.hasReduce() ||
-		flit.ReduceIDRound(pl.ReduceID) != uint32(d.Round()) {
+	sum, complete, err := d.oracle.Fold(pl)
+	if err != nil {
 		d.res.OracleErrors++
+	}
+	if !complete {
 		return
 	}
-	switch {
-	case row == d.rows+rowIDColumnOffset:
-		d.onColumnOperand(pl)
-	case row < d.rows && d.treeLevels():
-		d.onRowOperand(pl, row)
-	default:
-		d.res.OracleErrors++
-	}
-}
-
-// onRowOperand folds one level-1 payload into its row account; a
-// completed row is verified against the oracle and its sum staged for the
-// column relay.
-func (d *Driver) onRowOperand(pl flit.Payload, row int) {
-	a := &d.rowAccs[row]
-	if a.done {
-		// Operands beyond a verified reduction are duplicates.
-		d.res.OracleErrors++
-		return
-	}
-	a.sum += pl.Value
-	a.ops += pl.OpsCount()
-	if a.ops >= d.cols {
-		if err := d.oracle.Verify(d.rowID(row), a.sum, a.ops); err != nil {
-			d.res.OracleErrors++
-		}
-		a.done = true
-		d.rowSum[row] = a.sum
+	if row := flit.ReduceIDRow(pl.ReduceID); row < d.rows {
+		d.rowSum[row] = sum
 		d.l2Ready[row] = true
-	}
-}
-
-// onColumnOperand folds one column-stage payload into the root account; a
-// completed reduction is verified against the oracle and finishes the
-// round's reduce leg.
-func (d *Driver) onColumnOperand(pl flit.Payload) {
-	a := &d.rootAcct
-	if a.done {
-		d.res.OracleErrors++
-		return
-	}
-	a.sum += pl.Value
-	a.ops += pl.OpsCount()
-	if a.ops >= d.nodes {
-		if err := d.oracle.Verify(d.columnID(), a.sum, a.ops); err != nil {
-			d.res.OracleErrors++
-		}
-		a.done = true
+	} else {
 		d.reduceDone = true
 	}
 }
@@ -442,17 +375,10 @@ func (d *Driver) Result(cycles int64) *Result {
 	r := &d.res
 	r.Cycles = cycles
 	r.Activity = d.nw.Activity()
-	for id := 0; id < d.nodes; id++ {
-		n := d.nw.NIC(topology.NodeID(id))
-		r.SelfInitiated += n.SelfInitiatedGathers.Value() + n.SelfInitiatedReduces.Value()
-		r.Merges += n.PiggybackAcks.Value() + n.MergeAcks.Value()
-	}
-	var ej *nic.Ejector
-	if d.plan.RootIsSink {
-		ej = d.nw.Sink(d.rows - 1).Ejector()
-	} else {
-		ej = d.nw.NIC(d.plan.Root).Ejector()
-	}
+	nics := d.nw.NICTotals()
+	r.SelfInitiated = nics.SelfInitiated()
+	r.Merges = nics.PiggybackAcks + nics.MergeAcks
+	ej := d.nw.Ejector(d.plan.Root)
 	r.RootFlits = ej.FlitsEjected.Value()
 	r.RootPackets = ej.PacketsEjected.Value()
 	return r

@@ -35,12 +35,8 @@ func (o Options) rounds() int {
 	return o.Rounds
 }
 
-// tmac is the MAC latency of every layer run (Table I), and maxCycles the
-// cycle budget of one simulation.
-const (
-	tmac      = 5
-	maxCycles = 50_000_000
-)
+// maxCycles is the cycle budget of one simulation.
+const maxCycles = 50_000_000
 
 // networkConfig and systolicConfig materialize the configurations of one
 // layer run: defaults, then the Options' mutators. RunLayer simulates what
@@ -61,7 +57,7 @@ func (o Options) systolicConfig(layer cnn.LayerConfig, mode systolic.Mode) systo
 	cfg := systolic.Config{
 		Layer:     layer,
 		Mode:      mode,
-		TMAC:      tmac,
+		TMAC:      cnn.TMAC,
 		MaxRounds: o.rounds(),
 	}
 	if o.MutateSystolic != nil {
@@ -221,7 +217,7 @@ func Compare(rows, cols int, layer cnn.LayerConfig, opts Options, ru, g *systoli
 		c.LatencyImprovementPct = float64(ru.TotalCycles-g.TotalCycles) / float64(g.TotalCycles) * 100
 	}
 	c.PowerImprovementPct = power.ImprovementPercent(c.RU.Energy.NoCPJ, c.Gather.Energy.NoCPJ)
-	c.EstimatedImprovementPct = EstimateParams(cfg, layer, tmac).Improvement()
+	c.EstimatedImprovementPct = EstimateParams(cfg, layer, cnn.TMAC).Improvement()
 	return c
 }
 

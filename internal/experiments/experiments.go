@@ -283,7 +283,7 @@ func RenderTable1(rows, cols int) string {
 	fmt.Fprintf(&b, "  Packet Size         Gather: %d flits, Other: %d flits\n", gflits, cfg.UnicastFlits)
 	fmt.Fprintf(&b, "  Flit Size           %d bits\n", cfg.FlitBits)
 	fmt.Fprintf(&b, "  Gather Payload      %d bits\n", cfg.PayloadBits)
-	fmt.Fprintf(&b, "  T_MAC               5 cycles\n")
+	fmt.Fprintf(&b, "  T_MAC               %d cycles\n", cnn.TMAC)
 	fmt.Fprintf(&b, "  Delta               %d cycles (scaled per column)\n", cfg.Delta)
 	fmt.Fprintf(&b, "  Buffer transaction  %d cycles/packet\n", cfg.SinkPacketOverhead)
 	return b.String()

@@ -111,7 +111,7 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 	defer nw.Release()
 
 	ctl, err := systolic.NewController(nw, systolic.Config{
-		Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: opts.rounds(),
+		Layer: layer, Mode: systolic.GatherMode, TMAC: cnn.TMAC, MaxRounds: opts.rounds(),
 	})
 	if err != nil {
 		return MixedTrafficRow{}, err
@@ -122,7 +122,7 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 	// background packets at the NICs.
 	if rate > 0 {
 		gen, err := traffic.NewGeneratorDriver(nw, traffic.GeneratorConfig{
-			Pattern:       traffic.UniformRandom{Nodes: nw.Mesh().NumNodes()},
+			Pattern:       traffic.UniformRandom{Nodes: nw.Topology().NumNodes()},
 			InjectionRate: rate,
 			PacketFlits:   cfg.UnicastFlits,
 			Warmup:        0,
@@ -132,7 +132,7 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 		if err != nil {
 			return MixedTrafficRow{}, err
 		}
-		for id := 0; id < nw.Mesh().NumNodes(); id++ {
+		for id := 0; id < nw.Topology().NumNodes(); id++ {
 			nw.NIC(topology.NodeID(id)).OnReceive(gen.OnPacket)
 		}
 		gen.Start(0)

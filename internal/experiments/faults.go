@@ -7,7 +7,6 @@ import (
 
 	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
-	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 	"gathernoc/internal/workload"
 )
@@ -112,9 +111,7 @@ func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (Fa
 		row.Drops = inj.Drops()
 		row.Corrupts = inj.Corrupts()
 	}
-	for id := 0; id < nw.Topology().NumNodes(); id++ {
-		row.Retransmits += nw.NIC(topology.NodeID(id)).Retransmits.Value()
-	}
+	row.Retransmits = nw.NICTotals().Retransmits
 	if row.OracleErrors != 0 {
 		return FaultSweepRow{}, fmt.Errorf("%d oracle errors — recovery lost payloads", row.OracleErrors)
 	}

@@ -90,7 +90,7 @@ func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 		Scheme:         p.scheme,
 		Rounds:         opts.rounds(),
 		TotalRounds:    p.layer.AccumulationRounds(p.mesh),
-		ComputeLatency: p.layer.PartialMACsPerPE(p.mesh) + 5, // + T_MAC
+		ComputeLatency: p.layer.PartialMACsPerPE(p.mesh) + cnn.TMAC,
 	})
 	if err != nil {
 		return INARow{}, err

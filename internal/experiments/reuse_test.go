@@ -65,3 +65,25 @@ func TestMultiJobReleasesItsFabric(t *testing.T) {
 		t.Errorf("built %d and reused %d networks, want the second run on the first run's fabric", built, reused)
 	}
 }
+
+// TestOwnOptionsCellRunsOnOneFabric: an ablation cell's network
+// configuration is its own, so its RU and gather runs are one sweep item
+// and the second runs on the fabric the first released. The sinkcost
+// ablation's four cells then build at most one fabric each, plus one for a
+// cell whose configuration happens to equal the default, on any worker
+// count; dispatched as two items, two workers build eight.
+func TestOwnOptionsCellRunsOnOneFabric(t *testing.T) {
+	before := noc.ReuseStats()
+	if _, err := AblationSinkCost(Options{Rounds: 1, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	after := noc.ReuseStats()
+	built, reused := after.Built-before.Built, after.Reused-before.Reused
+	t.Logf("built %d, reused %d, dropped %d", built, reused, after.Dropped-before.Dropped)
+	if built+reused != 8 {
+		t.Errorf("built %d + reused %d networks for 8 simulations", built, reused)
+	}
+	if built > 5 {
+		t.Errorf("built %d networks for four cells of their own configuration, want at most 5", built)
+	}
+}

@@ -135,8 +135,8 @@ func (p comparePoint) lookup(opts Options) *core.Comparison {
 
 // compareCell is a point's comparison in the making: its run options, its
 // cache key ("" when it has none), the results of its two runs, RU then
-// gather, how many of them are still running, and where the comparison
-// goes.
+// gather, how many of its sweep items are still running, and where the
+// comparison goes.
 type compareCell struct {
 	comparePoint
 	opts    core.Options
@@ -149,22 +149,26 @@ type compareCell struct {
 // modes are the collection modes of a cell's two runs.
 var modes = [2]systolic.Mode{systolic.RepetitiveUnicast, systolic.GatherMode}
 
-// compareRun is one simulation of a sweep: run mode of cell.
+// compareRun is one item of a sweep: the runs of cell in modes lo to hi.
 type compareRun struct {
-	cell *compareCell
-	mode int
+	cell   *compareCell
+	lo, hi int
 }
 
 // compareSweep returns the RU-vs-gather comparison of every point, in
 // input order. With a result cache it looks every cell up first, on the
 // worker pool, and simulates only the cells it misses. Each of those is two
-// items on the pool, its RU run and its gather run, and all of them (but
-// those of cells with options of their own, compareRun.run) follow one
-// trajectory table that lives as long as the sweep (round.Trajectories):
-// the first runs of distinct keys record at once, a run that reaches a key
-// another run is recording waits for it, and a run whose rounds collect as
-// a recorded one did is replayed from it instead of simulated. Whichever
-// worker finishes a cell's second run derives the comparison
+// items on the pool, its RU run and its gather run, and all of them follow
+// one trajectory table that lives as long as the sweep
+// (round.Trajectories): the first runs of distinct keys record at once, a
+// run that reaches a key another run is recording waits for it, and a run
+// whose rounds collect as a recorded one did is replayed from it instead of
+// simulated. A cell with run options of its own (an ablation's, a
+// dataflow's) is one item instead, both runs in turn on one worker: when
+// those options change the fabric's configuration no other cell's fabric
+// fits it, and its second run takes the one its first released
+// (noc.Acquire) where two workers would build one each.
+// Whichever worker finishes a cell's last item derives the comparison
 // (core.Compare) and stores it in the cache.
 //
 // A comparison the cache serves is shared with every later lookup of its
@@ -198,17 +202,24 @@ func compareSweep(points []comparePoint, opts Options) ([]*core.Comparison, erro
 	}
 	cells := make([]compareCell, misses)
 	runs := make([]compareRun, 0, 2*misses)
+	n := 0
 	for i, p := range points {
 		if cmps[i] != nil {
 			continue
 		}
-		c := &cells[len(runs)/2]
+		c := &cells[n]
+		n++
 		c.comparePoint, c.opts, c.out = p, p.options(opts), &cmps[i]
 		if opts.Cache != nil {
 			c.key, _ = core.ComparisonKey(p.mesh, p.mesh, p.layer, c.opts)
 		}
-		c.pending.Store(2)
-		runs = append(runs, compareRun{c, 0}, compareRun{c, 1})
+		if p.mutate != nil {
+			c.pending.Store(1)
+			runs = append(runs, compareRun{c, 0, 1})
+		} else {
+			c.pending.Store(2)
+			runs = append(runs, compareRun{c, 0, 0}, compareRun{c, 1, 1})
+		}
 	}
 	var t round.Trajectories
 	_, err := Sweep(ctx, opts.Workers, runs,
@@ -221,21 +232,23 @@ func compareSweep(points []comparePoint, opts Options) ([]*core.Comparison, erro
 	return cmps, nil
 }
 
-// run simulates the run, following the sweep's table t; the cell's second
-// run to finish derives the comparison and stores it in cache under the
-// cell's key. A cell with run options of its own (an ablation's, a
-// dataflow's) follows no table: it is the only cell of its key in its
-// sweep, and could only record.
+// run simulates the item's runs, following the sweep's table t; the
+// cell's last item to finish derives the comparison and stores it in cache
+// under the cell's key. A cell with run options of its own follows no
+// table: it is the only cell of its key in its sweep, and could only
+// record.
 func (r compareRun) run(t *round.Trajectories, cache *Cache) error {
 	c := r.cell
 	if c.mutate != nil {
 		t = nil
 	}
-	res, err := core.Simulate(t, c.mesh, c.mesh, c.layer, modes[r.mode], c.opts)
-	if err != nil {
-		return fmt.Errorf("%s %dx%d: %w", c.layer.Name, c.mesh, c.mesh, err)
+	for mode := r.lo; mode <= r.hi; mode++ {
+		res, err := core.Simulate(t, c.mesh, c.mesh, c.layer, modes[mode], c.opts)
+		if err != nil {
+			return fmt.Errorf("%s %dx%d: %w", c.layer.Name, c.mesh, c.mesh, err)
+		}
+		c.runs[mode] = res
 	}
-	c.runs[r.mode] = res
 	if c.pending.Add(-1) > 0 {
 		return nil
 	}

@@ -20,7 +20,7 @@ func TestRandomTrafficConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig(4, 4)
 		nw := mustNetwork(t, cfg)
-		nodes := nw.Mesh().NumNodes()
+		nodes := nw.Topology().NumNodes()
 
 		wantDeliveries := 0
 		gotDeliveries := 0
@@ -74,7 +74,7 @@ func TestRandomTrafficConservation(t *testing.T) {
 				n.SendMulticast(0, set, 1+rng.Intn(3))
 				wantDeliveries += set.Len()
 			case 3: // gather packet toward the source row's sink
-				row := nw.Mesh().Coord(src).Row
+				row := nw.Topology().Coord(src).Row
 				dst := nw.RowSinkID(row)
 				seq++
 				own := flit.Payload{Seq: seq, Src: src, Dst: dst, Bits: 32}
@@ -146,7 +146,7 @@ func TestGatherProtocolRandomized(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					continue // this PE produces nothing
 				}
-				id := nw.Mesh().ID(topology.Coord{Row: row, Col: col})
+				id := nw.Topology().ID(topology.Coord{Row: row, Col: col})
 				seq++
 				plan = append(plan, deposit{
 					at:   int64(rng.Intn(30)),

@@ -23,7 +23,7 @@ func TestHopAccountingMatchesManhattan(t *testing.T) {
 			}
 			byID := map[uint64]want{}
 			var got []*nic.ReceivedPacket
-			for id := 0; id < nw.Mesh().NumNodes(); id++ {
+			for id := 0; id < nw.Topology().NumNodes(); id++ {
 				id := topology.NodeID(id)
 				nw.NIC(id).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 			}
@@ -45,7 +45,7 @@ func TestHopAccountingMatchesManhattan(t *testing.T) {
 			}
 			for _, p := range got {
 				w := byID[p.ID]
-				wantHops := nw.Mesh().Hops(w.src, w.dst) + 1
+				wantHops := nw.Topology().Hops(w.src, w.dst) + 1
 				if p.Hops != wantHops {
 					t.Errorf("%s: packet %d->%d hops = %d, want %d",
 						algo, w.src, w.dst, p.Hops, wantHops)
@@ -65,7 +65,7 @@ func TestGatherHopCountMatchesFig1(t *testing.T) {
 	dst := nw.RowSinkID(row)
 	var hops int
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { hops = p.Hops })
-	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
+	left := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 	own := flitPayloadAt(1, left, dst)
 	nw.NIC(left).SendGather(0, dst, &own)
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {

@@ -123,7 +123,7 @@ func TestINAStationFullFallsBack(t *testing.T) {
 		}
 	})
 
-	id := nw.Mesh().ID(topology.Coord{Row: row, Col: 2})
+	id := nw.Topology().ID(topology.Coord{Row: row, Col: 2})
 	n := nw.NIC(id)
 	n.SubmitReduceOperand(0, reduceOperandAt(1, id, dst, 4, 10))
 	n.SubmitReduceOperand(0, reduceOperandAt(2, id, dst, 4, 20))
@@ -131,7 +131,7 @@ func TestINAStationFullFallsBack(t *testing.T) {
 		t.Fatalf("overflow operand did not self-initiate (count=%d)",
 			n.SelfInitiatedReduces.Value())
 	}
-	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
+	left := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 	nw.NIC(left).SendAccumulate(0, dst, 4, reduceOperandAt(3, left, dst, 4, 30))
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
@@ -153,7 +153,7 @@ func TestINAOffBitIdentical(t *testing.T) {
 		nw := mustNetwork(t, cfg)
 		dst := nw.RowSinkID(0)
 		for col := 1; col < 4; col++ {
-			id := nw.Mesh().ID(topology.Coord{Row: 0, Col: col})
+			id := nw.Topology().ID(topology.Coord{Row: 0, Col: col})
 			nw.NIC(id).SetDelta(5 * int64(1+col))
 			nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(uint64(col), id, dst))
 		}

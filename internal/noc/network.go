@@ -738,13 +738,6 @@ func (nw *Network) Topology() topology.Topology { return nw.topo }
 // Routing returns the routing algorithm steering the network's packets.
 func (nw *Network) Routing() topology.Routing { return nw.routing }
 
-// Mesh returns the underlying topology.
-//
-// Deprecated: the fabric is not necessarily a mesh anymore; use Topology.
-// Retained because the coordinate-grid methods (ID, Coord, Hops, ...) are
-// what every caller used, and those live on the interface.
-func (nw *Network) Mesh() topology.Topology { return nw.topo }
-
 // Engine returns the cycle engine, for registering controllers.
 func (nw *Network) Engine() *sim.Engine { return nw.engine }
 
@@ -796,6 +789,15 @@ func (nw *Network) RowSinkID(row int) topology.NodeID {
 func (nw *Network) IsSinkID(id topology.NodeID) bool {
 	n := nw.topo.NumNodes()
 	return int(id) >= n && int(id) < n+len(nw.sinks)
+}
+
+// Ejector returns the ejector of collection target id: the sink's when id
+// is a sink id (IsSinkID), else node id's NIC's.
+func (nw *Network) Ejector(id topology.NodeID) *nic.Ejector {
+	if nw.IsSinkID(id) {
+		return nw.sinks[int(id)-nw.topo.NumNodes()].ej
+	}
+	return nw.nics[id].Ejector()
 }
 
 // routeFlit is the RoutingFunc behind every router (each closes over its
@@ -970,4 +972,29 @@ func (nw *Network) Activity() Activity {
 		a.FlitsSent += n.FlitsInjected.Value()
 	}
 	return a
+}
+
+// NICTotals is the NIC side of a run's account, each counter summed over
+// every NIC of the fabric (nic.NIC).
+type NICTotals struct {
+	SelfInitiatedGathers, SelfInitiatedReduces uint64
+	PiggybackAcks, MergeAcks                   uint64
+	Retransmits, AbandonedPayloads             uint64
+}
+
+// SelfInitiated returns the δ-timeout fallback packets of both protocols.
+func (t NICTotals) SelfInitiated() uint64 { return t.SelfInitiatedGathers + t.SelfInitiatedReduces }
+
+// NICTotals sums the NIC-side counters across the network.
+func (nw *Network) NICTotals() NICTotals {
+	var t NICTotals
+	for _, n := range nw.nics {
+		t.SelfInitiatedGathers += n.SelfInitiatedGathers.Value()
+		t.SelfInitiatedReduces += n.SelfInitiatedReduces.Value()
+		t.PiggybackAcks += n.PiggybackAcks.Value()
+		t.MergeAcks += n.MergeAcks.Value()
+		t.Retransmits += n.Retransmits.Value()
+		t.AbandonedPayloads += n.AbandonedPayloads.Value()
+	}
+	return t
 }

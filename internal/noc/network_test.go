@@ -133,13 +133,13 @@ func TestGatherCollectsRowPayloads(t *testing.T) {
 	// is configured per router to cover the pipeline delay from the
 	// initiator, so it scales with the column distance.
 	for c := 1; c < 4; c++ {
-		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
+		id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SetDelta(cfg.Delta * int64(1+c))
 		nw.NIC(id).SubmitGatherPayload(0, flit.Payload{
 			Seq: uint64(c), Src: id, Dst: dst, Bits: 32, Value: uint64(100 + c),
 		})
 	}
-	initiator := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
+	initiator := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 	nw.NIC(initiator).SendGather(0, dst, &flit.Payload{
 		Seq: 0, Src: initiator, Dst: dst, Bits: 32, Value: 100,
 	})
@@ -182,7 +182,7 @@ func TestGatherDeltaTimeoutSelfInitiates(t *testing.T) {
 	var got []*nic.ReceivedPacket
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
-	id := nw.Mesh().ID(topology.Coord{Row: row, Col: 2})
+	id := nw.Topology().ID(topology.Coord{Row: row, Col: 2})
 	nw.NIC(id).SubmitGatherPayload(0, flit.Payload{Seq: 1, Src: id, Dst: dst, Bits: 32, Value: 7})
 
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
@@ -210,7 +210,7 @@ func TestRepetitiveUnicastDeliversAll(t *testing.T) {
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
 	for c := 0; c < 4; c++ {
-		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
+		id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SendUnicastN(0, dst, 2)
 	}
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
@@ -225,11 +225,11 @@ func TestMulticastReachesAllDestinations(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
 	nw := mustNetwork(t, cfg)
 	received := map[topology.NodeID]int{}
-	for id := 0; id < nw.Mesh().NumNodes(); id++ {
+	for id := 0; id < nw.Topology().NumNodes(); id++ {
 		id := topology.NodeID(id)
 		nw.NIC(id).OnReceive(func(p *nic.ReceivedPacket) { received[id]++ })
 	}
-	dsts := topology.DestSetOf(nw.Mesh().NumNodes(), 3, 7, 12, 15, 0)
+	dsts := topology.DestSetOf(nw.Topology().NumNodes(), 3, 7, 12, 15, 0)
 	nw.NIC(5).SendMulticast(0, dsts, 2)
 
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
@@ -254,7 +254,7 @@ func TestBackpressureManyToOneDrains(t *testing.T) {
 	nw := mustNetwork(t, cfg)
 	count := 0
 	nw.NIC(5).OnReceive(func(p *nic.ReceivedPacket) { count++ })
-	for id := 0; id < nw.Mesh().NumNodes(); id++ {
+	for id := 0; id < nw.Topology().NumNodes(); id++ {
 		if id == 5 {
 			continue
 		}
@@ -277,12 +277,12 @@ func TestDeterministicReplay(t *testing.T) {
 		for row := 0; row < 4; row++ {
 			dst := nw.RowSinkID(row)
 			for c := 1; c < 4; c++ {
-				id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
+				id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
 				nw.NIC(id).SubmitGatherPayload(0, flit.Payload{
 					Seq: uint64(row*10 + c), Src: id, Dst: dst, Bits: 32,
 				})
 			}
-			left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
+			left := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 			nw.NIC(left).SendGather(0, dst, &flit.Payload{Seq: uint64(row * 100), Src: left, Dst: dst})
 			nw.NIC(left).SendUnicastN(0, topology.NodeID((row+1)%4*4), 2)
 		}
@@ -327,11 +327,11 @@ func TestGatherVCReservation(t *testing.T) {
 	var got []*nic.ReceivedPacket
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
-	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
+	left := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 	nw.NIC(left).SendGather(0, dst, &flit.Payload{Seq: 1, Src: left, Dst: dst, Value: 9})
 	// Background unicast traffic on the same row.
 	for c := 1; c < 4; c++ {
-		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
+		id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SendUnicastN(0, dst, 2)
 	}
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {

@@ -30,11 +30,11 @@ func TestFlitPoolLeakFreedom(t *testing.T) {
 	// A gather row with piggybacked payloads.
 	dst := nw.RowSinkID(0)
 	for col := 1; col < 4; col++ {
-		id := nw.Mesh().ID(topology.Coord{Row: 0, Col: col})
+		id := nw.Topology().ID(topology.Coord{Row: 0, Col: col})
 		nw.NIC(id).SetDelta(5 * int64(1+col))
 		nw.NIC(id).SubmitGatherPayload(0, flit.Payload{Seq: uint64(col), Src: id, Dst: dst, Bits: 32})
 	}
-	left := nw.Mesh().ID(topology.Coord{Row: 0, Col: 0})
+	left := nw.Topology().ID(topology.Coord{Row: 0, Col: 0})
 	own := flit.Payload{Seq: 99, Src: left, Dst: dst, Bits: 32}
 	nw.NIC(left).SendGather(0, dst, &own)
 
@@ -42,13 +42,13 @@ func TestFlitPoolLeakFreedom(t *testing.T) {
 	rdst := nw.RowSinkID(1)
 	const rid = uint64(7) << 32
 	for col := 1; col < 4; col++ {
-		id := nw.Mesh().ID(topology.Coord{Row: 1, Col: col})
+		id := nw.Topology().ID(topology.Coord{Row: 1, Col: col})
 		nw.NIC(id).SetReduceDelta(5 * int64(1+col))
 		nw.NIC(id).SubmitReduceOperand(0, flit.Payload{
 			Seq: 100 + uint64(col), Src: id, Dst: rdst, Bits: 32, Value: uint64(col), ReduceID: rid, Ops: 1,
 		})
 	}
-	rleft := nw.Mesh().ID(topology.Coord{Row: 1, Col: 0})
+	rleft := nw.Topology().ID(topology.Coord{Row: 1, Col: 0})
 	nw.NIC(rleft).SendAccumulate(0, rdst, rid, flit.Payload{
 		Seq: 200, Src: rleft, Dst: rdst, Bits: 32, Value: 5, ReduceID: rid, Ops: 1,
 	})

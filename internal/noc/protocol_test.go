@@ -27,7 +27,7 @@ func TestGatherStationFullFallsBack(t *testing.T) {
 	})
 
 	// Two payloads at the same node: the second overflows the station.
-	id := nw.Mesh().ID(topology.Coord{Row: row, Col: 2})
+	id := nw.Topology().ID(topology.Coord{Row: row, Col: 2})
 	n := nw.NIC(id)
 	n.SubmitGatherPayload(0, flitPayloadAt(1, id, dst))
 	n.SubmitGatherPayload(0, flitPayloadAt(2, id, dst))
@@ -36,7 +36,7 @@ func TestGatherStationFullFallsBack(t *testing.T) {
 			n.SelfInitiatedGathers.Value())
 	}
 	// A gather packet from the row start eventually collects the first.
-	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
+	left := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 	own := flitPayloadAt(3, left, dst)
 	nw.NIC(left).SendGather(0, dst, &own)
 

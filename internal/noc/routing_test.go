@@ -14,7 +14,7 @@ func TestWestFirstRoutingDelivers(t *testing.T) {
 	nw := mustNetwork(t, cfg)
 
 	received := map[topology.NodeID]int{}
-	for id := 0; id < nw.Mesh().NumNodes(); id++ {
+	for id := 0; id < nw.Topology().NumNodes(); id++ {
 		id := topology.NodeID(id)
 		nw.NIC(id).OnReceive(func(p *nic.ReceivedPacket) { received[id]++ })
 	}
@@ -49,11 +49,11 @@ func TestWestFirstGatherStillWorks(t *testing.T) {
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { payloads += len(p.Payloads) })
 
 	for c := 1; c < 4; c++ {
-		id := nw.Mesh().ID(topology.Coord{Row: row, Col: c})
+		id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SetDelta(cfg.Delta * int64(1+c))
 		nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(uint64(c), id, dst))
 	}
-	left := nw.Mesh().ID(topology.Coord{Row: row, Col: 0})
+	left := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 	own := flitPayloadAt(0, left, dst)
 	nw.NIC(left).SendGather(0, dst, &own)
 
@@ -73,7 +73,7 @@ func TestWestFirstHotspotDrains(t *testing.T) {
 	nw := mustNetwork(t, cfg)
 	count := 0
 	nw.NIC(0).OnReceive(func(p *nic.ReceivedPacket) { count++ })
-	for id := 1; id < nw.Mesh().NumNodes(); id++ {
+	for id := 1; id < nw.Topology().NumNodes(); id++ {
 		for k := 0; k < 4; k++ {
 			nw.NIC(topology.NodeID(id)).SendUnicastN(0, 0, 4)
 		}

@@ -215,38 +215,101 @@ func (s *Station) Retract(seq uint64) bool {
 // Backlog reports how many operands sit in the station (any state).
 func (s *Station) Backlog() int { return len(s.entries) }
 
-// Oracle is the software reduction reference: it accumulates every operand
-// of each reduction with the same exact wrap-around uint64 arithmetic the
-// in-network merge uses, so a sink's received sums can be checked bit for
-// bit against it.
+// Operand is the deterministic synthetic operand PE id contributes to a
+// reduction in the given round. The multiplier spreads values across the
+// full uint64 range so sums exercise wrap-around arithmetic, which the
+// oracle reproduces exactly.
+func Operand(id, round int) uint64 {
+	return (uint64(id)+1)*0x9E3779B97F4A7C15 + (uint64(round)+3)*0xD1B54A32D192ED03
+}
+
+// Oracle is the software reduction reference and the ledger of one round's
+// reductions at their collection targets. Add loads each operand a
+// reduction is to receive, with the same exact wrap-around uint64
+// arithmetic the in-network merge uses; Fold accounts each delivered
+// payload against the reduction its ReduceID names. A reduction completes
+// once it has folded as many operands as were added, and is then checked
+// bit for bit against them, whatever mix of merged and self-initiated
+// packets delivered it. The zero value is ready; Reset empties it in place
+// for the next round.
 type Oracle struct {
-	sums map[uint64]uint64
-	ops  map[uint64]int
+	// index maps a ReduceID to its account in accts.
+	index map[uint64]int
+	accts []account
 }
 
-// NewOracle returns an empty oracle.
-func NewOracle() *Oracle {
-	return &Oracle{sums: map[uint64]uint64{}, ops: map[uint64]int{}}
+// account is one reduction: what the oracle expects (sum, ops) and what
+// its collection target has folded so far (got, gotOps).
+type account struct {
+	sum, got    uint64
+	ops, gotOps int
+	done        bool
 }
 
-// Add folds value into the reduction's expected sum.
+// Reset empties the oracle for the next round, keeping its storage.
+func (o *Oracle) Reset() {
+	clear(o.index)
+	o.accts = o.accts[:0]
+}
+
+// Add folds value into the reduction's expected sum and counts it as one
+// operand the reduction is to receive.
 func (o *Oracle) Add(reduceID, value uint64) {
-	o.sums[reduceID] += value
-	o.ops[reduceID]++
+	i, ok := o.index[reduceID]
+	if !ok {
+		if o.index == nil {
+			o.index = map[uint64]int{}
+		}
+		i = len(o.accts)
+		o.index[reduceID] = i
+		o.accts = append(o.accts, account{})
+	}
+	a := &o.accts[i]
+	a.sum += value
+	a.ops++
 }
 
 // Sum returns the expected sum of the reduction.
-func (o *Oracle) Sum(reduceID uint64) uint64 { return o.sums[reduceID] }
-
-// Verify returns an error describing the first mismatch between the
-// received (sum, ops) and the oracle's expectation, or nil when they agree
-// exactly.
-func (o *Oracle) Verify(reduceID, gotSum uint64, gotOps int) error {
-	if gotOps != o.ops[reduceID] {
-		return fmt.Errorf("reduce %d: got %d operands, oracle expects %d", reduceID, gotOps, o.ops[reduceID])
+func (o *Oracle) Sum(reduceID uint64) uint64 {
+	if i, ok := o.index[reduceID]; ok {
+		return o.accts[i].sum
 	}
-	if gotSum != o.sums[reduceID] {
-		return fmt.Errorf("reduce %d: got sum %d, oracle expects %d", reduceID, gotSum, o.sums[reduceID])
+	return 0
+}
+
+// Fold accounts one delivered payload, its value and its OpsCount, against
+// its reduction. complete reports that the payload completed the
+// reduction, whose delivered sum is then sum. err is non-nil when the
+// payload names no reduction of the oracle, arrives after its reduction
+// completed (a duplicate), or completes a reduction whose delivered sum or
+// operand count disagrees with the expected ones.
+func (o *Oracle) Fold(pl flit.Payload) (sum uint64, complete bool, err error) {
+	i, ok := o.index[pl.ReduceID]
+	if !ok {
+		return 0, false, fmt.Errorf("reduce %d: no such reduction this round", pl.ReduceID)
+	}
+	a := &o.accts[i]
+	if a.done {
+		return 0, false, fmt.Errorf("reduce %d: operand after the reduction completed", pl.ReduceID)
+	}
+	a.got += pl.Value
+	a.gotOps += pl.OpsCount()
+	if a.gotOps < a.ops {
+		return 0, false, nil
+	}
+	a.done = true
+	return a.got, true, a.verify(pl.ReduceID)
+}
+
+// verify returns an error describing the first mismatch between the
+// delivered (sum, ops) and the expected ones, or nil when they agree
+// exactly.
+func (a *account) verify(reduceID uint64) error {
+	if a.gotOps != a.ops {
+		return fmt.Errorf("reduce %d: got %d operands, oracle expects %d", reduceID, a.gotOps, a.ops)
+	}
+	if a.got != a.sum {
+		return fmt.Errorf("reduce %d: got sum %d, oracle expects %d", reduceID, a.got, a.sum)
 	}
 	return nil
 }

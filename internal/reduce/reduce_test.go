@@ -108,7 +108,7 @@ func TestRetract(t *testing.T) {
 }
 
 func TestOracleExactness(t *testing.T) {
-	o := NewOracle()
+	var o Oracle
 	// Wrap-around addition must match uint64 arithmetic exactly.
 	o.Add(1, ^uint64(0))
 	o.Add(1, 2)
@@ -116,17 +116,67 @@ func TestOracleExactness(t *testing.T) {
 	if got := o.Sum(1); got != 1 {
 		t.Errorf("sum(1) = %d, want wrap-around 1", got)
 	}
-	if err := o.Verify(2, 5, 1); err != nil {
-		t.Errorf("verify: %v", err)
+	if sum, complete, err := o.Fold(op(1, 0, 2, 5)); !complete || sum != 5 || err != nil {
+		t.Errorf("fold(2) = %d, %v, %v; want 5, complete, verified", sum, complete, err)
 	}
-	if err := o.Verify(1, 1, 2); err != nil {
-		t.Errorf("verify: %v", err)
+	o.Fold(op(2, 0, 1, 2))
+	if sum, complete, err := o.Fold(op(3, 0, 1, ^uint64(0))); !complete || sum != 1 || err != nil {
+		t.Errorf("fold(1) = %d, %v, %v; want wrap-around 1, complete, verified", sum, complete, err)
 	}
-	if err := o.Verify(1, 0, 2); err == nil {
-		t.Error("verify must flag a wrong sum")
+	// Reset empties the oracle in place: last round's reductions are gone.
+	o.Reset()
+	if got := o.Sum(1); got != 0 {
+		t.Errorf("sum(1) after Reset = %d, want 0", got)
 	}
-	if err := o.Verify(1, 1, 3); err == nil {
-		t.Error("verify must flag a wrong operand count")
+	if _, _, err := o.Fold(op(4, 0, 2, 5)); err == nil {
+		t.Error("fold of a reduction from before Reset must be an error")
+	}
+}
+
+// TestOracleLedger: a reduction completes exactly when it has folded as
+// many operands as the oracle was loaded with, is then verified bit for bit,
+// and every payload after that is an error.
+func TestOracleLedger(t *testing.T) {
+	const rid = 7
+	withOps := func(v uint64, ops int) flit.Payload {
+		return flit.Payload{ReduceID: rid, Value: v, Ops: ops}
+	}
+	for _, tc := range []struct {
+		name string
+		in   []flit.Payload
+		// complete and errs are Fold's verdict on each payload.
+		complete []bool
+		errs     []bool
+	}{
+		{"completes at the expected count", []flit.Payload{withOps(10, 1), withOps(20, 1), withOps(30, 1)},
+			[]bool{false, false, true}, []bool{false, false, false}},
+		{"merged operands count as many", []flit.Payload{withOps(30, 2), withOps(30, 1)},
+			[]bool{false, true}, []bool{false, false}},
+		{"wrong sum", []flit.Payload{withOps(10, 1), withOps(20, 1), withOps(31, 1)},
+			[]bool{false, false, true}, []bool{false, false, true}},
+		{"wrong operand count", []flit.Payload{withOps(10, 1), withOps(50, 3)},
+			[]bool{false, true}, []bool{false, true}},
+		{"operand after completion", []flit.Payload{withOps(60, 3), withOps(0, 1), withOps(10, 1)},
+			[]bool{true, false, false}, []bool{false, true, true}},
+		{"no such reduction", []flit.Payload{{ReduceID: rid + 1, Value: 60, Ops: 3}},
+			[]bool{false}, []bool{true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var o Oracle
+			for _, v := range []uint64{10, 20, 30} {
+				o.Add(rid, v)
+			}
+			for i, pl := range tc.in {
+				sum, complete, err := o.Fold(pl)
+				if complete != tc.complete[i] || (err != nil) != tc.errs[i] {
+					t.Fatalf("payload %d: complete %v, err %v; want complete %v, error %v",
+						i, complete, err, tc.complete[i], tc.errs[i])
+				}
+				if complete && !tc.errs[i] && sum != 60 {
+					t.Fatalf("payload %d completed with sum %d, want 60", i, sum)
+				}
+			}
+		})
 	}
 }
 

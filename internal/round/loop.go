@@ -16,6 +16,8 @@ import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/sim"
+	"gathernoc/internal/stats"
+	"gathernoc/internal/topology"
 )
 
 // Hooks is what a controller supplies to a Loop.
@@ -90,6 +92,7 @@ type Loop struct {
 	tag     flit.Tag
 	foreign func(flit.Payload)
 	seq     uint64
+	bits    int
 
 	// The periodicity proof (ProveRepeats): rep is the controller, limit
 	// the last cycle the run may end at, rotation the clock's period, buf
@@ -115,10 +118,12 @@ type Loop struct {
 }
 
 // Init prepares the loop to run the given number of rounds over nodes
-// nodes under h. The first round opens at Start.
-func (l *Loop) Init(h Hooks, nodes, rounds int) {
+// nodes under h, its payloads payloadBits wide (Payload). The first round
+// opens at Start.
+func (l *Loop) Init(h Hooks, nodes, rounds, payloadBits int) {
 	l.h = h
 	l.rounds = rounds
+	l.bits = payloadBits
 	l.readyAt = make([]int64, nodes)
 	l.named = never
 }
@@ -139,7 +144,7 @@ func (l *Loop) Wake() { l.wake.Wake() }
 // the loop keeps the earliest cycle named since it last reached one.
 func (l *Loop) WakeAt(cycle int64) { l.named = min(l.named, cycle) }
 
-// SetTag assigns the workload tag Tag and NextSeq report
+// SetTag assigns the workload tag Tag and Payload report
 // (workload.Taggable; the scheduler calls it before Start). The zero tag
 // reproduces the untagged encodings bit for bit.
 func (l *Loop) SetTag(t flit.Tag) { l.tag = t }
@@ -151,12 +156,27 @@ func (l *Loop) Tag() flit.Tag { return l.tag }
 // payloads to (workload.ForeignPayloadRouter).
 func (l *Loop) SetForeignPayloadHandler(fn func(flit.Payload)) { l.foreign = fn }
 
-// NextSeq allocates a payload sequence number namespaced by the workload
+// nextSeq allocates a payload sequence number namespaced by the workload
 // tag, so concurrent controllers sharing a NIC's wait lists and stations
 // never collide (zero tag: a bare counter from 1).
-func (l *Loop) NextSeq() uint64 {
+func (l *Loop) nextSeq() uint64 {
 	l.seq++
 	return uint64(l.tag)<<32 | l.seq
+}
+
+// Payload assembles the payload node src releases toward dst at cycle: a
+// fresh sequence number namespaced by the workload tag, the run's payload
+// width, and value standing for ops operands of reduction rid (0 for a
+// payload that is no reduction operand, such as a layer's result).
+func (l *Loop) Payload(src, dst topology.NodeID, rid, value uint64, ops int, cycle int64) flit.Payload {
+	return flit.Payload{
+		Seq: l.nextSeq(), Src: src, Dst: dst,
+		Bits:       l.bits,
+		Value:      value,
+		ReadyCycle: cycle,
+		ReduceID:   rid,
+		Ops:        ops,
+	}
 }
 
 // Route hands each payload of p to own, except those whose ReduceID carries
@@ -405,6 +425,15 @@ func (l *Loop) Grown() []uint64 {
 // without simulating them (0 when neither did): the run the loop stood in
 // for ended that many cycles after the engine's clock.
 func (l *Loop) Skipped() int64 { return l.skipped }
+
+// Extrapolate returns a whole workload's cycles from the rounds a run
+// sampled: their mean latency times total, rounded; 0 when no round closed.
+func Extrapolate(rounds *stats.Sample, total int64) int64 {
+	if rounds.N() == 0 {
+		return 0
+	}
+	return int64(rounds.Mean()*float64(total) + 0.5)
+}
 
 // Done reports whether every round has closed.
 func (l *Loop) Done() bool { return l.done }

@@ -47,7 +47,7 @@ func (f *fakeHooks) BeginRound(now int64) {
 }
 
 func (f *fakeHooks) Inject(id int, cycle int64) {
-	f.released = append(f.released, release{id, cycle, f.l.NextSeq()})
+	f.released = append(f.released, release{id, cycle, f.l.nextSeq()})
 	f.quietAt = cycle + f.hold
 }
 
@@ -63,7 +63,7 @@ func (f *fakeHooks) RoundClosed(latency int64) { f.closed = append(f.closed, lat
 
 func newFake(nodes, rounds int, hold int64, ready func(round, id int) (int64, bool)) *fakeHooks {
 	f := &fakeHooks{l: new(Loop), nodes: nodes, ready: ready, hold: hold}
-	f.l.Init(f, nodes, rounds)
+	f.l.Init(f, nodes, rounds, 0)
 	return f
 }
 
@@ -203,13 +203,16 @@ func TestInjectedDrainedDone(t *testing.T) {
 	}
 }
 
-// NextSeq is a bare counter from 1 under the zero tag, the encoding every
-// golden pin was recorded with, and carries the tag above bit 32 otherwise.
+// A payload's sequence number is a bare counter from 1 under the zero tag,
+// the encoding every golden pin was recorded with, and carries the tag
+// above bit 32 otherwise; the rest of the payload is what Payload was given
+// and the width Init was.
 func TestNextSeqEncoding(t *testing.T) {
 	var l Loop
+	l.Init(&fakeHooks{}, 1, 1, 32)
 	for want := uint64(1); want <= 3; want++ {
-		if got := l.NextSeq(); got != want {
-			t.Fatalf("zero tag: NextSeq() = %#x, want %#x", got, want)
+		if got := l.Payload(0, 0, 0, 0, 0, 0).Seq; got != want {
+			t.Fatalf("zero tag: Seq = %#x, want %#x", got, want)
 		}
 	}
 	tag := flit.NewTag(3, 2)
@@ -217,8 +220,11 @@ func TestNextSeqEncoding(t *testing.T) {
 	if l.Tag() != tag {
 		t.Fatalf("Tag() = %v, want %v", l.Tag(), tag)
 	}
-	if got, want := l.NextSeq(), uint64(3)<<48|uint64(2)<<32|4; got != want {
-		t.Fatalf("tag %v: NextSeq() = %#x, want %#x", tag, got, want)
+	got := l.Payload(5, 9, 77, 1234, 3, 40)
+	want := flit.Payload{Seq: uint64(3)<<48 | uint64(2)<<32 | 4, Src: 5, Dst: 9, Bits: 32,
+		Value: 1234, ReadyCycle: 40, ReduceID: 77, Ops: 3}
+	if got != want {
+		t.Fatalf("tag %v: Payload = %+v, want %+v", tag, got, want)
 	}
 }
 
@@ -335,7 +341,7 @@ const fakeRotation = 1000
 // closed and the engine's error.
 func runProving(r *repeatFake, t *Trajectories, rounds int, ready func(round, id int) (int64, bool), budget int64) (end, clock int64, closed []int64, err error) {
 	r.fakeHooks = &fakeHooks{l: new(Loop), nodes: 4, ready: ready, hold: 7}
-	r.l.Init(r, 4, rounds)
+	r.l.Init(r, 4, rounds, 0)
 	if t != nil {
 		r.l.Join(t, "fake")
 		defer r.l.Leave()

@@ -49,7 +49,7 @@ type scanShadow struct {
 func (s *scanShadow) open(now int64) {
 	c := s.c
 	for id := range s.doneAt {
-		coord := c.nw.Mesh().Coord(topology.NodeID(id))
+		coord := c.nw.Topology().Coord(topology.NodeID(id))
 		s.submitted[id] = c.cfg.Dataflow == WeightStationary && coord.Row != c.rows-1
 		s.doneAt[id] = now + int64(c.cfg.SkewPerHop*(coord.Row+coord.Col)+c.cfg.computeLatency(c.rows))
 	}

@@ -266,18 +266,13 @@ type Controller struct {
 // reading is what the controller's Record takes from the network's
 // counters, read at one cycle boundary.
 type reading struct {
-	act             noc.Activity
-	sig, acks, errs uint64
+	act  noc.Activity
+	nics noc.NICTotals
+	errs uint64
 }
 
 func (c *Controller) read() reading {
-	r := reading{act: c.nw.Activity(), errs: uint64(c.payloadErrs)}
-	for id := range c.nw.Mesh().NumNodes() {
-		n := c.nw.NIC(topology.NodeID(id))
-		r.sig += n.SelfInitiatedGathers.Value()
-		r.acks += n.PiggybackAcks.Value()
-	}
-	return r
+	return reading{act: c.nw.Activity(), nics: c.nw.NICTotals(), errs: uint64(c.payloadErrs)}
 }
 
 // NewController prepares a layer run on nw: it plans each row's collection
@@ -311,7 +306,7 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 	if int64(sim) > total {
 		sim = int(total)
 	}
-	c.Init(c, c.rows*c.cols, sim)
+	c.Init(c, c.rows*c.cols, sim, nc.PayloadBits)
 
 	c.res = Result{
 		Layer: cfg.Layer, Mode: cfg.Mode, Dataflow: cfg.Dataflow,
@@ -372,7 +367,7 @@ func (c *Controller) BeginRound(now int64) {
 			continue
 		}
 		for col := 0; col < c.cols; col++ {
-			id := int(c.nw.Mesh().ID(topology.Coord{Row: row, Col: col}))
+			id := int(c.nw.Topology().ID(topology.Coord{Row: row, Col: col}))
 			c.Ready(id, now+int64(c.cfg.SkewPerHop*(row+col)+base))
 		}
 	}
@@ -383,14 +378,14 @@ func (c *Controller) Result() *Result {
 	r := c.res
 	now := c.read()
 	if g := c.Grown(); g != nil {
-		now.sig += g[0]
-		now.acks += g[1]
+		now.nics.SelfInitiatedGathers += g[0]
+		now.nics.PiggybackAcks += g[1]
 		now.errs += g[2]
 		now.act = now.act.AddCounts(g[3:])
 	}
 	r.Activity = now.act
-	r.SelfInitiatedGathers = now.sig
-	r.PiggybackAcks = now.acks
+	r.SelfInitiatedGathers = now.nics.SelfInitiatedGathers
+	r.PiggybackAcks = now.nics.PiggybackAcks
 	r.PayloadErrors = int(now.errs)
 	// Streaming and compute activity per round. OS: every PE receives
 	// C·R·R inputs from the west and C·R·R weights from the north (one
@@ -408,10 +403,8 @@ func (c *Controller) Result() *Result {
 	}
 	r.StreamHops = streamPerRound * uint64(r.RoundsSimulated)
 	r.MACs = macsPerRound * uint64(r.RoundsSimulated)
-	if r.RoundCycles.N() > 0 {
-		r.MeasuredCycles = int64(r.RoundCycles.Sum())
-		r.TotalCycles = int64(r.RoundCycles.Mean()*float64(r.TotalRounds) + 0.5)
-	}
+	r.MeasuredCycles = int64(r.RoundCycles.Sum())
+	r.TotalCycles = round.Extrapolate(&r.RoundCycles, r.TotalRounds)
 	return &r
 }
 
@@ -437,7 +430,7 @@ func (c *Controller) AppendState(buf []byte, base int64) []byte {
 // simulating (round.Loop.Grown) in the same order, less the ties.
 func (c *Controller) Tally(dst []uint64) []uint64 {
 	r := c.read()
-	return r.act.AppendCounts(append(dst, c.nw.ClockTies(), r.sig, r.acks, r.errs))
+	return r.act.AppendCounts(append(dst, c.nw.ClockTies(), r.nics.SelfInitiatedGathers, r.nics.PiggybackAcks, r.errs))
 }
 
 // Inject releases PE id's result toward its row's global-buffer port
@@ -448,15 +441,11 @@ func (c *Controller) Tally(dst []uint64) []uint64 {
 // it.
 func (c *Controller) Inject(id int, cycle int64) {
 	node := topology.NodeID(id)
-	coord := c.nw.Mesh().Coord(node)
+	coord := c.nw.Topology().Coord(node)
 	plan := &c.plans[coord.Row]
-	c.nw.Submit(plan, coord.Col, c.cfg.Mode.scheme(), c.Tag(), flit.Payload{
-		Seq: c.NextSeq(), Src: node, Dst: plan.Target,
-		Bits:       c.nw.Config().PayloadBits,
-		Value:      uint64(id)<<32 | uint64(c.Round()),
-		ReadyCycle: cycle,
-		ReduceID:   flit.TaggedReduceID(c.Tag(), coord.Row, uint32(c.Round())),
-	})
+	rid := flit.TaggedReduceID(c.Tag(), coord.Row, uint32(c.Round()))
+	c.nw.Submit(plan, coord.Col, c.cfg.Mode.scheme(), c.Tag(),
+		c.Payload(node, plan.Target, rid, uint64(id)<<32|uint64(c.Round()), 0, cycle))
 }
 
 // Advance reports whether the global buffer has every payload of the round

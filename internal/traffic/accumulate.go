@@ -129,12 +129,6 @@ func (r *AccumulationResult) SinkFlitsPerRow() float64 {
 	return float64(r.SinkFlits) / float64(n)
 }
 
-type rowAcc struct {
-	sum  uint64
-	ops  int
-	done bool
-}
-
 // AccumulationController drives an accumulation-phase workload on a
 // network: per round every PE submits its partial sum under the configured
 // scheme, the row-collection targets reassemble the row reductions, and
@@ -158,9 +152,8 @@ type AccumulationController struct {
 
 	rows, cols int
 
-	acc      []rowAcc
 	rowsDone int
-	oracle   *reduce.Oracle
+	oracle   reduce.Oracle
 
 	res AccumulationResult
 }
@@ -184,8 +177,6 @@ func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*Accumu
 		rows: nc.Rows,
 		cols: nc.Cols,
 	}
-	c.acc = make([]rowAcc, c.rows)
-	c.oracle = reduce.NewOracle()
 	c.plans = make([]noc.LineCollect, c.rows)
 	for row := range c.plans {
 		c.plans[row] = nw.RowLine(row, nc.EastSinks)
@@ -203,7 +194,7 @@ func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*Accumu
 		Scheme: cfg.Scheme, Rows: c.rows, Cols: c.cols,
 		Rounds: rounds, TotalRounds: total,
 	}
-	c.Init(c, c.rows*c.cols, rounds)
+	c.Init(c, c.rows*c.cols, rounds, nc.PayloadBits)
 	return c, nil
 }
 
@@ -213,28 +204,19 @@ func (c *AccumulationController) reduceID(row int) uint64 {
 	return flit.TaggedReduceID(c.Tag(), row, uint32(c.Round()))
 }
 
-// operandValue derives the deterministic synthetic partial sum PE id
-// produces in the given round. The multiplier spreads values across the
-// full uint64 range so sums exercise wrap-around arithmetic, which the
-// oracle reproduces exactly.
-func operandValue(id int, round int) uint64 {
-	return (uint64(id)+1)*0x9E3779B97F4A7C15 + (uint64(round)+3)*0xD1B54A32D192ED03
-}
-
-// BeginRound resets the per-row accounts, declares every PE's partial sum
-// ready after the compute latency and loads the oracle with the round's
-// operands (round.Hooks).
+// BeginRound resets the oracle's per-row accounts, declares every PE's
+// partial sum (reduce.Operand) ready after the compute latency and loads
+// the oracle with the round's operands (round.Hooks).
 func (c *AccumulationController) BeginRound(now int64) {
 	c.rowsDone = 0
-	c.oracle = reduce.NewOracle()
-	clear(c.acc)
+	c.oracle.Reset()
 	topo := c.nw.Topology()
 	for row := 0; row < c.rows; row++ {
 		rid := c.reduceID(row)
 		for col := 0; col < c.cols; col++ {
 			id := int(topo.ID(topology.Coord{Row: row, Col: col}))
 			c.Ready(id, now+int64(c.cfg.ComputeLatency))
-			c.oracle.Add(rid, operandValue(id, c.Round()))
+			c.oracle.Add(rid, reduce.Operand(id, c.Round()))
 		}
 	}
 }
@@ -250,32 +232,18 @@ func (c *AccumulationController) OnPacket(p *nic.ReceivedPacket) {
 	c.Route(p, c.OnPayload)
 }
 
-// OnPayload folds one delivered payload into its row's account and checks
-// completed reductions against the oracle. Payloads whose ReduceID does
-// not name this controller's tag, a valid row and the current round count
-// as oracle errors. A delivery is what can complete the round, so it wakes
-// the round loop.
+// OnPayload folds one delivered payload into its row's account, which the
+// oracle verifies once complete (reduce.Oracle.Fold). A payload whose
+// ReduceID names no row of this controller's tag and the current round, or
+// that arrives after its row verified, is an oracle error. A delivery is
+// what can complete the round, so it wakes the round loop.
 func (c *AccumulationController) OnPayload(pl flit.Payload) {
 	c.Wake()
-	row := flit.ReduceIDRow(pl.ReduceID)
-	if flit.ReduceIDTag(pl.ReduceID) != c.Tag() || row >= c.rows ||
-		flit.ReduceIDRound(pl.ReduceID) != uint32(c.Round()) {
+	_, complete, err := c.oracle.Fold(pl)
+	if err != nil {
 		c.res.OracleErrors++
-		return
 	}
-	a := &c.acc[row]
-	a.sum += pl.Value
-	a.ops += pl.OpsCount()
-	if a.done {
-		// Operands beyond a verified reduction are duplicates.
-		c.res.OracleErrors++
-		return
-	}
-	if a.ops >= c.cols {
-		if err := c.oracle.Verify(c.reduceID(row), a.sum, a.ops); err != nil {
-			c.res.OracleErrors++
-		}
-		a.done = true
+	if complete {
 		c.rowsDone++
 	}
 }
@@ -286,14 +254,8 @@ func (c *AccumulationController) Inject(id int, cycle int64) {
 	node := topology.NodeID(id)
 	coord := c.nw.Topology().Coord(node)
 	plan := &c.plans[coord.Row]
-	c.nw.Submit(plan, coord.Col, c.cfg.Scheme, c.Tag(), flit.Payload{
-		Seq: c.NextSeq(), Src: node, Dst: plan.Target,
-		Bits:       c.nw.Config().PayloadBits,
-		Value:      operandValue(id, c.Round()),
-		ReadyCycle: cycle,
-		ReduceID:   c.reduceID(coord.Row),
-		Ops:        1,
-	})
+	c.nw.Submit(plan, coord.Col, c.cfg.Scheme, c.Tag(),
+		c.Payload(node, plan.Target, c.reduceID(coord.Row), reduce.Operand(id, c.Round()), 1, cycle))
 }
 
 // Advance reports whether every row's reduction has landed and verified
@@ -313,29 +275,22 @@ func (c *AccumulationController) Result(cycles int64) *AccumulationResult {
 	r := &c.res
 	r.Cycles = cycles
 	r.Activity = c.nw.Activity()
-	topo := c.nw.Topology()
+	nics := c.nw.NICTotals()
+	r.SelfInitiated = nics.SelfInitiated()
+	r.Merges = nics.MergeAcks
+	// Each merged operand spared its own packet: unicastFlits flits over
+	// its node's hop distance to the collection target (sink link
+	// included) and one write transaction at the buffer port.
 	unicastFlits := c.nw.Config().UnicastFlits
-	for id := 0; id < topo.NumNodes(); id++ {
-		node := topology.NodeID(id)
-		n := c.nw.NIC(node)
-		r.SelfInitiated += n.SelfInitiatedGathers.Value() + n.SelfInitiatedReduces.Value()
-		merges := n.MergeAcks.Value()
-		r.Merges += merges
-		// Each merged operand spared its own packet: unicastFlits flits
-		// over the node's hop distance to the collection target (sink
-		// link included) and one write transaction at the buffer port.
-		hops := c.nw.CollectHops(node, &c.plans[topo.Coord(node).Row])
-		for k := uint64(0); k < merges; k++ {
-			r.Reduction.Merge(unicastFlits, hops)
+	for i := range c.plans {
+		plan := &c.plans[i]
+		for _, node := range plan.Nodes {
+			hops := c.nw.CollectHops(node, plan)
+			for range c.nw.NIC(node).MergeAcks.Value() {
+				r.Reduction.Merge(unicastFlits, hops)
+			}
 		}
-	}
-	for row := 0; row < c.rows; row++ {
-		var ej *nic.Ejector
-		if c.plans[row].TargetIsSink {
-			ej = c.nw.Sink(row).Ejector()
-		} else {
-			ej = c.nw.NIC(c.plans[row].Target).Ejector()
-		}
+		ej := c.nw.Ejector(plan.Target)
 		r.SinkFlits += ej.FlitsEjected.Value()
 		r.SinkPackets += ej.PacketsEjected.Value()
 	}
@@ -350,8 +305,6 @@ func (c *AccumulationController) Result(cycles int64) *AccumulationResult {
 // double-count.
 func (c *AccumulationController) Snapshot() *AccumulationResult {
 	r := &c.res
-	if r.RoundCycles.N() > 0 {
-		r.TotalCycles = int64(r.RoundCycles.Mean()*float64(r.TotalRounds) + 0.5)
-	}
+	r.TotalCycles = round.Extrapolate(&r.RoundCycles, r.TotalRounds)
 	return r
 }

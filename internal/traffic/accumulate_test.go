@@ -5,6 +5,7 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/reduce"
 )
 
 // runAlone is workload.Run, which imports this package: every delivery to
@@ -202,7 +203,7 @@ func TestAccumulationPayloadOutsideTheRound(t *testing.T) {
 		t.Fatalf("%d oracle errors after three stray payloads, want 3", got)
 	}
 	for id := 0; id < 4; id++ { // row 0's four operands, then one more
-		c.OnPayload(flit.Payload{ReduceID: flit.TaggedReduceID(0, 0, 0), Value: operandValue(id, 0), Ops: 1})
+		c.OnPayload(flit.Payload{ReduceID: flit.TaggedReduceID(0, 0, 0), Value: reduce.Operand(id, 0), Ops: 1})
 	}
 	c.OnPayload(flit.Payload{ReduceID: flit.TaggedReduceID(0, 0, 0), Ops: 1})
 	if got := c.Snapshot().OracleErrors; got != 4 {

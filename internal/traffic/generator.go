@@ -183,7 +183,7 @@ func (g *Generator) Tick(cycle int64) {
 		return
 	}
 	measured := rel >= g.cfg.Warmup
-	nodes, rate := g.nw.Mesh().NumNodes(), g.cfg.InjectionRate
+	nodes, rate := g.nw.Topology().NumNodes(), g.cfg.InjectionRate
 	for id := 0; id < nodes; id++ {
 		// The trial draws from the source directly (countingSource.float64);
 		// destinations draw through g.rng, which reads the same source.
@@ -223,7 +223,7 @@ func (g *Generator) Result(cycles int64) *GeneratorResult {
 	g.res.Cycles = cycles
 	if g.cfg.Measure > 0 {
 		g.res.Throughput = float64(g.received) /
-			float64(g.cfg.Measure) / float64(g.nw.Mesh().NumNodes())
+			float64(g.cfg.Measure) / float64(g.nw.Topology().NumNodes())
 	}
 	return &g.res
 }

@@ -127,7 +127,7 @@ func (g *Generator) LoadState(d *flit.Decoder) error {
 		return fmt.Errorf("traffic: generator state: injection base %d outside [0, %d]", g.base, now)
 	}
 	trials := uint64(min(now-g.base, g.cfg.Warmup+g.cfg.Measure))
-	hi, limit := bits.Mul64(trials, maxDrawsPerTrial*uint64(g.nw.Mesh().NumNodes()))
+	hi, limit := bits.Mul64(trials, maxDrawsPerTrial*uint64(g.nw.Topology().NumNodes()))
 	if hi == 0 && draws > limit {
 		return fmt.Errorf("traffic: generator state: %w: %d, at most %d", errDrawCount, draws, limit)
 	}

@@ -226,7 +226,7 @@ func (rp *Replayer) OnPayload(pl flit.Payload) { rp.outstanding-- }
 // NewReplayer validates the trace against the network and prepares the
 // replay. Events must be sorted by cycle.
 func NewReplayer(nw *noc.Network, events []Event) (*Replayer, error) {
-	nodes := nw.Mesh().NumNodes()
+	nodes := nw.Topology().NumNodes()
 	sinks := 0
 	if nw.Config().EastSinks {
 		sinks = nw.Config().Rows
@@ -304,7 +304,7 @@ func (rp *Replayer) Tick(cycle int64) {
 				n.SendUnicastPayload(rp.tag, topology.NodeID(e.Dst), payload)
 			}
 		case EventMulticast:
-			set := topology.NewDestSet(rp.nw.Mesh().NumNodes())
+			set := topology.NewDestSet(rp.nw.Topology().NumNodes())
 			for _, d := range e.Dsts {
 				set.Add(topology.NodeID(d))
 			}

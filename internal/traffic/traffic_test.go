@@ -271,11 +271,11 @@ func TestReplayerDeliversTrace(t *testing.T) {
 	// Scale the per-column δ the way the systolic layer does.
 	for row := 0; row < 4; row++ {
 		for col := 0; col < 4; col++ {
-			id := nw.Mesh().ID(topology.Coord{Row: row, Col: col})
+			id := nw.Topology().ID(topology.Coord{Row: row, Col: col})
 			nw.NIC(id).SetDelta(5 * int64(1+col))
 		}
 	}
-	events := GenerateLayerTrace(layer, 4, 4, true, 0, nw.Mesh().NumNodes())
+	events := GenerateLayerTrace(layer, 4, 4, true, 0, nw.Topology().NumNodes())
 	rp, err := NewReplayer(nw, events)
 	if err != nil {
 		t.Fatal(err)

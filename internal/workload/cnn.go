@@ -38,9 +38,6 @@ func (c PipelineConfig) rounds() int {
 	return c.Rounds
 }
 
-// tmac is the MAC latency entering each layer's compute time (Table I).
-const tmac = 5
-
 // NewPipelineJob compiles the layer sequence into a Job on nw and returns
 // it together with the per-layer drivers (whose Snapshot carries each
 // layer's round latencies and extrapolated totals after the run). Each
@@ -65,7 +62,7 @@ func NewPipelineJob(nw *noc.Network, name string, cfg PipelineConfig) (Job, []*t
 			Scheme:         cfg.Scheme,
 			Rounds:         cfg.rounds(),
 			TotalRounds:    layer.AccumulationRounds(rows),
-			ComputeLatency: layer.PartialMACsPerPE(cols) + tmac,
+			ComputeLatency: layer.PartialMACsPerPE(cols) + cnn.TMAC,
 		})
 		if err != nil {
 			return Job{}, nil, fmt.Errorf("workload: pipeline %q layer %s: %w", name, layer.Name, err)

@@ -395,7 +395,7 @@ func TestSnapshotRoundTripMidCollection(t *testing.T) {
 					t.Fatal(err)
 				}
 				entries := 0
-				for id := 0; id < nw.Mesh().NumNodes(); id++ {
+				for id := 0; id < nw.Topology().NumNodes(); id++ {
 					r := nw.Router(topology.NodeID(id))
 					entries += r.GatherBacklog() + r.ReduceBacklog()
 				}

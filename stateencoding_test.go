@@ -441,7 +441,7 @@ func busyStates(t *testing.T) []busyState {
 	}
 	uniform := func(nw *noc.Network) {
 		gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
-			Pattern: traffic.UniformRandom{Nodes: nw.Mesh().NumNodes()}, InjectionRate: 0.3,
+			Pattern: traffic.UniformRandom{Nodes: nw.Topology().NumNodes()}, InjectionRate: 0.3,
 			PacketFlits: 3, Measure: 1 << 40, Seed: 5,
 		})
 		if err != nil {
