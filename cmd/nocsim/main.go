@@ -60,6 +60,9 @@ var (
 	errNoEpoch       = errors.New("-metrics needs a positive -epoch")
 	errNoTraceSample = errors.New("-trace needs a positive -tracesample")
 	errModelRounds   = errors.New("-model needs -rounds >= 1")
+	errINAFlags      = errors.New("-inamode and -inarounds need -ina")
+	errRoundsFlag    = errors.New("-rounds needs -model or -collective (-ina takes -inarounds)")
+	errTwoWorkloads  = errors.New("-model, -collective, -ina and -replay each select the workload; give at most one")
 )
 
 func main() {
@@ -115,6 +118,24 @@ func run(args []string, w io.Writer) (err error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A workload flag the selected workload does not read would be
+	// ignored; the defaults are not zero, so ask which flags were set.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	selected := 0
+	for _, on := range []bool{*model != "", *coll != "", *ina, *replayPath != ""} {
+		if on {
+			selected++
+		}
+	}
+	switch {
+	case selected > 1:
+		return errTwoWorkloads
+	case (set["inamode"] || set["inarounds"]) && !*ina:
+		return errINAFlags
+	case set["rounds"] && *model == "" && *coll == "":
+		return errRoundsFlag
 	}
 
 	// Checkpoint/resume covers the synthetic-generator path: workload

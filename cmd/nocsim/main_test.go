@@ -93,8 +93,8 @@ func TestRunRejectsBadInputs(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
-	// Flag values that used to exit 0 having written no file, or having
-	// run one round where -3 were asked for.
+	// Flag values that used to exit 0 having written no file, having run
+	// one round where -3 were asked for, or having ignored a workload flag.
 	dir := t.TempDir()
 	for _, c := range []struct {
 		args []string
@@ -104,6 +104,14 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{[]string{"-measure", "10", "-trace", filepath.Join(dir, "t.json"), "-tracesample", "0"}, errNoTraceSample},
 		{[]string{"-model", "alexnet", "-rounds", "-3"}, errModelRounds},
 		{[]string{"-model", "alexnet", "-rounds", "0"}, errModelRounds},
+		// Workload flags the selected workload would ignore.
+		{[]string{"-inamode", "gather"}, errINAFlags},
+		{[]string{"-inarounds", "3"}, errINAFlags},
+		{[]string{"-ina", "-rounds", "3"}, errRoundsFlag},
+		{[]string{"-rounds", "3"}, errRoundsFlag},
+		{[]string{"-model", "alexnet", "-ina", "-jobs", "2"}, errTwoWorkloads},
+		{[]string{"-collective", "reduce", "-replay", filepath.Join(dir, "none.trace")}, errTwoWorkloads},
+		{[]string{"-ina", "-replay", filepath.Join(dir, "none.trace")}, errTwoWorkloads},
 	} {
 		var b strings.Builder
 		if err := run(c.args, &b); !errors.Is(err, c.want) {

@@ -17,8 +17,8 @@
 // ASpace; the reserved operand's value is added into the accumulator
 // during the tail flit's idle RC/VA pipeline slots (exact wrap-around
 // uint64 arithmetic, one adder event in the power model); operands the
-// packet misses fall back to self-initiated accumulate packets after a
-// reduce-δ timeout. The east sink thus receives the row's bit-exact sum
+// packet misses fall back to self-initiated accumulate packets after the
+// δ timeout gather payloads wait out. The east sink thus receives the row's bit-exact sum
 // in one 2-flit packet instead of η gathered payloads, checked against a
 // software reduction oracle (reduce.Oracle).
 //

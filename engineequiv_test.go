@@ -12,6 +12,7 @@ import (
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/round"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/stats"
@@ -771,7 +772,7 @@ func TestEngineEquivalenceDeadlineSleeps(t *testing.T) {
 		// gather packet (the odd rows: its own accumulate packet).
 		{
 			name:   "gather-delta-fallback",
-			mutate: func(c *noc.Config) { c.EnableINA, c.Delta, c.ReduceDelta = true, 120, 170 },
+			mutate: func(c *noc.Config) { c.EnableINA, c.Delta = true, 120 },
 			run: func(t *testing.T, nw *noc.Network) any {
 				var seq uint64
 				for row := 0; row < 8; row++ {
@@ -780,10 +781,10 @@ func TestEngineEquivalenceDeadlineSleeps(t *testing.T) {
 						seq++
 						p := flit.Payload{Seq: seq, Src: node, Dst: nw.RowSinkID(row), Bits: 32, Value: seq}
 						if row%2 == 0 {
-							nw.NIC(node).SubmitGatherPayload(0, p)
+							nw.NIC(node).SubmitPayload(reduce.GatherStation, 0, p)
 						} else {
 							p.ReduceID, p.Ops = uint64(row), 1
-							nw.NIC(node).SubmitReduceOperand(0, p)
+							nw.NIC(node).SubmitPayload(reduce.ReduceStation, 0, p)
 						}
 					}
 				}

@@ -88,7 +88,7 @@ func mustLayer(t *testing.T, name string) cnn.LayerConfig {
 // change to these bytes moves every cache entry's path, so it is made on
 // purpose, never as a side effect.
 const conv1Key = `{"Version":"gathernoc/core.Comparison/v1","Rows":8,"Cols":8,` +
-	`"NetworkHash":"44b42a54e98071b57a0a722bf531a75e73d5eb3f3dfda5e3d54b729fc30fbf58",` +
+	`"NetworkHash":"3a0094a7ded1b418e166bb68d0181751e0d2e7ba285078d4ccf16a692f0084b0",` +
 	`"RU":{"Layer":{"Model":"AlexNet","Name":"Conv1","Kind":0,"InChannels":3,"OutKernels":64,"Kernel":11,"InputSize":224,"OutputSize":55,"Stride":4,"Pad":2},` +
 	`"Mode":1,"Dataflow":0,"TMAC":5,"MaxRounds":1,"FlatDelta":false,"SkewPerHop":0},` +
 	`"Gather":{"Layer":{"Model":"AlexNet","Name":"Conv1","Kind":0,"InChannels":3,"OutKernels":64,"Kernel":11,"InputSize":224,"OutputSize":55,"Stride":4,"Pad":2},` +

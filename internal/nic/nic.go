@@ -5,9 +5,10 @@
 // partial-sum payload to the router's Gather Payload station and falling
 // back to a self-initiated gather packet when the δ-cycle timeout of
 // Algorithm 1 expires without an ack. The in-network accumulation (INA)
-// protocol mirrors it operand for payload: SubmitReduceOperand offers the
-// partial sum to the router's accumulation station and SendAccumulate is
-// both the row-initiator path and the reduce-δ fallback.
+// protocol runs the same path with another station kind: SubmitPayload
+// offers the partial sum to the station of either kind under the one δ,
+// and Initiate sends the kind's packet (SendGather, SendAccumulate), both
+// on a line's initiator and as the δ fallback.
 //
 // The NIC is topology-agnostic: destinations are opaque NodeIDs, routing
 // and fabric shape live behind the network layer's topology.Routing, and
@@ -48,21 +49,14 @@ type Config struct {
 	Delta int64
 	// UnicastFlits is the unicast packet length (Table I: 2).
 	UnicastFlits int
-	// GatherCapacity is η, the payload capacity of a gather packet.
+	// GatherCapacity is η, the payload capacity of a gather packet and
+	// the merge budget of an accumulate packet: how many operands one
+	// packet may carry or absorb, its own included.
 	GatherCapacity int
 	// EnableINA permits accumulate traffic on this NIC; with it off,
-	// SendAccumulate and SubmitReduceOperand are programming errors, so
-	// no accumulate packet can enter the fabric.
+	// SendAccumulate and an accumulation-station SubmitPayload are
+	// programming errors, so no accumulate packet can enter the fabric.
 	EnableINA bool
-	// ReduceCapacity is the merge budget of an accumulate packet (INA):
-	// how many operands one packet may absorb, its own included. The
-	// network layer owns the default (noc.Config.EffectiveReduceCapacity
-	// resolves 0 to the row width); here it must be >= 1 when EnableINA
-	// is set.
-	ReduceCapacity int
-	// ReduceDelta is the δ timeout for reduce operands awaiting a merge;
-	// 0 falls back to Delta.
-	ReduceDelta int64
 	// GatherVC, when >= 0, restricts gather and accumulate packets to
 	// that VC at injection and keeps other packets off it.
 	GatherVC int
@@ -97,14 +91,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("nic: UnicastFlits must be >= 1, got %d", c.UnicastFlits)
 	case c.GatherCapacity < 1:
 		return fmt.Errorf("nic: GatherCapacity must be >= 1, got %d", c.GatherCapacity)
-	case c.ReduceCapacity < 0:
-		return fmt.Errorf("nic: ReduceCapacity must be >= 0, got %d", c.ReduceCapacity)
-	case c.EnableINA && c.ReduceCapacity < 1:
-		return fmt.Errorf("nic: EnableINA needs ReduceCapacity >= 1, got %d", c.ReduceCapacity)
 	case c.Delta < 0:
 		return fmt.Errorf("nic: Delta must be >= 0, got %d", c.Delta)
-	case c.ReduceDelta < 0:
-		return fmt.Errorf("nic: ReduceDelta must be >= 0, got %d", c.ReduceDelta)
 	case c.Format == nil:
 		return fmt.Errorf("nic: Format is required")
 	case c.GatherVC >= c.VCs:
@@ -149,10 +137,9 @@ type NIC struct {
 	eject  Ejector
 	nextID func(topology.NodeID) uint64
 
-	// delta and reduceDelta are this NIC's δ timeouts, Config.Delta and
-	// the effective reduce δ until SetDelta or SetReduceDelta overrides
-	// them.
-	delta, reduceDelta int64
+	// delta is this NIC's δ timeout, Config.Delta until SetDelta
+	// overrides it.
+	delta int64
 
 	credits []uint8
 	// vcPkt holds the remaining flits of the packet currently streaming on
@@ -162,9 +149,10 @@ type NIC struct {
 	// rather than an append/filter slice: open-loop workloads run the
 	// queue deep past saturation, and the deque's recycled fixed-size
 	// blocks never copy on growth and never abandon a backing array.
-	queue    ring.Deque[flit.Packet]
-	waiting  []gatherWait
-	rwaiting []gatherWait // reduce operands awaiting an INA merge
+	queue ring.Deque[flit.Packet]
+	// waits[k] lists the payloads offered to the router's station of kind
+	// k awaiting pickup: gather payloads, then accumulation operands.
+	waits [reduce.NumKinds][]gatherWait
 	// sweepAt is the earliest cycle the timeout sweeps have work in: the
 	// earliest δ or retransmission deadline, or the cycle of an ack whose
 	// wait is still listed. Before it Tick leaves the wait lists and the
@@ -196,9 +184,10 @@ type NIC struct {
 
 	// PacketsInjected / FlitsInjected count injection activity;
 	// SelfInitiatedGathers counts δ-timeout fallbacks; PiggybackAcks
-	// counts payloads picked up by passing gather packets. The INA twins:
-	// SelfInitiatedReduces counts reduce-δ fallback accumulate packets,
-	// MergeAcks operands folded into passing accumulate packets.
+	// counts payloads picked up by passing gather packets. Their INA
+	// counterparts: SelfInitiatedReduces counts δ-timeout fallback
+	// accumulate packets, MergeAcks operands folded into passing
+	// accumulate packets.
 	PacketsInjected      stats.Counter
 	FlitsInjected        stats.Counter
 	SelfInitiatedGathers stats.Counter
@@ -264,7 +253,7 @@ func (s *Slab) New(id topology.NodeID, rtr *router.Router, nextID func(topology.
 	cfg := s.cfg
 	n := &carve(&s.nics, 1)[0]
 	n.id, n.cfg, n.rtr, n.nextID = id, cfg, rtr, nextID
-	n.delta, n.reduceDelta = cfg.Delta, cfg.ReduceDelta
+	n.delta = cfg.Delta
 	n.credits = carve(&s.credits, cfg.VCs)
 	n.vcPkt = carve(&s.streams, cfg.VCs)
 	flits := carve(&s.flits, cfg.VCs*cfg.UnicastFlits)
@@ -283,10 +272,10 @@ func (s *Slab) New(id topology.NodeID, rtr *router.Router, nextID func(topology.
 }
 
 // Fed reports whether the NIC took work since its state was last loaded
-// (LoadState): a packet to send (every Send*, the δ fallbacks), a payload
-// to offer (SubmitGatherPayload) or an operand (SubmitReduceOperand). A
-// fabric fed only through its NICs, none of them fed, holds the state it
-// was loaded with (noc.Network.Release).
+// (LoadState): a packet to send (every Send*, the δ fallbacks) or a
+// payload or operand to offer (SubmitPayload). A fabric fed only through
+// its NICs, none of them fed, holds the state it was loaded with
+// (noc.Network.Release).
 func (n *NIC) Fed() bool { return n.fed }
 
 // ID returns the node this NIC serves.
@@ -427,42 +416,51 @@ func (n *NIC) SendGather(tag flit.Tag, dst topology.NodeID, own *flit.Payload) u
 	})
 }
 
-// SubmitGatherPayload is the piggyback path of Algorithm 1: the payload is
-// offered to the router's Gather Payload station; if no passing gather
-// packet picks it up within δ cycles the NIC retracts it and initiates its
-// own gather packet to the payload's destination.
-func (n *NIC) SubmitGatherPayload(tag flit.Tag, p flit.Payload) {
+// SubmitPayload is the piggyback path of Algorithm 1: the payload is
+// offered to the router's station of kind k, the Gather Payload station
+// or (INA) the accumulation station; if no passing packet of the kind
+// picks it up within δ cycles the NIC retracts it and initiates its own
+// packet of the kind carrying it to the payload's destination.
+func (n *NIC) SubmitPayload(k reduce.Kind, tag flit.Tag, p flit.Payload) {
+	if k == reduce.ReduceStation {
+		n.requireINA("an accumulation-station SubmitPayload")
+		p.Ops = p.OpsCount()
+	}
 	n.fed = true
 	if n.reliable != nil {
 		n.track(p, tag)
 	}
-	ok := n.rtr.OfferGatherPayload(p)
-	if !ok {
+	if !n.rtr.Offer(k, p) {
 		// Station full: fall back immediately.
-		n.selfInitiate(p, tag)
+		n.selfInitiate(k, p, tag)
 		return
 	}
 	deadline := n.currentCycle() + n.delta
-	n.waiting = append(n.waiting, gatherWait{payload: p, deadline: deadline, tag: tag})
+	n.waits[k] = append(n.waits[k], gatherWait{payload: p, deadline: deadline, tag: tag})
 	n.sweepBy(deadline)
 	n.wake.Wake()
 }
 
-// Acked implements reduce.Owner: it marks the waiting payload picked up by
-// a passing gather packet, or the waiting operand merged into a passing
-// accumulate packet. Payload sequence numbers are run-unique, so the
-// lookup is exact. The NIC's next tick (this cycle's: routers tick first)
-// drops the wait.
+// Acked implements reduce.Owner: it marks the payload waiting at the
+// station of kind k picked up by a passing gather packet or merged into a
+// passing accumulate packet. Payload sequence numbers are run-unique, so
+// the lookup is exact. The NIC's next tick (this cycle's: routers tick
+// first) drops the wait.
 func (n *NIC) Acked(k reduce.Kind, p flit.Payload) {
-	if k == reduce.GatherStation {
-		markAcked(n.waiting, p.Seq)
-		n.PiggybackAcks.Inc()
-	} else {
-		markAcked(n.rwaiting, p.Seq)
-		n.MergeAcks.Inc()
-	}
+	markAcked(n.waits[k], p.Seq)
+	acks, _ := n.kindCounters(k)
+	acks.Inc()
 	n.sweepBy(n.currentCycle())
 	n.wake.Wake()
+}
+
+// kindCounters returns the counters of station kind k: payloads picked up
+// by passing packets, and δ-timeout fallback packets.
+func (n *NIC) kindCounters(k reduce.Kind) (acks, fallbacks *stats.Counter) {
+	if k == reduce.GatherStation {
+		return &n.PiggybackAcks, &n.SelfInitiatedGathers
+	}
+	return &n.MergeAcks, &n.SelfInitiatedReduces
 }
 
 func markAcked(waiting []gatherWait, seq uint64) {
@@ -483,23 +481,6 @@ func (n *NIC) requireINA(op string) {
 	}
 }
 
-// reduceDelta returns the δ applied to reduce operands (ReduceDelta,
-// falling back to the gather Delta).
-func (n *NIC) effectiveReduceDelta() int64 {
-	if n.reduceDelta > 0 {
-		return n.reduceDelta
-	}
-	return n.delta
-}
-
-// SetReduceDelta overrides this NIC's reduce-operand δ timeout, the INA
-// twin of SetDelta.
-func (n *NIC) SetReduceDelta(d int64) {
-	if d >= 0 {
-		n.reduceDelta = d
-	}
-}
-
 // SendAccumulate queues an accumulate packet to dst seeded with the
 // sender's own operand — the INA initiator path: in the row-based scheme
 // the leftmost PE of each row launches the packet toward the global
@@ -509,7 +490,7 @@ func (n *NIC) SendAccumulate(tag flit.Tag, dst topology.NodeID, reduceID uint64,
 	return n.enqueue(flit.Packet{
 		Tag: tag, PT: flit.Accumulate, Src: n.id, Dst: dst,
 		Flits:          flit.AccumulateFlits,
-		GatherCapacity: n.cfg.ReduceCapacity,
+		GatherCapacity: n.cfg.GatherCapacity,
 		ReduceID:       reduceID,
 		Carried:        &own,
 		// With end-to-end reliability on, merged operands stay separate
@@ -519,35 +500,35 @@ func (n *NIC) SendAccumulate(tag flit.Tag, dst topology.NodeID, reduceID uint64,
 	})
 }
 
-// SubmitReduceOperand is the INA merge path: the operand is offered to the
-// router's accumulation station; if no passing accumulate packet folds it
-// in within the reduce δ the NIC retracts it and initiates its own
-// accumulate packet carrying the operand.
-func (n *NIC) SubmitReduceOperand(tag flit.Tag, p flit.Payload) {
-	n.requireINA("SubmitReduceOperand")
-	n.fed = true
-	p.Ops = p.OpsCount()
-	if n.reliable != nil {
-		n.track(p, tag)
+// Initiate queues the packet of station kind k seeded with p to dst — a
+// gather packet (SendGather) or an accumulate packet (SendAccumulate) —
+// and returns its packet id: the initiator path of a line, and the δ
+// fallback of a payload no passing packet picked up.
+func (n *NIC) Initiate(k reduce.Kind, tag flit.Tag, dst topology.NodeID, p flit.Payload) uint64 {
+	if k == reduce.GatherStation {
+		// A copy, so that p escapes on this branch only.
+		own := p
+		return n.SendGather(tag, dst, &own)
 	}
-	ok := n.rtr.OfferReduceOperand(p)
-	if !ok {
-		n.selfInitiateReduce(p, tag)
-		return
-	}
-	deadline := n.currentCycle() + n.effectiveReduceDelta()
-	n.rwaiting = append(n.rwaiting, gatherWait{payload: p, deadline: deadline, tag: tag})
-	n.sweepBy(deadline)
-	n.wake.Wake()
+	return n.SendAccumulate(tag, dst, p.ReduceID, p)
 }
 
 // Pending reports whether the NIC still has packets queued, flits
 // streaming, or payloads awaiting pickup.
 func (n *NIC) Pending() bool {
-	return n.streaming > 0 || n.queue.Len() > 0 ||
-		len(n.waiting) > 0 || len(n.rwaiting) > 0 ||
+	return n.streaming > 0 || n.queue.Len() > 0 || n.waitsPending() ||
 		n.eject.Buffered() > 0 || n.eject.PendingPackets() > 0 ||
 		(n.reliable != nil && len(n.reliable.entries) > 0)
+}
+
+// waitsPending reports whether a payload awaits pickup at either station.
+func (n *NIC) waitsPending() bool {
+	for _, ws := range n.waits {
+		if len(ws) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Tick advances the NIC: ejection, the timeouts that have come due (δ
@@ -559,21 +540,23 @@ func (n *NIC) Tick(cycle int64) {
 	n.eject.Tick(cycle)
 	if cycle >= n.sweepAt {
 		n.sweepAt = sim.Never
-		n.waiting = n.sweepTimeouts(n.waiting, n.rtr.RetractGatherPayload, n.selfInitiate)
-		n.rwaiting = n.sweepTimeouts(n.rwaiting, n.rtr.RetractReduceOperand, n.selfInitiateReduce)
+		for k := range reduce.NumKinds {
+			n.waits[k] = n.sweepTimeouts(k, n.waits[k])
+		}
 		n.sweepReliable()
 	}
 	n.bindPackets()
 	n.injectOne(cycle)
 }
 
-// sweepTimeouts drops acked waiters and fires the δ fallback for expired
-// ones. Retract succeeds only while the payload is still pending at the
-// station; if a packet reserved it, the ack is imminent and we keep
-// waiting (retry next cycle if the reservation is released). The fallback
-// packet is enqueued under the tag the payload was submitted with. Every
-// wait that stays listed books its deadline with sweepBy.
-func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fallback func(flit.Payload, flit.Tag)) []gatherWait {
+// sweepTimeouts drops the acked waiters of station kind k and fires the δ
+// fallback for expired ones. Retract succeeds only while the payload is
+// still pending at the station; if a packet reserved it, the ack is
+// imminent and we keep waiting (retry next cycle if the reservation is
+// released). The fallback packet is enqueued under the tag the payload was
+// submitted with. Every wait that stays listed books its deadline with
+// sweepBy.
+func (n *NIC) sweepTimeouts(k reduce.Kind, waiting []gatherWait) []gatherWait {
 	if len(waiting) == 0 {
 		return waiting
 	}
@@ -583,8 +566,8 @@ func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fal
 		if w.acked {
 			continue
 		}
-		if n.now >= w.deadline && retract(w.payload.Seq) {
-			fallback(w.payload, w.tag)
+		if n.now >= w.deadline && n.rtr.Retract(k, w.payload.Seq) {
+			n.selfInitiate(k, w.payload, w.tag)
 			continue
 		}
 		n.sweepBy(w.deadline)
@@ -593,15 +576,13 @@ func (n *NIC) sweepTimeouts(waiting []gatherWait, retract func(uint64) bool, fal
 	return keep
 }
 
-func (n *NIC) selfInitiate(p flit.Payload, tag flit.Tag) {
-	own := p
-	n.SendGather(tag, p.Dst, &own)
-	n.SelfInitiatedGathers.Inc()
-}
-
-func (n *NIC) selfInitiateReduce(p flit.Payload, tag flit.Tag) {
-	n.SendAccumulate(tag, p.Dst, p.ReduceID, p)
-	n.SelfInitiatedReduces.Inc()
+// selfInitiate is the δ fallback: the NIC sends payload p, which no
+// passing packet picked up from the station of kind k, in a packet of the
+// kind of its own.
+func (n *NIC) selfInitiate(k reduce.Kind, p flit.Payload, tag flit.Tag) {
+	n.Initiate(k, tag, p.Dst, p)
+	_, fallbacks := n.kindCounters(k)
+	fallbacks.Inc()
 }
 
 func (n *NIC) enqueue(p flit.Packet) uint64 {

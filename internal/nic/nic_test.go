@@ -7,6 +7,7 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/router"
 	"gathernoc/internal/topology"
 )
@@ -323,7 +324,7 @@ func TestInternalSendsCarryTheSubmitTag(t *testing.T) {
 	out := link.NewSlab(1, 1).New(link.Numbered("inj", 0), 1, cap, n)
 	n.ConnectInjection(out)
 	owner, other := flit.NewTag(1, 0), flit.NewTag(2, 0)
-	n.SubmitGatherPayload(owner, flit.Payload{Seq: 7, Dst: 3, Bits: 32})
+	n.SubmitPayload(reduce.GatherStation, owner, flit.Payload{Seq: 7, Dst: 3, Bits: 32})
 	for c := int64(0); c < 40; c++ {
 		if c%4 == 0 {
 			n.SendUnicastN(other, 9, 2) // another job's send in between
@@ -354,39 +355,55 @@ func seq() func(topology.NodeID) uint64 {
 	}
 }
 
+// TestNICConfigRejectsBadReduceKnobs checks that accumulation runs on the
+// knobs gather does, validated alike with INA on: a negative δ is refused.
 func TestNICConfigRejectsBadReduceKnobs(t *testing.T) {
 	cfg := validConfig()
-	cfg.ReduceCapacity = -1
+	cfg.EnableINA = true
+	cfg.Delta = -1
 	if err := cfg.Validate(); err == nil {
-		t.Error("negative ReduceCapacity accepted")
-	}
-	cfg = validConfig()
-	cfg.ReduceDelta = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative ReduceDelta accepted")
+		t.Error("negative Delta accepted with EnableINA")
 	}
 }
 
+// TestNICReduceDefaults checks that an accumulation operand waits out the
+// NIC's one δ, SetDelta's override included, and that an accumulate packet
+// takes η as its merge budget.
 func TestNICReduceDefaults(t *testing.T) {
-	cfg := validConfig()
-	n, err := newNIC(0, cfg, nil, func(topology.NodeID) uint64 { return 1 })
+	slab, err := router.NewSlab(router.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetReduceDelta(17)
-	n.SetReduceDelta(-1) // ignored
-	if got := n.effectiveReduceDelta(); got != 17 {
-		t.Errorf("reduceDelta = %d, want 17", got)
+	rtr, err := slab.New(0, func(topology.NodeID, *flit.Flit) router.Route { return router.Route{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := validConfig()
+	cfg.EnableINA = true
+	n, err := newNIC(0, cfg, rtr, seq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetDelta(17)
+	n.SetDelta(-1) // ignored
+	n.SubmitPayload(reduce.ReduceStation, 0, flit.Payload{Seq: 1, Dst: 3, ReduceID: 4})
+	if ws := n.waits[reduce.ReduceStation]; len(ws) != 1 || ws[0].deadline != 17 {
+		t.Errorf("operand waits %+v, want one with deadline 17", ws)
+	}
+	n.SendAccumulate(0, 3, 4, flit.Payload{Seq: 2, Dst: 3, ReduceID: 4})
+	if p := n.queue.At(0); p.GatherCapacity != cfg.GatherCapacity {
+		t.Errorf("accumulate packet budget %d, want η = %d", p.GatherCapacity, cfg.GatherCapacity)
 	}
 }
 
 func TestNICConfigEnableINANeedsCapacity(t *testing.T) {
 	cfg := validConfig()
 	cfg.EnableINA = true
+	cfg.GatherCapacity = 0
 	if err := cfg.Validate(); err == nil {
-		t.Error("EnableINA without ReduceCapacity accepted")
+		t.Error("EnableINA without a merge budget (GatherCapacity) accepted")
 	}
-	cfg.ReduceCapacity = 8
+	cfg.GatherCapacity = 8
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid INA config rejected: %v", err)
 	}
@@ -407,7 +424,7 @@ func TestNICRejectsAccumulateWithoutINA(t *testing.T) {
 		fn()
 	}
 	mustPanic("SendAccumulate", func() { n.SendAccumulate(0, 9, 1, flit.Payload{}) })
-	mustPanic("SubmitReduceOperand", func() { n.SubmitReduceOperand(0, flit.Payload{}) })
+	mustPanic("SubmitPayload", func() { n.SubmitPayload(reduce.ReduceStation, 0, flit.Payload{}) })
 }
 
 // newNIC returns a NIC with a slab of its own.

@@ -111,8 +111,8 @@ func (rt *reliableTable) removeAt(i int) {
 // books every deadline that is left with sweepBy.
 // Whatever transport carried the original (unicast, gather piggyback, INA
 // merge), the retransmission is a plain unicast payload: after a loss the
-// collective path is suspect, so the NIC degrades to the PR 2 reduce-δ
-// unicast scheme — the reduction stays oracle-exact because the ejector
+// collective path is suspect, so the NIC degrades to repetitive unicast —
+// the reduction stays oracle-exact because the ejector
 // delivers each Seq exactly once no matter which copy arrives.
 func (n *NIC) sweepReliable() {
 	rt := n.reliable

@@ -182,7 +182,7 @@ func (n *NIC) AppendState(e *flit.Encoder) {
 			e.Int(int64(c))
 		}
 	}
-	idle := n.streaming == 0 && n.queue.Len() == 0 && len(n.waiting) == 0 && len(n.rwaiting) == 0
+	idle := n.streaming == 0 && n.queue.Len() == 0 && !n.waitsPending()
 	e.Bool(idle)
 	if !idle {
 		for v := range n.vcPkt {
@@ -196,8 +196,9 @@ func (n *NIC) AppendState(e *flit.Encoder) {
 		for i := 0; i < n.queue.Len(); i++ {
 			appendPacket(e, n.queue.At(i))
 		}
-		appendWaits(e, n.waiting)
-		appendWaits(e, n.rwaiting)
+		for _, ws := range n.waits {
+			appendWaits(e, ws)
+		}
 	}
 	e.Int(int64(n.sendRR))
 	e.Until(n.now)
@@ -311,7 +312,9 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 	for n.queue.Len() > 0 {
 		n.queue.PopFront()
 	}
-	n.waiting, n.rwaiting = n.waiting[:0], n.rwaiting[:0]
+	for k := range n.waits {
+		n.waits[k] = n.waits[k][:0]
+	}
 	if !d.Bool() {
 		for v := range n.vcPkt {
 			st := &n.vcPkt[v]
@@ -327,8 +330,9 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 		for k := d.Len(); k > 0; k-- {
 			n.queue.PushBack(loadPacket(d))
 		}
-		n.waiting = loadWaits(d, n.waiting)
-		n.rwaiting = loadWaits(d, n.rwaiting)
+		for k := range n.waits {
+			n.waits[k] = loadWaits(d, n.waits[k])
+		}
 	}
 	n.sendRR = uint8(d.IntRange(0, n.cfg.VCs-1, "injection pointer"))
 	n.now = d.Int()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -196,40 +197,40 @@ func (s CollectScheme) String() string {
 	}
 }
 
+// station returns the station kind that takes up the payloads of a
+// collective scheme: gather payloads are uploaded, INA operands merged.
+func (s CollectScheme) station() reduce.Kind {
+	switch s {
+	case CollectGather:
+		return reduce.GatherStation
+	case CollectINA:
+		return reduce.ReduceStation
+	}
+	panic(fmt.Sprintf("noc: Submit with collection scheme %d", s))
+}
+
 // Submit is the sender side of Algorithm 1, the one place a payload enters
 // a line collection: it releases p from line member i under the given
-// scheme and passes the workload tag to the NIC call that does it. An
-// initiator launches the line's collective
-// packet seeded with p; every other member offers p to its router's station
-// and falls back to a packet of its own after δ·DeltaScale[i] (a passing
-// packet picks the payload up first, or the timeout self-initiates); under
-// CollectUnicast every member sends its own packet. δ is sticky per-NIC
-// state, so it is armed here, on the submit that reads it: drivers sharing
-// a NIC under different plans cannot leak a timeout into one another
-// (DESIGN.md §8).
+// scheme and passes the workload tag to the NIC call that does it. Under
+// CollectUnicast every member sends its own packet. Otherwise an initiator
+// launches the line's collective packet (gather or accumulate) seeded with
+// p, and every other member offers p to its router's station of the
+// scheme's kind and falls back to a packet of its own after δ·DeltaScale[i]
+// (a passing packet picks the payload up first, or the timeout
+// self-initiates). δ is sticky per-NIC state, so it is armed here, on the
+// submit that reads it: drivers sharing a NIC under different plans cannot
+// leak a timeout into one another (DESIGN.md §8).
 func (nw *Network) Submit(lc *LineCollect, i int, scheme CollectScheme, tag flit.Tag, p flit.Payload) {
 	node := lc.Nodes[i]
 	n := nw.nics[node]
-	scale := int64(lc.DeltaScale[i])
-	switch initiator := lc.IsInitiator(node); {
+	switch {
 	case scheme == CollectUnicast:
 		n.SendUnicastPayload(tag, lc.Target, p)
-	case scheme == CollectGather && initiator:
-		// A copy, so that p escapes on this branch only.
-		own := p
-		n.SendGather(tag, lc.Target, &own)
-	case scheme == CollectGather:
-		n.SetDelta(nw.nicCfg.Delta * scale)
-		n.SubmitGatherPayload(tag, p)
-	case scheme == CollectINA && initiator:
-		n.SendAccumulate(tag, lc.Target, p.ReduceID, p)
-	case scheme == CollectINA:
-		// A zero reduce δ falls back to the gather δ, so both are armed.
-		n.SetDelta(nw.nicCfg.Delta * scale)
-		n.SetReduceDelta(nw.nicCfg.ReduceDelta * scale)
-		n.SubmitReduceOperand(tag, p)
+	case lc.IsInitiator(node):
+		n.Initiate(scheme.station(), tag, lc.Target, p)
 	default:
-		panic(fmt.Sprintf("noc: Submit with collection scheme %d", scheme))
+		n.SetDelta(nw.nicCfg.Delta * int64(lc.DeltaScale[i]))
+		n.SubmitPayload(scheme.station(), tag, p)
 	}
 }
 

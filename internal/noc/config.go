@@ -37,11 +37,14 @@ type Config struct {
 	PayloadBits int
 	// UnicastFlits is the non-gather packet length (Table I: 2).
 	UnicastFlits int
-	// GatherCapacity is η, the payload capacity of one gather packet;
-	// 0 selects the row width (Cols), the value that reproduces Table I's
-	// 4-flit gather packets on the 8x8 mesh.
+	// GatherCapacity is η, the payload capacity of one gather packet and
+	// the merge budget of one accumulate packet (its own operand
+	// included); 0 selects the row width (Cols), the value that reproduces
+	// Table I's 4-flit gather packets on the 8x8 mesh and lets one
+	// accumulate packet reduce a full row.
 	GatherCapacity int
-	// Delta is the δ timeout in cycles (Table I: 5).
+	// Delta is the δ timeout in cycles (Table I: 5), for gather payloads
+	// and accumulation operands alike.
 	Delta int64
 	// EnableINA turns on the in-network accumulation subsystem (DESIGN.md
 	// §5): workload layers may launch flit.Accumulate packets whose
@@ -51,13 +54,6 @@ type Config struct {
 	// and the network's schedules are bit-identical to the pre-INA
 	// simulator.
 	EnableINA bool
-	// ReduceCapacity is the merge budget of one accumulate packet (its
-	// own operand included); 0 selects the row width (Cols), letting one
-	// packet reduce a full row.
-	ReduceCapacity int
-	// ReduceDelta is the δ timeout for reduce operands awaiting an
-	// in-network merge; 0 falls back to Delta.
-	ReduceDelta int64
 	// EjectRate is the NIC ejection drain rate in flits/cycle.
 	EjectRate int
 	// EastSinks attaches a global-buffer sink past the east edge of every
@@ -186,10 +182,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: UnicastFlits must be >= 1, got %d", c.UnicastFlits)
 	case c.GatherCapacity < 0:
 		return fmt.Errorf("noc: GatherCapacity must be >= 0, got %d", c.GatherCapacity)
-	case c.ReduceCapacity < 0:
-		return fmt.Errorf("noc: ReduceCapacity must be >= 0, got %d", c.ReduceCapacity)
-	case c.ReduceDelta < 0:
-		return fmt.Errorf("noc: ReduceDelta must be >= 0, got %d", c.ReduceDelta)
 	case c.EjectRate < 1:
 		return fmt.Errorf("noc: EjectRate must be >= 1, got %d", c.EjectRate)
 	case c.EastSinks && c.SinkDrainRate < 1:
@@ -235,23 +227,6 @@ func (c Config) EffectiveGatherCapacity() int {
 		return c.GatherCapacity
 	}
 	return c.Cols
-}
-
-// EffectiveReduceCapacity resolves the INA merge-budget default (0) to the
-// row width, so one accumulate packet can reduce a full row.
-func (c Config) EffectiveReduceCapacity() int {
-	if c.ReduceCapacity > 0 {
-		return c.ReduceCapacity
-	}
-	return c.Cols
-}
-
-// EffectiveReduceDelta resolves the reduce δ default (0) to Delta.
-func (c Config) EffectiveReduceDelta() int64 {
-	if c.ReduceDelta > 0 {
-		return c.ReduceDelta
-	}
-	return c.Delta
 }
 
 // Format derives the flit format of a network of this configuration: the

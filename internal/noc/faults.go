@@ -6,6 +6,7 @@ import (
 
 	"gathernoc/internal/fault"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/topology"
@@ -206,7 +207,7 @@ func (nw *Network) stallDiagnostic(cycle int64) string {
 	fmt.Fprintf(&b, "in-flight flits: %d\n", nw.InFlight())
 	listed := 0
 	for _, r := range nw.routers {
-		buf, gb, rb := r.BufferedFlits(), r.GatherBacklog(), r.ReduceBacklog()
+		buf, gb, rb := r.BufferedFlits(), r.Backlog(reduce.GatherStation), r.Backlog(reduce.ReduceStation)
 		if buf == 0 && gb == 0 && rb == 0 {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -167,7 +168,7 @@ func TestGatherProtocolRandomized(t *testing.T) {
 					own := d.p
 					nw.NIC(d.node).SendGather(0, d.p.Dst, &own)
 				} else {
-					nw.NIC(d.node).SubmitGatherPayload(0, d.p)
+					nw.NIC(d.node).SubmitPayload(reduce.GatherStation, 0, d.p)
 				}
 			}
 			eng.Step()

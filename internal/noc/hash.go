@@ -14,7 +14,7 @@ import (
 // field changes — a version bump invalidates every cached result and
 // checkpoint keyed by the old scheme, which is exactly what a semantic
 // change requires.
-const configHashVersion = "gathernoc/noc.Config/v2"
+const configHashVersion = "gathernoc/noc.Config/v3"
 
 // hashExcludedFields names the Config fields the canonical hash ignores,
 // with the invariance argument for each. Every field listed here must be
@@ -45,8 +45,6 @@ func (c Config) normalizeForHash() Config {
 	n.Topology = c.EffectiveTopology()
 	n.Routing = c.EffectiveRouting()
 	n.GatherCapacity = c.EffectiveGatherCapacity()
-	n.ReduceCapacity = c.EffectiveReduceCapacity()
-	n.ReduceDelta = c.EffectiveReduceDelta()
 	n.Shards = 0
 	n.DebugFlitPool = false
 	n.Telemetry = nil

@@ -19,8 +19,6 @@ func TestConfigHashEquivalences(t *testing.T) {
 		{"topology default", func(c *Config) { c.Topology = "mesh" }},
 		{"routing default", func(c *Config) { c.Routing = "xy" }},
 		{"gather capacity default", func(c *Config) { c.GatherCapacity = 8 }},
-		{"reduce capacity default", func(c *Config) { c.ReduceCapacity = 8 }},
-		{"reduce delta default", func(c *Config) { c.ReduceDelta = c.Delta }},
 		{"shards invariant", func(c *Config) { c.Shards = 4 }},
 		{"debug pool invariant", func(c *Config) { c.DebugFlitPool = true }},
 		{"telemetry invariant", func(c *Config) { c.Telemetry = &telemetry.Config{Epoch: 256} }},

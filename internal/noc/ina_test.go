@@ -5,6 +5,7 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -32,8 +33,8 @@ func TestINARowReduction(t *testing.T) {
 		id := topology.NodeID(col)
 		v := uint64(col) * 1_000_003
 		want += v
-		nw.NIC(id).SetReduceDelta(5 * int64(1+col))
-		nw.NIC(id).SubmitReduceOperand(0, reduceOperandAt(uint64(col), id, dst, rid, v))
+		nw.NIC(id).SetDelta(5 * int64(1+col))
+		nw.NIC(id).SubmitPayload(reduce.ReduceStation, 0, reduceOperandAt(uint64(col), id, dst, rid, v))
 	}
 	own := reduceOperandAt(100, 0, dst, rid, 17)
 	want += 17
@@ -88,8 +89,8 @@ func TestINATimeoutSelfInitiates(t *testing.T) {
 	// No accumulate packet is ever launched toward this operand: δ expires
 	// and the NIC must self-initiate.
 	id := topology.NodeID(5)
-	nw.NIC(id).SetReduceDelta(3)
-	nw.NIC(id).SubmitReduceOperand(0, reduceOperandAt(1, id, dst, 9, 123))
+	nw.NIC(id).SetDelta(3)
+	nw.NIC(id).SubmitPayload(reduce.ReduceStation, 0, reduceOperandAt(1, id, dst, 9, 123))
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -108,8 +109,8 @@ func TestINATimeoutSelfInitiates(t *testing.T) {
 func TestINAStationFullFallsBack(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
 	cfg.EnableINA = true
-	cfg.Router.ReduceQueueCap = 1
-	cfg.ReduceDelta = 1000 // only the overflow path, no timeouts
+	cfg.Router.GatherQueueCap = 1
+	cfg.Delta = 1000 // only the overflow path, no timeouts
 	nw := mustNetwork(t, cfg)
 	row := 0
 	dst := nw.RowSinkID(row)
@@ -125,8 +126,8 @@ func TestINAStationFullFallsBack(t *testing.T) {
 
 	id := nw.Topology().ID(topology.Coord{Row: row, Col: 2})
 	n := nw.NIC(id)
-	n.SubmitReduceOperand(0, reduceOperandAt(1, id, dst, 4, 10))
-	n.SubmitReduceOperand(0, reduceOperandAt(2, id, dst, 4, 20))
+	n.SubmitPayload(reduce.ReduceStation, 0, reduceOperandAt(1, id, dst, 4, 10))
+	n.SubmitPayload(reduce.ReduceStation, 0, reduceOperandAt(2, id, dst, 4, 20))
 	if n.SelfInitiatedReduces.Value() != 1 {
 		t.Fatalf("overflow operand did not self-initiate (count=%d)",
 			n.SelfInitiatedReduces.Value())
@@ -155,7 +156,7 @@ func TestINAOffBitIdentical(t *testing.T) {
 		for col := 1; col < 4; col++ {
 			id := nw.Topology().ID(topology.Coord{Row: 0, Col: col})
 			nw.NIC(id).SetDelta(5 * int64(1+col))
-			nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(uint64(col), id, dst))
+			nw.NIC(id).SubmitPayload(reduce.GatherStation, 0, flitPayloadAt(uint64(col), id, dst))
 		}
 		own := flitPayloadAt(9, 0, dst)
 		nw.NIC(0).SendGather(0, dst, &own)
@@ -173,28 +174,17 @@ func TestINAOffBitIdentical(t *testing.T) {
 	}
 }
 
-// TestINAConfigValidation pins the new Config knobs.
+// TestINAConfigValidation pins the knob accumulation shares with gather:
+// η, an accumulate packet's merge budget, defaults to the row width, and a
+// negative one is refused with INA on.
 func TestINAConfigValidation(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
-	cfg.ReduceCapacity = -1
+	cfg.EnableINA = true
+	if got := cfg.EffectiveGatherCapacity(); got != 4 {
+		t.Errorf("EffectiveGatherCapacity = %d, want Cols (4)", got)
+	}
+	cfg.GatherCapacity = -1
 	if err := cfg.Validate(); err == nil {
-		t.Error("negative ReduceCapacity accepted")
-	}
-	cfg = DefaultConfig(4, 4)
-	cfg.ReduceDelta = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative ReduceDelta accepted")
-	}
-	cfg = DefaultConfig(4, 4)
-	if got := cfg.EffectiveReduceCapacity(); got != 4 {
-		t.Errorf("EffectiveReduceCapacity = %d, want Cols (4)", got)
-	}
-	if got := cfg.EffectiveReduceDelta(); got != cfg.Delta {
-		t.Errorf("EffectiveReduceDelta = %d, want Delta (%d)", got, cfg.Delta)
-	}
-	cfg.ReduceCapacity = 2
-	cfg.ReduceDelta = 9
-	if cfg.EffectiveReduceCapacity() != 2 || cfg.EffectiveReduceDelta() != 9 {
-		t.Error("explicit INA knobs not honored")
+		t.Error("negative GatherCapacity accepted")
 	}
 }

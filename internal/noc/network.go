@@ -14,6 +14,7 @@ import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/router"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/telemetry"
@@ -253,8 +254,6 @@ func New(cfg Config) (*Network, error) {
 		UnicastFlits:      cfg.UnicastFlits,
 		GatherCapacity:    cfg.EffectiveGatherCapacity(),
 		EnableINA:         cfg.EnableINA,
-		ReduceCapacity:    cfg.EffectiveReduceCapacity(),
-		ReduceDelta:       cfg.EffectiveReduceDelta(),
 		GatherVC:          cfg.Router.GatherVC,
 		Format:            format,
 	}
@@ -872,7 +871,7 @@ func (nw *Network) Quiescent() bool {
 		}
 	}
 	for _, r := range nw.routers {
-		if r.GatherBacklog() > 0 || r.ReduceBacklog() > 0 {
+		if r.Backlog(reduce.GatherStation) > 0 || r.Backlog(reduce.ReduceStation) > 0 {
 			return false
 		}
 	}

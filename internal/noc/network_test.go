@@ -7,6 +7,7 @@ import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -135,7 +136,7 @@ func TestGatherCollectsRowPayloads(t *testing.T) {
 	for c := 1; c < 4; c++ {
 		id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SetDelta(cfg.Delta * int64(1+c))
-		nw.NIC(id).SubmitGatherPayload(0, flit.Payload{
+		nw.NIC(id).SubmitPayload(reduce.GatherStation, 0, flit.Payload{
 			Seq: uint64(c), Src: id, Dst: dst, Bits: 32, Value: uint64(100 + c),
 		})
 	}
@@ -183,7 +184,7 @@ func TestGatherDeltaTimeoutSelfInitiates(t *testing.T) {
 	nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) { got = append(got, p.Clone()) })
 
 	id := nw.Topology().ID(topology.Coord{Row: row, Col: 2})
-	nw.NIC(id).SubmitGatherPayload(0, flit.Payload{Seq: 1, Src: id, Dst: dst, Bits: 32, Value: 7})
+	nw.NIC(id).SubmitPayload(reduce.GatherStation, 0, flit.Payload{Seq: 1, Src: id, Dst: dst, Bits: 32, Value: 7})
 
 	if _, err := nw.RunUntilQuiescent(10000); err != nil {
 		t.Fatal(err)
@@ -278,7 +279,7 @@ func TestDeterministicReplay(t *testing.T) {
 			dst := nw.RowSinkID(row)
 			for c := 1; c < 4; c++ {
 				id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
-				nw.NIC(id).SubmitGatherPayload(0, flit.Payload{
+				nw.NIC(id).SubmitPayload(reduce.GatherStation, 0, flit.Payload{
 					Seq: uint64(row*10 + c), Src: id, Dst: dst, Bits: 32,
 				})
 			}

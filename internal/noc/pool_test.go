@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -32,7 +33,7 @@ func TestFlitPoolLeakFreedom(t *testing.T) {
 	for col := 1; col < 4; col++ {
 		id := nw.Topology().ID(topology.Coord{Row: 0, Col: col})
 		nw.NIC(id).SetDelta(5 * int64(1+col))
-		nw.NIC(id).SubmitGatherPayload(0, flit.Payload{Seq: uint64(col), Src: id, Dst: dst, Bits: 32})
+		nw.NIC(id).SubmitPayload(reduce.GatherStation, 0, flit.Payload{Seq: uint64(col), Src: id, Dst: dst, Bits: 32})
 	}
 	left := nw.Topology().ID(topology.Coord{Row: 0, Col: 0})
 	own := flit.Payload{Seq: 99, Src: left, Dst: dst, Bits: 32}
@@ -43,8 +44,8 @@ func TestFlitPoolLeakFreedom(t *testing.T) {
 	const rid = uint64(7) << 32
 	for col := 1; col < 4; col++ {
 		id := nw.Topology().ID(topology.Coord{Row: 1, Col: col})
-		nw.NIC(id).SetReduceDelta(5 * int64(1+col))
-		nw.NIC(id).SubmitReduceOperand(0, flit.Payload{
+		nw.NIC(id).SetDelta(5 * int64(1+col))
+		nw.NIC(id).SubmitPayload(reduce.ReduceStation, 0, flit.Payload{
 			Seq: 100 + uint64(col), Src: id, Dst: rdst, Bits: 32, Value: uint64(col), ReduceID: rid, Ops: 1,
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -29,8 +30,8 @@ func TestGatherStationFullFallsBack(t *testing.T) {
 	// Two payloads at the same node: the second overflows the station.
 	id := nw.Topology().ID(topology.Coord{Row: row, Col: 2})
 	n := nw.NIC(id)
-	n.SubmitGatherPayload(0, flitPayloadAt(1, id, dst))
-	n.SubmitGatherPayload(0, flitPayloadAt(2, id, dst))
+	n.SubmitPayload(reduce.GatherStation, 0, flitPayloadAt(1, id, dst))
+	n.SubmitPayload(reduce.GatherStation, 0, flitPayloadAt(2, id, dst))
 	if n.SelfInitiatedGathers.Value() != 1 {
 		t.Fatalf("overflow payload did not self-initiate (count=%d)",
 			n.SelfInitiatedGathers.Value())
@@ -80,7 +81,7 @@ func TestGatherTimeoutWhileReserved(t *testing.T) {
 		eng.Step()
 	}
 	id := topology.NodeID(5)
-	nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(2, id, dst))
+	nw.NIC(id).SubmitPayload(reduce.GatherStation, 0, flitPayloadAt(2, id, dst))
 
 	if _, err := nw.RunUntilQuiescent(100000); err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func fallbackDelay(t *testing.T, nw *Network, id topology.NodeID) int64 {
 	t.Helper()
 	n := nw.NIC(id)
 	before, start := n.SelfInitiatedGathers.Value(), nw.Engine().Cycle()
-	n.SubmitGatherPayload(0, flitPayloadAt(1, id, nw.RowSinkID(nw.Topology().Coord(id).Row)))
+	n.SubmitPayload(reduce.GatherStation, 0, flitPayloadAt(1, id, nw.RowSinkID(nw.Topology().Coord(id).Row)))
 	end, err := nw.Engine().RunUntil(func() bool { return n.SelfInitiatedGathers.Value() > before }, 100_000)
 	if err != nil {
 		t.Fatal(err)

@@ -265,7 +265,6 @@ func (nw *Network) reset() error {
 	clear(nw.pidSeq)
 	for _, n := range nw.nics {
 		n.SetDelta(nw.nicCfg.Delta)
-		n.SetReduceDelta(nw.nicCfg.ReduceDelta)
 	}
 	nw.OnReceive(nil)
 	if !slices.ContainsFunc(nw.nics, (*nic.NIC).Fed) {

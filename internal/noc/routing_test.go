@@ -5,6 +5,7 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -51,7 +52,7 @@ func TestWestFirstGatherStillWorks(t *testing.T) {
 	for c := 1; c < 4; c++ {
 		id := nw.Topology().ID(topology.Coord{Row: row, Col: c})
 		nw.NIC(id).SetDelta(cfg.Delta * int64(1+c))
-		nw.NIC(id).SubmitGatherPayload(0, flitPayloadAt(uint64(c), id, dst))
+		nw.NIC(id).SubmitPayload(reduce.GatherStation, 0, flitPayloadAt(uint64(c), id, dst))
 	}
 	left := nw.Topology().ID(topology.Coord{Row: row, Col: 0})
 	own := flitPayloadAt(0, left, dst)

@@ -6,6 +6,7 @@ import (
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -36,8 +37,8 @@ func busySnapshot(t testing.TB) (Config, []byte) {
 			n.SendGather(0, sink, &own)
 			n.SendAccumulate(0, sink, acc.ReduceID, acc)
 		} else {
-			n.SubmitGatherPayload(0, p(uint64(10*id+5), sink))
-			n.SubmitReduceOperand(0, p(uint64(10*id+6), sink))
+			n.SubmitPayload(reduce.GatherStation, 0, p(uint64(10*id+5), sink))
+			n.SubmitPayload(reduce.ReduceStation, 0, p(uint64(10*id+6), sink))
 		}
 		n.SendUnicastPayload(0, sink, p(uint64(10*id+7), sink))
 	}

@@ -36,8 +36,7 @@ func FuzzConfigValidate(f *testing.F) {
 		if err == nil {
 			// Accepted configs must be self-consistent enough for the
 			// derived accessors to behave.
-			if cfg.EffectiveShards() < 0 || cfg.EffectiveGatherCapacity() < 1 ||
-				cfg.EffectiveReduceCapacity() < 1 || cfg.EffectiveReduceDelta() < 0 {
+			if cfg.EffectiveShards() < 0 || cfg.EffectiveGatherCapacity() < 1 || cfg.Delta < 0 {
 				t.Fatalf("accepted config with broken derived values: %+v", cfg)
 			}
 			return

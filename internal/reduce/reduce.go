@@ -3,12 +3,14 @@
 // payload slot and hauling all of them to the global buffer, routers fold
 // ("merge") their local operand into a passing accumulate packet's running
 // sum, so one constant-length packet arrives at the east sink carrying the
-// whole row's reduction. The protocol mirrors the paper's gather support —
-// operands are offered to a per-router station, reserved against passing
-// accumulate headers during route computation, merged during the body/tail
-// flits' idle RC/VA pipeline slots, and recovered by a δ-style timeout with
-// a NIC-initiated fallback packet — following Tiwari et al.'s follow-on
-// "In-Network Accumulation" work (arXiv:2209.10056).
+// whole row's reduction. It is the paper's gather protocol run with another
+// packet and a fold in place of an append — operands are offered to a
+// per-router station, reserved against passing accumulate headers during
+// route computation, merged during the body/tail flits' idle RC/VA pipeline
+// slots, and recovered by the same δ timeout with a NIC-initiated fallback
+// packet — following Tiwari et al.'s follow-on "In-Network Accumulation"
+// work (arXiv:2209.10056). Both protocols share one Station type, told
+// apart by its Kind.
 //
 // Arithmetic is exact: merges use wrap-around uint64 addition, and the
 // Oracle type computes the same reduction in software so tests can check
@@ -33,6 +35,9 @@ const (
 	GatherStation Kind = iota
 	// ReduceStation holds accumulation operands (INA).
 	ReduceStation
+	// NumKinds counts the kinds. Per-kind state (a router's stations, a
+	// NIC's wait lists) is an array of it, walked in kind order.
+	NumKinds
 )
 
 // Owner is the processing element behind a station: Acked is invoked
@@ -68,12 +73,11 @@ type entry struct {
 // Station is the router-resident payload station shared by the gather and
 // accumulation protocols: it holds payloads/operands handed over by the
 // local PE, reserves them against passing collective headers, and hands
-// them to the upload/merge stage. Gather reservations match on
-// destination only (ReserveByDst); accumulate reservations additionally
-// match the reduction ID (Reserve). A reservation is made for a holder,
-// which names it in every later call. The station is passive — only the
-// owning router's tick mutates it — so it needs no locking and never wakes
-// the router by itself.
+// them to the upload/merge stage. Its kind decides the one rule that
+// differs between them, how Reserve matches. A reservation is made for a
+// holder, which names it in every later call. The station is passive —
+// only the owning router's tick mutates it — so it needs no locking and
+// never wakes the router by itself.
 type Station struct {
 	entries []*entry
 	// spares is the entry freelist: completed and retracted entries are
@@ -122,27 +126,17 @@ func (s *Station) recycle(e *entry) {
 	s.spares.Put(e)
 }
 
-// Reserve finds the oldest pending operand destined for dst and tagged
-// with the given reduction ID and reserves it for holder, reporting
-// whether one matched. Matching on the reduction ID keeps operands of
-// different rows or rounds from folding into the wrong sum.
+// Reserve finds the oldest pending operand destined for dst and reserves
+// it for holder, reporting whether one matched. A ReduceStation also
+// matches the reduction ID, which keeps operands of different rows or
+// rounds from folding into the wrong sum; a GatherStation ignores it — the
+// gather protocol's Load signal (Algorithm 1), where a payload keeps its
+// identity and any passing gather packet to the same destination may pick
+// it up.
 func (s *Station) Reserve(dst topology.NodeID, reduceID uint64, holder int) bool {
 	for _, e := range s.entries {
-		if e.state == entryPending && e.operand.Dst == dst && e.operand.ReduceID == reduceID {
-			e.state, e.holder = entryReserved, int16(holder)
-			return true
-		}
-	}
-	return false
-}
-
-// ReserveByDst finds the oldest pending payload destined for dst whatever
-// its reduction tag and reserves it for holder — the gather protocol's
-// Load signal (Algorithm 1), where a payload keeps its identity and any
-// passing gather packet to the same destination may pick it up.
-func (s *Station) ReserveByDst(dst topology.NodeID, holder int) bool {
-	for _, e := range s.entries {
-		if e.state == entryPending && e.operand.Dst == dst {
+		if e.state == entryPending && e.operand.Dst == dst &&
+			(s.kind == GatherStation || e.operand.ReduceID == reduceID) {
 			e.state, e.holder = entryReserved, int16(holder)
 			return true
 		}

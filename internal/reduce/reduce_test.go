@@ -197,23 +197,26 @@ func TestMergePayloadExactness(t *testing.T) {
 	}
 }
 
-func TestReserveByDstIgnoresReduceID(t *testing.T) {
-	s := NewStation(4, ReduceStation)
-	s.Offer(op(1, 9, 100, 10))
-	s.Offer(op(2, 9, 200, 20))
-	// Destination-only reservation (the gather path) picks the oldest
-	// pending payload for the destination, whatever its reduction tag.
-	ok := s.ReserveByDst(9, 0)
-	if e, held := s.Held(0); !ok || !held || e.Seq != 1 {
-		t.Fatalf("ReserveByDst = %v,%v, want seq 1", e, ok)
+// TestGatherStationReserveIgnoresReduceID checks that the station's kind
+// decides the match rule: a gather station reserves the oldest pending
+// payload for the destination whatever its reduction tag, an accumulation
+// station holding the same entries only the one with the header's ID.
+func TestGatherStationReserveIgnoresReduceID(t *testing.T) {
+	g, r := NewStation(4, GatherStation), NewStation(4, ReduceStation)
+	for _, s := range []*Station{&g, &r} {
+		s.Offer(op(1, 9, 100, 10))
+		s.Offer(op(2, 9, 200, 20))
 	}
-	if s.ReserveByDst(7, 1) {
-		t.Error("ReserveByDst matched a foreign destination")
+	ok := g.Reserve(9, 200, 0)
+	if e, held := g.Held(0); !ok || !held || e.Seq != 1 {
+		t.Fatalf("gather Reserve(9,200) = %v,%v, want seq 1", e, ok)
 	}
-	// The ID-matched reservation still works alongside.
-	ok = s.Reserve(9, 200, 1)
-	if e2, held := s.Held(1); !ok || !held || e2.Seq != 2 {
-		t.Fatalf("Reserve(9,200) = %v,%v, want seq 2", e2, ok)
+	if g.Reserve(7, 200, 1) {
+		t.Error("gather Reserve matched a foreign destination")
+	}
+	ok = r.Reserve(9, 200, 0)
+	if e, held := r.Held(0); !ok || !held || e.Seq != 2 {
+		t.Fatalf("reduce Reserve(9,200) = %v,%v, want seq 2", e, ok)
 	}
 }
 

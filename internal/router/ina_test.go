@@ -33,7 +33,7 @@ func TestRouterAccumulateMergeInFlight(t *testing.T) {
 
 	merged := false
 	h.b.SetStationOwner(ackFunc(func(reduce.Kind, flit.Payload) { merged = true }))
-	if !h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1}) {
+	if !h.b.Offer(reduce.ReduceStation, flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1}) {
 		t.Fatal("offer rejected")
 	}
 
@@ -69,8 +69,8 @@ func TestRouterAccumulateMergeInFlight(t *testing.T) {
 	if acc.Value != 42 || acc.Ops != 2 {
 		t.Errorf("accumulator = value %d ops %d, want 42/2", acc.Value, acc.Ops)
 	}
-	if h.b.ReduceBacklog() != 0 {
-		t.Errorf("station backlog = %d after merge, want 0", h.b.ReduceBacklog())
+	if h.b.Backlog(reduce.ReduceStation) != 0 {
+		t.Errorf("station backlog = %d after merge, want 0", h.b.Backlog(reduce.ReduceStation))
 	}
 }
 
@@ -80,7 +80,7 @@ func TestRouterAccumulateSkipsForeignReduceID(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newTwoRouterHarness(t, cfg)
 
-	h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 99, Value: 30, Ops: 1})
+	h.b.Offer(reduce.ReduceStation, flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 99, Value: 30, Ops: 1})
 	for _, f := range packAccumulate(t, 8, 5, flit.Payload{Seq: 1, Src: 0, Dst: 1, Value: 12, Ops: 1}) {
 		h.inject(f, 0)
 	}
@@ -103,11 +103,11 @@ func TestRouterAccumulateSkipsForeignReduceID(t *testing.T) {
 	if acc := tail.Payloads[0]; acc.Value != 12 || acc.Ops != 1 {
 		t.Errorf("accumulator = value %d ops %d, must stay 12/1", acc.Value, acc.Ops)
 	}
-	if h.b.ReduceBacklog() != 1 {
-		t.Errorf("station backlog = %d, operand must remain queued", h.b.ReduceBacklog())
+	if h.b.Backlog(reduce.ReduceStation) != 1 {
+		t.Errorf("station backlog = %d, operand must remain queued", h.b.Backlog(reduce.ReduceStation))
 	}
 	// The untouched operand is retractable (the δ path would recover it).
-	if !h.b.RetractReduceOperand(7) {
+	if !h.b.Retract(reduce.ReduceStation, 7) {
 		t.Error("retract of the skipped operand failed")
 	}
 }
@@ -119,7 +119,7 @@ func TestRouterAccumulateBudgetExhausted(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newTwoRouterHarness(t, cfg)
 
-	h.b.OfferReduceOperand(flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1})
+	h.b.Offer(reduce.ReduceStation, flit.Payload{Seq: 7, Src: 1, Dst: 1, ReduceID: 5, Value: 30, Ops: 1})
 	// Budget 1: the initiator's own operand uses it up (ASpace = 0).
 	for _, f := range packAccumulate(t, 1, 5, flit.Payload{Seq: 1, Src: 0, Dst: 1, Value: 12, Ops: 1}) {
 		h.inject(f, 0)
@@ -145,9 +145,27 @@ func TestRouterAccumulateBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestReduceQueueCapDefault checks the accumulation station's bound: the
+// default GatherQueueCap of 4 caps each station, and a full accumulation
+// station leaves the gather station's room alone.
 func TestReduceQueueCapDefault(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.ReduceQueueCap != 4 {
-		t.Errorf("ReduceQueueCap default = %d, want 4", cfg.ReduceQueueCap)
+	if cfg.GatherQueueCap != 4 {
+		t.Errorf("GatherQueueCap default = %d, want 4", cfg.GatherQueueCap)
+	}
+	h := newTwoRouterHarness(t, cfg)
+	for seq := uint64(1); seq <= 4; seq++ {
+		if !h.b.Offer(reduce.ReduceStation, flit.Payload{Seq: seq, Dst: 1, ReduceID: 5}) {
+			t.Fatalf("operand %d refused below the cap", seq)
+		}
+	}
+	if h.b.Offer(reduce.ReduceStation, flit.Payload{Seq: 5, Dst: 1, ReduceID: 5}) {
+		t.Error("fifth operand accepted")
+	}
+	if !h.b.Offer(reduce.GatherStation, flit.Payload{Seq: 6, Dst: 1}) {
+		t.Error("a full accumulation station refused a gather payload")
+	}
+	if h.b.Backlog(reduce.ReduceStation) != 4 || h.b.Backlog(reduce.GatherStation) != 1 {
+		t.Errorf("backlogs %d/%d, want 4/1", h.b.Backlog(reduce.ReduceStation), h.b.Backlog(reduce.GatherStation))
 	}
 }

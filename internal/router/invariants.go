@@ -2,7 +2,9 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -34,18 +36,13 @@ func (r *Router) CheckInvariants() error {
 		for v := 0; v < nv; v++ {
 			s := r.slot(p, v)
 			vc := &r.vcs[s]
-			gather, reduce := vc.flags&gatherLoad != 0, vc.flags&reduceLoad != 0
+			loaded := vc.flags&loadBits != 0
 			buffered += int32(vc.buf.Len())
 			if !vc.buf.Empty() {
 				occMask[p] |= 1 << v
 			}
-			if gather {
-				loads++
-			}
-			if reduce {
-				loads++
-			}
-			if gather || reduce {
+			loads += int32(bits.OnesCount8(vc.flags & loadBits))
+			if loaded {
 				loadMask[p] |= 1 << v
 			}
 			switch vc.stage {
@@ -64,16 +61,14 @@ func (r *Router) CheckInvariants() error {
 				return fmt.Errorf("router %d: input %s vc%d active without branches",
 					r.id, topology.Port(p), v)
 			}
-			if gather && r.cold.station.HeldIndex(s) < 0 {
-				return fmt.Errorf("router %d: input %s vc%d load raised without reservation",
-					r.id, topology.Port(p), v)
-			}
-			if reduce && r.cold.rstation.HeldIndex(s) < 0 {
-				return fmt.Errorf("router %d: input %s vc%d reduce load raised without reservation",
-					r.id, topology.Port(p), v)
+			for k := range reduce.NumKinds {
+				if vc.flags&loadBit(k) != 0 && r.cold.stations[k].HeldIndex(s) < 0 {
+					return fmt.Errorf("router %d: input %s vc%d station %d load raised without reservation",
+						r.id, topology.Port(p), v, k)
+				}
 			}
 			if vc.buf.Empty() && vc.stage != vcVA && vc.stage != vcActive &&
-				(vc.stage != vcIdle || vc.wait != 0 || vc.nbr != 0 || gather || reduce) {
+				(vc.stage != vcIdle || vc.wait != 0 || vc.nbr != 0 || loaded) {
 				return fmt.Errorf("router %d: input %s vc%d holds no flit and is neither in VA nor active, but not at rest (stage %d, wait %d, %d branches)",
 					r.id, topology.Port(p), v, vc.stage, vc.wait, vc.nbr)
 			}

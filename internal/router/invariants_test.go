@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/topology"
 )
 
@@ -44,12 +45,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 	// Raise a gather load without a reservation.
 	local := &h.a.vcs[h.a.slot(int(topology.LocalPort), 0)]
-	local.flags |= gatherLoad
+	local.flags |= loadBit(reduce.GatherStation)
 	err = h.a.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "load") {
 		t.Errorf("dangling load not detected: %v", err)
 	}
-	local.flags &^= gatherLoad
+	local.flags &^= loadBit(reduce.GatherStation)
 
 	// Leave a branch on a VC that holds no flit and is idle.
 	rest := &h.a.vcs[h.a.slot(int(topology.WestPort), 1)]

@@ -48,11 +48,9 @@ type Config struct {
 	// conclusion for δ timeouts under mixed traffic. -1 disables the
 	// reservation.
 	GatherVC int
-	// GatherQueueCap bounds the Gather Payload station queue (>= 1).
+	// GatherQueueCap bounds each of the router's two station queues, the
+	// Gather Payload station's and the accumulation station's (>= 1).
 	GatherQueueCap int
-	// ReduceQueueCap bounds the accumulation station queue (>= 1), the
-	// INA sibling of GatherQueueCap.
-	ReduceQueueCap int
 	// VCClasses partitions the virtual channels into dateline classes for
 	// deadlock-free torus routing: a packet whose Route carries VCClass k
 	// may only allocate downstream VCs of class k (VC v belongs to class
@@ -73,7 +71,6 @@ func DefaultConfig() Config {
 		VADelay:        1,
 		GatherVC:       -1,
 		GatherQueueCap: 4,
-		ReduceQueueCap: 4,
 	}
 }
 
@@ -161,6 +158,15 @@ type Counters struct {
 	ReduceReserves stats.Counter
 }
 
+// kind returns the reservation and take-up (upload or merge) counters of
+// station kind k.
+func (c *Counters) kind(k reduce.Kind) (reserves, uploads *stats.Counter) {
+	if k == reduce.GatherStation {
+		return &c.GatherReserves, &c.GatherUploads
+	}
+	return &c.ReduceReserves, &c.ReduceMerges
+}
+
 type vcStage uint8
 
 const (
@@ -179,20 +185,47 @@ type branchState struct {
 	vc   int8 // allocated downstream VC (-1 until VA)
 }
 
-// Input VC flags.
+// Input VC flags. The low reduce.NumKinds bits are the Load signals, bit
+// k that of station kind k (loadBit): a gather payload (Gather Load
+// Generator, Fig. 3b / Algorithm 1) or an accumulation operand (the INA
+// merge path) is reserved in the kind's station against the packet holding
+// the VC (reduce.Station.Held by its slot).
 const (
-	// gatherLoad and reduceLoad are the Load signals: a gather payload
-	// (Gather Load Generator, Fig. 3b / Algorithm 1) or an accumulation
-	// operand (the INA merge path) is reserved in the router's station
-	// against the packet holding the VC (reduce.Station.Held by its slot).
-	gatherLoad uint8 = 1 << iota
-	reduceLoad
 	// withSets marks a packet whose branches carry destination sets, held
 	// for its slot in the router's cold record; multicastHead a multicast
 	// packet, whose head copy on each branch carries that branch's set.
-	withSets
+	withSets uint8 = 1 << (reduce.NumKinds + iota)
 	multicastHead
+	loadBits = withSets - 1
 )
+
+// loadBit returns the Load signal of station kind k.
+func loadBit(k reduce.Kind) uint8 { return 1 << k }
+
+// takeUps lists what sets the two station kinds apart in the router: the
+// packet type a kind's reservations and take-ups serve, how its operand
+// enters the packet's flit (appended or folded in), and the trace event a
+// take-up emits. Everything else — reserve at RC, take up in the idle RC/VA
+// slots, release at the tail — is one path for both.
+var takeUps = [reduce.NumKinds]struct {
+	pt   flit.PacketType
+	take func(*flit.Flit, flit.Payload) bool
+	ev   telemetry.EventKind
+}{
+	reduce.GatherStation: {flit.Gather, (*flit.Flit).AddPayload, telemetry.EvGatherUpload},
+	reduce.ReduceStation: {flit.Accumulate, (*flit.Flit).MergePayload, telemetry.EvReduceMerge},
+}
+
+// stationOf returns the station kind that serves packets of type pt; ok is
+// false for the packet types no station serves.
+func stationOf(pt flit.PacketType) (k reduce.Kind, ok bool) {
+	for k := range reduce.NumKinds {
+		if takeUps[k].pt == pt {
+			return k, true
+		}
+	}
+	return 0, false
+}
 
 // inputVC is one input virtual channel: the hot per-VC record the pipeline
 // stages walk, 22 bytes. Its buffer is a window of the router's slot slab;
@@ -294,15 +327,14 @@ type Router struct {
 // The Gather Payload station is the same reservation state machine the
 // accumulation subsystem uses (reserve against a passing header, upload or
 // merge during idle pipeline slots, δ-retract recovery), so both protocols
-// share reduce.Station: gather reservations match on destination only
-// (Station.ReserveByDst), accumulate reservations additionally match the
+// share reduce.Station, one per kind: gather reservations match on
+// destination only, accumulate reservations additionally match the
 // reduction ID (Station.Reserve). A reservation is held by the input VC's
 // slot, and every upload or merge is acked to the station's owner, the
 // local NIC (SetStationOwner).
 type routerCold struct {
 	views    [topology.NumPorts]portView
-	station  reduce.Station // gather payloads
-	rstation reduce.Station // accumulate operands
+	stations [reduce.NumKinds]reduce.Station // gather payloads, accumulate operands
 	// sets holds one record per input VC whose packet carries destination
 	// sets (withSets), taken when its route is computed and given back
 	// (slot -1) when its tail leaves; it grows on the first multicast
@@ -384,8 +416,9 @@ func (s *Slab) New(id topology.NodeID, routeFn RoutingFunc) (*Router, error) {
 		r.saInputArb[p] = rrArbiter{n: uint8(cfg.VCs)}
 		r.saOutputArb[p] = rrArbiter{n: topology.NumPorts}
 	}
-	r.cold.station = reduce.NewStation(cfg.GatherQueueCap, reduce.GatherStation)
-	r.cold.rstation = reduce.NewStation(cfg.ReduceQueueCap, reduce.ReduceStation)
+	for k := range reduce.NumKinds {
+		r.cold.stations[k] = reduce.NewStation(cfg.GatherQueueCap, k)
+	}
 	return r, nil
 }
 
@@ -411,8 +444,9 @@ func (r *Router) SetTelemetry(p *telemetry.Probe) { r.probe = p }
 // every payload uploaded and every operand merged is acked to it
 // (reduce.Owner).
 func (r *Router) SetStationOwner(o reduce.Owner) {
-	r.cold.station.SetOwner(o)
-	r.cold.rstation.SetOwner(o)
+	for k := range r.cold.stations {
+		r.cold.stations[k].SetOwner(o)
+	}
 }
 
 // slot returns the index of input port p's VC v.
@@ -543,40 +577,23 @@ func (r *Router) acceptCredit(p topology.Port, vc int) {
 	}
 }
 
-// OfferGatherPayload hands the local PE's payload to the Gather Payload
-// station; the station's owner is acked when a passing gather packet
-// picked it up. It returns false when the station queue is full.
-func (r *Router) OfferGatherPayload(p flit.Payload) bool {
-	return r.cold.station.Offer(p)
+// Offer hands the local PE's payload to the station of kind k, the
+// Gather Payload station or the accumulation station; the station's owner
+// is acked when a passing packet of the kind picked it up (uploaded or
+// merged it). It returns false when the station queue is full.
+func (r *Router) Offer(k reduce.Kind, p flit.Payload) bool {
+	return r.cold.stations[k].Offer(p)
 }
 
-// RetractGatherPayload removes a not-yet-reserved payload from the station
+// Retract removes a not-yet-reserved payload from the station of kind k
 // (δ-timeout path). It returns false when the payload is gone or already
 // reserved by an in-flight packet.
-func (r *Router) RetractGatherPayload(seq uint64) bool {
-	return r.cold.station.Retract(seq)
+func (r *Router) Retract(k reduce.Kind, seq uint64) bool {
+	return r.cold.stations[k].Retract(seq)
 }
 
-// GatherBacklog reports how many payloads sit in the station.
-func (r *Router) GatherBacklog() int { return r.cold.station.Backlog() }
-
-// OfferReduceOperand hands the local PE's partial-sum operand to the
-// accumulation station; the station's owner is acked when a passing
-// accumulate packet merged it. It returns false when the station queue is
-// full.
-func (r *Router) OfferReduceOperand(op flit.Payload) bool {
-	return r.cold.rstation.Offer(op)
-}
-
-// RetractReduceOperand removes a not-yet-reserved operand from the
-// accumulation station (δ-timeout path). It returns false when the operand
-// is gone or already reserved by an in-flight packet.
-func (r *Router) RetractReduceOperand(seq uint64) bool {
-	return r.cold.rstation.Retract(seq)
-}
-
-// ReduceBacklog reports how many operands sit in the accumulation station.
-func (r *Router) ReduceBacklog() int { return r.cold.rstation.Backlog() }
+// Backlog reports how many payloads sit in the station of kind k.
+func (r *Router) Backlog(k reduce.Kind) int { return r.cold.stations[k].Backlog() }
 
 // BufferedFlits reports the total flits currently held in input buffers;
 // the network layer uses it for drain detection.
@@ -617,42 +634,40 @@ func (r *Router) gatherUploadStage(cycle int64) {
 	for p := 0; p < topology.NumPorts; p++ {
 		for m := r.loadMask[p]; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
-			s := r.slot(p, v)
-			vc := &r.vcs[s]
-			if vc.flags&gatherLoad != 0 {
-				if op, ok := r.cold.station.Held(s); ok {
-					f := r.head(s)
-					if f != nil && f.PT == flit.Gather && !f.Type.IsHead() &&
-						f.AddPayload(op) {
-						r.cold.station.Complete(s)
-						r.Counters.GatherUploads.Inc()
-						if r.probe != nil && r.probe.Sampled(f.PacketID) {
-							r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvGatherUpload,
-								Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(f.Payloads[len(f.Payloads)-1].Src)})
-						}
-						vc.flags &^= gatherLoad
-						r.dropLoad(p, v)
-					}
-				}
-			}
-			if vc.flags&reduceLoad != 0 {
-				if op, ok := r.cold.rstation.Held(s); ok {
-					f := r.head(s)
-					if f != nil && f.PT == flit.Accumulate && !f.Type.IsHead() &&
-						f.MergePayload(op) {
-						r.cold.rstation.Complete(s)
-						r.Counters.ReduceMerges.Inc()
-						if r.probe != nil && r.probe.Sampled(f.PacketID) {
-							r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvReduceMerge,
-								Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(op.Src)})
-						}
-						vc.flags &^= reduceLoad
-						r.dropLoad(p, v)
-					}
+			vc := &r.vcs[r.slot(p, v)]
+			for k := range reduce.NumKinds {
+				if vc.flags&loadBit(k) != 0 {
+					r.takeUp(k, p, v, cycle)
 				}
 			}
 		}
 	}
+}
+
+// takeUp moves the operand station k reserved for VC v of input port p
+// into the VC's head flit once that is a body or tail flit of the kind's
+// packet with room for it, completing the reservation (which acks the
+// station's owner) and lowering the Load signal.
+func (r *Router) takeUp(k reduce.Kind, p, v int, cycle int64) {
+	s := r.slot(p, v)
+	st, t := &r.cold.stations[k], &takeUps[k]
+	op, ok := st.Held(s)
+	if !ok {
+		return
+	}
+	f := r.head(s)
+	if f == nil || f.PT != t.pt || f.Type.IsHead() || !t.take(f, op) {
+		return
+	}
+	st.Complete(s)
+	_, n := r.Counters.kind(k)
+	n.Inc()
+	if r.probe != nil && r.probe.Sampled(f.PacketID) {
+		r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: t.ev,
+			Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(op.Src)})
+	}
+	r.vcs[s].flags &^= loadBit(k)
+	r.dropLoad(p, v)
 }
 
 // raiseLoad counts a Load signal raised on VC v of input port p.
@@ -662,10 +677,10 @@ func (r *Router) raiseLoad(p, v int) {
 }
 
 // dropLoad counts a Load signal of VC v of input port p lowered; the VC
-// leaves loadMask once neither of its two signals is raised.
+// leaves loadMask once none of its signals is raised.
 func (r *Router) dropLoad(p, v int) {
 	r.loads--
-	if r.vcs[r.slot(p, v)].flags&(gatherLoad|reduceLoad) == 0 {
+	if r.vcs[r.slot(p, v)].flags&loadBits == 0 {
 		r.loadMask[p] &^= 1 << v
 	}
 }
@@ -739,31 +754,18 @@ func (r *Router) completeRC(p, v int, cycle int64) {
 			Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id)})
 	}
 
-	// Gather Load Generator: reserve the local payload against this packet
-	// and decrement ASpace in the header (Fig. 3b). The paper splits the
-	// load-signal generation (RC stage) and the ASpace update (VA stage);
-	// both are internal to the head's pipeline transit, so we apply them
-	// together at RC completion with identical external timing.
-	if f.PT == flit.Gather && f.IsHead() && f.ASpace >= 1 {
-		if r.cold.station.ReserveByDst(f.Dst, s) {
-			f.ASpace--
-			vc.flags |= gatherLoad
-			r.raiseLoad(p, v)
-			r.Counters.GatherReserves.Inc()
-		}
-	}
-
-	// Accumulation load: reserve the local operand against a passing
-	// accumulate header with merge budget left, decrementing ASpace —
-	// the INA twin of the Gather Load Generator, with the reservation
-	// additionally matched on the packet's reduction ID.
-	if f.PT == flit.Accumulate && f.IsHead() && f.ASpace >= 1 {
-		if r.cold.rstation.Reserve(f.Dst, f.ReduceID, s) {
-			f.ASpace--
-			vc.flags |= reduceLoad
-			r.raiseLoad(p, v)
-			r.Counters.ReduceReserves.Inc()
-		}
+	// Gather Load Generator: reserve the local payload (on an accumulate
+	// packet, operand) against this packet and decrement ASpace in the
+	// header (Fig. 3b). The paper splits the load-signal generation (RC
+	// stage) and the ASpace update (VA stage); both are internal to the
+	// head's pipeline transit, so we apply them together at RC completion
+	// with identical external timing.
+	if k, ok := stationOf(f.PT); ok && f.ASpace >= 1 && r.cold.stations[k].Reserve(f.Dst, f.ReduceID, s) {
+		f.ASpace--
+		vc.flags |= loadBit(k)
+		r.raiseLoad(p, v)
+		reserves, _ := r.Counters.kind(k)
+		reserves.Inc()
 	}
 
 	vc.stage = vcVA
@@ -1111,17 +1113,14 @@ func (r *Router) switchStage(cycle int64) {
 			vc.br[i].sent = false
 		}
 		if f.IsTail() {
-			if vc.flags&gatherLoad != 0 {
-				// The packet left before the upload could complete;
-				// return the payload so the δ-timeout can recover it.
-				r.cold.station.Release(s)
-				vc.flags &^= gatherLoad
-				r.dropLoad(p, v)
-			}
-			if vc.flags&reduceLoad != 0 {
-				r.cold.rstation.Release(s)
-				vc.flags &^= reduceLoad
-				r.dropLoad(p, v)
+			for k := range reduce.NumKinds {
+				if vc.flags&loadBit(k) != 0 {
+					// The packet left before the upload could complete;
+					// return the payload so the δ-timeout can recover it.
+					r.cold.stations[k].Release(s)
+					vc.flags &^= loadBit(k)
+					r.dropLoad(p, v)
+				}
 			}
 			r.clearBranches(s)
 			vc.stage = vcIdle

@@ -152,10 +152,10 @@ func TestGatherStationLifecycle(t *testing.T) {
 
 	// Reservation matches on destination and is FIFO by age; the holder
 	// finds its entry again.
-	if s.ReserveByDst(8, 0) {
+	if s.Reserve(8, 0, 0) {
 		t.Fatal("reserved payload for wrong dst")
 	}
-	ok := s.ReserveByDst(9, 3)
+	ok := s.Reserve(9, 0, 3)
 	if e, held := s.Held(3); !ok || !held || e.Seq != 1 {
 		t.Fatalf("reserve = %+v, %v; want seq 1", e, ok)
 	}
@@ -184,7 +184,7 @@ func TestGatherStationLifecycle(t *testing.T) {
 func TestGatherStationRelease(t *testing.T) {
 	s := reduce.NewStation(1, reduce.GatherStation)
 	s.Offer(flit.Payload{Seq: 5, Dst: 3})
-	s.ReserveByDst(3, 0)
+	s.Reserve(3, 0, 0)
 	s.Release(0)
 	if _, held := s.Held(0); held {
 		t.Fatal("released payload still held")
@@ -296,7 +296,7 @@ func TestRouterGatherPickupInFlight(t *testing.T) {
 	// Router B holds a payload for destination 1 (its own PE's result).
 	uploaded := false
 	h.b.SetStationOwner(ackFunc(func(reduce.Kind, flit.Payload) { uploaded = true }))
-	if !h.b.OfferGatherPayload(flit.Payload{Seq: 7, Src: 1, Dst: 1, Value: 77}) {
+	if !h.b.Offer(reduce.GatherStation, flit.Payload{Seq: 7, Src: 1, Dst: 1, Value: 77}) {
 		t.Fatal("offer rejected")
 	}
 
@@ -358,7 +358,7 @@ func TestRouterGatherSkipsFullPacket(t *testing.T) {
 
 	uploaded := false
 	h.b.SetStationOwner(ackFunc(func(reduce.Kind, flit.Payload) { uploaded = true }))
-	h.b.OfferGatherPayload(flit.Payload{Seq: 9, Src: 1, Dst: 1, Value: 99})
+	h.b.Offer(reduce.GatherStation, flit.Payload{Seq: 9, Src: 1, Dst: 1, Value: 99})
 
 	// Capacity 1 gather packet already carrying its initiator's payload:
 	// ASpace is 0 when it reaches B, so B must not reserve or upload.
@@ -380,8 +380,8 @@ func TestRouterGatherSkipsFullPacket(t *testing.T) {
 	if uploaded {
 		t.Error("payload uploaded into a zero-ASpace packet")
 	}
-	if h.b.GatherBacklog() != 1 {
-		t.Errorf("backlog = %d, want 1 (payload still waiting)", h.b.GatherBacklog())
+	if h.b.Backlog(reduce.GatherStation) != 1 {
+		t.Errorf("backlog = %d, want 1 (payload still waiting)", h.b.Backlog(reduce.GatherStation))
 	}
 }
 

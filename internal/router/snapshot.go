@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/ring"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/topology"
@@ -29,8 +30,9 @@ func (r *Router) AppendState(e *flit.Encoder) {
 		}
 		e.Uint(r.clockTies)
 	}
-	r.cold.station.AppendState(e)
-	r.cold.rstation.AppendState(e)
+	for k := range r.cold.stations {
+		r.cold.stations[k].AppendState(e)
+	}
 	for p := 0; p < topology.NumPorts; p++ {
 		e.Int(int64(r.saInputArb[p].next))
 		e.Int(int64(r.saOutputArb[p].next))
@@ -104,15 +106,13 @@ func (r *Router) appendVC(e *flit.Encoder, s int) {
 		e.Set(r.headMD(s, i))
 	}
 	e.Int(int64(vc.class))
-	gather, reduce := -1, -1
-	if vc.flags&gatherLoad != 0 {
-		gather = r.cold.station.HeldIndex(s)
+	for k := range reduce.NumKinds {
+		held := -1
+		if vc.flags&loadBit(k) != 0 {
+			held = r.cold.stations[k].HeldIndex(s)
+		}
+		e.Int(int64(held))
 	}
-	if vc.flags&reduceLoad != 0 {
-		reduce = r.cold.rstation.HeldIndex(s)
-	}
-	e.Int(int64(gather))
-	e.Int(int64(reduce))
 }
 
 // LoadState replaces the router's state with the absolute encoding
@@ -128,8 +128,9 @@ func (r *Router) LoadState(d *flit.Decoder) error {
 		c.Set(d.Uint())
 	}
 	r.clockTies = d.Uint()
-	r.cold.station.LoadState(d)
-	r.cold.rstation.LoadState(d)
+	for k := range r.cold.stations {
+		r.cold.stations[k].LoadState(d)
+	}
 	for p := 0; p < topology.NumPorts; p++ {
 		r.saInputArb[p].next = uint8(d.IntRange(0, int(r.saInputArb[p].n)-1, "SA input pointer"))
 		r.saOutputArb[p].next = uint8(d.IntRange(0, int(r.saOutputArb[p].n)-1, "SA output pointer"))
@@ -241,19 +242,14 @@ func (r *Router) loadVC(d *flit.Decoder, p, v int) {
 		}
 	}
 	vc.class = uint8(d.IntRange(0, max(r.cfg.VCClasses, 1)-1, "VC class"))
-	if i := int(d.Int()); i >= 0 {
-		if !r.cold.station.Hold(i, s) {
-			d.Failf("gather entry %d is not a free reservation of the station's %d", i, r.cold.station.Backlog())
+	for k := range reduce.NumKinds {
+		if i := int(d.Int()); i >= 0 {
+			if !r.cold.stations[k].Hold(i, s) {
+				d.Failf("entry %d is not a free reservation of station %d's %d", i, k, r.cold.stations[k].Backlog())
+			}
+			vc.flags |= loadBit(k)
+			r.raiseLoad(p, v)
 		}
-		vc.flags |= gatherLoad
-		r.raiseLoad(p, v)
-	}
-	if i := int(d.Int()); i >= 0 {
-		if !r.cold.rstation.Hold(i, s) {
-			d.Failf("reduce entry %d is not a free reservation of the station's %d", i, r.cold.rstation.Backlog())
-		}
-		vc.flags |= reduceLoad
-		r.raiseLoad(p, v)
 	}
 	switch vc.stage {
 	case vcVA:

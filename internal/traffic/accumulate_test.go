@@ -110,10 +110,10 @@ func TestAccumulationINADisabledRejected(t *testing.T) {
 }
 
 func TestAccumulationReduceDeltaTimeout(t *testing.T) {
-	// A tiny flat reduce δ forces self-initiated accumulate fallbacks, and
-	// the sums must still verify: correctness never depends on merging.
+	// A tiny flat δ forces self-initiated accumulate fallbacks, and the
+	// sums must still verify: correctness never depends on merging.
 	res := runAccumulation(t, CollectINA, func(c *noc.Config) {
-		c.ReduceDelta = 1
+		c.Delta = 1
 	})
 	// Undo the per-column scaling's protection by construction: δ·(1+col)
 	// stays far below the packet's multi-hop transit for distant columns,
@@ -127,10 +127,10 @@ func TestAccumulationReduceDeltaTimeout(t *testing.T) {
 }
 
 func TestAccumulationReduceCapacityLimitsMerges(t *testing.T) {
-	// A merge budget of 2 (own operand + one merge) forces the remaining
-	// operands onto fallback packets; sums must still verify.
+	// A merge budget (η) of 2 (own operand + one merge) forces the
+	// remaining operands onto fallback packets; sums must still verify.
 	res := runAccumulation(t, CollectINA, func(c *noc.Config) {
-		c.ReduceCapacity = 2
+		c.GatherCapacity = 2
 	})
 	if res.OracleErrors != 0 {
 		t.Fatalf("oracle errors under capacity limit: %d", res.OracleErrors)

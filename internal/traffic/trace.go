@@ -11,6 +11,7 @@ import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/topology"
 )
@@ -319,7 +320,7 @@ func (rp *Replayer) Tick(cycle int64) {
 			n.SendGather(rp.tag, topology.NodeID(e.Dst), &payload)
 		case EventPayload:
 			rp.outstanding++
-			n.SubmitGatherPayload(rp.tag, payload)
+			n.SubmitPayload(reduce.GatherStation, rp.tag, payload)
 		}
 	}
 }

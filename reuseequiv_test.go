@@ -14,6 +14,7 @@ import (
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/systolic"
 	"gathernoc/internal/telemetry"
@@ -76,8 +77,7 @@ func reusePredecessors() []reusePredecessor {
 		{name: "gather-scaled-delta", run: func(t *testing.T, nw *noc.Network) {
 			collectOn(t, nw, systolic.GatherMode, traffic.CollectGather)
 		}},
-		// INA scales the reduce δ the same way (SetReduceDelta) and fills
-		// the reduce stations.
+		// INA scales the same δ and fills the accumulation stations.
 		{name: "INA", ina: true, run: func(t *testing.T, nw *noc.Network) {
 			collectOn(t, nw, systolic.GatherMode, traffic.CollectINA)
 		}},
@@ -230,10 +230,10 @@ func reuseSubjects(t *testing.T) []reuseSubject {
 					seq++
 					p := flit.Payload{Seq: seq, Src: node, Dst: nw.RowSinkID(row), Bits: 32, Value: seq}
 					if row%2 == 0 {
-						nw.NIC(node).SubmitGatherPayload(0, p)
+						nw.NIC(node).SubmitPayload(reduce.GatherStation, 0, p)
 					} else {
 						p.ReduceID, p.Ops = uint64(row), 1
-						nw.NIC(node).SubmitReduceOperand(0, p)
+						nw.NIC(node).SubmitPayload(reduce.ReduceStation, 0, p)
 					}
 				}
 			}

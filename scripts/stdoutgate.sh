@@ -2,9 +2,9 @@
 # Stdout identity gate: builds the cmd/ binaries and checks the sha256 of
 # each command's stdout in testdata/stdout.sha256 (one "<sha256>  <command>"
 # line each; # starts a comment). The commands are the paper artifacts,
-# the INA run, the three all-reduce transports, the two-job pipeline and
-# the merge heatmap, so a change to any simulated schedule, any result or
-# any rendering shows here. It then checks the telemetry files: each line
+# the INA run under each collection scheme, the three all-reduce
+# transports, the two-job pipeline and the merge heatmap, so a change to
+# any simulated schedule, any result or any rendering shows here. It then checks the telemetry files: each line
 # of testdata/telemetry.sha256 ("<csv sha256> <trace sha256>  <command>")
 # runs its command with -metrics and -trace appended and compares the
 # sha256 of the metrics CSV and of the Chrome trace it wrote. Exits

@@ -10,6 +10,7 @@ import (
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/systolic"
 	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
@@ -397,7 +398,7 @@ func TestSnapshotRoundTripMidCollection(t *testing.T) {
 				entries := 0
 				for id := 0; id < nw.Topology().NumNodes(); id++ {
 					r := nw.Router(topology.NodeID(id))
-					entries += r.GatherBacklog() + r.ReduceBacklog()
+					entries += r.Backlog(reduce.GatherStation) + r.Backlog(reduce.ReduceStation)
 				}
 				if entries > 0 {
 					snap = s

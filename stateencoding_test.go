@@ -83,8 +83,7 @@ var stateFields = map[string]string{
 	"router.Router.Counters":    absolute + statistic,
 
 	"router.routerCold.views":    fixed + wiring,
-	"router.routerCold.station":  both,
-	"router.routerCold.rstation": both,
+	"router.routerCold.stations": both,
 	"router.routerCold.sets":     both + " (as each branch's destination and head sets)",
 
 	"router.vcSets.slot": both + " (as the VC whose branches it belongs to)",
@@ -201,15 +200,13 @@ var stateFields = map[string]string{
 	"nic.NIC.credits":              both,
 	"nic.NIC.vcPkt":                both + " (the flits not yet sent)",
 	"nic.NIC.queue":                both,
-	"nic.NIC.waiting":              both,
-	"nic.NIC.rwaiting":             both,
+	"nic.NIC.waits":                both,
 	"nic.NIC.sweepAt":              derived + ": the first tick's sweep books the loaded deadlines",
 	"nic.NIC.sendRR":               both,
 	"nic.NIC.fed":                  derived + ": whether work came in since the latest load, which clears it (noc.Network.Release keeps a fabric no NIC of which was fed)",
 	"nic.NIC.streaming":            derived,
 	"nic.NIC.pool":                 fixed + wiring,
 	"nic.NIC.delta":                fixed + ": the δ override Submit arms before every offer (noc.Network.AppendState)",
-	"nic.NIC.reduceDelta":          fixed + ": the δ override Submit arms before every offer (noc.Network.AppendState)",
 	"nic.NIC.now":                  both + until + ": a tick rewrites it before any read",
 	"nic.NIC.clock":                fixed + wiring,
 	"nic.NIC.wake":                 fixed + ": the engine's; a restore wakes every component",

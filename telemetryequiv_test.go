@@ -8,8 +8,10 @@ import (
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/reduce"
 	"gathernoc/internal/systolic"
 	"gathernoc/internal/telemetry"
+	"gathernoc/internal/topology"
 	"gathernoc/internal/traffic"
 	"gathernoc/internal/workload"
 )
@@ -250,32 +252,92 @@ func TestTelemetryOffIsIdentical(t *testing.T) {
 	}
 }
 
-// TestStationEventsMatchCounters traces every packet of an 8x8 INA run and
-// of a gather layer and reconciles the station events with the router
-// counters: one merge event per ReduceMerges count and one upload event per
-// GatherUploads count, each naming the operand's or payload's source. A
-// router's stations are fed only by its own NIC, so that source is the
-// router's own node (Aux == Loc).
+// TestStationEventsMatchCounters traces every packet of an 8x8 INA run, of
+// a gather layer, and of a gather and an INA accumulation phase sharing
+// the fabric, and reconciles the station events with the router counters:
+// one merge event per ReduceMerges count and one upload event per
+// GatherUploads count, each naming the operand's or payload's source, and
+// one NIC ack (MergeAcks, PiggybackAcks) per merge and upload. A router's
+// stations are fed only by its own NIC, so that source is the router's own
+// node (Aux == Loc). Every run must then drain. In the shared run both
+// stations of a router hold entries at once, so a take-up served from the
+// other kind's station or an ack filed under the other kind's wait list
+// shows here.
 func TestStationEventsMatchCounters(t *testing.T) {
-	type controller interface {
-		workload.Driver
-		workload.PacketSink
-	}
 	layer, _ := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
+	accumulation := func(t *testing.T, nw *noc.Network, scheme traffic.CollectScheme) *traffic.AccumulationController {
+		ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
+			Scheme: scheme, Rounds: 4, ComputeLatency: 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	exact := func(t *testing.T, ctls ...*traffic.AccumulationController) {
+		for _, ctl := range ctls {
+			if e := ctl.Snapshot().OracleErrors; e != 0 {
+				t.Errorf("%s: %d oracle errors", ctl.Snapshot().Scheme, e)
+			}
+		}
+	}
 	for _, c := range []struct {
 		name string
 		ina  bool
-		ctl  func(*noc.Network) (controller, error)
+		run  func(*testing.T, *noc.Network)
 	}{
-		{"ina", true, func(nw *noc.Network) (controller, error) {
-			return traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
-				Scheme: traffic.CollectINA, Rounds: 4, ComputeLatency: 10,
-			})
+		{"ina", true, func(t *testing.T, nw *noc.Network) {
+			ctl := accumulation(t, nw, traffic.CollectINA)
+			if _, err := workload.Run(nw, ctl, 10_000_000); err != nil {
+				t.Fatal(err)
+			}
+			exact(t, ctl)
 		}},
-		{"gather", false, func(nw *noc.Network) (controller, error) {
-			return systolic.NewController(nw, systolic.Config{
+		{"gather", false, func(t *testing.T, nw *noc.Network) {
+			ctl, err := systolic.NewController(nw, systolic.Config{
 				Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 2,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := workload.Run(nw, ctl, 10_000_000); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The INA phase is admitted once the gather phase has injected
+		// (an overlap edge), so its operands reach stations where gather
+		// payloads still wait for their packet.
+		{"mixed", true, func(t *testing.T, nw *noc.Network) {
+			g, r := accumulation(t, nw, traffic.CollectGather), accumulation(t, nw, traffic.CollectINA)
+			s, err := workload.New(nw, []workload.Job{{Name: "mixed", Phases: []workload.Phase{
+				{Name: "gather", Driver: g},
+				{Name: "ina", Driver: r, After: []workload.Dep{{Phase: 0, Overlap: true}}},
+			}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			both := 0
+			done := func() bool {
+				for id := 0; id < nw.Topology().NumNodes(); id++ {
+					rt := nw.Router(topology.NodeID(id))
+					if rt.Backlog(reduce.GatherStation) > 0 && rt.Backlog(reduce.ReduceStation) > 0 {
+						both++
+						break
+					}
+				}
+				return s.Done()
+			}
+			if _, err := nw.Engine().RunWith(s, done, 10_000_000); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d cycles with both stations of a router holding entries", both)
+			if both == 0 {
+				t.Error("no router held entries in both stations at once")
+			}
+			if a := nw.Activity(); a.GatherUploads == 0 || a.ReduceMerges == 0 {
+				t.Errorf("%d uploads and %d merges, want both > 0", a.GatherUploads, a.ReduceMerges)
+			}
+			exact(t, g, r)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -287,12 +349,11 @@ func TestStationEventsMatchCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer nw.Close()
-			ctl, err := c.ctl(nw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := workload.Run(nw, ctl, 10_000_000); err != nil {
-				t.Fatal(err)
+			c.run(t, nw)
+			// Every wait is acked or fell back: one whose ack went astray
+			// would keep its NIC pending.
+			if _, err := nw.RunUntilQuiescent(100_000); err != nil {
+				t.Fatalf("the fabric does not drain: %v", err)
 			}
 			rep := nw.HarvestTelemetry()
 			if rep.DroppedEvents != 0 {
@@ -312,10 +373,14 @@ func TestStationEventsMatchCounters(t *testing.T) {
 					t.Errorf("%s event at router %d names source %d", e.Kind, e.Loc, e.Aux)
 				}
 			}
-			a := nw.Activity()
+			a, acks := nw.Activity(), nw.NICTotals()
 			t.Logf("traced %d merges and %d uploads", merges, uploads)
 			if merges != a.ReduceMerges || uploads != a.GatherUploads {
 				t.Errorf("traced %d merges and %d uploads, counted %d and %d", merges, uploads, a.ReduceMerges, a.GatherUploads)
+			}
+			if acks.MergeAcks != a.ReduceMerges || acks.PiggybackAcks != a.GatherUploads {
+				t.Errorf("NICs acked %d merges and %d uploads, routers counted %d and %d",
+					acks.MergeAcks, acks.PiggybackAcks, a.ReduceMerges, a.GatherUploads)
 			}
 			if merges+uploads == 0 {
 				t.Error("the run merged and uploaded nothing")
