@@ -21,11 +21,11 @@ func never() bool { return false }
 
 // maxSteadyStateAllocsPerCycle is the allocation ratchet: the pinned
 // ceiling on heap allocations per simulated cycle once a network has
-// reached its steady state (pools, rings and sample chunks warmed to
-// their high-water marks). The zero-allocation hot-path work (PR 3)
+// reached its steady state (pools, rings and sample count tables warmed
+// to their high-water marks). The zero-allocation hot-path work (PR 3)
 // brought the steady state to ~0 allocs/cycle — the only remaining
-// sources are the occasional stats chunk and deque block at high-water
-// growth. The ceiling leaves headroom for measurement jitter while
+// sources are the occasional count-table growth on a new value and deque
+// block at high-water growth. The ceiling leaves headroom for measurement jitter while
 // still failing loudly if a per-flit or per-packet allocation sneaks
 // back into the pipeline (pre-PR3 steady state was ~10 allocs/cycle at
 // this operating point, ~270 at saturation). PR 5 tightened it from 1.0
@@ -123,21 +123,20 @@ func TestBuildAllocationPin(t *testing.T) {
 // maxFirstUseAllocs pins what the first 300 cycles of a freshly built 8x8
 // allocate under uniform traffic at rate 0.05: routers, links, NICs and
 // ejectors allocate nothing after the build, and the NICs' first
-// injection-queue blocks and the first chunks of the ejectors' latency
-// samples come from their slab's arenas (ring.Arena, stats.Arena), a
+// injection-queue blocks come from their slab's arena (ring.Arena), a
 // refill for up to 32 of them at a time, so what is left is those
-// refills and a few flit-pool blocks, 61 or 62 in all. With one queue
-// block and its lists allocated per NIC and two allocations per sample it
-// was 372 to 378; when VC rings, branch lists, link staging rings and
-// pooled flits were allocated on first use, 2932.
-const maxFirstUseAllocs = 75
+// refills, the generator's latency count tables and a few flit-pool
+// blocks, 46 to 49 in all. It was 61 or 62 while every ejector kept a
+// latency sample; with one queue block and its lists allocated per NIC and
+// two allocations per sample, 372 to 378; when VC rings, branch lists,
+// link staging rings and pooled flits were allocated on first use, 2932.
+const maxFirstUseAllocs = 60
 
-// maxFirstUseBytes pins the bytes the same cycles allocate. The arenas
-// hand out every byte their refills allocate and allocate for no more
-// queues or samples than the slab has, so batching may not cost bytes: it
-// measures 134 392, and the pin is what allocating each first block, its
-// lists and each first chunk alone took, 135 160.
-const maxFirstUseBytes = 135_160
+// maxFirstUseBytes pins the bytes the same cycles allocate: 56 176 to
+// 56 456, with a 32-byte queue entry per packet and no ejector latency
+// samples. It was 134 392 with an 88-byte entry and a first chunk of 64
+// observations per ejector.
+const maxFirstUseBytes = 60_000
 
 func TestFirstUseAllocationPin(t *testing.T) {
 	if raceEnabled {
@@ -332,9 +331,12 @@ const maxTelemetryBuildBytes16x16 = 3_540_000
 // about 12.5 KB a node, when routers, links, NICs and engine lists held
 // word-sized counters, a 40-byte ring and a 120-byte record per VC and the
 // engine grew its lists by appending; the fabric then ran a third slower
-// per evaluation than at 16x16 (BenchmarkEvaluationCost). It measures 6.03
-// MB now. The ceiling is half the old measurement.
-const maxBuildBytes32x32 = 6_400_000
+// per evaluation than at 16x16 (BenchmarkEvaluationCost). It measured
+// 6.02 MB under a ceiling of 6.40 MB while ejectors kept a latency sample,
+// reassembly records held word-sized ids and counts (104 bytes) and link
+// records word-sized shards and ids (48 bytes). It measures 5.81 MB now;
+// the ceiling keeps the same 0.38 MB of margin.
+const maxBuildBytes32x32 = 6_187_000
 
 func TestTelemetryBuildBytesPin(t *testing.T) {
 	cfg := noc.DefaultConfig(16, 16)

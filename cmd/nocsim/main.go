@@ -41,6 +41,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -62,8 +63,15 @@ var (
 	errModelRounds   = errors.New("-model needs -rounds >= 1")
 	errINAFlags      = errors.New("-inamode and -inarounds need -ina")
 	errRoundsFlag    = errors.New("-rounds needs -model or -collective (-ina takes -inarounds)")
+	errModelFlags    = errors.New("-jobs and -overlap need -model")
+	errAlgorithmFlag = errors.New("-algorithm needs -collective")
 	errTwoWorkloads  = errors.New("-model, -collective, -ina and -replay each select the workload; give at most one")
+	errTrafficFlags  = errors.New("-pattern, -rate, -flits, -warmup, -measure and -seed drive synthetic traffic, " +
+		"which -model, -collective, -ina and -replay replace and -resume takes from its file")
 )
+
+// trafficFlags are the flags only the synthetic-traffic generator reads.
+var trafficFlags = []string{"pattern", "rate", "flits", "warmup", "measure", "seed"}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -136,6 +144,12 @@ func run(args []string, w io.Writer) (err error) {
 		return errINAFlags
 	case set["rounds"] && *model == "" && *coll == "":
 		return errRoundsFlag
+	case (set["jobs"] || set["overlap"]) && *model == "":
+		return errModelFlags
+	case set["algorithm"] && *coll == "":
+		return errAlgorithmFlag
+	case (selected > 0 || *resumePath != "") && slices.ContainsFunc(trafficFlags, func(f string) bool { return set[f] }):
+		return errTrafficFlags
 	}
 
 	// Checkpoint/resume covers the synthetic-generator path: workload

@@ -123,6 +123,43 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestRunRefusesFlagsTheWorkloadIgnores: a workload flag that the selected
+// workload does not read is refused with a named error before anything
+// runs, whichever other workload is selected.
+func TestRunRefusesFlagsTheWorkloadIgnores(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "none.trace")
+	for _, c := range []struct {
+		workload []string
+		flag     []string
+		want     error
+	}{
+		{nil, []string{"-jobs", "2"}, errModelFlags},
+		{nil, []string{"-overlap"}, errModelFlags},
+		{[]string{"-collective", "reduce"}, []string{"-jobs", "2"}, errModelFlags},
+		{[]string{"-ina"}, []string{"-overlap"}, errModelFlags},
+		{nil, []string{"-algorithm", "flat"}, errAlgorithmFlag},
+		{[]string{"-model", "alexnet"}, []string{"-algorithm", "tree"}, errAlgorithmFlag},
+		{[]string{"-ina"}, []string{"-algorithm", "fused"}, errAlgorithmFlag},
+	} {
+		args := append(append([]string(nil), c.workload...), c.flag...)
+		if err := run(args, new(strings.Builder)); !errors.Is(err, c.want) {
+			t.Errorf("args %v: err %v, want %v", args, err, c.want)
+		}
+	}
+	traffic := [][]string{{"-pattern", "transpose"}, {"-rate", "0.1"}, {"-flits", "4"},
+		{"-warmup", "10"}, {"-measure", "10"}, {"-seed", "2"}}
+	workloads := [][]string{{"-model", "alexnet"}, {"-collective", "allreduce"}, {"-ina"},
+		{"-replay", trace}, {"-resume", trace}}
+	for _, w := range workloads {
+		for _, f := range traffic {
+			args := append(append([]string(nil), w...), f...)
+			if err := run(args, new(strings.Builder)); !errors.Is(err, errTrafficFlags) {
+				t.Errorf("args %v: err %v, want %v", args, err, errTrafficFlags)
+			}
+		}
+	}
+}
+
 func TestRunTraceReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.jsonl")

@@ -16,8 +16,10 @@ import (
 // cacheSchema tags the on-disk entry envelope. It versions the storage
 // format only; result semantics are versioned inside the key itself
 // (core.ComparisonKeyVersion), so a simulator behaviour change produces
-// new keys rather than stale-looking files.
-const cacheSchema = "gathernoc/experiments.Cache/v2"
+// new keys rather than stale-looking files. v3 writes a statistics sample
+// as its count, sum and distinct values with their counts
+// (stats.Sample.MarshalJSON); v2 wrote every observation.
+const cacheSchema = "gathernoc/experiments.Cache/v3"
 
 // CacheStats is the hit accounting a sweep accumulates.
 type CacheStats struct {

@@ -624,8 +624,12 @@ func perturb(v reflect.Value) bool {
 		v.SetString(v.String() + "x")
 	case reflect.Struct:
 		if s, ok := v.Addr().Interface().(*stats.Sample); ok {
+			// A copy, observed into: the copy of a Sample value shares
+			// its count table.
 			var c stats.Sample
-			s.Each(c.Observe)
+			if raw, err := json.Marshal(s); err != nil || json.Unmarshal(raw, &c) != nil {
+				return false
+			}
 			c.Observe(3)
 			*s = c
 			return true

@@ -7,6 +7,7 @@ import (
 
 	"gathernoc/internal/core"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/stats"
 )
 
 // relation is what a knob setting's run of a collection mode is expected
@@ -55,7 +56,7 @@ var paperPointInvariances = []invariance{
 // activity, and the NoC energy the power figures derive from it.
 type runFacts struct {
 	TotalCycles, MeasuredCycles int64
-	RoundCycles, Collection     []float64
+	RoundCycles, Collection     stats.Sample
 	SelfInitiatedGathers        uint64
 	Activity                    noc.Activity
 	NoCPJ                       float64
@@ -68,9 +69,9 @@ func factsOf(r *core.LayerReport) runFacts {
 		SelfInitiatedGathers: r.Result.SelfInitiatedGathers,
 		Activity:             r.Result.Activity,
 		NoCPJ:                r.Energy.NoCPJ,
+		RoundCycles:          r.Result.RoundCycles,
+		Collection:           r.Result.CollectionCycles,
 	}
-	r.Result.RoundCycles.Each(func(v float64) { f.RoundCycles = append(f.RoundCycles, v) })
-	r.Result.CollectionCycles.Each(func(v float64) { f.Collection = append(f.Collection, v) })
 	return f
 }
 

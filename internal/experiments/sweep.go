@@ -173,9 +173,8 @@ type compareRun struct {
 //
 // A comparison the cache serves is shared with every later lookup of its
 // key in the same Cache, possibly on other sweep workers, so callers treat
-// what compareSweep returns as read-only: they read fields and
-// stats.Sample.Mean, and never call Observe or the order statistics (Min,
-// Max, Percentile), which sort a sample in place.
+// what compareSweep returns as read-only: they read fields and a sample's
+// statistics, which leave the sample as it is, and never Observe into it.
 func compareSweep(points []comparePoint, opts Options) ([]*core.Comparison, error) {
 	ctx := opts.ctx()
 	var cmps []*core.Comparison

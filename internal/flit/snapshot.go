@@ -121,10 +121,17 @@ func (e *Encoder) Bool(b bool) {
 // numbers a latency sample holds take a few bytes.
 func (e *Encoder) Float(v float64) { e.Uint(bits.ReverseBytes64(math.Float64bits(v))) }
 
-// Sample appends a sample's observations in insertion order.
+// Sample appends a sample: its observation count, its sum, then each
+// distinct value, ascending, with its count (stats.Sample.Counts).
 func (e *Encoder) Sample(s *stats.Sample) {
+	values, counts := s.Counts()
 	e.Uint(uint64(s.N()))
-	s.Each(e.Float)
+	e.Float(s.Sum())
+	e.Uint(uint64(len(values)))
+	for i, v := range values {
+		e.Float(v)
+		e.Uint(counts[i])
+	}
 }
 
 // Cycle appends an absolute cycle: as it is, or in relative mode relative to
@@ -323,12 +330,24 @@ func (d *Decoder) Set() *topology.DestSet {
 // Float reads a float written by Encoder.Float.
 func (d *Decoder) Float() float64 { return math.Float64frombits(bits.ReverseBytes64(d.Uint())) }
 
-// Sample replaces s with the observations written by Encoder.Sample,
-// observed again in order so that the sample is the one encoded.
+// Sample replaces s with the sample Encoder.Sample wrote. Counts that do
+// not add up to the observation count are a failure (stats.Sample.Restore),
+// and so is a count past the int range.
 func (d *Decoder) Sample(s *stats.Sample) {
-	*s = stats.Sample{}
-	for i := d.Len(); i > 0; i-- {
-		s.Observe(d.Float())
+	n, sum, k := d.Uint(), d.Float(), d.Len()
+	if d.err != nil {
+		return
+	}
+	if n > math.MaxInt {
+		d.Failf("sample of %d observations", n)
+		return
+	}
+	err := s.Restore(int(n), sum, k, func() (float64, uint64, error) {
+		v, c := d.Float(), d.Uint()
+		return v, c, d.err
+	})
+	if err != nil {
+		d.Failf("%w", err)
 	}
 }
 

@@ -79,20 +79,20 @@ func (p *ReceivedPacket) Clone() *ReceivedPacket {
 // partialPacket accumulates one packet under reassembly. The head flit's
 // routing and timing fields are copied in on arrival and each flit's
 // payloads appended, so the flits themselves are released back to the
-// pool immediately instead of being held until the tail shows up.
+// pool immediately instead of being held until the tail shows up. Node
+// ids, the flit count and the hop count are held in 32 bits: a fabric
+// holds one record per ejection VC.
 type partialPacket struct {
 	id           uint64
-	tag          flit.Tag
-	pt           flit.PacketType
-	src          topology.NodeID
-	dst          topology.NodeID
-	flits        int
 	injectCycle  int64
 	networkCycle int64
-	hops         int
 	headArrival  int64
-	corrupted    bool           // any flit arrived fault-corrupted
 	payloads     []flit.Payload // backing array reused across packets
+	tag          flit.Tag
+	src, dst     int32
+	flits, hops  int32
+	pt           flit.PacketType
+	corrupted    bool // any flit arrived fault-corrupted
 }
 
 // DeliveredPayload records one exactly-once payload delivery at an
@@ -170,8 +170,6 @@ type Ejector struct {
 	// FlitsEjected counts drained flits; PacketsEjected completed packets.
 	FlitsEjected   stats.Counter
 	PacketsEjected stats.Counter
-	// PacketLatency samples end-to-end packet latencies in cycles.
-	PacketLatency stats.Sample
 	// PacketsDiscarded counts reassembled packets dropped by the receiver
 	// CRC model (a fault corrupted at least one flit); DuplicatesSuppressed
 	// counts payloads filtered by exactly-once dedup.
@@ -204,12 +202,11 @@ type ejectorSlab struct {
 // slabShared is what the n ejectors of a slab, and the NICs they belong
 // to, share: they are ticked one at a time, by one shard. packet is handed
 // to recv, reused per packet, and is valid only during the callback.
-// latency serves the ejectors' latency samples their first chunks, and
-// queues the NICs' injection queues their first blocks, on first use.
+// queues serves the NICs' injection queues their first blocks, on first
+// use.
 type slabShared struct {
-	packet  ReceivedPacket
-	latency stats.Arena
-	queues  ring.Arena[flit.Packet]
+	packet ReceivedPacket
+	queues ring.Arena[queued]
 }
 
 func newEjectorSlab(n, vcs, depth, drainRate int) ejectorSlab {
@@ -219,10 +216,7 @@ func newEjectorSlab(n, vcs, depth, drainRate int) ejectorSlab {
 		recs:   make([]partialPacket, n*vcs),
 		open:   make([]*partialPacket, n*vcs),
 		staged: make([]stagedPacket, n*max(drainRate, 1)),
-		shared: &slabShared{
-			latency: stats.NewArena(n),
-			queues:  ring.NewArena[flit.Packet](n),
-		},
+		shared: &slabShared{queues: ring.NewArena[queued](n)},
 	}
 }
 
@@ -454,12 +448,12 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 	if f.IsHead() {
 		pp.pt = f.PT
 		pp.tag = f.Tag
-		pp.src = f.Src
-		pp.dst = f.Dst
-		pp.flits = f.PacketFlits
+		pp.src = int32(f.Src)
+		pp.dst = int32(f.Dst)
+		pp.flits = int32(f.PacketFlits)
 		pp.injectCycle = f.InjectCycle
 		pp.networkCycle = f.NetworkCycle
-		pp.hops = f.Hops
+		pp.hops = int32(f.Hops)
 	}
 	pp.payloads = append(pp.payloads, f.Payloads...)
 	pp.corrupted = pp.corrupted || f.Corrupted
@@ -484,29 +478,28 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 		ID:           pp.id,
 		Tag:          pp.tag,
 		PT:           pp.pt,
-		Src:          pp.src,
-		Dst:          pp.dst,
+		Src:          topology.NodeID(pp.src),
+		Dst:          topology.NodeID(pp.dst),
 		At:           e.owner,
-		Flits:        pp.flits,
+		Flits:        int(pp.flits),
 		Payloads:     pp.payloads,
 		InjectCycle:  pp.injectCycle,
 		NetworkCycle: pp.networkCycle,
 		HeadArrival:  pp.headArrival,
 		TailArrival:  cycle,
-		Hops:         pp.hops,
+		Hops:         int(pp.hops),
 	}
 	if len(rp.Payloads) == 0 {
 		rp.Payloads = nil
 	}
 	e.PacketsEjected.Inc()
-	e.PacketLatency.ObserveIn(&e.shared.latency, float64(rp.Latency()))
 	if e.probe != nil && e.probe.Sampled(pp.id) {
 		// Back-dated endpoint events: the source-side timestamps rode on
 		// the head flit, so the whole timeline is emitted here at once.
 		e.probe.Emit(telemetry.Event{Cycle: pp.injectCycle, Kind: telemetry.EvInject,
-			Packet: pp.id, Tag: pp.tag, Loc: int32(pp.src), Aux: int64(pp.dst)})
+			Packet: pp.id, Tag: pp.tag, Loc: pp.src, Aux: int64(pp.dst)})
 		e.probe.Emit(telemetry.Event{Cycle: pp.networkCycle, Kind: telemetry.EvNetwork,
-			Packet: pp.id, Tag: pp.tag, Loc: int32(pp.src)})
+			Packet: pp.id, Tag: pp.tag, Loc: pp.src})
 		e.probe.Emit(telemetry.Event{Cycle: pp.headArrival, Kind: telemetry.EvHead,
 			Packet: pp.id, Tag: pp.tag, Loc: e.probeLoc})
 		e.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvEject,

@@ -115,6 +115,61 @@ type gatherWait struct {
 	tag flit.Tag
 }
 
+// queued is a packet waiting in the injection queue, in 32 bytes: past
+// saturation the queue holds one per packet a source has not yet sent.
+// Its source is the NIC's own node. A packet with a destination set, a
+// carried payload, a gather capacity or merge budget, a reduction id or a
+// length past 16 bits waits whole in the NIC's side table instead, which
+// rare indexes from 1 (0 for none); the entry's own fields still hold what
+// binding reads.
+type queued struct {
+	id     uint64
+	inject int64
+	dst    int32
+	tag    flit.Tag
+	flits  uint16
+	pt     flit.PacketType
+	track  bool
+	rare   uint32
+}
+
+// push queues p, keeping it whole in the side table when its entry cannot
+// hold it.
+func (n *NIC) push(p flit.Packet) {
+	q := queued{id: p.ID, inject: p.InjectCycle, dst: int32(p.Dst), tag: p.Tag,
+		flits: uint16(p.Flits), pt: p.PT, track: p.TrackOperands}
+	if p.MDst != nil || p.Carried != nil || p.GatherCapacity != 0 || p.ReduceID != 0 || int(q.flits) != p.Flits {
+		i, ok := n.spare.Get()
+		if !ok {
+			n.rare = append(n.rare, flit.Packet{})
+			i = uint32(len(n.rare))
+		}
+		n.rare[i-1] = p
+		q.rare = i
+	}
+	n.queue.PushBackIn(&n.eject.shared.queues, q)
+}
+
+// packet rebuilds the packet of a queued entry.
+func (n *NIC) packet(q queued) flit.Packet {
+	if q.rare != 0 {
+		return n.rare[q.rare-1]
+	}
+	return flit.Packet{ID: q.id, Tag: q.tag, PT: q.pt, Src: n.id, Dst: topology.NodeID(q.dst),
+		Flits: int(q.flits), TrackOperands: q.track, InjectCycle: q.inject}
+}
+
+// pop dequeues the front packet, freeing its side-table slot.
+func (n *NIC) pop() flit.Packet {
+	q := n.queue.PopFront()
+	p := n.packet(q)
+	if q.rare != 0 {
+		n.rare[q.rare-1] = flit.Packet{}
+		n.spare.Put(q.rare)
+	}
+	return p
+}
+
 // vcStream is the flit sequence of the packet currently streaming on one
 // injection VC. The backing array is reused across packets (PacketizeInto
 // appends into flits[:0]), and next advances instead of re-slicing so the
@@ -145,11 +200,15 @@ type NIC struct {
 	// vcPkt holds the remaining flits of the packet currently streaming on
 	// each injection VC.
 	vcPkt []vcStream
-	// queue holds packets awaiting a free injection VC. A chunked deque
-	// rather than an append/filter slice: open-loop workloads run the
-	// queue deep past saturation, and the deque's recycled fixed-size
-	// blocks never copy on growth and never abandon a backing array.
-	queue ring.Deque[flit.Packet]
+	// queue holds packets awaiting a free injection VC, one 32-byte entry
+	// each (queued). A chunked deque rather than an append/filter slice:
+	// open-loop workloads run the queue deep past saturation, and the
+	// deque's recycled fixed-size blocks never copy on growth and never
+	// abandon a backing array. rare holds the whole packets of the entries
+	// that carry more than a unicast header, and spare its free slots.
+	queue ring.Deque[queued]
+	rare  []flit.Packet
+	spare ring.FreeList[uint32]
 	// waits[k] lists the payloads offered to the router's station of kind
 	// k awaiting pickup: gather payloads, then accumulation operands.
 	waits [reduce.NumKinds][]gatherWait
@@ -592,7 +651,7 @@ func (n *NIC) enqueue(p flit.Packet) uint64 {
 	if n.reliable != nil && p.Carried != nil {
 		n.track(*p.Carried, p.Tag)
 	}
-	n.queue.PushBackIn(&n.eject.shared.queues, p)
+	n.push(p)
 	n.PacketsInjected.Inc()
 	n.wake.Wake()
 	return p.ID
@@ -611,22 +670,21 @@ func (n *NIC) enqueue(p flit.Packet) uint64 {
 func (n *NIC) bindPackets() {
 	if n.cfg.GatherVC < 0 {
 		for n.queue.Len() > 0 {
-			vc := n.freeVCFor(n.queue.FrontPtr().PT)
+			vc := n.freeVCFor(n.queue.FrontPtr().pt)
 			if vc < 0 {
 				return
 			}
-			n.bindTo(vc, n.queue.PopFront())
+			n.bindTo(vc, n.pop())
 		}
 		return
 	}
 	for i, m := 0, n.queue.Len(); i < m; i++ {
-		p := n.queue.PopFront()
-		vc := n.freeVCFor(p.PT)
+		vc := n.freeVCFor(n.queue.FrontPtr().pt)
 		if vc < 0 {
-			n.queue.PushBack(p)
+			n.queue.PushBack(n.queue.PopFront())
 			continue
 		}
-		n.bindTo(vc, p)
+		n.bindTo(vc, n.pop())
 	}
 }
 

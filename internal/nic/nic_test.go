@@ -391,7 +391,7 @@ func TestNICReduceDefaults(t *testing.T) {
 		t.Errorf("operand waits %+v, want one with deadline 17", ws)
 	}
 	n.SendAccumulate(0, 3, 4, flit.Payload{Seq: 2, Dst: 3, ReduceID: 4})
-	if p := n.queue.At(0); p.GatherCapacity != cfg.GatherCapacity {
+	if p := n.packet(n.queue.At(0)); p.GatherCapacity != cfg.GatherCapacity {
 		t.Errorf("accumulate packet budget %d, want η = %d", p.GatherCapacity, cfg.GatherCapacity)
 	}
 }
@@ -436,17 +436,20 @@ func newNIC(id topology.NodeID, cfg Config, rtr *router.Router, nextID func(topo
 	return s.New(id, rtr, nextID)
 }
 
-// TestComponentSizePin pins the bytes of a NIC, its ejector included, and
-// of an ejector, which a 32x32 fabric holds 1 024 of: each may fall, never
-// rise (DESIGN.md §9). They were 936 and 488 with a configuration copy and
-// two ack closures per NIC, word-sized counters and a ring per ejection VC.
+// TestComponentSizePin pins the bytes of a NIC, its ejector included, of
+// an ejector, which a 32x32 fabric holds 1 024 of, and of a reassembly
+// record, which it holds one of per ejection VC: each may fall, never rise
+// (DESIGN.md §9). They were 936, 488 and 104 with a configuration copy and
+// two ack closures per NIC, word-sized counters, a ring per ejection VC, a
+// latency sample per ejector and word-sized ids and counts per record.
 func TestComponentSizePin(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		size, pin uintptr
 	}{
-		{"NIC", unsafe.Sizeof(NIC{}), 744},
-		{"Ejector", unsafe.Sizeof(Ejector{}), 392},
+		{"NIC", unsafe.Sizeof(NIC{}), 720},
+		{"Ejector", unsafe.Sizeof(Ejector{}), 328},
+		{"partialPacket", unsafe.Sizeof(partialPacket{}), 80},
 	} {
 		if c.size > c.pin {
 			t.Errorf("%s is %d bytes, pin %d", c.name, c.size, c.pin)

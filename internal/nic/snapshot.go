@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"math"
 	"slices"
 
 	"gathernoc/internal/flit"
@@ -9,7 +10,7 @@ import (
 )
 
 // AppendState appends the ejector's state (flit.Encoder). In absolute mode
-// it opens with the counters, the latency sample and, on a fault-aware
+// it opens with the counters and, on a fault-aware
 // ejector, the dedup set and the staged confirmations; the proof's relative
 // mode leaves them out (statistics, and state only faulted fabrics have,
 // which the periodicity proof does not cover: noc.Network.Bare). Both modes
@@ -21,7 +22,6 @@ func (e *Ejector) AppendState(enc *flit.Encoder) {
 		for _, c := range e.counters() {
 			enc.Uint(c.Value())
 		}
-		enc.Sample(&e.PacketLatency)
 		if e.seen != nil {
 			seen := make([]uint64, 0, len(e.seen))
 			for seq := range e.seen {
@@ -91,7 +91,6 @@ func (e *Ejector) LoadState(d *flit.Decoder) error {
 	for _, c := range e.counters() {
 		c.Set(d.Uint())
 	}
-	d.Sample(&e.PacketLatency)
 	if e.seen != nil {
 		clear(e.seen)
 		for n := d.Len(); n > 0; n-- {
@@ -132,12 +131,12 @@ func (e *Ejector) loadHeld(d *flit.Decoder) {
 			id:           d.Uint(),
 			tag:          flit.Tag(d.Uint()),
 			pt:           flit.PacketType(d.Uint()),
-			src:          d.PE("open packet source"),
-			dst:          d.Node("open packet destination"),
-			flits:        int(d.Int()),
+			src:          int32(d.PE("open packet source")),
+			dst:          int32(d.Node("open packet destination")),
+			flits:        int32(d.IntRange(0, math.MaxInt32, "open packet flits")),
 			injectCycle:  d.Int(),
 			networkCycle: d.Int(),
-			hops:         int(d.Int()),
+			hops:         int32(d.IntRange(0, math.MaxInt32, "open packet hops")),
 			headArrival:  d.Int(),
 			corrupted:    d.Bool(),
 		}
@@ -194,7 +193,7 @@ func (n *NIC) AppendState(e *flit.Encoder) {
 		}
 		e.Uint(uint64(n.queue.Len()))
 		for i := 0; i < n.queue.Len(); i++ {
-			appendPacket(e, n.queue.At(i))
+			appendPacket(e, n.packet(n.queue.At(i)))
 		}
 		for _, ws := range n.waits {
 			appendWaits(e, ws)
@@ -310,7 +309,7 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 		n.vcPkt[v] = vcStream{flits: n.vcPkt[v].flits[:0]}
 	}
 	for n.queue.Len() > 0 {
-		n.queue.PopFront()
+		n.pop()
 	}
 	for k := range n.waits {
 		n.waits[k] = n.waits[k][:0]
@@ -328,7 +327,11 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 			}
 		}
 		for k := d.Len(); k > 0; k-- {
-			n.queue.PushBack(loadPacket(d))
+			p := loadPacket(d)
+			if p.Src != n.id {
+				d.Failf("queued packet from node %d in the queue of node %d", p.Src, n.id)
+			}
+			n.push(p)
 		}
 		for k := range n.waits {
 			n.waits[k] = loadWaits(d, n.waits[k])

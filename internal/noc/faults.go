@@ -80,12 +80,12 @@ func (nw *Network) wireFaults() error {
 			// transient inter-router noise.
 			ls = inj.NewOutageLink(i, ws)
 		}
-		rec.l.SetFaults(ls, nw.poolFor(rec.downShard))
+		rec.l.SetFaults(ls, nw.poolFor(int(rec.downShard)))
 		// The flusher ticks on the shard that commits the link's flits, so
 		// the owed-credit counters keep a single writer per phase and the
 		// wake CommitFlits sends it stays inside that shard.
 		cf := rec.l.Flusher()
-		cf.SetWake(nw.addTicker(rec.downShard, cf))
+		cf.SetWake(nw.addTicker(int(rec.downShard), cf))
 	}
 
 	// Recovery: exactly-once ejectors everywhere, reliability tables on

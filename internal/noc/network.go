@@ -123,11 +123,12 @@ type Network struct {
 // upstream one. outPort is the upstream router's output port, meaningful
 // only for the inter-router records (the first fabricLinks entries).
 // intoRouter marks the links whose downstream end is a router (inter-router
-// and injection links), not an ejector.
+// and injection links), not an ejector. Shards and ids are held in 32 bits:
+// a 32x32 fabric holds some 6 000 records.
 type linkRec struct {
 	l                  *link.Link
-	downShard, upShard int
-	downID, upID       topology.NodeID
+	downShard, upShard int32
+	downID, upID       int32
 	outPort            topology.Port
 	intoRouter         bool
 }
@@ -376,11 +377,11 @@ func (nw *Network) wireTelemetry() {
 	creditFields := []telemetry.Field{{Name: "credits"}}
 	for i, rec := range nw.linkRecs {
 		if tracing {
-			rec.l.SetTelemetry(tc.ShardProbe(rec.downShard), int(rec.downID))
+			rec.l.SetTelemetry(tc.ShardProbe(int(rec.downShard)), int(rec.downID))
 		}
 		meta := telemetry.SourceMeta{Kind: "link", ID: i, Name: rec.l.Name(), Row: -1, Col: -1}
 		l := rec.l
-		tc.AddSource(rec.downShard, meta, flitFields, func(dst []int64) {
+		tc.AddSource(int(rec.downShard), meta, flitFields, func(dst []int64) {
 			dst[0] = int64(l.FlitsCarried.Value())
 			if len(dst) > 1 {
 				// The fault counters are written by the same shard that
@@ -392,7 +393,7 @@ func (nw *Network) wireTelemetry() {
 				}
 			}
 		})
-		tc.AddSource(rec.upShard, meta, creditFields, func(dst []int64) {
+		tc.AddSource(int(rec.upShard), meta, creditFields, func(dst []int64) {
 			dst[0] = int64(l.CreditsCarried.Value())
 		})
 	}
@@ -544,12 +545,12 @@ func (nw *Network) register() {
 	}
 	for _, rec := range nw.linkRecs {
 		if rec.downShard == rec.upShard {
-			rec.l.SetWake(nw.addCommitter(rec.downShard, rec.l))
+			rec.l.SetWake(nw.addCommitter(int(rec.downShard), rec.l))
 			continue
 		}
 		rec.l.SetHalfWakes(
-			nw.engine.AddShardCommitter(rec.downShard, link.FlitHalf{L: rec.l}).Remote(rec.upShard),
-			nw.engine.AddShardCommitter(rec.upShard, link.CreditHalf{L: rec.l}).Remote(rec.downShard))
+			nw.engine.AddShardCommitter(int(rec.downShard), link.FlitHalf{L: rec.l}).Remote(int(rec.upShard)),
+			nw.engine.AddShardCommitter(int(rec.upShard), link.CreditHalf{L: rec.l}).Remote(int(rec.downShard)))
 	}
 	if nw.engine.Sharded() {
 		dispatcher := nw.wakeFromShards(nw.engine.AddTicker(stagedDispatcher{nw}))
@@ -712,7 +713,8 @@ func (nw *Network) shardCounts(shards int) (nodes, links []int) {
 // upstream one. Sequential networks record shard 0 throughout.
 func (nw *Network) addLink(l *link.Link, downShard, upShard int, downID, upID topology.NodeID) {
 	nw.links = append(nw.links, l)
-	nw.linkRecs = append(nw.linkRecs, linkRec{l: l, downShard: downShard, upShard: upShard, downID: downID, upID: upID})
+	nw.linkRecs = append(nw.linkRecs, linkRec{l: l, downShard: int32(downShard), upShard: int32(upShard),
+		downID: int32(downID), upID: int32(upID)})
 }
 
 // shardOfNode returns the shard owning node id's row (0 when sequential).

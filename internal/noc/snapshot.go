@@ -12,8 +12,10 @@ import (
 // SnapshotVersion tags the snapshot envelope. Any change to what a
 // component's AppendState writes in absolute mode, or to the envelope, must
 // bump it; DecodeSnapshot and Restore refuse snapshots from other versions
-// instead of misreading them. v2 was JSON; v3 is the absolute encoding.
-const SnapshotVersion = "gathernoc/noc.Snapshot/v3"
+// instead of misreading them. v2 was JSON; v3 is the absolute encoding;
+// v4 writes a statistics sample as its distinct values and their counts
+// (flit.Encoder.Sample) and no longer has the ejectors' latency samples.
+const SnapshotVersion = "gathernoc/noc.Snapshot/v4"
 
 // Snapshot is the complete mutable state of a Network at a cycle boundary:
 // the capturing network's configuration, the engine clock, and State, the
@@ -204,7 +206,7 @@ func (nw *Network) loadComponents(d *flit.Decoder) error {
 		}
 	}
 	for i, l := range nw.links {
-		if err := l.LoadState(d, nw.poolFor(nw.linkRecs[i].downShard), nw.cfg.Router.VCs); err != nil {
+		if err := l.LoadState(d, nw.poolFor(int(nw.linkRecs[i].downShard)), nw.cfg.Router.VCs); err != nil {
 			return fmt.Errorf("link %s: %w", l.Name(), err)
 		}
 	}

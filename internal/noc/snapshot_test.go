@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -104,11 +105,50 @@ func TestRestoreRefusesDamagedSnapshots(t *testing.T) {
 	}
 }
 
+// backlogSnapshot returns a snapshot of a fabric configured as
+// busySnapshot's in which one
+// source has a deep injection backlog of every kind of packet: plain and
+// payload-carrying unicasts, multicasts with and without a payload, gathers
+// and accumulates, most of them waiting whole in the NIC's side table.
+func backlogSnapshot(t testing.TB) []byte {
+	t.Helper()
+	cfg := DefaultConfig(3, 3)
+	cfg.EnableINA = true
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	n, sink := nw.NIC(4), nw.RowSinkID(1)
+	for i := uint64(1); i <= 8; i++ {
+		p := flit.Payload{Seq: i, Src: 4, Dst: sink, Bits: 32, Value: 7 * i, ReduceID: 2}
+		n.SendUnicastN(0, topology.NodeID(i%9), 2)
+		n.SendUnicastPayload(0, sink, p)
+		n.SendMulticast(0, topology.DestSetOf(9, 0, 8), 2)
+		n.SendMulticastPayload(0, topology.DestSetOf(9, 2, 6), 3, p)
+		n.SendGather(0, sink, &p)
+		n.SendAccumulate(0, sink, 2, p)
+	}
+	nw.Engine().RunUntil(func() bool { return false }, 5)
+	s, err := nw.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeSnapshot(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // FuzzRestoreSnapshot: any bytes decode and restore to a network that
 // passes CheckInvariants, or are refused with an error; nothing panics.
+// The seeds are a fabric busy with every kind of traffic and one with a
+// deep source backlog.
 func FuzzRestoreSnapshot(f *testing.F) {
 	cfg, data := busySnapshot(f)
 	f.Add(data)
+	f.Add(backlogSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restoreDamaged(t, cfg, data, "fuzzed bytes")
 	})
@@ -206,4 +246,32 @@ func TestRestoreRefusesMulticastHeadWithoutSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	refusedRestore(t, nw, "no destination set")
+}
+
+// TestBacklogSnapshotRestores: the deep-backlog seed restores, and the
+// restored fabric encodes back to the same snapshot.
+func TestBacklogSnapshotRestores(t *testing.T) {
+	data := backlogSnapshot(t)
+	s, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := New(s.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	if err := nw.Restore(s); err != nil {
+		t.Fatal(err)
+	}
+	if depth := nw.NIC(4).QueueDepth(); depth < 40 {
+		t.Fatalf("restored backlog of %d packets, want the deep one", depth)
+	}
+	again, err := nw.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if encoded, err := EncodeSnapshot(again); err != nil || !bytes.Equal(encoded, data) {
+		t.Fatalf("the restored fabric encodes to other bytes (%v)", err)
+	}
 }

@@ -112,19 +112,19 @@ func (d *Deque[T]) PopFront() T {
 // first time each is used. The zero value is ready and allocates nothing
 // until a deque asks (PushBackIn).
 type Arena[T any] struct {
-	blocks Runs[T]
-	lists  Runs[[]T]
+	blocks runs[T]
+	lists  runs[[]T]
 }
 
-// NewArena returns an arena for n deques (Runs).
-func NewArena[T any](n int) Arena[T] { return Arena[T]{NewRuns[T](n), NewRuns[[]T](n)} }
+// NewArena returns an arena for n deques (runs).
+func NewArena[T any](n int) Arena[T] { return Arena[T]{newRuns[T](n), newRuns[[]T](n)} }
 
 // PushBackIn is PushBack, taking the deque's first block from a when it
 // has never held one.
 func (d *Deque[T]) PushBackIn(a *Arena[T], v T) {
 	if d.blocks == nil {
-		d.blocks = a.lists.Take(1)
-		d.blocks[0] = a.blocks.Take(dequeBlockMin)[:0]
+		d.blocks = a.lists.take(1)
+		d.blocks[0] = a.blocks.take(dequeBlockMin)[:0]
 	}
 	d.PushBack(v)
 }

@@ -5,11 +5,10 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"gathernoc/internal/ring"
+	"slices"
 )
 
 // Counter is a monotonically increasing event count.
@@ -27,56 +26,55 @@ func (c *Counter) Value() uint64 { return c.n }
 func (c *Counter) Set(n uint64) { c.n = n }
 
 // Sample accumulates scalar observations and reports summary statistics.
-// Observations are retained so percentiles are exact.
+// It keeps an exact count per distinct value, so the order statistics are
+// exact and its memory grows with the distinct values observed, not with
+// the observations: a latency sample of a million packets over a thousand
+// latencies holds a thousand counts. The sum is accumulated in observation
+// order, as adding the observations up one by one does.
 //
-// Storage is chunked: observations land in fixed-size blocks that are
-// never copied or abandoned, so the bytes ever allocated equal the bytes
-// retained (a single growing slice abandons ~4x the final size to the
-// garbage collector under Go's append growth policy). Chunk capacities
-// ramp geometrically from sampleChunkMin to sampleChunkMax so small
-// samples stay small.
+// Values are told apart by their bits, so -0 and +0 are two values, -0 the
+// smaller. The order statistics read the sample and never change it, so a
+// sample may be read from several goroutines once nothing observes into it.
+// A copy of a Sample shares its count table: observe into one of them only.
 type Sample struct {
-	chunks [][]float64
+	// counts maps each distinct value's key (key) to its count.
+	counts map[uint64]uint64
 	n      int
 	sum    float64
-	// sorted caches the flattened, sorted observations for the order
-	// statistics (Min/Max/Percentile); Observe invalidates it.
-	sorted []float64
 }
 
-const (
-	sampleChunkMin = 64
-	sampleChunkMax = 4096
-)
+// errBadSample is the error of a sample encoding that describes no sample
+// (Restore, UnmarshalJSON).
+var errBadSample = errors.New("stats: malformed sample")
 
-// Observe records one observation.
-func (s *Sample) Observe(v float64) {
-	last := len(s.chunks) - 1
-	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
-		capNext := s.n
-		if capNext < sampleChunkMin {
-			capNext = sampleChunkMin
-		}
-		if capNext > sampleChunkMax {
-			capNext = sampleChunkMax
-		}
-		s.chunks = append(s.chunks, make([]float64, 0, capNext))
-		last++
+// key maps v to a key whose unsigned order is v's order: -Inf below every
+// finite value, -0 just below +0 (a NaN sorts below -Inf with its sign bit
+// set, above +Inf without).
+func key(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
 	}
-	s.chunks[last] = append(s.chunks[last], v)
+	return b | 1<<63
+}
+
+// value inverts key.
+func value(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// Observe records one observation. It allocates only for a value not
+// observed before, and then only when the count table grows.
+func (s *Sample) Observe(v float64) {
+	if s.counts == nil {
+		s.counts = make(map[uint64]uint64)
+	}
+	s.counts[key(v)]++
 	s.n++
 	s.sum += v
-	s.sorted = nil
-}
-
-// Each calls f with every observation in insertion order: observing them
-// again rebuilds the sample exactly.
-func (s *Sample) Each(f func(float64)) {
-	for _, chunk := range s.chunks {
-		for _, v := range chunk {
-			f(v)
-		}
-	}
 }
 
 // N returns the observation count.
@@ -98,7 +96,11 @@ func (s *Sample) Min() float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return s.ensureSorted()[0]
+	least := uint64(math.MaxUint64)
+	for k := range s.counts {
+		least = min(least, k)
+	}
+	return value(least)
 }
 
 // Max returns the largest observation, or 0 with no observations.
@@ -106,7 +108,11 @@ func (s *Sample) Max() float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return s.ensureSorted()[s.n-1]
+	var most uint64
+	for k := range s.counts {
+		most = max(most, k)
+	}
+	return value(most)
 }
 
 // Percentile returns the p-th percentile using nearest-rank on the sorted
@@ -117,44 +123,94 @@ func (s *Sample) Max() float64 {
 // p yields NaN — int(math.Ceil(NaN)) is platform-dependent, so it must
 // not reach the rank computation.
 func (s *Sample) Percentile(p float64) float64 {
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return 0
-	}
-	if math.IsNaN(p) {
+	case math.IsNaN(p):
 		return math.NaN()
+	case p <= 0:
+		return s.Min()
+	case p >= 100:
+		return s.Max()
 	}
-	sorted := s.ensureSorted()
-	if p <= 0 {
-		return sorted[0]
+	// The counts add up to n, so the walk ends at a key.
+	rank := uint64(min(max(int(math.Ceil(p/100*float64(s.n))), 1), s.n))
+	keys := s.keys()
+	i := 0
+	for ; rank > s.counts[keys[i]]; i++ {
+		rank -= s.counts[keys[i]]
 	}
-	if p >= 100 {
-		return sorted[s.n-1]
+	return value(keys[i])
+}
+
+// keys returns the keys of the distinct values, ascending.
+func (s *Sample) keys() []uint64 {
+	keys := make([]uint64, 0, len(s.counts))
+	for k := range s.counts {
+		keys = append(keys, k)
 	}
-	rank := int(math.Ceil(p/100*float64(s.n))) - 1
-	if rank < 0 {
-		rank = 0
+	slices.Sort(keys)
+	return keys
+}
+
+// Counts returns the distinct values observed, ascending, and how many
+// times each was observed: with N and Sum, the form both codecs write
+// (flit.Encoder.Sample, MarshalJSON) and Restore reads back.
+func (s *Sample) Counts() (values []float64, counts []uint64) {
+	keys := s.keys()
+	values, counts = make([]float64, len(keys)), make([]uint64, len(keys))
+	for i, k := range keys {
+		values[i], counts[i] = value(k), s.counts[k]
 	}
-	if rank >= s.n {
-		rank = s.n - 1
+	return values, counts
+}
+
+// Restore replaces s with the sample of n observations summing to sum
+// that observed k distinct values, which next returns in turn with their
+// counts: the form Counts gives. The values must ascend strictly, the
+// counts be positive and add up to n, and the sum of no observations be
+// +0; otherwise, or when next fails, Restore returns an error wrapping
+// errBadSample and leaves s as it was. It stops calling next at the first
+// failure.
+func (s *Sample) Restore(n int, sum float64, k int, next func() (float64, uint64, error)) error {
+	switch {
+	case n < 0 || k < 0 || k > n:
+		return fmt.Errorf("%w: %d distinct values in %d observations", errBadSample, k, n)
+	case n == 0 && math.Float64bits(sum) != 0:
+		return fmt.Errorf("%w: no observations summing to %v", errBadSample, sum)
 	}
-	return sorted[rank]
+	restored := Sample{n: n, sum: sum}
+	if k > 0 {
+		restored.counts = make(map[uint64]uint64, k)
+	}
+	var total, prev uint64
+	for i := 0; i < k; i++ {
+		v, c, err := next()
+		switch {
+		case err != nil:
+			return fmt.Errorf("%w: %w", errBadSample, err)
+		case c == 0:
+			return fmt.Errorf("%w: value %v counted 0 times", errBadSample, v)
+		case i > 0 && key(v) <= prev:
+			return fmt.Errorf("%w: value %v after %v", errBadSample, v, value(prev))
+		}
+		if total += c; total < c || total > uint64(n) {
+			return fmt.Errorf("%w: counts exceed the %d observations", errBadSample, n)
+		}
+		prev = key(v)
+		restored.counts[prev] = c
+	}
+	if total != uint64(n) {
+		return fmt.Errorf("%w: counts add up to %d of the %d observations", errBadSample, total, n)
+	}
+	*s = restored
+	return nil
 }
 
 // String summarizes the sample for reports.
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f min=%.0f p50=%.0f p99=%.0f max=%.0f",
 		s.N(), s.Mean(), s.Min(), s.Percentile(50), s.Percentile(99), s.Max())
-}
-
-func (s *Sample) ensureSorted() []float64 {
-	if s.sorted == nil {
-		s.sorted = make([]float64, 0, s.n)
-		for _, chunk := range s.chunks {
-			s.sorted = append(s.sorted, chunk...)
-		}
-		sort.Float64s(s.sorted)
-	}
-	return s.sorted
 }
 
 // ReductionStats accounts the wire-level work an in-network accumulation
@@ -189,27 +245,4 @@ func (r *ReductionStats) Merge(packetFlits, hopsToSink int) {
 func (r ReductionStats) String() string {
 	return fmt.Sprintf("merged=%d link-traversals-saved=%d sink-transactions-saved=%d",
 		r.PayloadsMerged, r.LinkTraversalsSaved, r.SinkTransactionsSaved)
-}
-
-// Arena serves many samples their first chunk, and the room for it in the
-// sample's chunk list, out of a few shared allocations: a fabric of a
-// thousand ejectors would otherwise make two allocations per latency
-// sample on its first packet. The zero value is ready and allocates
-// nothing until a sample asks (ObserveIn).
-type Arena struct {
-	floats ring.Runs[float64]
-	lists  ring.Runs[[]float64]
-}
-
-// NewArena returns an arena for n samples (ring.Runs).
-func NewArena(n int) Arena { return Arena{ring.NewRuns[float64](n), ring.NewRuns[[]float64](n)} }
-
-// ObserveIn is Observe, taking the sample's first chunk from a when it has
-// none.
-func (s *Sample) ObserveIn(a *Arena, v float64) {
-	if s.chunks == nil {
-		s.chunks = a.lists.Take(1)
-		s.chunks[0] = a.floats.Take(sampleChunkMin)[:0]
-	}
-	s.Observe(v)
 }

@@ -214,41 +214,3 @@ func TestJainIndex(t *testing.T) {
 		t.Errorf("uneven (%v) not below even (%v)", uneven, even)
 	}
 }
-
-// TestArenaServesFirstChunks: samples that take their first chunk from an
-// arena for n of them allocate a few times in all and hold what samples
-// that allocate their own hold, past their first chunk too.
-func TestArenaServesFirstChunks(t *testing.T) {
-	const n = 100
-	alone := testing.AllocsPerRun(1, func() {
-		plain := make([]Sample, n)
-		for i := range plain {
-			plain[i].Observe(float64(i))
-		}
-	})
-	var a Arena
-	var got []Sample
-	allocs := testing.AllocsPerRun(1, func() {
-		a, got = NewArena(n), make([]Sample, n)
-		for i := range got {
-			got[i].ObserveIn(&a, float64(i))
-		}
-	})
-	// Without an arena each sample allocates its chunk and its chunk list;
-	// with one, four refills of each serve all of them.
-	if allocs*4 > alone {
-		t.Errorf("%d samples' first observations allocated %v times, %v without an arena", n, allocs, alone)
-	}
-	for i := range got {
-		var want Sample
-		want.Observe(float64(i))
-		for j := 1; j < 200; j++ {
-			got[i].ObserveIn(&a, float64(i*j))
-			want.Observe(float64(i * j))
-		}
-		if got[i].N() != want.N() || got[i].Sum() != want.Sum() || got[i].Percentile(90) != want.Percentile(90) {
-			t.Fatalf("sample %d: n %d sum %v p90 %v, want %d %v %v", i,
-				got[i].N(), got[i].Sum(), got[i].Percentile(90), want.N(), want.Sum(), want.Percentile(90))
-		}
-	}
-}

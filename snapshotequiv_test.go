@@ -210,7 +210,8 @@ func TestSnapshotCrossShardRestore(t *testing.T) {
 // original and the fork to completion independently. Both must match the
 // uninterrupted reference bit for bit, and both pools must drain to zero
 // — any shared mutable state (an aliased destination set, a shared
-// sample chunk, a flit owned by the wrong pool) breaks one or the other.
+// sample count table, a flit owned by the wrong pool) breaks one or the
+// other.
 func TestForkDivergenceIndependence(t *testing.T) {
 	cfg, gcfg := snapRunConfig(0)
 

@@ -199,7 +199,9 @@ var stateFields = map[string]string{
 	"nic.NIC.nextID":               fixed + ": draws on the network's packet-id counters, which a Snapshot carries",
 	"nic.NIC.credits":              both,
 	"nic.NIC.vcPkt":                both + " (the flits not yet sent)",
-	"nic.NIC.queue":                both,
+	"nic.NIC.queue":                both + " (each entry as its whole packet)",
+	"nic.NIC.rare":                 both + ": the whole packets of the queue entries that index it, written in queue order",
+	"nic.NIC.spare":                derived + ": the side table's free slots, refilled as a load empties the queue",
 	"nic.NIC.waits":                both,
 	"nic.NIC.sweepAt":              derived + ": the first tick's sweep books the loaded deadlines",
 	"nic.NIC.sendRR":               both,
@@ -265,11 +267,19 @@ var stateFields = map[string]string{
 	"nic.Ejector.hub":                  fixed + wiring,
 	"nic.Ejector.FlitsEjected":         absolute + statistic,
 	"nic.Ejector.PacketsEjected":       absolute + statistic,
-	"nic.Ejector.PacketLatency":        absolute + statistic,
 	"nic.Ejector.PacketsDiscarded":     absolute + statistic,
 	"nic.Ejector.DuplicatesSuppressed": absolute + statistic,
 	"nic.DeliveredPayload.Seq":         absolute + faultOnly,
 	"nic.DeliveredPayload.Src":         absolute + faultOnly,
+
+	"nic.queued.id":     both + renamed,
+	"nic.queued.inject": both + rebased,
+	"nic.queued.dst":    both,
+	"nic.queued.tag":    both,
+	"nic.queued.flits":  both,
+	"nic.queued.pt":     both,
+	"nic.queued.track":  both,
+	"nic.queued.rare":   derived + ": the entry's slot in the side table, taken as the load queues it",
 
 	"nic.partialPacket.id":           both + renamed,
 	"nic.partialPacket.tag":          both,
