@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gathernoc/internal/cnn"
+	"gathernoc/internal/experiments"
 	"gathernoc/internal/fault"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/round"
@@ -607,10 +608,11 @@ func TestSchedulerAllocationRatchet(t *testing.T) {
 
 // fastForwardAllocs is what proving a layer's rounds repeat allocates beyond
 // simulating two of them, measured on the run TestFastForwardAllocationPin
-// makes: nothing. The network's encoder keeps its name tables and the round
-// loop takes its two encoding buffers from a pool, so once they have grown
-// to the fabric's size the proof allocates nothing.
-const fastForwardAllocs = 0
+// makes: the one slice that holds the counters' growth over the rounds it
+// skips (round.Loop.Grown). The network's encoder keeps its name tables and
+// the round loop takes its two encoding buffers from a pool, so once they
+// have grown to the fabric's size the proof itself allocates nothing.
+const fastForwardAllocs = 1
 
 // TestFastForwardAllocationPin pins the periodicity proof's allocations. On
 // a reused (noc.Acquire) 16×16 network, AlexNet Conv1 at MaxRounds 3 proves
@@ -656,12 +658,13 @@ func TestFastForwardAllocationPin(t *testing.T) {
 }
 
 // replayAllocs is what a run replayed from a trajectory table allocates,
-// measured on the run TestReplayAllocationPin makes: taking the network
-// from the reuse pool, building the controller (its 16 row plans alone are
-// 48), the table's follower, the accounted growth and the Result. No
-// packet is built and no round simulated; simulating the same run at
-// MaxRounds 3 allocates about 150.
-const replayAllocs = 91
+// measured on the run TestReplayAllocationPin makes: the controller and its
+// payload account, the loop's release schedule, the table's key and
+// follower, the accounted growth, the Result, and the test's layer lookup.
+// Taking the network from the reuse pool allocates nothing, and the row
+// plans are the network's (noc.Network.RowLines); before they were, the
+// plans alone took 48 of 91. No packet is built and no round simulated.
+const replayAllocs = 8
 
 // TestReplayAllocationPin pins what a replayed layer run allocates. On a
 // reused 16×16 network, AlexNet Conv2 at MaxRounds 3 follows a table in
@@ -702,5 +705,118 @@ func TestReplayAllocationPin(t *testing.T) {
 	t.Logf("AlexNet Conv2 replayed on a reused 16x16: %.1f allocs", replay)
 	if ceiling := replayAllocs * 1.1; replay > ceiling {
 		t.Fatalf("the replayed run allocates %.1f, over %.1f (%d plus 10 %%)", replay, ceiling, replayAllocs)
+	}
+}
+
+// recordedAllocs is what a recorded layer run allocates on a reused
+// fabric, measured on the run TestRecordedRunAllocationPin makes: RU
+// AlexNet Conv1 on 8×8 at MaxRounds 3, which simulates three rounds of 64
+// result packets each and records them in a fresh trajectory table. The
+// controller, the table's slot and the trajectory take it all; no packet
+// and no payload allocates (the run took 211 when each carried payload
+// went to the heap).
+const recordedAllocs = 24
+
+// TestRecordedRunAllocationPin pins what a recorded layer run allocates:
+// on a reused 8×8 network, RU AlexNet Conv1 at MaxRounds 3 joins an empty
+// table and records its trajectory, allocating no more than recordedAllocs
+// plus 10 %. Its packets carry their payloads in the NICs' own storage, so
+// the count does not grow with the packets. Like the replay's pin it holds
+// only without the race detector.
+func TestRecordedRunAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	layer, ok := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv1")
+	if !ok {
+		t.Fatal("Conv1 missing")
+	}
+	cfg := systolic.Config{Layer: layer, Mode: systolic.RepetitiveUnicast, TMAC: 5, MaxRounds: 3}
+	run := func() {
+		nw, err := noc.Acquire(noc.DefaultConfig(8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := systolic.NewController(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var table round.Trajectories
+		ctl.Join(&table, trajectoryKey(nw, cfg))
+		if _, err := workload.Run(nw, ctl, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		nw.Release()
+	}
+	before := round.Recorded()
+	recorded := testing.AllocsPerRun(10, run)
+	if got := round.Recorded() - before; got != 11 {
+		t.Fatalf("%d of 11 runs recorded", got)
+	}
+	t.Logf("RU AlexNet Conv1 recorded on a reused 8x8: %.1f allocs", recorded)
+	if ceiling := recordedAllocs * 1.1; recorded > ceiling {
+		t.Fatalf("the recorded run allocates %.1f, over %.1f (%d plus 10 %%)", recorded, ceiling, recordedAllocs)
+	}
+}
+
+// paperPassAllocs is what the seven paper artifacts (Table II, Figs. 7–10
+// and both full models) allocate at Rounds 3 on one worker, measured on the
+// pass TestPaperPassAllocationPin makes: 146 layer runs, of which 22 record
+// and 124 replay, and the comparisons around them. The pass allocated
+// 14 366 before the networks kept their row plans, the NICs the payloads
+// their packets carry, round samples their few values in place, and each
+// run's configurations stayed off the heap unless a mutator changed them.
+const paperPassAllocs = 1925
+
+// TestPaperPassAllocationPin pins what the paper artifacts allocate: on a
+// warm fabric pool, each sweep with a fresh trajectory table (as every
+// call makes its own), one pass over them at Rounds 3 and Workers 1 must
+// allocate no more than paperPassAllocs plus 10 %. Like the replay's pin it
+// holds only without the race detector.
+func TestPaperPassAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	opts := experiments.Options{Rounds: 3, Workers: 1}
+	pass := func() {
+		if _, err := experiments.Table2(opts); err != nil {
+			t.Fatal(err)
+		}
+		for _, fig := range []func(experiments.Options) ([]experiments.ImprovementRow, error){
+			experiments.Fig7, experiments.Fig8, experiments.Fig9, experiments.Fig10,
+		} {
+			if _, err := fig(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := experiments.FullAlexNet(8, opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := experiments.FullVGG16(8, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, pass)
+	t.Logf("the paper artifacts at Rounds 3 on one worker: %.0f allocs", allocs)
+	if ceiling := paperPassAllocs * 1.1; allocs > ceiling {
+		t.Fatalf("the paper pass allocates %.0f, over %.0f (%d plus 10 %%)", allocs, ceiling, paperPassAllocs)
+	}
+}
+
+// TestWarmPoolAllocationPin: once a Config's free list exists, taking its
+// network and releasing it again allocates nothing, the list emptied in
+// between included (noc.Acquire, noc.Network.Release).
+func TestWarmPoolAllocationPin(t *testing.T) {
+	cfg := noc.DefaultConfig(4, 4)
+	cfg.Delta = 78 // a Config no other test pools
+	cycle := func() {
+		nw, err := noc.Acquire(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.Release()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("an Acquire and Release on a warm pool allocate %.1f", allocs)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // the column stage. Plans are wrap-aware: with wrap-aware routing each
 // line is a ring covered by two directional arcs (see noc.LineCollect).
 type TreePlan struct {
-	// Rows[r] collects row r at its east-column PE.
+	// Rows[r] collects row r at its east-column PE. Rows and Column are the
+	// network's plans (noc.Network.RowLines), shared and read-only.
 	Rows []noc.LineCollect
 	// Column collects the east column's row sums at the root.
 	Column noc.LineCollect
@@ -48,10 +49,7 @@ func NewTreePlan(nw *noc.Network, opts PlanOptions) (*TreePlan, error) {
 			cfg.EffectiveTopology())
 	}
 
-	p := &TreePlan{Rows: make([]noc.LineCollect, cfg.Rows)}
-	for row := 0; row < cfg.Rows; row++ {
-		p.Rows[row] = nw.RowLine(row, false)
-	}
+	p := &TreePlan{Rows: nw.RowLines(false)}
 	p.Column = nw.ColumnLine(cfg.Cols-1, opts.RootAtSink)
 	p.Root = p.Column.Target
 	p.RootIsSink = p.Column.TargetIsSink

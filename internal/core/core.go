@@ -45,10 +45,14 @@ const maxCycles = 50_000_000
 // network configuration and two systolic ones, and a combined helper called
 // once per mode costs ComparisonKey a second heap-allocated noc.Config per
 // key (+1.2 % allocs on the benchmark's paper-warm workload).
+// The mutators get a copy to change: the value they are handed a pointer
+// to goes to the heap, so only a call that has one pays for it.
 func (o Options) networkConfig(rows, cols int) noc.Config {
 	cfg := noc.DefaultConfig(rows, cols)
 	if o.MutateNetwork != nil {
-		o.MutateNetwork(&cfg)
+		mutated := cfg
+		o.MutateNetwork(&mutated)
+		return mutated
 	}
 	return cfg
 }
@@ -61,7 +65,9 @@ func (o Options) systolicConfig(layer cnn.LayerConfig, mode systolic.Mode) systo
 		MaxRounds: o.rounds(),
 	}
 	if o.MutateSystolic != nil {
-		o.MutateSystolic(&cfg)
+		mutated := cfg
+		o.MutateSystolic(&mutated)
+		return mutated
 	}
 	return cfg
 }

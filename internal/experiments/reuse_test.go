@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"gathernoc/internal/core"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/systolic"
 )
 
 // TestSweepBuildsOneFabricPerWorkerAndConfig pins what reuse is for.
@@ -85,5 +89,69 @@ func TestOwnOptionsCellRunsOnOneFabric(t *testing.T) {
 	}
 	if built > 5 {
 		t.Errorf("built %d networks for four cells of their own configuration, want at most 5", built)
+	}
+}
+
+// TestSharedLinePlans: a fabric builds its row and column plans once and
+// every controller that runs on it shares them (noc.Network.RowLines), the
+// δ ablation's flat-δ runs included: at the default δ they run on the
+// Table I 8x8 fabrics Table II's runs take from the pool. With both sweeps
+// on two workers at once, Table II reads as it does alone; and a fabric
+// that a flat-δ run and a default one ran on holds plans equal to a fresh
+// build's.
+func TestSharedLinePlans(t *testing.T) {
+	want, err := Table2(Options{Rounds: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := AblationDelta(Options{Rounds: 1, Workers: 2}); err != nil {
+			t.Error(err)
+		}
+	}()
+	got, err := Table2(Options{Rounds: 1, Workers: 2})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Table II beside the δ ablation:\n%+v\nalone:\n%+v", got, want)
+	}
+
+	// Alone, a flat-δ run and a default one on the 8x8 fabric, each run
+	// releasing it to the next.
+	for _, flat := range []bool{true, false} {
+		opts := core.Options{Rounds: 1, MutateSystolic: func(s *systolic.Config) { s.FlatDelta = flat }}
+		if _, err := core.RunLayer(8, 8, ablationLayer(), systolic.GatherMode, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := noc.DefaultConfig(8, 8)
+	before := noc.ReuseStats()
+	reused, err := noc.Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reused.Release()
+	if noc.ReuseStats().Reused != before.Reused+1 {
+		t.Fatal("no 8x8 fabric was left in the pool")
+	}
+	fresh, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, toSink := range []bool{false, true} {
+		for i := 0; i < 8; i++ {
+			if a, b := reused.RowLine(i, toSink), fresh.RowLine(i, toSink); !reflect.DeepEqual(a, b) {
+				t.Errorf("row %d (toSink %v) on the reused fabric: %+v, fresh: %+v", i, toSink, a, b)
+			}
+			if a, b := reused.ColumnLine(i, toSink), fresh.ColumnLine(i, toSink); !reflect.DeepEqual(a, b) {
+				t.Errorf("column %d (toSink %v) on the reused fabric: %+v, fresh: %+v", i, toSink, a, b)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package flit
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,6 +64,41 @@ func TestSampleCodecExactness(t *testing.T) {
 		e.Sample(&got)
 		if !bytes.Equal(e.Bytes(), encoded) {
 			t.Errorf("n=%d: the decoded sample encodes to other bytes", n)
+		}
+	}
+}
+
+// TestSampleEncodingBytes pins Encoder.Sample's bytes on either side of the
+// boundary past which a sample moves its counts from the sample itself to
+// a map (stats.Sample), NaNs of either sign included: they are the bytes a
+// sample that counts every value in a map writes, so snapshots and cached
+// results read alike whichever way a sample counts. No sample mixes NaNs:
+// which one a sum of two carries is the hardware's choice, not the
+// encoding's.
+func TestSampleEncodingBytes(t *testing.T) {
+	nz, big := math.Copysign(0, -1), float64(1<<53+2)
+	nan, negnan := math.NaN(), math.Copysign(math.NaN(), -1)
+	for _, c := range []struct {
+		obs  []float64
+		want string
+	}{
+		{[]float64{2, 0, nz, 2, 0}, "05c0200380010100024002"},
+		{[]float64{2, 0, nz, 2, 0, big}, "06c380818080808080030480010100024002c3808180808080800101"},
+		{[]float64{2, 0, nz, 2, 0, big, -7.5, big}, "08c3a00105c03d0180010100024002c3808180808080800102"},
+		{[]float64{nan, 1, 1}, "03fff08380808080800102bfe00302fff08380808080800101"},
+		{[]float64{negnan, 3}, "02fff18380808080800102fff18380808080800101c01001"},
+		{[]float64{2, 0, nz, 2, 0, big, -7.5, big, negnan},
+			"09fff18380808080800106fff18380808080800101c03d0180010100024002c3808180808080800102"},
+	} {
+		var s stats.Sample
+		for _, v := range c.obs {
+			s.Observe(v)
+		}
+		var e Encoder
+		e.ResetAbsolute(nil)
+		e.Sample(&s)
+		if got := hex.EncodeToString(e.Bytes()); got != c.want {
+			t.Errorf("%v: encoded %s, want %s", c.obs, got, c.want)
 		}
 	}
 }

@@ -133,38 +133,58 @@ type queued struct {
 	rare   uint32
 }
 
-// push queues p, keeping it whole in the side table when its entry cannot
+// parcel is a packet on its way into the queue, with the payload it
+// carries by value (its Carried is nil): a send copies the payload into the
+// NIC's side table and keeps no pointer to its caller's, so no send puts a
+// payload on the heap.
+type parcel struct {
+	pkt     flit.Packet
+	own     flit.Payload
+	carries bool
+}
+
+// push queues pc, keeping it whole in the side table when its entry cannot
 // hold it.
-func (n *NIC) push(p flit.Packet) {
+func (n *NIC) push(pc parcel) {
+	p := &pc.pkt
 	q := queued{id: p.ID, inject: p.InjectCycle, dst: int32(p.Dst), tag: p.Tag,
 		flits: uint16(p.Flits), pt: p.PT, track: p.TrackOperands}
-	if p.MDst != nil || p.Carried != nil || p.GatherCapacity != 0 || p.ReduceID != 0 || int(q.flits) != p.Flits {
+	if p.MDst != nil || pc.carries || p.GatherCapacity != 0 || p.ReduceID != 0 || int(q.flits) != p.Flits {
 		i, ok := n.spare.Get()
 		if !ok {
-			n.rare = append(n.rare, flit.Packet{})
+			n.rare = append(n.rare, parcel{})
 			i = uint32(len(n.rare))
 		}
-		n.rare[i-1] = p
+		n.rare[i-1] = pc
 		q.rare = i
 	}
 	n.queue.PushBackIn(&n.eject.shared.queues, q)
 }
 
-// packet rebuilds the packet of a queued entry.
+// packet rebuilds the packet of a queued entry. A carried payload stays in
+// the side table: the packet's Carried points at its slot, valid until the
+// next push.
 func (n *NIC) packet(q queued) flit.Packet {
 	if q.rare != 0 {
-		return n.rare[q.rare-1]
+		pc := &n.rare[q.rare-1]
+		p := pc.pkt
+		if pc.carries {
+			p.Carried = &pc.own
+		}
+		return p
 	}
 	return flit.Packet{ID: q.id, Tag: q.tag, PT: q.pt, Src: n.id, Dst: topology.NodeID(q.dst),
 		Flits: int(q.flits), TrackOperands: q.track, InjectCycle: q.inject}
 }
 
-// pop dequeues the front packet, freeing its side-table slot.
+// pop dequeues the front packet, freeing its side-table slot. The slot's
+// payload, which holds no pointer, stays until the next push takes the
+// slot, so the packet's Carried can be packetized (bindTo).
 func (n *NIC) pop() flit.Packet {
 	q := n.queue.PopFront()
 	p := n.packet(q)
 	if q.rare != 0 {
-		n.rare[q.rare-1] = flit.Packet{}
+		n.rare[q.rare-1].pkt = flit.Packet{}
 		n.spare.Put(q.rare)
 	}
 	return p
@@ -205,9 +225,10 @@ type NIC struct {
 	// open-loop workloads run the queue deep past saturation, and the
 	// deque's recycled fixed-size blocks never copy on growth and never
 	// abandon a backing array. rare holds the whole packets of the entries
-	// that carry more than a unicast header, and spare its free slots.
+	// that carry more than a unicast header, with their payloads, and spare
+	// its free slots.
 	queue ring.Deque[queued]
-	rare  []flit.Packet
+	rare  []parcel
 	spare ring.FreeList[uint32]
 	// waits[k] lists the payloads offered to the router's station of kind
 	// k awaiting pickup: gather payloads, then accumulation operands.
@@ -431,23 +452,23 @@ func (n *NIC) SetDelta(d int64) {
 // SendUnicastN queues a unicast packet of nFlits flits to dst and returns
 // its packet id.
 func (n *NIC) SendUnicastN(tag flit.Tag, dst topology.NodeID, nFlits int) uint64 {
-	return n.enqueue(flit.Packet{Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: nFlits})
+	return n.enqueue(parcel{pkt: flit.Packet{Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: nFlits}})
 }
 
 // SendUnicastPayload queues a unicast packet carrying one result payload —
 // the repetitive-unicast transport for a PE's partial sum.
 func (n *NIC) SendUnicastPayload(tag flit.Tag, dst topology.NodeID, p flit.Payload) uint64 {
-	return n.enqueue(flit.Packet{
-		Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: n.cfg.UnicastFlits, Carried: &p,
-	})
+	return n.enqueue(parcel{pkt: flit.Packet{
+		Tag: tag, PT: flit.Unicast, Src: n.id, Dst: dst, Flits: n.cfg.UnicastFlits,
+	}, own: p, carries: true})
 }
 
 // SendMulticast queues a multicast packet of nFlits flits to the
 // destination set.
 func (n *NIC) SendMulticast(tag flit.Tag, dsts *topology.DestSet, nFlits int) uint64 {
-	return n.enqueue(flit.Packet{
+	return n.enqueue(parcel{pkt: flit.Packet{
 		Tag: tag, PT: flit.Multicast, Src: n.id, MDst: dsts.Clone(), Flits: nFlits,
-	})
+	}})
 }
 
 // SendMulticastPayload queues a multicast packet of nFlits flits carrying
@@ -456,23 +477,26 @@ func (n *NIC) SendMulticast(tag flit.Tag, dsts *topology.DestSet, nFlits int) ui
 // (router.flitForBranch clones flit payload slices), so each destination's
 // ejector reassembles a packet delivering the same value.
 func (n *NIC) SendMulticastPayload(tag flit.Tag, dsts *topology.DestSet, nFlits int, p flit.Payload) uint64 {
-	return n.enqueue(flit.Packet{
-		Tag: tag, PT: flit.Multicast, Src: n.id, MDst: dsts.Clone(), Flits: nFlits, Carried: &p,
-	})
+	return n.enqueue(parcel{pkt: flit.Packet{
+		Tag: tag, PT: flit.Multicast, Src: n.id, MDst: dsts.Clone(), Flits: nFlits,
+	}, own: p, carries: true})
 }
 
 // SendGather queues a gather packet to dst with the configured capacity,
-// optionally pre-loaded with the sender's own payload. This is the
-// initiator path: in the paper's row-based scheme the leftmost PE of each
-// row launches the packet toward the global buffer.
+// optionally pre-loaded with a copy of the sender's own payload. This is
+// the initiator path: in the paper's row-based scheme the leftmost PE of
+// each row launches the packet toward the global buffer.
 func (n *NIC) SendGather(tag flit.Tag, dst topology.NodeID, own *flit.Payload) uint64 {
 	capacity := n.cfg.GatherCapacity
-	return n.enqueue(flit.Packet{
+	pc := parcel{pkt: flit.Packet{
 		Tag: tag, PT: flit.Gather, Src: n.id, Dst: dst,
 		Flits:          n.cfg.Format.GatherFlits(capacity),
 		GatherCapacity: capacity,
-		Carried:        own,
-	})
+	}}
+	if own != nil {
+		pc.own, pc.carries = *own, true
+	}
+	return n.enqueue(pc)
 }
 
 // SubmitPayload is the piggyback path of Algorithm 1: the payload is
@@ -546,17 +570,16 @@ func (n *NIC) requireINA(op string) {
 // buffer, and every router en route folds its local partial sum in.
 func (n *NIC) SendAccumulate(tag flit.Tag, dst topology.NodeID, reduceID uint64, own flit.Payload) uint64 {
 	n.requireINA("SendAccumulate")
-	return n.enqueue(flit.Packet{
+	return n.enqueue(parcel{pkt: flit.Packet{
 		Tag: tag, PT: flit.Accumulate, Src: n.id, Dst: dst,
 		Flits:          flit.AccumulateFlits,
 		GatherCapacity: n.cfg.GatherCapacity,
 		ReduceID:       reduceID,
-		Carried:        &own,
 		// With end-to-end reliability on, merged operands stay separate
 		// payload entries so the ejector can suppress duplicates per
 		// operand (flit.MergePayload).
 		TrackOperands: n.reliable != nil,
-	})
+	}, own: own, carries: true})
 }
 
 // Initiate queues the packet of station kind k seeded with p to dst — a
@@ -565,9 +588,7 @@ func (n *NIC) SendAccumulate(tag flit.Tag, dst topology.NodeID, reduceID uint64,
 // fallback of a payload no passing packet picked up.
 func (n *NIC) Initiate(k reduce.Kind, tag flit.Tag, dst topology.NodeID, p flit.Payload) uint64 {
 	if k == reduce.GatherStation {
-		// A copy, so that p escapes on this branch only.
-		own := p
-		return n.SendGather(tag, dst, &own)
+		return n.SendGather(tag, dst, &p)
 	}
 	return n.SendAccumulate(tag, dst, p.ReduceID, p)
 }
@@ -644,14 +665,15 @@ func (n *NIC) selfInitiate(k reduce.Kind, p flit.Payload, tag flit.Tag) {
 	fallbacks.Inc()
 }
 
-func (n *NIC) enqueue(p flit.Packet) uint64 {
+func (n *NIC) enqueue(pc parcel) uint64 {
 	n.fed = true
+	p := &pc.pkt
 	p.ID = n.nextID(n.id)
 	p.InjectCycle = n.currentCycle()
-	if n.reliable != nil && p.Carried != nil {
-		n.track(*p.Carried, p.Tag)
+	if n.reliable != nil && pc.carries {
+		n.track(pc.own, p.Tag)
 	}
-	n.push(p)
+	n.push(pc)
 	n.PacketsInjected.Inc()
 	n.wake.Wake()
 	return p.ID

@@ -52,11 +52,17 @@ func backlogNIC(t *testing.T, id topology.NodeID) *NIC {
 	return n
 }
 
-// backlog returns the packets queued at n, front first.
+// backlog returns the packets queued at n, front first, each carried
+// payload copied out of n's side table.
 func backlog(n *NIC) []flit.Packet {
 	var out []flit.Packet
 	for i := 0; i < n.queue.Len(); i++ {
-		out = append(out, n.packet(n.queue.At(i)))
+		p := n.packet(n.queue.At(i))
+		if p.Carried != nil {
+			own := *p.Carried
+			p.Carried = &own
+		}
+		out = append(out, p)
 	}
 	return out
 }
@@ -109,14 +115,22 @@ func TestBacklogSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("pop %d: %+v, want %+v", i, p, want[i])
 			}
 		}
-		for i, p := range nic.rare {
-			if !reflect.DeepEqual(p, flit.Packet{}) {
-				t.Errorf("side-table slot %d still holds %+v after the queue drained", i, p)
+		for i, pc := range nic.rare {
+			if !reflect.DeepEqual(pc.pkt, flit.Packet{}) {
+				t.Errorf("side-table slot %d still holds %+v after the queue drained", i, pc.pkt)
 			}
 		}
 		slots := len(nic.rare)
-		for _, p := range want {
-			nic.push(p)
+		refill := make([]parcel, len(want))
+		for i, p := range want {
+			refill[i] = parcel{pkt: p}
+			if p.Carried != nil {
+				refill[i].pkt.Carried = nil
+				refill[i].own, refill[i].carries = *p.Carried, true
+			}
+		}
+		for _, pc := range refill {
+			nic.push(pc)
 		}
 		if len(nic.rare) != slots {
 			t.Errorf("refilling the queue grew the side table from %d to %d slots", slots, len(nic.rare))

@@ -228,7 +228,7 @@ func appendPacket(e *flit.Encoder, p flit.Packet) {
 	e.Cycle(p.InjectCycle)
 }
 
-func loadPacket(d *flit.Decoder) flit.Packet {
+func loadPacket(d *flit.Decoder) parcel {
 	p := flit.Packet{
 		ID:             d.Uint(),
 		Tag:            flit.Tag(d.Uint()),
@@ -243,13 +243,14 @@ func loadPacket(d *flit.Decoder) flit.Packet {
 	if p.PT == flit.Multicast && p.MDst == nil {
 		d.Failf("multicast packet without destinations")
 	}
-	if d.Bool() {
-		p.Carried = &flit.Payload{}
-		p.Carried.LoadState(d)
+	pc := parcel{}
+	if pc.carries = d.Bool(); pc.carries {
+		pc.own.LoadState(d)
 	}
 	p.TrackOperands = d.Bool()
 	p.InjectCycle = d.Int()
-	return p
+	pc.pkt = p
+	return pc
 }
 
 func appendWaits(e *flit.Encoder, ws []gatherWait) {
@@ -327,11 +328,11 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 			}
 		}
 		for k := d.Len(); k > 0; k-- {
-			p := loadPacket(d)
-			if p.Src != n.id {
-				d.Failf("queued packet from node %d in the queue of node %d", p.Src, n.id)
+			pc := loadPacket(d)
+			if pc.pkt.Src != n.id {
+				d.Failf("queued packet from node %d in the queue of node %d", pc.pkt.Src, n.id)
 			}
-			n.push(p)
+			n.push(pc)
 		}
 		for k := range n.waits {
 			n.waits[k] = loadWaits(d, n.waits[k])

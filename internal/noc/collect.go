@@ -58,18 +58,20 @@ func (lc *LineCollect) IsInitiator(id topology.NodeID) bool {
 	return false
 }
 
+// RowLines returns the plans of every row, RowLine's, indexed by row. The
+// network builds them once and hands every caller the same plans: they are
+// read-only, and a caller that wants other δ scales gives its copy of a
+// plan a DeltaScale of its own.
+func (nw *Network) RowLines(toSink bool) []LineCollect { return nw.lineSet(false, toSink) }
+
 // RowLine plans the collection of one row at its east-column PE, or — when
 // toSink is set on a fabric with east sinks — at the row's global-buffer
 // sink (the paper's row collection). The PE target can re-inject the row's
 // sum into a second-level reduction (the collective tree's row stage).
-// toSink without east sinks panics, as for ColumnLine.
+// toSink without east sinks panics, as for ColumnLine. The plan's slices
+// are the network's own (RowLines): read-only.
 func (nw *Network) RowLine(row int, toSink bool) LineCollect {
-	cols := nw.cfg.Cols
-	nodes := make([]topology.NodeID, cols)
-	for col := 0; col < cols; col++ {
-		nodes[col] = nw.topo.ID(topology.Coord{Row: row, Col: col})
-	}
-	return nw.lineCollect(nodes, row, toSink)
+	return nw.RowLines(toSink)[row]
 }
 
 // ColumnLine plans the collection of one column at its bottom-row PE, or —
@@ -77,46 +79,83 @@ func (nw *Network) RowLine(row int, toSink bool) LineCollect {
 // global-buffer sink, whose deterministic route extends the southward
 // sweep with the final east hop off the edge (the collective tree's column
 // stage). toSink without east sinks panics: Validate already rejects the
-// torus/EastSinks combination, so the caller gates on the config.
+// torus/EastSinks combination, so the caller gates on the config. Like
+// RowLine's, the plan is built once per network and read-only.
 func (nw *Network) ColumnLine(col int, toSink bool) LineCollect {
-	rows := nw.cfg.Rows
-	nodes := make([]topology.NodeID, rows)
-	for row := 0; row < rows; row++ {
-		nodes[row] = nw.topo.ID(topology.Coord{Row: row, Col: col})
-	}
-	return nw.lineCollect(nodes, rows-1, toSink)
+	return nw.lineSet(true, toSink)[col]
 }
 
-// lineCollect assembles a LineCollect from the index-space plan; the target
-// is the line's last node, or with toSink the sink of sinkRow.
-func (nw *Network) lineCollect(nodes []topology.NodeID, sinkRow int, toSink bool) LineCollect {
-	n := len(nodes)
-	lc := LineCollect{
-		Nodes:        nodes,
-		Target:       nodes[n-1],
-		TargetIsSink: toSink,
+// lineSet returns the plans of every row, or with column of every column,
+// building them on first use: they depend only on the topology and the
+// routing, which never change, so every controller a pooled fabric runs
+// shares them.
+func (nw *Network) lineSet(column, toSink bool) []LineCollect {
+	plans := &nw.lines[b2i(column)][b2i(toSink)]
+	if *plans == nil {
+		*plans = nw.buildLines(column, toSink)
 	}
-	if toSink {
-		if len(nw.sinks) == 0 {
-			panic("noc: line collection toSink without east sinks")
+	return *plans
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// buildLines plans every row, or with column every column, in sweep order
+// (west to east, north to south); the target is each line's last node, or
+// with toSink the sink of that node's row. The plans' slices are cut,
+// capacity and all, from one array per kind.
+func (nw *Network) buildLines(column, toSink bool) []LineCollect {
+	if toSink && len(nw.sinks) == 0 {
+		panic("noc: line collection toSink without east sinks")
+	}
+	count, n := nw.cfg.Rows, nw.cfg.Cols
+	if column {
+		count, n = n, count
+	}
+	plans := make([]LineCollect, count)
+	nodes := make([]topology.NodeID, count*n)
+	scales := make([]int, count*n)
+	inits := make([]topology.NodeID, 0, 2*count)
+	for l := range plans {
+		lc := &plans[l]
+		lc.Nodes = nodes[l*n : (l+1)*n : (l+1)*n]
+		lc.DeltaScale = scales[l*n : (l+1)*n : (l+1)*n]
+		for i := range lc.Nodes {
+			at := topology.Coord{Row: l, Col: i}
+			if column {
+				at = topology.Coord{Row: i, Col: l}
+			}
+			lc.Nodes[i] = nw.topo.ID(at)
 		}
-		lc.Target = nw.RowSinkID(sinkRow)
+		lc.Target, lc.TargetIsSink = lc.Nodes[n-1], toSink
+		if toSink {
+			lc.Target = nw.RowSinkID(nw.topo.Coord(lc.Target).Row)
+		}
+		idx, k := nw.linePlan(lc.DeltaScale, n > 1 || toSink)
+		if k > 0 {
+			from := len(inits)
+			for _, i := range idx[:k] {
+				inits = append(inits, lc.Nodes[i])
+			}
+			lc.Initiators = inits[from:len(inits):len(inits)]
+		}
 	}
-	inits, scale := nw.linePlan(n, n > 1 || toSink)
-	for _, idx := range inits {
-		lc.Initiators = append(lc.Initiators, nodes[idx])
-	}
-	lc.DeltaScale = scale
-	return lc
+	return plans
 }
 
-// linePlan computes the initiator indices and δ scales for a line of n
-// nodes whose target sits at index n-1 — the index-space core shared by
-// RowLine and ColumnLine. meshInitiator controls whether the
-// mesh path names index 0 as initiator (false only for a single-node line
-// collecting at itself, where there is nothing to sweep).
-func (nw *Network) linePlan(n int, meshInitiator bool) (inits []int, scale []int) {
-	scale = make([]int, n)
+// linePlan fills in the δ scales of a line of len(scale) nodes whose target
+// sits at its last index and returns the k initiator indices in inits —
+// the index-space core shared by RowLine and ColumnLine. meshInitiator
+// controls whether the mesh path names index 0 as initiator (false only
+// for a single-node line collecting at itself, where there is nothing to
+// sweep).
+func (nw *Network) linePlan(scale []int, meshInitiator bool) (inits [2]int, k int) {
+	n := len(scale)
 	if nw.routing.VCClasses() > 1 {
 		// Wrap-aware routing (torus dimension-order with dateline VC
 		// classes): cover the ring with two initiators, the farthest node
@@ -127,10 +166,10 @@ func (nw *Network) linePlan(n int, meshInitiator bool) (inits []int, scale []int
 		fwd := pmod(t-n/2, n)
 		bwd := pmod(t+(n+1)/2-1, n)
 		if fwd != t {
-			inits = append(inits, fwd)
+			inits[k], k = fwd, k+1
 		}
 		if bwd != t && bwd != fwd {
-			inits = append(inits, bwd)
+			inits[k], k = bwd, k+1
 		}
 		for i := 0; i < n; i++ {
 			if d := pmod(t-i, n); d <= n-d {
@@ -140,7 +179,7 @@ func (nw *Network) linePlan(n int, meshInitiator bool) (inits []int, scale []int
 				scale[i] = 1 + pmod(bwd-i, n)
 			}
 		}
-		return inits, scale
+		return inits, k
 	}
 
 	// Mesh-path routing (mesh fabrics, and turn-model routings confined
@@ -149,12 +188,12 @@ func (nw *Network) linePlan(n int, meshInitiator bool) (inits []int, scale []int
 	// algorithm — same-row and same-column destinations leave no
 	// adaptivity.
 	if meshInitiator {
-		inits = append(inits, 0)
+		k = 1
 	}
 	for i := 0; i < n; i++ {
 		scale[i] = 1 + i
 	}
-	return inits, scale
+	return inits, k
 }
 
 // pmod is the positive remainder of v modulo size (size > 0).

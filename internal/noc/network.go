@@ -109,6 +109,11 @@ type Network struct {
 	leased   bool
 	pristine *pristine
 
+	// lines[c][s] holds the row (c = 0) or column (c = 1) plans collecting
+	// at the line's last PE (s = 0) or at a sink (s = 1), built on first use
+	// (lineSet).
+	lines [2][2][]LineCollect
+
 	// enc and dec encode and decode the fabric's state (Snapshot,
 	// AppendState, Restore, reset), kept so the encoder's name tables stay
 	// grown.

@@ -57,24 +57,25 @@ const (
 )
 
 // takeIdle removes and returns an idle network of cfg, nil when there is
-// none.
+// none. A list it empties stays, so the next release of the Config appends
+// to it without allocating.
 func takeIdle(cfg Config) *Network {
 	fabrics.Lock()
 	defer fabrics.Unlock()
 	l := fabrics.idle[cfg]
-	if l == nil {
+	if l == nil || len(l.nets) == 0 {
 		return nil
 	}
 	last := len(l.nets) - 1
 	nw := l.nets[last]
 	l.nets[last] = nil
-	if l.nets = l.nets[:last]; last == 0 {
-		delete(fabrics.idle, cfg)
-	}
+	l.nets = l.nets[:last]
 	return nw
 }
 
-// parkIdle adds a reset network to its Config's free list.
+// parkIdle adds a reset network to its Config's free list. Past
+// maxIdleConfigs lists it lets one go: an empty one if there is one, else
+// the one released to longest ago.
 func parkIdle(nw *Network) {
 	fabrics.Lock()
 	defer fabrics.Unlock()
@@ -86,13 +87,20 @@ func parkIdle(nw *Network) {
 	l.nets = append(l.nets, nw)
 	l.released = time.Now()
 	if len(fabrics.idle) > maxIdleConfigs {
-		oldest := nw.cfg
+		victim := nw.cfg
 		for cfg, o := range fabrics.idle {
-			if o.released.Before(fabrics.idle[oldest].released) {
-				oldest = cfg
+			v := fabrics.idle[victim]
+			if (len(o.nets) == 0) != (len(v.nets) == 0) {
+				if len(o.nets) == 0 {
+					victim = cfg
+				}
+				continue
+			}
+			if o.released.Before(v.released) {
+				victim = cfg
 			}
 		}
-		delete(fabrics.idle, oldest)
+		delete(fabrics.idle, victim)
 	}
 	if !fabrics.expiring {
 		fabrics.expiring = true

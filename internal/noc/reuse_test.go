@@ -62,9 +62,10 @@ func TestReleaseTwiceParksOnce(t *testing.T) {
 
 // TestFreeListBounds: a Config parks every network released to it, however
 // few processors there are, and hands each out again, so a list holds no
-// more networks than were leased at once; only the maxIdleConfigs Configs
-// released to most recently keep a list at all, an older one is let go with
-// its key; and a list nobody has released to for idleFor goes the same way.
+// more networks than were leased at once, and keeps its list once empty;
+// only maxIdleConfigs Configs keep a list at all, and past them an empty
+// list is let go with its key first, then the one released to longest ago;
+// and a list nobody has released to for idleFor goes the same way.
 func TestFreeListBounds(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	config := func(delta int64) Config {
@@ -101,17 +102,28 @@ func TestFreeListBounds(t *testing.T) {
 	if got := ReuseStats(); got.Reused != after.Reused+3 || got.Built != after.Built {
 		t.Fatalf("the three parked networks were not all handed out again: %+v -> %+v", after, got)
 	}
-	if listed(first) {
-		t.Error("a Config with no idle network is still listed")
+	fabrics.Lock()
+	kept := fabrics.idle[first]
+	if kept != nil {
+		// The newest list of all, so only its emptiness lets it go first.
+		kept.released = time.Now().Add(idleFor)
+	}
+	fabrics.Unlock()
+	if kept == nil || len(kept.nets) != 0 {
+		t.Fatal("a Config whose idle networks were all handed out does not keep its empty list")
 	}
 
-	// One network each of maxIdleConfigs+1 Configs, released oldest first.
+	// One network each of maxIdleConfigs+1 Configs, released oldest first:
+	// the empty list goes first, then the oldest.
 	for i := 0; i <= maxIdleConfigs; i++ {
 		hold(config(901+int64(i)), 1)[0].Release()
+		if listed(first) && !listed(config(901)) {
+			t.Errorf("release %d let the oldest full list go before the empty one", i)
+		}
 	}
-	if listed(config(901)) || !listed(config(901+maxIdleConfigs)) {
-		t.Errorf("after %d releases to distinct Configs: oldest listed %v, newest listed %v",
-			maxIdleConfigs+1, listed(config(901)), listed(config(901+maxIdleConfigs)))
+	if listed(first) || listed(config(901)) || !listed(config(901+maxIdleConfigs)) {
+		t.Errorf("after %d releases to distinct Configs: empty listed %v, oldest listed %v, newest listed %v",
+			maxIdleConfigs+1, listed(first), listed(config(901)), listed(config(901+maxIdleConfigs)))
 	}
 	fabrics.Lock()
 	keys := len(fabrics.idle)

@@ -11,6 +11,7 @@ package round
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"gathernoc/internal/flit"
@@ -160,9 +161,14 @@ func (l *Loop) SetForeignPayloadHandler(fn func(flit.Payload)) { l.foreign = fn 
 // tag, so concurrent controllers sharing a NIC's wait lists and stations
 // never collide (zero tag: a bare counter from 1).
 func (l *Loop) nextSeq() uint64 {
+	n := l.NextSeq()
 	l.seq++
-	return uint64(l.tag)<<32 | l.seq
+	return n
 }
+
+// NextSeq returns the sequence number the next Payload takes: read in
+// BeginRound, where the round's payloads start numbering.
+func (l *Loop) NextSeq() uint64 { return uint64(l.tag)<<32 | (l.seq + 1) }
 
 // Payload assembles the payload node src releases toward dst at cycle: a
 // fresh sequence number namespaced by the workload tag, the run's payload
@@ -384,8 +390,9 @@ func (l *Loop) finish(skip, period int64, left int) {
 }
 
 // extend appends to dst, count by count, base + n·(to − from); a nil base
-// stands for zeros.
+// stands for zeros. It grows dst once.
 func extend(dst, base, from, to []uint64, n int) []uint64 {
+	dst = slices.Grow(dst, len(to))
 	for i := range to {
 		v := uint64(n) * (to[i] - from[i])
 		if base != nil {

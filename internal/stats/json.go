@@ -42,8 +42,9 @@ func (s Sample) MarshalJSON() ([]byte, error) {
 // any bytes decode or are refused, counts that do not add up to the
 // observation count included (Restore). JSON null reads as the empty
 // sample. The array is split here, allocating nothing but the count
-// table: a nested json.Unmarshal would allocate a decoder and a growing
-// slice per sample, most of a cache entry's decode.
+// map of a sample past inline distinct values: a nested json.Unmarshal
+// would allocate a decoder and a growing slice per sample, most of a cache
+// entry's decode.
 func (s *Sample) UnmarshalJSON(data []byte) error {
 	data = bytes.TrimSpace(data)
 	if string(data) == "null" {

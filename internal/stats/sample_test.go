@@ -3,15 +3,22 @@ package stats
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 )
 
-// referenceOrder orders float64s as Sample does: ascending, -0 before +0.
+// referenceOrder orders float64s as Sample does: ascending, -0 before +0,
+// a NaN with its sign bit set below every other value and one without it
+// above.
 func referenceOrder(a, b float64) int {
+	if r := nanRank(a) - nanRank(b); r != 0 {
+		return r
+	}
 	switch {
 	case a < b:
 		return -1
@@ -23,6 +30,18 @@ func referenceOrder(a, b float64) int {
 		return 1
 	}
 	return 0
+}
+
+// nanRank is -1 for a NaN with its sign bit set, 1 for one without, and 0
+// for every other value.
+func nanRank(v float64) int {
+	switch {
+	case !math.IsNaN(v):
+		return 0
+	case math.Signbit(v):
+		return -1
+	}
+	return 1
 }
 
 // exactnessObservations draws n observations over a mix that a counting
@@ -70,6 +89,14 @@ func checkAgainstReference(t *testing.T, what string, s *Sample, obs []float64) 
 	if s.N() != len(obs) {
 		t.Fatalf("%s: N = %d, want %d", what, s.N(), len(obs))
 	}
+	if slices.ContainsFunc(obs, math.IsNaN) {
+		// Which NaN a sum of two NaNs carries is left to the hardware and
+		// the compiled order of the operands.
+		if !math.IsNaN(s.Sum()) || !math.IsNaN(s.Mean()) {
+			t.Errorf("%s: Sum %v, Mean %v over a NaN", what, s.Sum(), s.Mean())
+		}
+		sum = s.Sum()
+	}
 	same("Sum", s.Sum(), sum)
 	if len(obs) == 0 {
 		same("Mean", s.Mean(), 0)
@@ -116,6 +143,73 @@ func TestSampleExactness(t *testing.T) {
 	}
 }
 
+// TestSampleExactAcrossTheSpill: a sample counts its first inline distinct
+// values in place and moves them to a map at the next. On either side of
+// that boundary (inline−1, inline and inline+1 distinct values), with a NaN
+// of either sign, both zeros and a value past 2^53 among them, arriving in
+// any order, every statistic is what the sorted observations give, bit for
+// bit.
+func TestSampleExactAcrossTheSpill(t *testing.T) {
+	values := []float64{math.NaN(), math.Copysign(0, -1), math.Copysign(math.NaN(), -1), 0, 1<<53 + 2, -7.5, 2}
+	for k := inline - 1; k <= inline+1; k++ {
+		distinct := values[:k]
+		for order := 0; order < 3; order++ {
+			var obs []float64
+			for i := 0; i < 3*k; i++ {
+				switch order {
+				case 0:
+					obs = append(obs, distinct[i%k])
+				case 1:
+					obs = append(obs, distinct[k-1-i%k])
+				default:
+					obs = append(obs, distinct[(i%k+i/k)%k])
+				}
+			}
+			var s Sample
+			for _, v := range obs {
+				s.Observe(v)
+			}
+			checkAgainstReference(t, fmt.Sprintf("%d distinct, order %d", k, order), &s, obs)
+			if spilled := s.spill != nil; spilled != (k > inline) {
+				t.Errorf("%d distinct values: spilled %v", k, spilled)
+			}
+		}
+	}
+}
+
+// TestSampleJSONAcrossTheSpill: on either side of the boundary the JSON
+// form is the one a sample that counted every value in a map wrote, and it
+// decodes to a sample equal to the one observed, field for field, so a
+// result read back from the cache equals the one computed.
+func TestSampleJSONAcrossTheSpill(t *testing.T) {
+	nz, big := math.Copysign(0, -1), float64(1<<53+2)
+	for _, c := range []struct {
+		obs  []float64
+		want string
+	}{
+		{[]float64{2, 0, nz, 2, 0}, "[5,4616189618054758400,-0,1,0,2,2,2]"},
+		{[]float64{2, 0, nz, 2, 0, big}, "[6,4845873199050653699,-0,1,0,2,2,2,9007199254740994,1]"},
+		{[]float64{2, 0, nz, 2, 0, big, -7.5, big}, "[8,4850376798678024192,-7.5,1,-0,1,0,2,2,2,9007199254740994,2]"},
+	} {
+		var s Sample
+		for _, v := range c.obs {
+			s.Observe(v)
+		}
+		raw, err := json.Marshal(s)
+		if err != nil || string(raw) != c.want {
+			t.Errorf("%v: JSON %s (%v), want %s", c.obs, raw, err, c.want)
+			continue
+		}
+		var back Sample
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Errorf("%v: decoded %+v, observed %+v", c.obs, back, s)
+		}
+	}
+}
+
 // TestOrderStatisticsLeaveTheSampleAlone: reading Min, Max, Percentile,
 // Counts or String changes nothing a codec or a later reader sees.
 func TestOrderStatisticsLeaveTheSampleAlone(t *testing.T) {
@@ -156,18 +250,29 @@ func TestSampleRetainedBytesPin(t *testing.T) {
 }
 
 // TestObserveDoesNotAllocateOnceSeen: observing values already counted
-// allocates nothing.
+// allocates nothing, in place or in the map; a sample that never sees more
+// than inline distinct values allocates nothing at all.
 func TestObserveDoesNotAllocateOnceSeen(t *testing.T) {
-	var s Sample
-	for v := 0; v < 100; v++ {
-		s.Observe(float64(v))
+	for _, distinct := range []int{inline, 100} {
+		var s Sample
+		for v := 0; v < distinct; v++ {
+			s.Observe(float64(v))
+		}
+		v := 0
+		if allocs := testing.AllocsPerRun(1000, func() {
+			s.Observe(float64(v % distinct))
+			v++
+		}); allocs != 0 {
+			t.Errorf("%d distinct values: Observe of a counted value allocates %v times", distinct, allocs)
+		}
 	}
-	v := 0
-	if allocs := testing.AllocsPerRun(1000, func() {
-		s.Observe(float64(v % 100))
-		v++
+	if allocs := testing.AllocsPerRun(100, func() {
+		var s Sample
+		for v := 0; v < 3*inline; v++ {
+			s.Observe(float64(v % inline))
+		}
 	}); allocs != 0 {
-		t.Errorf("Observe of a counted value allocates %v times", allocs)
+		t.Errorf("a sample of %d distinct values allocates %v times", inline, allocs)
 	}
 }
 

@@ -29,19 +29,34 @@ func (c *Counter) Set(n uint64) { c.n = n }
 // It keeps an exact count per distinct value, so the order statistics are
 // exact and its memory grows with the distinct values observed, not with
 // the observations: a latency sample of a million packets over a thousand
-// latencies holds a thousand counts. The sum is accumulated in observation
-// order, as adding the observations up one by one does.
+// latencies holds a thousand counts. The first few distinct values
+// (inline) are counted in the sample itself, sorted, so a round sample,
+// which sees one to three, never allocates; past them the counts move to a
+// map. The sum is accumulated in observation order, as adding the
+// observations up one by one does.
 //
 // Values are told apart by their bits, so -0 and +0 are two values, -0 the
 // smaller. The order statistics read the sample and never change it, so a
 // sample may be read from several goroutines once nothing observes into it.
-// A copy of a Sample shares its count table: observe into one of them only.
+// A copy of a Sample that has spilled its counts to the map shares the
+// map: observe into one of them only.
 type Sample struct {
-	// counts maps each distinct value's key (key) to its count.
-	counts map[uint64]uint64
+	// keys[:k] are the distinct values' keys (key), ascending, and
+	// counts[:k] their counts, until the sample sees more than inline
+	// distinct values; from then on spill maps every key to its count and
+	// k is 0.
+	keys   [inline]uint64
+	counts [inline]uint64
+	k      uint8
+	spill  map[uint64]uint64
 	n      int
 	sum    float64
 }
+
+// inline is how many distinct values a sample counts in place. Every round
+// sample of the paper's layer runs sees one; packet latency samples see
+// hundreds, and spill.
+const inline = 4
 
 // errBadSample is the error of a sample encoding that describes no sample
 // (Restore, UnmarshalJSON).
@@ -67,14 +82,41 @@ func value(k uint64) float64 {
 }
 
 // Observe records one observation. It allocates only for a value not
-// observed before, and then only when the count table grows.
+// observed before, and then only when the sample spills past inline
+// distinct values or its map grows.
 func (s *Sample) Observe(v float64) {
-	if s.counts == nil {
-		s.counts = make(map[uint64]uint64)
-	}
-	s.counts[key(v)]++
+	s.add(key(v), 1)
 	s.n++
 	s.sum += v
+}
+
+// add counts c more observations of the value whose key is k.
+func (s *Sample) add(k, c uint64) {
+	if s.spill != nil {
+		s.spill[k] += c
+		return
+	}
+	i := 0
+	for i < int(s.k) && s.keys[i] < k {
+		i++
+	}
+	if i < int(s.k) && s.keys[i] == k {
+		s.counts[i] += c
+		return
+	}
+	if s.k == inline {
+		s.spill = make(map[uint64]uint64, 2*inline)
+		for j := range s.keys {
+			s.spill[s.keys[j]] = s.counts[j]
+		}
+		s.keys, s.counts, s.k = [inline]uint64{}, [inline]uint64{}, 0
+		s.spill[k] = c
+		return
+	}
+	copy(s.keys[i+1:s.k+1], s.keys[i:s.k])
+	copy(s.counts[i+1:s.k+1], s.counts[i:s.k])
+	s.keys[i], s.counts[i] = k, c
+	s.k++
 }
 
 // N returns the observation count.
@@ -93,11 +135,14 @@ func (s *Sample) Mean() float64 {
 
 // Min returns the smallest observation, or 0 with no observations.
 func (s *Sample) Min() float64 {
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return 0
+	case s.spill == nil:
+		return value(s.keys[0])
 	}
 	least := uint64(math.MaxUint64)
-	for k := range s.counts {
+	for k := range s.spill {
 		least = min(least, k)
 	}
 	return value(least)
@@ -105,11 +150,14 @@ func (s *Sample) Min() float64 {
 
 // Max returns the largest observation, or 0 with no observations.
 func (s *Sample) Max() float64 {
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return 0
+	case s.spill == nil:
+		return value(s.keys[s.k-1])
 	}
 	var most uint64
-	for k := range s.counts {
+	for k := range s.spill {
 		most = max(most, k)
 	}
 	return value(most)
@@ -135,32 +183,44 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	// The counts add up to n, so the walk ends at a key.
 	rank := uint64(min(max(int(math.Ceil(p/100*float64(s.n))), 1), s.n))
-	keys := s.keys()
+	keys := s.sorted()
 	i := 0
-	for ; rank > s.counts[keys[i]]; i++ {
-		rank -= s.counts[keys[i]]
+	for ; rank > s.countOf(i, keys[i]); i++ {
+		rank -= s.countOf(i, keys[i])
 	}
 	return value(keys[i])
 }
 
-// keys returns the keys of the distinct values, ascending.
-func (s *Sample) keys() []uint64 {
-	keys := make([]uint64, 0, len(s.counts))
-	for k := range s.counts {
+// sorted returns the keys of the distinct values, ascending: the sample's
+// own array while it counts in place, else a fresh slice.
+func (s *Sample) sorted() []uint64 {
+	if s.spill == nil {
+		return s.keys[:s.k]
+	}
+	keys := make([]uint64, 0, len(s.spill))
+	for k := range s.spill {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	return keys
 }
 
+// countOf returns the count of key k, the i-th of sorted's.
+func (s *Sample) countOf(i int, k uint64) uint64 {
+	if s.spill != nil {
+		return s.spill[k]
+	}
+	return s.counts[i]
+}
+
 // Counts returns the distinct values observed, ascending, and how many
 // times each was observed: with N and Sum, the form both codecs write
 // (flit.Encoder.Sample, MarshalJSON) and Restore reads back.
 func (s *Sample) Counts() (values []float64, counts []uint64) {
-	keys := s.keys()
+	keys := s.sorted()
 	values, counts = make([]float64, len(keys)), make([]uint64, len(keys))
 	for i, k := range keys {
-		values[i], counts[i] = value(k), s.counts[k]
+		values[i], counts[i] = value(k), s.countOf(i, k)
 	}
 	return values, counts
 }
@@ -180,8 +240,8 @@ func (s *Sample) Restore(n int, sum float64, k int, next func() (float64, uint64
 		return fmt.Errorf("%w: no observations summing to %v", errBadSample, sum)
 	}
 	restored := Sample{n: n, sum: sum}
-	if k > 0 {
-		restored.counts = make(map[uint64]uint64, k)
+	if k > inline {
+		restored.spill = make(map[uint64]uint64, k)
 	}
 	var total, prev uint64
 	for i := 0; i < k; i++ {
@@ -198,7 +258,12 @@ func (s *Sample) Restore(n int, sum float64, k int, next func() (float64, uint64
 			return fmt.Errorf("%w: counts exceed the %d observations", errBadSample, n)
 		}
 		prev = key(v)
-		restored.counts[prev] = c
+		if restored.spill != nil {
+			restored.spill[prev] = c
+		} else {
+			restored.keys[i], restored.counts[i] = prev, c
+			restored.k++
+		}
 	}
 	if total != uint64(n) {
 		return fmt.Errorf("%w: counts add up to %d of the %d observations", errBadSample, total, n)

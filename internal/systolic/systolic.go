@@ -22,6 +22,7 @@ package systolic
 
 import (
 	"fmt"
+	"slices"
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/flit"
@@ -255,9 +256,13 @@ type Controller struct {
 	crr        int
 	expected   int
 
+	// collected counts the payloads the buffer took this round, seenSrc
+	// their sources and seenSeq their sequence numbers, as offsets from the
+	// round's first (round.Loop.NextSeq); the sets are empty when collected
+	// is 0.
 	collected   int
-	seenSeq     map[uint64]bool
-	seenSrc     map[topology.NodeID]bool
+	seenSrc     idSet
+	seenSeq     idSet
 	payloadErrs int
 
 	res Result
@@ -295,8 +300,9 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 		crr:  cfg.Layer.MACsPerPE(),
 	}
 	c.expected = cfg.resultsPerRound(c.rows, c.cols)
-	c.seenSeq = make(map[uint64]bool, c.expected)
-	c.seenSrc = make(map[topology.NodeID]bool, c.expected)
+	nodes := c.rows * c.cols
+	seen := make([]bool, nodes+c.expected)
+	c.seenSrc.in, c.seenSeq.in = seen[:nodes:nodes], seen[nodes:]
 
 	total := cfg.totalRounds(c.rows, c.cols)
 	sim := cfg.MaxRounds
@@ -314,13 +320,17 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 		Record: Record{TotalRounds: total, RoundsSimulated: sim},
 	}
 
-	c.plans = make([]noc.LineCollect, c.rows)
-	for row := range c.plans {
-		c.plans[row] = nw.RowLine(row, true)
-		if cfg.FlatDelta {
-			for i := range c.plans[row].DeltaScale {
-				c.plans[row].DeltaScale[i] = 1
-			}
+	c.plans = nw.RowLines(true)
+	if cfg.FlatDelta {
+		// The network's plans are shared: the copies get a scale of their
+		// own.
+		flat := make([]int, c.cols)
+		for i := range flat {
+			flat[i] = 1
+		}
+		c.plans = slices.Clone(c.plans)
+		for row := range c.plans {
+			c.plans[row].DeltaScale = flat
 		}
 	}
 	return c, nil
@@ -343,13 +353,47 @@ func (c *Controller) OnPacket(p *nic.ReceivedPacket) {
 }
 
 func (c *Controller) onPayload(pl flit.Payload) {
-	if c.seenSeq[pl.Seq] || c.seenSrc[pl.Src] {
+	if c.seenSeq.has(pl.Seq) || c.seenSrc.has(uint64(pl.Src)) {
 		c.payloadErrs++
 		return
 	}
-	c.seenSeq[pl.Seq] = true
-	c.seenSrc[pl.Src] = true
+	c.seenSeq.add(pl.Seq)
+	c.seenSrc.add(uint64(pl.Src))
 	c.collected++
+}
+
+// idSet is a set of ids cleared every round: those in [base,
+// base+len(in)) are marked in in, which the controller sizes once, and any
+// other goes to out, made on first use.
+type idSet struct {
+	base uint64
+	in   []bool
+	out  map[uint64]bool
+}
+
+func (s *idSet) has(id uint64) bool {
+	if i := id - s.base; i < uint64(len(s.in)) {
+		return s.in[i]
+	}
+	return s.out[id]
+}
+
+func (s *idSet) add(id uint64) {
+	if i := id - s.base; i < uint64(len(s.in)) {
+		s.in[i] = true
+		return
+	}
+	if s.out == nil {
+		s.out = make(map[uint64]bool)
+	}
+	s.out[id] = true
+}
+
+// reset empties the set and moves its slice's range to start at base.
+func (s *idSet) reset(base uint64) {
+	clear(s.in)
+	clear(s.out)
+	s.base = base
 }
 
 // BeginRound resets the buffer's per-round account and declares the
@@ -359,8 +403,8 @@ func (c *Controller) onPayload(pl flit.Payload) {
 // row emits results.
 func (c *Controller) BeginRound(now int64) {
 	c.collected = 0
-	clear(c.seenSeq)
-	clear(c.seenSrc)
+	c.seenSrc.reset(0)
+	c.seenSeq.reset(c.NextSeq())
 	base := c.cfg.computeLatency(c.rows)
 	for row := 0; row < c.rows; row++ {
 		if c.cfg.Dataflow == WeightStationary && row != c.rows-1 {
@@ -417,7 +461,7 @@ func (c *Controller) Result() *Result {
 // parameters never change. An account that is not empty is not encoded
 // (nil).
 func (c *Controller) AppendState(buf []byte, base int64) []byte {
-	if c.collected != 0 || len(c.seenSeq) != 0 || len(c.seenSrc) != 0 {
+	if c.collected != 0 {
 		return nil
 	}
 	return c.nw.AppendState(buf, base)

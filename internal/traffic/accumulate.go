@@ -177,10 +177,7 @@ func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*Accumu
 		rows: nc.Rows,
 		cols: nc.Cols,
 	}
-	c.plans = make([]noc.LineCollect, c.rows)
-	for row := range c.plans {
-		c.plans[row] = nw.RowLine(row, nc.EastSinks)
-	}
+	c.plans = nw.RowLines(nc.EastSinks)
 
 	total := cfg.TotalRounds
 	if total == 0 {

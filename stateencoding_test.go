@@ -154,7 +154,7 @@ var stateFields = map[string]string{
 	"flit.Packet.Flits":          both,
 	"flit.Packet.GatherCapacity": both,
 	"flit.Packet.ReduceID":       both + renamed,
-	"flit.Packet.Carried":        both,
+	"flit.Packet.Carried":        derived + ": nil in the side table, whose parcel holds the payload; a rebuilt packet points at it",
 	"flit.Packet.TrackOperands":  both,
 	"flit.Packet.InjectCycle":    both + rebased,
 
@@ -200,7 +200,7 @@ var stateFields = map[string]string{
 	"nic.NIC.credits":              both,
 	"nic.NIC.vcPkt":                both + " (the flits not yet sent)",
 	"nic.NIC.queue":                both + " (each entry as its whole packet)",
-	"nic.NIC.rare":                 both + ": the whole packets of the queue entries that index it, written in queue order",
+	"nic.NIC.rare":                 both + ": the whole packets of the queue entries that index it, with their payloads, written in queue order",
 	"nic.NIC.spare":                derived + ": the side table's free slots, refilled as a load empties the queue",
 	"nic.NIC.waits":                both,
 	"nic.NIC.sweepAt":              derived + ": the first tick's sweep books the loaded deadlines",
@@ -280,6 +280,10 @@ var stateFields = map[string]string{
 	"nic.queued.pt":     both,
 	"nic.queued.track":  both,
 	"nic.queued.rare":   derived + ": the entry's slot in the side table, taken as the load queues it",
+
+	"nic.parcel.pkt":     both + " (the queued packet)",
+	"nic.parcel.own":     both + " (as the packet's carried payload)",
+	"nic.parcel.carries": both + " (as whether the packet carries one)",
 
 	"nic.partialPacket.id":           both + renamed,
 	"nic.partialPacket.tag":          both,
