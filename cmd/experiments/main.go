@@ -42,7 +42,28 @@ var (
 	errJobs    = errors.New("-jobs must be >= 1")
 	errWorkers = errors.New("-workers must be >= 0")
 	errModel   = errors.New("-model must be alexnet or vgg16")
+	errUnread  = errors.New("not read by the selected artifacts")
 )
+
+// reads is a set of the flags an artifact reads besides -exp and -format;
+// a flag that no selected artifact reads is refused.
+type reads uint8
+
+const (
+	readsRounds reads = 1 << iota
+	readsWorkers
+	readsModel
+	readsJobs // -jobs and -overlap
+	readsCache
+	// pooled artifacts simulate their points on the sweep's worker pool;
+	// sweeps are pooled comparison cells, which -cachedir memoizes.
+	pooled = readsRounds | readsWorkers
+	sweeps = pooled | readsCache
+)
+
+// flagReads maps each flag that some artifact ignores to its bit.
+var flagReads = map[string]reads{"rounds": readsRounds, "workers": readsWorkers, "model": readsModel,
+	"jobs": readsJobs, "overlap": readsJobs, "cachedir": readsCache}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -55,14 +76,15 @@ func main() {
 
 // artifact pairs a machine-readable result with its rendered text form.
 type artifact struct {
-	name string
-	run  func(experiments.Options) (data any, text string, err error)
+	name  string
+	reads reads
+	run   func(experiments.Options) (data any, text string, err error)
 }
 
 // rows is the one artifact shape: run produces the machine-readable result,
 // render its text form.
-func rows[T any](name string, run func(experiments.Options) (T, error), render func(T) string) artifact {
-	return artifact{name: name, run: func(opts experiments.Options) (any, string, error) {
+func rows[T any](name string, r reads, run func(experiments.Options) (T, error), render func(T) string) artifact {
+	return artifact{name: name, reads: r, run: func(opts experiments.Options) (any, string, error) {
 		r, err := run(opts)
 		if err != nil {
 			return nil, "", err
@@ -80,13 +102,13 @@ func static(name string, text func() string) artifact {
 }
 
 func figure(name, title string, fn func(experiments.Options) ([]experiments.ImprovementRow, error)) artifact {
-	return rows(name, fn, func(r []experiments.ImprovementRow) string {
+	return rows(name, sweeps, fn, func(r []experiments.ImprovementRow) string {
 		return experiments.RenderImprovements(title, "% improvement, gather vs repetitive unicast", r)
 	})
 }
 
 func ablation(name, title string, fn func(experiments.Options) ([]experiments.AblationRow, error)) artifact {
-	return rows(name, fn, func(r []experiments.AblationRow) string { return experiments.RenderAblation(title, r) })
+	return rows(name, sweeps, fn, func(r []experiments.AblationRow) string { return experiments.RenderAblation(title, r) })
 }
 
 // fullModel adapts the whole-model runs, which take the mesh size first.
@@ -99,9 +121,9 @@ var artifacts = []artifact{
 	static("table1", func() string {
 		return experiments.RenderTable1(8, 8) + "\n" + experiments.RenderTable1(16, 16)
 	}),
-	rows("table2", experiments.Table2, experiments.RenderTable2),
+	rows("table2", sweeps, experiments.Table2, experiments.RenderTable2),
 	static("table3", experiments.RenderTable3),
-	rows("fig1", func(experiments.Options) (experiments.Fig1Result, error) { return experiments.Fig1(), nil }, experiments.RenderFig1),
+	rows("fig1", 0, func(experiments.Options) (experiments.Fig1Result, error) { return experiments.Fig1(), nil }, experiments.RenderFig1),
 	figure("fig7", "Fig. 7: total-latency improvement, AlexNet", experiments.Fig7),
 	figure("fig8", "Fig. 8: total-latency improvement, VGG-16", experiments.Fig8),
 	figure("fig9", "Fig. 9: NoC power improvement, AlexNet", experiments.Fig9),
@@ -111,16 +133,16 @@ var artifacts = []artifact{
 	ablation("depth", "Ablation: buffer depth", experiments.AblationBufferDepth),
 	ablation("sinkcost", "Ablation: buffer transaction cost per packet", experiments.AblationSinkCost),
 	ablation("skew", "Ablation: completion stagger per hop", experiments.AblationSkew),
-	rows("ina", experiments.INAComparison, experiments.RenderINA),
-	rows("collectives", experiments.CollectiveComparison, experiments.RenderCollectives),
-	rows("topology", experiments.TopologyComparison, experiments.RenderTopologyComparison),
-	rows("dataflow", experiments.Dataflows, experiments.RenderDataflows),
-	rows("mixed", experiments.MixedTraffic, experiments.RenderMixedTraffic),
-	rows("faults", experiments.FaultSweep, experiments.RenderFaultSweep),
-	rows("fullmodel", fullModel(experiments.FullAlexNet), experiments.RenderModel),
-	rows("fullvgg", fullModel(experiments.FullVGG16), experiments.RenderModel),
-	rows("pipeline", experiments.PipelineComparison, experiments.RenderPipeline),
-	rows("multijob", experiments.MultiJob, experiments.RenderMultiJob),
+	rows("ina", pooled, experiments.INAComparison, experiments.RenderINA),
+	rows("collectives", pooled, experiments.CollectiveComparison, experiments.RenderCollectives),
+	rows("topology", readsWorkers, experiments.TopologyComparison, experiments.RenderTopologyComparison),
+	rows("dataflow", sweeps, experiments.Dataflows, experiments.RenderDataflows),
+	rows("mixed", pooled, experiments.MixedTraffic, experiments.RenderMixedTraffic),
+	rows("faults", pooled, experiments.FaultSweep, experiments.RenderFaultSweep),
+	rows("fullmodel", sweeps, fullModel(experiments.FullAlexNet), experiments.RenderModel),
+	rows("fullvgg", sweeps, fullModel(experiments.FullVGG16), experiments.RenderModel),
+	rows("pipeline", pooled|readsModel, experiments.PipelineComparison, experiments.RenderPipeline),
+	rows("multijob", readsRounds|readsJobs, experiments.MultiJob, experiments.RenderMultiJob),
 }
 
 // artifactNames is "all" followed by every artifact name, comma-separated:
@@ -160,6 +182,28 @@ func run(ctx context.Context, args []string, w, errw io.Writer) error {
 	if _, err := workload.ModelLayers(*model); err != nil {
 		return fmt.Errorf("%w, not %q", errModel, *model)
 	}
+	wanted := strings.Split(*exp, ",")
+	var read reads
+	for _, name := range wanted {
+		i := slices.IndexFunc(artifacts, func(a artifact) bool { return a.name == name })
+		switch {
+		case name == "all":
+			read = ^reads(0)
+		case i < 0:
+			return fmt.Errorf("unknown experiment %q (have: %s)", name, artifactNames())
+		default:
+			read |= artifacts[i].reads
+		}
+	}
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		if r, ok := flagReads[f.Name]; ok && read&r == 0 && unread == nil {
+			unread = fmt.Errorf("-%s: %w (-exp %s)", f.Name, errUnread, *exp)
+		}
+	})
+	if unread != nil {
+		return unread
+	}
 	opts := experiments.Options{
 		Rounds: *rounds, Workers: *workers, Ctx: ctx,
 		Model: *model, Jobs: *jobs, Overlap: *overlap,
@@ -197,12 +241,6 @@ func run(ctx context.Context, args []string, w, errw io.Writer) error {
 		}
 	}()
 
-	wanted := strings.Split(*exp, ",")
-	for _, name := range wanted {
-		if name != "all" && !slices.ContainsFunc(artifacts, func(a artifact) bool { return a.name == name }) {
-			return fmt.Errorf("unknown experiment %q (have: %s)", name, artifactNames())
-		}
-	}
 	jsonOut := map[string]any{}
 	for _, a := range artifacts {
 		if !slices.Contains(wanted, "all") && !slices.Contains(wanted, a.name) {

@@ -128,6 +128,17 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{[]string{"-exp", "fig7", "-workers", "-8"}, errWorkers},
 		{[]string{"-exp", "all", "-model", "bogus"}, errModel},
 		{[]string{"-exp", "table1", "-model", "bogus"}, errModel},
+		// Flags that no selected artifact reads.
+		{[]string{"-exp", "table1", "-jobs", "9", "-overlap", "-model", "vgg16", "-rounds", "5"}, errUnread},
+		{[]string{"-exp", "table1", "-rounds", "5"}, errUnread},
+		{[]string{"-exp", "fig1,table3", "-model", "vgg16"}, errUnread},
+		{[]string{"-exp", "pipeline", "-jobs", "2"}, errUnread},
+		{[]string{"-exp", "pipeline,ina", "-overlap"}, errUnread},
+		{[]string{"-exp", "multijob", "-model", "vgg16"}, errUnread},
+		{[]string{"-exp", "topology", "-cachedir", filepath.Join(t.TempDir(), "c")}, errUnread},
+		{[]string{"-exp", "ina,faults", "-cachedir", filepath.Join(t.TempDir(), "c")}, errUnread},
+		{[]string{"-exp", "table1,fig1", "-workers", "4"}, errUnread},
+		{[]string{"-exp", "multijob", "-workers", "2"}, errUnread},
 	} {
 		var b strings.Builder
 		if err := run(context.Background(), c.args, &b, io.Discard); !errors.Is(err, c.want) || b.Len() != 0 {

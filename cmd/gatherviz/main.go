@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,12 @@ import (
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/topology"
 )
+
+// modeFlags maps each flag that only one mode reads to whether that mode
+// is -metrics.
+var modeFlags = map[string]bool{"field": true, "kind": true, "size": false, "row": false, "merges": false}
+
+var errOtherMode = errors.New("not read in this mode (-field and -kind go with -metrics; -size, -row and -merges without it)")
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -50,6 +57,16 @@ func run(args []string, w io.Writer) error {
 	kind := fs.String("kind", "router", "metrics source kind to render (with -metrics): router, nic, sink")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Each mode refuses the other's flags, which it would ignore.
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		if withMetrics, ok := modeFlags[f.Name]; ok && withMetrics != (*metrics != "") && unread == nil {
+			unread = fmt.Errorf("-%s: %w", f.Name, errOtherMode)
+		}
+	})
+	if unread != nil {
+		return unread
 	}
 	if *metrics != "" {
 		return renderMetrics(w, *metrics, *kind, *field)

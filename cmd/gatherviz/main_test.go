@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,6 +161,22 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// Each mode refuses the other mode's flags instead of ignoring them.
+	m := writeMetricsFixture(t)
+	for _, args := range [][]string{
+		{"-metrics", m, "-size", "12", "-row", "40", "-merges"},
+		{"-metrics", m, "-size", "12"},
+		{"-metrics", m, "-row", "1"},
+		{"-metrics", m, "-merges"},
+		{"-field", "link_flits", "-kind", "nic"},
+		{"-field", "buffer_writes"},
+		{"-size", "8", "-kind", "router"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); !errors.Is(err, errOtherMode) || b.Len() != 0 {
+			t.Errorf("args %v: err %v with %d bytes printed, want %v and no output", args, err, b.Len(), errOtherMode)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,6 +91,36 @@ func TestRunResumeShardInvariant(t *testing.T) {
 	}
 	if resultLines(seq.String()) != resultLines(sharded.String()) {
 		t.Errorf("shard count changed resumed results:\n%s\nvs\n%s", seq.String(), sharded.String())
+	}
+}
+
+// TestRunResumeRefusesFabricFlags: a resumed run takes its fabric, faults
+// included, from the file, so a fabric, fault or telemetry flag beside
+// -resume is refused by name instead of dropped; -shards, the watchdog and
+// a further checkpoint are this run's own.
+func TestRunResumeRefusesFabricFlags(t *testing.T) {
+	dir := t.TempDir()
+	ck, ck2 := filepath.Join(dir, "ck.bin"), filepath.Join(dir, "ck2.bin")
+	args := []string{"-rows", "4", "-cols", "4", "-rate", "0.05", "-warmup", "100", "-measure", "400",
+		"-checkpoint", ck, "-checkpointat", "200"}
+	if err := run(args, new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	// Several refused flags name the first in the flag set's order.
+	for _, extra := range [][]string{{"-rows", "16"}, {"-vcs", "2"}, {"-faultrate", "0.01"},
+		{"-faultrate", "0.01", "-rows", "16", "-vcs", "2"}, {"-topology", "torus"},
+		{"-deadlink", "0>1"}, {"-metrics", filepath.Join(dir, "m.csv")}} {
+		err := run(append([]string{"-resume", ck}, extra...), new(strings.Builder))
+		if !errors.Is(err, errUnread) || !strings.Contains(err.Error(), extra[0]+":") || !strings.Contains(err.Error(), "resumed run") {
+			t.Errorf("-resume with %v: err %v, want a refusal naming %s and the resumed run", extra, err, extra[0])
+		}
+	}
+	var b strings.Builder
+	if err := run([]string{"-resume", ck, "-shards", "2", "-watchdog", "5000", "-checkpoint", ck2, "-checkpointat", "300"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "checkpoint     "+ck2+" at cycle 300") {
+		t.Errorf("a resumed run wrote no further checkpoint:\n%s", b.String())
 	}
 }
 

@@ -34,6 +34,8 @@
 package main
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -56,22 +58,50 @@ import (
 )
 
 // Flag values that would run something other than what was asked, or
-// write nothing where a file was asked for.
+// write nothing where a file was asked for, and flags that would be ignored.
 var (
 	errNoEpoch       = errors.New("-metrics needs a positive -epoch")
 	errNoTraceSample = errors.New("-trace needs a positive -tracesample")
 	errModelRounds   = errors.New("-model needs -rounds >= 1")
-	errINAFlags      = errors.New("-inamode and -inarounds need -ina")
-	errRoundsFlag    = errors.New("-rounds needs -model or -collective (-ina takes -inarounds)")
-	errModelFlags    = errors.New("-jobs and -overlap need -model")
-	errAlgorithmFlag = errors.New("-algorithm needs -collective")
-	errTwoWorkloads  = errors.New("-model, -collective, -ina and -replay each select the workload; give at most one")
-	errTrafficFlags  = errors.New("-pattern, -rate, -flits, -warmup, -measure and -seed drive synthetic traffic, " +
-		"which -model, -collective, -ina and -replay replace and -resume takes from its file")
+	errNoCkptCycle   = errors.New("-checkpoint needs a positive -checkpointat cycle")
+	errCkptTelemetry = errors.New("-checkpoint cannot capture a run with -trace or -metrics")
+	errTwoWorkloads  = errors.New("-model, -collective, -ina, -replay and -resume each select the run; give at most one")
+	errUnread        = errors.New("not read by the selected run")
+	errAlone         = errors.New("it qualifies a flag that is not set")
 )
 
-// trafficFlags are the flags only the synthetic-traffic generator reads.
-var trafficFlags = []string{"pattern", "rate", "flits", "warmup", "measure", "seed"}
+// runs is a set of nocsim's runs: the synthetic-traffic generator (the
+// default), its continuation from a -checkpoint file, and the runs that
+// -replay, -model, -collective and -ina select instead.
+type runs uint8
+
+const (
+	synthRun runs = 1 << iota
+	resumeRun
+	replayRun
+	modelRun
+	collRun
+	inaRun
+	allRuns = synthRun | resumeRun | replayRun | modelRun | collRun | inaRun
+	// fabricRuns build the fabric, faults and telemetry from the flags; a
+	// resumed run takes the first two from its file and keeps no telemetry.
+	fabricRuns = allRuns &^ resumeRun
+)
+
+var runNames = map[runs]string{synthRun: "synthetic", resumeRun: "resumed", replayRun: "replay",
+	modelRun: "model", collRun: "collective", inaRun: "INA"}
+
+// def defines a flag with define (a method value of the flag set, fs.Int
+// say) and records in readers the runs that read it.
+func def[T any](readers map[string]runs, define func(string, T, string) *T, name string, value T, by runs, usage string) *T {
+	readers[name] = by
+	return define(name, value, usage)
+}
+
+// needs lists the flags that qualify another: each means something only
+// beside one of its list.
+var needs = map[string][]string{"epoch": {"metrics"}, "tracesample": {"trace"},
+	"checkpointat": {"checkpoint"}, "faultseed": {"faultrate", "faultcorrupt"}}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -80,100 +110,94 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer) (err error) {
-	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+func run(args []string, w io.Writer) error {
+	return runFlags(flag.NewFlagSet("nocsim", flag.ContinueOnError), map[string]runs{}, args, w)
+}
+
+// runFlags defines nocsim's flags on fs, recording their readers in rd,
+// and runs what args select.
+func runFlags(fs *flag.FlagSet, rd map[string]runs, args []string, w io.Writer) (err error) {
 	var (
-		rows       = fs.Int("rows", 8, "fabric rows")
-		cols       = fs.Int("cols", 8, "fabric columns")
-		topo       = fs.String("topology", "mesh", "interconnect fabric (mesh, torus)")
-		pattern    = fs.String("pattern", "uniform", "traffic pattern (uniform, transpose, bitcomplement, hotspot)")
-		rate       = fs.Float64("rate", 0.02, "injection rate (packets/node/cycle)")
-		flits      = fs.Int("flits", 2, "packet length in flits")
-		warmup     = fs.Int64("warmup", 1000, "warm-up cycles")
-		measure    = fs.Int64("measure", 5000, "measurement cycles")
-		seed       = fs.Int64("seed", 1, "random seed")
-		vcs        = fs.Int("vcs", 4, "virtual channels")
-		depth      = fs.Int("depth", 4, "buffer depth in flits")
-		routing    = fs.String("routing", "xy", "routing algorithm (xy, westfirst, oddeven)")
-		replayPath = fs.String("replay", "", "replay a JSON trace file instead of synthetic traffic")
-		maxCycles  = fs.Int64("maxcycles", 10_000_000, "simulation cycle budget")
-		heatmap    = fs.Bool("heatmap", false, "print a per-router utilization heatmap after the run")
-		shards     = fs.Int("shards", 0, "row-partitioned tick-loop shards (0 = sequential engine)")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = fs.String("memprofile", "", "write an allocation profile at exit to this file")
-		ina        = fs.Bool("ina", false, "run the in-network accumulation workload instead of synthetic traffic")
-		inaMode    = fs.String("inamode", "ina", "accumulation collection scheme (unicast, gather, ina)")
-		inaRounds  = fs.Int("inarounds", 4, "accumulation rounds to simulate")
-		coll       = fs.String("collective", "", "run a mesh-wide collective instead of synthetic traffic (reduce, bcast, allreduce)")
-		collAlg    = fs.String("algorithm", "tree", "collective transport (tree, flat, fused)")
-		model      = fs.String("model", "", "run a whole-model CNN pipeline workload (alexnet, vgg16) instead of synthetic traffic")
-		jobs       = fs.Int("jobs", 1, "concurrent inference jobs of the pipeline workload")
-		overlap    = fs.Bool("overlap", false, "double-buffered inter-layer overlap (default: strict barrier)")
-		rounds     = fs.Int("rounds", 2, "simulated rounds per pipeline layer (-model) or collective (-collective)")
-		traceOut   = fs.String("trace", "", "write a Chrome Trace Event JSON (Perfetto-loadable) of sampled packet lifecycles to this file")
-		metricsOut = fs.String("metrics", "", "write per-epoch congestion/utilization metrics CSV to this file")
-		epoch      = fs.Int64("epoch", 256, "telemetry metrics snapshot period in cycles (with -metrics)")
-		traceEvery = fs.Uint64("tracesample", 64, "trace one packet in N (with -trace; 1 traces everything)")
-		faultRate  = fs.Float64("faultrate", 0, "transient flit drop probability per inter-router link traversal")
-		faultCorr  = fs.Float64("faultcorrupt", 0, "transient packet corruption probability per inter-router link traversal")
-		faultSeed  = fs.Uint64("faultseed", 1, "fault schedule seed")
-		deadRouter = fs.String("deadrouter", "", "router outages: node[@from[:until]], comma-separated (no until = permanent)")
-		deadLink   = fs.String("deadlink", "", "directed link outages: src>dst[@from[:until]], comma-separated")
-		watchdog   = fs.Int64("watchdog", 0, "stall watchdog window in cycles (0 = auto when faults are on, negative disables)")
-		ckptPath   = fs.String("checkpoint", "", "write a checkpoint of the synthetic run to this file at -checkpointat, then keep running")
-		ckptAt     = fs.Int64("checkpointat", 0, "cycle to take the -checkpoint at")
-		resumePath = fs.String("resume", "", "resume a synthetic run from a -checkpoint file (fabric and traffic config come from the file)")
+		rows       = def(rd, fs.Int, "rows", 8, fabricRuns, "fabric rows")
+		cols       = def(rd, fs.Int, "cols", 8, fabricRuns, "fabric columns")
+		topo       = def(rd, fs.String, "topology", "mesh", fabricRuns, "interconnect fabric (mesh, torus)")
+		pattern    = def(rd, fs.String, "pattern", "uniform", synthRun, "traffic pattern (uniform, transpose, bitcomplement, hotspot)")
+		rate       = def(rd, fs.Float64, "rate", 0.02, synthRun, "injection rate (packets/node/cycle)")
+		flits      = def(rd, fs.Int, "flits", 2, synthRun, "packet length in flits")
+		warmup     = def(rd, fs.Int64, "warmup", 1000, synthRun, "warm-up cycles")
+		measure    = def(rd, fs.Int64, "measure", 5000, synthRun, "measurement cycles")
+		seed       = def(rd, fs.Int64, "seed", 1, synthRun, "random seed")
+		vcs        = def(rd, fs.Int, "vcs", 4, fabricRuns, "virtual channels")
+		depth      = def(rd, fs.Int, "depth", 4, fabricRuns, "buffer depth in flits")
+		routing    = def(rd, fs.String, "routing", "xy", fabricRuns, "routing algorithm (xy, westfirst, oddeven)")
+		replayPath = def(rd, fs.String, "replay", "", replayRun, "replay a JSON trace file instead of synthetic traffic")
+		maxCycles  = def(rd, fs.Int64, "maxcycles", 10_000_000, allRuns, "simulation cycle budget")
+		heatmap    = def(rd, fs.Bool, "heatmap", false, allRuns, "print a per-router utilization heatmap after the run")
+		shards     = def(rd, fs.Int, "shards", 0, allRuns, "row-partitioned tick-loop shards (0 = sequential engine)")
+		cpuProfile = def(rd, fs.String, "cpuprofile", "", allRuns, "write a CPU profile of the run to this file")
+		memProfile = def(rd, fs.String, "memprofile", "", allRuns, "write an allocation profile at exit to this file")
+		ina        = def(rd, fs.Bool, "ina", false, inaRun, "run the in-network accumulation workload instead of synthetic traffic")
+		inaMode    = def(rd, fs.String, "inamode", "ina", inaRun, "accumulation collection scheme (unicast, gather, ina)")
+		inaRounds  = def(rd, fs.Int, "inarounds", 4, inaRun, "accumulation rounds to simulate")
+		coll       = def(rd, fs.String, "collective", "", collRun, "run a mesh-wide collective instead of synthetic traffic (reduce, bcast, allreduce)")
+		collAlg    = def(rd, fs.String, "algorithm", "tree", collRun, "collective transport (tree, flat, fused)")
+		model      = def(rd, fs.String, "model", "", modelRun, "run a whole-model CNN pipeline workload (alexnet, vgg16) instead of synthetic traffic")
+		jobs       = def(rd, fs.Int, "jobs", 1, modelRun, "concurrent inference jobs of the pipeline workload")
+		overlap    = def(rd, fs.Bool, "overlap", false, modelRun, "double-buffered inter-layer overlap (default: strict barrier)")
+		rounds     = def(rd, fs.Int, "rounds", 2, modelRun|collRun, "simulated rounds per pipeline layer (-model) or collective (-collective)")
+		traceOut   = def(rd, fs.String, "trace", "", fabricRuns, "write a Chrome Trace Event JSON (Perfetto-loadable) of sampled packet lifecycles to this file")
+		metricsOut = def(rd, fs.String, "metrics", "", fabricRuns, "write per-epoch congestion/utilization metrics CSV to this file")
+		epoch      = def(rd, fs.Int64, "epoch", 256, fabricRuns, "telemetry metrics snapshot period in cycles (with -metrics)")
+		traceEvery = def(rd, fs.Uint64, "tracesample", 64, fabricRuns, "trace one packet in N (with -trace; 1 traces everything)")
+		faultRate  = def(rd, fs.Float64, "faultrate", 0, fabricRuns, "transient flit drop probability per inter-router link traversal")
+		faultCorr  = def(rd, fs.Float64, "faultcorrupt", 0, fabricRuns, "transient packet corruption probability per inter-router link traversal")
+		faultSeed  = def(rd, fs.Uint64, "faultseed", 1, fabricRuns, "fault schedule seed (with -faultrate or -faultcorrupt)")
+		deadRouter = def(rd, fs.String, "deadrouter", "", fabricRuns, "router outages: node[@from[:until]], comma-separated (no until = permanent)")
+		deadLink   = def(rd, fs.String, "deadlink", "", fabricRuns, "directed link outages: src>dst[@from[:until]], comma-separated")
+		watchdog   = def(rd, fs.Int64, "watchdog", 0, allRuns, "stall watchdog window in cycles (0 = auto when faults are on, negative disables)")
+		ckptPath   = def(rd, fs.String, "checkpoint", "", synthRun|resumeRun, "write a checkpoint of the synthetic run to this file at -checkpointat, then keep running")
+		ckptAt     = def(rd, fs.Int64, "checkpointat", 0, synthRun|resumeRun, "cycle to take the -checkpoint at")
+		resumePath = def(rd, fs.String, "resume", "", resumeRun, "resume a synthetic run from a -checkpoint file (fabric and traffic config come from the file)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// A workload flag the selected workload does not read would be
-	// ignored; the defaults are not zero, so ask which flags were set.
+	// A set flag that the selected run does not read, or that qualifies an
+	// unset flag, would be ignored; the defaults are not zero, so ask.
+	sel := synthRun
+	for r, on := range map[runs]bool{modelRun: *model != "", collRun: *coll != "", inaRun: *ina,
+		replayRun: *replayPath != "", resumeRun: *resumePath != ""} {
+		switch {
+		case on && sel != synthRun:
+			return errTwoWorkloads
+		case on:
+			sel = r
+		}
+	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	selected := 0
-	for _, on := range []bool{*model != "", *coll != "", *ina, *replayPath != ""} {
-		if on {
-			selected++
+	fs.Visit(func(f *flag.Flag) {
+		switch need := needs[f.Name]; {
+		case err != nil:
+		case rd[f.Name]&sel == 0:
+			err = fmt.Errorf("-%s: %w (the %s run)", f.Name, errUnread, runNames[sel])
+		case need != nil && !slices.ContainsFunc(need, func(n string) bool { return set[n] }):
+			err = fmt.Errorf("-%s needs -%s: %w", f.Name, strings.Join(need, " or -"), errAlone)
 		}
-	}
+	})
 	switch {
-	case selected > 1:
-		return errTwoWorkloads
-	case (set["inamode"] || set["inarounds"]) && !*ina:
-		return errINAFlags
-	case set["rounds"] && *model == "" && *coll == "":
-		return errRoundsFlag
-	case (set["jobs"] || set["overlap"]) && *model == "":
-		return errModelFlags
-	case set["algorithm"] && *coll == "":
-		return errAlgorithmFlag
-	case (selected > 0 || *resumePath != "") && slices.ContainsFunc(trafficFlags, func(f string) bool { return set[f] }):
-		return errTrafficFlags
-	}
-
-	// Checkpoint/resume covers the synthetic-generator path: workload
-	// controllers (pipelines, collectives, INA, replay) hold driver state
-	// above the network that snapshots do not capture, and telemetry
-	// buffers are observations of one specific run.
-	if *ckptPath != "" || *resumePath != "" {
-		if *replayPath != "" || *ina || *coll != "" || *model != "" {
-			return fmt.Errorf("-checkpoint/-resume apply to the synthetic-traffic path only")
-		}
-		if *traceOut != "" || *metricsOut != "" {
-			return fmt.Errorf("-checkpoint/-resume do not support telemetry")
-		}
-	}
-	if *ckptPath != "" && *ckptAt <= 0 {
-		return fmt.Errorf("-checkpoint needs a positive -checkpointat cycle")
-	}
-	switch {
+	case err != nil:
+		return err
 	case *metricsOut != "" && *epoch <= 0:
 		return errNoEpoch
 	case *traceOut != "" && *traceEvery == 0:
 		return errNoTraceSample
 	case *model != "" && *rounds < 1:
 		return errModelRounds
+	case *ckptPath != "" && *ckptAt <= 0:
+		return errNoCkptCycle
+	case *ckptPath != "" && (*traceOut != "" || *metricsOut != ""):
+		return errCkptTelemetry
 	}
 	var ck *checkpointFile
 	if *resumePath != "" {
@@ -219,11 +243,7 @@ func run(args []string, w io.Writer) (err error) {
 	cfg.Router.BufferDepth = *depth
 	cfg.Routing = *routing
 	cfg.Shards = *shards
-	cfg.EnableINA = *ina
-	if *coll != "" && *collAlg == "fused" {
-		// The fused transport reduces in the router stations.
-		cfg.EnableINA = true
-	}
+	cfg.EnableINA = *ina || *coll != "" && *collAlg == "fused" // the fused transport reduces in the routers
 	fcfg, err := parseFaultFlags(*faultRate, *faultCorr, *faultSeed, *deadRouter, *deadLink)
 	if err != nil {
 		return err
@@ -240,10 +260,8 @@ func run(args []string, w io.Writer) (err error) {
 		cfg.Telemetry = &tcfg
 	}
 	if ck != nil {
-		// The checkpoint carries the capturing run's full configuration;
-		// only the result-invariant engine sharding follows this
-		// invocation's flags. Everything else is enforced by the
-		// config-hash guard inside Restore.
+		// The checkpoint carries the capturing run's configuration; only the
+		// result-invariant engine sharding follows this invocation's flags.
 		cfg = ck.network.Config
 		cfg.Shards = *shards
 	}
@@ -263,19 +281,14 @@ func run(args []string, w io.Writer) (err error) {
 	}()
 
 	// SIGINT stops the engine at the next cycle boundary; the deferred
-	// profile and telemetry writers then flush as usual.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	defer func() {
-		signal.Stop(sig)
-		close(sig) // after Stop: releases the handler goroutine
-	}()
-	go func() {
-		if _, ok := <-sig; ok {
-			fmt.Fprintln(os.Stderr, "nocsim: interrupt — stopping at the next cycle boundary")
-			nw.Engine().Interrupt()
-		}
-	}()
+	// profile and telemetry writers then flush as usual. The handler is
+	// unregistered before stop cancels the context on the way out.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	defer context.AfterFunc(ctx, func() {
+		fmt.Fprintln(os.Stderr, "nocsim: interrupt — stopping at the next cycle boundary")
+		nw.Engine().Interrupt()
+	})()
 
 	// The watchdog arms automatically whenever fault injection is on (the
 	// window then defaults to four maximally backed-off retransmission
@@ -287,31 +300,22 @@ func run(args []string, w io.Writer) (err error) {
 		nw.Engine().SetWatchdog(nw.Watchdog(*watchdog))
 	}
 
-	// Select the workload, then run the one tail every workload shares.
+	// Run the selected workload, then the one tail every workload shares.
 	var workloadErr error
-	switch {
-	case *model != "":
+	switch sel {
+	case modelRun:
 		workloadErr = runPipeline(nw, *model, *jobs, *rounds, *overlap, *maxCycles, w)
-	case *coll != "":
+	case collRun:
 		workloadErr = runCollectiveCLI(nw, *coll, *collAlg, *rounds, *maxCycles, w)
-	case *ina:
+	case inaRun:
 		workloadErr = runINA(nw, *inaMode, *inaRounds, *maxCycles, w)
-	case *replayPath != "":
+	case replayRun:
 		workloadErr = replay(nw, *replayPath, *maxCycles, w)
+	case resumeRun:
+		workloadErr = runGenerator(nw, ck.Pattern, ck.Traffic, ck, *resumePath, *ckptPath, *ckptAt, *maxCycles, w)
 	default:
-		patternName := *pattern
-		gcfg := traffic.GeneratorConfig{
-			InjectionRate: *rate,
-			PacketFlits:   *flits,
-			Warmup:        *warmup,
-			Measure:       *measure,
-			Seed:          *seed,
-		}
-		if ck != nil {
-			patternName = ck.Pattern
-			gcfg = ck.Traffic
-		}
-		workloadErr = runGenerator(nw, patternName, gcfg, ck, *resumePath, *ckptPath, *ckptAt, *maxCycles, w)
+		gcfg := traffic.GeneratorConfig{InjectionRate: *rate, PacketFlits: *flits, Warmup: *warmup, Measure: *measure, Seed: *seed}
+		workloadErr = runGenerator(nw, *pattern, gcfg, nil, "", *ckptPath, *ckptAt, *maxCycles, w)
 	}
 	// A SIGINT-triggered stop is a clean exit: partial results were already
 	// reported and the artifacts flush in the defers above.
@@ -403,39 +407,19 @@ func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorCon
 // to a fault-free build).
 func parseFaultFlags(rate, corrupt float64, seed uint64, deadRouters, deadLinks string) (*fault.Config, error) {
 	fc := &fault.Config{Seed: seed, DropRate: rate, CorruptRate: corrupt}
-	if deadRouters != "" {
-		for _, spec := range strings.Split(deadRouters, ",") {
-			name, win, err := parseOutageWindow(strings.TrimSpace(spec))
-			if err != nil {
-				return nil, fmt.Errorf("deadrouter: %w", err)
-			}
-			node, err := strconv.Atoi(name)
-			if err != nil {
-				return nil, fmt.Errorf("deadrouter %q: bad node id: %w", spec, err)
-			}
-			fc.Routers = append(fc.Routers, fault.RouterOutage{Node: node, Window: win})
+	for _, spec := range outageSpecs(deadRouters) {
+		var o fault.RouterOutage
+		if err := parseOutage(spec, &o.Window, &o.Node); err != nil {
+			return nil, fmt.Errorf("deadrouter %q: %w", spec, err)
 		}
+		fc.Routers = append(fc.Routers, o)
 	}
-	if deadLinks != "" {
-		for _, spec := range strings.Split(deadLinks, ",") {
-			name, win, err := parseOutageWindow(strings.TrimSpace(spec))
-			if err != nil {
-				return nil, fmt.Errorf("deadlink: %w", err)
-			}
-			srcs, dsts, ok := strings.Cut(name, ">")
-			if !ok {
-				return nil, fmt.Errorf("deadlink %q: want src>dst[@from[:until]]", spec)
-			}
-			src, err := strconv.Atoi(srcs)
-			if err != nil {
-				return nil, fmt.Errorf("deadlink %q: bad source node: %w", spec, err)
-			}
-			dst, err := strconv.Atoi(dsts)
-			if err != nil {
-				return nil, fmt.Errorf("deadlink %q: bad destination node: %w", spec, err)
-			}
-			fc.Links = append(fc.Links, fault.LinkOutage{SrcNode: src, DstNode: dst, Window: win})
+	for _, spec := range outageSpecs(deadLinks) {
+		var o fault.LinkOutage
+		if err := parseOutage(spec, &o.Window, &o.SrcNode, &o.DstNode); err != nil {
+			return nil, fmt.Errorf("deadlink %q: %w", spec, err)
 		}
+		fc.Links = append(fc.Links, o)
 	}
 	if !fc.Enabled() {
 		return nil, nil
@@ -443,25 +427,43 @@ func parseFaultFlags(rate, corrupt float64, seed uint64, deadRouters, deadLinks 
 	return fc, nil
 }
 
-// parseOutageWindow splits an outage spec's optional "@from[:until]"
-// suffix; no suffix means permanent from cycle 0.
-func parseOutageWindow(spec string) (string, fault.Window, error) {
-	name, win, found := strings.Cut(spec, "@")
-	if !found {
-		return name, fault.Window{}, nil
+// outageSpecs splits a comma-separated outage flag; "" holds none.
+func outageSpecs(flag string) []string {
+	if flag == "" {
+		return nil
 	}
-	var w fault.Window
-	from, until, hasUntil := strings.Cut(win, ":")
+	return strings.Split(flag, ",")
+}
+
+// parseOutage reads an outage spec: its nodes (a router, or a link's
+// src>dst) into nodes, and its optional "@from[:until]" suffix into win
+// (no suffix means permanent from cycle 0).
+func parseOutage(spec string, win *fault.Window, nodes ...*int) error {
+	name, span, timed := strings.Cut(strings.TrimSpace(spec), "@")
+	ids := strings.Split(name, ">")
+	if len(ids) != len(nodes) {
+		return errors.New("want node[@from[:until]] for a router, src>dst[@from[:until]] for a link")
+	}
+	for i, id := range ids {
+		n, err := strconv.Atoi(id)
+		if err != nil {
+			return fmt.Errorf("bad node id: %w", err)
+		}
+		*nodes[i] = n
+	}
 	var err error
-	if w.From, err = strconv.ParseInt(from, 10, 64); err != nil {
-		return "", w, fmt.Errorf("outage %q: bad from cycle: %w", spec, err)
-	}
-	if hasUntil {
-		if w.Until, err = strconv.ParseInt(until, 10, 64); err != nil {
-			return "", w, fmt.Errorf("outage %q: bad until cycle: %w", spec, err)
+	from, until, bounded := strings.Cut(span, ":")
+	if timed {
+		if win.From, err = strconv.ParseInt(from, 10, 64); err != nil {
+			return fmt.Errorf("bad from cycle: %w", err)
 		}
 	}
-	return name, w, nil
+	if bounded {
+		if win.Until, err = strconv.ParseInt(until, 10, 64); err != nil {
+			return fmt.Errorf("bad until cycle: %w", err)
+		}
+	}
+	return nil
 }
 
 // faultSummary prints the recovery accounting when fault injection was on:
@@ -630,16 +632,8 @@ func writeTelemetry(nw *noc.Network, tracePath, metricsPath string, w io.Writer)
 		return nil
 	}
 	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		werr := rep.WriteMetricsCSV(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("metrics: %w", werr)
+		if err := writeFile(metricsPath, "metrics", rep.WriteMetricsCSV); err != nil {
+			return err
 		}
 		// A run longer than the ring's window keeps only its newest epochs;
 		// say which ones the file lacks.
@@ -651,19 +645,23 @@ func writeTelemetry(nw *noc.Network, tracePath, metricsPath string, w io.Writer)
 			metricsPath, len(rep.EpochIndex), len(rep.Sources), rep.Epoch, lost)
 	}
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		werr := rep.WriteChromeTrace(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("trace: %w", werr)
+		if err := writeFile(tracePath, "trace", rep.WriteChromeTrace); err != nil {
+			return err
 		}
 		fmt.Fprintf(w, "trace          %s (%d events, %d dropped) — load in ui.perfetto.dev\n",
 			tracePath, len(rep.Events), rep.DroppedEvents)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write; errors name what.
+func writeFile(path, what string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err == nil {
+		err = cmp.Or(write(f), f.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
 	}
 	return nil
 }

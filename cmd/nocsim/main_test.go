@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,10 +107,10 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{[]string{"-model", "alexnet", "-rounds", "-3"}, errModelRounds},
 		{[]string{"-model", "alexnet", "-rounds", "0"}, errModelRounds},
 		// Workload flags the selected workload would ignore.
-		{[]string{"-inamode", "gather"}, errINAFlags},
-		{[]string{"-inarounds", "3"}, errINAFlags},
-		{[]string{"-ina", "-rounds", "3"}, errRoundsFlag},
-		{[]string{"-rounds", "3"}, errRoundsFlag},
+		{[]string{"-inamode", "gather"}, errUnread},
+		{[]string{"-inarounds", "3"}, errUnread},
+		{[]string{"-ina", "-rounds", "3"}, errUnread},
+		{[]string{"-rounds", "3"}, errUnread},
 		{[]string{"-model", "alexnet", "-ina", "-jobs", "2"}, errTwoWorkloads},
 		{[]string{"-collective", "reduce", "-replay", filepath.Join(dir, "none.trace")}, errTwoWorkloads},
 		{[]string{"-ina", "-replay", filepath.Join(dir, "none.trace")}, errTwoWorkloads},
@@ -133,13 +135,20 @@ func TestRunRefusesFlagsTheWorkloadIgnores(t *testing.T) {
 		flag     []string
 		want     error
 	}{
-		{nil, []string{"-jobs", "2"}, errModelFlags},
-		{nil, []string{"-overlap"}, errModelFlags},
-		{[]string{"-collective", "reduce"}, []string{"-jobs", "2"}, errModelFlags},
-		{[]string{"-ina"}, []string{"-overlap"}, errModelFlags},
-		{nil, []string{"-algorithm", "flat"}, errAlgorithmFlag},
-		{[]string{"-model", "alexnet"}, []string{"-algorithm", "tree"}, errAlgorithmFlag},
-		{[]string{"-ina"}, []string{"-algorithm", "fused"}, errAlgorithmFlag},
+		{nil, []string{"-jobs", "2"}, errUnread},
+		{nil, []string{"-overlap"}, errUnread},
+		{[]string{"-collective", "reduce"}, []string{"-jobs", "2"}, errUnread},
+		{[]string{"-ina"}, []string{"-overlap"}, errUnread},
+		{nil, []string{"-algorithm", "flat"}, errUnread},
+		{[]string{"-model", "alexnet"}, []string{"-algorithm", "tree"}, errUnread},
+		{[]string{"-ina"}, []string{"-algorithm", "fused"}, errUnread},
+		// Flags that qualify another flag left unset.
+		{[]string{"-measure", "200"}, []string{"-checkpointat", "50"}, errAlone},
+		{[]string{"-measure", "200"}, []string{"-epoch", "7"}, errAlone},
+		{[]string{"-measure", "200"}, []string{"-tracesample", "3"}, errAlone},
+		{[]string{"-measure", "200"}, []string{"-epoch", "7", "-tracesample", "3"}, errAlone},
+		{[]string{"-measure", "200"}, []string{"-faultseed", "5"}, errAlone},
+		{[]string{"-ina"}, []string{"-faultseed", "5", "-deadrouter", "5@100:200"}, errAlone},
 	} {
 		args := append(append([]string(nil), c.workload...), c.flag...)
 		if err := run(args, new(strings.Builder)); !errors.Is(err, c.want) {
@@ -153,10 +162,45 @@ func TestRunRefusesFlagsTheWorkloadIgnores(t *testing.T) {
 	for _, w := range workloads {
 		for _, f := range traffic {
 			args := append(append([]string(nil), w...), f...)
-			if err := run(args, new(strings.Builder)); !errors.Is(err, errTrafficFlags) {
-				t.Errorf("args %v: err %v, want %v", args, err, errTrafficFlags)
+			if err := run(args, new(strings.Builder)); !errors.Is(err, errUnread) {
+				t.Errorf("args %v: err %v, want %v", args, err, errUnread)
 			}
 		}
+	}
+}
+
+// TestEveryFlagDeclaresItsReaders walks the flag set: a flag defined without
+// the runs that read it would be refused by every run, or, read by none,
+// ignored by all of them. The refusal names the flag and the run.
+func TestEveryFlagDeclaresItsReaders(t *testing.T) {
+	fs, rd := flag.NewFlagSet("nocsim", flag.ContinueOnError), map[string]runs{}
+	fs.SetOutput(io.Discard)
+	if err := runFlags(fs, rd, []string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		if rd[f.Name] == 0 || rd[f.Name]&^allRuns != 0 {
+			t.Errorf("-%s declares readers %b, want a non-empty subset of the six runs", f.Name, rd[f.Name])
+		}
+		for _, other := range needs[f.Name] {
+			if fs.Lookup(other) == nil {
+				t.Errorf("-%s needs -%s, which is no flag", f.Name, other)
+			}
+		}
+	})
+	if n != len(rd) || n != 40 {
+		t.Errorf("%d flags, %d with readers; want 40 of each", n, len(rd))
+	}
+	for name := range needs {
+		if fs.Lookup(name) == nil {
+			t.Errorf("needs lists -%s, which is no flag", name)
+		}
+	}
+	err := run([]string{"-collective", "reduce", "-inamode", "gather"}, io.Discard)
+	if !errors.Is(err, errUnread) || !strings.Contains(err.Error(), "-inamode") || !strings.Contains(err.Error(), "collective run") {
+		t.Errorf("err %v, want a refusal naming -inamode and the collective run", err)
 	}
 }
 

@@ -80,9 +80,10 @@ func AblationBufferDepth(opts Options) ([]AblationRow, error) {
 }
 
 // AblationSinkCost sweeps the global buffer's per-packet transaction
-// overhead — the substitution DESIGN.md §3 documents. At 0 the wormhole
-// pipeline absorbs RU traffic and the gather latency advantage vanishes
-// (energy advantage remains).
+// overhead — the substitution DESIGN.md §3 documents. Below 3 cycles the
+// gather latency advantage reverses (RU collects a row sooner; the energy
+// advantage remains), at κ = 4 it is Eq. 4's, and each cycle above κ adds
+// M − 1 to RU collection.
 func AblationSinkCost(opts Options) ([]AblationRow, error) {
 	return sweep("sinkcost", []int{0, 2, 5, 10}, opts, func(v int, o *core.Options) {
 		o.MutateNetwork = func(c *noc.Config) { c.SinkPacketOverhead = int64(v) }

@@ -245,8 +245,21 @@ func (f *Flit) AddPayload(p Payload) bool {
 	if f.FreeSlots() <= 0 {
 		return false
 	}
-	f.Payloads = append(f.Payloads, p)
+	f.appendPayload(p)
 	return true
+}
+
+// appendPayload appends p to Payloads. A full list grows straight to
+// SlotCap (and doubles past it, for tracked operands) rather than from
+// its old capacity: a pooled flit whose list last held a one-slot tail
+// takes a whole gather body with one allocation.
+func (f *Flit) appendPayload(p Payload) {
+	if n := len(f.Payloads); n == cap(f.Payloads) {
+		grown := make([]Payload, n, max(f.SlotCap, 2*n, 1))
+		copy(grown, f.Payloads)
+		f.Payloads = grown
+	}
+	f.Payloads = append(f.Payloads, p)
 }
 
 // MergePayload folds operand p into the flit's accumulator payload: the
@@ -268,7 +281,7 @@ func (f *Flit) MergePayload(p Payload) bool {
 	}
 	if f.TrackOperands {
 		p.Ops = p.OpsCount()
-		f.Payloads = append(f.Payloads, p)
+		f.appendPayload(p)
 		return true
 	}
 	acc := &f.Payloads[0]

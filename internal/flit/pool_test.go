@@ -155,3 +155,40 @@ func TestPacketizeIntoReleasesOnError(t *testing.T) {
 		t.Fatalf("error path leaked %d flits", p.Live())
 	}
 }
+
+// TestPooledFlitTakesAGatherBodyInOneAllocation: a pooled flit whose payload
+// list last held a unicast tail's one payload grows it once, straight to the
+// slot count, when it comes back as a gather body and fills every slot;
+// growing by append's doubling took two (capacity 1, 2, 4 for 3 slots).
+func TestPooledFlitTakesAGatherBodyInOneAllocation(t *testing.T) {
+	slots := MustFormat(DefaultFlitBits, DefaultPayloadBits, 64).SlotsPerFlit()
+	if slots < 3 {
+		t.Fatalf("%d slots per flit; the case needs at least 3", slots)
+	}
+	p := NewPool()
+	p.Release(p.Acquire())
+	// AllocsPerRun calls the function once more than it counts; each call
+	// takes the list a released unicast tail leaves behind.
+	tails := make([][]Payload, 101)
+	for i := range tails {
+		tails[i] = make([]Payload, 0, 1)
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		f := p.Acquire()
+		f.Payloads, f.Type, f.SlotCap = tails[n], Body, slots
+		n++
+		for s := 0; s < slots; s++ {
+			if !f.AddPayload(Payload{Seq: uint64(s)}) {
+				t.Fatalf("slot %d of %d refused", s, slots)
+			}
+		}
+		if cap(f.Payloads) < slots {
+			t.Fatalf("capacity %d after %d payloads", cap(f.Payloads), slots)
+		}
+		p.Release(f)
+	})
+	if allocs > 1 {
+		t.Errorf("filling a %d-slot body from a one-payload list allocated %.0f times, want at most 1", slots, allocs)
+	}
+}
