@@ -12,6 +12,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Window is a half-open cycle interval [From, Until) during which an
@@ -205,7 +206,7 @@ func threshold(rate float64) uint64 {
 }
 
 // Injector is the compiled form of a Config: per-link decision state plus
-// aggregate counters. The network layer creates one LinkState per wired
+// aggregate counters. The network layer registers one LinkState per faulted
 // link (in construction order, which is shard-count-invariant) and calls
 // into it from the link commit phase.
 type Injector struct {
@@ -213,44 +214,48 @@ type Injector struct {
 	dropT    uint64
 	corruptT uint64
 	links    []*LinkState
+	// doomed is what is left of the block the links' drop sets are cut
+	// from, vcs entries each (AddLink).
+	doomed []uint64
+	vcs    int
 }
 
-// NewInjector compiles cfg. The caller is expected to have validated it.
-func NewInjector(cfg *Config) *Injector {
+// NewInjector compiles cfg for a fabric whose links carry vcs virtual
+// channels, with room for links registered links: their list and their
+// drop sets are allocated here, once. The caller is expected to have
+// validated cfg.
+func NewInjector(cfg *Config, links, vcs int) *Injector {
 	return &Injector{
 		cfg:      cfg,
 		dropT:    threshold(cfg.DropRate),
 		corruptT: threshold(cfg.CorruptRate),
+		links:    make([]*LinkState, 0, links),
+		doomed:   make([]uint64, links*vcs),
+		vcs:      vcs,
 	}
 }
 
-// NewLink registers decision state for the link with the given
-// construction index and scheduled outage windows. Each LinkState is owned
-// by the shard that commits the link's flits; the injector only aggregates
+// AddLink makes ls the decision state of the link with the given
+// construction index and scheduled outage windows, and registers it for the
+// aggregate counters. transient applies the configured drop and corrupt
+// rates on top of the windows; the network layer leaves them off the links
+// hit by a RouterOutage that are not fabric links (NIC injection/ejection,
+// sink channels): transient noise models inter-router wires, but a dead
+// router severs its local channels too. Each LinkState is owned by the
+// shard that commits the link's flits; the injector only aggregates
 // counters after phases complete.
-func (in *Injector) NewLink(index int, outages WindowSet) *LinkState {
-	ls := &LinkState{
-		salt:     mix(in.cfg.Seed, uint64(index)+1),
-		dropT:    in.dropT,
-		corruptT: in.corruptT,
-		windows:  outages,
+func (in *Injector) AddLink(ls *LinkState, index int, outages WindowSet, transient bool) {
+	*ls = LinkState{salt: mix(in.cfg.Seed, uint64(index)+1), windows: outages}
+	if transient {
+		ls.dropT, ls.corruptT = in.dropT, in.corruptT
 	}
-	in.links = append(in.links, ls)
-	return ls
-}
-
-// NewOutageLink registers decision state that only honors the scheduled
-// outage windows, without the transient drop/corrupt rates. The network
-// layer uses it for the links hit by a RouterOutage that are not fabric
-// links (NIC injection/ejection, sink channels): transient noise models
-// inter-router wires, but a dead router severs its local channels too.
-func (in *Injector) NewOutageLink(index int, outages WindowSet) *LinkState {
-	ls := &LinkState{
-		salt:    mix(in.cfg.Seed, uint64(index)+1),
-		windows: outages,
+	// A packet-atomic drop keeps at most one doomed packet per VC.
+	if len(in.doomed) < in.vcs {
+		in.doomed = make([]uint64, 64*in.vcs)
 	}
+	ls.doomed = in.doomed[:0:in.vcs]
+	in.doomed = in.doomed[in.vcs:]
 	in.links = append(in.links, ls)
-	return ls
 }
 
 // Drops sums packet-drop flit counts across all links. Only safe between
@@ -281,10 +286,12 @@ type LinkState struct {
 	corruptT uint64
 	windows  WindowSet
 
-	// doomed tracks multi-flit packets whose head was dropped, so the
+	// doomed lists the multi-flit packets whose head was dropped, so the
 	// body and tail vanish at the same link (drops are packet-atomic: the
-	// downstream router never sees a truncated wormhole).
-	doomed map[uint64]struct{}
+	// downstream router never sees a truncated wormhole). A VC carries one
+	// packet at a time, so it holds at most one packet per VC and is cut
+	// to that capacity (AddLink).
+	doomed []uint64
 
 	// Drops counts dropped flits; Corrupts counts corrupted packets.
 	Drops    uint64
@@ -303,23 +310,20 @@ func (ls *LinkState) DropFlit(pid uint64, head, tail bool, now int64) bool {
 		doomedNow := ls.Cut(now) || (ls.dropT > 0 && mix(ls.salt, pid) < ls.dropT)
 		if doomedNow {
 			if !tail {
-				if ls.doomed == nil {
-					ls.doomed = make(map[uint64]struct{})
-				}
-				ls.doomed[pid] = struct{}{}
+				ls.doomed = append(ls.doomed, pid)
 			}
 			ls.Drops++
 		}
 		return doomedNow
 	}
-	if ls.doomed == nil {
-		return false
-	}
-	if _, ok := ls.doomed[pid]; !ok {
+	i := slices.Index(ls.doomed, pid)
+	if i < 0 {
 		return false
 	}
 	if tail {
-		delete(ls.doomed, pid)
+		last := len(ls.doomed) - 1
+		ls.doomed[i] = ls.doomed[last]
+		ls.doomed = ls.doomed[:last]
 	}
 	ls.Drops++
 	return true

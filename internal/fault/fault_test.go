@@ -98,8 +98,7 @@ func TestEnabled(t *testing.T) {
 // packet: body and tail flits of a doomed packet vanish at the same link,
 // and a packet whose head survived is never truncated later.
 func TestDropFlitPacketAtomic(t *testing.T) {
-	inj := NewInjector(&Config{Seed: 1, DropRate: 0.5})
-	ls := inj.NewLink(0, nil)
+	ls := newLink(NewInjector(&Config{Seed: 1, DropRate: 0.5}, 1, 4), 0, nil, true)
 	dropped, kept := 0, 0
 	for pid := uint64(1); pid <= 200; pid++ {
 		head := ls.DropFlit(pid, true, false, 0)
@@ -118,7 +117,7 @@ func TestDropFlitPacketAtomic(t *testing.T) {
 		t.Fatalf("rate 0.5 over 200 packets gave dropped=%d kept=%d", dropped, kept)
 	}
 	if len(ls.doomed) != 0 {
-		t.Errorf("doomed map leaked %d entries past the tails", len(ls.doomed))
+		t.Errorf("doomed list leaked %d entries past the tails", len(ls.doomed))
 	}
 	if ls.Drops != uint64(3*dropped) {
 		t.Errorf("Drops = %d, want %d (3 flits per dropped packet)", ls.Drops, 3*dropped)
@@ -130,8 +129,7 @@ func TestDropFlitPacketAtomic(t *testing.T) {
 // and different seeds or link indices decorrelate.
 func TestDropDeterminism(t *testing.T) {
 	verdicts := func(seed uint64, index int) []bool {
-		inj := NewInjector(&Config{Seed: seed, DropRate: 0.3})
-		ls := inj.NewLink(index, nil)
+		ls := newLink(NewInjector(&Config{Seed: seed, DropRate: 0.3}, 1, 4), index, nil, true)
 		out := make([]bool, 100)
 		for pid := range out {
 			out[pid] = ls.DropFlit(uint64(pid)+1, true, true, 0)
@@ -159,8 +157,8 @@ func TestDropDeterminism(t *testing.T) {
 // the outage completes intact, while one heading in during the window
 // vanishes whole — even if its tail arrives after the window closed.
 func TestOutageWindowBindsAtHead(t *testing.T) {
-	inj := NewInjector(&Config{Seed: 1, Links: []LinkOutage{{SrcNode: 0, DstNode: 1, Window: Window{From: 10, Until: 20}}}})
-	ls := inj.NewLink(0, WindowSet{{From: 10, Until: 20}})
+	inj := NewInjector(&Config{Seed: 1, Links: []LinkOutage{{SrcNode: 0, DstNode: 1, Window: Window{From: 10, Until: 20}}}}, 1, 4)
+	ls := newLink(inj, 0, WindowSet{{From: 10, Until: 20}}, true)
 	if ls.DropFlit(1, true, false, 9) {
 		t.Fatal("head before window dropped")
 	}
@@ -181,8 +179,8 @@ func TestOutageWindowBindsAtHead(t *testing.T) {
 // TestCorruptIndependentOfDrop checks the two transient schedules at equal
 // rates do not shadow each other (distinct salts).
 func TestCorruptIndependentOfDrop(t *testing.T) {
-	inj := NewInjector(&Config{Seed: 9, DropRate: 0.3, CorruptRate: 0.3})
-	ls := inj.NewLink(0, nil)
+	inj := NewInjector(&Config{Seed: 9, DropRate: 0.3, CorruptRate: 0.3}, 1, 4)
+	ls := newLink(inj, 0, nil, true)
 	both, dropOnly, corruptOnly := 0, 0, 0
 	for pid := uint64(1); pid <= 500; pid++ {
 		d := ls.DropFlit(pid, true, true, 0)
@@ -204,12 +202,12 @@ func TestCorruptIndependentOfDrop(t *testing.T) {
 	}
 }
 
-// TestOutageOnlyLinkIgnoresRates pins NewOutageLink's contract: local
+// TestOutageOnlyLinkIgnoresRates pins AddLink's contract for a link
+// registered without transient rates: local
 // channels hit by a router outage see the windows but never the transient
 // inter-router noise.
 func TestOutageOnlyLinkIgnoresRates(t *testing.T) {
-	inj := NewInjector(&Config{Seed: 3, DropRate: 1, CorruptRate: 1})
-	ls := inj.NewOutageLink(5, WindowSet{{From: 100, Until: 200}})
+	ls := newLink(NewInjector(&Config{Seed: 3, DropRate: 1, CorruptRate: 1}, 1, 4), 5, WindowSet{{From: 100, Until: 200}}, false)
 	for pid := uint64(1); pid <= 50; pid++ {
 		if ls.DropFlit(pid, true, true, 0) {
 			t.Fatal("outage-only link applied the transient drop rate")
@@ -220,6 +218,39 @@ func TestOutageOnlyLinkIgnoresRates(t *testing.T) {
 	}
 	if !ls.DropFlit(99, true, true, 150) {
 		t.Fatal("outage-only link ignored its window")
+	}
+}
+
+// newLink registers a fresh LinkState with inj.
+func newLink(inj *Injector, index int, outages WindowSet, transient bool) *LinkState {
+	ls := new(LinkState)
+	inj.AddLink(ls, index, outages, transient)
+	return ls
+}
+
+// TestDoomedListHoldsOnePacketPerVC interleaves the dropped packets of
+// every VC, body flits between other VCs' heads, and checks each tail
+// leaves the list and that the list never outgrows what AddLink cut for it.
+func TestDoomedListHoldsOnePacketPerVC(t *testing.T) {
+	const vcs = 4
+	ls := newLink(NewInjector(&Config{Seed: 1, DropRate: 1}, 1, vcs), 0, nil, true)
+	for round := uint64(0); round < 3; round++ {
+		for vc := uint64(1); vc <= vcs; vc++ {
+			if !ls.DropFlit(10*round+vc, true, false, 0) {
+				t.Fatal("rate 1 kept a head")
+			}
+		}
+		for vc := uint64(vcs); vc >= 1; vc-- {
+			if !ls.DropFlit(10*round+vc, false, false, 0) || !ls.DropFlit(10*round+vc, false, true, 0) {
+				t.Fatalf("round %d: body or tail of doomed packet %d survived", round, 10*round+vc)
+			}
+		}
+		if len(ls.doomed) != 0 || cap(ls.doomed) != vcs {
+			t.Fatalf("round %d: doomed list holds %d of capacity %d, want 0 of %d", round, len(ls.doomed), cap(ls.doomed), vcs)
+		}
+	}
+	if ls.DropFlit(99, false, true, 0) {
+		t.Error("a tail of no doomed packet was dropped")
 	}
 }
 

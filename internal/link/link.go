@@ -52,22 +52,26 @@ func Between(from topology.NodeID, via topology.Port, to topology.NodeID) Name {
 	return Name{from: int32(from), via: via, to: int32(to), form: formBetween}
 }
 
-// String renders the name, in one allocation: telemetry wiring asks for
-// every link's.
+// String renders the name, in one allocation.
 func (n Name) String() string {
-	var buf [32]byte
-	b := buf[:0]
-	switch n.form {
-	case formNumbered:
-		b = strconv.AppendInt(append(b, n.label...), int64(n.from), 10)
-	case formBetween:
-		b = strconv.AppendInt(append(b, 'r'), int64(n.from), 10)
-		b = append(append(b, n.via.String()...), "->r"...)
-		b = strconv.AppendInt(b, int64(n.to), 10)
-	default:
+	if n.form == formLabel {
 		return n.label
 	}
-	return string(b)
+	var buf [32]byte
+	return string(n.appendTo(buf[:0]))
+}
+
+// appendTo appends the rendered name to dst.
+func (n Name) appendTo(dst []byte) []byte {
+	switch n.form {
+	case formNumbered:
+		return strconv.AppendInt(append(dst, n.label...), int64(n.from), 10)
+	case formBetween:
+		dst = strconv.AppendInt(append(dst, 'r'), int64(n.from), 10)
+		dst = append(append(dst, n.via.String()...), "->r"...)
+		return strconv.AppendInt(dst, int64(n.to), 10)
+	}
+	return append(dst, n.label...)
 }
 
 // FlitSink receives flits delivered by a link into a per-VC input buffer.
@@ -138,7 +142,7 @@ type Link struct {
 	probe *telemetry.Probe
 
 	// faults is the link's fault-injection state and its credit flusher
-	// (SetFaults), nil on fault-free fabrics.
+	// (FaultSlab.New), nil on fault-free fabrics.
 	faults *CreditFlusher
 
 	// FlitsCarried counts flits that completed traversal, by the power
@@ -218,6 +222,10 @@ func (s *Slab) New(name Name, latency int, down FlitSink, up CreditSink) *Link {
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name.String() }
 
+// AppendName appends the link's diagnostic name to dst: a telemetry export
+// formats every link's name this way, into one buffer.
+func (l *Link) AppendName(dst []byte) []byte { return l.name.appendTo(dst) }
+
 // SetWake attaches the engine wake handle; Send and ReturnCredit arm it so
 // a sleeping link is committed from the next cycle on. Links work without
 // one (nil handles ignore wakes).
@@ -258,30 +266,49 @@ func (l *Link) SetTelemetry(p *telemetry.Probe, loc int) {
 	l.loc = int32(loc)
 }
 
-// SetFaults attaches fault-injection decision state and the flit-pool
-// view that reclaims dropped flits (the view owned by the shard that
-// commits this link's flits). Call before the first cycle; a link without
-// faults skips every fault check.
-func (l *Link) SetFaults(ls *fault.LinkState, pool *flit.Pool) {
-	if l.faults == nil {
-		l.faults = &CreditFlusher{l: l}
-	}
-	l.faults.ls, l.faults.pool = ls, pool
-}
-
-// Faults returns the link's fault state (nil on fault-free fabrics).
+// Faults returns the link's fault decision state, nil on fault-free
+// fabrics (FaultSlab.New).
 func (l *Link) Faults() *fault.LinkState {
 	if l.faults == nil {
 		return nil
 	}
-	return l.faults.ls
+	return &l.faults.ls
 }
 
-// CreditFlusher is what a faulted link holds beside its channel (SetFaults),
-// and the link's tick-phase companion. ls decides drops/corruption per
-// flit during CommitFlits; pool reclaims dropped flits (the downstream
-// shard's view — CommitFlits runs there); owedCredits accumulates, per VC,
-// the credits the upstream spent on flits that vanished at this link. The
+// FaultSlab is the memory of the fault state of a block of links,
+// allocated at once: each link's credit flusher with its fault decision
+// state inside, and its owed-credit ledger. A faulted fabric builds one per
+// shard, for the faulted links whose flits that shard commits.
+type FaultSlab struct {
+	flushers []CreditFlusher
+	owed     []int
+	vcs      int
+}
+
+// NewFaultSlab returns a fault slab for n links of vcs virtual channels.
+func NewFaultSlab(n, vcs int) *FaultSlab {
+	return &FaultSlab{flushers: make([]CreditFlusher, n), owed: make([]int, n*vcs), vcs: vcs}
+}
+
+// New attaches fault state out of the slab to l, with the flit-pool view
+// that reclaims dropped flits (the view owned by the shard that commits l's
+// flits), and returns l's credit flusher; the decision state, l.Faults(),
+// is the fault injector's to fill in (fault.Injector.AddLink). Call before
+// the first cycle; a link without faults skips every fault check. Beyond
+// the n links the slab was made for, it allocates each one's memory anew.
+func (s *FaultSlab) New(l *Link, pool *flit.Pool) *CreditFlusher {
+	cf := &carve(&s.flushers, 1)[0]
+	*cf = CreditFlusher{l: l, pool: pool, owedCredits: carve(&s.owed, s.vcs)[:0]}
+	l.faults = cf
+	return cf
+}
+
+// CreditFlusher is what a faulted link holds beside its channel
+// (FaultSlab.New), and the link's tick-phase companion. ls decides
+// drops/corruption per flit during CommitFlits; pool reclaims dropped flits
+// (the downstream shard's view — CommitFlits runs there); owedCredits
+// accumulates, per VC, the credits the upstream spent on flits that
+// vanished at this link, in a ledger cut to the link's VC count. The
 // credits cannot be pushed from the commit phase (the upstream shard pops
 // the credit ring concurrently), so the flusher returns them in the next
 // tick phase — the same cycle offset as a downstream component that
@@ -290,15 +317,12 @@ func (l *Link) Faults() *fault.LinkState {
 // CommitFlits), so the owed counters have a single writer per phase.
 type CreditFlusher struct {
 	l           *Link
-	ls          *fault.LinkState
+	ls          fault.LinkState
 	pool        *flit.Pool
 	owedCredits []int
 	owedAny     bool
 	wake        *sim.Handle
 }
-
-// Flusher returns the credit flusher of a link SetFaults was called on.
-func (l *Link) Flusher() *CreditFlusher { return l.faults }
 
 // SetWake attaches the flusher's engine wake handle; CommitFlits arms it
 // when a drop leaves credits owed.

@@ -25,7 +25,7 @@ func (l *Link) AppendState(e *flit.Encoder) {
 		for _, n := range owed {
 			e.Int(int64(n))
 		}
-		if l.faults != nil && l.faults.ls != nil {
+		if l.faults != nil {
 			l.faults.ls.AppendState(e)
 		}
 	}
@@ -72,9 +72,7 @@ func (l *Link) LoadState(d *flit.Decoder, pool *flit.Pool, vcs int) error {
 			fs.owedCredits = append(fs.owedCredits, c)
 			fs.owedAny = fs.owedAny || c > 0
 		}
-		if fs.ls != nil {
-			fs.ls.LoadState(d)
-		}
+		fs.ls.LoadState(d)
 	}
 	l.flits.Reset()
 	l.credits.Reset()

@@ -110,12 +110,14 @@ type DeliveredPayload struct {
 // the router's local output link, a bounded drain rate, credit return, and
 // packet reassembly. Both NICs and global-buffer edge sinks embed one.
 type Ejector struct {
-	name      link.Name
-	owner     topology.NodeID
-	vcs       uint8
-	depth     uint8
-	drainRR   uint8
-	drainRate int
+	name    link.Name
+	owner   topology.NodeID
+	vcs     uint8
+	depth   uint8
+	drainRR uint8
+	// faultAware is set by SetFaultAware.
+	faultAware bool
+	drainRate  int
 
 	// bufs[v] is VC v's buffer, over slots[v*depth:(v+1)*depth].
 	bufs    []ring.Fixed
@@ -161,8 +163,9 @@ type Ejector struct {
 	// seen records every payload Seq ever delivered here, so a slow
 	// original arriving after its retransmission (or vice versa) is
 	// suppressed — the exactly-once guarantee the reduction oracles
-	// depend on. delivered stages the cycle's confirmations for the
-	// reliability hub (DrainDelivered), whose handle hub is.
+	// depend on; it is made by the first delivery. delivered stages the
+	// cycle's confirmations for the reliability hub (DrainDelivered), whose
+	// handle hub is.
 	seen      map[uint64]struct{}
 	delivered []DeliveredPayload
 	hub       *sim.Handle
@@ -203,10 +206,15 @@ type ejectorSlab struct {
 // to, share: they are ticked one at a time, by one shard. packet is handed
 // to recv, reused per packet, and is valid only during the callback.
 // queues serves the NICs' injection queues their first blocks, on first
-// use.
+// use. tables holds the reliability tables not yet handed out and entries
+// their first entries, all n tables' allocated by the first
+// EnableReliability (a fault-free fabric has none).
 type slabShared struct {
-	packet ReceivedPacket
-	queues ring.Arena[queued]
+	packet  ReceivedPacket
+	queues  ring.Arena[queued]
+	n       int
+	tables  []reliableTable
+	entries []reliableEntry
 }
 
 func newEjectorSlab(n, vcs, depth, drainRate int) ejectorSlab {
@@ -216,7 +224,7 @@ func newEjectorSlab(n, vcs, depth, drainRate int) ejectorSlab {
 		recs:   make([]partialPacket, n*vcs),
 		open:   make([]*partialPacket, n*vcs),
 		staged: make([]stagedPacket, n*max(drainRate, 1)),
-		shared: &slabShared{queues: ring.NewArena[queued](n)},
+		shared: &slabShared{queues: ring.NewArena[queued](n), n: n},
 	}
 }
 
@@ -305,11 +313,9 @@ func (e *Ejector) OnReceive(fn func(*ReceivedPacket)) { e.recv = fn }
 // payload deliveries are deduplicated by Seq and staged as confirmations
 // for the reliability hub, which is woken through hub whenever one is
 // staged. Off (the default) none of its state exists and the assemble path
-// is unchanged.
+// is unchanged; on, its dedup set is made by the first payload delivered.
 func (e *Ejector) SetFaultAware(hub *sim.Handle) {
-	if e.seen == nil {
-		e.seen = make(map[uint64]struct{})
-	}
+	e.faultAware = true
 	e.hub = hub
 }
 
@@ -462,7 +468,7 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 	if !isTail {
 		return
 	}
-	if e.seen != nil && pp.corrupted {
+	if e.faultAware && pp.corrupted {
 		// Receiver CRC check: the packet arrived damaged, so nothing is
 		// delivered and no payload is confirmed — the source's
 		// retransmission timer recovers the loss.
@@ -470,7 +476,7 @@ func (e *Ejector) assemble(f *flit.Flit, cycle int64) {
 		e.releasePartial(pp)
 		return
 	}
-	if e.seen != nil && len(pp.payloads) > 0 {
+	if e.faultAware && len(pp.payloads) > 0 {
 		pp.payloads = e.dedupPayloads(pp.payloads)
 	}
 	rp := &e.shared.packet
@@ -530,6 +536,9 @@ func (e *Ejector) dedupPayloads(payloads []flit.Payload) []flit.Payload {
 		if _, dup := e.seen[p.Seq]; dup {
 			e.DuplicatesSuppressed.Inc()
 			continue
+		}
+		if e.seen == nil {
+			e.seen = make(map[uint64]struct{})
 		}
 		e.seen[p.Seq] = struct{}{}
 		e.delivered = append(e.delivered, DeliveredPayload{Seq: p.Seq, Src: p.Src})

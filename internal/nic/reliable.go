@@ -27,9 +27,13 @@ type reliableEntry struct {
 // All mutation happens either in the NIC's tick (track, sweep) or in the
 // serial sub-phase (Confirm via the reliability hub), so the table has one
 // writer per engine phase and its behavior is shard-count-invariant.
+//
+// A NIC has a handful of payloads unconfirmed at a time (each is confirmed
+// in the cycle it is delivered), so entries is searched by Seq in place of
+// an index, and starts with room for reliableRoom of them out of the NIC's
+// slab: tracking allocates only past that.
 type reliableTable struct {
 	entries []reliableEntry
-	index   map[uint64]int // payload Seq -> entries slot
 
 	base       int64 // base timeout in cycles
 	backoffCap int   // max doublings
@@ -38,14 +42,37 @@ type reliableTable struct {
 
 // EnableReliability switches on end-to-end payload tracking with the given
 // base retransmission timeout, backoff doubling cap and retry bound (see
-// fault.Config). Call once at wiring time, before traffic.
+// fault.Config). Call once at wiring time, before traffic. The table comes
+// out of the NIC's slab, whose first call makes the tables of all its NICs.
 func (n *NIC) EnableReliability(timeout int64, backoffCap, maxRetries int) {
-	n.reliable = &reliableTable{
-		index:      make(map[uint64]int),
+	sh := n.eject.shared
+	if len(sh.tables) == 0 {
+		sh.tables = make([]reliableTable, max(sh.n, 1))
+		sh.entries = make([]reliableEntry, len(sh.tables)*reliableRoom)
+	}
+	n.reliable = &sh.tables[0]
+	sh.tables = sh.tables[1:]
+	*n.reliable = reliableTable{
+		entries:    sh.entries[:0:reliableRoom],
 		base:       timeout,
 		backoffCap: backoffCap,
 		maxRetries: maxRetries,
 	}
+	sh.entries = sh.entries[reliableRoom:]
+}
+
+// reliableRoom is how many unconfirmed payloads a reliability table holds
+// before it allocates.
+const reliableRoom = 4
+
+// find returns the slot of the entry tracking Seq seq, or -1.
+func (rt *reliableTable) find(seq uint64) int {
+	for i := range rt.entries {
+		if rt.entries[i].payload.Seq == seq {
+			return i
+		}
+	}
+	return -1
 }
 
 // ReliablePending reports payloads tracked but not yet confirmed
@@ -66,10 +93,9 @@ func (n *NIC) SetTelemetry(p *telemetry.Probe) { n.probe = p }
 // attempt count and deadline.
 func (n *NIC) track(p flit.Payload, tag flit.Tag) {
 	rt := n.reliable
-	if _, ok := rt.index[p.Seq]; ok {
+	if rt.find(p.Seq) >= 0 {
 		return
 	}
-	rt.index[p.Seq] = len(rt.entries)
 	deadline := n.currentCycle() + rt.base
 	rt.entries = append(rt.entries, reliableEntry{payload: p, tag: tag, deadline: deadline})
 	n.sweepBy(deadline)
@@ -86,24 +112,21 @@ func (n *NIC) ConfirmDelivery(seq uint64) {
 	if rt == nil {
 		return
 	}
-	i, ok := rt.index[seq]
-	if !ok {
+	i := rt.find(seq)
+	if i < 0 {
 		return
 	}
 	rt.removeAt(i)
 	n.wake.Wake()
 }
 
-// removeAt deletes the entry in slot i by swapping the last entry in,
-// keeping the index map consistent. Sweep order changes deterministically
-// (the same way at every shard count), which is all equivalence needs.
+// removeAt deletes the entry in slot i by swapping the last entry in.
+// Sweep order changes deterministically (the same way at every shard
+// count), which is all equivalence needs.
 func (rt *reliableTable) removeAt(i int) {
 	last := len(rt.entries) - 1
-	delete(rt.index, rt.entries[i].payload.Seq)
-	if i != last {
-		rt.entries[i] = rt.entries[last]
-		rt.index[rt.entries[i].payload.Seq] = i
-	}
+	rt.entries[i] = rt.entries[last]
+	rt.entries[last] = reliableEntry{}
 	rt.entries = rt.entries[:last]
 }
 

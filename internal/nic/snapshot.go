@@ -22,7 +22,7 @@ func (e *Ejector) AppendState(enc *flit.Encoder) {
 		for _, c := range e.counters() {
 			enc.Uint(c.Value())
 		}
-		if e.seen != nil {
+		if e.faultAware {
 			seen := make([]uint64, 0, len(e.seen))
 			for seq := range e.seen {
 				seen = append(seen, seq)
@@ -91,9 +91,12 @@ func (e *Ejector) LoadState(d *flit.Decoder) error {
 	for _, c := range e.counters() {
 		c.Set(d.Uint())
 	}
-	if e.seen != nil {
+	if e.faultAware {
 		clear(e.seen)
 		for n := d.Len(); n > 0; n-- {
+			if e.seen == nil {
+				e.seen = make(map[uint64]struct{}, n)
+			}
 			e.seen[d.Uint()] = struct{}{}
 		}
 		e.delivered = e.delivered[:0]
@@ -287,14 +290,12 @@ func (n *NIC) LoadState(d *flit.Decoder) error {
 	}
 	if rt := n.reliable; rt != nil {
 		rt.entries = rt.entries[:0]
-		clear(rt.index)
 		for k := d.Len(); k > 0; k-- {
 			var re reliableEntry
 			re.payload.LoadState(d)
 			re.tag = flit.Tag(d.Uint())
 			re.deadline = d.Int()
 			re.attempt = int(d.Int())
-			rt.index[re.payload.Seq] = len(rt.entries)
 			rt.entries = append(rt.entries, re)
 		}
 	}

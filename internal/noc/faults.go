@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"gathernoc/internal/fault"
+	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/reduce"
 	"gathernoc/internal/sim"
@@ -22,10 +23,14 @@ import (
 // sending NICs on the serial sub-phase. Runs after engine registration and
 // before wireTelemetry, so the fault sources are in place when telemetry
 // extends its field lists.
+//
+// Memory (DESIGN.md §12): every faulted link's flusher, decision state and
+// owed-credit ledger come out of one fault slab per shard (link.FaultSlab,
+// the shard that commits the link's flits), the drop sets out of the
+// injector's one block, and the NICs' reliability tables out of their own
+// slabs, so the wiring allocates a few objects per shard, not per link.
 func (nw *Network) wireFaults() error {
 	fc := nw.cfg.Faults
-	inj := fault.NewInjector(fc)
-	nw.injector = inj
 
 	// Collect the outage windows per link record. A LinkOutage names a
 	// directed inter-router link by its endpoints (on a 2-wide torus ring
@@ -57,34 +62,52 @@ func (nw *Network) wireFaults() error {
 		}
 	}
 
+	// A fabric link carries fault state under transient rates or an
+	// outage; a local or sink channel sees outages only, never the
+	// transient inter-router noise. Count them per shard to size the slabs.
 	transient := fc.DropRate > 0 || fc.CorruptRate > 0
-	nw.portFault = make([][]*fault.LinkState, nw.topo.NumNodes())
-	for n := range nw.portFault {
-		nw.portFault[n] = make([]*fault.LinkState, topology.NumPorts)
-	}
-	for i := range nw.linkRecs {
-		rec := &nw.linkRecs[i]
-		ws := outages[i]
-		var ls *fault.LinkState
-		if i < nw.fabricLinks {
-			if !transient && len(ws) == 0 {
-				continue
-			}
-			ls = inj.NewLink(i, ws)
-			nw.portFault[rec.upID][rec.outPort] = ls
-		} else {
-			if len(ws) == 0 {
-				continue
-			}
-			// Local and sink channels see outages only, never the
-			// transient inter-router noise.
-			ls = inj.NewOutageLink(i, ws)
+	faulted := func(i int) bool { return (transient && i < nw.fabricLinks) || len(outages[i]) > 0 }
+	perShard := make([]int, max(nw.cfg.EffectiveShards(), 1))
+	total := 0
+	for i, rec := range nw.linkRecs {
+		if faulted(i) {
+			perShard[rec.downShard]++
+			total++
 		}
-		rec.l.SetFaults(ls, nw.poolFor(int(rec.downShard)))
+	}
+	vcs := nw.cfg.Router.VCs
+	slabs := make([]*link.FaultSlab, len(perShard))
+	for sh, n := range perShard {
+		slabs[sh] = link.NewFaultSlab(n, vcs)
+		if nw.engine.Sharded() {
+			nw.engine.ReserveShard(sh, n, 0)
+		}
+	}
+	// The hub below goes to the serial lane, and so does every flusher on
+	// the sequential engine.
+	serial := 1
+	if !nw.engine.Sharded() {
+		serial += total
+	}
+	nw.engine.Reserve(serial, 0)
+
+	inj := fault.NewInjector(fc, total, vcs)
+	nw.injector = inj
+	nw.portFault = make([]*fault.LinkState, nw.topo.NumNodes()*topology.NumPorts)
+	for i := range nw.linkRecs {
+		if !faulted(i) {
+			continue
+		}
+		rec := &nw.linkRecs[i]
+		cf := slabs[rec.downShard].New(rec.l, nw.poolFor(int(rec.downShard)))
+		ls := rec.l.Faults()
+		inj.AddLink(ls, i, outages[i], i < nw.fabricLinks)
+		if i < nw.fabricLinks {
+			nw.portFault[int(rec.upID)*topology.NumPorts+int(rec.outPort)] = ls
+		}
 		// The flusher ticks on the shard that commits the link's flits, so
 		// the owed-credit counters keep a single writer per phase and the
 		// wake CommitFlits sends it stays inside that shard.
-		cf := rec.l.Flusher()
 		cf.SetWake(nw.addTicker(int(rec.downShard), cf))
 	}
 
@@ -147,7 +170,7 @@ func (nw *Network) filterPorts(ports []topology.Port, cur topology.NodeID) []top
 	now := nw.engine.Cycle()
 	keep := ports[:0]
 	for _, p := range ports {
-		if ls := nw.portFault[cur][p]; ls != nil && ls.Cut(now) {
+		if ls := nw.portFault[int(cur)*topology.NumPorts+int(p)]; ls != nil && ls.Cut(now) {
 			continue
 		}
 		keep = append(keep, p)

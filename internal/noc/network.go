@@ -93,11 +93,12 @@ type Network struct {
 	// Fault-injection state (DESIGN.md §12), nil/zero unless Config.Faults
 	// is active: injector compiles the schedule, fabricLinks counts the
 	// inter-router prefix of linkRecs (the links transient rates apply to),
-	// and portFault indexes each fabric link's fault state by its upstream
-	// node and output port so route computation can mask dead ports.
+	// and portFault[node*topology.NumPorts+port] is the fault state of the
+	// fabric link leaving node by port, so route computation can mask dead
+	// ports.
 	injector    *fault.Injector
 	fabricLinks int
-	portFault   [][]*fault.LinkState
+	portFault   []*fault.LinkState
 
 	// Reuse state (reuse.go). built marks the end of the fabric's own
 	// engine registrations (whatever callers register later is dropped when
@@ -327,184 +328,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	nw.built = nw.engine.Mark()
 	return nw, nil
-}
-
-// wireTelemetry builds the collector, attaches the per-shard probes to
-// every component (tracer), registers the metrics sources with the shard
-// that owns each counter (single-writer rule, DESIGN.md §11), and appends
-// the epoch snapshot as the last committer of each shard — after the link
-// halves — so a snapshot observes every counter its shard wrote that
-// cycle. Runs after engine registration, before the first cycle.
-func (nw *Network) wireTelemetry() {
-	shards := nw.cfg.EffectiveShards()
-	if shards < 1 {
-		shards = 1
-	}
-	tc := telemetry.New(*nw.cfg.Telemetry, shards)
-	nw.tele = tc
-	tracing := tc.Tracing()
-
-	routerFields := []telemetry.Field{
-		{Name: "buffer_writes"}, {Name: "rc_computations"},
-		{Name: "gather_uploads"}, {Name: "reduce_merges"},
-		{Name: "occupancy", Gauge: true}, {Name: "max_vc_occupancy", Gauge: true},
-	}
-	for _, r := range nw.routers {
-		sh := nw.shardOfNode(r.ID())
-		if tracing {
-			r.SetTelemetry(tc.ShardProbe(sh))
-		}
-		co := nw.topo.Coord(r.ID())
-		tc.AddSource(sh, telemetry.SourceMeta{
-			Kind: "router", ID: int(r.ID()), Name: fmt.Sprintf("r%d", r.ID()), Row: co.Row, Col: co.Col,
-		}, routerFields, func(dst []int64) {
-			dst[0] = int64(r.Counters.BufferWrites.Value())
-			dst[1] = int64(r.Counters.RCComputations.Value())
-			dst[2] = int64(r.Counters.GatherUploads.Value())
-			dst[3] = int64(r.Counters.ReduceMerges.Value())
-			dst[4] = int64(r.BufferedFlits())
-			dst[5] = int64(r.MaxVCOccupancy())
-		})
-	}
-
-	// Each link contributes two single-field sources, one per endpoint
-	// shard: the forward flit count lives with the downstream committer,
-	// the credit count with the upstream one, so both reads stay on the
-	// goroutine that writes them.
-	// With fault injection active every component's field list grows the
-	// fault/recovery counters; a fault-free network keeps the original
-	// schema byte for byte.
-	faulty := nw.injector != nil
-	flitFields := []telemetry.Field{{Name: "flits"}}
-	if faulty {
-		flitFields = append(flitFields, telemetry.Field{Name: "fault_drops"}, telemetry.Field{Name: "fault_corrupts"})
-	}
-	creditFields := []telemetry.Field{{Name: "credits"}}
-	for i, rec := range nw.linkRecs {
-		if tracing {
-			rec.l.SetTelemetry(tc.ShardProbe(int(rec.downShard)), int(rec.downID))
-		}
-		meta := telemetry.SourceMeta{Kind: "link", ID: i, Name: rec.l.Name(), Row: -1, Col: -1}
-		l := rec.l
-		tc.AddSource(int(rec.downShard), meta, flitFields, func(dst []int64) {
-			dst[0] = int64(l.FlitsCarried.Value())
-			if len(dst) > 1 {
-				// The fault counters are written by the same shard that
-				// commits the link's flits, so the snapshot read is safe.
-				if ls := l.Faults(); ls != nil {
-					dst[1], dst[2] = int64(ls.Drops), int64(ls.Corrupts)
-				} else {
-					dst[1], dst[2] = 0, 0
-				}
-			}
-		})
-		tc.AddSource(int(rec.upShard), meta, creditFields, func(dst []int64) {
-			dst[0] = int64(l.CreditsCarried.Value())
-		})
-	}
-
-	nicFields := []telemetry.Field{
-		{Name: "packets_injected"}, {Name: "flits_injected"},
-		{Name: "packets_ejected"}, {Name: "flits_ejected"},
-		{Name: "queue_depth", Gauge: true},
-	}
-	if faulty {
-		nicFields = append(nicFields,
-			telemetry.Field{Name: "retransmits"}, telemetry.Field{Name: "abandoned"},
-			telemetry.Field{Name: "dup_suppressed"}, telemetry.Field{Name: "crc_discards"},
-			telemetry.Field{Name: "unconfirmed", Gauge: true})
-	}
-	for _, n := range nw.nics {
-		sh := nw.shardOfNode(n.ID())
-		if tracing {
-			n.Ejector().SetTelemetry(tc.ShardProbe(sh), int(n.ID()))
-			n.SetTelemetry(tc.ShardProbe(sh))
-		}
-		co := nw.topo.Coord(n.ID())
-		tc.AddSource(sh, telemetry.SourceMeta{
-			Kind: "nic", ID: int(n.ID()), Name: fmt.Sprintf("nic%d", n.ID()), Row: co.Row, Col: co.Col,
-		}, nicFields, func(dst []int64) {
-			dst[0] = int64(n.PacketsInjected.Value())
-			dst[1] = int64(n.FlitsInjected.Value())
-			dst[2] = int64(n.Ejector().PacketsEjected.Value())
-			dst[3] = int64(n.Ejector().FlitsEjected.Value())
-			dst[4] = int64(n.QueueDepth())
-			if len(dst) > 5 {
-				dst[5] = int64(n.Retransmits.Value())
-				dst[6] = int64(n.AbandonedPayloads.Value())
-				dst[7] = int64(n.Ejector().DuplicatesSuppressed.Value())
-				dst[8] = int64(n.Ejector().PacketsDiscarded.Value())
-				dst[9] = int64(n.ReliablePending())
-			}
-		})
-	}
-
-	sinkFields := []telemetry.Field{
-		{Name: "packets_ejected"}, {Name: "flits_ejected"},
-		{Name: "buffered", Gauge: true},
-	}
-	if faulty {
-		sinkFields = append(sinkFields,
-			telemetry.Field{Name: "dup_suppressed"}, telemetry.Field{Name: "crc_discards"})
-	}
-	for _, s := range nw.sinks {
-		sh := nw.shardOfRow(s.row)
-		if tracing {
-			s.ej.SetTelemetry(tc.ShardProbe(sh), int(s.id))
-		}
-		tc.AddSource(sh, telemetry.SourceMeta{
-			Kind: "sink", ID: s.row, Name: fmt.Sprintf("sink%d", s.row), Row: s.row, Col: nw.cfg.Cols,
-		}, sinkFields, func(dst []int64) {
-			dst[0] = int64(s.ej.PacketsEjected.Value())
-			dst[1] = int64(s.ej.FlitsEjected.Value())
-			dst[2] = int64(s.ej.Buffered())
-			if len(dst) > 3 {
-				dst[3] = int64(s.ej.DuplicatesSuppressed.Value())
-				dst[4] = int64(s.ej.PacketsDiscarded.Value())
-			}
-		})
-	}
-
-	// The flit pool is one fabric-wide gauge split across the shards: a
-	// shard's view is acquired from in its tick phase (NIC packetize,
-	// router forks, ejector reassembly) and released into in its tick and
-	// commit phases (fault injection drops flits in link.CommitFlits), so
-	// each shard reports the balance of its own view — read by its own
-	// epoch committer, after its own commits — and Harvest sums the parts.
-	// A single view's balance can be negative (flits migrate between
-	// views); the sum is the sequential engine's Live count.
-	poolFields := []telemetry.Field{{Name: "live", Gauge: true}}
-	for s := 0; s < shards; s++ {
-		view := nw.poolFor(s)
-		tc.AddSource(s, telemetry.SourceMeta{Kind: "pool", ID: 0, Name: "flitpool", Row: -1, Col: -1},
-			poolFields, func(dst []int64) {
-				dst[0] = view.Balance()
-			})
-	}
-
-	for s := 0; s < shards; s++ {
-		ec := tc.EpochCommitter(s)
-		if ec == nil {
-			break
-		}
-		ec.SetWake(nw.addCommitter(s, ec))
-	}
-	tc.Start()
-}
-
-// Telemetry returns the telemetry collector, or nil when
-// Config.Telemetry left the observability layer off. Workload schedulers
-// use it to reach the serial probe for phase-boundary events.
-func (nw *Network) Telemetry() *telemetry.Collector { return nw.tele }
-
-// HarvestTelemetry flushes and merges the telemetry buffers into a report
-// (nil without telemetry). Call after the run, from the goroutine that
-// drove the engine.
-func (nw *Network) HarvestTelemetry() *telemetry.Report {
-	if nw.tele == nil {
-		return nil
-	}
-	return nw.tele.Harvest(nw.engine.Cycle())
 }
 
 // register hands every component to the engine: routers, sinks, then NICs

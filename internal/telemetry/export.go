@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -59,11 +58,13 @@ func (r *Report) WriteMetricsCSV(w io.Writer) error {
 	}
 	labels := make([]byte, 0, 24*pieces)
 	ends := append(make([]int, 0, pieces+1), 0)
+	var name []byte // each source's name, formatted here (appendName)
 	for i := range r.Sources {
 		ss := &r.Sources[i]
 		labels = append(appendCSVField(labels, ss.Meta.Kind), ',')
 		labels = append(strconv.AppendInt(labels, int64(ss.Meta.ID), 10), ',')
-		labels = append(appendCSVField(labels, ss.Meta.Name), ',')
+		name = ss.appendName(name[:0])
+		labels = append(appendCSVField(labels, name), ',')
 		labels = append(strconv.AppendInt(labels, int64(ss.Meta.Row), 10), ',')
 		labels = append(strconv.AppendInt(labels, int64(ss.Meta.Col), 10), ',')
 		ends = append(ends, len(labels))
@@ -129,7 +130,7 @@ func writeAll(w io.Writer, p []byte) error {
 // separator, "\n" line ends): bare unless it holds a comma, a quote, CR or
 // LF, starts with a space character or is the `\.` end-of-data marker, and
 // otherwise wrapped in quotes with every inner quote doubled.
-func appendCSVField(dst []byte, field string) []byte {
+func appendCSVField[S ~string | ~[]byte](dst []byte, field S) []byte {
 	if !csvFieldNeedsQuotes(field) {
 		return append(dst, field...)
 	}
@@ -143,15 +144,23 @@ func appendCSVField(dst []byte, field string) []byte {
 	return append(dst, '"')
 }
 
-func csvFieldNeedsQuotes(field string) bool {
-	if field == "" {
+func csvFieldNeedsQuotes[S ~string | ~[]byte](field S) bool {
+	if len(field) == 0 {
 		return false
 	}
-	if field == `\.` || strings.ContainsAny(field, ",\"\r\n") {
+	if string(field) == `\.` {
 		return true
 	}
-	first, _ := utf8.DecodeRuneInString(field)
-	return unicode.IsSpace(first)
+	for i := 0; i < len(field); i++ {
+		switch field[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	for _, first := range string(field) {
+		return unicode.IsSpace(first)
+	}
+	return false
 }
 
 // epochSpan returns the cycle count epoch e covers.

@@ -195,7 +195,8 @@ type Field struct {
 
 // SourceMeta identifies one metrics source in exports: a router, link,
 // NIC, sink or pool, with its grid position where applicable (Row/Col are
-// -1 for sources without one).
+// -1 for sources without one). An empty Name is the Source's to format
+// (see Source).
 type SourceMeta struct {
 	Kind string
 	ID   int
@@ -204,16 +205,24 @@ type SourceMeta struct {
 	Col  int
 }
 
-// ReadFn writes the source's current cumulative counter values into every
-// element of dst (len(dst) == len(fields)). It runs on the owning shard's
-// goroutine at epoch boundaries, after all of that shard's writes for the
-// cycle.
-type ReadFn func(dst []int64)
+// A Source is one metrics source's counters: Read writes their current
+// cumulative values into every element of dst (len(dst) == len(fields)). It
+// runs on the owning shard's goroutine at epoch boundaries, after all of
+// that shard's writes for the cycle.
+//
+// A source registered with an empty SourceMeta.Name also has a method
+// AppendName(dst []byte) []byte that appends its name to dst, called at
+// export only: a fabric registers thousands of sources, one per component
+// (a component can be its own Source), and formats none of their names to
+// do so.
+type Source interface {
+	Read(dst []int64)
+}
 
 type source struct {
 	meta   SourceMeta
 	fields []Field
-	read   ReadFn
+	src    Source
 }
 
 // Probe is the single-writer recording endpoint for one shard (or the
@@ -347,7 +356,7 @@ func (p *Probe) snapshot(epoch, endCycle int64) {
 		s := &p.sources[i]
 		lo, hi := p.bounds[i], p.bounds[i+1]
 		cur, prev := p.cur[lo:hi], p.prev[lo:hi]
-		s.read(cur)
+		s.src.Read(cur)
 		for j, f := range s.fields {
 			if !f.Gauge {
 				v := cur[j]
@@ -442,14 +451,21 @@ func (c *Collector) ShardProbe(s int) *Probe { return c.probes[s] }
 func (c *Collector) SerialProbe() *Probe { return c.probes[len(c.probes)-1] }
 
 // AddSource registers one metrics source with shard s's probe. Must be
-// called before Start; read runs on s's goroutine at epoch boundaries.
+// called before Start; src is read on s's goroutine at epoch boundaries.
 // A source whose counters are split across shards (the flit pool's
 // per-shard views) is registered once per shard with the same meta and
-// fields, each read covering that shard's part; Harvest sums the parts
+// fields, each Read covering that shard's part; Harvest sums the parts
 // into one series.
-func (c *Collector) AddSource(s int, meta SourceMeta, fields []Field, read ReadFn) {
+func (c *Collector) AddSource(s int, meta SourceMeta, fields []Field, src Source) {
 	p := c.probes[s]
-	p.sources = append(p.sources, source{meta: meta, fields: fields, read: read})
+	p.sources = append(p.sources, source{meta: meta, fields: fields, src: src})
+}
+
+// ReserveSources makes room for n more sources in shard s's probe, so that
+// registering them allocates nothing.
+func (c *Collector) ReserveSources(s, n int) {
+	p := c.probes[s]
+	p.sources = slices.Grow(p.sources, n)
 }
 
 // EpochCommitter returns shard s's snapshot trigger, or nil when the
@@ -493,6 +509,7 @@ type SourceSeries struct {
 	Meta   SourceMeta
 	Fields []Field
 
+	from  Source   // what names the series when Meta.Name is empty
 	rows  [][]byte // one packed row per retained epoch, oldest first
 	src   int      // the source's index in the rows' presence bitmaps
 	words int      // the rows' presence-bitmap words
@@ -521,10 +538,19 @@ func (ss *SourceSeries) At(e int) []int64 {
 	return ss.buf
 }
 
+// appendName appends the series' source name to dst: Meta.Name, or, when
+// that is empty, the name its Source formats.
+func (ss *SourceSeries) appendName(dst []byte) []byte {
+	if n, ok := ss.from.(interface{ AppendName([]byte) []byte }); ok && ss.Meta.Name == "" {
+		return n.AppendName(dst)
+	}
+	return append(dst, ss.Meta.Name...)
+}
+
 // packedSeries returns a series over packed rows of its own: vals holds
 // the source's fields epoch after epoch, and each epoch becomes a
 // one-source row, every row in one allocation.
-func packedSeries(meta SourceMeta, fields []Field, epochs int, vals []int64) SourceSeries {
+func packedSeries(meta SourceMeta, fields []Field, src Source, epochs int, vals []int64) SourceSeries {
 	// A one-source row is at most one bitmap word, its rank, one offset
 	// and k varints long.
 	k := len(fields)
@@ -536,7 +562,7 @@ func packedSeries(meta SourceMeta, fields []Field, epochs int, vals []int64) Sou
 		buf = packRow(buf, vals[e*k:(e+1)*k], bounds)
 		rows[e] = buf[start:len(buf):len(buf)]
 	}
-	return SourceSeries{Meta: meta, Fields: fields, rows: rows, words: 1, buf: make([]int64, k)}
+	return SourceSeries{Meta: meta, Fields: fields, from: src, rows: rows, words: 1, buf: make([]int64, k)}
 }
 
 // Report is a harvested run's telemetry: the merged epoch series in
@@ -614,7 +640,7 @@ func (c *Collector) Harvest(finalCycle int64) *Report {
 		for i := range p.sources {
 			s := &p.sources[i]
 			n := len(s.fields)
-			r.Sources = append(r.Sources, SourceSeries{Meta: s.meta, Fields: s.fields, rows: rows, src: i, words: words, buf: bufs[:n:n]})
+			r.Sources = append(r.Sources, SourceSeries{Meta: s.meta, Fields: s.fields, from: s.src, rows: rows, src: i, words: words, buf: bufs[:n:n]})
 			bufs = bufs[n:]
 		}
 		r.Events = append(r.Events, p.events...)
@@ -677,7 +703,7 @@ func sumSplitSources(sorted []SourceSeries) []SourceSeries {
 					sum[j] += v
 				}
 			}
-			*whole = packedSeries(whole.Meta, whole.Fields, epochs, sums)
+			*whole = packedSeries(whole.Meta, whole.Fields, whole.from, epochs, sums)
 			continue
 		}
 		out = append(out, ss)

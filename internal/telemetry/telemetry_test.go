@@ -102,10 +102,15 @@ func collectorWithSource(cfg Config) (*Collector, []int64) {
 	state := make([]int64, 2)
 	c.AddSource(0, SourceMeta{Kind: "router", ID: 3, Name: "r3", Row: 0, Col: 3},
 		[]Field{{Name: "writes"}, {Name: "occupancy", Gauge: true}},
-		func(dst []int64) { copy(dst, state) })
+		readFn(func(dst []int64) { copy(dst, state) }))
 	c.Start()
 	return c, state
 }
+
+// readFn is a Source made of a function.
+type readFn func(dst []int64)
+
+func (f readFn) Read(dst []int64) { f(dst) }
 
 // TestSnapshotDeltaVsGauge drives epoch boundaries by hand and checks the
 // delta field reports per-epoch differences while the gauge field reports
@@ -198,11 +203,11 @@ func TestHarvestSumsSplitSource(t *testing.T) {
 	fields := []Field{{Name: "live", Gauge: true}}
 	parts := []int64{5, -2, 4}
 	for s := range parts {
-		c.AddSource(s, meta, fields, func(dst []int64) { dst[0] = parts[s] })
+		c.AddSource(s, meta, fields, readFn(func(dst []int64) { dst[0] = parts[s] }))
 	}
 	link := SourceMeta{Kind: "link", ID: 7, Name: "l7", Row: -1, Col: -1}
-	c.AddSource(2, link, []Field{{Name: "flits"}}, func(dst []int64) { dst[0] = 1 })
-	c.AddSource(0, link, []Field{{Name: "credits"}}, func(dst []int64) { dst[0] = 1 })
+	c.AddSource(2, link, []Field{{Name: "flits"}}, readFn(func(dst []int64) { dst[0] = 1 }))
+	c.AddSource(0, link, []Field{{Name: "credits"}}, readFn(func(dst []int64) { dst[0] = 1 }))
 	c.Start()
 	for s := range parts {
 		ec := c.EpochCommitter(s)
@@ -267,7 +272,7 @@ func TestHarvestFlushesPartialEpoch(t *testing.T) {
 // aux). These orders are what makes exports shard-count-invariant.
 func TestHarvestCanonicalOrder(t *testing.T) {
 	c := New(Config{Epoch: 8, TraceSample: 1}, 2)
-	zero := func(dst []int64) { dst[0] = 0 }
+	zero := readFn(func(dst []int64) { dst[0] = 0 })
 	c.AddSource(1, SourceMeta{Kind: "router", ID: 9}, []Field{{Name: "writes"}}, zero)
 	c.AddSource(0, SourceMeta{Kind: "nic", ID: 2}, []Field{{Name: "injected"}}, zero)
 	c.AddSource(0, SourceMeta{Kind: "link", ID: 5}, []Field{{Name: "flits"}}, zero)
@@ -512,7 +517,7 @@ func synthFabric(cfg Config, shards int) (*Collector, []*synthSource) {
 			ss.state = append(ss.state, make([]int64, len(fields)))
 		}
 		for part, sh := range on {
-			c.AddSource(sh, ss.meta, fields, func(dst []int64) { copy(dst, ss.state[part]) })
+			c.AddSource(sh, ss.meta, fields, readFn(func(dst []int64) { copy(dst, ss.state[part]) }))
 		}
 		srcs = append(srcs, ss)
 	}
@@ -725,7 +730,7 @@ func FuzzEpochRows(f *testing.F) {
 			for j := 0; j < k; j++ {
 				p.fields = append(p.fields, Field{Name: fmt.Sprintf("f%d", j), Gauge: (meta.ID+j)%3 == 2})
 			}
-			c.AddSource(sh, meta, p.fields, func(dst []int64) { copy(dst, p.state) })
+			c.AddSource(sh, meta, p.fields, readFn(func(dst []int64) { copy(dst, p.state) }))
 			parts = append(parts, p)
 			return p
 		}

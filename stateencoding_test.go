@@ -232,7 +232,6 @@ var stateFields = map[string]string{
 	"nic.gatherWait.tag":      both,
 
 	"nic.reliableTable.entries":    absolute + faultOnly,
-	"nic.reliableTable.index":      derived,
 	"nic.reliableTable.base":       fixed + ": the configuration's",
 	"nic.reliableTable.backoffCap": fixed + ": the configuration's",
 	"nic.reliableTable.maxRetries": fixed + ": the configuration's",
@@ -265,6 +264,7 @@ var stateFields = map[string]string{
 	"nic.Ejector.seen":                 absolute + faultOnly,
 	"nic.Ejector.delivered":            absolute + faultOnly,
 	"nic.Ejector.hub":                  fixed + wiring,
+	"nic.Ejector.faultAware":           fixed + wiring,
 	"nic.Ejector.FlitsEjected":         absolute + statistic,
 	"nic.Ejector.PacketsEjected":       absolute + statistic,
 	"nic.Ejector.PacketsDiscarded":     absolute + statistic,
