@@ -94,6 +94,17 @@ func TestAllocationRatchet(t *testing.T) {
 // ack their owner, the NIC, and the engine sizes its lists once
 // (sim.Engine.Reserve): 8x8 measures 69 and 32x32 134. Each ceiling is
 // that plus 10 %, so a per-component allocation coming back fails here.
+//
+// The 16x16 rows are model-mix's fabric (east sinks on) with fault
+// injection, telemetry or both. They took 3 207, 5 767, 8 761 and, at two
+// shards, 8 941 allocations when every faulted link allocated its fault
+// state and credit flusher, every NIC its reliability table and index map,
+// every ejector its dedup set, and every metrics source a read closure and
+// a name string. Fault state now comes out of one slab per shard
+// (link.FaultSlab), the reliability tables out of the NICs' slabs, the
+// dedup sets are made by the first delivery, and each component is its own
+// telemetry source, named at export: they measure 241, 231, 261 and 435,
+// the first three within 30 of the plain build's 214.
 const (
 	maxBuildAllocs8x8   = 76
 	maxBuildAllocs32x32 = 148
@@ -103,20 +114,40 @@ func TestBuildAllocationPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
-	for _, c := range []struct {
-		n   int
-		pin float64
-	}{{8, maxBuildAllocs8x8}, {32, maxBuildAllocs32x32}} {
-		cfg := noc.DefaultConfig(c.n, c.n)
+	faults := &fault.Config{Seed: 1, DropRate: 0.002, CorruptRate: 0.0005}
+	tcfg := telemetry.DefaultConfig()
+	plain := func(n int) noc.Config {
+		cfg := noc.DefaultConfig(n, n)
 		cfg.EastSinks = false
+		return cfg
+	}
+	mix := func(f *fault.Config, tc *telemetry.Config, shards int) noc.Config {
+		cfg := noc.DefaultConfig(16, 16)
+		cfg.Faults, cfg.Telemetry, cfg.Shards = f, tc, shards
+		return cfg
+	}
+	for _, c := range []struct {
+		name string
+		cfg  noc.Config
+		pin  float64
+	}{
+		{"8x8", plain(8), maxBuildAllocs8x8},
+		{"32x32", plain(32), maxBuildAllocs32x32},
+		{"16x16 faults", mix(faults, nil, 0), 265},
+		{"16x16 telemetry", mix(nil, &tcfg, 0), 254},
+		{"16x16 faults, telemetry", mix(faults, &tcfg, 0), 287},
+		{"16x16 faults, telemetry, 2 shards", mix(faults, &tcfg, 2), 478},
+	} {
 		avg := testing.AllocsPerRun(3, func() {
-			if _, err := noc.New(cfg); err != nil {
+			nw, err := noc.New(c.cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			nw.Close()
 		})
-		t.Logf("noc.New(%dx%d): %.0f allocs", c.n, c.n, avg)
+		t.Logf("noc.New(%s): %.0f allocs", c.name, avg)
 		if avg > c.pin {
-			t.Errorf("noc.New(%dx%d) allocates %.0f objects, pin %.0f", c.n, c.n, avg, c.pin)
+			t.Errorf("noc.New(%s) allocates %.0f objects, pin %.0f", c.name, avg, c.pin)
 		}
 	}
 }
@@ -323,9 +354,13 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 // with the run is built up front: the trace event buffers (5.2 MB when
 // they were allocated at their 65 536-event bound) grow as events arrive,
 // and the epoch ring (83 MB when it was zeroed at its 1 024-epoch bound as
-// dense rows) gains a row per epoch reached. The ceiling is the
-// measurement plus 10 %.
-const maxTelemetryBuildBytes16x16 = 3_540_000
+// dense rows) gains a row per epoch reached. It measured 3.14 MB under a
+// ceiling of 3.54 MB while each metrics source held a closure and a name
+// string and every faulted link and NIC allocated its fault and
+// reliability state alone; with sources that are their components, names
+// formatted at export and fault state from per-shard slabs, 2.46 MB. The
+// ceiling is the measurement plus 10 %.
+const maxTelemetryBuildBytes16x16 = 2_700_000
 
 // maxBuildBytes32x32 pins what building the 32x32 fabric of the mesh32
 // workload (sequential, no east sinks) may allocate. It measured 12.8 MB,

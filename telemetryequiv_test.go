@@ -7,6 +7,7 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/fault"
+	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
 	"gathernoc/internal/reduce"
 	"gathernoc/internal/systolic"
@@ -263,6 +264,18 @@ func TestTelemetryOffIsIdentical(t *testing.T) {
 // stations of a router hold entries at once, so a take-up served from the
 // other kind's station or an ack filed under the other kind's wait list
 // shows here.
+//
+// The faults rows trace every packet of two VGG-16 inferences (ten layers)
+// on a lossy 16x16, sequential and on two shards, and reconcile the fault events too:
+// one EvFaultCorrupt per corruption the links count (fault.LinkState
+// .Corrupts, summed by fault.Injector.Corrupts), one EvRetransmit per
+// NIC Retransmits count, and one EvFaultDrop per dropped packet. A packet
+// is dropped whole at one link, so the drop events close the packet
+// balance (packets injected = packets ejected + packets discarded for
+// corruption + drop events), while fault.Injector.Drops counts the dropped
+// packets' flits and closes the flit balance (flits injected = flits
+// ejected + Drops). Neither run forks a packet (no multicast), so both
+// balances are exact once the fabric drains.
 func TestStationEventsMatchCounters(t *testing.T) {
 	layer, _ := cnn.LayerByName(cnn.AlexNetConvLayers(), "Conv3")
 	accumulation := func(t *testing.T, nw *noc.Network, scheme traffic.CollectScheme) *traffic.AccumulationController {
@@ -281,10 +294,45 @@ func TestStationEventsMatchCounters(t *testing.T) {
 			}
 		}
 	}
+	// faulted runs two VGG-16 inferences, each layer one gather round, on
+	// a lossy 16x16 with shards shards. They run the first ten layers: all
+	// thirteen trace more than a probe's 65 536 events on the sequential
+	// engine, whose one shard probe records them all.
+	faulted := func(shards int) func(*noc.Config) {
+		return func(cfg *noc.Config) {
+			*cfg = noc.DefaultConfig(16, 16)
+			cfg.Shards = shards
+			cfg.Faults = &fault.Config{Seed: 5, DropRate: 0.004, CorruptRate: 0.002}
+		}
+	}
+	inferences := func(t *testing.T, nw *noc.Network) {
+		layers, err := workload.ModelLayers("vgg16")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, ctls, err := workload.NewInferenceBatch(nw, 2, 5, workload.PipelineConfig{
+			Layers: layers[:10], Scheme: traffic.CollectGather, Rounds: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := workload.New(nw, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(10_000_000); err != nil {
+			t.Fatal(err)
+		}
+		for _, job := range ctls {
+			exact(t, job...)
+		}
+	}
 	for _, c := range []struct {
 		name string
 		ina  bool
 		run  func(*testing.T, *noc.Network)
+		// cfg, when set, replaces the 8x8 fabric the run is built on.
+		cfg func(*noc.Config)
 	}{
 		{"ina", true, func(t *testing.T, nw *noc.Network) {
 			ctl := accumulation(t, nw, traffic.CollectINA)
@@ -292,7 +340,7 @@ func TestStationEventsMatchCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			exact(t, ctl)
-		}},
+		}, nil},
 		{"gather", false, func(t *testing.T, nw *noc.Network) {
 			ctl, err := systolic.NewController(nw, systolic.Config{
 				Layer: layer, Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 2,
@@ -303,7 +351,7 @@ func TestStationEventsMatchCounters(t *testing.T) {
 			if _, err := workload.Run(nw, ctl, 10_000_000); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, nil},
 		// The INA phase is admitted once the gather phase has injected
 		// (an overlap edge), so its operands reach stations where gather
 		// payloads still wait for their packet.
@@ -338,10 +386,15 @@ func TestStationEventsMatchCounters(t *testing.T) {
 				t.Errorf("%d uploads and %d merges, want both > 0", a.GatherUploads, a.ReduceMerges)
 			}
 			exact(t, g, r)
-		}},
+		}, nil},
+		{"faults", false, inferences, faulted(0)},
+		{"faults/2 shards", false, inferences, faulted(2)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := noc.DefaultConfig(8, 8)
+			if c.cfg != nil {
+				c.cfg(&cfg)
+			}
 			cfg.EnableINA = c.ina
 			cfg.Telemetry = &telemetry.Config{TraceSample: 1}
 			nw, err := noc.New(cfg)
@@ -359,13 +412,22 @@ func TestStationEventsMatchCounters(t *testing.T) {
 			if rep.DroppedEvents != 0 {
 				t.Fatalf("%d events dropped", rep.DroppedEvents)
 			}
-			var merges, uploads uint64
+			var merges, uploads, drops, corrupts, retransmits uint64
 			for _, e := range rep.Events {
 				switch e.Kind {
 				case telemetry.EvReduceMerge:
 					merges++
 				case telemetry.EvGatherUpload:
 					uploads++
+				case telemetry.EvFaultDrop:
+					drops++
+					continue
+				case telemetry.EvFaultCorrupt:
+					corrupts++
+					continue
+				case telemetry.EvRetransmit:
+					retransmits++
+					continue
 				default:
 					continue
 				}
@@ -374,7 +436,7 @@ func TestStationEventsMatchCounters(t *testing.T) {
 				}
 			}
 			a, acks := nw.Activity(), nw.NICTotals()
-			t.Logf("traced %d merges and %d uploads", merges, uploads)
+			t.Logf("traced %d merges and %d uploads among %d events", merges, uploads, len(rep.Events))
 			if merges != a.ReduceMerges || uploads != a.GatherUploads {
 				t.Errorf("traced %d merges and %d uploads, counted %d and %d", merges, uploads, a.ReduceMerges, a.GatherUploads)
 			}
@@ -385,6 +447,57 @@ func TestStationEventsMatchCounters(t *testing.T) {
 			if merges+uploads == 0 {
 				t.Error("the run merged and uploaded nothing")
 			}
+			if c.cfg != nil {
+				reconcileFaultEvents(t, nw, drops, corrupts, retransmits)
+			} else if drops+corrupts+retransmits != 0 {
+				t.Errorf("a fault-free run traced %d drops, %d corruptions and %d retransmissions", drops, corrupts, retransmits)
+			}
 		})
+	}
+}
+
+// reconcileFaultEvents checks a drained faulted run's traced drops,
+// corruptions and retransmissions against the counters (see
+// TestStationEventsMatchCounters).
+func reconcileFaultEvents(t *testing.T, nw *noc.Network, drops, corrupts, retransmits uint64) {
+	t.Helper()
+	inj := nw.FaultInjector()
+	var injected, flitsIn, ejected, discarded, flitsOut, resent uint64
+	for id := 0; id < nw.Topology().NumNodes(); id++ {
+		n := nw.NIC(topology.NodeID(id))
+		injected += n.PacketsInjected.Value()
+		flitsIn += n.FlitsInjected.Value()
+		resent += n.Retransmits.Value()
+	}
+	ejectors := []*nic.Ejector{}
+	for id := 0; id < nw.Topology().NumNodes(); id++ {
+		ejectors = append(ejectors, nw.NIC(topology.NodeID(id)).Ejector())
+	}
+	for row := 0; row < nw.Config().Rows; row++ {
+		ejectors = append(ejectors, nw.Sink(row).Ejector())
+	}
+	for _, e := range ejectors {
+		ejected += e.PacketsEjected.Value()
+		discarded += e.PacketsDiscarded.Value()
+		flitsOut += e.FlitsEjected.Value()
+	}
+	t.Logf("traced %d drops (%d flits), %d corruptions, %d retransmissions of %d packets injected",
+		drops, inj.Drops(), corrupts, retransmits, injected)
+	if drops == 0 || corrupts == 0 || retransmits == 0 {
+		t.Errorf("the lossy run traced %d drops, %d corruptions and %d retransmissions, want each > 0", drops, corrupts, retransmits)
+	}
+	if corrupts != inj.Corrupts() {
+		t.Errorf("traced %d corruptions, the links counted %d", corrupts, inj.Corrupts())
+	}
+	if retransmits != resent {
+		t.Errorf("traced %d retransmissions, the NICs counted %d", retransmits, resent)
+	}
+	if injected != ejected+discarded+drops {
+		t.Errorf("packets: %d injected, %d ejected + %d discarded + %d traced drops = %d",
+			injected, ejected, discarded, drops, ejected+discarded+drops)
+	}
+	if flitsIn != flitsOut+inj.Drops() || inj.Drops() != nw.FlitPool().Drops() {
+		t.Errorf("flits: %d injected, %d ejected + %d dropped (the pool took back %d)",
+			flitsIn, flitsOut, inj.Drops(), nw.FlitPool().Drops())
 	}
 }
