@@ -80,12 +80,13 @@ func AblationBufferDepth(opts Options) ([]AblationRow, error) {
 }
 
 // AblationSinkCost sweeps the global buffer's per-packet transaction
-// overhead — the substitution DESIGN.md §3 documents. Below 3 cycles the
-// gather latency advantage reverses (RU collects a row sooner; the energy
-// advantage remains), at κ = 4 it is Eq. 4's, and each cycle above κ adds
-// M − 1 to RU collection.
+// overhead — the substitution DESIGN.md §3 documents — over every cost from
+// 0 to 6 cycles, then 8 and 10. Below 3 cycles the gather latency advantage
+// reverses (RU collects a row sooner; the energy advantage remains), at
+// κ = 4 it is Eq. 4's, the default 5 is one above, and each cycle above κ
+// adds M − 1 to RU collection.
 func AblationSinkCost(opts Options) ([]AblationRow, error) {
-	return sweep("sinkcost", []int{0, 2, 5, 10}, opts, func(v int, o *core.Options) {
+	return sweep("sinkcost", []int{0, 1, 2, 3, 4, 5, 6, 8, 10}, opts, func(v int, o *core.Options) {
 		o.MutateNetwork = func(c *noc.Config) { c.SinkPacketOverhead = int64(v) }
 	})
 }
