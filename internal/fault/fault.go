@@ -222,8 +222,8 @@ type Injector struct {
 
 // NewInjector compiles cfg for a fabric whose links carry vcs virtual
 // channels, with room for links registered links: their list and their
-// drop sets are allocated here, once. The caller is expected to have
-// validated cfg.
+// drop sets are allocated here, once (a link past them allocates its own
+// drop set). The caller is expected to have validated cfg.
 func NewInjector(cfg *Config, links, vcs int) *Injector {
 	return &Injector{
 		cfg:      cfg,
@@ -251,7 +251,7 @@ func (in *Injector) AddLink(ls *LinkState, index int, outages WindowSet, transie
 	}
 	// A packet-atomic drop keeps at most one doomed packet per VC.
 	if len(in.doomed) < in.vcs {
-		in.doomed = make([]uint64, 64*in.vcs)
+		in.doomed = make([]uint64, in.vcs)
 	}
 	ls.doomed = in.doomed[:0:in.vcs]
 	in.doomed = in.doomed[in.vcs:]
