@@ -29,9 +29,9 @@ type reliableEntry struct {
 // writer per engine phase and its behavior is shard-count-invariant.
 //
 // A NIC has a handful of payloads unconfirmed at a time (each is confirmed
-// in the cycle it is delivered), so entries is searched by Seq in place of
-// an index, and starts with room for reliableRoom of them out of the NIC's
-// slab: tracking allocates only past that.
+// in the cycle it is delivered), so entries is searched by Seq, and starts
+// with room for reliableRoom of them out of the NIC's slab: tracking
+// allocates only past that.
 type reliableTable struct {
 	entries []reliableEntry
 
