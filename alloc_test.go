@@ -83,27 +83,19 @@ func TestAllocationRatchet(t *testing.T) {
 // maxBuildAllocs8x8 and maxBuildAllocs32x32 pin what building one fabric
 // may allocate. A build costs about as much as one of the paper's short
 // simulations, and every run that does not find a released network to
-// reuse pays it. The 8x8 build took 5012 allocations when every component
-// and wake handle was a heap node of its own, 3652 once the engine kept
-// its components in one slice per phase, cut wake handles from blocks of
-// 256 and links formatted their names only when asked. Every shard's
-// routers, links and NICs, with their VC buffers, counters and staging
-// rings, come out of a few slabs per shard (DESIGN.md §9), which left
-// about two allocations per node, the two ack callbacks each NIC handed
-// its router's stations (8x8 230 or 231, 32x32 2256). The stations now
-// ack their owner, the NIC, and the engine sizes its lists once
-// (sim.Engine.Reserve): 8x8 measures 69 and 32x32 134. Each ceiling is
-// that plus 10 %, so a per-component allocation coming back fails here.
+// reuse pays it. Every shard's routers, links and NICs, with their VC
+// buffers, counters and staging rings, come out of a few slabs per shard
+// (DESIGN.md §9), the stations ack their owner, the NIC, and the engine
+// sizes its lists once (sim.Engine.Reserve): 8x8 measures 69 and 32x32
+// 134. Each ceiling is that plus 10 %, so a per-component allocation
+// coming back fails here.
 //
 // The 16x16 rows are model-mix's fabric (east sinks on) with fault
-// injection, telemetry or both. They took 3 207, 5 767, 8 761 and, at two
-// shards, 8 941 allocations when every faulted link allocated its fault
-// state and credit flusher, every NIC its reliability table and index map,
-// every ejector its dedup set, and every metrics source a read closure and
-// a name string. Fault state now comes out of one slab per shard
-// (link.FaultSlab), the reliability tables out of the NICs' slabs, the
-// dedup sets are made by the first delivery, and each component is its own
-// telemetry source, named at export: they measure 241, 231, 261 and 435,
+// injection, telemetry or both, each pinned at its measurement plus 10 %.
+// Fault state comes out of one slab per shard (link.FaultSlab), the
+// reliability tables out of the NICs' slabs, the dedup sets are made by
+// the first delivery, and each component is its own telemetry source,
+// named at export: they measure 241, 231, 261 and, at two shards, 435,
 // the first three within 30 of the plain build's 214.
 const (
 	maxBuildAllocs8x8   = 76
@@ -158,28 +150,52 @@ func TestBuildAllocationPin(t *testing.T) {
 // injection-queue blocks come from their slab's arena (ring.Arena), a
 // refill for up to 32 of them at a time, so what is left is those
 // refills, the generator's latency count tables and a few flit-pool
-// blocks, 46 to 49 in all. It was 61 or 62 while every ejector kept a
-// latency sample; with one queue block and its lists allocated per NIC and
-// two allocations per sample, 372 to 378; when VC rings, branch lists,
-// link staging rings and pooled flits were allocated on first use, 2932.
+// blocks, 43 in the least of three readings (43 to 50 in single ones).
+// It was 61 or 62 while every ejector kept a latency sample; with one
+// queue block and its lists allocated per NIC and two allocations per
+// sample, 372 to 378; when VC rings, branch lists, link staging rings and
+// pooled flits were allocated on first use, 2932.
 const maxFirstUseAllocs = 60
 
-// maxFirstUseBytes pins the bytes the same cycles allocate: 56 176 to
-// 56 456, with a 32-byte queue entry per packet and no ejector latency
-// samples. It was 134 392 with an 88-byte entry and a first chunk of 64
+// maxFirstUseBytes pins the bytes the same cycles allocate: 55 984 (up to
+// 56 544 in single readings), with a 32-byte queue entry per packet and no
+// ejector latency samples. It was 134 392 with an 88-byte entry and a first chunk of 64
 // observations per ejector.
 const maxFirstUseBytes = 60_000
 
+// TestFirstUseAllocationPin takes the least of three readings, each on a
+// fresh fabric, as buildBytes does: the counts are process-wide, and a
+// reading in which the runtime starts an OS thread (on a loaded machine)
+// can also count the thread's records, about 5.5 KB in 5 to 8 objects.
 func TestFirstUseAllocationPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
+	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		a, b := firstUseAllocs(t)
+		allocs, bytes = min(allocs, a), min(bytes, b)
+	}
+	t.Logf("first 300 cycles of a new 8x8: %d allocs, %d bytes", allocs, bytes)
+	if allocs > maxFirstUseAllocs {
+		t.Errorf("the first 300 cycles of a new 8x8 allocate %d objects, pin %d", allocs, maxFirstUseAllocs)
+	}
+	if bytes > maxFirstUseBytes {
+		t.Errorf("the first 300 cycles of a new 8x8 allocate %d bytes, pin %d", bytes, maxFirstUseBytes)
+	}
+}
+
+// firstUseAllocs returns the objects and bytes the first 300 cycles of a
+// freshly built 8x8 allocate under uniform traffic at rate 0.05.
+func firstUseAllocs(t *testing.T) (allocs, bytes uint64) {
+	t.Helper()
 	cfg := noc.DefaultConfig(8, 8)
 	cfg.EastSinks = false
 	nw, err := noc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer nw.Close()
 	gen, err := traffic.NewGenerator(nw, traffic.GeneratorConfig{
 		Pattern:       traffic.UniformRandom{Nodes: 64},
 		InjectionRate: 0.05,
@@ -195,14 +211,7 @@ func TestFirstUseAllocationPin(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	nw.Engine().RunUntil(never, 300)
 	runtime.ReadMemStats(&after)
-	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	t.Logf("first 300 cycles of a new 8x8: %d allocs, %d bytes", allocs, bytes)
-	if allocs > maxFirstUseAllocs {
-		t.Errorf("the first 300 cycles of a new 8x8 allocate %d objects, pin %d", allocs, maxFirstUseAllocs)
-	}
-	if bytes > maxFirstUseBytes {
-		t.Errorf("the first 300 cycles of a new 8x8 allocate %d bytes, pin %d", bytes, maxFirstUseBytes)
-	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestShardedAllocationRatchet extends the ratchet to the sharded tick
@@ -341,25 +350,15 @@ func TestTelemetryAllocationRatchet(t *testing.T) {
 }
 
 // maxTelemetryBuildBytes16x16 pins what building a telemetry-on fabric may
-// allocate: noc.New of model-mix's 16x16 (faults on, default telemetry)
-// measured 4.76 MB when the fabric took 3.1 MB of it, the rest the metrics
-// sources and the telemetry wiring, whose snapshot values sit in two flat
-// arrays per probe (0.71 MB more when every source allocated two of its
-// own). Since the fabric's per-node state was halved (DESIGN.md §9: byte
-// counters and indices, a VC's buffer as a window of its router's slab,
-// cold fields out of the hot records) it measures 3.21 MB. The fabric's
-// buffers are built up front, out of per-shard slabs: VC buffers, link
-// staging rings, ejector buffers and partial-packet records, bytes the run
-// would otherwise allocate on its first cycles. Neither buffer that grows
-// with the run is built up front: the trace event buffers (5.2 MB when
-// they were allocated at their 65 536-event bound) grow as events arrive,
-// and the epoch ring (83 MB when it was zeroed at its 1 024-epoch bound as
-// dense rows) gains a row per epoch reached. The ceiling was that 3.21 MB
-// plus 10 %. It measured 3.14 MB while each metrics source held a closure
-// and a name string and every faulted link and NIC allocated its fault and
-// reliability state alone; with sources that are their components, names
-// formatted at export and fault state from per-shard slabs, 2.46 MB (2.94
-// MB under the race detector, which the ceiling must also hold).
+// allocate: noc.New of model-mix's 16x16 (faults on, default telemetry).
+// The fabric's buffers are built up front, out of per-shard slabs: VC
+// buffers, link staging rings, ejector buffers and partial-packet records,
+// bytes the run would otherwise allocate on its first cycles. Neither
+// buffer that grows with the run is: the trace event buffers grow as
+// events arrive, and the epoch ring gains a row per epoch reached. The
+// metrics sources' snapshot values sit in two flat arrays per probe. It
+// measures 2.40 MB, and 2.83 MB under the race detector, which the
+// ceiling covers with 25 % to spare.
 const maxTelemetryBuildBytes16x16 = 3_540_000
 
 // maxBuildBytes32x32 pins what building the 32x32 fabric of the mesh32

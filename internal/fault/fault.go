@@ -22,18 +22,18 @@ type Window struct {
 	Until int64
 }
 
-// Active reports whether the window covers cycle now.
-func (w Window) Active(now int64) bool {
+// active reports whether the window covers cycle now.
+func (w Window) active(now int64) bool {
 	return now >= w.From && (w.Until <= 0 || now < w.Until)
 }
 
 // WindowSet is a small list of outage windows (typically zero or one).
 type WindowSet []Window
 
-// Active reports whether any window covers cycle now.
-func (ws WindowSet) Active(now int64) bool {
+// active reports whether any window covers cycle now.
+func (ws WindowSet) active(now int64) bool {
 	for _, w := range ws {
-		if w.Active(now) {
+		if w.active(now) {
 			return true
 		}
 	}
@@ -290,7 +290,8 @@ type LinkState struct {
 	// body and tail vanish at the same link (drops are packet-atomic: the
 	// downstream router never sees a truncated wormhole). A VC carries one
 	// packet at a time, so it holds at most one packet per VC and is cut
-	// to that capacity (AddLink).
+	// to that capacity (AddLink). It is kept sorted, so that equal states
+	// encode alike without the encoder writing to it.
 	doomed []uint64
 
 	// Drops counts dropped flits; Corrupts counts corrupted packets.
@@ -299,7 +300,7 @@ type LinkState struct {
 }
 
 // Cut reports whether a scheduled outage covers cycle now.
-func (ls *LinkState) Cut(now int64) bool { return ls.windows.Active(now) }
+func (ls *LinkState) Cut(now int64) bool { return ls.windows.active(now) }
 
 // DropFlit decides whether the flit with the given packet ID and
 // head/tail position is dropped at this link. The verdict is made at the
@@ -310,20 +311,19 @@ func (ls *LinkState) DropFlit(pid uint64, head, tail bool, now int64) bool {
 		doomedNow := ls.Cut(now) || (ls.dropT > 0 && mix(ls.salt, pid) < ls.dropT)
 		if doomedNow {
 			if !tail {
-				ls.doomed = append(ls.doomed, pid)
+				i, _ := slices.BinarySearch(ls.doomed, pid)
+				ls.doomed = slices.Insert(ls.doomed, i, pid)
 			}
 			ls.Drops++
 		}
 		return doomedNow
 	}
-	i := slices.Index(ls.doomed, pid)
-	if i < 0 {
+	i, ok := slices.BinarySearch(ls.doomed, pid)
+	if !ok {
 		return false
 	}
 	if tail {
-		last := len(ls.doomed) - 1
-		ls.doomed[i] = ls.doomed[last]
-		ls.doomed = ls.doomed[:last]
+		ls.doomed = slices.Delete(ls.doomed, i, i+1)
 	}
 	ls.Drops++
 	return true

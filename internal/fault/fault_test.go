@@ -20,8 +20,8 @@ func TestWindowActive(t *testing.T) {
 		{Window{}, 0, true},               // permanent from cycle 0
 	}
 	for _, tt := range tests {
-		if got := tt.w.Active(tt.now); got != tt.want {
-			t.Errorf("%+v.Active(%d) = %v, want %v", tt.w, tt.now, got, tt.want)
+		if got := tt.w.active(tt.now); got != tt.want {
+			t.Errorf("%+v.active(%d) = %v, want %v", tt.w, tt.now, got, tt.want)
 		}
 	}
 }

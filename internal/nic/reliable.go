@@ -28,9 +28,14 @@ type reliableEntry struct {
 // serial sub-phase (Confirm via the reliability hub), so the table has one
 // writer per engine phase and its behavior is shard-count-invariant.
 //
-// A NIC has a handful of payloads unconfirmed at a time (each is confirmed
-// in the cycle it is delivered), so entries is searched by Seq, and starts
-// with room for reliableRoom of them out of the NIC's slab: tracking
+// An entry stays for its payload's network latency, and a lost payload's
+// for its timeouts and backoff too, so a NIC holds about one entry per job
+// it sends for. Measured: every NIC of a model-mix op (two VGG-16 jobs and
+// a tree reduce on a lossy 16x16) peaks at 3 entries, and a find scans
+// 0.6 of them on average; the -exp faults points peak at 1 (0.6 scanned),
+// and eight overlapped AlexNet jobs at 10 % flit loss at 8 (2.6 scanned).
+// So few entries need no index: entries is scanned for a Seq, and starts
+// with room for reliableRoom of them out of the NIC's slab, so tracking
 // allocates only past that.
 type reliableTable struct {
 	entries []reliableEntry
@@ -62,7 +67,7 @@ func (n *NIC) EnableReliability(timeout int64, backoffCap, maxRetries int) {
 }
 
 // reliableRoom is how many unconfirmed payloads a reliability table holds
-// before it allocates.
+// before it allocates: the measured peak of model-mix (3), plus one.
 const reliableRoom = 4
 
 // find returns the slot of the entry tracking Seq seq, or -1.

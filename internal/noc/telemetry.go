@@ -130,7 +130,7 @@ func (nw *Network) wireTelemetry() {
 	// views); the sum is the sequential engine's Live count.
 	poolFields := []telemetry.Field{{Name: "live", Gauge: true}}
 	for s := 0; s < shards; s++ {
-		tc.AddSource(s, telemetry.SourceMeta{Kind: "pool", ID: 0, Name: "flitpool", Row: -1, Col: -1},
+		tc.AddSource(s, telemetry.SourceMeta{Kind: "pool", ID: 0, Row: -1, Col: -1},
 			poolFields, (*poolSource)(nw.poolFor(s)))
 	}
 
@@ -252,3 +252,5 @@ func (s *linkCredits) Read(dst []int64) { dst[0] = int64((*link.Link)(s).Credits
 func (s *linkCredits) AppendName(dst []byte) []byte { return (*link.Link)(s).AppendName(dst) }
 
 func (s *poolSource) Read(dst []int64) { dst[0] = (*flit.Pool)(s).Balance() }
+
+func (s *poolSource) AppendName(dst []byte) []byte { return append(dst, "flitpool"...) }

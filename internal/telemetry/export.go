@@ -58,12 +58,12 @@ func (r *Report) WriteMetricsCSV(w io.Writer) error {
 	}
 	labels := make([]byte, 0, 24*pieces)
 	ends := append(make([]int, 0, pieces+1), 0)
-	var name []byte // each source's name, formatted here (appendName)
+	var name []byte // each source's name, formatted here (Source.AppendName)
 	for i := range r.Sources {
 		ss := &r.Sources[i]
 		labels = append(appendCSVField(labels, ss.Meta.Kind), ',')
 		labels = append(strconv.AppendInt(labels, int64(ss.Meta.ID), 10), ',')
-		name = ss.appendName(name[:0])
+		name = ss.from.AppendName(name[:0])
 		labels = append(appendCSVField(labels, name), ',')
 		labels = append(strconv.AppendInt(labels, int64(ss.Meta.Row), 10), ',')
 		labels = append(strconv.AppendInt(labels, int64(ss.Meta.Col), 10), ',')

@@ -40,7 +40,7 @@ func referenceMetricsCSV(r *Report, w io.Writer, sparse bool) error {
 				rec[1] = strconv.FormatInt(r.EpochEnd[e], 10)
 				rec[2] = ss.Meta.Kind
 				rec[3] = strconv.Itoa(ss.Meta.ID)
-				rec[4] = string(ss.appendName(nil))
+				rec[4] = string(ss.from.AppendName(nil))
 				rec[5] = strconv.Itoa(ss.Meta.Row)
 				rec[6] = strconv.Itoa(ss.Meta.Col)
 				rec[7] = f.Name
@@ -86,7 +86,7 @@ func awkwardReport(epochs int, wrapped bool) *Report {
 		r.EpochEnd = append(r.EpochEnd, end)
 	}
 	for i, name := range awkwardNames {
-		meta := SourceMeta{Kind: awkwardNames[(i+1)%len(awkwardNames)], ID: i - 2, Name: name, Row: i%3 - 1, Col: -i}
+		meta := SourceMeta{Kind: awkwardNames[(i+1)%len(awkwardNames)], ID: i - 2, Row: i%3 - 1, Col: -i}
 		fields := []Field{
 			{Name: "writes"},
 			{Name: awkwardNames[(i+2)%len(awkwardNames)], Gauge: true},
@@ -99,7 +99,7 @@ func awkwardReport(epochs int, wrapped bool) *Report {
 				int64(i)-5,             // gauge, sometimes negative
 				-int64(e+1)*int64(i%4)) // negative and zero deltas
 		}
-		r.Sources = append(r.Sources, packedSeries(meta, fields, nil, epochs, vals))
+		r.Sources = append(r.Sources, packedSeries(meta, fields, fnSource{name: name}, epochs, vals))
 	}
 	return r
 }
@@ -111,12 +111,11 @@ func awkwardReport(epochs int, wrapped bool) *Report {
 func silentMiddleReport() *Report {
 	c := New(Config{Epoch: 4}, 1)
 	state := make([]int64, 3)
-	c.AddSource(0, SourceMeta{Kind: "router", ID: 3, Name: "r3", Row: 0, Col: 3},
+	c.AddSource(0, SourceMeta{Kind: "router", ID: 3, Row: 0, Col: 3},
 		[]Field{{Name: "writes"}, {Name: "occupancy", Gauge: true}},
-		readFn(func(dst []int64) { copy(dst, state[:2]) }))
-	// The link names itself at export, as a fabric's components do.
+		fnSource{"r3", func(dst []int64) { copy(dst, state[:2]) }})
 	c.AddSource(0, SourceMeta{Kind: "link", ID: 0, Row: -1, Col: -1},
-		[]Field{{Name: "flits"}}, namedSource{name: "l0", v: &state[2]})
+		[]Field{{Name: "flits"}}, fnSource{"l0", func(dst []int64) { dst[0] = state[2] }})
 	c.Start()
 	ec := c.EpochCommitter(0)
 	for cycle := int64(0); cycle < 23; cycle++ {
@@ -193,7 +192,7 @@ func TestWriteMetricsCSVMatchesEncodingCSV(t *testing.T) {
 						p := pts[n]
 						n++
 						// encoding/csv's reader folds "\r\n" inside a quoted field to "\n".
-						if p.Kind != unCRLF(ss.Meta.Kind) || p.Name != unCRLF(string(ss.appendName(nil))) || p.Field != unCRLF(f.Name) ||
+						if p.Kind != unCRLF(ss.Meta.Kind) || p.Name != unCRLF(string(ss.from.AppendName(nil))) || p.Field != unCRLF(f.Name) ||
 							p.ID != ss.Meta.ID || p.Value != v || p.Epoch != tc.rep.EpochIndex[e] {
 							t.Fatalf("point %d = %+v, want source %+v field %q value %d", n-1, p, ss.Meta, f.Name, v)
 						}
@@ -730,14 +729,3 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
-
-// namedSource is a one-field Source that formats its own name, as the
-// fabric's components do.
-type namedSource struct {
-	name string
-	v    *int64
-}
-
-func (s namedSource) Read(dst []int64) { dst[0] = *s.v }
-
-func (s namedSource) AppendName(dst []byte) []byte { return append(dst, s.name...) }

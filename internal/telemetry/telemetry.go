@@ -195,28 +195,26 @@ type Field struct {
 
 // SourceMeta identifies one metrics source in exports: a router, link,
 // NIC, sink or pool, with its grid position where applicable (Row/Col are
-// -1 for sources without one). An empty Name is the Source's to format
+// -1 for sources without one). The source's name is its own to format
 // (see Source).
 type SourceMeta struct {
 	Kind string
 	ID   int
-	Name string
 	Row  int
 	Col  int
 }
 
-// A Source is one metrics source's counters: Read writes their current
-// cumulative values into every element of dst (len(dst) == len(fields)). It
-// runs on the owning shard's goroutine at epoch boundaries, after all of
-// that shard's writes for the cycle.
-//
-// A source registered with an empty SourceMeta.Name also has a method
-// AppendName(dst []byte) []byte that appends its name to dst, called at
-// export only: a fabric registers thousands of sources, one per component
-// (a component can be its own Source), and formats none of their names to
-// do so.
+// A Source is one metrics source's counters and name. Read writes the
+// counters' current cumulative values into every element of dst
+// (len(dst) == len(fields)); it runs on the owning shard's goroutine at
+// epoch boundaries, after all of that shard's writes for the cycle.
+// AppendName appends the source's name to dst and is called at export
+// only: a fabric registers thousands of sources, one per component (a
+// component can be its own Source), and formats none of their names to do
+// so.
 type Source interface {
 	Read(dst []int64)
+	AppendName(dst []byte) []byte
 }
 
 type source struct {
@@ -509,7 +507,7 @@ type SourceSeries struct {
 	Meta   SourceMeta
 	Fields []Field
 
-	from  Source   // what names the series when Meta.Name is empty
+	from  Source   // what names the series
 	rows  [][]byte // one packed row per retained epoch, oldest first
 	src   int      // the source's index in the rows' presence bitmaps
 	words int      // the rows' presence-bitmap words
@@ -536,15 +534,6 @@ func (ss *SourceSeries) At(e int) []int64 {
 		ss.buf[j], p = v, p[n:]
 	}
 	return ss.buf
-}
-
-// appendName appends the series' source name to dst: Meta.Name, or, when
-// that is empty, the name its Source formats.
-func (ss *SourceSeries) appendName(dst []byte) []byte {
-	if n, ok := ss.from.(interface{ AppendName([]byte) []byte }); ok && ss.Meta.Name == "" {
-		return n.AppendName(dst)
-	}
-	return append(dst, ss.Meta.Name...)
 }
 
 // packedSeries returns a series over packed rows of its own: vals holds

@@ -100,17 +100,22 @@ func TestEmitOverflowCountsDrops(t *testing.T) {
 func collectorWithSource(cfg Config) (*Collector, []int64) {
 	c := New(cfg, 1)
 	state := make([]int64, 2)
-	c.AddSource(0, SourceMeta{Kind: "router", ID: 3, Name: "r3", Row: 0, Col: 3},
+	c.AddSource(0, SourceMeta{Kind: "router", ID: 3, Row: 0, Col: 3},
 		[]Field{{Name: "writes"}, {Name: "occupancy", Gauge: true}},
-		readFn(func(dst []int64) { copy(dst, state) }))
+		fnSource{"r3", func(dst []int64) { copy(dst, state) }})
 	c.Start()
 	return c, state
 }
 
-// readFn is a Source made of a function.
-type readFn func(dst []int64)
+// fnSource is a Source made of a name and a function.
+type fnSource struct {
+	name string
+	read func(dst []int64)
+}
 
-func (f readFn) Read(dst []int64) { f(dst) }
+func (s fnSource) Read(dst []int64) { s.read(dst) }
+
+func (s fnSource) AppendName(dst []byte) []byte { return append(dst, s.name...) }
 
 // TestSnapshotDeltaVsGauge drives epoch boundaries by hand and checks the
 // delta field reports per-epoch differences while the gauge field reports
@@ -199,15 +204,16 @@ func TestEpochRingWrap(t *testing.T) {
 // but not their fields (a link's flit and credit halves) stay apart.
 func TestHarvestSumsSplitSource(t *testing.T) {
 	c := New(Config{Epoch: 4}, 3)
-	meta := SourceMeta{Kind: "pool", ID: 0, Name: "flitpool", Row: -1, Col: -1}
+	meta := SourceMeta{Kind: "pool", ID: 0, Row: -1, Col: -1}
 	fields := []Field{{Name: "live", Gauge: true}}
 	parts := []int64{5, -2, 4}
 	for s := range parts {
-		c.AddSource(s, meta, fields, readFn(func(dst []int64) { dst[0] = parts[s] }))
+		c.AddSource(s, meta, fields, fnSource{"flitpool", func(dst []int64) { dst[0] = parts[s] }})
 	}
-	link := SourceMeta{Kind: "link", ID: 7, Name: "l7", Row: -1, Col: -1}
-	c.AddSource(2, link, []Field{{Name: "flits"}}, readFn(func(dst []int64) { dst[0] = 1 }))
-	c.AddSource(0, link, []Field{{Name: "credits"}}, readFn(func(dst []int64) { dst[0] = 1 }))
+	link := SourceMeta{Kind: "link", ID: 7, Row: -1, Col: -1}
+	one := fnSource{"l7", func(dst []int64) { dst[0] = 1 }}
+	c.AddSource(2, link, []Field{{Name: "flits"}}, one)
+	c.AddSource(0, link, []Field{{Name: "credits"}}, one)
 	c.Start()
 	for s := range parts {
 		ec := c.EpochCommitter(s)
@@ -272,7 +278,7 @@ func TestHarvestFlushesPartialEpoch(t *testing.T) {
 // aux). These orders are what makes exports shard-count-invariant.
 func TestHarvestCanonicalOrder(t *testing.T) {
 	c := New(Config{Epoch: 8, TraceSample: 1}, 2)
-	zero := readFn(func(dst []int64) { dst[0] = 0 })
+	zero := fnSource{read: func(dst []int64) { dst[0] = 0 }}
 	c.AddSource(1, SourceMeta{Kind: "router", ID: 9}, []Field{{Name: "writes"}}, zero)
 	c.AddSource(0, SourceMeta{Kind: "nic", ID: 2}, []Field{{Name: "injected"}}, zero)
 	c.AddSource(0, SourceMeta{Kind: "link", ID: 5}, []Field{{Name: "flits"}}, zero)
@@ -512,12 +518,13 @@ func synthFabric(cfg Config, shards int) (*Collector, []*synthSource) {
 	c := New(cfg, shards)
 	var srcs []*synthSource
 	add := func(kind string, id int, fields []Field, on ...int) {
-		ss := &synthSource{shards: on, meta: SourceMeta{Kind: kind, ID: id, Name: fmt.Sprintf("%s%d", kind, id), Row: -1, Col: -1}, fields: fields}
+		ss := &synthSource{shards: on, meta: SourceMeta{Kind: kind, ID: id, Row: -1, Col: -1}, fields: fields}
 		for range on {
 			ss.state = append(ss.state, make([]int64, len(fields)))
 		}
+		name := fmt.Sprintf("%s%d", kind, id)
 		for part, sh := range on {
-			c.AddSource(sh, ss.meta, fields, readFn(func(dst []int64) { copy(dst, ss.state[part]) }))
+			c.AddSource(sh, ss.meta, fields, fnSource{name, func(dst []int64) { copy(dst, ss.state[part]) }})
 		}
 		srcs = append(srcs, ss)
 	}
@@ -730,7 +737,7 @@ func FuzzEpochRows(f *testing.F) {
 			for j := 0; j < k; j++ {
 				p.fields = append(p.fields, Field{Name: fmt.Sprintf("f%d", j), Gauge: (meta.ID+j)%3 == 2})
 			}
-			c.AddSource(sh, meta, p.fields, readFn(func(dst []int64) { copy(dst, p.state) }))
+			c.AddSource(sh, meta, p.fields, fnSource{read: func(dst []int64) { copy(dst, p.state) }})
 			parts = append(parts, p)
 			return p
 		}
