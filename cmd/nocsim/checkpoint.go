@@ -16,7 +16,7 @@ import (
 // line, the traffic header as one line of JSON, the generator's state
 // (traffic.Generator.AppendState, length first), then the network snapshot
 // (noc.EncodeSnapshot).
-const checkpointVersion = "gathernoc/nocsim.Checkpoint/v3"
+const checkpointVersion = "gathernoc/nocsim.Checkpoint/v4"
 
 // checkpointFile is a checkpoint as read back: the traffic header, the
 // generator's encoded state and the network snapshot. The traffic pattern

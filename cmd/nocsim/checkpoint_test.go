@@ -202,3 +202,26 @@ func withDrawCount(t *testing.T, data []byte, draws uint64) []byte {
 	out = binary.AppendUvarint(out, uint64(len(gen)))
 	return append(append(out, gen...), network...)
 }
+
+// A v3 checkpoint, whose generator state has no next-arrival table, is
+// refused with the incompatible-version error before anything is read.
+func TestRunResumeRefusesV3Checkpoint(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.bin")
+	args := []string{"-rows", "4", "-cols", "4", "-rate", "0.05", "-warmup", "100", "-measure", "500",
+		"-checkpoint", ck, "-checkpointat", "300"}
+	if err := run(args, new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := bytes.Cut(data, []byte{'\n'})
+	v3 := append([]byte("gathernoc/nocsim.Checkpoint/v3\n"), rest...)
+	if err := os.WriteFile(ck, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-resume", ck}, new(strings.Builder)); err == nil || !strings.Contains(err.Error(), "incompatible version") {
+		t.Errorf("v3 checkpoint: %v, want the incompatible-version error", err)
+	}
+}

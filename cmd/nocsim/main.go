@@ -390,7 +390,8 @@ func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorCon
 	fmt.Fprintf(w, "injected       %d packets\n", res.Injected)
 	fmt.Fprintf(w, "received       %d packets\n", res.Received)
 	fmt.Fprintf(w, "latency        %s\n", res.Latency.String())
-	fmt.Fprintf(w, "throughput     %.4f pkts/node/cycle\n", res.Throughput)
+	fmt.Fprintf(w, "throughput     offered %.4f, accepted %.4f pkts/node/cycle; backlog %d packets%s\n",
+		res.Offered, res.Throughput, res.Backlog, saturated(res))
 	fmt.Fprintf(w, "cycles         %d (incl. drain)\n", res.Cycles)
 	a := nw.Activity()
 	fmt.Fprintf(w, "link flits     %d\n", a.LinkFlits)
@@ -400,6 +401,16 @@ func runGenerator(nw *noc.Network, patternName string, gcfg traffic.GeneratorCon
 			eng.JumpedCycles(), eng.Cycle(), eng.Jumps())
 	}
 	return nil
+}
+
+// saturated is the throughput line's verdict: "; saturated" when the
+// accepted load falls short of the offered one by more than
+// traffic.SaturationMargin of it.
+func saturated(res *traffic.GeneratorResult) string {
+	if !res.Saturated() {
+		return ""
+	}
+	return fmt.Sprintf("; saturated (accepted more than %.0f%% short of offered)", traffic.SaturationMargin*100)
 }
 
 // parseFaultFlags compiles the fault CLI flags into a fault.Config, nil

@@ -48,6 +48,33 @@ func TestRunAllPatterns(t *testing.T) {
 	}
 }
 
+// The throughput line states the offered and accepted loads and the
+// backlog, and calls a run past the knee saturated: a 4x4 carries about
+// 0.35 packets per node and cycle, far below an offered 0.9.
+func TestRunSyntheticSaturated(t *testing.T) {
+	for _, c := range []struct {
+		rate      string
+		saturated bool
+	}{{"0.9", true}, {"0.01", false}} {
+		var b strings.Builder
+		if err := run([]string{"-rows", "4", "-cols", "4", "-rate", c.rate, "-warmup", "200", "-measure", "2000"}, &b); err != nil {
+			t.Fatal(err)
+		}
+		var line string
+		for _, l := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(l, "throughput ") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, "offered ") || !strings.Contains(line, "accepted ") || !strings.Contains(line, "backlog ") {
+			t.Errorf("rate %s: throughput line %q lacks offered, accepted or backlog", c.rate, line)
+		}
+		if got := strings.Contains(line, "saturated"); got != c.saturated {
+			t.Errorf("rate %s: throughput line %q, saturated %v, want %v", c.rate, line, got, c.saturated)
+		}
+	}
+}
+
 func TestRunTorusSynthetic(t *testing.T) {
 	for _, routing := range []string{"xy", "oddeven", "westfirst"} {
 		var b strings.Builder

@@ -93,11 +93,16 @@ func MixedTraffic(opts Options) ([]MixedTrafficRow, error) {
 	}
 	return Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p MixedTrafficRow) (MixedTrafficRow, error) {
-			return runMixed(layer, p.Rate, p.DedicatedVC, opts)
+			return runMixed(layer, p.Rate, p.DedicatedVC, mixedSeed, opts)
 		})
 }
 
-func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options) (MixedTrafficRow, error) {
+// mixedSeed seeds the background traffic of every MixedTraffic point.
+const mixedSeed = 7
+
+// runMixed runs one layer beside background traffic of the given rate
+// and seed.
+func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, seed int64, opts Options) (MixedTrafficRow, error) {
 	cfg := noc.DefaultConfig(8, 8)
 	if dedicated {
 		cfg.Router.GatherVC = cfg.Router.VCs - 1
@@ -127,7 +132,7 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, opts Options)
 			PacketFlits:   cfg.UnicastFlits,
 			Warmup:        0,
 			Measure:       1 << 40, // inject for the whole run
-			Seed:          7,
+			Seed:          seed,
 		})
 		if err != nil {
 			return MixedTrafficRow{}, err

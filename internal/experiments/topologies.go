@@ -42,8 +42,10 @@ type topologyPoint struct {
 	rate    float64
 }
 
-// TopologyComparisonRates are the offered loads the comparison samples:
-// well below saturation, moderate, and near the mesh's saturation knee.
+// TopologyComparisonRates are the offered loads the comparison samples,
+// all below the 8x8 mesh's saturation knee (an accepted load of about
+// 0.17 packets per node and cycle), where the accepted load equals the
+// offered one.
 var TopologyComparisonRates = []float64{0.01, 0.03, 0.05}
 
 // topologyRoutings are the routings the comparison runs on each fabric.

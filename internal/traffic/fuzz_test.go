@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
 )
 
@@ -52,6 +54,60 @@ func FuzzReplayTrace(f *testing.F) {
 		}
 		if _, err := rp.Run(budget); err != nil && feasible {
 			t.Fatalf("accepted trace failed to replay: %v\n%s", err, data)
+		}
+	})
+}
+
+// FuzzGeneratorState loads any bytes as the state of a generator on a 4x4
+// mesh whose clock stands at cycle 120, inside the injection window. The
+// invariants: nothing panics; a state LoadState refuses is refused with a
+// traffic: error; a state it loads resumes, injecting until its window
+// ends and draining within the budget.
+func FuzzGeneratorState(f *testing.F) {
+	cfg := GeneratorConfig{
+		Pattern: UniformRandom{Nodes: 16}, InjectionRate: 0.1, PacketFlits: 2,
+		Warmup: 50, Measure: 100, Seed: 1,
+	}
+	const clock = 120
+	never := func() bool { return false }
+	for _, at := range []int64{0, 60, clock} {
+		nw, err := noc.New(noc.DefaultConfig(4, 4))
+		if err != nil {
+			f.Fatal(err)
+		}
+		g, err := NewGenerator(nw, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		nw.Engine().AddTicker(g)
+		nw.Engine().RunUntil(never, at)
+		var e flit.Encoder
+		e.ResetAbsolute(nil)
+		g.AppendState(&e)
+		f.Add(e.Bytes())
+		f.Add(e.Bytes()[:len(e.Bytes())-3])
+		nw.Close()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nw, err := noc.New(noc.DefaultConfig(4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		nw.Engine().RestoreCycle(clock)
+		g, err := NewGenerator(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loadGeneratorState(g, data); err != nil {
+			if !strings.HasPrefix(err.Error(), "traffic: ") {
+				t.Fatalf("refused without a name: %v", err)
+			}
+			return
+		}
+		done := func() bool { return g.Injected() && nw.Quiescent() }
+		if _, err := nw.Engine().RunWith(g, done, 20_000); err != nil {
+			t.Fatalf("a loaded state did not resume: %v", err)
 		}
 	})
 }

@@ -2,11 +2,14 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/sim"
 	"gathernoc/internal/stats"
 	"gathernoc/internal/topology"
 )
@@ -15,12 +18,15 @@ import (
 type GeneratorConfig struct {
 	// Pattern picks destinations.
 	Pattern Pattern
-	// InjectionRate is packets per node per cycle (Bernoulli process).
+	// InjectionRate is packets per node per cycle: each node's arrivals
+	// are a Bernoulli process of this p, drawn one arrival at a time as
+	// geometric gaps (Generator).
 	InjectionRate float64
 	// PacketFlits is the injected packet length.
 	PacketFlits int
 	// Warmup and Measure are the warm-up and measurement windows in
 	// cycles; injection stops after Warmup+Measure and the run drains.
+	// Their sum is at most math.MaxInt64/2, so no window end overflows.
 	Warmup  int64
 	Measure int64
 	// Seed makes the run reproducible.
@@ -32,19 +38,28 @@ func (c GeneratorConfig) Validate() error {
 	switch {
 	case c.Pattern == nil:
 		return fmt.Errorf("traffic: nil pattern")
-	case c.InjectionRate < 0 || c.InjectionRate > 1:
+	case !(c.InjectionRate >= 0 && c.InjectionRate <= 1):
 		return fmt.Errorf("traffic: injection rate %v out of [0,1]", c.InjectionRate)
 	case c.PacketFlits < 1:
 		return fmt.Errorf("traffic: packet length %d invalid", c.PacketFlits)
-	case c.Warmup < 0 || c.Measure < 1:
+	case c.Warmup < 0 || c.Measure < 1 || c.Warmup > math.MaxInt64/2-c.Measure:
 		return fmt.Errorf("traffic: windows %d/%d invalid", c.Warmup, c.Measure)
 	}
 	return nil
 }
 
+// SaturationMargin is how far, as a share of the offered load, the
+// accepted load may fall short of it before a run reads as saturated
+// (GeneratorResult.Saturated). Below the knee the two differ by the
+// packets in flight across the window's edges, about latency/Measure of
+// the load: under 2 % at the usual windows.
+const SaturationMargin = 0.05
+
 // GeneratorResult summarizes a synthetic run.
 type GeneratorResult struct {
-	// Injected and Received count measured-window packets.
+	// Injected counts the packets injected during the measurement window;
+	// Received those of them delivered, whenever they arrive (drain
+	// included). A run that drains has Received == Injected.
 	Injected uint64
 	Received uint64
 	// Latency samples received packets' end-to-end latencies (cycles),
@@ -59,9 +74,23 @@ type GeneratorResult struct {
 	Hops stats.Sample
 	// Cycles is the total run length including drain.
 	Cycles int64
-	// Throughput is received packets per node per cycle over the
-	// measurement window.
+	// Offered is Injected per node per cycle of the measurement window.
+	// Throughput is the accepted load: the packets that ejected during the
+	// window, whatever cycle they were injected in, per node per cycle.
+	// Past the network's saturation point Throughput stays at what the
+	// fabric carries while Offered keeps rising.
+	Offered    float64
 	Throughput float64
+	// Backlog counts the packets that entered a source queue before the
+	// window ended and were still in it at the end (their head had not
+	// entered the network), counted as they are delivered.
+	Backlog uint64
+}
+
+// Saturated reports whether the accepted load falls short of the offered
+// load by more than SaturationMargin of it.
+func (r *GeneratorResult) Saturated() bool {
+	return r.Throughput < (1-SaturationMargin)*r.Offered
 }
 
 // Generator drives an open-loop synthetic workload on a network, either
@@ -71,28 +100,47 @@ type GeneratorResult struct {
 // phase, ticks it and dispatches its tagged packets back through OnPacket).
 // Create one per run or phase.
 //
-// A Generator is a plain sim.Ticker on purpose: it draws from its random
-// stream every cycle of its injection window, so it has no Idle and arms no
-// timer, and a fabric it drives never jumps. bench/trace.go wraps it in a
-// ticker that is not an Idler either, and bench/harness.go fails a traced op
-// whose sim.evaluated or sim.skipped differ from the untraced ops'; giving
-// it a sleep state would need the wrapper changed with it.
+// Each node's packets arrive as a Bernoulli(p) process, p the injection
+// rate, but the generator draws arrivals, not trials: each node holds its
+// next arrival cycle, drawn as a geometric gap (arrival), and Tick returns
+// at once on a cycle before the earliest of them. An arrival costs its
+// destination's draws and its successor's gap, so a run's draws follow its
+// packets, not its nodes × cycles. On a cycle with arrivals the due nodes
+// inject in ascending node id.
+//
+// A Generator is a plain sim.Ticker, with no Idle and no timer, so a
+// fabric it drives never jumps. It could sleep until its next arrival, but
+// bench/trace.go wraps it in a timing ticker that is not an Idler, and
+// bench/harness.go fails a traced op whose sim.evaluated or sim.skipped
+// differ from the untraced ops'; sleeping waits until that wrapper changes
+// with it.
 type Generator struct {
 	nw  *noc.Network
 	cfg GeneratorConfig
 	rng *rand.Rand
 	// src wraps the seeded source with a draw counter so snapshots can
-	// record the RNG position and restore it by replaying discards; the
-	// draw sequence is untouched, keeping golden results bit-identical.
+	// record the RNG position and restore it by replaying discards.
 	src *countingSource
 	tag flit.Tag
+	// logq is log(1 − p), the scale of every geometric gap.
+	logq float64
 
 	// base is the engine cycle the injection windows are measured from:
 	// 0 standalone, the phase admission cycle under a scheduler.
 	base      int64
 	injecting bool
-	injected  uint64
-	received  uint64
+	// next holds each node's next arrival cycle, sim.Never once its
+	// arrivals run past the window (and before Start). due is the first
+	// cycle Tick has work on: the earliest arrival or the window end while
+	// injecting, sim.Never otherwise.
+	next     []int64
+	due      int64
+	injected uint64
+	received uint64
+	// accepted counts packets ejected during the measurement window,
+	// backlog those still queued at its source when the window ended.
+	accepted uint64
+	backlog  uint64
 	// sent/delivered count every packet of the run (warm-up included), the
 	// conservation pair behind Drained.
 	sent      uint64
@@ -122,22 +170,51 @@ func NewGeneratorDriver(nw *noc.Network, cfg GeneratorConfig) (*Generator, error
 		return nil, err
 	}
 	src := newCountingSource(cfg.Seed)
-	return &Generator{
-		nw:  nw,
-		cfg: cfg,
-		rng: rand.New(src),
-		src: src,
-	}, nil
+	g := &Generator{
+		nw:   nw,
+		cfg:  cfg,
+		rng:  rand.New(src),
+		src:  src,
+		logq: math.Log1p(-cfg.InjectionRate),
+		next: make([]int64, nw.Topology().NumNodes()),
+		due:  sim.Never,
+	}
+	for id := range g.next {
+		g.next[id] = sim.Never
+	}
+	return g, nil
 }
 
 // SetTag assigns the workload tag every injected packet is sent under
 // (workload.Taggable; the scheduler calls it before Start).
 func (g *Generator) SetTag(t flit.Tag) { g.tag = t }
 
-// Start begins the injection windows at the given cycle (workload.Driver).
+// Start begins the injection windows at the given cycle (workload.Driver)
+// and draws every node's first arrival, in ascending node id.
 func (g *Generator) Start(cycle int64) {
 	g.base = cycle
 	g.injecting = true
+	for id := range g.next {
+		g.next[id] = g.arrival(cycle)
+	}
+	g.due = min(g.end(), slices.Min(g.next))
+}
+
+// end is the first cycle past the injection windows.
+func (g *Generator) end() int64 { return g.base + g.cfg.Warmup + g.cfg.Measure }
+
+// arrival draws a node's next arrival: the first cycle from `from` on whose
+// Bernoulli(p) trial succeeds, drawn at once as a gap of
+// ⌊log U / log(1 − p)⌋ cycles with U in (0, 1], the geometric law of the
+// failures before a success. A gap that reaches the window end, or is not
+// a finite non-negative number (p = 0 makes it −∞ or NaN), is no further
+// arrival: sim.Never. p = 1 makes every gap 0.
+func (g *Generator) arrival(from int64) int64 {
+	gap := math.Floor(math.Log(1-g.src.float64()) / g.logq)
+	if !(gap >= 0 && gap < float64(g.end()-from)) {
+		return sim.Never
+	}
+	return from + int64(gap)
 }
 
 // Injected reports whether the injection window has elapsed
@@ -156,13 +233,20 @@ func (g *Generator) Drained() bool { return !g.injecting && g.delivered == g.sen
 func (g *Generator) Sent() uint64      { return g.sent }
 func (g *Generator) Delivered() uint64 { return g.delivered }
 
-// OnPacket records one delivered generator packet (measurement-window
-// packets feed the latency samples). The scheduler dispatches tagged
-// packets here; NewGenerator wires it as the receive callback.
+// OnPacket records one delivered generator packet: one injected during the
+// measurement window feeds the latency samples, one that ejected during it
+// the accepted load. The scheduler dispatches tagged packets here;
+// NewGenerator wires it as the receive callback.
 func (g *Generator) OnPacket(p *nic.ReceivedPacket) {
 	g.delivered++
-	rel := p.InjectCycle - g.base
-	if rel >= g.cfg.Warmup && rel < g.cfg.Warmup+g.cfg.Measure {
+	from, end := g.base+g.cfg.Warmup, g.end()
+	if p.TailArrival >= from && p.TailArrival < end {
+		g.accepted++
+	}
+	if p.InjectCycle < end && p.NetworkCycle >= end {
+		g.backlog++
+	}
+	if p.InjectCycle >= from && p.InjectCycle < end {
 		g.received++
 		g.res.Latency.Observe(float64(p.Latency()))
 		g.res.QueueLatency.Observe(float64(p.QueueLatency()))
@@ -171,36 +255,38 @@ func (g *Generator) OnPacket(p *nic.ReceivedPacket) {
 	}
 }
 
-// Tick injects per-node Bernoulli traffic while inside the injection
-// window.
+// Tick injects the packets whose arrival is due, and ends injection at the
+// window end. Any other cycle returns at once.
 func (g *Generator) Tick(cycle int64) {
-	if !g.injecting {
+	if cycle < g.due {
 		return
 	}
-	rel := cycle - g.base
-	if rel >= g.cfg.Warmup+g.cfg.Measure {
+	end := g.end()
+	if cycle >= end {
 		g.injecting = false
+		g.due = sim.Never
 		return
 	}
-	measured := rel >= g.cfg.Warmup
-	nodes, rate := g.nw.Topology().NumNodes(), g.cfg.InjectionRate
-	for id := 0; id < nodes; id++ {
-		// The trial draws from the source directly (countingSource.float64);
-		// destinations draw through g.rng, which reads the same source.
-		if g.src.float64() >= rate {
-			continue
+	measured := cycle-g.base >= g.cfg.Warmup
+	due := end
+	for id, at := range g.next {
+		if at <= cycle {
+			// The destination draws through g.rng, the gap from the
+			// source directly (countingSource.float64): one stream.
+			src := topology.NodeID(id)
+			if dst := g.cfg.Pattern.Destination(src, g.rng); dst != src {
+				g.nw.NIC(src).SendUnicastN(g.tag, dst, g.cfg.PacketFlits)
+				g.sent++
+				if measured {
+					g.injected++
+				}
+			}
+			at = g.arrival(cycle + 1)
+			g.next[id] = at
 		}
-		src := topology.NodeID(id)
-		dst := g.cfg.Pattern.Destination(src, g.rng)
-		if dst == src {
-			continue
-		}
-		g.nw.NIC(src).SendUnicastN(g.tag, dst, g.cfg.PacketFlits)
-		g.sent++
-		if measured {
-			g.injected++
-		}
+		due = min(due, at)
 	}
+	g.due = due
 }
 
 // Run executes the workload: warm-up, measurement, then drain, with the
@@ -220,10 +306,10 @@ func (g *Generator) Run(maxCycles int64) (*GeneratorResult, error) {
 func (g *Generator) Result(cycles int64) *GeneratorResult {
 	g.res.Injected = g.injected
 	g.res.Received = g.received
+	g.res.Backlog = g.backlog
 	g.res.Cycles = cycles
-	if g.cfg.Measure > 0 {
-		g.res.Throughput = float64(g.received) /
-			float64(g.cfg.Measure) / float64(g.nw.Topology().NumNodes())
-	}
+	span := float64(g.cfg.Measure) * float64(g.nw.Topology().NumNodes())
+	g.res.Offered = float64(g.injected) / span
+	g.res.Throughput = float64(g.accepted) / span
 	return &g.res
 }

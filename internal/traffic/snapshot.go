@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"gathernoc/internal/flit"
+	"gathernoc/internal/sim"
 	"gathernoc/internal/stats"
 )
 
@@ -42,8 +44,8 @@ func (s *countingSource) Uint64() uint64 {
 // float64 is rand.Rand.Float64 drawn straight from the source, counted: Go
 // 1's float64(Int63())/(1<<63), redrawn on the rare value that rounds to 1.
 // It yields the value stream and advances the source exactly as
-// rand.New(s).Float64 does, minus the two interface calls per draw, which
-// the generator's per-node Bernoulli trials make every cycle.
+// rand.New(s).Float64 does, minus the two interface calls per draw; the
+// generator draws every arrival's gap through it.
 func (s *countingSource) float64() float64 {
 	for {
 		s.draws++
@@ -71,7 +73,8 @@ func (s *countingSource) skipTo(seed int64, n uint64) {
 // AppendState appends the generator's progress (flit.Encoder, absolute
 // mode): injection window base and state, the packet counts, the RNG
 // position — how many values the generator has drawn from its seeded
-// source — and the measured samples. The configuration (pattern, rates,
+// source — the measured samples, the accepted and backlog counts, and
+// every node's next arrival cycle. The configuration (pattern, rates,
 // windows, seed) is not written: a resuming run reconstructs the generator
 // from the same config.
 func (g *Generator) AppendState(e *flit.Encoder) {
@@ -83,6 +86,12 @@ func (g *Generator) AppendState(e *flit.Encoder) {
 	for _, s := range g.samples() {
 		e.Sample(s)
 	}
+	e.Uint(g.accepted)
+	e.Uint(g.backlog)
+	e.Uint(uint64(len(g.next)))
+	for _, at := range g.next {
+		e.Int(at)
+	}
 }
 
 // samples lists the measured samples, in the order AppendState writes them.
@@ -90,26 +99,36 @@ func (g *Generator) samples() []*stats.Sample {
 	return []*stats.Sample{&g.res.Latency, &g.res.QueueLatency, &g.res.NetworkLatency, &g.res.Hops}
 }
 
-// maxDrawsPerTrial bounds the draws one node's trial of one injecting
-// cycle can take: one for the Bernoulli trial (two on the value that
-// rounds to 1, which comes once in 2^53 or so) and, for an injected
-// packet, the destination's, a few even through the rejection loops of
-// rand.Intn and of a destination that names its source. Reaching 64 needs
-// dozens of rejections in a row at every trial.
-const maxDrawsPerTrial = 64
+// maxDrawsPerArrival bounds the draws one node's arrival can take: the
+// destination's, a few even through the rejection loops of rand.Intn and
+// of a destination that names its source, then the next gap's, one (two on
+// the value that rounds to 1, which comes once in 2^53 or so). Start's
+// first gap per node is one more such arrival. Reaching 64 needs dozens
+// of rejections in a row at every arrival.
+const maxDrawsPerArrival = 64
 
-// errDrawCount refuses a generator draw count that the state's clock could
-// not have produced: replaying it would take time out of proportion to the
-// run, or for ever.
-var errDrawCount = errors.New("draw count beyond what the run could have made")
+// Named refusals of a generator state LoadState cannot have been written
+// by a run of the same configuration. errDrawCount: replaying the count
+// would take time out of proportion to the run, or for ever.
+var (
+	errDrawCount     = errors.New("draw count beyond what the run could have made")
+	errArrivalTable  = errors.New("next-arrival table not one entry per node")
+	errArrivalPast   = errors.New("next arrival before the clock")
+	errArrivalWindow = errors.New("next arrival outside the injection window")
+)
 
 // LoadState rewinds a freshly constructed generator (same config as the
-// encoded one) to the progress AppendState wrote, RNG position included.
-// Call it once the network is restored: a draw count above
-// maxDrawsPerTrial per node and injecting cycle up to the network's clock
-// is refused (errDrawCount) before a draw is discarded.
+// encoded one; Start may have drawn its first arrivals, which are
+// replaced) to the progress AppendState wrote, RNG position and next
+// arrivals included. Call it once the network is restored. A draw count
+// above maxDrawsPerArrival per node for Start and each injecting cycle up
+// to the network's clock is refused (errDrawCount) before a draw is
+// discarded, and so is a next-arrival table that is not one entry per node
+// (errArrivalTable), an arrival before the clock (errArrivalPast), or one
+// at or past the window end that is not sim.Never, or any but sim.Never
+// while not injecting (errArrivalWindow).
 func (g *Generator) LoadState(d *flit.Decoder) error {
-	if g.sent != 0 || g.src.draws != 0 {
+	if g.sent != 0 || g.delivered != 0 {
 		return fmt.Errorf("traffic: LoadState needs a fresh generator")
 	}
 	g.base = d.Int()
@@ -119,6 +138,14 @@ func (g *Generator) LoadState(d *flit.Decoder) error {
 	for _, s := range g.samples() {
 		d.Sample(s)
 	}
+	g.accepted, g.backlog = d.Uint(), d.Uint()
+	n := d.Len()
+	if d.Err() == nil && n != len(g.next) {
+		return fmt.Errorf("traffic: generator state: %w: %d entries for %d nodes", errArrivalTable, n, len(g.next))
+	}
+	for id := range n {
+		g.next[id] = d.Int()
+	}
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("traffic: generator state: %w", err)
 	}
@@ -126,10 +153,23 @@ func (g *Generator) LoadState(d *flit.Decoder) error {
 	if g.base < 0 || g.base > now {
 		return fmt.Errorf("traffic: generator state: injection base %d outside [0, %d]", g.base, now)
 	}
-	trials := uint64(min(now-g.base, g.cfg.Warmup+g.cfg.Measure))
-	hi, limit := bits.Mul64(trials, maxDrawsPerTrial*uint64(g.nw.Topology().NumNodes()))
+	trials := uint64(min(now-g.base, g.cfg.Warmup+g.cfg.Measure)) + 1
+	hi, limit := bits.Mul64(trials, maxDrawsPerArrival*uint64(len(g.next)))
 	if hi == 0 && draws > limit {
 		return fmt.Errorf("traffic: generator state: %w: %d, at most %d", errDrawCount, draws, limit)
+	}
+	for id, at := range g.next {
+		switch {
+		case at == sim.Never:
+		case !g.injecting || at >= g.end():
+			return fmt.Errorf("traffic: generator state: %w: node %d at cycle %d", errArrivalWindow, id, at)
+		case at < now:
+			return fmt.Errorf("traffic: generator state: %w: node %d at cycle %d, clock %d", errArrivalPast, id, at, now)
+		}
+	}
+	g.due = sim.Never
+	if g.injecting {
+		g.due = min(g.end(), slices.Min(g.next))
 	}
 	g.src.skipTo(g.cfg.Seed, draws)
 	return nil

@@ -5,12 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"gathernoc/internal/flit"
 	"gathernoc/internal/noc"
-	"gathernoc/internal/stats"
+	"gathernoc/internal/sim"
 )
 
-// The generator's Bernoulli trials draw through countingSource.float64:
+// The generator's arrival gaps draw through countingSource.float64:
 // the values, and the source's position after them, must be math/rand's.
 func TestCountingSourceFloat64MatchesRand(t *testing.T) {
 	for _, seed := range []int64{1, 2, 42} {
@@ -30,9 +29,9 @@ func TestCountingSourceFloat64MatchesRand(t *testing.T) {
 	}
 }
 
-// LoadState refuses a draw count above maxDrawsPerTrial per node and
-// injecting cycle, and an injection base outside the run, before it
-// discards a draw, and loads the largest count the bound allows.
+// LoadState refuses a draw count above maxDrawsPerArrival per node for
+// Start and each injecting cycle, and an injection base outside the run,
+// before it discards a draw, and loads the largest count the bound allows.
 func TestGeneratorLoadStateBoundsDrawCount(t *testing.T) {
 	nw, err := noc.New(noc.DefaultConfig(4, 4))
 	if err != nil {
@@ -47,40 +46,27 @@ func TestGeneratorLoadStateBoundsDrawCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := func(base int64, draws uint64) []byte {
-		var e flit.Encoder
-		e.ResetAbsolute(nil)
-		e.Int(base)
-		e.Bool(false)
-		for i := 0; i < 4; i++ {
-			e.Uint(0)
-		}
-		e.Uint(draws)
-		for i := 0; i < 4; i++ {
-			e.Sample(&stats.Sample{})
-		}
-		return e.Bytes()
+	never := make([]int64, 16)
+	for i := range never {
+		never[i] = sim.Never
 	}
-	load := func(data []byte) error {
-		var d flit.Decoder
-		d.Reset(data, 0, 0)
-		return g.LoadState(&d)
-	}
-	perCycle := uint64(maxDrawsPerTrial * 16)
+	state := func(base int64, draws uint64) []byte { return generatorStateBytes(base, false, draws, never) }
+	load := func(data []byte) error { return loadGeneratorState(g, data) }
+	perCycle := uint64(maxDrawsPerArrival * 16)
 	for _, c := range []struct {
 		base  int64
 		draws uint64
 	}{
-		{0, 100*perCycle + 1},   // injecting cycles: the whole window
-		{30, 90*perCycle + 1},   // injecting cycles: from the base to the clock
-		{120, 1},                // admitted at the clock: nothing drawn yet
-		{0, 1 << 63},            // a damaged count
-		{121, 0},                // a base after the clock
-		{-1, 0},                 // a base before the first cycle
-		{-1 << 62, 1 << 62},     // both damaged
-		{0, ^uint64(0)},         // the largest count
-		{1 << 62, ^uint64(0)},   // both damaged the other way
-		{120 - 1, perCycle + 1}, // one injecting cycle
+		{0, 101*perCycle + 1},     // Start, then the whole window
+		{30, 91*perCycle + 1},     // Start, then the base to the clock
+		{120, perCycle + 1},       // admitted at the clock: Start's draws only
+		{0, 1 << 63},              // a damaged count
+		{121, 0},                  // a base after the clock
+		{-1, 0},                   // a base before the first cycle
+		{-1 << 62, 1 << 62},       // both damaged
+		{0, ^uint64(0)},           // the largest count
+		{1 << 62, ^uint64(0)},     // both damaged the other way
+		{120 - 1, 2*perCycle + 1}, // Start and one injecting cycle
 	} {
 		err := load(state(c.base, c.draws))
 		if err == nil {
@@ -93,10 +79,10 @@ func TestGeneratorLoadStateBoundsDrawCount(t *testing.T) {
 			t.Fatalf("base %d, %d draws: %d draws discarded before the refusal", c.base, c.draws, g.src.draws)
 		}
 	}
-	if err := load(state(30, 90*perCycle)); err != nil {
+	if err := load(state(30, 91*perCycle)); err != nil {
 		t.Fatalf("the bound itself: %v", err)
 	}
-	if g.src.draws != 90*perCycle || g.base != 30 {
-		t.Errorf("loaded draws %d, base %d; want %d, 30", g.src.draws, g.base, 90*perCycle)
+	if g.src.draws != 91*perCycle || g.base != 30 {
+		t.Errorf("loaded draws %d, base %d; want %d, 30", g.src.draws, g.base, 91*perCycle)
 	}
 }

@@ -303,10 +303,15 @@ var stateFields = map[string]string{
 	"traffic.Generator.rng":       derived + ": draws from src",
 	"traffic.Generator.src":       absolute + ": a generator is never in the proof",
 	"traffic.Generator.tag":       fixed + ": the scheduler's",
+	"traffic.Generator.logq":      fixed + ": the injection rate's",
 	"traffic.Generator.base":      absolute + ": a generator is never in the proof",
 	"traffic.Generator.injecting": absolute + ": a generator is never in the proof",
+	"traffic.Generator.next":      absolute + ": a generator is never in the proof",
+	"traffic.Generator.due":       derived + ": the earliest of next and the window end",
 	"traffic.Generator.injected":  absolute + ": a generator is never in the proof",
 	"traffic.Generator.received":  absolute + ": a generator is never in the proof",
+	"traffic.Generator.accepted":  absolute + ": a generator is never in the proof",
+	"traffic.Generator.backlog":   absolute + ": a generator is never in the proof",
 	"traffic.Generator.sent":      absolute + ": a generator is never in the proof",
 	"traffic.Generator.delivered": absolute + ": a generator is never in the proof",
 	"traffic.Generator.res":       absolute + ": a generator is never in the proof",
@@ -321,7 +326,9 @@ var stateFields = map[string]string{
 	"traffic.GeneratorResult.NetworkLatency": absolute + statistic,
 	"traffic.GeneratorResult.Hops":           absolute + statistic,
 	"traffic.GeneratorResult.Cycles":         derived + ": Result sets it",
+	"traffic.GeneratorResult.Offered":        derived + ": Result sets it",
 	"traffic.GeneratorResult.Throughput":     derived + ": Result sets it",
+	"traffic.GeneratorResult.Backlog":        derived + ": Result sets it",
 }
 
 // fieldKey names a struct field as stateFields does.
