@@ -6,10 +6,13 @@
 //	experiments -exp all                 # everything
 //	experiments -exp table2              # one artifact
 //	experiments -exp table2,fig7,fig8    # several, in the order -exp all prints them
-//	experiments -exp fig7 -rounds 4      # more simulated rounds per run
+//	experiments -exp ina -rounds 4       # a longer measurement window
 //	experiments -exp fig7 -format json   # machine-readable rows
 //
 // Artifacts:  table1 table2 table3 fig1 fig7 fig8 fig9 fig10
+// (each layer run of table2, the figures, the ablations, dataflow,
+// fullmodel and fullvgg covers its whole layer; -rounds is the measurement
+// window of ina, collectives, faults, pipeline, multijob and mixed only)
 // Ablations:  delta eta depth sinkcost skew (AlexNet Conv3, 8x8; the VC
 // count, a gather VC and the routing change no cycle there, so none runs)
 // Extensions: ina collectives topology dataflow mixed fullmodel fullvgg
@@ -55,10 +58,11 @@ const (
 	readsModel
 	readsJobs // -jobs and -overlap
 	readsCache
-	// pooled artifacts simulate their points on the sweep's worker pool;
-	// sweeps are pooled comparison cells, which -cachedir memoizes.
-	pooled = readsRounds | readsWorkers
-	sweeps = pooled | readsCache
+	// sweeps simulate comparison cells, whole layers, on the sweep's worker
+	// pool and -cachedir memoizes them; windows simulate their points'
+	// first -rounds rounds on the pool.
+	sweeps  = readsWorkers | readsCache
+	windows = readsRounds | readsWorkers
 )
 
 // flagReads maps each flag that some artifact ignores to its bit.
@@ -133,15 +137,15 @@ var artifacts = []artifact{
 	ablation("depth", "Ablation: buffer depth", experiments.AblationBufferDepth),
 	ablation("sinkcost", "Ablation: buffer transaction cost per packet", experiments.AblationSinkCost),
 	ablation("skew", "Ablation: completion stagger per hop", experiments.AblationSkew),
-	rows("ina", pooled, experiments.INAComparison, experiments.RenderINA),
-	rows("collectives", pooled, experiments.CollectiveComparison, experiments.RenderCollectives),
+	rows("ina", windows, experiments.INAComparison, experiments.RenderINA),
+	rows("collectives", windows, experiments.CollectiveComparison, experiments.RenderCollectives),
 	rows("topology", readsWorkers, experiments.TopologyComparison, experiments.RenderTopologyComparison),
 	rows("dataflow", sweeps, experiments.Dataflows, experiments.RenderDataflows),
-	rows("mixed", pooled, experiments.MixedTraffic, experiments.RenderMixedTraffic),
-	rows("faults", pooled, experiments.FaultSweep, experiments.RenderFaultSweep),
+	rows("mixed", windows, experiments.MixedTraffic, experiments.RenderMixedTraffic),
+	rows("faults", windows, experiments.FaultSweep, experiments.RenderFaultSweep),
 	rows("fullmodel", sweeps, fullModel(experiments.FullAlexNet), experiments.RenderModel),
 	rows("fullvgg", sweeps, fullModel(experiments.FullVGG16), experiments.RenderModel),
-	rows("pipeline", pooled|readsModel, experiments.PipelineComparison, experiments.RenderPipeline),
+	rows("pipeline", windows|readsModel, experiments.PipelineComparison, experiments.RenderPipeline),
 	rows("multijob", readsRounds|readsJobs, experiments.MultiJob, experiments.RenderMultiJob),
 }
 
@@ -159,7 +163,7 @@ func artifactNames() string {
 func run(ctx context.Context, args []string, w, errw io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "artifacts to regenerate, comma-separated ("+artifactNames()+")")
-	rounds := fs.Int("rounds", 2, "systolic rounds to simulate per run")
+	rounds := fs.Int("rounds", 2, "measurement window of ina, collectives, faults, pipeline, multijob and mixed: the rounds each of their runs simulates (the other artifacts run whole layers)")
 	format := fs.String("format", "text", "output format (text, json)")
 	workers := fs.Int("workers", 0, "parallel simulation workers per sweep (0 = GOMAXPROCS, 1 = serial)")
 	model := fs.String("model", "alexnet", "CNN model for the pipeline comparison (alexnet, vgg16)")
@@ -250,9 +254,12 @@ func run(ctx context.Context, args []string, w, errw io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		if *format == "json" {
+		switch {
+		case *format == "json":
 			jsonOut[a.name] = data
-		} else {
+		case a.reads&readsRounds != 0:
+			fmt.Fprintf(w, "== %s (window: the first %d round(s) of each run) ==\n%s\n", a.name, *rounds, text)
+		default:
 			fmt.Fprintf(w, "== %s ==\n%s\n", a.name, text)
 		}
 	}

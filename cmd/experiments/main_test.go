@@ -54,7 +54,7 @@ func TestRunArtifactList(t *testing.T) {
 
 func TestRunSimulatedArtifact(t *testing.T) {
 	var b strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1"}, &b, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2"}, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -68,10 +68,10 @@ func TestRunParallelWorkersMatchSerial(t *testing.T) {
 		t.Skip("simulation sweep; internal/experiments covers sweep determinism")
 	}
 	var serial, parallel strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1", "-workers", "1"}, &serial, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-workers", "1"}, &serial, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1", "-workers", "4"}, &parallel, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-workers", "4"}, &parallel, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
@@ -131,6 +131,9 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		// Flags that no selected artifact reads.
 		{[]string{"-exp", "table1", "-jobs", "9", "-overlap", "-model", "vgg16", "-rounds", "5"}, errUnread},
 		{[]string{"-exp", "table1", "-rounds", "5"}, errUnread},
+		// Layer artifacts run whole layers: -rounds is a window artifact's.
+		{[]string{"-exp", "table2,fig7,fullmodel", "-rounds", "3"}, errUnread},
+		{[]string{"-exp", "delta,skew,dataflow", "-rounds", "1"}, errUnread},
 		{[]string{"-exp", "fig1,table3", "-model", "vgg16"}, errUnread},
 		{[]string{"-exp", "pipeline", "-jobs", "2"}, errUnread},
 		{[]string{"-exp", "pipeline,ina", "-overlap"}, errUnread},
@@ -147,14 +150,14 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 	}
 }
 
-// TestRunAccountingLine pins the stderr accounting of a Table II pass at
-// Rounds 3 on one worker: each mode's first layer records a trajectory and
+// TestRunAccountingLine pins the stderr accounting of a Table II pass, whole
+// layers on one worker: each mode's first layer records a trajectory and
 // the other four replay it without waiting, and each of the eight replays
 // leaves its fabric as it was loaded, so its release keeps it. The line
 // counts this run only, whatever the process ran before.
 func TestRunAccountingLine(t *testing.T) {
 	var out, acct strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "3", "-workers", "1"}, &out, &acct); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-workers", "1"}, &out, &acct); err != nil {
 		t.Fatal(err)
 	}
 	line := acct.String()
@@ -165,7 +168,7 @@ func TestRunAccountingLine(t *testing.T) {
 		t.Errorf("accounting %q, want recorded=2 replayed=8 waited=0 kept=8", line)
 	}
 	var quiet strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "3", "-workers", "1"}, &quiet, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2", "-workers", "1"}, &quiet, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if quiet.String() != out.String() {
@@ -186,7 +189,7 @@ func TestRunPipelineArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, frag := range []string{"== pipeline ==", "barrier", "overlap", "analytic", "exact"} {
+	for _, frag := range []string{"== pipeline (window: the first 1 round(s) of each run) ==", "barrier", "overlap", "analytic", "exact"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("pipeline output missing %q:\n%s", frag, out)
 		}
@@ -197,7 +200,7 @@ func TestRunPipelineArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = b.String()
-	for _, frag := range []string{"== multijob ==", "inference-1", "background", "max/min slowdown", "oracle exact"} {
+	for _, frag := range []string{"== multijob (window: the first 1 round(s) of each run) ==", "inference-1", "background", "max/min slowdown", "oracle exact"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("multijob output missing %q:\n%s", frag, out)
 		}
@@ -210,7 +213,7 @@ func TestRunCollectivesArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, frag := range []string{"== collectives ==", "tree", "flat", "fused", "rowgather"} {
+	for _, frag := range []string{"== collectives (window: the first 1 round(s) of each run) ==", "tree", "flat", "fused", "rowgather"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("collectives output missing %q:\n%s", frag, out)
 		}
@@ -233,7 +236,7 @@ func TestRunFaultsArtifact(t *testing.T) {
 // bytes to stdout, and -format json must replay from the same entries.
 func TestRunCachedRerunByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-exp", "table2", "-rounds", "1", "-cachedir", dir}
+	args := []string{"-exp", "table2", "-cachedir", dir}
 	var cold strings.Builder
 	if err := run(context.Background(), args, &cold, io.Discard); err != nil {
 		t.Fatal(err)
@@ -262,7 +265,7 @@ func TestRunCachedRerunByteIdentical(t *testing.T) {
 	// An uncached run must produce the same report — the cache may never
 	// change results, only skip simulation.
 	var uncached strings.Builder
-	if err := run(context.Background(), []string{"-exp", "table2", "-rounds", "1"}, &uncached, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table2"}, &uncached, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if uncached.String() != cold.String() {

@@ -526,17 +526,13 @@ func runPipeline(nw *noc.Network, model string, jobCount, rounds int, overlap bo
 	fmt.Fprintf(w, "fabric         %dx%d %s (%s routing)\n",
 		cfg.Rows, cfg.Cols, cfg.EffectiveTopology(), cfg.EffectiveRouting())
 	oracleErrs := 0
-	var extrapolated int64
 	for j, job := range res.Jobs {
 		for _, d := range drivers[j] {
-			snap := d.Snapshot()
-			oracleErrs += snap.OracleErrors
-			extrapolated += snap.TotalCycles
+			oracleErrs += d.Snapshot().OracleErrors
 		}
 		fmt.Fprintf(w, "job %-10s start %6d done %8d (%8d cycles), %5d packets, latency %s\n",
 			job.Name, job.StartCycle, job.DrainedCycle, job.Time(), job.PacketsEjected, job.Latency.String())
 	}
-	fmt.Fprintf(w, "extrapolated   %d cycles for the full model(s)\n", extrapolated)
 	if jobCount > 1 {
 		fmt.Fprintf(w, "fairness       max/min slowdown %.3f, Jain %.3f\n", res.MaxMinSlowdown(), res.JainFairness())
 	}

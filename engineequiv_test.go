@@ -303,7 +303,7 @@ func TestSchedulerEquivalenceDirectAccumulation(t *testing.T) {
 // TestSchedulerEquivalenceDirectSystolic is the paper layer's twin: AlexNet
 // Conv3 on the 8x8 mesh, repetitive unicast and gather, two rounds, as the
 // one phase of a scheduled job must replay the layer run alone under
-// workload.Run — every sampled round, the extrapolated total, the payload
+// workload.Run — every sampled round, the measured total, the payload
 // checks and the fabric's activity — with no delivery left unclaimed.
 func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
 	for _, mode := range []systolic.Mode{systolic.RepetitiveUnicast, systolic.GatherMode} {
@@ -349,8 +349,8 @@ func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
 			if direct.PayloadErrors != 0 || sched.PayloadErrors != 0 {
 				t.Errorf("payload errors: direct %d, scheduled %d", direct.PayloadErrors, sched.PayloadErrors)
 			}
-			if direct.RoundsSimulated != 2 || sched.RoundsSimulated != 2 {
-				t.Errorf("rounds simulated: direct %d, scheduled %d", direct.RoundsSimulated, sched.RoundsSimulated)
+			if direct.RoundCycles.N() != 2 || sched.RoundCycles.N() != 2 {
+				t.Errorf("rounds simulated: direct %d, scheduled %d", direct.RoundCycles.N(), sched.RoundCycles.N())
 			}
 			if !sameSample(&direct.RoundCycles, &sched.RoundCycles) {
 				t.Errorf("round cycles diverged: direct %s, scheduled %s", &direct.RoundCycles, &sched.RoundCycles)
@@ -358,8 +358,8 @@ func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
 			if !sameSample(&direct.CollectionCycles, &sched.CollectionCycles) {
 				t.Errorf("collection cycles diverged: direct %s, scheduled %s", &direct.CollectionCycles, &sched.CollectionCycles)
 			}
-			if direct.TotalCycles != sched.TotalCycles || direct.TotalCycles == 0 {
-				t.Errorf("total cycles: direct %d, scheduled %d", direct.TotalCycles, sched.TotalCycles)
+			if direct.MeasuredCycles != sched.MeasuredCycles || direct.MeasuredCycles == 0 {
+				t.Errorf("measured cycles: direct %d, scheduled %d", direct.MeasuredCycles, sched.MeasuredCycles)
 			}
 			if cycles != res.Cycles {
 				t.Errorf("run length diverged: direct %d, scheduled %d", cycles, res.Cycles)
@@ -387,9 +387,9 @@ func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
 // Record must encode to the same bytes (what a Cache/v2 entry stores) and
 // both paths must return the same cycle. On the paper cells the
 // fast-forward must have fired: the engine clock stops short of the cycle
-// Run returns. Flat δ under gather must not fire: two VCs meet in VA
-// there, where the cycle-derived rotation may decide, and the rotation's
-// period does not divide the round's.
+// Run returns. Flat δ under gather fires only two rounds back: two VCs
+// meet in VA there, where the cycle-derived rotation may decide, and the
+// rotation's period divides two rounds but not one.
 //
 // Every subject also runs, in order, following one shared trajectory table
 // (round.Loop.Join under the key core uses), and its Record and end cycle
@@ -398,11 +398,13 @@ func TestSchedulerEquivalenceDirectSystolic(t *testing.T) {
 // first of its key. The paper cells also pin the finding the table rests
 // on: every round of every paper layer collects in 57 (RU) and 38
 // (gather) cycles on 8×8 and 113 and 73 on 16×16, with no clock ties.
-// Three runs must refuse a recorded trajectory and simulate: one whose
+// Four runs must refuse a recorded trajectory and simulate: one whose
 // compute time is below the recorded settle time, flat δ under gather
 // (whose clock ties move) at another residue of the rotation than the
-// recording's, and a fabric with telemetry on. Flat δ under gather a whole
-// number of rotations away replays.
+// recording's, one that needs rounds past a recording whose proof fired
+// two rounds back (flat δ under gather at 6 rounds), and a fabric with
+// telemetry on. Flat δ under gather a whole number of rotations away
+// replays a 3-round recording, which its proof cannot reach.
 func TestFastForwardEquivalence(t *testing.T) {
 	type subject struct {
 		name string
@@ -410,8 +412,9 @@ func TestFastForwardEquivalence(t *testing.T) {
 		cfg  systolic.Config
 		net  func(*noc.Config)
 		// fires says whether the fast-forward must fire (1), must not (-1)
-		// or may (0).
+		// or may (0); paper marks the paper cells.
 		fires int
+		paper bool
 	}
 	var subjects []subject
 	seen := map[string]bool{}
@@ -423,7 +426,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 					continue
 				}
 				seen[name] = true
-				subjects = append(subjects, subject{name: name, mesh: mesh, fires: 1,
+				subjects = append(subjects, subject{name: name, mesh: mesh, fires: 1, paper: true,
 					cfg: systolic.Config{Layer: l, Mode: mode, TMAC: 5, MaxRounds: 3}})
 			}
 		}
@@ -443,7 +446,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 		net   func(*noc.Config)
 		fires [2]int // RU, gather
 	}{
-		{"flat δ", func(c *systolic.Config) { c.FlatDelta = true }, nil, [2]int{0, -1}},
+		{"flat δ", func(c *systolic.Config) { c.FlatDelta = true }, nil, [2]int{0, 1}},
 		{"skew 3", func(c *systolic.Config) { c.SkewPerHop = 3 }, nil, [2]int{}},
 		{"2 VCs", nil, func(c *noc.Config) { c.Router.VCs = 2 }, [2]int{}},
 		{"WS", func(c *systolic.Config) { c.Dataflow = systolic.WeightStationary }, nil, [2]int{}},
@@ -506,8 +509,8 @@ func TestFastForwardEquivalence(t *testing.T) {
 			}
 
 			direct, sched := cd.Result(), cs.Result()
-			if sub.cfg.MaxRounds == 100 && (direct.TotalRounds != 16 || direct.RoundsSimulated != 16) {
-				t.Fatalf("the all-rounds subject simulates %d of %d rounds, want 16 of 16", direct.RoundsSimulated, direct.TotalRounds)
+			if sub.cfg.MaxRounds == 100 && (direct.TotalRounds != 16 || direct.RoundCycles.N() != 16) {
+				t.Fatalf("the all-rounds subject covers %d of %d rounds, want 16 of 16", direct.RoundCycles.N(), direct.TotalRounds)
 			}
 			dj, err := json.Marshal(direct.Record)
 			if err != nil {
@@ -547,7 +550,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 				t.Errorf("following the table: record %+v ending at %d, proving %+v ending at %d", got.Record, tcycles, direct.Record, cycles)
 			}
 
-			if sub.fires > 0 {
+			if sub.paper {
 				paper++
 				want := collection[sub.mesh][sub.cfg.Mode-systolic.RepetitiveUnicast]
 				if c := &direct.CollectionCycles; c.Min() != want || c.Max() != want || nwD.ClockTies() != 0 {
@@ -581,9 +584,11 @@ func TestFastForwardEquivalence(t *testing.T) {
 	tiny := ru
 	tiny.Layer, tiny.TMAC = cnn.LayerConfig{Model: "test", Name: "1x1", InChannels: 1, OutKernels: 1,
 		Kernel: 1, InputSize: 16, OutputSize: 16, Stride: 1}, 0
-	flat := systolic.Config{Layer: conv3(t), Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 6, FlatDelta: true}
-	flatOff, flatOn := flat, flat
-	flatOff.Layer, flatOn.Layer = wider(1), wider(int(rotation))
+	flat := systolic.Config{Layer: conv3(t), Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 3, FlatDelta: true}
+	flatOff, flatOn, flat6 := flat, flat, flat
+	flatOff.Layer, flatOn.Layer, flat6.MaxRounds = wider(1), wider(int(rotation)), 6
+	flatOn6 := flatOn
+	flatOn6.MaxRounds = 6
 	gather := systolic.Config{Layer: conv3(t), Mode: systolic.GatherMode, TMAC: 5, MaxRounds: 3}
 	for _, c := range []struct {
 		name      string
@@ -594,6 +599,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 		{"compute below the settle time", ru, tiny, nil, false},
 		{"flat δ under gather at another residue", flat, flatOff, nil, false},
 		{"flat δ under gather a rotation apart", flat, flatOn, nil, true},
+		{"flat δ under gather past a lag-2 proof", flat6, flatOn6, nil, false},
 		{"telemetry", gather, gather, func(c *noc.Config) { c.Telemetry = &telemetry.Config{Epoch: 64} }, false},
 	} {
 		t.Run("table/"+c.name, func(t *testing.T) {

@@ -251,9 +251,9 @@ func (d *Driver) Advance(cycle int64) bool {
 	return d.reduceDone
 }
 
-// RoundClosed samples the closed round's latency (round.Hooks).
-func (d *Driver) RoundClosed(latency int64) {
-	d.res.RoundCycles.Observe(float64(latency))
+// RoundClosed samples the closed rounds' latency (round.Hooks).
+func (d *Driver) RoundClosed(latency int64, n int) {
+	d.res.RoundCycles.ObserveN(float64(latency), n)
 }
 
 // releaseRowSums relays completed row sums into the column stage: the

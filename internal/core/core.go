@@ -18,8 +18,8 @@ import (
 
 // Options tune a layer run. The zero value selects the paper's defaults.
 type Options struct {
-	// Rounds is how many systolic rounds to simulate before extrapolation
-	// (0 = 2).
+	// Rounds is the window of a layer run: its first Rounds rounds
+	// (0 = every round, the whole layer; systolic.Config.MaxRounds).
 	Rounds int
 	// MutateNetwork, when non-nil, adjusts the network configuration
 	// before construction (ablations).
@@ -28,15 +28,10 @@ type Options struct {
 	MutateSystolic func(*systolic.Config)
 }
 
-func (o Options) rounds() int {
-	if o.Rounds == 0 {
-		return 2
-	}
-	return o.Rounds
-}
-
-// maxCycles is the cycle budget of one simulation.
-const maxCycles = 50_000_000
+// maxCycles is the cycle budget of one layer run, the cycles it simulates
+// and those it accounts by proof or replay together: a whole VGG-16
+// convolution on a 4×4 mesh is about 120M cycles long.
+const maxCycles = 1_000_000_000
 
 // networkConfig and systolicConfig materialize the configurations of one
 // layer run: defaults, then the Options' mutators. RunLayer simulates what
@@ -62,7 +57,7 @@ func (o Options) systolicConfig(layer cnn.LayerConfig, mode systolic.Mode) systo
 		Layer:     layer,
 		Mode:      mode,
 		TMAC:      cnn.TMAC,
-		MaxRounds: o.rounds(),
+		MaxRounds: o.Rounds,
 	}
 	if o.MutateSystolic != nil {
 		mutated := cfg
@@ -77,9 +72,9 @@ type LayerReport struct {
 	// Result is the systolic run summary (latencies, protocol counters,
 	// integrity checks).
 	Result *systolic.Result
-	// Events are the power-model inputs for the simulated rounds.
+	// Events are the power-model inputs for the rounds the run covered.
 	Events power.Events
-	// Energy is the energy/power report over the simulated rounds.
+	// Energy is the energy/power report over those rounds.
 	Energy power.Report
 	// NetworkConfig echoes the configuration used.
 	NetworkConfig noc.Config
@@ -99,8 +94,8 @@ func RunLayer(rows, cols int, layer cnn.LayerConfig, mode systolic.Mode, opts Op
 // the fabric's state at its first release and its release cycles
 // (round.Trajectories): the materialized configurations less the layer and
 // T_MAC, which set only the compute time before each release and the
-// extrapolation. The network enters as its Config, which separates what
-// its hash would merge.
+// round count. The network enters as its Config, which separates what its
+// hash would merge.
 type trajectoryKey struct {
 	net noc.Config
 	sys systolic.Config
@@ -183,8 +178,8 @@ type Comparison struct {
 	RU     *LayerReport
 	Gather *LayerReport
 	// LatencyImprovementPct is Eq. (4)'s form: (RU − G) / G × 100 over
-	// the extrapolated total latencies (Figs. 7/8 and Table II's
-	// "Simulated" row).
+	// the runs' latencies, whole-layer by default (Figs. 7/8 and Table
+	// II's "Simulated" row).
 	LatencyImprovementPct float64
 	// PowerImprovementPct is the NoC dynamic-energy saving
 	// (RU − G) / RU × 100 (Figs. 9/10).
@@ -219,8 +214,8 @@ func Compare(rows, cols int, layer cnn.LayerConfig, opts Options, ru, g *systoli
 		RU:     report(cfg, layer, systolic.RepetitiveUnicast, opts, ru),
 		Gather: report(cfg, layer, systolic.GatherMode, opts, g),
 	}
-	if g.TotalCycles > 0 {
-		c.LatencyImprovementPct = float64(ru.TotalCycles-g.TotalCycles) / float64(g.TotalCycles) * 100
+	if g.MeasuredCycles > 0 {
+		c.LatencyImprovementPct = float64(ru.MeasuredCycles-g.MeasuredCycles) / float64(g.MeasuredCycles) * 100
 	}
 	c.PowerImprovementPct = power.ImprovementPercent(c.RU.Energy.NoCPJ, c.Gather.Energy.NoCPJ)
 	c.EstimatedImprovementPct = EstimateParams(cfg, layer, cnn.TMAC).Improvement()

@@ -24,7 +24,7 @@ func TestRunLayerBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if rep.Result.TotalCycles <= 0 {
+		if rep.Result.MeasuredCycles <= 0 {
 			t.Errorf("%s: no cycles", mode)
 		}
 		if rep.Energy.NoCPJ <= 0 {
@@ -92,10 +92,14 @@ func TestRunLayerRejectsBadLayer(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults: the zero Options cover the whole layer.
 func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.rounds() != 2 {
-		t.Errorf("default rounds = %d", o.rounds())
+	rep, err := RunLayer(4, 4, testLayer(), systolic.GatherMode, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.Result; int64(r.RoundCycles.N()) != r.TotalRounds || r.TotalRounds < 3 {
+		t.Errorf("the default run covered %d of %d rounds", r.RoundCycles.N(), r.TotalRounds)
 	}
 }
 

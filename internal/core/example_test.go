@@ -19,7 +19,7 @@ func ExampleCompareLayer() {
 	}
 	fmt.Printf("estimated: %.2f%%\n", cmp.EstimatedImprovementPct)
 	fmt.Printf("simulated: %.2f%%\n", cmp.LatencyImprovementPct)
-	fmt.Println("gather wins:", cmp.Gather.Result.TotalCycles < cmp.RU.Result.TotalCycles)
+	fmt.Println("gather wins:", cmp.Gather.Result.MeasuredCycles < cmp.RU.Result.MeasuredCycles)
 	// Output:
 	// estimated: 0.73%
 	// simulated: 1.16%

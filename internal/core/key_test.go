@@ -5,6 +5,7 @@ import (
 
 	"gathernoc/internal/cnn"
 	"gathernoc/internal/noc"
+	"gathernoc/internal/systolic"
 )
 
 func keyFor(t *testing.T, opts Options) string {
@@ -26,7 +27,7 @@ func keyFor(t *testing.T, opts Options) string {
 // mutator at all — semantically identical runs share one cache entry.
 func TestComparisonKeyNormalizesDefaults(t *testing.T) {
 	implicit := keyFor(t, Options{})
-	explicit := keyFor(t, Options{Rounds: 2})
+	explicit := keyFor(t, Options{MutateSystolic: func(c *systolic.Config) { c.MaxRounds = 0 }})
 	if implicit != explicit {
 		t.Errorf("explicit defaults changed the key:\n%s\nvs\n%s", implicit, explicit)
 	}
@@ -93,7 +94,7 @@ const conv1Key = `{"Version":"gathernoc/core.Comparison/v1","Rows":8,"Cols":8,` 
 	`"Mode":1,"Dataflow":0,"TMAC":5,"MaxRounds":1,"FlatDelta":false,"SkewPerHop":0},` +
 	`"Gather":{"Layer":{"Model":"AlexNet","Name":"Conv1","Kind":0,"InChannels":3,"OutKernels":64,"Kernel":11,"InputSize":224,"OutputSize":55,"Stride":4,"Pad":2},` +
 	`"Mode":2,"Dataflow":0,"TMAC":5,"MaxRounds":1,"FlatDelta":false,"SkewPerHop":0},` +
-	`"MaxCycles":50000000,` +
+	`"MaxCycles":1000000000,` +
 	`"Coefficients":{"BufferWrite":0.75,"BufferRead":0.65,"RouteCompute":0.08,"VAAllocation":0.12,"SAArbitration":0.1,` +
 	`"CrossbarTraversal":1.2,"LinkTraversal":1.75,"GatherUpload":0.05,"ReduceMerge":0.18,"StreamHop":4.35,"MAC":0.9}}`
 

@@ -18,7 +18,8 @@ type AblationRow struct {
 	// LatencyImprovement and PowerImprovement are gather-vs-RU (%).
 	LatencyImprovement float64
 	PowerImprovement   float64
-	// SelfInitiated counts δ-timeout fallbacks in the gather run.
+	// SelfInitiated counts δ-timeout fallbacks in the gather run, over the
+	// whole layer.
 	SelfInitiated uint64
 }
 
@@ -108,9 +109,9 @@ func RenderAblation(title string, rows []AblationRow) string {
 	var b strings.Builder
 	b.WriteString(title)
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "%10s %10s %10s %10s\n", "value", "latency%", "power%", "selfinit")
+	fmt.Fprintf(&b, "%10s %10s %10s %14s\n", "value", "latency%", "power%", "layer selfinit")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%10d %10.2f %10.2f %10d\n",
+		fmt.Fprintf(&b, "%10d %10.2f %10.2f %14d\n",
 			r.Value, r.LatencyImprovement, r.PowerImprovement, r.SelfInitiated)
 	}
 	return b.String()

@@ -18,10 +18,10 @@ import (
 	"gathernoc/internal/systolic"
 )
 
-// cacheOpts is the smallest real sweep: AlexNet's five layers on one 4x4
-// mesh, one simulated round.
+// cacheOpts is the smallest real sweep: AlexNet's five layers, whole, on
+// one 4x4 mesh.
 func cacheOpts(c *Cache) Options {
-	return Options{Rounds: 1, Meshes: []int{4}, Cache: c}
+	return Options{Meshes: []int{4}, Cache: c}
 }
 
 // The unit tests store one real cell: AlexNet Conv1 on a 4x4 mesh, one
@@ -507,9 +507,8 @@ var entryFields = map[reflect.Type]map[string]string{
 		"Layer":  derived, "Mode": derived, "Dataflow": derived, "Rows": derived, "Cols": derived,
 	},
 	reflect.TypeOf(systolic.Record{}): {
-		"TotalRounds": stored, "RoundsSimulated": stored,
+		"TotalRounds": stored, "MeasuredCycles": stored,
 		"RoundCycles": stored, "CollectionCycles": stored,
-		"TotalCycles": stored, "MeasuredCycles": stored,
 		"Activity": stored, "StreamHops": stored, "MACs": stored,
 		"SelfInitiatedGathers": stored, "PiggybackAcks": stored, "PayloadErrors": stored,
 	},

@@ -71,9 +71,13 @@ func CollectiveComparison(opts Options) ([]CollectiveRow, error) {
 		}
 		points = append(points, collectivePoint{mesh: mesh}) // baseline
 	}
+	rounds, err := opts.rounds()
+	if err != nil {
+		return nil, err
+	}
 	rows, err := Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p collectivePoint) (CollectiveRow, error) {
-			return runCollectivePoint(p, opts)
+			return runCollectivePoint(p, rounds)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("collectives: %w", err)
@@ -81,9 +85,8 @@ func CollectiveComparison(opts Options) ([]CollectiveRow, error) {
 	return rows, nil
 }
 
-// runCollectivePoint executes one comparison cell.
-func runCollectivePoint(p collectivePoint, opts Options) (CollectiveRow, error) {
-	rounds := opts.rounds()
+// runCollectivePoint executes one comparison cell of rounds rounds.
+func runCollectivePoint(p collectivePoint, rounds int) (CollectiveRow, error) {
 	cfg := noc.DefaultConfig(p.mesh, p.mesh)
 	cfg.EnableINA = true
 	nw, err := noc.Acquire(cfg)

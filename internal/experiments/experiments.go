@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -17,7 +18,12 @@ import (
 
 // Options tune the whole experiment suite.
 type Options struct {
-	// Rounds is the number of simulated rounds per run (0 = 2).
+	// Rounds is the measurement window of the artifacts that run one
+	// (INAComparison, CollectiveComparison, FaultSweep, PipelineComparison,
+	// MultiJob, MixedTraffic): the rounds each of their runs simulates
+	// (0 = 2; negative is errNegativeRounds). The layer artifacts (Table
+	// II, Figs. 7–10, the full models, the ablations and Dataflows) do not
+	// read it: each of their layer runs covers its whole layer.
 	Rounds int
 	// Meshes lists the mesh sizes to evaluate (nil = the paper's 8x8 and
 	// 16x16).
@@ -55,10 +61,6 @@ func (o Options) meshes() []int {
 	return o.Meshes
 }
 
-func (o Options) core() core.Options {
-	return core.Options{Rounds: o.Rounds}
-}
-
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {
 		return o.Ctx
@@ -80,13 +82,20 @@ func (o Options) jobs() int {
 	return o.Jobs
 }
 
-// rounds resolves the simulated rounds per run (Options.Rounds, 0 = 2 like
-// the figure sweeps).
-func (o Options) rounds() int {
-	if o.Rounds <= 0 {
-		return 2
+// errNegativeRounds is the error of a window artifact run with a negative
+// Options.Rounds.
+var errNegativeRounds = errors.New("experiments: Options.Rounds must be >= 0")
+
+// rounds resolves the measurement window of a window artifact
+// (Options.Rounds, 0 = 2).
+func (o Options) rounds() (int, error) {
+	switch {
+	case o.Rounds < 0:
+		return 0, fmt.Errorf("%w, got %d", errNegativeRounds, o.Rounds)
+	case o.Rounds == 0:
+		return 2, nil
 	}
-	return o.Rounds
+	return o.Rounds, nil
 }
 
 // ImprovementRow is one bar of Figs. 7–10: a layer on a mesh size with its

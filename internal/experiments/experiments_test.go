@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
-// quickOpts keeps the suite fast in unit tests: one round, small meshes.
+// quickOpts keeps the suite fast in unit tests: small meshes, and one
+// round for the window artifacts (the layer artifacts run whole layers).
 func quickOpts() Options {
 	return Options{Rounds: 1, Meshes: []int{4, 8}}
 }
@@ -166,5 +168,27 @@ func TestRenderImprovementsLayout(t *testing.T) {
 	}
 	if !strings.Contains(out, "Conv1") || !strings.Contains(out, "Conv2") {
 		t.Errorf("render missing layer headers:\n%s", out)
+	}
+}
+
+// TestNegativeRoundsRefused: every window artifact refuses a negative
+// Options.Rounds by name before it runs anything; the layer artifacts do
+// not read Rounds, so one of them runs its whole layers regardless.
+func TestNegativeRoundsRefused(t *testing.T) {
+	opts := Options{Rounds: -5, Meshes: []int{4}, Jobs: 1}
+	for name, run := range map[string]func(Options) error{
+		"ina":         func(o Options) error { _, err := INAComparison(o); return err },
+		"collectives": func(o Options) error { _, err := CollectiveComparison(o); return err },
+		"faults":      func(o Options) error { _, err := FaultSweep(o); return err },
+		"pipeline":    func(o Options) error { _, err := PipelineComparison(o); return err },
+		"multijob":    func(o Options) error { _, err := MultiJob(o); return err },
+		"mixed":       func(o Options) error { _, err := MixedTraffic(o); return err },
+	} {
+		if err := run(opts); !errors.Is(err, errNegativeRounds) {
+			t.Errorf("%s: err = %v, want %v", name, err, errNegativeRounds)
+		}
+	}
+	if _, err := AblationEta(opts); err != nil {
+		t.Errorf("eta, which does not read Rounds: %v", err)
 	}
 }

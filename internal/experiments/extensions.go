@@ -91,18 +91,22 @@ func MixedTraffic(opts Options) ([]MixedTrafficRow, error) {
 			points = append(points, MixedTrafficRow{Rate: rate, DedicatedVC: dedicated})
 		}
 	}
+	rounds, err := opts.rounds()
+	if err != nil {
+		return nil, err
+	}
 	return Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p MixedTrafficRow) (MixedTrafficRow, error) {
-			return runMixed(layer, p.Rate, p.DedicatedVC, mixedSeed, opts)
+			return runMixed(layer, p.Rate, p.DedicatedVC, mixedSeed, rounds)
 		})
 }
 
 // mixedSeed seeds the background traffic of every MixedTraffic point.
 const mixedSeed = 7
 
-// runMixed runs one layer beside background traffic of the given rate
-// and seed.
-func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, seed int64, opts Options) (MixedTrafficRow, error) {
+// runMixed runs the first rounds rounds of one layer beside background
+// traffic of the given rate and seed.
+func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, seed int64, rounds int) (MixedTrafficRow, error) {
 	cfg := noc.DefaultConfig(8, 8)
 	if dedicated {
 		cfg.Router.GatherVC = cfg.Router.VCs - 1
@@ -116,7 +120,7 @@ func runMixed(layer cnn.LayerConfig, rate float64, dedicated bool, seed int64, o
 	defer nw.Release()
 
 	ctl, err := systolic.NewController(nw, systolic.Config{
-		Layer: layer, Mode: systolic.GatherMode, TMAC: cnn.TMAC, MaxRounds: opts.rounds(),
+		Layer: layer, Mode: systolic.GatherMode, TMAC: cnn.TMAC, MaxRounds: rounds,
 	})
 	if err != nil {
 		return MixedTrafficRow{}, err

@@ -71,7 +71,7 @@ func TestMixedTrafficDedicatedVCHelps(t *testing.T) {
 	const streams = 12
 	runs, err := Sweep(context.Background(), 0, make([]struct{}, 2*streams),
 		func(_ context.Context, i int, _ struct{}) (MixedTrafficRow, error) {
-			return runMixed(layer, 0.15, i%2 == 1, int64(i/2+1), Options{Rounds: 4})
+			return runMixed(layer, 0.15, i%2 == 1, int64(i/2+1), 4)
 		})
 	if err != nil {
 		t.Fatal(err)

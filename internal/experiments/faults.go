@@ -56,9 +56,13 @@ func FaultSweep(opts Options) ([]FaultSweepRow, error) {
 			points = append(points, faultPoint{scheme, rate})
 		}
 	}
+	rounds, err := opts.rounds()
+	if err != nil {
+		return nil, err
+	}
 	rows, err := Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p faultPoint) (FaultSweepRow, error) {
-			row, err := runFaultPoint(p.scheme, p.rate, opts)
+			row, err := runFaultPoint(p.scheme, p.rate, rounds)
 			if err != nil {
 				err = fmt.Errorf("fault sweep %s @ %.3f: %w", p.scheme, p.rate, err)
 			}
@@ -75,7 +79,7 @@ func FaultSweep(opts Options) ([]FaultSweepRow, error) {
 	return rows, nil
 }
 
-func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (FaultSweepRow, error) {
+func runFaultPoint(scheme traffic.CollectScheme, rate float64, rounds int) (FaultSweepRow, error) {
 	cfg := noc.DefaultConfig(8, 8)
 	cfg.EnableINA = scheme == traffic.CollectINA
 	if rate > 0 {
@@ -90,7 +94,7 @@ func runFaultPoint(scheme traffic.CollectScheme, rate float64, opts Options) (Fa
 	// of the whole cycle budget.
 	nw.Engine().SetWatchdog(nw.Watchdog(0))
 	ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
-		Scheme: scheme, Rounds: opts.rounds(), ComputeLatency: 20,
+		Scheme: scheme, Rounds: rounds, ComputeLatency: 20,
 	})
 	if err != nil {
 		return FaultSweepRow{}, err

@@ -23,8 +23,8 @@ type ModelResult struct {
 	Model  string
 	Mesh   int
 	Layers []ModelLayerRow
-	// Totals over the whole model (extrapolated cycles; energy scaled to
-	// full layers).
+	// Totals over the whole model: every layer's cycles and NoC energy,
+	// each over the whole layer.
 	RUTotalCycles      int64
 	GatherTotalCycles  int64
 	RUTotalPJ          float64
@@ -55,22 +55,19 @@ func fullModel(name string, layers []cnn.LayerConfig, mesh int, opts Options) (*
 		return nil, fmt.Errorf("full model %s: %w", name, err)
 	}
 	res := &ModelResult{Model: name, Mesh: mesh, Layers: make([]ModelLayerRow, len(layers))}
-	coeff := power.DefaultCoefficients()
 	for i, cmp := range cmps {
-		ruE := power.Compute(cmp.RU.Events.Scale(cmp.RU.Result.ScaleFactor()), coeff, 0, 0)
-		gE := power.Compute(cmp.Gather.Events.Scale(cmp.Gather.Result.ScaleFactor()), coeff, 0, 0)
 		res.Layers[i] = ModelLayerRow{
 			Layer:              layers[i].Name,
 			Kind:               layers[i].Kind.String(),
-			RUCycles:           cmp.RU.Result.TotalCycles,
-			GatherCycles:       cmp.Gather.Result.TotalCycles,
+			RUCycles:           cmp.RU.Result.MeasuredCycles,
+			GatherCycles:       cmp.Gather.Result.MeasuredCycles,
 			LatencyImprovement: cmp.LatencyImprovementPct,
 			PowerImprovement:   cmp.PowerImprovementPct,
 		}
-		res.RUTotalCycles += cmp.RU.Result.TotalCycles
-		res.GatherTotalCycles += cmp.Gather.Result.TotalCycles
-		res.RUTotalPJ += ruE.NoCPJ
-		res.GatherTotalPJ += gE.NoCPJ
+		res.RUTotalCycles += cmp.RU.Result.MeasuredCycles
+		res.GatherTotalCycles += cmp.Gather.Result.MeasuredCycles
+		res.RUTotalPJ += cmp.RU.Energy.NoCPJ
+		res.GatherTotalPJ += cmp.Gather.Energy.NoCPJ
 	}
 	if res.GatherTotalCycles > 0 {
 		res.LatencyImprovement = float64(res.RUTotalCycles-res.GatherTotalCycles) /

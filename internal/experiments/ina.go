@@ -18,10 +18,8 @@ type INARow struct {
 	Layer  string
 	Mesh   int
 	Scheme string
-	// RoundCycles is the mean simulated round latency; TotalCycles the
-	// whole-phase extrapolation.
+	// RoundCycles is the mean simulated round latency.
 	RoundCycles float64
-	TotalCycles int64
 	// SinkFlitsPerRow is the mean sink flit transactions per row
 	// reduction; PacketLatency the mean end-to-end packet latency.
 	SinkFlitsPerRow float64
@@ -67,9 +65,13 @@ func INAComparison(opts Options) ([]INARow, error) {
 			}
 		}
 	}
+	rounds, err := opts.rounds()
+	if err != nil {
+		return nil, err
+	}
 	rows, err := Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p inaPoint) (INARow, error) {
-			return runINAPoint(p, opts)
+			return runINAPoint(p, rounds)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("ina: %w", err)
@@ -77,8 +79,9 @@ func INAComparison(opts Options) ([]INARow, error) {
 	return rows, nil
 }
 
-// runINAPoint executes one accumulation-phase run and projects its row.
-func runINAPoint(p inaPoint, opts Options) (INARow, error) {
+// runINAPoint executes the first rounds rounds of one accumulation phase
+// (all of them when the layer has fewer) and projects its row.
+func runINAPoint(p inaPoint, rounds int) (INARow, error) {
 	cfg := noc.DefaultConfig(p.mesh, p.mesh)
 	cfg.EnableINA = true
 	nw, err := noc.Acquire(cfg)
@@ -88,8 +91,7 @@ func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 	defer nw.Release()
 	ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
 		Scheme:         p.scheme,
-		Rounds:         opts.rounds(),
-		TotalRounds:    p.layer.AccumulationRounds(p.mesh),
+		Rounds:         int(min(int64(rounds), p.layer.AccumulationRounds(p.mesh))),
 		ComputeLatency: p.layer.PartialMACsPerPE(p.mesh) + cnn.TMAC,
 	})
 	if err != nil {
@@ -109,7 +111,6 @@ func runINAPoint(p inaPoint, opts Options) (INARow, error) {
 		Mesh:            p.mesh,
 		Scheme:          p.scheme.String(),
 		RoundCycles:     res.RoundCycles.Mean(),
-		TotalCycles:     res.TotalCycles,
 		SinkFlitsPerRow: res.SinkFlitsPerRow(),
 		PacketLatency:   res.PacketLatency.Mean(),
 		Merges:          res.Merges,

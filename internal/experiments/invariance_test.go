@@ -55,16 +55,15 @@ var paperPointInvariances = []invariance{
 // cycles, its rounds' and collections' samples, the δ fallbacks, the NoC
 // activity, and the NoC energy the power figures derive from it.
 type runFacts struct {
-	TotalCycles, MeasuredCycles int64
-	RoundCycles, Collection     stats.Sample
-	SelfInitiatedGathers        uint64
-	Activity                    noc.Activity
-	NoCPJ                       float64
+	MeasuredCycles          int64
+	RoundCycles, Collection stats.Sample
+	SelfInitiatedGathers    uint64
+	Activity                noc.Activity
+	NoCPJ                   float64
 }
 
 func factsOf(r *core.LayerReport) runFacts {
 	f := runFacts{
-		TotalCycles:          r.Result.TotalCycles,
 		MeasuredCycles:       r.Result.MeasuredCycles,
 		SelfInitiatedGathers: r.Result.SelfInitiatedGathers,
 		Activity:             r.Result.Activity,

@@ -18,7 +18,7 @@ type PipelineRow struct {
 	Model    string
 	Topology string
 	// Mode is "analytic" (the sum of independent per-layer runs — the
-	// extrapolation the repository used before the workload scheduler),
+	// composition the repository used before the workload scheduler),
 	// "barrier" (cycle-accurate sequential composition) or "overlap"
 	// (double-buffered pipelining with inter-layer contention).
 	Mode string
@@ -27,9 +27,6 @@ type PipelineRow struct {
 	// Cycles is the simulated makespan of the composed run (for the
 	// analytic row, the sum of the independent runs' cycle counts).
 	Cycles int64
-	// ExtrapolatedCycles scales each layer's simulated rounds to its full
-	// round count and sums — the whole-model estimate.
-	ExtrapolatedCycles int64
 	// OracleErrors counts row reductions that failed verification
 	// (must be 0).
 	OracleErrors int
@@ -55,7 +52,7 @@ func pipelineFabric(topology string) (*noc.Network, error) {
 // AlexNet) through the cycle-accurate workload scheduler on an 8x8 mesh
 // and torus, in strict-barrier and double-buffered-overlap modes, and
 // against the analytic composition of independent per-layer runs — the
-// extrapolation that whole-model results were stitched from before
+// composition that whole-model results were stitched from before
 // phases could contend on one fabric, now demoted to a cross-check role:
 // the barrier makespan must land within a few percent of it (the residue
 // is the per-boundary admission cycle and the VA rotation phase each
@@ -71,26 +68,29 @@ func PipelineComparison(opts Options) ([]PipelineRow, error) {
 		{"mesh", "analytic"}, {"mesh", "barrier"}, {"mesh", "overlap"},
 		{"torus", "analytic"}, {"torus", "barrier"}, {"torus", "overlap"},
 	}
+	rounds, err := opts.rounds()
+	if err != nil {
+		return nil, err
+	}
 	return Sweep(opts.ctx(), opts.Workers, points,
 		func(_ context.Context, _ int, p pipelinePoint) (PipelineRow, error) {
 			row := PipelineRow{Model: model, Topology: p.topology, Mode: p.mode, Layers: len(layers)}
 			if p.mode == "analytic" {
-				return analyticComposition(row, layers, opts)
+				return analyticComposition(row, layers, rounds)
 			}
-			return pipelineRun(row, layers, p.mode == "overlap", opts)
+			return pipelineRun(row, layers, p.mode == "overlap", rounds)
 		})
 }
 
 // analyticComposition runs every layer independently on a fresh fabric
 // and sums — no flit of layer k ever contends with layer k-1.
-func analyticComposition(row PipelineRow, layers []cnn.LayerConfig, opts Options) (PipelineRow, error) {
+func analyticComposition(row PipelineRow, layers []cnn.LayerConfig, rounds int) (PipelineRow, error) {
 	for _, layer := range layers {
-		res, err := analyticLayer(row.Topology, layer, opts)
+		res, err := analyticLayer(row.Topology, layer, rounds)
 		if err != nil {
 			return row, fmt.Errorf("analytic %s: %w", layer.Name, err)
 		}
 		row.Cycles += res.Cycles
-		row.ExtrapolatedCycles += res.TotalCycles
 		row.OracleErrors += res.OracleErrors
 	}
 	return row, nil
@@ -100,7 +100,7 @@ func analyticComposition(row PipelineRow, layers []cnn.LayerConfig, opts Options
 // its just-built state. The phase is the one the scheduler arm admits for
 // the layer (workload.NewPipelineJob), so the two arms share its compute
 // latency by construction.
-func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traffic.AccumulationResult, error) {
+func analyticLayer(topology string, layer cnn.LayerConfig, rounds int) (*traffic.AccumulationResult, error) {
 	nw, err := pipelineFabric(topology)
 	if err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traff
 	_, drivers, err := workload.NewPipelineJob(nw, layer.Name, workload.PipelineConfig{
 		Layers: []cnn.LayerConfig{layer},
 		Scheme: traffic.CollectGather,
-		Rounds: opts.rounds(),
+		Rounds: rounds,
 	})
 	if err != nil {
 		return nil, err
@@ -124,7 +124,7 @@ func analyticLayer(topology string, layer cnn.LayerConfig, opts Options) (*traff
 
 // pipelineRun composes the whole model on one fabric through the
 // scheduler.
-func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts Options) (PipelineRow, error) {
+func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, rounds int) (PipelineRow, error) {
 	nw, err := pipelineFabric(row.Topology)
 	if err != nil {
 		return row, err
@@ -133,7 +133,7 @@ func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts O
 	job, drivers, err := workload.NewPipelineJob(nw, row.Model, workload.PipelineConfig{
 		Layers:  layers,
 		Scheme:  traffic.CollectGather,
-		Rounds:  opts.rounds(),
+		Rounds:  rounds,
 		Overlap: overlap,
 	})
 	if err != nil {
@@ -149,9 +149,7 @@ func pipelineRun(row PipelineRow, layers []cnn.LayerConfig, overlap bool, opts O
 	}
 	row.Cycles = res.Jobs[0].Time()
 	for _, d := range drivers {
-		snap := d.Snapshot()
-		row.ExtrapolatedCycles += snap.TotalCycles
-		row.OracleErrors += snap.OracleErrors
+		row.OracleErrors += d.Snapshot().OracleErrors
 	}
 	return row, nil
 }
@@ -163,13 +161,13 @@ func RenderPipeline(rows []PipelineRow) string {
 		fmt.Fprintf(&b, "Workload: complete %s (%d layers) on one 8x8 fabric, cycle-accurate vs analytic composition\n",
 			rows[0].Model, rows[0].Layers)
 	}
-	fmt.Fprintf(&b, "%-8s %-10s %14s %18s %8s\n", "fabric", "mode", "cycles", "extrapolated", "oracle")
+	fmt.Fprintf(&b, "%-8s %-10s %14s %8s\n", "fabric", "mode", "cycles", "oracle")
 	for _, r := range rows {
 		oracle := "exact"
 		if r.OracleErrors != 0 {
 			oracle = fmt.Sprintf("%d ERR", r.OracleErrors)
 		}
-		fmt.Fprintf(&b, "%-8s %-10s %14d %18d %8s\n", r.Topology, r.Mode, r.Cycles, r.ExtrapolatedCycles, oracle)
+		fmt.Fprintf(&b, "%-8s %-10s %14d %8s\n", r.Topology, r.Mode, r.Cycles, oracle)
 	}
 	return b.String()
 }
@@ -223,6 +221,10 @@ func MultiJob(opts Options) (*MultiJobReport, error) {
 	nJobs := opts.jobs()
 	layers := cnn.AlexNetAllLayers()[:2] // Conv1 → Pool1
 	const bgRate = 0.005
+	rounds, err := opts.rounds()
+	if err != nil {
+		return nil, err
+	}
 
 	nw, err := pipelineFabric("mesh")
 	if err != nil {
@@ -232,7 +234,7 @@ func MultiJob(opts Options) (*MultiJobReport, error) {
 	jobs, drivers, err := workload.NewInferenceBatch(nw, nJobs, 5, workload.PipelineConfig{
 		Layers:  layers,
 		Scheme:  traffic.CollectGather,
-		Rounds:  opts.rounds(),
+		Rounds:  rounds,
 		Overlap: opts.Overlap,
 	})
 	if err != nil {

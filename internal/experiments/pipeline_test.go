@@ -34,8 +34,8 @@ func TestPipelineComparisonAcceptance(t *testing.T) {
 		if r.OracleErrors != 0 {
 			t.Errorf("%s/%s: %d oracle errors", r.Topology, r.Mode, r.OracleErrors)
 		}
-		if r.Cycles <= 0 || r.ExtrapolatedCycles <= 0 {
-			t.Errorf("%s/%s: non-positive cycles %d/%d", r.Topology, r.Mode, r.Cycles, r.ExtrapolatedCycles)
+		if r.Cycles <= 0 {
+			t.Errorf("%s/%s: non-positive cycles %d", r.Topology, r.Mode, r.Cycles)
 		}
 		if byMode[r.Topology] == nil {
 			byMode[r.Topology] = map[string]PipelineRow{}
@@ -52,11 +52,6 @@ func TestPipelineComparisonAcceptance(t *testing.T) {
 		if rel := math.Abs(float64(barrier.Cycles-analytic.Cycles)) / float64(analytic.Cycles); rel > pipelineReconcileTolerance {
 			t.Errorf("%s: barrier %d vs analytic %d cycles diverge by %.2f%% (tolerance %.0f%%)",
 				topo, barrier.Cycles, analytic.Cycles, rel*100, pipelineReconcileTolerance*100)
-		}
-		if rel := math.Abs(float64(barrier.ExtrapolatedCycles-analytic.ExtrapolatedCycles)) /
-			float64(analytic.ExtrapolatedCycles); rel > pipelineReconcileTolerance {
-			t.Errorf("%s: extrapolated barrier %d vs analytic %d diverge by %.2f%%",
-				topo, barrier.ExtrapolatedCycles, analytic.ExtrapolatedCycles, rel*100)
 		}
 	}
 }

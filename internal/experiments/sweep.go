@@ -107,14 +107,15 @@ func comparePoints(layers []cnn.LayerConfig, meshes []int) []comparePoint {
 	return points
 }
 
-// options are the point's run options: the sweep's, adjusted by mutate.
-func (p comparePoint) options(opts Options) core.Options {
+// options are the point's run options: the defaults, each run covering
+// its whole layer, adjusted by mutate.
+func (p comparePoint) options() core.Options {
 	if p.mutate == nil {
-		return opts.core()
+		return core.Options{}
 	}
 	// Declared here, the copy mutate escapes with is allocated only for
 	// points that have one.
-	o := opts.core()
+	var o core.Options
 	p.mutate(&o)
 	return o
 }
@@ -122,7 +123,7 @@ func (p comparePoint) options(opts Options) core.Options {
 // lookup returns the point's comparison from opts.Cache, nil on a miss.
 // Unkeyable inputs are never wrong results, only uncacheable.
 func (p comparePoint) lookup(opts Options) *core.Comparison {
-	o := p.options(opts)
+	o := p.options()
 	key, err := core.ComparisonKey(p.mesh, p.mesh, p.layer, o)
 	if err != nil {
 		return nil
@@ -208,7 +209,7 @@ func compareSweep(points []comparePoint, opts Options) ([]*core.Comparison, erro
 		}
 		c := &cells[n]
 		n++
-		c.comparePoint, c.opts, c.out = p, p.options(opts), &cmps[i]
+		c.comparePoint, c.opts, c.out = p, p.options(), &cmps[i]
 		if opts.Cache != nil {
 			c.key, _ = core.ComparisonKey(p.mesh, p.mesh, p.layer, c.opts)
 		}

@@ -232,7 +232,7 @@ func TestArtifactsHonorCancellation(t *testing.T) {
 }
 
 // TestTrajectoryTable holds compareSweep's trajectory table to its hit rate
-// and to the runs it stands for. Over Fig. 7's grid at Rounds 3, one run
+// and to the runs it stands for. Over Fig. 7's grid of whole layers, one run
 // per mesh and mode simulates and records, and every other run replays: an
 // encoding change that silently stops the replays fails here. Two workers,
 // which record distinct keys at once and make a run that reaches a key
@@ -243,7 +243,7 @@ func TestTrajectoryTable(t *testing.T) {
 	points := comparePoints(cnn.AlexNetConvLayers(), []int{8, 16})
 	want := uint64(2*len(points) - 4)
 	before := round.Replayed()
-	one, err := compareSweep(points, Options{Rounds: 3, Workers: 1})
+	one, err := compareSweep(points, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestTrajectoryTable(t *testing.T) {
 		t.Errorf("one worker replayed %d of %d runs, want %d: all but the first of each mesh and mode", got, 2*len(points), want)
 	}
 	before = round.Replayed()
-	two, err := compareSweep(points, Options{Rounds: 3, Workers: 2})
+	two, err := compareSweep(points, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestTrajectoryTable(t *testing.T) {
 		t.Errorf("two workers replayed %d of %d runs, want %d as one worker does", got, 2*len(points), want)
 	}
 	for i, p := range points {
-		want, err := core.CompareLayer(p.mesh, p.mesh, p.layer, core.Options{Rounds: 3})
+		want, err := core.CompareLayer(p.mesh, p.mesh, p.layer, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,25 +98,6 @@ func (e Events) Add(o Events) Events {
 	}
 }
 
-// Scale returns the events multiplied by k (used to extrapolate a
-// simulated round sample to a full layer).
-func (e Events) Scale(k float64) Events {
-	s := func(v uint64) uint64 { return uint64(float64(v)*k + 0.5) }
-	return Events{
-		BufferWrites:   s(e.BufferWrites),
-		BufferReads:    s(e.BufferReads),
-		RCComputations: s(e.RCComputations),
-		VAAllocations:  s(e.VAAllocations),
-		SAGrants:       s(e.SAGrants),
-		Crossings:      s(e.Crossings),
-		LinkFlits:      s(e.LinkFlits),
-		GatherUploads:  s(e.GatherUploads),
-		ReduceMerges:   s(e.ReduceMerges),
-		StreamHops:     s(e.StreamHops),
-		MACs:           s(e.MACs),
-	}
-}
-
 // Report is the energy/power summary of one run.
 type Report struct {
 	// RouterPJ is the router-internal dynamic energy (buffers,

@@ -52,17 +52,6 @@ func TestEventsAdd(t *testing.T) {
 	}
 }
 
-func TestEventsScale(t *testing.T) {
-	e := Events{BufferWrites: 10, LinkFlits: 3}
-	s := e.Scale(2.5)
-	if s.BufferWrites != 25 {
-		t.Errorf("BufferWrites = %d, want 25", s.BufferWrites)
-	}
-	if s.LinkFlits != 8 { // 7.5 rounds to 8
-		t.Errorf("LinkFlits = %d, want 8", s.LinkFlits)
-	}
-}
-
 func TestImprovementPercent(t *testing.T) {
 	if got := ImprovementPercent(200, 150); got != 25 {
 		t.Errorf("ImprovementPercent = %v, want 25", got)
@@ -125,23 +114,6 @@ func TestReportString(t *testing.T) {
 	r := Compute(Events{LinkFlits: 1}, DefaultCoefficients(), 10, 1)
 	if r.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-// TestEventsScaleRounding pins the half-up rounding of Scale across edge
-// cases: exact halves round up, k=0 zeroes everything, k=1 is identity.
-func TestEventsScaleRounding(t *testing.T) {
-	e := Events{BufferWrites: 1, LinkFlits: 3, ReduceMerges: 5}
-	half := e.Scale(0.5)
-	// 0.5 rounds to 1, 1.5 to 2, 2.5 to 3 (round half up, not banker's).
-	if half.BufferWrites != 1 || half.LinkFlits != 2 || half.ReduceMerges != 3 {
-		t.Errorf("Scale(0.5) = %+v, want 1/2/3", half)
-	}
-	if z := e.Scale(0); z != (Events{}) {
-		t.Errorf("Scale(0) = %+v, want zero", z)
-	}
-	if id := e.Scale(1); id != e {
-		t.Errorf("Scale(1) = %+v, want identity", id)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/sim"
-	"gathernoc/internal/stats"
 	"gathernoc/internal/topology"
 )
 
@@ -40,9 +39,10 @@ type Hooks interface {
 	// the operands released and the deliveries announced with Wake since it
 	// last ran, and on the clock reaching a cycle announced with WakeAt.
 	Advance(cycle int64) (complete bool)
-	// RoundClosed reports the latency, open to complete, of the round that
-	// just closed.
-	RoundClosed(latency int64)
+	// RoundClosed reports that n rounds closed, each latency cycles from
+	// open to complete: the round that just closed (n = 1), or rounds a
+	// proof or a replay accounts without simulating them.
+	RoundClosed(latency int64, n int)
 }
 
 // Repeater is the Hooks extension of a controller whose rounds a loop run
@@ -97,19 +97,13 @@ type Loop struct {
 
 	// The periodicity proof (ProveRepeats): rep is the controller, limit
 	// the last cycle the run may end at, rotation the clock's period, buf
-	// the pooled buffers. buf.encs holds the encodings of the latest two
-	// opens, encs[cur] the latest, taken at the open at prev when encoded
-	// says it is comparable; buf.tallies holds the tallies taken with them.
-	// skipped counts the cycles a fast-forward or a replay accounted
-	// without simulating them, and grown the tally's growth over them
-	// (Grown).
+	// the pooled buffers. skipped counts the cycles a fast-forward or a
+	// replay accounted without simulating them, and grown the tally's
+	// growth over them (Grown).
 	rep      Repeater
 	limit    int64
 	rotation int64
 	buf      *scratch
-	cur      int
-	encoded  bool
-	prev     int64
 	skipped  int64
 	grown    []uint64
 
@@ -242,7 +236,7 @@ func (l *Loop) Tick(cycle int64) {
 		l.named = never
 	}
 	if l.h.Advance(cycle) {
-		l.h.RoundClosed(cycle - l.start)
+		l.h.RoundClosed(cycle-l.start, 1)
 		l.round++
 		if l.round >= l.rounds {
 			l.done = true
@@ -279,15 +273,15 @@ func (l *Loop) release(cycle int64) {
 }
 
 // ProveRepeats has a loop run alone try to prove, at each round open from
-// round 1 on, that the round repeats the one before it, and once it does,
-// close every remaining round without simulating it (Settled). Round 0
-// opens on the fabric as built, which no later open matches, so a proof
-// needs the opens of rounds 1 and 2: with fewer than three rounds the loop
-// proves nothing. ProveRepeats reports false, and changes nothing, for hooks
-// that are not a Repeater, or for fewer than three rounds unless the loop
-// follows a trajectory table (Join). limit is the cycle the run's budget
-// ends at: a fast-forward or a replay past it is not taken, so the run fails
-// where it always did. rotation is the period of the fabric's VA rotation
+// round 1 on, that the rounds from an earlier open on repeat, and once it
+// does, close every remaining round without simulating it (Settled). Round
+// 0 opens on the fabric as built, which no later open matches, so with
+// fewer than three rounds the loop proves nothing. ProveRepeats reports
+// false, and changes nothing, for hooks that are not a Repeater, or for
+// fewer than three rounds unless the loop follows a trajectory table
+// (Join). limit is the cycle the run's budget ends at: a fast-forward or a
+// replay past it is not taken, so the run fails where it always did.
+// rotation is the period of the fabric's VA rotation
 // (noc.Network.ClockPeriod): a stretch in which the clock ties moved
 // repeats only a whole number of rotations away.
 func (l *Loop) ProveRepeats(limit, rotation int64) bool {
@@ -297,17 +291,36 @@ func (l *Loop) ProveRepeats(limit, rotation int64) bool {
 	}
 	l.rep, l.limit, l.rotation = rep, limit, rotation
 	l.buf = buffers.Get().(*scratch)
+	if n := int(rotation) + 1; len(l.buf.opens) < n {
+		l.buf.opens = make([]open, n)
+	}
+	for i := range l.buf.opens {
+		l.buf.opens[i].round = 0
+	}
 	return true
 }
 
-// scratch is the proof's buffers: the latest two opens' encodings and
-// tallies, and a trajectory's encodings at a release and tally at a close.
+// scratch is the proof's buffers: a ring of opens, round k's at k mod its
+// length, which exceeds the rotation, so every lag a proof needs is held;
+// and a trajectory's encodings at a release and tally at a close.
 type scratch struct {
-	encs    [2][]byte
-	tallies [2][]uint64
-	rel     [2][]byte
-	tally   []uint64
+	opens []open
+	rel   [2][]byte
+	tally []uint64
 }
+
+// open is what the proof took at a round's open (round 0: an empty slot):
+// the cycle, the state's encoding, comparable when ok, and the tally.
+type open struct {
+	round int
+	start int64
+	enc   []byte
+	ok    bool
+	tally []uint64
+}
+
+// at returns the ring slot of round k's open.
+func (b *scratch) at(k int) *open { return &b.opens[k%len(b.opens)] }
 
 // buffers recycles the proof's buffers from run to run: a 16×16 fabric
 // encodes to about 7 KB, and a sweep runs hundreds of layers.
@@ -317,15 +330,15 @@ var buffers = sync.Pool{New: func() any { return new(scratch) }}
 // engine calls it at every cycle boundary, cycle being the clock there. At
 // the boundary after a round opens it encodes the state — the
 // controller's and the fabric's (Repeater.AppendState), then the loop's
-// own — into one of two reused buffers and compares it byte for byte with
-// the previous open's. Equal encodings, and clock ties that did not move
-// between them unless the period is a whole number of rotations, prove
-// that every later round repeats that one, the run being deterministic:
-// the loop accounts the tally's growth over the period once per round left
-// (Grown), closes those rounds, each one period long, and is done. Skipped
-// then says how many cycles that accounted. A loop that follows a
-// trajectory table records or replays there too (Join). Settled reports
-// Drained.
+// own — and compares it byte for byte with one earlier open's: the newest
+// that lies a whole number of clock rotations back, or the previous one
+// when the clock ties did not move since (the rotation then decided
+// nothing). Equal encodings L rounds apart prove, the run being
+// deterministic, that the rounds from then on repeat those L in turn: the
+// loop closes the remaining rounds with their latencies, accounts the
+// tally's growth over them (Grown), and is done. Skipped then says how
+// many cycles that accounted. A loop that follows a trajectory table
+// records or replays there too (Join). Settled reports Drained.
 //
 // Two fields of the loop stay out of the encoding: the round index, which
 // feeds only the payloads' Value and reduction ids (neither encoded, see
@@ -348,44 +361,68 @@ func (l *Loop) Settled(cycle int64) bool {
 	return l.done
 }
 
-// prove encodes the state at the boundary after the open, cycle being the
-// clock there, and fast-forwards when it repeats the previous open's.
+// prove encodes the state at the boundary after round k's open, cycle
+// being the clock there, into the ring and fast-forwards when it repeats
+// the open it is compared with.
 func (l *Loop) prove(cycle int64) {
-	b, next := l.buf, 1-l.cur
-	enc := l.rep.AppendState(b.encs[next][:0], l.start)
-	if enc != nil {
-		enc = l.appendState(enc, l.start)
-		b.encs[next] = enc
+	b, k := l.buf, l.round
+	o := b.at(k)
+	o.round, o.start = k, l.start
+	enc := l.rep.AppendState(o.enc[:0], l.start)
+	if o.ok = enc != nil; o.ok {
+		o.enc = l.appendState(enc, l.start)
 	}
-	b.tallies[next] = l.rep.Tally(b.tallies[next][:0])
-	if enc != nil && l.encoded && bytes.Equal(enc, b.encs[l.cur]) {
-		period := l.start - l.prev
-		left := l.rounds - l.round
-		skip := int64(left) * period
-		// A round in which the rotation may have decided an allocation
-		// repeats only if its period is a whole number of rotations.
-		if b.tallies[next][0] == b.tallies[l.cur][0] || period%l.rotation == 0 {
-			if cycle+skip <= l.limit {
-				l.grown = extend(nil, nil, b.tallies[l.cur], b.tallies[next], left)
-				l.finish(skip, period, left)
-				return
+	o.tally = l.rep.Tally(o.tally[:0])
+	for j := k - 1; j > max(0, k-len(b.opens)) && b.at(j).round == j; j-- {
+		if p := b.at(j); j == k-1 && o.tally[0] == p.tally[0] || (o.start-p.start)%l.rotation == 0 {
+			if o.ok && p.ok && bytes.Equal(o.enc, p.enc) {
+				l.fastForward(cycle, j)
 			}
-			// Another run of the trajectory may fast-forward here: this
-			// one cannot stand for it.
-			if l.follow != nil {
-				l.follow.abandon()
-			}
+			return
 		}
 	}
-	l.cur, l.encoded, l.prev = next, enc != nil, l.start
 }
 
-// finish closes the rounds left, each period cycles long, and accounts
-// skip cycles not simulated.
-func (l *Loop) finish(skip, period int64, left int) {
-	for range left {
-		l.h.RoundClosed(period)
+// fastForward closes the rounds left, which repeat in turn the rounds from
+// open j to the open round's, if the run they stand for ends within its
+// budget.
+func (l *Loop) fastForward(cycle int64, j int) {
+	b, k := l.buf, l.round
+	lag, left := k-j, l.rounds-k
+	q, r := left/lag, left%lag
+	from := b.at(j)
+	skip := int64(q)*(b.at(k).start-from.start) + b.at(j+r).start - from.start
+	if cycle+skip > l.limit {
+		// Another run of the trajectory may fast-forward here: this one
+		// cannot stand for it.
+		if l.follow != nil {
+			l.follow.abandon()
+		}
+		return
 	}
+	var part []uint64
+	if r > 0 {
+		part = extend(nil, nil, from.tally, b.at(j+r).tally, 1)
+	}
+	l.grown = extend(nil, part, from.tally, b.at(k).tally, q)
+	for i := j; i < k; i++ {
+		n := q
+		if i-j < r {
+			n++
+		}
+		if n > 0 {
+			l.h.RoundClosed(b.at(i+1).start-b.at(i).start, n)
+		}
+	}
+	if f := l.follow; f != nil && f.rec != nil {
+		f.rec.lag = lag
+	}
+	l.finish(skip)
+}
+
+// finish marks every round closed, skip cycles accounted without
+// simulating them.
+func (l *Loop) finish(skip int64) {
 	l.round, l.done, l.skipped = l.rounds, true, skip
 }
 
@@ -432,15 +469,6 @@ func (l *Loop) Grown() []uint64 {
 // without simulating them (0 when neither did): the run the loop stood in
 // for ended that many cycles after the engine's clock.
 func (l *Loop) Skipped() int64 { return l.skipped }
-
-// Extrapolate returns a whole workload's cycles from the rounds a run
-// sampled: their mean latency times total, rounded; 0 when no round closed.
-func Extrapolate(rounds *stats.Sample, total int64) int64 {
-	if rounds.N() == 0 {
-		return 0
-	}
-	return int64(rounds.Mean()*float64(total) + 0.5)
-}
 
 // Done reports whether every round has closed.
 func (l *Loop) Done() bool { return l.done }

@@ -3,6 +3,7 @@ package round
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,7 +60,11 @@ func (f *fakeHooks) Advance(cycle int64) bool {
 	return f.l.pending == 0
 }
 
-func (f *fakeHooks) RoundClosed(latency int64) { f.closed = append(f.closed, latency) }
+func (f *fakeHooks) RoundClosed(latency int64, n int) {
+	for range n {
+		f.closed = append(f.closed, latency)
+	}
+}
 
 func newFake(nodes, rounds int, hold int64, ready func(round, id int) (int64, bool)) *fakeHooks {
 	f := &fakeHooks{l: new(Loop), nodes: nodes, ready: ready, hold: hold}
@@ -303,6 +308,8 @@ type repeatFake struct {
 	// busy runs the fake beside a ticker awake in every cycle, so the
 	// engine never jumps.
 	busy bool
+	// rotation is the clock period the fake runs under (0: fakeRotation).
+	rotation int64
 }
 
 // awake is a ticker that never sleeps.
@@ -350,7 +357,11 @@ func runProving(r *repeatFake, t *Trajectories, rounds int, ready func(round, id
 	if r.busy {
 		e.AddTicker(awake{})
 	}
-	proving := r.l.ProveRepeats(e.Cycle()+budget, fakeRotation)
+	rotation := r.rotation
+	if rotation == 0 {
+		rotation = fakeRotation
+	}
+	proving := r.l.ProveRepeats(e.Cycle()+budget, rotation)
 	r.l.Start(e.Cycle())
 	done := r.l.Drained
 	if proving {
@@ -419,6 +430,37 @@ func TestProveRepeats(t *testing.T) {
 				t.Errorf("fast-forwarded: clock %d, end %d (%v)", clock, end, err)
 			}
 		})
+	}
+}
+
+// TestProveRepeatsAtALag: when the clock ties move in every round, an
+// open is compared with the newest earlier one a whole number of rotations
+// back. Rounds that alternate between two latencies (30 and 35 cycles)
+// under a 65-cycle rotation repeat two rounds back: the loop fast-forwards
+// at the open of round 3 and closes the rest with both latencies in turn,
+// as simulating every round does. Under a rotation no span of the run
+// reaches, it never fires.
+func TestProveRepeatsAtALag(t *testing.T) {
+	same := func() []byte { return []byte{42} }
+	alternate := func(round, id int) (int64, bool) { return 20 + 5*int64(round%2) + int64(id), true }
+	sorted := func(c []int64) []int64 { c = slices.Clone(c); slices.Sort(c); return c }
+	for _, rounds := range []int{9, 10} {
+		refEnd, _, refClosed, err := runProving(&repeatFake{}, nil, rounds, alternate, 10_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff := &repeatFake{state: same, tied: true, rotation: 65}
+		end, clock, closed, err := runProving(ff, nil, rounds, alternate, 10_000)
+		if err != nil || end != refEnd || !reflect.DeepEqual(sorted(closed), sorted(refClosed)) {
+			t.Errorf("%d rounds: fast-forward ends at %d closing %v (%v), the full run at %d closing %v", rounds, end, closed, err, refEnd, refClosed)
+		}
+		if len(ff.opened) != 4 || clock >= end || !reflect.DeepEqual(ff.l.Grown(), []uint64{uint64(rounds - 3)}) {
+			t.Errorf("%d rounds: %d opens, clock %d of %d, accounted %v; want 4 opens and %d rounds", rounds, len(ff.opened), clock, end, ff.l.Grown(), rounds-3)
+		}
+		never := &repeatFake{state: same, tied: true, rotation: 1000}
+		if end, clock, _, err := runProving(never, nil, rounds, alternate, 10_000); err != nil || clock != end {
+			t.Errorf("%d rounds under a 1000-cycle rotation: fast-forwarded, clock %d, end %d (%v)", rounds, clock, end, err)
+		}
 	}
 }
 

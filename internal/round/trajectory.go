@@ -41,10 +41,11 @@ type trajectory struct {
 	// trajectory, which then repeats only a whole number of rotations away.
 	lead, first int64
 	ties        bool
-	// rounds are the rounds the run simulated; fired says that the
-	// periodicity proof fast-forwarded at the open after the last one.
+	// rounds are the rounds the run simulated; lag is how many rounds back
+	// the periodicity proof found the open after the last one repeated, 0
+	// when it did not fire.
 	rounds []recorded
-	fired  bool
+	lag    int
 }
 
 // recorded is one simulated round of a trajectory.
@@ -274,12 +275,14 @@ func (l *Loop) settle(cycle int64) {
 // within its budget, and its state encodes to tr's. Then every round this
 // run would simulate collects as tr's did, and the proof fires where tr's
 // did. The loop closes the rounds with this run's lead plus tr's
-// collection and accounts tr's counter growth, and is done.
+// collection and accounts tr's counter growth, and is done. Past the
+// recorded rounds each round repeats the last only when tr's proof fired a
+// round back; a run that needs rounds past a longer lag simulates.
 func (l *Loop) replay(tr *trajectory, cycle int64) bool {
 	lead, m := cycle-l.start, len(tr.rounds)
 	k := min(l.rounds, m)
 	fires := l.rounds > m
-	if fires && !tr.fired {
+	if fires && tr.lag != 1 {
 		return false
 	}
 	for _, r := range tr.rounds[:k-1] {
@@ -310,7 +313,7 @@ func (l *Loop) replay(tr *trajectory, cycle int64) bool {
 		return false
 	}
 	for _, r := range tr.rounds[:k-1] {
-		l.h.RoundClosed(lead + r.collect)
+		l.h.RoundClosed(lead+r.collect, 1)
 	}
 	last := tr.rounds[k-1].tally
 	if fires {
@@ -318,8 +321,8 @@ func (l *Loop) replay(tr *trajectory, cycle int64) bool {
 	} else {
 		l.grown = last
 	}
-	l.h.RoundClosed(period)
-	l.finish(end-cycle, period, left)
+	l.h.RoundClosed(period, left+1)
+	l.finish(end - cycle)
 	replays.Add(1)
 	return true
 }
@@ -332,7 +335,6 @@ func (l *Loop) publish() {
 		return
 	}
 	f.rec.ties = f.rec.rounds[len(f.rec.rounds)-1].tally[0] != 0
-	f.rec.fired = len(f.rec.rounds) < l.rounds
 	f.t.end(f.key, f.own, f.rec)
 	records.Add(1)
 	f.rec, f.own = nil, nil

@@ -319,3 +319,26 @@ func TestRestoreRefusesMalformedCounts(t *testing.T) {
 		t.Errorf("a failing source: Restore err %v, want errBadSample", err)
 	}
 }
+
+// TestObserveNMatchesRepeatedObserve: n observations at once leave the
+// sample n Observe calls leave, in place and past the spill, for whole
+// numbers (whose partial sums are exact); n <= 0 observes nothing.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	for _, distinct := range []int{3, 9} {
+		var one, many Sample
+		for v := 0; v < distinct; v++ {
+			n := 1 + v*v%7
+			for range n {
+				one.Observe(float64(1000 + v))
+			}
+			many.ObserveN(float64(1000+v), n)
+			many.ObserveN(float64(v), 0)
+			many.ObserveN(float64(v), -3)
+		}
+		ov, oc := one.Counts()
+		mv, mc := many.Counts()
+		if one.N() != many.N() || one.Sum() != many.Sum() || !reflect.DeepEqual(ov, mv) || !reflect.DeepEqual(oc, mc) {
+			t.Errorf("%d values: ObserveN gives %s, Observe %s", distinct, &many, &one)
+		}
+	}
+}

@@ -90,6 +90,18 @@ func (s *Sample) Observe(v float64) {
 	s.sum += v
 }
 
+// ObserveN records n observations of v at once (none for n <= 0). The sum
+// grows by v·n, which equals n Observe calls whenever those partial sums
+// are exact, as they are for whole numbers of cycles.
+func (s *Sample) ObserveN(v float64, n int) {
+	if n <= 0 {
+		return
+	}
+	s.add(key(v), uint64(n))
+	s.n += n
+	s.sum += v * float64(n)
+}
+
 // add counts c more observations of the value whose key is k.
 func (s *Sample) add(k, c uint64) {
 	if s.spill != nil {

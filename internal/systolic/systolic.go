@@ -106,15 +106,14 @@ type Config struct {
 	Dataflow Dataflow
 	// TMAC is the MAC latency in cycles (Table I: 5).
 	TMAC int
-	// MaxRounds is how many rounds the run samples (RoundsSimulated); the
-	// layer's total is their mean latency times TotalRounds. A layer run
-	// alone on a bare fabric (workload.Run) simulates the sampled rounds
-	// only until one is proven identical to the round before it
-	// (round.Loop.Settled), and accounts the rest as its copies: rounds
-	// are proven identical, else extrapolated. One that follows a
-	// trajectory table (round.Loop.Join) may instead replay the rounds of
-	// an earlier layer they provably repeat. 0 means 2; a value of at
-	// least the layer's round count simulates every round (exact mode).
+	// MaxRounds is the run's window: it covers the layer's first
+	// MaxRounds rounds, 0 (or a value of at least the layer's round count)
+	// the whole layer. A layer run alone on a bare fabric (workload.Run)
+	// simulates them only until it proves the rounds from an earlier open
+	// on repeat (round.Loop.Settled), and accounts the rest exactly as
+	// their copies; one that follows a trajectory table
+	// (round.Loop.Join) may instead replay the rounds of an earlier layer
+	// they provably repeat.
 	MaxRounds int
 	// FlatDelta gives the controller's row plans unit δ scales, applying
 	// the network config's base δ uniformly — the literal reading of
@@ -197,25 +196,20 @@ type Result struct {
 // is not an echo of the run's parameters. It is the unit a result cache
 // stores (DESIGN.md §14).
 type Record struct {
-	// TotalRounds is ⌈P/N⌉·⌈Q/M⌉; RoundsSimulated is how many rounds the
-	// Record samples before extrapolation: simulated, or proven identical
-	// to the round before and accounted as its copy (round.Loop.Settled).
-	TotalRounds     int64
-	RoundsSimulated int
+	// TotalRounds is the layer's round count, ⌈P/N⌉·⌈Q/M⌉ under OS.
+	TotalRounds int64
 
-	// RoundCycles samples the simulated rounds' full latencies
-	// (streaming + MAC + collection); CollectionCycles samples just the
-	// collection phases.
+	// RoundCycles holds the full latency (streaming + MAC + collection)
+	// of every round the run covered, the whole layer unless
+	// Config.MaxRounds set a window, whether simulated or accounted as a
+	// proven copy; CollectionCycles holds just their collection phases.
 	RoundCycles      stats.Sample
 	CollectionCycles stats.Sample
 
-	// TotalCycles is the extrapolated whole-layer latency
-	// (mean round latency × TotalRounds); MeasuredCycles is the simulated
-	// portion.
-	TotalCycles    int64
+	// MeasuredCycles is the latency of the rounds covered: their sum.
 	MeasuredCycles int64
 
-	// Activity holds the NoC event counts of the simulated rounds;
+	// Activity holds the NoC event counts of the rounds covered;
 	// StreamHops and MACs the corresponding systolic-side counts.
 	Activity   noc.Activity
 	StreamHops uint64
@@ -226,15 +220,6 @@ type Record struct {
 	SelfInitiatedGathers uint64
 	PiggybackAcks        uint64
 	PayloadErrors        int
-}
-
-// ScaleFactor returns TotalRounds / RoundsSimulated for extrapolating
-// event counts to the whole layer.
-func (r *Result) ScaleFactor() float64 {
-	if r.RoundsSimulated == 0 {
-		return 0
-	}
-	return float64(r.TotalRounds) / float64(r.RoundsSimulated)
 }
 
 // Controller drives one layer run on a network: the round loop is the
@@ -305,19 +290,16 @@ func NewController(nw *noc.Network, cfg Config) (*Controller, error) {
 	c.seenSrc.in, c.seenSeq.in = seen[:nodes:nodes], seen[nodes:]
 
 	total := cfg.totalRounds(c.rows, c.cols)
-	sim := cfg.MaxRounds
-	if sim == 0 {
-		sim = 2
+	rounds := int(total)
+	if cfg.MaxRounds > 0 && int64(cfg.MaxRounds) < total {
+		rounds = cfg.MaxRounds
 	}
-	if int64(sim) > total {
-		sim = int(total)
-	}
-	c.Init(c, c.rows*c.cols, sim, nc.PayloadBits)
+	c.Init(c, c.rows*c.cols, rounds, nc.PayloadBits)
 
 	c.res = Result{
 		Layer: cfg.Layer, Mode: cfg.Mode, Dataflow: cfg.Dataflow,
 		Rows: c.rows, Cols: c.cols,
-		Record: Record{TotalRounds: total, RoundsSimulated: sim},
+		Record: Record{TotalRounds: total},
 	}
 
 	c.plans = nw.RowLines(true)
@@ -445,10 +427,10 @@ func (c *Controller) Result() *Result {
 		macsPerRound = uint64(c.crr) * uint64(c.rows*c.cols)
 		streamPerRound = streams * macsPerRound
 	}
-	r.StreamHops = streamPerRound * uint64(r.RoundsSimulated)
-	r.MACs = macsPerRound * uint64(r.RoundsSimulated)
+	rounds := uint64(r.RoundCycles.N())
+	r.StreamHops = streamPerRound * rounds
+	r.MACs = macsPerRound * rounds
 	r.MeasuredCycles = int64(r.RoundCycles.Sum())
-	r.TotalCycles = round.Extrapolate(&r.RoundCycles, r.TotalRounds)
 	return &r
 }
 
@@ -496,9 +478,9 @@ func (c *Controller) Inject(id int, cycle int64) {
 // (round.Hooks).
 func (c *Controller) Advance(int64) bool { return c.collected >= c.expected }
 
-// RoundClosed samples the closed round's full and collection-only latencies
-// (round.Hooks).
-func (c *Controller) RoundClosed(latency int64) {
-	c.res.RoundCycles.Observe(float64(latency))
-	c.res.CollectionCycles.Observe(float64(latency) - float64(c.cfg.computeLatency(c.rows)))
+// RoundClosed samples the closed rounds' full and collection-only
+// latencies (round.Hooks).
+func (c *Controller) RoundClosed(latency int64, n int) {
+	c.res.RoundCycles.ObserveN(float64(latency), n)
+	c.res.CollectionCycles.ObserveN(float64(latency)-float64(c.cfg.computeLatency(c.rows)), n)
 }

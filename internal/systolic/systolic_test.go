@@ -54,8 +54,8 @@ func TestConfigValidate(t *testing.T) {
 
 func TestRoundCompletesRU(t *testing.T) {
 	res := runLayer(t, 4, 4, smallLayer(), RepetitiveUnicast, 2)
-	if res.RoundsSimulated != 2 || res.RoundCycles.N() != 2 {
-		t.Fatalf("rounds simulated = %d (%d samples)", res.RoundsSimulated, res.RoundCycles.N())
+	if res.RoundCycles.N() != 2 {
+		t.Fatalf("rounds simulated = %d", res.RoundCycles.N())
 	}
 	if res.PayloadErrors != 0 {
 		t.Errorf("payload errors = %d", res.PayloadErrors)
@@ -93,8 +93,8 @@ func TestGatherBeatsRU(t *testing.T) {
 		t.Errorf("gather round %.1f >= RU round %.1f",
 			g.RoundCycles.Mean(), ru.RoundCycles.Mean())
 	}
-	if g.TotalCycles >= ru.TotalCycles {
-		t.Errorf("gather total %d >= RU total %d", g.TotalCycles, ru.TotalCycles)
+	if g.MeasuredCycles >= ru.MeasuredCycles {
+		t.Errorf("gather total %d >= RU total %d", g.MeasuredCycles, ru.MeasuredCycles)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestSimulatedImprovementAtLeastEstimated(t *testing.T) {
 	layer := cnn.AlexNetConvLayers()[0]
 	ru := runLayer(t, 8, 8, layer, RepetitiveUnicast, 2)
 	g := runLayer(t, 8, 8, layer, GatherMode, 2)
-	simImp := float64(ru.TotalCycles-g.TotalCycles) / float64(g.TotalCycles) * 100
+	simImp := float64(ru.MeasuredCycles-g.MeasuredCycles) / float64(g.MeasuredCycles) * 100
 
 	est := analytic.Params{
 		N: 8, M: 8, Kappa: 4, UnicastFlits: 2, GatherFlits: 4, Eta: 8,
@@ -120,8 +120,7 @@ func TestSimulatedImprovementAtLeastEstimated(t *testing.T) {
 
 func TestRoundsAreIdentical(t *testing.T) {
 	// Rounds are serialized and the network drains between them, so every
-	// simulated round should take exactly as long as the first —
-	// justifying extrapolation.
+	// simulated round should take exactly as long as the first.
 	res := runLayer(t, 4, 4, smallLayer(), GatherMode, 4)
 	if res.RoundCycles.Min() != res.RoundCycles.Max() {
 		t.Errorf("round latencies vary: min %v max %v",
@@ -129,9 +128,9 @@ func TestRoundsAreIdentical(t *testing.T) {
 	}
 }
 
-// TestExactModeSmallLayer: a MaxRounds of at least the layer's round count
-// simulates every round, and one above it yields exactly the Record of
-// MaxRounds equal to it (NewController clamps).
+// TestExactModeSmallLayer: MaxRounds 0, the default, covers every round of
+// the layer, and so does a MaxRounds of at least its round count: all
+// three yield the same Record (NewController clamps).
 func TestExactModeSmallLayer(t *testing.T) {
 	layer := cnn.LayerConfig{
 		Model: "test", Name: "micro", InChannels: 1, OutKernels: 4, Kernel: 2,
@@ -143,6 +142,7 @@ func TestExactModeSmallLayer(t *testing.T) {
 		name      string
 		maxRounds int
 	}{
+		{"0", 0},
 		{"equal to the round count", int(total)},
 		{"above the round count", int(total) + 1000},
 	} {
@@ -158,11 +158,11 @@ func TestExactModeSmallLayer(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := ctl.Result()
-		if int64(res.RoundsSimulated) != res.TotalRounds || res.TotalRounds != total {
-			t.Errorf("%s: simulated %d of %d rounds, want %d of %d", tc.name, res.RoundsSimulated, res.TotalRounds, total, total)
+		if int64(res.RoundCycles.N()) != res.TotalRounds || res.TotalRounds != total {
+			t.Errorf("%s: covered %d of %d rounds, want %d of %d", tc.name, res.RoundCycles.N(), res.TotalRounds, total, total)
 		}
-		if res.MeasuredCycles != res.TotalCycles {
-			t.Errorf("%s: exact mode measured %d != total %d", tc.name, res.MeasuredCycles, res.TotalCycles)
+		if res.MeasuredCycles != int64(res.RoundCycles.Sum()) {
+			t.Errorf("%s: measured %d cycles, the rounds sum to %v", tc.name, res.MeasuredCycles, res.RoundCycles.Sum())
 		}
 		if exact.TotalRounds == 0 {
 			exact = res.Record

@@ -56,9 +56,6 @@ type AccumulationConfig struct {
 	Scheme CollectScheme
 	// Rounds is how many rounds to simulate (>= 1).
 	Rounds int
-	// TotalRounds is the workload's full round count, for extrapolating
-	// TotalCycles from the simulated sample; 0 means Rounds.
-	TotalRounds int64
 	// ComputeLatency is the cycles from round start until every PE's
 	// partial sum is ready (e.g. ⌈C·R·R/M⌉ + T_MAC).
 	ComputeLatency int
@@ -71,8 +68,6 @@ func (c AccumulationConfig) Validate() error {
 		return fmt.Errorf("traffic: invalid collection scheme %d", c.Scheme)
 	case c.Rounds < 1:
 		return fmt.Errorf("traffic: Rounds must be >= 1, got %d", c.Rounds)
-	case c.TotalRounds < 0:
-		return fmt.Errorf("traffic: TotalRounds must be >= 0, got %d", c.TotalRounds)
 	case c.ComputeLatency < 0:
 		return fmt.Errorf("traffic: ComputeLatency must be >= 0, got %d", c.ComputeLatency)
 	}
@@ -92,11 +87,6 @@ type AccumulationResult struct {
 	// packet reaching a sink.
 	RoundCycles   stats.Sample
 	PacketLatency stats.Sample
-
-	// TotalRounds and TotalCycles extrapolate the simulated sample to the
-	// whole workload (mean round latency × TotalRounds).
-	TotalRounds int64
-	TotalCycles int64
 
 	// SinkFlits and SinkPackets count the flit and packet transactions
 	// the global-buffer ports paid; Merges counts in-network merges and
@@ -178,20 +168,8 @@ func NewAccumulationController(nw *noc.Network, cfg AccumulationConfig) (*Accumu
 		cols: nc.Cols,
 	}
 	c.plans = nw.RowLines(nc.EastSinks)
-
-	total := cfg.TotalRounds
-	if total == 0 {
-		total = int64(cfg.Rounds)
-	}
-	rounds := cfg.Rounds
-	if int64(rounds) > total {
-		rounds = int(total)
-	}
-	c.res = AccumulationResult{
-		Scheme: cfg.Scheme, Rows: c.rows, Cols: c.cols,
-		Rounds: rounds, TotalRounds: total,
-	}
-	c.Init(c, c.rows*c.cols, rounds, nc.PayloadBits)
+	c.res = AccumulationResult{Scheme: cfg.Scheme, Rows: c.rows, Cols: c.cols, Rounds: cfg.Rounds}
+	c.Init(c, c.rows*c.cols, cfg.Rounds, nc.PayloadBits)
 	return c, nil
 }
 
@@ -259,9 +237,9 @@ func (c *AccumulationController) Inject(id int, cycle int64) {
 // (round.Hooks).
 func (c *AccumulationController) Advance(int64) bool { return c.rowsDone >= c.rows }
 
-// RoundClosed samples the closed round's latency (round.Hooks).
-func (c *AccumulationController) RoundClosed(latency int64) {
-	c.res.RoundCycles.Observe(float64(latency))
+// RoundClosed samples the closed rounds' latency (round.Hooks).
+func (c *AccumulationController) RoundClosed(latency int64, n int) {
+	c.res.RoundCycles.ObserveN(float64(latency), n)
 }
 
 // Result finalizes the run-wide result of a controller run alone, cycles
@@ -294,14 +272,9 @@ func (c *AccumulationController) Result(cycles int64) *AccumulationResult {
 	return c.Snapshot()
 }
 
-// Snapshot finalizes and returns the controller-local result fields:
-// round and packet latencies, the extrapolated whole-workload totals and
-// the oracle error count. Unlike Result it aggregates no network-wide
-// counters, so it is the accessor scheduler-driven phases use — concurrent
-// phases share those counters and summing them per phase would
-// double-count.
-func (c *AccumulationController) Snapshot() *AccumulationResult {
-	r := &c.res
-	r.TotalCycles = round.Extrapolate(&r.RoundCycles, r.TotalRounds)
-	return r
-}
+// Snapshot returns the controller-local result fields: round and packet
+// latencies and the oracle error count. Unlike Result it aggregates no
+// network-wide counters, so it is the accessor scheduler-driven phases use
+// — concurrent phases share those counters and summing them per phase
+// would double-count.
+func (c *AccumulationController) Snapshot() *AccumulationResult { return &c.res }

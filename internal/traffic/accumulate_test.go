@@ -163,7 +163,6 @@ func TestAccumulationConfigValidate(t *testing.T) {
 	for _, cfg := range []AccumulationConfig{
 		{Scheme: 0, Rounds: 1},
 		{Scheme: CollectGather, Rounds: 0},
-		{Scheme: CollectGather, Rounds: 1, TotalRounds: -1},
 		{Scheme: CollectGather, Rounds: 1, ComputeLatency: -1},
 	} {
 		if err := cfg.Validate(); err == nil {

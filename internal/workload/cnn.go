@@ -19,15 +19,15 @@ type PipelineConfig struct {
 	Layers []cnn.LayerConfig
 	// Scheme selects unicast, gather or INA collection for every layer.
 	Scheme traffic.CollectScheme
-	// Rounds bounds the simulated rounds per layer (0 = 1); each layer's
-	// full round count still enters its extrapolated totals.
+	// Rounds bounds the simulated rounds per layer (0 = 1): a layer runs
+	// the first Rounds of its rounds, or all of them when it has fewer.
 	Rounds int
 	// Overlap selects double-buffered pipelining: each layer starts as
 	// soon as its predecessor finished injecting, so the predecessor's
 	// tail traffic contends with the successor's head. False is the
 	// strict barrier — a layer starts only when its predecessor fully
 	// drained, the sequential composition the analytic whole-model
-	// extrapolation assumes.
+	// sum assumes.
 	Overlap bool
 }
 
@@ -40,7 +40,7 @@ func (c PipelineConfig) rounds() int {
 
 // NewPipelineJob compiles the layer sequence into a Job on nw and returns
 // it together with the per-layer drivers (whose Snapshot carries each
-// layer's round latencies and extrapolated totals after the run). Each
+// layer's round latencies and oracle errors after the run). Each
 // layer phase simulates min(Rounds, its full accumulation round count)
 // rounds with a per-round compute latency of ⌈C·R·R/M⌉ + T_MAC — the
 // input-channel-partitioned mapping the accumulation workload models
@@ -57,11 +57,9 @@ func NewPipelineJob(nw *noc.Network, name string, cfg PipelineConfig) (Job, []*t
 		if err := layer.Validate(); err != nil {
 			return Job{}, nil, fmt.Errorf("workload: pipeline %q: %w", name, err)
 		}
-		// The driver clamps Rounds to TotalRounds itself.
 		drv, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
 			Scheme:         cfg.Scheme,
-			Rounds:         cfg.rounds(),
-			TotalRounds:    layer.AccumulationRounds(rows),
+			Rounds:         int(min(int64(cfg.rounds()), layer.AccumulationRounds(rows))),
 			ComputeLatency: layer.PartialMACsPerPE(cols) + cnn.TMAC,
 		})
 		if err != nil {
@@ -82,7 +80,7 @@ func NewPipelineJob(nw *noc.Network, name string, cfg PipelineConfig) (Job, []*t
 // the CLIs, experiments and benchmarks all run. Job j is named
 // "inference-j", arrives stagger·j cycles after the schedule starts, and
 // returns its per-layer drivers alongside so callers can aggregate
-// oracle errors and extrapolated totals from their Snapshots.
+// oracle errors and round latencies from their Snapshots.
 func NewInferenceBatch(nw *noc.Network, n int, stagger int64, cfg PipelineConfig) ([]Job, [][]*traffic.AccumulationController, error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("workload: batch size must be >= 1, got %d", n)

@@ -200,7 +200,6 @@ func reuseSubjects(t *testing.T) []reuseSubject {
 			ctl, err := traffic.NewAccumulationController(nw, traffic.AccumulationConfig{
 				Scheme:         traffic.CollectINA,
 				Rounds:         2,
-				TotalRounds:    layer.AccumulationRounds(8),
 				ComputeLatency: layer.PartialMACsPerPE(8) + 5,
 			})
 			if err != nil {
